@@ -29,70 +29,24 @@ latency) do not.
 
 Round modes
 -----------
-``CoordinatorConfig.mode`` selects the round engine:
+One round is one pass through the stages of :mod:`~repro.fl.rounds`
+(select → dispatch → encode → meter → admit → aggregate → close; the stage
+table there says what each driver adds and which invariant each stage
+carries).  ``CoordinatorConfig.mode`` picks the driver:
 
-* ``"sync"`` (default) — the barrier loop above; ``round_time`` is the max
-  over participants of download + train + upload (the straggler defines
-  the round, paper Table 6).
-* ``"async"`` — the buffered-asynchronous engine
-  (:mod:`~repro.fl.async_engine`): ``clients_per_round`` clients stay in
-  flight on a simulated event clock, aggregation fires on the first
-  ``buffer_k`` arrivals with a staleness discount, and arrivals past
-  ``deadline_s`` are dropped (their wasted cost metered).  Each
-  :class:`RoundRecord` is one aggregation step and ``round_time`` is the
-  simulated-clock advance since the previous step — ``sum(round_time)`` is
-  total simulated time in both modes.  The same determinism guarantee
-  holds: async runs are bit-reproducible for a fixed seed on every
-  executor backend.
+* ``"sync"`` (default) — the barrier, :meth:`Coordinator._barrier_round`;
+  ``round_time`` is the max over participants of download + train + upload
+  (the straggler defines the round, paper Table 6).
+* ``"async"`` — the event queue, :mod:`~repro.fl.async_engine`; each
+  :class:`RoundRecord` is one buffered aggregation step and ``round_time``
+  the simulated-clock advance since the previous one, so
+  ``sum(round_time)`` is total simulated time in both modes.
 
-Evaluation is batched by deployment: clients sharing an ensemble (see
-:meth:`Strategy.eval_ensemble`) are forward-passed together in a few large
-vectorized calls instead of per-client loops.  Strategies that override
-``client_logits`` keep their bespoke per-client path.
-
-Incremental evaluation cache
-----------------------------
-Periodic evaluation sweeps the *whole* registered fleet, yet between
-sweeps most of the suite is untouched (async aggregation updates at most
-``buffer_k`` models per step; cold models in multi-model training go
-unchanged for long stretches).  With ``eval_cache`` on (the default) the
-coordinator keys two caches on the models' monotone
-:attr:`~repro.nn.model.CellModel.version` counters:
-
-* **accuracies** per ``(ensemble ids, ensemble versions, client chunk)`` —
-  a deployment group whose models did not change since the last sweep
-  skips its forward passes entirely;
-* **logits** per ``(model id, model version, client chunk)``, kept for
-  multi-member ensembles only — across sweeps, an ensemble that lost some
-  (not all) members to training recomputes only the changed members and
-  reuses the idle members' logits (SplitMix's nested deployments, where
-  the hot base net invalidates every ensemble containing it but the cold
-  members' passes are saved).  Within a single sweep there is nothing to
-  share: deployment groups partition the fleet, so no two groups ever
-  produce the same ``(model, version, chunk)`` key.  Single-member groups
-  skip the logits cache entirely (an unchanged member is an accuracy-cache
-  hit and a changed one needs a full recompute, so a stored entry could
-  never be read): they dispatch as plain accuracy tasks — per-client
-  accuracies over the wire, nothing retained — submitted in the *same*
-  executor wave as the ensembles' member-logits tasks
-  (:meth:`~repro.fl.executor.RoundExecutor.eval_and_logits_round`), so a
-  mixed sweep pays one barrier, not two.
-
-The retained logits are float64 (a downcast would break the bit-identity
-contract), so the cross-sweep cache costs
-``O(multi-member-ensemble test rows x num_classes)`` doubles of resident
-memory between sweeps — the price of skipping idle members' forward
-passes.  Fleets whose evaluation is dominated by single-model deployments
-pay nothing; ensemble fleets that cannot afford the residency can set
-``eval_cache=False`` and trade the saving back for memory.
-
-Cache-on and cache-off sweeps are bit-identical: the cached quantities are
-re-derived by exactly the arithmetic of the uncached
-:func:`~repro.fl.executor._eval_task` path, and entries are invalidated by
-version, never by heuristics.  ``EvalRecord.cached_clients`` /
-``evaluated_clients`` meter the split so the saving is observable.  Both
-caches evict entries untouched by the latest sweep, bounding memory at one
-sweep's working set.
+The determinism guarantee holds for both.  Evaluation is batched by
+deployment — clients sharing an ensemble (:meth:`Strategy.eval_ensemble`)
+share a few large forward passes — and groups whose models did not change
+are served from the version-keyed :mod:`~repro.fl.eval_cache`; strategies
+that override ``client_logits`` keep their bespoke per-client path.
 
 Scheduling subsystem
 --------------------
@@ -120,10 +74,6 @@ round's decisions are exported on ``RoundRecord.scheduler`` (effective
 counts).  Strategy-side eviction state (FedTrans's sparse utility store)
 reaches the record through :meth:`Strategy.scheduler_counters`.
 
-Note: ``convergence_patience`` is measured in *evaluations* (one every
-``eval_every`` rounds), not in rounds — patience 10 with ``eval_every=10``
-spans 100 training rounds.
-
 Durable runs
 ------------
 With ``checkpoint_dir`` set the run lives in a registry directory keyed by
@@ -131,18 +81,13 @@ its config hash (:mod:`~repro.fl.registry`); ``checkpoint_every`` writes a
 crash-consistent checkpoint (:mod:`~repro.fl.checkpoint`) at the end of
 every N-th round, and ``resume=True`` picks the run back up from the last
 good checkpoint there.  The coordinator is itself :class:`~repro.stateful.
-Stateful`: its payload composes the strategy, the selector, the async
-engine (pending work included — checkpoints land at wave-drain barriers),
-the round RNG, the model-id counter, and both evaluation caches, so a
-resumed run is bit-identical to the uninterrupted one (CONTRACTS.md I9).
-Executor state is deliberately *absent* from the payload (executors carry
-derived runtime state only), which is what lets a run checkpointed under
-one backend resume under another.
+Stateful` (see :meth:`Coordinator.state_dict` for what its payload
+composes and why executor state is absent), so a resumed run is
+bit-identical to the uninterrupted one (CONTRACTS.md I9).
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 from dataclasses import dataclass
 
@@ -157,22 +102,12 @@ from ..stateful import Stateful, check_schema, schema_tag
 from .async_engine import BufferedAsyncEngine
 from .checkpoint import CheckpointWriter, load_checkpoint
 from .client import LocalTrainerConfig
-from .executor import (
-    EvalTask,
-    RoundExecutor,
-    TrainItem,
-    ensemble_accuracies,
-    make_executor,
-)
+from .eval_cache import EvalCache
+from .executor import EvalTask, RoundExecutor, make_executor
 from .export import log_from_state, log_state_dict
-from .faults import (
-    FaultConfig,
-    ItemFailure,
-    QuarantineConfig,
-    RetryPolicy,
-    UpdateValidator,
-)
+from .faults import FaultConfig, QuarantineConfig, RetryPolicy, UpdateValidator
 from .registry import RunRegistry, run_hash
+from .rounds import RoundTally, admit, close_round, dispatch, encode, meter
 from .scheduling import (
     PACING_POLICIES,
     SELECTOR_POLICIES,
@@ -183,14 +118,7 @@ from .scheduling import (
 )
 from .strategy import Strategy
 from .transport import TransportCodec, TransportConfig
-from .types import (
-    EvalRecord,
-    FaultRecord,
-    FLClient,
-    RoundRecord,
-    SchedulerRecord,
-    TrainingLog,
-)
+from .types import EvalRecord, FLClient, RoundRecord, TrainingLog
 
 __all__ = ["CoordinatorConfig", "Coordinator"]
 
@@ -208,7 +136,8 @@ class CoordinatorConfig:
     # maximum number of training rounds is reached or the validation
     # accuracy converges, [defined as] not improving by more than 1% over
     # 10 consecutive rounds".  Our unit is *evaluations* (one every
-    # ``eval_every`` rounds), not rounds.
+    # ``eval_every`` rounds), not rounds: patience 10 with eval_every=10
+    # spans 100 training rounds.
     convergence_patience: int = 10
     convergence_delta: float = 0.01
     eval_batch_size: int = 256
@@ -387,14 +316,13 @@ class CoordinatorConfig:
             raise ValueError(f"quarantine must be a bool, got {self.quarantine!r}")
         # Delegates range checking (>= 0; 0 disables the norm gate).
         QuarantineConfig(norm_multiplier=self.quarantine_norm_mult)
-        if self.compress is not None:
-            TransportConfig.parse(self.compress)  # raises ValueError on a bad spec
+        # Parsed once (raises ValueError on a bad spec).
+        transport = (
+            TransportConfig.parse(self.compress) if self.compress is not None else None
+        )
         if not isinstance(self.wire_time, bool):
             raise ValueError(f"wire_time must be a bool, got {self.wire_time!r}")
-        if self.wire_time and (
-            self.compress is None
-            or not TransportConfig.parse(self.compress).has_update
-        ):
+        if self.wire_time and (transport is None or not transport.has_update):
             raise ValueError(
                 "wire_time=True requires a compress spec with an update "
                 "section (there is no wire size to re-price otherwise)"
@@ -437,7 +365,7 @@ class Coordinator(Stateful):
         self.strategy = strategy
         self.clients = clients
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(config.seed)
         # Fault-tolerance wiring: a retry policy exists whenever faults are
         # injected (so chaos runs recover by default) or when the user asks
         # for one explicitly — real environments fail without a fault spec.
@@ -451,13 +379,11 @@ class Coordinator(Stateful):
         # sees every update in deterministic order — its error-feedback
         # residuals are run state); the snapshot half ships to the executor
         # as config.  An injected executor keeps its own transport setting.
-        self._transport_config = (
+        transport_config = (
             TransportConfig.parse(config.compress) if config.compress else None
         )
         self.transport = (
-            TransportCodec(self._transport_config)
-            if self._transport_config is not None
-            else None
+            TransportCodec(transport_config) if transport_config is not None else None
         )
         # Last-seen executor publish counters (raw, wire): per-round and
         # per-eval deltas split snapshot bytes for the transport ledger.
@@ -467,7 +393,7 @@ class Coordinator(Stateful):
         self._owns_executor = executor is None
         self.executor = executor or make_executor(
             config.executor, clients, config.trainer, config.seed, config.max_workers,
-            faults=fault_config, retry=retry, transport=self._transport_config,
+            faults=fault_config, retry=retry, transport=transport_config,
         )
         self.validator = (
             UpdateValidator(
@@ -486,38 +412,13 @@ class Coordinator(Stateful):
             availability_trace=config.availability_trace,
         )
         self.selector.bind_fleet(self.fleet)
-        self._async_engine = (
-            BufferedAsyncEngine(
-                strategy, clients, config, self.executor, self._rng, self.selector,
-                validator=self.validator, transport=self.transport,
-                fleet=self.fleet,
-            )
-            if config.mode == "async"
-            else None
-        )
-        # Bespoke-evaluation detection, hoisted from evaluate(): whether the
-        # strategy overrides client_logits, and (for legacy 2-arg overrides)
-        # whether that override accepts the resolved model_id.  Re-running
-        # inspect.signature on every sweep was pure waste — the strategy
-        # class never changes mid-run.
+        # The async driver runs the round stages against this coordinator;
+        # sync mode drives them itself (_barrier_round).
+        self._async_engine = BufferedAsyncEngine(self) if config.mode == "async" else None
+        # Whether the strategy opted out of batched evaluation by
+        # overriding client_logits (the class never changes mid-run).
         self._bespoke_logits = type(strategy).client_logits is not Strategy.client_logits
-        if self._bespoke_logits:
-            params = inspect.signature(strategy.client_logits).parameters
-            self._logits_takes_model_id = "model_id" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-            )
-        else:
-            self._logits_takes_model_id = False
-        # Incremental evaluation caches (module docstring): accuracies per
-        # (ensemble ids, ensemble versions, chunk); logits per (model id,
-        # model version, chunk).  Both evict to the latest sweep's keys.
-        self._eval_acc_cache: dict[tuple, np.ndarray] = {}
-        self._eval_logits_cache: dict[tuple, np.ndarray] = {}
-        # Sanitizer cross-check at the cache-read boundary (no-op unless
-        # the sanitizer is on): both caches trust model.version, so a
-        # model whose bytes moved without a bump must raise here rather
-        # than silently serve a stale entry.
-        self._version_watch = _sanitize.VersionWatch()
+        self.eval_cache = EvalCache()
 
     def close(self) -> None:
         """Release executor resources (pools recreate lazily if reused)."""
@@ -536,11 +437,12 @@ class Coordinator(Stateful):
         where per-step accumulators are known-zero.
         """
         engine = self._async_engine
+        eval_cache = self.eval_cache.state_dict()
         return {
             "schema": self.schema,
             # PCG64's state is a plain dict of JSON scalars (Python ints
             # are arbitrary-precision, so the 128-bit words survive JSON).
-            "rng": self._rng.bit_generator.state,
+            "rng": self.rng.bit_generator.state,
             # Both process-global id counters travel: models and cells
             # minted after a resume (growth, deepen transforms) must get
             # the same ids an uninterrupted run would mint.
@@ -567,29 +469,11 @@ class Coordinator(Stateful):
             ),
             # The eval caches must travel or a resumed sweep would recompute
             # groups the uninterrupted run served from cache, skewing the
-            # cached/evaluated meters on the next EvalRecord.  Tuple keys
-            # become list-of-entry dicts (payload convention: str keys
-            # only); sorted so the payload is order-independent.
-            "eval_acc_cache": [
-                {
-                    "model_ids": list(mids),
-                    "versions": list(vers),
-                    "client_ids": list(cids),
-                    "accs": accs.copy(),
-                }
-                for (mids, vers, cids), accs in sorted(self._eval_acc_cache.items())
-            ],
-            "eval_logits_cache": [
-                {
-                    "model_id": mid,
-                    "version": ver,
-                    "client_ids": list(cids),
-                    "logits": logits.copy(),
-                }
-                for (mid, ver, cids), logits in sorted(
-                    self._eval_logits_cache.items()
-                )
-            ],
+            # cached/evaluated meters on the next EvalRecord.  Spliced flat
+            # (not nested under their own schema tag) so the payload's key
+            # paths are the ones checkpoints have always carried.
+            "eval_acc_cache": eval_cache["eval_acc_cache"],
+            "eval_logits_cache": eval_cache["eval_logits_cache"],
         }
 
     def load_state_dict(self, payload: dict) -> None:
@@ -602,7 +486,7 @@ class Coordinator(Stateful):
         self.strategy.load_state_dict(payload["strategy"])
         set_model_id_counter(int(payload["model_id_counter"]))
         set_cell_id_counter(int(payload["cell_id_counter"]))
-        self._rng.bit_generator.state = payload["rng"]
+        self.rng.bit_generator.state = payload["rng"]
         # .get(): checkpoints written before the columnar fleet store carry
         # no entry; the freshly constructed columns are then correct (the
         # selector payload below rehydrates any utility state).
@@ -629,22 +513,13 @@ class Coordinator(Stateful):
         transport_payload = payload.get("transport")
         if self.transport is not None and transport_payload is not None:
             self.transport.load_state_dict(transport_payload)
-        self._eval_acc_cache = {
-            (
-                tuple(e["model_ids"]),
-                tuple(int(v) for v in e["versions"]),
-                tuple(int(c) for c in e["client_ids"]),
-            ): np.asarray(e["accs"], dtype=float)
-            for e in payload["eval_acc_cache"]
-        }
-        self._eval_logits_cache = {
-            (
-                e["model_id"],
-                int(e["version"]),
-                tuple(int(c) for c in e["client_ids"]),
-            ): np.asarray(e["logits"])
-            for e in payload["eval_logits_cache"]
-        }
+        self.eval_cache.load_state_dict(
+            {
+                "schema": self.eval_cache.schema,
+                "eval_acc_cache": payload["eval_acc_cache"],
+                "eval_logits_cache": payload["eval_logits_cache"],
+            }
+        )
 
     def _checkpoint_payload(self, log: TrainingLog, next_round: int) -> dict:
         return {
@@ -669,13 +544,8 @@ class Coordinator(Stateful):
         log = TrainingLog(
             strategy=self.strategy.name,
             mode=cfg.mode,
-            compress=(
-                self._transport_config.spec
-                if self._transport_config is not None
-                else None
-            ),
+            compress=self.transport.config.spec if self.transport is not None else None,
         )
-        acc_history: list[float] = []
         start_round = 0
         writer: CheckpointWriter | None = None
         if cfg.checkpoint_dir is not None:
@@ -691,7 +561,6 @@ class Coordinator(Stateful):
                 if found is not None:
                     self.load_state_dict(found["payload"]["coordinator"])
                     log = log_from_state(found["payload"]["log"])
-                    acc_history = [ev.mean_accuracy for ev in log.evals]
                     if found["manifest"]["completed"]:
                         self.close()
                         return log
@@ -704,12 +573,8 @@ class Coordinator(Stateful):
                     log.peak_storage_bytes, self.strategy.storage_bytes()
                 )
                 if (round_idx + 1) % cfg.eval_every == 0 or round_idx == cfg.rounds - 1:
-                    ev = self.evaluate(round_idx, log.total_macs)
-                    self._drain_faults(log)  # eval waves can heal/retry too
-                    self._absorb_publish(log)  # eval waves publish too
-                    log.evals.append(ev)
-                    acc_history.append(ev.mean_accuracy)
-                    if self._converged(acc_history):
+                    self._evaluate_into(log, round_idx)
+                    if self._converged([ev.mean_accuracy for ev in log.evals]):
                         log.stopped_round = round_idx
                         log.stop_reason = "converged"
                         break
@@ -727,9 +592,7 @@ class Coordinator(Stateful):
                 log.stopped_round = cfg.rounds - 1
                 log.stop_reason = "budget"
             if not log.evals or log.evals[-1].round_idx != log.stopped_round:
-                log.evals.append(self.evaluate(log.stopped_round, log.total_macs))
-                self._drain_faults(log)
-                self._absorb_publish(log)
+                self._evaluate_into(log, log.stopped_round)
             if writer is not None:
                 # Terminal checkpoint: marks the run finished so a later
                 # --resume returns this log instead of training again.
@@ -759,34 +622,22 @@ class Coordinator(Stateful):
         return max(recent) - baseline <= self.config.convergence_delta
 
     # ------------------------------------------------------------------
-    def _absorb_publish(
-        self, log: TrainingLog, record: RoundRecord | None = None
-    ) -> tuple[int, int]:
-        """Fold new snapshot publish bytes into the transport ledger.
+    def _evaluate_into(self, log: TrainingLog, round_idx: int) -> None:
+        """Sweep the fleet, settle the sweep's waves, append the record."""
+        ev = self.evaluate(round_idx, log.total_macs)
+        self._settle(log)
+        log.evals.append(ev)
 
-        Returns the (raw, wire) delta since the previous call and adds it
-        to the log totals (and to ``record`` when given).  Only the
-        process backend publishes; other executors stay at zero.  This is
-        infrastructure telemetry — it never enters the trajectory export
+    def _settle(self, log: TrainingLog) -> tuple[int, int]:
+        """Fold what the executor's last waves left behind into the log.
+
+        Train *and* eval waves can heal, retry and publish: drains the
+        recovery ledger into the log's meters and adds the snapshot bytes
+        published since the previous call to the transport ledger,
+        returning that ``(raw, wire)`` delta for the round's record.  Both
+        are infrastructure telemetry and never enter the trajectory export
         (CONTRACTS.md I10).
         """
-        ex = self.executor
-        cur = (
-            int(getattr(ex, "raw_bytes_published_total", 0)),
-            int(getattr(ex, "bytes_published_total", 0)),
-        )
-        raw_d, wire_d = cur[0] - self._pub_seen[0], cur[1] - self._pub_seen[1]
-        self._pub_seen = cur
-        log.publish_raw_bytes_total += raw_d
-        log.publish_wire_bytes_total += wire_d
-        if record is not None:
-            record.publish_raw_bytes = raw_d
-            record.publish_wire_bytes = wire_d
-        return raw_d, wire_d
-
-    # ------------------------------------------------------------------
-    def _drain_faults(self, log: TrainingLog) -> None:
-        """Fold the executor's recovery ledger into the log's meters."""
         for rec in self.executor.drain_fault_records():
             log.faults.append(rec)
             if rec.action == "pool_rebuild":
@@ -795,164 +646,83 @@ class Coordinator(Stateful):
                 log.retries += 1
             elif rec.action == "failed":
                 log.failed_updates += 1
-
-    def _quarantine(
-        self,
-        round_idx: int,
-        pairs: list[tuple[TrainItem, "object"]],
-        log: TrainingLog,
-        events: list[str],
-    ) -> list[tuple[TrainItem, "object"]]:
-        """Validate each update; rejects go to the ledger, survivors return.
-
-        Order-preserving and side-effect-free on a clean round: with no
-        rejects the returned list is the input list, and the validator's
-        running stats advance exactly as they would in any clean run —
-        which is why quarantine-on and quarantine-off clean runs are
-        bit-identical.
-        """
-        if self.validator is None:
-            return pairs
-        kept = []
-        for item, update in pairs:
-            reason = self.validator.admit(update)
-            if reason is None:
-                kept.append((item, update))
-                continue
-            log.quarantined_updates += 1
-            log.faults.append(
-                FaultRecord(
-                    round_idx=round_idx,
-                    kind="update_rejected",
-                    action="quarantined",
-                    client_id=update.client_id,
-                    model_id=update.model_id,
-                    detail=reason,
-                )
-            )
-            events.append(f"quarantined update: {reason}")
-        return kept
+        cur = (
+            int(self.executor.raw_bytes_published_total),
+            int(self.executor.bytes_published_total),
+        )
+        raw_d, wire_d = cur[0] - self._pub_seen[0], cur[1] - self._pub_seen[1]
+        self._pub_seen = cur
+        log.publish_raw_bytes_total += raw_d
+        log.publish_wire_bytes_total += wire_d
+        return raw_d, wire_d
 
     # ------------------------------------------------------------------
     def _run_round(self, round_idx: int, log: TrainingLog) -> RoundRecord:
-        if self._async_engine is not None:
-            record = self._async_engine.step(round_idx, log)
-            self._drain_faults(log)
-            self._absorb_publish(log, record)
-            return record
+        """The single per-round entry: the async engine's step, or the barrier."""
+        if self._async_engine is None:
+            return self._barrier_round(round_idx, log)
+        record = self._async_engine.step(round_idx, log)
+        record.publish_raw_bytes, record.publish_wire_bytes = self._settle(log)
+        return record
+
+    def _barrier_round(self, round_idx: int, log: TrainingLog) -> RoundRecord:
+        """The sync driver of the round stages (:mod:`~repro.fl.rounds`).
+
+        One wave over the whole fleet view; every result arrives at once; a
+        permanently failed item is dropped on its own; the round lasts as
+        long as its slowest participant.
+        """
         cfg = self.config
-        # Selection draws from the columnar view (registration order — the
-        # same candidate ordering the raw list presents, so the selection
-        # stream is bit-identical; CONTRACTS.md I12).
-        fallback_before = getattr(self.selector, "offline_fallback_rounds", 0)
-        participants = self.selector.select(
-            round_idx, self.fleet.view(), cfg.clients_per_round, self._rng
+        tally = RoundTally(
+            self.selector.offline_fallback_rounds, requested=cfg.clients_per_round
         )
-        assignments = self.strategy.assign(round_idx, participants, self._rng)
+        # The whole fleet is eligible, in registration order (I12).
+        participants = self.selector.select(
+            round_idx, self.fleet.view(), cfg.clients_per_round, self.rng
+        )
+        tally.selected = len(participants)
+        assignments = self.strategy.assign(round_idx, participants, self.rng)
         models = self.strategy.models()
-
-        items = [
-            TrainItem(model_id, client.client_id, sub_idx)
-            for client in participants
-            for sub_idx, model_id in enumerate(assignments[client.client_id])
-        ]
-        raw = self.executor.train_round(round_idx, items, models)
-        self._drain_faults(log)
-        events: list[str] = []
-        # Permanent failures (retry budget exhausted) are excluded from the
-        # round like drops: no cost is charged (the item never completed)
-        # and the round proceeds without them.
-        pairs = []
-        for item, result in zip(items, raw):
-            if isinstance(result, ItemFailure):
-                events.append(
-                    f"work item (client {result.client_id}, model "
-                    f"{result.model_id}) failed permanently after "
-                    f"{result.attempts} attempts: {result.error}"
-                )
-            else:
-                pairs.append((item, result))
-
-        # Transport encode: each surviving update is re-encoded against the
-        # dispatch-time server model (``models`` is untouched until the
-        # aggregate below), in deterministic item order — error-feedback
-        # residuals advance identically on every backend.  This happens
-        # before cost metering (bytes_up becomes the on-wire size, and
-        # wire_time re-prices the upload leg of round_time) and before
-        # quarantine (poisoned tensors pass through the codec raw, so the
-        # NaN scan still sees them).
-        if self.transport is not None and self._transport_config.has_update:
-            for item, update in pairs:
-                self.transport.encode_update(
-                    update,
-                    models.get(item.model_id),
-                    device=self.executor.clients_by_id[item.client_id].device,
-                    wire_time=cfg.wire_time,
-                )
-
+        pairs, failures = dispatch(self, round_idx, participants, assignments, models)
+        # Settled before admit() writes to the same ledger: the executor's
+        # recovery records precede the round's quarantine rejections.
+        publish = self._settle(log)
+        events = tally.events
+        events.extend(
+            f"work item (client {f.client_id}, model {f.model_id}) failed "
+            f"permanently after {f.attempts} attempts: {f.error}"
+            for f in failures
+        )
+        encode(self, pairs, models)
         # A client's sub-models train sequentially on-device, clients in
         # parallel across the fleet: per-client sum, fleet-wide max.
-        # Quarantined updates still count: the device trained and uploaded
-        # either way — only aggregation ignores it.
         elapsed = {c.client_id: 0.0 for c in participants}
         for item, update in pairs:
             elapsed[item.client_id] += update.round_time
-        client_times = [elapsed[c.client_id] for c in participants]
-        macs = float(sum(u.macs_spent for _, u in pairs))
-        bdown = sum(u.bytes_down for _, u in pairs)
-        bup = sum(u.bytes_up for _, u in pairs)
-        braw = sum(u.raw_bytes_up for _, u in pairs)
-
-        survivors = self._quarantine(round_idx, pairs, log, events)
-        updates = [u for _, u in survivors]
+        updates = [u for _, u in pairs]
+        meter(tally, updates)
+        updates = admit(self, round_idx, updates, log, events)
         if updates:
-            events = list(self.strategy.aggregate(round_idx, updates, self._rng) or []) + events
-            mean_loss = float(np.mean([u.train_loss for u in updates]))
+            events = (
+                list(self.strategy.aggregate(round_idx, updates, self.rng) or [])
+                + events
+            )
         else:
             events.append("no usable updates this round; aggregation skipped")
-            mean_loss = 0.0
-        self.selector.observe_round(round_idx, updates)
-
-        log.total_macs += macs
-        log.total_bytes_down += bdown
-        log.total_bytes_up += bup
-        log.total_raw_bytes_up += braw
         if len(participants) < cfg.clients_per_round:
             events.append(
                 f"under-provisioned round: selected {len(participants)} of "
                 f"{cfg.clients_per_round} requested clients"
             )
-        counters = self.strategy.scheduler_counters()
-        # Fleet-store utility eviction joins the strategy-side count; both
-        # are 0 unless evict_after is configured.
-        evicted = int(counters.get("evicted", 0)) + self.fleet.advance(round_idx)
-        log.evicted_clients += evicted
-        record = RoundRecord(
-            round_idx=round_idx,
+        record = close_round(
+            self, round_idx, log, tally, updates,
             participants=[c.client_id for c in participants],
             assignments=assignments,
-            mean_loss=mean_loss,
-            macs=macs,
-            bytes_down=bdown,
-            bytes_up=bup,
-            round_time=float(max(client_times)),
+            round_time=float(max(elapsed.values())),
             num_models=len(models),
             events=events,
-            scheduler=SchedulerRecord(
-                selector=cfg.selector,
-                pacing=cfg.pacing,
-                straggler=cfg.straggler,
-                requested=cfg.clients_per_round,
-                selected=len(participants),
-                evicted=evicted,
-                offline_fallback_rounds=(
-                    getattr(self.selector, "offline_fallback_rounds", 0)
-                    - fallback_before
-                ),
-            ),
-            raw_bytes_up=braw,
         )
-        self._absorb_publish(log, record)
+        record.publish_raw_bytes, record.publish_wire_bytes = publish
         return record
 
     # ------------------------------------------------------------------
@@ -965,7 +735,7 @@ class Coordinator(Stateful):
         sharing an ensemble are then batched into one large forward pass
         per deployment group, dispatched through the executor.  With
         ``eval_cache`` on, groups whose model versions are unchanged come
-        from the cache instead (see module docstring).
+        from the cache instead (:mod:`~repro.fl.eval_cache`).
         """
         used = [self.strategy.eval_model_for(c) for c in self.clients]
         accs = np.zeros(len(self.clients))
@@ -973,13 +743,10 @@ class Coordinator(Stateful):
         if self._bespoke_logits:
             # Bespoke per-client evaluation; honor it client by client,
             # threading the already-resolved model so a stateful
-            # eval_model_for is not consulted a second time.  Overrides
-            # written against the pre-executor 2-arg hook signature are
-            # still legal — only pass model_id if the override takes it.
+            # eval_model_for is not consulted a second time.
             for i, client in enumerate(self.clients):
-                kwargs = {"model_id": used[i]} if self._logits_takes_model_id else {}
                 logits = self.strategy.client_logits(
-                    client, client.data.x_test, **kwargs
+                    client, client.data.x_test, model_id=used[i]
                 )
                 accs[i] = accuracy(logits, client.data.y_test)
         else:
@@ -999,7 +766,10 @@ class Coordinator(Stateful):
                     )
             models = self.strategy.models()
             if self.config.eval_cache:
-                cached_clients = self._evaluate_cached(chunked, tasks, models, accs)
+                cached_clients = self.eval_cache.evaluate(
+                    chunked, tasks, models, accs,
+                    self.executor, self.config.eval_batch_size,
+                )
             else:
                 results = self.executor.eval_round(
                     tasks, models, self.config.eval_batch_size
@@ -1014,116 +784,4 @@ class Coordinator(Stateful):
             mean_accuracy=float(accs.mean()),
             cached_clients=cached_clients,
             evaluated_clients=len(self.clients) - cached_clients,
-        )
-
-    # ------------------------------------------------------------------
-    def _evaluate_cached(
-        self,
-        chunked: list[list[int]],
-        tasks: list[EvalTask],
-        models: dict,
-        accs: np.ndarray,
-    ) -> int:
-        """Version-keyed evaluation of the chunked deployment groups.
-
-        Fills ``accs`` in place and returns how many clients were served
-        from the accuracy cache.  Missed multi-member groups are rebuilt
-        from per-``(model version, chunk)`` logits — themselves cached
-        across sweeps, so a partially changed ensemble recomputes only its
-        changed members.  Missed single-member groups run as plain
-        accuracy tasks in the same executor wave (their logits could never
-        be reused — see the module docstring).  Both paths re-derive
-        :func:`~repro.fl.executor._eval_task`'s arithmetic operation for
-        operation, keeping cache-on and cache-off sweeps bit-identical.
-        """
-        self._version_watch.check_all(models, where="eval cache read")
-        cached_clients = 0
-        acc_touched: set[tuple] = set()
-        logit_touched: set[tuple] = set()
-        misses: list[tuple[tuple, EvalTask, list[int]]] = []
-        single_misses: list[tuple[tuple, EvalTask, list[int]]] = []
-        for idxs, task in zip(chunked, tasks):
-            versions = tuple(models[mid].version for mid in task.model_ids)
-            key = (task.model_ids, versions, task.client_ids)
-            acc_touched.add(key)
-            hit = self._eval_acc_cache.get(key)
-            if hit is not None:
-                accs[idxs] = hit
-                cached_clients += len(idxs)
-                # Keep the hit group's member logits warm too: if one
-                # member trains before the next sweep, that sweep reuses
-                # the idle members' logits instead of re-running the full
-                # ensemble (they'd otherwise be evicted below).
-                if len(task.model_ids) > 1:
-                    for mid, ver in zip(task.model_ids, versions):
-                        logit_touched.add((mid, ver, task.client_ids))
-            elif len(task.model_ids) == 1:
-                single_misses.append((key, task, idxs))
-            else:
-                misses.append((key, task, idxs))
-        if misses or single_misses:
-            # Member logits the missed ensembles need, minus what the cache
-            # already holds.  Keys are already distinct: groups partition
-            # the fleet, so no two missed groups share a (model, version,
-            # chunk) triple.  Single-member misses ride the same executor
-            # wave as plain accuracy tasks (their logits could never be
-            # reused, and accuracies are bytes over the wire where logits
-            # are matrices) — one combined barrier, not two.
-            needed: list[tuple] = []
-            for _, task, _ in misses:
-                if self._group_rows(task) == 0:
-                    continue  # no test data: zeros, no forward pass needed
-                for mid in task.model_ids:
-                    lkey = (mid, models[mid].version, task.client_ids)
-                    logit_touched.add(lkey)
-                    if lkey not in self._eval_logits_cache:
-                        needed.append(lkey)
-            eouts, louts = self.executor.eval_and_logits_round(
-                [t for _, t, _ in single_misses],
-                [EvalTask((mid,), cids) for mid, _, cids in needed],
-                models,
-                self.config.eval_batch_size,
-            )
-            for (key, _, idxs), group_accs in zip(single_misses, eouts):
-                self._eval_acc_cache[key] = group_accs
-                accs[idxs] = group_accs
-            for lkey, out in zip(needed, louts):
-                self._eval_logits_cache[lkey] = out
-            for key, task, idxs in misses:
-                group_accs = self._combine_group(task, models)
-                self._eval_acc_cache[key] = group_accs
-                accs[idxs] = group_accs
-        # Evict entries the latest sweep no longer references (stale
-        # versions, regrouped chunks): memory stays at one sweep's worth.
-        self._eval_acc_cache = {
-            k: v for k, v in self._eval_acc_cache.items() if k in acc_touched
-        }
-        self._eval_logits_cache = {
-            k: v for k, v in self._eval_logits_cache.items() if k in logit_touched
-        }
-        return cached_clients
-
-    def _group_rows(self, task: EvalTask) -> int:
-        # The executor already indexed the same fleet by client id.
-        clients_by_id = self.executor.clients_by_id
-        return sum(clients_by_id[cid].data.num_test for cid in task.client_ids)
-
-    def _combine_group(self, task: EvalTask, models: dict) -> np.ndarray:
-        """Ensemble-average cached member logits into per-client accuracies.
-
-        Runs :func:`~repro.fl.executor.ensemble_accuracies` — the same
-        function the uncached ``_eval_task`` path ends in — over the cached
-        member logits, so cache-on and cache-off sweeps share their
-        arithmetic structurally.
-        """
-        if self._group_rows(task) == 0:
-            return np.zeros(len(task.client_ids))
-        return ensemble_accuracies(
-            (
-                self._eval_logits_cache[(mid, models[mid].version, task.client_ids)]
-                for mid in task.model_ids
-            ),
-            len(task.model_ids),
-            self.executor.clients_by_id,
-            task.client_ids,
         )

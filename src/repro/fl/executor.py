@@ -283,6 +283,10 @@ class RoundExecutor(Stateful, ABC):
     """
 
     backend: str = "abstract"
+    # Snapshot bytes published to workers so far (uncompressed / on-wire);
+    # only the process backend publishes, the others stay at zero.
+    raw_bytes_published_total: int = 0
+    bytes_published_total: int = 0
 
     def state_dict(self) -> dict:
         return {"schema": schema_tag(type(self).__name__)}

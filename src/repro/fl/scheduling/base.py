@@ -79,6 +79,9 @@ class ClientSelector(Stateful, ABC):
     """Chooses the participants of a round (sync) or dispatch wave (async)."""
 
     name: str = "selector"
+    # Selection calls that found nobody online and fell back to the whole
+    # pool; only the availability selector ever advances it.
+    offline_fallback_rounds: int = 0
 
     def state_dict(self) -> dict:
         """Default for stateless selectors: a bare schema tag."""

@@ -397,9 +397,9 @@ class TransportCodec(Stateful):
     """Encodes client→server updates and carries error-feedback state.
 
     One instance lives on the coordinator and sees every update exactly
-    once, in deterministic item order (sync: result order inside
-    ``_run_round``; async: result order inside each dispatch wave), so the
-    residual stream is a pure function of the run config and seed.
+    once, in each dispatch wave's item order (:func:`repro.fl.rounds.encode`
+    is the only caller), so the residual stream is a pure function of the
+    run config and seed.
 
     ``encode_update`` mutates the update in place: ``params``/``state``
     are replaced by their decoded post-codec values (bit-identical for

@@ -14,6 +14,7 @@ with the sanitizer on.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 from pathlib import Path
@@ -833,6 +834,35 @@ class TestEngineAndCli:
         )
         assert report.format_lines() == []
         assert report.suppressed == 0
+
+    def test_round_stages_have_one_call_site(self):
+        """The sync barrier and the async engine share one set of round
+        stages (``repro.fl.rounds``); a second call site for any of these
+        seams means the round loop has forked again."""
+        seams = ("encode_update", "admit", "scheduler_counters", "SchedulerRecord")
+        sites: dict[str, list[str]] = {name: [] for name in seams}
+
+        def walk(node: ast.AST, where: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                scope = where
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope = f"{where}:{child.name}"
+                elif isinstance(child, ast.Call):
+                    func = child.func
+                    if isinstance(func, ast.Attribute) and func.attr in seams[:3]:
+                        sites[func.attr].append(where)
+                    elif isinstance(func, ast.Name) and func.id == seams[3]:
+                        sites[func.id].append(where)
+                walk(child, scope)
+
+        for path in sorted((REPO / "src" / "repro" / "fl").rglob("*.py")):
+            # export.py is the log codec: it rebuilds SchedulerRecords from
+            # checkpoint payloads, it does not run rounds.
+            if path.name != "export.py":
+                walk(ast.parse(path.read_text()), path.name)
+        assert {name: len(found) for name, found in sites.items()} == dict.fromkeys(
+            seams, 1
+        ), sites
 
 
 # ----------------------------------------------------------------------

@@ -400,11 +400,11 @@ class TestCacheBehavior:
         strategy = fedavg(mlp(ds.input_shape, ds.num_classes, rng, width=8))
         coord = Coordinator(strategy, clients, _coord_cfg(rounds=2))
         coord.evaluate(0, 0.0)
-        size = len(coord._eval_acc_cache)
+        size = len(coord.eval_cache.accs)
         for _ in range(4):
             strategy.model.set_params(_perturbed(strategy.model))
             coord.evaluate(1, 0.0)
-            assert len(coord._eval_acc_cache) == size
+            assert len(coord.eval_cache.accs) == size
         coord.close()
 
 

@@ -307,24 +307,6 @@ class TestBatchedEvaluation:
         assert ev.client_model == [base.model.model_id] * len(clients)
         coord.close()
 
-    def test_legacy_two_arg_client_logits_still_works(self, rng):
-        """Overrides written against the pre-executor 2-arg hook signature
-        (no model_id parameter) must not crash evaluate()."""
-        ds = _dataset(num_clients=4)
-        clients = _clients(ds)
-        inner = fedavg(mlp(ds.input_shape, ds.num_classes, rng, width=8))
-
-        class LegacyLogits(type(inner)):
-            def client_logits(self, client, x):  # old signature
-                return self.models()[self.eval_model_for(client)].predict(x)
-
-        inner.__class__ = LegacyLogits
-        coord = Coordinator(inner, clients, _coord_cfg("serial", rounds=2))
-        ev = coord.evaluate(0, 0.0)
-        assert ev.client_accuracy.shape == (len(clients),)
-        assert all(0.0 <= a <= 1.0 for a in ev.client_accuracy)
-        coord.close()
-
     def test_custom_client_logits_still_honored(self, rng):
         """A strategy overriding client_logits keeps its bespoke path."""
         ds = _dataset(num_clients=4)

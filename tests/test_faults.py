@@ -363,6 +363,20 @@ class TestTaskFailures:
         kinds = {f.kind for f in faulty.faults}
         assert "task_error" in kinds
 
+    def test_async_redispatches_a_wholly_failed_wave(self):
+        """A wave whose every client fails permanently leaves nothing in
+        flight; the engine dispatches again (regression: it used to pop the
+        empty clock — "virtual clock has no scheduled events")."""
+        over = dict(mode="async", buffer_k=2, clients_per_round=3, retries=1)
+        faulty = _run(faults="exc=0.8", **over)
+        assert len(faulty.rounds) == 4  # the run completed anyway
+        assert faulty.failed_updates >= 3  # at least one wave failed whole
+        assert _export(faulty) == _export(_run(faults="exc=0.8", **over))
+
+    def test_async_hopeless_fault_spec_raises_descriptively(self):
+        with pytest.raises(RuntimeError, match=r"faults='exc=1\.0'.*retries=1"):
+            _run(mode="async", buffer_k=2, faults="exc=1.0", retries=1)
+
     def test_failure_without_policy_propagates(self, monkeypatch):
         """No --faults, no --retries: a real error still raises (pre-PR 8)."""
         import repro.fl.executor as executor_mod
