@@ -188,18 +188,27 @@ def test_oort_tick_speedup(fleet, report):
     clients, store = fleet
     # 10k clients have observed utilities; everyone else enters optimistic.
     seen = np.random.default_rng(SEED).choice(REGISTERED, size=10_000, replace=False)
-    payload = {
-        "schema": OortSelector().schema,
-        "utility": {str(int(c)): 0.5 + (int(c) % 97) / 100.0 for c in seen},
-    }
-    legacy_sel = OortSelector()
-    legacy_sel.load_state_dict(payload)
+    utility = {int(c): 0.5 + (int(c) % 97) / 100.0 for c in seen}
     col_sel = OortSelector()
     col_sel.bind_fleet(store)
-    col_sel.load_state_dict(payload)
+    col_sel.load_state_dict(
+        {
+            "schema": col_sel.schema,
+            "utility": {str(cid): u for cid, u in utility.items()},
+        }
+    )
+    alpha = col_sel.alpha
 
     def legacy(rng):
-        return legacy_sel.select(0, clients, ACTIVE, rng)
+        # The pre-columnar select(): ids array built from the objects, one
+        # dict lookup per client (unseen -> running max), the same floored
+        # power weights, then a p-weighted choice and an index loop.
+        ids = np.asarray([c.client_id for c in clients])
+        default = max(utility.values())
+        u = np.array([utility.get(int(cid), default) for cid in ids])
+        w = (1e-6 + np.maximum(u, 0.0)) ** alpha
+        idx = rng.choice(len(clients), size=ACTIVE, replace=False, p=w / w.sum())
+        return [clients[i] for i in idx]
 
     def columnar(rng):
         return col_sel.select(0, store.view(), ACTIVE, rng)

@@ -96,11 +96,6 @@ class ClientManager(Stateful):
         self.utility_clamp = utility_clamp
         self.store = ClientStateStore(evict_after=evict_after)
 
-    @property
-    def _utilities(self) -> dict[int, dict[str, float]]:
-        # Legacy view of the raw per-client dicts (shared with the store).
-        return self.store.data
-
     # ------------------------------------------------------------------
     def utility(self, client_id: int, model_id: str) -> float:
         """Current utility (0 for never-updated or evicted pairs)."""
@@ -210,17 +205,6 @@ class ClientManager(Stateful):
                 utils[mid] = val
 
     # ------------------------------------------------------------------
-    def get_state(self) -> dict:
-        """Serializable snapshot of the utility store (checkpointing)."""
-        return self.store.state_dict()
-
-    def set_state(self, payload: dict) -> None:
-        """Restore a :meth:`get_state` snapshot (keeps this manager's knobs)."""
-        evict_after = self.store.evict_after
-        self.store.load_state_dict(payload)
-        # The eviction horizon is configuration, not checkpoint payload.
-        self.store.evict_after = evict_after
-
     schema = schema_tag("ClientManager")
 
     def state_dict(self) -> dict:
@@ -232,5 +216,8 @@ class ClientManager(Stateful):
 
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
-        self.set_state(payload["store"])
+        evict_after = self.store.evict_after
+        self.store.load_state_dict(payload["store"])
+        # The eviction horizon is configuration, not checkpoint payload.
+        self.store.evict_after = evict_after
         self.sim_cache.load_state_dict(payload["sim_cache"])

@@ -188,11 +188,9 @@ class BufferedAsyncEngine(Stateful):
             base_k=self.buffer_k,
             deadline_s=config.deadline_s,
             max_k=self.concurrency,
-            clients=clients,
             fleet=ctx.fleet,
         )
         self.straggler = make_straggler(config.straggler)
-        self._in_flight: set[int] = set()
         self._dispatch_seq = 0
         self._wave = 0
         self._version = 0  # completed aggregation steps
@@ -221,7 +219,7 @@ class BufferedAsyncEngine(Stateful):
         it stays in flight until its completion (or drop) event fires.
         """
         ctx = self.ctx
-        need = self.concurrency - len(self._in_flight)
+        need = self.concurrency - ctx.fleet.in_flight_count()
         if need <= 0:
             return
         # O(active) candidate pool: an exclusion view over the columnar
@@ -296,7 +294,6 @@ class BufferedAsyncEngine(Stateful):
             )
             seq = self._dispatch_seq
             self._dispatch_seq += 1
-            self._in_flight.add(client.client_id)
             ctx.fleet.mark_in_flight(client.client_id)
             self.clock.schedule(
                 event_time,
@@ -352,7 +349,6 @@ class BufferedAsyncEngine(Stateful):
                 continue
             empty_waves = 0
             _, _, pending = self.clock.pop()
-            self._in_flight.discard(pending.client_id)
             ctx.fleet.clear_in_flight(pending.client_id)
             staleness = self._version - pending.version
             self.pacing.observe_arrival(
@@ -473,7 +469,7 @@ class BufferedAsyncEngine(Stateful):
         return {
             "schema": self.schema,
             "clock": self.clock.state_dict(),
-            "in_flight": sorted(self._in_flight),
+            "in_flight": self.ctx.fleet.in_flight_ids(),
             "dispatch_seq": self._dispatch_seq,
             "wave": self._wave,
             "version": self._version,
@@ -484,8 +480,7 @@ class BufferedAsyncEngine(Stateful):
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
         self.clock.load_state_dict(payload["clock"])
-        self._in_flight = {int(cid) for cid in payload["in_flight"]}
-        self.ctx.fleet.set_in_flight_ids(self._in_flight)
+        self.ctx.fleet.set_in_flight_ids(payload["in_flight"])
         self._dispatch_seq = int(payload["dispatch_seq"])
         self._wave = int(payload["wave"])
         self._version = int(payload["version"])

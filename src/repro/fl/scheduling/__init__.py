@@ -3,9 +3,12 @@
 Three policy seams (see :mod:`~repro.fl.scheduling.base`) plus two stores:
 the columnar :class:`~repro.fl.scheduling.fleet.FleetStore` (structure-of-
 arrays fleet state — ids, device classes, utilities, round-time windows —
-that makes a scheduler tick O(active) at million-client registration) and
-the sparse :class:`~repro.fl.scheduling.store.ClientStateStore` for
-per-client strategy state.  Policies are resolved by name through the
+that makes a scheduler tick O(active) at million-client registration) is
+the one home of scheduler state, and its
+:class:`~repro.fl.scheduling.fleet.FleetView` the one pool type selectors
+draw from; the sparse :class:`~repro.fl.scheduling.store.ClientStateStore`
+holds per-client *strategy* state (``store.py`` says why that is not a
+fleet column).  Policies are resolved by name through the
 ``make_*`` factories below, which is what ``CoordinatorConfig.selector`` /
 ``pacing`` / ``straggler`` and the matching CLI flags feed; availability
 churn models (:mod:`~repro.fl.scheduling.availability`) ride the
@@ -14,7 +17,6 @@ churn models (:mod:`~repro.fl.scheduling.availability`) ride the
 
 from __future__ import annotations
 
-from ..types import FLClient
 from .availability import (
     AvailabilityModel,
     BernoulliAvailability,
@@ -116,18 +118,15 @@ def make_pacing(
     base_k: int,
     deadline_s: float | None,
     max_k: int,
-    clients: list[FLClient] | None = None,
-    fleet: FleetStore | None = None,
+    fleet: FleetStore,
 ) -> PacingPolicy:
     """Instantiate a pacing policy by name.
 
     ``base_k`` is the resolved static buffer size (config or its
     clients_per_round-derived default), ``max_k`` the in-flight concurrency
-    (the adaptive buffer never outgrows what can arrive), and ``clients``
-    the fleet (quantile pacing derives its device classes from it).  When
-    ``fleet`` — the engine's columnar store — is given, quantile pacing
-    shares its class column and round-time ring buffers instead of keeping
-    private copies.
+    (the adaptive buffer never outgrows what can arrive), and ``fleet`` the
+    engine's columnar store, whose class column and round-time ring buffers
+    quantile pacing estimates its per-class deadlines from.
     """
     try:
         cls = _PACING[name]
@@ -136,7 +135,7 @@ def make_pacing(
             f"unknown pacing policy {name!r}; choose from {PACING_POLICIES}"
         ) from None
     if cls is QuantilePacing:
-        return cls(base_k, deadline_s, max_k, clients=clients, fleet=fleet)
+        return cls(base_k, deadline_s, max_k, fleet)
     return cls(base_k, deadline_s, max_k)
 
 

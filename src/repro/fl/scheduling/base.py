@@ -46,6 +46,7 @@ from ...nn.model import CellModel
 from ...stateful import Stateful, check_schema, schema_tag
 from ..client import LocalTrainerConfig
 from ..types import ClientUpdate, FLClient
+from .fleet import FleetStore, FleetView
 
 __all__ = [
     "ClientSelector",
@@ -90,32 +91,32 @@ class ClientSelector(Stateful, ABC):
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, schema_tag(type(self).__name__))
 
-    def bind_fleet(self, fleet) -> None:
+    def bind_fleet(self, fleet: FleetStore) -> None:
         """Attach the engine's columnar :class:`FleetStore`.
 
-        Stateless selectors ignore it; stateful ones (oort) move their
-        per-client state into the store's columns so selection is a
-        vectorized gather and ``evict_after`` eviction bounds it.
+        Stateless selectors ignore it; oort keeps its per-client state in
+        the store's columns, so selection is a vectorized gather and
+        ``evict_after`` eviction bounds it.
         """
 
     @abstractmethod
     def select(
         self,
         round_idx: int,
-        clients,
+        clients: FleetView,
         num: int,
         rng: np.random.Generator,
     ) -> list[FLClient]:
         """Pick up to ``num`` participants from ``clients``.
 
-        ``clients`` is the currently eligible pool (the async engine
-        excludes in-flight clients): a ``list[FLClient]`` or a columnar
-        :class:`~repro.fl.scheduling.fleet.FleetView` — both present the
-        same candidate ordering, and implementations must produce the
-        identical selection stream for either shape.  Implementations
-        clamp to the pool size — the caller surfaces under-provisioning
-        in the round record — but must raise on ``num < 1`` or an empty
-        pool.
+        ``clients`` is the currently eligible pool as a columnar
+        :class:`~repro.fl.scheduling.fleet.FleetView` (the whole fleet in
+        sync mode; the async engine excludes in-flight rows).  Positions
+        follow registration order, which is the candidate order the
+        selection stream is defined over (CONTRACTS.md I12).
+        Implementations clamp to the pool size — the caller surfaces
+        under-provisioning in the round record — but must raise on
+        ``num < 1`` or an empty pool.
         """
 
     def observe_round(self, round_idx: int, updates: Iterable[ClientUpdate]) -> None:
@@ -200,15 +201,16 @@ class StragglerPolicy(Stateful, ABC):
         models: Mapping[str, CellModel],
         trainer: LocalTrainerConfig,
         compatible_fn: Callable[[FLClient], list[str]],
-        fleet=None,
+        fleet: FleetStore,
     ) -> dict[int, tuple[list[str], bool]]:
         """Resolve one whole dispatch wave: ``{client_id: (assignment, downsized)}``.
 
         The default loops :meth:`resolve` per client in wave order.
         Policies with a vectorizable predicate (downsize's predicted-late
-        prescreen) override this and use ``fleet`` — the engine's columnar
-        :class:`~repro.fl.scheduling.fleet.FleetStore` — to batch the
-        estimates; results must match the per-client loop exactly.
+        prescreen) override this and batch the estimates over ``fleet`` —
+        the engine's columnar
+        :class:`~repro.fl.scheduling.fleet.FleetStore`, which holds every
+        client of the wave; results must match the per-client loop exactly.
         """
         del fleet
         return {

@@ -9,12 +9,13 @@ of pure list churn before a single byte of training happens.
 
 * ``ids`` (int64) — client ids in **registration order**.  Row order *is*
   the candidate order every selector sees, which is what keeps the
-  vectorized selectors bit-identical to the old list path (CONTRACTS.md
-  I1/I12): the same ``rng.choice`` call over the same candidate ordering
-  picks the same clients.
+  vectorized selectors bit-identical to the list-of-clients selection
+  they replaced (CONTRACTS.md I1/I12): the same ``rng.choice`` call over
+  the same candidate ordering picks the same clients.
 * capacity class (int16) — equal-occupancy compute-speed classes, the
-  exact ranking :class:`~repro.fl.scheduling.pacing.QuantilePacing` used
-  (sort by ``(compute_speed, client_id)``, cut into contiguous groups).
+  classes :class:`~repro.fl.scheduling.pacing.QuantilePacing` keeps a
+  deadline for (sort by ``(compute_speed, client_id)``, cut into
+  contiguous groups).
 * last-seen round (int64) + Oort utility EMA (float64, with a validity
   mask) — the selector state that used to live in an unbounded dict.
 * device columns (compute speed, bandwidth, local train-set size) — the
@@ -28,8 +29,8 @@ small sorted row array; :func:`positions_to_rows` maps ``rng.choice``
 positions over the *compacted* candidate sequence back to physical rows
 through the gaps (an order-statistics fixpoint over ``searchsorted``), so
 a default-stack dispatch tick is O(active · log in_flight) instead of
-O(registered) — and provably selects the exact clients the old list
-comprehension would have.
+O(registered) — and provably selects the exact clients the list
+comprehension would have (the oracle in ``tests/test_fleet_store.py``).
 
 Row removal (:meth:`FleetStore.remove`) compacts every column in place,
 preserving the surviving row order, so selection streams are unchanged
@@ -128,9 +129,9 @@ class RoundTimeStats:
             out.append([float(v) for v in vals])
         return out
 
-    # RoundTimeStats instances are embedded in FleetStore / QuantilePacing
-    # payloads rather than checkpointed standalone, but they follow the
-    # Stateful protocol so either owner can delegate.
+    # RoundTimeStats instances are embedded in the FleetStore payload
+    # rather than checkpointed standalone, but they follow the Stateful
+    # protocol so the owner can delegate.
     schema = schema_tag("RoundTimeStats")
 
     def state_dict(self) -> dict:
@@ -337,8 +338,8 @@ class FleetStore(Stateful):
         self._row_of: dict[int, int] = {
             int(cid): i for i, cid in enumerate(self.ids)
         }
-        # Equal-occupancy compute-speed classes — the exact QuantilePacing
-        # ranking: sort by (speed, client_id), cut into contiguous groups.
+        # Equal-occupancy compute-speed classes (quantile pacing's deadline
+        # classes): sort by (speed, client_id), cut into contiguous groups.
         self.num_classes = max(1, min(num_classes, n or 1))
         self.classes = np.zeros(n, dtype=np.int16)
         if n:
@@ -373,8 +374,8 @@ class FleetStore(Stateful):
         return np.fromiter((ro[int(c)] for c in ids), dtype=np.int64, count=len(ids))
 
     def class_of_id(self, client_id: int) -> int:
-        row = self._row_of.get(int(client_id))
-        return 0 if row is None else int(self.classes[row])
+        """Device class of a registered client; ``KeyError`` for any other id."""
+        return int(self.classes[self._row_of[int(client_id)]])
 
     def clients_at(self, rows: np.ndarray) -> "list[FLClient]":
         if self._clients is None:
@@ -409,13 +410,6 @@ class FleetStore(Stateful):
             )
         return FleetView(self, excluded=self._in_flight_sorted)
 
-    def active_view(self) -> FleetView:
-        """Online ∩ non-evicted rows: today membership is row membership
-        (removed rows are compacted away), so this is the available view;
-        per-round availability masking happens inside the selector, which
-        owns the seeded hash stream."""
-        return self.available_view()
-
     # ------------------------------------------------------------------
     # in-flight bookkeeping (async engine)
     # ------------------------------------------------------------------
@@ -442,6 +436,10 @@ class FleetStore(Stateful):
 
     def in_flight_count(self) -> int:
         return len(self._in_flight_rows)
+
+    def in_flight_ids(self) -> list[int]:
+        """Ids of the in-flight clients, ascending (the checkpoint order)."""
+        return sorted(int(self.ids[r]) for r in self._in_flight_rows)
 
     # ------------------------------------------------------------------
     # Oort utility columns

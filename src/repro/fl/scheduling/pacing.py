@@ -19,7 +19,7 @@ from __future__ import annotations
 from ...stateful import check_schema, schema_tag
 from ..types import FLClient
 from .base import PacingPolicy
-from .fleet import FleetStore, RoundTimeStats
+from .fleet import FleetStore
 
 __all__ = ["StaticPacing", "AdaptivePacing", "QuantilePacing"]
 
@@ -119,10 +119,11 @@ class AdaptivePacing(PacingPolicy):
 class QuantilePacing(PacingPolicy):
     """Per-device-class deadline quantiles from completed round times.
 
-    The fleet is split into ``num_classes`` equal-occupancy classes by
-    device compute speed at construction (class membership never changes —
-    it is hardware, not history).  Each class keeps a sliding window of
-    the last ``window`` true durations of its completed work items; once a
+    The engine's :class:`FleetStore` splits the fleet into
+    ``fleet.num_classes`` equal-occupancy classes by device compute speed
+    at construction (class membership never changes — it is hardware, not
+    history).  Each class keeps a sliding window of the last
+    ``fleet.stats.window`` true durations of its completed work items; once a
     class has seen ``min_samples`` of them, its deadline becomes
     ``quantile(window, q) * slack`` and is re-estimated every arrival —
     the bounded window keeps the per-arrival cost O(window) and lets the
@@ -133,14 +134,11 @@ class QuantilePacing(PacingPolicy):
     combine with :class:`AdaptivePacing` ideas in a custom policy if both
     are wanted.
 
-    The windows are :class:`~repro.fl.scheduling.fleet.RoundTimeStats`
-    ring buffers (one scatter write per arrival, one contiguous-slice
-    ``np.quantile`` per re-estimate — no per-arrival ``list()``
-    materialization), bit-identical in estimates to the per-class deque
-    lists they replaced: each window holds the same multiset of samples
-    and quantiles are order-invariant.  Bound to a :class:`FleetStore`
-    with matching geometry, the policy shares the store's columnar
-    round-time stats and class column instead of keeping its own copies.
+    The class column and the windows are the store's own
+    (``fleet.classes``, ``fleet.stats`` — the
+    :class:`~repro.fl.scheduling.fleet.RoundTimeStats` ring buffers: one
+    scatter write per arrival, one contiguous-slice ``np.quantile`` per
+    re-estimate); the policy keeps only the derived per-class deadlines.
     """
 
     name = "quantile"
@@ -150,13 +148,10 @@ class QuantilePacing(PacingPolicy):
         base_k: int,
         deadline_s: float | None,
         max_k: int,
-        clients: list[FLClient] | None = None,
-        num_classes: int = 4,
+        fleet: FleetStore,
         q: float = 0.9,
         slack: float = 1.5,
         min_samples: int = 8,
-        window: int = 256,
-        fleet: FleetStore | None = None,
     ):
         del max_k
         if not 0.0 < q <= 1.0:
@@ -165,59 +160,31 @@ class QuantilePacing(PacingPolicy):
             raise ValueError("slack must be >= 1 (a sub-1 slack drops the quantile itself)")
         if min_samples < 2:
             raise ValueError("min_samples must be >= 2")
-        if window < min_samples:
-            raise ValueError("window must be >= min_samples")
+        if fleet.stats.window < min_samples:
+            raise ValueError("the fleet's round-time window must be >= min_samples")
         self.base_k = base_k
         self.deadline_s = deadline_s
         self.q = q
         self.slack = slack
         self.min_samples = min_samples
-        self.window = window
-        clients = clients or []
-        num_classes = max(1, min(num_classes, len(clients) or 1))
-        self.num_classes = num_classes
-        # The fleet store carries the identical equal-occupancy class
-        # column and per-class ring buffers; share them when the geometry
-        # matches (same class count, same window, same client count).
-        self._fleet: FleetStore | None = None
-        if (
-            fleet is not None
-            and fleet.num_classes == num_classes
-            and fleet.stats.window == window
-            and fleet.num_rows == len(clients)
-        ):
-            self._fleet = fleet
-            self._stats = fleet.stats
-            self._class_of: dict[int, int] = {}
-        else:
-            # Equal-occupancy speed classes: rank by compute speed, cut
-            # into num_classes contiguous groups.  Deterministic in the
-            # fleet — the same cut FleetStore computes columnar-ly.
-            speeds = {c.client_id: c.device.compute_speed for c in clients}
-            order = sorted(speeds, key=lambda cid: (speeds[cid], cid))
-            self._class_of = {
-                cid: min(i * num_classes // max(1, len(order)), num_classes - 1)
-                for i, cid in enumerate(order)
-            }
-            self._stats = RoundTimeStats(num_classes, window)
-        self._deadline: list[float | None] = [deadline_s] * num_classes
+        self._fleet = fleet
+        self._deadline: list[float | None] = [deadline_s] * fleet.num_classes
 
     def buffer_k(self, step_idx: int) -> int:
         return self.base_k
 
     def class_of(self, client_id: int) -> int:
-        if self._fleet is not None:
-            return self._fleet.class_of_id(client_id)
-        return self._class_of.get(client_id, 0)
+        return self._fleet.class_of_id(client_id)
 
     def deadline_for(self, client: FLClient) -> float | None:
         return self._deadline[self.class_of(client.client_id)]
 
     def observe_arrival(self, client_id, duration, now, dropped):
         cls = self.class_of(client_id)
-        self._stats.observe(cls, float(duration))  # ring: oldest falls off
-        if self._stats.count(cls) >= self.min_samples:
-            self._deadline[cls] = self._stats.quantile(cls, self.q) * self.slack
+        stats = self._fleet.stats
+        stats.observe(cls, float(duration))  # ring: oldest falls off
+        if stats.count(cls) >= self.min_samples:
+            self._deadline[cls] = stats.quantile(cls, self.q) * self.slack
 
     def deadline_quantiles(self) -> tuple[float, ...]:
         return tuple(d for d in self._deadline if d is not None)
@@ -230,19 +197,14 @@ class QuantilePacing(PacingPolicy):
         # are.  Windows serialize oldest-first — the deque wire order.
         return {
             "schema": self.schema,
-            "durations": self._stats.chronological(),
+            "durations": self._fleet.stats.chronological(),
             "deadline": list(self._deadline),
         }
 
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
-        durations = payload["durations"]
-        if len(durations) != self.num_classes:
-            raise ValueError(
-                f"checkpoint has {len(durations)} device classes; "
-                f"this policy was built with {self.num_classes}"
-            )
-        self._stats.load_chronological(durations)
+        # Raises on a class-count mismatch with the constructed fleet.
+        self._fleet.stats.load_chronological(payload["durations"])
         self._deadline = [
             None if d is None else float(d) for d in payload["deadline"]
         ]

@@ -10,16 +10,17 @@ data the current models fit worst are the most informative to train next,
 and never-tried clients enter at the current maximum utility so
 exploration never starves.
 
-Selectors accept either the legacy ``list[FLClient]`` pool or a
-:class:`~repro.fl.scheduling.fleet.FleetView` over the columnar
-:class:`~repro.fl.scheduling.fleet.FleetStore`.  Both paths make the same
-``rng.choice`` call over the same candidate ordering (registration order),
-so selection streams are bit-identical between them — the view path just
-does it without materializing an O(registered) Python list (CONTRACTS.md
-I12).  When a selector is *bound* to a fleet store
-(:meth:`ClientSelector.bind_fleet`), its per-client state lives in the
-store's columns: Oort's utility EMA becomes a masked gather + scatter, and
-``evict_after`` inactivity eviction bounds it for free.
+The pool every selector draws from is a
+:class:`~repro.fl.scheduling.fleet.FleetView` over the engine's columnar
+:class:`~repro.fl.scheduling.fleet.FleetStore`.  Row order is registration
+order and registration order is candidate order, so ``rng.choice`` over a
+view's positions picks exactly the clients the same call over the
+``[c for c in clients if ...]`` list would — without materializing an
+O(registered) Python list (CONTRACTS.md I12; the list forms survive as
+test oracles in ``tests/test_fleet_store.py``).  Per-client selector state
+lives in the store's columns (:meth:`ClientSelector.bind_fleet`): Oort's
+utility EMA is a masked gather + scatter, and ``evict_after`` inactivity
+eviction bounds it for free.
 """
 
 from __future__ import annotations
@@ -55,21 +56,15 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _U64(31))
 
 
-def _pool_ids(pool) -> np.ndarray:
-    if isinstance(pool, FleetView):
-        return pool.ids
-    return np.asarray([c.client_id for c in pool])
-
-
-def uniform_choice(pool, num: int, rng: np.random.Generator) -> list[FLClient]:
+def uniform_choice(
+    pool: FleetView, num: int, rng: np.random.Generator
+) -> list[FLClient]:
     """Uniform selection without replacement (Algorithm 1's Select).
 
     Clamps ``num`` to the pool size (the caller records under-provisioning)
     but rejects ``num < 1`` — a silently empty round is a configuration
-    error, not a schedule.  ``pool`` is a ``list[FLClient]`` or a
-    ``FleetView``; both make the identical ``rng.choice(len(pool), ...)``
-    call, and the view maps the chosen positions straight to rows instead
-    of indexing a materialized list.
+    error, not a schedule.  One ``rng.choice(len(pool), ...)`` call; the
+    view maps the chosen positions straight to rows.
     """
     size = len(pool)
     if size == 0:
@@ -77,10 +72,7 @@ def uniform_choice(pool, num: int, rng: np.random.Generator) -> list[FLClient]:
     if num < 1:
         raise ValueError(f"cannot select {num} clients; num must be >= 1")
     num = min(num, size)
-    idx = rng.choice(size, size=num, replace=False)
-    if isinstance(pool, FleetView):
-        return pool.take(idx)
-    return [pool[i] for i in idx]
+    return pool.take(rng.choice(size, size=num, replace=False))
 
 
 class UniformSelector(ClientSelector):
@@ -131,11 +123,7 @@ class AvailabilityAwareSelector(ClientSelector):
         self.seed = seed
         self.availability = availability
         self.model = model
-        self._fleet: FleetStore | None = None
         self.offline_fallback_rounds = 0
-
-    def bind_fleet(self, fleet: FleetStore) -> None:
-        self._fleet = fleet
 
     def _rates(self, round_idx: int, classes: np.ndarray | None):
         if self.model is None:
@@ -156,49 +144,19 @@ class AvailabilityAwareSelector(ClientSelector):
         # Top 53 bits -> uniform double in [0, 1).
         return (draws >> _U64(11)) / float(1 << 53) < self._rates(round_idx, classes)
 
-    def _classes_for(self, round_idx: int, client_ids: np.ndarray) -> np.ndarray | None:
-        if self.model is None or not self.model.uses_classes:
-            return None
-        if self._fleet is None:
-            # A bare list pool has no class column; treat it as class 0.
-            return np.zeros(client_ids.size, dtype=np.int16)
-        ro = self._fleet._row_of
-        rows = np.fromiter(
-            (ro.get(int(c), -1) for c in client_ids),
-            dtype=np.int64,
-            count=client_ids.size,
-        )
-        classes = np.zeros(client_ids.size, dtype=np.int16)
-        known = rows >= 0
-        classes[known] = self._fleet.classes[rows[known]]
-        return classes
-
-    def is_online(self, round_idx: int, client_id: int) -> bool:
-        ids = np.asarray([client_id])
-        return bool(self._online_mask(round_idx, ids, self._classes_for(round_idx, ids))[0])
-
     def select(self, round_idx, clients, num, rng):
         if num < 1:
             raise ValueError(f"cannot select {num} clients; num must be >= 1")
-        if isinstance(clients, FleetView):
-            view = clients
-            classes = None
-            if self.model is not None and self.model.uses_classes:
-                classes = view.classes
-            mask = self._online_mask(round_idx, view.ids, classes)
-            if mask.any():
-                online = view.restrict(mask)
-            else:
-                # A fully offline round would stall the engine; fall back
-                # to the offline pool rather than deadlock (surfaced as
-                # offline_fallback_rounds on the SchedulerRecord).
-                self.offline_fallback_rounds += 1
-                online = view
-            return uniform_choice(online, min(num, len(online)), rng)
-        ids = _pool_ids(clients)
-        mask = self._online_mask(round_idx, ids, self._classes_for(round_idx, ids))
-        online = [c for c, m in zip(clients, mask) if m]
-        if not online:
+        classes = None
+        if self.model is not None and self.model.uses_classes:
+            classes = clients.classes
+        mask = self._online_mask(round_idx, clients.ids, classes)
+        if mask.any():
+            online = clients.restrict(mask)
+        else:
+            # A fully offline round would stall the engine; fall back
+            # to the offline pool rather than deadlock (surfaced as
+            # offline_fallback_rounds on the SchedulerRecord).
             self.offline_fallback_rounds += 1
             online = clients
         return uniform_choice(online, min(num, len(online)), rng)
@@ -228,14 +186,13 @@ class OortSelector(ClientSelector):
     fleets express slowness through the pacing/straggler policies instead,
     so this selector stays purely statistical.
 
-    Unbound, utilities live in a dict (the legacy shape — unbounded in the
-    number of clients ever seen).  Bound to a
-    :class:`~repro.fl.scheduling.fleet.FleetStore`, they live in the
-    store's utility column: ``_weights`` is a masked gather, ``observe_round``
-    a scatter, and the store's ``evict_after`` inactivity eviction bounds
-    the resident state at O(fleet columns) with churned clients rehydrating
-    at the optimistic prior.  Both representations produce bit-identical
-    weights (same float64 values through the same IEEE expression).
+    Utilities live in the utility column of the
+    :class:`~repro.fl.scheduling.fleet.FleetStore` handed to
+    :meth:`bind_fleet` (the coordinator binds before the first round):
+    ``_weights`` is a masked gather, ``observe_round`` a scatter, and the
+    store's ``evict_after`` inactivity eviction bounds the resident state
+    at O(fleet columns) with churned clients rehydrating at the optimistic
+    prior.
     """
 
     name = "oort"
@@ -248,28 +205,13 @@ class OortSelector(ClientSelector):
             raise ValueError("momentum must lie in (0, 1]")
         self.alpha = alpha
         self.momentum = momentum
-        self._utility: dict[int, float] = {}
         self._fleet: FleetStore | None = None
 
     def bind_fleet(self, fleet: FleetStore) -> None:
         self._fleet = fleet
-        if self._utility:
-            # Observations made before binding migrate into the columns.
-            fleet.set_utilities(self._utility)
-            self._utility = {}
 
-    def _weights(self, pool) -> np.ndarray:
-        if self._fleet is not None:
-            if isinstance(pool, FleetView):
-                rows = pool.rows()
-            else:
-                rows = self._fleet.rows_of([c.client_id for c in pool])
-            u = self._fleet.utilities(rows, self._fleet.max_utility())
-        else:
-            default = max(self._utility.values()) if self._utility else 1.0
-            u = np.array(
-                [self._utility.get(int(cid), default) for cid in _pool_ids(pool)]
-            )
+    def _weights(self, pool: FleetView) -> np.ndarray:
+        u = self._fleet.utilities(pool.rows(), self._fleet.max_utility())
         # Floor keeps every probability positive (sampling without
         # replacement needs full support even for converged clients).
         w = (1e-6 + np.maximum(u, 0.0)) ** self.alpha
@@ -282,45 +224,32 @@ class OortSelector(ClientSelector):
         if num < 1:
             raise ValueError(f"cannot select {num} clients; num must be >= 1")
         num = min(num, size)
-        idx = rng.choice(size, size=num, replace=False, p=self._weights(clients))
-        if isinstance(clients, FleetView):
-            return clients.take(idx)
-        return [clients[i] for i in idx]
+        return clients.take(
+            rng.choice(size, size=num, replace=False, p=self._weights(clients))
+        )
 
     def observe_round(self, round_idx: int, updates: Iterable[ClientUpdate]) -> None:
-        m = self.momentum
-        if self._fleet is not None:
-            ups = list(updates)
-            self._fleet.observe_utility(
-                round_idx,
-                [u.client_id for u in ups],
-                [float(u.train_loss) for u in ups],
-                m,
-            )
-            return
-        for u in updates:
-            prev = self._utility.get(u.client_id)
-            loss = float(u.train_loss)
-            self._utility[u.client_id] = (
-                loss if prev is None else (1.0 - m) * prev + m * loss
-            )
+        ups = list(updates)
+        self._fleet.observe_utility(
+            round_idx,
+            [u.client_id for u in ups],
+            [float(u.train_loss) for u in ups],
+            self.momentum,
+        )
 
     schema = schema_tag("OortSelector")
 
     def state_dict(self) -> dict:
-        utilities = (
-            self._fleet.export_utilities() if self._fleet is not None else self._utility
-        )
         return {
             "schema": self.schema,
-            "utility": {str(cid): float(u) for cid, u in utilities.items()},
+            "utility": {
+                str(cid): float(u)
+                for cid, u in self._fleet.export_utilities().items()
+            },
         }
 
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
-        utilities = {int(cid): float(u) for cid, u in payload["utility"].items()}
-        if self._fleet is not None:
-            self._fleet.set_utilities(utilities)
-            self._utility = {}
-        else:
-            self._utility = utilities
+        self._fleet.set_utilities(
+            {int(cid): float(u) for cid, u in payload["utility"].items()}
+        )

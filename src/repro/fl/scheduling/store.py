@@ -9,6 +9,14 @@ and is evicted after ``evict_after`` rounds of inactivity.  Eviction is
 safe because utility magnitudes are already bounded by decay/clamp — a
 rehydrated client restarts from the neutral prior (all-zero utilities,
 i.e. exactly a fresh client) and relearns within a few participations.
+
+**Why this is not a** :class:`~repro.fl.scheduling.fleet.FleetStore`
+**column.**  The fleet store holds one scalar per client per column; the
+payload here is ragged — a ``model_id -> utility`` dict per client whose
+key set grows every time a transformation births a model — so it has no
+fixed-width column to live in.  And :class:`~repro.core.ClientManager` is
+built (and benchmarked, ``core.client_manager.update_us``) without a
+coordinator, so it has no ``FleetStore`` to borrow columns from.
 """
 
 from __future__ import annotations
@@ -39,11 +47,6 @@ class ClientStateStore(Stateful):
         self.evicted_total = 0
 
     # ------------------------------------------------------------------
-    @property
-    def data(self) -> dict[int, dict[str, float]]:
-        """The raw backing dict (shared, not a copy) — for legacy accessors."""
-        return self._state
-
     def get(self, client_id: int) -> dict[str, float] | None:
         """This client's state, or ``None`` if never materialized/evicted."""
         return self._state.get(client_id)
@@ -88,9 +91,6 @@ class ClientStateStore(Stateful):
 
     def values(self):
         return self._state.values()
-
-    def items(self):
-        return self._state.items()
 
     def resident_clients(self) -> int:
         return len(self._state)

@@ -22,6 +22,7 @@ from ...nn.model import CellModel
 from ..client import LocalTrainerConfig
 from ..types import FLClient
 from .base import StragglerPolicy, estimate_round_time
+from .fleet import FleetStore
 
 __all__ = ["DropPolicy", "DownsizePolicy"]
 
@@ -80,7 +81,7 @@ class DownsizePolicy(StragglerPolicy):
         models: Mapping[str, CellModel],
         trainer: LocalTrainerConfig,
         compatible_fn: Callable[[FLClient], list[str]],
-        fleet=None,
+        fleet: FleetStore,
     ) -> dict[int, tuple[list[str], bool]]:
         """Batch the predicted-late prescreen over the fleet's device columns.
 
@@ -91,28 +92,17 @@ class DownsizePolicy(StragglerPolicy):
         the scalar estimator (same IEEE expression over the same inputs),
         so the outcome is exactly the per-client loop's.
         """
-        if fleet is None:
-            return super().resolve_wave(
-                clients, assignments, deadlines, models, trainer, compatible_fn
-            )
         results: dict[int, tuple[list[str], bool]] = {}
         # Only single-model assignments with a live deadline are downsize
         # candidates; everything else passes through untouched (exactly
-        # resolve()'s own early exit).  A client outside the fleet's rows
-        # falls back to the scalar resolve.
+        # resolve()'s own early exit).
         groups: dict[str, list[FLClient]] = {}
         for client in clients:
             cid = client.client_id
             mids = assignments[cid]
-            if deadlines[cid] is None or len(mids) != 1:
-                results[cid] = (mids, False)
-            elif cid in fleet:
-                results[cid] = (mids, False)
+            results[cid] = (mids, False)
+            if deadlines[cid] is not None and len(mids) == 1:
                 groups.setdefault(mids[0], []).append(client)
-            else:
-                results[cid] = self.resolve(
-                    client, mids, deadlines[cid], models, trainer, compatible_fn
-                )
         for mid, group in groups.items():
             rows = fleet.rows_of([c.client_id for c in group])
             est = fleet.predict_round_times(rows, models[mid], trainer)

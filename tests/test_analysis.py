@@ -864,6 +864,67 @@ class TestEngineAndCli:
             seams, 1
         ), sites
 
+    def test_scheduling_has_one_pool_type(self):
+        """``FleetView`` is the only pool selectors take and ``FleetStore``
+        the only home of scheduler state; each shape below is how the
+        ``list[FLClient]`` / unbound / private-copy fork would regrow."""
+        src = REPO / "src" / "repro"
+        trees = {p: ast.parse(p.read_text()) for p in sorted(src.rglob("*.py"))}
+        regrown: list[str] = []
+
+        def functions(tree, names):
+            return [
+                n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name in names
+            ]
+
+        def assigned_attrs(tree):
+            return {
+                t.attr
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.Assign, ast.AnnAssign))
+                for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                if isinstance(t, ast.Attribute)
+            }
+
+        for path, tree in trees.items():
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and "FleetView" in ast.dump(node.args[1])
+                ):
+                    regrown.append(f"{path.name}:{node.lineno} isinstance(_, FleetView)")
+        sched = src / "fl" / "scheduling"
+        pacing = next(
+            n for n in trees[sched / "pacing.py"].body
+            if isinstance(n, ast.ClassDef) and n.name == "QuantilePacing"
+        )
+        for fn in functions(pacing, {"__init__"}) + functions(
+            trees[sched / "__init__.py"], {"make_pacing"}
+        ):
+            if "clients" in {a.arg for a in fn.args.args + fn.args.kwonlyargs}:
+                regrown.append(f"{fn.name} takes clients")
+        waves = [
+            fn
+            for name in ("base.py", "straggler.py")
+            for fn in functions(trees[sched / name], {"resolve_wave"})
+        ]
+        assert len(waves) == 2
+        for fn in waves:
+            if fn.args.defaults or fn.args.args[-1].arg != "fleet":
+                regrown.append(f"resolve_wave:{fn.lineno} fleet is optional")
+        if "_utility" in assigned_attrs(trees[sched / "selectors.py"]):
+            regrown.append("selectors.py assigns _utility")
+        engine = next(
+            n for n in trees[src / "fl" / "async_engine.py"].body
+            if isinstance(n, ast.ClassDef) and n.name == "BufferedAsyncEngine"
+        )
+        if "_in_flight" in assigned_attrs(engine):
+            regrown.append("BufferedAsyncEngine assigns _in_flight")
+        assert regrown == []
+
 
 # ----------------------------------------------------------------------
 # runtime sanitizer: unit behavior

@@ -252,7 +252,7 @@ class TestClientStateStoreDurability:
         restored.load_state_dict(store.state_dict())
         assert restored.evict_after == 2
         assert restored.evicted_total == 4
-        assert sorted(restored.data) == [1, 4]
+        assert sorted(int(c) for c in restored.state_dict()["state"]) == [1, 4]
         assert restored.get(1) == {"utility": 1.0}
         assert restored.state_dict() == store.state_dict()
 

@@ -38,7 +38,7 @@ class TestSampling:
 
     def test_higher_utility_higher_probability(self):
         cm = ClientManager()
-        cm._utilities[0] = {"a": 2.0, "b": 0.0}
+        cm.store.materialize(0).update({"a": 2.0, "b": 0.0})
         p = cm.assignment_probabilities(0, ["a", "b"])
         assert p[0] > p[1]
         assert p[0] == pytest.approx(np.exp(2) / (np.exp(2) + 1))
@@ -49,14 +49,14 @@ class TestSampling:
 
     def test_sampling_follows_distribution(self, rng):
         cm = ClientManager()
-        cm._utilities[0] = {"a": 3.0, "b": 0.0}
+        cm.store.materialize(0).update({"a": 3.0, "b": 0.0})
         picks = [cm.sample_model(0, ["a", "b"], rng) for _ in range(300)]
         frac_a = picks.count("a") / len(picks)
         assert frac_a > 0.8  # softmax(3,0) ~ 0.95
 
     def test_overflow_stability(self):
         cm = ClientManager()
-        cm._utilities[0] = {"a": 1e4, "b": 0.0}
+        cm.store.materialize(0).update({"a": 1e4, "b": 0.0})
         p = cm.assignment_probabilities(0, ["a", "b"])
         assert np.isfinite(p).all()
 
@@ -64,12 +64,12 @@ class TestSampling:
 class TestBestModel:
     def test_highest_utility_wins(self):
         cm = ClientManager()
-        cm._utilities[0] = {"a": 0.1, "b": 5.0}
+        cm.store.materialize(0).update({"a": 0.1, "b": 5.0})
         assert cm.best_model(0, ["a", "b"]) == "b"
 
     def test_tie_breaks_by_global_mean(self):
         cm = ClientManager()
-        cm._utilities[1] = {"a": 0.0, "b": 4.0}  # fleet likes b
+        cm.store.materialize(1).update({"a": 0.0, "b": 4.0})  # fleet likes b
         # client 0 never participated: per-client utilities are all 0
         assert cm.best_model(0, ["a", "b"]) == "b"
 
@@ -81,7 +81,7 @@ class TestBestModel:
 class TestRegisterModel:
     def test_child_inherits_parent_utility(self):
         cm = ClientManager()
-        cm._utilities[0] = {"parent": 2.5}
+        cm.store.materialize(0).update({"parent": 2.5})
         cm.register_model("child", "parent")
         assert cm.utility(0, "child") == 2.5
 
@@ -133,7 +133,7 @@ class TestEq4Update:
         models, _, _ = self._models(rng)
         cm = ClientManager()
         cm.update([], models)
-        assert cm._utilities == {}
+        assert len(cm.store) == 0
 
     def test_utilities_bounded_over_500_rounds(self, rng):
         """Regression: unbounded accumulation saturated the Eq. 3 softmax
@@ -220,7 +220,7 @@ class TestEq4Update:
         ]
         cm.update(ups, models, compatible)
         # Client 0 (weak) holds no entry for the incompatible child...
-        assert child.model_id not in cm._utilities[0]
+        assert child.model_id not in cm.store.get(0)
         # ...but its compatible utilities match the unrestricted walk
         # (restriction only skips writes that could never be read).
         unrestricted = ClientManager()
@@ -259,8 +259,8 @@ class TestEq4Update:
             _update(1, parent.model_id, loss=2.0),
         ]
         cm.update(ups, models, {1: {parent.model_id}})  # no entry for client 0
-        assert child.model_id in cm._utilities[0]  # legacy full walk
-        assert child.model_id not in cm._utilities[1]
+        assert child.model_id in cm.store.get(0)  # legacy full walk
+        assert child.model_id not in cm.store.get(1)
 
     def test_assignment_shifts_after_updates(self, rng):
         """Soft assignment: persistent bad loss on a model steers the client

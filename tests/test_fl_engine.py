@@ -16,6 +16,7 @@ from repro.fl import (
     summarize,
     uniform_choice,
 )
+from repro.fl.scheduling import FleetStore
 from repro.nn import mlp
 
 
@@ -110,13 +111,13 @@ class TestSelection:
     def test_without_replacement(self, rng):
         ds = _dataset(num_clients=20)
         clients = _clients(ds)
-        chosen = uniform_choice(clients, 10, rng)
+        chosen = uniform_choice(FleetStore(clients).view(), 10, rng)
         ids = [c.client_id for c in chosen]
         assert len(set(ids)) == 10
 
     def test_caps_at_population(self, rng):
         ds = _dataset(num_clients=5)
-        assert len(uniform_choice(_clients(ds), 50, rng)) == 5
+        assert len(uniform_choice(FleetStore(_clients(ds)).view(), 50, rng)) == 5
 
     def test_empty_raises(self, rng):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ The contract under test is CONTRACTS.md I12: scheduler tick cost is
 O(active), and the default-stack selection stream is bit-identical to the
 object-per-client list path the columns replaced.  Every vectorized
 re-implementation here is pinned against its scalar/list reference —
-same RNG state, same picks, same floats.
+same RNG state, same picks, same floats.  ``src/`` only has the columnar
+path; the list/dict references are the ``_list_*`` / ``_DictOort`` oracles
+below, each written once.
 """
 
 import json
@@ -21,7 +23,6 @@ from repro.fl.scheduling import (
     FleetStore,
     FleetView,
     OortSelector,
-    QuantilePacing,
     RoundTimeStats,
     estimate_round_time,
     make_straggler,
@@ -66,6 +67,44 @@ def _clients(n=16, seed=0):
 
 
 # ----------------------------------------------------------------------
+# list / dict oracles: what the selectors did over a list[FLClient] pool
+# ----------------------------------------------------------------------
+def _list_choice(pool, num, rng, p=None):
+    """``rng.choice`` over list positions, then an index loop."""
+    idx = rng.choice(len(pool), size=min(num, len(pool)), replace=False, p=p)
+    return [pool[i] for i in idx]
+
+
+def _list_availability(sel, round_idx, pool, num, rng):
+    """Mask the list by the selector's coin, fall back to everyone if empty."""
+    ids = np.asarray([c.client_id for c in pool])
+    online = [c for c, m in zip(pool, sel._online_mask(round_idx, ids)) if m]
+    return _list_choice(online or pool, num, rng)
+
+
+class _DictOort:
+    """Oort's utility EMA in a dict; unseen clients enter at the running max."""
+
+    def __init__(self, alpha=2.0, momentum=0.5):
+        self.alpha, self.momentum, self.utility = alpha, momentum, {}
+
+    def observe_round(self, updates):
+        m = self.momentum
+        for u in updates:
+            prev = self.utility.get(u.client_id)
+            loss = float(u.train_loss)
+            self.utility[u.client_id] = (
+                loss if prev is None else (1.0 - m) * prev + m * loss
+            )
+
+    def weights(self, pool):
+        default = max(self.utility.values()) if self.utility else 1.0
+        u = np.array([self.utility.get(c.client_id, default) for c in pool])
+        w = (1e-6 + np.maximum(u, 0.0)) ** self.alpha
+        return w / w.sum()
+
+
+# ----------------------------------------------------------------------
 # positions_to_rows / views
 # ----------------------------------------------------------------------
 def test_positions_to_rows_matches_delete():
@@ -92,7 +131,7 @@ def test_available_view_matches_list_comprehension():
     assert list(store.ids[view.rows()]) == expected
     assert list(view.ids) == expected
     # Selection streams are identical at the same RNG state.
-    picked_list = uniform_choice(
+    picked_list = _list_choice(
         [c for c in clients if c.client_id not in in_flight],
         6,
         np.random.default_rng(9),
@@ -113,6 +152,13 @@ def test_view_shapes_and_restrict():
     assert [c.client_id for c in sub.take(np.asarray([1, 0]))] == [5, 2]
     with pytest.raises(ValueError):
         FleetView(store, rows=np.asarray([1]), excluded=np.asarray([2]))
+
+
+def test_class_of_id_has_no_default_for_unknown_clients():
+    store = FleetStore(_clients(4))
+    assert store.class_of_id(3) == int(store.classes[store.row_of(3)])
+    with pytest.raises(KeyError):  # was a silent class 0 (ROADMAP 5c)
+        store.class_of_id(99)
 
 
 # ----------------------------------------------------------------------
@@ -139,29 +185,6 @@ def test_round_time_stats_matches_deque_reference():
     assert reloaded.chronological() == stats.chronological()
 
 
-def test_quantile_pacing_fleet_shared_bit_identical():
-    clients = _clients(12)
-    store = FleetStore(clients)
-    private = QuantilePacing(4, 30.0, 8, clients=clients, min_samples=2, window=6)
-    shared = QuantilePacing(
-        4, 30.0, 8, clients=clients, min_samples=2, window=256, fleet=store
-    )
-    assert shared._fleet is store  # geometry matched -> columns shared
-    # Class membership is the identical equal-occupancy cut either way.
-    for c in clients:
-        assert private.class_of(c.client_id) == store.class_of_id(c.client_id)
-    rng = np.random.default_rng(1)
-    reference = QuantilePacing(4, 30.0, 8, clients=clients, min_samples=2, window=256)
-    for i in range(60):
-        cid = int(rng.integers(12))
-        dur = float(rng.uniform(1.0, 50.0))
-        shared.observe_arrival(cid, dur, float(i), False)
-        reference.observe_arrival(cid, dur, float(i), False)
-        for c in clients:  # deadlines bit-identical to the private-windows path
-            assert shared.deadline_for(c) == reference.deadline_for(c)
-    assert shared.state_dict() == reference.state_dict()
-
-
 # ----------------------------------------------------------------------
 # availability: mask invariance, churn models, fallback metering
 # ----------------------------------------------------------------------
@@ -171,25 +194,20 @@ def test_availability_mask_pool_order_invariant():
     perm = np.random.default_rng(0).permutation(200)
     mask = sel._online_mask(6, ids)
     assert np.array_equal(sel._online_mask(6, ids[perm]), mask[perm])
-    # And invariant to the container the pool arrived in: the bound/view
-    # path hashes the same id column, so per-client verdicts agree.
-    clients = _clients(20)
-    store = FleetStore(clients)
-    bound = AvailabilityAwareSelector(seed=3)
-    bound.bind_fleet(store)
-    for c in clients:
-        assert bound.is_online(6, c.client_id) == sel.is_online(6, c.client_id)
+    # And invariant to who else is asked: the view's id column hashes to
+    # the verdict each client gets when asked about alone.
+    view = FleetStore(_clients(20)).view()
+    for cid, online in zip(view.ids, sel._online_mask(6, view.ids)):
+        assert online == sel._online_mask(6, np.asarray([cid]))[0]
 
 
 def test_availability_view_and_list_paths_identical():
     clients = _clients(24)
     store = FleetStore(clients)
-    sel_list = AvailabilityAwareSelector(seed=5)
-    sel_view = AvailabilityAwareSelector(seed=5)
-    sel_view.bind_fleet(store)
+    sel = AvailabilityAwareSelector(seed=5)
     for r in range(8):
-        a = sel_list.select(r, clients, 6, np.random.default_rng(100 + r))
-        b = sel_view.select(r, store.view(), 6, np.random.default_rng(100 + r))
+        a = _list_availability(sel, r, clients, 6, np.random.default_rng(100 + r))
+        b = sel.select(r, store.view(), 6, np.random.default_rng(100 + r))
         assert [c.client_id for c in a] == [c.client_id for c in b]
 
 
@@ -265,7 +283,7 @@ class _FakeUpdate:
 def test_oort_bound_and_unbound_identical():
     clients = _clients(15)
     store = FleetStore(clients)
-    unbound = OortSelector()
+    unbound = _DictOort()
     bound = OortSelector()
     bound.bind_fleet(store)
     rng = np.random.default_rng(2)
@@ -274,13 +292,16 @@ def test_oort_bound_and_unbound_identical():
             _FakeUpdate(int(rng.integers(15)), float(rng.uniform(0.1, 3.0)))
             for _ in range(5)
         ]
-        unbound.observe_round(r, ups)
+        unbound.observe_round(ups)
         bound.observe_round(r, ups)
-        assert np.array_equal(unbound._weights(clients), bound._weights(store.view()))
-        a = unbound.select(r, clients, 4, np.random.default_rng(50 + r))
+        weights = unbound.weights(clients)
+        assert np.array_equal(weights, bound._weights(store.view()))
+        a = _list_choice(clients, 4, np.random.default_rng(50 + r), p=weights)
         b = bound.select(r, store.view(), 4, np.random.default_rng(50 + r))
         assert [c.client_id for c in a] == [c.client_id for c in b]
-    assert unbound.state_dict() == bound.state_dict()
+    assert bound.state_dict()["utility"] == {
+        str(cid): u for cid, u in unbound.utility.items()
+    }
 
 
 def test_oort_state_bounded_under_churn():
@@ -352,9 +373,13 @@ def test_downsize_resolve_wave_matches_scalar_loop():
     vectorized = policy.resolve_wave(
         clients, dict(assignments), deadlines, models, TRAINER, compatible, fleet=store
     )
-    reference = policy.resolve_wave(
-        clients, dict(assignments), deadlines, models, TRAINER, compatible
-    )
+    reference = {
+        c.client_id: policy.resolve(
+            c, assignments[c.client_id], deadlines[c.client_id],
+            models, TRAINER, compatible,
+        )
+        for c in clients
+    }
     assert vectorized == reference
     assert any(downsized for _, downsized in vectorized.values())
 

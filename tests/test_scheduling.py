@@ -32,6 +32,7 @@ from repro.fl.scheduling import (
     ClientStateStore,
     DownsizePolicy,
     DropPolicy,
+    FleetStore,
     OortSelector,
     QuantilePacing,
     StaticPacing,
@@ -156,40 +157,48 @@ class TestSelectors:
                 uniform_choice(clients, bad, rng)
 
     def test_uniform_choice_clamps_to_fleet(self, rng):
-        assert len(uniform_choice(self._clients(5), 50, rng)) == 5
+        pool = FleetStore(self._clients(5)).view()
+        assert len(uniform_choice(pool, 50, rng)) == 5
 
     def test_uniform_selector_matches_uniform_choice(self):
-        clients = self._clients()
-        a = UniformSelector().select(0, clients, 8, np.random.default_rng(7))
-        b = uniform_choice(clients, 8, np.random.default_rng(7))
+        pool = FleetStore(self._clients()).view()
+        a = UniformSelector().select(0, pool, 8, np.random.default_rng(7))
+        b = uniform_choice(pool, 8, np.random.default_rng(7))
         assert [c.client_id for c in a] == [c.client_id for c in b]
 
     def test_availability_mask_is_deterministic_and_subset_stable(self):
         sel = AvailabilityAwareSelector(seed=3, availability=0.5)
+
+        def is_online(round_idx, client_id):
+            return bool(sel._online_mask(round_idx, np.asarray([client_id]))[0])
+
         # Same (round, client) decision regardless of who else is asked.
-        assert sel.is_online(4, 9) == sel.is_online(4, 9)
+        assert is_online(4, 9) == is_online(4, 9)
         clients = self._clients()
-        chosen = sel.select(4, clients, 10, np.random.default_rng(0))
-        assert all(sel.is_online(4, c.client_id) for c in chosen)
+        pool = FleetStore(clients).view()
+        assert sel._online_mask(4, pool.ids)[9] == is_online(4, 9)
+        chosen = sel.select(4, pool, 10, np.random.default_rng(0))
+        assert all(is_online(4, c.client_id) for c in chosen)
         # A different round flips some coins.
         masks = {
-            r: tuple(sel.is_online(r, c.client_id) for c in clients) for r in range(6)
+            r: tuple(is_online(r, c.client_id) for c in clients) for r in range(6)
         }
         assert len(set(masks.values())) > 1
 
     def test_availability_selects_only_online_unless_all_offline(self):
         sel = AvailabilityAwareSelector(seed=0, availability=0.01)
-        clients = self._clients(4)
+        pool = FleetStore(self._clients(4)).view()
         rng = np.random.default_rng(0)
         # With everyone (almost surely) offline the fallback pool applies.
-        chosen = sel.select(0, clients, 2, rng)
+        chosen = sel.select(0, pool, 2, rng)
         assert len(chosen) == 2
 
     def test_oort_skews_toward_high_loss_clients(self):
         from repro.fl import ClientUpdate
 
         sel = OortSelector(alpha=2.0)
-        clients = self._clients(10)
+        store = FleetStore(self._clients(10))
+        sel.bind_fleet(store)
 
         def upd(cid, loss):
             return ClientUpdate(cid, "m", {}, {}, {}, loss, 1, 0.0, 0, 0, 0.0)
@@ -198,7 +207,9 @@ class TestSelectors:
         for r in range(5):
             sel.observe_round(r, [upd(0, 5.0)] + [upd(i, 0.01) for i in range(1, 10)])
         rng = np.random.default_rng(0)
-        picks = [c.client_id for _ in range(200) for c in sel.select(0, clients, 1, rng)]
+        picks = [
+            c.client_id for _ in range(200) for c in sel.select(0, store.view(), 1, rng)
+        ]
         frac0 = picks.count(0) / len(picks)
         assert frac0 > 0.5  # ~uniform would be 0.1
 
@@ -206,16 +217,17 @@ class TestSelectors:
         from repro.fl import ClientUpdate
 
         sel = OortSelector()
+        store = FleetStore(self._clients(2))  # client 1 never observed
+        sel.bind_fleet(store)
         sel.observe_round(0, [ClientUpdate(0, "m", {}, {}, {}, 4.0, 1, 0.0, 0, 0, 0.0)])
-        clients = self._clients(2)  # client 1 never observed
-        w = sel._weights(clients)
+        w = sel._weights(store.view())
         assert w[1] == pytest.approx(w[0])  # optimistic initialization
 
     def test_registry_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown selector"):
             make_selector("round-robin")
         with pytest.raises(ValueError, match="unknown pacing"):
-            make_pacing("elastic", 2, None, 8)
+            make_pacing("elastic", 2, None, 8, FleetStore(self._clients(2)))
         with pytest.raises(ValueError, match="unknown straggler"):
             make_straggler("retry")
 
@@ -264,7 +276,7 @@ class TestPacing:
         clients = _straggler_clients(ds, num_slow=4)  # two clear speed classes
         p = QuantilePacing(
             base_k=2, deadline_s=None, max_k=8,
-            clients=clients, num_classes=2, q=0.5, slack=2.0, min_samples=4,
+            fleet=FleetStore(clients, num_classes=2), q=0.5, slack=2.0, min_samples=4,
         )
         slow = [c for c in clients if c.device.compute_speed == 1e7]
         fast = [c for c in clients if c.device.compute_speed == 1e9]
@@ -619,7 +631,7 @@ class TestEvictionRehydration:
         for _ in range(4):
             cm.update([self._upd(0, ids[0], 0.1), self._upd(1, ids[0], 2.0)], models)
         restored = ClientManager()
-        restored.set_state(cm.get_state())
+        restored.load_state_dict(cm.state_dict())
         for cid in (0, 1):
             for mid in ids:
                 assert restored.utility(cid, mid) == cm.utility(cid, mid)
@@ -636,7 +648,7 @@ class TestEvictionRehydration:
         mid = next(iter(models))
         src.update([self._upd(0, mid, 0.5), self._upd(1, mid, 1.5)], models)
         dst = ClientManager(evict_after=7)
-        dst.set_state(src.get_state())
+        dst.load_state_dict(src.state_dict())
         assert dst.store.evict_after == 7  # config wins over checkpoint
 
     def test_too_weak_client_still_learns_utility(self):
