@@ -176,7 +176,7 @@ def test_async_delta_publish_bytes(report):
     )
     coord = Coordinator(strategy, clients, cfg)
     coord.run()
-    ex = coord.executor  # counters survive close()
+    ex = coord.executor.publisher  # counters survive close()
     full_suite_bytes = len(
         pickle.dumps(strategy.models(), protocol=pickle.HIGHEST_PROTOCOL)
     )

@@ -1,6 +1,6 @@
-"""Hot-path compute pass, measured: dtype speedup, allocations, round loop.
+"""Hot-path compute pass, measured: dtype speedup and allocations.
 
-Three measurements, written together to ``BENCH_hotpath.json`` at the repo
+Two measurements, written together to ``BENCH_hotpath.json`` at the repo
 root (the start of the repo's perf trajectory — later PRs append
 comparable numbers):
 
@@ -11,14 +11,15 @@ comparable numbers):
   (tracemalloc, which tracks NumPy buffers) with workspace pooling off vs
   on: pooling must cut allocations >= ``HOTPATH_MIN_ALLOC_RATIO``
   (default 5) times.  This is the pooled-kernel regression gate CI runs.
-* **matrix** — wall time per round and process peak RSS across
-  serial/thread/process x sync/async at the default dtype.
+
+The backend x mode wall-time matrix that used to live here (thread and
+process slower than serial, pool start inside the timed region, unpinned
+BLAS) is deleted: the frozen ledger's ``fl.executor.wave_ms.*``,
+``wave_overhead_ms.*`` and ``parallel_efficiency.*`` (``benchmarks/e2e``)
+contradict and supersede it.
 
 Budget knobs (CI uses small values): ``HOTPATH_ROUNDS`` (default 3),
-``HOTPATH_CLIENTS`` (8), ``HOTPATH_STEPS`` (10).  Peak RSS is
-``ru_maxrss`` — the *process-lifetime* high-water mark, so within one
-bench process it is monotone across configurations; the per-config
-reading is still recorded as an upper bound at that point of the run.
+``HOTPATH_CLIENTS`` (8), ``HOTPATH_STEPS`` (10).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import resource
 import time
 import tracemalloc
 from pathlib import Path
@@ -63,12 +63,8 @@ WORKLOAD = {
 _RESULTS: dict = {"workload": WORKLOAD}
 
 
-def _rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _run_round_loop(dtype: str, mode: str = "sync", executor: str = "serial") -> float:
-    """Seconds per round of the conv fedavg workload under one config."""
+def _run_round_loop(dtype: str) -> float:
+    """Seconds per round of the serial/sync conv fedavg workload at one dtype."""
     set_compute_dtype(dtype)
     try:
         task = SyntheticTaskConfig(
@@ -80,18 +76,13 @@ def _run_round_loop(dtype: str, mode: str = "sync", executor: str = "serial") ->
             for c in ds.clients
         ]
         model = small_cnn(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=16)
-        over = {} if executor == "serial" else {"executor": executor, "max_workers": 2}
-        if mode == "async":
-            over["buffer_k"] = 3
         cfg = CoordinatorConfig(
             rounds=ROUNDS,
             clients_per_round=6,
             trainer=LocalTrainerConfig(batch_size=32, local_steps=LOCAL_STEPS, lr=0.05),
             eval_every=ROUNDS,
             seed=0,
-            mode=mode,
             compute_dtype=dtype,
-            **over,
         )
         coord = Coordinator(fedavg(model.clone(keep_id=True)), clients, cfg)
         start = time.perf_counter()
@@ -191,27 +182,3 @@ def test_pooled_kernel_allocations(report):
     )
     assert ratio >= MIN_ALLOC_RATIO
 
-
-def test_backend_mode_matrix(report):
-    """Per-round wall time + peak RSS across executors x round engines."""
-    matrix = {}
-    lines = []
-    for executor in ("serial", "thread", "process"):
-        for mode in ("sync", "async"):
-            s_per_round = _run_round_loop("float64", mode=mode, executor=executor)
-            rss = _rss_mb()
-            matrix[f"{executor}/{mode}"] = {
-                "s_per_round": round(s_per_round, 4),
-                "peak_rss_mb_upper_bound": round(rss, 1),
-            }
-            lines.append(f"  {executor:7s} {mode:5s}: {s_per_round:.3f} s/round")
-    _RESULTS["matrix"] = matrix
-    _RESULTS["peak_rss_mb"] = round(_rss_mb(), 1)
-    _write_results()
-    report(
-        "hotpath_matrix",
-        "per-round wall time, float64 conv workload\n" + "\n".join(lines)
-        + f"\n  process peak RSS: {_RESULTS['peak_rss_mb']} MB",
-    )
-    for key, row in matrix.items():
-        assert row["s_per_round"] > 0, key

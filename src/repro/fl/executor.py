@@ -5,46 +5,22 @@ sub_idx)`` triples for local training, ``(model_ids, client_ids)`` groups
 for evaluation — and a :class:`RoundExecutor` decides how they run.  Three
 backends ship:
 
-* :class:`SerialExecutor` — the reference implementation; one Python loop,
-  zero overhead, the default.
-* :class:`ThreadPoolRoundExecutor` — a shared-memory thread pool.  NumPy
-  releases the GIL inside BLAS kernels, so matmul-heavy local training
-  overlaps across clients without any data copying.
-* :class:`ProcessPoolRoundExecutor` — a persistent worker-process pool for
-  true multi-core scaling.  The static fleet (client datasets + trainer
-  config) ships to each worker exactly once at pool start; per round the
-  server models are published once as a versioned read-only snapshot that
-  every worker loads at most once per round, so a work item carries only
-  ``(model_id, client_id, seed material)`` — never a pickled model.
+=================================  ==================================  =======================
+backend                            how it submits a wave               what it adds
+=================================  ==================================  =======================
+:class:`SerialExecutor`            a list comprehension                nothing (the reference)
+:class:`ThreadPoolRoundExecutor`   ``submit`` + ordered ``result()``   a thread pool
+:class:`ProcessPoolRoundExecutor`  settle-then-redispatch over a pool  pool + publisher + heal
+=================================  ==================================  =======================
 
-Shared-memory delta snapshot publishing
----------------------------------------
-The process backend publishes *deltas* into a shared-memory arena
-(:mod:`~repro.fl.shm`): :meth:`ProcessPoolRoundExecutor._publish` compares
-each model's :attr:`~repro.nn.model.CellModel.version` against the
-versions it last published and writes only the changed (or new) models'
-tensors — raw bytes, written once, no serialization — into a fresh
-segment, plus the removed ids in the segment header.  Workers patch their
-cached suite by replaying the segment chain from whatever snapshot
-version they last loaded, mapping each model's tensors as read-only views
-into the shared buffer (a delta is ``(offset, version)`` records, not
-pickled bytes); a full snapshot re-compacts the chain every
-``FULL_SNAPSHOT_EVERY`` deltas (and on first publish) so the chain a
-lagging worker must replay stays short, and workers drop their older
-mappings when they rebase onto it.  A publish where *no* version changed
-reuses the current snapshot outright — even when the caller passes a
-freshly built dict.  This is what keeps the buffered-async engine cheap:
-each aggregation step touches at most ``buffer_k`` models, so each
-publish ships ``buffer_k`` models, not the whole suite.  The contract is
-the model version counter: any code that mutates a model outside
-``set_params``/``set_state``/transformations must call ``bump_version()``
-or workers will train against stale weights.
-
-Segments are owned by the coordinator process: the chain's segments are
-unlinked on compaction, on :meth:`~ProcessPoolRoundExecutor.close`, on a
-broken pool (the futures-drain failure path releases the arena — dead
-workers hold no mappings worth preserving), and — as a crash backstop —
-by a ``weakref.finalize`` hook at interpreter exit.
+Everything else exists once: :class:`RoundExecutor`'s four ``*_round``
+entry points build a job list for the backend's ``_run_wave``,
+:func:`_attempt` is the only place a work item runs (in this process or in
+a pool worker), and :meth:`RoundExecutor._dispose` decides what a failed
+attempt becomes.  The process backend ships the static fleet to each worker
+once at pool start and the models as a versioned shared-memory snapshot
+chain, so a work item carries ``(model_id, client_id, seed material)`` —
+never a pickled model.
 
 **Determinism contract.** Every work item derives its RNG as
 ``np.random.default_rng(SeedSequence(seed, spawn_key=(round, client,
@@ -58,13 +34,12 @@ bit-identical :class:`~repro.fl.types.TrainingLog` records.
 from __future__ import annotations
 
 import concurrent.futures
-import logging
 import os
 import pickle
-import secrets
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,7 +48,7 @@ from ..nn.compute import compute_dtype_name, set_compute_dtype
 from ..nn.losses import accuracy
 from ..nn.model import CellModel
 from ..stateful import Stateful, check_schema, schema_tag
-from . import shm as _shm
+from . import snapshot as _snapshot
 from .client import LocalTrainer, LocalTrainerConfig
 from .transport import TransportConfig
 from .faults import (
@@ -82,7 +57,6 @@ from .faults import (
     InjectedShmFault,
     ItemFailure,
     RetryPolicy,
-    SnapshotChainError,
     fault_kind,
     is_infrastructure_fault,
 )
@@ -90,7 +64,6 @@ from .types import ClientUpdate, FaultRecord, FLClient
 
 __all__ = [
     "EXECUTOR_BACKENDS",
-    "FULL_SNAPSHOT_EVERY",
     "POOL_REBUILD_LIMIT",
     "TrainItem",
     "EvalTask",
@@ -103,12 +76,6 @@ __all__ = [
 ]
 
 EXECUTOR_BACKENDS = ("serial", "thread", "process")
-
-# Delta chain length cap: a full snapshot is rewritten after this many
-# consecutive delta publishes, bounding both the number of live
-# shared-memory segments and the replay work of a worker that sat idle for
-# many publishes.
-FULL_SNAPSHOT_EVERY = 8
 
 # Self-healing bound: how many times the process pool may break (and be
 # rebuilt) within a single dispatch wave before the executor gives up and
@@ -252,6 +219,33 @@ def _logits_task(
     return model.clone(keep_id=True).predict(xs, batch_size)
 
 
+def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_side: bool):
+    """One attempt at one job — the only place a work item actually runs.
+
+    ``env`` (the executor in-process, :data:`_WORKER` in a pool worker)
+    carries ``fault_plan`` / ``clients_by_id`` / ``trainer`` / ``seed``.
+    Faults fire on attempt 0 only — a retried item runs clean on every
+    backend — and ``fire_pre`` runs *before* ``load_models`` replays a
+    worker's snapshot, so an injected SIGKILL takes the worker down
+    mid-task exactly as a real crash would: future unresolved, pool broken.
+    """
+    kind, payload = job
+    if kind != "train":
+        task, batch_size = payload
+        run = _eval_task if kind == "eval" else _logits_task
+        return run(load_models(), env.clients_by_id, task, batch_size)
+    plan = env.fault_plan
+    decision = plan.item_faults(round_idx, payload) if plan is not None and attempt == 0 else None
+    if decision is not None:
+        decision.fire_pre(worker_side=worker_side)
+    update = _train_item(
+        load_models(), env.clients_by_id, env.trainer, env.seed, round_idx, payload
+    )
+    if decision is not None:
+        decision.apply_post(update)
+    return update
+
+
 # ----------------------------------------------------------------------
 # interface
 # ----------------------------------------------------------------------
@@ -260,16 +254,23 @@ class RoundExecutor(Stateful, ABC):
 
     The executor is bound to a fleet at construction (client datasets never
     change during a run); server models are passed per call because they do.
-    Implementations must return results in submission order — the
-    coordinator's aggregation and logs are order-sensitive.
+    Results come back in submission order — the coordinator's aggregation
+    and logs are order-sensitive.  A backend implements :meth:`_run_wave`
+    and nothing else round-shaped.
+
+    Every wave runs under :func:`repro.analysis.sanitize.published` (a
+    no-op unless the sanitizer is on; CONTRACTS.md I7): while a round is in
+    flight the server models are published and must not be written — work
+    items see clones or read-only views, and a write from anywhere else is
+    exactly the race the guard exists to catch.
 
     Executors are :class:`~repro.stateful.Stateful` with empty payloads by
     design: pools, snapshot chains, and publish meters are all *derived*
     runtime state, rebuilt lazily from the models a resumed coordinator
     republishes — a checkpoint carries no executor bytes, which is also
     what lets a run resume under a different backend.  (The fault ledger
-    and recovery counters are telemetry, not trajectory: the coordinator
-    drains them into the log each round, and the log is what checkpoints.)
+    is telemetry, not trajectory: the coordinator drains it into the log
+    each round, and the log is what checkpoints.)
 
     Fault tolerance (:mod:`~repro.fl.faults`): with a ``faults`` config
     the executor injects the plan's deterministic failures into its work
@@ -314,113 +315,22 @@ class RoundExecutor(Stateful, ABC):
         self.retry = retry
         # Transport codec config: only the snapshot section matters to an
         # executor (the in-process backends publish nothing, so they just
-        # carry it; the process backend run-length encodes delta segments).
+        # carry it; the process backend hands it to its publisher).
         self.transport = transport
         self.fault_plan = (
             FaultPlan(seed, faults)
             if faults is not None and faults.any_enabled()
             else None
         )
-        # Recovery telemetry (public: read by the coordinator, benchmarks,
-        # and tests).  Guarded by a lock — the thread backend's retry path
-        # meters from worker threads.
-        self.worker_restarts = 0
-        self.retries = 0
-        self.failed_items = 0
+        # Recovery ledger, drained by the coordinator each round.  Guarded
+        # by a lock — the thread backend's retry path meters from worker
+        # threads.
         self._fault_records: list[FaultRecord] = []
         self._meter_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # fault metering + the shared in-process resilient train path
+    # the four entry points: build the job list, publish-guard, one wave
     # ------------------------------------------------------------------
-    def _record_fault(
-        self,
-        round_idx: int,
-        kind: str,
-        action: str,
-        client_id: int | None = None,
-        model_id: str | None = None,
-        detail: str = "",
-        attempts: int = 0,
-    ) -> None:
-        with self._meter_lock:
-            self._fault_records.append(
-                FaultRecord(
-                    round_idx=round_idx,
-                    kind=kind,
-                    action=action,
-                    client_id=client_id,
-                    model_id=model_id,
-                    detail=detail,
-                    attempts=attempts,
-                )
-            )
-            if action == "pool_rebuild":
-                self.worker_restarts += 1
-            elif action == "retry":
-                self.retries += 1
-            elif action == "failed":
-                self.failed_items += 1
-
-    def drain_fault_records(self) -> list[FaultRecord]:
-        """Hand the accumulated fault ledger to the caller (and reset it)."""
-        with self._meter_lock:
-            records, self._fault_records = self._fault_records, []
-        return records
-
-    def _run_train_item(
-        self, round_idx: int, item: TrainItem, models: dict[str, CellModel]
-    ) -> ClientUpdate | ItemFailure:
-        """One train item with fault injection and bounded retry.
-
-        The in-process backends (serial, thread) funnel through this; the
-        process backend mirrors the exact same semantics coordinator-side
-        in :meth:`ProcessPoolRoundExecutor._run_wave`, so every backend
-        agrees on when a fault fires (attempt 0 only), what a retry costs
-        (simulated backoff for task-level failures, nothing for
-        infrastructure ones), and when an item fails permanently.
-        """
-        attempts = 0
-        delay = 0.0
-        while True:
-            decision = (
-                self.fault_plan.item_faults(round_idx, item)
-                if self.fault_plan is not None and attempts == 0
-                else None
-            )
-            try:
-                if decision is not None:
-                    decision.fire_pre(worker_side=False)
-                update = _train_item(
-                    models, self.clients_by_id, self.trainer, self.seed, round_idx, item
-                )
-                if decision is not None:
-                    decision.apply_post(update)
-                if delay:
-                    update.round_time += delay
-                return update
-            except Exception as err:
-                attempts += 1
-                if self.retry is None:
-                    raise
-                if attempts >= self.retry.max_attempts:
-                    self._record_fault(
-                        round_idx, fault_kind(err), "failed",
-                        client_id=item.client_id, model_id=item.model_id,
-                        detail=str(err), attempts=attempts,
-                    )
-                    return ItemFailure(
-                        item.model_id, item.client_id, item.sub_idx, str(err), attempts
-                    )
-                self._record_fault(
-                    round_idx, fault_kind(err), "retry",
-                    client_id=item.client_id, model_id=item.model_id,
-                    detail=str(err), attempts=attempts,
-                )
-                if not is_infrastructure_fault(err):
-                    delay += self.retry.backoff(attempts)
-
-    @abstractmethod
     def train_round(
         self, round_idx: int, items: list[TrainItem], models: dict[str, CellModel]
     ) -> list[ClientUpdate]:
@@ -429,18 +339,22 @@ class RoundExecutor(Stateful, ABC):
         With a retry policy configured, a slot may hold an
         :class:`~repro.fl.faults.ItemFailure` instead of an update.
         """
+        with _sanitize.published(models):
+            return self._run_wave(models, [("train", it) for it in items], round_idx)
 
-    @abstractmethod
     def eval_round(
         self, tasks: list[EvalTask], models: dict[str, CellModel], batch_size: int
     ) -> list[np.ndarray]:
         """Per-client accuracies for every group; results in task order."""
+        with _sanitize.published(models):
+            return self._run_wave(models, [("eval", (t, batch_size)) for t in tasks], -1)
 
-    @abstractmethod
     def logits_round(
         self, tasks: list[EvalTask], models: dict[str, CellModel], batch_size: int
     ) -> list[np.ndarray]:
         """Raw per-model logits for every single-model task; in task order."""
+        with _sanitize.published(models):
+            return self._run_wave(models, [("logits", (t, batch_size)) for t in tasks], -1)
 
     def eval_and_logits_round(
         self,
@@ -455,54 +369,111 @@ class RoundExecutor(Stateful, ABC):
         (accuracy tasks for single-model groups — per-client accuracies
         over the wire, nothing retained — and member-logits tasks for
         ensembles); a combined wave keeps parallel backends' workers busy
-        across both instead of draining two back-to-back barriers.  The
-        base implementation runs them sequentially (correct everywhere);
-        pooled backends override to interleave.
+        across both instead of draining two back-to-back barriers, and the
+        process backend publishes once for it.
         """
-        return (
-            self.eval_round(eval_tasks, models, batch_size),
-            self.logits_round(logits_tasks, models, batch_size),
-        )
+        jobs = [("eval", (t, batch_size)) for t in eval_tasks] + [
+            ("logits", (t, batch_size)) for t in logits_tasks
+        ]
+        with _sanitize.published(models):
+            results = self._run_wave(models, jobs, -1)
+        return results[: len(eval_tasks)], results[len(eval_tasks) :]
+
+    @abstractmethod
+    def _run_wave(
+        self, models: dict[str, CellModel], jobs: list[tuple], round_idx: int
+    ) -> list:
+        """Submit one wave of jobs; results in job order.
+
+        ``jobs`` is ``[(kind, payload), ...]`` with kind ``"train"``
+        (payload: the :class:`TrainItem`) or ``"eval"``/``"logits"``
+        (payload: ``(task, batch_size)``; ``round_idx`` is then -1).
+        """
 
     def close(self) -> None:
         """Release pooled resources (idempotent; pools recreate lazily)."""
 
+    # ------------------------------------------------------------------
+    # fault ledger + the two shared decisions
+    # ------------------------------------------------------------------
+    def _record_fault(self, round_idx: int, kind: str, action: str, **fields) -> None:
+        with self._meter_lock:
+            self._fault_records.append(FaultRecord(round_idx, kind, action, **fields))
+
+    def drain_fault_records(self) -> list[FaultRecord]:
+        """Hand the accumulated fault ledger to the caller (and reset it)."""
+        with self._meter_lock:
+            records, self._fault_records = self._fault_records, []
+        return records
+
+    def _dispose(
+        self, round_idx: int, item: TrainItem | None, err: Exception, attempts: int
+    ) -> tuple[ItemFailure | None, float]:
+        """What a failed attempt becomes — the one retry/fail/propagate decision.
+
+        Called by both retry loops (:meth:`_run_job`, the process
+        ``_run_wave``) with ``attempts`` counting the failed one and
+        ``item=None`` for eval work.  Propagates ``err`` with no retry
+        policy and for exhausted eval work (no degraded mode); otherwise
+        records the fault and returns ``(failure, backoff)`` — the
+        permanent-failure sentinel, or ``None`` and the simulated seconds
+        the retry charges (task-level failures only: I10).
+        """
+        if self.retry is None:
+            raise err
+        exhausted = attempts >= self.retry.max_attempts
+        if exhausted and item is None:
+            raise err
+        self._record_fault(
+            round_idx, fault_kind(err), "failed" if exhausted else "retry",
+            client_id=item.client_id if item else None,
+            model_id=item.model_id if item else None,
+            detail=str(err), attempts=attempts,
+        )
+        if exhausted:
+            failure = ItemFailure(
+                item.model_id, item.client_id, item.sub_idx, str(err), attempts
+            )
+            return failure, 0.0
+        return None, 0.0 if is_infrastructure_fault(err) else self.retry.backoff(attempts)
+
+    def _run_job(self, models: dict[str, CellModel], job: tuple, round_idx: int):
+        """One job in this process (serial, thread): train items retry in place."""
+        attempts = 0
+        delay = 0.0
+        while True:
+            try:
+                result = _attempt(
+                    self, lambda: models, round_idx, job, attempts, worker_side=False
+                )
+            except Exception as err:
+                if job[0] != "train":
+                    raise  # in-process eval work is never retried
+                attempts += 1
+                failure, backoff = self._dispose(round_idx, job[1], err, attempts)
+                if failure is not None:
+                    return failure
+                delay += backoff
+            else:
+                if delay:
+                    result.round_time += delay
+                return result
+
 
 class SerialExecutor(RoundExecutor):
-    """The reference backend: one in-process loop (previous behavior).
-
-    Round bodies run under :func:`repro.analysis.sanitize.published` (a
-    no-op unless the sanitizer is on): while a round is in flight the
-    server models are published and must not be written — work items see
-    clones or read-only views, and a write from anywhere else is exactly
-    the race the guard exists to catch.
-    """
+    """The reference backend: one in-process loop."""
 
     backend = "serial"
 
-    def train_round(self, round_idx, items, models):
-        with _sanitize.published(models):
-            return [self._run_train_item(round_idx, it, models) for it in items]
-
-    def eval_round(self, tasks, models, batch_size):
-        with _sanitize.published(models):
-            return [_eval_task(models, self.clients_by_id, t, batch_size) for t in tasks]
-
-    def logits_round(self, tasks, models, batch_size):
-        with _sanitize.published(models):
-            return [_logits_task(models, self.clients_by_id, t, batch_size) for t in tasks]
+    def _run_wave(self, models, jobs, round_idx):
+        return [self._run_job(models, job, round_idx) for job in jobs]
 
 
 class ThreadPoolRoundExecutor(RoundExecutor):
     """Thread-pool backend: shared memory, BLAS-released-GIL parallelism."""
 
     backend = "thread"
-
-    def __init__(self, clients, trainer_config, seed, max_workers=None, *,
-                 faults=None, retry=None, transport=None):
-        super().__init__(clients, trainer_config, seed, max_workers,
-                         faults=faults, retry=retry, transport=transport)
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
+    _pool: concurrent.futures.ThreadPoolExecutor | None = None
 
     def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
         if self._pool is None:
@@ -510,44 +481,10 @@ class ThreadPoolRoundExecutor(RoundExecutor):
             self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
         return self._pool
 
-    def train_round(self, round_idx, items, models):
+    def _run_wave(self, models, jobs, round_idx):
         pool = self._ensure_pool()
-        with _sanitize.published(models):
-            futures = [
-                pool.submit(self._run_train_item, round_idx, it, models)
-                for it in items
-            ]
-            return [f.result() for f in futures]
-
-    def eval_round(self, tasks, models, batch_size):
-        pool = self._ensure_pool()
-        with _sanitize.published(models):
-            futures = [
-                pool.submit(_eval_task, models, self.clients_by_id, t, batch_size) for t in tasks
-            ]
-            return [f.result() for f in futures]
-
-    def logits_round(self, tasks, models, batch_size):
-        pool = self._ensure_pool()
-        with _sanitize.published(models):
-            futures = [
-                pool.submit(_logits_task, models, self.clients_by_id, t, batch_size)
-                for t in tasks
-            ]
-            return [f.result() for f in futures]
-
-    def eval_and_logits_round(self, eval_tasks, logits_tasks, models, batch_size):
-        pool = self._ensure_pool()
-        with _sanitize.published(models):
-            efs = [
-                pool.submit(_eval_task, models, self.clients_by_id, t, batch_size)
-                for t in eval_tasks
-            ]
-            lfs = [
-                pool.submit(_logits_task, models, self.clients_by_id, t, batch_size)
-                for t in logits_tasks
-            ]
-            return [f.result() for f in efs], [f.result() for f in lfs]
+        futures = [pool.submit(self._run_job, models, job, round_idx) for job in jobs]
+        return [f.result() for f in futures]
 
     def close(self) -> None:
         if self._pool is not None:
@@ -565,212 +502,57 @@ class ThreadPoolRoundExecutor(RoundExecutor):
 # ----------------------------------------------------------------------
 # process-pool backend
 # ----------------------------------------------------------------------
-# Worker-process state, installed once per worker by _proc_init and
-# patched forward at most once per snapshot version by _proc_models.
-_WORKER: dict = {}
+# Worker-process fleet state (the ``env`` of _attempt), installed once per
+# worker by _proc_init; the worker's snapshot state lives with its reader
+# in repro.fl.snapshot.
+_WORKER = SimpleNamespace()
 
 
 def _proc_init(payload: bytes) -> None:
-    clients, trainer_config, seed, dtype, fault_config = pickle.loads(payload)
+    clients, trainer_config, _WORKER.seed, dtype, _WORKER.fault_plan = pickle.loads(payload)
     set_compute_dtype(dtype)
-    _WORKER["clients_by_id"] = {c.client_id: c for c in clients}
-    _WORKER["trainer"] = LocalTrainer(trainer_config)
-    _WORKER["seed"] = seed
-    _WORKER["fault_plan"] = (
-        FaultPlan(seed, fault_config) if fault_config is not None else None
+    _WORKER.clients_by_id = {c.client_id: c for c in clients}
+    _WORKER.trainer = LocalTrainer(trainer_config)
+    _snapshot.worker_reset()
+
+
+def _proc_job(version: int, chain: tuple, round_idx: int, job: tuple, attempt: int = 0):
+    """One job in a worker.  Retried train items arrive with ``attempt >= 1``
+    (the coordinator owns attempt accounting across pool rebuilds)."""
+    return _attempt(
+        _WORKER, lambda: _snapshot.worker_models(version, chain),
+        round_idx, job, attempt, worker_side=True,
     )
-    _WORKER["version"] = 0  # published snapshot versions start at 1
-    _WORKER["models"] = None
-    # name -> SharedMemory: segments whose buffers installed models view
-    # into.  Unlinking by the coordinator only removes the name; these
-    # mappings stay valid until closed, which happens wholesale when a
-    # full snapshot rebases the suite.
-    _WORKER["segments"] = {}
-
-
-def _worker_segment(name: str, chain: tuple = ()):
-    seg = _WORKER["segments"].get(name)
-    if seg is None:
-        try:
-            seg = _shm.attach_segment(name)
-        except FileNotFoundError:
-            expected = [(v, k, n) for v, k, n in chain] if chain else "unknown"
-            raise SnapshotChainError(
-                f"shared-memory segment {name!r} does not exist; expected "
-                f"snapshot chain {expected}, worker has attached "
-                f"{sorted(_WORKER['segments'])}. The coordinator unlinks "
-                "segments on chain compaction, pool heal, and close() — a "
-                "worker asked to replay a retired chain (or a stale future "
-                "from before a pool rebuild) hits exactly this."
-            ) from None
-        _WORKER["segments"][name] = seg
-    return seg
-
-
-_WORKER_LOG = logging.getLogger(__name__ + ".worker")
-
-
-def _worker_rebase(keep: str) -> None:
-    """Close every attached segment except ``keep`` (full-snapshot rebase)."""
-    segments = _WORKER["segments"]
-    for name in [n for n in segments if n != keep]:
-        try:
-            segments.pop(name).close()
-        except OSError as err:
-            # A close() failure leaks one worker-side mapping until process
-            # exit — worth a log line, never worth failing the rebase (the
-            # segment itself is coordinator-owned and already retired).
-            _WORKER_LOG.warning("closing rebased segment %r failed: %s", name, err)
-
-
-def _proc_models(
-    version: int, chain: tuple[tuple[int, str, str], ...]
-) -> dict[str, CellModel]:
-    """Bring this worker's cached suite up to ``version`` and return it.
-
-    ``chain`` is the server's currently retained snapshot segments,
-    ordered by version: one full snapshot first, then the deltas published
-    since.  A worker already past the full snapshot replays only the
-    deltas newer than its cached version; a worker that lagged behind the
-    full snapshot (or never loaded one) rebases on it first — closing its
-    older segment mappings, since every model is rebuilt from the full
-    segment.  Each segment is mapped at most once per worker, and a
-    model's tensors are read-only views into the mapping — replaying a
-    delta installs offsets, it never copies tensor bytes.
-    """
-    if _WORKER["version"] == version:
-        return _WORKER["models"]
-    models = _WORKER["models"]
-    cur = _WORKER["version"]
-    base_ver, base_kind, base_name = chain[0]
-    if models is None or cur < base_ver:
-        if base_kind != "full":
-            raise RuntimeError(
-                f"snapshot chain must start with a full snapshot, got {base_kind!r}"
-            )
-        kind, models, _, _ = _shm.read_snapshot_segment(
-            _worker_segment(base_name, chain)
-        )
-        _worker_rebase(keep=base_name)
-        cur = base_ver
-    for ver, kind, name in chain[1:]:
-        if ver <= cur:
-            continue
-        # Deltas replay in publish order, so the worker's current suite is
-        # byte-for-byte the state the coordinator run-length encoded
-        # against (when snapshot compression is on; raw deltas ignore it).
-        _, changed, removed, all_ids = _shm.read_snapshot_segment(
-            _worker_segment(name, chain), prev_models=models
-        )
-        models.update(changed)
-        for rid in removed:
-            models.pop(rid, None)
-        if set(models) != set(all_ids):
-            raise RuntimeError(
-                f"snapshot delta v{ver} left an incoherent suite: "
-                f"{sorted(set(models) ^ set(all_ids))}"
-            )
-        cur = ver
-    if cur != version:
-        raise RuntimeError(
-            f"worker could not reach snapshot v{version} (stuck at v{cur})"
-        )
-    _WORKER["models"] = models
-    _WORKER["version"] = version
-    return models
-
-
-def _proc_train(
-    version: int, chain: tuple, round_idx: int, item: TrainItem, attempt: int = 0
-) -> ClientUpdate:
-    """One train item in a worker: faults fire here, on attempt 0 only.
-
-    ``fire_pre`` runs *before* the snapshot replay so an injected SIGKILL
-    takes the worker down mid-task exactly as a real crash would — with the
-    item's future unresolved and the pool broken.  Retried items arrive
-    with ``attempt >= 1`` and run clean (the coordinator owns attempt
-    accounting across pool rebuilds).
-    """
-    plan = _WORKER.get("fault_plan")
-    decision = plan.item_faults(round_idx, item) if plan is not None and attempt == 0 else None
-    if decision is not None:
-        decision.fire_pre(worker_side=True)
-    models = _proc_models(version, chain)
-    update = _train_item(
-        models, _WORKER["clients_by_id"], _WORKER["trainer"], _WORKER["seed"], round_idx, item
-    )
-    if decision is not None:
-        decision.apply_post(update)
-    return update
-
-
-def _proc_eval(version: int, chain: tuple, task: EvalTask, batch_size: int) -> np.ndarray:
-    models = _proc_models(version, chain)
-    return _eval_task(models, _WORKER["clients_by_id"], task, batch_size)
-
-
-def _proc_logits(version: int, chain: tuple, task: EvalTask, batch_size: int) -> np.ndarray:
-    models = _proc_models(version, chain)
-    return _logits_task(models, _WORKER["clients_by_id"], task, batch_size)
 
 
 class ProcessPoolRoundExecutor(RoundExecutor):
     """Process-pool backend: true multi-core rounds.
 
-    The fleet ships to workers once via the pool initializer; each round's
-    models are published once as a versioned shared-memory snapshot that
-    workers map lazily (at most one attach per worker per segment), so the
-    per-item payload stays a few hundred bytes.  Publishing is
-    *incremental*: only models whose
-    :attr:`~repro.nn.model.CellModel.version` moved since the last publish
-    land in the new segment (see the module docstring).  The public
-    ``publish_*`` / ``*_bytes`` counters meter it for benchmarks and
-    tests; byte counts are segment payload bytes (header + raw tensors).
+    The fleet ships to workers once via the pool initializer; each wave's
+    models are published once through :attr:`publisher` (a
+    :class:`~repro.fl.snapshot.SnapshotPublisher`: incremental, versioned,
+    shared-memory) and workers map them lazily, so the per-item payload
+    stays a few hundred bytes.  What this class adds to the wave contract
+    is pool lifecycle, bounded publish retry, and the heal loop.
     """
 
     backend = "process"
 
-    def __init__(self, clients, trainer_config, seed, max_workers=None, *,
-                 faults=None, retry=None, transport=None):
-        super().__init__(clients, trainer_config, seed, max_workers,
-                         faults=faults, retry=retry, transport=transport)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-        self._version = 0
-        # (version, "full" | "delta", segment name) of every retained
-        # snapshot segment: the latest full snapshot plus the deltas
-        # published since it.
-        self._chain: list[tuple[int, str, str]] = []
-        # Owned shared-memory segments by name; the finalizer holds this
-        # dict (not self), so an abandoned executor still unlinks at exit.
-        self._segments: dict = {}
-        self._arena_prefix = f"repro-{os.getpid()}-{secrets.token_hex(4)}"
-        self._finalizer = _shm.make_finalizer(self, self._segments)
-        # model_id -> CellModel.version at last publish; None = never published.
-        self._published_versions: dict[str, int] | None = None
-        # Sanitizer cross-check (no-op unless enabled): a model whose bytes
-        # moved but whose version did not would be silently reused by the
-        # version-compare below — exactly the bug class RL004 guards
-        # statically and this watch catches dynamically.
-        self._version_watch = _sanitize.VersionWatch()
-        self._deltas_since_full = 0
-        # Snapshot transport codec: when the config asks for snapshot rle,
-        # delta segments are byte-diffed against the shadow — each tensor's
-        # bytes as of its previous publish, exactly the state workers hold
-        # when they replay the delta (see shm.write_snapshot_segment).
-        self._snapshot_rle = bool(transport is not None and transport.snapshot_rle)
-        self._shadow: dict[tuple[str, str, str], bytes] = {}
-        # Publish metering (public: read by benchmarks and tests).  Byte
-        # counters are on-wire segment payload sizes; the raw counter keeps
-        # the uncompressed total so the transport ledger can report both.
-        self.publish_count = 0
-        self.full_publish_count = 0
-        self.delta_publish_count = 0
-        self.reused_publish_count = 0
-        self.bytes_published_total = 0
-        self.raw_bytes_published_total = 0
-        self.full_bytes_total = 0
-        self.delta_bytes_total = 0
-        self.last_publish_bytes = 0
+        self.publisher = _snapshot.SnapshotPublisher(
+            rle=bool(self.transport is not None and self.transport.snapshot_rle),
+            fault_plan=self.fault_plan,
+        )
+
+    # The three publish meters the coordinator and the benchmark harness
+    # read off the executor; the other six are on the publisher.
+    publish_count = property(lambda self: self.publisher.publish_count)
+    bytes_published_total = property(lambda self: self.publisher.bytes_published_total)
+    raw_bytes_published_total = property(
+        lambda self: self.publisher.raw_bytes_published_total
+    )
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:
@@ -780,10 +562,10 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                     self.trainer_config,
                     self.seed,
                     compute_dtype_name(),
-                    # Workers rebuild the same FaultPlan from (seed, config):
-                    # worker-side decisions (SIGKILL, task errors, poison)
-                    # match the coordinator's replay of the same spawn keys.
-                    self.faults if self.fault_plan is not None else None,
+                    # Workers hold the same stateless FaultPlan: worker-side
+                    # decisions (SIGKILL, task errors, poison) match the
+                    # coordinator's replay of the same spawn keys.
+                    self.fault_plan,
                 )
             )
             workers = self.max_workers or (os.cpu_count() or 1)
@@ -792,127 +574,9 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             )
         return self._pool
 
-    def _drain(self, futures: list[concurrent.futures.Future]) -> list:
-        """Gather results only after *every* future has settled.
-
-        A plain ``[f.result() for f in futures]`` aborts on the first
-        failure while later futures are still running — the next
-        ``_publish`` would then unlink the snapshot segment those workers
-        are attaching mid-load.  Waiting first keeps the snapshot
-        lifecycle safe; the first failure still propagates to the caller.
-        A *broken pool* (a worker died) additionally releases the arena on
-        the spot: the workers are gone, nothing holds the mappings, and a
-        crashed run must not leave segments behind.
-        """
-        concurrent.futures.wait(futures)
-        try:
-            return [f.result() for f in futures]
-        except concurrent.futures.process.BrokenProcessPool:
-            self._release_arena()
-            raise
-
-    def _release_arena(self) -> None:
-        """Unlink every owned segment and reset publish state (idempotent)."""
-        _shm.unlink_segments(self._segments)
-        self._chain = []
-        self._published_versions = None
-        self._deltas_since_full = 0
-        # Fresh workers rebase on a full (raw) snapshot, so the rle shadow
-        # restarts with them — a stale shadow would diff against bytes the
-        # new workers never held.
-        self._shadow.clear()
-
-    def _publish(
-        self, models: dict[str, CellModel], fault_attempt: int = 0
-    ) -> tuple[int, tuple[tuple[int, str, str], ...]]:
-        """Publish the current suite; returns ``(version, snapshot chain)``.
-
-        Per-model versions decide what (if anything) ships:
-
-        * every version matches the last publish — the snapshot is reused
-          outright, even for a freshly built dict (the async engine's many
-          dispatch waves between aggregations, and repeated evaluations of
-          an idle suite, publish nothing);
-        * some versions moved — only those models' tensors land in a delta
-          segment appended to the chain;
-        * first publish, every model changed, or ``FULL_SNAPSHOT_EVERY``
-          deltas accumulated — a full snapshot segment is written and the
-          old chain segments are unlinked (safe: train/eval/logits rounds
-          drain all futures before returning, including on failure — see
-          :meth:`_drain` — so no worker is mid-attach between publishes,
-          and workers' existing mappings survive the unlink).
-        """
-        self._version_watch.check_all(models, where="snapshot publish")
-        versions = {mid: m.version for mid, m in models.items()}
-        if versions == self._published_versions:
-            self.reused_publish_count += 1
-            return self._version, tuple(self._chain)
-        # Deterministic publish fault: keyed on the ordinal of *real*
-        # publishes (reuses never fault, and the counter only advances on
-        # success), injected before any state mutates so the retry sees a
-        # clean slate.  Attempt 0 only — the retry runs clean.
-        if (
-            self.fault_plan is not None
-            and fault_attempt == 0
-            and self.fault_plan.publish_fails(self.publish_count)
-        ):
-            raise InjectedShmFault(
-                f"injected snapshot publish failure (publish ordinal {self.publish_count})"
-            )
-        prev = self._published_versions
-        changed = {
-            mid: m
-            for mid, m in models.items()
-            if prev is None or prev.get(mid) != m.version
-        }
-        removed = frozenset(prev or ()) - frozenset(models)
-        self._version += 1
-        full = (
-            prev is None
-            or len(changed) == len(models)
-            or self._deltas_since_full >= FULL_SNAPSHOT_EVERY
-        )
-        name = f"{self._arena_prefix}-v{self._version}"
-        shadow = self._shadow if self._snapshot_rle else None
-        if full:
-            seg, nbytes, raw_nbytes = _shm.write_snapshot_segment(
-                name, "full", dict(models), shadow=shadow
-            )
-            for _, _, old in self._chain:
-                shm_old = self._segments.pop(old, None)
-                if shm_old is not None:
-                    shm_old.close()
-                    shm_old.unlink()
-            self._segments[name] = seg
-            self._chain = [(self._version, "full", name)]
-            self._deltas_since_full = 0
-            self.full_publish_count += 1
-            self.full_bytes_total += nbytes
-        else:
-            seg, nbytes, raw_nbytes = _shm.write_snapshot_segment(
-                name, "delta", changed, removed, frozenset(models),
-                rle=self._snapshot_rle, shadow=shadow,
-            )
-            self._segments[name] = seg
-            self._chain.append((self._version, "delta", name))
-            self._deltas_since_full += 1
-            self.delta_publish_count += 1
-            self.delta_bytes_total += nbytes
-        if shadow is not None:
-            # The shadow tracks the *current* suite only: retired models'
-            # bytes must never anchor a future diff.
-            for skey in [k for k in shadow if k[0] not in models]:
-                del shadow[skey]
-        self._published_versions = versions
-        self.publish_count += 1
-        self.last_publish_bytes = nbytes
-        self.bytes_published_total += nbytes
-        self.raw_bytes_published_total += raw_nbytes
-        return self._version, tuple(self._chain)
-
     def _publish_resilient(
         self, models: dict[str, CellModel], round_idx: int
-    ) -> tuple[int, tuple[tuple[int, str, str], ...]]:
+    ) -> tuple[int, tuple]:
         """Publish with bounded retry over injected publish failures.
 
         An :class:`~repro.fl.faults.InjectedShmFault` fires before the
@@ -924,7 +588,7 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         fault_attempt = 0
         while True:
             try:
-                return self._publish(models, fault_attempt=fault_attempt)
+                return self.publisher.publish(models, fault_attempt=fault_attempt)
             except InjectedShmFault as err:
                 fault_attempt += 1
                 limit = self.retry.max_attempts if self.retry is not None else 2
@@ -934,11 +598,6 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                     round_idx, "shm_publish", "retry",
                     detail=str(err), attempts=fault_attempt,
                 )
-
-    def _discard_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def _heal(self, round_idx: int, err: BaseException) -> None:
         """Recover from a broken pool: rebuild workers, reset the arena.
@@ -951,17 +610,12 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             round_idx, "worker_crash", "pool_rebuild",
             detail=str(err) or type(err).__name__,
         )
-        self._discard_pool()
-        self._release_arena()
+        self.close()
 
     def _run_wave(
         self, models: dict[str, CellModel], jobs: list[tuple], round_idx: int
     ) -> list:
         """Dispatch one wave of work with self-healing and bounded retry.
-
-        ``jobs`` is ``[(kind, payload), ...]`` with kind ``"train"``
-        (payload: the :class:`TrainItem`) or ``"eval"``/``"logits"``
-        (payload: ``(task, batch_size)``); results come back in job order.
 
         A broken pool (worker SIGKILL — injected or real) triggers
         :meth:`_heal` and re-dispatches only the unfinished items, at most
@@ -974,12 +628,12 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         while innocent victims of the shared pool keep attempt 0 so their
         own faults still fire exactly once — cross-backend parity.
 
-        Task-level exceptions follow the same retry semantics as the
-        in-process backends (:meth:`RoundExecutor._run_train_item`):
-        bounded retries charging simulated backoff, permanent train
-        failures degrade to :class:`~repro.fl.faults.ItemFailure`,
-        eval/logits failures propagate on exhaustion, and with no retry
-        policy the first failure propagates after the wave settles.
+        Task-level exceptions get the in-process backends' verdicts
+        (:meth:`RoundExecutor._dispose`): bounded retries charging
+        simulated backoff, permanent train failures degrade to
+        :class:`~repro.fl.faults.ItemFailure`, eval/logits failures
+        propagate on exhaustion, and with no retry policy the first
+        failure propagates after the wave settles.
         """
         results: list = [None] * len(jobs)
         attempts = [0] * len(jobs)
@@ -993,25 +647,16 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                 pool = self._ensure_pool()
                 version, chain = self._publish_resilient(models, round_idx)
                 for i in pending:
-                    kind, payload = jobs[i]
-                    if kind == "train":
-                        futures[i] = pool.submit(
-                            _proc_train, version, chain, round_idx, payload, attempts[i]
-                        )
-                    elif kind == "eval":
-                        futures[i] = pool.submit(
-                            _proc_eval, version, chain, payload[0], payload[1]
-                        )
-                    else:
-                        futures[i] = pool.submit(
-                            _proc_logits, version, chain, payload[0], payload[1]
-                        )
+                    futures[i] = pool.submit(
+                        _proc_job, version, chain, round_idx, jobs[i], attempts[i]
+                    )
             except concurrent.futures.process.BrokenProcessPool as err:
                 broken = err
             if futures:
-                # Settle the whole wave before touching any result: a
-                # publish must never unlink segments under a mid-attach
-                # worker (see the old _drain contract).
+                # Settle the whole wave before touching any result: a plain
+                # ``[f.result() ...]`` aborts on the first failure while
+                # later futures are still running, and the next publish
+                # must never retire a snapshot under a mid-attach worker.
                 concurrent.futures.wait(list(futures.values()))
             retry_idx: list[int] = []
             for i in sorted(futures):
@@ -1030,30 +675,13 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                     retry_idx.append(i)
                 except Exception as err:
                     attempts[i] += 1
-                    if self.retry is None:
-                        raise
-                    item = payload if kind == "train" else None
-                    if attempts[i] >= self.retry.max_attempts:
-                        if item is None:
-                            raise  # eval work has no degraded mode
-                        self._record_fault(
-                            round_idx, fault_kind(err), "failed",
-                            client_id=item.client_id, model_id=item.model_id,
-                            detail=str(err), attempts=attempts[i],
-                        )
-                        results[i] = ItemFailure(
-                            item.model_id, item.client_id, item.sub_idx,
-                            str(err), attempts[i],
-                        )
+                    failure, backoff = self._dispose(
+                        round_idx, payload if kind == "train" else None, err, attempts[i]
+                    )
+                    if failure is not None:
+                        results[i] = failure
                     else:
-                        self._record_fault(
-                            round_idx, fault_kind(err), "retry",
-                            client_id=item.client_id if item else None,
-                            model_id=item.model_id if item else None,
-                            detail=str(err), attempts=attempts[i],
-                        )
-                        if not is_infrastructure_fault(err):
-                            delays[i] += self.retry.backoff(attempts[i])
+                        delays[i] += backoff
                         retry_idx.append(i)
                 else:
                     if delays[i] and isinstance(res, ClientUpdate):
@@ -1063,8 +691,7 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             if broken is not None:
                 rebuilds += 1
                 if rebuilds > POOL_REBUILD_LIMIT:
-                    self._discard_pool()
-                    self._release_arena()
+                    self.close()
                     raise RuntimeError(
                         f"process pool broke {rebuilds} times in one dispatch "
                         f"wave (limit {POOL_REBUILD_LIMIT}); giving up"
@@ -1081,38 +708,16 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                             attempts[i] = 1
         return results
 
-    def train_round(self, round_idx, items, models):
-        with _sanitize.published(models):
-            return self._run_wave(models, [("train", it) for it in items], round_idx)
-
-    def eval_round(self, tasks, models, batch_size):
-        with _sanitize.published(models):
-            jobs = [("eval", (t, batch_size)) for t in tasks]
-            return self._run_wave(models, jobs, -1)
-
-    def logits_round(self, tasks, models, batch_size):
-        with _sanitize.published(models):
-            jobs = [("logits", (t, batch_size)) for t in tasks]
-            return self._run_wave(models, jobs, -1)
-
-    def eval_and_logits_round(self, eval_tasks, logits_tasks, models, batch_size):
-        with _sanitize.published(models):
-            jobs = [("eval", (t, batch_size)) for t in eval_tasks] + [
-                ("logits", (t, batch_size)) for t in logits_tasks
-            ]
-            results = self._run_wave(models, jobs, -1)  # one publish per dispatch
-            return results[: len(eval_tasks)], results[len(eval_tasks) :]
-
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._release_arena()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+        self.publisher.release()
 
     def state_dict(self) -> dict:
-        # Pool, snapshot chain, published versions, and publish meters are
-        # all rebuilt from the first post-resume publish; persisting them
-        # would pin a checkpoint to this backend for no benefit.
+        # Pool and publisher are rebuilt from the first post-resume wave;
+        # persisting them would pin a checkpoint to this backend for no
+        # benefit.
         return {"schema": schema_tag(type(self).__name__)}
 
     def load_state_dict(self, payload: dict) -> None:

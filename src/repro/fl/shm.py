@@ -1,4 +1,4 @@
-"""Shared-memory model snapshots for the process round executor.
+"""Shared-memory model snapshot segments for the process round executor.
 
 The process backend used to publish models as pickle files: every publish
 serialized each changed model's tensors into bytes, and every worker
@@ -18,14 +18,9 @@ round-trip with ``multiprocessing.shared_memory`` segments:
   side (training clones the suite model per work item, exactly as
   before, which is where the private writable copy comes from).
 
-Lifecycle: the coordinator owns segments and unlinks them when a snapshot
-chain compacts and on ``close()``; a ``weakref.finalize`` backstop unlinks
-on interpreter exit if an executor is abandoned without ``close()``
-(crash-path hygiene — POSIX shared memory outlives the process
-otherwise).  Workers keep attached segments open for as long as installed
-models view into them (unlinking only removes the name; existing mappings
-stay valid) and drop them wholesale when a full snapshot rebases the
-suite.
+Which segments exist, who owns them and when they are retired is the chain
+protocol's business (:mod:`~repro.fl.snapshot`); this module lays out one
+segment and supplies the one cleanup path (:func:`unlink_segments`).
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ from __future__ import annotations
 import logging
 import pickle
 import struct
-import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -50,7 +44,6 @@ __all__ = [
     "attach_segment",
     "segment_exists",
     "unlink_segments",
-    "make_finalizer",
 ]
 
 _ALIGN = 64
@@ -314,9 +307,9 @@ cleanup_failures = 0
 def unlink_segments(segments: dict[str, shared_memory.SharedMemory]) -> None:
     """Close and unlink every owned segment; idempotent on repeat calls.
 
-    Also the ``weakref.finalize`` target: it receives the executor's live
+    Also the ``weakref.finalize`` target: it receives the publisher's live
     segment registry (a plain dict, so the finalizer holds no reference to
-    the executor itself) and empties it.
+    the publisher itself) and empties it.
 
     Failure handling (this used to be two bare ``except Exception: pass``
     blocks — the seed violation repro-lint RL009 is written against):
@@ -354,8 +347,3 @@ def unlink_segments(segments: dict[str, shared_memory.SharedMemory]) -> None:
             f"failed to unlink shared-memory segment(s) {names}; the kernel "
             "objects may outlive this process"
         ) from leaked[0][1]
-
-
-def make_finalizer(owner, segments: dict[str, shared_memory.SharedMemory]):
-    """Crash-path backstop: unlink owned segments when ``owner`` dies."""
-    return weakref.finalize(owner, unlink_segments, segments)

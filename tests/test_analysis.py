@@ -28,7 +28,7 @@ from repro.analysis.lint import main as lint_main
 from repro.analysis.sanitize import SanitizerError, VersionWatch, model_fingerprint
 from repro.baselines import fedavg
 from repro.fl import Coordinator, CoordinatorConfig
-from repro.fl.executor import ProcessPoolRoundExecutor
+from repro.fl.snapshot import SnapshotPublisher
 from repro.nn import mlp
 
 from test_hotpath import GOLDEN, TRAINER, _clients, _digest, _flat_dataset, _golden_run
@@ -925,6 +925,56 @@ class TestEngineAndCli:
             regrown.append("BufferedAsyncEngine assigns _in_flight")
         assert regrown == []
 
+    def test_executor_has_one_wave_runner(self):
+        """Backends differ only in ``_run_wave``: the four ``*_round`` entry
+        points, the publish guard, the retry verdict and the permanent-failure
+        sentinel each exist once, and the snapshot chain protocol lives in
+        ``snapshot.py`` — each shape below is how a per-backend copy would
+        regrow."""
+        fl = REPO / "src" / "repro" / "fl"
+        trees = {p: ast.parse(p.read_text()) for p in sorted(fl.rglob("*.py"))}
+        executor = trees[fl / "executor.py"]
+        rounds = ("train_round", "eval_round", "logits_round", "eval_and_logits_round")
+
+        def calls(tree, leaf):
+            return [
+                n for n in ast.walk(tree)
+                if isinstance(n, ast.Call)
+                and getattr(n.func, "attr", getattr(n.func, "id", None)) == leaf
+            ]
+
+        owners = {
+            name: [
+                cls.name
+                for tree in trees.values()
+                for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef)
+                and any(isinstance(f, ast.FunctionDef) and f.name == name for f in cls.body)
+            ]
+            for name in rounds
+        }
+        assert owners == dict.fromkeys(rounds, ["RoundExecutor"])
+        base = next(
+            n for n in executor.body
+            if isinstance(n, ast.ClassDef) and n.name == "RoundExecutor"
+        )
+        guards = {
+            f.name: len(calls(f, "published"))
+            for f in base.body
+            if isinstance(f, ast.FunctionDef) and calls(f, "published")
+        }
+        assert guards == dict.fromkeys(rounds, 1)
+        assert len(calls(executor, "published")) == len(rounds)
+        assert sum(len(calls(tree, "ItemFailure")) for tree in trees.values()) == 1
+        assert [len(calls(executor, name)) for name in ("_attempt", "_dispose")] == [2, 2]
+        for leaf in ("write_snapshot_segment", "read_snapshot_segment", "attach_segment"):
+            assert calls(executor, leaf) == [], leaf
+        assert not any(
+            "shared_memory" in ast.dump(n)
+            for n in ast.walk(executor)
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+        )
+
 
 # ----------------------------------------------------------------------
 # runtime sanitizer: unit behavior
@@ -1042,14 +1092,14 @@ class TestSanitizerEndToEnd:
         """On the process backend the guard protects the coordinator-side
         originals between publish and drain; an injected coordinator-side
         write mid-round raises the same way."""
-        orig = ProcessPoolRoundExecutor._publish
+        orig = SnapshotPublisher.publish
 
         def evil(self, models, fault_attempt=0):
             arr = next(iter(next(iter(models.values())).params().values()))
             arr[0, 0] += 1.0
             return orig(self, models, fault_attempt=fault_attempt)
 
-        monkeypatch.setattr(ProcessPoolRoundExecutor, "_publish", evil)
+        monkeypatch.setattr(SnapshotPublisher, "publish", evil)
         coord = _coordinator("process")
         try:
             with pytest.raises(ValueError, match="read-only"):

@@ -34,7 +34,7 @@ from repro.fl import (
     TrainItem,
     make_executor,
 )
-from repro.fl.executor import FULL_SNAPSHOT_EVERY
+from repro.fl.snapshot import FULL_SNAPSHOT_EVERY
 from repro.nn import mlp
 
 from test_executor import _assert_logs_identical
@@ -487,12 +487,12 @@ class TestDeltaSnapshots:
         some_id = next(iter(models))
         try:
             ex.train_round(0, [TrainItem(some_id, 0, 0)], dict(models))
-            full_bytes = ex.last_publish_bytes
-            assert ex.full_publish_count == 1
+            full_bytes = ex.publisher.last_publish_bytes
+            assert ex.publisher.full_publish_count == 1
             models[some_id].set_params(_perturbed(models[some_id]))
             ex.train_round(1, [TrainItem(some_id, 0, 0)], dict(models))
-            assert ex.delta_publish_count == 1
-            assert ex.last_publish_bytes < full_bytes  # strictly fewer bytes
+            assert ex.publisher.delta_publish_count == 1
+            assert ex.publisher.last_publish_bytes < full_bytes  # strictly fewer bytes
         finally:
             ex.close()
 
@@ -512,7 +512,7 @@ class TestDeltaSnapshots:
                 got = ex.train_round(step, items, dict(models))
                 want = serial.train_round(step, items, models)
                 assert [u.train_loss for u in got] == [u.train_loss for u in want]
-            assert ex.delta_publish_count >= 4
+            assert ex.publisher.delta_publish_count >= 4
         finally:
             ex.close()
 
@@ -523,7 +523,7 @@ class TestDeltaSnapshots:
             child = mlp((8,), 4, rng, width=8)
             models[child.model_id] = child
             updates = ex.train_round(1, [TrainItem(child.model_id, 0, 0)], dict(models))
-            assert ex.delta_publish_count == 1
+            assert ex.publisher.delta_publish_count == 1
             assert updates[0].model_id == child.model_id
         finally:
             ex.close()
@@ -535,14 +535,14 @@ class TestDeltaSnapshots:
             for step in range(FULL_SNAPSHOT_EVERY + 2):
                 models[some_id].set_params(_perturbed(models[some_id]))
                 ex.train_round(step, [TrainItem(some_id, 0, 0)], dict(models))
-            assert ex.full_publish_count >= 2  # initial + periodic compaction
-            assert len(ex._chain) <= FULL_SNAPSHOT_EVERY + 1
+            assert ex.publisher.full_publish_count >= 2  # initial + periodic compaction
+            assert len(ex.publisher.chain) <= FULL_SNAPSHOT_EVERY + 1
             # the retained chain is exactly the live shared-memory segments
             from repro.fl.shm import segment_exists
 
-            assert all(segment_exists(name) for _, _, name in ex._chain)
-            assert set(ex._segments) == {name for _, _, name in ex._chain}
-            retained = [name for _, _, name in ex._chain]
+            assert all(segment_exists(name) for _, _, name in ex.publisher.chain)
+            assert set(ex.publisher.segments) == {name for _, _, name in ex.publisher.chain}
+            retained = [name for _, _, name in ex.publisher.chain]
         finally:
             ex.close()
         # close() unlinks every owned segment — nothing may leak.

@@ -374,20 +374,21 @@ class TestExecutorUnits:
         try:
             models = {model.model_id: model, idle.model_id: idle}
             ex.train_round(0, [TrainItem(model.model_id, 0, 0)], models)
-            v1 = ex._version
-            assert ex.full_publish_count == 1  # first publish ships the suite
+            pub = ex.publisher
+            v1 = pub.version
+            assert pub.full_publish_count == 1  # first publish ships the suite
             reused = ex.train_round(1, [TrainItem(model.model_id, 1, 0)], models)
-            assert ex._version == v1  # same object, same versions => reused
+            assert pub.version == v1  # same object, same versions => reused
             ex.train_round(2, [TrainItem(model.model_id, 2, 0)], dict(models))
-            assert ex._version == v1  # fresh dict, same versions => reused
-            assert ex.reused_publish_count == 2
+            assert pub.version == v1  # fresh dict, same versions => reused
+            assert pub.reused_publish_count == 2
             ref_ex = SerialExecutor(clients, trainer_cfg, seed=0)
             ref = ref_ex.train_round(1, [TrainItem(model.model_id, 1, 0)], models)
             assert reused[0].train_loss == ref[0].train_loss
             model.set_params({k: v + 0.5 for k, v in model.get_params().items()})
             changed = ex.train_round(3, [TrainItem(model.model_id, 0, 0)], dict(models))
-            assert ex._version == v1 + 1  # version moved => republished
-            assert ex.delta_publish_count == 1  # ...as a delta, not a full
+            assert pub.version == v1 + 1  # version moved => republished
+            assert pub.delta_publish_count == 1  # ...as a delta, not a full
             ref3 = ref_ex.train_round(3, [TrainItem(model.model_id, 0, 0)], models)
             assert changed[0].train_loss == ref3[0].train_loss
         finally:
@@ -395,8 +396,8 @@ class TestExecutorUnits:
 
     def test_process_pool_survives_item_failure(self, rng):
         """When one work item raises, the executor must drain the rest
-        before surfacing the error — otherwise the next round's _publish
-        deletes the snapshot file still-running workers are reading.  The
+        before surfacing the error — otherwise the next round's publish
+        unlinks the snapshot segment still-running workers are attaching.  The
         observable contract: the failure propagates, and the *same*
         executor then completes a follow-up round correctly."""
         ds = _dataset(num_clients=4)

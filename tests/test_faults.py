@@ -35,7 +35,7 @@ from repro.fl import (
     recovery_summary,
 )
 from repro.fl.export import recovery_to_dict
-from repro.fl.executor import TrainItem, _worker_segment, _WORKER
+from repro.fl.executor import TrainItem
 from repro.fl.faults import (
     InjectedShmFault,
     InjectedTaskError,
@@ -43,6 +43,7 @@ from repro.fl.faults import (
     fault_kind,
     is_infrastructure_fault,
 )
+from repro.fl.snapshot import _WORKER, _worker_segment
 from repro.fl.types import ClientUpdate
 from repro.nn import mlp
 

@@ -23,9 +23,11 @@ Contracts pinned here:
 from __future__ import annotations
 
 import gc
+import glob
 import json
 import os
 import tracemalloc
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,16 @@ from repro.core.aggregator import ModelAggregator, project_overlap
 from repro.core.client_manager import SimilarityCache
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
-from repro.fl import Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig
+from repro.fl import (
+    Coordinator,
+    CoordinatorConfig,
+    FaultConfig,
+    FLClient,
+    LocalTrainerConfig,
+    RetryPolicy,
+)
+from repro.fl import executor as executor_mod
+from repro.fl import shm as shm_mod
 from repro.fl.client import LocalTrainer
 from repro.fl.executor import TrainItem, make_executor
 from repro.fl.shm import segment_exists
@@ -308,7 +319,7 @@ class TestFloat32Mode:
 # ----------------------------------------------------------------------
 # shared-memory snapshot hygiene
 # ----------------------------------------------------------------------
-def _crash_worker(version, chain, round_idx, item):  # pragma: no cover - child side
+def _crash_worker(*args):  # pragma: no cover - child side
     os._exit(13)
 
 
@@ -326,42 +337,79 @@ class TestSharedMemoryLifecycle:
         ex = make_executor("process", clients, TRAINER, seed=0, max_workers=2)
         try:
             ex.train_round(0, [TrainItem(next(iter(models)), 0, 0)], dict(models))
-            names = [name for _, _, name in ex._chain]
+            names = [name for _, _, name in ex.publisher.chain]
             assert names and all(segment_exists(n) for n in names)
         finally:
             ex.close()
         assert not any(segment_exists(n) for n in names)
 
-    def test_no_segment_leak_after_worker_crash(self):
+    def test_no_segment_leak_after_worker_crash(self, monkeypatch):
         """A worker hard-crashing mid-round must not leave segments behind:
-        the futures-drain failure path releases the arena on a broken pool,
-        and close() stays idempotent afterwards."""
-        import concurrent.futures
-
+        the heal releases the arena of the broken pool, a pool that keeps
+        breaking releases it on the way out, and close() stays idempotent
+        afterwards.  Driven through train_round: first every item SIGKILLs
+        its worker on attempt 0 (healed), then on every attempt (given up)."""
         clients, models = self._workload()
-        ex = make_executor("process", clients, TRAINER, seed=0, max_workers=2)
+        item = TrainItem(next(iter(models)), 0, 0)
+        ex = make_executor(
+            "process", clients, TRAINER, seed=0, max_workers=2,
+            faults=FaultConfig(crash=1.0), retry=RetryPolicy(),
+        )
         try:
-            ex.train_round(0, [TrainItem(next(iter(models)), 0, 0)], dict(models))
-            names = [name for _, _, name in ex._chain]
-            assert all(segment_exists(n) for n in names)
-            pool = ex._ensure_pool()
-            fut = pool.submit(_crash_worker, 0, (), 0, None)
-            with pytest.raises(concurrent.futures.process.BrokenProcessPool):
-                ex._drain([fut])
-            # The broken-pool drain path already released the arena.
-            assert not any(segment_exists(n) for n in names)
+            ex.publisher.publish(dict(models))  # a chain from before the crash
+            before = [name for _, _, name in ex.publisher.chain]
+            assert before and all(segment_exists(n) for n in before)
+            (update,) = ex.train_round(0, [item], dict(models))
+            assert update.client_id == 0  # healed: the re-dispatch ran clean
+            assert [r.action for r in ex.drain_fault_records()] == ["pool_rebuild"]
+            # The heal released the old arena; the re-dispatch published anew.
+            assert not any(segment_exists(n) for n in before)
+            after = [name for _, _, name in ex.publisher.chain]
+            assert after and all(segment_exists(n) for n in after)
+            # A pool that dies on every dispatch gives up — and leaks nothing.
+            monkeypatch.setattr(executor_mod, "_train_item", _crash_worker)
+            ex.close()  # the next wave forks fresh workers, which see the patch
+            with pytest.raises(RuntimeError, match="giving up"):
+                ex.train_round(1, [item], dict(models))
+            assert ex.publisher.chain == [] and not ex.publisher.segments
         finally:
             ex.close()
-        assert not any(segment_exists(n) for n in names)
+        assert not any(segment_exists(n) for n in before + after)
+
+    def test_compaction_survives_externally_unlinked_segment(self):
+        """An old chain segment that is already gone (an external /dev/shm
+        cleaner) must not abort the compacting publish: the new segment used
+        to be registered only *after* the old ones were unlinked bare, so the
+        FileNotFoundError left it owned by nobody and it outlived close()."""
+        clients, models = self._workload()
+        mid = next(iter(models))
+        ex = make_executor("process", clients, TRAINER, seed=0, max_workers=2)
+        try:
+            ex.train_round(0, [TrainItem(mid, 0, 0)], dict(models))
+            ((_, _, gone),) = ex.publisher.chain
+            os.unlink(f"/dev/shm/{gone}")  # out from under the publisher
+            models[mid].bump_version()  # the whole suite changed: a full publish
+            metered = shm_mod.cleanup_failures
+            (update,) = ex.train_round(1, [TrainItem(mid, 1, 0)], dict(models))
+            assert update.client_id == 1
+            assert shm_mod.cleanup_failures == metered + 1  # the logged no-op
+            ((_, kind, name),) = ex.publisher.chain
+            assert kind == "full" and name != gone
+            assert list(ex.publisher.segments) == [name] and segment_exists(name)
+        finally:
+            ex.close()
+            # os.unlink bypassed the resource tracker; settle its books.
+            resource_tracker.unregister(f"/{gone}", "shared_memory")
+        assert not glob.glob(f"/dev/shm/{gone.rsplit('-v', 1)[0]}*")
 
     def test_finalizer_unlinks_abandoned_executor(self):
         clients, models = self._workload()
         ex = make_executor("process", clients, TRAINER, seed=0, max_workers=2)
         ex.train_round(0, [TrainItem(next(iter(models)), 0, 0)], dict(models))
-        names = [name for _, _, name in ex._chain]
+        names = [name for _, _, name in ex.publisher.chain]
         assert all(segment_exists(n) for n in names)
         ex._pool.shutdown(wait=True)  # don't leak processes; keep segments
-        finalizer = ex._finalizer
+        finalizer = ex.publisher.finalizer
         del ex
         gc.collect()
         assert not finalizer.alive  # fired when the executor died
