@@ -173,11 +173,6 @@ def run_method(
     if method == "fedtrans":
         cfg = fedtrans_config(profile, **(fedtrans_overrides or {}))
         strategy: Strategy = FedTransStrategy(init, cfg, max_capacity_macs=max_cap)
-        # The codec lives in the coordinator; a spec on FedTransConfig is
-        # a convenience that flows through unless the caller already set
-        # one at the coordinator level (the more specific knob wins).
-        if cfg.compress is not None:
-            coord_over.setdefault("compress", cfg.compress)
     elif method == "heterofl":
         strategy = HeteroFLStrategy(_require_global(global_model))
     elif method == "splitmix":

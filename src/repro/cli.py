@@ -28,10 +28,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .bench import active_profile, ascii_table, build_dataset, run_method, run_workload_suite
 from .bench.profiles import DATASETS, PROFILES
-from .bench.workloads import METHODS
+from .bench.workloads import METHODS, coordinator_config
 from .fl.executor import EXECUTOR_BACKENDS
 from .fl.scheduling import PACING_POLICIES, SELECTOR_POLICIES, STRAGGLER_POLICIES
 from .fl.export import log_to_dict, save_log, save_recovery, save_transport
@@ -42,229 +43,210 @@ from .nn.serialization import save_model
 __all__ = ["main"]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", choices=DATASETS, default="femnist_like")
-    p.add_argument("--profile", choices=sorted(PROFILES), default=None,
-                   help="scale profile (default: $REPRO_PROFILE or 'tiny')")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=None, help="override round budget")
-    p.add_argument("--save-log", type=Path, default=None, help="write run log JSON here")
-    p.add_argument("--executor", choices=EXECUTOR_BACKENDS, default="serial",
-                   help="round-execution backend (all bit-identical per seed)")
-    p.add_argument("--dtype", choices=COMPUTE_DTYPES, default=None,
-                   help="compute dtype of the whole run (models, data, "
-                        "aggregation).  float64 (default) is the "
-                        "bit-identity dtype golden fixtures are stated at; "
-                        "float32 halves memory traffic and roughly doubles "
-                        "BLAS throughput at lower precision")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker count for thread/process backends (default: cpu count)")
-    p.add_argument("--mode", choices=("sync", "async"), default="sync",
-                   help="round engine: synchronous barrier or buffered-async "
-                        "(FedBuff-style; bit-reproducible per seed)")
-    p.add_argument("--buffer-k", type=int, default=None,
-                   help="async: aggregate on this many arrivals "
-                        "(default: clients_per_round // 2)")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="async: drop arrivals slower than this many simulated "
-                        "seconds after dispatch (wasted work is metered)")
-    p.add_argument("--staleness-discount", type=float, default=None,
-                   help="async: per-missed-aggregation discount base in (0, 1] "
-                        "(default 0.5; 1 disables)")
-    p.add_argument("--no-eval-cache", dest="eval_cache", action="store_false",
-                   default=True,
-                   help="disable the incremental evaluation cache (bit-identical "
-                        "either way; on by default)")
-    p.add_argument("--sanitize", action="store_true", default=False,
-                   help="enable the runtime sanitizer (repro.analysis.sanitize; "
-                        "equivalent to REPRO_SANITIZE=1): freeze published "
-                        "models read-only during rounds and cross-check model "
-                        "versions against content fingerprints.  Requires the "
-                        "eval cache; incompatible with --no-eval-cache")
-    p.add_argument("--selector", choices=SELECTOR_POLICIES, default="uniform",
-                   help="client selection policy (uniform reproduces the "
-                        "pre-subsystem behavior bit-for-bit)")
-    p.add_argument("--pacing", choices=PACING_POLICIES, default="static",
-                   help="async aggregation pacing: static buffer_k/deadline, "
-                        "adaptive buffer_k (arrival-rate scaled), or per-device-"
-                        "class deadline quantiles")
-    p.add_argument("--straggler", choices=STRAGGLER_POLICIES, default="drop",
-                   help="async straggler policy: drop late arrivals, or downsize "
-                        "predicted-late clients to a smaller compatible model")
-    p.add_argument("--availability-trace", type=str, default=None, metavar="SPEC",
-                   help="availability churn model for --selector availability: "
-                        "'bernoulli:<rate>', 'diurnal:base=0.8,amplitude=0.5,"
-                        "period=24,class_phase=0.25' (per-device-class diurnal "
-                        "waves), or 'trace:<path.json>' (periodic per-class "
-                        "rate table)")
-    p.add_argument("--evict-after", type=int, default=None,
-                   help="evict a client's utility state after this many rounds "
-                        "of inactivity (FedTrans strategy dict and the fleet "
-                        "store's Oort utility column; default: keep forever)")
-    p.add_argument("--faults", type=str, default=None, metavar="SPEC",
-                   help="deterministic fault-injection spec, e.g. "
-                        "'crash=0.05,exc=0.1,poison=0.2' (kinds: crash, exc, "
-                        "shm, hang, poison, plus hang_factor).  Chaos runs "
-                        "are replayable bit-for-bit at the same seed; "
-                        "crash/shm recovery is trajectory-neutral")
-    p.add_argument("--retries", type=int, default=None,
-                   help="max attempts per work item (default 3 when --faults "
-                        "is set; without --faults this enables the retry "
-                        "layer for real failures)")
-    p.add_argument("--quarantine", action="store_true", default=False,
-                   help="validate every update before aggregation (NaN/Inf "
-                        "scan + norm-outlier gate); rejects go to the "
-                        "quarantine ledger.  Bit-identical on clean runs")
-    p.add_argument("--quarantine-norm-mult", type=float, default=None,
-                   help="norm-outlier threshold as a multiple of the running "
-                        "mean update norm (default 8; 0 disables the norm "
-                        "gate, keeping the NaN/Inf scan)")
-    p.add_argument("--save-recovery", type=Path, default=None,
-                   help="write the fault-recovery ledger JSON here (separate "
-                        "from --save-log: the run export stays byte-identical "
-                        "to a fault-free run's, recovery telemetry does not)")
-    p.add_argument("--compress", type=str, default=None, metavar="SPEC",
-                   help="transport codec spec, e.g. "
-                        "'update:int8+topk0.01,snapshot:rle'.  update codecs: "
-                        "rle (lossless), int8/bf16 quantization and topk<rate> "
-                        "sparsification (lossy, with server-side error "
-                        "feedback); snapshot:rle delta-encodes shared-memory "
-                        "publishes (lossless).  Lossy specs change the "
-                        "trajectory and must be declared here (CONTRACTS.md "
-                        "I11)")
-    p.add_argument("--wire-time", action="store_true", default=False,
-                   help="re-price each client's upload leg at its compressed "
-                        "size, so compression shortens simulated round time "
-                        "(requires --compress with an update section)")
-    p.add_argument("--save-transport", type=Path, default=None,
-                   help="write the transport-cost ledger JSON here (raw vs "
-                        "on-wire bytes per round for both the update and "
-                        "snapshot-publish directions; separate from "
-                        "--save-log because publish telemetry is barred from "
-                        "the run export by CONTRACTS.md I10)")
-    p.add_argument("--checkpoint-dir", type=Path, default=None,
-                   help="run-registry root for durable runs: each run "
-                        "checkpoints into a subdirectory keyed by its config "
-                        "hash (repro.fl.registry)")
-    p.add_argument("--checkpoint-every", type=int, default=None,
-                   help="write a crash-consistent checkpoint every N rounds "
-                        "(requires --checkpoint-dir)")
-    p.add_argument("--resume", action="store_true", default=False,
-                   help="resume from the last good checkpoint in the run's "
-                        "registry directory (requires --checkpoint-dir; a "
-                        "fresh start when none exists — safe to use "
-                        "unconditionally in restart loops)")
+class _Flag(NamedTuple):
+    """One row of the flag table.
+
+    ``field`` is the :class:`~repro.fl.CoordinatorConfig` field the flag
+    sets (``None``: a run-level flag the command reads itself).  A config
+    flag defaults to ``argparse.SUPPRESS``, so it reaches the config only
+    when given and the field's default is declared once, on the dataclass.
+    """
+
+    option: str
+    field: str | None
+    kwargs: dict
+    help: str | None = None
+    commands: tuple[str, ...] = ("run", "suite")
+
+
+_FLAGS = (
+    _Flag("--dataset", None, dict(choices=DATASETS, default="femnist_like")),
+    _Flag("--profile", None, dict(choices=sorted(PROFILES)),
+          "scale profile (default: $REPRO_PROFILE or 'tiny')"),
+    _Flag("--seed", None, dict(type=int, default=0)),
+    _Flag("--rounds", None, dict(type=int), "override round budget"),
+    _Flag("--save-log", None, dict(type=Path), "write run log JSON here", ("run",)),
+    _Flag("--executor", "executor", dict(choices=EXECUTOR_BACKENDS),
+          "round-execution backend (all bit-identical per seed)"),
+    _Flag("--dtype", "compute_dtype", dict(choices=COMPUTE_DTYPES),
+          "compute dtype of the whole run (models, data, "
+          "aggregation).  float64 (default) is the "
+          "bit-identity dtype golden fixtures are stated at; "
+          "float32 halves memory traffic and roughly doubles "
+          "BLAS throughput at lower precision"),
+    _Flag("--workers", "max_workers", dict(type=int, metavar="WORKERS"),
+          "worker count for thread/process backends (default: cpu count)"),
+    _Flag("--mode", "mode", dict(choices=("sync", "async")),
+          "round engine: synchronous barrier or buffered-async "
+          "(FedBuff-style; bit-reproducible per seed)"),
+    _Flag("--buffer-k", "buffer_k", dict(type=int),
+          "async: aggregate on this many arrivals "
+          "(default: clients_per_round // 2)"),
+    _Flag("--deadline", "deadline_s", dict(type=float, metavar="DEADLINE"),
+          "async: drop arrivals slower than this many simulated "
+          "seconds after dispatch (wasted work is metered)"),
+    _Flag("--staleness-discount", "staleness_discount", dict(type=float),
+          "async: per-missed-aggregation discount base in (0, 1] "
+          "(default 0.5; 1 disables)"),
+    _Flag("--no-eval-cache", "eval_cache", dict(action="store_false"),
+          "disable the incremental evaluation cache (bit-identical "
+          "either way; on by default)"),
+    _Flag("--sanitize", "sanitize", dict(action="store_true"),
+          "enable the runtime sanitizer (repro.analysis.sanitize; "
+          "equivalent to REPRO_SANITIZE=1): freeze published "
+          "models read-only during rounds and cross-check model "
+          "versions against content fingerprints.  Requires the "
+          "eval cache; incompatible with --no-eval-cache"),
+    _Flag("--selector", "selector", dict(choices=SELECTOR_POLICIES),
+          "client selection policy (uniform reproduces the "
+          "pre-subsystem behavior bit-for-bit)"),
+    _Flag("--pacing", "pacing", dict(choices=PACING_POLICIES),
+          "async aggregation pacing: static buffer_k/deadline, "
+          "adaptive buffer_k (arrival-rate scaled), or per-device-"
+          "class deadline quantiles"),
+    _Flag("--straggler", "straggler", dict(choices=STRAGGLER_POLICIES),
+          "async straggler policy: drop late arrivals, or downsize "
+          "predicted-late clients to a smaller compatible model"),
+    _Flag("--availability-trace", "availability_trace", dict(metavar="SPEC"),
+          "availability churn model for --selector availability: "
+          "'bernoulli:<rate>', 'diurnal:base=0.8,amplitude=0.5,"
+          "period=24,class_phase=0.25' (per-device-class diurnal "
+          "waves), or 'trace:<path.json>' (periodic per-class "
+          "rate table)"),
+    _Flag("--evict-after", "evict_after", dict(type=int),
+          "evict a client's utility state after this many rounds "
+          "of inactivity (FedTrans strategy dict and the fleet "
+          "store's Oort utility column; default: keep forever)"),
+    _Flag("--faults", "faults", dict(metavar="SPEC"),
+          "deterministic fault-injection spec, e.g. "
+          "'crash=0.05,exc=0.1,poison=0.2' (kinds: crash, exc, "
+          "shm, hang, poison, plus hang_factor).  Chaos runs "
+          "are replayable bit-for-bit at the same seed; "
+          "crash/shm recovery is trajectory-neutral"),
+    _Flag("--retries", "retries", dict(type=int),
+          "max attempts per work item (default 3 when --faults "
+          "is set; without --faults this enables the retry "
+          "layer for real failures)"),
+    _Flag("--quarantine", "quarantine", dict(action="store_true"),
+          "validate every update before aggregation (NaN/Inf "
+          "scan + norm-outlier gate); rejects go to the "
+          "quarantine ledger.  Bit-identical on clean runs"),
+    _Flag("--quarantine-norm-mult", "quarantine_norm_mult", dict(type=float),
+          "norm-outlier threshold as a multiple of the running "
+          "mean update norm (default 8; 0 disables the norm "
+          "gate, keeping the NaN/Inf scan)"),
+    _Flag("--save-recovery", None, dict(type=Path),
+          "write the fault-recovery ledger JSON here (separate "
+          "from --save-log: the run export stays byte-identical "
+          "to a fault-free run's, recovery telemetry does not)", ("run",)),
+    _Flag("--compress", "compress", dict(metavar="SPEC"),
+          "transport codec spec, e.g. "
+          "'update:int8+topk0.01,snapshot:rle'.  update codecs: "
+          "rle (lossless), int8/bf16 quantization and topk<rate> "
+          "sparsification (lossy, with server-side error "
+          "feedback); snapshot:rle delta-encodes shared-memory "
+          "publishes (lossless).  Lossy specs change the "
+          "trajectory and must be declared here (CONTRACTS.md "
+          "I11)"),
+    _Flag("--wire-time", "wire_time", dict(action="store_true"),
+          "re-price each client's upload leg at its compressed "
+          "size, so compression shortens simulated round time "
+          "(requires --compress with an update section)"),
+    _Flag("--save-transport", None, dict(type=Path),
+          "write the transport-cost ledger JSON here (raw vs "
+          "on-wire bytes per round for both the update and "
+          "snapshot-publish directions; separate from "
+          "--save-log because publish telemetry is barred from "
+          "the run export by CONTRACTS.md I10)", ("run",)),
+    _Flag("--checkpoint-dir", "checkpoint_dir", {},
+          "run-registry root for durable runs: each run "
+          "checkpoints into a subdirectory keyed by its config "
+          "hash (repro.fl.registry)"),
+    _Flag("--checkpoint-every", "checkpoint_every", dict(type=int),
+          "write a crash-consistent checkpoint every N rounds "
+          "(requires --checkpoint-dir)"),
+    _Flag("--resume", "resume", dict(action="store_true"),
+          "resume from the last good checkpoint in the run's "
+          "registry directory (requires --checkpoint-dir; a "
+          "fresh start when none exists — safe to use "
+          "unconditionally in restart loops)"),
+    _Flag("--method", None, dict(choices=METHODS, default="fedtrans"), None, ("run",)),
+    _Flag("--save-models", None, dict(type=Path),
+          "directory for final model checkpoints", ("run",)),
+    _Flag("--out", None, dict(type=Path), "write all logs JSON", ("suite",)),
+)
+
+# The cross-flag rules CoordinatorConfig cannot know (it rejects every
+# invalid *combination of values* itself): a flag that was given but would
+# be silently ignored.  (field given, field consulted, values that make the
+# given flag meaningful, usage error otherwise).
+_IGNORED_UNLESS = (
+    ("max_workers", "executor", ("thread", "process"),
+     "--workers only applies to parallel backends; "
+     "pass --executor thread or --executor process"),
+    ("quarantine_norm_mult", "quarantine", (True,),
+     "--quarantine-norm-mult requires --quarantine"),
+    ("staleness_discount", "mode", ("async",),
+     "--staleness-discount requires --mode async"),
+)
+
+
+class _RunOnly(argparse.Action):
+    """A ``run`` flag given to ``suite``: a usage error, never a silent no-op."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(
+            f"{option_string} is a `run` flag; `suite` runs every method and "
+            "writes all their logs with --out"
+        )
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    for flag in _FLAGS:
+        if command in flag.commands:
+            kwargs = dict(flag.kwargs, help=flag.help)
+            if flag.field is not None:
+                kwargs.update(dest=flag.field, default=argparse.SUPPRESS)
+            p.add_argument(flag.option, **kwargs)
+        elif command == "suite":
+            p.add_argument(flag.option, action=_RunOnly, nargs="?", help=argparse.SUPPRESS)
 
 
 def _coordinator_overrides(args) -> dict:
-    over = {}
-    if args.executor != "serial":
-        over["executor"] = args.executor
-    if args.dtype is not None:
-        over["compute_dtype"] = args.dtype
-    if not args.eval_cache:
-        over["eval_cache"] = False
-    if args.sanitize:
-        if not args.eval_cache:
-            # Surface the conflict as a CLI usage error instead of letting
-            # CoordinatorConfig raise mid-run with a config-level message.
-            raise SystemExit(
-                "--sanitize requires the eval cache (the missed-bump "
-                "cross-check rides the cache-read path); drop "
-                "--no-eval-cache to use it"
-            )
-        over["sanitize"] = True
-    if args.workers is not None:
-        if args.executor == "serial":
-            raise SystemExit(
-                "--workers only applies to parallel backends; "
-                "pass --executor thread or --executor process"
-            )
-        over["max_workers"] = args.workers
-    if args.selector != "uniform":
-        over["selector"] = args.selector
-    if args.availability_trace is not None:
-        if args.selector != "availability":
-            raise SystemExit(
-                "--availability-trace requires --selector availability"
-            )
-        over["availability_trace"] = args.availability_trace
-    if args.evict_after is not None:
-        over["evict_after"] = args.evict_after
-    if args.mode != "sync":
-        over["mode"] = args.mode
-        if args.buffer_k is not None:
-            over["buffer_k"] = args.buffer_k
-        if args.deadline is not None:
-            over["deadline_s"] = args.deadline
-        if args.staleness_discount is not None:
-            over["staleness_discount"] = args.staleness_discount
-        if args.pacing != "static":
-            over["pacing"] = args.pacing
-        if args.straggler != "drop":
-            over["straggler"] = args.straggler
-    elif any(v is not None for v in (args.buffer_k, args.deadline, args.staleness_discount)):
-        raise SystemExit(
-            "--buffer-k/--deadline/--staleness-discount require --mode async"
-        )
-    elif args.pacing != "static" or args.straggler != "drop":
-        raise SystemExit("--pacing/--straggler require --mode async")
-    if args.faults is not None:
-        over["faults"] = args.faults
-    if args.retries is not None:
-        over["retries"] = args.retries
-    if args.quarantine:
-        over["quarantine"] = True
-    if args.quarantine_norm_mult is not None:
-        if not args.quarantine:
-            raise SystemExit("--quarantine-norm-mult requires --quarantine")
-        over["quarantine_norm_mult"] = args.quarantine_norm_mult
-    if args.compress is not None:
-        over["compress"] = args.compress
-    if args.wire_time:
-        if args.compress is None:
-            raise SystemExit("--wire-time requires --compress with an update section")
-        over["wire_time"] = True
-    if args.checkpoint_every is not None or args.resume:
-        if args.checkpoint_dir is None:
-            raise SystemExit("--checkpoint-every/--resume require --checkpoint-dir")
-    if args.checkpoint_dir is not None:
-        over["checkpoint_dir"] = str(args.checkpoint_dir)
-        if args.checkpoint_every is not None:
-            over["checkpoint_every"] = args.checkpoint_every
-        if args.resume:
-            over["resume"] = True
-    return over
+    """The config fields the command line set: exactly the flags given."""
+    given = vars(args)
+    return {f.field: given[f.field] for f in _FLAGS if f.field in given}
 
 
-def _fedtrans_overrides(args) -> dict:
-    over = {}
-    if args.evict_after is not None:
-        over["evict_after"] = args.evict_after
-    if args.dtype is not None:
-        over["compute_dtype"] = args.dtype
-    return over
+def _setup(args):
+    """Profile and coordinator overrides, validated before anything is built.
 
-
-def _profile(args):
+    Every config error reachable from the command line is a usage error
+    here (exit status 2), not a traceback after the dataset and fleet exist.
+    """
     profile = active_profile(args.dataset, override=args.profile)
     if args.rounds is not None:
         profile = profile.with_(rounds=args.rounds)
-    return profile
-
-
-def _apply_dtype(args) -> None:
+    over = _coordinator_overrides(args)
+    try:
+        config = coordinator_config(profile, args.seed, **over)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+    for given, consulted, meaningful, message in _IGNORED_UNLESS:
+        if given in over and getattr(config, consulted) not in meaningful:
+            args.parser.error(message)
     # Must land before the dataset and initial models are built — the
     # whole run (data, weights, transforms, workers) uses one dtype.
-    set_compute_dtype(args.dtype)
+    set_compute_dtype(config.compute_dtype)
+    # The one knob two stores share: the FedTrans utility store evicts on
+    # the same horizon as the fleet store's Oort column.
+    ft_over = {"evict_after": over["evict_after"]} if "evict_after" in over else {}
+    return profile, over, ft_over
 
 
 def cmd_run(args) -> int:
-    profile = _profile(args)
-    _apply_dtype(args)
+    profile, coord_over, ft_over = _setup(args)
     dataset = build_dataset(profile, seed=args.seed)
-    coord_over = _coordinator_overrides(args)
-    ft_over = _fedtrans_overrides(args)
     if args.method in ("heterofl", "splitmix", "fluid"):
         # These need FedTrans's largest model (the Appendix A.1 protocol).
         ft = run_method(
@@ -306,13 +288,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    profile = _profile(args)
-    _apply_dtype(args)
+    profile, coord_over, ft_over = _setup(args)
     dataset = build_dataset(profile, seed=args.seed)
     results = run_workload_suite(
         dataset, profile, seed=args.seed,
-        fedtrans_overrides=_fedtrans_overrides(args),
-        coordinator_overrides=_coordinator_overrides(args),
+        fedtrans_overrides=ft_over, coordinator_overrides=coord_over,
     )
     rows = [r.summary.row() for r in results.values()]
     print(ascii_table(rows, f"suite on {args.dataset} ({profile.name} profile)"))
@@ -354,17 +334,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one method on one dataset")
-    _add_common(p_run)
-    p_run.add_argument("--method", choices=METHODS, default="fedtrans")
-    p_run.add_argument("--save-models", type=Path, default=None,
-                       help="directory for final model checkpoints")
-    p_run.set_defaults(fn=cmd_run)
-
-    p_suite = sub.add_parser("suite", help="run the full comparison protocol")
-    _add_common(p_suite)
-    p_suite.add_argument("--out", type=Path, default=None, help="write all logs JSON")
-    p_suite.set_defaults(fn=cmd_suite)
+    for command, fn, text in (
+        ("run", cmd_run, "run one method on one dataset"),
+        ("suite", cmd_suite, "run the full comparison protocol"),
+    ):
+        p = sub.add_parser(command, help=text)
+        _add_flags(p, command)
+        p.set_defaults(fn=fn, parser=p)
 
     p_prof = sub.add_parser("profiles", help="list scale profiles")
     p_prof.set_defaults(fn=cmd_profiles)

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..fl.transport import TransportConfig
-from ..nn.compute import COMPUTE_DTYPES
-
 __all__ = ["FedTransConfig", "PAPER_DEFAULTS"]
 
 
@@ -70,22 +67,6 @@ class FedTransConfig:
         from the Client Manager's sparse store (memory proportional to the
         *active* fleet; an evicted client rehydrates as a fresh one).
         ``None`` (default) disables eviction — the dense legacy behavior.
-    compute_dtype:
-        Floating dtype of every tensor the strategy creates from here on
-        (transform-grown channels, re-initialized models):
-        ``"float32"`` / ``"float64"``, or ``None`` (default) to inherit
-        the process-wide setting (float64 unless the run changed it —
-        see :mod:`repro.nn.compute`).  The whole run must use one dtype:
-        the strategy applies this at construction, before any model it
-        manages is transformed.  Interaction with the runtime sanitizer
-        (``CoordinatorConfig.sanitize`` / ``--sanitize`` /
-        ``REPRO_SANITIZE=1``): the sanitizer's checks compare raw bytes
-        and are dtype-independent, so ``"float32"`` + sanitize is a
-        valid combination — it validates the write-after-publish and
-        version-bump invariants — but the engine's bit-identity claims
-        (golden fixtures, cross-backend digests) are stated at float64,
-        so only a float64 sanitized run also asserts those digests.
-        See ``CONTRACTS.md``.
     min_rounds_between_transforms:
         Extra cooldown after a transformation; the DoC history reset already
         enforces ``gamma + delta`` rounds, this only adds to it.
@@ -123,13 +104,6 @@ class FedTransConfig:
     utility_decay: float = 0.99
     utility_clamp: float = 5.0
     evict_after: int | None = None
-    compute_dtype: str | None = None
-    # Transport codec spec for the round loop (repro.fl.transport), e.g.
-    # "update:int8+topk0.01,snapshot:rle".  None keeps transport raw.
-    # Lossy specs change the trajectory and must be declared explicitly
-    # (CONTRACTS.md I11); the bench harness forwards this into
-    # CoordinatorConfig.compress.
-    compress: str | None = None
     gradient_cell_selection: bool = True
     soft_aggregation: bool = True
     warmup: bool = True
@@ -161,13 +135,6 @@ class FedTransConfig:
             raise ValueError("utility_clamp must be non-negative (0 disables)")
         if self.evict_after is not None and self.evict_after < 1:
             raise ValueError("evict_after must be >= 1 (None disables eviction)")
-        if self.compute_dtype is not None and self.compute_dtype not in COMPUTE_DTYPES:
-            raise ValueError(
-                f"compute_dtype must be one of {COMPUTE_DTYPES} or None "
-                f"(inherit), got {self.compute_dtype!r}"
-            )
-        if self.compress is not None:
-            TransportConfig.parse(self.compress)  # raises ValueError on a bad spec
 
     def scaled(self, **overrides) -> "FedTransConfig":
         """A copy with fields replaced (bench profiles shrink γ/δ)."""

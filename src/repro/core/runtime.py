@@ -23,7 +23,6 @@ import numpy as np
 
 from ..fl.strategy import Strategy, compatible_model_ids
 from ..fl.types import ClientUpdate, FLClient
-from ..nn.compute import set_compute_dtype
 from ..nn.model import CellModel
 from ..nn.param_ops import ParamTree
 from ..nn.serialization import model_from_state, model_state_dict
@@ -54,10 +53,6 @@ class FedTransStrategy(Strategy):
                 "sizes it to the *least* capable client"
             )
         self.config = config
-        # None = inherit the process-wide dtype; a concrete value pins the
-        # dtype of everything the strategy creates from here on (grown
-        # channels, inserted cells, re-initialized models).
-        set_compute_dtype(config.compute_dtype)
         self.sim_cache = SimilarityCache()
         self.client_manager = ClientManager(
             self.sim_cache,

@@ -51,19 +51,16 @@ that override ``client_logits`` keep their bespoke per-client path.
 Scheduling subsystem
 --------------------
 Who participates, when aggregation fires, and what happens to predicted
-stragglers are pluggable policies (:mod:`~repro.fl.scheduling`), selected
-by name through ``CoordinatorConfig.selector`` / ``pacing`` /
-``straggler``.  Policy resolution order:
-
-1. CLI flags (``--selector`` / ``--pacing`` / ``--straggler`` /
-   ``--evict-after``) override…
-2. the ``CoordinatorConfig`` fields (defaults: ``uniform`` / ``static`` /
-   ``drop``), which the coordinator resolves through…
-3. the scheduling registries (:func:`~repro.fl.scheduling.make_selector`
-   etc.) at construction time, handing each policy the run seed, the
-   resolved ``buffer_k``/``deadline_s``, and the fleet; after which…
-4. each policy's own defaults (availability rate, quantile level, …)
-   apply.
+stragglers are pluggable policies (:mod:`~repro.fl.scheduling`), resolved
+along one path: the ``CoordinatorConfig`` field (``selector`` / ``pacing``
+/ ``straggler`` / ``evict_after`` / ``availability_trace``; a CLI flag is
+a row of ``repro.cli``'s table that sets that field only when given) is
+checked, and a spec string parsed, once in ``__post_init__``; at
+construction the coordinator hands name and parsed object to the
+scheduling factories (:func:`~repro.fl.scheduling.make_selector` etc.)
+with the run seed, the resolved ``buffer_k``/``deadline_s`` and the fleet.
+What the config does not name (availability rate, quantile level, …) is
+the policy's own default.
 
 The selector runs in both modes; pacing and straggler policies are
 consulted by the async engine per dispatch wave (sync mode rejects
@@ -125,7 +122,15 @@ __all__ = ["CoordinatorConfig", "Coordinator"]
 
 @dataclass(frozen=True)
 class CoordinatorConfig:
-    """Run-level configuration (paper §5.1 / Table 7 analogues)."""
+    """Run-level configuration (paper §5.1 / Table 7 analogues).
+
+    Flat on purpose: the run hash is ``asdict(config)`` and the frozen
+    benchmark harness builds and ``replace``s it by flat keyword.  Each
+    spec string is parsed exactly once, in ``__post_init__``, into a
+    read-only non-field view — ``availability_model``, ``fault_config``,
+    ``retry_policy``, ``quarantine_config``, ``transport_config`` (``None``
+    when the feature is off) — and the engine consumes only the views.
+    """
 
     rounds: int = 100
     clients_per_round: int = 10
@@ -268,6 +273,8 @@ class CoordinatorConfig:
                 f"compute_dtype must be one of {COMPUTE_DTYPES} or None "
                 f"(inherit), got {self.compute_dtype!r}"
             )
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.mode not in ("sync", "async"):
             raise ValueError(f"mode must be 'sync' or 'async', got {self.mode!r}")
         # Policy names validate before the mode cross-checks so a typo in a
@@ -284,13 +291,17 @@ class CoordinatorConfig:
             raise ValueError(
                 f"straggler must be one of {STRAGGLER_POLICIES}, got {self.straggler!r}"
             )
+        # The parsed views (class docstring) go past the frozen __setattr__
+        # under non-field names, so asdict/==/hash/repr/replace skip them.
+        parsed = self.__dict__
+        parsed["availability_model"] = None
         if self.availability_trace is not None:
             if self.selector != "availability":
                 raise ValueError(
                     "availability_trace requires selector='availability' "
                     f"(got selector={self.selector!r})"
                 )
-            parse_availability(self.availability_trace)  # raises on a bad spec
+            parsed["availability_model"] = parse_availability(self.availability_trace)
         if self.evict_after is not None and self.evict_after < 1:
             raise ValueError("evict_after must be >= 1 (None disables eviction)")
         if self.mode == "sync":
@@ -308,16 +319,25 @@ class CoordinatorConfig:
             raise ValueError("deadline_s must be positive")
         if not 0.0 < self.staleness_discount <= 1.0:
             raise ValueError("staleness_discount must lie in (0, 1]")
-        if self.faults is not None:
-            FaultConfig.parse(self.faults)  # raises ValueError on a bad spec
+        parsed["fault_config"] = (
+            FaultConfig.parse(self.faults) if self.faults is not None else None
+        )
         if self.retries is not None and self.retries < 1:
             raise ValueError(f"retries must be >= 1, got {self.retries}")
+        # A retry policy exists whenever faults are injected (so chaos runs
+        # recover by default) or when the user asks for one explicitly —
+        # real environments fail without a fault spec.
+        if self.retries is not None:
+            parsed["retry_policy"] = RetryPolicy(max_attempts=self.retries)
+        else:
+            parsed["retry_policy"] = RetryPolicy() if self.faults is not None else None
         if not isinstance(self.quarantine, bool):
             raise ValueError(f"quarantine must be a bool, got {self.quarantine!r}")
-        # Delegates range checking (>= 0; 0 disables the norm gate).
-        QuarantineConfig(norm_multiplier=self.quarantine_norm_mult)
-        # Parsed once (raises ValueError on a bad spec).
-        transport = (
+        # Range-checked even when the gate is off (>= 0; 0 disables the
+        # norm gate, keeping the NaN/Inf scan).
+        gate = QuarantineConfig(norm_multiplier=self.quarantine_norm_mult)
+        parsed["quarantine_config"] = gate if self.quarantine else None
+        parsed["transport_config"] = transport = (
             TransportConfig.parse(self.compress) if self.compress is not None else None
         )
         if not isinstance(self.wire_time, bool):
@@ -366,25 +386,12 @@ class Coordinator(Stateful):
         self.clients = clients
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        # Fault-tolerance wiring: a retry policy exists whenever faults are
-        # injected (so chaos runs recover by default) or when the user asks
-        # for one explicitly — real environments fail without a fault spec.
-        fault_config = FaultConfig.parse(config.faults) if config.faults else None
-        retry = (
-            RetryPolicy(max_attempts=config.retries)
-            if config.retries is not None
-            else (RetryPolicy() if fault_config is not None else None)
-        )
         # Transport codec: the update half lives here (one codec instance
         # sees every update in deterministic order — its error-feedback
         # residuals are run state); the snapshot half ships to the executor
         # as config.  An injected executor keeps its own transport setting.
-        transport_config = (
-            TransportConfig.parse(config.compress) if config.compress else None
-        )
-        self.transport = (
-            TransportCodec(transport_config) if transport_config is not None else None
-        )
+        transport = config.transport_config
+        self.transport = TransportCodec(transport) if transport is not None else None
         # Last-seen executor publish counters (raw, wire): per-round and
         # per-eval deltas split snapshot bytes for the transport ledger.
         self._pub_seen = (0, 0)
@@ -393,23 +400,16 @@ class Coordinator(Stateful):
         self._owns_executor = executor is None
         self.executor = executor or make_executor(
             config.executor, clients, config.trainer, config.seed, config.max_workers,
-            faults=fault_config, retry=retry, transport=transport_config,
+            faults=config.fault_config, retry=config.retry_policy, transport=transport,
         )
-        self.validator = (
-            UpdateValidator(
-                QuarantineConfig(norm_multiplier=config.quarantine_norm_mult)
-            )
-            if config.quarantine
-            else None
-        )
+        gate = config.quarantine_config
+        self.validator = UpdateValidator(gate) if gate is not None else None
         # Columnar fleet store: one instance backs selection views, the
         # selectors' per-client state, the straggler prescreen, and quantile
         # pacing windows in both modes (the async engine shares it).
         self.fleet = FleetStore(clients, evict_after=config.evict_after)
         self.selector = make_selector(
-            config.selector,
-            seed=config.seed,
-            availability_trace=config.availability_trace,
+            config.selector, seed=config.seed, availability_model=config.availability_model
         )
         self.selector.bind_fleet(self.fleet)
         # The async driver runs the round stages against this coordinator;

@@ -10,9 +10,9 @@ draw from; the sparse :class:`~repro.fl.scheduling.store.ClientStateStore`
 holds per-client *strategy* state (``store.py`` says why that is not a
 fleet column).  Policies are resolved by name through the
 ``make_*`` factories below, which is what ``CoordinatorConfig.selector`` /
-``pacing`` / ``straggler`` and the matching CLI flags feed; availability
-churn models (:mod:`~repro.fl.scheduling.availability`) ride the
-``availability`` selector via ``--availability-trace`` specs.
+``pacing`` / ``straggler`` feed; availability churn models
+(:mod:`~repro.fl.scheduling.availability`) ride the ``availability``
+selector, parsed from the ``availability_trace`` spec by the config.
 """
 
 from __future__ import annotations
@@ -89,13 +89,13 @@ _STRAGGLERS = {
 
 
 def make_selector(
-    name: str, seed: int = 0, availability_trace: str | None = None
+    name: str, seed: int = 0, availability_model: AvailabilityModel | None = None
 ) -> ClientSelector:
     """Instantiate a client selector by policy name.
 
-    ``availability_trace`` is an availability-model spec string (see
-    :func:`~repro.fl.scheduling.availability.parse_availability`) and is
-    only meaningful for the ``availability`` selector.
+    ``availability_model`` is the parsed churn model the ``availability``
+    selector draws its online rates from (``CoordinatorConfig`` pairs the
+    two; ``None`` keeps that selector's flat Bernoulli rate).
     """
     try:
         cls = _SELECTORS[name]
@@ -103,13 +103,8 @@ def make_selector(
         raise ValueError(
             f"unknown selector {name!r}; choose from {SELECTOR_POLICIES}"
         ) from None
-    if availability_trace is not None:
-        if cls is not AvailabilityAwareSelector:
-            raise ValueError(
-                f"availability_trace only applies to the 'availability' "
-                f"selector, not {name!r}"
-            )
-        return cls(seed=seed, model=parse_availability(availability_trace))
+    if availability_model is not None:
+        return cls(seed=seed, model=availability_model)
     return cls(seed=seed)
 
 

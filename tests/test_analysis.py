@@ -15,6 +15,7 @@ with the sanitizer on.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -27,6 +28,7 @@ from repro.analysis import RULES, RULES_BY_ID, lint_paths, lint_source, sanitize
 from repro.analysis.lint import main as lint_main
 from repro.analysis.sanitize import SanitizerError, VersionWatch, model_fingerprint
 from repro.baselines import fedavg
+from repro.core import FedTransConfig
 from repro.fl import Coordinator, CoordinatorConfig
 from repro.fl.snapshot import SnapshotPublisher
 from repro.nn import mlp
@@ -974,6 +976,69 @@ class TestEngineAndCli:
             for n in ast.walk(executor)
             if isinstance(n, (ast.Import, ast.ImportFrom))
         )
+
+    def test_run_knobs_are_declared_once(self):
+        """A run knob is one ``CoordinatorConfig`` field, one check there and
+        one row of the CLI's flag table; each shape below is how a second
+        declaration (a re-parse, a restated default, a strategy-side copy)
+        would regrow."""
+        src = REPO / "src" / "repro"
+        trees = {p: ast.parse(p.read_text()) for p in sorted(src.rglob("*.py"))}
+        # Spec parser -> its defining module; everyone else gets the parsed
+        # object from the config's views.
+        parsers = {
+            "FaultConfig.parse": src / "fl" / "faults.py",
+            "TransportConfig.parse": src / "fl" / "transport.py",
+            "parse_availability": src / "fl" / "scheduling" / "availability.py",
+        }
+        sites: dict[str, list[str]] = {name: [] for name in parsers}
+
+        def walk(node: ast.AST, path: Path, owner: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call):
+                    called = ast.unparse(child.func)
+                    if called in parsers and path != parsers[called]:
+                        sites[called].append(f"{path.name}:{owner}")
+                walk(child, path, child.name if isinstance(child, ast.ClassDef) else owner)
+
+        for path, tree in trees.items():
+            walk(tree, path, "<module>")
+        assert sites == dict.fromkeys(parsers, ["coordinator.py:CoordinatorConfig"])
+
+        cfg_fields = dataclasses.fields(CoordinatorConfig)
+        defaults = {
+            (type(f.default), f.default)
+            for f in cfg_fields
+            if type(f.default) in (str, int, float)
+        }
+        restated: list[str] = []
+        for node in ast.walk(trees[src / "cli.py"]):
+            literals: list[ast.AST] = []
+            if isinstance(node, ast.Compare):
+                for operand in (node.left, *node.comparators):
+                    literals += getattr(operand, "elts", [operand])
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("add_argument"):
+                literals = [kw.value for kw in node.keywords if kw.arg == "default"]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_Flag":
+                # A config-backed row gets argparse.SUPPRESS from _add_flags
+                # and may not carry a default of its own.
+                if ast.unparse(node.args[1]) != "None" and "default" in ast.unparse(node.args[2]):
+                    restated.append(f"row {ast.unparse(node.args[0])} sets a default")
+            restated += [
+                f"cli.py:{lit.lineno} restates {lit.value!r}"
+                for lit in literals
+                if isinstance(lit, ast.Constant) and (type(lit.value), lit.value) in defaults
+            ]
+        assert restated == []
+
+        strategy_side = [
+            ast.unparse(n)
+            for n in ast.walk(trees[src / "core" / "config.py"])
+            if isinstance(n, (ast.Import, ast.ImportFrom)) and ".fl" in ast.unparse(n)
+        ]
+        assert strategy_side == []
+        assert len(cfg_fields) == 33
+        assert len(dataclasses.fields(FedTransConfig)) == 22
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,47 @@ class TestRunRegistry:
         assert base != run_hash("fedavg", self._cfg(rounds=5), fleet)
         assert base != run_hash("fedprox", self._cfg(), fleet)
         assert base != run_hash("fedavg", self._cfg(), _tiny_fleet(seed=1))
+
+    def test_hash_and_field_list_are_pinned(self, tmp_path):
+        """The run hash names run directories: drift orphans every checkpoint
+        written before it.  Digests and field order computed at cc0a666,
+        before ``CoordinatorConfig`` grew its parsed (non-field) views."""
+        fleet = _tiny_fleet()
+        default = CoordinatorConfig()
+        loaded = dict(
+            rounds=12, clients_per_round=4, seed=3, mode="async", buffer_k=2,
+            deadline_s=90.0, pacing="quantile", straggler="downsize", evict_after=5,
+            faults="crash=0.2,poison=0.1", retries=2, quarantine=True,
+            quarantine_norm_mult=6.0, compress="update:topk0.05+int8,snapshot:rle",
+            wire_time=True,
+        )
+        oort = CoordinatorConfig(selector="oort", **loaded)
+        churn = CoordinatorConfig(
+            selector="availability",
+            availability_trace="diurnal:base=0.7,amplitude=0.3,period=8",
+            **loaded,
+        )
+        assert run_hash("fedavg", default, fleet) == "85725dd6a424"
+        assert run_hash("fedtrans", oort, fleet) == "2ec53f4c84e3"
+        assert run_hash("fedtrans", churn, fleet) == "fd9a0f3d5562"
+        # A directory a parent run created is the one this tree looks in.
+        (tmp_path / "fedtrans-2ec53f4c84e3").mkdir()
+        RunRegistry(tmp_path).run_dir("fedtrans", oort, fleet)
+        assert RunRegistry(tmp_path).runs() == ["fedtrans-2ec53f4c84e3"]
+        names = [
+            "rounds", "clients_per_round", "trainer", "eval_every", "seed",
+            "convergence_patience", "convergence_delta", "eval_batch_size",
+            "eval_group_clients", "eval_cache", "sanitize", "executor",
+            "max_workers", "compute_dtype", "mode", "buffer_k",
+            "async_concurrency", "deadline_s", "staleness_discount", "selector",
+            "pacing", "straggler", "availability_trace", "evict_after", "faults",
+            "retries", "quarantine", "quarantine_norm_mult", "compress",
+            "wire_time", "checkpoint_every", "checkpoint_dir", "resume",
+        ]
+        assert [f.name for f in fields(CoordinatorConfig)] == names
+        for cfg in (default, oort, churn):
+            assert list(asdict(cfg)) == names  # the views stay out of the hash
+            assert cfg == replace(cfg) and hash(cfg) == hash(replace(cfg))
 
     def test_fingerprint_covers_data_and_capacity(self):
         fleet = _tiny_fleet()

@@ -409,7 +409,7 @@ class TestCacheBehavior:
 
 
 # ----------------------------------------------------------------------
-# config + CLI knob
+# config knobs (the CLI flag mapping is tests/test_serialization_cli.py)
 # ----------------------------------------------------------------------
 class TestConfigValidation:
     def test_eval_cache_must_be_bool(self):
@@ -423,48 +423,6 @@ class TestConfigValidation:
     def test_eval_batch_size_validated(self):
         with pytest.raises(ValueError, match="eval_batch_size"):
             CoordinatorConfig(eval_batch_size=0)
-
-    def test_cli_flag_maps_to_override(self):
-        from repro.cli import _coordinator_overrides
-
-        class Args:
-            executor = "serial"
-            workers = None
-            mode = "sync"
-            buffer_k = None
-            deadline = None
-            staleness_discount = None
-            eval_cache = False
-            sanitize = False
-            selector = "uniform"
-            availability_trace = None
-            evict_after = None
-            pacing = "static"
-            straggler = "drop"
-            dtype = None
-            faults = None
-            retries = None
-            quarantine = False
-            quarantine_norm_mult = None
-            compress = None
-            wire_time = False
-            checkpoint_dir = None
-            checkpoint_every = None
-            resume = False
-
-        assert _coordinator_overrides(Args()) == {"eval_cache": False}
-        Args.eval_cache = True
-        assert _coordinator_overrides(Args()) == {}
-        Args.dtype = "float32"
-        assert _coordinator_overrides(Args()) == {"compute_dtype": "float32"}
-        Args.dtype = None
-        Args.sanitize = True
-        assert _coordinator_overrides(Args()) == {"sanitize": True}
-        Args.eval_cache = False
-        with pytest.raises(SystemExit, match="eval cache"):
-            _coordinator_overrides(Args())
-        Args.eval_cache = True
-        Args.sanitize = False
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,8 @@ import pytest
 
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
-from repro.fl import CoordinatorConfig, FLClient, LocalTrainerConfig
+from repro.baselines import fedavg
+from repro.fl import Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig
 from repro.fl.scheduling import (
     AvailabilityAwareSelector,
     FleetStore,
@@ -269,6 +270,24 @@ def test_config_availability_trace_validation():
     assert cfg.availability_trace == "bernoulli:0.5"
     with pytest.raises(ValueError, match="evict_after"):
         CoordinatorConfig(evict_after=0)
+
+
+def test_trace_file_is_read_once_by_the_config(tmp_path):
+    """The config parses the spec; the engine gets the parsed model and never
+    goes back to the spec string (or the file behind it)."""
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"period": 2, "rates": [[0.9, 0.5]]}))
+    cfg = CoordinatorConfig(
+        rounds=1, clients_per_round=2, trainer=TRAINER,
+        selector="availability", availability_trace=f"trace:{path}",
+    )
+    path.unlink()
+    clients = _clients(4)
+    model = mlp((8,), 4, np.random.default_rng(0), width=8)
+    coord = Coordinator(fedavg(model), clients, cfg)
+    assert coord.selector.model is cfg.availability_model
+    assert isinstance(cfg.availability_model, TraceAvailability)
+    coord.close()
 
 
 # ----------------------------------------------------------------------

@@ -312,8 +312,6 @@ class TestFloat32Mode:
     def test_config_rejects_unknown_dtype(self):
         with pytest.raises(ValueError, match="compute_dtype"):
             CoordinatorConfig(compute_dtype="float16")
-        with pytest.raises(ValueError, match="compute_dtype"):
-            FedTransConfig(compute_dtype="bfloat16")
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """Checkpointing, log export, and the CLI."""
 
 import json
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from repro import cli
+from repro.bench import active_profile
+from repro.bench.workloads import coordinator_config
 from repro.cli import main as cli_main
+from repro.fl import CoordinatorConfig
 from repro.fl.export import load_log, log_to_dict, save_log
-from repro.nn import mlp, small_cnn, small_resnet, vit_tiny
+from repro.nn import mlp, set_compute_dtype, small_cnn, small_resnet, vit_tiny
 from repro.nn.serialization import load_model, model_from_spec, model_spec, save_model
 
 
@@ -145,3 +151,184 @@ class TestCLI:
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "--method", "nope"])
+
+
+# ----------------------------------------------------------------------
+# flag table -> CoordinatorConfig: real argv through the real parser
+# ----------------------------------------------------------------------
+class _Stop(Exception):
+    """Raised by the stubs below where the CLI would start expensive work."""
+
+
+def _stop(*args, **kwargs):
+    raise _Stop
+
+
+def _overrides(monkeypatch, argv):
+    """The overrides ``main(argv)`` hands to ``coordinator_config``."""
+    seen = []
+
+    def spy(profile, seed, **over):
+        seen.append(over)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "coordinator_config", spy)
+    with pytest.raises(_Stop):
+        cli_main(argv)
+    return seen[0]
+
+
+def _built_config(monkeypatch, argv):
+    """The config ``main(argv)`` builds before it touches the dataset."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(coordinator_config(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "coordinator_config", spy)
+    monkeypatch.setattr(cli, "build_dataset", _stop)
+    with pytest.raises(_Stop):
+        cli_main(argv)
+    (config,) = built
+    return config
+
+
+def _sample(flag):
+    """(argv tail, parsed value) for one table row."""
+    kwargs = flag.kwargs
+    if "action" in kwargs:
+        return [], kwargs["action"] == "store_true"
+    if "choices" in kwargs:
+        return [kwargs["choices"][-1]], kwargs["choices"][-1]
+    return ["3"], kwargs.get("type", str)("3")
+
+
+# Every `python -m repro` line of .github/workflows/ci.yml ($ex expanded to
+# one backend), with the fields of the CoordinatorConfig the *parent* of the
+# flag-table refactor (cc0a666) built from it that differ from the bare
+# profile config.  Computed there; not to be regenerated from this tree.
+CI_SMOKES = [
+    ("--rounds 4 --executor serial", {"rounds": 4}),
+    ("--rounds 4 --executor thread", {"rounds": 4, "executor": "thread"}),
+    ("--rounds 4 --executor process", {"rounds": 4, "executor": "process"}),
+    ("--rounds 4 --sanitize --mode async --buffer-k 4",
+     {"rounds": 4, "sanitize": True, "mode": "async", "buffer_k": 4}),
+    ("--mode async --buffer-k 4 --deadline 120 --rounds 6",
+     {"rounds": 6, "mode": "async", "buffer_k": 4, "deadline_s": 120.0}),
+    ("--rounds 6 --save-log /tmp/sync.json", {"rounds": 6}),
+    ("--rounds 6 --mode async --buffer-k 4 --save-log /tmp/async.json",
+     {"rounds": 6, "mode": "async", "buffer_k": 4}),
+    ("--mode async --buffer-k 4 --straggler downsize --pacing quantile --rounds 6",
+     {"rounds": 6, "mode": "async", "buffer_k": 4, "pacing": "quantile",
+      "straggler": "downsize"}),
+    ("--selector oort --evict-after 10 --rounds 4",
+     {"rounds": 4, "selector": "oort", "evict_after": 10}),
+    ("--selector oort --evict-after 5 --mode async --buffer-k 4 --rounds 6",
+     {"rounds": 6, "mode": "async", "buffer_k": 4, "selector": "oort",
+      "evict_after": 5}),
+    ("--selector availability"
+     " --availability-trace diurnal:base=0.7,amplitude=0.3,period=8 --rounds 6",
+     {"rounds": 6, "selector": "availability",
+      "availability_trace": "diurnal:base=0.7,amplitude=0.3,period=8"}),
+    ("--dtype float32 --rounds 4", {"rounds": 4, "compute_dtype": "float32"}),
+    ("--rounds 4 --checkpoint-dir /tmp/ci-runs --checkpoint-every 2",
+     {"rounds": 4, "checkpoint_every": 2, "checkpoint_dir": "/tmp/ci-runs"}),
+    ("--rounds 4 --checkpoint-dir /tmp/ci-runs --resume",
+     {"rounds": 4, "checkpoint_dir": "/tmp/ci-runs", "resume": True}),
+    ("--rounds 6 --executor process --faults crash=0.3,shm=0.3"
+     " --save-log /tmp/chaos.json --save-recovery /tmp/rec.json",
+     {"rounds": 6, "executor": "process", "faults": "crash=0.3,shm=0.3"}),
+    ("--rounds 6 --quarantine --save-log /tmp/qclean.json",
+     {"rounds": 6, "quarantine": True}),
+    ("--rounds 6 --executor thread --faults poison=0.3 --quarantine"
+     " --save-log /tmp/poison.json --save-recovery /tmp/prec.json",
+     {"rounds": 6, "executor": "thread", "faults": "poison=0.3", "quarantine": True}),
+    ("--rounds 6 --mode async --buffer-k 4 --faults crash=0.2,exc=0.2 --retries 2"
+     " --save-recovery /tmp/async-rec.json",
+     {"rounds": 6, "mode": "async", "buffer_k": 4, "faults": "crash=0.2,exc=0.2",
+      "retries": 2}),
+    ("--rounds 6 --compress update:rle,snapshot:rle --executor process"
+     " --save-log /tmp/rle.json --save-transport /tmp/rle-wire.json",
+     {"rounds": 6, "executor": "process", "compress": "update:rle,snapshot:rle"}),
+    ("run --rounds 4 --no-eval-cache", {"rounds": 4, "eval_cache": False}),
+]
+
+# (argv, what the one-line usage error must name).  The first block is every
+# misuse the parent's hand-written mapping rejected; the second the spec and
+# range errors that used to surface as a traceback after the fleet was built.
+MISUSES = [
+    ("--sanitize --no-eval-cache", "sanitize"),
+    ("--wire-time", "wire_time"),
+    ("--buffer-k 4", "buffer_k"),
+    ("--pacing quantile", "pacing"),
+    ("--availability-trace bernoulli:0.5", "availability_trace"),
+    ("--checkpoint-every 2", "checkpoint_every"),
+    ("--resume", "resume"),
+    ("--workers 2", "--workers"),
+    ("--quarantine-norm-mult 4", "--quarantine-norm-mult"),
+    ("--staleness-discount 0.9", "--staleness-discount"),
+    ("--faults bogus=1", "--faults"),
+    ("--retries 0", "retries"),
+    ("--compress uplink:rle", "compress"),
+    ("--selector availability --availability-trace trace:/missing.json",
+     "availability trace '/missing.json'"),
+    ("--executor thread --workers 0", "max_workers"),
+    ("suite --faults bogus=1", "--faults"),
+    # `suite` used to accept these three and write nothing.
+    ("suite --rounds 2 --save-log L --save-recovery R", "--save-log is a `run` flag"),
+    ("suite --save-transport T", "with --out"),
+]
+
+
+class TestFlagTable:
+    @pytest.fixture(autouse=True)
+    def _restore_dtype(self):
+        """`--dtype` is applied process-wide before the dataset is built."""
+        yield
+        set_compute_dtype("float64")
+
+    @pytest.mark.parametrize(
+        "flag", [f for f in cli._FLAGS if f.field is not None], ids=lambda f: f.option
+    )
+    def test_each_config_flag_alone_sets_exactly_its_field(self, flag, monkeypatch):
+        tail, value = _sample(flag)
+        assert _overrides(monkeypatch, [flag.option, *tail]) == {flag.field: value}
+        assert flag.field in {f.name for f in fields(CoordinatorConfig)}
+
+    def test_no_flag_restates_a_default(self, monkeypatch):
+        assert _overrides(monkeypatch, ["run"]) == {}
+        assert _overrides(monkeypatch, ["suite", "--seed", "3", "--rounds", "2"]) == {}
+
+    @pytest.mark.parametrize("line,differs", CI_SMOKES, ids=[c[0] for c in CI_SMOKES])
+    def test_ci_smoke_builds_the_parents_config(self, line, differs, monkeypatch):
+        base = coordinator_config(active_profile("femnist_like"), 0)
+        assert _built_config(monkeypatch, line.split()) == replace(base, **differs)
+
+    @pytest.mark.parametrize("line,names", MISUSES, ids=[m[0] for m in MISUSES])
+    def test_misuse_is_a_usage_error_before_anything_is_built(
+        self, line, names, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "build_dataset", _stop)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(line.split())
+        assert exc.value.code == 2
+        error_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error:" in error_line and names in error_line
+
+    def test_suite_help_lists_run_flags_minus_the_run_only_ones(self, capsys):
+        listed = {}
+        for command in ("run", "suite"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command, "--help"])
+            assert exc.value.code == 0
+            listed[command] = set(
+                re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+            )
+        run_only = {f.option for f in cli._FLAGS if f.commands == ("run",)}
+        assert run_only == {
+            "--save-log", "--save-recovery", "--save-transport", "--method",
+            "--save-models",
+        }
+        assert listed["run"] - run_only == listed["suite"] - {"--out"}
+        assert listed["run"] >= run_only and "--out" in listed["suite"]

@@ -657,6 +657,8 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="unknown update codec"):
             CoordinatorConfig(rounds=1, clients_per_round=1, trainer=TRAINER,
                               compress="update:gzip")
+        with pytest.raises(ValueError, match="unknown compress scope"):
+            CoordinatorConfig(compress="uplink:rle")
 
     def test_wire_time_requires_update_section(self):
         with pytest.raises(ValueError, match="requires a compress spec"):
@@ -665,48 +667,6 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="requires a compress spec"):
             CoordinatorConfig(rounds=1, clients_per_round=1, trainer=TRAINER,
                               compress="snapshot:rle", wire_time=True)
-
-    def test_cli_flags_map_to_overrides(self):
-        from repro.cli import _coordinator_overrides
-
-        class Args:
-            executor = "serial"
-            workers = None
-            mode = "sync"
-            buffer_k = None
-            deadline = None
-            staleness_discount = None
-            eval_cache = True
-            sanitize = False
-            selector = "uniform"
-            availability_trace = None
-            evict_after = None
-            pacing = "static"
-            straggler = "drop"
-            dtype = None
-            faults = None
-            retries = None
-            quarantine = False
-            quarantine_norm_mult = None
-            compress = "update:rle"
-            wire_time = True
-            checkpoint_dir = None
-            checkpoint_every = None
-            resume = False
-
-        assert _coordinator_overrides(Args()) == {
-            "compress": "update:rle", "wire_time": True,
-        }
-        Args.compress = None
-        with pytest.raises(SystemExit, match="requires --compress"):
-            _coordinator_overrides(Args())
-
-    def test_fedtrans_config_validates_and_flows(self):
-        from repro.core import FedTransConfig
-
-        with pytest.raises(ValueError, match="unknown compress scope"):
-            FedTransConfig(compress="uplink:rle")
-        assert FedTransConfig(compress=LOSSLESS).compress == LOSSLESS
 
     def test_wire_time_shortens_compressed_rounds(self):
         slow = _golden_run("sync", compress="update:topk0.05+int8")
