@@ -68,7 +68,8 @@ class PatchEmbed(Layer):
         patches = self._cache
         self.g_pos += dout.sum(axis=0)
         self.g_b += dout.sum(axis=(0, 1))
-        self.g_w += np.einsum("ntf,ntd->fd", patches, dout)
+        # Sum over (sample, token) as one (F, N*T) @ (N*T, D) GEMM.
+        self.g_w += patches.reshape(-1, self.w.shape[0]).T @ dout.reshape(-1, self.dim)
         dpatches = dout @ self.w.T
         n, c, h, w = self._x_shape
         p = self.patch
@@ -134,7 +135,7 @@ class MultiHeadSelfAttention(Layer):
         h = self.heads
         hd = d // h
         self.g_b_out += dout.sum(axis=(0, 1))
-        self.g_w_out += np.einsum("ntd,nte->de", ctx_flat, dout)
+        self.g_w_out += ctx_flat.reshape(n * t, d).T @ dout.reshape(n * t, d)
         dctx_flat = dout @ self.w_out.T
         dctx = dctx_flat.reshape(n, t, h, hd).transpose(0, 2, 1, 3)
         dprobs = np.matmul(dctx, v.transpose(0, 1, 3, 2))
@@ -153,7 +154,7 @@ class MultiHeadSelfAttention(Layer):
             axis=-1,
         )
         self.g_b_qkv += dqkv.sum(axis=(0, 1))
-        self.g_w_qkv += np.einsum("ntd,nte->de", x, dqkv)
+        self.g_w_qkv += x.reshape(n * t, d).T @ dqkv.reshape(n * t, 3 * d)
         return dqkv @ self.w_qkv.T
 
     def params(self) -> dict[str, np.ndarray]:

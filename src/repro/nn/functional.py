@@ -2,28 +2,31 @@
 
 Everything here is a pure function on :class:`numpy.ndarray` values, written
 with vectorized NumPy idioms (no per-element Python loops on the hot path).
-The convolution kernels use the classic im2col/col2im lowering so the heavy
-lifting happens inside BLAS matmuls.
+A convolution is window lowering plus BLAS: :func:`im2col` is one strided
+copy of a ``sliding_window_view``; the forward pass and the weight gradient
+are batched GEMMs over those columns (``dW``: one GEMM per sample into a
+staging buffer, then a sum over the batch); the input gradient is a
+stride-1 convolution of the zero-dilated, zero-padded ``dout`` with the
+flipped, channel-transposed filters — lowered the same way, no scatter-add.
 
-Hot-path kernels take an optional :class:`~repro.nn.compute.Workspace`:
-when given, large intermediates (padded inputs, im2col columns, matmul
-outputs) land in pooled buffers reused across steps instead of fresh
-allocations.  The workspace path performs *exactly* the same arithmetic as
-the allocating path — pooling is bit-transparent — and every buffer is
-fully overwritten before it is read, so stale contents can never leak into
-results.
+Hot-path kernels take an optional :class:`~repro.nn.compute.Workspace`
+holding every large intermediate across steps; ``ws=None`` means a
+throwaway workspace, i.e. fresh buffers.  The arithmetic is the same either
+way (pooling is bit-transparent): every buffer is fully overwritten before
+it is read, except zero borders, which are written when the buffer is born
+and never again — so a workspace belongs to one (kernel, stride, pad).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .compute import Workspace
 
 __all__ = [
     "conv_output_size",
     "im2col",
-    "col2im",
     "conv2d_forward",
     "conv2d_backward",
     "relu",
@@ -46,85 +49,39 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Every ``kh x kw`` window of ``(N, C, H, W)`` as a ``(N, C, kh, kw, OH, OW)`` view."""
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(0, 1, 4, 5, 2, 3)
+
+
+# repro: hotpath
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ws: Workspace | None = None
 ) -> tuple[np.ndarray, int, int]:
-    """Lower sliding convolution windows into columns.
+    """Lower the sliding windows of an ``(N, C, H, W)`` input into columns.
 
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C, H, W)``.
-    ws:
-        Optional workspace: the padded input and the column buffer come
-        from the pool instead of fresh allocations.
-
-    Returns
-    -------
-    cols:
-        Array of shape ``(N, C*kh*kw, OH*OW)``.
-    oh, ow:
-        Spatial output sizes.
+    Returns ``(cols, oh, ow)``: ``cols`` of shape ``(N, C*kh*kw, OH*OW)``
+    and the spatial output sizes.
     """
+    ws = ws or Workspace()
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     if pad > 0:
-        if ws is None:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        else:
-            # The border is written only when the buffer is born (it is
-            # always zero); the interior is rewritten every call.
-            xp = ws.get(
-                "im2col_pad",
-                (n, c, h + 2 * pad, w + 2 * pad),
-                x.dtype,
-                zero_first=True,
-            )
-            xp[:, :, pad : pad + h, pad : pad + w] = x
-            x = xp
-    if ws is None:
-        cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    else:
-        cols = ws.get("im2col_cols", (n, c, kh, kw, oh, ow), x.dtype)
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            cols[:, :, i, j] = x[:, :, i:i_end:stride, j:j_end:stride]
+        # The border is written only when the buffer is born (it is
+        # always zero); the interior is rewritten every call.
+        xp = ws.get(
+            "im2col_pad", (n, c, h + 2 * pad, w + 2 * pad), x.dtype, zero_first=True
+        )
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        x = xp
+    cols = ws.get("im2col_cols", (n, c, kh, kw, oh, ow), x.dtype)
+    cols[...] = _windows(x, kh, kw, stride)
     return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
-def col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-    ws: Workspace | None = None,
-) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back into an image."""
-    n, c, h, w = x_shape
-    oh = conv_output_size(h, kh, stride, pad)
-    ow = conv_output_size(w, kw, stride, pad)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    if ws is None:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    else:
-        # Scatter-add target: must start from zero on every call.
-        xp = ws.get("col2im_xp", (n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
-        xp[...] = 0.0
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            xp[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
-    if pad > 0:
-        return xp[:, :, pad : pad + h, pad : pad + w]
-    return xp
-
-
+# repro: hotpath
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -143,8 +100,6 @@ def conv2d_forward(
         ``(F, C, kh, kw)`` filters.
     bias:
         ``(F,)`` or ``None``.
-    ws:
-        Optional workspace for the column and output buffers.
 
     Returns
     -------
@@ -153,20 +108,26 @@ def conv2d_forward(
     cols:
         The im2col buffer, cached for the backward pass.
     """
+    ws = ws or Workspace()
     f, c, kh, kw = weight.shape
     cols, oh, ow = im2col(x, kh, kw, stride, pad, ws)
-    wm = weight.reshape(f, c * kh * kw)
     n = x.shape[0]
-    if ws is None:
-        out = np.matmul(wm[None], cols)  # (N, F, OH*OW)
-    else:
-        out = ws.get("conv_out", (n, f, oh * ow), cols.dtype)
-        np.matmul(wm[None], cols, out=out)
+    out = ws.get("conv_out", (n, f, oh * ow), cols.dtype)
+    np.matmul(weight.reshape(f, c * kh * kw)[None], cols, out=out)
     if bias is not None:
         out += bias[None, :, None]
     return out.reshape(n, f, oh, ow), cols
 
 
+def _placed(offset: int, stride: int, count: int, size: int) -> tuple[slice, slice]:
+    """Slices putting source index ``a < count`` at ``offset + stride * a``,
+    dropping whatever falls outside ``[0, size)`` (only when pad >= kernel)."""
+    lo = max(0, -(offset // stride))
+    hi = max(lo, min(count, (size - 1 - offset) // stride + 1))
+    return slice(lo, hi), slice(offset + stride * lo, offset + stride * hi, stride)
+
+
+# repro: hotpath
 def conv2d_backward(
     dout: np.ndarray,
     cols: np.ndarray,
@@ -176,35 +137,58 @@ def conv2d_backward(
     pad: int,
     with_bias: bool = True,
     ws: Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    need_dx: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Backward pass of :func:`conv2d_forward`.
 
     Returns ``(dx, dweight, dbias)``; ``dbias`` is ``None`` when
-    ``with_bias`` is false.
+    ``with_bias`` is false and ``dx`` is ``None`` (never computed) when
+    ``need_dx`` is false.
     """
+    ws = ws or Workspace()
     f, c, kh, kw = weight.shape
-    n = dout.shape[0]
-    dflat = dout.reshape(n, f, -1)  # (N, F, OH*OW)
-    wm = weight.reshape(f, c * kh * kw)
-    if ws is None:
-        dw = np.einsum("nfo,nko->fk", dflat, cols).reshape(weight.shape)
-        dcols = np.matmul(wm.T[None], dflat)  # (N, K, OH*OW)
-    else:
-        dw = ws.get("conv_dw", (f, c * kh * kw), weight.dtype)
-        np.einsum("nfo,nko->fk", dflat, cols, out=dw)
-        dw = dw.reshape(weight.shape)
-        dcols = ws.get("conv_dcols", (n, c * kh * kw, dflat.shape[2]), cols.dtype)
-        np.matmul(wm.T[None], dflat, out=dcols)
-    dx = col2im(dcols, x_shape, kh, kw, stride, pad, ws)
-    db = dflat.sum(axis=(0, 2)) if with_bias else None
-    return dx, dw, db
+    n, _, h, w = x_shape
+    oh, ow = dout.shape[2:]
+    dflat = dout.reshape(n, f, oh * ow)
+
+    # dW[f, k] = sum_n dflat[n] @ cols[n].T
+    per_sample = ws.get("conv_dw_n", (n, f, c * kh * kw), weight.dtype)
+    np.matmul(dflat, cols.transpose(0, 2, 1), out=per_sample)
+    dw = ws.get("conv_dw", weight.shape, weight.dtype)
+    per_sample.sum(axis=0, out=dw.reshape(f, c * kh * kw))
+    db = None
+    if with_bias:
+        db = ws.get("conv_db", (f,), weight.dtype)
+        dflat.sum(axis=(0, 2), out=db)
+    if not need_dx:
+        return None, dw, db
+
+    # dx[y, x] = sum_{f,i,j} w[f, :, i, j] * dout[f, (y+pad-i)/s, (x+pad-j)/s]:
+    # with dout[a, b] placed at (kh-1-pad + s*a, kw-1-pad + s*b) of a zero
+    # canvas, that is the canvas correlated with the flipped filters.
+    canvas = ws.get(
+        "conv_dx_canvas", (n, f, h + kh - 1, w + kw - 1), dout.dtype, zero_first=True
+    )
+    src_r, dst_r = _placed(kh - 1 - pad, stride, oh, h + kh - 1)
+    src_c, dst_c = _placed(kw - 1 - pad, stride, ow, w + kw - 1)
+    canvas[:, :, dst_r, dst_c] = dout[:, :, src_r, src_c]
+    dcols = ws.get("conv_dx_cols", (n, f, kh, kw, h, w), dout.dtype)
+    dcols[...] = _windows(canvas, kh, kw, 1)
+    flipped = ws.get("conv_dx_w", (c, f, kh, kw), weight.dtype)
+    flipped[...] = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    dx = ws.get("conv_dx", (n, c, h * w), dout.dtype)
+    np.matmul(
+        flipped.reshape(c, f * kh * kw)[None],
+        dcols.reshape(n, f * kh * kw, h * w),
+        out=dx,
+    )
+    return dx.reshape(n, c, h, w), dw, db
 
 
 # repro: hotpath
 def relu(x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Rectified linear unit."""
-    if ws is None:
-        return np.maximum(x, 0.0)
+    ws = ws or Workspace()
     out = ws.get("relu_out", x.shape, x.dtype)
     np.maximum(x, 0.0, out=out)
     return out
@@ -215,8 +199,7 @@ def relu_grad(
     x: np.ndarray, dout: np.ndarray, ws: Workspace | None = None
 ) -> np.ndarray:
     """Gradient of ReLU with respect to its input."""
-    if ws is None:
-        return dout * (x > 0)
+    ws = ws or Workspace()
     mask = ws.get("relu_mask", x.shape, np.dtype(bool))
     np.greater(x, 0, out=mask)
     dx = ws.get("relu_dx", dout.shape, dout.dtype)

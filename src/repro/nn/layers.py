@@ -4,7 +4,9 @@ Every layer follows the same contract:
 
 * ``forward(x, train)`` returns the activation and caches what backward needs.
 * ``backward(dout)`` returns ``dx`` and accumulates parameter gradients into
-  the layer's ``.g_*`` buffers (read them via :meth:`Layer.grads`).
+  the layer's ``.g_*`` buffers (read them via :meth:`Layer.grads`).  The one
+  exception: a :class:`Conv2d` that ``CellModel`` marked as fed by the data
+  batch skips ``dx`` and returns ``None``.
 * ``params()``/``grads()`` expose live references keyed by short names
   (``"w"``, ``"b"``, ``"gamma"``, ``"beta"``); cells add prefixes.
 * ``macs(input_shape)`` returns ``(per_sample_macs, output_shape)`` so models
@@ -12,14 +14,21 @@ Every layer follows the same contract:
 
 Layers are single-use per step: call ``forward`` then ``backward``.
 
-Hot layers (Conv2d, BatchNorm2d, ReLU) own a private
-:class:`~repro.nn.compute.Workspace`: their large intermediates are pooled
-buffers sized on first use and reused across steps (bit-identical to fresh
-allocations).  Because a layer's buffers are overwritten by its next
+Hot layers (Conv2d, BatchNorm2d, ReLU, MaxPool2d, GlobalAvgPool2d) own a
+private :class:`~repro.nn.compute.Workspace`: their large intermediates are
+pooled buffers sized on first use and reused across steps (bit-identical to
+fresh allocations).  Because a layer's buffers are overwritten by its next
 ``forward``, layer outputs are only valid until that layer runs again —
-which the single-use-per-step contract already guarantees.  Cloned cells
-start with fresh workspaces (``Workspace.__deepcopy__``), so parallel
-backends never share scratch memory.
+which the single-use-per-step contract already guarantees (ReLU and
+MaxPool2d keep a reference to their *input* for backward on the same
+terms).  Cloned cells start with fresh workspaces
+(``Workspace.__deepcopy__``), so parallel backends never share scratch
+memory.
+
+What the conv-family kernels do: Conv2d is im2col + batched GEMMs (see
+:mod:`repro.nn.functional`), BatchNorm2d's backward reuses the two
+per-channel sums its parameter gradients take, MaxPool2d compares strided
+views instead of gathering windows.
 """
 
 from __future__ import annotations
@@ -145,6 +154,9 @@ class Conv2d(Layer):
         self.g_b = np.zeros_like(self.b) if bias else None
         self._cache: tuple[np.ndarray, tuple[int, int, int, int]] | None = None
         self._ws = Workspace()
+        #: ``CellModel`` clears this on the conv fed by the data batch: nothing
+        #: reads d(loss)/d(data), so ``backward`` skips it and returns ``None``.
+        self.needs_input_grad = True
 
     @property
     def in_channels(self) -> int:
@@ -159,12 +171,12 @@ class Conv2d(Layer):
         self._cache = (cols, x.shape)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         assert self._cache is not None, "backward before forward"
         cols, x_shape = self._cache
         dx, dw, db = F.conv2d_backward(
             dout, cols, x_shape, self.w, self.stride, self.pad,
-            with_bias=self.b is not None, ws=self._ws,
+            with_bias=self.b is not None, ws=self._ws, need_dx=self.needs_input_grad,
         )
         self.g_w += dw
         if db is not None:
@@ -258,24 +270,24 @@ class BatchNorm2d(Layer):
         ws = self._ws
         tmp = ws.get("bn_tmp", dout.shape, dout.dtype)
         np.multiply(dout, xhat, out=tmp)
-        self.g_gamma += tmp.sum(axis=(0, 2, 3))
-        self.g_beta += dout.sum(axis=(0, 2, 3))
-        dxhat = ws.get("bn_dxhat", dout.shape, dout.dtype)
-        np.multiply(dout, self.gamma[None, :, None, None], out=dxhat)
+        sum_dout_xhat = tmp.sum(axis=(0, 2, 3))
+        sum_dout = dout.sum(axis=(0, 2, 3))
+        self.g_gamma += sum_dout_xhat
+        self.g_beta += sum_dout
+        scale = (self.gamma * inv_std)[None, :, None, None]
+        dx = ws.get("bn_dx", dout.shape, dout.dtype)
         if not train:
-            dxhat *= inv_std[None, :, None, None]
-            return dxhat
+            np.multiply(dout, scale, out=dx)
+            return dx
+        # Batch-stat backward, with dxhat = gamma * dout folded into the two
+        # sums the parameter gradients already took:
+        # dx = gamma inv_std (dout - mean(dout) - xhat * mean(dout * xhat))
         n = dout.shape[0] * dout.shape[2] * dout.shape[3]
-        # Full batch-stat backward: dx = (1/N) inv_std (N dxhat - sum dxhat - xhat * sum(dxhat*xhat))
-        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        np.multiply(dxhat, xhat, out=tmp)
-        sum_dxhat_xhat = tmp.sum(axis=(0, 2, 3), keepdims=True)
-        np.subtract(dxhat, sum_dxhat / n, out=dxhat)
-        np.multiply(xhat, sum_dxhat_xhat, out=tmp)
-        tmp /= n
-        dxhat -= tmp
-        dxhat *= inv_std[None, :, None, None]
-        return dxhat
+        np.subtract(dout, (sum_dout / n)[None, :, None, None], out=dx)
+        np.multiply(xhat, (sum_dout_xhat / n)[None, :, None, None], out=tmp)
+        dx -= tmp
+        dx *= scale
+        return dx
 
     def params(self) -> dict[str, np.ndarray]:
         return {"gamma": self.gamma, "beta": self.beta}
@@ -409,40 +421,44 @@ class AvgPool2d(_Pool2d):
 
 
 class MaxPool2d(_Pool2d):
-    """Non-overlapping max pooling."""
+    """Non-overlapping max pooling: a running ``np.maximum`` over the k*k
+    strided window-position views.  The gradient goes to the first element
+    (row-major) of each window that equals the window's max."""
 
     def __init__(self, kernel: int = 2):
         super().__init__(kernel)
         self._ws = Workspace()
 
+    def _slots(self, x: np.ndarray) -> list[np.ndarray]:
+        """The k*k window positions as strided ``(N, C, OH, OW)`` views of ``x``."""
+        k = self.kernel
+        return [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+
     # repro: hotpath
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        split = self._split(x)
-        n, c, oh, k, ow, _ = split.shape
-        # Window-major copy into a pooled buffer: assigning through the
-        # 6-D view writes the transposed data straight into contiguous
-        # memory (the old transpose().reshape() materialized the same copy
-        # as a fresh allocation every call).
-        flat = self._ws.get("mp_flat", (n, c, oh, ow, k * k), x.dtype)
-        flat.reshape(n, c, oh, ow, k, k)[...] = split.transpose(0, 1, 2, 4, 3, 5)
-        idx = self._ws.get("mp_idx", (n, c, oh, ow), np.dtype(np.intp))
-        flat.argmax(axis=-1, out=idx)
-        self._cache = (x.shape, idx)
-        return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        self._split(x)  # validates divisibility
+        slots = self._slots(x)
+        out = self._ws.get("mp_out", slots[0].shape, x.dtype)
+        np.maximum(slots[0], slots[-1], out=out)
+        for slot in slots[1:-1]:
+            np.maximum(out, slot, out=out)
+        self._cache = (x, out)
+        return out
 
     # repro: hotpath
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x_shape, idx = self._cache
-        n, c, h, w = x_shape
-        k = self.kernel
-        oh, ow = h // k, w // k
-        dflat = self._ws.get("mp_dflat", (n, c, oh, ow, k * k), dout.dtype)
-        dflat[...] = 0.0
-        np.put_along_axis(dflat, idx[..., None], dout[..., None], axis=-1)
-        dx = self._ws.get("mp_dx", x_shape, dout.dtype)
-        dx.reshape(n, c, oh, k, ow, k)[...] = dflat.reshape(
-            n, c, oh, ow, k, k
-        ).transpose(0, 1, 2, 4, 3, 5)
+        x, out = self._cache
+        dx = self._ws.get("mp_dx", x.shape, dout.dtype)
+        # ``unclaimed`` windows have not met their max yet.  A NaN window
+        # equals nothing, so none of its elements ever receives gradient.
+        unclaimed = self._ws.get("mp_unclaimed", out.shape, np.dtype(bool))
+        unclaimed[...] = True
+        won = self._ws.get("mp_won", out.shape, np.dtype(bool))
+        for src, dst in zip(self._slots(x), self._slots(dx)):
+            np.equal(src, out, out=won)
+            won &= unclaimed
+            unclaimed ^= won
+            np.multiply(dout, won, out=dst)
         return dx
 
 

@@ -118,6 +118,10 @@ class CellModel:
                     f"{nxt.cell_id} expects {nxt.in_interface}"
                 )
         self.cells = cells
+        # The first cell is fed the data batch and nothing reads
+        # d(loss)/d(data): a conv stem never computes it.
+        if isinstance(cells[0], ConvCell):
+            cells[0].conv.needs_input_grad = False
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.model_id = model_id or _new_model_id()
@@ -181,10 +185,11 @@ class CellModel:
             x = cell.forward(x, train)
         return x
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> None:
+        """Accumulate parameter gradients into the cells (the gradient with
+        respect to the input batch is not part of the result)."""
         for cell in reversed(self.cells):
             dout = cell.backward(dout)
-        return dout
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> float:
         """One forward/backward pass; gradients accumulate into the cells."""

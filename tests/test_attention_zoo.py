@@ -53,6 +53,17 @@ class TestMultiHeadAttention:
             down = (mha.forward(x2) * target).sum()
             assert abs((up - down) / (2 * eps) - dx[idx]) < 1e-6
 
+    def test_out_weight_grad_matches_einsum_oracle(self, rng):
+        """The (sample, token) sums run as one GEMM; einsum is the oracle.
+        ``dout`` is a transposed view, so the flattening has to copy."""
+        mha = MultiHeadSelfAttention(6, 2, rng)
+        x = rng.normal(size=(3, 4, 6))
+        dout = rng.normal(size=(4, 3, 6)).transpose(1, 0, 2)
+        mha.forward(x)
+        ctx_flat = mha._cache[5]
+        mha.backward(dout)
+        assert np.allclose(mha.g_w_out, np.einsum("ntd,nte->de", ctx_flat, dout), atol=1e-12)
+
     def test_permutation_equivariance(self, rng):
         """Self-attention without masks commutes with token permutation
         once positional information is absent."""
@@ -86,6 +97,14 @@ class TestPatchEmbed:
         pe.forward(x)
         pe.backward(target)
         assert max_relative_grad_error(loss_fn, pe.params(), pe.grads(), rng) < 1e-5
+
+    def test_weight_grad_matches_einsum_oracle(self, rng):
+        pe = PatchEmbed(2, 4, 2, 6, rng)
+        x = rng.normal(size=(3, 2, 4, 4))
+        dout = rng.normal(size=(4, 3, 6)).transpose(1, 0, 2)
+        pe.forward(x)
+        pe.backward(dout)
+        assert np.allclose(pe.g_w, np.einsum("ntf,ntd->fd", pe._cache, dout), atol=1e-12)
 
     def test_backward_input_shape(self, rng):
         pe = PatchEmbed(3, 8, 4, 16, rng)

@@ -29,10 +29,12 @@ class TestIm2Col:
         assert (oh, ow) == (8, 8)
 
     def test_roundtrip_counts(self):
-        """col2im(ones) counts how many windows cover each pixel."""
-        x_shape = (1, 1, 4, 4)
-        cols = np.ones((1, 9, 16))
-        img = F.col2im(cols, x_shape, 3, 3, 1, 1)
+        """The input gradient of an all-ones conv counts how many windows
+        cover each pixel."""
+        x = np.ones((1, 1, 4, 4))
+        w = np.ones((1, 1, 3, 3))
+        out, cols = F.conv2d_forward(x, w, None, 1, 1)
+        img, _, _ = F.conv2d_backward(np.ones_like(out), cols, x.shape, w, 1, 1)
         # Centre pixels are covered by all 9 windows.
         assert img[0, 0, 1, 1] == 9
         assert img[0, 0, 0, 0] == 4  # corner

@@ -46,6 +46,7 @@ from repro.fl import (
     FLClient,
     LocalTrainerConfig,
     RetryPolicy,
+    log_to_dict,
 )
 from repro.fl import executor as executor_mod
 from repro.fl import shm as shm_mod
@@ -54,10 +55,14 @@ from repro.fl.executor import TrainItem, make_executor
 from repro.fl.shm import segment_exists
 from repro.nn import (
     SGD,
+    CellModel,
+    ConvCell,
+    ConvClassifierCell,
     mlp,
     set_compute_dtype,
     set_workspace_pooling,
     small_cnn,
+    small_resnet,
     tree_average,
 )
 from repro.nn.compute import compute_dtype_name, workspace_pooling_enabled
@@ -223,6 +228,23 @@ def _steady_state_step_bytes(pooling: bool, steps: int = 5) -> float:
     return float(np.mean(samples))
 
 
+def _stride2_cnn(input_shape, num_classes, rng):
+    """A stem plus a stride-2 cell: the dilated input-gradient path."""
+    cells = [
+        ConvCell(input_shape[0], 8, rng, transformable=False),
+        ConvCell(8, 8, rng, stride=2),
+        ConvClassifierCell(8, num_classes, rng),
+    ]
+    return CellModel(cells, input_shape, num_classes)
+
+
+_CONV_FAMILIES = {
+    "small_cnn": lambda shape, classes, rng: small_cnn(shape, classes, rng, width=8),
+    "small_resnet": lambda shape, classes, rng: small_resnet(shape, classes, rng, width=8),
+    "stride2": _stride2_cnn,
+}
+
+
 class TestAllocationRegression:
     def test_pooled_kernels_cut_step_allocations_5x(self):
         unpooled = _steady_state_step_bytes(pooling=False)
@@ -235,11 +257,12 @@ class TestAllocationRegression:
             "allocating per step"
         )
 
-    def test_pooling_toggle_is_bit_identical_on_conv(self):
+    @pytest.mark.parametrize("family", _CONV_FAMILIES)
+    def test_pooling_toggle_is_bit_identical_on_conv(self, family):
         ds = _conv_dataset()
         client = _clients(ds, num_slow=0)[0]
-        model = small_cnn(
-            ds.input_shape, ds.num_classes, np.random.default_rng(0), width=8
+        model = _CONV_FAMILIES[family](
+            ds.input_shape, ds.num_classes, np.random.default_rng(0)
         )
         trainer = LocalTrainer(LocalTrainerConfig(batch_size=8, local_steps=4, lr=0.1))
         outs = {}
@@ -255,6 +278,33 @@ class TestAllocationRegression:
             assert np.array_equal(v, outs[False].params[k]), k
         for k, v in outs[True].state.items():
             assert np.array_equal(v, outs[False].state[k]), k
+
+
+def test_conv_fedavg_export_is_identical_across_backends():
+    """I1 on a conv model: the goldens pin Dense/MLP stacks only, so the
+    conv/pool/BatchNorm kernels get their backend identity here."""
+    ds = _conv_dataset(num_clients=6, seed=2)
+    clients = _clients(ds, num_slow=0)
+    model = small_cnn(ds.input_shape, ds.num_classes, np.random.default_rng(2), width=8)
+    exports = {}
+    for backend in ("serial", "thread", "process"):
+        over = {} if backend == "serial" else {"executor": backend, "max_workers": 2}
+        cfg = CoordinatorConfig(
+            rounds=2,
+            clients_per_round=4,
+            trainer=LocalTrainerConfig(batch_size=8, local_steps=3, lr=0.1),
+            eval_every=1,
+            seed=0,
+            **over,
+        )
+        served = model.clone(keep_id=True)
+        log = Coordinator(fedavg(served), clients, cfg).run()
+        exports[backend] = (
+            json.dumps(log_to_dict(log), sort_keys=True),
+            {k: v.tobytes() for k, v in {**served.params(), **served.state()}.items()},
+        )
+    assert exports["thread"] == exports["serial"]
+    assert exports["process"] == exports["serial"]
 
 
 # ----------------------------------------------------------------------
