@@ -19,6 +19,19 @@ Each cell carries lineage metadata (``cell_id``, ``origin``, ``widen_count``,
 ``last_op``) used by FedTrans's architectural-similarity measure (§4.2) and
 by the alternating widen/deepen control flow (Fig. 5).
 
+Adding a cell kind = a constructor record + wiring rows.  A subclass
+declares ``ctor_args`` (constructor keyword -> how to read it back from the
+live tensors; :mod:`repro.nn.serialization` writes and rebuilds specs from
+it, given the class's row in ``CELL_TYPES``) and ``wiring`` (``layer ->
+(input role, output role)`` with roles ``'in'`` / ``'out'`` / ``'hidden'``);
+each layer type declares which axis of which tensor is its input / output
+side (``Layer.tensor_axes``).
+:class:`Cell` executes those tables: ``widen_output`` / ``widen_internal`` /
+``expand_input`` / ``narrow`` / ``axis_roles`` exist once, there.  A role on
+a layer's output axis grows (He-normal or duplicated channels), on its input
+axis it is consumer-expanded, and tensors are visited in table order — which
+is therefore the RNG draw order (CONTRACTS.md I1).
+
 Design notes recorded in DESIGN.md:
 
 * Inserted identity cells are norm-free — a train-mode BatchNorm cannot be an
@@ -34,6 +47,7 @@ Design notes recorded in DESIGN.md:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterator
 from typing import Literal
 
 import numpy as np
@@ -56,6 +70,7 @@ from .init import identity_conv_kernel, identity_dense
 
 __all__ = [
     "Cell",
+    "CELL_TYPES",
     "ConvCell",
     "ResidualConvCell",
     "DenseCell",
@@ -157,19 +172,17 @@ def _grow_axis(
     axis: int,
     rng: np.random.Generator,
     noise: float,
-    fresh_std: float | None = None,
 ) -> np.ndarray:
-    """Widened-cell tensor growth along ``axis`` (incoming side).
+    """Widened-cell weight growth along ``axis`` (incoming side).
 
     Duplication mode gathers by the mapping and perturbs the duplicates;
-    zero mode appends fresh random channels (std ``fresh_std``, defaulting
-    to the tensor's own std).
+    zero mode appends fresh He-normal channels (std ``sqrt(2 / fan_in)``,
+    the fan-in being the tensor's size per entry of ``axis``).
     """
     if wm.zero_new:
         shape = list(arr.shape)
         shape[axis] = wm.new_width - wm.old_width
-        std = fresh_std if fresh_std is not None else max(float(arr.std()), 1e-8)
-        extra = rng.normal(0.0, std, shape)
+        extra = rng.normal(0.0, np.sqrt(2.0 / (arr.size // arr.shape[axis])), shape)
         if extra.dtype != arr.dtype:
             extra = extra.astype(arr.dtype)
         return np.concatenate([arr, extra], axis=axis)
@@ -220,10 +233,11 @@ def _expand_consumer_axis(
 class Cell:
     """Base class for model cells.
 
-    Subclasses implement forward/backward and the structural-transform
-    primitives they support.  ``in_interface``/``out_interface`` describe the
-    activation layout so :class:`~repro.nn.model.CellModel` can validate the
-    chain and pick the right identity cell type when deepening.
+    A subclass declares what it is made of — ``ctor_args``, ``wiring``, its
+    layers — and inherits every structural transform; it overrides
+    ``forward``/``backward`` only when its layers do not form a plain chain.
+    ``in_interface``/``out_interface`` describe the activation layout so
+    :class:`~repro.nn.model.CellModel` can validate the chain.
     """
 
     kind: str = "cell"
@@ -233,6 +247,15 @@ class Cell:
     can_widen_output: bool = False
     can_widen_internal: bool = False
 
+    #: The architecture record: constructor keyword -> how to read its value
+    #: back from the live cell (widths come from tensor shapes, so a widened
+    #: cell describes itself).  Written into specs in this order.
+    ctor_args: dict[str, Callable[["Cell"], object]] = {}
+    #: ``layer attribute -> (input role, output role)``, each 'in' | 'out' |
+    #: 'hidden' | None (None = that side is never resized).  Row order is
+    #: the order transforms visit tensors, hence the RNG draw order.
+    wiring: dict[str, tuple[str | None, str | None]] = {}
+
     def __init__(self, cell_id: str | None = None, origin: str = "root"):
         self.cell_id = cell_id or _new_cell_id("c")
         self.origin = origin  # 'root' | 'inserted'
@@ -241,10 +264,14 @@ class Cell:
 
     # -- execution ---------------------------------------------------------
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        raise NotImplementedError
+        for _, layer in self._named_layers():
+            x = layer.forward(x, train)
+        return x
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        for _, layer in reversed(self._named_layers()):
+            dout = layer.backward(dout)
+        return dout
 
     def _named_layers(self) -> list[tuple[str, Layer]]:
         raise NotImplementedError
@@ -287,6 +314,59 @@ class Cell:
             total += m
         return total, shape
 
+    # -- the wiring table, executed --------------------------------------------
+    def _roles(self) -> set[str]:
+        return {role for pair in self.wiring.values() for role in pair if role}
+
+    def _role_axes(self) -> Iterator[tuple[str, Layer, str, int, str, bool, float | None]]:
+        """Every live role-carrying axis, in table order: ``(layer name,
+        layer, tensor name, axis, role, on the output side, fresh fill)``."""
+        for lname, roles in self.wiring.items():
+            layer = getattr(self, lname)
+            if layer is None:  # optional layer (a norm-free ConvCell's bn)
+                continue
+            for tname, (*axes, fresh) in layer.tensor_axes.items():
+                if getattr(layer, tname) is None:  # bias-free conv
+                    continue
+                for axis, role, grows in zip(axes, roles, (False, True)):
+                    if axis is not None and role is not None:
+                        yield lname, layer, tname, axis, role, grows, fresh
+
+    def _rewrite(self, edit: Callable[..., np.ndarray | None]) -> None:
+        """Replace each tagged tensor by ``edit(arr, axis, role, grows, fresh)``
+        wherever that returns an array, then re-allocate the gradient
+        buffers of the layers it touched."""
+        touched: dict[str, Layer] = {}
+        for lname, layer, tname, axis, role, grows, fresh in self._role_axes():
+            new = edit(getattr(layer, tname), axis, role, grows, fresh)
+            if new is not None:
+                setattr(layer, tname, new)
+                touched[lname] = layer
+        for layer in touched.values():
+            layer.resize_grads()
+
+    def _resize(
+        self, role: str, wm: WidenMapping, rng: np.random.Generator | None, noise: float
+    ) -> None:
+        """Widen every axis tagged ``role`` by ``wm``: on a layer's output
+        side the channels grow (weights randomly, per-channel vectors by
+        their fresh fill), on its input side they are consumer-expanded."""
+
+        def edit(arr, axis, tagged, grows, fresh):
+            if tagged != role:
+                return None
+            # Consumer side, duplication mode: outgoing-side symmetry
+            # breaking matters — a duplicate's incoming-weight gradient is
+            # driven by its *outgoing* columns.  Zero mode: the new columns
+            # start silent (zero).
+            if not grows:
+                return _expand_consumer_axis(arr, wm, axis, rng, noise)
+            if fresh is None:
+                return _grow_axis(arr, wm, axis, rng, noise)
+            return _grow_axis_fill(arr, wm, axis, fresh)
+
+        self._rewrite(edit)
+
     # -- structural transforms ------------------------------------------------
     def widen_output(
         self,
@@ -295,7 +375,11 @@ class Cell:
         noise: float = 0.0,
         mode: str = "dup",
     ) -> WidenMapping:
-        raise NotImplementedError(f"{self.kind} cells cannot widen their output")
+        if not self.can_widen_output:
+            raise NotImplementedError(f"{self.kind} cells cannot widen their output")
+        wm = make_widen_mapping(self.out_dim, factor, rng, mode)
+        self._resize("out", wm, rng, noise)
+        return wm
 
     def widen_internal(
         self,
@@ -304,12 +388,23 @@ class Cell:
         noise: float = 0.0,
         mode: str = "dup",
     ) -> None:
-        raise NotImplementedError(f"{self.kind} cells cannot widen internally")
+        if not self.can_widen_internal:
+            raise NotImplementedError(f"{self.kind} cells cannot widen internally")
+        self._resize("hidden", make_widen_mapping(self.hidden_dim, factor, rng, mode), rng, noise)
 
     def expand_input(
         self, wm: WidenMapping, rng: np.random.Generator | None = None, noise: float = 0.0
     ) -> None:
-        raise NotImplementedError(f"{self.kind} cells cannot expand their input")
+        if "in" not in self._roles():
+            raise NotImplementedError(f"{self.kind} cells cannot expand their input")
+        self._resize("in", wm, rng, noise)
+
+    def identity_like(self, rng: np.random.Generator) -> "Cell":
+        """The exact-identity cell ``deepen`` inserts after this one: the
+        plain cell of its output interface unless a subclass says otherwise."""
+        if self.out_interface == "tokens":
+            raise ValueError("token identity cells require a ViT anchor")
+        return (ConvCell if self.out_interface == "chw" else DenseCell).identity(self.out_dim)
 
     # -- subnet extraction (HeteroFL / FLuID machinery) -------------------
     #
@@ -322,7 +417,11 @@ class Cell:
     #: roles for narrowable axes: param key -> tuple of per-axis roles,
     #: each 'out' | 'in' | 'hidden' | None (None = axis never narrowed).
     def axis_roles(self) -> dict[str, tuple[str | None, ...]]:
-        return {}
+        roles: dict[str, list[str | None]] = {}
+        for lname, layer, tname, axis, role, _, _ in self._role_axes():
+            per_axis = roles.setdefault(f"{lname}.{tname}", [None] * getattr(layer, tname).ndim)
+            per_axis[axis] = role
+        return {key: tuple(per_axis) for key, per_axis in roles.items()}
 
     def narrow(
         self,
@@ -330,7 +429,18 @@ class Cell:
         in_idx: np.ndarray | None = None,
         hidden_idx: np.ndarray | None = None,
     ) -> None:
-        raise NotImplementedError(f"{self.kind} cells cannot be narrowed")
+        keep = {"out": out_idx, "in": in_idx, "hidden": hidden_idx}
+        roles = self._roles()
+        if not roles:
+            raise NotImplementedError(f"{self.kind} cells cannot be narrowed")
+        for role, idx in keep.items():
+            if idx is not None and role not in roles:
+                raise ValueError(f"{self.kind} cells have no {role} axis")
+
+        def take(arr, axis, role, grows, fresh):
+            return None if keep[role] is None else _dup_axis(arr, keep[role], axis)
+
+        self._rewrite(take)
 
     def clone(self) -> "Cell":
         """Deep copy preserving the cell id and lineage metadata."""
@@ -390,6 +500,15 @@ class ConvCell(Cell):
     in_interface = "chw"
     out_interface = "chw"
     can_widen_output = True
+    ctor_args = {
+        "in_channels": lambda c: c.in_dim,
+        "out_channels": lambda c: c.out_dim,
+        "kernel": lambda c: c.conv.kernel,
+        "stride": lambda c: c.conv.stride,
+        "norm": lambda c: c.bn is not None,
+        "pool": lambda c: c._pool_kind,
+    }
+    wiring = {"conv": ("in", "out"), "bn": ("out", "out")}
 
     def __init__(
         self,
@@ -438,80 +557,6 @@ class ConvCell(Cell):
             layers.append(("pool", self.pool))
         return layers
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        for _, layer in self._named_layers():
-            x = layer.forward(x, train)
-        return x
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        for _, layer in reversed(self._named_layers()):
-            dout = layer.backward(dout)
-        return dout
-
-    def widen_output(
-        self,
-        factor: float,
-        rng: np.random.Generator,
-        noise: float = 0.0,
-        mode: str = "dup",
-    ) -> WidenMapping:
-        wm = make_widen_mapping(self.out_dim, factor, rng, mode)
-        fan_in = self.conv.in_channels * self.conv.kernel**2
-        self.conv.w = _grow_axis(
-            self.conv.w, wm, 0, rng, noise, fresh_std=np.sqrt(2.0 / fan_in)
-        )
-        if self.conv.b is not None:
-            self.conv.b = _grow_axis_fill(self.conv.b, wm, 0, 0.0)
-        self.conv.resize_grads()
-        if self.bn is not None:
-            self.bn.gamma = _grow_axis_fill(self.bn.gamma, wm, 0, 1.0)
-            self.bn.beta = _grow_axis_fill(self.bn.beta, wm, 0, 0.0)
-            self.bn.running_mean = _grow_axis_fill(self.bn.running_mean, wm, 0, 0.0)
-            self.bn.running_var = _grow_axis_fill(self.bn.running_var, wm, 0, 1.0)
-            self.bn.resize_grads()
-        return wm
-
-    def expand_input(
-        self, wm: WidenMapping, rng: np.random.Generator | None = None, noise: float = 0.0
-    ) -> None:
-        # Duplication mode: outgoing-side symmetry breaking matters — a
-        # duplicate's incoming-weight gradient is driven by its *outgoing*
-        # columns.  Zero mode: the new columns start silent (zero).
-        self.conv.w = _expand_consumer_axis(self.conv.w, wm, 1, rng, noise)
-        self.conv.resize_grads()
-
-    def axis_roles(self) -> dict[str, tuple[str | None, ...]]:
-        roles: dict[str, tuple[str | None, ...]] = {"conv.w": ("out", "in", None, None)}
-        if self.conv.b is not None:
-            roles["conv.b"] = ("out",)
-        if self.bn is not None:
-            roles.update(
-                {
-                    "bn.gamma": ("out",),
-                    "bn.beta": ("out",),
-                    "bn.running_mean": ("out",),
-                    "bn.running_var": ("out",),
-                }
-            )
-        return roles
-
-    def narrow(self, out_idx=None, in_idx=None, hidden_idx=None) -> None:
-        if hidden_idx is not None:
-            raise ValueError("conv cells have no hidden axis")
-        if out_idx is not None:
-            self.conv.w = _dup_axis(self.conv.w, out_idx, 0)
-            if self.conv.b is not None:
-                self.conv.b = _dup_axis(self.conv.b, out_idx, 0)
-            if self.bn is not None:
-                self.bn.gamma = _dup_axis(self.bn.gamma, out_idx, 0)
-                self.bn.beta = _dup_axis(self.bn.beta, out_idx, 0)
-                self.bn.running_mean = _dup_axis(self.bn.running_mean, out_idx, 0)
-                self.bn.running_var = _dup_axis(self.bn.running_var, out_idx, 0)
-                self.bn.resize_grads()
-        if in_idx is not None:
-            self.conv.w = _dup_axis(self.conv.w, in_idx, 1)
-        self.conv.resize_grads()
-
     @classmethod
     def identity(cls, channels: int, kernel: int = 3) -> "ConvCell":
         """An exact-identity conv cell (norm-free; see module docstring)."""
@@ -544,6 +589,19 @@ class ResidualConvCell(Cell):
     in_interface = "chw"
     out_interface = "chw"
     can_widen_internal = True
+    ctor_args = {
+        "in_channels": lambda c: c.in_dim,
+        "out_channels": lambda c: c.out_dim,
+        "hidden": lambda c: c.hidden_dim,
+        "stride": lambda c: c.conv1.stride,
+    }
+    wiring = {
+        "conv1": ("in", "hidden"),
+        "bn1": ("hidden", "hidden"),
+        "conv2": ("hidden", "out"),
+        "bn2": ("out", "out"),
+        "proj": ("in", "out"),
+    }
 
     def __init__(
         self,
@@ -609,80 +667,8 @@ class ResidualConvCell(Cell):
         mp, _ = self.proj.macs(input_shape)
         return m1 + m2 + mp, shape2
 
-    def widen_internal(
-        self,
-        factor: float,
-        rng: np.random.Generator,
-        noise: float = 0.0,
-        mode: str = "dup",
-    ) -> None:
-        wm = make_widen_mapping(self.hidden_dim, factor, rng, mode)
-        fan_in = self.conv1.in_channels * self.conv1.kernel**2
-        self.conv1.w = _grow_axis(
-            self.conv1.w, wm, 0, rng, noise, fresh_std=np.sqrt(2.0 / fan_in)
-        )
-        if self.conv1.b is not None:
-            self.conv1.b = _grow_axis_fill(self.conv1.b, wm, 0, 0.0)
-        self.conv1.resize_grads()
-        self.bn1.gamma = _grow_axis_fill(self.bn1.gamma, wm, 0, 1.0)
-        self.bn1.beta = _grow_axis_fill(self.bn1.beta, wm, 0, 0.0)
-        self.bn1.running_mean = _grow_axis_fill(self.bn1.running_mean, wm, 0, 0.0)
-        self.bn1.running_var = _grow_axis_fill(self.bn1.running_var, wm, 0, 1.0)
-        self.bn1.resize_grads()
-        self.conv2.w = _expand_consumer_axis(self.conv2.w, wm, 1, rng, noise)
-        self.conv2.resize_grads()
-
-    def expand_input(
-        self, wm: WidenMapping, rng: np.random.Generator | None = None, noise: float = 0.0
-    ) -> None:
-        self.conv1.w = _expand_consumer_axis(self.conv1.w, wm, 1, rng, noise)
-        self.conv1.resize_grads()
-        self.proj.w = _expand_consumer_axis(self.proj.w, wm, 1, rng, noise)
-        self.proj.resize_grads()
-
-    def axis_roles(self) -> dict[str, tuple[str | None, ...]]:
-        roles: dict[str, tuple[str | None, ...]] = {
-            "conv1.w": ("hidden", "in", None, None),
-            "bn1.gamma": ("hidden",),
-            "bn1.beta": ("hidden",),
-            "bn1.running_mean": ("hidden",),
-            "bn1.running_var": ("hidden",),
-            "conv2.w": ("out", "hidden", None, None),
-            "bn2.gamma": ("out",),
-            "bn2.beta": ("out",),
-            "bn2.running_mean": ("out",),
-            "bn2.running_var": ("out",),
-            "proj.w": ("out", "in", None, None),
-        }
-        if self.proj.b is not None:
-            roles["proj.b"] = ("out",)
-        return roles
-
-    def narrow(self, out_idx=None, in_idx=None, hidden_idx=None) -> None:
-        if hidden_idx is not None:
-            self.conv1.w = _dup_axis(self.conv1.w, hidden_idx, 0)
-            self.bn1.gamma = _dup_axis(self.bn1.gamma, hidden_idx, 0)
-            self.bn1.beta = _dup_axis(self.bn1.beta, hidden_idx, 0)
-            self.bn1.running_mean = _dup_axis(self.bn1.running_mean, hidden_idx, 0)
-            self.bn1.running_var = _dup_axis(self.bn1.running_var, hidden_idx, 0)
-            self.bn1.resize_grads()
-            self.conv2.w = _dup_axis(self.conv2.w, hidden_idx, 1)
-        if out_idx is not None:
-            self.conv2.w = _dup_axis(self.conv2.w, out_idx, 0)
-            self.bn2.gamma = _dup_axis(self.bn2.gamma, out_idx, 0)
-            self.bn2.beta = _dup_axis(self.bn2.beta, out_idx, 0)
-            self.bn2.running_mean = _dup_axis(self.bn2.running_mean, out_idx, 0)
-            self.bn2.running_var = _dup_axis(self.bn2.running_var, out_idx, 0)
-            self.bn2.resize_grads()
-            self.proj.w = _dup_axis(self.proj.w, out_idx, 0)
-            if self.proj.b is not None:
-                self.proj.b = _dup_axis(self.proj.b, out_idx, 0)
-        if in_idx is not None:
-            self.conv1.w = _dup_axis(self.conv1.w, in_idx, 1)
-            self.proj.w = _dup_axis(self.proj.w, in_idx, 1)
-        self.conv1.resize_grads()
-        self.conv2.resize_grads()
-        self.proj.resize_grads()
+    def identity_like(self, rng: np.random.Generator) -> "ResidualConvCell":
+        return ResidualConvCell.identity(self.out_dim)
 
     @classmethod
     def identity(cls, channels: int) -> "ResidualConvCell":
@@ -706,6 +692,8 @@ class DenseCell(Cell):
     in_interface = "flat"
     out_interface = "flat"
     can_widen_output = True
+    ctor_args = {"in_features": lambda c: c.in_dim, "out_features": lambda c: c.out_dim}
+    wiring = {"fc": ("in", "out")}
 
     def __init__(
         self,
@@ -732,46 +720,6 @@ class DenseCell(Cell):
     def _named_layers(self) -> list[tuple[str, Layer]]:
         return [("fc", self.fc), ("act", self.act)]
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        return self.act.forward(self.fc.forward(x, train), train)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return self.fc.backward(self.act.backward(dout))
-
-    def widen_output(
-        self,
-        factor: float,
-        rng: np.random.Generator,
-        noise: float = 0.0,
-        mode: str = "dup",
-    ) -> WidenMapping:
-        wm = make_widen_mapping(self.out_dim, factor, rng, mode)
-        self.fc.w = _grow_axis(
-            self.fc.w, wm, 1, rng, noise, fresh_std=np.sqrt(2.0 / self.in_dim)
-        )
-        self.fc.b = _grow_axis_fill(self.fc.b, wm, 0, 0.0)
-        self.fc.resize_grads()
-        return wm
-
-    def expand_input(
-        self, wm: WidenMapping, rng: np.random.Generator | None = None, noise: float = 0.0
-    ) -> None:
-        self.fc.w = _expand_consumer_axis(self.fc.w, wm, 0, rng, noise)
-        self.fc.resize_grads()
-
-    def axis_roles(self) -> dict[str, tuple[str | None, ...]]:
-        return {"fc.w": ("in", "out"), "fc.b": ("out",)}
-
-    def narrow(self, out_idx=None, in_idx=None, hidden_idx=None) -> None:
-        if hidden_idx is not None:
-            raise ValueError("dense cells have no hidden axis")
-        if out_idx is not None:
-            self.fc.w = _dup_axis(self.fc.w, out_idx, 1)
-            self.fc.b = _dup_axis(self.fc.b, out_idx, 0)
-        if in_idx is not None:
-            self.fc.w = _dup_axis(self.fc.w, in_idx, 0)
-        self.fc.resize_grads()
-
     @classmethod
     def identity(cls, features: int) -> "DenseCell":
         rng = np.random.default_rng(0)
@@ -789,6 +737,14 @@ class ViTCell(Cell):
     in_interface = "tokens"
     out_interface = "tokens"
     can_widen_internal = True
+    ctor_args = {
+        "dim": lambda c: c.in_dim,
+        "heads": lambda c: c.attn.heads,
+        "mlp_hidden": lambda c: c.hidden_dim,
+    }
+    # The token dimension is shared by every ViT cell and is never resized;
+    # only the MLP hidden width grows (widen) or shrinks (subnets).
+    wiring = {"fc1": (None, "hidden"), "fc2": ("hidden", None)}
 
     def __init__(
         self,
@@ -855,40 +811,8 @@ class ViTCell(Cell):
         m_mlp = t * (d * self.hidden_dim + self.hidden_dim * d)
         return m_attn + m_mlp, (t, d)
 
-    def widen_internal(
-        self,
-        factor: float,
-        rng: np.random.Generator,
-        noise: float = 0.0,
-        mode: str = "dup",
-    ) -> None:
-        wm = make_widen_mapping(self.hidden_dim, factor, rng, mode)
-        self.fc1.w = _grow_axis(
-            self.fc1.w, wm, 1, rng, noise, fresh_std=np.sqrt(2.0 / self.in_dim)
-        )
-        self.fc1.b = _grow_axis_fill(self.fc1.b, wm, 0, 0.0)
-        self.fc1.resize_grads()
-        self.fc2.w = _expand_consumer_axis(self.fc2.w, wm, 0, rng, noise)
-        self.fc2.resize_grads()
-
-    def axis_roles(self) -> dict[str, tuple[str | None, ...]]:
-        # The token dimension is shared by every ViT cell and is never
-        # narrowed; only the MLP hidden width shrinks in subnets.
-        return {
-            "fc1.w": (None, "hidden"),
-            "fc1.b": ("hidden",),
-            "fc2.w": ("hidden", None),
-        }
-
-    def narrow(self, out_idx=None, in_idx=None, hidden_idx=None) -> None:
-        if out_idx is not None or in_idx is not None:
-            raise ValueError("ViT cells only narrow their MLP hidden width")
-        if hidden_idx is not None:
-            self.fc1.w = _dup_axis(self.fc1.w, hidden_idx, 1)
-            self.fc1.b = _dup_axis(self.fc1.b, hidden_idx, 0)
-            self.fc2.w = _dup_axis(self.fc2.w, hidden_idx, 0)
-            self.fc1.resize_grads()
-            self.fc2.resize_grads()
+    def identity_like(self, rng: np.random.Generator) -> "ViTCell":
+        return ViTCell.identity(self.out_dim, self.attn.heads, self.hidden_dim, rng)
 
     @classmethod
     def identity(
@@ -911,6 +835,12 @@ class ViTStemCell(Cell):
     in_interface = "chw"
     out_interface = "tokens"
     transformable = False
+    ctor_args = {
+        "in_channels": lambda c: c.embed.in_channels,
+        "image_size": lambda c: c.embed.image_size,
+        "patch": lambda c: c.embed.patch,
+        "dim": lambda c: c.embed.dim,
+    }
 
     def __init__(
         self,
@@ -936,32 +866,27 @@ class ViTStemCell(Cell):
     def _named_layers(self) -> list[tuple[str, Layer]]:
         return [("embed", self.embed)]
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        return self.embed.forward(x, train)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return self.embed.backward(dout)
-
-
-class ConvClassifierCell(Cell):
-    """Global average pool + linear head for CHW features; not transformable."""
+class _ClassifierCell(Cell):
+    """Linear head over (pooled) features; not transformable.  The three
+    classifiers differ only in how they reach flat features."""
 
     kind = "classifier"
-    in_interface = "chw"
     out_interface = "flat"
     transformable = False
+    ctor_args = {"in_dim": lambda c: c.in_dim, "num_classes": lambda c: c.out_dim}
+    wiring = {"head": ("in", None)}
 
     def __init__(
         self,
-        in_channels: int,
+        in_dim: int,
         num_classes: int,
         rng: np.random.Generator,
         cell_id: str | None = None,
     ):
         super().__init__(cell_id)
         self.transformable = False
-        self.gap = GlobalAvgPool2d()
-        self.head = Dense(in_channels, num_classes, rng)
+        self.head = Dense(in_dim, num_classes, rng)
 
     @property
     def in_dim(self) -> int:
@@ -970,116 +895,44 @@ class ConvClassifierCell(Cell):
     @property
     def out_dim(self) -> int:
         return self.head.out_features
+
+    def _named_layers(self) -> list[tuple[str, Layer]]:
+        return [("head", self.head)]
+
+
+class FlatClassifierCell(_ClassifierCell):
+    """Linear head over flat features; not transformable."""
+
+    in_interface = "flat"
+
+
+class ConvClassifierCell(_ClassifierCell):
+    """Global average pool + linear head for CHW features; not transformable."""
+
+    in_interface = "chw"
+
+    def __init__(
+        self,
+        in_dim: int,
+        num_classes: int,
+        rng: np.random.Generator,
+        cell_id: str | None = None,
+    ):
+        super().__init__(in_dim, num_classes, rng, cell_id)
+        self.gap = GlobalAvgPool2d()
 
     def _named_layers(self) -> list[tuple[str, Layer]]:
         return [("gap", self.gap), ("head", self.head)]
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        return self.head.forward(self.gap.forward(x, train), train)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return self.gap.backward(self.head.backward(dout))
-
-    def expand_input(
-        self, wm: WidenMapping, rng: np.random.Generator | None = None, noise: float = 0.0
-    ) -> None:
-        self.head.w = _expand_consumer_axis(self.head.w, wm, 0, rng, noise)
-        self.head.resize_grads()
-
-    def axis_roles(self) -> dict[str, tuple[str | None, ...]]:
-        return {"head.w": ("in", None)}
-
-    def narrow(self, out_idx=None, in_idx=None, hidden_idx=None) -> None:
-        if out_idx is not None or hidden_idx is not None:
-            raise ValueError("classifier cells only narrow their input")
-        if in_idx is not None:
-            self.head.w = _dup_axis(self.head.w, in_idx, 0)
-            self.head.resize_grads()
-
-
-class FlatClassifierCell(Cell):
-    """Linear head over flat features; not transformable."""
-
-    kind = "classifier"
-    in_interface = "flat"
-    out_interface = "flat"
-    transformable = False
-
-    def __init__(
-        self,
-        in_features: int,
-        num_classes: int,
-        rng: np.random.Generator,
-        cell_id: str | None = None,
-    ):
-        super().__init__(cell_id)
-        self.transformable = False
-        self.head = Dense(in_features, num_classes, rng)
-
-    @property
-    def in_dim(self) -> int:
-        return self.head.in_features
-
-    @property
-    def out_dim(self) -> int:
-        return self.head.out_features
-
-    def _named_layers(self) -> list[tuple[str, Layer]]:
-        return [("head", self.head)]
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        return self.head.forward(x, train)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return self.head.backward(dout)
-
-    def expand_input(
-        self, wm: WidenMapping, rng: np.random.Generator | None = None, noise: float = 0.0
-    ) -> None:
-        self.head.w = _expand_consumer_axis(self.head.w, wm, 0, rng, noise)
-        self.head.resize_grads()
-
-    def axis_roles(self) -> dict[str, tuple[str | None, ...]]:
-        return {"head.w": ("in", None)}
-
-    def narrow(self, out_idx=None, in_idx=None, hidden_idx=None) -> None:
-        if out_idx is not None or hidden_idx is not None:
-            raise ValueError("classifier cells only narrow their input")
-        if in_idx is not None:
-            self.head.w = _dup_axis(self.head.w, in_idx, 0)
-            self.head.resize_grads()
-
-
-class TokenClassifierCell(Cell):
+class TokenClassifierCell(_ClassifierCell):
     """Mean-pool tokens + linear head (ViT); not transformable."""
 
-    kind = "classifier"
     in_interface = "tokens"
-    out_interface = "flat"
-    transformable = False
-
-    def __init__(
-        self,
-        dim: int,
-        num_classes: int,
-        rng: np.random.Generator,
-        cell_id: str | None = None,
-    ):
-        super().__init__(cell_id)
-        self.transformable = False
-        self.head = Dense(dim, num_classes, rng)
-        self._tokens: int | None = None
-
-    @property
-    def in_dim(self) -> int:
-        return self.head.in_features
-
-    @property
-    def out_dim(self) -> int:
-        return self.head.out_features
-
-    def _named_layers(self) -> list[tuple[str, Layer]]:
-        return [("head", self.head)]
+    # Nothing upstream of it changes width (ViT cells widen internally), so
+    # its input is never expanded or narrowed.
+    wiring = {}
+    _tokens: int | None = None  # token count of the last forward
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         self._tokens = x.shape[1]
@@ -1094,3 +947,20 @@ class TokenClassifierCell(Cell):
         t, d = input_shape
         m, out_shape = self.head.macs((d,))
         return m, out_shape
+
+
+#: Spec ``type`` -> class: the cell kinds :mod:`repro.nn.serialization` can
+#: write and rebuild (checkpoints, snapshot headers).
+CELL_TYPES: dict[str, type[Cell]] = {
+    cls.__name__: cls
+    for cls in (
+        ConvCell,
+        ResidualConvCell,
+        DenseCell,
+        ViTCell,
+        ViTStemCell,
+        ConvClassifierCell,
+        FlatClassifierCell,
+        TokenClassifierCell,
+    )
+}

@@ -58,6 +58,14 @@ __all__ = [
 class Layer:
     """Base class; subclasses override the marked methods."""
 
+    #: The channel axes a cell may resize: ``tensor attribute -> (input
+    #: axis, output axis, fresh)``, ``None`` for an axis the tensor lacks.
+    #: ``fresh`` is what a channel added by a zero-mode widen holds: a
+    #: constant for per-channel vectors, ``None`` for weights (He-normal
+    #: draws).  :class:`repro.nn.cells.Cell` executes this table; a layer
+    #: that declares nothing is never resized.
+    tensor_axes: dict[str, tuple[int | None, int | None, float | None]] = {}
+
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
 
@@ -87,6 +95,8 @@ class Layer:
 
 class Dense(Layer):
     """Affine map ``y = x @ w + b`` with ``w`` of shape ``(in, out)``."""
+
+    tensor_axes = {"w": (0, 1, None), "b": (None, 0, 0.0)}
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.w = he_normal(rng, (in_features, out_features), fan_in=in_features)
@@ -133,6 +143,8 @@ class Dense(Layer):
 
 class Conv2d(Layer):
     """2-D convolution over NCHW input, weight shape ``(F, C, kh, kw)``."""
+
+    tensor_axes = {"w": (1, 0, None), "b": (None, 0, 0.0)}
 
     def __init__(
         self,
@@ -212,6 +224,13 @@ class Conv2d(Layer):
 
 class BatchNorm2d(Layer):
     """Per-channel batch normalization over NCHW activations."""
+
+    tensor_axes = {
+        "gamma": (None, 0, 1.0),
+        "beta": (None, 0, 0.0),
+        "running_mean": (None, 0, 0.0),
+        "running_var": (None, 0, 1.0),
+    }
 
     def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
         dtype = compute_dtype()

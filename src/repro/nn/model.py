@@ -32,14 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import (
-    Cell,
-    ConvCell,
-    DenseCell,
-    ResidualConvCell,
-    ViTCell,
-    WidenMapping,
-)
+from .cells import Cell, ConvCell
 from .losses import accuracy, softmax_cross_entropy
 from .param_ops import ParamTree
 
@@ -429,7 +422,7 @@ class CellModel:
         anchor = self.cells[idx]
         inserted: list[str] = []
         for offset in range(count):
-            new_cell = self._make_identity_like(anchor, rng)
+            new_cell = anchor.identity_like(rng)
             self.cells.insert(idx + 1 + offset, new_cell)
             inserted.append(new_cell.cell_id)
         anchor.last_op = "deepen"
@@ -439,21 +432,6 @@ class CellModel:
         self.bump_version()
         self.macs()
         return inserted
-
-    @staticmethod
-    def _make_identity_like(anchor: Cell, rng: np.random.Generator) -> Cell:
-        """Build an identity cell compatible with ``anchor``'s output."""
-        if anchor.out_interface == "chw":
-            if isinstance(anchor, ResidualConvCell):
-                return ResidualConvCell.identity(anchor.out_dim)
-            return ConvCell.identity(anchor.out_dim)
-        if anchor.out_interface == "flat":
-            return DenseCell.identity(anchor.out_dim)
-        if anchor.out_interface == "tokens":
-            if not isinstance(anchor, ViTCell):
-                raise ValueError("token identity cells require a ViT anchor")
-            return ViTCell.identity(anchor.out_dim, anchor.attn.heads, anchor.hidden_dim, rng)
-        raise ValueError(f"unknown interface {anchor.out_interface}")
 
     # ------------------------------------------------------------------
     # reporting

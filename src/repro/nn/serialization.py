@@ -23,17 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..atomicio import atomic_write
-from .cells import (
-    Cell,
-    ConvCell,
-    ConvClassifierCell,
-    DenseCell,
-    FlatClassifierCell,
-    ResidualConvCell,
-    TokenClassifierCell,
-    ViTCell,
-    ViTStemCell,
-)
+from .cells import CELL_TYPES, Cell
 from .model import CellModel, TransformRecord
 
 __all__ = [
@@ -46,113 +36,48 @@ __all__ = [
 ]
 
 
+#: Spec keys common to every cell; the architecture keys after them are the
+#: class's ``ctor_args`` record.
+_LINEAGE_KEYS = ("cell_id", "origin", "widen_count", "last_op", "transformable")
+
+
 def _cell_spec(cell: Cell) -> dict:
     """JSON-serializable architecture description of one cell."""
-    spec: dict = {
-        "type": type(cell).__name__,
-        "cell_id": cell.cell_id,
-        "origin": cell.origin,
-        "widen_count": cell.widen_count,
-        "last_op": cell.last_op,
-        "transformable": cell.transformable,
+    name = type(cell).__name__
+    if CELL_TYPES.get(name) is not type(cell):
+        raise TypeError(f"cannot serialize cell type {name}")
+    return {
+        "type": name,
+        **{key: getattr(cell, key) for key in _LINEAGE_KEYS},
+        **{key: read(cell) for key, read in cell.ctor_args.items()},
     }
-    if isinstance(cell, ConvCell):
-        spec.update(
-            in_channels=cell.in_dim,
-            out_channels=cell.out_dim,
-            kernel=cell.conv.kernel,
-            stride=cell.conv.stride,
-            norm=cell.bn is not None,
-            pool=cell._pool_kind,
-        )
-    elif isinstance(cell, ResidualConvCell):
-        spec.update(
-            in_channels=cell.in_dim,
-            out_channels=cell.out_dim,
-            hidden=cell.hidden_dim,
-            stride=cell.conv1.stride,
-        )
-    elif isinstance(cell, DenseCell):
-        spec.update(in_features=cell.in_dim, out_features=cell.out_dim)
-    elif isinstance(cell, ViTCell):
-        spec.update(dim=cell.in_dim, heads=cell.attn.heads, mlp_hidden=cell.hidden_dim)
-    elif isinstance(cell, ViTStemCell):
-        spec.update(
-            in_channels=cell.embed.in_channels,
-            image_size=cell.embed.image_size,
-            patch=cell.embed.patch,
-            dim=cell.embed.dim,
-        )
-    elif isinstance(cell, (ConvClassifierCell, FlatClassifierCell, TokenClassifierCell)):
-        spec.update(in_dim=cell.in_dim, num_classes=cell.out_dim)
-    else:  # pragma: no cover - future cell types
-        raise TypeError(f"cannot serialize cell type {type(cell).__name__}")
-    return spec
 
 
 def _cell_from_spec(spec: dict) -> Cell:
-    """Rebuild a cell (random weights; caller restores the real ones)."""
-    rng = np.random.default_rng(0)
-    kind = spec["type"]
-    if kind == "ConvCell":
-        cell: Cell = ConvCell(
-            spec["in_channels"],
-            spec["out_channels"],
-            rng,
-            kernel=spec["kernel"],
-            stride=spec["stride"],
-            norm=spec["norm"],
-            pool=spec["pool"],
-            transformable=spec["transformable"],
-            cell_id=spec["cell_id"],
-        )
-    elif kind == "ResidualConvCell":
-        cell = ResidualConvCell(
-            spec["in_channels"],
-            spec["out_channels"],
-            rng,
-            hidden=spec["hidden"],
-            stride=spec["stride"],
-            transformable=spec["transformable"],
-            cell_id=spec["cell_id"],
-        )
-    elif kind == "DenseCell":
-        cell = DenseCell(
-            spec["in_features"],
-            spec["out_features"],
-            rng,
-            transformable=spec["transformable"],
-            cell_id=spec["cell_id"],
-        )
-    elif kind == "ViTCell":
-        cell = ViTCell(
-            spec["dim"],
-            spec["heads"],
-            spec["mlp_hidden"],
-            rng,
-            transformable=spec["transformable"],
-            cell_id=spec["cell_id"],
-        )
-    elif kind == "ViTStemCell":
-        cell = ViTStemCell(
-            spec["in_channels"],
-            spec["image_size"],
-            spec["patch"],
-            spec["dim"],
-            rng,
-            cell_id=spec["cell_id"],
-        )
-    elif kind == "ConvClassifierCell":
-        cell = ConvClassifierCell(spec["in_dim"], spec["num_classes"], rng, cell_id=spec["cell_id"])
-    elif kind == "FlatClassifierCell":
-        cell = FlatClassifierCell(spec["in_dim"], spec["num_classes"], rng, cell_id=spec["cell_id"])
-    elif kind == "TokenClassifierCell":
-        cell = TokenClassifierCell(spec["in_dim"], spec["num_classes"], rng, cell_id=spec["cell_id"])
-    else:
+    """Rebuild a cell (random weights; caller restores the real ones).
+
+    Specs arrive from checkpoint payloads and snapshot headers: the key set
+    is checked against the class's declared record *before* any of it
+    reaches a constructor's keywords.
+    """
+    kind = spec.get("type")
+    cls = CELL_TYPES.get(kind)
+    if cls is None:
         raise TypeError(f"unknown cell type {kind!r} in checkpoint")
-    cell.origin = spec["origin"]
-    cell.widen_count = spec["widen_count"]
-    cell.last_op = spec["last_op"]
+    expected = {"type", *_LINEAGE_KEYS, *cls.ctor_args}
+    if spec.keys() != expected:
+        raise ValueError(
+            f"{kind} spec: missing keys {sorted(expected - spec.keys())}, "
+            f"unexpected keys {sorted(spec.keys() - expected)}"
+        )
+    # cell_id goes through the constructor so no fresh id is minted.
+    cell = cls(
+        rng=np.random.default_rng(0),
+        cell_id=spec["cell_id"],
+        **{key: spec[key] for key in cls.ctor_args},
+    )
+    for key in _LINEAGE_KEYS:
+        setattr(cell, key, spec[key])
     return cell
 
 

@@ -32,6 +32,7 @@ from repro.core import FedTransConfig
 from repro.fl import Coordinator, CoordinatorConfig
 from repro.fl.snapshot import SnapshotPublisher
 from repro.nn import mlp
+from repro.nn.cells import CELL_TYPES
 
 from test_hotpath import GOLDEN, TRAINER, _clients, _digest, _flat_dataset, _golden_run
 
@@ -1039,6 +1040,55 @@ class TestEngineAndCli:
         assert strategy_side == []
         assert len(cfg_fields) == 33
         assert len(dataclasses.fields(FedTransConfig)) == 22
+
+    def test_a_cell_is_declared_once(self):
+        """A cell kind is a constructor record + wiring rows that ``Cell``
+        executes; each shape below is how a per-class copy (a transform
+        override, a spec or deepen branch on the concrete class) would
+        regrow."""
+        nn = REPO / "src" / "repro" / "nn"
+        cells = ast.parse((nn / "cells.py").read_text())
+        classes = [n for n in cells.body if isinstance(n, ast.ClassDef)]
+        table_driven = {"widen_output", "widen_internal", "expand_input", "narrow", "axis_roles"}
+        owners = {
+            (cls.name, fn.name)
+            for cls in classes
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in table_driven
+        }
+        assert owners == {("Cell", name) for name in table_driven}
+
+        concrete = {c.name for c in classes if c.name.endswith("Cell") and c.name != "Cell"}
+        # ...and every public one has its row in the spec type table.
+        assert set(CELL_TYPES) == {c for c in concrete if not c.startswith("_")}
+
+        def class_branches(node: ast.AST) -> list[str]:
+            found = []
+            for n in ast.walk(node):
+                if isinstance(n, ast.Call) and ast.unparse(n.func) in ("isinstance", "issubclass"):
+                    tested = n.args[1]
+                elif isinstance(n, ast.Compare):
+                    tested = n
+                else:
+                    continue
+                named = {
+                    x.id if isinstance(x, ast.Name) else x.value
+                    for x in ast.walk(tested)
+                    if isinstance(x, (ast.Name, ast.Constant))
+                }
+                if named & concrete:
+                    found.append(f"line {n.lineno}: {ast.unparse(n)[:60]}")
+            return found
+
+        assert class_branches(ast.parse((nn / "serialization.py").read_text())) == []
+        model = ast.parse((nn / "model.py").read_text())
+        (cell_model,) = [n for n in model.body if isinstance(n, ast.ClassDef) and n.name == "CellModel"]
+        deepen = [
+            fn
+            for fn in cell_model.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("deepen_after", "_make_identity_like")
+        ]
+        assert deepen and [b for fn in deepen for b in class_branches(fn)] == []
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,38 @@ from repro.nn.cells import (
     make_widen_mapping,
 )
 
+from test_cell_tables import MODELS  # the four zoo models, small
+
+
+@pytest.mark.parametrize("transformed", [False, True], ids=["fresh", "widened+deepened"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_role_tables_agree_with_live_tensors(name, transformed, rng):
+    """Every cell kind's role table, against the tensors it describes."""
+    model = MODELS[name](rng)
+    if transformed:
+        for cell in model.transformable_cells():
+            model.widen_cell(cell.cell_id, 1.5, rng)
+        model.deepen_after(model.transformable_cells()[0].cell_id, rng)
+    for cell in model.cells:
+        tensors = {**cell.params(), **cell.state()}
+        widths = {
+            "in": cell.in_dim,
+            "out": cell.out_dim,
+            "hidden": getattr(cell, "hidden_dim", None),
+        }
+        have = set()
+        for key, roles in cell.axis_roles().items():
+            assert len(roles) == tensors[key].ndim, (cell.cell_id, key)
+            for axis, role in enumerate(roles):
+                if role is not None:
+                    assert tensors[key].shape[axis] == widths[role], (cell.cell_id, key, axis)
+                    have.add(role)
+        for role in sorted(set(widths) - have):
+            # No role at all: the cell cannot be narrowed, whatever is asked.
+            error = ValueError if have else NotImplementedError
+            with pytest.raises(error, match=f"no {role}" if have else "cannot be narrowed"):
+                cell.narrow(**{f"{role}_idx": np.arange(1)})
+
 
 class TestWidenMapping:
     def test_keeps_originals_first(self, rng):
@@ -105,12 +137,6 @@ class TestConvCell:
     def test_narrow_hidden_raises(self, rng):
         with pytest.raises(ValueError, match="no hidden"):
             ConvCell(2, 2, rng).narrow(hidden_idx=np.arange(1))
-
-    def test_axis_roles_match_tensor_ranks(self, rng):
-        cell = ConvCell(2, 4, rng)
-        params = dict(cell.params(), **cell.state())
-        for key, roles in cell.axis_roles().items():
-            assert len(roles) == params[key].ndim, key
 
     def test_macs(self, rng):
         cell = ConvCell(2, 4, rng)

@@ -78,6 +78,51 @@ class TestModelCheckpoints:
         with pytest.raises(ValueError, match="unsupported"):
             model_from_spec(spec)
 
+    # A cell spec arrives from checkpoint payloads and RSNP snapshot
+    # headers; its keys are checked against the class's declared record
+    # before any of them can become a constructor keyword.
+    def test_unknown_cell_type_rejected(self, rng):
+        spec = model_spec(mlp((6,), 4, rng, width=8))
+        spec["cells"][1]["type"] = "MysteryCell"
+        with pytest.raises(TypeError, match="unknown cell type 'MysteryCell'"):
+            model_from_spec(spec)
+        del spec["cells"][1]["type"]
+        with pytest.raises(TypeError, match="unknown cell type None"):
+            model_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "maker, shape, index, key",
+        [
+            (mlp, (6,), 0, "out_features"),
+            (mlp, (6,), -1, "num_classes"),
+            (small_cnn, (1, 8, 8), 0, "pool"),
+            (small_resnet, (1, 8, 8), 1, "hidden"),
+            (vit_tiny, (1, 8, 8), 0, "patch"),
+            (vit_tiny, (1, 8, 8), 1, "heads"),
+            (mlp, (6,), 1, "widen_count"),
+            (mlp, (6,), 1, "cell_id"),
+        ],
+    )
+    def test_missing_spec_key_names_cell_type_and_key(self, maker, shape, index, key, rng):
+        spec = model_spec(maker(shape, 4, rng))
+        cell = spec["cells"][index]
+        del cell[key]
+        with pytest.raises(ValueError, match=rf"{cell['type']} spec: missing keys \['{key}'\]"):
+            model_from_spec(spec)
+
+    @pytest.mark.parametrize("key", ["origin_", "rng", "bias", "hidden"])
+    def test_extra_spec_key_never_reaches_a_constructor(self, key, rng, monkeypatch):
+        from repro.nn.cells import DenseCell
+
+        def boom(self, *args, **kwargs):
+            raise AssertionError("constructor ran on an unvalidated spec")
+
+        spec = model_spec(mlp((6,), 4, rng, width=8))
+        spec["cells"][0][key] = 3
+        monkeypatch.setattr(DenseCell, "__init__", boom)
+        with pytest.raises(ValueError, match=rf"DenseCell spec: .*unexpected keys \['{key}'\]"):
+            model_from_spec(spec)
+
 
 class TestLogExport:
     def _tiny_log(self):
