@@ -740,11 +740,11 @@ class StatefulCoverage(Rule):
     a checkpoint silently drops, and the resulting resume diverges in ways
     no test points at the culprit for.
 
-    The rule is syntactic on purpose: a top-level class in ``repro/fl/`` or
-    ``repro/core/`` whose methods (other than ``__init__`` /
-    ``__post_init__``) assign to ``self``-rooted targets or call mutating
-    container methods on them must define **both** protocol methods *in its
-    own class body* (the Stateful docstring's registration convention —
+    The rule is syntactic on purpose: a top-level class in ``repro/fl/``,
+    ``repro/core/`` or ``repro/baselines/`` whose methods (other than
+    ``__init__`` / ``__post_init__``) assign to ``self``-rooted targets or
+    call mutating container methods on them must define **both** protocol
+    methods *in its own class body* (the Stateful docstring's convention —
     inheriting a parent's payload silently misses the subclass's extra
     fields, which is exactly the bug class this rule exists to catch).
     Derived-state classes satisfy it with explicit empty payloads (see
@@ -755,8 +755,8 @@ class StatefulCoverage(Rule):
     rule_id = "RL008"
     rule_name = "stateful-coverage"
     summary = (
-        "repro/fl + repro/core classes mutating self outside __init__ "
-        "must define state_dict() and load_state_dict() in their own body"
+        "repro/fl + repro/core + repro/baselines classes mutating self outside "
+        "__init__ must define state_dict() and load_state_dict() in their own body"
     )
 
     _MUTATORS = frozenset(
@@ -777,9 +777,10 @@ class StatefulCoverage(Rule):
     )
     _CONSTRUCTORS = frozenset({"__init__", "__post_init__"})
     _PROTOCOL = frozenset({"state_dict", "load_state_dict"})
+    _SCOPE = ("repro/fl/", "repro/core/", "repro/baselines/")
 
     def applies(self, ctx: "FileContext") -> bool:
-        return "repro/fl/" in ctx.rel or "repro/core/" in ctx.rel
+        return any(scope in ctx.rel for scope in self._SCOPE)
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         for node in ctx.tree.body:

@@ -24,7 +24,16 @@ from ..fl.strategy import Strategy
 from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
 from ..nn.param_ops import ParamTree
-from .subnet import SubnetSpec, build_subnet, param_index_map, ratio_spec, scatter_average
+from ..nn.serialization import load_model_state, model_state_dict
+from ..stateful import check_schema, schema_tag
+from .subnet import (
+    SubnetSpec,
+    build_subnet,
+    largest_compatible,
+    param_index_map,
+    ratio_spec,
+    scatter_updates,
+)
 
 __all__ = ["FLuIDStrategy"]
 
@@ -100,20 +109,31 @@ class FLuIDStrategy(Strategy):
     def models(self) -> dict[str, CellModel]:
         return dict(self._models)
 
-    def _largest_compatible(self, client: FLClient) -> str:
-        fits = [
-            (self._models[mid].macs(), mid)
-            for mid in self._models
-            if self._models[mid].macs() <= client.capacity_macs
-        ]
-        if not fits:
-            return min(self._models, key=lambda m: self._models[m].macs())
-        return max(fits)[1]
+    # ------------------------------------------------------------------
+    # durability (Stateful): the global model and the movement scores are
+    # the state; kept-channel specs, index maps and submodels are rebuilt
+    # from them exactly as aggregate() last did.
+    # ------------------------------------------------------------------
+    schema = schema_tag("FLuIDStrategy")
 
+    def state_dict(self) -> dict:
+        return {
+            "schema": self.schema,
+            "global_model": model_state_dict(self.global_model),
+            "scores": {key: s.copy() for key, s in self._scores.items()},
+        }
+
+    def load_state_dict(self, payload: dict) -> None:
+        check_schema(payload, self.schema)
+        load_model_state(self.global_model, payload["global_model"])
+        self._scores = {key: np.asarray(s) for key, s in payload["scores"].items()}
+        self._rebuild_submodels()
+
+    # ------------------------------------------------------------------
     def assign(
         self, round_idx: int, participants: list[FLClient], rng: np.random.Generator
     ) -> dict[int, list[str]]:
-        return {c.client_id: [self._largest_compatible(c)] for c in participants}
+        return {c.client_id: [self.eval_model_for(c)] for c in participants}
 
     # ------------------------------------------------------------------
     def aggregate(
@@ -122,22 +142,9 @@ class FLuIDStrategy(Strategy):
         if not updates:
             return []
         before = self.global_model.get_params()
-        contribs = [
-            (u.params, self._spec_of_model[u.model_id], float(u.num_samples)) for u in updates
-        ]
-        merged = scatter_average(before, contribs, self._index_maps)
-        self.global_model.set_params(merged)
-        state_contribs = [
-            (u.state, self._spec_of_model[u.model_id], float(u.num_samples))
-            for u in updates
-            if u.state
-        ]
-        if state_contribs:
-            self.global_model.set_state(
-                scatter_average(self.global_model.state(), state_contribs, self._index_maps)
-            )
+        scatter_updates(self.global_model, updates, self._spec_of_model, self._index_maps)
         # Refresh invariance scores from this round's global movement.
-        delta = {k: merged[k] - before[k] for k in merged}
+        delta = {k: v - before[k] for k, v in self.global_model.params().items()}
         fresh = _channel_movement(self.global_model, delta)
         for key, s in fresh.items():
             if key in self._scores:
@@ -150,4 +157,4 @@ class FLuIDStrategy(Strategy):
         return []
 
     def eval_model_for(self, client: FLClient) -> str:
-        return self._largest_compatible(client)
+        return largest_compatible(self._models, client.capacity_macs)

@@ -18,7 +18,16 @@ import numpy as np
 from ..fl.strategy import Strategy
 from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
-from .subnet import SubnetSpec, build_subnet, param_index_map, ratio_spec, scatter_average
+from ..nn.serialization import load_model_state, model_state_dict
+from ..stateful import check_schema, schema_tag
+from .subnet import (
+    SubnetSpec,
+    build_subnet,
+    largest_compatible,
+    param_index_map,
+    ratio_spec,
+    scatter_updates,
+)
 
 __all__ = ["HeteroFLStrategy"]
 
@@ -38,11 +47,9 @@ class HeteroFLStrategy(Strategy):
         self._specs: dict[str, SubnetSpec] = {}
         self._index_maps: dict[int, dict] = {}
         self._models: dict[str, CellModel] = {}
-        self._spec_of_model: dict[str, SubnetSpec] = {}
-        for i, r in enumerate(self._ratios):
+        for r in self._ratios:
             spec = ratio_spec(global_model, r)
-            mid = f"heterofl_r{r:g}"
-            self._specs[mid] = spec
+            self._specs[f"heterofl_r{r:g}"] = spec
             self._index_maps[id(spec)] = param_index_map(global_model, spec)
         self._refresh_submodels()
 
@@ -50,58 +57,46 @@ class HeteroFLStrategy(Strategy):
     def _refresh_submodels(self) -> None:
         """Re-derive every submodel from the current global weights."""
         self._models = {}
-        self._spec_of_model = {}
         for mid, spec in self._specs.items():
             sub = build_subnet(self.global_model, spec)
             sub.model_id = mid  # stable ids across rounds
             self._models[mid] = sub
-            self._spec_of_model[mid] = spec
 
     def models(self) -> dict[str, CellModel]:
         return dict(self._models)
 
     # ------------------------------------------------------------------
+    # durability (Stateful): the global model is the state; the ladder is
+    # re-derived from it, under the version build_subnet stamps, so eval-
+    # cache and snapshot keys line up after a resume.
+    # ------------------------------------------------------------------
+    schema = schema_tag("HeteroFLStrategy")
+
+    def state_dict(self) -> dict:
+        return {
+            "schema": self.schema,
+            "global_model": model_state_dict(self.global_model),
+        }
+
+    def load_state_dict(self, payload: dict) -> None:
+        check_schema(payload, self.schema)
+        load_model_state(self.global_model, payload["global_model"])
+        self._refresh_submodels()
+
+    # ------------------------------------------------------------------
     def assign(
         self, round_idx: int, participants: list[FLClient], rng: np.random.Generator
     ) -> dict[int, list[str]]:
-        out: dict[int, list[str]] = {}
-        for c in participants:
-            out[c.client_id] = [self._largest_compatible(c)]
-        return out
+        return {c.client_id: [self.eval_model_for(c)] for c in participants}
 
-    def _largest_compatible(self, client: FLClient) -> str:
-        fits = [
-            (self._models[mid].macs(), mid)
-            for mid in self._models
-            if self._models[mid].macs() <= client.capacity_macs
-        ]
-        if not fits:
-            return min(self._models, key=lambda m: self._models[m].macs())
-        return max(fits)[1]
-
-    # ------------------------------------------------------------------
     def aggregate(
         self, round_idx: int, updates: list[ClientUpdate], rng: np.random.Generator
     ) -> list[str]:
         if not updates:
             return []
-        contribs = [
-            (u.params, self._spec_of_model[u.model_id], float(u.num_samples)) for u in updates
-        ]
-        merged = scatter_average(self.global_model.params(), contribs, self._index_maps)
-        self.global_model.set_params(merged)
-        state_contribs = [
-            (u.state, self._spec_of_model[u.model_id], float(u.num_samples))
-            for u in updates
-            if u.state
-        ]
-        if state_contribs:
-            merged_state = scatter_average(
-                self.global_model.state(), state_contribs, self._index_maps
-            )
-            self.global_model.set_state(merged_state)
+        scatter_updates(self.global_model, updates, self._specs, self._index_maps)
         self._refresh_submodels()
         return []
 
     def eval_model_for(self, client: FLClient) -> str:
-        return self._largest_compatible(client)
+        return largest_compatible(self._models, client.capacity_macs)

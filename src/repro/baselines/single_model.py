@@ -14,6 +14,8 @@ the deployment problem the paper's Fig. 2 illustrates (one size fits none).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..fl.client import LocalTrainerConfig
@@ -100,12 +102,5 @@ def fedyogi(
 def fedprox_trainer_config(
     base: LocalTrainerConfig, mu: float = 0.01
 ) -> LocalTrainerConfig:
-    """Local-trainer config with the FedProx proximal term enabled."""
-    return LocalTrainerConfig(
-        batch_size=base.batch_size,
-        local_steps=base.local_steps,
-        lr=base.lr,
-        momentum=base.momentum,
-        weight_decay=base.weight_decay,
-        prox_mu=mu,
-    )
+    """``base`` with the FedProx proximal term enabled (every other field kept)."""
+    return replace(base, prox_mu=mu)

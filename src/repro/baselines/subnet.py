@@ -8,7 +8,10 @@ records which output/hidden channel indices each cell keeps; from it we can
   as the global model, narrowed tensors), and
 * :func:`scatter_average` — average submodel updates back into global
   coordinates, where each global coordinate averages exactly the client
-  updates that covered it (HeteroFL's aggregation rule).
+  updates that covered it (HeteroFL's aggregation rule);
+  :func:`scatter_updates` applies it to a round's updates.
+
+:func:`largest_compatible` is the ladder's assignment rule.
 
 ``leading`` specs (``arange`` indices) give HeteroFL's nested subnetworks;
 score-ranked specs give FLuID's invariant dropout.
@@ -20,10 +23,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..fl.strategy import compatible_model_ids
+from ..fl.types import ClientUpdate
 from ..nn.model import CellModel
 from ..nn.param_ops import ParamTree
 
-__all__ = ["SubnetSpec", "ratio_spec", "build_subnet", "param_index_map", "scatter_average"]
+__all__ = [
+    "SubnetSpec",
+    "ratio_spec",
+    "build_subnet",
+    "param_index_map",
+    "scatter_average",
+    "scatter_updates",
+    "largest_compatible",
+]
 
 
 @dataclass(frozen=True)
@@ -178,3 +191,27 @@ def scatter_average(
         merged[covered] = sums[k][covered] / weight[k][covered]
         out[k] = merged
     return out
+
+
+def scatter_updates(
+    global_model: CellModel,
+    updates: list[ClientUpdate],
+    spec_of_model: dict[str, SubnetSpec],
+    index_maps: dict[int, dict[str, tuple[np.ndarray | None, ...]]],
+) -> None:
+    """Scatter-average a round's subnet updates into ``global_model``:
+    parameters, then the non-trainable state of the updates that carry any."""
+    contribs = [(u.params, spec_of_model[u.model_id], float(u.num_samples)) for u in updates]
+    global_model.set_params(scatter_average(global_model.params(), contribs, index_maps))
+    contribs = [
+        (u.state, spec_of_model[u.model_id], float(u.num_samples)) for u in updates if u.state
+    ]
+    if contribs:
+        global_model.set_state(scatter_average(global_model.state(), contribs, index_maps))
+
+
+def largest_compatible(models: dict[str, CellModel], capacity_macs: float) -> str:
+    """Id of the largest ladder model that fits a MAC budget (fit rule and
+    too-weak-client fallback: :func:`~repro.fl.strategy.compatible_model_ids`)."""
+    fits = compatible_model_ids(models, capacity_macs)
+    return max(fits, key=lambda mid: (models[mid].macs(), mid))

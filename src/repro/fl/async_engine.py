@@ -53,17 +53,10 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful, check_schema, record_from_state, record_state, schema_tag
 from .rounds import RoundTally, admit, close_round, dispatch, encode, meter
 from .scheduling import make_pacing, make_straggler
-from .types import (
-    ArrivalRecord,
-    ClientUpdate,
-    RoundRecord,
-    TrainingLog,
-    client_update_from_state,
-    client_update_to_state,
-)
+from .types import ArrivalRecord, ClientUpdate, RoundRecord, TrainingLog
 
 if TYPE_CHECKING:
     from .coordinator import Coordinator
@@ -107,7 +100,7 @@ class VirtualClock(Stateful):
             "schema": self.schema,
             "now": self.now,
             "events": [
-                {"time": t, "seq": s, "pending": _pending_to_state(p)}
+                {"time": t, "seq": s, "pending": record_state(p)}
                 for t, s, p in sorted(self._events, key=lambda e: (e[0], e[1]))
             ],
         }
@@ -116,7 +109,7 @@ class VirtualClock(Stateful):
         check_schema(payload, self.schema)
         self.now = float(payload["now"])
         self._events = [
-            (float(e["time"]), int(e["seq"]), _pending_from_state(e["pending"]))
+            (float(e["time"]), int(e["seq"]), record_from_state(_Pending, e["pending"]))
             for e in payload["events"]
         ]
         heapq.heapify(self._events)
@@ -124,7 +117,12 @@ class VirtualClock(Stateful):
 
 @dataclass
 class _Pending:
-    """One in-flight client: its precomputed updates await their finish time."""
+    """One in-flight client: its precomputed updates await their finish time.
+
+    Travels in the clock's checkpoint payload, tensor trees included (a
+    resumed arrival must be the update the uninterrupted run would have
+    received); the declaration below is its codec.
+    """
 
     dispatch_seq: int
     client_id: int
@@ -135,34 +133,6 @@ class _Pending:
     dropped: bool
     downsized: bool = False
     updates: list[ClientUpdate] = field(default_factory=list)
-
-
-def _pending_to_state(p: _Pending) -> dict:
-    return {
-        "dispatch_seq": p.dispatch_seq,
-        "client_id": p.client_id,
-        "model_ids": list(p.model_ids),
-        "dispatch_time": p.dispatch_time,
-        "finish_time": p.finish_time,
-        "version": p.version,
-        "dropped": p.dropped,
-        "downsized": p.downsized,
-        "updates": [client_update_to_state(u) for u in p.updates],
-    }
-
-
-def _pending_from_state(payload: dict) -> _Pending:
-    return _Pending(
-        dispatch_seq=int(payload["dispatch_seq"]),
-        client_id=int(payload["client_id"]),
-        model_ids=tuple(payload["model_ids"]),
-        dispatch_time=float(payload["dispatch_time"]),
-        finish_time=float(payload["finish_time"]),
-        version=int(payload["version"]),
-        dropped=bool(payload["dropped"]),
-        downsized=bool(payload["downsized"]),
-        updates=[client_update_from_state(u) for u in payload["updates"]],
-    )
 
 
 class BufferedAsyncEngine(Stateful):

@@ -487,12 +487,8 @@ class Coordinator(Stateful):
         set_model_id_counter(int(payload["model_id_counter"]))
         set_cell_id_counter(int(payload["cell_id_counter"]))
         self.rng.bit_generator.state = payload["rng"]
-        # .get(): checkpoints written before the columnar fleet store carry
-        # no entry; the freshly constructed columns are then correct (the
-        # selector payload below rehydrates any utility state).
-        fleet_payload = payload.get("fleet")
-        if fleet_payload is not None:
-            self.fleet.load_state_dict(fleet_payload)
+        # Fleet columns before the selector (see state_dict).
+        self.fleet.load_state_dict(payload["fleet"])
         self.selector.load_state_dict(payload["selector"])
         engine_payload = payload["engine"]
         if (engine_payload is None) != (self._async_engine is None):
@@ -503,14 +499,12 @@ class Coordinator(Stateful):
             )
         if self._async_engine is not None:
             self._async_engine.load_state_dict(engine_payload)
-        # .get(): checkpoints written before the quarantine gate existed
-        # carry no validator entry; a validator-less resume of one is fine.
-        validator_payload = payload.get("validator")
+        # ``None`` as a value: written with the quarantine gate / transport
+        # codec off.  The keys themselves are always present.
+        validator_payload = payload["validator"]
         if self.validator is not None and validator_payload is not None:
             self.validator.load_state_dict(validator_payload)
-        # .get(): checkpoints from before the transport codec carry no
-        # entry; an uncompressed resume of one is fine.
-        transport_payload = payload.get("transport")
+        transport_payload = payload["transport"]
         if self.transport is not None and transport_payload is not None:
             self.transport.load_state_dict(transport_payload)
         self.eval_cache.load_state_dict(

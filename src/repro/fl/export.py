@@ -11,7 +11,12 @@ distinct from the export format on purpose: the export is a write-once
 view of a **finished** run (it drops per-round byte columns and demands at
 least one evaluation for its summary row), while a checkpoint must capture
 a mid-run log **faithfully**, field for field, so a resumed run's final
-export is bit-identical to an uninterrupted one's.
+export is bit-identical to an uninterrupted one's.  The checkpoint half is
+*derived*: the record dataclasses in :mod:`~repro.fl.types` are its only
+field list (:func:`repro.stateful.record_state`).  The three views stay
+hand-written because they *are* the declaration of the public export
+schema: renames (``client_id`` -> ``client``), I10 omissions,
+only-when-nonzero keys, and a key order CI ``cmp``s against the goldens.
 """
 
 from __future__ import annotations
@@ -19,19 +24,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from ..atomicio import atomic_write
-from ..stateful import check_schema, schema_tag
+from ..stateful import check_schema, record_from_state, record_state, schema_tag
 from .metrics import summarize
-from .types import (
-    ArrivalRecord,
-    EvalRecord,
-    FaultRecord,
-    RoundRecord,
-    SchedulerRecord,
-    TrainingLog,
-)
+from .types import TrainingLog
 
 __all__ = [
     "log_to_dict",
@@ -267,214 +263,11 @@ LOG_SCHEMA = schema_tag("TrainingLog")
 
 def log_state_dict(log: TrainingLog) -> dict:
     """Lossless Stateful payload of a (possibly mid-run) training log."""
-    return {
-        "schema": LOG_SCHEMA,
-        "strategy": log.strategy,
-        "mode": log.mode,
-        "compress": log.compress,
-        "total_macs": log.total_macs,
-        "total_bytes_down": log.total_bytes_down,
-        "total_bytes_up": log.total_bytes_up,
-        "total_raw_bytes_up": log.total_raw_bytes_up,
-        "publish_raw_bytes_total": log.publish_raw_bytes_total,
-        "publish_wire_bytes_total": log.publish_wire_bytes_total,
-        "peak_storage_bytes": log.peak_storage_bytes,
-        "stopped_round": log.stopped_round,
-        "stop_reason": log.stop_reason,
-        "dropped_updates": log.dropped_updates,
-        "dropped_macs": log.dropped_macs,
-        "downsized_updates": log.downsized_updates,
-        "evicted_clients": log.evicted_clients,
-        # Fault-tolerance meters + ledger: a checkpoint captures the log
-        # faithfully, recovery telemetry included (the separation from the
-        # run *export* is about I10's byte-compare, not about fidelity).
-        "worker_restarts": log.worker_restarts,
-        "retries": log.retries,
-        "failed_updates": log.failed_updates,
-        "quarantined_updates": log.quarantined_updates,
-        "faults": [
-            {
-                "round_idx": f.round_idx,
-                "kind": f.kind,
-                "action": f.action,
-                "client_id": f.client_id,
-                "model_id": f.model_id,
-                "detail": f.detail,
-                "attempts": f.attempts,
-            }
-            for f in log.faults
-        ],
-        "rounds": [
-            {
-                "round_idx": r.round_idx,
-                "participants": list(r.participants),
-                "assignments": {str(k): list(v) for k, v in r.assignments.items()},
-                "mean_loss": r.mean_loss,
-                "macs": r.macs,
-                "bytes_down": r.bytes_down,
-                "bytes_up": r.bytes_up,
-                "raw_bytes_up": r.raw_bytes_up,
-                "publish_raw_bytes": r.publish_raw_bytes,
-                "publish_wire_bytes": r.publish_wire_bytes,
-                "round_time": r.round_time,
-                "num_models": r.num_models,
-                "events": list(r.events),
-                "arrivals": [
-                    {
-                        "dispatch_seq": a.dispatch_seq,
-                        "client_id": a.client_id,
-                        "model_ids": list(a.model_ids),
-                        "dispatch_time": a.dispatch_time,
-                        "finish_time": a.finish_time,
-                        "staleness": a.staleness,
-                        "dropped": a.dropped,
-                        "downsized": a.downsized,
-                        "quarantined": a.quarantined,
-                    }
-                    for a in r.arrivals
-                ],
-                "scheduler": (
-                    {
-                        "selector": r.scheduler.selector,
-                        "pacing": r.scheduler.pacing,
-                        "straggler": r.scheduler.straggler,
-                        "requested": r.scheduler.requested,
-                        "selected": r.scheduler.selected,
-                        "effective_buffer_k": r.scheduler.effective_buffer_k,
-                        "deadline_s": r.scheduler.deadline_s,
-                        "deadline_quantiles": list(r.scheduler.deadline_quantiles),
-                        "downsized": r.scheduler.downsized,
-                        "dropped": r.scheduler.dropped,
-                        "evicted": r.scheduler.evicted,
-                        "offline_fallback_rounds": r.scheduler.offline_fallback_rounds,
-                    }
-                    if r.scheduler is not None
-                    else None
-                ),
-            }
-            for r in log.rounds
-        ],
-        "evals": [
-            {
-                "round_idx": e.round_idx,
-                "cumulative_macs": e.cumulative_macs,
-                "client_accuracy": np.asarray(e.client_accuracy).copy(),
-                "client_model": list(e.client_model),
-                "mean_accuracy": e.mean_accuracy,
-                "cached_clients": e.cached_clients,
-                "evaluated_clients": e.evaluated_clients,
-            }
-            for e in log.evals
-        ],
-    }
+    return {"schema": LOG_SCHEMA, **record_state(log)}
 
 
 def log_from_state(payload: dict) -> TrainingLog:
     """Rebuild the exact :class:`TrainingLog` a checkpoint captured."""
     check_schema(payload, LOG_SCHEMA)
-    log = TrainingLog(
-        strategy=payload["strategy"],
-        mode=payload["mode"],
-        compress=payload.get("compress"),
-        total_macs=payload["total_macs"],
-        total_bytes_down=payload["total_bytes_down"],
-        total_bytes_up=payload["total_bytes_up"],
-        # Pre-codec checkpoints carry no raw/wire split: everything they
-        # shipped was raw, so the wire total doubles as the raw total.
-        total_raw_bytes_up=payload.get("total_raw_bytes_up", payload["total_bytes_up"]),
-        publish_raw_bytes_total=payload.get("publish_raw_bytes_total", 0),
-        publish_wire_bytes_total=payload.get("publish_wire_bytes_total", 0),
-        peak_storage_bytes=payload["peak_storage_bytes"],
-        stopped_round=payload["stopped_round"],
-        stop_reason=payload["stop_reason"],
-        dropped_updates=payload["dropped_updates"],
-        dropped_macs=payload["dropped_macs"],
-        downsized_updates=payload["downsized_updates"],
-        evicted_clients=payload["evicted_clients"],
-        # .get(): checkpoints written before the fault subsystem carry none
-        # of these; a zeroed ledger is exactly their state.
-        worker_restarts=payload.get("worker_restarts", 0),
-        retries=payload.get("retries", 0),
-        failed_updates=payload.get("failed_updates", 0),
-        quarantined_updates=payload.get("quarantined_updates", 0),
-        faults=[
-            FaultRecord(
-                round_idx=f["round_idx"],
-                kind=f["kind"],
-                action=f["action"],
-                client_id=f["client_id"],
-                model_id=f["model_id"],
-                detail=f["detail"],
-                attempts=f["attempts"],
-            )
-            for f in payload.get("faults", [])
-        ],
-    )
-    for r in payload["rounds"]:
-        sched = r["scheduler"]
-        log.rounds.append(
-            RoundRecord(
-                round_idx=r["round_idx"],
-                participants=list(r["participants"]),
-                assignments={int(k): list(v) for k, v in r["assignments"].items()},
-                mean_loss=r["mean_loss"],
-                macs=r["macs"],
-                bytes_down=r["bytes_down"],
-                bytes_up=r["bytes_up"],
-                raw_bytes_up=r.get("raw_bytes_up", r["bytes_up"]),
-                publish_raw_bytes=r.get("publish_raw_bytes", 0),
-                publish_wire_bytes=r.get("publish_wire_bytes", 0),
-                round_time=r["round_time"],
-                num_models=r["num_models"],
-                events=list(r["events"]),
-                arrivals=[
-                    ArrivalRecord(
-                        dispatch_seq=a["dispatch_seq"],
-                        client_id=a["client_id"],
-                        model_ids=tuple(a["model_ids"]),
-                        dispatch_time=a["dispatch_time"],
-                        finish_time=a["finish_time"],
-                        staleness=a["staleness"],
-                        dropped=a["dropped"],
-                        downsized=a["downsized"],
-                        quarantined=a.get("quarantined", False),
-                    )
-                    for a in r["arrivals"]
-                ],
-                scheduler=(
-                    SchedulerRecord(
-                        selector=sched["selector"],
-                        pacing=sched["pacing"],
-                        straggler=sched["straggler"],
-                        requested=sched["requested"],
-                        selected=sched["selected"],
-                        effective_buffer_k=sched["effective_buffer_k"],
-                        deadline_s=sched["deadline_s"],
-                        deadline_quantiles=tuple(sched["deadline_quantiles"]),
-                        downsized=sched["downsized"],
-                        dropped=sched["dropped"],
-                        evicted=sched["evicted"],
-                        # .get(): checkpoints written before the metering
-                        # existed carry no entry; zero is their state.
-                        offline_fallback_rounds=sched.get(
-                            "offline_fallback_rounds", 0
-                        ),
-                    )
-                    if sched is not None
-                    else None
-                ),
-            )
-        )
-    for e in payload["evals"]:
-        log.evals.append(
-            EvalRecord(
-                round_idx=e["round_idx"],
-                cumulative_macs=e["cumulative_macs"],
-                client_accuracy=np.asarray(e["client_accuracy"], dtype=float),
-                client_model=list(e["client_model"]),
-                mean_accuracy=e["mean_accuracy"],
-                cached_clients=e["cached_clients"],
-                evaluated_clients=e["evaluated_clients"],
-            )
-        )
-    return log
+    body = {key: value for key, value in payload.items() if key != "schema"}
+    return record_from_state(TrainingLog, body)

@@ -171,7 +171,7 @@ class AvailabilityAwareSelector(ClientSelector):
 
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
-        self.offline_fallback_rounds = int(payload.get("offline_fallback_rounds", 0))
+        self.offline_fallback_rounds = int(payload["offline_fallback_rounds"])
 
 
 class OortSelector(ClientSelector):

@@ -124,16 +124,11 @@ class ClientStateStore(Stateful):
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        if "schema" in payload:  # pre-protocol payloads carried no tag
-            check_schema(payload, self.schema)
-        self.evict_after = payload.get("evict_after")
-        self.evicted_total = int(payload.get("evicted_total", 0))
-        self._round = int(payload.get("round", 0))
+        check_schema(payload, self.schema)
+        self.evict_after = payload["evict_after"]
+        self.evicted_total = int(payload["evicted_total"])
+        self._round = int(payload["round"])
         self._state = {int(cid): dict(st) for cid, st in payload["state"].items()}
         self._last_active = {
-            int(cid): int(r) for cid, r in payload.get("last_active", {}).items()
+            int(cid): int(r) for cid, r in payload["last_active"].items()
         }
-        # A checkpoint written without activity stamps must not make its
-        # clients immortal under an eviction config: stamp them now.
-        for cid in self._state:
-            self._last_active.setdefault(cid, self._round)

@@ -30,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..nn.model import CellModel
-from ..nn.serialization import model_state_dict
+from ..nn.serialization import load_model_state, model_state_dict
 from ..stateful import Stateful, check_schema, schema_tag
 from .types import ClientUpdate, FLClient
 
@@ -96,11 +96,7 @@ class Strategy(Stateful, ABC):
                 f"strategy's suite {sorted(live)}"
             )
         for mid, mp in saved.items():
-            model = live[mid]
-            model.set_params({k: np.asarray(v) for k, v in mp["params"].items()})
-            if mp["state"]:
-                model.set_state({k: np.asarray(v) for k, v in mp["state"].items()})
-            model.sync_version(int(mp["version"]))
+            load_model_state(live[mid], mp)
 
     @abstractmethod
     def models(self) -> dict[str, CellModel]:

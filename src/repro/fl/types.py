@@ -19,8 +19,6 @@ __all__ = [
     "RoundRecord",
     "EvalRecord",
     "TrainingLog",
-    "client_update_to_state",
-    "client_update_from_state",
 ]
 
 
@@ -62,50 +60,6 @@ class ClientUpdate:
     # to this unless a transport codec (repro.fl.transport) re-encoded the
     # update, in which case the cost ledger reports both.
     raw_bytes_up: int = 0
-
-
-def client_update_to_state(u: ClientUpdate) -> dict:
-    """Stateful payload of one in-flight update (async checkpointing).
-
-    The async engine precomputes a dispatched client's update and parks it
-    on the virtual clock until its simulated finish time — a checkpoint
-    taken between aggregation steps must carry those pending tensor trees
-    or resumed arrivals would diverge from the uninterrupted run.
-    """
-    return {
-        "client_id": u.client_id,
-        "model_id": u.model_id,
-        "params": {k: v.copy() for k, v in u.params.items()},
-        "state": {k: v.copy() for k, v in u.state.items()},
-        "grad": {k: v.copy() for k, v in u.grad.items()},
-        "train_loss": u.train_loss,
-        "num_samples": u.num_samples,
-        "macs_spent": u.macs_spent,
-        "bytes_down": u.bytes_down,
-        "bytes_up": u.bytes_up,
-        "round_time": u.round_time,
-        "raw_bytes_up": u.raw_bytes_up,
-    }
-
-
-def client_update_from_state(payload: dict) -> ClientUpdate:
-    """Rebuild the exact :class:`ClientUpdate` a checkpoint captured."""
-    return ClientUpdate(
-        client_id=int(payload["client_id"]),
-        model_id=payload["model_id"],
-        params={k: np.asarray(v) for k, v in payload["params"].items()},
-        state={k: np.asarray(v) for k, v in payload["state"].items()},
-        grad={k: np.asarray(v) for k, v in payload["grad"].items()},
-        train_loss=float(payload["train_loss"]),
-        num_samples=int(payload["num_samples"]),
-        macs_spent=float(payload["macs_spent"]),
-        bytes_down=int(payload["bytes_down"]),
-        bytes_up=int(payload["bytes_up"]),
-        round_time=float(payload["round_time"]),
-        # Checkpoints from before the transport codec carry no raw count;
-        # those runs never compressed, so the wire count is the raw count.
-        raw_bytes_up=int(payload.get("raw_bytes_up", payload["bytes_up"])),
-    )
 
 
 @dataclass(frozen=True)

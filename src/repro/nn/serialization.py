@@ -32,6 +32,7 @@ __all__ = [
     "model_spec",
     "model_from_spec",
     "model_state_dict",
+    "load_model_state",
     "model_from_state",
 ]
 
@@ -167,13 +168,19 @@ def model_state_dict(model: CellModel) -> dict:
     }
 
 
-def model_from_state(payload: dict) -> CellModel:
-    """Rebuild the exact model :func:`model_state_dict` captured."""
-    model = model_from_spec(payload["spec"])
+def load_model_state(model: CellModel, payload: dict) -> None:
+    """Restore a :func:`model_state_dict` payload into a live model of the
+    same architecture (``set_params`` refuses any other)."""
     model.set_params({k: np.asarray(v) for k, v in payload["params"].items()})
     if payload["state"]:
         model.set_state({k: np.asarray(v) for k, v in payload["state"].items()})
     # set_params/set_state bumped the counter; restamp to the checkpoint's
     # value so version-keyed caches key identically after resume.
     model.sync_version(int(payload["version"]))
+
+
+def model_from_state(payload: dict) -> CellModel:
+    """Rebuild the exact model :func:`model_state_dict` captured."""
+    model = model_from_spec(payload["spec"])
+    load_model_state(model, payload)
     return model

@@ -14,6 +14,10 @@ back.  This module defines that seam:
 * :func:`collect_schemas` — walks a nested payload gathering every schema
   tag, so the checkpoint manifest can list all registrants
   (CONTRACTS.md I9: every registrant appears in the manifest).
+* :func:`record_state` / :func:`record_from_state` — the payload codec of
+  a *record* (a dataclass of run data: ``TrainingLog`` and the records it
+  nests, in-flight ``ClientUpdate`` s), derived from the dataclass
+  declaration so a field is checkpointed by being declared.
 
 Payload conventions (what makes a ``state_dict`` checkpointable):
 
@@ -31,11 +35,37 @@ Payload conventions (what makes a ``state_dict`` checkpointable):
   restored object keeps its own construction-time config, and payloads
   carry only what training mutated.  Derived caches that a resumed run
   rebuilds deterministically may be omitted.
+* A reader never defaults an absent key: a payload a current run can reach
+  was written under the same run hash, hence with the same keys (``None``
+  as a *value* may still mean "feature off").
+* Records: the payload's keys are exactly the dataclass's field names.
+  Scalar fields pass through untouched both ways — JSON round-trips them
+  exactly, and coercing by annotation would turn an ``int`` held in a
+  ``float`` field into ``1.0`` in the export.  Only containers are rebuilt
+  from the declared type: ``tuple[X, ...]``, ``list[X]``, ``dict[int|str,
+  X]`` (keys stringified out, restored in), ``X | None``, nested records,
+  ``np.ndarray`` (copied out, ``asarray``'d in).  A payload whose key set
+  is not exactly the record's fields is refused before a constructor runs.
 """
 
 from __future__ import annotations
 
-__all__ = ["Stateful", "schema_tag", "check_schema", "collect_schemas"]
+import dataclasses
+import functools
+import types
+import typing
+from typing import Callable
+
+import numpy as np
+
+__all__ = [
+    "Stateful",
+    "schema_tag",
+    "check_schema",
+    "collect_schemas",
+    "record_state",
+    "record_from_state",
+]
 
 
 def schema_tag(name: str, version: int = 1) -> str:
@@ -77,6 +107,78 @@ def collect_schemas(payload: object) -> list[str]:
 
     walk(payload)
     return sorted(found)
+
+
+def _keep(value):
+    return value
+
+
+def _optional(fn: Callable) -> Callable:
+    return lambda value: None if value is None else fn(value)
+
+
+def _field_codec(tp) -> tuple[Callable, Callable]:
+    """``(encode, decode)`` for one declared field type."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in (int, float, bool, str):
+        return _keep, _keep
+    if tp is np.ndarray:
+        return np.array, np.asarray
+    if dataclasses.is_dataclass(tp):
+        return record_state, functools.partial(record_from_state, tp)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
+        enc, dec = _field_codec(args[0])
+        return (_keep, _keep) if enc is _keep else (_optional(enc), _optional(dec))
+    if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
+        enc, dec = _field_codec(args[0])
+        if enc is _keep:
+            return list, origin
+        return (lambda v: [enc(x) for x in v]), (lambda v: origin(dec(x) for x in v))
+    if origin is dict and args[0] in (int, str):
+        key, (enc, dec) = args[0], _field_codec(args[1])
+        return (
+            lambda v: {str(k): enc(x) for k, x in v.items()},
+            lambda v: {key(k): dec(x) for k, x in v.items()},
+        )
+    raise TypeError(f"no checkpoint codec for a record field declared {tp!r}")
+
+
+@functools.cache
+def _record_plan(cls: type) -> tuple[tuple[str, ...], frozenset[str], tuple]:
+    """Field names in declaration order, the same as a key set, and
+    ``(name, encode, decode)`` for the fields that are not plain scalars.
+
+    Resolved once per class: re-walking the annotations per record makes a
+    654-arrival log cost ~80 ms to encode or decode instead of 1-2 ms.
+    """
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    codecs = ((name, *_field_codec(hints[name])) for name in names)
+    return names, frozenset(names), tuple(c for c in codecs if c[1] is not _keep)
+
+
+def record_state(rec) -> dict:
+    """Fresh Stateful payload of one record: field name -> encoded value."""
+    names, _, coded = _record_plan(type(rec))
+    payload = {name: getattr(rec, name) for name in names}
+    for name, enc, _ in coded:
+        payload[name] = enc(payload[name])
+    return payload
+
+
+def record_from_state(cls: type, payload: object):
+    """Rebuild the exact ``cls`` record :func:`record_state` captured."""
+    _, keys, coded = _record_plan(cls)
+    found = payload.keys() if isinstance(payload, dict) else set()
+    if found != keys:
+        raise ValueError(
+            f"{cls.__name__} payload ({type(payload).__name__}): missing keys "
+            f"{sorted(keys - found)}, unexpected keys {sorted(found - keys)}"
+        )
+    fields = dict(payload)
+    for name, _, dec in coded:
+        fields[name] = dec(fields[name])
+    return cls(**fields)
 
 
 class Stateful:

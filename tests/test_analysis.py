@@ -30,7 +30,17 @@ from repro.analysis.sanitize import SanitizerError, VersionWatch, model_fingerpr
 from repro.baselines import fedavg
 from repro.core import FedTransConfig
 from repro.fl import Coordinator, CoordinatorConfig
+from repro.fl.async_engine import _Pending
 from repro.fl.snapshot import SnapshotPublisher
+from repro.fl.types import (
+    ArrivalRecord,
+    ClientUpdate,
+    EvalRecord,
+    FaultRecord,
+    RoundRecord,
+    SchedulerRecord,
+    TrainingLog,
+)
 from repro.nn import mlp
 from repro.nn.cells import CELL_TYPES
 
@@ -548,6 +558,11 @@ class TestRL008:
 
     def test_fires_in_core_scope_too(self):
         assert _ids(_lint(self.BAD, "src/repro/core/meter.py")) == ["RL008"]
+
+    def test_fires_in_baselines_scope_too(self):
+        # HeteroFL / FLuID rebuilt their ladders on self under Strategy's
+        # inherited fixed-suite payload, which lost the global model.
+        assert _ids(_lint(self.BAD, "src/repro/baselines/meter.py")) == ["RL008"]
 
     def test_out_of_scope_is_quiet(self):
         assert _ids(_lint(self.BAD, "src/repro/nn/meter.py")) == []
@@ -1089,6 +1104,77 @@ class TestEngineAndCli:
             if isinstance(fn, ast.FunctionDef) and fn.name in ("deepen_after", "_make_identity_like")
         ]
         assert deepen and [b for fn in deepen for b in class_branches(fn)] == []
+
+    def test_a_run_record_is_declared_once(self):
+        """A run record's dataclass is its checkpoint codec
+        (``repro.stateful.record_state``); each shape below is how a second
+        field list (a hand-written encoder/decoder, a constructor call in a
+        decoder, a defaulted read of an absent key) would regrow."""
+        src = REPO / "src" / "repro"
+        trees = {p: ast.parse(p.read_text()) for p in sorted(src.rglob("*.py"))}
+
+        def functions(tree: ast.AST):
+            return [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+
+        codecs = {
+            f"{path.name}:{fn.name}"
+            for path, tree in trees.items()
+            if (src / "fl") in path.parents
+            for fn in functions(tree)
+            if fn.name.endswith(("_to_state", "_from_state"))
+        }
+        # ...the one survivor being the schema-tag wrapper around the codec.
+        assert codecs == {"export.py:log_from_state"}
+
+        log_records = (
+            TrainingLog, RoundRecord, SchedulerRecord, ArrivalRecord, FaultRecord, EvalRecord,
+        )
+        clock_records = (_Pending, ClientUpdate)
+        constructed = [
+            f"{name}:{node.lineno} {ast.unparse(node.func)}(...)"
+            for name in ("export.py", "types.py")
+            for node in ast.walk(trees[src / "fl" / name])
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in {cls.__name__ for cls in log_records + clock_records}
+        ]
+        assert constructed == []
+
+        def names_a_field(fn: ast.FunctionDef, records) -> list[str]:
+            fields = {f.name for cls in records for f in dataclasses.fields(cls)}
+            mentioned = {
+                n.value if isinstance(n, ast.Constant) else n.attr
+                for n in ast.walk(fn)
+                if isinstance(n, (ast.Constant, ast.Attribute))
+            }
+            return sorted(fields & {m for m in mentioned if isinstance(m, str)})
+
+        by_name = {
+            (path.name, fn.name): fn
+            for path, tree in trees.items()
+            for fn in functions(tree)
+        }
+        for fn_name in ("log_state_dict", "log_from_state"):
+            assert names_a_field(by_name["export.py", fn_name], log_records) == []
+        (clock,) = [
+            n
+            for n in trees[src / "fl" / "async_engine.py"].body
+            if isinstance(n, ast.ClassDef) and n.name == "VirtualClock"
+        ]
+        for fn in functions(clock):
+            if fn.name in ("state_dict", "load_state_dict"):
+                assert names_a_field(fn, clock_records) == []
+
+        defaulted = [
+            f"{path.relative_to(src)}:{node.lineno} {ast.unparse(node)[:50]}"
+            for path, tree in trees.items()
+            for fn in functions(tree)
+            if fn.name == "load_state_dict"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+        ]
+        assert defaulted == []
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Baselines: subnet machinery, HeteroFL, SplitMix, FLuID, single-model, cloud."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from repro.fl import (
     LocalTrainer,
 )
 from repro.nn import mlp, small_cnn, small_resnet
+from repro.nn.cells import set_cell_id_counter
+from repro.nn.model import set_model_id_counter
 
 
 def _global_model(rng, width=8):
@@ -372,11 +376,81 @@ class TestSingleModel:
         assert np.all(moved > 0)  # stepped toward the (higher) average
 
     def test_prox_config(self):
-        base = LocalTrainerConfig(lr=0.3, local_steps=7)
+        # Every field off its default: clip_norm=0.0 (clipping off) used to
+        # come back as the default 10.0.
+        base = LocalTrainerConfig(
+            batch_size=4, local_steps=7, lr=0.3, momentum=0.5, weight_decay=1e-3,
+            prox_mu=0.2, clip_norm=0.0,
+        )
         prox = fedprox_trainer_config(base, mu=0.05)
         assert prox.prox_mu == 0.05
-        assert prox.lr == 0.3
-        assert prox.local_steps == 7
+        for f in dataclasses.fields(LocalTrainerConfig):
+            if f.name != "prox_mu":
+                assert getattr(prox, f.name) == getattr(base, f.name) != f.default, f.name
+
+
+def _restarted(seed=0):
+    """``_fl_setup`` as a restarted process builds it: cell and model ids
+    come from process-global counters, and a checkpoint names them."""
+    set_cell_id_counter(0)
+    set_model_id_counter(0)
+    return _fl_setup(seed=seed)
+
+
+class TestLadderPayloads:
+    """HeteroFL / FLuID checkpoint the global model (+ FLuID's scores) and
+    re-derive the ladder; the end-to-end witness is the baseline matrix in
+    ``test_checkpoint_resume.py``."""
+
+    @staticmethod
+    def _trained(cls, rng):
+        """One aggregation from the *smallest* rung, so most global
+        coordinates are ones no update covered."""
+        ds, g, clients = _restarted()
+        strat = cls(g)
+        small_id = min(strat.models(), key=lambda m: strat.models()[m].macs())
+        trainer = LocalTrainer(LocalTrainerConfig(local_steps=3, lr=0.2))
+        update = trainer.train(strat.models()[small_id].clone(keep_id=True), clients[0], rng)
+        strat.aggregate(0, [update], rng)
+        return strat
+
+    @pytest.mark.parametrize("cls", [HeteroFLStrategy, FLuIDStrategy])
+    def test_round_trip_restores_global_and_rederives_the_ladder(self, cls, rng):
+        strat = self._trained(cls, rng)
+        payload = strat.state_dict()
+        extra = {"scores"} if cls is FLuIDStrategy else set()
+        assert set(payload) == {"schema", "global_model"} | extra
+        # A fresh construction: different global weights, neutral scores.
+        _, g, _ = _restarted(seed=1)
+        fresh = cls(g)
+        fresh.load_state_dict(payload)
+        assert fresh.global_model.version == strat.global_model.version
+        for k, v in strat.global_model.params().items():
+            np.testing.assert_array_equal(fresh.global_model.params()[k], v)
+        assert list(fresh.models()) == list(strat.models())
+        for mid, sub in strat.models().items():
+            twin = fresh.models()[mid]
+            assert twin.version == sub.version == strat.global_model.version
+            assert twin.params().keys() == sub.params().keys()
+            for k, v in sub.params().items():
+                np.testing.assert_array_equal(twin.params()[k], v)
+
+    def test_fluid_scores_travel(self, rng):
+        strat = self._trained(FLuIDStrategy, rng)
+        assert strat._scores  # the aggregation above produced movement
+        _, g, _ = _restarted(seed=1)
+        fresh = FLuIDStrategy(g)
+        fresh.load_state_dict(strat.state_dict())
+        assert fresh._scores.keys() == strat._scores.keys()
+        for key, s in strat._scores.items():
+            np.testing.assert_array_equal(fresh._scores[key], s)
+            assert not np.shares_memory(fresh._scores[key], s)
+
+    def test_payload_from_another_strategy_is_refused(self, rng):
+        hetero = self._trained(HeteroFLStrategy, rng)
+        _, g, _ = _fl_setup()
+        with pytest.raises(ValueError, match="schema mismatch"):
+            FLuIDStrategy(g).load_state_dict(hetero.state_dict())
 
 
 class TestCloud:

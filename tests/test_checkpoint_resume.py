@@ -31,7 +31,7 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.atomicio import atomic_write
-from repro.baselines import fedavg
+from repro.baselines import FLuIDStrategy, HeteroFLStrategy, SplitMixStrategy, fedavg
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
 from repro.fl import Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig
@@ -47,6 +47,7 @@ from repro.fl.checkpoint import (
 )
 from repro.fl.export import log_to_dict
 from repro.fl.registry import RunRegistry, fleet_fingerprint, run_hash
+from repro.fl.scheduling.selectors import AvailabilityAwareSelector
 from repro.fl.scheduling.store import ClientStateStore
 from repro.nn import mlp
 from repro.nn.cells import set_cell_id_counter
@@ -307,6 +308,36 @@ class TestClientStateStoreDurability:
         assert store.advance(3) == twin.advance(3) == [0]
         assert store.evicted_total == twin.evicted_total == 1
 
+    def test_tagless_or_short_payload_is_refused(self):
+        """Every payload since the first checkpoint file carries the tag and
+        all five keys; nothing is defaulted for one that does not."""
+        payload = ClientStateStore(evict_after=2).state_dict()
+        tagless = {k: v for k, v in payload.items() if k != "schema"}
+        with pytest.raises(ValueError, match="schema mismatch"):
+            ClientStateStore().load_state_dict(tagless)
+        for key in ("evict_after", "evicted_total", "round", "state", "last_active"):
+            short = {k: v for k, v in payload.items() if k != key}
+            with pytest.raises(KeyError, match=key):
+                ClientStateStore().load_state_dict(short)
+
+
+class TestReadersNeverDefault:
+    """ROADMAP 5d: an absent checkpoint key is an error, not a default."""
+
+    @pytest.mark.parametrize("key", ["fleet", "validator", "transport"])
+    def test_coordinator_keys_are_required(self, key):
+        payload = _build().state_dict()
+        # On the default stack both are present with the value None ("off").
+        assert payload["validator"] is None and payload["transport"] is None
+        del payload[key]
+        with pytest.raises(KeyError, match=key):
+            _build().load_state_dict(payload)
+
+    def test_availability_selector_key_is_required(self):
+        selector = AvailabilityAwareSelector(seed=0)
+        with pytest.raises(KeyError, match="offline_fallback_rounds"):
+            selector.load_state_dict({"schema": selector.schema})
+
 
 class TestRngCaptureRestore:
     @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -364,6 +395,43 @@ def _build(ckpt_dir=None, resume=False, mode="sync", executor="serial",
     return Coordinator(strat, clients, CoordinatorConfig(**kw))
 
 
+_TIERED = {"heterofl": HeteroFLStrategy, "fluid": FLuIDStrategy, "splitmix": SplitMixStrategy}
+
+
+def _build_tiered(method, ckpt_dir=None, resume=False, mode="sync"):
+    """A width-ladder baseline on four capacity tiers (2x, 0.3x, 0.3x, 0.15x
+    of the global model's MACs).  The tiers are the point: on a uniform
+    fleet everyone trains ratio 1.0, every global coordinate is covered
+    every round, and a checkpoint that lost the global model resumes
+    identically anyway.  Same dataset and trainer as ``_build``."""
+    set_model_id_counter(0)
+    set_cell_id_counter(0)
+    cfg = SyntheticTaskConfig(
+        num_classes=4, input_shape=(8,), latent_dim=6, teacher_width=12,
+        class_sep=3.0, seed=0,
+    )
+    ds = build_federated_dataset(cfg, 8, mean_samples=20, seed=0)
+    big = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=16)
+    tiers = (2.0, 0.3, 0.3, 0.15)
+    clients = [
+        FLClient(
+            c.client_id, c,
+            DeviceTrace(c.client_id, 1e9, 1e6, tiers[c.client_id % 4] * big.macs()),
+        )
+        for c in ds.clients
+    ]
+    kw = dict(
+        rounds=12, clients_per_round=2,
+        trainer=LocalTrainerConfig(batch_size=8, local_steps=3, lr=0.2),
+        eval_every=4, seed=0, mode=mode,
+    )
+    if mode == "async":
+        kw.update(buffer_k=2)
+    if ckpt_dir is not None:
+        kw.update(checkpoint_every=2, checkpoint_dir=str(ckpt_dir), resume=resume)
+    return Coordinator(_TIERED[method](big), clients, CoordinatorConfig(**kw))
+
+
 def _crash_at(coord, crash_round):
     real = coord._run_round
 
@@ -389,6 +457,17 @@ class TestResumeBitIdentity:
         with pytest.raises(RuntimeError, match="injected"):
             coord.run()
         resumed = _build(tmp_path, resume=True, mode=mode, executor=executor).run()
+        assert _dumps(resumed) == ref
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("method", sorted(_TIERED))
+    def test_baseline_resume_matches_uninterrupted(self, tmp_path, method, mode):
+        ref = _dumps(_build_tiered(method, mode=mode).run())
+        coord = _build_tiered(method, tmp_path, mode=mode)
+        _crash_at(coord, crash_round=8)  # after the round-7 checkpoint
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        resumed = _build_tiered(method, tmp_path, resume=True, mode=mode).run()
         assert _dumps(resumed) == ref
 
     def test_resume_under_different_backend(self, tmp_path):

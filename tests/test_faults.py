@@ -475,20 +475,19 @@ class TestRecoveryExport:
         assert clone.quarantined_updates == log.quarantined_updates
         assert clone.faults == log.faults
 
-    def test_old_checkpoint_payloads_load(self):
+    def test_pre_fault_checkpoint_payload_is_refused(self):
+        """A log payload without the fault ledger cannot reach a current run
+        (the fault knobs are in the run hash); the decoder names what is
+        missing instead of zero-filling it."""
         from repro.fl import log_from_state, log_state_dict
 
         payload = log_state_dict(_run(executor="serial"))
-        for key in (
-            "worker_restarts",
-            "retries",
-            "failed_updates",
-            "quarantined_updates",
-            "faults",
-        ):
-            payload.pop(key, None)
-        clone = log_from_state(payload)
-        assert clone.retries == 0 and clone.faults == []
+        dropped = ["failed_updates", "faults", "quarantined_updates", "retries", "worker_restarts"]
+        for key in dropped:
+            payload.pop(key)
+        with pytest.raises(ValueError) as exc_info:
+            log_from_state(payload)
+        assert f"TrainingLog payload (dict): missing keys {dropped}" in str(exc_info.value)
 
 
 # ----------------------------------------------------------------------

@@ -637,19 +637,24 @@ class TestTransportLedger:
             r.raw_bytes_up for r in log.rounds
         ]
 
-    def test_pre_codec_checkpoint_defaults_raw_to_wire(self):
-        log = _golden_run("sync")
-        payload = log_state_dict(log)
-        payload.pop("compress")
-        payload.pop("total_raw_bytes_up")
+    def test_pre_codec_checkpoint_payload_is_refused(self):
+        """A payload without the raw/wire split predates the hashed
+        ``compress`` knob, so no current run can be pointed at it; the
+        decoder names the missing keys instead of guessing raw == wire."""
+        payload = log_state_dict(_golden_run("sync"))
+        stripped = dict(payload)
+        stripped.pop("compress")
+        stripped.pop("total_raw_bytes_up")
+        with pytest.raises(ValueError, match=r"TrainingLog payload \(dict\): missing keys "
+                           r"\['compress', 'total_raw_bytes_up'\]"):
+            log_from_state(stripped)
         for r in payload["rounds"]:
             r.pop("raw_bytes_up")
             r.pop("publish_raw_bytes")
             r.pop("publish_wire_bytes")
-        back = log_from_state(payload)
-        assert back.compress is None
-        assert back.total_raw_bytes_up == log.total_bytes_up
-        assert all(r.raw_bytes_up == r.bytes_up for r in back.rounds)
+        with pytest.raises(ValueError, match=r"RoundRecord payload \(dict\): missing keys "
+                           r"\['publish_raw_bytes', 'publish_wire_bytes', 'raw_bytes_up'\]"):
+            log_from_state(payload)
 
 
 class TestConfigPlumbing:
