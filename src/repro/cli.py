@@ -88,15 +88,11 @@ _FLAGS = (
     _Flag("--staleness-discount", "staleness_discount", dict(type=float),
           "async: per-missed-aggregation discount base in (0, 1] "
           "(default 0.5; 1 disables)"),
-    _Flag("--no-eval-cache", "eval_cache", dict(action="store_false"),
-          "disable the incremental evaluation cache (bit-identical "
-          "either way; on by default)"),
     _Flag("--sanitize", "sanitize", dict(action="store_true"),
           "enable the runtime sanitizer (repro.analysis.sanitize; "
           "equivalent to REPRO_SANITIZE=1): freeze published "
           "models read-only during rounds and cross-check model "
-          "versions against content fingerprints.  Requires the "
-          "eval cache; incompatible with --no-eval-cache"),
+          "versions against content fingerprints"),
     _Flag("--selector", "selector", dict(choices=SELECTOR_POLICIES),
           "client selection policy (uniform reproduces the "
           "pre-subsystem behavior bit-for-bit)"),

@@ -44,9 +44,9 @@ carries).  ``CoordinatorConfig.mode`` picks the driver:
 
 The determinism guarantee holds for both.  Evaluation is batched by
 deployment — clients sharing an ensemble (:meth:`Strategy.eval_ensemble`)
-share a few large forward passes — and groups whose models did not change
-are served from the version-keyed :mod:`~repro.fl.eval_cache`; strategies
-that override ``client_logits`` keep their bespoke per-client path.
+share a few large forward passes — and every sweep runs through the
+version-keyed :mod:`~repro.fl.eval_cache`, which serves the groups whose
+models did not change.
 
 Scheduling subsystem
 --------------------
@@ -92,7 +92,6 @@ import numpy as np
 
 from ..analysis import sanitize as _sanitize
 from ..nn.compute import COMPUTE_DTYPES, set_compute_dtype
-from ..nn.losses import accuracy
 from ..nn.cells import cell_id_counter, set_cell_id_counter
 from ..nn.model import model_id_counter, set_model_id_counter
 from ..stateful import Stateful, check_schema, schema_tag
@@ -152,9 +151,6 @@ class CoordinatorConfig:
     # deployment.  Chunk boundaries are deterministic (registration order),
     # so results stay bit-identical across backends.
     eval_group_clients: int = 64
-    # Incremental evaluation cache (see module docstring).  Bit-identical
-    # on or off; off recomputes every deployment group every sweep.
-    eval_cache: bool = True
     # Runtime sanitizer (repro.analysis.sanitize; also enabled by the
     # REPRO_SANITIZE=1 environment variable or the --sanitize CLI flag):
     # published models are frozen read-only while rounds are in flight and
@@ -163,9 +159,7 @@ class CoordinatorConfig:
     # so float32 + sanitize is valid — but the engine's bit-identity
     # claims (golden fixtures) are stated at float64, so a float32
     # sanitized run validates the invariants without asserting the
-    # float64 golden digests.  Requires eval_cache=True: the missed-bump
-    # cross-check rides the version-keyed cache-read path, and with the
-    # cache off there is no version-trusting read for it to protect.
+    # float64 golden digests.
     sanitize: bool = False
     # Round-execution backend: "serial" | "thread" | "process" (see module
     # docstring).  All three are bit-identical for the same seed.
@@ -257,17 +251,8 @@ class CoordinatorConfig:
             raise ValueError("eval_batch_size must be >= 1")
         if self.eval_group_clients < 1:
             raise ValueError("eval_group_clients must be >= 1")
-        if not isinstance(self.eval_cache, bool):
-            raise ValueError(f"eval_cache must be a bool, got {self.eval_cache!r}")
         if not isinstance(self.sanitize, bool):
             raise ValueError(f"sanitize must be a bool, got {self.sanitize!r}")
-        if self.sanitize and not self.eval_cache:
-            raise ValueError(
-                "sanitize=True requires eval_cache=True: the missed-bump "
-                "cross-check runs at the version-keyed cache-read path, so "
-                "with the cache off the sanitizer cannot check what it "
-                "promises to check"
-            )
         if self.compute_dtype is not None and self.compute_dtype not in COMPUTE_DTYPES:
             raise ValueError(
                 f"compute_dtype must be one of {COMPUTE_DTYPES} or None "
@@ -371,6 +356,12 @@ class Coordinator(Stateful):
     ):
         if not clients:
             raise ValueError("cannot run FL with zero clients")
+        if type(strategy).client_logits is not Strategy.client_logits:
+            raise TypeError(
+                f"{type(strategy).__name__} overrides client_logits, which the "
+                "fleet sweep never calls; declare the deployment through "
+                "eval_ensemble instead"
+            )
         # Resolve the run's compute dtype before anything hot is built
         # (None = inherit).  The process executor reads the resolved value
         # when its pool starts, so workers always match the coordinator.
@@ -415,9 +406,6 @@ class Coordinator(Stateful):
         # The async driver runs the round stages against this coordinator;
         # sync mode drives them itself (_barrier_round).
         self._async_engine = BufferedAsyncEngine(self) if config.mode == "async" else None
-        # Whether the strategy opted out of batched evaluation by
-        # overriding client_logits (the class never changes mid-run).
-        self._bespoke_logits = type(strategy).client_logits is not Strategy.client_logits
         self.eval_cache = EvalCache()
 
     def close(self) -> None:
@@ -449,9 +437,8 @@ class Coordinator(Stateful):
             "model_id_counter": model_id_counter(),
             "cell_id_counter": cell_id_counter(),
             # Fleet columns (activity stamps, utility EMA, round-time
-            # windows) precede the selector: a bound selector's payload is
-            # a projection of these columns, so the columns must be
-            # restored first on load.
+            # windows) are checkpointed here and only here; the selector
+            # and pacing payloads carry what the policy itself owns.
             "fleet": self.fleet.state_dict(),
             "selector": self.selector.state_dict(),
             "strategy": self.strategy.state_dict(),
@@ -487,7 +474,6 @@ class Coordinator(Stateful):
         set_model_id_counter(int(payload["model_id_counter"]))
         set_cell_id_counter(int(payload["cell_id_counter"]))
         self.rng.bit_generator.state = payload["rng"]
-        # Fleet columns before the selector (see state_dict).
         self.fleet.load_state_dict(payload["fleet"])
         self.selector.load_state_dict(payload["selector"])
         engine_payload = payload["engine"]
@@ -726,50 +712,31 @@ class Coordinator(Stateful):
         The deployed model is resolved exactly once per client
         (``eval_model_for`` can re-rank utilities, so calling it twice can
         record a different model than the one actually evaluated); clients
-        sharing an ensemble are then batched into one large forward pass
-        per deployment group, dispatched through the executor.  With
-        ``eval_cache`` on, groups whose model versions are unchanged come
-        from the cache instead (:mod:`~repro.fl.eval_cache`).
+        sharing an ensemble are then chunked into deployment groups and the
+        sweep runs through :class:`~repro.fl.eval_cache.EvalCache`: one
+        large forward pass per group whose model versions moved, the cached
+        accuracies for the rest.
         """
         used = [self.strategy.eval_model_for(c) for c in self.clients]
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for i, client in enumerate(self.clients):
+            key = self.strategy.eval_ensemble(client, used[i])
+            groups.setdefault(key, []).append(i)
+        chunk = self.config.eval_group_clients
+        chunked: list[list[int]] = []
+        tasks: list[EvalTask] = []
+        for key, idxs in groups.items():
+            for start in range(0, len(idxs), chunk):
+                part = idxs[start : start + chunk]
+                chunked.append(part)
+                tasks.append(
+                    EvalTask(key, tuple(self.clients[i].client_id for i in part))
+                )
         accs = np.zeros(len(self.clients))
-        cached_clients = 0
-        if self._bespoke_logits:
-            # Bespoke per-client evaluation; honor it client by client,
-            # threading the already-resolved model so a stateful
-            # eval_model_for is not consulted a second time.
-            for i, client in enumerate(self.clients):
-                logits = self.strategy.client_logits(
-                    client, client.data.x_test, model_id=used[i]
-                )
-                accs[i] = accuracy(logits, client.data.y_test)
-        else:
-            groups: dict[tuple[str, ...], list[int]] = {}
-            for i, client in enumerate(self.clients):
-                key = self.strategy.eval_ensemble(client, used[i])
-                groups.setdefault(key, []).append(i)
-            chunk = self.config.eval_group_clients
-            chunked: list[list[int]] = []
-            tasks: list[EvalTask] = []
-            for key, idxs in groups.items():
-                for start in range(0, len(idxs), chunk):
-                    part = idxs[start : start + chunk]
-                    chunked.append(part)
-                    tasks.append(
-                        EvalTask(key, tuple(self.clients[i].client_id for i in part))
-                    )
-            models = self.strategy.models()
-            if self.config.eval_cache:
-                cached_clients = self.eval_cache.evaluate(
-                    chunked, tasks, models, accs,
-                    self.executor, self.config.eval_batch_size,
-                )
-            else:
-                results = self.executor.eval_round(
-                    tasks, models, self.config.eval_batch_size
-                )
-                for idxs, group_accs in zip(chunked, results):
-                    accs[idxs] = group_accs
+        cached_clients = self.eval_cache.evaluate(
+            chunked, tasks, self.strategy.models(), accs,
+            self.executor, self.config.eval_batch_size,
+        )
         return EvalRecord(
             round_idx=round_idx,
             cumulative_macs=cumulative_macs,

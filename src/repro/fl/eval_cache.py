@@ -1,12 +1,12 @@
-"""Incremental evaluation cache: version-keyed accuracies and member logits.
+"""The fleet sweep: version-keyed accuracies and member logits.
 
 Periodic evaluation sweeps the *whole* registered fleet, yet between
 sweeps most of the suite is untouched (async aggregation updates at most
 ``buffer_k`` models per step; cold models in multi-model training go
-unchanged for long stretches).  With ``CoordinatorConfig.eval_cache`` on
-(the default) :meth:`Coordinator.evaluate` routes its chunked deployment
-groups through an :class:`EvalCache`, which keys two caches on the models'
-monotone :attr:`~repro.nn.model.CellModel.version` counters:
+unchanged for long stretches).  :meth:`Coordinator.evaluate` hands its
+chunked deployment groups to an :class:`EvalCache` — the only way a sweep
+is computed — which keys two caches on the models' monotone
+:attr:`~repro.nn.model.CellModel.version` counters:
 
 * **accuracies** per ``(ensemble ids, ensemble versions, client chunk)`` —
   a deployment group whose models did not change since the last sweep
@@ -32,14 +32,14 @@ contract), so the cross-sweep cache costs
 ``O(multi-member-ensemble test rows x num_classes)`` doubles of resident
 memory between sweeps — the price of skipping idle members' forward
 passes.  Fleets whose evaluation is dominated by single-model deployments
-pay nothing; ensemble fleets that cannot afford the residency can set
-``eval_cache=False`` and trade the saving back for memory.
+pay nothing.
 
-Cache-on and cache-off sweeps are bit-identical: the cached quantities are
-re-derived by exactly the arithmetic of the uncached
-:func:`~repro.fl.executor._eval_task` path, and entries are invalidated by
-version, never by heuristics.  ``EvalRecord.cached_clients`` /
-``evaluated_clients`` meter the split so the saving is observable.  Both
+Warm and cold sweeps are bit-identical: a sweep over an empty cache is
+the code a first sweep runs, a hit returns the array a miss stored, every
+score ends in :func:`~repro.fl.executor.ensemble_accuracies` over
+:func:`~repro.fl.executor._logits_task` output, and entries are
+invalidated by version, never by heuristics.  ``EvalRecord.cached_clients``
+/ ``evaluated_clients`` meter the split so the saving is observable.  Both
 caches evict entries untouched by the latest sweep, bounding memory at one
 sweep's working set.
 """
@@ -129,8 +129,7 @@ class EvalCache(Stateful):
 
         Fills ``accs`` in place and returns how many clients were served
         from the accuracy cache (module docstring: what is cached, what a
-        miss costs, and why cache-on and cache-off sweeps are
-        bit-identical).
+        miss costs, and why warm and cold sweeps are bit-identical).
         """
         self._version_watch.check_all(models, where="eval cache read")
         # The executor already indexed the same fleet by client id.
@@ -198,11 +197,7 @@ class EvalCache(Stateful):
     def _combine_group(
         self, task: EvalTask, models: dict, clients_by_id: dict
     ) -> np.ndarray:
-        """Ensemble-average cached member logits into per-client accuracies.
-
-        Ends in :func:`~repro.fl.executor.ensemble_accuracies` like the
-        uncached ``_eval_task`` path: the two share their arithmetic.
-        """
+        """Ensemble-average cached member logits into per-client accuracies."""
         if _group_rows(task, clients_by_id) == 0:
             return np.zeros(len(task.client_ids))
         return ensemble_accuracies(

@@ -13,8 +13,9 @@ backend                            how it submits a wave               what it a
 :class:`ProcessPoolRoundExecutor`  settle-then-redispatch over a pool  pool + publisher + heal
 =================================  ==================================  =======================
 
-Everything else exists once: :class:`RoundExecutor`'s four ``*_round``
-entry points build a job list for the backend's ``_run_wave``,
+Everything else exists once: :class:`RoundExecutor`'s two entry points
+(``train_round``, ``eval_and_logits_round``) build a job list for the
+backend's ``_run_wave``,
 :func:`_attempt` is the only place a work item runs (in this process or in
 a pool worker), and :meth:`RoundExecutor._dispose` decides what a failed
 attempt becomes.  The process backend ships the static fleet to each worker
@@ -144,14 +145,13 @@ def ensemble_accuracies(
     clients_by_id: dict[int, FLClient],
     client_ids: tuple[int, ...],
 ) -> np.ndarray:
-    """Shared tail of ensemble evaluation: average, slice, score per client.
+    """Average member logits, slice per client, score: the one scorer.
 
     ``member_logits`` yields each member model's logits over the group's
-    concatenated test rows, in ensemble order (an iterable, so callers can
-    stream forward passes without holding every member at once).  Both the
-    uncached :func:`_eval_task` path and the coordinator's cache-combine
-    path run THIS function, which is what makes the cache-on/off
-    bit-identity contract structural rather than two hand-mirrored copies.
+    concatenated test rows, in ensemble order.  A single-model group
+    (:func:`_eval_task`, worker-side) and an ensemble combined from cached
+    member logits (:class:`~repro.fl.eval_cache.EvalCache`) both end here,
+    over arrays :func:`_logits_task` produced.
 
     A test-less client inside a non-empty group scores 0.0 — accuracy()
     over a zero-length slice would yield NaN and poison the eval's mean.
@@ -176,23 +176,13 @@ def _eval_task(
     task: EvalTask,
     batch_size: int,
 ) -> np.ndarray:
-    """Per-client accuracies for one deployment group, batched forward.
+    """Per-client accuracies of a single-model group: score one logits task.
 
-    Runs on throwaway clones: the thread backend would otherwise race on
-    the live server models' layer caches, and any backend would leave the
-    group's concatenated activations pinned on them after predict().
+    Scored where the logits are, so only the accuracies cross the wire.  An
+    all-empty group scores zeros like any other test-less client.
     """
-    xs = np.concatenate([clients_by_id[cid].data.x_test for cid in task.client_ids])
-    if len(xs) == 0:
-        # Every client in the group has an empty test set; predict() cannot
-        # run on zero samples, and accuracy() defines the score as 0.0.
-        return np.zeros(len(task.client_ids))
-    return ensemble_accuracies(
-        (models[mid].clone(keep_id=True).predict(xs, batch_size) for mid in task.model_ids),
-        len(task.model_ids),
-        clients_by_id,
-        task.client_ids,
-    )
+    logits = _logits_task(models, clients_by_id, task, batch_size)
+    return ensemble_accuracies([logits], 1, clients_by_id, task.client_ids)
 
 
 def _logits_task(
@@ -203,18 +193,17 @@ def _logits_task(
 ) -> np.ndarray:
     """Raw logits of one model over one client chunk's concatenated tests.
 
-    The building block of the coordinator's incremental evaluation cache:
-    per-``(model version, chunk)`` logits are computed once and shared
-    across every ensemble that contains the model.  The arithmetic is
-    *identical* to one member-model pass of :func:`_eval_task` (a clone's
-    ``predict`` over the same concatenation), which is what keeps cache-on
-    and cache-off evaluations bit-identical.
+    The only forward pass of a sweep.  Runs on a throwaway clone: the
+    thread backend would otherwise race on the live server model's layer
+    caches, and any backend would leave the chunk's concatenated
+    activations pinned on it after predict().
     """
     if len(task.model_ids) != 1:
         raise ValueError(f"logits tasks carry exactly one model, got {task.model_ids}")
     model = models[task.model_ids[0]]
     xs = np.concatenate([clients_by_id[cid].data.x_test for cid in task.client_ids])
     if len(xs) == 0:
+        # predict() cannot run on zero samples.
         return np.zeros((0, model.num_classes))
     return model.clone(keep_id=True).predict(xs, batch_size)
 
@@ -329,7 +318,7 @@ class RoundExecutor(Stateful, ABC):
         self._meter_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # the four entry points: build the job list, publish-guard, one wave
+    # the two entry points: build the job list, publish-guard, one wave
     # ------------------------------------------------------------------
     def train_round(
         self, round_idx: int, items: list[TrainItem], models: dict[str, CellModel]
@@ -342,20 +331,6 @@ class RoundExecutor(Stateful, ABC):
         with _sanitize.published(models):
             return self._run_wave(models, [("train", it) for it in items], round_idx)
 
-    def eval_round(
-        self, tasks: list[EvalTask], models: dict[str, CellModel], batch_size: int
-    ) -> list[np.ndarray]:
-        """Per-client accuracies for every group; results in task order."""
-        with _sanitize.published(models):
-            return self._run_wave(models, [("eval", (t, batch_size)) for t in tasks], -1)
-
-    def logits_round(
-        self, tasks: list[EvalTask], models: dict[str, CellModel], batch_size: int
-    ) -> list[np.ndarray]:
-        """Raw per-model logits for every single-model task; in task order."""
-        with _sanitize.published(models):
-            return self._run_wave(models, [("logits", (t, batch_size)) for t in tasks], -1)
-
     def eval_and_logits_round(
         self,
         eval_tasks: list[EvalTask],
@@ -365,12 +340,10 @@ class RoundExecutor(Stateful, ABC):
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Run accuracy groups and logits tasks as one wave; two result lists.
 
-        The coordinator's cached evaluation dispatches both kinds per sweep
-        (accuracy tasks for single-model groups — per-client accuracies
-        over the wire, nothing retained — and member-logits tasks for
-        ensembles); a combined wave keeps parallel backends' workers busy
-        across both instead of draining two back-to-back barriers, and the
-        process backend publishes once for it.
+        A sweep (:class:`~repro.fl.eval_cache.EvalCache`) dispatches both
+        kinds — accuracy tasks for single-model groups, member-logits
+        tasks for ensembles; one wave keeps parallel backends' workers busy
+        across both and the process backend publishes once for it.
         """
         jobs = [("eval", (t, batch_size)) for t in eval_tasks] + [
             ("logits", (t, batch_size)) for t in logits_tasks

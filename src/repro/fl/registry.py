@@ -58,6 +58,9 @@ def run_hash(strategy_name: str, config, clients: list[FLClient]) -> str:
     cfg = asdict(config)
     for knob in TRAJECTORY_NEUTRAL_KNOBS:
         cfg.pop(knob, None)
+    # A field until the cached sweep became the only one; its default stays
+    # in the preimage so run directories written before that are still found.
+    cfg["eval_cache"] = True
     doc = {
         "strategy": strategy_name,
         "config": cfg,

@@ -139,9 +139,7 @@ class RoundTimeStats:
 
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
-        self.load_chronological(payload["durations"])
-
-    def load_chronological(self, durations: Sequence[Sequence[float]]) -> None:
+        durations = payload["durations"]
         if len(durations) != self.num_classes:
             raise ValueError(
                 f"payload has {len(durations)} device classes; "
@@ -489,23 +487,6 @@ class FleetStore(Stateful):
                     self._utility[row] = float(x)
                     self._has_utility[row] = True
         self._last_seen[rows] = self._round
-
-    def export_utilities(self) -> dict[int, float]:
-        rows = np.flatnonzero(self._has_utility)
-        return {int(self.ids[r]): float(self._utility[r]) for r in rows}
-
-    def set_utilities(self, utilities: dict[int, float]) -> None:
-        """Replace the utility columns wholesale (checkpoint restore)."""
-        self._utility[:] = 0.0
-        self._has_utility[:] = False
-        for cid, u in utilities.items():
-            row = self._row_of.get(int(cid))
-            if row is None:
-                raise ValueError(
-                    f"utility payload names client {cid} which is not in the fleet"
-                )
-            self._utility[row] = float(u)
-            self._has_utility[row] = True
 
     def resident_utilities(self) -> int:
         return int(self._has_utility.sum())

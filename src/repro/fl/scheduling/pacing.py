@@ -192,19 +192,13 @@ class QuantilePacing(PacingPolicy):
     schema = schema_tag("QuantilePacing")
 
     def state_dict(self) -> dict:
-        # Class membership is configuration (a pure function of the fleet),
-        # not trajectory; the sliding duration windows and derived deadlines
-        # are.  Windows serialize oldest-first — the deque wire order.
-        return {
-            "schema": self.schema,
-            "durations": self._fleet.stats.chronological(),
-            "deadline": list(self._deadline),
-        }
+        # Class membership is configuration (a pure function of the fleet)
+        # and the sliding duration windows travel in the fleet store's
+        # payload; the derived deadlines are the policy's own.
+        return {"schema": self.schema, "deadline": list(self._deadline)}
 
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
-        # Raises on a class-count mismatch with the constructed fleet.
-        self._fleet.stats.load_chronological(payload["durations"])
         self._deadline = [
             None if d is None else float(d) for d in payload["deadline"]
         ]

@@ -240,16 +240,9 @@ class OortSelector(ClientSelector):
     schema = schema_tag("OortSelector")
 
     def state_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "utility": {
-                str(cid): float(u)
-                for cid, u in self._fleet.export_utilities().items()
-            },
-        }
+        # The utilities are the bound fleet store's columns and travel in
+        # its payload; alpha and momentum are configuration.
+        return {"schema": self.schema}
 
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
-        self._fleet.set_utilities(
-            {int(cid): float(u) for cid, u in payload["utility"].items()}
-        )

@@ -5,10 +5,10 @@ trains (``assign`` — SplitMix ships several base nets per client, everyone
 else exactly one), merges returned updates (``aggregate``; the async engine
 routes buffered, possibly stale batches through ``aggregate_buffered``,
 which discounts staleness and delegates here), and defines how
-a client is *evaluated* (``client_logits``; by default the single deployed
-model named by ``eval_model_for`` — the paper evaluates "each client only
-on its compatible models and assign[s] it the model with the highest
-utility").
+a client is *evaluated*: ``eval_model_for`` names the deployed model — the
+paper evaluates "each client only on its compatible models and assign[s]
+it the model with the highest utility" — and ``eval_ensemble`` the models
+whose averaged logits form the deployment (by default that one model).
 
 FedTrans and every baseline implement this interface, so the coordinator,
 cost accounting, and bench harness are shared across all methods.
@@ -192,12 +192,13 @@ class Strategy(Stateful, ABC):
     ) -> np.ndarray:
         """Logits the client's deployment produces on ``x``.
 
-        ``model_id`` lets callers that already resolved
-        :meth:`eval_model_for` thread it through instead of re-ranking;
-        when omitted it is resolved here.  Overriding this method opts the
-        strategy out of the coordinator's batched evaluation path — prefer
-        overriding :meth:`eval_ensemble` when the deployment is a plain
-        logit average.
+        The per-client reference for the deployment :meth:`eval_ensemble`
+        declares — what a device would compute, and the oracle the batched
+        fleet sweep is tested against.  The sweep itself never calls it:
+        :meth:`eval_ensemble` is the hook, and the coordinator refuses a
+        strategy that overrides this method.  ``model_id`` lets callers
+        that already resolved :meth:`eval_model_for` thread it through
+        instead of re-ranking; when omitted it is resolved here.
         """
         mid = self.eval_model_for(client) if model_id is None else model_id
         models = self.models()

@@ -77,11 +77,16 @@ def _put_varint(buf: bytearray, value: int) -> None:
             return
 
 
-def _get_varint(data: bytes, pos: int) -> tuple[int, int]:
-    """Decode one LEB128 integer at ``pos``; returns ``(value, next_pos)``."""
+def _get_varint(data: bytes, pos: int, stream: str) -> tuple[int, int]:
+    """Decode one LEB128 integer at ``pos``; returns ``(value, next_pos)``.
+
+    Running off the end of ``data`` is the ``stream``'s corruption error.
+    """
     value = 0
     shift = 0
     while True:
+        if pos >= len(data):
+            raise ValueError(f"corrupt {stream} stream: truncated at byte {pos}")
         byte = data[pos]
         pos += 1
         value |= (byte & 0x7F) << shift
@@ -139,8 +144,8 @@ def rle_decode_bytes(encoded: bytes, ref: bytes) -> bytes:
     pos = 0
     n = len(ref)
     while len(out) < n:
-        eq_len, pos = _get_varint(encoded, pos)
-        lit_len, pos = _get_varint(encoded, pos)
+        eq_len, pos = _get_varint(encoded, pos, "rle")
+        lit_len, pos = _get_varint(encoded, pos, "rle")
         if eq_len:
             out += ref[len(out) : len(out) + eq_len]
         if lit_len:
@@ -191,15 +196,19 @@ def encode_indices(idx: np.ndarray, n: int) -> bytes:
 def decode_indices(encoded: bytes) -> tuple[np.ndarray, int]:
     """Invert :func:`encode_indices`; returns ``(indices, n)``."""
     pos = 0
-    n, pos = _get_varint(encoded, pos)
-    k, pos = _get_varint(encoded, pos)
+    n, pos = _get_varint(encoded, pos, "top-k index")
+    k, pos = _get_varint(encoded, pos, "top-k index")
     chunks: list[np.ndarray] = []
     cursor = 0
     total = 0
     while total < k:
-        gap, pos = _get_varint(encoded, pos)
-        run, pos = _get_varint(encoded, pos)
+        gap, pos = _get_varint(encoded, pos, "top-k index")
+        run, pos = _get_varint(encoded, pos, "top-k index")
         start = cursor + gap
+        if run > min(n - start, k - total):
+            # Bounded by the stream's own header before it is materialised:
+            # a hostile run length must not size an allocation.
+            raise ValueError("corrupt top-k index stream")
         chunks.append(np.arange(start, start + run, dtype=np.int64))
         cursor = start + run
         total += run

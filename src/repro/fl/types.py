@@ -196,9 +196,7 @@ class EvalRecord:
     ``cached_clients`` / ``evaluated_clients`` meter the incremental
     evaluation cache: clients whose deployment group's accuracies were
     served from the version-keyed cache vs. recomputed with forward passes.
-    They always sum to ``len(client_accuracy)``; with the cache disabled
-    (or a bespoke ``client_logits`` strategy) every client counts as
-    evaluated.
+    They always sum to ``len(client_accuracy)``.
     """
 
     round_idx: int

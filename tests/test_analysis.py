@@ -944,15 +944,17 @@ class TestEngineAndCli:
         assert regrown == []
 
     def test_executor_has_one_wave_runner(self):
-        """Backends differ only in ``_run_wave``: the four ``*_round`` entry
-        points, the publish guard, the retry verdict and the permanent-failure
+        """Backends differ only in ``_run_wave``: the two entry points
+        (``train_round`` and the sweep's ``eval_and_logits_round`` — a third
+        would be a second way to compute a sweep), the publish guard, the
+        retry verdict and the permanent-failure
         sentinel each exist once, and the snapshot chain protocol lives in
         ``snapshot.py`` — each shape below is how a per-backend copy would
         regrow."""
         fl = REPO / "src" / "repro" / "fl"
         trees = {p: ast.parse(p.read_text()) for p in sorted(fl.rglob("*.py"))}
         executor = trees[fl / "executor.py"]
-        rounds = ("train_round", "eval_round", "logits_round", "eval_and_logits_round")
+        rounds = ("train_round", "eval_and_logits_round")
 
         def calls(tree, leaf):
             return [
@@ -976,6 +978,11 @@ class TestEngineAndCli:
             n for n in executor.body
             if isinstance(n, ast.ClassDef) and n.name == "RoundExecutor"
         )
+        entry_points = [
+            f.name for f in base.body
+            if isinstance(f, ast.FunctionDef) and f.name.endswith("_round")
+        ]
+        assert entry_points == list(rounds)
         guards = {
             f.name: len(calls(f, "published"))
             for f in base.body
@@ -1053,8 +1060,64 @@ class TestEngineAndCli:
             if isinstance(n, (ast.Import, ast.ImportFrom)) and ".fl" in ast.unparse(n)
         ]
         assert strategy_side == []
-        assert len(cfg_fields) == 33
+        assert len(cfg_fields) == 32
         assert len(dataclasses.fields(FedTransConfig)) == 22
+
+    def test_a_sweep_has_one_path(self):
+        """A fleet sweep is ``EvalCache.evaluate`` and nothing else; each
+        shape below is how a second route (a switch on the config, a
+        per-client loop for strategies that override ``client_logits``, a
+        direct executor call) would regrow."""
+        src = REPO / "src" / "repro"
+        trees = {p: ast.parse(p.read_text()) for p in sorted(src.rglob("*.py"))}
+        coordinator = next(
+            n for n in trees[src / "fl" / "coordinator.py"].body
+            if isinstance(n, ast.ClassDef) and n.name == "Coordinator"
+        )
+        evaluate = next(
+            f for f in coordinator.body
+            if isinstance(f, ast.FunctionDef) and f.name == "evaluate"
+        )
+        branches = [
+            ast.unparse(n.test)
+            for n in ast.walk(evaluate)
+            if isinstance(n, (ast.If, ast.IfExp, ast.While, ast.Match))
+        ]
+        assert branches == []
+        # The executor is reached only as an argument handed to the cache.
+        executor_uses = [
+            ast.unparse(n)
+            for n in ast.walk(evaluate)
+            if isinstance(n, ast.Attribute) and n.attr == "executor"
+        ]
+        sweeps = [
+            n for n in ast.walk(evaluate)
+            if isinstance(n, ast.Call)
+            and ast.unparse(n.func) == "self.eval_cache.evaluate"
+        ]
+        assert len(sweeps) == 1
+        assert executor_uses == ["self.executor"]
+        assert "self.executor" in [ast.unparse(a) for a in sweeps[0].args]
+        wave_callers = sorted(
+            path.name
+            for path, tree in trees.items()
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            and getattr(n.func, "attr", None) == "eval_and_logits_round"
+        )
+        assert wave_callers == ["eval_cache.py"]
+        assert "eval_cache" not in {f.name for f in dataclasses.fields(CoordinatorConfig)}
+        overriders = [
+            f"{path.name}:{cls.name}"
+            for path, tree in trees.items()
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name != "Strategy"
+            and any(
+                isinstance(f, ast.FunctionDef) and f.name == "client_logits"
+                for f in cls.body
+            )
+        ]
+        assert overriders == []
 
     def test_a_cell_is_declared_once(self):
         """A cell kind is a constructor record + wiring rows that ``Cell``
@@ -1240,9 +1303,7 @@ class TestSanitizerUnits:
         m.set_params({k: v + 1.0 for k, v in m.params().items()})  # bumps
         watch.check(m)  # no error
 
-    def test_config_requires_eval_cache(self):
-        with pytest.raises(ValueError, match="sanitize=True requires eval_cache"):
-            CoordinatorConfig(sanitize=True, eval_cache=False)
+    def test_config_sanitize_must_be_bool(self):
         with pytest.raises(ValueError, match="sanitize must be a bool"):
             CoordinatorConfig(sanitize="yes")
 

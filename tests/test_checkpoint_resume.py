@@ -220,7 +220,9 @@ class TestRunRegistry:
     def test_hash_and_field_list_are_pinned(self, tmp_path):
         """The run hash names run directories: drift orphans every checkpoint
         written before it.  Digests and field order computed at cc0a666,
-        before ``CoordinatorConfig`` grew its parsed (non-field) views."""
+        before ``CoordinatorConfig`` grew its parsed (non-field) views — and
+        while ``eval_cache`` was still a field, whose default ``run_hash``
+        keeps in the preimage."""
         fleet = _tiny_fleet()
         default = CoordinatorConfig()
         loaded = dict(
@@ -246,7 +248,7 @@ class TestRunRegistry:
         names = [
             "rounds", "clients_per_round", "trainer", "eval_every", "seed",
             "convergence_patience", "convergence_delta", "eval_batch_size",
-            "eval_group_clients", "eval_cache", "sanitize", "executor",
+            "eval_group_clients", "sanitize", "executor",
             "max_workers", "compute_dtype", "mode", "buffer_k",
             "async_concurrency", "deadline_s", "staleness_discount", "selector",
             "pacing", "straggler", "availability_trace", "evict_after", "faults",
@@ -365,7 +367,7 @@ class TestRngCaptureRestore:
 # end-to-end crash/resume matrix (in-process crash injection)
 # ----------------------------------------------------------------------
 def _build(ckpt_dir=None, resume=False, mode="sync", executor="serial",
-           sanitize_run=False):
+           sanitize_run=False, **over):
     # Each build simulates a fresh process: both process-global id
     # counters restart so lineage names are reproducible.
     set_model_id_counter(0)
@@ -392,6 +394,7 @@ def _build(ckpt_dir=None, resume=False, mode="sync", executor="serial",
         kw.update(sanitize=True)
     if ckpt_dir is not None:
         kw.update(checkpoint_every=2, checkpoint_dir=str(ckpt_dir), resume=resume)
+    kw.update(over)
     return Coordinator(strat, clients, CoordinatorConfig(**kw))
 
 
@@ -469,6 +472,38 @@ class TestResumeBitIdentity:
             coord.run()
         resumed = _build_tiered(method, tmp_path, resume=True, mode=mode).run()
         assert _dumps(resumed) == ref
+
+    def test_parent_shaped_scheduler_payload_resumes_identically(self, tmp_path):
+        """Until ISSUE 21 ``OortSelector``'s payload restated the fleet
+        store's utility column and ``QuantilePacing``'s its round-time
+        windows.  A checkpoint written then carries both copies and must
+        resume exactly like one that carries each once."""
+        stack = dict(mode="async", rounds=24, selector="oort", pacing="quantile")
+        ref = _dumps(_build(**stack).run())
+        coord = _build(tmp_path, **stack)
+        stored_once = coord.state_dict
+        written = []
+
+        def stored_twice():
+            payload = stored_once()
+            fleet = payload["fleet"]
+            payload["selector"]["utility"] = {
+                str(int(cid)): float(u)
+                for cid, u, has in zip(fleet["ids"], fleet["utility"], fleet["has_utility"])
+                if has
+            }
+            payload["engine"]["pacing"]["durations"] = fleet["stats"]["durations"]
+            written.append(payload)
+            return payload
+
+        coord.state_dict = stored_twice
+        _crash_at(coord, crash_round=22)  # after the round-21 checkpoint
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        last = written[-1]
+        assert last["selector"]["utility"] and any(last["engine"]["pacing"]["durations"])
+        assert any(d is not None for d in last["engine"]["pacing"]["deadline"])
+        assert _dumps(_build(tmp_path, resume=True, **stack).run()) == ref
 
     def test_resume_under_different_backend(self, tmp_path):
         ref = _dumps(_build().run())

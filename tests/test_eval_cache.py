@@ -6,10 +6,11 @@ Three contracts under test:
   (``set_params``/``set_state``, optimizer steps, transformations,
   subnet narrowing, re-initialization) bumps the monotone ``version``,
   and ``clone(keep_id=True)`` carries it.
-* **Incremental evaluation cache** — bit-identical logs cache-on vs
-  cache-off across all executor backends in both round modes; unchanged
-  deployment groups are served from cache (metered on ``EvalRecord``);
-  partially changed ensembles recompute only their changed members.
+* **Incremental evaluation cache** — exports bit-identical whether sweeps
+  run warm or cold (cache emptied before each one) across all executor
+  backends in both round modes; unchanged deployment groups are served
+  from cache (metered on ``EvalRecord``); partially changed ensembles
+  recompute only their changed members.
 * **Delta snapshot publishing** — the process backend ships only
   version-changed models per publish, workers replay the delta chain, and
   a full snapshot re-compacts the chain periodically.
@@ -34,10 +35,11 @@ from repro.fl import (
     TrainItem,
     make_executor,
 )
+from repro.fl.export import log_to_dict
 from repro.fl.snapshot import FULL_SNAPSHOT_EVERY
 from repro.nn import mlp
-
-from test_executor import _assert_logs_identical
+from repro.nn.cells import cell_id_counter, set_cell_id_counter
+from repro.nn.model import model_id_counter, set_model_id_counter
 
 
 def _dataset(num_clients=10, seed=0):
@@ -182,18 +184,16 @@ class TestCostMemoization:
 
 
 # ----------------------------------------------------------------------
-# cache-on vs cache-off determinism
+# warm vs cold sweeps
 # ----------------------------------------------------------------------
-def _run_fedavg(backend, mode, eval_cache, rounds=6):
+def _fedavg_coord():
     ds = _dataset(num_clients=12)
     clients = _clients(ds)
     model = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=16)
-    over = {"mode": mode, "buffer_k": 3} if mode == "async" else {}
-    cfg = _coord_cfg(rounds, executor=backend, eval_cache=eval_cache, **over)
-    return Coordinator(fedavg(model), clients, cfg).run()
+    return Coordinator(fedavg(model), clients, _coord_cfg())
 
 
-def _run_fedtrans(eval_cache, rounds=12):
+def _fedtrans_coord(rounds=12, **over):
     ds = _dataset(num_clients=10)
     rng = np.random.default_rng(0)
     init = mlp(ds.input_shape, ds.num_classes, rng, width=8)
@@ -203,10 +203,20 @@ def _run_fedtrans(eval_cache, rounds=12):
         FedTransConfig(gamma=2, delta=2, beta=0.5, max_models=3),
         max_capacity_macs=init.macs() * 16,
     )
-    return Coordinator(strategy, clients, _coord_cfg(rounds, eval_cache=eval_cache)).run()
+    return Coordinator(strategy, clients, _coord_cfg(rounds, **over))
 
 
-def _run_subnet_method(method, backend, eval_cache, rounds=6):
+def _sparse_fedtrans_coord(backend, mode):
+    """A sweep after every round and one update per aggregation: most
+    rounds leave the deployed models untouched, so most sweeps are hits."""
+    if mode == "async":
+        over = dict(rounds=16, clients_per_round=2, mode="async", buffer_k=1)
+    else:
+        over = dict(rounds=12, clients_per_round=1)
+    return _fedtrans_coord(eval_every=1, executor=backend, **over)
+
+
+def _subnet_coord(method, backend, rounds=6):
     from repro.baselines import FLuIDStrategy, HeteroFLStrategy
 
     ds = _dataset(num_clients=10)
@@ -222,11 +232,10 @@ def _run_subnet_method(method, backend, eval_cache, rounds=6):
     ]
     cls = HeteroFLStrategy if method == "heterofl" else FLuIDStrategy
     strategy = cls(big.clone())
-    cfg = _coord_cfg(rounds, executor=backend, eval_cache=eval_cache)
-    return Coordinator(strategy, clients, cfg).run()
+    return Coordinator(strategy, clients, _coord_cfg(rounds, executor=backend))
 
 
-def _splitmix_coord(eval_cache=True, num_clients=8, seed=0):
+def _splitmix_coord(num_clients=8, seed=0, rounds=2, **over):
     ds = _dataset(num_clients=num_clients)
     rng = np.random.default_rng(seed)
     big = mlp(ds.input_shape, ds.num_classes, rng, width=16)
@@ -240,25 +249,69 @@ def _splitmix_coord(eval_cache=True, num_clients=8, seed=0):
     ]
     strategy = SplitMixStrategy(big, k=4, seed=seed)
     assert len({strategy.budget_count(c) for c in clients}) > 1  # nested ensembles
-    coord = Coordinator(strategy, clients, _coord_cfg(rounds=2, eval_cache=eval_cache))
+    coord = Coordinator(strategy, clients, _coord_cfg(rounds=rounds, **over))
     return coord, strategy, clients
+
+
+def _empty_before_each_sweep(coord):
+    """Make every sweep of ``coord`` a *cold* one: the cache is emptied
+    first, so the sweep runs exactly the code a first sweep runs and never
+    reads an entry.  That is the reference a warm run must reproduce."""
+    sweep = coord.evaluate
+
+    def cold_sweep(round_idx, cumulative_macs):
+        coord.eval_cache.accs.clear()
+        coord.eval_cache.logits.clear()
+        return sweep(round_idx, cumulative_macs)
+
+    coord.evaluate = cold_sweep
+
+
+def _export(build, ids, cold=False):
+    """``(export minus the cache meters, [cached_clients per sweep])`` of
+    one run of ``build()``'s coordinator, built at id-counter position
+    ``ids`` so the runs of a pair mint the same model / cell ids."""
+    set_model_id_counter(ids[0])
+    set_cell_id_counter(ids[1])
+    coord = build()
+    if cold:
+        _empty_before_each_sweep(coord)
+    doc = log_to_dict(coord.run())
+    cached = [ev.pop("cached_clients") for ev in doc["evals"]]
+    for ev in doc["evals"]:
+        ev.pop("evaluated_clients")
+    return doc, cached
+
+
+def _assert_warm_equals_cold(build):
+    """Run ``build()`` twice — sweeps warm, then cold — and require equal
+    exports (everything but the two meters).  Returns the warm ``(export,
+    cached)``."""
+    ids = model_id_counter(), cell_id_counter()
+    warm, warm_cached = _export(build, ids)
+    cold, cold_cached = _export(build, ids, cold=True)
+    assert warm == cold
+    assert not any(cold_cached)  # the reference never read an entry
+    return warm, warm_cached
 
 
 class TestCacheDeterminism:
     @pytest.mark.parametrize("mode", ["sync", "async"])
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_bit_identical_on_vs_off(self, backend, mode):
-        """The headline contract: enabling the cache changes nothing
-        observable but the meters, on every backend in both round modes."""
-        on = _run_fedavg(backend, mode, eval_cache=True)
-        off = _run_fedavg(backend, mode, eval_cache=False)
-        _assert_logs_identical(on, off)
-        assert all(e.cached_clients == 0 for e in off.evals)
+    def test_bit_identical_warm_vs_cold(self, backend, mode):
+        """The headline contract: serving a sweep from the cache changes
+        nothing observable but the meters, on every backend in both round
+        modes."""
+        _, cached = _assert_warm_equals_cold(
+            lambda: _sparse_fedtrans_coord(backend, mode)
+        )
+        assert any(cached)  # the warm run did read entries
 
     def test_fedtrans_transforming_suite_bit_identical(self):
         """Model spawns mid-run (new ids, fresh versions) don't perturb the
         cached path."""
-        _assert_logs_identical(_run_fedtrans(True), _run_fedtrans(False))
+        warm, _ = _assert_warm_equals_cold(_fedtrans_coord)
+        assert any("spawned" in e for r in warm["rounds"] for e in r["events"])
 
     @pytest.mark.parametrize("method", ["heterofl", "fluid"])
     def test_rebuilt_submodel_suites_bit_identical(self, method):
@@ -266,28 +319,67 @@ class TestCacheDeterminism:
         after every aggregation (regression: constant rebuild versions froze
         the eval cache at the first sweep and let the process backend reuse
         stale snapshots)."""
-        serial_on = _run_subnet_method(method, "serial", eval_cache=True)
-        serial_off = _run_subnet_method(method, "serial", eval_cache=False)
-        _assert_logs_identical(serial_on, serial_off)
+        ids = model_id_counter(), cell_id_counter()
+        serial, _ = _assert_warm_equals_cold(lambda: _subnet_coord(method, "serial"))
         # Accuracies must actually move across sweeps (the frozen-cache bug
         # made every post-first sweep a stale hit).
-        assert len({e.mean_accuracy for e in serial_on.evals}) > 1
-        process_on = _run_subnet_method(method, "process", eval_cache=True)
-        _assert_logs_identical(serial_on, process_on)
+        assert len({e["mean_accuracy"] for e in serial["evals"]}) > 1
+        process, _ = _export(lambda: _subnet_coord(method, "process"), ids)
+        assert process == serial
+
+    def test_missed_version_bump_fails_the_pair(self):
+        """The regression above, reintroduced: a strategy whose aggregation
+        moves the weights but restamps a constant version serves every
+        later sweep from the first one's entries — and the warm/cold pair
+        is what catches it."""
+        def frozen():
+            coord = _fedavg_coord()
+            strategy = coord.strategy
+
+            class ConstantVersion(type(strategy)):
+                def aggregate(self, round_idx, updates, rng):
+                    events = super().aggregate(round_idx, updates, rng)
+                    self.model.sync_version(0)
+                    return events
+
+            strategy.__class__ = ConstantVersion
+            return coord
+
+        with pytest.raises(AssertionError):
+            _assert_warm_equals_cold(frozen)
 
     def test_splitmix_nested_ensembles_bit_identical(self):
-        coord_on, strat_on, clients = _splitmix_coord(eval_cache=True)
-        coord_off, strat_off, _ = _splitmix_coord(eval_cache=False)
-        ev_on = coord_on.evaluate(0, 0.0)
-        ev_off = coord_off.evaluate(0, 0.0)
-        assert (ev_on.client_accuracy == ev_off.client_accuracy).all()
-        # ...and both match the per-client reference path
+        coord, strategy, clients = _splitmix_coord()
+        warm_first = coord.evaluate(0, 0.0)
+        warm_again = coord.evaluate(1, 0.0)
+        assert warm_again.cached_clients == len(clients)
+        _empty_before_each_sweep(coord)
+        cold = coord.evaluate(2, 0.0)
+        assert cold.cached_clients == 0
+        assert (warm_first.client_accuracy == cold.client_accuracy).all()
+        assert (warm_again.client_accuracy == cold.client_accuracy).all()
+        # ...and all match the per-client reference path
         for i, client in enumerate(clients):
-            logits = strat_on.client_logits(client, client.data.x_test)
+            logits = strategy.client_logits(client, client.data.x_test)
             expect = float((logits.argmax(axis=-1) == client.data.y_test).mean())
-            assert ev_on.client_accuracy[i] == pytest.approx(expect)
-        coord_on.close()
-        coord_off.close()
+            assert cold.client_accuracy[i] == pytest.approx(expect)
+        coord.close()
+
+    def test_splitmix_training_run_reuses_idle_members(self):
+        """Ensembles whose members train at different rates: a run's warm
+        sweeps reuse the idle members' logits (fewer forward tasks than the
+        cold reference) and still export the same accuracies."""
+        dispatched = []
+
+        def build():
+            coord, _, _ = _splitmix_coord(rounds=8, eval_every=1, clients_per_round=1)
+            coord.executor = _CountingExecutor(coord.executor)
+            dispatched.append(coord.executor.logits_tasks)
+            return coord
+
+        _assert_warm_equals_cold(build)
+        warm, cold = dispatched
+        assert 0 < len(warm) < len(cold)
 
 
 # ----------------------------------------------------------------------
@@ -302,10 +394,6 @@ class _CountingExecutor:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-    def logits_round(self, tasks, models, batch_size):
-        self.logits_tasks.extend(tasks)
-        return self._inner.logits_round(tasks, models, batch_size)
 
     def eval_and_logits_round(self, eval_tasks, logits_tasks, models, batch_size):
         self.logits_tasks.extend(logits_tasks)
@@ -352,7 +440,7 @@ class TestCacheBehavior:
         every smaller ensemble's accuracies cached, and the full ensemble
         reuses its unchanged members' logits — exactly one logits task (the
         changed model over the one group that deploys it) is dispatched."""
-        coord, strategy, clients = _splitmix_coord(eval_cache=True)
+        coord, strategy, clients = _splitmix_coord()
         counting = _CountingExecutor(coord.executor)
         coord.executor = counting
         coord.evaluate(0, 0.0)
@@ -376,22 +464,6 @@ class TestCacheBehavior:
         assert ev.evaluated_clients == len(deployed_top)
         coord.close()
 
-    def test_bespoke_client_logits_counts_as_evaluated(self, rng):
-        ds = _dataset(num_clients=4)
-        clients = _clients(ds)
-        inner = fedavg(mlp(ds.input_shape, ds.num_classes, rng, width=8))
-
-        class Bespoke(type(inner)):
-            def client_logits(self, client, x, model_id=None):
-                return super().client_logits(client, x, model_id)
-
-        inner.__class__ = Bespoke
-        coord = Coordinator(inner, clients, _coord_cfg(rounds=2))
-        ev = coord.evaluate(0, 0.0)
-        assert ev.cached_clients == 0
-        assert ev.evaluated_clients == len(clients)
-        coord.close()
-
     def test_cache_eviction_bounds_memory(self, rng):
         """Entries untouched by the latest sweep are dropped: steady-state
         cache size is one sweep's working set, not run history."""
@@ -412,10 +484,6 @@ class TestCacheBehavior:
 # config knobs (the CLI flag mapping is tests/test_serialization_cli.py)
 # ----------------------------------------------------------------------
 class TestConfigValidation:
-    def test_eval_cache_must_be_bool(self):
-        with pytest.raises(ValueError, match="eval_cache"):
-            CoordinatorConfig(eval_cache="yes")
-
     def test_eval_group_clients_validated(self):
         with pytest.raises(ValueError, match="eval_group_clients"):
             CoordinatorConfig(eval_group_clients=0)

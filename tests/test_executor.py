@@ -219,7 +219,7 @@ class TestBatchedEvaluation:
 
     def test_batched_matches_per_client_for_ensembles(self, rng):
         """Pins the two ensemble-averaging implementations to each other:
-        _eval_task's batched sum/len must agree with the per-client
+        ensemble_accuracies' batched sum/len must agree with the per-client
         Strategy.client_logits np.mean path for a multi-model deployment
         (SplitMix)."""
         from repro.baselines import SplitMixStrategy
@@ -255,15 +255,18 @@ class TestBatchedEvaluation:
         model = mlp(ds.input_shape, ds.num_classes, rng, width=8)
         ex = SerialExecutor(clients, LocalTrainerConfig(), seed=0)
         mid = model.model_id
-        solo = ex.eval_round(
+        solo, _ = ex.eval_and_logits_round(
             [EvalTask((mid,), (0,)), EvalTask((mid,), (2,)), EvalTask((mid,), (3,))],
+            [],
             {mid: model},
             16,
         )
         clients[1].data.x_test = clients[1].data.x_test[:0]
         clients[1].data.y_test = clients[1].data.y_test[:0]
         ex = SerialExecutor(clients, LocalTrainerConfig(), seed=0)
-        (mixed,) = ex.eval_round([EvalTask((mid,), (0, 1, 2, 3))], {mid: model}, 16)
+        (mixed,), _ = ex.eval_and_logits_round(
+            [EvalTask((mid,), (0, 1, 2, 3))], [], {mid: model}, 16
+        )
         assert np.isfinite(mixed).all()
         assert mixed[1] == 0.0
         assert mixed[0] == solo[0][0]
@@ -280,10 +283,12 @@ class TestBatchedEvaluation:
             c.data.y_test = c.data.y_test[:0]
         model = mlp(ds.input_shape, ds.num_classes, rng, width=8)
         ex = SerialExecutor(clients, LocalTrainerConfig(), seed=0)
-        out = ex.eval_round(
-            [EvalTask((model.model_id,), (0, 1))], {model.model_id: model}, 16
+        task = EvalTask((model.model_id,), (0, 1))
+        accs, logits = ex.eval_and_logits_round(
+            [task], [task], {model.model_id: model}, 16
         )
-        assert (out[0] == 0.0).all()
+        assert (accs[0] == 0.0).all()
+        assert logits[0].shape == (0, 4)
 
     def test_eval_model_resolved_once(self, rng):
         """The recorded client_model is the model that produced the logits,
@@ -307,26 +312,21 @@ class TestBatchedEvaluation:
         assert ev.client_model == [base.model.model_id] * len(clients)
         coord.close()
 
-    def test_custom_client_logits_still_honored(self, rng):
-        """A strategy overriding client_logits keeps its bespoke path."""
+    def test_client_logits_override_is_refused(self, rng):
+        """The sweep groups clients by eval_ensemble and never calls
+        client_logits: an override would be silently ignored, so the
+        coordinator refuses the strategy at construction."""
         ds = _dataset(num_clients=4)
         clients = _clients(ds)
         inner = fedavg(mlp(ds.input_shape, ds.num_classes, rng, width=8))
 
         class ConstantLogits(type(inner)):
             def client_logits(self, client, x, model_id=None):
-                out = np.zeros((len(x), 4))
-                out[:, 1] = 1.0  # always predict class 1
-                return out
+                return np.zeros((len(x), 4))
 
         inner.__class__ = ConstantLogits
-        coord = Coordinator(inner, clients, _coord_cfg("serial", rounds=2))
-        ev = coord.evaluate(0, 0.0)
-        for i, c in enumerate(clients):
-            assert ev.client_accuracy[i] == pytest.approx(
-                float((c.data.y_test == 1).mean())
-            )
-        coord.close()
+        with pytest.raises(TypeError, match="overrides client_logits.*eval_ensemble"):
+            Coordinator(inner, clients, _coord_cfg("serial", rounds=2))
 
 
 class TestExecutorUnits:
@@ -345,7 +345,7 @@ class TestExecutorUnits:
         after = model.params()
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
-    def test_eval_round_order_and_shapes(self, rng):
+    def test_eval_and_logits_round_order_and_shapes(self, rng):
         ds = _dataset(num_clients=4)
         clients = _clients(ds)
         model = mlp(ds.input_shape, ds.num_classes, rng, width=8)
@@ -354,10 +354,14 @@ class TestExecutorUnits:
             EvalTask((model.model_id,), (0, 1)),
             EvalTask((model.model_id,), (2, 3)),
         ]
-        out = ex.eval_round(tasks, {model.model_id: model}, batch_size=16)
+        out, logits = ex.eval_and_logits_round(
+            tasks, tasks[::-1], {model.model_id: model}, batch_size=16
+        )
         assert len(out) == 2
         assert out[0].shape == (2,) and out[1].shape == (2,)
         assert all(0.0 <= a <= 1.0 for accs in out for a in accs)
+        rows = [sum(clients[c].data.num_test for c in t.client_ids) for t in tasks[::-1]]
+        assert [l.shape for l in logits] == [(n, ds.num_classes) for n in rows]
 
     def test_process_snapshot_reused_while_versions_unchanged(self, rng):
         """Snapshot reuse is keyed on model *versions*, not dict identity:

@@ -39,7 +39,7 @@ from repro.fl import (
     recovery_to_dict,
     transport_to_dict,
 )
-from repro.fl.scheduling import estimate_round_time
+from repro.fl.scheduling import OortSelector, QuantilePacing, estimate_round_time
 from repro.fl.strategy import Strategy
 from repro.nn import mlp
 from repro.nn.cells import set_cell_id_counter
@@ -203,6 +203,18 @@ def _digests(name: str) -> dict:
         # payload it replaced, so every other key path of the scenario is
         # still held to the fixture's commit.
         state["strategy"] = Strategy.state_dict(coord.strategy)
+    # Likewise the scheduler payloads: at the fixture's commit the Oort
+    # selector restated the fleet's utility column and quantile pacing its
+    # round-time windows (tests/test_checkpoint_resume.py pins that such a
+    # payload still loads).  Put the two restatements back.
+    fleet = state["fleet"]
+    if isinstance(coord.selector, OortSelector):
+        state["selector"]["utility"] = {
+            str(int(cid)): None
+            for cid, has in zip(fleet["ids"], fleet["has_utility"]) if has
+        }
+    if state["engine"] and state["engine"]["pacing"]["schema"] == QuantilePacing.schema:
+        state["engine"]["pacing"]["durations"] = fleet["stats"]["durations"]
     return {
         "log": _blake(log_to_dict(log)),
         "recovery": _blake(recovery_to_dict(log)),

@@ -296,14 +296,14 @@ CI_SMOKES = [
     ("--rounds 6 --compress update:rle,snapshot:rle --executor process"
      " --save-log /tmp/rle.json --save-transport /tmp/rle-wire.json",
      {"rounds": 6, "executor": "process", "compress": "update:rle,snapshot:rle"}),
-    ("run --rounds 4 --no-eval-cache", {"rounds": 4, "eval_cache": False}),
 ]
 
 # (argv, what the one-line usage error must name).  The first block is every
 # misuse the parent's hand-written mapping rejected; the second the spec and
 # range errors that used to surface as a traceback after the fleet was built.
 MISUSES = [
-    ("--sanitize --no-eval-cache", "sanitize"),
+    # The sweep has one path: the flag that chose another is gone.
+    ("run --no-eval-cache", "unrecognized arguments: --no-eval-cache"),
     ("--wire-time", "wire_time"),
     ("--buffer-k 4", "buffer_k"),
     ("--pacing quantile", "pacing"),

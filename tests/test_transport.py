@@ -35,6 +35,7 @@ from repro.fl import (
 from repro.fl import shm as shm_mod
 from repro.fl.export import log_from_state, log_state_dict, save_transport
 from repro.fl.transport import (
+    _put_varint,
     bf16_decode,
     bf16_encode,
     decode_indices,
@@ -151,6 +152,32 @@ class TestRlePrimitive:
         with pytest.raises(ValueError, match="corrupt rle stream"):
             rle_decode_bytes(enc + b"\x01\x00", ref)
 
+    def test_every_truncation_raises_the_streams_own_error(self, rng):
+        """A stream cut anywhere (the shm reader decodes whatever the
+        segment holds) is a ``ValueError("corrupt rle stream ...")`` — it
+        used to surface as a bare ``IndexError`` from the varint reader."""
+        ref = rng.integers(0, 256, 4096).astype(np.uint8).tobytes()
+        a = bytearray(ref)
+        for pos in (3, 500, 501, 4000):
+            a[pos] ^= 0xFF
+        enc = rle_encode_bytes(bytes(a), ref)
+        assert enc is not None
+        for cut in range(len(enc)):
+            with pytest.raises(ValueError, match="corrupt rle stream"):
+                rle_decode_bytes(enc[:cut], ref)
+
+    def test_hostile_lengths_raise_without_allocating(self):
+        ref = b"r" * 64
+        for eq_len, lit_len in ((10**10, 0), (0, 10**10), (10**10, 10**10)):
+            buf = bytearray()
+            _put_varint(buf, eq_len)
+            _put_varint(buf, lit_len)
+            with pytest.raises(ValueError, match="corrupt rle stream"):
+                rle_decode_bytes(bytes(buf) + b"xy", ref)
+        # An unterminated varint (continuation bit set on the last byte).
+        with pytest.raises(ValueError, match="corrupt rle stream"):
+            rle_decode_bytes(b"\x80" * 9, ref)
+
 
 class TestIndexCodec:
     def test_round_trip_random_subsets(self, rng):
@@ -171,6 +198,41 @@ class TestIndexCodec:
         enc = encode_indices(np.array([5, 6, 7]), 10)
         with pytest.raises(ValueError, match="corrupt top-k index stream"):
             decode_indices(enc + b"\x00")
+
+    def test_every_truncation_raises_the_streams_own_error(self):
+        """Both encoder paths (one-byte pairs, varint fallback): a stream
+        cut anywhere raises ``ValueError``, never a bare ``IndexError``."""
+        for idx, n in (([3, 4, 5, 90], 100), ([3, 4, 5, 900, 70_000], 100_000)):
+            enc = encode_indices(np.array(idx), n)
+            for cut in range(len(enc)):
+                with pytest.raises(ValueError, match="corrupt top-k index stream"):
+                    decode_indices(enc[:cut])
+
+    @pytest.mark.parametrize(
+        "n,k,pairs",
+        [
+            (100, 5, [(0, 10**10)]),  # the 74.5 GiB np.arange of ROADMAP 5a
+            (100, 5, [(10**10, 5)]),
+            (100, 10**10, [(0, 101)]),
+            (100, 3, [(0, 2), (0, 2)]),
+            (10**12, 5, [(0, 10**10)]),
+        ],
+        ids=["huge-run", "gap-past-end", "run-past-n", "runs-past-k", "huge-n-huge-run"],
+    )
+    def test_hostile_run_is_bounded_before_it_is_materialised(
+        self, n, k, pairs, monkeypatch
+    ):
+        buf = bytearray()
+        for value in (n, k, *(v for pair in pairs for v in pair)):
+            _put_varint(buf, value)
+        sizes = []
+        real = np.arange
+        monkeypatch.setattr(
+            np, "arange", lambda *a, **kw: sizes.append(a) or real(*a, **kw)
+        )
+        with pytest.raises(ValueError, match="corrupt top-k index stream"):
+            decode_indices(bytes(buf))
+        assert all(stop - start <= 100 for start, stop in sizes)
 
 
 class TestQuantizers:
