@@ -23,13 +23,28 @@ once at pool start and the models as a versioned shared-memory snapshot
 chain, so a work item carries ``(model_id, client_id, seed material)`` —
 never a pickled model.
 
+**Cohorts.**  The unit a backend dispatches is a *cohort*, not an item:
+``train_round`` groups a wave's items by ``(model_id, min(batch_size, n))``
+in first-appearance order (:meth:`RoundExecutor._cohorts`), each group
+trains as K replicas of one NumPy loop on a K-replica workspace
+(:func:`_train_item`; :mod:`repro.fl.client` describes the replica axis),
+and the updates are scattered back to item order.  Parallel backends cut a
+group into at most ``workers`` contiguous sub-cohorts.  The singleton rule:
+an item is its own cohort when its model holds a layer without a replica
+axis (conv, norms, attention, dropout) and whenever a fault plan or a retry
+policy is configured, so injected faults, attempt counts, backoff and the
+recovery ledger stay per item.  There is no switch: cohorts form from what
+the wave contains, and how a wave is cut is not part of the trajectory.
+
 **Determinism contract.** Every work item derives its RNG as
 ``np.random.default_rng(SeedSequence(seed, spawn_key=(round, client,
 sub)))`` via :func:`derive_client_rng`, results are returned in submission
 order, and training mutates only a private clone of the server model.
 Because the arithmetic per item is identical and nothing depends on
-completion order, serial, thread, and process runs of the same seed produce
-bit-identical :class:`~repro.fl.types.TrainingLog` records.
+completion order — nor on which cohort an item rode in: replica ``r`` of a
+stacked step equals the item trained alone, bit for bit — serial, thread,
+and process runs of the same seed produce bit-identical
+:class:`~repro.fl.types.TrainingLog` records.
 """
 
 from __future__ import annotations
@@ -132,11 +147,18 @@ def _train_item(
     trainer: LocalTrainer,
     seed: int,
     round_idx: int,
-    item: TrainItem,
-) -> ClientUpdate:
-    work = models[item.model_id].clone(keep_id=True)
-    rng = derive_client_rng(seed, round_idx, item.client_id, item.sub_idx)
-    return trainer.train(work, clients_by_id[item.client_id], rng)
+    cohort: tuple[TrainItem, ...],
+) -> list[ClientUpdate]:
+    """Train one cohort — items of one model and one batch size — as one
+    call; a singleton trains on a plain clone, K > 1 on a K-replica
+    workspace.  Either way a private copy: published models are never
+    written through."""
+    model = models[cohort[0].model_id]
+    clients = [clients_by_id[it.client_id] for it in cohort]
+    rngs = [derive_client_rng(seed, round_idx, it.client_id, it.sub_idx) for it in cohort]
+    if len(cohort) == 1:
+        return [trainer.train(model.clone(keep_id=True), clients[0], rngs[0])]
+    return trainer.train(model.replicate(len(cohort)), clients, rngs)
 
 
 def ensemble_accuracies(
@@ -209,7 +231,9 @@ def _logits_task(
 
 
 def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_side: bool):
-    """One attempt at one job — the only place a work item actually runs.
+    """One attempt at one job — the only place work actually runs.  A train
+    job's payload is a cohort (a tuple of :class:`TrainItem`) and its result
+    the list of their updates.
 
     ``env`` (the executor in-process, :data:`_WORKER` in a pool worker)
     carries ``fault_plan`` / ``clients_by_id`` / ``trainer`` / ``seed``.
@@ -224,15 +248,16 @@ def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_
         run = _eval_task if kind == "eval" else _logits_task
         return run(load_models(), env.clients_by_id, task, batch_size)
     plan = env.fault_plan
-    decision = plan.item_faults(round_idx, payload) if plan is not None and attempt == 0 else None
+    # A fault plan makes every cohort a singleton (RoundExecutor._cohorts).
+    decision = plan.item_faults(round_idx, payload[0]) if plan is not None and attempt == 0 else None
     if decision is not None:
         decision.fire_pre(worker_side=worker_side)
-    update = _train_item(
+    updates = _train_item(
         load_models(), env.clients_by_id, env.trainer, env.seed, round_idx, payload
     )
     if decision is not None:
-        decision.apply_post(update)
-    return update
+        decision.apply_post(updates[0])
+    return updates
 
 
 # ----------------------------------------------------------------------
@@ -325,11 +350,46 @@ class RoundExecutor(Stateful, ABC):
     ) -> list[ClientUpdate]:
         """Run local training for every item; results in item order.
 
+        The wave is dispatched as cohorts (:meth:`_cohorts`), one job each.
         With a retry policy configured, a slot may hold an
         :class:`~repro.fl.faults.ItemFailure` instead of an update.
         """
+        cohorts = self._cohorts(items, models)
+        jobs = [("train", tuple(items[i] for i in cohort)) for cohort in cohorts]
         with _sanitize.published(models):
-            return self._run_wave(models, [("train", it) for it in items], round_idx)
+            results = self._run_wave(models, jobs, round_idx)
+        updates: list = [None] * len(items)
+        for cohort, trained in zip(cohorts, results):
+            for i, update in zip(cohort, trained):
+                updates[i] = update
+        return updates
+
+    def _cohorts(self, items: list[TrainItem], models: dict[str, CellModel]) -> list[list[int]]:
+        """Cut a wave into cohorts: lists of item positions, one job each.
+
+        Items sharing ``(model_id, min(batch_size, n))`` train as one stacked
+        step, grouped in first-appearance order and cut into at most
+        :attr:`workers` contiguous sub-cohorts so a pool stays busy.  An
+        item of a model without a replica axis (``CellModel.stackable``) is
+        its own cohort, and so is every item when faults or retries are
+        configured — injected faults, attempt counts, backoff and the
+        recovery ledger are per item.  Any cut yields the same bytes
+        (CONTRACTS.md I1), so this is a cost decision only.
+        """
+        if self.fault_plan is not None or self.retry is not None:
+            return [[i] for i in range(len(items))]
+        groups: dict[object, list[int]] = {}
+        stackable = {model_id: model.stackable for model_id, model in models.items()}
+        for i, item in enumerate(items):
+            n = self.clients_by_id[item.client_id].data.num_train
+            key = (item.model_id, min(self.trainer_config.batch_size, n))
+            groups.setdefault(key if stackable[item.model_id] else i, []).append(i)
+        cohorts = []
+        for group in groups.values():
+            parts = min(self.workers, len(group))
+            cuts = [len(group) * p // parts for p in range(parts + 1)]
+            cohorts += [group[a:b] for a, b in zip(cuts, cuts[1:])]
+        return cohorts
 
     def eval_and_logits_round(
         self,
@@ -359,9 +419,15 @@ class RoundExecutor(Stateful, ABC):
         """Submit one wave of jobs; results in job order.
 
         ``jobs`` is ``[(kind, payload), ...]`` with kind ``"train"``
-        (payload: the :class:`TrainItem`) or ``"eval"``/``"logits"``
-        (payload: ``(task, batch_size)``; ``round_idx`` is then -1).
+        (payload: a cohort, i.e. a tuple of :class:`TrainItem`; result: the
+        list of their updates) or ``"eval"``/``"logits"`` (payload:
+        ``(task, batch_size)``; ``round_idx`` is then -1).
         """
+
+    @property
+    def workers(self) -> int:
+        """How many jobs run at once (the pool size)."""
+        return self.max_workers or (os.cpu_count() or 1)
 
     def close(self) -> None:
         """Release pooled resources (idempotent; pools recreate lazily)."""
@@ -423,13 +489,14 @@ class RoundExecutor(Stateful, ABC):
                 if job[0] != "train":
                     raise  # in-process eval work is never retried
                 attempts += 1
-                failure, backoff = self._dispose(round_idx, job[1], err, attempts)
+                failure, backoff = self._dispose(round_idx, job[1][0], err, attempts)
                 if failure is not None:
-                    return failure
+                    return [failure]
                 delay += backoff
             else:
                 if delay:
-                    result.round_time += delay
+                    for update in result:
+                        update.round_time += delay
                 return result
 
 
@@ -437,6 +504,7 @@ class SerialExecutor(RoundExecutor):
     """The reference backend: one in-process loop."""
 
     backend = "serial"
+    workers = 1
 
     def _run_wave(self, models, jobs, round_idx):
         return [self._run_job(models, job, round_idx) for job in jobs]
@@ -450,8 +518,7 @@ class ThreadPoolRoundExecutor(RoundExecutor):
 
     def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
         if self._pool is None:
-            workers = self.max_workers or (os.cpu_count() or 1)
-            self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+            self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _run_wave(self, models, jobs, round_idx):
@@ -541,9 +608,8 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                     self.fault_plan,
                 )
             )
-            workers = self.max_workers or (os.cpu_count() or 1)
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_proc_init, initargs=(payload,)
+                max_workers=self.workers, initializer=_proc_init, initargs=(payload,)
             )
         return self._pool
 
@@ -649,16 +715,17 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                 except Exception as err:
                     attempts[i] += 1
                     failure, backoff = self._dispose(
-                        round_idx, payload if kind == "train" else None, err, attempts[i]
+                        round_idx, payload[0] if kind == "train" else None, err, attempts[i]
                     )
                     if failure is not None:
-                        results[i] = failure
+                        results[i] = [failure]
                     else:
                         delays[i] += backoff
                         retry_idx.append(i)
                 else:
-                    if delays[i] and isinstance(res, ClientUpdate):
-                        res.round_time += delays[i]
+                    if delays[i] and kind == "train":
+                        for update in res:
+                            update.round_time += delays[i]
                     results[i] = res
             pending = sorted(set(retry_idx) | {i for i in pending if i not in futures})
             if broken is not None:
@@ -676,7 +743,7 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                         if (
                             kind == "train"
                             and attempts[i] == 0
-                            and self.fault_plan.item_faults(round_idx, payload).crash
+                            and self.fault_plan.item_faults(round_idx, payload[0]).crash
                         ):
                             attempts[i] = 1
         return results

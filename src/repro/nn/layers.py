@@ -25,6 +25,16 @@ terms).  Cloned cells start with fresh workspaces
 (``Workspace.__deepcopy__``), so parallel backends never share scratch
 memory.
 
+**The replica axis.**  :class:`Dense` and :class:`ReLU` declare
+``replica_axis``: their forward/backward address axes from the end, so
+tensors ``(K, …)`` against activations ``(K, B, …)`` compute K independent
+replicas in one call, each slice bit-identical to the unstacked call
+(``tests/test_stacked_kernels.py`` pins it on this BLAS).
+:meth:`Layer.replicate` stacks private copies of a layer's tensors;
+:meth:`repro.nn.model.CellModel.replicate` refuses a model holding any
+layer that does not declare the axis (conv, pooling, norms, attention,
+dropout) — such models train one replica at a time.
+
 What the conv-family kernels do: Conv2d is im2col + batched GEMMs (see
 :mod:`repro.nn.functional`), BatchNorm2d's backward reuses the two
 per-channel sums its parameter gradients take, MaxPool2d compares strided
@@ -66,6 +76,19 @@ class Layer:
     #: that declares nothing is never resized.
     tensor_axes: dict[str, tuple[int | None, int | None, float | None]] = {}
 
+    #: Whether forward/backward accept a leading *replica* axis (module
+    #: docstring).  A layer that does not declare it is never stacked.
+    replica_axis: bool = False
+
+    def replicate(self, k: int) -> None:
+        """Stack ``k`` private copies of every tensor on a new leading axis."""
+        if not self.replica_axis:
+            raise ValueError(f"{type(self).__name__} layers have no replica axis")
+        for name in self.tensor_axes:
+            setattr(self, name, np.repeat(getattr(self, name)[None], k, axis=0))
+        if self.tensor_axes:
+            self.resize_grads()
+
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
 
@@ -94,9 +117,16 @@ class Layer:
 
 
 class Dense(Layer):
-    """Affine map ``y = x @ w + b`` with ``w`` of shape ``(in, out)``."""
+    """Affine map ``y = x @ w + b`` with ``w`` of shape ``(in, out)``.
+
+    Rank-polymorphic: every expression addresses axes from the end, so
+    ``x (K, B, in)`` against ``w (K, in, out)`` / ``b (K, out)`` is K
+    independent affine maps in one ``np.matmul``, each slice bit-identical
+    to the 2-D call (``tests/test_stacked_kernels.py``).
+    """
 
     tensor_axes = {"w": (0, 1, None), "b": (None, 0, 0.0)}
+    replica_axis = True
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.w = he_normal(rng, (in_features, out_features), fan_in=in_features)
@@ -107,21 +137,21 @@ class Dense(Layer):
 
     @property
     def in_features(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     @property
     def out_features(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-1]
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         self._x = x
-        return x @ self.w + self.b
+        return x @ self.w + self.b[..., None, :]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         assert self._x is not None, "backward before forward"
-        self.g_w += self._x.T @ dout
-        self.g_b += dout.sum(axis=0)
-        return dout @ self.w.T
+        self.g_w += self._x.swapaxes(-1, -2) @ dout
+        self.g_b += dout.sum(axis=-2)
+        return dout @ self.w.swapaxes(-1, -2)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}
@@ -374,6 +404,8 @@ class LayerNorm(Layer):
 
 class ReLU(Layer):
     """Elementwise max(x, 0)."""
+
+    replica_axis = True
 
     def __init__(self) -> None:
         self._x: np.ndarray | None = None

@@ -37,25 +37,29 @@ def _ws() -> Workspace:
 
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. the logits.
 
     Parameters
     ----------
     logits:
-        ``(N, K)`` unnormalized scores.
+        ``(N, K)`` unnormalized scores, or ``(R, N, K)`` for R stacked
+        replicas — R independent losses, each the mean over its own N rows
+        and bit-identical to the 2-D call on that slice.
     labels:
-        ``(N,)`` integer class labels.
+        ``(N,)`` / ``(R, N)`` integer class labels.
     label_smoothing:
         Mass spread uniformly over the other classes.
+
+    The loss is a ``float`` for 2-D logits and an ``(R,)`` array otherwise.
     """
-    n, k = logits.shape
-    if labels.shape != (n,):
+    n, k = logits.shape[-2:]
+    lead = logits.shape[:-2]
+    if labels.shape != lead + (n,):
         raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     if np.any(labels < 0) or np.any(labels >= k):
         raise ValueError("labels out of range for logits")
     ws = _ws()
-    rows = np.arange(n)
     # log_softmax: z = x - max; logp = z - log(exp(z).sum())
     z = ws.get("xent_z", logits.shape, logits.dtype)
     np.subtract(logits, logits.max(axis=-1, keepdims=True), out=z)
@@ -67,16 +71,14 @@ def softmax_cross_entropy(
     # The target distribution follows the logits dtype (float32 runs stay
     # float32 end to end).
     target = ws.get("xent_target", logits.shape, logits.dtype)
-    if label_smoothing > 0.0:
-        smooth = label_smoothing / (k - 1) if k > 1 else 0.0
-        target[...] = smooth
-        target[rows, labels] = 1.0 - label_smoothing
-    else:
-        target[...] = 0.0
-        target[rows, labels] = 1.0
+    target[...] = label_smoothing / (k - 1) if label_smoothing > 0.0 and k > 1 else 0.0
+    # One row per sample whatever the rank: the buffer is contiguous.
+    target.reshape(-1, k)[np.arange(labels.size), labels.reshape(-1)] = 1.0 - label_smoothing
     tmp = ws.get("xent_tmp", logits.shape, logits.dtype)
     np.multiply(target, logp, out=tmp)
-    loss = float(-tmp.sum() / n)
+    # Each replica's n*k products summed as one contiguous row: the same
+    # pairwise reduction ``tmp.sum()`` performs on a 2-D buffer.
+    loss = -tmp.reshape(lead + (-1,)).sum(axis=-1) / n
     # softmax = exp(z) / exp(z).sum(); dlogits = (softmax - target) / n.
     # dlogits is the one fresh allocation per call: callers may hold it
     # across later loss calls (numeric-gradient checks do), so it must not
@@ -84,7 +86,7 @@ def softmax_cross_entropy(
     dlogits = np.divide(e, esum)
     np.subtract(dlogits, target, out=dlogits)
     dlogits /= n
-    return loss, dlogits
+    return (loss if lead else float(loss)), dlogits
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

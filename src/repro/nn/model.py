@@ -121,6 +121,9 @@ class CellModel:
         self.parent_id = parent_id
         self.birth_round = birth_round
         self.history: list[TransformRecord] = []
+        # Length of the leading replica axis of every tensor, or None: only
+        # :meth:`replicate` builds a stacked model.
+        self.replicas: int | None = None
         # Monotone mutation counter (see module docstring).  Cost metrics
         # are memoized against it: ``_cost_version`` records the version the
         # cached macs/params/nbytes triple was computed at.
@@ -299,8 +302,9 @@ class CellModel:
         num_params = 0
         nbytes = 0
         for v in self.params().values():
-            num_params += v.size
-            nbytes += v.nbytes
+            # Costs are per replica: a stacked workspace meters as its source.
+            num_params += v.size // (self.replicas or 1)
+            nbytes += v.nbytes // (self.replicas or 1)
         self._macs_cache = total
         self._num_params_cache = int(num_params)
         self._nbytes_cache = int(nbytes)
@@ -365,6 +369,34 @@ class CellModel:
             new._version = self._version
             new._cost_version = self._version
         return new
+
+    def replicate(self, k: int) -> "CellModel":
+        """A ``k``-replica training workspace: ``clone(keep_id=True)`` with
+        every tensor copied ``k`` times along a new leading axis.
+
+        Replica ``r`` of a forward/backward pass over ``(k, B, ...)``
+        activations is bit-identical to that pass on the 2-D slice, so one
+        workspace trains a cohort of ``k`` participants of this model in one
+        loop (:meth:`repro.fl.client.LocalTrainer.train`).  Refused unless
+        every layer declares the axis (``Layer.replica_axis``: Dense and
+        ReLU; not Conv, BatchNorm, LayerNorm, attention, Dropout).  A
+        workspace trains; it is not evaluated, transformed or published.
+        """
+        if k < 1:
+            raise ValueError(f"a workspace needs at least one replica, got {k}")
+        work = self.clone(keep_id=True)
+        for cell in work.cells:
+            for _, layer in cell._named_layers():
+                layer.replicate(k)
+        work.replicas = k
+        return work
+
+    @property
+    def stackable(self) -> bool:
+        """Whether :meth:`replicate` accepts this model."""
+        return all(
+            layer.replica_axis for cell in self.cells for _, layer in cell._named_layers()
+        )
 
     def widen_cell(
         self,
