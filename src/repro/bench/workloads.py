@@ -26,6 +26,7 @@ from ..core import FedTransConfig, FedTransStrategy
 from ..data import DATASET_BUILDERS, FederatedDataset
 from ..device import calibrate_capacities, sample_device_traces
 from ..fl import (
+    ClientUpdate,
     Coordinator,
     CoordinatorConfig,
     FLClient,
@@ -35,6 +36,7 @@ from ..fl import (
     TrainingLog,
     summarize,
 )
+from ..fl.checkpoint import flatten_payload
 from ..nn import CellModel, mlp, small_cnn, small_resnet, vit_tiny
 from .profiles import ScaleProfile
 
@@ -47,6 +49,7 @@ __all__ = [
     "coordinator_config",
     "run_method",
     "run_workload_suite",
+    "update_overhead",
 ]
 
 METHODS = ("fedtrans", "fluid", "heterofl", "splitmix", "fedavg", "fedprox", "fedyogi")
@@ -194,6 +197,20 @@ def run_method(
     coord = Coordinator(strategy, clients, coordinator_config(profile, seed, **coord_over))
     log = coord.run()
     return WorkloadResult(method, dataset.name, log, summarize(log), strategy)
+
+
+# A FedAvg client's upload, and the cost accounting the simulator attaches.
+_FEDAVG_UPLINK = {"client_id", "model_id", "params", "state", "num_samples"}
+_METERING = {"macs_spent", "bytes_down", "bytes_up", "round_time", "raw_bytes_up"}
+
+
+def update_overhead(update: ClientUpdate) -> tuple[int, list[str]]:
+    """Table 5's client rows, measured: the bytes of every array ``update``
+    holds outside ``params``/``state`` (all the codec and ``bytes_up`` see),
+    and what it carries beyond a FedAvg upload (the paper: one float, the loss)."""
+    held = vars(update)
+    _, stray = flatten_payload({k: v for k, v in held.items() if k not in ("params", "state")})
+    return sum(a.nbytes for a in stray.values()), sorted(held.keys() - _FEDAVG_UPLINK - _METERING)
 
 
 def _require_global(model: CellModel | None) -> CellModel:

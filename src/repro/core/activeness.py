@@ -5,10 +5,11 @@ normalized gradient norm ``‖∇w_l‖ / ‖w_l‖`` of each cell, averaged ove
 last ``T`` rounds (Table 7: T = 5).  Normalizing by the weight norm
 "mitigate[s] the bias in selecting cells due to gradient vanishing".
 
-Only *aggregate* gradients are used — the per-round sample-weighted mean of
-participant gradients — matching the paper's privacy posture ("FedTrans
-solely utilizes aggregate gradients, not the gradients of individual
-clients").
+Only *aggregate* gradients are used, matching the paper's privacy posture
+("FedTrans solely utilizes aggregate gradients, not the gradients of
+individual clients"): the tracker is fed the frontier's FedAvg
+pseudo-gradient as :meth:`ModelAggregator.aggregate` returns it — under plain
+SGD ``lr * local_steps`` times the mean step gradient; the scale drops out.
 """
 
 from __future__ import annotations

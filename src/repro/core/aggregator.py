@@ -136,40 +136,46 @@ class ModelAggregator(Stateful):
         birth_order: list[str],
         updates: list[ClientUpdate],
         round_idx: int,
-    ) -> None:
-        """Run both aggregation stages, mutating the server models in place."""
+    ) -> dict[str, ParamTree]:
+        """Run both aggregation stages, mutating the server models in place.
+
+        Returns each updated model's FedAvg pseudo-gradient: its weights
+        before this call minus the sample-weighted mean of the returned ones.
+        """
         self._prune_caches(models)
-        self._within_model(models, updates)
+        pseudo_grads = self._within_model(models, updates)
         if self.config.soft_aggregation and len(models) > 1:
             self._across_models(models, birth_order, round_idx)
+        return pseudo_grads
 
     # ------------------------------------------------------------------
     def _within_model(
         self, models: dict[str, CellModel], updates: list[ClientUpdate]
-    ) -> None:
+    ) -> dict[str, ParamTree]:
         by_model: dict[str, list[ClientUpdate]] = {}
         for u in updates:
             by_model.setdefault(u.model_id, []).append(u)
+        pseudo_grads: dict[str, ParamTree] = {}
         for mid, ups in by_model.items():
             model = models[mid]
             weights = [float(u.num_samples) for u in ups]
             avg = tree_average([u.params for u in ups], weights)
+            # Read the *live* parameters before set_params overwrites them in
+            # place; the subtraction (like the server optimizer, which only
+            # consumes values) yields fresh arrays, so no deep copy is needed.
+            current = model.params()
+            pseudo_grad = pseudo_grads[mid] = {k: current[k] - avg[k] for k in current}
             if self.server_opt_factory is None:
                 model.set_params(avg)
             else:
                 opt = self._server_opts.get(mid)
                 if opt is None:
                     opt = self._server_opts[mid] = self.server_opt_factory()
-                # The pseudo-gradient reads the *live* parameter references
-                # — the server optimizer only consumes their values and
-                # returns fresh arrays, so the former full deep copy
-                # (get_params) per model per round bought nothing.
-                current = model.params()
-                pseudo_grad = {k: current[k] - avg[k] for k in current}
                 model.set_params(opt.step(current, pseudo_grad))
             states = [u.state for u in ups]
             if states and states[0]:
                 model.set_state(tree_average(states, weights))
+        return pseudo_grads
 
     # ------------------------------------------------------------------
     def _decay_factor(self, round_idx: int, dst: CellModel) -> float:

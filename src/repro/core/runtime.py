@@ -7,7 +7,7 @@ Per round (matching the pseudo-code's line numbers):
   softmax (Client Manager, Eqs. 2-3).
 * **aggregate** (l.11-22) — update utilities from the round's losses
   (Eq. 4); run within-model FedAvg plus cross-model soft aggregation
-  (Eq. 5); feed the frontier model's mean loss and aggregate gradient to
+  (Eq. 5); feed the mean loss and the frontier's FedAvg pseudo-gradient to
   the Model Transformer, which maintains the DoC (Eq. 1) and per-cell
   activeness; when the DoC crosses β, clone the frontier, transform its
   most-active cells (Fig. 5), and register the child with inherited
@@ -24,7 +24,6 @@ import numpy as np
 from ..fl.strategy import Strategy, compatible_model_ids
 from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
-from ..nn.param_ops import ParamTree
 from ..nn.serialization import model_from_state, model_state_dict
 from ..stateful import check_schema, schema_tag
 from .aggregator import ModelAggregator
@@ -126,14 +125,12 @@ class FedTransStrategy(Strategy):
         }
         self.client_manager.update(updates, self._models, compatible)
         # l.13 — inter-model weight aggregation.
-        self.aggregator.aggregate(self._models, self._birth_order, updates, round_idx)
-        # l.15 — convergence + activeness feedback for the frontier model.
+        pseudo = self.aggregator.aggregate(self._models, self._birth_order, updates, round_idx)
+        # l.15 — convergence + activeness feedback for the frontier model
+        # (no pseudo-gradient in a round nobody trained it).
         frontier = self.frontier
         mean_loss = float(np.mean([u.train_loss for u in updates]))
-        agg_grad = self._aggregate_gradient(
-            [u for u in updates if u.model_id == frontier.model_id]
-        )
-        self.transformer.observe_round(frontier, mean_loss, agg_grad)
+        self.transformer.observe_round(frontier, mean_loss, pseudo.get(frontier.model_id))
         # l.16-22 — transformation.
         if self.transformer.should_transform(len(self._models)):
             child, ev = self.transformer.transform(frontier, rng, round_idx)
@@ -155,23 +152,6 @@ class FedTransStrategy(Strategy):
     def scheduler_counters(self) -> dict[str, int]:
         evicted, self._evicted_unreported = self._evicted_unreported, 0
         return {"evicted": evicted} if evicted else {}
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _aggregate_gradient(updates: list[ClientUpdate]) -> ParamTree | None:
-        """Sample-weighted mean of participant gradients (privacy: aggregate only)."""
-        if not updates:
-            return None
-        total = float(sum(u.num_samples for u in updates))
-        out: ParamTree = {}
-        for u in updates:
-            w = u.num_samples / total
-            for k, g in u.grad.items():
-                if k in out:
-                    out[k] += w * g
-                else:
-                    out[k] = w * g
-        return out
 
     # ------------------------------------------------------------------
     # durability (Stateful) — the suite grows mid-run, so the default

@@ -2,8 +2,7 @@
 
 Implements the per-participant step of Algorithm 1 (``ClientTrain``):
 mini-batch SGD for ``local_steps`` steps on the client's data, returning
-the trained weights, the mean gradient (FedTrans's activeness signal), the
-mean training loss, and cost accounting.
+the trained weights, the mean training loss, and cost accounting.
 
 Supports the FedProx proximal term (μ/2·‖w − w_global‖²) so FedProx and
 "FedTrans + FedProx" (Fig. 8) share this code path.
@@ -144,7 +143,6 @@ class LocalTrainer:
         # optimizer update these arrays in place.
         params, grads = model.params(), model.grads()
         anchor = {k: v.copy() for k, v in params.items()} if cfg.prox_mu else None
-        grad_sum: dict[str, np.ndarray] | None = None
         # One contiguous row of step losses per replica, so the mean below
         # is the pairwise reduction ``np.mean`` makes of a list of floats.
         losses = np.empty(lead + (cfg.local_steps,), dtype=accum_dtype())
@@ -159,11 +157,6 @@ class LocalTrainer:
                 step_grads = {
                     k: g + cfg.prox_mu * (params[k] - anchor[k]) for k, g in grads.items()
                 }
-            if grad_sum is None:
-                grad_sum = {k: g.copy() for k, g in step_grads.items()}
-            else:
-                for k, g in step_grads.items():
-                    grad_sum[k] += g
             opt.step(params, step_grads)
             # The optimizer writes through the live param references, which
             # bypasses set_params — record the mutation for version-keyed
@@ -184,7 +177,6 @@ class LocalTrainer:
                     model_id=model.model_id,
                     params={k: v[at] for k, v in trained.items()},
                     state={k: v[at] for k, v in state.items()},
-                    grad={k: g[at] / cfg.local_steps for k, g in grad_sum.items()},
                     train_loss=float(mean_loss[at]),
                     num_samples=client.data.num_train,
                     macs_spent=macs,

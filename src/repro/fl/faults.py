@@ -27,7 +27,7 @@ supplies the three pieces of the fault-tolerance story:
   coordinator folds it into the drop/straggler accounting instead of
   aborting the round.
 * **Update quarantine** — :class:`UpdateValidator` screens every client
-  update before aggregation: a NaN/Inf scan over params/state/grad plus a
+  update before aggregation: a NaN/Inf scan over params/state plus a
   norm-outlier gate keyed off a running per-model norm estimate.  Rejects
   divert into the quarantine ledger (``TrainingLog.quarantined_updates`` +
   :class:`~repro.fl.types.FaultRecord`) rather than Eq. 5.  The gate never
@@ -408,11 +408,7 @@ class UpdateValidator(Stateful):
 
     def admit(self, update: ClientUpdate) -> str | None:
         """``None`` to admit; a human-readable rejection reason otherwise."""
-        for scope_name, tree in (
-            ("params", update.params),
-            ("state", update.state),
-            ("grad", update.grad),
-        ):
+        for scope_name, tree in (("params", update.params), ("state", update.state)):
             for key, arr in tree.items():
                 if not np.isfinite(arr).all():
                     # Param keys are prefixed with a per-process clone tag

@@ -144,8 +144,9 @@ class Strategy(Stateful, ABC):
         non-trainable state (e.g. normalization running stats) are pulled
         toward the current server values of its model with factor
         ``f = staleness_discount ** staleness`` (``f * client + (1 - f) *
-        server``) and its gradient is scaled by ``f``, then the regular
-        synchronous :meth:`aggregate` runs on the adjusted batch.  A fully
+        server``) — which also scales its pseudo-gradient against the current
+        server weights by ``f`` — then the regular synchronous
+        :meth:`aggregate` runs on the adjusted batch.  A fully
         discounted update therefore degenerates to a no-op contribution
         rather than dragging the suite toward obsolete weights or
         statistics.  Strategies with bespoke staleness handling override
@@ -165,8 +166,7 @@ class Strategy(Stateful, ABC):
             ref_state = server.state()
             params = {k: f * v + (1.0 - f) * ref[k] for k, v in u.params.items()}
             state = {k: f * v + (1.0 - f) * ref_state[k] for k, v in u.state.items()}
-            grad = {k: f * g for k, g in u.grad.items()}
-            adjusted.append(replace(u, params=params, state=state, grad=grad))
+            adjusted.append(replace(u, params=params, state=state))
         return self.aggregate(round_idx, adjusted, rng)
 
     @abstractmethod

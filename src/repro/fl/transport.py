@@ -415,9 +415,7 @@ class TransportCodec(Stateful):
     lossless codecs), ``bytes_up`` becomes the on-wire byte count while
     ``raw_bytes_up`` keeps the uncompressed size, and — with
     ``wire_time=True`` — the simulated upload leg of ``round_time`` is
-    re-priced at the wire size.  The gradient tree is a FedTrans-side
-    activeness signal, not part of the paper's model-bytes accounting, and
-    passes through untouched.
+    re-priced at the wire size.
     """
 
     schema = schema_tag("TransportCodec")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -40,16 +40,17 @@ class FLClient:
 class ClientUpdate:
     """What one participant returns to the coordinator after local training.
 
-    Matches Algorithm 1's ``ClientTrain`` outputs: weights ``W``, gradients
-    ``G`` (the mean of per-step gradients), and loss ``L`` — plus the cost
-    accounting the evaluation needs.
+    Algorithm 1's ``ClientTrain`` returns weights ``W``, gradients ``G`` and
+    loss ``L``.  An update carries ``W``, ``L`` and the cost accounting; the
+    server derives ``G`` from ``W`` (the aggregator's FedAvg pseudo-gradient:
+    ``lr * local_steps`` times the mean step gradient under plain SGD, the
+    FedOpt pseudo-gradient under momentum or weight decay).
     """
 
     client_id: int
     model_id: str
     params: ParamTree
     state: ParamTree
-    grad: ParamTree
     train_loss: float
     num_samples: int
     macs_spent: float
@@ -60,6 +61,8 @@ class ClientUpdate:
     # to this unless a transport codec (repro.fl.transport) re-encoded the
     # update, in which case the cost ledger reports both.
     raw_bytes_up: int = 0
+    # Init-only and discarded: the frozen harness and parent checkpoints pass it.
+    grad: InitVar[ParamTree | None] = None
 
 
 @dataclass(frozen=True)

@@ -44,14 +44,16 @@ Payload conventions (what makes a ``state_dict`` checkpointable):
   ``float`` field into ``1.0`` in the export.  Only containers are rebuilt
   from the declared type: ``tuple[X, ...]``, ``list[X]``, ``dict[int|str,
   X]`` (keys stringified out, restored in), ``X | None``, nested records,
-  ``np.ndarray`` (copied out, ``asarray``'d in).  A payload whose key set
-  is not exactly the record's fields is refused before a constructor runs.
+  ``np.ndarray`` (copied out, ``asarray``'d in).  A payload that lacks a
+  field or holds a key the constructor does not take (init-only keywords are
+  taken: ``ClientUpdate``'s ``grad``) is refused before a constructor runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import types
 import typing
 from typing import Callable
@@ -144,9 +146,10 @@ def _field_codec(tp) -> tuple[Callable, Callable]:
 
 
 @functools.cache
-def _record_plan(cls: type) -> tuple[tuple[str, ...], frozenset[str], tuple]:
-    """Field names in declaration order, the same as a key set, and
-    ``(name, encode, decode)`` for the fields that are not plain scalars.
+def _record_plan(cls: type) -> tuple[tuple[str, ...], frozenset[str], frozenset[str], tuple]:
+    """Field names in declaration order, the same as a key set, the keywords
+    the constructor takes (fields plus init-only ones), and ``(name, encode,
+    decode)`` for the fields that are not plain scalars.
 
     Resolved once per class: re-walking the annotations per record makes a
     654-arrival log cost ~80 ms to encode or decode instead of 1-2 ms.
@@ -154,12 +157,13 @@ def _record_plan(cls: type) -> tuple[tuple[str, ...], frozenset[str], tuple]:
     hints = typing.get_type_hints(cls)
     names = tuple(f.name for f in dataclasses.fields(cls))
     codecs = ((name, *_field_codec(hints[name])) for name in names)
-    return names, frozenset(names), tuple(c for c in codecs if c[1] is not _keep)
+    accepted = frozenset(inspect.signature(cls).parameters)
+    return names, frozenset(names), accepted, tuple(c for c in codecs if c[1] is not _keep)
 
 
 def record_state(rec) -> dict:
     """Fresh Stateful payload of one record: field name -> encoded value."""
-    names, _, coded = _record_plan(type(rec))
+    names, _, _, coded = _record_plan(type(rec))
     payload = {name: getattr(rec, name) for name in names}
     for name, enc, _ in coded:
         payload[name] = enc(payload[name])
@@ -168,12 +172,12 @@ def record_state(rec) -> dict:
 
 def record_from_state(cls: type, payload: object):
     """Rebuild the exact ``cls`` record :func:`record_state` captured."""
-    _, keys, coded = _record_plan(cls)
+    _, keys, accepted, coded = _record_plan(cls)
     found = payload.keys() if isinstance(payload, dict) else set()
-    if found != keys:
+    if not keys <= found <= accepted:
         raise ValueError(
             f"{cls.__name__} payload ({type(payload).__name__}): missing keys "
-            f"{sorted(keys - found)}, unexpected keys {sorted(found - keys)}"
+            f"{sorted(keys - found)}, unexpected keys {sorted(found - accepted)}"
         )
     fields = dict(payload)
     for name, _, dec in coded:

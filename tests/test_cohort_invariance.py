@@ -30,7 +30,7 @@ TRAINER = LocalTrainerConfig(
     prox_mu=0.05, clip_norm=2.0,
 )
 BACKENDS = [("serial", None), ("thread", 3), ("process", 2)]
-FIELDS = ("params", "state", "grad")
+FIELDS = ("params", "state")
 SCALARS = (
     "client_id", "model_id", "train_loss", "num_samples", "macs_spent",
     "bytes_down", "bytes_up", "round_time", "raw_bytes_up",
@@ -45,7 +45,6 @@ def parent_train(cfg, model, client, rng):
     n = len(y)
     opt = SGD(cfg.lr, cfg.momentum, cfg.weight_decay)
     global_params = {k: v.copy() for k, v in model.params().items()} if cfg.prox_mu else None
-    grad_sum = None
     losses = []
     for _ in range(cfg.local_steps):
         idx = rng.integers(0, n, size=min(cfg.batch_size, n))
@@ -62,11 +61,6 @@ def parent_train(cfg, model, client, rng):
         if cfg.prox_mu:
             for k in grads:
                 grads[k] = grads[k] + cfg.prox_mu * (params[k] - global_params[k])
-        if grad_sum is None:
-            grad_sum = {k: g.copy() for k, g in grads.items()}
-        else:
-            for k, g in grads.items():
-                grad_sum[k] += g
         opt.step(params, grads)
         model.bump_version()
     batch = min(cfg.batch_size, n)
@@ -76,7 +70,6 @@ def parent_train(cfg, model, client, rng):
         model_id=model.model_id,
         params=model.get_params(),
         state=model.get_state(),
-        grad={k: g / cfg.local_steps for k, g in grad_sum.items()},
         train_loss=float(np.mean(losses)),
         num_samples=n,
         macs_spent=float(model.train_macs_per_sample()) * cfg.local_steps * batch,

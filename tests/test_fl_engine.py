@@ -52,7 +52,8 @@ class TestLocalTrainer:
         assert u.bytes_down == u.bytes_up == model.nbytes()
         assert u.macs_spent == model.train_macs_per_sample() * 4 * 5
         assert u.round_time > 0
-        assert set(u.grad) == set(model.params())
+        assert set(u.params) == set(model.params())
+        assert "grad" not in vars(u)
 
     def test_training_mutates_weights(self, rng):
         ds = _dataset()

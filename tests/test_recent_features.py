@@ -20,26 +20,30 @@ class TestGradientClipping:
         ds = build_federated_dataset(cfg, 2, mean_samples=20, seed=0)
         return FLClient(0, ds.clients[0], DeviceTrace(0, 1e9, 1e6, 1e12))
 
-    def test_clipping_bounds_mean_grad(self, rng):
+    @staticmethod
+    def _step_grad_norm(model, client, rng, clip_norm):
+        """Norm of the one SGD step's gradient, read off the parameter delta
+        (``w - w' = lr * g`` at ``lr = 1``: an update carries no gradient)."""
+        cfg = LocalTrainerConfig(local_steps=1, lr=1.0, clip_norm=clip_norm)
+        u = LocalTrainer(cfg).train(model.clone(keep_id=True), client, rng)
+        before = model.params()
+        return np.sqrt(sum(float(((before[k] - v) ** 2).sum()) for k, v in u.params.items()))
+
+    def test_clipping_bounds_the_step_gradient(self, rng):
         client = self._client(rng)
         model = mlp((6,), 3, rng, width=8)
         # blow up the weights so raw gradients are enormous
         for p in model.params().values():
             p *= 50.0
-        cfg = LocalTrainerConfig(local_steps=1, lr=1e-9, clip_norm=1.0)
-        u = LocalTrainer(cfg).train(model.clone(keep_id=True), client, rng)
-        gnorm = np.sqrt(sum(float((g**2).sum()) for g in u.grad.values()))
-        assert gnorm <= 1.0 + 1e-9
+        assert self._step_grad_norm(model, client, rng, clip_norm=1.0) <= 1.0 + 1e-9
 
     def test_clipping_disabled(self, rng):
         client = self._client(rng)
         model = mlp((6,), 3, rng, width=8)
         for p in model.params().values():
             p *= 50.0
-        cfg = LocalTrainerConfig(local_steps=1, lr=1e-9, clip_norm=0.0)
-        u = LocalTrainer(cfg).train(model.clone(keep_id=True), client, rng)
-        gnorm = np.sqrt(sum(float((g**2).sum()) for g in u.grad.values()))
-        assert gnorm > 1.0  # unclipped explosion preserved
+        # unclipped explosion preserved
+        assert self._step_grad_norm(model, client, rng, clip_norm=0.0) > 1.0
 
     def test_small_grads_untouched(self, rng):
         client = self._client(rng)
@@ -50,8 +54,8 @@ class TestGradientClipping:
         u_free = LocalTrainer(LocalTrainerConfig(local_steps=3, clip_norm=0.0)).train(
             model.clone(keep_id=True), client, np.random.default_rng(5)
         )
-        for k in u_clip.grad:
-            assert np.allclose(u_clip.grad[k], u_free.grad[k])
+        for k in u_clip.params:
+            assert np.array_equal(u_clip.params[k], u_free.params[k])
 
 
 class TestWidenNoise:

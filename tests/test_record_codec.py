@@ -10,7 +10,12 @@ quarantine, ``topk+int8``, quantile pacing, downsize, deadline drops and
 offline-fallback waves, with in-flight updates left on the clock.  It holds
 the two payloads exactly as a checkpoint file stores them (the JSON
 skeleton; arrays as dtype + shape + blake2b digest) plus digests of the
-three exports.
+three exports.  The in-flight ``ClientUpdate`` payloads it holds still carry
+``grad`` — the per-client mean-gradient tree updates shipped until the
+activeness signal moved to the aggregator's pseudo-gradient.  The fixture is
+kept as that parent wrote it: the encoder is compared against it with the
+``grad`` key removed, and the decoder loads it as written, which is the
+proof that a parent-written checkpoint still resumes.
 
 Regenerate (only ever at a commit whose field lists are the reference):
 ``PYTHONPATH=src python tests/test_record_codec.py``.
@@ -143,13 +148,36 @@ def _arrays(node):
 
 
 def _hydrated(node, table: dict):
-    """Inverse of :func:`_digested`, looking arrays up by description."""
+    """Inverse of :func:`_digested`, looking arrays up by description.
+
+    A parent-written ``grad`` tree is not something this tree's run produces
+    any more; its content is discarded on load, so zeros of the recorded
+    dtype and shape stand in.
+    """
     if isinstance(node, dict):
         if set(node) == {"__ndarray__"}:
             return table[_array_key(node["__ndarray__"])]
-        return {k: _hydrated(v, table) for k, v in node.items()}
+        return {
+            k: _zeros_like_described(v) if k == "grad" else _hydrated(v, table)
+            for k, v in node.items()
+        }
     if isinstance(node, list):
         return [_hydrated(v, table) for v in node]
+    return node
+
+
+def _zeros_like_described(tree: dict) -> dict:
+    return {
+        k: np.zeros(v["__ndarray__"]["shape"], v["__ndarray__"]["dtype"]) for k, v in tree.items()
+    }
+
+
+def _without_grad(node):
+    """A digested payload minus the ``grad`` key of every ``ClientUpdate``."""
+    if isinstance(node, dict):
+        return {k: _without_grad(v) for k, v in node.items() if k != "grad"}
+    if isinstance(node, list):
+        return [_without_grad(v) for v in node]
     return node
 
 
@@ -203,8 +231,10 @@ def test_encoder_reproduces_the_parent_commit_payloads(witness):
     with open(GOLDEN) as f:
         golden = json.load(f)
     body = witness[0]
+    in_flight = [u for e in golden["clock"]["events"] for u in e["pending"]["updates"]]
+    assert in_flight and all("grad" in u for u in in_flight)  # the fixture is the parent's
     for section in ("exports", "log", "clock"):
-        assert body[section] == golden[section], section
+        assert body[section] == _without_grad(golden[section]), section
 
 
 def test_parent_commit_payloads_load(witness):
@@ -221,7 +251,7 @@ def test_parent_commit_payloads_load(witness):
     fresh = VirtualClock()
     fresh.load_state_dict(_hydrated(golden["clock"], table))
     assert fresh.now == clock.now and len(fresh) == len(clock)
-    assert _digested(_through_disk(fresh.state_dict())) == golden["clock"]
+    assert _digested(_through_disk(fresh.state_dict())) == _without_grad(golden["clock"])
     for (t0, s0, want), (t1, s1, got) in zip(sorted(clock._events), sorted(fresh._events)):
         assert (t0, s0) == (t1, s1) and type(got.model_ids) is tuple
         _assert_same(got, want)
@@ -357,6 +387,24 @@ class TestStrictDecode:
         payload = {**stateful.record_state(FAULT), "severity": 3}
         with pytest.raises(ValueError, match=r"FaultRecord.*unexpected.*'severity'"):
             stateful.record_from_state(FaultRecord, payload)
+
+    def test_only_the_constructors_init_only_keyword_is_tolerated(self):
+        """A parent-written update carries ``grad``: accepted where the
+        constructor takes it, discarded, and nothing else rides along."""
+        payload = {**stateful.record_state(UPDATE), "grad": _tree(3)}
+        back = stateful.record_from_state(ClientUpdate, payload)
+        _assert_same(back, UPDATE)
+        assert "grad" not in vars(back) and "grad" not in stateful.record_state(back)
+        with pytest.raises(ValueError, match=r"ClientUpdate.*unexpected keys \['momentum'\]"):
+            stateful.record_from_state(ClientUpdate, {**payload, "momentum": _tree(4)})
+        with pytest.raises(ValueError, match=r"ArrivalRecord.*unexpected keys \['grad'\]"):
+            stateful.record_from_state(
+                ArrivalRecord, {**stateful.record_state(ARRIVAL), "grad": _tree(3)}
+            )
+        # Init-only does not mean optional-field: every field is still required.
+        del payload["state"]
+        with pytest.raises(ValueError, match=r"ClientUpdate.*missing keys \['state'\]"):
+            stateful.record_from_state(ClientUpdate, payload)
 
     def test_nested_record_is_the_one_named(self):
         payload = stateful.record_state(LOG)

@@ -201,7 +201,7 @@ class TestSelectors:
         sel.bind_fleet(store)
 
         def upd(cid, loss):
-            return ClientUpdate(cid, "m", {}, {}, {}, loss, 1, 0.0, 0, 0, 0.0)
+            return ClientUpdate(cid, "m", {}, {}, loss, 1, 0.0, 0, 0, 0.0)
 
         # Client 0 keeps a high loss, the rest are near zero.
         for r in range(5):
@@ -219,7 +219,7 @@ class TestSelectors:
         sel = OortSelector()
         store = FleetStore(self._clients(2))  # client 1 never observed
         sel.bind_fleet(store)
-        sel.observe_round(0, [ClientUpdate(0, "m", {}, {}, {}, 4.0, 1, 0.0, 0, 0, 0.0)])
+        sel.observe_round(0, [ClientUpdate(0, "m", {}, {}, 4.0, 1, 0.0, 0, 0, 0.0)])
         w = sel._weights(store.view())
         assert w[1] == pytest.approx(w[0])  # optimistic initialization
 
@@ -695,7 +695,7 @@ class TestEvictionRehydration:
     def _upd(cid, mid, loss):
         from repro.fl import ClientUpdate
 
-        return ClientUpdate(cid, mid, {}, {}, {}, loss, 1, 0.0, 0, 0, 0.0)
+        return ClientUpdate(cid, mid, {}, {}, loss, 1, 0.0, 0, 0, 0.0)
 
     @staticmethod
     def _two_models():

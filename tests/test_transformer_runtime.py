@@ -242,17 +242,25 @@ class TestFedTransRuntime:
         assert log.best_eval().mean_accuracy > 0.5
         assert log.evals[-1].mean_accuracy > 0.45
 
-    def test_aggregate_gradient_weighted_mean(self):
-        from repro.core.runtime import FedTransStrategy as S
+    def test_aggregate_gradient_weighted_mean(self, rng):
+        """The activeness input is the aggregator's FedAvg pseudo-gradient."""
         from repro.fl.types import ClientUpdate
 
-        def up(cid, n, val):
+        parent = mlp((6,), 3, rng, width=4)
+        strategy = FedTransStrategy(
+            parent, _cfg(soft_aggregation=False), max_capacity_macs=1e12
+        )
+        child = parent.clone(birth_round=1)
+        strategy._models[child.model_id] = child
+        strategy._birth_order.append(child.model_id)
+        before = child.get_params()
+
+        def up(cid, model, n, val):
             return ClientUpdate(
                 client_id=cid,
-                model_id="m",
-                params={},
+                model_id=model.model_id,
+                params={k: v - val for k, v in model.params().items()},
                 state={},
-                grad={"k": np.full(2, float(val))},
                 train_loss=1.0,
                 num_samples=n,
                 macs_spent=0,
@@ -261,6 +269,16 @@ class TestFedTransRuntime:
                 round_time=0,
             )
 
-        agg = S._aggregate_gradient([up(0, 30, 1.0), up(1, 10, 5.0)])
-        assert np.allclose(agg["k"], 0.75 * 1.0 + 0.25 * 5.0)
-        assert S._aggregate_gradient([]) is None
+        seen = []
+        strategy.transformer.observe_round = lambda *args: seen.append(args)
+        strategy.aggregate(0, [up(0, child, 30, 1.0), up(1, child, 10, 5.0)], rng)
+        # A round nobody trained the frontier feeds no gradient.
+        strategy.aggregate(1, [up(2, parent, 10, 1.0)], rng)
+        (frontier, _, grad), (_, _, absent) = seen
+        assert frontier is child and absent is None
+        assert list(grad) == list(before)
+        for k, g in grad.items():
+            assert np.allclose(g, 0.75 * 1.0 + 0.25 * 5.0)
+            # Taken before set_params, and not a view of the live weights.
+            assert np.allclose(child.params()[k], before[k] - g)
+            assert not np.shares_memory(g, child.params()[k])
