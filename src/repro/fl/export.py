@@ -149,12 +149,15 @@ def log_to_dict(log: TrainingLog) -> dict:
     }
 
 
-def save_log(log: TrainingLog, path: str | Path) -> None:
-    """Write a run's JSON export to disk (crash-consistent: temp file in
-    the destination directory + ``os.replace``, so a crash mid-save never
-    leaves a torn JSON where a complete one used to be)."""
+def _write_json(payload: dict, path: str | Path) -> None:
+    """Crash-consistent write (temp file + ``os.replace``: never a torn JSON)."""
     with atomic_write(path, "w", encoding="utf-8") as f:
-        json.dump(log_to_dict(log), f, indent=1)
+        json.dump(payload, f, indent=1)
+
+
+def save_log(log: TrainingLog, path: str | Path) -> None:
+    """Write a run's JSON export to disk."""
+    _write_json(log_to_dict(log), path)
 
 
 def load_log(path: str | Path) -> dict:
@@ -202,9 +205,8 @@ def recovery_to_dict(log: TrainingLog) -> dict:
 
 
 def save_recovery(log: TrainingLog, path: str | Path) -> None:
-    """Write the recovery-ledger JSON (crash-consistent, like save_log)."""
-    with atomic_write(path, "w", encoding="utf-8") as f:
-        json.dump(recovery_to_dict(log), f, indent=1)
+    """Write the recovery-ledger JSON."""
+    _write_json(recovery_to_dict(log), path)
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +252,8 @@ def transport_to_dict(log: TrainingLog) -> dict:
 
 
 def save_transport(log: TrainingLog, path: str | Path) -> None:
-    """Write the transport-ledger JSON (crash-consistent, like save_log)."""
-    with atomic_write(path, "w", encoding="utf-8") as f:
-        json.dump(transport_to_dict(log), f, indent=1)
+    """Write the transport-ledger JSON."""
+    _write_json(transport_to_dict(log), path)
 
 
 # ----------------------------------------------------------------------

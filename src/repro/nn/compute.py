@@ -1,6 +1,4 @@
-"""Process-wide compute substrate knobs: dtype and workspace pooling.
-
-Two global switches govern the NumPy substrate's hot path:
+"""Compute substrate: one process-wide knob (the dtype) and workspace pooling.
 
 * **Compute dtype** — every tensor the substrate creates (initializers,
   layer buffers, synthetic data, transform-grown channels) uses the
@@ -21,10 +19,9 @@ Two global switches govern the NumPy substrate's hot path:
   across steps, so the steady-state training step performs no large heap
   allocations.  Pooling is arithmetic-transparent (bit-identical on or
   off; the regression test pins both the identity and the allocation
-  saving) and on by default; :func:`set_workspace_pooling` exists for the
-  allocation benchmark's baseline and for debugging.
+  saving, against a fresh-allocating ``Workspace.get`` of its own).
 
-Both knobs are plain module globals: they are set once at run start
+The dtype is a plain module global: it is set once at run start
 (before models and data are built) and only read on the hot path.
 Changing the dtype mid-run does not retype existing models — mixing
 dtypes silently upcasts, so runs should build everything under one
@@ -42,8 +39,6 @@ __all__ = [
     "compute_dtype",
     "compute_dtype_name",
     "set_compute_dtype",
-    "workspace_pooling_enabled",
-    "set_workspace_pooling",
     "Workspace",
 ]
 
@@ -63,7 +58,6 @@ _DTYPES = {name: np.dtype(name) for name in COMPUTE_DTYPES}
 ACCUM_DTYPE: np.dtype = np.dtype("float64")
 
 _compute_dtype: np.dtype = np.dtype("float64")
-_pooling_enabled: bool = True
 
 
 def compute_dtype() -> np.dtype:
@@ -101,17 +95,6 @@ def set_compute_dtype(dtype: str | np.dtype | None) -> np.dtype:
     return _compute_dtype
 
 
-def workspace_pooling_enabled() -> bool:
-    """Whether hot-path kernels reuse pooled workspace buffers."""
-    return _pooling_enabled
-
-
-def set_workspace_pooling(enabled: bool) -> None:
-    """Toggle workspace pooling (bit-identical either way; default on)."""
-    global _pooling_enabled
-    _pooling_enabled = bool(enabled)
-
-
 class Workspace:
     """Named scratch buffers reused across steps by one owner.
 
@@ -124,9 +107,7 @@ class Workspace:
 
     Contents are *not* preserved between calls: callers must fully
     overwrite a buffer before reading it (``zero_first`` zeroes only
-    freshly allocated buffers, for pad-border style invariants).  With
-    pooling disabled (:func:`set_workspace_pooling`) every call allocates
-    fresh, which is the allocation benchmark's baseline.
+    freshly allocated buffers, for pad-border style invariants).
     """
 
     __slots__ = ("_bufs",)
@@ -142,9 +123,6 @@ class Workspace:
         zero_first: bool = False,
     ) -> np.ndarray:
         shape = tuple(shape)
-        if not _pooling_enabled:
-            buf = np.zeros(shape, dtype) if zero_first else np.empty(shape, dtype)
-            return buf
         buf = self._bufs.get(name)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
             buf = np.zeros(shape, dtype) if zero_first else np.empty(shape, dtype)

@@ -18,6 +18,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 from textwrap import dedent
 
@@ -1238,6 +1239,34 @@ class TestEngineAndCli:
             and node.func.attr == "get"
         ]
         assert defaulted == []
+
+    def test_a_performance_claim_has_one_ledger(self):
+        """A speed or cost claim is a row of the root ``BENCH_e2e.json``
+        (written by ``benchmarks/record_e2e.py`` from the frozen
+        ``benchmarks/e2e`` harness) or a tier-1 assertion; each shape below
+        is how a single-snapshot bench (its own root JSON, a script writing
+        it, a process-wide switch in ``src/`` that only its baseline flips)
+        would regrow."""
+        assert sorted(p.name for p in REPO.glob("BENCH_*.json")) == ["BENCH_e2e.json"]
+        bench = REPO / "benchmarks"
+        root_file = re.compile(r"\bBENCH_[a-z0-9]+")
+        writers = sorted(
+            str(p.relative_to(bench))
+            for p in bench.rglob("*.py")
+            if p.name != "record_e2e.py"
+            and (bench / "e2e") not in p.parents
+            and root_file.search(p.read_text())
+        )
+        assert writers == []
+        # The setter, the getter and the module global of the pooling switch.
+        switches = ("workspace_pooling", "_pooling_enabled")
+        named = sorted(
+            f"{p.relative_to(REPO)}: {s}"
+            for p in (REPO / "src").rglob("*.py")
+            for s in switches
+            if s in p.read_text()
+        )
+        assert named == []
 
 
 # ----------------------------------------------------------------------

@@ -6,13 +6,16 @@ Contracts pinned here:
   defaults: pooled kernels, in-place optimizer/aggregation, shared-memory
   snapshot publishing, vectorized Eq. 5), default-dtype runs still
   reproduce ``tests/data/golden_prerefactor_scheduling.json`` exactly,
-  and disabling workspace pooling changes nothing (arithmetic
-  transparency).
+  and swapping in a fresh-allocating ``Workspace.get`` changes nothing
+  (arithmetic transparency).
 * **Allocation regression** — pooled kernels cut steady-state per-step
-  transient heap allocation by >= 5x on the conv workload (measured with
-  tracemalloc, which tracks NumPy buffer churn).
+  transient heap allocation by >= 5x against that fresh-allocating
+  ``get`` on the conv workload (measured with tracemalloc, which tracks
+  NumPy buffer churn).
 * **float32 mode** — loss decreases and accuracies stay finite on every
-  executor backend; the whole pipeline stays float32.
+  executor backend; the whole pipeline stays float32.  How much faster
+  it runs is a ledger number (``nn.*.fwdbwd_us.{f64,f32}`` in
+  ``benchmarks/e2e``), not a gate here.
 * **Shared-memory hygiene** — segments never outlive the executor: close,
   finalizer, and the injected-worker-crash path all unlink.
 * **In-place rewrites match their naive forms bit for bit** — SGD,
@@ -27,6 +30,7 @@ import glob
 import json
 import os
 import tracemalloc
+from contextlib import contextmanager
 from multiprocessing import resource_tracker
 from pathlib import Path
 
@@ -58,14 +62,14 @@ from repro.nn import (
     CellModel,
     ConvCell,
     ConvClassifierCell,
+    Workspace,
     mlp,
     set_compute_dtype,
-    set_workspace_pooling,
     small_cnn,
     small_resnet,
     tree_average,
 )
-from repro.nn.compute import compute_dtype_name, workspace_pooling_enabled
+from repro.nn.compute import compute_dtype_name
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prerefactor_scheduling.json"
 
@@ -73,11 +77,25 @@ TRAINER = LocalTrainerConfig(batch_size=8, local_steps=5, lr=0.2)
 
 
 @pytest.fixture(autouse=True)
-def _restore_compute_globals():
-    """Never leak a dtype/pooling change into the rest of the suite."""
+def _restore_compute_dtype():
+    """Never leak a dtype change into the rest of the suite."""
     yield
     set_compute_dtype("float64")
-    set_workspace_pooling(True)
+
+
+def _fresh_get(self, name, shape, dtype, zero_first=False):
+    """``Workspace.get`` without the pool: a new buffer on every call."""
+    return np.zeros(shape, dtype) if zero_first else np.empty(shape, dtype)
+
+
+@contextmanager
+def _workspaces(pooled: bool):
+    """Run the body on pooled workspaces, or on fresh buffers (the unpooled
+    side of the identity and allocation tests); ``get`` is restored on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not pooled:
+            mp.setattr(Workspace, "get", _fresh_get)
+        yield
 
 
 def _flat_dataset(num_clients=12, seed=0):
@@ -163,18 +181,14 @@ class TestGoldenBitIdentity:
         """Pooled kernels + shm snapshots + vectorized Eq. 5 (all default-on)
         reproduce the pre-refactor fixture at the default dtype."""
         assert compute_dtype_name() == "float64"
-        assert workspace_pooling_enabled()
         over = {} if backend == "serial" else {"executor": backend, "max_workers": 2}
         if mode == "async":
             over["buffer_k"] = 3
         assert _digest(_golden_run(mode, **over)) == golden[mode]
 
     def test_pooling_off_is_bit_identical(self, golden):
-        set_workspace_pooling(False)
-        try:
+        with _workspaces(pooled=False):
             assert _digest(_golden_run("sync")) == golden["sync"]
-        finally:
-            set_workspace_pooling(True)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +206,6 @@ def _steady_state_step_bytes(pooling: bool, steps: int = 5) -> float:
     per call, unpoolable from Python) put a small constant floor under the
     pooled number, while unpooled allocations scale with activation size.
     """
-    set_workspace_pooling(pooling)
     rng = np.random.default_rng(3)
     model = small_cnn((3, 16, 16), 4, np.random.default_rng(0), width=16)
     opt = SGD(0.05)
@@ -210,21 +223,21 @@ def _steady_state_step_bytes(pooling: bool, steps: int = 5) -> float:
         opt.step(model.params(), grads)
 
     gc.collect()
-    tracemalloc.start()
-    try:
-        for _ in range(3):  # warm-up: size the pools
-            one_step()
-        gc.collect()
-        samples = []
-        for _ in range(steps):
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            one_step()
-            peak = tracemalloc.get_traced_memory()[1]
-            samples.append(peak - base)
-    finally:
-        tracemalloc.stop()
-        set_workspace_pooling(True)
+    with _workspaces(pooling):
+        tracemalloc.start()
+        try:
+            for _ in range(3):  # warm-up: size the pools
+                one_step()
+            gc.collect()
+            samples = []
+            for _ in range(steps):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                one_step()
+                peak = tracemalloc.get_traced_memory()[1]
+                samples.append(peak - base)
+        finally:
+            tracemalloc.stop()
     return float(np.mean(samples))
 
 
@@ -267,12 +280,10 @@ class TestAllocationRegression:
         trainer = LocalTrainer(LocalTrainerConfig(batch_size=8, local_steps=4, lr=0.1))
         outs = {}
         for pooling in (True, False):
-            set_workspace_pooling(pooling)
-            u = trainer.train(
-                model.clone(keep_id=True), client, np.random.default_rng(7)
-            )
-            outs[pooling] = u
-        set_workspace_pooling(True)
+            with _workspaces(pooling):
+                outs[pooling] = trainer.train(
+                    model.clone(keep_id=True), client, np.random.default_rng(7)
+                )
         assert outs[True].train_loss == outs[False].train_loss
         for k, v in outs[True].params.items():
             assert np.array_equal(v, outs[False].params[k]), k
