@@ -1,4 +1,4 @@
-"""Scheduling subsystem — downsize vs drop, and sparse-store memory.
+"""Scheduling subsystem — downsize vs drop, and utility-table memory.
 
 Two claims from the scheduling PR, measured:
 
@@ -12,10 +12,10 @@ Two claims from the scheduling PR, measured:
    reaches the shared target accuracy in less simulated time, with zero
    dropped updates.
 
-2. **Sparse utility store.**  ``ClientManager`` state at 100k registered /
-   1k active clients: with eviction the resident footprint tracks the
-   *active* fleet and lands well under 5% of the dense (never-evict)
-   store's.
+2. **Evicting utility table.**  ``ClientManager``'s client × model table
+   at 100k registered / 1k active clients: with eviction the resident rows
+   (and the bytes of the checkpoint payload's arrays) track the *active*
+   fleet and land well under 5% of the never-evicting table's.
 
 Run directly via pytest:
 PYTHONPATH=src python -m pytest -q -s benchmarks/bench_scheduling.py
@@ -31,6 +31,7 @@ from repro.core import ClientManager
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
 from repro.fl import ClientUpdate, Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig
+from repro.fl.checkpoint import flatten_payload
 from repro.fl.scheduling import estimate_round_time
 from repro.nn import mlp
 
@@ -146,7 +147,7 @@ def test_sparse_store_memory_at_scale(report):
     models = {parent.model_id: parent, child.model_id: child}
 
     def upd(cid, loss):
-        return ClientUpdate(cid, parent.model_id, {}, {}, {}, loss, 1, 0.0, 0, 0, 0.0)
+        return ClientUpdate(cid, parent.model_id, {}, {}, loss, 1, 0.0, 0, 0, 0.0)
 
     losses = np.random.default_rng(1).uniform(0.1, 2.0, REGISTERED)
 
@@ -159,33 +160,41 @@ def test_sparse_store_memory_at_scale(report):
             cm.advance_round(r)
             cm.update([upd(cid, losses[cid]) for cid in range(ACTIVE)], models)
 
-    dense = ClientManager()  # evict_after=None: the legacy dense behavior
+    dense = ClientManager()  # evict_after=None keeps every row
     churn(dense)
     sparse = ClientManager(evict_after=20)
     churn(sparse)
 
-    dense_bytes = dense.store.resident_bytes()
-    sparse_bytes = sparse.store.resident_bytes()
+    def footprint(cm: ClientManager) -> tuple[int, int]:
+        """Resident rows and the bytes of the checkpoint payload's arrays."""
+        payload = cm.state_dict()
+        _, arrays = flatten_payload(payload)
+        return len(payload["clients"]), sum(a.nbytes for a in arrays.values())
+
+    (dense_rows, dense_bytes), (sparse_rows, sparse_bytes) = footprint(dense), footprint(sparse)
     ratio = sparse_bytes / dense_bytes
     report(
         "scheduling_store_memory",
         ascii_table(
             [
                 {
-                    "store": name,
-                    "resident_clients": cm.store.resident_clients(),
-                    "resident_mb": round(cm.store.resident_bytes() / 1e6, 3),
-                    "evicted": cm.store.evicted_total,
+                    "table": name,
+                    "resident_clients": rows,
+                    "payload_array_mb": round(nbytes / 1e6, 3),
+                    "evicted": cm.evicted_total,
                 }
-                for name, cm in (("dense", dense), ("sparse", sparse))
+                for name, cm, (rows, nbytes) in (
+                    ("never-evict", dense, (dense_rows, dense_bytes)),
+                    ("evict_after=20", sparse, (sparse_rows, sparse_bytes)),
+                )
             ],
-            f"utility store at {REGISTERED:,} registered / {ACTIVE:,} active clients "
-            f"(sparse/dense = {ratio:.2%})",
+            f"utility table at {REGISTERED:,} registered / {ACTIVE:,} active clients "
+            f"(evicting/never-evict = {ratio:.2%})",
         ),
     )
 
-    assert dense.store.resident_clients() == REGISTERED
-    assert sparse.store.resident_clients() == ACTIVE
+    assert dense_rows == REGISTERED
+    assert sparse_rows == ACTIVE
     # The acceptance bar: resident state proportional to the active fleet.
     assert ratio <= 0.05
     # Evicted clients still answer (with the fresh-client prior).

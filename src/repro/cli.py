@@ -234,7 +234,7 @@ def _setup(args):
     # Must land before the dataset and initial models are built — the
     # whole run (data, weights, transforms, workers) uses one dtype.
     set_compute_dtype(config.compute_dtype)
-    # The one knob two stores share: the FedTrans utility store evicts on
+    # The one knob two stores share: the FedTrans utility table evicts on
     # the same horizon as the fleet store's Oort column.
     ft_over = {"evict_after": over["evict_after"]} if "evict_after" in over else {}
     return profile, over, ft_over

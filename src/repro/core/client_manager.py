@@ -12,20 +12,20 @@ are skipped: the client can never train or deploy them — capacities are
 fixed and the suite only grows upward — so maintaining their utilities was
 pure per-update cost.)
 
-Utility state lives in a sparse
-:class:`~repro.fl.scheduling.store.ClientStateStore`: entries materialize
-on first participation and, with ``evict_after`` set, clients inactive for
-that many rounds are evicted — memory stays proportional to the *active*
-fleet, not the registered one.  Decay/clamp already bound utility
-magnitudes, so a rehydrated client restarts from the all-zero prior
-(exactly a fresh client) and relearns within a few participations.
+The utilities are one client × model table: a float64 ``(rows, models)``
+block, a bool ``present`` block of the pairs ever written (what the fleet
+mean and a child's inheritance read), and an int64 ``last_active`` column.
+Rows materialize on first participation and keep first-seen order, the
+order the fleet mean sums them in.  With ``evict_after`` set, rows idle for
+more than that many rounds are dropped and the block compacts in order (a
+returning client's row is appended), so memory tracks the *active* fleet;
+decay/clamp bound utilities, so a rehydrated client is exactly a fresh one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..fl.scheduling.store import ClientStateStore
 from ..nn.model import CellModel
 from ..stateful import Stateful, check_schema, schema_tag
 from .similarity import model_similarity
@@ -75,9 +75,9 @@ class ClientManager(Stateful):
     models pinned to opposite clamps, the softmax gap is ``2 * clamp``
     (probability floor ``~e^-10`` at the default 5.0), so assignment
     keeps exploring.  Set ``1.0`` / ``0.0`` respectively to disable
-    either.  ``evict_after`` bounds *memory*: clients inactive for that
-    many rounds (see :meth:`advance_round`) are dropped from the store;
-    ``None`` (the default) keeps every entry forever.
+    either.  ``evict_after`` bounds *memory*: clients inactive for more
+    than that many rounds (see :meth:`advance_round`) lose their row;
+    ``None`` (the default) keeps every row forever.
     """
 
     def __init__(
@@ -91,26 +91,70 @@ class ClientManager(Stateful):
             raise ValueError("utility_decay must lie in (0, 1]")
         if utility_clamp < 0.0:
             raise ValueError("utility_clamp must be non-negative (0 disables)")
+        if evict_after is not None and evict_after < 1:
+            raise ValueError("evict_after must be >= 1 (None disables eviction)")
         self.sim_cache = sim_cache or SimilarityCache()
         self.utility_decay = utility_decay
         self.utility_clamp = utility_clamp
-        self.store = ClientStateStore(evict_after=evict_after)
+        self.evict_after = evict_after
+        self._round = self.evicted_total = 0
+        self._set_table([], [], [], [], [])
+
+    def _set_table(self, clients, models, utility, present, last_active) -> None:
+        """Install the table (copies every array; rows in the given order)."""
+        self._clients = np.array(clients, dtype=np.int64)
+        self._row = {cid: i for i, cid in enumerate(self._clients.tolist())}
+        self._col = {mid: j for j, mid in enumerate(models)}
+        self._u = np.array(utility, dtype=np.float64).reshape(len(self._row), len(self._col))
+        self._present = np.array(present, dtype=bool).reshape(self._u.shape)
+        self._last_active = np.array(last_active, dtype=np.int64)
+        self._fleet_mean: dict[str, float] | None = None
+
+    def _grow(self, client_ids, model_ids) -> None:
+        """Append zero rows for unseen clients and columns for unseen models."""
+        rows = [cid for cid in client_ids if cid not in self._row]
+        cols = [mid for mid in dict.fromkeys(model_ids) if mid not in self._col]
+        if rows or cols:
+            n, k = self._u.shape
+            self._row.update((int(cid), n + i) for i, cid in enumerate(rows))
+            self._col.update((mid, k + j) for j, mid in enumerate(cols))
+            shape = (len(self._row), len(self._col))
+            u, held = np.zeros(shape), np.zeros(shape, dtype=bool)
+            u[:n, :k], held[:n, :k] = self._u, self._present
+            self._u, self._present = u, held
+            self._clients = np.append(self._clients, np.array(rows, dtype=np.int64))
+            self._last_active = np.append(self._last_active, np.zeros(len(rows), dtype=np.int64))
 
     # ------------------------------------------------------------------
     def utility(self, client_id: int, model_id: str) -> float:
         """Current utility (0 for never-updated or evicted pairs)."""
-        st = self.store.get(client_id)
-        return st.get(model_id, 0.0) if st else 0.0
+        row, col = self._row.get(client_id), self._col.get(model_id)
+        return 0.0 if row is None or col is None else float(self._u[row, col])
 
     def register_model(self, new_id: str, parent_id: str) -> None:
         """New model inherits its parent's utility per client (Alg. 1 l.18)."""
-        for utils in self.store.values():
-            if parent_id in utils:
-                utils[new_id] = utils[parent_id]
+        self._grow([], [parent_id, new_id])
+        parent, child = self._col[parent_id], self._col[new_id]
+        held = self._present[:, parent]
+        self._u[held, child] = self._u[held, parent]
+        self._present[held, child] = True
+        self._fleet_mean = None
 
     def advance_round(self, round_idx: int) -> list[int]:
-        """Advance the store's activity clock; returns the evicted ids."""
-        return self.store.advance(round_idx)
+        """Advance the activity clock; evict and return the long-inactive ids."""
+        self._round = max(self._round, round_idx)
+        if self.evict_after is None:
+            return []
+        dead = self._round - self._last_active > self.evict_after
+        evicted = self._clients[dead].tolist()
+        if evicted:  # compact in order: survivors keep first-seen order
+            live = ~dead
+            self._set_table(
+                self._clients[live], self._col, self._u[live], self._present[live],
+                self._last_active[live],
+            )
+        self.evicted_total += len(evicted)
+        return evicted
 
     # ------------------------------------------------------------------
     def assignment_probabilities(
@@ -120,8 +164,7 @@ class ClientManager(Stateful):
         if not compatible_ids:
             raise ValueError("no compatible models to sample from")
         u = np.array([self.utility(client_id, mid) for mid in compatible_ids])
-        z = u - u.max()
-        e = np.exp(z)
+        e = np.exp(u - u.max())
         return e / e.sum()
 
     def sample_model(
@@ -136,20 +179,22 @@ class ClientManager(Stateful):
 
         Ties (e.g. clients that never participated) break toward the model
         with the highest fleet-wide mean utility, then the earliest-born
-        (most-trained) model.
+        (most-trained) model.  The means are cached until the block changes.
         """
         if not compatible_ids:
             raise ValueError("no compatible models")
-
-        def global_mean(mid: str) -> float:
-            vals = [u[mid] for u in self.store.values() if mid in u]
-            return float(np.mean(vals)) if vals else 0.0
-
+        if self._fleet_mean is None:
+            held, u = self._present, self._u
+            self._fleet_mean = {
+                mid: u[held[:, j], j].mean() if held[:, j].any() else 0.0
+                for mid, j in self._col.items()
+            }
+        means = self._fleet_mean
         ranked = sorted(
             range(len(compatible_ids)),
             key=lambda i: (
                 self.utility(client_id, compatible_ids[i]),
-                global_mean(compatible_ids[i]),
+                float(means.get(compatible_ids[i], 0.0)),
                 -i,
             ),
             reverse=True,
@@ -172,52 +217,88 @@ class ClientManager(Stateful):
         given, the similarity-scaled update only walks that set (a missing
         client id, or ``compatible=None``, falls back to all models — the
         legacy behavior, still right for callers without capacity
-        information).
+        information).  Updates apply in order: with the clamp, a client's
+        repeated updates do not commute.
         """
         if not updates:
             return
         losses = np.array([u.train_loss for u in updates], dtype=float)
-        mean = losses.mean()
         std = losses.std()
-        if std < 1e-12:
-            standardized = np.zeros_like(losses)
-        else:
-            standardized = (losses - mean) / std
+        standardized = np.zeros_like(losses) if std < 1e-12 else (losses - losses.mean()) / std
+        client_ids = list(dict.fromkeys(u.client_id for u in updates))
+        self._grow(client_ids, models)
+        rows = [self._row[c] for c in client_ids]
+        self._last_active[rows] = self._round
+        # Eq. 4 runs on the rows as lists: one gather, one scatter.  New rows
+        # and never-written pairs hold 0.0, which decay leaves at 0.0.
+        gathered = self._u[rows]
         if self.utility_decay < 1.0:
-            for cid in dict.fromkeys(u.client_id for u in updates):
-                utils = self.store.get(cid)
-                if utils:
-                    for mid in utils:
-                        utils[mid] *= self.utility_decay
+            gathered *= self.utility_decay
+        block = dict(zip(rows, gathered.tolist()))
+        written, clamp = [], self.utility_clamp
         for u, l_std in zip(updates, standardized):
             assigned = models[u.model_id]
             allowed = compatible.get(u.client_id) if compatible is not None else None
-            utils = self.store.materialize(u.client_id)
+            row = self._row[u.client_id]
             for mid, model in models.items():
-                if allowed is not None and mid not in allowed:
-                    continue
-                sim = self.sim_cache.get(model, assigned)
-                if sim <= 0.0:
-                    continue
-                val = utils.get(mid, 0.0) - float(l_std) * sim
-                if self.utility_clamp:
-                    val = min(max(val, -self.utility_clamp), self.utility_clamp)
-                utils[mid] = val
+                if allowed is None or mid in allowed:
+                    sim = self.sim_cache.get(model, assigned)
+                    if sim > 0.0:
+                        j = self._col[mid]
+                        val = block[row][j] - float(l_std) * sim
+                        block[row][j] = min(max(val, -clamp), clamp) if clamp else val
+                        written.append((row, j))
+        self._u[rows] = list(block.values())
+        if written:
+            self._present[tuple(zip(*written))] = True
+        self._fleet_mean = None
 
     # ------------------------------------------------------------------
-    schema = schema_tag("ClientManager")
+    schema = schema_tag("ClientManager", 2)
 
     def state_dict(self) -> dict:
         return {
             "schema": self.schema,
-            "store": self.store.state_dict(),
+            "clients": self._clients.copy(),
+            "models": list(self._col),
+            "utility": self._u.copy(),
+            "present": self._present.copy(),
+            "last_active": self._last_active.copy(),
+            "round": self._round,
+            "evicted_total": self.evicted_total,
             "sim_cache": self.sim_cache.state_dict(),
         }
 
     def load_state_dict(self, payload: dict) -> None:
+        if isinstance(payload, dict) and "schema" in payload and payload["schema"] == _V1:
+            payload = _v2_from_v1(payload)
         check_schema(payload, self.schema)
-        evict_after = self.store.evict_after
-        self.store.load_state_dict(payload["store"])
         # The eviction horizon is configuration, not checkpoint payload.
-        self.store.evict_after = evict_after
+        self._set_table(*(payload[key] for key in _TABLE))
+        self._round = int(payload["round"])
+        self.evicted_total = int(payload["evicted_total"])
         self.sim_cache.load_state_dict(payload["sim_cache"])
+
+
+_TABLE = ("clients", "models", "utility", "present", "last_active")
+_V1 = schema_tag("ClientManager")
+
+
+def _v2_from_v1(payload: dict) -> dict:
+    """One-way reader of ``ClientManager/v1`` checkpoints, whose ``store``
+    held a ``client -> {model: utility}`` dict in first-seen client order."""
+    store = check_schema(payload["store"], schema_tag("ClientStateStore"))
+    state, stamps = store["state"], store["last_active"]
+    rows = state.values()
+    models = list(dict.fromkeys(mid for utils in rows for mid in utils))
+    return {
+        "schema": ClientManager.schema,
+        "clients": [int(cid) for cid in state],
+        "models": models,
+        "utility": [[utils[m] if m in utils else 0.0 for m in models] for utils in rows],
+        "present": [[m in utils for m in models] for utils in rows],
+        "last_active": [stamps[cid] for cid in state],
+        "round": store["round"],
+        "evicted_total": store["evicted_total"],
+        "sim_cache": payload["sim_cache"],
+    }

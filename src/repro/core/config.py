@@ -63,8 +63,8 @@ class FedTransConfig:
         non-degenerate (worst-case softmax gap is ``2 * clamp``).  0.0
         disables.
     evict_after:
-        Rounds of inactivity before a client's utility state is evicted
-        from the Client Manager's sparse store (memory proportional to the
+        Rounds of inactivity before a client's row is evicted from the
+        Client Manager's utility table (memory proportional to the
         *active* fleet; an evicted client rehydrates as a fresh one).
         ``None`` (default) disables eviction — the dense legacy behavior.
     min_rounds_between_transforms:

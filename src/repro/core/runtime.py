@@ -102,7 +102,7 @@ class FedTransStrategy(Strategy):
         rng: np.random.Generator,
     ) -> list[str]:
         events: list[str] = []
-        # Sparse-store bookkeeping: advance the activity clock first so a
+        # Utility-table bookkeeping: advance the activity clock first so a
         # client evicted for long inactivity that participates *this* round
         # rehydrates fresh below rather than surviving on a stale stamp.
         evicted_ids = self.client_manager.advance_round(round_idx)
@@ -149,9 +149,9 @@ class FedTransStrategy(Strategy):
         compatible = self.compatible_models(client)
         return self.client_manager.best_model(client.client_id, compatible)
 
-    def scheduler_counters(self) -> dict[str, int]:
+    def drain_evicted(self) -> int:
         evicted, self._evicted_unreported = self._evicted_unreported, 0
-        return {"evicted": evicted} if evicted else {}
+        return evicted
 
     # ------------------------------------------------------------------
     # durability (Stateful) — the suite grows mid-run, so the default

@@ -68,8 +68,8 @@ non-default values, as it already did for the raw async knobs).  The
 default stack reproduces the pre-subsystem behavior bit-for-bit; every
 round's decisions are exported on ``RoundRecord.scheduler`` (effective
 ``buffer_k``, active deadline quantiles, downsized/dropped/evicted
-counts).  Strategy-side eviction state (FedTrans's sparse utility store)
-reaches the record through :meth:`Strategy.scheduler_counters`.
+counts).  Strategy-side evictions (rows of FedTrans's utility table)
+reach the record through :meth:`Strategy.drain_evicted`.
 
 Durable runs
 ------------

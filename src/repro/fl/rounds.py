@@ -211,8 +211,7 @@ def close_round(
     log.downsized_updates += tally.downsized
     # Fleet-store utility eviction joins the strategy-side count in one
     # meter; both are 0 unless evict_after is configured.
-    counters = ctx.strategy.scheduler_counters()
-    evicted = int(counters.get("evicted", 0)) + ctx.fleet.advance(round_idx)
+    evicted = ctx.strategy.drain_evicted() + ctx.fleet.advance(round_idx)
     log.evicted_clients += evicted
     return RoundRecord(
         round_idx=round_idx,

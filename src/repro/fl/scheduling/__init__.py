@@ -1,14 +1,14 @@
 """Pluggable scheduling subsystem: selection, pacing, straggler policies.
 
-Three policy seams (see :mod:`~repro.fl.scheduling.base`) plus two stores:
+Three policy seams (see :mod:`~repro.fl.scheduling.base`) plus one store:
 the columnar :class:`~repro.fl.scheduling.fleet.FleetStore` (structure-of-
 arrays fleet state — ids, device classes, utilities, round-time windows —
 that makes a scheduler tick O(active) at million-client registration) is
 the one home of scheduler state, and its
 :class:`~repro.fl.scheduling.fleet.FleetView` the one pool type selectors
-draw from; the sparse :class:`~repro.fl.scheduling.store.ClientStateStore`
-holds per-client *strategy* state (``store.py`` says why that is not a
-fleet column).  Policies are resolved by name through the
+draw from.  FedTrans's per-client *strategy* state (its client × model
+utilities) is a table of :class:`~repro.core.ClientManager`, which is built
+and timed without a coordinator.  Policies are resolved by name through the
 ``make_*`` factories below, which is what ``CoordinatorConfig.selector`` /
 ``pacing`` / ``straggler`` feed; availability churn models
 (:mod:`~repro.fl.scheduling.availability`) ride the ``availability``
@@ -33,7 +33,6 @@ from .selectors import (
     UniformSelector,
     uniform_choice,
 )
-from .store import ClientStateStore
 from .straggler import DownsizePolicy, DropPolicy
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "QuantilePacing",
     "DropPolicy",
     "DownsizePolicy",
-    "ClientStateStore",
     "FleetStore",
     "FleetView",
     "RoundTimeStats",

@@ -237,14 +237,14 @@ class FleetStore(Stateful):
 
     Construct from the client list (registration order becomes row order)
     or, for object-free scale tests, :meth:`from_columns`.  ``evict_after``
-    bounds the *utility* columns the same way
-    :class:`~repro.fl.scheduling.store.ClientStateStore` bounds the
-    strategy-side dict: a client unseen for more than ``evict_after``
-    rounds has its utility EMA reset to the unseen state (it re-enters at
-    the optimistic prior on next selection), so selector state stays
-    proportional to the active fleet no matter how many clients ever
-    participated.  Row membership is separate — :meth:`remove`
-    deregisters clients outright, compacting all columns in place.
+    bounds the *utility* columns the way it bounds FedTrans's utility
+    table (:class:`~repro.core.ClientManager`): a client unseen for more
+    than ``evict_after`` rounds has its utility EMA reset to the unseen
+    state (it re-enters at the optimistic prior on next selection), so
+    selector state stays proportional to the active fleet no matter how
+    many clients ever participated.  Row membership is separate —
+    :meth:`remove` deregisters clients outright, compacting all columns in
+    place.
     """
 
     def __init__(
@@ -495,11 +495,11 @@ class FleetStore(Stateful):
         """Move the activity clock; evict long-inactive utility state.
 
         Returns the number of clients whose utility was reset.  Mirrors
-        ``ClientStateStore.advance`` (strictly-greater-than comparison,
-        ``evict_after=None`` disables), but is one vectorized mask over
-        the columns instead of a dict scan — and "eviction" is a column
-        reset, so resident memory is already bounded by the fleet columns
-        and the evicted client simply rehydrates at the optimistic prior.
+        ``ClientManager.advance_round`` (strictly-greater-than comparison,
+        ``evict_after=None`` disables), but "eviction" here is a column
+        reset rather than a dropped row: fleet rows are registration, so
+        resident memory is already bounded by the fleet columns and the
+        evicted client simply rehydrates at the optimistic prior.
         """
         self._round = max(self._round, int(round_idx))
         if self.evict_after is None:

@@ -223,12 +223,8 @@ class Strategy(Stateful, ABC):
         """Server-side storage footprint of the whole model suite."""
         return sum(m.nbytes() for m in self.models().values())
 
-    def scheduler_counters(self) -> dict[str, int]:
-        """Per-round scheduling counters the strategy wants metered.
-
-        Consumed (and reset) by the coordinator after each aggregation;
-        recognized keys land on :class:`~repro.fl.types.SchedulerRecord`
-        (currently ``"evicted"`` — sparse utility-store evictions).  The
-        default strategy has no scheduler-owned state to report.
-        """
-        return {}
+    def drain_evicted(self) -> int:
+        """Clients whose per-client state was evicted since the last call,
+        metered after each aggregation on ``SchedulerRecord.evicted``; the
+        default strategy keeps none."""
+        return 0

@@ -131,8 +131,8 @@ class SchedulerRecord:
     pacing decisions: the ``buffer_k`` this step aggregated on, the global
     deadline (``None`` when disabled), the per-device-class deadline
     quantiles currently active (quantile pacing), and how many dispatches
-    the straggler policy downsized.  ``evicted`` counts clients the sparse
-    utility store let go this round.  ``offline_fallback_rounds`` counts
+    the straggler policy downsized.  ``evicted`` counts the rows FedTrans's
+    utility table let go this round.  ``offline_fallback_rounds`` counts
     how many selection calls this round found *nobody* online and fell
     back to the full pool rather than deadlock (availability selector
     only) — a nonzero value means the availability model starved the
@@ -231,7 +231,7 @@ class TrainingLog:
     dropped_updates: int = 0
     dropped_macs: float = 0.0
     # Scheduling subsystem: dispatches the straggler policy re-assigned to a
-    # smaller compatible model, and clients the sparse utility store evicted.
+    # smaller compatible model, and clients the utility table evicted.
     downsized_updates: int = 0
     evicted_clients: int = 0
     # Fault-tolerance meters (repro.fl.faults).  ``worker_restarts`` counts

@@ -858,7 +858,7 @@ class TestEngineAndCli:
         """The sync barrier and the async engine share one set of round
         stages (``repro.fl.rounds``); a second call site for any of these
         seams means the round loop has forked again."""
-        seams = ("encode_update", "admit", "scheduler_counters", "SchedulerRecord")
+        seams = ("encode_update", "admit", "drain_evicted", "SchedulerRecord")
         sites: dict[str, list[str]] = {name: [] for name in seams}
 
         def walk(node: ast.AST, where: str) -> None:
@@ -1239,6 +1239,59 @@ class TestEngineAndCli:
             and node.func.attr == "get"
         ]
         assert defaulted == []
+
+    def test_a_client_has_one_utility_table(self):
+        """FedTrans's client × model utilities are one table inside
+        ``ClientManager``; each shape below is how the second client store
+        (its own class and module, a ``store`` attribute on the manager, a
+        walk over the resident clients on every deployment tie-break)
+        would regrow."""
+        src = REPO / "src" / "repro"
+        # Code only: the v1 checkpoint reader still checks the old payload's
+        # "ClientStateStore/v1" schema string.
+        regrown = [
+            f"{p.relative_to(src)}:{n.lineno} names ClientStateStore"
+            for p in sorted(src.rglob("*.py"))
+            for n in ast.walk(ast.parse(p.read_text()))
+            if "ClientStateStore"
+            in (getattr(n, "name", None), getattr(n, "id", None), getattr(n, "attr", None))
+        ]
+        if (src / "fl" / "scheduling" / "store.py").exists():
+            regrown.append("fl/scheduling/store.py exists")
+        tree = ast.parse((src / "core" / "client_manager.py").read_text())
+        (manager,) = [
+            n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ClientManager"
+        ]
+        regrown += [
+            f"ClientManager assigns {ast.unparse(t)}"
+            for n in ast.walk(manager)
+            if isinstance(n, (ast.Assign, ast.AnnAssign))
+            for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+            if isinstance(t, ast.Attribute) and t.attr == "store"
+        ]
+        # best_model and the methods it reaches on self may only iterate
+        # over the model axis (the column map), never over resident rows.
+        methods = {f.name: f for f in manager.body if isinstance(f, ast.FunctionDef)}
+        best = methods["best_model"]
+        reached = [best] + [
+            methods[n.func.attr]
+            for n in ast.walk(best)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and ast.unparse(n.func.value) == "self"
+            and n.func.attr in methods
+        ]
+        regrown += [
+            f"{fn.name} iterates {ast.unparse(n.iter) if hasattr(n, 'iter') else 'in a while'}"
+            for fn in reached
+            for n in ast.walk(fn)
+            if isinstance(n, ast.While)
+            or (
+                isinstance(n, (ast.For, ast.comprehension))
+                and not ast.unparse(n.iter).startswith("self._col")
+            )
+        ]
+        assert regrown == []
 
     def test_a_performance_claim_has_one_ledger(self):
         """A speed or cost claim is a row of the root ``BENCH_e2e.json``

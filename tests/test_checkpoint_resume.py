@@ -3,9 +3,9 @@
 In-process side: the flatten/unflatten codec and the single-``.npz``
 payload files round-trip bit-exactly (including PCG64's 128-bit state
 ints), the manifest pointer protocol prunes and verifies hashes, the run
-registry hashes exactly the trajectory-relevant knobs, the sparse client
-store survives eviction + compaction, and RNG capture/restore obeys
-restore-then-draw == continue-then-draw.  A crash/resume matrix over
+registry hashes exactly the trajectory-relevant knobs, FedTrans's utility
+table survives eviction + compaction (and reads the v1 payload), and RNG
+capture/restore obeys restore-then-draw == continue-then-draw.  A crash/resume matrix over
 every (mode, executor) combination asserts the headline contract: a run
 killed mid-training and resumed produces a bit-identical TrainingLog
 (CONTRACTS.md I9 on top of I1/I2).
@@ -32,9 +32,16 @@ import pytest
 from repro.analysis import sanitize
 from repro.atomicio import atomic_write
 from repro.baselines import FLuIDStrategy, HeteroFLStrategy, SplitMixStrategy, fedavg
+from repro.core import ClientManager, FedTransConfig, FedTransStrategy
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
-from repro.fl import Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig
+from repro.fl import (
+    ClientUpdate,
+    Coordinator,
+    CoordinatorConfig,
+    FLClient,
+    LocalTrainerConfig,
+)
 from repro.fl.checkpoint import (
     CHECKPOINT_FORMAT,
     MANIFEST_NAME,
@@ -48,12 +55,14 @@ from repro.fl.checkpoint import (
 from repro.fl.export import log_to_dict
 from repro.fl.registry import RunRegistry, fleet_fingerprint, run_hash
 from repro.fl.scheduling.selectors import AvailabilityAwareSelector
-from repro.fl.scheduling.store import ClientStateStore
 from repro.nn import mlp
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
 
-REPO = Path(__file__).resolve().parents[1]
+from oracle_client_manager import ClientManager as DictClientManager
+from oracle_client_manager import v1_payload
+
+REPO =Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -279,48 +288,91 @@ class TestRunRegistry:
 # ----------------------------------------------------------------------
 # component round-trips that need more than generic Stateful plumbing
 # ----------------------------------------------------------------------
-class TestClientStateStoreDurability:
+class TestClientManagerDurability:
+    """FedTrans's utility table: its v2 payload round-trips after eviction
+    + compaction, a short one is refused, and a ``ClientManager/v1``
+    checkpoint (a dict per client, written by the implementation the table
+    replaced) resumes through the one-way reader."""
+
+    MODEL = mlp((6,), 3, np.random.default_rng(0), width=4)
+
+    def _touch(self, cm, *client_ids):
+        mid = self.MODEL.model_id
+        ups = [
+            ClientUpdate(cid, mid, {}, {}, float(cid), 1, 0.0, 0, 0, 0.0)
+            for cid in client_ids
+        ]
+        cm.update(ups, {mid: self.MODEL})
+
     def test_round_trip_after_eviction_and_compaction(self):
-        store = ClientStateStore(evict_after=2)
-        for cid in range(6):
-            store.materialize(cid)["utility"] = float(cid)
-        store.advance(1)
+        cm = ClientManager(evict_after=2)
+        self._touch(cm, *range(6))
+        cm.advance_round(1)
         # Re-touch a subset (stamped at round 1), then advance far enough
-        # to evict the round-0 rest — which also triggers the container
-        # compaction rebuild.
-        for cid in (1, 4):
-            store.materialize(cid)
-        store.advance(3)
-        assert store.evicted_total == 4 and len(store) == 2
+        # to evict the round-0 rest, which compacts the block.
+        self._touch(cm, 1, 4)
+        assert cm.advance_round(3) == [0, 2, 3, 5]
+        assert cm.evicted_total == 4
 
-        restored = ClientStateStore()
-        restored.load_state_dict(store.state_dict())
-        assert restored.evict_after == 2
+        restored = ClientManager(evict_after=2)
+        restored.load_state_dict(cm.state_dict())
+        payload = restored.state_dict()
+        assert payload["clients"].tolist() == [1, 4]
+        assert payload["last_active"].tolist() == [1, 1]
         assert restored.evicted_total == 4
-        assert sorted(int(c) for c in restored.state_dict()["state"]) == [1, 4]
-        assert restored.get(1) == {"utility": 1.0}
-        assert restored.state_dict() == store.state_dict()
+        assert restored.utility(1, self.MODEL.model_id) == cm.utility(1, self.MODEL.model_id)
+        # The stamps survived: both rows go together, one round past the bound.
+        assert restored.advance_round(3) == [] and restored.advance_round(4) == [1, 4]
 
-    def test_restored_store_keeps_evicting_identically(self):
-        store = ClientStateStore(evict_after=1)
-        store.materialize(0)
-        store.advance(0)
-        twin = ClientStateStore()
-        twin.load_state_dict(store.state_dict())
-        assert store.advance(3) == twin.advance(3) == [0]
-        assert store.evicted_total == twin.evicted_total == 1
+    def test_restored_table_keeps_evicting_identically(self):
+        cm = ClientManager(evict_after=1)
+        self._touch(cm, 0)
+        cm.advance_round(0)
+        twin = ClientManager(evict_after=1)
+        twin.load_state_dict(cm.state_dict())
+        assert cm.advance_round(3) == twin.advance_round(3) == [0]
+        assert cm.evicted_total == twin.evicted_total == 1
 
     def test_tagless_or_short_payload_is_refused(self):
-        """Every payload since the first checkpoint file carries the tag and
-        all five keys; nothing is defaulted for one that does not."""
-        payload = ClientStateStore(evict_after=2).state_dict()
-        tagless = {k: v for k, v in payload.items() if k != "schema"}
-        with pytest.raises(ValueError, match="schema mismatch"):
-            ClientStateStore().load_state_dict(tagless)
-        for key in ("evict_after", "evicted_total", "round", "state", "last_active"):
-            short = {k: v for k, v in payload.items() if k != key}
+        """Nothing is defaulted for a payload that lacks a key, in either
+        version."""
+        cm = ClientManager(evict_after=2)
+        self._touch(cm, 0, 1)
+        v2 = cm.state_dict()
+        for payload in (v2, v1_payload(v2)):
+            tagless = {k: v for k, v in payload.items() if k != "schema"}
+            with pytest.raises(ValueError, match="schema mismatch"):
+                ClientManager().load_state_dict(tagless)
+            for key in payload.keys() - {"schema"}:
+                short = {k: v for k, v in payload.items() if k != key}
+                with pytest.raises(KeyError, match=key):
+                    ClientManager().load_state_dict(short)
+        for key in ("round", "evicted_total", "state", "last_active"):
+            short = v1_payload(v2)
+            del short["store"][key]
             with pytest.raises(KeyError, match=key):
-                ClientStateStore().load_state_dict(short)
+                ClientManager().load_state_dict(short)
+
+    def test_parent_checkpoint_resumes_identically(self, tmp_path):
+        """The dict implementation checkpoints a sync FedTrans run after an
+        eviction and a transformation; the table resumes it and the export
+        matches the uninterrupted run byte for byte (which the dict
+        implementation's own uninterrupted run matches too)."""
+        ref = _dumps(_build_fedtrans().run())
+        assert _dumps(_build_fedtrans(dict_manager=True).run()) == ref
+        coord = _build_fedtrans(tmp_path, dict_manager=True)
+        _crash_at(coord, crash_round=8)  # after the round-7 checkpoint
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        (run,) = RunRegistry(tmp_path).runs()
+        found = load_checkpoint(tmp_path / run)
+        assert "ClientStateStore/v1" in found["manifest"]["schemas"]
+        strategy = found["payload"]["coordinator"]["strategy"]
+        assert strategy["client_manager"]["store"]["evicted_total"] > 0
+        assert len(strategy["birth_order"]) > 1
+        resumed = _build_fedtrans(tmp_path, resume=True)
+        assert _dumps(resumed.run()) == ref
+        assert resumed.strategy.client_manager.state_dict()["schema"] == "ClientManager/v2"
 
 
 class TestReadersNeverDefault:
@@ -433,6 +485,39 @@ def _build_tiered(method, ckpt_dir=None, resume=False, mode="sync"):
     if ckpt_dir is not None:
         kw.update(checkpoint_every=2, checkpoint_dir=str(ckpt_dir), resume=resume)
     return Coordinator(_TIERED[method](big), clients, CoordinatorConfig(**kw))
+
+
+def _build_fedtrans(ckpt_dir=None, resume=False, dict_manager=False):
+    """Sync FedTrans with utility eviction on; it evicts and transforms
+    within its first 8 rounds.  ``dict_manager`` swaps in the dict
+    implementation the utility table replaced (its checkpoints are v1)."""
+    set_model_id_counter(0)
+    set_cell_id_counter(0)
+    cfg = SyntheticTaskConfig(
+        num_classes=4, input_shape=(8,), latent_dim=6, teacher_width=12,
+        class_sep=3.0, seed=0,
+    )
+    ds = build_federated_dataset(cfg, 8, mean_samples=20, seed=0)
+    init = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=8)
+    capacity = init.macs() * 16
+    clients = [
+        FLClient(c.client_id, c, DeviceTrace(c.client_id, 1e9, 1e6, capacity))
+        for c in ds.clients
+    ]
+    config = FedTransConfig(gamma=2, delta=2, beta=0.5, max_models=3, evict_after=2)
+    strategy = FedTransStrategy(init, config, max_capacity_macs=capacity)
+    if dict_manager:
+        strategy.client_manager = DictClientManager(
+            strategy.sim_cache, config.utility_decay, config.utility_clamp, config.evict_after
+        )
+    kw = dict(
+        rounds=12, clients_per_round=4,
+        trainer=LocalTrainerConfig(batch_size=8, local_steps=3, lr=0.2),
+        eval_every=4, seed=0,
+    )
+    if ckpt_dir is not None:
+        kw.update(checkpoint_every=2, checkpoint_dir=str(ckpt_dir), resume=resume)
+    return Coordinator(strategy, clients, CoordinatorConfig(**kw))
 
 
 def _crash_at(coord, crash_round):

@@ -1,4 +1,5 @@
-"""Client Manager: utility sampling (Eqs. 2-3) and joint updates (Eq. 4)."""
+"""Client Manager: utility sampling (Eqs. 2-3), joint updates (Eq. 4) and
+the client × model table that holds them (materialization, eviction)."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,38 @@ import pytest
 from repro.core.client_manager import ClientManager, SimilarityCache
 from repro.fl.types import ClientUpdate
 from repro.nn import mlp
+
+
+def _seeded(utilities: dict[int, dict[str, float]]) -> ClientManager:
+    """A manager whose table holds exactly ``utilities``, via a v2 payload."""
+    models = list(dict.fromkeys(mid for row in utilities.values() for mid in row))
+    cm = ClientManager()
+    cm.load_state_dict(
+        {
+            "schema": ClientManager.schema,
+            "clients": list(utilities),
+            "models": models,
+            "utility": [[row.get(m, 0.0) for m in models] for row in utilities.values()],
+            "present": [[m in row for m in models] for row in utilities.values()],
+            "last_active": [0] * len(utilities),
+            "round": 0,
+            "evicted_total": 0,
+            "sim_cache": SimilarityCache().state_dict(),
+        }
+    )
+    return cm
+
+
+def _rows(cm: ClientManager) -> list[int]:
+    """Client ids holding a row, in row order."""
+    return cm.state_dict()["clients"].tolist()
+
+
+def _held(cm: ClientManager, client_id: int) -> set[str]:
+    """Models the client's row holds a utility for."""
+    payload = cm.state_dict()
+    row = _rows(cm).index(client_id)
+    return {m for m, held in zip(payload["models"], payload["present"][row]) if held}
 
 
 def _update(client_id, model_id, loss, samples=10):
@@ -37,8 +70,7 @@ class TestSampling:
         assert np.allclose(p, 0.5)
 
     def test_higher_utility_higher_probability(self):
-        cm = ClientManager()
-        cm.store.materialize(0).update({"a": 2.0, "b": 0.0})
+        cm = _seeded({0: {"a": 2.0, "b": 0.0}})
         p = cm.assignment_probabilities(0, ["a", "b"])
         assert p[0] > p[1]
         assert p[0] == pytest.approx(np.exp(2) / (np.exp(2) + 1))
@@ -48,30 +80,32 @@ class TestSampling:
             ClientManager().assignment_probabilities(0, [])
 
     def test_sampling_follows_distribution(self, rng):
-        cm = ClientManager()
-        cm.store.materialize(0).update({"a": 3.0, "b": 0.0})
+        cm = _seeded({0: {"a": 3.0, "b": 0.0}})
         picks = [cm.sample_model(0, ["a", "b"], rng) for _ in range(300)]
         frac_a = picks.count("a") / len(picks)
         assert frac_a > 0.8  # softmax(3,0) ~ 0.95
 
     def test_overflow_stability(self):
-        cm = ClientManager()
-        cm.store.materialize(0).update({"a": 1e4, "b": 0.0})
+        cm = _seeded({0: {"a": 1e4, "b": 0.0}})
         p = cm.assignment_probabilities(0, ["a", "b"])
         assert np.isfinite(p).all()
 
 
 class TestBestModel:
     def test_highest_utility_wins(self):
-        cm = ClientManager()
-        cm.store.materialize(0).update({"a": 0.1, "b": 5.0})
+        cm = _seeded({0: {"a": 0.1, "b": 5.0}})
         assert cm.best_model(0, ["a", "b"]) == "b"
 
     def test_tie_breaks_by_global_mean(self):
-        cm = ClientManager()
-        cm.store.materialize(1).update({"a": 0.0, "b": 4.0})  # fleet likes b
+        cm = _seeded({1: {"a": 0.0, "b": 4.0}})  # fleet likes b
         # client 0 never participated: per-client utilities are all 0
         assert cm.best_model(0, ["a", "b"]) == "b"
+
+    def test_fleet_mean_counts_only_rows_holding_a_utility(self):
+        # a: 1.0 over one row; b: 0.5 over three.  Counting the rows that
+        # never wrote a utility as zeros would rank b first (0.375 > 0.25).
+        cm = _seeded({1: {"a": 1.0}, 2: {"b": 0.5}, 3: {"b": 0.5}, 4: {"b": 0.5}})
+        assert cm.best_model(0, ["b", "a"]) == "a"
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -80,8 +114,7 @@ class TestBestModel:
 
 class TestRegisterModel:
     def test_child_inherits_parent_utility(self):
-        cm = ClientManager()
-        cm.store.materialize(0).update({"parent": 2.5})
+        cm = _seeded({0: {"parent": 2.5}})
         cm.register_model("child", "parent")
         assert cm.utility(0, "child") == 2.5
 
@@ -133,7 +166,7 @@ class TestEq4Update:
         models, _, _ = self._models(rng)
         cm = ClientManager()
         cm.update([], models)
-        assert len(cm.store) == 0
+        assert _rows(cm) == []
 
     def test_utilities_bounded_over_500_rounds(self, rng):
         """Regression: unbounded accumulation saturated the Eq. 3 softmax
@@ -220,7 +253,7 @@ class TestEq4Update:
         ]
         cm.update(ups, models, compatible)
         # Client 0 (weak) holds no entry for the incompatible child...
-        assert child.model_id not in cm.store.get(0)
+        assert child.model_id not in _held(cm, 0)
         # ...but its compatible utilities match the unrestricted walk
         # (restriction only skips writes that could never be read).
         unrestricted = ClientManager()
@@ -259,8 +292,8 @@ class TestEq4Update:
             _update(1, parent.model_id, loss=2.0),
         ]
         cm.update(ups, models, {1: {parent.model_id}})  # no entry for client 0
-        assert child.model_id in cm.store.get(0)  # legacy full walk
-        assert child.model_id not in cm.store.get(1)
+        assert child.model_id in _held(cm, 0)  # legacy full walk
+        assert child.model_id not in _held(cm, 1)
 
     def test_assignment_shifts_after_updates(self, rng):
         """Soft assignment: persistent bad loss on a model steers the client
@@ -277,3 +310,56 @@ class TestEq4Update:
         # Client 0's parent utility is now strongly negative; the child,
         # being similar, is dragged down less (scaled by sim < 1).
         assert p[1] > p[0]
+
+
+class TestTableRows:
+    """A row per participating client, dropped after ``evict_after`` idle
+    rounds of the manager's own clock."""
+
+    MODEL = mlp((6,), 3, np.random.default_rng(0), width=4)
+
+    def _touch(self, cm, *client_ids):
+        """One round in which ``client_ids`` and a peer (99) train MODEL."""
+        mid = self.MODEL.model_id
+        ups = [_update(cid, mid, loss=float(cid)) for cid in (*client_ids, 99)]
+        cm.update(ups, {mid: self.MODEL})
+        return mid
+
+    def test_lazy_materialization(self):
+        cm = ClientManager()
+        assert cm.utility(5, "m") == 0.0 and cm.best_model(5, ["m"]) == "m"
+        assert _rows(cm) == []  # queries never materialize a row
+        mid = self._touch(cm, 5)
+        assert _rows(cm) == [5, 99] and _held(cm, 5) == {mid}
+        assert cm.utility(5, mid) != 0.0
+
+    def test_eviction_boundary_is_strictly_greater(self):
+        cm = ClientManager(evict_after=2)
+        mid = self._touch(cm, 1)  # clients 1 and 99 last active at round 0
+        cm.advance_round(1)
+        self._touch(cm, 2)  # 2 and 99 at round 1
+        assert cm.advance_round(2) == []  # client 1 exactly 2 rounds stale: kept
+        assert cm.advance_round(3) == [1]  # 3 rounds stale: 1 goes, 2 and 99 stay
+        assert _rows(cm) == [99, 2] and cm.utility(1, mid) == 0.0
+        assert cm.utility(2, mid) != 0.0
+        assert cm.evicted_total == 1
+
+    def test_returning_client_is_appended(self):
+        cm = ClientManager(evict_after=1)
+        self._touch(cm, 1, 2)
+        cm.advance_round(2)
+        self._touch(cm, 2, 1)  # 1, 2 and 99 were evicted; they come back
+        assert _rows(cm) == [2, 1, 99]
+
+    def test_touch_resets_the_clock(self):
+        cm = ClientManager(evict_after=2)
+        mid = self._touch(cm, 1)
+        for r in range(1, 10):
+            cm.advance_round(r)
+            self._touch(cm, 1)  # participates every round
+        assert _rows(cm) == [1, 99] and cm.evicted_total == 0
+        assert cm.utility(1, mid) != 0.0
+
+    def test_invalid_evict_after_rejected(self):
+        with pytest.raises(ValueError, match="evict_after"):
+            ClientManager(evict_after=0)

@@ -45,6 +45,8 @@ from repro.nn import mlp
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
 
+from oracle_client_manager import v1_payload
+
 GOLDEN = Path(__file__).parent / "data" / "golden_round_pipeline.json"
 
 TRAINER = LocalTrainerConfig(batch_size=8, local_steps=5, lr=0.2)
@@ -215,6 +217,11 @@ def _digests(name: str) -> dict:
         }
     if state["engine"] and state["engine"]["pacing"]["schema"] == QuantilePacing.schema:
         state["engine"]["pacing"]["durations"] = fleet["stats"]["durations"]
+    # And FedTrans's utilities were a dict per client (``client_manager/
+    # store``), not the v2 table's arrays: put back that shape's key paths.
+    if isinstance(coord.strategy, FedTransStrategy):
+        manager = state["strategy"]["client_manager"]
+        state["strategy"]["client_manager"] = v1_payload(manager)
     return {
         "log": _blake(log_to_dict(log)),
         "recovery": _blake(recovery_to_dict(log)),

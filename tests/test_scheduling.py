@@ -1,4 +1,4 @@
-"""Scheduling subsystem: selectors, pacing, stragglers, sparse store.
+"""Scheduling subsystem: selectors, pacing, stragglers, utility eviction.
 
 The heart of the suite is the golden bit-identity contract: the default
 policy stack (``uniform`` selector, ``static`` pacing, ``drop``
@@ -29,7 +29,6 @@ from repro.fl import (
 from repro.fl.scheduling import (
     AdaptivePacing,
     AvailabilityAwareSelector,
-    ClientStateStore,
     DownsizePolicy,
     DropPolicy,
     FleetStore,
@@ -513,61 +512,6 @@ class TestSyncSchedulerRecord:
         assert len(log.rounds) == 3
 
 
-class TestClientStateStore:
-    def test_lazy_materialization(self):
-        store = ClientStateStore()
-        assert store.get(5) is None
-        st = store.materialize(5)
-        st["m"] = 1.0
-        assert store.get(5) == {"m": 1.0}
-        assert len(store) == 1
-
-    def test_eviction_after_inactivity(self):
-        store = ClientStateStore(evict_after=2)
-        store.materialize(1)["m"] = 1.0  # last active at round 0
-        store.advance(1)
-        store.materialize(2)["m"] = 2.0  # last active at round 1
-        assert store.advance(2) == []  # client 1 exactly 2 rounds stale: kept
-        assert store.advance(3) == [1]  # 3 rounds stale: client 1 goes, 2 stays
-        assert store.get(1) is None
-        assert store.get(2) == {"m": 2.0}
-        assert store.evicted_total == 1
-
-    def test_touch_resets_the_clock(self):
-        store = ClientStateStore(evict_after=2)
-        store.materialize(1)["m"] = 1.0
-        for r in range(1, 10):
-            store.advance(r)
-            store.materialize(1)  # participates every round
-        assert store.get(1) == {"m": 1.0}
-
-    def test_invalid_evict_after_rejected(self):
-        with pytest.raises(ValueError, match="evict_after"):
-            ClientStateStore(evict_after=0)
-
-    def test_state_dict_round_trip(self):
-        store = ClientStateStore(evict_after=5)
-        store.materialize(3)["a"] = 1.5  # last active at round 0
-        store.advance(4)
-        store.materialize(9)["b"] = -2.0  # last active at round 4
-        clone = ClientStateStore()
-        clone.load_state_dict(store.state_dict())
-        assert clone.get(3) == {"a": 1.5}
-        assert clone.get(9) == {"b": -2.0}
-        assert clone.evict_after == 5
-        # Activity stamps survive: client 3 (stale) evicts before client 9.
-        assert clone.advance(8) == [3]
-        assert clone.get(3) is None and clone.get(9) is not None
-
-    def test_resident_bytes_tracks_entries(self):
-        store = ClientStateStore()
-        empty = store.resident_bytes()
-        for cid in range(100):
-            store.materialize(cid)["m"] = float(cid)
-        assert store.resident_bytes() > empty
-        assert store.resident_clients() == 100
-
-
 class TestEvictionRehydration:
     """An evicted client must be indistinguishable from a fresh one."""
 
@@ -597,7 +541,7 @@ class TestEvictionRehydration:
         models = self._two_models()
         ids = list(models)
         upd = self._upd
-        # Client 0 builds utility history; client 1 keeps the store alive.
+        # Client 0 builds utility history; client 1 keeps the table alive.
         for r in range(3):
             cm.advance_round(r)
             cm.update([upd(0, ids[0], 0.1), upd(1, ids[0], 2.0)], models)
@@ -607,7 +551,7 @@ class TestEvictionRehydration:
         for r in range(3, 10):
             cm.advance_round(r)
             cm.update([upd(1, ids[0], 1.0)], models)
-        assert cm.store.get(0) is None  # evicted
+        assert 0 not in cm.state_dict()["clients"]  # evicted
         fresh = ClientManager()
         assert np.allclose(
             cm.assignment_probabilities(0, ids),
@@ -649,7 +593,7 @@ class TestEvictionRehydration:
         src.update([self._upd(0, mid, 0.5), self._upd(1, mid, 1.5)], models)
         dst = ClientManager(evict_after=7)
         dst.load_state_dict(src.state_dict())
-        assert dst.store.evict_after == 7  # config wins over checkpoint
+        assert dst.evict_after == 7  # config wins over checkpoint
 
     def test_too_weak_client_still_learns_utility(self):
         """Regression: aggregate()'s capacity-derived compatible set must
@@ -687,8 +631,8 @@ class TestEvictionRehydration:
         assert np.isfinite(log.final_accuracy())
         # Someone went inactive long enough to be evicted in 12 rounds of
         # 4-of-8 sampling; the meter surfaces it.
-        assert log.evicted_clients == strategy.client_manager.store.evicted_total
-        assert strategy.client_manager.store.resident_clients() <= 8
+        assert log.evicted_clients == strategy.client_manager.evicted_total > 0
+        assert len(strategy.client_manager.state_dict()["clients"]) <= 8
 
     # -- helpers -------------------------------------------------------
     @staticmethod
