@@ -32,74 +32,34 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from . import baselines, bench, core, data, device, fl, nn
-from .baselines import (
-    FLuIDStrategy,
-    HeteroFLStrategy,
-    SingleModelStrategy,
-    SplitMixStrategy,
-    fedavg,
-    fedprox_trainer_config,
-    fedyogi,
-    train_centralized,
-)
+from .baselines import fedavg
 from .core import FedTransConfig, FedTransStrategy
-from .data import (
-    FederatedDataset,
-    cifar10_like,
-    femnist_like,
-    openimage_like,
-    speech_like,
-)
+from .data import femnist_like
 from .device import calibrate_capacities, sample_device_traces
 from .fl import (
     Coordinator,
     CoordinatorConfig,
     FLClient,
     LocalTrainerConfig,
-    TrainingLog,
     recovery_summary,
     summarize,
 )
-from .nn import CellModel, mlp, small_cnn, small_resnet, vit_tiny
+from .nn import mlp
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "baselines",
-    "bench",
-    "core",
-    "data",
-    "device",
-    "fl",
-    "nn",
-    "FLuIDStrategy",
-    "HeteroFLStrategy",
-    "SingleModelStrategy",
-    "SplitMixStrategy",
     "fedavg",
-    "fedprox_trainer_config",
-    "fedyogi",
-    "train_centralized",
     "FedTransConfig",
     "FedTransStrategy",
-    "FederatedDataset",
-    "cifar10_like",
     "femnist_like",
-    "openimage_like",
-    "speech_like",
     "calibrate_capacities",
     "sample_device_traces",
     "Coordinator",
     "CoordinatorConfig",
     "FLClient",
     "LocalTrainerConfig",
-    "TrainingLog",
     "recovery_summary",
     "summarize",
-    "CellModel",
     "mlp",
-    "small_cnn",
-    "small_resnet",
-    "vit_tiny",
 ]

@@ -8,8 +8,9 @@ shared-memory segment lifecycle.  This package enforces them twice over:
 
 * **Statically** — :mod:`repro.analysis.lint` is an AST-visitor rule
   engine (``python -m repro.analysis.lint src benchmarks examples``)
-  whose rules (:data:`repro.analysis.rules.RULES`, ids ``RL001``-``RL007``)
-  each guard one named contract and are individually suppressible with a
+  whose rules (:data:`repro.analysis.rules.RULES`, ids ``RL001``-``RL009``;
+  ``RL007`` is retired and its id is not reused) each guard one named
+  contract and are individually suppressible with a
   ``# repro-lint: disable=RL00X <reason>`` pragma.  See ``CONTRACTS.md``
   at the repo root for the rule-by-rule rationale.
 * **Dynamically** — :mod:`repro.analysis.sanitize` (``REPRO_SANITIZE=1``
@@ -26,16 +27,6 @@ cannot see (writes through aliased references, third-party strategies,
 dynamically constructed code paths).
 """
 
-from .engine import FileReport, LintReport, Linter, lint_paths, lint_source
-from .rules import RULES, RULES_BY_ID, Violation
+from .engine import lint_paths
 
-__all__ = [
-    "FileReport",
-    "LintReport",
-    "Linter",
-    "lint_paths",
-    "lint_source",
-    "RULES",
-    "RULES_BY_ID",
-    "Violation",
-]
+__all__ = ["lint_paths"]

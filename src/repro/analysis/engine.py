@@ -52,9 +52,6 @@ class FileContext:
     rel: str
     source: str
     tree: ast.Module
-    #: dotted module name when the file sits under a ``repro`` package root
-    module: str | None
-    is_package: bool
     #: lineno -> full comment text (including the leading ``#``)
     comments: dict[int, str] = field(default_factory=dict)
     #: top-level module names bound by ``import X`` / ``import X.Y``
@@ -119,22 +116,6 @@ def _normalize_rel(path: Path, root: Path | None) -> str:
     return p.as_posix()
 
 
-def _module_name(rel: str) -> tuple[str | None, bool]:
-    """Derive a dotted module name for files under a ``repro`` tree."""
-    parts = rel.split("/")
-    if "repro" not in parts:
-        return None, False
-    sub = parts[parts.index("repro") :]
-    if not sub[-1].endswith(".py"):
-        return None, False
-    is_package = sub[-1] == "__init__.py"
-    if is_package:
-        sub = sub[:-1]
-    else:
-        sub[-1] = sub[-1][: -len(".py")]
-    return ".".join(sub), is_package
-
-
 def build_context(source: str, rel: str, path: Path | None = None) -> FileContext:
     """Parse one file into the shared rule-facing context.
 
@@ -142,14 +123,11 @@ def build_context(source: str, rel: str, path: Path | None = None) -> FileContex
     caller converts that into a reported violation.
     """
     tree = ast.parse(source, filename=rel)
-    module, is_package = _module_name(rel)
     ctx = FileContext(
         path=path if path is not None else Path(rel),
         rel=rel,
         source=source,
         tree=tree,
-        module=module,
-        is_package=is_package,
     )
     _collect_comments(ctx)
     _collect_imports(ctx)

@@ -653,78 +653,6 @@ class ShmLifecycle(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RL007 — no imports of deprecated modules
-# ---------------------------------------------------------------------------
-
-
-class DeprecatedImport(Rule):
-    """Retired shims must not regrow callers.
-
-    PR 4 replaced ``repro.fl.selection`` with the pluggable
-    ``repro.fl.scheduling`` subsystem; this PR deletes the shim.  The
-    rule keeps the old import path from quietly coming back in new code.
-    """
-
-    rule_id = "RL007"
-    rule_name = "deprecated-import"
-    summary = "no imports of retired modules (repro.fl.selection)"
-
-    _DEPRECATED = {
-        "repro.fl.selection": (
-            "use repro.fl.scheduling (ClientSelector / uniform_choice)"
-        ),
-    }
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    hit = self._match(alias.name)
-                    if hit:
-                        yield self._flag(node, hit)
-            elif isinstance(node, ast.ImportFrom):
-                module = self._resolve_from(node, ctx)
-                if module is None:
-                    continue
-                hit = self._match(module)
-                if hit:
-                    yield self._flag(node, hit)
-                    continue
-                for alias in node.names:
-                    hit = self._match(f"{module}.{alias.name}")
-                    if hit:
-                        yield self._flag(node, hit)
-
-    def _match(self, module: str) -> str | None:
-        for dep in self._DEPRECATED:
-            if module == dep or module.startswith(dep + "."):
-                return dep
-        return None
-
-    def _flag(self, node: ast.AST, dep: str) -> Violation:
-        return self.violation(
-            node, f"import of retired module {dep}; {self._DEPRECATED[dep]}"
-        )
-
-    @staticmethod
-    def _resolve_from(node: ast.ImportFrom, ctx: "FileContext") -> str | None:
-        if node.level == 0:
-            return node.module
-        if ctx.module is None:
-            return None
-        parts = ctx.module.split(".")
-        # for module a.b.c, level 1 anchors at package a.b; for package
-        # a.b (an __init__), level 1 anchors at a.b itself
-        anchor = parts if ctx.is_package else parts[:-1]
-        if node.level - 1 > len(anchor):
-            return None
-        base = anchor[: len(anchor) - (node.level - 1)]
-        if not base and not node.module:
-            return None
-        return ".".join(base + ([node.module] if node.module else []))
-
-
-# ---------------------------------------------------------------------------
 # RL008 — mutable run state must register as Stateful
 # ---------------------------------------------------------------------------
 
@@ -937,7 +865,6 @@ RULES: tuple[Rule, ...] = (
     VersionBump(),
     HotpathAlloc(),
     ShmLifecycle(),
-    DeprecatedImport(),
     StatefulCoverage(),
     SilentExcept(),
 )

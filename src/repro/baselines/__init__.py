@@ -1,36 +1,17 @@
 """Baselines the paper compares against, on the shared FL substrate."""
 
-from .cloud import CloudResult, train_centralized
+from .cloud import train_centralized
 from .fluid import FLuIDStrategy
 from .heterofl import HeteroFLStrategy
-from .single_model import (
-    SingleModelStrategy,
-    fedavg,
-    fedprox_trainer_config,
-    fedyogi,
-)
+from .single_model import fedavg, fedprox_trainer_config, fedyogi
 from .splitmix import SplitMixStrategy
-from .subnet import (
-    SubnetSpec,
-    build_subnet,
-    param_index_map,
-    ratio_spec,
-    scatter_average,
-)
 
 __all__ = [
-    "CloudResult",
     "train_centralized",
     "FLuIDStrategy",
     "HeteroFLStrategy",
-    "SingleModelStrategy",
     "fedavg",
     "fedprox_trainer_config",
     "fedyogi",
     "SplitMixStrategy",
-    "SubnetSpec",
-    "build_subnet",
-    "param_index_map",
-    "ratio_spec",
-    "scatter_average",
 ]

@@ -1,8 +1,6 @@
 """Experiment harness: profiles, workload runners, ablations, reporting."""
 
 from .ablations import (
-    BREAKDOWN_VARIANTS,
-    SweepPoint,
     alpha_sweep,
     beta_sweep,
     breakdown,
@@ -11,16 +9,10 @@ from .ablations import (
     heterogeneity_sweep,
     l2s_comparison,
 )
-from .motivation import (
-    Fig2Point,
-    fig1a_latency_distributions,
-    fig1b_best_model_histogram,
-    fig2_landscape,
-)
-from .profiles import PROFILES, ScaleProfile, active_profile
-from .reporting import ascii_table, box_stats, format_box_row, format_series
+from .motivation import fig1a_latency_distributions, fig1b_best_model_histogram
+from .profiles import PROFILES, active_profile
+from .reporting import ascii_table, format_box_row, format_series
 from .workloads import (
-    WorkloadResult,
     build_dataset,
     build_fleet,
     make_initial_model,
@@ -29,8 +21,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "BREAKDOWN_VARIANTS",
-    "SweepPoint",
     "alpha_sweep",
     "beta_sweep",
     "breakdown",
@@ -38,18 +28,13 @@ __all__ = [
     "gamma_sweep",
     "heterogeneity_sweep",
     "l2s_comparison",
-    "Fig2Point",
     "fig1a_latency_distributions",
     "fig1b_best_model_histogram",
-    "fig2_landscape",
     "PROFILES",
-    "ScaleProfile",
     "active_profile",
     "ascii_table",
-    "box_stats",
     "format_box_row",
     "format_series",
-    "WorkloadResult",
     "build_dataset",
     "build_fleet",
     "make_initial_model",

@@ -1,20 +1,18 @@
-"""Motivation experiments: Fig. 1a, Fig. 1b, and Fig. 2.
+"""Motivation experiments: Fig. 1a and Fig. 1b.
 
-These reproduce §2's empirical arguments:
+These reproduce two of §2's empirical arguments:
 
 * **Fig. 1a** — three models of increasing complexity across a ~700-device
   fleet produce wide, overlapping inference-latency distributions, so no
   single architecture suits every device.
 * **Fig. 1b** — across a 7-level model-complexity ladder, no single level
   achieves the best accuracy for the majority of clients.
-* **Fig. 2** — existing solutions either cost orders of magnitude more than
-  single-model training or fall far short of the centralized ("cloud")
-  accuracy bound.
+
+The third, Fig. 2's cost/accuracy landscape, is drawn by
+``benchmarks/bench_fig2_landscape.py`` from the shared workload suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +20,8 @@ from ..baselines import train_centralized
 from ..data import FederatedDataset
 from ..device import inference_latency, sample_device_traces
 from ..nn import complexity_ladder, reference_device_models
-from .profiles import ScaleProfile
-from .workloads import run_workload_suite
 
-__all__ = [
-    "fig1a_latency_distributions",
-    "fig1b_best_model_histogram",
-    "Fig2Point",
-    "fig2_landscape",
-]
+__all__ = ["fig1a_latency_distributions", "fig1b_best_model_histogram"]
 
 
 def fig1a_latency_distributions(
@@ -75,38 +66,3 @@ def fig1b_best_model_histogram(
     counts = np.bincount(best, minlength=levels)
     return 100.0 * counts / dataset.num_clients, best
 
-
-@dataclass(frozen=True)
-class Fig2Point:
-    """One (method, cost, accuracy) point of the landscape plot."""
-
-    method: str
-    cost_macs: float
-    accuracy: float
-
-
-def fig2_landscape(
-    dataset: FederatedDataset,
-    profile: ScaleProfile,
-    seed: int = 0,
-    cloud_epochs: int = 15,
-) -> list[Fig2Point]:
-    """Cost/accuracy landscape of existing solutions plus the cloud bound."""
-    results = run_workload_suite(
-        dataset,
-        profile,
-        methods=("fedtrans", "fluid", "heterofl", "splitmix", "fedavg"),
-        seed=seed,
-    )
-    points = [
-        Fig2Point(m, r.log.total_macs, r.log.final_accuracy())
-        for m, r in results.items()
-    ]
-    # Cloud bound: centralized training of the largest FedTrans model.
-    suite = results["fedtrans"].strategy.models()
-    largest = max(suite.values(), key=lambda m: m.macs()).clone()
-    cloud = train_centralized(
-        largest, dataset, epochs=cloud_epochs, batch_size=16, lr=0.2, seed=seed
-    )
-    points.append(Fig2Point("cloud", cloud.total_macs, cloud.mean_client_accuracy))
-    return points

@@ -12,32 +12,21 @@
   into the :class:`~repro.fl.coordinator.Coordinator`.
 """
 
-from .activeness import ActivenessTracker, cell_gradient_norms
-from .aggregator import ModelAggregator, project_overlap
+from .aggregator import ModelAggregator
 from .client_manager import ClientManager, SimilarityCache
 from .config import PAPER_DEFAULTS, FedTransConfig
-from .doc import DoCTracker
 from .runtime import FedTransStrategy
-from .similarity import cell_matching_degree, model_similarity
-from .transform import apply_transform, reinitialize, select_cells, select_cells_random
-from .transformer import ModelTransformer
+from .similarity import model_similarity
+from .transform import apply_transform, select_cells
 
 __all__ = [
-    "ActivenessTracker",
-    "cell_gradient_norms",
     "ModelAggregator",
-    "project_overlap",
     "ClientManager",
     "SimilarityCache",
     "PAPER_DEFAULTS",
     "FedTransConfig",
-    "DoCTracker",
     "FedTransStrategy",
-    "cell_matching_degree",
     "model_similarity",
     "apply_transform",
-    "reinitialize",
     "select_cells",
-    "select_cells_random",
-    "ModelTransformer",
 ]

@@ -1,34 +1,15 @@
 """Federated datasets: synthetic tasks, partitioners, and named workloads."""
 
-from .federated import ClientData, FederatedDataset, build_federated_dataset
-from .partition import (
-    dirichlet_partition,
-    lognormal_sample_counts,
-    natural_partition,
-    shard_partition,
-)
-from .registry import (
-    DATASET_BUILDERS,
-    cifar10_like,
-    femnist_like,
-    openimage_like,
-    speech_like,
-)
-from .synthetic import SyntheticTask, SyntheticTaskConfig
+from .federated import FederatedDataset, build_federated_dataset
+from .registry import DATASET_BUILDERS, cifar10_like, femnist_like, speech_like
+from .synthetic import SyntheticTaskConfig
 
 __all__ = [
-    "ClientData",
     "FederatedDataset",
     "build_federated_dataset",
-    "dirichlet_partition",
-    "lognormal_sample_counts",
-    "natural_partition",
-    "shard_partition",
     "DATASET_BUILDERS",
     "cifar10_like",
     "femnist_like",
-    "openimage_like",
     "speech_like",
-    "SyntheticTask",
     "SyntheticTaskConfig",
 ]

@@ -45,9 +45,6 @@ class FederatedDataset:
     def num_clients(self) -> int:
         return len(self.clients)
 
-    def total_train_samples(self) -> int:
-        return sum(c.num_train for c in self.clients)
-
     def pooled_train(self) -> tuple[np.ndarray, np.ndarray]:
         """Concatenate every client's training data (the 'cloud' setting)."""
         x = np.concatenate([c.x_train for c in self.clients])
@@ -58,13 +55,6 @@ class FederatedDataset:
         x = np.concatenate([c.x_test for c in self.clients])
         y = np.concatenate([c.y_test for c in self.clients])
         return x, y
-
-    def label_histogram(self) -> np.ndarray:
-        """``(num_clients, num_classes)`` train-label counts (diagnostics)."""
-        out = np.zeros((self.num_clients, self.num_classes), dtype=int)
-        for i, c in enumerate(self.clients):
-            np.add.at(out[i], c.y_train, 1)
-        return out
 
 
 def build_federated_dataset(

@@ -4,7 +4,7 @@ A partitioner decides *how many samples of each class* every client holds.
 The output is always an integer matrix of shape ``(num_clients,
 num_classes)`` whose row sums equal the requested per-client sample counts.
 
-Three schemes cover the paper's setups:
+Two schemes cover the paper's setups:
 
 * :func:`dirichlet_partition` — per-client class mix drawn from
   ``Dirichlet(h)``; lower ``h`` means higher heterogeneity.  This is the
@@ -12,8 +12,6 @@ Three schemes cover the paper's setups:
 * :func:`natural_partition` — the "realistic partition" analogue: strongly
   skewed class mixes (low-concentration Dirichlet) plus log-normal
   per-client sample counts, mirroring FEMNIST/OpenImage's organic imbalance.
-* :func:`shard_partition` — the classic pathological sort-and-shard split
-  of McMahan et al., kept for tests and comparisons.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 __all__ = [
     "dirichlet_partition",
     "natural_partition",
-    "shard_partition",
     "lognormal_sample_counts",
 ]
 
@@ -90,22 +87,3 @@ def natural_partition(
     probs = rng.dirichlet(np.full(num_classes, concentration), size=num_clients)
     return _counts_from_probs(probs, totals, rng)
 
-
-def shard_partition(
-    num_clients: int,
-    num_classes: int,
-    samples_per_client: int,
-    shards_per_client: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sort-and-shard partition: each client sees ``shards_per_client`` classes."""
-    if shards_per_client > num_classes:
-        raise ValueError("shards_per_client cannot exceed num_classes")
-    counts = np.zeros((num_clients, num_classes), dtype=int)
-    per_shard = samples_per_client // shards_per_client
-    remainder = samples_per_client - per_shard * shards_per_client
-    for i in range(num_clients):
-        classes = rng.choice(num_classes, size=shards_per_client, replace=False)
-        counts[i, classes] += per_shard
-        counts[i, classes[0]] += remainder
-    return counts

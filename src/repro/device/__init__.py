@@ -1,20 +1,10 @@
 """Client-device capability traces and latency modelling."""
 
-from .latency import (
-    client_round_time,
-    inference_latency,
-    round_completion_time,
-    training_latency,
-    transfer_latency,
-)
+from .latency import inference_latency
 from .traces import DeviceTrace, calibrate_capacities, disparity, sample_device_traces
 
 __all__ = [
-    "client_round_time",
     "inference_latency",
-    "round_completion_time",
-    "training_latency",
-    "transfer_latency",
     "DeviceTrace",
     "calibrate_capacities",
     "disparity",

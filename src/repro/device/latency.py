@@ -6,8 +6,8 @@ FedScale round-time simulation (Table 6) with a first-order cost model:
 * inference latency  = model forward MACs / device compute speed
 * training latency   = train MACs x samples / speed
 * transfer latency   = model bytes / bandwidth (download + upload)
-* round completion   = max over participants of download + train + upload
-  (synchronous FL: the round waits for the slowest participant).
+* client round time  = download + train + upload; a synchronous round
+  lasts as long as its slowest participant's.
 
 The buffered-asynchronous engine (:mod:`repro.fl.async_engine`) consumes
 the same per-client times but never takes the max: each client's
@@ -18,8 +18,6 @@ needed to buffer its first ``buffer_k`` arrivals.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .traces import DeviceTrace
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "training_latency",
     "transfer_latency",
     "client_round_time",
-    "round_completion_time",
 ]
 
 
@@ -64,9 +61,3 @@ def client_round_time(
         + transfer_latency(model_bytes, device)
     )
 
-
-def round_completion_time(per_client_times: list[float]) -> float:
-    """Synchronous-FL round time: the straggler defines the round."""
-    if not per_client_times:
-        raise ValueError("round with no participants")
-    return float(np.max(per_client_times))

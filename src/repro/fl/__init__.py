@@ -1,137 +1,40 @@
 """Federated-learning simulation engine: clients, strategies, coordinator."""
 
-from .async_engine import BufferedAsyncEngine, VirtualClock
+from .async_engine import BufferedAsyncEngine
 from .checkpoint import CheckpointWriter, load_checkpoint
 from .client import LocalTrainer, LocalTrainerConfig
 from .coordinator import Coordinator, CoordinatorConfig
-from .executor import (
-    EXECUTOR_BACKENDS,
-    POOL_REBUILD_LIMIT,
-    EvalTask,
-    ProcessPoolRoundExecutor,
-    RoundExecutor,
-    SerialExecutor,
-    ThreadPoolRoundExecutor,
-    TrainItem,
-    derive_client_rng,
-    make_executor,
-)
-from .export import (
-    load_log,
-    log_from_state,
-    log_state_dict,
-    log_to_dict,
-    recovery_to_dict,
-    save_log,
-    save_recovery,
-    save_transport,
-    transport_to_dict,
-)
-from .faults import (
-    FaultConfig,
-    FaultPlan,
-    InjectedFault,
-    ItemFailure,
-    QuarantineConfig,
-    RetryPolicy,
-    SnapshotChainError,
-    UpdateValidator,
-    is_infrastructure_fault,
-)
-from .metrics import RunSummary, iqr, recovery_summary, summarize
+from .executor import TrainItem, make_executor
+from .export import log_to_dict, save_log
+from .metrics import RunSummary, recovery_summary, summarize
 from .registry import RunRegistry, run_hash
-from .scheduling import (
-    PACING_POLICIES,
-    SELECTOR_POLICIES,
-    STRAGGLER_POLICIES,
-    ClientSelector,
-    PacingPolicy,
-    StragglerPolicy,
-    make_pacing,
-    make_selector,
-    make_straggler,
-)
-from .scheduling.selectors import uniform_choice
-from .shm import WIRE_FORMAT_VERSION, SnapshotFormatError
-from .snapshot import FULL_SNAPSHOT_EVERY
+from .scheduling import make_selector
 from .strategy import Strategy
 from .transport import TransportCodec, TransportConfig
-from .types import (
-    ArrivalRecord,
-    ClientUpdate,
-    EvalRecord,
-    FaultRecord,
-    FLClient,
-    RoundRecord,
-    SchedulerRecord,
-    TrainingLog,
-)
+from .types import ClientUpdate, FLClient, TrainingLog
 
 __all__ = [
     "BufferedAsyncEngine",
-    "VirtualClock",
+    "CheckpointWriter",
+    "load_checkpoint",
     "LocalTrainer",
     "LocalTrainerConfig",
     "Coordinator",
     "CoordinatorConfig",
-    "EXECUTOR_BACKENDS",
-    "EvalTask",
-    "ProcessPoolRoundExecutor",
-    "RoundExecutor",
-    "SerialExecutor",
-    "ThreadPoolRoundExecutor",
     "TrainItem",
-    "derive_client_rng",
     "make_executor",
-    "load_log",
-    "log_from_state",
-    "log_state_dict",
     "log_to_dict",
-    "recovery_to_dict",
     "save_log",
-    "save_recovery",
-    "save_transport",
-    "transport_to_dict",
-    "TransportCodec",
-    "TransportConfig",
-    "WIRE_FORMAT_VERSION",
-    "SnapshotFormatError",
-    "FaultConfig",
-    "FaultPlan",
-    "FaultRecord",
-    "InjectedFault",
-    "ItemFailure",
-    "QuarantineConfig",
-    "RetryPolicy",
-    "SnapshotChainError",
-    "UpdateValidator",
-    "is_infrastructure_fault",
-    "POOL_REBUILD_LIMIT",
-    "FULL_SNAPSHOT_EVERY",
+    "RunSummary",
     "recovery_summary",
-    "CheckpointWriter",
-    "load_checkpoint",
+    "summarize",
     "RunRegistry",
     "run_hash",
-    "RunSummary",
-    "iqr",
-    "summarize",
-    "uniform_choice",
-    "Strategy",
-    "ArrivalRecord",
-    "ClientUpdate",
-    "EvalRecord",
-    "FLClient",
-    "RoundRecord",
-    "SchedulerRecord",
-    "TrainingLog",
-    "SELECTOR_POLICIES",
-    "PACING_POLICIES",
-    "STRAGGLER_POLICIES",
-    "ClientSelector",
-    "PacingPolicy",
-    "StragglerPolicy",
     "make_selector",
-    "make_pacing",
-    "make_straggler",
+    "Strategy",
+    "TransportCodec",
+    "TransportConfig",
+    "ClientUpdate",
+    "FLClient",
+    "TrainingLog",
 ]

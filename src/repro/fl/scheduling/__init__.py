@@ -17,46 +17,17 @@ selector, parsed from the ``availability_trace`` spec by the config.
 
 from __future__ import annotations
 
-from .availability import (
-    AvailabilityModel,
-    BernoulliAvailability,
-    DiurnalAvailability,
-    TraceAvailability,
-    parse_availability,
-)
+from .availability import AvailabilityModel, parse_availability
 from .base import ClientSelector, PacingPolicy, StragglerPolicy, estimate_round_time
-from .fleet import FleetStore, FleetView, RoundTimeStats, positions_to_rows
+from .fleet import FleetStore
 from .pacing import AdaptivePacing, QuantilePacing, StaticPacing
-from .selectors import (
-    AvailabilityAwareSelector,
-    OortSelector,
-    UniformSelector,
-    uniform_choice,
-)
+from .selectors import AvailabilityAwareSelector, OortSelector, UniformSelector
 from .straggler import DownsizePolicy, DropPolicy
 
 __all__ = [
-    "ClientSelector",
-    "PacingPolicy",
-    "StragglerPolicy",
     "estimate_round_time",
-    "UniformSelector",
-    "AvailabilityAwareSelector",
-    "OortSelector",
-    "uniform_choice",
-    "StaticPacing",
-    "AdaptivePacing",
     "QuantilePacing",
-    "DropPolicy",
-    "DownsizePolicy",
     "FleetStore",
-    "FleetView",
-    "RoundTimeStats",
-    "positions_to_rows",
-    "AvailabilityModel",
-    "BernoulliAvailability",
-    "DiurnalAvailability",
-    "TraceAvailability",
     "parse_availability",
     "SELECTOR_POLICIES",
     "PACING_POLICIES",

@@ -48,8 +48,6 @@ __all__ = [
     "rle_decode_bytes",
     "encode_indices",
     "decode_indices",
-    "quantize_int8",
-    "dequantize_int8",
     "bf16_encode",
     "bf16_decode",
 ]
@@ -219,33 +217,8 @@ def decode_indices(encoded: bytes) -> tuple[np.ndarray, int]:
 
 
 # ----------------------------------------------------------------------
-# quantizers
+# bf16 quantizer (int8 is inline in TransportCodec._lossy_encode)
 # ----------------------------------------------------------------------
-def quantize_int8(values: np.ndarray) -> tuple[bytes, float]:
-    """Symmetric per-tensor int8: ``scale = max|x| / 127``, 1 byte/element.
-
-    Deterministic: ``np.rint`` (round-half-to-even) and a pure-max scale,
-    so equal inputs quantize equally on every backend.  An all-zero (or
-    empty) tensor has scale 0 and decodes to exact zeros.
-    """
-    flat = np.ravel(values)
-    amax = float(np.max(np.abs(flat))) if flat.size else 0.0
-    scale = amax / 127.0
-    if scale == 0.0:
-        q = np.zeros(flat.shape, dtype=np.int8)
-    else:
-        q = np.clip(np.rint(flat / scale), -127, 127).astype(np.int8)
-    return q.tobytes(), scale
-
-
-def dequantize_int8(
-    data: bytes, scale: float, shape: tuple, dtype: np.dtype
-) -> np.ndarray:
-    """Invert :func:`quantize_int8`; error is bounded by ``scale / 2``."""
-    q = np.frombuffer(data, dtype=np.int8).astype(dtype)
-    return np.asarray(q * dtype.type(scale), dtype=dtype).reshape(shape)
-
-
 def bf16_encode(values: np.ndarray) -> bytes:
     """Truncate to bfloat16 (float32's upper 16 bits), 2 bytes/element."""
     f32 = np.ascontiguousarray(np.ravel(values), dtype=np.float32)
@@ -566,12 +539,12 @@ class TransportCodec(Stateful):
                 wire += len(encode_indices(idx, n))
         values = flat[idx] if idx is not None else flat
         if cfg.update_quantizer == "int8":
-            # Inline quantize_int8/dequantize_int8 minus the bytes round
-            # trip: same clip(rint(x/scale)) int8 grid, identical decoded
-            # values, but the wire length is just 1 byte/element + scale.
-            # The max-magnitude element always survives top-k, so the
-            # selected max equals the overall max — when mag is already
-            # paid for, skip a second abs over the survivors.
+            # Symmetric int8: scale = max|x| / 127 and clip(rint(x/scale)),
+            # so equal inputs quantize equally on every backend; 1 byte per
+            # element plus the scale on the wire, and an all-zero tensor has
+            # scale 0 and decodes to exact zeros.  The max-magnitude element
+            # always survives top-k, so the selected max equals the overall
+            # max — when mag is already paid for, skip a second abs.
             if idx is not None:
                 amax = float(mag.max()) if n else 0.0
             else:

@@ -6,62 +6,9 @@ transform, and cost models without a deep-learning framework.
 """
 
 from . import functional
-from .attention import MultiHeadSelfAttention, PatchEmbed
-from .compute import (
-    COMPUTE_DTYPES,
-    Workspace,
-    compute_dtype,
-    compute_dtype_name,
-    set_compute_dtype,
-)
-from .cells import (
-    Cell,
-    ConvCell,
-    ConvClassifierCell,
-    DenseCell,
-    FlatClassifierCell,
-    ResidualConvCell,
-    TokenClassifierCell,
-    ViTCell,
-    ViTStemCell,
-    WidenMapping,
-    make_widen_mapping,
-)
-from .layers import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    GELU,
-    GlobalAvgPool2d,
-    Layer,
-    LayerNorm,
-    MaxPool2d,
-    ReLU,
-)
-from .losses import accuracy, softmax_cross_entropy
-from .model import CellModel, TransformRecord
-from .optim import SGD, ServerSGD, Yogi
-from .serialization import load_model, model_from_spec, model_spec, save_model
-from .param_ops import (
-    ParamTree,
-    crop_to_shape,
-    embed_into,
-    tree_add,
-    tree_allclose,
-    tree_average,
-    tree_axpy,
-    tree_copy,
-    tree_dot,
-    tree_nbytes,
-    tree_norm,
-    tree_num_params,
-    tree_scale,
-    tree_sub,
-    tree_zeros_like,
-)
+from .compute import set_compute_dtype
+from .model import CellModel
+from .optim import SGD
 from .zoo import (
     complexity_ladder,
     mlp,
@@ -73,62 +20,9 @@ from .zoo import (
 
 __all__ = [
     "functional",
-    "MultiHeadSelfAttention",
-    "PatchEmbed",
-    "COMPUTE_DTYPES",
-    "Workspace",
-    "compute_dtype",
-    "compute_dtype_name",
     "set_compute_dtype",
-    "Cell",
-    "ConvCell",
-    "ConvClassifierCell",
-    "DenseCell",
-    "FlatClassifierCell",
-    "ResidualConvCell",
-    "TokenClassifierCell",
-    "ViTCell",
-    "ViTStemCell",
-    "WidenMapping",
-    "make_widen_mapping",
-    "AvgPool2d",
-    "BatchNorm2d",
-    "Conv2d",
-    "Dense",
-    "Dropout",
-    "Flatten",
-    "GELU",
-    "GlobalAvgPool2d",
-    "Layer",
-    "LayerNorm",
-    "MaxPool2d",
-    "ReLU",
-    "accuracy",
-    "softmax_cross_entropy",
     "CellModel",
-    "TransformRecord",
     "SGD",
-    "ServerSGD",
-    "Yogi",
-    "load_model",
-    "model_from_spec",
-    "model_spec",
-    "save_model",
-    "ParamTree",
-    "crop_to_shape",
-    "embed_into",
-    "tree_add",
-    "tree_allclose",
-    "tree_average",
-    "tree_axpy",
-    "tree_copy",
-    "tree_dot",
-    "tree_nbytes",
-    "tree_norm",
-    "tree_num_params",
-    "tree_scale",
-    "tree_sub",
-    "tree_zeros_like",
     "complexity_ladder",
     "mlp",
     "reference_device_models",

@@ -34,7 +34,6 @@ __all__ = [
     "gelu",
     "gelu_grad",
     "softmax",
-    "log_softmax",
 ]
 
 
@@ -230,8 +229,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
 
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax."""
-    z = x - x.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))

@@ -32,8 +32,8 @@ replicas in one call, each slice bit-identical to the unstacked call
 (``tests/test_stacked_kernels.py`` pins it on this BLAS).
 :meth:`Layer.replicate` stacks private copies of a layer's tensors;
 :meth:`repro.nn.model.CellModel.replicate` refuses a model holding any
-layer that does not declare the axis (conv, pooling, norms, attention,
-dropout) — such models train one replica at a time.
+layer that does not declare the axis (conv, pooling, norms, attention)
+— such models train one replica at a time.
 
 What the conv-family kernels do: Conv2d is im2col + batched GEMMs (see
 :mod:`repro.nn.functional`), BatchNorm2d's backward reuses the two
@@ -60,8 +60,6 @@ __all__ = [
     "AvgPool2d",
     "MaxPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
-    "Dropout",
 ]
 
 
@@ -535,43 +533,3 @@ class GlobalAvgPool2d(Layer):
         c, h, w = input_shape
         return 0, (c,)
 
-
-class Flatten(Layer):
-    """Reshape any trailing dims into a feature vector."""
-
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout.reshape(self._shape)
-
-    def macs(self, input_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return 0, (int(np.prod(input_shape)),)
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity when evaluating."""
-
-    def __init__(self, rate: float, rng: np.random.Generator):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self.rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if not train or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dout
-        return dout * self._mask

@@ -320,15 +320,6 @@ class CellModel:
         """Training cost per sample: forward + backward ~= 3x forward MACs."""
         return 3 * self.macs()
 
-    def cell_macs(self) -> dict[str, int]:
-        """Per-cell forward MACs (used by activeness diagnostics)."""
-        out: dict[str, int] = {}
-        shape = self.input_shape
-        for cell in self.cells:
-            m, shape = cell.macs(shape)
-            out[cell.cell_id] = m
-        return out
-
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
@@ -379,7 +370,7 @@ class CellModel:
         workspace trains a cohort of ``k`` participants of this model in one
         loop (:meth:`repro.fl.client.LocalTrainer.train`).  Refused unless
         every layer declares the axis (``Layer.replica_axis``: Dense and
-        ReLU; not Conv, BatchNorm, LayerNorm, attention, Dropout).  A
+        ReLU; not Conv, pooling, BatchNorm, LayerNorm or attention).  A
         workspace trains; it is not evaluated, transformed or published.
         """
         if k < 1:

@@ -4,11 +4,10 @@ Two kinds live here:
 
 * **Local optimizers** (:class:`SGD`) drive the client-side steps of local
   training.  They operate directly on a model's live parameter tree.
-* **Server optimizers** (:class:`ServerSGD`, :class:`Yogi`) consume the
-  *pseudo-gradient* (global weights minus aggregated client weights) and
-  produce the next global weights.  ``Yogi`` implements the adaptive server
-  update used by the paper's FedYogi baseline (Reddi et al., "Adaptive
-  Federated Optimization").
+* **The server optimizer** (:class:`Yogi`) consumes the *pseudo-gradient*
+  (global weights minus aggregated client weights) and produces the next
+  global weights: the adaptive server update of the paper's FedYogi
+  baseline (Reddi et al., "Adaptive Federated Optimization").
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from ..stateful import Stateful, check_schema, schema_tag
 from .param_ops import ParamTree, tree_copy
 
-__all__ = ["SGD", "ServerSGD", "Yogi"]
+__all__ = ["SGD", "Yogi"]
 
 
 class SGD(Stateful):
@@ -89,24 +88,6 @@ class SGD(Stateful):
         check_schema(payload, self.schema)
         self._velocity = {k: np.array(v) for k, v in payload["velocity"].items()}
         self._scratch = {}
-
-
-class ServerSGD(Stateful):
-    """Plain server update: ``w <- w - lr * pseudo_grad`` (lr=1 is FedAvg)."""
-
-    def __init__(self, lr: float = 1.0):
-        self.lr = lr
-
-    def step(self, weights: ParamTree, pseudo_grad: Mapping[str, np.ndarray]) -> ParamTree:
-        return {k: weights[k] - self.lr * pseudo_grad[k] for k in weights}
-
-    schema = schema_tag("ServerSGD")
-
-    def state_dict(self) -> dict:
-        return {"schema": self.schema}  # stateless: lr is configuration
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
 
 
 class Yogi(Stateful):

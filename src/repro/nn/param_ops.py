@@ -1,9 +1,8 @@
 """Operations on parameter trees (``dict[str, np.ndarray]``).
 
-Models expose their weights as flat string-keyed dictionaries.  Federated
-aggregation, server optimizers, and FedTrans's cross-model soft aggregation
-are all expressed as algebra on these trees.  All functions return new trees
-and never mutate their inputs unless explicitly documented.
+Models expose their weights as flat string-keyed dictionaries; federated
+aggregation works on them through copy, difference, scaling and the weighted
+average below.  All functions return new trees and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -16,23 +15,7 @@ from .compute import accum_dtype
 
 ParamTree = dict[str, np.ndarray]
 
-__all__ = [
-    "ParamTree",
-    "tree_copy",
-    "tree_zeros_like",
-    "tree_add",
-    "tree_sub",
-    "tree_scale",
-    "tree_axpy",
-    "tree_average",
-    "tree_norm",
-    "tree_dot",
-    "tree_num_params",
-    "tree_nbytes",
-    "tree_allclose",
-    "crop_to_shape",
-    "embed_into",
-]
+__all__ = ["ParamTree", "tree_copy", "tree_sub", "tree_scale", "tree_average"]
 
 
 def tree_copy(tree: Mapping[str, np.ndarray]) -> ParamTree:
@@ -40,21 +23,10 @@ def tree_copy(tree: Mapping[str, np.ndarray]) -> ParamTree:
     return {k: v.copy() for k, v in tree.items()}
 
 
-def tree_zeros_like(tree: Mapping[str, np.ndarray]) -> ParamTree:
-    """A tree of zeros with the same keys/shapes."""
-    return {k: np.zeros_like(v) for k, v in tree.items()}
-
-
 def _check_keys(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> None:
     if a.keys() != b.keys():
         missing = set(a) ^ set(b)
         raise KeyError(f"parameter trees differ on keys: {sorted(missing)[:8]}")
-
-
-def tree_add(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> ParamTree:
-    """Elementwise ``a + b``."""
-    _check_keys(a, b)
-    return {k: a[k] + b[k] for k in a}
 
 
 def tree_sub(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> ParamTree:
@@ -68,14 +40,6 @@ def tree_scale(a: Mapping[str, np.ndarray], s: float) -> ParamTree:
     return {k: v * s for k, v in a.items()}
 
 
-def tree_axpy(
-    y: Mapping[str, np.ndarray], alpha: float, x: Mapping[str, np.ndarray]
-) -> ParamTree:
-    """``y + alpha * x``."""
-    _check_keys(y, x)
-    return {k: y[k] + alpha * x[k] for k in y}
-
-
 def tree_average(
     trees: Iterable[Mapping[str, np.ndarray]],
     weights: Iterable[float] | None = None,
@@ -86,10 +50,9 @@ def tree_average(
     returned.  Raises on an empty input.
 
     Accumulation is in place: one output tree plus one scratch tensor per
-    key, instead of a fresh intermediate tree per contributor (the old
-    ``tree_axpy`` chain).  The per-element operation order is unchanged —
-    each contributor adds ``weight * value`` in input order — so results
-    are bit-identical to the chained form.
+    key, not a fresh intermediate tree per contributor.  Each contributor
+    adds ``weight * value`` in input order, so the result is bit-identical
+    to the chained ``out = out + w_i * tree_i`` form.
     """
     trees = list(trees)
     if not trees:
@@ -120,64 +83,3 @@ def tree_average(
             acc += s
     return out
 
-
-def tree_norm(a: Mapping[str, np.ndarray]) -> float:
-    """Global L2 norm across every tensor in the tree."""
-    total = 0.0
-    for v in a.values():
-        total += float(np.sum(v.astype(accum_dtype()) ** 2))
-    return float(np.sqrt(total))
-
-
-def tree_dot(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> float:
-    """Global inner product of two trees."""
-    _check_keys(a, b)
-    return float(sum(np.sum(a[k] * b[k]) for k in a))
-
-
-def tree_num_params(a: Mapping[str, np.ndarray]) -> int:
-    """Total scalar parameter count."""
-    return int(sum(v.size for v in a.values()))
-
-
-def tree_nbytes(a: Mapping[str, np.ndarray]) -> int:
-    """Total storage footprint in bytes."""
-    return int(sum(v.nbytes for v in a.values()))
-
-
-def tree_allclose(
-    a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray], atol: float = 1e-8
-) -> bool:
-    """True when two trees match key-for-key within tolerance."""
-    if a.keys() != b.keys():
-        return False
-    return all(np.allclose(a[k], b[k], atol=atol) for k in a)
-
-
-def crop_to_shape(src: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Leading-slice crop of ``src`` down to ``shape`` (HeteroFL-style).
-
-    Every axis of ``src`` must be >= the corresponding target axis.  Because
-    FedTrans widening always places inherited channels first, the leading
-    slice is exactly the sub-tensor shared with the smaller model.
-    """
-    if src.ndim != len(shape):
-        raise ValueError(f"rank mismatch cropping {src.shape} -> {shape}")
-    if any(s < t for s, t in zip(src.shape, shape)):
-        raise ValueError(f"cannot crop {src.shape} down to larger {shape}")
-    return src[tuple(slice(0, t) for t in shape)].copy()
-
-
-def embed_into(small: np.ndarray, big: np.ndarray) -> np.ndarray:
-    """Write ``small`` into the leading slice of a copy of ``big``.
-
-    The complement of the leading slice keeps ``big``'s values.  Used when a
-    smaller model contributes its weights to an architecturally larger one.
-    """
-    if small.ndim != big.ndim:
-        raise ValueError(f"rank mismatch embedding {small.shape} -> {big.shape}")
-    if any(s > b for s, b in zip(small.shape, big.shape)):
-        raise ValueError(f"cannot embed {small.shape} into smaller {big.shape}")
-    out = big.copy()
-    out[tuple(slice(0, s) for s in small.shape)] = small
-    return out

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.aggregator import ModelAggregator, project_overlap
+from repro.core.aggregator import ModelAggregator, _overlap_plan, project_overlap
 from repro.core.client_manager import SimilarityCache
 from repro.core.config import FedTransConfig
 from repro.fl.types import ClientUpdate
@@ -64,6 +66,63 @@ class TestProjectOverlap:
     def test_rank_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
             project_overlap(rng.normal(size=(2,)), rng.normal(size=(2, 2)))
+
+
+def _apply_plan(src, dst):
+    """Build ``project_overlap(src, dst)`` from the cached plan alone."""
+    plan = _overlap_plan(src.shape, dst.shape)
+    if plan is None:
+        return src.copy()
+    overlap, slabs = plan
+    out = np.full(dst.shape, np.nan)
+    out[overlap] = src[overlap]
+    for slab in slabs:
+        out[slab] = dst[slab]
+    return out
+
+
+class TestOverlapPlan:
+    """The per-(src, dst) plan the vectorized Eq. 5 loop caches."""
+
+    @staticmethod
+    def _hits(src_shape, dst_shape):
+        overlap, slabs = _overlap_plan(src_shape, dst_shape)
+        hits = np.zeros(dst_shape, dtype=int)
+        for region in (overlap, *slabs):
+            hits[region] += 1
+        return hits
+
+    def test_same_shape_is_whole_tensor(self):
+        assert _overlap_plan((3, 4), (3, 4)) is None
+
+    def test_crop_has_no_complement(self):
+        overlap, slabs = _overlap_plan((5, 6), (3, 4))
+        assert overlap == (slice(0, 3), slice(0, 4))
+        assert slabs == ()
+
+    def test_embed_slabs_tile_complement_once(self):
+        overlap, _ = _overlap_plan((2, 3), (4, 5))
+        assert overlap == (slice(0, 2), slice(0, 3))
+        assert (self._hits((2, 3), (4, 5)) == 1).all()
+
+    def test_mixed_axes_slabs_tile_complement_once(self):
+        assert (self._hits((5, 2, 3), (3, 4, 3)) == 1).all()
+
+    def test_rank_mismatch_raises(self):
+        with pytest.raises(ValueError, match="rank"):
+            _overlap_plan((2,), (2, 2))
+
+    @given(
+        src_shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        grow=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        seed=st.integers(0, 100),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_plan_reproduces_project_overlap(self, src_shape, grow, seed):
+        dst_shape = tuple(max(1, s + g) for s, g in zip(src_shape, grow))
+        rng = np.random.default_rng(seed)
+        src, dst = rng.normal(size=tuple(src_shape)), rng.normal(size=dst_shape)
+        np.testing.assert_array_equal(_apply_plan(src, dst), project_overlap(src, dst))
 
 
 class TestWithinModelFedAvg:

@@ -1,9 +1,9 @@
 """repro-lint rule engine + runtime sanitizer (repro.analysis).
 
-Static side: every rule RL001-RL009 gets a violating fixture snippet and
-its compliant rewrite (linted in-memory under a virtual path, which is
-what drives rule scoping), plus pragma suppression semantics and the
-CLI.  The whole repo tree must lint clean with zero suppressions.
+Static side: every rule (RL001-RL009; RL007 is retired) gets a violating
+fixture snippet and its compliant rewrite (linted in-memory under a virtual
+path, which is what drives rule scoping), plus pragma suppression semantics
+and the CLI.  The whole repo tree must lint clean with zero suppressions.
 
 Dynamic side: the ``published()`` read-only guard and the
 version-vs-fingerprint cross-check, including an intentionally injected
@@ -25,8 +25,10 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from repro.analysis import RULES, RULES_BY_ID, lint_paths, lint_source, sanitize
+from repro.analysis import lint_paths, sanitize
+from repro.analysis.engine import lint_source
 from repro.analysis.lint import main as lint_main
+from repro.analysis.rules import RULES, RULES_BY_ID
 from repro.analysis.sanitize import SanitizerError, VersionWatch, model_fingerprint
 from repro.baselines import fedavg
 from repro.core import FedTransConfig
@@ -69,6 +71,78 @@ def _lint(src: str, rel: str = "src/repro/fl/fixture.py"):
 
 def _ids(report) -> list[str]:
     return [v.rule_id for v in report.violations]
+
+
+def _caller_scan(root: Path) -> tuple[list[str], list[str]]:
+    """The two findings of the every-name-has-a-caller guard over ``root``.
+
+    Returns the public top-level ``def``/``class`` names under
+    ``root/src/repro`` (as ``pkg.module.name``) that no ``Name`` or
+    ``Attribute`` node in ``src/``, ``benchmarks/`` or ``examples/`` names,
+    and the package ``__all__`` entries (as ``repro.pkg.name``) that none of
+    those files imports through the package.  Tests, ``__all__`` lists and
+    re-export imports do not count.
+    """
+    src = root / "src" / "repro"
+    files = sorted(
+        p for top in ("src", "benchmarks", "examples") for p in (root / top).rglob("*.py")
+    )
+    trees = {p: ast.parse(p.read_text()) for p in files}
+
+    def module(path: Path) -> str:
+        parts = path.relative_to(src.parent).with_suffix("").parts
+        return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+    def exports(tree: ast.Module) -> list[str]:
+        for n in tree.body:
+            if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "__all__":
+                return [elt.value for elt in n.value.elts]
+        return []
+
+    named = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    uncalled = [
+        f"{module(p).removeprefix('repro.')}.{d.name}"
+        for p in files
+        if src in p.parents
+        for d in trees[p].body
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+        and not d.name.startswith("_")
+        and d.name not in named
+    ]
+
+    imported: set[tuple[str, str]] = set()
+    for p, tree in trees.items():
+        # A package __init__'s top-level import of a name in its own
+        # __all__ is a re-export, not a use.
+        reexported = set(exports(tree)) if p.name == "__init__.py" else set()
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.ImportFrom) or (n.level and src not in p.parents):
+                continue
+            target = n.module
+            if n.level:
+                package = module(p).split(".")
+                if p.name != "__init__.py":
+                    package.pop()
+                base = package[: len(package) - n.level + 1]
+                target = ".".join(base + ([n.module] if n.module else []))
+            imported |= {
+                (target, a.name)
+                for a in n.names
+                if not (n in tree.body and a.name in reexported)
+            }
+    unimported = [
+        f"{module(p)}.{name}"
+        for p in files
+        if p.name == "__init__.py" and src in p.parents
+        for name in exports(trees[p])
+        if (module(p), name) not in imported
+    ]
+    return uncalled, unimported
 
 
 # ----------------------------------------------------------------------
@@ -515,31 +589,6 @@ class TestRL006:
 
 
 # ----------------------------------------------------------------------
-# RL007 deprecated-import
-# ----------------------------------------------------------------------
-class TestRL007:
-    def test_absolute_import_fires(self):
-        report = _lint("from repro.fl.selection import select_uniform\n")
-        assert _ids(report) == ["RL007"]
-
-    def test_from_package_alias_fires(self):
-        report = _lint("from repro.fl import selection\n")
-        assert _ids(report) == ["RL007"]
-
-    def test_relative_import_fires(self):
-        report = _lint(
-            "from .selection import select_uniform\n", "src/repro/fl/consumer.py"
-        )
-        assert _ids(report) == ["RL007"]
-
-    def test_scheduling_replacement_is_quiet(self):
-        report = _lint(
-            "from repro.fl.scheduling import ClientSelector, uniform_choice\n"
-        )
-        assert _ids(report) == []
-
-
-# ----------------------------------------------------------------------
 # RL008 stateful-coverage
 # ----------------------------------------------------------------------
 class TestRL008:
@@ -813,9 +862,9 @@ class TestEngineAndCli:
     def test_rule_registry_is_complete(self):
         ids = [r.rule_id for r in RULES]
         assert ids == sorted(ids)
+        # RL007 (deprecated-import) is retired; its id is not reused.
         assert set(RULES_BY_ID) == {
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-            "RL008", "RL009",
+            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL008", "RL009",
         }
         assert all(r.summary for r in RULES)
 
@@ -1320,6 +1369,131 @@ class TestEngineAndCli:
             if s in p.read_text()
         )
         assert named == []
+
+    def test_every_name_has_a_caller(self):
+        """Every public top-level ``def``/``class`` under ``src/repro`` is
+        named by a ``Name`` or ``Attribute`` node in ``src/``,
+        ``benchmarks/`` or ``examples/``, and every ``__all__`` entry of a
+        package ``__init__`` is imported through that package by one of
+        those files.  Tests, ``__all__`` lists and re-export imports do not
+        count; each failure below is a helper only its own unit test runs,
+        or a re-export nobody imports."""
+        # Kept without a caller in the program, each for the reason given.
+        allowlist = [
+            "analysis.sanitize.sanitizer_enabled",  # set_sanitizer's read side; tests scope with it
+            "core.aggregator.project_overlap",  # the Eq. 5 oracle
+            "fl.export.load_log",  # reads --save-log files; its round trip proves them complete
+            "fl.shm.segment_exists",  # the probe the segment-leak tests use
+            "fl.transport.decode_indices",  # proves the metered encode_indices bytes decode
+            "nn.gradcheck.check_model_gradients",  # the gradient oracle
+            "nn.serialization.load_model",  # reads --save-models dirs; round trip proves them
+        ]
+        uncalled, unimported = _caller_scan(REPO)
+        # ...and an entry that gains a caller leaves the list.
+        unexplained = sorted(set(uncalled) ^ set(allowlist))
+        assert unexplained == [], "\n".join(unexplained)
+        assert unimported == [], "\n".join(unimported)
+
+
+class TestCallerScan:
+    """The every-name-has-a-caller guard, on synthetic repository trees."""
+
+    @staticmethod
+    def _repo(tmp_path: Path, files: dict[str, str]) -> Path:
+        for top in ("src/repro", "benchmarks", "examples", "tests"):
+            (tmp_path / top).mkdir(parents=True, exist_ok=True)
+        for rel, text in {"src/repro/__init__.py": "", **files}.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(dedent(text))
+        return tmp_path
+
+    _MOD = {
+        "src/repro/pkg/__init__.py": "",
+        "src/repro/pkg/mod.py": """\
+            def orphan():
+                pass
+
+            def _helper():
+                pass
+
+            class Used:
+                pass
+            """,
+    }
+
+    def test_unreferenced_definition_is_reported(self, tmp_path):
+        root = self._repo(tmp_path, {
+            **self._MOD,
+            "benchmarks/b.py": "from repro.pkg.mod import Used\n\nUsed()\n",
+        })
+        assert _caller_scan(root) == (["pkg.mod.orphan"], [])
+
+    def test_attribute_reference_counts(self, tmp_path):
+        root = self._repo(tmp_path, {
+            **self._MOD,
+            "examples/e.py": "import repro.pkg.mod as mod\n\nmod.orphan()\nmod.Used()\n",
+        })
+        assert _caller_scan(root) == ([], [])
+
+    def test_all_entry_and_tests_do_not_count(self, tmp_path):
+        root = self._repo(tmp_path, {
+            **self._MOD,
+            "src/repro/pkg/mod.py": dedent(self._MOD["src/repro/pkg/mod.py"])
+            + '__all__ = ["orphan", "Used"]\nUsed()\n',
+            "tests/test_mod.py": "from repro.pkg.mod import orphan\n\norphan()\n",
+        })
+        assert _caller_scan(root) == (["pkg.mod.orphan"], [])
+
+    def test_export_not_imported_through_package_is_reported(self, tmp_path):
+        root = self._repo(tmp_path, {
+            **self._MOD,
+            "src/repro/pkg/__init__.py": """\
+                from .mod import Used, orphan
+
+                __all__ = ["Used", "orphan"]
+                """,
+            "benchmarks/b.py": """\
+                from repro.pkg import Used
+                from repro.pkg.mod import orphan
+
+                Used()
+                orphan()
+                """,
+        })
+        assert _caller_scan(root) == ([], ["repro.pkg.orphan"])
+
+    def test_relative_import_inside_src_counts(self, tmp_path):
+        root = self._repo(tmp_path, {
+            **self._MOD,
+            "src/repro/pkg/__init__.py": """\
+                from .mod import Used, orphan
+
+                __all__ = ["Used", "orphan"]
+                """,
+            "src/repro/user.py": "from .pkg import orphan\n\norphan()\n",
+            "src/repro/deep/inner.py": "from ..pkg import Used\n\nUsed()\n",
+        })
+        assert _caller_scan(root) == ([], [])
+
+    def test_relative_import_outside_src_is_ignored(self, tmp_path):
+        root = self._repo(tmp_path, {
+            **self._MOD,
+            "src/repro/pkg/__init__.py": 'from .mod import Used\n\n__all__ = ["Used"]\n',
+            "benchmarks/b.py": "from .pkg import Used\n\nUsed()\n",
+        })
+        assert _caller_scan(root) == (["pkg.mod.orphan"], ["repro.pkg.Used"])
+
+    def test_reexport_import_is_not_a_use(self, tmp_path):
+        root = self._repo(tmp_path, {
+            **self._MOD,
+            "src/repro/__init__.py": 'from .pkg import Used\n\n__all__ = ["Used"]\n',
+            "src/repro/pkg/__init__.py": 'from .mod import Used\n\n__all__ = ["Used"]\n',
+            "examples/e.py": "from repro.pkg.mod import Used, orphan\n\nUsed()\norphan()\n",
+        })
+        uncalled, unimported = _caller_scan(root)
+        assert uncalled == []
+        assert sorted(unimported) == ["repro.Used", "repro.pkg.Used"]
 
 
 # ----------------------------------------------------------------------

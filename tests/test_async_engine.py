@@ -22,10 +22,10 @@ from repro.fl import (
     CoordinatorConfig,
     FLClient,
     LocalTrainerConfig,
-    SerialExecutor,
     TrainItem,
-    VirtualClock,
 )
+from repro.fl.async_engine import VirtualClock
+from repro.fl.executor import SerialExecutor
 from repro.fl.async_engine import _Pending
 from repro.nn import mlp
 

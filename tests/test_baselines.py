@@ -9,14 +9,16 @@ from repro.baselines import (
     FLuIDStrategy,
     HeteroFLStrategy,
     SplitMixStrategy,
-    build_subnet,
     fedavg,
     fedprox_trainer_config,
     fedyogi,
+    train_centralized,
+)
+from repro.baselines.subnet import (
+    build_subnet,
     param_index_map,
     ratio_spec,
     scatter_average,
-    train_centralized,
 )
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace

@@ -7,7 +7,6 @@ from repro.bench import (
     PROFILES,
     active_profile,
     ascii_table,
-    box_stats,
     build_dataset,
     fig1a_latency_distributions,
     format_box_row,
@@ -15,6 +14,7 @@ from repro.bench import (
     make_initial_model,
     run_method,
 )
+from repro.bench.reporting import box_stats
 from repro.bench.profiles import DATASETS
 
 

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 import repro.fl.client as client_mod
-from repro.data import ClientData
+from repro.data.federated import ClientData
 from repro.device import DeviceTrace
 from repro.device.latency import client_round_time
-from repro.fl import FaultConfig, FLClient, LocalTrainer, LocalTrainerConfig, RetryPolicy
+from repro.fl import FLClient, LocalTrainer, LocalTrainerConfig
+from repro.fl.faults import FaultConfig, RetryPolicy
 from repro.fl.executor import TrainItem, derive_client_rng, make_executor
 from repro.nn import mlp, small_cnn
 from repro.nn.optim import SGD

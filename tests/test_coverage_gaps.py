@@ -107,6 +107,35 @@ class TestMultiAssignmentAccounting:
         log = coord.run()
         assert log.rounds[0].round_time > 0
 
+    def test_sync_round_lasts_as_long_as_slowest_client(self):
+        """One model per client: the barrier round is the max client time."""
+        from repro.baselines import fedavg
+        from repro.device.latency import client_round_time
+
+        ds, g, clients = _fl_setup()
+        steps = 2
+        coord = Coordinator(
+            fedavg(g),
+            clients,
+            CoordinatorConfig(
+                rounds=1,
+                clients_per_round=4,
+                trainer=LocalTrainerConfig(local_steps=steps),
+                seed=0,
+            ),
+        )
+        rec = coord.run().rounds[0]
+        by_id = {c.client_id: c for c in clients}
+        times = [
+            client_round_time(
+                by_id[cid].device, g.macs(), g.nbytes(),
+                min(10, by_id[cid].data.num_train), steps,
+            )
+            for cid in rec.participants
+        ]
+        assert len(set(times)) > 1  # the premise: the participants differ
+        assert rec.round_time == max(times)
+
 
 class TestSubnetRoleMaps:
     @pytest.mark.parametrize(
@@ -190,4 +219,9 @@ class TestVitStemParams:
 
     def test_cell_macs_chain(self, rng):
         m = vit_tiny((1, 8, 8), 3, rng, dim=8, heads=2, mlp_hidden=12, patch=4)
-        assert sum(m.cell_macs().values()) == m.macs()
+        total, shape = 0, m.input_shape
+        for cell in m.cells:
+            macs, shape = cell.macs(shape)
+            total += macs
+        assert shape == (3,)
+        assert total == m.macs()

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
-    SyntheticTask,
     SyntheticTaskConfig,
     build_federated_dataset,
     cifar10_like,
-    dirichlet_partition,
     femnist_like,
-    lognormal_sample_counts,
-    natural_partition,
-    openimage_like,
-    shard_partition,
     speech_like,
 )
+from repro.data.partition import (
+    dirichlet_partition,
+    lognormal_sample_counts,
+    natural_partition,
+)
+from repro.data.registry import openimage_like
+from repro.data.synthetic import SyntheticTask
 
 
 def _cfg(**kw):
@@ -122,15 +123,6 @@ class TestPartitioners:
         with pytest.raises(ValueError):
             lognormal_sample_counts(5, 0, rng)
 
-    def test_shard_partition_classes_per_client(self, rng):
-        counts = shard_partition(20, 10, samples_per_client=20, shards_per_client=2, rng=rng)
-        assert np.all((counts > 0).sum(axis=1) <= 2)
-        assert np.all(counts.sum(axis=1) == 20)
-
-    def test_shard_too_many_shards(self, rng):
-        with pytest.raises(ValueError):
-            shard_partition(5, 3, 10, 4, rng)
-
     @given(
         h=st.sampled_from([0.1, 0.5, 1.0, 10.0, 100.0]),
         n=st.integers(2, 30),
@@ -158,13 +150,19 @@ class TestFederatedDataset:
     def test_pooled_sizes(self):
         ds = build_federated_dataset(_cfg(), num_clients=6, mean_samples=20, seed=0)
         x, y = ds.pooled_train()
-        assert len(y) == ds.total_train_samples()
+        assert len(y) == sum(c.num_train for c in ds.clients)
         assert x.shape[0] == len(y)
 
     def test_label_histogram_matches(self):
-        ds = build_federated_dataset(_cfg(), num_clients=4, mean_samples=20, seed=0)
-        hist = ds.label_histogram()
-        assert hist.sum() == ds.total_train_samples()
+        """Each client's train labels are exactly its row of the partition,
+        and it is tested only on classes it trains on."""
+        cfg = _cfg()
+        ds = build_federated_dataset(cfg, num_clients=4, mean_samples=20, seed=0)
+        counts = natural_partition(4, cfg.num_classes, 20, np.random.default_rng(0))
+        for c, row in zip(ds.clients, counts):
+            hist = np.bincount(c.y_train, minlength=cfg.num_classes)
+            assert np.array_equal(hist, row)
+            assert set(np.unique(c.y_test)) <= set(np.flatnonzero(row))
 
     def test_bad_test_fraction(self):
         with pytest.raises(ValueError):

@@ -6,14 +6,11 @@ import pytest
 from repro.device import (
     DeviceTrace,
     calibrate_capacities,
-    client_round_time,
     disparity,
     inference_latency,
-    round_completion_time,
     sample_device_traces,
-    training_latency,
-    transfer_latency,
 )
+from repro.device.latency import client_round_time, training_latency, transfer_latency
 
 
 class TestTraces:
@@ -87,13 +84,6 @@ class TestLatency:
         rt = client_round_time(dev, model_macs=1000, model_bytes=500, batch_size=10, local_steps=2)
         expected = 0.5 + (3 * 1000 * 20) / 1e6 + 0.5
         assert rt == pytest.approx(expected)
-
-    def test_round_completion_is_max(self):
-        assert round_completion_time([1.0, 5.0, 2.0]) == 5.0
-
-    def test_round_completion_empty_raises(self):
-        with pytest.raises(ValueError):
-            round_completion_time([])
 
     def test_faster_device_lower_latency(self, rng):
         slow = DeviceTrace(0, 1e6, 1e6, 1e9)

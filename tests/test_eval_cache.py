@@ -26,7 +26,6 @@ from repro.core.transform import reinitialize
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
 from repro.fl import (
-    EXECUTOR_BACKENDS,
     Coordinator,
     CoordinatorConfig,
     FLClient,
@@ -35,6 +34,7 @@ from repro.fl import (
     TrainItem,
     make_executor,
 )
+from repro.fl.executor import EXECUTOR_BACKENDS
 from repro.fl.export import log_to_dict
 from repro.fl.snapshot import FULL_SNAPSHOT_EVERY
 from repro.nn import mlp

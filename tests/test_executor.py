@@ -15,16 +15,18 @@ from repro.core import FedTransConfig, FedTransStrategy
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
 from repro.fl import (
-    EXECUTOR_BACKENDS,
     Coordinator,
     CoordinatorConfig,
-    EvalTask,
     FLClient,
     LocalTrainerConfig,
-    SerialExecutor,
     TrainItem,
-    derive_client_rng,
     make_executor,
+)
+from repro.fl.executor import (
+    EXECUTOR_BACKENDS,
+    EvalTask,
+    SerialExecutor,
+    derive_client_rng,
 )
 from repro.fl.strategy import Strategy
 from repro.nn import mlp

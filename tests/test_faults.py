@@ -22,17 +22,19 @@ from repro.device import DeviceTrace
 from repro.fl import (
     Coordinator,
     CoordinatorConfig,
+    FLClient,
+    LocalTrainerConfig,
+    log_to_dict,
+    recovery_summary,
+)
+from repro.fl.faults import (
     FaultConfig,
     FaultPlan,
-    FLClient,
     ItemFailure,
-    LocalTrainerConfig,
     QuarantineConfig,
     RetryPolicy,
     SnapshotChainError,
     UpdateValidator,
-    log_to_dict,
-    recovery_summary,
 )
 from repro.fl.export import recovery_to_dict
 from repro.fl.executor import TrainItem
@@ -467,7 +469,7 @@ class TestRecoveryExport:
             assert entry["action"] in ("pool_rebuild", "retry", "failed")
 
     def test_log_codec_round_trips_fault_state(self):
-        from repro.fl import log_from_state, log_state_dict
+        from repro.fl.export import log_from_state, log_state_dict
 
         log = _run(executor="serial", faults="exc=0.4", quarantine=True)
         clone = log_from_state(log_state_dict(log))
@@ -479,7 +481,7 @@ class TestRecoveryExport:
         """A log payload without the fault ledger cannot reach a current run
         (the fault knobs are in the run hash); the decoder names what is
         missing instead of zero-filling it."""
-        from repro.fl import log_from_state, log_state_dict
+        from repro.fl.export import log_from_state, log_state_dict
 
         payload = log_state_dict(_run(executor="serial"))
         dropped = ["failed_updates", "faults", "quarantined_updates", "retries", "worker_restarts"]

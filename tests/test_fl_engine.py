@@ -12,10 +12,10 @@ from repro.fl import (
     FLClient,
     LocalTrainer,
     LocalTrainerConfig,
-    iqr,
     summarize,
-    uniform_choice,
 )
+from repro.fl.metrics import iqr
+from repro.fl.scheduling.selectors import uniform_choice
 from repro.fl.scheduling import FleetStore
 from repro.nn import mlp
 
@@ -132,8 +132,9 @@ class TestSelection:
                 uniform_choice(_clients(ds), bad, rng)
 
     def test_deprecated_shim_removed(self):
-        """The PR 4 select_uniform shim is gone; repro-lint RL007 bans the
-        old module path from regrowing callers."""
+        """The ``repro.fl.selection`` shim (replaced by ``repro.fl.scheduling``)
+        stays gone: importing it fails, and ``test_analysis.py``'s
+        ``test_every_name_has_a_caller`` keeps unused names from regrowing."""
         with pytest.raises(ImportError):
             from repro.fl.selection import select_uniform  # noqa: F401
 

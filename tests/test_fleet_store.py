@@ -20,15 +20,15 @@ from repro.device import DeviceTrace
 from repro.baselines import fedavg
 from repro.fl import Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig
 from repro.fl.scheduling import (
-    AvailabilityAwareSelector,
     FleetStore,
-    FleetView,
-    OortSelector,
-    RoundTimeStats,
     estimate_round_time,
     make_straggler,
     parse_availability,
-    positions_to_rows,
+)
+from repro.fl.scheduling.fleet import FleetView, RoundTimeStats, positions_to_rows
+from repro.fl.scheduling.selectors import (
+    AvailabilityAwareSelector,
+    OortSelector,
     uniform_choice,
 )
 from repro.fl.scheduling.availability import (

@@ -150,9 +150,16 @@ class TestSoftmax:
         x = np.random.default_rng(8).normal(size=(3, 5))
         assert np.allclose(F.softmax(x), F.softmax(x + 100.0))
 
-    def test_log_softmax_consistent(self):
+    def test_axis_argument(self):
         x = np.random.default_rng(9).normal(size=(3, 5))
-        assert np.allclose(np.exp(F.log_softmax(x)), F.softmax(x))
+        np.testing.assert_allclose(F.softmax(x, axis=0), F.softmax(x.T).T, rtol=1e-12)
+        np.testing.assert_allclose(F.softmax(x, axis=0).sum(axis=0), 1.0)
+
+    def test_replica_axis_rows_independent(self):
+        x = np.random.default_rng(10).normal(size=(2, 3, 5))
+        p = F.softmax(x)
+        for r in range(2):
+            np.testing.assert_array_equal(p[r], F.softmax(x[r]))
 
     def test_extreme_values_stable(self):
         x = np.array([[1000.0, -1000.0, 0.0]])

@@ -46,29 +46,20 @@ from repro.device import DeviceTrace
 from repro.fl import (
     Coordinator,
     CoordinatorConfig,
-    FaultConfig,
     FLClient,
     LocalTrainerConfig,
-    RetryPolicy,
     log_to_dict,
 )
+from repro.fl.faults import FaultConfig, RetryPolicy
 from repro.fl import executor as executor_mod
 from repro.fl import shm as shm_mod
 from repro.fl.client import LocalTrainer
 from repro.fl.executor import TrainItem, make_executor
 from repro.fl.shm import segment_exists
-from repro.nn import (
-    SGD,
-    CellModel,
-    ConvCell,
-    ConvClassifierCell,
-    Workspace,
-    mlp,
-    set_compute_dtype,
-    small_cnn,
-    small_resnet,
-    tree_average,
-)
+from repro.nn import SGD, CellModel, mlp, set_compute_dtype, small_cnn, small_resnet
+from repro.nn.cells import ConvCell, ConvClassifierCell
+from repro.nn.compute import Workspace
+from repro.nn.param_ops import tree_average
 from repro.nn.compute import compute_dtype_name
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prerefactor_scheduling.json"
@@ -521,7 +512,7 @@ class TestInPlaceEquivalence:
             assert np.array_equal(got[k], ref[k])
 
     def test_batchnorm_running_stats_update_in_place(self, rng):
-        from repro.nn import BatchNorm2d
+        from repro.nn.layers import BatchNorm2d
 
         bn = BatchNorm2d(3)
         mean_ref = bn.state()["running_mean"]

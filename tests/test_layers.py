@@ -5,12 +5,11 @@ import pytest
 
 from repro.nn.gradcheck import max_relative_grad_error
 from repro.nn.layers import (
+    GELU,
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dense,
-    Dropout,
-    Flatten,
     GlobalAvgPool2d,
     LayerNorm,
     MaxPool2d,
@@ -260,35 +259,26 @@ class TestGlobalAvgPool:
         assert np.allclose(dx, 1.0 / 16)
 
 
-class TestFlatten:
-    def test_roundtrip(self, rng):
-        f = Flatten()
-        x = rng.normal(size=(2, 3, 4, 4))
-        y = f.forward(x)
-        assert y.shape == (2, 48)
-        assert f.backward(y).shape == x.shape
 
+class TestActivations:
+    def test_relu_backward_masks_negative_inputs(self, rng):
+        r = ReLU()
+        x = rng.normal(size=(4, 6))
+        dout = rng.normal(size=(4, 6))
+        assert np.array_equal(r.forward(x), np.maximum(x, 0.0))
+        assert np.array_equal(r.backward(dout), np.where(x > 0, dout, 0.0))
 
-class TestDropout:
-    def test_eval_identity(self, rng):
-        d = Dropout(0.5, rng)
-        x = rng.normal(size=(4, 8))
-        assert np.allclose(d.forward(x, train=False), x)
+    def test_gelu_input_grad_numeric(self, rng):
+        g = GELU()
+        x = rng.normal(size=(3, 5))
+        dout = rng.normal(size=(3, 5))
+        g.forward(x)
+        dx = g.backward(dout)
+        eps = 1e-6
+        num = ((g.forward(x + eps) - g.forward(x - eps)) / (2 * eps)) * dout
+        assert np.allclose(dx, num, atol=1e-6)
 
-    def test_train_scales(self, rng):
-        d = Dropout(0.5, rng)
-        x = np.ones((1000, 10))
-        y = d.forward(x, train=True)
-        # inverted dropout keeps the expectation
-        assert abs(y.mean() - 1.0) < 0.1
-
-    def test_backward_uses_same_mask(self, rng):
-        d = Dropout(0.5, rng)
-        x = rng.normal(size=(10, 10))
-        y = d.forward(x, train=True)
-        dx = d.backward(np.ones_like(x))
-        assert np.allclose((y == 0), (dx == 0))
-
-    def test_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
+    def test_macs_free_and_shape_preserving(self):
+        for layer in (ReLU(), GELU()):
+            assert layer.macs((3, 8, 8)) == (0, (3, 8, 8))
+            assert layer.params() == {}

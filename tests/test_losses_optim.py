@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.losses import accuracy, softmax_cross_entropy
-from repro.nn.optim import SGD, ServerSGD, Yogi
+from repro.nn.optim import SGD, Yogi
 
 
 class TestCrossEntropy:
@@ -113,13 +113,6 @@ class TestSGD:
 
 
 class TestServerOpts:
-    def test_server_sgd_lr1_is_identity_move(self, rng):
-        w = {"w": rng.normal(size=3)}
-        avg = {"w": rng.normal(size=3)}
-        pseudo = {"w": w["w"] - avg["w"]}
-        out = ServerSGD(lr=1.0).step(w, pseudo)
-        assert np.allclose(out["w"], avg["w"])
-
     def test_yogi_moves_toward_minimum(self, rng):
         w = {"w": rng.normal(size=4) + 5.0}
         opt = Yogi(lr=0.5)

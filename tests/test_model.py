@@ -252,7 +252,12 @@ class TestCostAccounting:
 
     def test_cell_macs_sums_to_total(self, rng):
         m = small_cnn((1, 8, 8), 4, rng, width=4)
-        assert sum(m.cell_macs().values()) == m.macs()
+        total, shape = 0, m.input_shape
+        for cell in m.cells:
+            macs, shape = cell.macs(shape)
+            total += macs
+        assert shape == (4,)
+        assert total == m.macs()
 
     def test_summary_contains_cells(self, rng):
         m = _flat_model(rng)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core import FedTransConfig, ModelAggregator, SimilarityCache
-from repro.data import SyntheticTask, SyntheticTaskConfig, build_federated_dataset
+from repro.data import SyntheticTaskConfig, build_federated_dataset
+from repro.data.synthetic import SyntheticTask
 from repro.device import DeviceTrace
 from repro.fl import FLClient, LocalTrainer, LocalTrainerConfig
 from repro.fl.types import ClientUpdate

@@ -40,9 +40,8 @@ from repro.fl import (
     FLClient,
     LocalTrainerConfig,
     log_to_dict,
-    recovery_to_dict,
-    transport_to_dict,
 )
+from repro.fl.export import recovery_to_dict, transport_to_dict
 from repro.fl.async_engine import VirtualClock, _Pending
 from repro.fl.checkpoint import flatten_payload, unflatten_payload
 from repro.fl.export import log_from_state, log_state_dict

@@ -36,10 +36,10 @@ from repro.fl import (
     FLClient,
     LocalTrainerConfig,
     log_to_dict,
-    recovery_to_dict,
-    transport_to_dict,
 )
-from repro.fl.scheduling import OortSelector, QuantilePacing, estimate_round_time
+from repro.fl.export import recovery_to_dict, transport_to_dict
+from repro.fl.scheduling import QuantilePacing, estimate_round_time
+from repro.fl.scheduling.selectors import OortSelector
 from repro.fl.strategy import Strategy
 from repro.nn import mlp
 from repro.nn.cells import set_cell_id_counter

@@ -27,21 +27,21 @@ from repro.fl import (
     log_to_dict,
 )
 from repro.fl.scheduling import (
-    AdaptivePacing,
-    AvailabilityAwareSelector,
-    DownsizePolicy,
-    DropPolicy,
     FleetStore,
-    OortSelector,
     QuantilePacing,
-    StaticPacing,
-    UniformSelector,
     estimate_round_time,
     make_pacing,
     make_selector,
     make_straggler,
+)
+from repro.fl.scheduling.pacing import AdaptivePacing, StaticPacing
+from repro.fl.scheduling.selectors import (
+    AvailabilityAwareSelector,
+    OortSelector,
+    UniformSelector,
     uniform_choice,
 )
+from repro.fl.scheduling.straggler import DownsizePolicy, DropPolicy
 from repro.nn import mlp
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prerefactor_scheduling.json"

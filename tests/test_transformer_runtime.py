@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import FedTransConfig, FedTransStrategy, ModelTransformer
+from repro.core import FedTransConfig, FedTransStrategy
+from repro.core.transformer import ModelTransformer
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace, calibrate_capacities, sample_device_traces
 from repro.fl import Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig

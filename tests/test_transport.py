@@ -26,12 +26,12 @@ from repro.fl import (
     CoordinatorConfig,
     FLClient,
     LocalTrainerConfig,
-    SnapshotFormatError,
     TransportCodec,
     TransportConfig,
     log_to_dict,
-    transport_to_dict,
 )
+from repro.fl.export import transport_to_dict
+from repro.fl.shm import SnapshotFormatError
 from repro.fl import shm as shm_mod
 from repro.fl.export import log_from_state, log_state_dict, save_transport
 from repro.fl.transport import (
@@ -39,9 +39,7 @@ from repro.fl.transport import (
     bf16_decode,
     bf16_encode,
     decode_indices,
-    dequantize_int8,
     encode_indices,
-    quantize_int8,
     rle_decode_bytes,
     rle_encode_bytes,
 )
@@ -235,29 +233,36 @@ class TestIndexCodec:
         assert all(stop - start <= 100 for start, stop in sizes)
 
 
+def _int8_wire(x):
+    """One tensor through the engine's ``update:int8`` codec (no reference,
+    no residual yet): ``(decoded values, wire bytes)``."""
+    update = _mk_update({"w": x.copy()})
+    TransportCodec(TransportConfig.parse("update:int8")).encode_update(update)
+    return update.params["w"], update.bytes_up
+
+
 class TestQuantizers:
     def test_int8_error_bounded_by_half_scale(self, rng):
         for _ in range(20):
             x = rng.standard_normal(int(rng.integers(1, 200))) * float(
                 rng.uniform(0.01, 100)
             )
-            payload, scale = quantize_int8(x)
-            back = dequantize_int8(payload, scale, x.shape, x.dtype)
+            back, wire = _int8_wire(x)
+            scale = float(np.max(np.abs(x))) / 127.0
+            assert wire == x.size + 8  # one byte per element + the float64 scale
             assert np.max(np.abs(back - x)) <= scale / 2 + 1e-12
 
     def test_int8_zero_and_empty(self):
-        payload, scale = quantize_int8(np.zeros(5))
-        assert scale == 0.0
-        np.testing.assert_array_equal(
-            dequantize_int8(payload, scale, (5,), np.dtype(np.float64)),
-            np.zeros(5),
-        )
-        payload, scale = quantize_int8(np.zeros(0))
-        assert scale == 0.0 and payload == b""
+        back, wire = _int8_wire(np.zeros(5))
+        np.testing.assert_array_equal(back, np.zeros(5))
+        assert wire == 5 + 8
+        back, wire = _int8_wire(np.zeros(0))
+        assert back.shape == (0,) and wire == 8
 
     def test_int8_is_deterministic(self, rng):
         x = rng.standard_normal(64)
-        assert quantize_int8(x) == quantize_int8(x.copy())
+        (a, wire_a), (b, wire_b) = _int8_wire(x), _int8_wire(x.copy())
+        assert a.tobytes() == b.tobytes() and wire_a == wire_b
 
     def test_bf16_representable_values_round_trip_exactly(self):
         # Values with <= 8 significand bits are exactly representable in

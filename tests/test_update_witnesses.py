@@ -27,7 +27,7 @@ import pytest
 from repro.bench.workloads import update_overhead
 from repro.core import FedTransConfig, FedTransStrategy, ModelAggregator, SimilarityCache
 from repro.core.activeness import cell_gradient_norms
-from repro.data import ClientData
+from repro.data.federated import ClientData
 from repro.device import DeviceTrace
 from repro.fl import FLClient, LocalTrainer, LocalTrainerConfig
 from repro.fl.types import ClientUpdate
