@@ -16,7 +16,6 @@ import numpy as np
 from repro.core import apply_transform, model_similarity, select_cells
 from repro.core.activeness import cell_gradient_norms
 from repro.nn import small_cnn
-from repro.nn.losses import softmax_cross_entropy
 
 
 def main() -> None:
@@ -52,9 +51,7 @@ def main() -> None:
 
     # 4. Gradient-based cell selection (activeness) and Fig. 5 alternation.
     model.zero_grad()
-    logits = model.forward(x, train=True)
-    _, dlogits = softmax_cross_entropy(logits, y)
-    model.backward(dlogits)
+    model.loss_and_grad(x, y)
     activeness = {
         cid: v
         for cid, v in cell_gradient_norms(model, model.grads()).items()

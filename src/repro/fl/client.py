@@ -13,15 +13,25 @@ model with one ``min(batch_size, n)`` — trains as K replicas of one NumPy
 loop: parameters ``(K, …)``, activations ``(K, B, …)``, one ``np.matmul``
 per layer per step for the whole cohort
 (:meth:`repro.nn.model.CellModel.replicate`).  :meth:`LocalTrainer.train`
-is that one loop; training one client on a plain clone is its no-axis case
-(the same operations on tensors without the leading axis), not a second
-loop.  What stays per replica: the RNG stream (drawn in the same order),
-the batch indices, the clip norm, the FedProx anchor, momentum and
-weight-decay state, and the loss mean.  Replica ``r`` of a cohort is
-bit-identical to training client ``r`` alone (CONTRACTS.md I3;
+is that one loop; training one client is its no-axis case (the same
+operations on tensors without the leading axis), not a second loop.  What
+stays per replica: the RNG stream (drawn in the same order), the batch
+indices, the clip norm, the FedProx anchor, momentum and weight-decay
+state, and the loss mean.  Replica ``r`` of a cohort is bit-identical to
+training client ``r`` alone (CONTRACTS.md I3;
 ``tests/test_stacked_kernels.py``, ``tests/test_cohort_invariance.py``).
-Models holding a layer without the axis (conv, norms, attention, dropout)
-are never stacked: their cohorts are singletons.
+Models holding a layer without the axis (conv, norms, attention) are never
+stacked: their cohorts are singletons.
+
+**A step is a few array ops.**  The model trains as a workspace whose
+parameters and gradients are two flat buffers (:class:`~repro.nn.model.Arena`),
+and everything an item needs beyond the forward/backward pass is built once:
+every step's batch is one gather and its one-hot target one scatter
+(:func:`~repro.nn.losses.one_hot`, which checks the labels).  A step is then
+a ``fill`` of the gradients, the forward/backward pass, the clip (one square
+of the gradients, one contiguous reduce per tensor, and a scale only when a
+replica crosses the threshold), the FedProx term and :meth:`SGD.step
+<repro.nn.optim.SGD.step>` — each elementwise over the whole arena.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ import numpy as np
 
 from ..device.latency import client_round_time
 from ..nn.compute import accum_dtype
-from ..nn.model import CellModel
+from ..nn.losses import one_hot
+from ..nn.model import Arena, CellModel
 from ..nn.optim import SGD
 from .types import ClientUpdate, FLClient
 
@@ -53,33 +64,47 @@ class LocalTrainerConfig:
     clip_norm: float = 10.0  # global gradient-norm clip per step; 0 disables
 
 
-def clip_by_global_norm(
-    grads: dict[str, np.ndarray], clip_norm: float, lead: tuple[int, ...] = ()
-) -> None:
-    """Scale ``grads`` in place so each replica's global norm is <= ``clip_norm``.
+def clip_by_global_norm(arena: Arena, clip_norm: float) -> None:
+    """Scale ``arena.grads`` in place so each replica's global norm is <= ``clip_norm``.
 
-    ``lead`` is the replica shape of every tensor (``()``: one gradient
-    tree).  The squared norm stays ``(g**2).sum()`` per tensor — pairwise
-    summation over that replica's contiguous row; a BLAS dot orders the
-    additions differently and would shift clip-triggering runs off their
-    recorded trajectories — accumulated in the accumulator dtype in
-    parameter order.  A replica under the threshold is multiplied by exactly
-    1.0, a bitwise no-op, so replicas clip independently in one pass.
+    The gradients are squared into ``arena.scratch`` in one pass; each
+    tensor's squared norm is then its block reduced as one contiguous row per
+    replica — ``(g**2).reshape(lead + (-1,)).sum(-1)``, the pairwise
+    summation the parent took per tensor (a BLAS dot, or
+    ``np.add.reduceat``'s sequential sum, orders the additions differently
+    and would shift clip-triggering runs off their recorded trajectories) —
+    and the per-tensor sums are accumulated in the accumulator dtype in
+    parameter order (``np.add.accumulate`` is that left-to-right sum).
+    Only when some replica is over the threshold are the gradients scaled,
+    a replica under it by exactly 1.0 (a bitwise no-op), so replicas clip
+    independently.
     """
-    total = 0.0
-    for g in grads.values():
-        squares = (g**2).reshape(lead + (-1,)).sum(axis=-1)
-        total = total + squares.astype(accum_dtype(), copy=False)
-    gnorm = np.sqrt(total)
+    np.square(arena.grads, out=arena.scratch)
+    rows = arena.scratch_rows
+    sums = np.empty((len(rows), rows[0].shape[0]), arena.grads.dtype)  # (tensors, K)
+    for squares, out in zip(rows, sums):
+        np.add.reduce(squares, axis=-1, out=out)
+    gnorm = np.sqrt(np.add.accumulate(sums.astype(accum_dtype()), axis=0)[-1])
     over = gnorm > clip_norm
     if not over.any():
         return
     scale = np.ones_like(gnorm)
     np.divide(clip_norm, gnorm, out=scale, where=over)
-    for g in grads.values():
-        # Cast first: the scale multiplies in the gradient's own dtype, as
-        # the Python-float scale of a single tree does under NEP 50.
-        g *= scale.astype(g.dtype).reshape(lead + (1,) * (g.ndim - len(lead)))
+    # Cast first: the scale multiplies in the gradient's own dtype, as the
+    # Python-float scale of a single tree does under NEP 50.
+    scale = scale.astype(arena.grads.dtype)[:, None]
+    for rows in arena.grad_rows:
+        rows *= scale
+
+
+def fedprox_grads(arena: Arena, anchor: np.ndarray, mu: float) -> np.ndarray:
+    """The FedProx step gradient ``g + mu * (w - anchor)`` over the whole
+    arena, written into ``arena.scratch``: operand for operand the parent's
+    per-tensor expression (the product and the sum commute exactly)."""
+    out = np.subtract(arena.params, anchor, out=arena.scratch)
+    out *= mu
+    out += arena.grads
+    return out
 
 
 class LocalTrainer:
@@ -102,7 +127,9 @@ class LocalTrainer:
         sequence of K clients and K generators: ``model`` is a K-replica
         workspace (:meth:`CellModel.replicate`), the clients share one
         ``min(batch_size, n)``, and the result is the list of their updates,
-        each bit-identical to training that client alone.
+        each bit-identical to training that client alone.  A plain clone
+        becomes a workspace in place (:attr:`CellModel.arena`).  Updates
+        hold copies: nothing returned aliases the model.
         """
         cfg = self.config
         cohort = not isinstance(clients, FLClient)
@@ -138,29 +165,28 @@ class LocalTrainer:
         else:  # the client's own arrays, uncopied
             idx, x, y = rows[0], clients[0].data.x_train, clients[0].data.y_train
 
+        # Flat parameter and gradient buffers, stable for the whole item:
+        # every layer and the optimizer update them in place.
+        arena = model.arena
+        # Every step's batch in one gather and its one-hot target in one
+        # scatter: step s trains on xs[s], laid out as x[idx[s]] would be.
+        xs = x[idx]
+        targets = one_hot(y[idx], model.num_classes, arena.params.dtype)
         opt = SGD(cfg.lr, cfg.momentum, cfg.weight_decay)
-        # Live references, stable for the whole item: every layer and the
-        # optimizer update these arrays in place.
-        params, grads = model.params(), model.grads()
-        anchor = {k: v.copy() for k, v in params.items()} if cfg.prox_mu else None
+        anchor = arena.params.copy() if cfg.prox_mu else None
         # One contiguous row of step losses per replica, so the mean below
         # is the pairwise reduction ``np.mean`` makes of a list of floats.
         losses = np.empty(lead + (cfg.local_steps,), dtype=accum_dtype())
         for step in range(cfg.local_steps):
-            for g in grads.values():
-                g[...] = 0.0
-            losses[..., step] = model.loss_and_grad(x[idx[step]], y[idx[step]])
+            arena.grads.fill(0.0)
+            losses[..., step] = model.target_loss_and_grad(xs[step], targets[step])
             if cfg.clip_norm:
-                clip_by_global_norm(grads, cfg.clip_norm, lead)
-            step_grads = grads
-            if cfg.prox_mu:
-                step_grads = {
-                    k: g + cfg.prox_mu * (params[k] - anchor[k]) for k, g in grads.items()
-                }
-            opt.step(params, step_grads)
+                clip_by_global_norm(arena, cfg.clip_norm)
+            step_grads = fedprox_grads(arena, anchor, cfg.prox_mu) if cfg.prox_mu else arena.grads
+            opt.step({"arena": arena.params}, {"arena": step_grads})
             # The optimizer writes through the live param references, which
             # bypasses set_params — record the mutation for version-keyed
-            # caches (this clone is a keep_id replica of the server model).
+            # caches (this workspace is a keep_id replica of the server model).
             model.bump_version()
 
         mean_loss = losses.mean(axis=-1)

@@ -28,7 +28,17 @@ never a pickled model.
 in first-appearance order (:meth:`RoundExecutor._cohorts`), each group
 trains as K replicas of one NumPy loop on a K-replica workspace
 (:func:`_train_item`; :mod:`repro.fl.client` describes the replica axis),
-and the updates are scattered back to item order.  Parallel backends cut a
+and the updates are scattered back to item order.
+
+**Workspaces persist.**  Each thread (serial: the caller's; thread: each
+pool thread; process: each worker) keeps one training workspace per model
+id (:func:`_workspace`).  A model's first cohort builds it
+(:meth:`CellModel.replicate`); later cohorts of any K refill it in place
+(:meth:`CellModel.refill`: ``np.copyto`` from the published model into its
+flat arena, the version restamped) instead of deep-copying the model.  It
+is rebuilt when the model's tensor shapes moved and dropped once the model
+is absent from a wave, and its layers' scratch buffers are released when
+each item returns.  Parallel backends cut a
 group into at most ``workers`` contiguous sub-cohorts.  The singleton rule:
 an item is its own cohort when its model holds a layer without a replica
 axis (conv, norms, attention, dropout) and whenever a fault plan or a retry
@@ -39,11 +49,12 @@ the wave contains, and how a wave is cut is not part of the trajectory.
 **Determinism contract.** Every work item derives its RNG as
 ``np.random.default_rng(SeedSequence(seed, spawn_key=(round, client,
 sub)))`` via :func:`derive_client_rng`, results are returned in submission
-order, and training mutates only a private clone of the server model.
-Because the arithmetic per item is identical and nothing depends on
-completion order — nor on which cohort an item rode in: replica ``r`` of a
-stacked step equals the item trained alone, bit for bit — serial, thread,
-and process runs of the same seed produce bit-identical
+order, and training mutates only a private workspace refilled from the
+published model.  Because the arithmetic per item is identical and nothing
+depends on completion order — nor on which cohort an item rode in, nor on
+what its workspace trained before: replica ``r`` of a stacked step equals
+the item trained alone on a fresh clone, bit for bit — serial, thread, and
+process runs of the same seed produce bit-identical
 :class:`~repro.fl.types.TrainingLog` records.
 """
 
@@ -141,24 +152,49 @@ def derive_client_rng(
 # ----------------------------------------------------------------------
 # shared per-item work functions (every backend funnels through these)
 # ----------------------------------------------------------------------
-def _train_item(
+def _workspace(
+    workspaces: dict[int, dict[str, CellModel]],
     models: dict[str, CellModel],
-    clients_by_id: dict[int, FLClient],
-    trainer: LocalTrainer,
-    seed: int,
-    round_idx: int,
-    cohort: tuple[TrainItem, ...],
+    model_id: str,
+    k: int,
+) -> CellModel:
+    """This thread's training workspace for ``k`` replicas of ``models[model_id]``.
+
+    ``workspaces`` maps a thread to its workspaces by model id, so two jobs
+    running at once never share one (a pool worker process holds its own
+    map).  A workspace (:meth:`CellModel.replicate`) is built on a model's
+    first cohort in a thread and refilled in place for every later one
+    (:meth:`CellModel.refill`: ``np.copyto`` from the published model, the
+    version restamped), rebuilt when the model's tensor shapes moved, and
+    dropped once the model is absent from a wave.
+    """
+    held = workspaces.setdefault(threading.get_ident(), {})
+    for absent in held.keys() - models.keys():
+        del held[absent]
+    model = models[model_id]
+    work = held.get(model_id)
+    if work is None or not work.refill(model, k):
+        work = held[model_id] = model.replicate(k)
+    return work
+
+
+def _train_item(
+    models: dict[str, CellModel], env, round_idx: int, cohort: tuple[TrainItem, ...]
 ) -> list[ClientUpdate]:
     """Train one cohort — items of one model and one batch size — as one
-    call; a singleton trains on a plain clone, K > 1 on a K-replica
-    workspace.  Either way a private copy: published models are never
-    written through."""
-    model = models[cohort[0].model_id]
-    clients = [clients_by_id[it.client_id] for it in cohort]
-    rngs = [derive_client_rng(seed, round_idx, it.client_id, it.sub_idx) for it in cohort]
-    if len(cohort) == 1:
-        return [trainer.train(model.clone(keep_id=True), clients[0], rngs[0])]
-    return trainer.train(model.replicate(len(cohort)), clients, rngs)
+    call on this thread's workspace of K replicas (K = 1: no replica axis).
+    The workspace is private and refilled from the published model, which
+    is never written through; its layers' scratch buffers are released when
+    the item returns, so only its arena and object graph persist."""
+    work = _workspace(env.workspaces, models, cohort[0].model_id, len(cohort))
+    clients = [env.clients_by_id[it.client_id] for it in cohort]
+    rngs = [derive_client_rng(env.seed, round_idx, it.client_id, it.sub_idx) for it in cohort]
+    try:
+        if len(cohort) == 1:
+            return [env.trainer.train(work, clients[0], rngs[0])]
+        return env.trainer.train(work, clients, rngs)
+    finally:
+        work.release_scratch()
 
 
 def ensemble_accuracies(
@@ -236,7 +272,8 @@ def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_
     the list of their updates.
 
     ``env`` (the executor in-process, :data:`_WORKER` in a pool worker)
-    carries ``fault_plan`` / ``clients_by_id`` / ``trainer`` / ``seed``.
+    carries ``fault_plan`` / ``clients_by_id`` / ``trainer`` / ``seed`` /
+    ``workspaces``.
     Faults fire on attempt 0 only — a retried item runs clean on every
     backend — and ``fire_pre`` runs *before* ``load_models`` replays a
     worker's snapshot, so an injected SIGKILL takes the worker down
@@ -252,9 +289,7 @@ def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_
     decision = plan.item_faults(round_idx, payload[0]) if plan is not None and attempt == 0 else None
     if decision is not None:
         decision.fire_pre(worker_side=worker_side)
-    updates = _train_item(
-        load_models(), env.clients_by_id, env.trainer, env.seed, round_idx, payload
-    )
+    updates = _train_item(load_models(), env, round_idx, payload)
     if decision is not None:
         decision.apply_post(updates[0])
     return updates
@@ -275,8 +310,8 @@ class RoundExecutor(Stateful, ABC):
     Every wave runs under :func:`repro.analysis.sanitize.published` (a
     no-op unless the sanitizer is on; CONTRACTS.md I7): while a round is in
     flight the server models are published and must not be written — work
-    items see clones or read-only views, and a write from anywhere else is
-    exactly the race the guard exists to catch.
+    items read them into private workspaces or clones, and a write from
+    anywhere else is exactly the race the guard exists to catch.
 
     Executors are :class:`~repro.stateful.Stateful` with empty payloads by
     design: pools, snapshot chains, and publish meters are all *derived*
@@ -323,6 +358,8 @@ class RoundExecutor(Stateful, ABC):
         self.clients_by_id = {c.client_id: c for c in clients}
         self.trainer_config = trainer_config
         self.trainer = LocalTrainer(trainer_config)
+        # Training workspaces by thread, then model id (_workspace).
+        self.workspaces: dict[int, dict[str, CellModel]] = {}
         self.seed = seed
         self.max_workers = max_workers
         self.faults = faults
@@ -431,6 +468,7 @@ class RoundExecutor(Stateful, ABC):
 
     def close(self) -> None:
         """Release pooled resources (idempotent; pools recreate lazily)."""
+        self.workspaces.clear()
 
     # ------------------------------------------------------------------
     # fault ledger + the two shared decisions
@@ -530,6 +568,7 @@ class ThreadPoolRoundExecutor(RoundExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        super().close()
 
     def state_dict(self) -> dict:
         # The pool is recreated lazily on first use; nothing to persist.
@@ -553,6 +592,7 @@ def _proc_init(payload: bytes) -> None:
     set_compute_dtype(dtype)
     _WORKER.clients_by_id = {c.client_id: c for c in clients}
     _WORKER.trainer = LocalTrainer(trainer_config)
+    _WORKER.workspaces = {}
     _snapshot.worker_reset()
 
 

@@ -447,12 +447,17 @@ class Cell:
         import copy
 
         new = copy.deepcopy(self)
-        for _, layer in new._named_layers():
-            # Drop forward caches so clones do not pin activation memory.
-            for attr in ("_cache", "_x", "_mask", "_shape"):
+        new.release_scratch()  # clones do not pin activation memory
+        return new
+
+    def release_scratch(self) -> None:
+        """Drop the layers' forward caches and empty their pooled scratch."""
+        for _, layer in self._named_layers():
+            for attr in ("_cache", "_x", "_shape"):
                 if hasattr(layer, attr):
                     setattr(layer, attr, None)
-        return new
+            if hasattr(layer, "_ws"):
+                layer._ws.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.cell_id} params={self.num_params()}>"

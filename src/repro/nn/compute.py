@@ -99,8 +99,9 @@ class Workspace:
     """Named scratch buffers reused across steps by one owner.
 
     Each layer (and the aggregator) owns a private workspace, so reuse is
-    free of cross-thread races: parallel backends clone models per work
-    item, and a clone starts with a fresh (empty) workspace.  ``get``
+    free of cross-thread races: a clone starts with a fresh (empty)
+    workspace, and every executor thread trains on its own model copies,
+    whose layer workspaces are emptied when each work item returns.  ``get``
     hands back the buffer registered under ``name`` when its shape and
     dtype still match, else allocates a replacement — steady-state
     training (fixed batch shape) allocates exactly once per buffer.

@@ -86,21 +86,19 @@ def check_model_gradients(
     steps use.  ``jitter`` nudges every parameter off exact nonlinearity
     kinks first (see module docstring); pass 0 to disable.
     """
-    from .losses import softmax_cross_entropy
+    from .losses import one_hot, softmax_cross_entropy
 
     if jitter:
         for p in model.params().values():
             p += rng.uniform(-jitter, jitter, size=p.shape)
+    target = one_hot(y, model.num_classes, x.dtype)
 
     def loss_fn() -> float:
-        logits = model.forward(x, train=True)
-        loss, _ = softmax_cross_entropy(logits, y)
+        loss, _ = softmax_cross_entropy(model.forward(x, train=True), target)
         return loss
 
     model.zero_grad()
-    logits = model.forward(x, train=True)
-    _, dlogits = softmax_cross_entropy(logits, y)
-    model.backward(dlogits)
+    model.target_loss_and_grad(x, target)
     return max_relative_grad_error(
         loss_fn, model.params(), model.grads(), rng, samples_per_tensor=samples_per_tensor
     )

@@ -5,10 +5,14 @@ Every layer follows the same contract:
 * ``forward(x, train)`` returns the activation and caches what backward needs.
 * ``backward(dout)`` returns ``dx`` and accumulates parameter gradients into
   the layer's ``.g_*`` buffers (read them via :meth:`Layer.grads`).  The one
-  exception: a :class:`Conv2d` that ``CellModel`` marked as fed by the data
-  batch skips ``dx`` and returns ``None``.
-* ``params()``/``grads()`` expose live references keyed by short names
-  (``"w"``, ``"b"``, ``"gamma"``, ``"beta"``); cells add prefixes.
+  exception: a :class:`Conv2d` or :class:`Dense` that ``CellModel`` marked
+  as fed by the data batch skips ``dx`` and returns ``None``.
+* ``params()``/``grads()``/``state()`` expose live references keyed by short
+  names (``"w"``, ``"b"``, ``"gamma"``, ``"beta"``); cells add prefixes.  A
+  key names the attribute holding the tensor, and a gradient lives in
+  ``g_<key>``: a training workspace re-points them at views of its arena
+  (:class:`repro.nn.model.Arena`), so a layer updates them in place and
+  never rebinds them outside construction and transforms.
 * ``macs(input_shape)`` returns ``(per_sample_macs, output_shape)`` so models
   can chain cost accounting without running data through the network.
 
@@ -30,10 +34,9 @@ memory.
 tensors ``(K, …)`` against activations ``(K, B, …)`` compute K independent
 replicas in one call, each slice bit-identical to the unstacked call
 (``tests/test_stacked_kernels.py`` pins it on this BLAS).
-:meth:`Layer.replicate` stacks private copies of a layer's tensors;
-:meth:`repro.nn.model.CellModel.replicate` refuses a model holding any
-layer that does not declare the axis (conv, pooling, norms, attention)
-— such models train one replica at a time.
+:meth:`repro.nn.model.CellModel.replicate` stacks a model's tensors and
+refuses one holding any layer that does not declare the axis (conv,
+pooling, norms, attention) — such models train one replica at a time.
 
 What the conv-family kernels do: Conv2d is im2col + batched GEMMs (see
 :mod:`repro.nn.functional`), BatchNorm2d's backward reuses the two
@@ -77,15 +80,6 @@ class Layer:
     #: Whether forward/backward accept a leading *replica* axis (module
     #: docstring).  A layer that does not declare it is never stacked.
     replica_axis: bool = False
-
-    def replicate(self, k: int) -> None:
-        """Stack ``k`` private copies of every tensor on a new leading axis."""
-        if not self.replica_axis:
-            raise ValueError(f"{type(self).__name__} layers have no replica axis")
-        for name in self.tensor_axes:
-            setattr(self, name, np.repeat(getattr(self, name)[None], k, axis=0))
-        if self.tensor_axes:
-            self.resize_grads()
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
@@ -132,6 +126,8 @@ class Dense(Layer):
         self.g_w = np.zeros_like(self.w)
         self.g_b = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
+        #: ``CellModel`` clears this on a dense stem, as on a conv stem.
+        self.needs_input_grad = True
 
     @property
     def in_features(self) -> int:
@@ -145,11 +141,11 @@ class Dense(Layer):
         self._x = x
         return x @ self.w + self.b[..., None, :]
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         assert self._x is not None, "backward before forward"
         self.g_w += self._x.swapaxes(-1, -2) @ dout
         self.g_b += dout.sum(axis=-2)
-        return dout @ self.w.swapaxes(-1, -2)
+        return dout @ self.w.swapaxes(-1, -2) if self.needs_input_grad else None
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}

@@ -1,18 +1,21 @@
-"""Loss functions.
+"""Losses.
 
 Losses return ``(value, dlogits)`` so training code can immediately start the
 backward pass.  Values are means over the batch, matching the convention used
 by the FL cost accounting (per-sample losses aggregate across clients by
 sample-count weighting).
 
-:func:`softmax_cross_entropy` runs on pooled scratch buffers (one
+:func:`softmax_cross_entropy` takes its target as one-hot rows
+(:func:`one_hot`), so a caller that trains many steps on one item's labels
+checks and scatters them once (:meth:`repro.fl.client.LocalTrainer.train`).
+It runs on pooled scratch buffers (one
 :class:`~repro.nn.compute.Workspace` per thread, so parallel backends never
-share scratch): at a steady batch shape the loss allocates nothing per step.
-The pooled path performs exactly the arithmetic of the naive expression —
-``z - log(exp(z).sum())``, ``(softmax - target) / n`` — so it is
-bit-identical to the pre-pooling implementation.  The returned ``dlogits``
-is freshly allocated (callers may hold it across later loss calls); only
-the internal intermediates are pooled.
+share scratch): at a steady batch shape the loss allocates nothing but its
+result.  The pooled path performs exactly the arithmetic of the naive
+expression — ``z - log(exp(z).sum())``, ``(softmax - target) / n`` — so it
+is bit-identical to the pre-pooling implementation.  The returned
+``dlogits`` is freshly allocated (callers may hold it across later loss
+calls); only the internal intermediates are pooled.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .compute import Workspace
 
-__all__ = ["softmax_cross_entropy", "accuracy"]
+__all__ = ["one_hot", "softmax_cross_entropy", "accuracy"]
 
 _tls = threading.local()
 
@@ -35,8 +38,19 @@ def _ws() -> Workspace:
     return ws
 
 
+def one_hot(labels: np.ndarray, num_classes: int, dtype: np.dtype) -> np.ndarray:
+    """``labels`` (integers, any shape) as one-hot rows of ``num_classes``.
+
+    The result has shape ``labels.shape + (num_classes,)`` and holds exactly
+    ``1.0`` and ``0.0``; a label outside ``[0, num_classes)`` raises.
+    """
+    if np.any(labels < 0) or np.any(labels >= num_classes):
+        raise ValueError("labels out of range for logits")
+    return np.equal(labels[..., None], np.arange(num_classes)).astype(dtype)
+
+
 def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0
+    logits: np.ndarray, target: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. the logits.
 
@@ -46,19 +60,15 @@ def softmax_cross_entropy(
         ``(N, K)`` unnormalized scores, or ``(R, N, K)`` for R stacked
         replicas — R independent losses, each the mean over its own N rows
         and bit-identical to the 2-D call on that slice.
-    labels:
-        ``(N,)`` / ``(R, N)`` integer class labels.
-    label_smoothing:
-        Mass spread uniformly over the other classes.
+    target:
+        One-hot rows of the same shape (:func:`one_hot`).
 
     The loss is a ``float`` for 2-D logits and an ``(R,)`` array otherwise.
     """
-    n, k = logits.shape[-2:]
+    if target.shape != logits.shape:
+        raise ValueError(f"target shape {target.shape} does not match logits {logits.shape}")
+    n = logits.shape[-2]
     lead = logits.shape[:-2]
-    if labels.shape != lead + (n,):
-        raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    if np.any(labels < 0) or np.any(labels >= k):
-        raise ValueError("labels out of range for logits")
     ws = _ws()
     # log_softmax: z = x - max; logp = z - log(exp(z).sum())
     z = ws.get("xent_z", logits.shape, logits.dtype)
@@ -68,12 +78,6 @@ def softmax_cross_entropy(
     esum = e.sum(axis=-1, keepdims=True)
     logp = z  # z is dead after this point; reuse it in place
     np.subtract(z, np.log(esum), out=logp)
-    # The target distribution follows the logits dtype (float32 runs stay
-    # float32 end to end).
-    target = ws.get("xent_target", logits.shape, logits.dtype)
-    target[...] = label_smoothing / (k - 1) if label_smoothing > 0.0 and k > 1 else 0.0
-    # One row per sample whatever the rank: the buffer is contiguous.
-    target.reshape(-1, k)[np.arange(labels.size), labels.reshape(-1)] = 1.0 - label_smoothing
     tmp = ws.get("xent_tmp", logits.shape, logits.dtype)
     np.multiply(target, logp, out=tmp)
     # Each replica's n*k products summed as one contiguous row: the same

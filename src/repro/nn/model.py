@@ -28,15 +28,17 @@ re-walking every cell.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import Cell, ConvCell
-from .losses import accuracy, softmax_cross_entropy
+from .cells import Cell, ConvCell, DenseCell
+from .losses import accuracy, one_hot, softmax_cross_entropy
 from .param_ops import ParamTree
 
 __all__ = [
+    "Arena",
     "CellModel",
     "TransformRecord",
     "model_id_counter",
@@ -67,6 +69,69 @@ def set_model_id_counter(position: int) -> None:
         raise ValueError(f"model id counter must be >= 0, got {position}")
     _model_counter = itertools.count(position)
     _model_counter_position = position
+
+
+def _signature(params: ParamTree, state: ParamTree) -> tuple:
+    """What a workspace's layout is built from: every tensor's key, shape and dtype."""
+    return tuple((k, v.shape, v.dtype) for tree in (params, state) for k, v in tree.items())
+
+
+class Arena:
+    """A training workspace's parameters and gradients as flat buffers.
+
+    Tensor-major: tensor ``t`` (parameter order) owns one contiguous block
+    of each buffer and is stored there in C order with shape ``lead +
+    shape_t`` — so replica ``r`` of a stacked tensor has the unstacked
+    tensor's shape and strides, the layout CONTRACTS.md I3 pins.  Every
+    layer's parameter and gradient attributes are views of these blocks, so
+    a step's zero-grad, optimizer update and clip are whole-buffer
+    operations (:meth:`repro.fl.client.LocalTrainer.train`).  ``scratch``
+    has the same layout and no owner between operations; ``grad_rows`` and
+    ``scratch_rows`` view each tensor's block as a ``(K, n)`` matrix, one
+    row per replica (``K = 1`` without a replica axis).  The buffers grow to
+    the largest cohort the workspace has trained and are re-pointed, not
+    reallocated, for a smaller one.
+    """
+
+    def __init__(self, model: "CellModel"):
+        params, state = model.params(), model.state()
+        dtypes = {v.dtype for v in params.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"an arena holds one dtype, model {model.model_id} has {dtypes}")
+        self.signature = _signature(params, state)
+        self._dtype = dtypes.pop()
+        named = [layer for cell in model.cells for _, layer in cell._named_layers()]
+        # (layer, attribute) of every tensor, in params() / state() order.
+        self._slots = [(layer, name) for layer in named for name in layer.params()]
+        self._state_slots = [(layer, name) for layer in named for name in layer.state()]
+        self._shapes = [v.shape for v in params.values()]
+        self._buffers = (np.empty(0, self._dtype),) * 3
+        self.lead: tuple[int, ...] | None = None  # () or (K,): the replica axis, if any
+
+    def load(self, params: ParamTree, state: ParamTree, lead: tuple[int, ...]) -> None:
+        """Point the layers at ``lead``-stacked blocks and copy the tensors in."""
+        if lead != self.lead:
+            self._bind(lead)
+        for (layer, name), src in zip(self._slots, params.values()):
+            np.copyto(getattr(layer, name), src)  # broadcasting is replicate's repeat
+        self.grads.fill(0.0)
+        # State is the workspace's own (no stackable layer keeps any).
+        for (layer, name), src in zip(self._state_slots, state.values()):
+            np.copyto(getattr(layer, name), src)
+
+    def _bind(self, lead: tuple[int, ...]) -> None:
+        k = lead[0] if lead else 1
+        ends = np.cumsum([0] + [k * math.prod(shape) for shape in self._shapes]).tolist()
+        if ends[-1] > self._buffers[0].size:
+            self._buffers = tuple(np.empty(ends[-1], self._dtype) for _ in range(3))
+        self.params, self.grads, self.scratch = (buf[: ends[-1]] for buf in self._buffers)
+        self.grad_rows, self.scratch_rows = [], []
+        for (layer, name), shape, start, stop in zip(self._slots, self._shapes, ends, ends[1:]):
+            setattr(layer, name, self.params[start:stop].reshape(lead + shape))
+            setattr(layer, "g_" + name, self.grads[start:stop].reshape(lead + shape))
+            self.grad_rows.append(self.grads[start:stop].reshape(k, -1))
+            self.scratch_rows.append(self.scratch[start:stop].reshape(k, -1))
+        self.lead = lead
 
 
 @dataclass
@@ -112,9 +177,11 @@ class CellModel:
                 )
         self.cells = cells
         # The first cell is fed the data batch and nothing reads
-        # d(loss)/d(data): a conv stem never computes it.
+        # d(loss)/d(data): a conv or dense stem never computes it.
         if isinstance(cells[0], ConvCell):
             cells[0].conv.needs_input_grad = False
+        elif isinstance(cells[0], DenseCell):
+            cells[0].fc.needs_input_grad = False
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.model_id = model_id or _new_model_id()
@@ -122,8 +189,10 @@ class CellModel:
         self.birth_round = birth_round
         self.history: list[TransformRecord] = []
         # Length of the leading replica axis of every tensor, or None: only
-        # :meth:`replicate` builds a stacked model.
+        # :meth:`replicate` / :meth:`refill` build a stacked model.
         self.replicas: int | None = None
+        # Set once this model is a training workspace (:attr:`arena`).
+        self._arena: Arena | None = None
         # Monotone mutation counter (see module docstring).  Cost metrics
         # are memoized against it: ``_cost_version`` records the version the
         # cached macs/params/nbytes triple was computed at.
@@ -188,9 +257,18 @@ class CellModel:
             dout = cell.backward(dout)
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> float:
-        """One forward/backward pass; gradients accumulate into the cells."""
+        """One forward/backward pass on integer labels ``y``: their
+        :func:`~repro.nn.losses.one_hot` rows, then :meth:`target_loss_and_grad`."""
+        return self.target_loss_and_grad(x, one_hot(y, self.num_classes, x.dtype))
+
+    def target_loss_and_grad(
+        self, x: np.ndarray, target: np.ndarray
+    ) -> float | np.ndarray:
+        """One forward/backward pass against one-hot ``target`` rows;
+        gradients accumulate into the cells.  The loss is one float per
+        replica (an array on a stacked workspace)."""
         logits = self.forward(x, train=True)
-        loss, dlogits = softmax_cross_entropy(logits, y)
+        loss, dlogits = softmax_cross_entropy(logits, target)
         self.backward(dlogits)
         return loss
 
@@ -204,7 +282,7 @@ class CellModel:
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> tuple[float, float]:
         """Return ``(mean_loss, accuracy)`` on a dataset."""
         logits = self.predict(x, batch_size)
-        loss, _ = softmax_cross_entropy(logits, y)
+        loss, _ = softmax_cross_entropy(logits, one_hot(y, self.num_classes, logits.dtype))
         return loss, accuracy(logits, y)
 
     # ------------------------------------------------------------------
@@ -363,24 +441,64 @@ class CellModel:
 
     def replicate(self, k: int) -> "CellModel":
         """A ``k``-replica training workspace: ``clone(keep_id=True)`` with
-        every tensor copied ``k`` times along a new leading axis.
+        its parameters and gradients in one :class:`Arena`, every tensor
+        copied ``k`` times along a new leading axis.  ``k == 1`` is the
+        no-axis case: tensors keep their shapes and :attr:`replicas` stays
+        ``None``.
 
         Replica ``r`` of a forward/backward pass over ``(k, B, ...)``
         activations is bit-identical to that pass on the 2-D slice, so one
         workspace trains a cohort of ``k`` participants of this model in one
-        loop (:meth:`repro.fl.client.LocalTrainer.train`).  Refused unless
-        every layer declares the axis (``Layer.replica_axis``: Dense and
-        ReLU; not Conv, pooling, BatchNorm, LayerNorm or attention).  A
-        workspace trains; it is not evaluated, transformed or published.
+        loop (:meth:`repro.fl.client.LocalTrainer.train`).  ``k > 1`` is
+        refused unless every layer declares the axis (``Layer.replica_axis``:
+        Dense and ReLU; not Conv, pooling, BatchNorm, LayerNorm or
+        attention).  A workspace trains; it is not evaluated, transformed or
+        published, and :meth:`refill` reloads it for the next cohort.
+        """
+        work = self.clone(keep_id=True)
+        work.refill(self, k)
+        return work
+
+    def refill(self, source: "CellModel", k: int) -> bool:
+        """Load ``k`` replicas of ``source``'s parameters and state into this
+        workspace, as :meth:`replicate` would build them.
+
+        ``np.copyto`` into the arena (broadcasting is the replica repeat),
+        gradients zeroed, :attr:`replicas` set and the version stamped to
+        ``source.version`` (the derived-model pattern of
+        :meth:`sync_version`): a refilled workspace is a fresh
+        ``source.replicate(k)`` in all but its buffers' addresses.  Returns
+        ``False`` and touches nothing when ``source``'s tensor keys, shapes
+        or dtypes are not this workspace's: the caller builds a new one.
         """
         if k < 1:
             raise ValueError(f"a workspace needs at least one replica, got {k}")
-        work = self.clone(keep_id=True)
-        for cell in work.cells:
-            for _, layer in cell._named_layers():
-                layer.replicate(k)
-        work.replicas = k
-        return work
+        if k > 1 and not self.stackable:
+            raise ValueError(f"model {self.model_id} holds layers with no replica axis")
+        params, state = source.params(), source.state()
+        if self._arena is None:
+            self._arena = Arena(self)  # this model's own layout, recorded once
+        if _signature(params, state) != self._arena.signature:
+            return False
+        self._arena.load(params, state, (k,) if k > 1 else ())
+        self.replicas = k if k > 1 else None
+        self.sync_version(source.version)
+        return True
+
+    @property
+    def arena(self) -> Arena:
+        """This workspace's flat parameter and gradient buffers.  A model
+        that is not a workspace yet (a plain clone handed to the trainer)
+        becomes one in place: its tensors move into an arena unchanged."""
+        if self._arena is None:
+            self.refill(self, 1)
+        return self._arena
+
+    def release_scratch(self) -> None:
+        """Drop every layer's forward caches and pooled scratch buffers — what
+        a discarded clone released — keeping parameters, gradients and state."""
+        for cell in self.cells:
+            cell.release_scratch()
 
     @property
     def stackable(self) -> bool:

@@ -9,12 +9,22 @@ cohorts (all singletons, one per model, random cuts) returns the same
 bytes, field by field, on all three backends, and those bytes are what the
 per-item loop of the parent commit produced (kept below as the oracle).
 Conv cohorts and waves under faults or retries stay singletons.
+
+Nor is the history of a thread's training workspaces: they persist across
+items and waves, refilled from the published model, and a wave trained
+through them again and again — after an aggregation bump, after a widened
+child appears, after an item failed mid-way — still returns the bytes of a
+fresh clone per item.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import repro.fl.client as client_mod
+import repro.fl.executor as executor_mod
 from repro.data.federated import ClientData
 from repro.device import DeviceTrace
 from repro.device.latency import client_round_time
@@ -22,6 +32,7 @@ from repro.fl import FLClient, LocalTrainer, LocalTrainerConfig
 from repro.fl.faults import FaultConfig, RetryPolicy
 from repro.fl.executor import TrainItem, derive_client_rng, make_executor
 from repro.nn import mlp, small_cnn
+from repro.nn.model import CellModel
 from repro.nn.optim import SGD
 
 SEED = 11
@@ -160,10 +171,10 @@ def test_any_cut_of_a_wave_gives_the_parents_bytes(wave, backend, workers, monke
     crossed = []
     real_clip = client_mod.clip_by_global_norm
 
-    def spy(grads, clip_norm, lead=()):
-        sq = sum((g**2).reshape(lead + (-1,)).sum(-1) for g in grads.values())
-        crossed.extend(np.atleast_1d(np.sqrt(sq) > clip_norm).tolist())
-        real_clip(grads, clip_norm, lead)
+    def spy(arena, clip_norm):
+        sq = sum((rows**2).sum(-1) for rows in arena.grad_rows)
+        crossed.extend((np.sqrt(sq) > clip_norm).tolist())
+        real_clip(arena, clip_norm)
 
     monkeypatch.setattr(client_mod, "clip_by_global_norm", spy)
     published = {mid: m.get_params() for mid, m in models.items()}
@@ -185,6 +196,154 @@ def test_any_cut_of_a_wave_gives_the_parents_bytes(wave, backend, workers, monke
     # A workspace copies: the published models were never written through.
     for mid, tree in published.items():
         assert all(np.array_equal(v, models[mid].params()[k]) for k, v in tree.items())
+
+
+# ----------------------------------------------------------------------
+# workspaces persist: refilled, rebuilt, dropped, never shared
+# ----------------------------------------------------------------------
+SENTINEL = 0.3125  # every feature of the client whose item fails mid-way
+
+
+def _oracle(models, clients, items):
+    by_id = {c.client_id: c for c in clients}
+    return [
+        parent_train(
+            TRAINER, models[it.model_id].clone(keep_id=True), by_id[it.client_id],
+            derive_client_rng(SEED, ROUND, it.client_id, it.sub_idx),
+        )
+        for it in items
+    ]
+
+
+def _checked(real_train_item, seen):
+    """``_train_item``, then the workspace invariants, asserted where the
+    item ran (a pool worker's failure propagates to the test)."""
+
+    def train_item(models, env, round_idx, cohort):
+        updates = real_train_item(models, env, round_idx, cohort)
+        held = env.workspaces[threading.get_ident()]
+        assert held.keys() <= models.keys(), "a workspace outlived its model's wave"
+        seen.append((threading.get_ident(), held[cohort[0].model_id]))
+        buffers = []
+        for work in held.values():
+            for cell in work.cells:
+                for _, layer in cell._named_layers():
+                    assert not getattr(layer, "_ws", None) or not layer._ws._bufs
+                    for cache in ("_cache", "_x", "_shape"):
+                        assert getattr(layer, cache, None) is None, cache
+            arena = work.arena
+            buffers += [arena.params, arena.grads, arena.scratch, *work.state().values()]
+        for update in updates:
+            for value in (*update.params.values(), *update.state.values()):
+                assert not any(np.may_share_memory(value, buf) for buf in buffers)
+        return updates
+
+    return train_item
+
+
+def _fails_once_mid_item(real, marker):
+    """``target_loss_and_grad`` that raises at the third step of the sentinel
+    client's item, once across all processes (whoever removes ``marker``)."""
+    calls = []
+
+    def target_loss_and_grad(self, x, target):
+        if (x == SENTINEL).any():
+            calls.append(None)
+            if len(calls) >= 3 and marker.exists():
+                try:
+                    marker.unlink()
+                except FileNotFoundError:
+                    pass
+                else:
+                    raise RuntimeError("injected mid-item")
+        return real(self, x, target)
+
+    return target_loss_and_grad
+
+
+@pytest.mark.parametrize("backend,workers", BACKENDS)
+def test_reused_workspaces_give_the_parents_bytes(wave, backend, workers, monkeypatch, tmp_path):
+    clients, wave_models, items = wave
+    rng = np.random.default_rng(23)
+    x = np.full((12, 12), SENTINEL)
+    sentinel = ClientData(99, x, rng.integers(0, 5, 12), x[:2], rng.integers(0, 5, 2))
+    fleet = clients + [FLClient(99, sentinel, clients[0].device)]
+    models = {mid: m.clone(keep_id=True) for mid, m in wave_models.items()}
+    base_id, wide_id, deep_id = models
+    child = models[wide_id].clone(birth_round=ROUND)  # a fresh id, born before the pool
+    child.widen_cell(child.transformable_cells()[0].cell_id, 2.0, rng, noise=0.01)
+    marker = tmp_path / "fail-once"
+    seen: list = []
+    monkeypatch.setattr(executor_mod, "_train_item", _checked(executor_mod._train_item, seen))
+    monkeypatch.setattr(
+        CellModel, "target_loss_and_grad",
+        _fails_once_mid_item(CellModel.target_loss_and_grad, marker),
+    )
+    ex = make_executor(backend, fleet, TRAINER, SEED, workers)
+
+    def check(phase, wave_items):
+        updates = ex.train_round(ROUND, wave_items, models)
+        for i, (update, ref) in enumerate(zip(updates, _oracle(models, fleet, wave_items))):
+            _assert_same(update, ref, (backend, phase, i))
+
+    try:
+        check("first", items)
+        check("reused", items)
+        bumped = models[base_id]
+        bumped.set_params({k: v + 0.01 for k, v in bumped.params().items()})
+        check("after an aggregation bump", items)
+        # The widened child joins, the deep model widens in place under its
+        # id (its workspaces are rebuilt), and the base model leaves.
+        del models[base_id]
+        models[child.model_id] = child
+        deep = models[deep_id]
+        deep.widen_cell(deep.transformable_cells()[0].cell_id, 1.5, rng, noise=0.01)
+        grown = [
+            TrainItem(child.model_id if it.model_id == base_id else it.model_id,
+                      it.client_id, it.sub_idx)
+            for it in items
+        ]
+        check("after a widened child appears", grown)
+        faulty = grown + [TrainItem(wide_id, 99, 0)]
+        marker.touch()
+        with pytest.raises(RuntimeError, match="injected mid-item"):
+            ex.train_round(ROUND, faulty, models)
+        assert not marker.exists()
+        check("after an injected task error mid-item", faulty)
+    finally:
+        ex.close()
+    if backend != "process":  # pool workers check the rest themselves
+        threads: dict[int, set] = {}
+        for ident, work in seen:
+            threads.setdefault(id(work), set()).add(ident)
+        assert all(len(owners) == 1 for owners in threads.values())  # never shared
+        assert len(threads) < len(seen) / 2  # and mostly reused, not rebuilt
+        assert (len({ident for ident, _ in seen}) > 1) == (backend == "thread")
+
+
+def test_thread_workspaces_under_a_short_switch_interval(wave, monkeypatch):
+    """More threads than cores, switching every microsecond, all singleton
+    jobs: each thread's workspaces stay its own and the bytes stay the
+    parent's, wave after wave."""
+    clients, models, items = wave
+    seen: list = []
+    monkeypatch.setattr(executor_mod, "_train_item", _checked(executor_mod._train_item, seen))
+    oracle = _oracle(models, clients, items)
+    ex = make_executor("thread", clients, TRAINER, SEED, 8)
+    ex._cohorts = lambda *_: [[i] for i in range(len(items))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for repeat in range(3):
+            for i, (update, ref) in enumerate(zip(ex.train_round(ROUND, items, models), oracle)):
+                _assert_same(update, ref, ("switching", repeat, i))
+    finally:
+        sys.setswitchinterval(interval)
+        ex.close()
+    threads: dict[int, set] = {}
+    for ident, work in seen:
+        threads.setdefault(id(work), set()).add(ident)
+    assert len(seen) == 3 * len(items) and all(len(owners) == 1 for owners in threads.values())
 
 
 def test_natural_cohorts_group_by_model_and_batch_in_first_appearance_order(wave):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import accuracy, softmax_cross_entropy
+from repro.nn.losses import accuracy, one_hot, softmax_cross_entropy
 from repro.nn.optim import SGD, Yogi
 
 
@@ -11,49 +11,50 @@ class TestCrossEntropy:
     def test_matches_manual(self, rng):
         logits = rng.normal(size=(4, 5))
         labels = np.array([0, 2, 4, 1])
-        loss, _ = softmax_cross_entropy(logits, labels)
+        loss, _ = softmax_cross_entropy(logits, one_hot(labels, 5, logits.dtype))
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         manual = -np.log(p[np.arange(4), labels]).mean()
         assert abs(loss - manual) < 1e-10
 
     def test_grad_rows_sum_to_zero(self, rng):
         logits = rng.normal(size=(3, 6))
-        labels = np.array([1, 2, 3])
-        _, d = softmax_cross_entropy(logits, labels)
+        _, d = softmax_cross_entropy(logits, one_hot(np.array([1, 2, 3]), 6, logits.dtype))
         assert np.allclose(d.sum(axis=1), 0.0, atol=1e-12)
 
     def test_grad_numeric(self, rng):
         logits = rng.normal(size=(2, 4))
-        labels = np.array([0, 3])
-        _, d = softmax_cross_entropy(logits, labels)
+        target = one_hot(np.array([0, 3]), 4, logits.dtype)
+        _, d = softmax_cross_entropy(logits, target)
         eps = 1e-6
         for idx in [(0, 0), (1, 2), (1, 3)]:
             l2 = logits.copy()
             l2[idx] += eps
-            up, _ = softmax_cross_entropy(l2, labels)
+            up, _ = softmax_cross_entropy(l2, target)
             l2[idx] -= 2 * eps
-            down, _ = softmax_cross_entropy(l2, labels)
+            down, _ = softmax_cross_entropy(l2, target)
             assert abs((up - down) / (2 * eps) - d[idx]) < 1e-8
 
     def test_perfect_prediction_low_loss(self):
         logits = np.array([[100.0, 0.0], [0.0, 100.0]])
-        loss, _ = softmax_cross_entropy(logits, np.array([0, 1]))
+        loss, _ = softmax_cross_entropy(logits, one_hot(np.array([0, 1]), 2, logits.dtype))
         assert loss < 1e-8
 
-    def test_label_smoothing_raises_floor(self, rng):
-        logits = np.array([[100.0, 0.0]])
-        labels = np.array([0])
-        plain, _ = softmax_cross_entropy(logits, labels)
-        smooth, _ = softmax_cross_entropy(logits, labels, label_smoothing=0.1)
-        assert smooth > plain
+    def test_one_hot_rows_are_exact(self):
+        labels = np.array([[2, 0], [1, 2]])
+        target = one_hot(labels, 3, np.dtype("float32"))
+        assert target.shape == (2, 2, 3) and target.dtype == np.float32
+        assert np.array_equal(target.argmax(axis=-1), labels)
+        assert set(target.ravel().tolist()) == {0.0, 1.0} and target.sum() == labels.size
+        assert not np.signbit(target).any()  # +0.0, as a zero-filled buffer held
 
     def test_shape_mismatch_raises(self, rng):
-        with pytest.raises(ValueError, match="labels shape"):
-            softmax_cross_entropy(rng.normal(size=(3, 4)), np.array([0, 1]))
+        with pytest.raises(ValueError, match="target shape"):
+            softmax_cross_entropy(rng.normal(size=(3, 4)), one_hot(np.array([0, 1]), 4, np.float64))
 
     def test_out_of_range_label_raises(self, rng):
-        with pytest.raises(ValueError, match="out of range"):
-            softmax_cross_entropy(rng.normal(size=(2, 3)), np.array([0, 3]))
+        for labels in (np.array([0, 3]), np.array([-1, 0])):
+            with pytest.raises(ValueError, match="out of range"):
+                one_hot(labels, 3, np.float64)
 
 
 class TestAccuracy:
