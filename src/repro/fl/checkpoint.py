@@ -2,14 +2,28 @@
 
 A checkpoint is two files in the run directory:
 
-* ``ckpt-<round>.npz`` — the run's full Stateful payload.  The nested
-  dict/list skeleton is stored as JSON (shortest-repr floats round-trip
-  exactly) with every ``numpy`` array split out as its own entry, so
-  tensors land losslessly and the rest stays human-inspectable.
+* ``ckpt-<round>.npz`` — the run's full Stateful payload, in checkpoint
+  format 2: a handful of ``.npz`` members however many clients the run has
+  seen.  The nested dict/list skeleton is stored as JSON (shortest-repr
+  floats round-trip exactly) in ``__skeleton__``; every ``numpy`` array
+  leaf is ravelled (C order) into **one arena per dtype** — a member named
+  by the dtype's ``str`` (``<f8``, ``<i8``, ``|b1`` ...) — and the skeleton
+  keeps ``{"__array__": [dtype, offset, shape]}`` in its place.  Tensors
+  land losslessly and the rest stays human-inspectable.
 * ``MANIFEST.json`` — the durability pointer: format version, the run's
-  config hash, the ``last_good`` payload file, its round, a ``completed``
-  flag, and the sorted list of every schema tag the payload carries
-  (CONTRACTS.md I9: all registrants are enumerable from the file alone).
+  config hash, the ``last_good`` payload file and the CRC-32 of its bytes,
+  its round, a ``completed`` flag, and the sorted list of every schema tag
+  the payload carries (CONTRACTS.md I9: all registrants are enumerable
+  from the file alone).
+
+Format 1 (one ``.npz`` member per array, marker ``{"__array__": "a17"}``,
+no payload CRC in the manifest) is still *read*, by a one-way branch, so a
+checkpoint an earlier revision wrote resumes; only format 2 is written.
+Decoding is strict: a truncated or corrupted file, a CRC failure, a
+missing arena, an unknown dtype, an offset or shape outside its arena —
+each is a ``ValueError`` naming the file, raised before anything larger
+than the file itself is allocated.  Restored arrays are fresh copies:
+writable, and sharing memory with nothing.
 
 Write order is what makes a kill at *any* instant safe (CONTRACTS.md I9):
 
@@ -29,9 +43,15 @@ of simulating it.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
+import re
 import signal
+import struct
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +70,21 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 MANIFEST_NAME = "MANIFEST.json"
 
 # Marker objects the flattener substitutes for ndarray leaves.  Payload
 # dicts never use this key themselves (Stateful payload convention).
 _ARRAY_KEY = "__array__"
 _SKELETON_KEY = "__skeleton__"
+# Format 1 named one member per array ``a<n>``; format 2 names an arena by
+# its dtype string, which never matches.
+_V1_SLOT = re.compile(r"a[0-9]+")
+# What a corrupt payload file can make the zip, npy and JSON decoders raise.
+_CORRUPT = (
+    ValueError, TypeError, KeyError, IndexError, EOFError, OverflowError,
+    RuntimeError, OSError, struct.error, zlib.error, zipfile.BadZipFile,
+)
 
 # Test hook: SIGKILL this process when the writer reaches the named point.
 _CRASH_ENV = "REPRO_CKPT_CRASH_POINT"
@@ -68,24 +96,34 @@ def _maybe_crash(point: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# payload <-> (JSON skeleton, array table)
+# payload <-> (JSON skeleton, one arena per dtype)
 # ----------------------------------------------------------------------
 def flatten_payload(payload: dict) -> tuple[dict, dict[str, np.ndarray]]:
-    """Split a nested Stateful payload into a JSON skeleton + array table.
+    """Split a nested Stateful payload into a JSON skeleton + arena table.
 
-    Every ``ndarray`` leaf is replaced by ``{"__array__": "<slot>"}`` and
-    parked in the table; numpy scalars are converted to native Python so
-    the skeleton is pure JSON.  Raises on anything else non-serializable —
-    a checkpoint that cannot round-trip must fail at write time, not at
-    resume time.
+    Every ``ndarray`` leaf is ravelled (C order) onto the arena of its
+    ``dtype.str`` and replaced by ``{"__array__": [dtype, offset, shape]}``;
+    the table maps each dtype string to its concatenated 1-D arena, so its
+    ``nbytes`` sum to the leaves'.  Numpy scalars are converted to native
+    Python so the skeleton is pure JSON.  Raises ``TypeError`` on anything
+    else — object arrays included — because a checkpoint that cannot
+    round-trip must fail at write time, not at resume time.
     """
-    arrays: dict[str, np.ndarray] = {}
+    parts: dict[str, list[np.ndarray]] = {}
+    sizes: dict[str, int] = {}
 
     def walk(node):
         if isinstance(node, np.ndarray):
-            slot = f"a{len(arrays)}"
-            arrays[slot] = node
-            return {_ARRAY_KEY: slot}
+            dtype = node.dtype.str
+            if node.dtype.hasobject or np.dtype(dtype) != node.dtype:
+                raise TypeError(
+                    f"cannot checkpoint a {node.dtype} array: object and "
+                    "structured dtypes do not survive the arena"
+                )
+            offset = sizes.get(dtype, 0)
+            parts.setdefault(dtype, []).append(node.ravel())
+            sizes[dtype] = offset + node.size
+            return {_ARRAY_KEY: [dtype, offset, list(node.shape)]}
         if isinstance(node, dict):
             out = {}
             for k, v in node.items():
@@ -115,38 +153,131 @@ def flatten_payload(payload: dict) -> tuple[dict, dict[str, np.ndarray]]:
             "payloads hold JSON scalars and numpy arrays only"
         )
 
-    return walk(payload), arrays
+    skeleton = walk(payload)
+    return skeleton, {dtype: np.concatenate(chunks) for dtype, chunks in parts.items()}
 
 
-def unflatten_payload(
-    skeleton, arrays: dict[str, np.ndarray]
-):
-    """Inverse of :func:`flatten_payload`."""
+def _is_index(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _restore(marker, arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """The array one skeleton marker names, as a view of its member."""
+    if isinstance(marker, str):
+        # Format 1 (read-only branch): the marker names its own member.
+        if not _V1_SLOT.fullmatch(marker) or marker not in arrays:
+            raise ValueError(f"array marker {marker!r} names no member")
+        return arrays[marker]
+    if not (isinstance(marker, list) and len(marker) == 3):
+        raise ValueError(f"malformed array marker {marker!r}")
+    dtype, offset, shape = marker
+    arena = arrays.get(dtype) if isinstance(dtype, str) else None
+    if arena is None or _V1_SLOT.fullmatch(dtype):
+        raise ValueError(f"array marker {marker!r}: no arena for dtype {dtype!r}")
+    if not (_is_index(offset) and isinstance(shape, list) and all(map(_is_index, shape))):
+        raise ValueError(f"array marker {marker!r}: offset and shape must be non-negative ints")
+    size = math.prod(shape)
+    if offset + size > arena.size:
+        raise ValueError(
+            f"array marker {marker!r}: elements [{offset}, {offset + size}) "
+            f"overrun the {arena.size}-element {dtype} arena"
+        )
+    return arena[offset : offset + size].reshape(shape)
+
+
+def unflatten_payload(skeleton, arrays: dict[str, np.ndarray]):
+    """Inverse of :func:`flatten_payload`: every array comes back a fresh,
+    writable copy that owns its memory."""
     if isinstance(skeleton, dict):
         if set(skeleton) == {_ARRAY_KEY}:
-            return arrays[skeleton[_ARRAY_KEY]]
+            return _restore(skeleton[_ARRAY_KEY], arrays).copy()
         return {k: unflatten_payload(v, arrays) for k, v in skeleton.items()}
     if isinstance(skeleton, list):
         return [unflatten_payload(v, arrays) for v in skeleton]
     return skeleton
 
 
-def write_payload(path: str | Path, payload: dict) -> None:
-    """Serialize one payload to a single ``.npz``, crash-consistently."""
+def write_payload(path: str | Path, payload: dict) -> int:
+    """Serialize one payload to a single ``.npz``, crash-consistently.
+
+    Each member streams straight from its arena (the layout ``np.savez``
+    writes, without its staging copy of every array).  Returns the CRC-32
+    of the file, which the manifest records.
+    """
     skeleton, arrays = flatten_payload(payload)
-    arrays[_SKELETON_KEY] = np.frombuffer(
-        json.dumps(skeleton).encode(), dtype=np.uint8
-    )
-    with atomic_write(path) as f:
-        np.savez(f, **arrays)
+    arrays[_SKELETON_KEY] = np.frombuffer(json.dumps(skeleton).encode(), dtype=np.uint8)
+    with atomic_write(path) as f, zipfile.ZipFile(f, "w", allowZip64=True) as zf:
+        for name, arena in arrays.items():
+            with zf.open(name + ".npy", "w", force_zip64=True) as member:
+                header = np.lib.format.header_data_from_array_1_0(arena)
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(arena.view(np.uint8).data)
+    return _file_crc32(path)
+
+
+def _file_crc32(path: str | Path) -> int:
+    crc = 0
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            crc = zlib.crc32(chunk, crc)
+    return crc
+
+
+def _member_array(zf: zipfile.ZipFile, info: zipfile.ZipInfo, limit: int) -> np.ndarray:
+    """One stored ``.npy`` member, read-only over its CRC-checked bytes.
+
+    The header is checked against the member's length before any array
+    exists, so a hostile shape cannot size an allocation.
+    """
+    if info.compress_type != zipfile.ZIP_STORED or not info.file_size <= limit:
+        raise ValueError(f"member {info.filename!r} is not a stored array")
+    raw = zf.read(info)
+    fp = io.BytesIO(raw)
+    version = np.lib.format.read_magic(fp)
+    if version == (1, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fp)
+    elif version == (2, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_2_0(fp)
+    else:
+        raise ValueError(f"member {info.filename!r}: npy version {version}")
+    if dtype.hasobject:
+        raise ValueError(f"member {info.filename!r} holds objects")
+    count = math.prod(shape)
+    body = memoryview(raw)[fp.tell() :]
+    if len(body) != count * dtype.itemsize:
+        raise ValueError(
+            f"member {info.filename!r}: {len(body)} data bytes for shape "
+            f"{shape} of {dtype}"
+        )
+    if not body:
+        return np.zeros(shape, dtype)
+    flat = np.frombuffer(body, dtype=dtype, count=count)
+    return flat.reshape(shape[::-1]).T if fortran else flat.reshape(shape)
 
 
 def read_payload(path: str | Path) -> dict:
-    """Read back a :func:`write_payload` file."""
-    with np.load(path) as data:
-        skeleton = json.loads(bytes(data[_SKELETON_KEY]).decode())
-        arrays = {k: data[k] for k in data.files if k != _SKELETON_KEY}
-    return unflatten_payload(skeleton, arrays)
+    """Read back a :func:`write_payload` file (either format); any
+    corruption is a ``ValueError`` naming the file."""
+    size = Path(path).stat().st_size
+    try:
+        with zipfile.ZipFile(path) as zf:
+            members: dict[str, np.ndarray] = {}
+            for info in zf.infolist():
+                name = info.filename.removesuffix(".npy")
+                if name == info.filename or name in members:
+                    raise ValueError(f"unexpected member {info.filename!r}")
+                members[name] = _member_array(zf, info, size)
+        text = members.pop(_SKELETON_KEY)
+        if text.dtype != np.uint8 or text.ndim != 1:
+            raise ValueError(f"skeleton member is a {text.dtype} {text.shape} array")
+        for name, arena in members.items():
+            if not (_V1_SLOT.fullmatch(name) or (arena.ndim == 1 and arena.dtype.str == name)):
+                raise ValueError(f"member {name!r} is neither an array slot nor an arena")
+        return unflatten_payload(json.loads(text.tobytes().decode()), members)
+    except _CORRUPT as exc:
+        raise ValueError(
+            f"corrupt checkpoint payload {path}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -171,12 +302,13 @@ class CheckpointWriter:
         name = f"ckpt-{round_idx:06d}.npz"
         path = self.directory / name
         _maybe_crash("before-payload")
-        write_payload(path, payload)
+        crc = write_payload(path, payload)
         _maybe_crash("after-payload")
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "run_hash": self.run_hash,
             "last_good": name,
+            "payload_crc32": crc,
             "round": round_idx,
             "completed": completed,
             "schemas": collect_schemas(payload),
@@ -203,7 +335,10 @@ def load_checkpoint(
     Returns ``{"manifest": ..., "payload": ...}``, or ``None`` when no
     checkpoint has ever completed (no manifest — e.g. a run killed during
     its very first write, which is a valid fresh-start).  Raises when the
-    manifest exists but disagrees with ``run_hash`` or its format.
+    manifest exists but disagrees with ``run_hash`` or its format, and a
+    ``ValueError`` naming the payload file when its bytes fail the
+    manifest's CRC-32 or do not decode.  A format-1 manifest (no CRC)
+    is read by a one-way branch.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -211,15 +346,19 @@ def load_checkpoint(
         return None
     with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"unsupported checkpoint format {manifest.get('format')!r}"
-        )
+    fmt = manifest.get("format")
+    if fmt not in (1, CHECKPOINT_FORMAT):
+        raise ValueError(f"unsupported checkpoint format {fmt!r}")
     if run_hash is not None and manifest.get("run_hash") != run_hash:
         raise ValueError(
             "checkpoint belongs to a different run: manifest hash "
             f"{manifest.get('run_hash')!r} != expected {run_hash!r} "
             "(strategy, config, or fleet changed)"
         )
-    payload = read_payload(directory / manifest["last_good"])
-    return {"manifest": manifest, "payload": payload}
+    path = directory / manifest["last_good"]
+    if fmt == CHECKPOINT_FORMAT and _file_crc32(path) != manifest["payload_crc32"]:
+        raise ValueError(
+            f"corrupt checkpoint payload {path}: its bytes fail the manifest's "
+            "CRC-32 (torn, truncated or altered after the write)"
+        )
+    return {"manifest": manifest, "payload": read_payload(path)}

@@ -539,8 +539,12 @@ class Coordinator(Stateful):
                 # No checkpoint yet (e.g. killed before the first write)
                 # is a valid fresh start, not an error.
                 if found is not None:
-                    self.load_state_dict(found["payload"]["coordinator"])
-                    log = log_from_state(found["payload"]["log"])
+                    try:
+                        self.load_state_dict(found["payload"]["coordinator"])
+                        log = log_from_state(found["payload"]["log"])
+                    except ValueError as exc:
+                        path = run_dir / found["manifest"]["last_good"]
+                        raise ValueError(f"checkpoint {path} does not resume: {exc}") from exc
                     if found["manifest"]["completed"]:
                         self.close()
                         return log

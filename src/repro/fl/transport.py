@@ -29,11 +29,14 @@ Error feedback keeps quantization honest across rounds: the residual
 and added to the next delta from the same client before encoding, so
 systematic quantization error accumulates into later updates instead of
 being lost.  Residual state implements :class:`~repro.stateful.Stateful`
-so compressed runs checkpoint/resume bit-identically (CONTRACTS.md I9).
+so compressed runs checkpoint/resume bit-identically (CONTRACTS.md I9); its
+payload is a few columns and one arena per dtype, not an entry per
+residual, so a checkpoint does not grow a member per client seen.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,7 +394,7 @@ class TransportCodec(Stateful):
     re-priced at the wire size.
     """
 
-    schema = schema_tag("TransportCodec")
+    schema = schema_tag("TransportCodec", 2)
 
     def __init__(self, config: TransportConfig):
         self.config = config
@@ -402,40 +405,43 @@ class TransportCodec(Stateful):
 
     # -- Stateful ------------------------------------------------------
     def state_dict(self) -> dict:
+        """The residuals as columns, one row per residual in sorted key
+        order: ``client_id``, ``tensor`` (a row of the small ``tensors``
+        table of ``[model_id, scope, key, dtype, shape]``) and ``size``,
+        with the values ravelled into one ``values`` arena per dtype."""
+        keys = sorted(self._residuals)
+        arrays = [self._residuals[k] for k in keys]
+        # Rows are keyed by the dtype object, not its string form, which
+        # numpy rebuilds on every ``.str`` access.
+        tensors: dict[tuple, int] = {}
+        rows = [
+            tensors.setdefault((mid, scope, key, arr.dtype, arr.shape), len(tensors))
+            for (_, mid, scope, key), arr in zip(keys, arrays)
+        ]
+        table = [[mid, scope, key, dt.str, list(shape)] for mid, scope, key, dt, shape in tensors]
+        values: dict[str, list[np.ndarray]] = {}
+        for row, arr in zip(rows, arrays):
+            values.setdefault(table[row][3], []).append(arr)
         return {
             "schema": self.schema,
             "spec": self.config.spec,
-            "residuals": [
-                {
-                    "client_id": cid,
-                    "model_id": mid,
-                    "scope": scope,
-                    "key": key,
-                    "value": arr.copy(),
-                }
-                for (cid, mid, scope, key), arr in sorted(
-                    self._residuals.items()
-                )
-            ],
+            "client_id": np.array([k[0] for k in keys], dtype=np.int64),
+            "tensor": np.array(rows, dtype=np.int64),
+            "size": np.array([arr.size for arr in arrays], dtype=np.int64),
+            "tensors": table,
+            "values": {dt: np.concatenate(parts, axis=None) for dt, parts in values.items()},
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
+        v1 = isinstance(payload, dict) and "schema" in payload and payload["schema"] == _V1
+        check_schema(payload, _V1 if v1 else self.schema)
         if payload["spec"] != self.config.spec:
             raise ValueError(
                 f"checkpoint transport spec {payload['spec']!r} does not "
                 f"match the configured {self.config.spec!r}; error-feedback "
                 "residuals are codec-specific and cannot be reinterpreted"
             )
-        self._residuals = {
-            (
-                int(e["client_id"]),
-                e["model_id"],
-                e["scope"],
-                e["key"],
-            ): np.asarray(e["value"])
-            for e in payload["residuals"]
-        }
+        self._residuals = _residuals_v1(payload) if v1 else _residuals_v2(payload)
 
     # -- encoding ------------------------------------------------------
     def encode_update(
@@ -571,3 +577,82 @@ class TransportCodec(Stateful):
         else:
             decoded = decoded_values
         return wire, decoded.reshape(delta.shape)
+
+
+_V1 = schema_tag("TransportCodec")
+
+
+def _is_index(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _residuals_v2(payload: dict) -> dict:
+    """Decode the ``TransportCodec/v2`` columns; a malformed column is a
+    ``ValueError`` before any residual is built."""
+    cols = [np.asarray(payload[name]) for name in ("client_id", "tensor", "size")]
+    tensors, values = payload["tensors"], payload["values"]
+    n = len(cols[0])
+    if any(col.dtype != np.int64 or col.shape != (n,) for col in cols):
+        raise ValueError("TransportCodec/v2: client_id, tensor and size must be equal-length int64 columns")
+    if not isinstance(tensors, list):
+        raise ValueError("TransportCodec/v2: the tensors table must be a list")
+    specs = []
+    for row in tensors:
+        if not (
+            isinstance(row, list) and len(row) == 5
+            and all(isinstance(field, str) for field in row[:4])
+            and isinstance(row[4], list) and all(map(_is_index, row[4]))
+        ):
+            raise ValueError(f"TransportCodec/v2: malformed tensors row {row!r}")
+        try:
+            valid = np.dtype(row[3]).str == row[3]
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ValueError(f"TransportCodec/v2: unknown dtype {row[3]!r}")
+        specs.append((*row[:4], tuple(row[4]), math.prod(row[4])))
+    client_id, tensor, size = (col.tolist() for col in cols)
+    if any(not 0 <= t < len(specs) or specs[t][5] != m for t, m in zip(tensor, size)):
+        raise ValueError("TransportCodec/v2: a tensor index or size disagrees with the tensors table")
+    totals: dict[str, int] = {}
+    for t, m in zip(tensor, size):
+        totals[specs[t][3]] = totals.get(specs[t][3], 0) + m
+    if not (
+        isinstance(values, dict) and values.keys() == totals.keys()
+        and all(
+            isinstance(arena, np.ndarray) and arena.dtype.str == dtype
+            and arena.shape == (totals[dtype],)
+            for dtype, arena in values.items()
+        )
+    ):
+        raise ValueError("TransportCodec/v2: the values arenas disagree with the size column")
+    offsets = dict.fromkeys(totals, 0)
+    residuals = {}
+    for cid, t, m in zip(client_id, tensor, size):
+        mid, scope, key, dtype, shape, _ = specs[t]
+        start = offsets[dtype]
+        residuals[(cid, mid, scope, key)] = values[dtype][start : start + m].reshape(shape).copy()
+        offsets[dtype] = start + m
+    if len(residuals) != n:
+        raise ValueError("TransportCodec/v2: a residual row is repeated")
+    return residuals
+
+
+def _residuals_v1(payload: dict) -> dict:
+    """One-way reader of ``TransportCodec/v1`` checkpoints, whose
+    ``residuals`` were a list of one dict per residual."""
+    entries = payload["residuals"]
+    if not isinstance(entries, list):
+        raise ValueError("TransportCodec/v1: residuals must be a list")
+    residuals = {}
+    for e in entries:
+        if not (
+            isinstance(e, dict)
+            and e.keys() == {"client_id", "model_id", "scope", "key", "value"}
+            and isinstance(e["client_id"], (int, np.integer))
+            and all(isinstance(e[f], str) for f in ("model_id", "scope", "key"))
+            and isinstance(e["value"], np.ndarray)
+        ):
+            raise ValueError(f"TransportCodec/v1: malformed residual entry {e!r}")
+        residuals[(int(e["client_id"]), e["model_id"], e["scope"], e["key"])] = e["value"]
+    return residuals

@@ -2,8 +2,12 @@
 
 In-process side: the flatten/unflatten codec and the single-``.npz``
 payload files round-trip bit-exactly (including PCG64's 128-bit state
-ints), the manifest pointer protocol prunes and verifies hashes, the run
-registry hashes exactly the trajectory-relevant knobs, FedTrans's utility
+ints) through one arena per dtype, whatever the leaves' dtype, shape and
+layout; truncated, bit-flipped or tampered files and codec columns are a
+``ValueError`` naming the file, never a misdecode; a format-1 checkpoint
+an earlier revision wrote (``tests/oracle_checkpoint.py``) resumes
+byte-identically; the manifest pointer protocol prunes and verifies
+hashes, the run registry hashes exactly the trajectory-relevant knobs, FedTrans's utility
 table survives eviction + compaction (and reads the v1 payload), and RNG
 capture/restore obeys restore-then-draw == continue-then-draw.  A crash/resume matrix over
 every (mode, executor) combination asserts the headline contract: a run
@@ -21,13 +25,21 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+import zipfile
 from dataclasses import asdict, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.analysis import sanitize
 from repro.atomicio import atomic_write
@@ -52,13 +64,16 @@ from repro.fl.checkpoint import (
     unflatten_payload,
     write_payload,
 )
+from repro.fl import coordinator as coordinator_module
 from repro.fl.export import log_to_dict
 from repro.fl.registry import RunRegistry, fleet_fingerprint, run_hash
 from repro.fl.scheduling.selectors import AvailabilityAwareSelector
-from repro.nn import mlp
+from repro.fl.transport import TransportCodec, TransportConfig
+from repro.nn import mlp, set_compute_dtype
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
 
+import oracle_checkpoint
 from oracle_client_manager import ClientManager as DictClientManager
 from oracle_client_manager import v1_payload
 
@@ -120,6 +135,18 @@ class TestPayloadCodec:
         with pytest.raises(TypeError, match="cannot checkpoint"):
             flatten_payload({"bad": object()})
 
+    def test_object_arrays_are_refused_at_write_time(self, tmp_path):
+        """An object array would be pickled on write and refused on read
+        (``allow_pickle=False``): the writer refuses it, and leaves no file."""
+        path = tmp_path / "p.npz"
+        for bad in (
+            np.array(["x", None], dtype=object),
+            np.zeros(2, dtype=[("a", "<f8"), ("b", "<i8")]),
+        ):
+            with pytest.raises(TypeError, match="cannot checkpoint"):
+                write_payload(path, {"a": bad})
+            assert not path.exists()
+
     def test_file_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         payload = {
@@ -147,6 +174,314 @@ class TestPayloadCodec:
         rng.bit_generator.state = back
         ref = np.random.default_rng(123)
         assert list(rng.integers(0, 2**62, 5)) == list(ref.integers(0, 2**62, 5))
+
+
+# ----------------------------------------------------------------------
+# format 2: one arena per dtype
+# ----------------------------------------------------------------------
+def _leaves(node):
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, dict):
+        for v in node.values():
+            yield from _leaves(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _leaves(v)
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _canonical(payload) -> tuple:
+    """The payload's skeleton and every leaf's bytes: equal iff bit-equal."""
+    skeleton, arenas = flatten_payload(payload)
+    return json.dumps(skeleton), {k: v.tobytes() for k, v in arenas.items()}
+
+
+@st.composite
+def _leaf(draw):
+    dtype = draw(st.sampled_from(["<f4", "<f8", "<i8", "|b1", "<U3"]))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    arr = draw(hnp.arrays(np.dtype(dtype), shape))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        arr = np.asfortranarray(arr)
+    elif layout == "strided" and arr.ndim:
+        arr = np.repeat(arr, 2, axis=0)[::2]  # same values, non-contiguous
+    return arr
+
+
+_PAYLOADS = st.fixed_dictionaries(
+    {
+        "schema": st.just("Thing/v1"),
+        "tree": st.dictionaries(st.text("abcxyz", min_size=1, max_size=3), _leaf(), max_size=5),
+        "seq": st.lists(st.one_of(_leaf(), st.integers(), st.text(max_size=3)), max_size=4),
+    }
+)
+
+
+class TestArenaContainer:
+    """Format 2's container: whatever the leaves, a round trip is
+    bit-exact, every restored array is a private writable copy, and the
+    arena table holds exactly the leaves' bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=_PAYLOADS)
+    def test_round_trip_is_bit_exact_and_private(self, payload):
+        leaves = list(_leaves(payload))
+        skeleton, arenas = flatten_payload(payload)
+        assert len(arenas) == len({a.dtype.str for a in leaves})
+        assert sum(a.nbytes for a in arenas.values()) == sum(a.nbytes for a in leaves)
+        in_memory = unflatten_payload(json.loads(json.dumps(skeleton)), arenas)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_payload(Path(tmp) / "p.npz", payload)
+            from_file = read_payload(Path(tmp) / "p.npz")
+        for back in (in_memory, from_file):
+            restored = list(_leaves(back))
+            assert [_bits(a) for a in restored] == [_bits(a) for a in leaves]
+            assert all(a.flags.writeable and a.flags.owndata for a in restored)
+            for i, a in enumerate(restored):
+                others = restored[i + 1 :] + leaves + list(arenas.values())
+                assert not any(np.shares_memory(a, b) for b in others)
+
+    def test_a_float32_lossy_run_resumes_bit_identically(self, tmp_path):
+        # The initial model is built before the coordinator applies the
+        # config's dtype, so the process dtype is set first.
+        set_compute_dtype("float32")
+        try:
+            stack = dict(mode="async", compute_dtype="float32", compress="update:topk0.05+int8")
+            ref = _dumps(_build(**stack).run())
+            coord = _build(tmp_path, **stack)
+            _crash_at(coord, crash_round=4)
+            with pytest.raises(RuntimeError, match="injected"):
+                coord.run()
+            (run,) = RunRegistry(tmp_path).runs()
+            transport = load_checkpoint(tmp_path / run)["payload"]["coordinator"]["transport"]
+            assert list(transport["values"]) == ["<f4"] and transport["client_id"].size
+            assert _dumps(_build(tmp_path, resume=True, **stack).run()) == ref
+        finally:
+            set_compute_dtype("float64")
+
+
+# ----------------------------------------------------------------------
+# hostile input: every corruption is a ValueError naming the file
+# ----------------------------------------------------------------------
+def _codec() -> TransportCodec:
+    """A lossy codec holding five residuals over three tensors, two dtypes;
+    rows 0 and 2 are the same tensor of two clients."""
+    codec = TransportCodec(TransportConfig.parse("update:topk0.05+int8"))
+    rng = np.random.default_rng(0)
+    for cid in (0, 1):
+        for key, shape in (("a", (3,)), ("b", (2, 2))):
+            codec._residuals[(cid, "m0", "param", key)] = rng.standard_normal(shape)
+    codec._residuals[(1, "m0", "state", "c")] = rng.standard_normal(2).astype(np.float32)
+    return codec
+
+
+@cache
+def _good_checkpoint() -> tuple[dict, bytes, bytes]:
+    """A payload with every leaf kind, its format-2 file and its manifest."""
+    rng = np.random.default_rng(1)
+    payload = {
+        "schema": "RunCheckpoint/v1",
+        "transport": _codec().state_dict(),
+        "w": rng.standard_normal((4, 3)),
+        "ids": np.arange(5),
+        "mask": np.array([True, False, True]),
+        "names": np.array(["m0", "m01"]),
+        "empty": np.zeros((0, 3)),
+        "scalar": np.float64(2.5),
+        "nested": [{"x": rng.standard_normal(2).astype(np.float32)}, 7, "s"],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = CheckpointWriter(tmp, "h").write(3, payload, completed=False)
+        return payload, path.read_bytes(), (Path(tmp) / MANIFEST_NAME).read_bytes()
+
+
+def _write_checkpoint(directory: Path, data: bytes) -> Path:
+    _, _, manifest = _good_checkpoint()
+    (directory / MANIFEST_NAME).write_bytes(manifest)
+    path = directory / "ckpt-000003.npz"
+    path.write_bytes(data)
+    return path
+
+
+def _markers(skeleton) -> list[dict]:
+    """Every ``{"__array__": ...}`` holder in ``skeleton``."""
+    if isinstance(skeleton, dict):
+        if set(skeleton) == {"__array__"}:
+            return [skeleton]
+        return [m for v in skeleton.values() for m in _markers(v)]
+    if isinstance(skeleton, list):
+        return [m for v in skeleton for m in _markers(v)]
+    return []
+
+
+_MARKER_TAMPERS = {
+    "unknown dtype": lambda m, n: ["<q9", *m[1:]],
+    "dtype without an arena": lambda m, n: ["<c16", *m[1:]],
+    "non-str dtype": lambda m, n: [5, *m[1:]],
+    "negative offset": lambda m, n: [m[0], -n, m[2]],  # a slice from the end
+    "offset past the arena": lambda m, n: [m[0], n + 1, m[2]],
+    "float offset": lambda m, n: [m[0], float(m[1]), m[2]],
+    "bool offset": lambda m, n: [m[0], True, m[2]],
+    "shape overruns the arena": lambda m, n: [m[0], m[1], [n - m[1] + 1]],
+    "negative dimension": lambda m, n: [m[0], m[1], [-1, *m[2]]],
+    "non-list shape": lambda m, n: [m[0], m[1], n],
+    "short marker": lambda m, n: m[:2],
+    "v1 slot with no member": lambda m, n: "a999",
+    "arena name as a v1 slot": lambda m, n: m[0],
+}
+
+
+def _set(container, key, value) -> None:
+    container[key] = value
+
+
+# Each corrupts one ``TransportCodec`` payload column in place; the ``v1``
+# ones act on the ``TransportCodec/v1`` list of dicts.
+_COLUMN_TAMPERS = {
+    "float client_id": lambda p: _set(p, "client_id", p["client_id"].astype(np.float64)),
+    "short tensor column": lambda p: _set(p, "tensor", p["tensor"][:-1]),
+    "tensor index past the table": lambda p: _set(p["tensor"], 0, len(p["tensors"])),
+    "negative tensor index": lambda p: _set(p["tensor"], 0, -1),
+    "size disagrees with the shape": lambda p: _set(p["size"], 0, p["size"][0] + 1),
+    "short tensors row": lambda p: _set(p["tensors"], 0, p["tensors"][0][:4]),
+    "unknown dtype in the table": lambda p: _set(p["tensors"][0], 3, "<q9"),
+    "negative dimension in the table": lambda p: _set(p["tensors"][0], 4, [-1]),
+    "tensors not a list": lambda p: _set(p, "tensors", {"0": p["tensors"][0]}),
+    "short arena": lambda p: _set(p["values"], "<f8", p["values"]["<f8"][:-1]),
+    "arena of another dtype": lambda p: _set(
+        p["values"], "<f8", p["values"]["<f8"].astype(np.float32)
+    ),
+    "extra arena": lambda p: _set(p["values"], "<i8", np.zeros(1, dtype=np.int64)),
+    "missing arena": lambda p: p["values"].pop("<f4"),
+    "repeated row": lambda p: _set(p["client_id"], 2, p["client_id"][0]),
+    "v1 entry without a value": lambda p: p["residuals"][0].pop("value"),
+    "v1 entry with an extra key": lambda p: _set(p["residuals"][0], "grad", 0),
+    "v1 value not an array": lambda p: _set(p["residuals"][0], "value", [0.0]),
+    "v1 string client id": lambda p: _set(p["residuals"][0], "client_id", "0"),
+    "v1 residuals not a list": lambda p: _set(p, "residuals", 5),
+}
+
+
+class TestHostilePayloads:
+    """ROADMAP 5a at the checkpoint boundary: a truncated or altered file,
+    a tampered marker and a malformed codec column each raise a
+    ``ValueError`` naming the file — never a misdecode, a hang, or an
+    allocation beyond the file's own size."""
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_altered_bytes_are_a_value_error(self, tmp_path, data):
+        payload, good, _ = _good_checkpoint()
+        if data.draw(st.booleans(), label="truncate"):
+            bad = good[: data.draw(st.integers(0, len(good) - 1), label="keep")]
+        else:
+            # A run of up to 4 altered bytes: a burst CRC-32 always detects.
+            start = data.draw(st.integers(0, len(good) - 1), label="start")
+            masks = data.draw(st.lists(st.integers(1, 255), min_size=1, max_size=4), label="xor")
+            bad = bytearray(good)
+            for i, mask in enumerate(masks[: len(good) - start]):
+                bad[start + i] ^= mask
+            bad = bytes(bad)
+        path = _write_checkpoint(tmp_path, bad)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(tmp_path)
+        # Without the manifest's CRC, the container's own checks (zip
+        # structure, member CRCs, npy headers, markers) still never let a
+        # misdecode through: an alteration they cannot see (a timestamp,
+        # an attribute byte) leaves the payload bit-for-bit intact.
+        tracemalloc.start()
+        try:
+            back = read_payload(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert _canonical(back) == _canonical(payload)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= 4 * len(good) + (1 << 20)
+
+    @pytest.mark.parametrize("tamper", sorted(_MARKER_TAMPERS))
+    @settings(
+        max_examples=15, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_tampered_markers_are_a_value_error(self, tmp_path, tamper, data):
+        payload, _, _ = _good_checkpoint()
+        skeleton, arenas = flatten_payload(payload)
+        markers = _markers(skeleton)
+        holder = markers[data.draw(st.integers(0, len(markers) - 1), label="marker")]
+        m = holder["__array__"]
+        holder["__array__"] = _MARKER_TAMPERS[tamper](m, arenas[m[0]].size)
+        path = tmp_path / "p.npz"
+        skel = np.frombuffer(json.dumps(skeleton).encode(), dtype=np.uint8)
+        np.savez(path, __skeleton__=skel, **arenas)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_payload(path)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        ["missing arena member", "arena under another dtype's name", "header claims more than its bytes"],
+    )
+    def test_tampered_arena_members_are_a_value_error(self, tmp_path, tamper):
+        payload, _, _ = _good_checkpoint()
+        skeleton, arenas = flatten_payload(payload)
+        if tamper == "missing arena member":
+            del arenas["|b1"]
+        elif tamper == "arena under another dtype's name":
+            arenas["<f8"] = arenas["<f8"].view(np.int64)
+        path = tmp_path / "p.npz"
+        skel = np.frombuffer(json.dumps(skeleton).encode(), dtype=np.uint8)
+        np.savez(path, __skeleton__=skel, **arenas)
+        if tamper == "header claims more than its bytes":
+            # A well-formed member whose header sizes a petabyte arena: the
+            # reader must refuse it, not allocate it.
+            with zipfile.ZipFile(path, "a") as zf, zf.open("<c16.npy", "w") as member:
+                header = {"descr": "<c16", "fortran_order": False, "shape": (1 << 50,)}
+                np.lib.format.write_array_header_1_0(member, header)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_payload(path)
+
+    @pytest.mark.parametrize("tamper", sorted(_COLUMN_TAMPERS))
+    def test_malformed_codec_columns_are_a_value_error(self, tamper):
+        codec = _codec()
+        payload = (
+            oracle_checkpoint.transport_state_dict(codec)
+            if tamper.startswith("v1") else codec.state_dict()
+        )
+        restored = TransportCodec(codec.config)
+        restored.load_state_dict(payload)  # untampered: loads
+        assert {k: _bits(v) for k, v in restored._residuals.items()} == {
+            k: _bits(v) for k, v in codec._residuals.items()
+        }
+        _COLUMN_TAMPERS[tamper](payload)
+        with pytest.raises(ValueError, match="TransportCodec/v[12]"):
+            TransportCodec(codec.config).load_state_dict(payload)
+
+    def test_a_malformed_column_names_the_checkpoint_file(self, tmp_path):
+        stack = dict(mode="async", compress="update:topk0.05+int8")
+        coord = _build(tmp_path, **stack)
+        _crash_at(coord, crash_round=4)
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        (run,) = RunRegistry(tmp_path).runs()
+        found = load_checkpoint(tmp_path / run)
+        _COLUMN_TAMPERS["size disagrees with the shape"](found["payload"]["coordinator"]["transport"])
+        manifest = found["manifest"]
+        path = CheckpointWriter(tmp_path / run, manifest["run_hash"]).write(
+            manifest["round"], found["payload"], completed=False
+        )
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*TransportCodec/v2"):
+            _build(tmp_path, resume=True, **stack).run()
 
 
 # ----------------------------------------------------------------------
@@ -627,6 +962,38 @@ class TestResumeBitIdentity:
         async_coord = _build(tmp_path, resume=True, mode="async")
         log = async_coord.run()
         assert log.mode == "async"
+
+
+class TestParentCheckpointWitness:
+    """A format-1 checkpoint — one member per array, residuals as a list of
+    dicts, written by ``tests/oracle_checkpoint.py`` — of a lossy async run
+    with updates in flight resumes through the format-2 and
+    ``TransportCodec/v2`` readers to the uninterrupted export, byte for
+    byte, and the run carries on writing format 2."""
+
+    STACK = dict(mode="async", compress="update:topk0.05+int8")
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_parent_checkpoint_resumes_identically(self, tmp_path, monkeypatch, executor):
+        ref = _dumps(_build(executor=executor, **self.STACK).run())
+        coord = _build(tmp_path, executor=executor, **self.STACK)
+        with monkeypatch.context() as parent:
+            parent.setattr(coordinator_module, "CheckpointWriter", oracle_checkpoint.CheckpointWriter)
+            parent.setattr(TransportCodec, "state_dict", oracle_checkpoint.transport_state_dict)
+            _crash_at(coord, crash_round=4)  # after the round-3 checkpoint
+            with pytest.raises(RuntimeError, match="injected"):
+                coord.run()
+        (run,) = RunRegistry(tmp_path).runs()
+        found = load_checkpoint(tmp_path / run)
+        assert found["manifest"]["format"] == 1
+        assert "TransportCodec/v1" in found["manifest"]["schemas"]
+        state = found["payload"]["coordinator"]
+        assert state["transport"]["residuals"] and state["engine"]["clock"]["events"]
+        resumed = _build(tmp_path, resume=True, executor=executor, **self.STACK).run()
+        assert _dumps(resumed) == ref
+        found = load_checkpoint(tmp_path / run)
+        assert found["manifest"]["format"] == CHECKPOINT_FORMAT == 2
+        assert "TransportCodec/v2" in found["manifest"]["schemas"]
 
 
 # ----------------------------------------------------------------------

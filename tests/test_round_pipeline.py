@@ -45,6 +45,7 @@ from repro.nn import mlp
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
 
+from oracle_checkpoint import transport_state_dict
 from oracle_client_manager import v1_payload
 
 GOLDEN = Path(__file__).parent / "data" / "golden_round_pipeline.json"
@@ -222,6 +223,10 @@ def _digests(name: str) -> dict:
     if isinstance(coord.strategy, FedTransStrategy):
         manager = state["strategy"]["client_manager"]
         state["strategy"]["client_manager"] = v1_payload(manager)
+    # And the codec's error-feedback residuals were a list of dicts
+    # (``TransportCodec/v1``), not the v2 columns.
+    if coord.transport is not None:
+        state["transport"] = transport_state_dict(coord.transport)
     return {
         "log": _blake(log_to_dict(log)),
         "recovery": _blake(recovery_to_dict(log)),

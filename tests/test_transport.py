@@ -320,7 +320,7 @@ class TestTransportCodec:
         codec.encode_update(update, _FakeModel({"w": w.copy()}))
         np.testing.assert_array_equal(update.params["w"], w)
         assert update.bytes_up < update.raw_bytes_up  # identical ref: tiny
-        assert codec.state_dict()["residuals"] == []  # lossless: no EF state
+        assert codec.state_dict()["client_id"].size == 0  # lossless: no EF state
 
     def test_lossy_wire_is_smaller_and_decoded_in_place(self, rng):
         ref = rng.standard_normal((32, 16))
@@ -375,7 +375,7 @@ class TestTransportCodec:
         codec.encode_update(update, _FakeModel({"w": np.zeros(32)}))
         np.testing.assert_array_equal(update.params["w"], w)  # poison intact
         assert update.bytes_up == w.nbytes  # shipped raw
-        assert codec.state_dict()["residuals"] == []
+        assert codec.state_dict()["client_id"].size == 0
 
     def test_state_dict_round_trips(self, rng):
         codec = TransportCodec(TransportConfig.parse("update:int8"))
@@ -388,6 +388,23 @@ class TestTransportCodec:
         assert set(clone._residuals) == set(codec._residuals)
         for k in codec._residuals:
             np.testing.assert_array_equal(clone._residuals[k], codec._residuals[k])
+
+    def test_state_dict_columns_follow_the_sorted_keys(self, rng):
+        codec = TransportCodec(TransportConfig.parse("update:int8"))
+        for cid in (3, 1, 2):
+            codec.encode_update(
+                _mk_update({"w": rng.standard_normal(4)}, cid=cid),
+                _FakeModel({"w": np.zeros(4)}),
+            )
+        payload = codec.state_dict()
+        assert payload["client_id"].tolist() == [1, 2, 3]
+        assert payload["tensors"] == [["m0", "param", "w", "<f8", [4]]]
+        assert payload["tensor"].tolist() == [0, 0, 0]
+        assert payload["size"].tolist() == [4, 4, 4]
+        np.testing.assert_array_equal(
+            payload["values"]["<f8"],
+            np.concatenate([codec._residuals[(c, "m0", "param", "w")] for c in (1, 2, 3)]),
+        )
 
     def test_load_rejects_spec_mismatch(self):
         codec = TransportCodec(TransportConfig.parse("update:int8"))
@@ -704,7 +721,7 @@ class TestCompressedCheckpointResume:
         payload = coord.state_dict()
         assert payload["transport"] is not None
         assert payload["transport"]["spec"] == self.SPEC
-        assert payload["transport"]["residuals"]  # lossy: EF state exists
+        assert payload["transport"]["client_id"].size  # lossy: EF state exists
 
 
 # ----------------------------------------------------------------------
