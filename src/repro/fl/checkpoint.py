@@ -227,9 +227,15 @@ def _member_array(zf: zipfile.ZipFile, info: zipfile.ZipInfo, limit: int) -> np.
     """One stored ``.npy`` member, read-only over its CRC-checked bytes.
 
     The header is checked against the member's length before any array
-    exists, so a hostile shape cannot size an allocation.
+    exists, so a hostile shape cannot size an allocation.  A stored
+    member's two sizes agree; ``zipfile`` sizes its read buffer by the
+    compressed one, so it is bounded by the file too.
     """
-    if info.compress_type != zipfile.ZIP_STORED or not info.file_size <= limit:
+    if (
+        info.compress_type != zipfile.ZIP_STORED
+        or info.compress_size != info.file_size
+        or not info.file_size <= limit
+    ):
         raise ValueError(f"member {info.filename!r} is not a stored array")
     raw = zf.read(info)
     fp = io.BytesIO(raw)

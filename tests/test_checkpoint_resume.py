@@ -409,6 +409,26 @@ class TestHostilePayloads:
             tracemalloc.stop()
         assert peak <= 4 * len(good) + (1 << 20)
 
+    def test_an_inflated_compressed_size_sizes_no_read(self, tmp_path):
+        # ``zipfile`` sizes a stored member's read buffer by the central
+        # directory's compressed size, which no CRC covers.
+        payload, good, _ = _good_checkpoint()
+        entries = [m.start() for m in re.finditer(b"PK\x01\x02", good)]
+        assert len(entries) == 1 + len(flatten_payload(payload)[1])
+        for entry in entries:
+            bad = bytearray(good)
+            bad[entry + 23] ^= 1  # compressed size += 16 MiB
+            path = tmp_path / "p.npz"
+            path.write_bytes(bad)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=re.escape(str(path))):
+                    read_payload(path)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert peak <= 4 * len(good) + (1 << 20)
+
     @pytest.mark.parametrize("tamper", sorted(_MARKER_TAMPERS))
     @settings(
         max_examples=15, deadline=None,
