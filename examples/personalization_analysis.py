@@ -50,7 +50,7 @@ def main() -> None:
     print(strategy.suite_summary())
 
     # 1. Deployment census: which model serves how many clients.
-    deployments = [strategy.eval_model_for(c) for c in clients]
+    deployments = strategy.eval_models(clients)
     census = collections.Counter(deployments)
     print("\n--- deployment census ---")
     for mid in models:

@@ -133,7 +133,8 @@ class FLuIDStrategy(Strategy):
     def assign(
         self, round_idx: int, participants: list[FLClient], rng: np.random.Generator
     ) -> dict[int, list[str]]:
-        return {c.client_id: [self.eval_model_for(c)] for c in participants}
+        picks = self.eval_models(participants)
+        return {c.client_id: [mid] for c, mid in zip(participants, picks)}
 
     # ------------------------------------------------------------------
     def aggregate(
@@ -156,5 +157,5 @@ class FLuIDStrategy(Strategy):
         self._rebuild_submodels()
         return []
 
-    def eval_model_for(self, client: FLClient) -> str:
-        return largest_compatible(self._models, client.capacity_macs)
+    def eval_models(self, clients: list[FLClient]) -> list[str]:
+        return largest_compatible(self._models, clients)

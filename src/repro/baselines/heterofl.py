@@ -87,7 +87,8 @@ class HeteroFLStrategy(Strategy):
     def assign(
         self, round_idx: int, participants: list[FLClient], rng: np.random.Generator
     ) -> dict[int, list[str]]:
-        return {c.client_id: [self.eval_model_for(c)] for c in participants}
+        picks = self.eval_models(participants)
+        return {c.client_id: [mid] for c, mid in zip(participants, picks)}
 
     def aggregate(
         self, round_idx: int, updates: list[ClientUpdate], rng: np.random.Generator
@@ -98,5 +99,5 @@ class HeteroFLStrategy(Strategy):
         self._refresh_submodels()
         return []
 
-    def eval_model_for(self, client: FLClient) -> str:
-        return largest_compatible(self._models, client.capacity_macs)
+    def eval_models(self, clients: list[FLClient]) -> list[str]:
+        return largest_compatible(self._models, clients)

@@ -62,8 +62,8 @@ class SingleModelStrategy(Strategy):
             self.model.set_state(tree_average(states, weights))
         return []
 
-    def eval_model_for(self, client: FLClient) -> str:
-        return self.model.model_id
+    def eval_models(self, clients: list[FLClient]) -> list[str]:
+        return [self.model.model_id] * len(clients)
 
     def state_dict(self) -> dict:
         payload = super().state_dict()

@@ -80,8 +80,8 @@ class SplitMixStrategy(Strategy):
         return []
 
     # ------------------------------------------------------------------
-    def eval_model_for(self, client: FLClient) -> str:
-        return self._base_ids[0]
+    def eval_models(self, clients: list[FLClient]) -> list[str]:
+        return [self._base_ids[0]] * len(clients)
 
     def eval_ensemble(self, client: FLClient, model_id: str) -> tuple[str, ...]:
         """Ensemble the first ``budget_count`` base nets (averaged logits)."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..fl.strategy import compatible_model_ids
-from ..fl.types import ClientUpdate
+from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
 from ..nn.param_ops import ParamTree
 
@@ -210,8 +210,14 @@ def scatter_updates(
         global_model.set_state(scatter_average(global_model.state(), contribs, index_maps))
 
 
-def largest_compatible(models: dict[str, CellModel], capacity_macs: float) -> str:
-    """Id of the largest ladder model that fits a MAC budget (fit rule and
-    too-weak-client fallback: :func:`~repro.fl.strategy.compatible_model_ids`)."""
-    fits = compatible_model_ids(models, capacity_macs)
-    return max(fits, key=lambda mid: (models[mid].macs(), mid))
+def largest_compatible(models: dict[str, CellModel], clients: list[FLClient]) -> list[str]:
+    """Per client, the id of the largest ladder model that fits its MAC
+    budget (fit rule and too-weak-client fallback:
+    :func:`~repro.fl.strategy.compatible_model_ids`), resolved once per
+    distinct capacity."""
+    capacities, owner = np.unique([c.capacity_macs for c in clients], return_inverse=True)
+    picks = [
+        max(compatible_model_ids(models, cap), key=lambda mid: (models[mid].macs(), mid))
+        for cap in capacities.tolist()
+    ]
+    return [picks[i] for i in owner.tolist()]

@@ -108,7 +108,8 @@ class ClientManager(Stateful):
         self._u = np.array(utility, dtype=np.float64).reshape(len(self._row), len(self._col))
         self._present = np.array(present, dtype=bool).reshape(self._u.shape)
         self._last_active = np.array(last_active, dtype=np.int64)
-        self._fleet_mean: dict[str, float] | None = None
+        self._fleet_mean: np.ndarray | None = None
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     def _grow(self, client_ids, model_ids) -> None:
         """Append zero rows for unseen clients and columns for unseen models."""
@@ -124,6 +125,7 @@ class ClientManager(Stateful):
             self._u, self._present = u, held
             self._clients = np.append(self._clients, np.array(rows, dtype=np.int64))
             self._last_active = np.append(self._last_active, np.zeros(len(rows), dtype=np.int64))
+            self._index = None
 
     # ------------------------------------------------------------------
     def utility(self, client_id: int, model_id: str) -> float:
@@ -174,32 +176,55 @@ class ClientManager(Stateful):
         p = self.assignment_probabilities(client_id, compatible_ids)
         return compatible_ids[int(rng.choice(len(compatible_ids), p=p))]
 
-    def best_model(self, client_id: int, compatible_ids: list[str]) -> str:
-        """Deployment choice: the compatible model with the highest utility.
+    def best_model(self, client_ids, compatible_ids: list[str]) -> list[str]:
+        """Deployment choice per client: the compatible model with the
+        highest utility, in ``client_ids`` order.
 
         Ties (e.g. clients that never participated) break toward the model
-        with the highest fleet-wide mean utility, then the earliest-born
-        (most-trained) model.  The means are cached until the block changes.
+        with the highest fleet-wide mean utility, then the earliest in
+        ``compatible_ids`` (birth order: the most-trained model).  The means
+        and the row index are cached until the block changes, so a call
+        costs a lookup and a few passes over a ``(clients, compatible)``
+        slice of the block, however many rows are resident.
         """
         if not compatible_ids:
             raise ValueError("no compatible models")
         if self._fleet_mean is None:
             held, u = self._present, self._u
-            self._fleet_mean = {
-                mid: u[held[:, j], j].mean() if held[:, j].any() else 0.0
-                for mid, j in self._col.items()
-            }
-        means = self._fleet_mean
-        ranked = sorted(
-            range(len(compatible_ids)),
-            key=lambda i: (
-                self.utility(client_id, compatible_ids[i]),
-                float(means.get(compatible_ids[i], 0.0)),
-                -i,
-            ),
-            reverse=True,
-        )
-        return compatible_ids[ranked[0]]
+            self._fleet_mean = np.array(
+                [u[held[:, j], j].mean() if held[:, j].any() else 0.0 for j in self._col.values()]
+            )
+        # One lookup per compatible model (-1: a model the table never saw).
+        cols = np.array(list(map(self._col.get, compatible_ids, [-1] * len(compatible_ids))))
+        rows = self._rows(client_ids)
+        known, seen = cols >= 0, rows >= 0
+        u = np.zeros((len(rows), len(cols)))
+        u[np.ix_(seen, known)] = self._u[np.ix_(rows[seen], cols[known])]
+        means = np.zeros(len(cols))
+        means[known] = self._fleet_mean[cols[known]]
+        # Lexicographic argmax of (utility, fleet mean, -position) per row.
+        best = u == u.max(axis=1, keepdims=True)
+        tied_means = np.where(best, means, -np.inf)
+        best &= tied_means == tied_means.max(axis=1, keepdims=True)
+        picks = best.argmax(axis=1)
+        # A NaN has no rank, so where one is compared the order is the one
+        # ``sorted`` gives the per-client keys (the rule as first stated).
+        unranked = np.flatnonzero(np.isnan(u).any(axis=1) | np.isnan(means).any())
+        picks[unranked] = list(map(_sorted_first, u[unranked].tolist(), [means] * len(unranked)))
+        return np.array(compatible_ids, dtype=object)[picks].tolist()
+
+    def _rows(self, client_ids) -> np.ndarray:
+        """Row of each client id, -1 for a client without one: a binary
+        search over the client column, sorted once per change of the rows."""
+        if self._index is None:
+            order = np.argsort(self._clients, kind="stable")
+            self._index = (self._clients[order], order)
+        ids, order = self._index
+        wanted = np.asarray(client_ids, dtype=np.int64)
+        if not len(ids):
+            return np.full(len(wanted), -1)
+        at = np.minimum(np.searchsorted(ids, wanted), len(ids) - 1)
+        return np.where(ids[at] == wanted, order[at], -1)
 
     # ------------------------------------------------------------------
     def update(
@@ -278,6 +303,15 @@ class ClientManager(Stateful):
         self._round = int(payload["round"])
         self.evicted_total = int(payload["evicted_total"])
         self.sim_cache.load_state_dict(payload["sim_cache"])
+
+
+def _sorted_first(utilities: list[float], means: np.ndarray) -> int:
+    """Position ranked first by ``(utility, fleet mean, -position)``,
+    sorted in descending order."""
+    mean = means.tolist()
+    return sorted(
+        range(len(utilities)), key=lambda i: (utilities[i], mean[i], -i), reverse=True
+    )[0]
 
 
 _TABLE = ("clients", "models", "utility", "present", "last_active")

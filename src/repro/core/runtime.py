@@ -13,7 +13,7 @@ Per round (matching the pseudo-code's line numbers):
   most-active cells (Fig. 5), and register the child with inherited
   weights and utilities.
 
-Deployment (``eval_model_for``) gives each client its highest-utility
+Deployment (``eval_models``) gives each client its highest-utility
 compatible model — the rule §5.1 uses for all reported accuracies.
 """
 
@@ -145,9 +145,20 @@ class FedTransStrategy(Strategy):
                 )
         return events
 
-    def eval_model_for(self, client: FLClient) -> str:
-        compatible = self.compatible_models(client)
-        return self.client_manager.best_model(client.client_id, compatible)
+    def eval_models(self, clients: list[FLClient]) -> list[str]:
+        """Each client's highest-utility compatible model: one compatible set
+        per distinct capacity, one :meth:`ClientManager.best_model` call per
+        distinct set."""
+        capacities, owner = np.unique([c.capacity_macs for c in clients], return_inverse=True)
+        sets: dict[tuple[str, ...], list[int]] = {}
+        for k, cap in enumerate(capacities.tolist()):
+            sets.setdefault(tuple(compatible_model_ids(self._models, cap)), []).append(k)
+        client_ids = np.array([c.client_id for c in clients], dtype=np.int64)
+        picks = np.empty(len(clients), dtype=object)
+        for compatible, caps in sets.items():
+            members = np.flatnonzero(np.isin(owner, caps))
+            picks[members] = self.client_manager.best_model(client_ids[members], list(compatible))
+        return picks.tolist()
 
     def drain_evicted(self) -> int:
         evicted, self._evicted_unreported = self._evicted_unreported, 0

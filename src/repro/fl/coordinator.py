@@ -713,15 +713,15 @@ class Coordinator(Stateful):
     def evaluate(self, round_idx: int, cumulative_macs: float) -> EvalRecord:
         """Per-client test accuracy on each client's deployment.
 
-        The deployed model is resolved exactly once per client
-        (``eval_model_for`` can re-rank utilities, so calling it twice can
-        record a different model than the one actually evaluated); clients
+        The deployed models are resolved in one ``eval_models`` call per
+        sweep (resolving twice could re-rank utilities and record a
+        different model than the one actually evaluated); clients
         sharing an ensemble are then chunked into deployment groups and the
         sweep runs through :class:`~repro.fl.eval_cache.EvalCache`: one
         large forward pass per group whose model versions moved, the cached
         accuracies for the rest.
         """
-        used = [self.strategy.eval_model_for(c) for c in self.clients]
+        used = self.strategy.eval_models(self.clients)
         groups: dict[tuple[str, ...], list[int]] = {}
         for i, client in enumerate(self.clients):
             key = self.strategy.eval_ensemble(client, used[i])

@@ -34,6 +34,13 @@ memory between sweeps — the price of skipping idle members' forward
 passes.  Fleets whose evaluation is dominated by single-model deployments
 pay nothing.
 
+A miss costs forward passes and one scoring pass, nothing per client:
+:func:`~repro.fl.executor._logits_task` runs ``predict`` on the executor
+thread's own workspace of the model (refilled from the published model,
+never a fresh clone, so the published model is never run), and
+:func:`~repro.fl.executor.ensemble_accuracies` scores a whole group with
+one ``argmax`` and a per-client ``bincount``.
+
 Warm and cold sweeps are bit-identical: a sweep over an empty cache is
 the code a first sweep runs, a hit returns the array a miss stored, every
 score ends in :func:`~repro.fl.executor.ensemble_accuracies` over

@@ -31,14 +31,16 @@ trains as K replicas of one NumPy loop on a K-replica workspace
 and the updates are scattered back to item order.
 
 **Workspaces persist.**  Each thread (serial: the caller's; thread: each
-pool thread; process: each worker) keeps one training workspace per model
-id (:func:`_workspace`).  A model's first cohort builds it
-(:meth:`CellModel.replicate`); later cohorts of any K refill it in place
+pool thread; process: each worker) keeps one workspace per model id
+(:func:`_workspace`), and every forward pass runs on one: a training
+cohort's and a sweep's alike.  A model's first job in a thread builds it
+(:meth:`CellModel.replicate`); later jobs refill it in place
 (:meth:`CellModel.refill`: ``np.copyto`` from the published model into its
-flat arena, the version restamped) instead of deep-copying the model.  It
-is rebuilt when the model's tensor shapes moved and dropped once the model
-is absent from a wave, and its layers' scratch buffers are released when
-each item returns.  Parallel backends cut a
+flat arena, the version restamped) instead of deep-copying the model — a
+sweep's logits task at K = 1, a cohort at its own K.  It is rebuilt when
+the model's tensor shapes moved and dropped once the model is absent from
+a wave, and its layers' scratch buffers are released when each job
+returns.  Parallel backends cut a
 group into at most ``workers`` contiguous sub-cohorts.  The singleton rule:
 an item is its own cohort when its model holds a layer without a replica
 axis (conv, norms, attention, dropout) and whenever a fault plan or a retry
@@ -72,7 +74,6 @@ import numpy as np
 
 from ..analysis import sanitize as _sanitize
 from ..nn.compute import compute_dtype_name, set_compute_dtype
-from ..nn.losses import accuracy
 from ..nn.model import CellModel
 from ..stateful import Stateful, check_schema, schema_tag
 from . import snapshot as _snapshot
@@ -158,12 +159,13 @@ def _workspace(
     model_id: str,
     k: int,
 ) -> CellModel:
-    """This thread's training workspace for ``k`` replicas of ``models[model_id]``.
+    """This thread's workspace for ``k`` replicas of ``models[model_id]``.
 
     ``workspaces`` maps a thread to its workspaces by model id, so two jobs
     running at once never share one (a pool worker process holds its own
     map).  A workspace (:meth:`CellModel.replicate`) is built on a model's
-    first cohort in a thread and refilled in place for every later one
+    first job in a thread — a training cohort or a sweep's logits task
+    (K = 1) — and refilled in place for every later one
     (:meth:`CellModel.refill`: ``np.copyto`` from the published model, the
     version restamped), rebuilt when the model's tensor shapes moved, and
     dropped once the model is absent from a wave.
@@ -203,7 +205,7 @@ def ensemble_accuracies(
     clients_by_id: dict[int, FLClient],
     client_ids: tuple[int, ...],
 ) -> np.ndarray:
-    """Average member logits, slice per client, score: the one scorer.
+    """Average member logits, score the group in one pass: the one scorer.
 
     ``member_logits`` yields each member model's logits over the group's
     concatenated test rows, in ensemble order.  A single-model group
@@ -211,59 +213,60 @@ def ensemble_accuracies(
     member logits (:class:`~repro.fl.eval_cache.EvalCache`) both end here,
     over arrays :func:`_logits_task` produced.
 
-    A test-less client inside a non-empty group scores 0.0 — accuracy()
-    over a zero-length slice would yield NaN and poison the eval's mean.
+    One ``argmax`` over the whole group, hits counted per client with
+    ``bincount``: an exact float64 count divided by the client's row count,
+    the bits a per-client bool ``mean()`` gives.  A test-less client scores
+    0.0 — a mean over a zero-length slice would be NaN and poison the
+    eval's mean.
     """
     logits: np.ndarray | None = None
     for out in member_logits:
         logits = out if logits is None else logits + out
     logits = logits / num_members
-    accs = np.zeros(len(client_ids))
-    offset = 0
-    for j, cid in enumerate(client_ids):
-        data = clients_by_id[cid].data
-        n = data.num_test
-        accs[j] = accuracy(logits[offset : offset + n], data.y_test) if n else 0.0
-        offset += n
-    return accs
+    data = [clients_by_id[cid].data for cid in client_ids]
+    num_test = np.array([d.num_test for d in data], dtype=np.int64)
+    correct = logits.argmax(axis=-1) == np.concatenate([d.y_test for d in data])
+    owner = np.repeat(np.arange(len(data)), num_test)
+    hits = np.bincount(owner, weights=correct, minlength=len(data))
+    return np.divide(hits, num_test, out=np.zeros(len(data)), where=num_test > 0)
 
 
 def _eval_task(
-    models: dict[str, CellModel],
-    clients_by_id: dict[int, FLClient],
-    task: EvalTask,
-    batch_size: int,
+    models: dict[str, CellModel], env, task: EvalTask, batch_size: int
 ) -> np.ndarray:
     """Per-client accuracies of a single-model group: score one logits task.
 
     Scored where the logits are, so only the accuracies cross the wire.  An
     all-empty group scores zeros like any other test-less client.
     """
-    logits = _logits_task(models, clients_by_id, task, batch_size)
-    return ensemble_accuracies([logits], 1, clients_by_id, task.client_ids)
+    logits = _logits_task(models, env, task, batch_size)
+    return ensemble_accuracies([logits], 1, env.clients_by_id, task.client_ids)
 
 
 def _logits_task(
-    models: dict[str, CellModel],
-    clients_by_id: dict[int, FLClient],
-    task: EvalTask,
-    batch_size: int,
+    models: dict[str, CellModel], env, task: EvalTask, batch_size: int
 ) -> np.ndarray:
     """Raw logits of one model over one client chunk's concatenated tests.
 
-    The only forward pass of a sweep.  Runs on a throwaway clone: the
-    thread backend would otherwise race on the live server model's layer
-    caches, and any backend would leave the chunk's concatenated
-    activations pinned on it after predict().
+    The only forward pass of a sweep.  It runs on this thread's workspace
+    of the model (:func:`_workspace`, K = 1: refilled from the published
+    model with ``np.copyto``), never on the published model itself, whose
+    layer caches two threads would otherwise race on; the workspace's
+    scratch is released when the task returns, so no activations stay
+    pinned between sweeps.
     """
     if len(task.model_ids) != 1:
         raise ValueError(f"logits tasks carry exactly one model, got {task.model_ids}")
-    model = models[task.model_ids[0]]
-    xs = np.concatenate([clients_by_id[cid].data.x_test for cid in task.client_ids])
+    mid = task.model_ids[0]
+    xs = np.concatenate([env.clients_by_id[cid].data.x_test for cid in task.client_ids])
     if len(xs) == 0:
         # predict() cannot run on zero samples.
-        return np.zeros((0, model.num_classes))
-    return model.clone(keep_id=True).predict(xs, batch_size)
+        return np.zeros((0, models[mid].num_classes))
+    work = _workspace(env.workspaces, models, mid, 1)
+    try:
+        return work.predict(xs, batch_size)
+    finally:
+        work.release_scratch()
 
 
 def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_side: bool):
@@ -283,7 +286,7 @@ def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_
     if kind != "train":
         task, batch_size = payload
         run = _eval_task if kind == "eval" else _logits_task
-        return run(load_models(), env.clients_by_id, task, batch_size)
+        return run(load_models(), env, task, batch_size)
     plan = env.fault_plan
     # A fault plan makes every cohort a singleton (RoundExecutor._cohorts).
     decision = plan.item_faults(round_idx, payload[0]) if plan is not None and attempt == 0 else None
@@ -310,8 +313,8 @@ class RoundExecutor(Stateful, ABC):
     Every wave runs under :func:`repro.analysis.sanitize.published` (a
     no-op unless the sanitizer is on; CONTRACTS.md I7): while a round is in
     flight the server models are published and must not be written — work
-    items read them into private workspaces or clones, and a write from
-    anywhere else is exactly the race the guard exists to catch.
+    items read them into private workspaces, and a write from anywhere else
+    is exactly the race the guard exists to catch.
 
     Executors are :class:`~repro.stateful.Stateful` with empty payloads by
     design: pools, snapshot chains, and publish meters are all *derived*

@@ -5,10 +5,11 @@ trains (``assign`` — SplitMix ships several base nets per client, everyone
 else exactly one), merges returned updates (``aggregate``; the async engine
 routes buffered, possibly stale batches through ``aggregate_buffered``,
 which discounts staleness and delegates here), and defines how
-a client is *evaluated*: ``eval_model_for`` names the deployed model — the
-paper evaluates "each client only on its compatible models and assign[s]
-it the model with the highest utility" — and ``eval_ensemble`` the models
-whose averaged logits form the deployment (by default that one model).
+a client is *evaluated*: ``eval_models`` names every client's deployed
+model in one call per sweep — the paper evaluates "each client only on its
+compatible models and assign[s] it the model with the highest utility" —
+and ``eval_ensemble`` the models whose averaged logits form the deployment
+(by default that one model).
 
 FedTrans and every baseline implement this interface, so the coordinator,
 cost accounting, and bench harness are shared across all methods.
@@ -170,8 +171,13 @@ class Strategy(Stateful, ABC):
         return self.aggregate(round_idx, adjusted, rng)
 
     @abstractmethod
-    def eval_model_for(self, client: FLClient) -> str:
-        """Model id this client deploys (used by the default evaluation)."""
+    def eval_models(self, clients: list[FLClient]) -> list[str]:
+        """Model id each client deploys, in ``clients`` order.
+
+        The one deployment rule, resolved for a whole fleet at once: a sweep
+        calls it once, so a strategy resolves each distinct capacity (and
+        ranks utilities) once per sweep instead of once per client.
+        """
 
     # ------------------------------------------------------------------
     # evaluation hooks
@@ -179,8 +185,8 @@ class Strategy(Stateful, ABC):
     def eval_ensemble(self, client: FLClient, model_id: str) -> tuple[str, ...]:
         """Model ids whose *averaged* logits form this client's deployment.
 
-        ``model_id`` is the already-resolved :meth:`eval_model_for` result
-        (threaded through so utility re-ranking runs once per client).  The
+        ``model_id`` is the client's already-resolved :meth:`eval_models`
+        entry (threaded through so utility ranking runs once per sweep).  The
         default deployment is that single model; ensemble methods
         (SplitMix) override.  The coordinator batches evaluation by this
         key: clients sharing an ensemble share one big forward pass.
@@ -197,10 +203,10 @@ class Strategy(Stateful, ABC):
         fleet sweep is tested against.  The sweep itself never calls it:
         :meth:`eval_ensemble` is the hook, and the coordinator refuses a
         strategy that overrides this method.  ``model_id`` lets callers
-        that already resolved :meth:`eval_model_for` thread it through
+        that already resolved :meth:`eval_models` thread it through
         instead of re-ranking; when omitted it is resolved here.
         """
-        mid = self.eval_model_for(client) if model_id is None else model_id
+        mid = self.eval_models([client])[0] if model_id is None else model_id
         models = self.models()
         ids = self.eval_ensemble(client, mid)
         if len(ids) == 1:

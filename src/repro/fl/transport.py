@@ -78,14 +78,21 @@ def _put_varint(buf: bytearray, value: int) -> None:
             return
 
 
+# Longest varint a decoder reads: 64 bits of payload.  _put_varint never
+# writes more than 9 bytes (Python ints from array sizes stay below 2**63).
+_MAX_VARINT_BYTES = 10
+
+
 def _get_varint(data: bytes, pos: int, stream: str) -> tuple[int, int]:
     """Decode one LEB128 integer at ``pos``; returns ``(value, next_pos)``.
 
-    Running off the end of ``data`` is the ``stream``'s corruption error.
+    Running off the end of ``data``, or a varint longer than
+    ``_MAX_VARINT_BYTES``, is the ``stream``'s corruption error — without
+    the bound a run of continuation bytes grows one Python int without
+    limit, quadratic in the run's length.
     """
     value = 0
-    shift = 0
-    while True:
+    for shift in range(0, 7 * _MAX_VARINT_BYTES, 7):
         if pos >= len(data):
             raise ValueError(f"corrupt {stream} stream: truncated at byte {pos}")
         byte = data[pos]
@@ -93,7 +100,10 @@ def _get_varint(data: bytes, pos: int, stream: str) -> tuple[int, int]:
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return value, pos
-        shift += 7
+    raise ValueError(
+        f"corrupt {stream} stream: varint longer than {_MAX_VARINT_BYTES} bytes "
+        f"ending at byte {pos}"
+    )
 
 
 def rle_encode_bytes(data: bytes, ref: bytes) -> bytes | None:
@@ -195,11 +205,17 @@ def encode_indices(idx: np.ndarray, n: int) -> bytes:
 
 
 def decode_indices(encoded: bytes) -> tuple[np.ndarray, int]:
-    """Invert :func:`encode_indices`; returns ``(indices, n)``."""
+    """Invert :func:`encode_indices`; returns ``(indices, n)``.
+
+    The whole stream is checked against its own header before anything is
+    materialised, so only a stream that decodes exactly sizes the result.
+    """
     pos = 0
     n, pos = _get_varint(encoded, pos, "top-k index")
     k, pos = _get_varint(encoded, pos, "top-k index")
-    chunks: list[np.ndarray] = []
+    if k > n or n >> 63:  # past int64 the indices would overflow their dtype
+        raise ValueError("corrupt top-k index stream")
+    pairs: list[tuple[int, int]] = []
     cursor = 0
     total = 0
     while total < k:
@@ -207,15 +223,14 @@ def decode_indices(encoded: bytes) -> tuple[np.ndarray, int]:
         run, pos = _get_varint(encoded, pos, "top-k index")
         start = cursor + gap
         if run > min(n - start, k - total):
-            # Bounded by the stream's own header before it is materialised:
-            # a hostile run length must not size an allocation.
             raise ValueError("corrupt top-k index stream")
-        chunks.append(np.arange(start, start + run, dtype=np.int64))
+        pairs.append((start, run))
         cursor = start + run
         total += run
-    idx = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    if idx.size != k or (idx.size and int(idx[-1]) >= n) or pos != len(encoded):
+    if pos != len(encoded):
         raise ValueError("corrupt top-k index stream")
+    chunks = [np.arange(start, start + run, dtype=np.int64) for start, run in pairs]
+    idx = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
     return idx, n
 
 

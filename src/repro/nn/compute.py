@@ -100,11 +100,12 @@ class Workspace:
 
     Each layer (and the aggregator) owns a private workspace, so reuse is
     free of cross-thread races: a clone starts with a fresh (empty)
-    workspace, and every executor thread trains on its own model copies,
-    whose layer workspaces are emptied when each work item returns.  ``get``
-    hands back the buffer registered under ``name`` when its shape and
-    dtype still match, else allocates a replacement — steady-state
-    training (fixed batch shape) allocates exactly once per buffer.
+    workspace, and every executor thread trains and evaluates on its own
+    model copies, whose layer workspaces are emptied when each work item
+    returns.  ``get`` hands back the buffer registered under ``name`` when
+    its shape and dtype still match, else allocates a replacement —
+    steady-state training (fixed batch shape) allocates exactly once per
+    buffer.
 
     Contents are *not* preserved between calls: callers must fully
     overwrite a buffer before reading it (``zero_first`` zeroes only

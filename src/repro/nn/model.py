@@ -452,8 +452,9 @@ class CellModel:
         loop (:meth:`repro.fl.client.LocalTrainer.train`).  ``k > 1`` is
         refused unless every layer declares the axis (``Layer.replica_axis``:
         Dense and ReLU; not Conv, pooling, BatchNorm, LayerNorm or
-        attention).  A workspace trains; it is not evaluated, transformed or
-        published, and :meth:`refill` reloads it for the next cohort.
+        attention).  A workspace trains cohorts and runs a fleet sweep's
+        forward passes (K = 1, :meth:`predict`); it is not transformed or
+        published, and :meth:`refill` reloads it for the next job.
         """
         work = self.clone(keep_id=True)
         work.refill(self, k)

@@ -2,7 +2,9 @@
 
 ``ClientStateStore`` and ``ClientManager`` below are the implementation the
 ``(clients x models)`` block in :mod:`repro.core.client_manager` replaced,
-copied verbatim (only the imports are rewritten), and
+copied verbatim (only the imports are rewritten; ``best_model`` is the
+batched call a sweep makes now, over the verbatim per-client
+``best_model_for``), and
 ``tests/test_utility_table.py`` holds the table to them bit for bit.  Its
 ``state_dict`` is the ``ClientManager/v1`` payload older checkpoints hold.
 """
@@ -192,7 +194,14 @@ class ClientManager(Stateful):
         p = self.assignment_probabilities(client_id, compatible_ids)
         return compatible_ids[int(rng.choice(len(compatible_ids), p=p))]
 
-    def best_model(self, client_id: int, compatible_ids: list[str]) -> str:
+    def best_model(self, client_ids, compatible_ids: list[str]) -> list[str]:
+        """The batched call deployment makes once per sweep: the per-client
+        rule below, client by client."""
+        if not compatible_ids:
+            raise ValueError("no compatible models")
+        return [self.best_model_for(int(cid), compatible_ids) for cid in client_ids]
+
+    def best_model_for(self, client_id: int, compatible_ids: list[str]) -> str:
         """Deployment choice: the compatible model with the highest utility.
 
         Ties (e.g. clients that never participated) break toward the model

@@ -1593,10 +1593,10 @@ class TestSanitizerEndToEnd:
 
         orig = ex_mod._eval_task
 
-        def evil(models, clients_by_id, task, batch_size):
+        def evil(models, env, task, batch_size):
             arr = next(iter(models[task.model_ids[0]].params().values()))
             arr[0, 0] += 1.0  # the race the guard exists to catch
-            return orig(models, clients_by_id, task, batch_size)
+            return orig(models, env, task, batch_size)
 
         monkeypatch.setattr(ex_mod, "_eval_task", evil)
         coord = _coordinator(backend)

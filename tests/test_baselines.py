@@ -188,8 +188,8 @@ class TestHeteroFL:
         models = strat.models()
         weakest = min(clients, key=lambda c: c.capacity_macs)
         strongest = max(clients, key=lambda c: c.capacity_macs)
-        m_weak = models[strat.eval_model_for(weakest)].macs()
-        m_strong = models[strat.eval_model_for(strongest)].macs()
+        weak_id, strong_id = strat.eval_models([weakest, strongest])
+        m_weak, m_strong = models[weak_id].macs(), models[strong_id].macs()
         assert m_weak < m_strong
 
     def test_aggregate_refreshes_submodels(self, rng):

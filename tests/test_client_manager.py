@@ -94,22 +94,22 @@ class TestSampling:
 class TestBestModel:
     def test_highest_utility_wins(self):
         cm = _seeded({0: {"a": 0.1, "b": 5.0}})
-        assert cm.best_model(0, ["a", "b"]) == "b"
+        assert cm.best_model([0], ["a", "b"]) == ["b"]
 
     def test_tie_breaks_by_global_mean(self):
         cm = _seeded({1: {"a": 0.0, "b": 4.0}})  # fleet likes b
         # client 0 never participated: per-client utilities are all 0
-        assert cm.best_model(0, ["a", "b"]) == "b"
+        assert cm.best_model([0], ["a", "b"]) == ["b"]
 
     def test_fleet_mean_counts_only_rows_holding_a_utility(self):
         # a: 1.0 over one row; b: 0.5 over three.  Counting the rows that
         # never wrote a utility as zeros would rank b first (0.375 > 0.25).
         cm = _seeded({1: {"a": 1.0}, 2: {"b": 0.5}, 3: {"b": 0.5}, 4: {"b": 0.5}})
-        assert cm.best_model(0, ["b", "a"]) == "a"
+        assert cm.best_model([0], ["b", "a"]) == ["a"]
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            ClientManager().best_model(0, [])
+            ClientManager().best_model([0], [])
 
 
 class TestRegisterModel:
@@ -327,7 +327,7 @@ class TestTableRows:
 
     def test_lazy_materialization(self):
         cm = ClientManager()
-        assert cm.utility(5, "m") == 0.0 and cm.best_model(5, ["m"]) == "m"
+        assert cm.utility(5, "m") == 0.0 and cm.best_model([5], ["m"]) == ["m"]
         assert _rows(cm) == []  # queries never materialize a row
         mid = self._touch(cm, 5)
         assert _rows(cm) == [5, 99] and _held(cm, 5) == {mid}

@@ -179,7 +179,7 @@ class TestFallbacks:
         hopeless = FLClient(
             99, ds.clients[0], DeviceTrace(99, 1e9, 1e6, capacity_macs=1.0)
         )
-        mid = strat.eval_model_for(hopeless)
+        (mid,) = strat.eval_models([hopeless])
         assert mid == min(strat.models(), key=lambda m: strat.models()[m].macs())
 
     def test_strategy_compatible_fallback(self, rng):

@@ -453,7 +453,9 @@ class TestCacheBehavior:
         assert idle.cached_clients == len(clients)
         top = strategy._base_ids[-1]
         deployed_top = [
-            c for c in clients if top in strategy.eval_ensemble(c, strategy.eval_model_for(c))
+            c
+            for c, mid in zip(clients, strategy.eval_models(clients))
+            if top in strategy.eval_ensemble(c, mid)
         ]
         assert deployed_top  # the workload exercises the full ensemble
         counting.logits_tasks.clear()

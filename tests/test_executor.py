@@ -294,8 +294,8 @@ class TestBatchedEvaluation:
 
     def test_eval_model_resolved_once(self, rng):
         """The recorded client_model is the model that produced the logits,
-        even when eval_model_for is stateful (regression for the double
-        re-rank in the old evaluate path)."""
+        even when eval_models is stateful (regression for the double
+        re-rank in the old evaluate path): one call resolves the sweep."""
         ds = _dataset(num_clients=4)
         clients = _clients(ds)
         base = fedavg(mlp(ds.input_shape, ds.num_classes, rng, width=8))
@@ -303,14 +303,14 @@ class TestBatchedEvaluation:
         calls = {"n": 0}
 
         class CountingStrategy(type(base)):
-            def eval_model_for(self, client):
+            def eval_models(self, clients):
                 calls["n"] += 1
-                return super().eval_model_for(client)
+                return super().eval_models(clients)
 
         base.__class__ = CountingStrategy
         coord = Coordinator(base, clients, _coord_cfg("serial", rounds=2))
         ev = coord.evaluate(0, 0.0)
-        assert calls["n"] == len(clients)  # exactly once per client
+        assert calls["n"] == 1  # exactly once per sweep
         assert ev.client_model == [base.model.model_id] * len(clients)
         coord.close()
 

@@ -215,8 +215,7 @@ class TestFedTransRuntime:
         ds, init, clients = _workload()
         models = strategy.models()
         cheapest = min(m.macs() for m in models.values())
-        for c in clients:
-            mid = strategy.eval_model_for(c)
+        for c, mid in zip(clients, strategy.eval_models(clients)):
             assert models[mid].macs() <= max(c.capacity_macs, cheapest)
 
     def test_models_ordered_by_birth(self):

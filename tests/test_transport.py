@@ -13,10 +13,13 @@ contract (I9) are covered here too.
 import json
 import re
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import fedavg
 from repro.data import SyntheticTaskConfig, build_federated_dataset
@@ -231,6 +234,67 @@ class TestIndexCodec:
         with pytest.raises(ValueError, match="corrupt top-k index stream"):
             decode_indices(bytes(buf))
         assert all(stop - start <= 100 for start, stop in sizes)
+
+
+class TestHostileVarints:
+    """ROADMAP 5a: both varint-framed decoders (the top-k index stream and
+    the ``rle`` byte diff the snapshot reader decodes) take any bytes and
+    either decode them to something that encodes back to the same value or
+    raise the stream's ``ValueError`` — never another error, never slowly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(encoded=st.binary(max_size=64))
+    def test_index_stream_round_trips_or_raises(self, encoded):
+        try:
+            idx, n = decode_indices(encoded)
+        except ValueError as err:
+            assert "corrupt top-k index stream" in str(err)
+            return
+        back, n_back = decode_indices(encode_indices(idx, n))
+        assert n_back == n
+        np.testing.assert_array_equal(back, idx)
+
+    @settings(max_examples=300, deadline=None)
+    @given(encoded=st.binary(max_size=64), ref=st.binary(max_size=48))
+    def test_rle_stream_round_trips_or_raises(self, encoded, ref):
+        try:
+            data = rle_decode_bytes(encoded, ref)
+        except ValueError as err:
+            assert "corrupt rle stream" in str(err)
+            return
+        assert len(data) == len(ref)
+        again = rle_encode_bytes(data, ref)
+        assert again is None or rle_decode_bytes(again, ref) == data
+
+    @pytest.mark.parametrize(
+        "decode,stream",
+        [(decode_indices, "top-k index"), (lambda b: rle_decode_bytes(b, b"r" * 64), "rle")],
+        ids=["index", "rle"],
+    )
+    def test_a_megabyte_of_continuation_bytes_is_refused_at_once(self, decode, stream):
+        hostile = b"\xff" * (1 << 20) + b"\x01"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"corrupt {stream} stream: varint longer"):
+            decode(hostile)
+        assert time.perf_counter() - start < 0.05
+
+    def test_an_index_space_past_int64_is_refused(self):
+        """A header ``n`` past int64 let a valid-looking run start beyond the
+        index dtype: ``np.arange`` raised ``OverflowError``, not the
+        stream's error."""
+        buf = bytearray()
+        for value in (1 << 69, 1, 1 << 64, 1):  # n, k, one (gap, run) pair
+            _put_varint(buf, value)
+        with pytest.raises(ValueError, match="corrupt top-k index stream"):
+            decode_indices(bytes(buf))
+
+    def test_the_longest_varint_the_encoder_writes_still_decodes(self):
+        n = (1 << 63) - 1  # nine bytes: the encoder's longest varint
+        buf = bytearray()
+        _put_varint(buf, n)
+        assert len(buf) == 9
+        back, n_back = decode_indices(bytes(buf) + b"\x00")
+        assert n_back == n and back.size == 0
 
 
 def _int8_wire(x):

@@ -52,6 +52,12 @@ def _pool():
 
 POOL = _pool()
 GHOST = "never-registered"
+
+
+def _subsets(ids: list[str]) -> tuple[list[str], ...]:
+    return (ids, ids[::-1], ids[1:], [ids[-1], GHOST, ids[0]])
+
+
 CLIENTS = st.integers(0, 5)
 LOSSES = st.one_of(
     st.sampled_from([0.5, 1.0, 2.0]),  # ties
@@ -147,14 +153,18 @@ class UtilityTableMachine(RuleBasedStateMachine):
                 assert _bits(self.table.utility(cid, mid)) == _bits(
                     self.oracle.utility(cid, mid)
                 ), (cid, mid)
-            for subset in (ids, ids[::-1], ids[1:], [ids[-1], GHOST, ids[0]]):
+            for subset in _subsets(ids):
                 assert (
                     self.table.assignment_probabilities(cid, subset).tobytes()
                     == self.oracle.assignment_probabilities(cid, subset).tobytes()
                 ), (cid, subset)
-                assert self.table.best_model(cid, subset) == self.oracle.best_model(
-                    cid, subset
-                ), (cid, subset)
+        # One batched call per subset, as a sweep makes it: resident,
+        # evicted and never-seen clients, out of order and repeated.
+        cids = [6, *range(6), 2]
+        for subset in _subsets(ids):
+            assert self.table.best_model(cids, subset) == self.oracle.best_model(
+                cids, subset
+            ), subset
         assert self.table.evicted_total == self.oracle.store.evicted_total
 
 
