@@ -1,9 +1,9 @@
 """Legacy setup shim.
 
-The offline environment lacks the ``wheel`` package, so ``pip install -e .``
-needs the legacy (non-PEP-517) editable path:
+The offline environment lacks the ``wheel`` package, so an editable
+install goes through setuptools directly:
 
-    pip install -e . --no-build-isolation --no-use-pep517
+    python setup.py develop --no-deps
 
 All metadata lives in pyproject.toml.
 """

@@ -295,8 +295,6 @@ class ClientManager(Stateful):
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        if isinstance(payload, dict) and "schema" in payload and payload["schema"] == _V1:
-            payload = _v2_from_v1(payload)
         check_schema(payload, self.schema)
         # The eviction horizon is configuration, not checkpoint payload.
         self._set_table(*(payload[key] for key in _TABLE))
@@ -315,24 +313,3 @@ def _sorted_first(utilities: list[float], means: np.ndarray) -> int:
 
 
 _TABLE = ("clients", "models", "utility", "present", "last_active")
-_V1 = schema_tag("ClientManager")
-
-
-def _v2_from_v1(payload: dict) -> dict:
-    """One-way reader of ``ClientManager/v1`` checkpoints, whose ``store``
-    held a ``client -> {model: utility}`` dict in first-seen client order."""
-    store = check_schema(payload["store"], schema_tag("ClientStateStore"))
-    state, stamps = store["state"], store["last_active"]
-    rows = state.values()
-    models = list(dict.fromkeys(mid for utils in rows for mid in utils))
-    return {
-        "schema": ClientManager.schema,
-        "clients": [int(cid) for cid in state],
-        "models": models,
-        "utility": [[utils[m] if m in utils else 0.0 for m in models] for utils in rows],
-        "present": [[m in utils for m in models] for utils in rows],
-        "last_active": [stamps[cid] for cid in state],
-        "round": store["round"],
-        "evicted_total": store["evicted_total"],
-        "sim_cache": payload["sim_cache"],
-    }

@@ -16,14 +16,14 @@ A checkpoint is two files in the run directory:
   the payload carries (CONTRACTS.md I9: all registrants are enumerable
   from the file alone).
 
-Format 1 (one ``.npz`` member per array, marker ``{"__array__": "a17"}``,
-no payload CRC in the manifest) is still *read*, by a one-way branch, so a
-checkpoint an earlier revision wrote resumes; only format 2 is written.
-Decoding is strict: a truncated or corrupted file, a CRC failure, a
-missing arena, an unknown dtype, an offset or shape outside its arena —
-each is a ``ValueError`` naming the file, raised before anything larger
-than the file itself is allocated.  Restored arrays are fresh copies:
-writable, and sharing memory with nothing.
+Only format 2 is read.  Decoding is strict: a manifest that is not
+exactly the writer's (key set, field types, a format-1 manifest), a
+truncated or corrupted file, a CRC failure, a missing arena, an unknown
+dtype, an offset or shape outside its arena — each is a ``ValueError``
+naming the file, raised before anything larger than the file itself is
+allocated.  Restored arrays are fresh copies: writable, and sharing
+memory with nothing.  The snapshot segments of :mod:`~repro.fl.shm` are
+the same tree and read their markers through the same reader.
 
 Write order is what makes a kill at *any* instant safe (CONTRACTS.md I9):
 
@@ -77,14 +77,17 @@ MANIFEST_NAME = "MANIFEST.json"
 # dicts never use this key themselves (Stateful payload convention).
 _ARRAY_KEY = "__array__"
 _SKELETON_KEY = "__skeleton__"
-# Format 1 named one member per array ``a<n>``; format 2 names an arena by
-# its dtype string, which never matches.
-_V1_SLOT = re.compile(r"a[0-9]+")
 # What a corrupt payload file can make the zip, npy and JSON decoders raise.
 _CORRUPT = (
     ValueError, TypeError, KeyError, IndexError, EOFError, OverflowError,
     RuntimeError, OSError, struct.error, zlib.error, zipfile.BadZipFile,
 )
+# The manifest the writer produces; ``last_good`` names a file of the run directory.
+_MANIFEST_TYPES = {
+    "format": int, "run_hash": str, "last_good": str, "payload_crc32": int,
+    "round": int, "completed": bool, "schemas": list,
+}
+_PAYLOAD_NAME = re.compile(r"ckpt-[0-9]{6,}\.npz")
 
 # Test hook: SIGKILL this process when the writer reaches the named point.
 _CRASH_ENV = "REPRO_CKPT_CRASH_POINT"
@@ -162,17 +165,12 @@ def _is_index(value) -> bool:
 
 
 def _restore(marker, arrays: dict[str, np.ndarray]) -> np.ndarray:
-    """The array one skeleton marker names, as a view of its member."""
-    if isinstance(marker, str):
-        # Format 1 (read-only branch): the marker names its own member.
-        if not _V1_SLOT.fullmatch(marker) or marker not in arrays:
-            raise ValueError(f"array marker {marker!r} names no member")
-        return arrays[marker]
+    """The array one skeleton marker names, as a view of its arena."""
     if not (isinstance(marker, list) and len(marker) == 3):
         raise ValueError(f"malformed array marker {marker!r}")
     dtype, offset, shape = marker
     arena = arrays.get(dtype) if isinstance(dtype, str) else None
-    if arena is None or _V1_SLOT.fullmatch(dtype):
+    if arena is None:
         raise ValueError(f"array marker {marker!r}: no arena for dtype {dtype!r}")
     if not (_is_index(offset) and isinstance(shape, list) and all(map(_is_index, shape))):
         raise ValueError(f"array marker {marker!r}: offset and shape must be non-negative ints")
@@ -185,15 +183,17 @@ def _restore(marker, arrays: dict[str, np.ndarray]) -> np.ndarray:
     return arena[offset : offset + size].reshape(shape)
 
 
-def unflatten_payload(skeleton, arrays: dict[str, np.ndarray]):
+def unflatten_payload(skeleton, arrays: dict[str, np.ndarray], *, copy: bool = True):
     """Inverse of :func:`flatten_payload`: every array comes back a fresh,
-    writable copy that owns its memory."""
+    writable copy that owns its memory — or, with ``copy=False``, a view
+    of its arena."""
     if isinstance(skeleton, dict):
         if set(skeleton) == {_ARRAY_KEY}:
-            return _restore(skeleton[_ARRAY_KEY], arrays).copy()
-        return {k: unflatten_payload(v, arrays) for k, v in skeleton.items()}
+            view = _restore(skeleton[_ARRAY_KEY], arrays)
+            return view.copy() if copy else view
+        return {k: unflatten_payload(v, arrays, copy=copy) for k, v in skeleton.items()}
     if isinstance(skeleton, list):
-        return [unflatten_payload(v, arrays) for v in skeleton]
+        return [unflatten_payload(v, arrays, copy=copy) for v in skeleton]
     return skeleton
 
 
@@ -262,8 +262,8 @@ def _member_array(zf: zipfile.ZipFile, info: zipfile.ZipInfo, limit: int) -> np.
 
 
 def read_payload(path: str | Path) -> dict:
-    """Read back a :func:`write_payload` file (either format); any
-    corruption is a ``ValueError`` naming the file."""
+    """Read back a :func:`write_payload` file; any corruption is a
+    ``ValueError`` naming the file."""
     size = Path(path).stat().st_size
     try:
         with zipfile.ZipFile(path) as zf:
@@ -277,8 +277,8 @@ def read_payload(path: str | Path) -> dict:
         if text.dtype != np.uint8 or text.ndim != 1:
             raise ValueError(f"skeleton member is a {text.dtype} {text.shape} array")
         for name, arena in members.items():
-            if not (_V1_SLOT.fullmatch(name) or (arena.ndim == 1 and arena.dtype.str == name)):
-                raise ValueError(f"member {name!r} is neither an array slot nor an arena")
+            if not (arena.ndim == 1 and arena.dtype.str == name):
+                raise ValueError(f"member {name!r} is not an arena")
         return unflatten_payload(json.loads(text.tobytes().decode()), members)
     except _CORRUPT as exc:
         raise ValueError(
@@ -340,31 +340,52 @@ def load_checkpoint(
 
     Returns ``{"manifest": ..., "payload": ...}``, or ``None`` when no
     checkpoint has ever completed (no manifest — e.g. a run killed during
-    its very first write, which is a valid fresh-start).  Raises when the
-    manifest exists but disagrees with ``run_hash`` or its format, and a
-    ``ValueError`` naming the payload file when its bytes fail the
-    manifest's CRC-32 or do not decode.  A format-1 manifest (no CRC)
-    is read by a one-way branch.
+    its very first write, which is a valid fresh-start).  Raises a
+    ``ValueError`` naming the manifest when it is not exactly the writer's
+    (key set, field types, a ``last_good`` outside the run directory) or is
+    of another format, when it disagrees with ``run_hash``, and one naming
+    the payload file when its bytes fail the manifest's CRC-32 or do not
+    decode.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         return None
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    fmt = manifest.get("format")
-    if fmt not in (1, CHECKPOINT_FORMAT):
-        raise ValueError(f"unsupported checkpoint format {fmt!r}")
-    if run_hash is not None and manifest.get("run_hash") != run_hash:
+    manifest = _read_manifest(manifest_path)
+    if run_hash is not None and manifest["run_hash"] != run_hash:
         raise ValueError(
             "checkpoint belongs to a different run: manifest hash "
-            f"{manifest.get('run_hash')!r} != expected {run_hash!r} "
+            f"{manifest['run_hash']!r} != expected {run_hash!r} "
             "(strategy, config, or fleet changed)"
         )
     path = directory / manifest["last_good"]
-    if fmt == CHECKPOINT_FORMAT and _file_crc32(path) != manifest["payload_crc32"]:
+    if _file_crc32(path) != manifest["payload_crc32"]:
         raise ValueError(
             f"corrupt checkpoint payload {path}: its bytes fail the manifest's "
             "CRC-32 (torn, truncated or altered after the write)"
         )
     return {"manifest": manifest, "payload": read_payload(path)}
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest at ``path``, checked field by field against the writer's."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+        if manifest["format"] != CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"unsupported checkpoint format {manifest['format']!r} (this "
+                f"reader understands only format {CHECKPOINT_FORMAT})"
+            )
+        if not (
+            manifest.keys() == _MANIFEST_TYPES.keys()
+            and all(type(manifest[k]) is t for k, t in _MANIFEST_TYPES.items())
+            and _PAYLOAD_NAME.fullmatch(manifest["last_good"])
+        ):
+            raise ValueError(
+                f"expected exactly the fields {sorted(_MANIFEST_TYPES)}, typed "
+                "as written, and a ckpt-<round>.npz payload name"
+            )
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise ValueError(f"checkpoint manifest {path}: {type(exc).__name__}: {exc}") from None
+    return manifest

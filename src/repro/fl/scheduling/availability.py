@@ -26,6 +26,9 @@ classes dip at different simulated hours (the per-class churn knob).
 ``trace`` reads a JSON table ``{"period": P, "rates": [[...P floats per
 class...], ...]}`` (or a single flat list applied to every class), the
 shape FLGo extracts from real usage pings.
+
+Parameters are finite, named once, and a trace's ``period`` is an integer
+(else ``ValueError``), so a parsed model's rates are finite and in (0, 1].
 """
 
 from __future__ import annotations
@@ -101,8 +104,10 @@ class DiurnalAvailability(AvailabilityModel):
         self.base = _check_rate(base, "base")
         if not 0.0 <= amplitude <= 1.0:
             raise ValueError(f"amplitude must lie in [0, 1], got {amplitude}")
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
+        if not (math.isfinite(period) and period > 0):
+            raise ValueError(f"period must be positive and finite, got {period}")
+        if not math.isfinite(class_phase):
+            raise ValueError(f"class_phase must be finite, got {class_phase}")
         self.amplitude = float(amplitude)
         self.period = float(period)
         self.class_phase = float(class_phase)
@@ -114,16 +119,18 @@ class DiurnalAvailability(AvailabilityModel):
             )
 
     def rates(self, round_idx: int, classes: np.ndarray | None):
+        # A phase past float range has no sine (NaN): fmax/max take it to floor.
         phase = round_idx / self.period
         if classes is None:
-            wave = math.sin(2.0 * math.pi * phase)
+            wave = math.sin(2.0 * math.pi * phase) if math.isfinite(phase) else math.nan
             return float(
-                min(max(self.base * (1.0 + self.amplitude * wave), self.floor), self.ceil)
+                min(max(self.floor, self.base * (1.0 + self.amplitude * wave)), self.ceil)
             )
-        wave = np.sin(
-            2.0 * np.pi * (phase + self.class_phase * classes.astype(np.float64))
-        )
-        return np.clip(self.base * (1.0 + self.amplitude * wave), self.floor, self.ceil)
+        with np.errstate(invalid="ignore", over="ignore"):
+            wave = np.sin(
+                2.0 * np.pi * (phase + self.class_phase * classes.astype(np.float64))
+            )
+        return np.fmin(np.fmax(self.base * (1.0 + self.amplitude * wave), self.floor), self.ceil)
 
     def spec(self) -> str:
         return (
@@ -158,23 +165,27 @@ class TraceAvailability(AvailabilityModel):
                 payload = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read availability trace {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"availability trace {path!r} is not JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"availability trace {path!r} is not JSON: {exc}") from None
+        rates, period = payload, None
         if isinstance(payload, dict):
-            rates = payload.get("rates")
+            rates, period = payload.get("rates"), payload.get("period")
             if rates is None:
                 raise ValueError(
                     f"availability trace {path!r} has no 'rates' key"
                 )
-            period = payload.get("period")
+        try:
             model = cls(rates, path=path)
-            if period is not None and int(period) != model.table.shape[1]:
-                raise ValueError(
-                    f"availability trace {path!r}: period={period} does not "
-                    f"match rate row length {model.table.shape[1]}"
-                )
-            return model
-        return cls(payload, path=path)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"availability trace {path!r}: {exc}") from None
+        if period is not None and (
+            type(period) is not int or period != model.table.shape[1]
+        ):
+            raise ValueError(
+                f"availability trace {path!r}: period={period!r} is not the "
+                f"integer rate row length {model.table.shape[1]}"
+            )
+        return model
 
     def rates(self, round_idx: int, classes: np.ndarray | None):
         period = self.table.shape[1]
@@ -220,6 +231,8 @@ def parse_availability(spec: str) -> AvailabilityModel:
                         f"diurnal spec part {part!r} is not one of "
                         f"{', '.join(k + '=<float>' for k in allowed)}"
                     )
+                if key in kwargs:
+                    raise ValueError(f"diurnal spec names {key} twice")
                 try:
                     kwargs[key] = float(value)
                 except ValueError:

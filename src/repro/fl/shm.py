@@ -1,22 +1,29 @@
 """Shared-memory model snapshot segments for the process round executor.
 
-The process backend used to publish models as pickle files: every publish
-serialized each changed model's tensors into bytes, and every worker
-deserialized them back into fresh arrays.  This module replaces the byte
-round-trip with ``multiprocessing.shared_memory`` segments:
+The coordinator writes each changed model's tensors **once** into a
+``multiprocessing.shared_memory`` segment; workers rebuild each model
+around **read-only views** into the mapped buffer, so the tensor data is
+never copied on the worker side.  A segment is the run checkpoint's
+container (:mod:`~repro.fl.checkpoint`) in one buffer:
 
-* the coordinator writes each changed model's parameter/state tensors
-  **once** into a segment (raw, aligned, no serialization);
-* a small pickled header at the start of the segment carries everything
-  that is not bulk float data — the architecture spec
-  (:func:`~repro.nn.serialization.model_spec`), per-tensor
-  ``(offset, shape, dtype)`` records, and the delta bookkeeping (removed
-  ids, the coherent id set);
-* workers attach the segment and rebuild each model around **read-only
-  views** into the mapped buffer — a delta is a handful of offsets, not
-  serialized bytes, and the tensor data is never copied on the worker
-  side (training clones the suite model per work item, exactly as
-  before, which is where the private writable copy comes from).
+* an ``RSNP`` prefix — magic, :data:`WIRE_FORMAT_VERSION`, header length;
+* a UTF-8 JSON header ``{"kind", "removed", "all_ids", "arenas",
+  "models"}``: ``arenas`` maps each dtype to its ``[byte_offset,
+  elements]``, ``models`` each id to its spec
+  (:func:`~repro.nn.serialization.model_spec`), version and ``param`` /
+  ``state`` trees of the checkpoint's ``[dtype, offset, shape]`` markers;
+  with the snapshot codec on, a delta tensor may instead be the leaf
+  ``{"rle": <uint8 array>, "dtype", "shape"}``, a run-length diff against
+  its previous publish whose bytes ride in the ``|u1`` arena;
+* one arena per dtype, each at a 64-byte-aligned offset past the header.
+
+Decoding is strict and unpickles nothing: a header length past the
+segment, bad JSON, a misaligned, out-of-bounds, unknown or object-dtype
+arena, a marker that overruns its arena (markers go through the
+checkpoint's bounds-checked reader), and tensor keys, shapes or dtypes
+that differ from the model the spec builds are each a
+:class:`SnapshotFormatError`, raised before anything larger than the
+segment is allocated.
 
 Which segments exist, who owns them and when they are retired is the chain
 protocol's business (:mod:`~repro.fl.snapshot`); this module lays out one
@@ -25,8 +32,8 @@ segment and supplies the one cleanup path (:func:`unlink_segments`).
 
 from __future__ import annotations
 
+import json
 import logging
-import pickle
 import struct
 from multiprocessing import shared_memory
 
@@ -34,6 +41,7 @@ import numpy as np
 
 from ..nn.model import CellModel
 from ..nn.serialization import model_from_spec, model_spec
+from .checkpoint import flatten_payload, unflatten_payload
 from .transport import rle_decode_bytes, rle_encode_bytes
 
 __all__ = [
@@ -48,16 +56,20 @@ __all__ = [
 
 _ALIGN = 64
 
-#: Wire-format version of snapshot segments.  Version 1 was the implicit
-#: pre-tag layout (a bare 8-byte header length, per-tensor records without
-#: an encoding column); version 2 added the magic/version prefix and
-#: codec-aware tensor records.  Readers reject anything else up front with
-#: a descriptive :class:`SnapshotFormatError` instead of a pickle mismatch.
-WIRE_FORMAT_VERSION = 2
+#: Wire-format version: 1 led with a bare header length, 2 added the magic
+#: and version to a pickled header, 3 is the checkpoint's container (JSON
+#: markers into one arena per dtype).  Readers refuse any other version.
+WIRE_FORMAT_VERSION = 3
 
 _MAGIC = b"RSNP"
-# magic, wire-format version, pickled-header length.
+# magic, wire-format version, header length.
 _PREFIX = struct.Struct("<4sHQ")
+
+_HEADER_KEYS = {"kind", "removed", "all_ids", "arenas", "models"}
+_MODEL_KEYS = {"spec", "version", "param", "state"}
+# What a hostile segment can make the readers, a spec's constructors and the rle stream raise.
+_CORRUPT = (ValueError, TypeError, KeyError, IndexError, AttributeError, OverflowError,
+            ZeroDivisionError, RecursionError)
 
 
 class SnapshotFormatError(RuntimeError):
@@ -71,14 +83,6 @@ def _aligned(offset: int) -> int:
 # ----------------------------------------------------------------------
 # coordinator side: write
 # ----------------------------------------------------------------------
-def _tensor_items(model: CellModel):
-    """Deterministic (scope, key, array) walk: params then state."""
-    for key, arr in model.params().items():
-        yield "param", key, arr
-    for key, arr in model.state().items():
-        yield "state", key, arr
-
-
 def write_snapshot_segment(
     name: str,
     kind: str,
@@ -94,7 +98,7 @@ def write_snapshot_segment(
     ``kind`` is ``"full"`` (the complete suite) or ``"delta"`` (changed
     models only, plus the removed ids and the coherent id set for the
     worker-side consistency check).  Returns ``(shm, wire_bytes,
-    raw_bytes)`` — both counts cover header + tensor data; they are equal
+    raw_bytes)``: header + tensor bytes, without alignment padding, equal
     unless run-length encoding shrank something.
 
     ``shadow`` is the coordinator's record of each tensor's bytes as of
@@ -108,59 +112,44 @@ def write_snapshot_segment(
     written raw (they are the rebase anchor for workers with no prior
     state) but still refresh the shadow.
     """
-    metas: dict[str, dict] = {}
-    blobs: list[tuple[int, bytes]] = []
-    offset = 0
-    wire_bytes = 0
+    tree: dict[str, dict] = {}
     raw_bytes = 0
     for mid, model in models.items():
-        tensors = []
-        for scope, key, arr in _tensor_items(model):
-            arr = np.ascontiguousarray(arr)
-            raw_data = arr.tobytes()
-            data = raw_data
-            raw_bytes += arr.nbytes
-            enc = "raw"
-            if shadow is not None:
-                skey = (mid, scope, key)
-                if rle:
-                    ref = shadow.get(skey)
-                    if ref is not None and len(ref) == len(raw_data):
-                        packed = rle_encode_bytes(raw_data, ref)
-                        if packed is not None:
-                            enc = "rle"
-                            data = packed
-                shadow[skey] = raw_data
-            off = _aligned(offset)
-            tensors.append(
-                (scope, key, off, arr.shape, arr.dtype.str, enc, len(data))
-            )
-            blobs.append((off, data))
-            offset = off + len(data)
-            wire_bytes += len(data)
-        metas[mid] = {
-            "spec": model_spec(model),
-            "version": model.version,
-            "tensors": tensors,
-        }
-    header = pickle.dumps(
-        {
-            "kind": kind,
-            "models": metas,
-            "removed": tuple(sorted(removed)),
-            "all_ids": tuple(sorted(all_ids)),
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+        meta = tree[mid] = {"spec": model_spec(model), "version": model.version}
+        for scope, tensors in (("param", model.params()), ("state", model.state())):
+            leaves = meta[scope] = {}
+            for key, arr in tensors.items():
+                raw_bytes += arr.nbytes
+                leaves[key] = arr
+                if shadow is None:
+                    continue
+                data = np.ascontiguousarray(arr).tobytes()
+                ref = shadow.get((mid, scope, key)) if rle else None
+                packed = None if ref is None else rle_encode_bytes(data, ref)
+                if packed is not None:
+                    leaves[key] = {"rle": np.frombuffer(packed, dtype=np.uint8),
+                                   "dtype": arr.dtype.str, "shape": list(arr.shape)}
+                shadow[mid, scope, key] = data
+    skeleton, arenas = flatten_payload(tree)
+    table, end = {}, 0
+    for dtype, arena in arenas.items():
+        table[dtype] = [_aligned(end), arena.size]
+        end = table[dtype][0] + arena.nbytes
+    header = json.dumps(
+        {"kind": kind, "removed": sorted(removed), "all_ids": sorted(all_ids),
+         "arenas": table, "models": skeleton},
+        separators=(",", ":"),
+    ).encode()
     payload_start = _aligned(_PREFIX.size + len(header))
-    total = max(payload_start + offset, 1)
-    shm = shared_memory.SharedMemory(name=name, create=True, size=total)
+    shm = shared_memory.SharedMemory(name=name, create=True, size=max(payload_start + end, 1))
     buf = shm.buf
     _PREFIX.pack_into(buf, 0, _MAGIC, WIRE_FORMAT_VERSION, len(header))
     buf[_PREFIX.size : _PREFIX.size + len(header)] = header
-    for off, data in blobs:
-        buf[payload_start + off : payload_start + off + len(data)] = data
-    return shm, len(header) + wire_bytes, len(header) + raw_bytes
+    for (offset, _), arena in zip(table.values(), arenas.values()):
+        start = payload_start + offset
+        buf[start : start + arena.nbytes] = arena.view(np.uint8).data
+    wire_bytes = len(header) + sum(arena.nbytes for arena in arenas.values())
+    return shm, wire_bytes, len(header) + raw_bytes
 
 
 # ----------------------------------------------------------------------
@@ -190,20 +179,101 @@ def segment_exists(name: str) -> bool:
     return True
 
 
-def _install_views(model: CellModel, views: dict[tuple[str, str], np.ndarray]) -> None:
-    """Replace a freshly built model's tensors with shared-memory views.
+def _header(buf) -> tuple[dict, dict[str, np.ndarray]]:
+    """The checked header of a segment and its arenas as read-only views."""
+    if len(buf) < _PREFIX.size:
+        raise ValueError(f"segment too small ({len(buf)} bytes) to hold a snapshot prefix")
+    magic, version, hlen = _PREFIX.unpack_from(buf, 0)
+    if magic != _MAGIC:
+        raise ValueError(
+            f"segment does not start with the {_MAGIC!r} snapshot magic "
+            f"(got {bytes(magic)!r}); this is either not a snapshot segment "
+            "or one written by a pre-versioned (wire format 1) build"
+        )
+    if version != WIRE_FORMAT_VERSION:
+        raise ValueError(
+            f"segment has wire-format version {version}, this reader "
+            f"understands only version {WIRE_FORMAT_VERSION}"
+        )
+    if _PREFIX.size + hlen > len(buf):
+        raise ValueError(f"header length {hlen} runs past the {len(buf)}-byte segment")
+    header = json.loads(bytes(buf[_PREFIX.size : _PREFIX.size + hlen]).decode())
+    if not (
+        header.keys() == _HEADER_KEYS and header["kind"] in ("full", "delta")
+        and all(
+            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+            for ids in (header["removed"], header["all_ids"])
+        )
+    ):
+        raise ValueError("the header is not a snapshot header")
+    start = _aligned(_PREFIX.size + hlen)
+    arenas = {}
+    for name, entry in header["arenas"].items():
+        dtype = np.dtype(name)
+        if not (
+            dtype.str == name and dtype.kind in "biufc"
+            and isinstance(entry, list) and len(entry) == 2
+            and all(type(v) is int and v >= 0 for v in entry)
+            and entry[0] % _ALIGN == 0
+            and start + entry[0] + entry[1] * dtype.itemsize <= len(buf)
+        ):
+            raise ValueError(
+                f"arena {name!r}: {entry!r} is not an aligned [offset, elements] "
+                f"entry of a numeric dtype inside the {len(buf)}-byte segment"
+            )
+        arenas[name] = np.ndarray(entry[1], dtype=dtype, buffer=buf, offset=start + entry[0])
+        arenas[name].flags.writeable = False
+    return header, arenas
 
-    Layer parameter/state names equal their attribute names (``w``,
-    ``gamma``, ``running_mean``, …) — the substrate-wide convention — so
-    installation is a generic setattr walk.  Gradient buffers keep their
-    construction-time private arrays (same shapes).
-    """
-    for cell in model.cells:
-        for lname, layer in cell._named_layers():
-            for pname in list(layer.params()):
-                setattr(layer, pname, views[("param", f"{cell.cell_id}/{lname}.{pname}")])
-            for sname in list(layer.state()):
-                setattr(layer, sname, views[("state", f"{cell.cell_id}/{lname}.{sname}")])
+
+def _slots(model: CellModel) -> dict[tuple[str, str], tuple]:
+    """``(scope, key) -> (layer, attribute)`` of every tensor of ``model``:
+    layer tensor names equal their attribute names (``w``, ``gamma``, …)."""
+    return {
+        (scope, f"{cell.cell_id}/{lname}.{tname}"): (layer, tname)
+        for cell in model.cells
+        for lname, layer in cell._named_layers()
+        for scope, tensors in (("param", layer.params()), ("state", layer.state()))
+        for tname in tensors
+    }
+
+
+def _install_views(model: CellModel, meta: dict, prev: CellModel | None) -> None:
+    """Replace a freshly built model's tensors with the segment's, each
+    checked against the one its spec built.  Gradient buffers keep their
+    construction-time private arrays (same shapes)."""
+    slots = _slots(model)
+    leaves = {(scope, key): leaf for scope in ("param", "state")
+              for key, leaf in meta[scope].items()}
+    if leaves.keys() != slots.keys():
+        diff = sorted(leaves.keys() ^ slots.keys())[:4]
+        raise ValueError(f"model {model.model_id!r}: tensor keys differ from its spec's: {diff}")
+    refs = {} if prev is None else {skey: getattr(*slot) for skey, slot in _slots(prev).items()}
+    for skey, (layer, tname) in slots.items():
+        live, view = getattr(layer, tname), leaves[skey]
+        where = f"{model.model_id!r}/{skey[1]}"
+        if isinstance(view, dict):
+            view = _rle_tensor(view, live, refs.get(skey), where)
+        if not isinstance(view, np.ndarray) or (view.shape, view.dtype) != (live.shape, live.dtype):
+            raise ValueError(f"{where}: not the {live.dtype} {live.shape} tensor its spec builds")
+        setattr(layer, tname, view)
+
+
+def _rle_tensor(leaf: dict, live: np.ndarray, ref: np.ndarray | None, where: str) -> np.ndarray:
+    """Replay one run-length diff against the worker's previous tensor."""
+    if not (
+        leaf.keys() == {"rle", "dtype", "shape"} and isinstance(leaf["rle"], np.ndarray)
+        and leaf["rle"].dtype == np.uint8
+        and leaf["dtype"] == live.dtype.str and leaf["shape"] == list(live.shape)
+    ):
+        raise ValueError(f"{where}: malformed run-length leaf")
+    if ref is None or ref.shape != live.shape or ref.dtype != live.dtype:
+        raise ValueError(
+            f"{where} is run-length encoded but no previous state of its "
+            "shape and dtype is available to decode it against"
+        )
+    decoded = rle_decode_bytes(leaf["rle"].tobytes(), np.ascontiguousarray(ref).tobytes())
+    return np.frombuffer(decoded, dtype=live.dtype).reshape(live.shape)
 
 
 def read_snapshot_segment(
@@ -212,85 +282,31 @@ def read_snapshot_segment(
 ) -> tuple[str, dict[str, CellModel], frozenset[str], frozenset[str]]:
     """Decode a segment into ``(kind, models, removed, all_ids)``.
 
-    Each raw tensor is installed as a read-only view into the mapped
-    buffer — zero-copy: the only per-tensor cost is the ndarray wrapper.
+    Each raw tensor is installed as a read-only view into its mapped arena
+    — zero-copy: the only per-tensor cost is the ndarray wrapper.
     Run-length-encoded tensors (delta segments written with snapshot
     compression) are decoded against ``prev_models`` — the worker's
     current suite state, whose tensor bytes match what the coordinator
     diffed against — into private read-only arrays.  Callers must keep
     ``shm`` open for as long as any returned model views into it.
     """
-    buf = shm.buf
-    if len(buf) < _PREFIX.size:
-        raise SnapshotFormatError(
-            f"segment too small ({len(buf)} bytes) to hold a snapshot prefix"
-        )
-    magic, version, hlen = _PREFIX.unpack_from(buf, 0)
-    if magic != _MAGIC:
-        raise SnapshotFormatError(
-            f"segment does not start with the {_MAGIC!r} snapshot magic "
-            f"(got {bytes(magic)!r}); this is either not a snapshot segment "
-            "or one written by a pre-versioned (wire format 1) build"
-        )
-    if version != WIRE_FORMAT_VERSION:
-        raise SnapshotFormatError(
-            f"segment has wire-format version {version}, this reader "
-            f"understands only version {WIRE_FORMAT_VERSION}"
-        )
-    header = pickle.loads(bytes(buf[_PREFIX.size : _PREFIX.size + hlen]))
-    payload_start = _aligned(_PREFIX.size + hlen)
     models: dict[str, CellModel] = {}
-    for mid, meta in header["models"].items():
-        model = model_from_spec(meta["spec"])
-        prev_tensors: dict[tuple[str, str], np.ndarray] | None = None
-        views: dict[tuple[str, str], np.ndarray] = {}
-        for scope, key, off, shape, dtype_str, enc, length in meta["tensors"]:
-            dtype = np.dtype(dtype_str)
-            if enc == "raw":
-                view = np.ndarray(
-                    shape, dtype=dtype, buffer=buf, offset=payload_start + off
-                )
-                view.flags.writeable = False
-            elif enc == "rle":
-                if prev_tensors is None:
-                    if prev_models is None or mid not in prev_models:
-                        raise SnapshotFormatError(
-                            f"delta segment stores {mid!r}/{key} run-length "
-                            "encoded but no previous model state is available "
-                            "to decode it against"
-                        )
-                    prev_tensors = {
-                        (s, k): a for s, k, a in _tensor_items(prev_models[mid])
-                    }
-                ref = prev_tensors.get((scope, key))
-                if ref is None or ref.shape != tuple(shape) or ref.dtype != dtype:
-                    raise SnapshotFormatError(
-                        f"previous state for {mid!r}/{key} does not match the "
-                        "run-length-encoded tensor's shape/dtype"
-                    )
-                encoded = bytes(
-                    buf[payload_start + off : payload_start + off + length]
-                )
-                decoded = rle_decode_bytes(
-                    encoded, np.ascontiguousarray(ref).tobytes()
-                )
-                view = np.frombuffer(decoded, dtype=dtype).reshape(shape)
-            else:
-                raise SnapshotFormatError(
-                    f"unknown tensor encoding {enc!r} for {mid!r}/{key}"
-                )
-            views[(scope, key)] = view
-        _install_views(model, views)
-        # A replica of server state: answer version-keyed lookups like the
-        # original (clone(keep_id=True) semantics).
-        model.sync_version(meta["version"])
-        models[mid] = model
-    return (
-        header["kind"],
-        models,
-        frozenset(header["removed"]),
-        frozenset(header["all_ids"]),
-    )
+    try:
+        header, arenas = _header(shm.buf)
+        for mid, meta in unflatten_payload(header["models"], arenas, copy=False).items():
+            if meta.keys() != _MODEL_KEYS or type(meta["version"]) is not int:
+                raise ValueError(f"model {mid!r}: malformed header entry")
+            model = model_from_spec(meta["spec"])
+            if model.model_id != mid:
+                raise ValueError(f"model {mid!r}: its spec names {model.model_id!r}")
+            _install_views(model, meta, (prev_models or {}).get(mid))
+            # A replica of server state: answer version-keyed lookups like
+            # the original (clone(keep_id=True) semantics).
+            model.sync_version(meta["version"])
+            models[mid] = model
+    except _CORRUPT as exc:
+        raise SnapshotFormatError(f"undecodable snapshot segment: {exc}") from None
+    return header["kind"], models, frozenset(header["removed"]), frozenset(header["all_ids"])
 
 
 # ----------------------------------------------------------------------
@@ -311,16 +327,14 @@ def unlink_segments(segments: dict[str, shared_memory.SharedMemory]) -> None:
     segment registry (a plain dict, so the finalizer holds no reference to
     the publisher itself) and empties it.
 
-    Failure handling (this used to be two bare ``except Exception: pass``
-    blocks — the seed violation repro-lint RL009 is written against):
-    ``close()`` errors and already-gone segments (``FileNotFoundError``
-    from ``unlink``) are logged and metered but non-fatal — every segment
-    still gets its unlink attempt, and double-unlinking is the idempotent
-    path the finalizer backstop relies on.  Any *other* unlink failure
-    means a kernel object may genuinely outlive the process, so after all
-    segments have been attempted those errors re-raise as one
-    ``RuntimeError`` naming every leaked segment — the final unlink is the
-    backstop, and a silent failure there is a resource leak.
+    Failure handling (repro-lint RL009): ``close()`` errors and
+    already-gone segments (``FileNotFoundError`` from ``unlink``) are logged
+    and metered but non-fatal — every segment still gets its unlink
+    attempt, and double-unlinking is the idempotent path the finalizer
+    backstop relies on.  Any *other* unlink failure means a kernel object
+    may genuinely outlive the process, so after all segments have been
+    attempted those errors re-raise as one ``RuntimeError`` naming every
+    leaked segment — a silent failure there is a resource leak.
     """
     global cleanup_failures
     leaked: list[tuple[str, BaseException]] = []

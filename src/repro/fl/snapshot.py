@@ -10,22 +10,21 @@ Shared-memory delta snapshot publishing
 The process backend publishes *deltas* into a shared-memory arena:
 :meth:`SnapshotPublisher.publish` compares each model's
 :attr:`~repro.nn.model.CellModel.version` against the versions it last
-published and writes only the changed (or new) models' tensors — raw
-bytes, written once, no serialization — into a fresh segment, plus the
-removed ids in the segment header.  Workers patch their cached suite by
-replaying the segment chain from whatever snapshot version they last
-loaded, mapping each model's tensors as read-only views into the shared
-buffer (a delta is ``(offset, version)`` records, not pickled bytes); a
-full snapshot re-compacts the chain every ``FULL_SNAPSHOT_EVERY`` deltas
-(and on first publish) so the chain a lagging worker must replay stays
-short, and workers drop their older mappings when they rebase onto it.  A
-publish where *no* version changed reuses the current snapshot outright —
-even when the caller passes a freshly built dict.  This is what keeps the
-buffered-async engine cheap: each aggregation step touches at most
-``buffer_k`` models, so each publish ships ``buffer_k`` models, not the
-whole suite.  The contract is the model version counter: any code that
-mutates a model outside ``set_params``/``set_state``/transformations must
-call ``bump_version()`` or workers will train against stale weights.
+published and writes only the changed (or new) models' tensors into a
+fresh segment (:mod:`~repro.fl.shm`), plus the removed ids in its header.
+Workers patch their cached suite by replaying the segment chain from
+whatever snapshot version they last loaded, mapping each model's tensors
+as read-only views into the shared buffer; a full snapshot re-compacts the
+chain every ``FULL_SNAPSHOT_EVERY`` deltas (and on first publish) so the
+chain a lagging worker must replay stays short, and workers drop their
+older mappings when they rebase onto it.  A publish where *no* version
+changed reuses the current snapshot outright — even when the caller passes
+a freshly built dict.  This is what keeps the buffered-async engine cheap:
+each aggregation step touches at most ``buffer_k`` models, so each publish
+ships ``buffer_k`` models, not the whole suite.  The contract is the model
+version counter: any code that mutates a model outside
+``set_params``/``set_state``/transformations must call ``bump_version()``
+or workers will train against stale weights.
 
 Segments are owned by the coordinator process, through the publisher's
 registry: the chain's segments are unlinked on compaction, on

@@ -448,15 +448,14 @@ class TransportCodec(Stateful):
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        v1 = isinstance(payload, dict) and "schema" in payload and payload["schema"] == _V1
-        check_schema(payload, _V1 if v1 else self.schema)
+        check_schema(payload, self.schema)
         if payload["spec"] != self.config.spec:
             raise ValueError(
                 f"checkpoint transport spec {payload['spec']!r} does not "
                 f"match the configured {self.config.spec!r}; error-feedback "
                 "residuals are codec-specific and cannot be reinterpreted"
             )
-        self._residuals = _residuals_v1(payload) if v1 else _residuals_v2(payload)
+        self._residuals = _residuals_v2(payload)
 
     # -- encoding ------------------------------------------------------
     def encode_update(
@@ -594,13 +593,6 @@ class TransportCodec(Stateful):
         return wire, decoded.reshape(delta.shape)
 
 
-_V1 = schema_tag("TransportCodec")
-
-
-def _is_index(value) -> bool:
-    return type(value) is int and value >= 0
-
-
 def _residuals_v2(payload: dict) -> dict:
     """Decode the ``TransportCodec/v2`` columns; a malformed column is a
     ``ValueError`` before any residual is built."""
@@ -616,7 +608,7 @@ def _residuals_v2(payload: dict) -> dict:
         if not (
             isinstance(row, list) and len(row) == 5
             and all(isinstance(field, str) for field in row[:4])
-            and isinstance(row[4], list) and all(map(_is_index, row[4]))
+            and isinstance(row[4], list) and all(type(d) is int and d >= 0 for d in row[4])
         ):
             raise ValueError(f"TransportCodec/v2: malformed tensors row {row!r}")
         try:
@@ -650,24 +642,4 @@ def _residuals_v2(payload: dict) -> dict:
         offsets[dtype] = start + m
     if len(residuals) != n:
         raise ValueError("TransportCodec/v2: a residual row is repeated")
-    return residuals
-
-
-def _residuals_v1(payload: dict) -> dict:
-    """One-way reader of ``TransportCodec/v1`` checkpoints, whose
-    ``residuals`` were a list of one dict per residual."""
-    entries = payload["residuals"]
-    if not isinstance(entries, list):
-        raise ValueError("TransportCodec/v1: residuals must be a list")
-    residuals = {}
-    for e in entries:
-        if not (
-            isinstance(e, dict)
-            and e.keys() == {"client_id", "model_id", "scope", "key", "value"}
-            and isinstance(e["client_id"], (int, np.integer))
-            and all(isinstance(e[f], str) for f in ("model_id", "scope", "key"))
-            and isinstance(e["value"], np.ndarray)
-        ):
-            raise ValueError(f"TransportCodec/v1: malformed residual entry {e!r}")
-        residuals[(int(e["client_id"]), e["model_id"], e["scope"], e["key"])] = e["value"]
     return residuals

@@ -6,7 +6,8 @@ copied verbatim (only the imports are rewritten; ``best_model`` is the
 batched call a sweep makes now, over the verbatim per-client
 ``best_model_for``), and
 ``tests/test_utility_table.py`` holds the table to them bit for bit.  Its
-``state_dict`` is the ``ClientManager/v1`` payload older checkpoints hold.
+``state_dict`` is the ``ClientManager/v1`` payload of the retired format,
+which the table no longer reads.
 """
 
 from __future__ import annotations
@@ -291,27 +292,3 @@ class ClientManager(Stateful):
         # The eviction horizon is configuration, not checkpoint payload.
         self.store.evict_after = evict_after
         self.sim_cache.load_state_dict(payload["sim_cache"])
-
-
-def v1_payload(payload: dict) -> dict:
-    """The ``ClientManager/v1`` payload of the table a v2 ``payload`` holds:
-    what the dict implementation checkpoints for the same utilities."""
-    clients = [str(int(cid)) for cid in payload["clients"]]
-    rows = zip(clients, payload["utility"], payload["present"])
-    return {
-        "schema": ClientManager.schema,
-        "store": {
-            "schema": ClientStateStore.schema,
-            "evict_after": None,
-            "round": payload["round"],
-            "evicted_total": payload["evicted_total"],
-            "state": {
-                cid: {mid: float(u) for mid, u, held in zip(payload["models"], us, hs) if held}
-                for cid, us, hs in rows
-            },
-            "last_active": {
-                cid: int(r) for cid, r in zip(clients, payload["last_active"])
-            },
-        },
-        "sim_cache": payload["sim_cache"],
-    }

@@ -19,6 +19,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from textwrap import dedent
 
@@ -1289,6 +1291,29 @@ class TestEngineAndCli:
         ]
         assert defaulted == []
 
+    def test_no_pickle_on_a_decode_boundary(self):
+        """The snapshot segment, its chain, the checkpoint and the update
+        codec decode bytes with strict readers of one marker grammar; each
+        shape below is how an unpickle or a second grammar would regrow."""
+        src = REPO / "src" / "repro"
+        found = []
+        for rel in ("fl/shm.py", "fl/snapshot.py", "fl/checkpoint.py", "fl/transport.py"):
+            for n in ast.walk(ast.parse((src / rel).read_text())):
+                names = (
+                    [a.name for a in n.names] if isinstance(n, ast.Import)
+                    else [n.module or ""] if isinstance(n, ast.ImportFrom) else []
+                )
+                found += [f"{rel}:{n.lineno} imports {m}" for m in names if "pickle" in m]
+        holders = sorted(
+            str(p.relative_to(src))
+            for p in src.rglob("*.py")
+            if any(
+                isinstance(n, ast.Constant) and n.value == "__array__"
+                for n in ast.walk(ast.parse(p.read_text()))
+            )
+        )
+        assert found == [] and holders == ["fl/checkpoint.py"], (found, holders)
+
     def test_a_client_has_one_utility_table(self):
         """FedTrans's client × model utilities are one table inside
         ``ClientManager``; each shape below is how the second client store
@@ -1296,8 +1321,6 @@ class TestEngineAndCli:
         walk over the resident clients on every deployment tie-break)
         would regrow."""
         src = REPO / "src" / "repro"
-        # Code only: the v1 checkpoint reader still checks the old payload's
-        # "ClientStateStore/v1" schema string.
         regrown = [
             f"{p.relative_to(src)}:{n.lineno} names ClientStateStore"
             for p in sorted(src.rglob("*.py"))
@@ -1341,6 +1364,15 @@ class TestEngineAndCli:
             )
         ]
         assert regrown == []
+
+    def test_the_package_declares_its_metadata(self):
+        """``pyproject.toml`` names the package, so ``setup.py`` (the
+        editable-install shim) reads it instead of ``UNKNOWN``."""
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--name"], cwd=REPO,
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "repro"
 
     def test_a_performance_claim_has_one_ledger(self):
         """A speed or cost claim is a row of the root ``BENCH_e2e.json``

@@ -3,13 +3,12 @@
 In-process side: the flatten/unflatten codec and the single-``.npz``
 payload files round-trip bit-exactly (including PCG64's 128-bit state
 ints) through one arena per dtype, whatever the leaves' dtype, shape and
-layout; truncated, bit-flipped or tampered files and codec columns are a
-``ValueError`` naming the file, never a misdecode; a format-1 checkpoint
-an earlier revision wrote (``tests/oracle_checkpoint.py``) resumes
-byte-identically; the manifest pointer protocol prunes and verifies
-hashes, the run registry hashes exactly the trajectory-relevant knobs, FedTrans's utility
-table survives eviction + compaction (and reads the v1 payload), and RNG
-capture/restore obeys restore-then-draw == continue-then-draw.  A crash/resume matrix over
+layout; truncated, bit-flipped or tampered files, manifests and codec
+columns are a ``ValueError`` naming the file, never a misdecode; the
+manifest pointer protocol prunes and verifies hashes, the run registry
+hashes exactly the trajectory-relevant knobs, FedTrans's utility table
+survives eviction + compaction, and RNG capture/restore obeys
+restore-then-draw == continue-then-draw.  A crash/resume matrix over
 every (mode, executor) combination asserts the headline contract: a run
 killed mid-training and resumed produces a bit-identical TrainingLog
 (CONTRACTS.md I9 on top of I1/I2).
@@ -64,7 +63,6 @@ from repro.fl.checkpoint import (
     unflatten_payload,
     write_payload,
 )
-from repro.fl import coordinator as coordinator_module
 from repro.fl.export import log_to_dict
 from repro.fl.registry import RunRegistry, fleet_fingerprint, run_hash
 from repro.fl.scheduling.selectors import AvailabilityAwareSelector
@@ -73,9 +71,7 @@ from repro.nn import mlp, set_compute_dtype
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
 
-import oracle_checkpoint
 from oracle_client_manager import ClientManager as DictClientManager
-from oracle_client_manager import v1_payload
 
 REPO =Path(__file__).resolve().parents[1]
 
@@ -331,8 +327,7 @@ _MARKER_TAMPERS = {
     "negative dimension": lambda m, n: [m[0], m[1], [-1, *m[2]]],
     "non-list shape": lambda m, n: [m[0], m[1], n],
     "short marker": lambda m, n: m[:2],
-    "v1 slot with no member": lambda m, n: "a999",
-    "arena name as a v1 slot": lambda m, n: m[0],
+    "string marker": lambda m, n: m[0],
 }
 
 
@@ -340,8 +335,25 @@ def _set(container, key, value) -> None:
     container[key] = value
 
 
-# Each corrupts one ``TransportCodec`` payload column in place; the ``v1``
-# ones act on the ``TransportCodec/v1`` list of dicts.
+# Each alters one field of a good manifest in place.
+_MANIFEST_TAMPERS = {
+    "missing payload_crc32": lambda m: m.pop("payload_crc32"),
+    "extra key": lambda m: _set(m, "note", 0),
+    "absolute last_good": lambda m: _set(m, "last_good", "/abs/ckpt-000003.npz"),
+    "last_good outside the run": lambda m: _set(m, "last_good", "../ckpt-000003.npz"),
+    "last_good not a payload name": lambda m: _set(m, "last_good", "MANIFEST.json"),
+    "string completed": lambda m: _set(m, "completed", "false"),
+    "int completed": lambda m: _set(m, "completed", 0),
+    "bool round": lambda m: _set(m, "round", True),
+    "float round": lambda m: _set(m, "round", 3.0),
+    "string payload_crc32": lambda m: _set(m, "payload_crc32", str(m["payload_crc32"])),
+    "schemas not a list": lambda m: _set(m, "schemas", "RunCheckpoint/v1"),
+    "format 1": lambda m: _set(m, "format", 1),
+    "bool format": lambda m: _set(m, "format", True),
+}
+
+
+# Each corrupts one ``TransportCodec`` payload column in place.
 _COLUMN_TAMPERS = {
     "float client_id": lambda p: _set(p, "client_id", p["client_id"].astype(np.float64)),
     "short tensor column": lambda p: _set(p, "tensor", p["tensor"][:-1]),
@@ -359,11 +371,6 @@ _COLUMN_TAMPERS = {
     "extra arena": lambda p: _set(p["values"], "<i8", np.zeros(1, dtype=np.int64)),
     "missing arena": lambda p: p["values"].pop("<f4"),
     "repeated row": lambda p: _set(p["client_id"], 2, p["client_id"][0]),
-    "v1 entry without a value": lambda p: p["residuals"][0].pop("value"),
-    "v1 entry with an extra key": lambda p: _set(p["residuals"][0], "grad", 0),
-    "v1 value not an array": lambda p: _set(p["residuals"][0], "value", [0.0]),
-    "v1 string client id": lambda p: _set(p["residuals"][0], "client_id", "0"),
-    "v1 residuals not a list": lambda p: _set(p, "residuals", 5),
 }
 
 
@@ -429,6 +436,27 @@ class TestHostilePayloads:
                 tracemalloc.stop()
             assert peak <= 4 * len(good) + (1 << 20)
 
+    @pytest.mark.parametrize("tamper", sorted(_MANIFEST_TAMPERS))
+    def test_malformed_manifests_are_a_value_error(self, tmp_path, tamper):
+        _, good, manifest = _good_checkpoint()
+        _write_checkpoint(tmp_path, good)
+        assert load_checkpoint(tmp_path)["manifest"]["round"] == 3  # untampered: loads
+        fields = json.loads(manifest)
+        _MANIFEST_TAMPERS[tamper](fields)
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(json.dumps(fields))
+        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+            load_checkpoint(tmp_path)
+        if tamper.startswith("format"):
+            assert "format 1" in str(info.value)
+
+    @pytest.mark.parametrize("text", ["", "{", "[]", '"MANIFEST"', "[" * 100_000])
+    def test_a_manifest_that_is_not_an_object_is_a_value_error(self, tmp_path, text):
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(tmp_path)
+
     @pytest.mark.parametrize("tamper", sorted(_MARKER_TAMPERS))
     @settings(
         max_examples=15, deadline=None,
@@ -474,17 +502,14 @@ class TestHostilePayloads:
     @pytest.mark.parametrize("tamper", sorted(_COLUMN_TAMPERS))
     def test_malformed_codec_columns_are_a_value_error(self, tamper):
         codec = _codec()
-        payload = (
-            oracle_checkpoint.transport_state_dict(codec)
-            if tamper.startswith("v1") else codec.state_dict()
-        )
+        payload = codec.state_dict()
         restored = TransportCodec(codec.config)
         restored.load_state_dict(payload)  # untampered: loads
         assert {k: _bits(v) for k, v in restored._residuals.items()} == {
             k: _bits(v) for k, v in codec._residuals.items()
         }
         _COLUMN_TAMPERS[tamper](payload)
-        with pytest.raises(ValueError, match="TransportCodec/v[12]"):
+        with pytest.raises(ValueError, match="TransportCodec/v2"):
             TransportCodec(codec.config).load_state_dict(payload)
 
     def test_a_malformed_column_names_the_checkpoint_file(self, tmp_path):
@@ -645,9 +670,8 @@ class TestRunRegistry:
 # ----------------------------------------------------------------------
 class TestClientManagerDurability:
     """FedTrans's utility table: its v2 payload round-trips after eviction
-    + compaction, a short one is refused, and a ``ClientManager/v1``
-    checkpoint (a dict per client, written by the implementation the table
-    replaced) resumes through the one-way reader."""
+    + compaction, a short or v1 one is refused, and a FedTrans run that
+    evicts and transforms resumes to its uninterrupted export."""
 
     MODEL = mlp((6,), 3, np.random.default_rng(0), width=4)
 
@@ -689,45 +713,39 @@ class TestClientManagerDurability:
         assert cm.evicted_total == twin.evicted_total == 1
 
     def test_tagless_or_short_payload_is_refused(self):
-        """Nothing is defaulted for a payload that lacks a key, in either
-        version."""
+        """Nothing is defaulted for a payload that lacks a key, and the
+        retired v1 payload (a dict per client) is refused by its tag."""
         cm = ClientManager(evict_after=2)
         self._touch(cm, 0, 1)
-        v2 = cm.state_dict()
-        for payload in (v2, v1_payload(v2)):
-            tagless = {k: v for k, v in payload.items() if k != "schema"}
-            with pytest.raises(ValueError, match="schema mismatch"):
-                ClientManager().load_state_dict(tagless)
-            for key in payload.keys() - {"schema"}:
-                short = {k: v for k, v in payload.items() if k != key}
-                with pytest.raises(KeyError, match=key):
-                    ClientManager().load_state_dict(short)
-        for key in ("round", "evicted_total", "state", "last_active"):
-            short = v1_payload(v2)
-            del short["store"][key]
+        payload = cm.state_dict()
+        tagless = {k: v for k, v in payload.items() if k != "schema"}
+        with pytest.raises(ValueError, match="schema mismatch"):
+            ClientManager().load_state_dict(tagless)
+        for key in payload.keys() - {"schema"}:
+            short = {k: v for k, v in payload.items() if k != key}
             with pytest.raises(KeyError, match=key):
                 ClientManager().load_state_dict(short)
+        oracle = DictClientManager(cm.sim_cache, evict_after=2)
+        with pytest.raises(ValueError, match="ClientManager/v1"):
+            ClientManager().load_state_dict(oracle.state_dict())
 
-    def test_parent_checkpoint_resumes_identically(self, tmp_path):
-        """The dict implementation checkpoints a sync FedTrans run after an
-        eviction and a transformation; the table resumes it and the export
-        matches the uninterrupted run byte for byte (which the dict
-        implementation's own uninterrupted run matches too)."""
+    def test_fedtrans_resumes_after_eviction_and_transform(self, tmp_path):
+        """A sync FedTrans run checkpointed after an eviction and a
+        transformation resumes to the uninterrupted export byte for byte
+        (which the dict implementation's own uninterrupted run matches
+        too)."""
         ref = _dumps(_build_fedtrans().run())
         assert _dumps(_build_fedtrans(dict_manager=True).run()) == ref
-        coord = _build_fedtrans(tmp_path, dict_manager=True)
+        coord = _build_fedtrans(tmp_path)
         _crash_at(coord, crash_round=8)  # after the round-7 checkpoint
         with pytest.raises(RuntimeError, match="injected"):
             coord.run()
         (run,) = RunRegistry(tmp_path).runs()
         found = load_checkpoint(tmp_path / run)
-        assert "ClientStateStore/v1" in found["manifest"]["schemas"]
         strategy = found["payload"]["coordinator"]["strategy"]
-        assert strategy["client_manager"]["store"]["evicted_total"] > 0
+        assert strategy["client_manager"]["evicted_total"] > 0
         assert len(strategy["birth_order"]) > 1
-        resumed = _build_fedtrans(tmp_path, resume=True)
-        assert _dumps(resumed.run()) == ref
-        assert resumed.strategy.client_manager.state_dict()["schema"] == "ClientManager/v2"
+        assert _dumps(_build_fedtrans(tmp_path, resume=True).run()) == ref
 
 
 class TestReadersNeverDefault:
@@ -845,7 +863,7 @@ def _build_tiered(method, ckpt_dir=None, resume=False, mode="sync"):
 def _build_fedtrans(ckpt_dir=None, resume=False, dict_manager=False):
     """Sync FedTrans with utility eviction on; it evicts and transforms
     within its first 8 rounds.  ``dict_manager`` swaps in the dict
-    implementation the utility table replaced (its checkpoints are v1)."""
+    implementation the utility table replaced."""
     set_model_id_counter(0)
     set_cell_id_counter(0)
     cfg = SyntheticTaskConfig(
@@ -982,38 +1000,6 @@ class TestResumeBitIdentity:
         async_coord = _build(tmp_path, resume=True, mode="async")
         log = async_coord.run()
         assert log.mode == "async"
-
-
-class TestParentCheckpointWitness:
-    """A format-1 checkpoint — one member per array, residuals as a list of
-    dicts, written by ``tests/oracle_checkpoint.py`` — of a lossy async run
-    with updates in flight resumes through the format-2 and
-    ``TransportCodec/v2`` readers to the uninterrupted export, byte for
-    byte, and the run carries on writing format 2."""
-
-    STACK = dict(mode="async", compress="update:topk0.05+int8")
-
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_parent_checkpoint_resumes_identically(self, tmp_path, monkeypatch, executor):
-        ref = _dumps(_build(executor=executor, **self.STACK).run())
-        coord = _build(tmp_path, executor=executor, **self.STACK)
-        with monkeypatch.context() as parent:
-            parent.setattr(coordinator_module, "CheckpointWriter", oracle_checkpoint.CheckpointWriter)
-            parent.setattr(TransportCodec, "state_dict", oracle_checkpoint.transport_state_dict)
-            _crash_at(coord, crash_round=4)  # after the round-3 checkpoint
-            with pytest.raises(RuntimeError, match="injected"):
-                coord.run()
-        (run,) = RunRegistry(tmp_path).runs()
-        found = load_checkpoint(tmp_path / run)
-        assert found["manifest"]["format"] == 1
-        assert "TransportCodec/v1" in found["manifest"]["schemas"]
-        state = found["payload"]["coordinator"]
-        assert state["transport"]["residuals"] and state["engine"]["clock"]["events"]
-        resumed = _build(tmp_path, resume=True, executor=executor, **self.STACK).run()
-        assert _dumps(resumed) == ref
-        found = load_checkpoint(tmp_path / run)
-        assert found["manifest"]["format"] == CHECKPOINT_FORMAT == 2
-        assert "TransportCodec/v2" in found["manifest"]["schemas"]
 
 
 # ----------------------------------------------------------------------

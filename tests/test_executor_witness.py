@@ -7,7 +7,10 @@ leaves both untouched.  The fixture ``tests/data/golden_executor_waves.json``
 was written by this file's ``__main__`` at the commit it records (the
 parent of the one-wave-runner refactor, before ``executor.py`` was
 touched) and holds, per scenario, blake2b digests of the run export and of
-the recovery ledger plus the nine publish meters in plain text.
+the recovery ledger plus the nine publish meters in plain text.  The five
+byte meters count each segment's header too, so the process scenarios'
+were rewritten when the header became JSON (wire format 3); per publish,
+meter minus header length is still the fixture commit's.
 
 Scenarios: ``{serial, thread, process}`` x four sync fault specs on a
 SplitMix fleet whose low budgets leave some base nets untouched each round

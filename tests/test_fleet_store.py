@@ -10,10 +10,16 @@ below, each written once.
 """
 
 import json
+import math
+import re
+import tempfile
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
@@ -259,6 +265,106 @@ def test_availability_spec_parsing(tmp_path):
     path.write_text(json.dumps({"period": 5, "rates": [[0.9, 0.5]]}))
     with pytest.raises(ValueError):
         parse_availability(f"trace:{path}")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "diurnal:period=nan",
+        "diurnal:period=inf",
+        "diurnal:period=-1",
+        "diurnal:class_phase=nan",
+        "diurnal:class_phase=-inf",
+        "diurnal:base=0.5,base=0.6",
+        "diurnal:amplitude=nan",
+        "bernoulli:nan",
+    ],
+)
+def test_a_non_finite_or_repeated_diurnal_parameter_is_refused(spec):
+    with pytest.raises(ValueError):
+        parse_availability(spec)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"period": [1], "rates": [0.5]},
+        {"period": 1.7, "rates": [0.5]},
+        {"period": 1.0, "rates": [0.5]},
+        {"period": True, "rates": [0.5]},
+        {"rates": {}},
+        {"rates": [[0.5], [0.5, 0.6]]},
+        {"rates": [{"a": 1}]},
+        {"rates": [10**400]},
+        {"rates": [float("nan")]},
+        "[" * 100_000,
+    ],
+)
+def test_a_malformed_trace_file_is_a_value_error(tmp_path, payload):
+    path = tmp_path / "trace.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        parse_availability(f"trace:{path}")
+
+
+def _assert_rates_in_unit_interval(model, rounds, classes):
+    for r in rounds:
+        scalar = model.rates(r, None)
+        assert math.isfinite(scalar) and 0.0 < scalar <= 1.0, (model.spec(), r, scalar)
+        rates = model.rates(r, classes)
+        assert (np.isfinite(rates) & (rates > 0.0) & (rates <= 1.0)).all(), (r, rates)
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-320", "", "x", "1,2"]),
+)
+_SPEC = st.one_of(
+    _NUMBER_TEXT.map(lambda v: f"bernoulli:{v}"),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["base", "amplitude", "period", "class_phase", "floor", "ceil", "junk"]),
+            _NUMBER_TEXT,
+        ),
+        max_size=7,
+    ).map(lambda kv: "diurnal:" + ",".join(f"{k}={v}" for k, v in kv)),
+    st.text(max_size=24),
+)
+_ROUNDS = st.lists(st.integers(0, 10**9), min_size=1, max_size=4)
+_CLASSES = st.lists(st.integers(0, 64), min_size=1, max_size=8).map(np.asarray)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_SPEC, rounds=_ROUNDS, classes=_CLASSES)
+def test_any_availability_spec_parses_to_unit_rates_or_is_refused(spec, rounds, classes):
+    try:
+        model = parse_availability(spec)
+    except ValueError:
+        return
+    _assert_rates_in_unit_interval(model, rounds, classes)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+        st.sampled_from(["period", "rates", "x"]), inner, max_size=3
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_JSON, rounds=_ROUNDS, classes=_CLASSES)
+def test_any_trace_file_loads_unit_rates_or_is_refused(payload, rounds, classes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.json"
+        path.write_text(json.dumps(payload))
+        try:
+            model = TraceAvailability.from_file(str(path))
+        except ValueError:
+            return
+    _assert_rates_in_unit_interval(model, rounds, classes)
 
 
 def test_config_availability_trace_validation():

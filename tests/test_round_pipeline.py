@@ -45,9 +45,6 @@ from repro.nn import mlp
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
 
-from oracle_checkpoint import transport_state_dict
-from oracle_client_manager import v1_payload
-
 GOLDEN = Path(__file__).parent / "data" / "golden_round_pipeline.json"
 
 TRAINER = LocalTrainerConfig(batch_size=8, local_steps=5, lr=0.2)
@@ -219,14 +216,25 @@ def _digests(name: str) -> dict:
     if state["engine"] and state["engine"]["pacing"]["schema"] == QuantilePacing.schema:
         state["engine"]["pacing"]["durations"] = fleet["stats"]["durations"]
     # And FedTrans's utilities were a dict per client (``client_manager/
-    # store``), not the v2 table's arrays: put back that shape's key paths.
+    # store``, ``ClientManager/v1``), not the v2 table's arrays: put back
+    # that shape's key paths — a store entry per client, a key per model it
+    # holds a utility for.
     if isinstance(coord.strategy, FedTransStrategy):
         manager = state["strategy"]["client_manager"]
-        state["strategy"]["client_manager"] = v1_payload(manager)
+        clients = [str(int(cid)) for cid in manager["clients"]]
+        store = dict.fromkeys(("schema", "evict_after", "round", "evicted_total"))
+        store["state"] = {
+            cid: dict.fromkeys(m for m, held in zip(manager["models"], present) if held)
+            for cid, present in zip(clients, manager["present"])
+        }
+        store["last_active"] = dict.fromkeys(clients)
+        state["strategy"]["client_manager"] = {
+            "schema": None, "store": store, "sim_cache": manager["sim_cache"],
+        }
     # And the codec's error-feedback residuals were a list of dicts
     # (``TransportCodec/v1``), not the v2 columns.
     if coord.transport is not None:
-        state["transport"] = transport_state_dict(coord.transport)
+        state["transport"] = dict.fromkeys(("schema", "spec", "residuals"))
     return {
         "log": _blake(log_to_dict(log)),
         "recovery": _blake(recovery_to_dict(log)),

@@ -11,9 +11,14 @@ contract (I9) are covered here too.
 """
 
 import json
+import math
+import os
+import pickle
 import re
 import struct
 import time
+import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +52,7 @@ from repro.fl.transport import (
     rle_encode_bytes,
 )
 from repro.fl.types import ClientUpdate
-from repro.nn import mlp
+from repro.nn import mlp, small_cnn
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
 
@@ -491,13 +496,22 @@ class TestTransportCodec:
 # ----------------------------------------------------------------------
 # shm wire-format version tag
 # ----------------------------------------------------------------------
+class _FakeShm:
+    """A segment's bytes in a private buffer: all the reader touches."""
+
+    name = "fake"
+
+    def __init__(self, payload: bytes):
+        self.buf = memoryview(bytearray(payload))
+
+
+def _read(payload: bytes, prev_models=None):
+    return shm_mod.read_snapshot_segment(_FakeShm(payload), prev_models)
+
+
 class TestWireFormatVersion:
     def _read(self, payload: bytes):
-        class _FakeShm:
-            buf = memoryview(bytearray(payload))
-            name = "fake"
-
-        return shm_mod.read_snapshot_segment(_FakeShm())
+        return _read(payload)
 
     def test_old_format_fails_descriptively(self):
         # Wire format 1 led with a bare little-endian u64 header length —
@@ -569,6 +583,208 @@ class TestWireFormatVersion:
         finally:
             seg1.close()
             seg1.unlink()
+
+
+def _signature(models) -> dict:
+    """What a reader can check of a suite: ids, cell types, tensor keys,
+    shapes and dtypes."""
+    return {
+        mid: (
+            [type(cell).__name__ for cell in model.cells],
+            {
+                (scope, key): (arr.shape, arr.dtype.str)
+                for scope, tree in (("param", model.params()), ("state", model.state()))
+                for key, arr in tree.items()
+            },
+        )
+        for mid, model in models.items()
+    }
+
+
+@cache
+def _segments() -> tuple[bytes, bytes, dict]:
+    """A full segment (an MLP, and a CNN with BatchNorm state), an rle
+    delta against it, and the suite's signature."""
+    rng = np.random.default_rng(0)
+    models = {
+        m.model_id: m
+        for m in (mlp((8,), 4, rng, width=8), small_cnn((3, 8, 8), 4, rng, width=4))
+    }
+    shadow: dict = {}
+    out = []
+    for kind in ("full", "delta"):
+        seg, _, _ = shm_mod.write_snapshot_segment(
+            f"t_hostile_{kind}_{os.getpid()}", kind, models,
+            all_ids=frozenset(models), rle=kind == "delta", shadow=shadow,
+        )
+        out.append(bytes(seg.buf))
+        seg.close()
+        seg.unlink()
+        for model in models.values():
+            next(iter(model.params().values())).flat[0] += 1.0
+            model.bump_version()
+    return out[0], out[1], _signature(models)
+
+
+def _reheader(good: bytes, tamper) -> bytes:
+    """``good`` with its JSON header altered in place by ``tamper`` (the
+    arenas move with the header's length, so their offsets stay valid)."""
+    prefix = shm_mod._PREFIX
+    magic, version, hlen = prefix.unpack_from(good, 0)
+    header = json.loads(good[prefix.size : prefix.size + hlen])
+    tamper(header)
+    text = json.dumps(header).encode()
+    start = shm_mod._aligned(prefix.size + len(text))
+    return (
+        prefix.pack(magic, version, len(text)) + text
+        + bytes(start - prefix.size - len(text)) + good[shm_mod._aligned(prefix.size + hlen) :]
+    )
+
+
+def _set(container, key, value) -> None:
+    container[key] = value
+
+
+def _cnn(h) -> dict:
+    """The header entry of the CNN (the model with BatchNorm state)."""
+    return next(meta for meta in h["models"].values() if meta["state"])
+
+
+def _first_param(h):
+    """The CNN's first parameter leaf (its stem's conv weight)."""
+    return next(iter(_cnn(h)["param"].values()))
+
+
+def _marker(h) -> list:
+    return _first_param(h)["__array__"]
+
+
+# Each alters one field of a good header in place; every one must be refused.
+_HEADER_TAMPERS = {
+    "misaligned arena offset": lambda h: _set(h["arenas"]["<f8"], 0, 8),
+    "negative arena offset": lambda h: _set(h["arenas"]["<f8"], 0, -64),
+    "arena past the segment": lambda h: _set(h["arenas"]["<f8"], 1, 1 << 40),
+    "arena entry not a pair": lambda h: _set(h["arenas"], "<f8", [0]),
+    "object arena dtype": lambda h: _set(h["arenas"], "|O", [0, 1]),
+    "object dtype for the float arena": lambda h: _set(h["arenas"], "|O", h["arenas"].pop("<f8")),
+    "void arena dtype": lambda h: _set(h["arenas"], "|V8", [0, 1]),
+    "unknown arena dtype": lambda h: _set(h["arenas"], "<q9", [0, 1]),
+    "marker past its arena": lambda h: _set(_marker(h), 1, h["arenas"]["<f8"][1]),
+    "marker shape overruns its arena": lambda h: _set(_marker(h), 2, [h["arenas"]["<f8"][1] + 1]),
+    "marker names no arena": lambda h: _set(_marker(h), 0, "<f4"),
+    "shape disagrees with the spec": lambda h: _set(_marker(h), 2, [math.prod(_marker(h)[2])]),
+    "missing tensor key": lambda h: _cnn(h)["param"].popitem(),
+    "missing state key": lambda h: _cnn(h)["state"].popitem(),
+    "extra tensor key": lambda h: _set(_cnn(h)["param"], "extra", _first_param(h)),
+    "param filed as state": lambda h: _cnn(h)["state"].update([_cnn(h)["param"].popitem()]),
+    "model under another id": lambda h: _set(
+        h, "models", {mid + "x": meta for mid, meta in h["models"].items()}
+    ),
+    "spec of another architecture": lambda h: _set(_cnn(h)["spec"]["cells"][1], "out_channels", 5),
+    "unknown cell type": lambda h: _set(_cnn(h)["spec"]["cells"][0], "type", "Gadget"),
+    "spec not an object": lambda h: _set(_cnn(h), "spec", []),
+    "float version": lambda h: _set(_cnn(h), "version", 1.5),
+    "unknown kind": lambda h: _set(h, "kind", "partial"),
+    "non-str removed id": lambda h: _set(h, "removed", [1]),
+    "missing header key": lambda h: h.pop("all_ids"),
+}
+
+# The same, on the rle leaves of the delta segment.
+_RLE_TAMPERS = {
+    "rle leaf dtype": lambda h: _set(_first_param(h), "dtype", "<f4"),
+    "rle leaf shape": lambda h: _set(_first_param(h), "shape", [1]),
+    "rle leaf extra key": lambda h: _set(_first_param(h), "more", 1),
+    "rle leaf without bytes": lambda h: _first_param(h).pop("rle"),
+    "rle bytes not an array": lambda h: _set(_first_param(h), "rle", 5),
+}
+
+
+class TestHostileSnapshots:
+    """ROADMAP 5a at the RSNP boundary: a truncated or altered segment
+    either decodes to a suite of the written architecture, keys and
+    shapes, or is a ``SnapshotFormatError`` — never another exception, an
+    unpickle, or an allocation beyond a small multiple of the segment."""
+
+    @staticmethod
+    def _decode(payload: bytes, prev_models=None):
+        tracemalloc.start()
+        try:
+            return _read(payload, prev_models)[1]
+        except SnapshotFormatError:
+            return None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 4 * len(payload) + (1 << 20)
+
+    def test_good_segments_decode(self):
+        full, delta, written = _segments()
+        prev = _read(full)[1]
+        assert _signature(prev) == written
+        assert _signature(_read(delta, prev)[1]) == written
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_altered_bytes_decode_or_refuse(self, data):
+        full, delta, written = _segments()
+        is_delta = data.draw(st.booleans(), label="delta")
+        good = delta if is_delta else full
+        prev = _read(full)[1] if is_delta else None
+        if data.draw(st.booleans(), label="truncate"):
+            bad = good[: data.draw(st.integers(0, len(good) - 1), label="keep")]
+        else:
+            start = data.draw(st.integers(0, len(good) - 1), label="start")
+            masks = data.draw(st.lists(st.integers(1, 255), min_size=1, max_size=4), label="xor")
+            bad = bytearray(good)
+            for i, mask in enumerate(masks[: len(good) - start]):
+                bad[start + i] ^= mask
+            bad = bytes(bad)
+        models = self._decode(bad, prev)
+        if models is not None:
+            assert _signature(models) == written
+
+    @pytest.mark.parametrize("tamper", sorted(_HEADER_TAMPERS))
+    def test_tampered_headers_are_refused(self, tamper):
+        full, _, _ = _segments()
+        _read(_reheader(full, lambda h: None))  # untampered: decodes
+        with pytest.raises(SnapshotFormatError):
+            _read(_reheader(full, _HEADER_TAMPERS[tamper]))
+        assert self._decode(_reheader(full, _HEADER_TAMPERS[tamper])) is None
+
+    @pytest.mark.parametrize("tamper", sorted(_RLE_TAMPERS))
+    def test_tampered_rle_leaves_are_refused(self, tamper):
+        full, delta, _ = _segments()
+        prev = _read(full)[1]
+        _read(_reheader(delta, lambda h: None), prev)  # untampered: decodes
+        with pytest.raises(SnapshotFormatError):
+            _read(_reheader(delta, _RLE_TAMPERS[tamper]), prev)
+
+    def test_an_rle_delta_without_its_previous_state_is_refused(self):
+        _, delta, _ = _segments()
+        with pytest.raises(SnapshotFormatError, match="previous state"):
+            _read(delta)
+
+    @pytest.mark.parametrize("extra", [1, 1 << 40])
+    def test_a_header_length_past_the_segment_is_refused(self, extra):
+        full, _, _ = _segments()
+        prefix = shm_mod._PREFIX
+        magic, version, _ = prefix.unpack_from(full, 0)
+        bad = prefix.pack(magic, version, len(full) - prefix.size + extra) + full[prefix.size :]
+        with pytest.raises(SnapshotFormatError, match="past the"):
+            _read(bad)
+
+    @pytest.mark.parametrize("text", [b"{", b"\xff\xfe", b"[" * 100_000, b"null", b"[{}]"])
+    def test_a_header_that_is_not_a_json_object_is_refused(self, text):
+        payload = shm_mod._PREFIX.pack(shm_mod._MAGIC, shm_mod.WIRE_FORMAT_VERSION, len(text)) + text
+        with pytest.raises(SnapshotFormatError, match="undecodable snapshot segment"):
+            _read(payload)
+
+    def test_a_pickled_header_segment_is_refused_with_both_versions(self):
+        header = pickle.dumps({"kind": "full", "models": {}, "removed": (), "all_ids": ()})
+        payload = shm_mod._PREFIX.pack(shm_mod._MAGIC, 2, len(header)) + header
+        with pytest.raises(SnapshotFormatError, match="version 2") as info:
+            _read(payload)
+        assert f"version {shm_mod.WIRE_FORMAT_VERSION}" in str(info.value)
 
 
 # ----------------------------------------------------------------------

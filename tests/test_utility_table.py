@@ -134,12 +134,6 @@ class UtilityTableMachine(RuleBasedStateMachine):
             manager.register_model(ids[child % len(ids)], ids[parent % len(ids)])
 
     @rule()
-    def load_v1_payload(self):
-        """Mid-sequence v1 -> v2: the table takes over the oracle's state."""
-        self.table = ClientManager(**self.config)
-        self.table.load_state_dict(self.oracle.state_dict())
-
-    @rule()
     def checkpoint_v2(self):
         restored = ClientManager(**self.config)
         restored.load_state_dict(_checkpointed(self.table.state_dict()))
