@@ -10,8 +10,18 @@ there says what each driver adds):
 * A :class:`VirtualClock` orders ``(client, model)`` work completions by
   their ``device/latency.py``-derived finish times.  The *compute* still
   runs through the regular :class:`~repro.fl.executor.RoundExecutor`
-  backends in deterministic dispatch waves — only the simulated timeline
-  is asynchronous.
+  backends — only the simulated timeline is asynchronous.
+* A dispatched client trains when its result is first read.  Dispatch
+  puts it in flight and *defers* its training; a *flush* trains every
+  deferred wave in one ``train_round`` call (so one model's items stack
+  into shared cohorts across waves), encodes the updates in dispatch order
+  against the epoch's models and schedules their events.  The engine
+  flushes when the clock is empty, when a deferred client's event-time
+  lower bound (its event time with zero-byte uploads) is ``<=`` the
+  clock's earliest event, and before every aggregation — so nothing is
+  deferred at a step boundary (checkpoint, evaluation).  With a fault plan
+  or a retry policy each wave flushes at its end, so a permanent failure
+  releases its client before the next wave selects.
 * The server keeps ``concurrency`` clients in flight (over-selection: more
   than ``buffer_k``) and fires :meth:`Strategy.aggregate_buffered` on the
   first ``buffer_k`` arrivals.  Updates dispatched against older server
@@ -41,21 +51,23 @@ Participation, cadence, and straggler handling are policies from
 ``SeedSequence(seed, spawn_key=(wave, client, sub))``, and selection /
 assignment / aggregation consume the coordinator RNG in event order — so
 async runs are bit-reproducible for a fixed seed across all executor
-backends.  Each :class:`~repro.fl.types.RoundRecord` covers one buffered
-aggregation step; its ``round_time`` is the simulated clock advance since
-the previous step, so ``sum(round_time)`` is total simulated time in both
-modes.
+backends — and identical to training each wave at dispatch, since no
+flush happens later than the first read of its results.  Each
+:class:`~repro.fl.types.RoundRecord` covers one buffered aggregation step;
+its ``round_time`` is the simulated clock advance since the previous step,
+so ``sum(round_time)`` is total simulated time in both modes.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..stateful import Stateful, check_schema, record_from_state, record_state, schema_tag
 from .rounds import RoundTally, admit, close_round, dispatch, encode, meter
-from .scheduling import make_pacing, make_straggler
+from .scheduling import estimate_round_time, make_pacing, make_straggler
 from .types import ArrivalRecord, ClientUpdate, RoundRecord, TrainingLog
 
 if TYPE_CHECKING:
@@ -92,6 +104,10 @@ class VirtualClock(Stateful):
 
     def __len__(self) -> int:
         return len(self._events)
+
+    def next_time(self) -> float:
+        """The time of the event the next :meth:`pop` returns."""
+        return self._events[0][0]
 
     def state_dict(self) -> dict:
         # Sorting is safe (and canonical): dispatch_seq is unique, so the
@@ -135,6 +151,18 @@ class _Pending:
     updates: list[ClientUpdate] = field(default_factory=list)
 
 
+@dataclass
+class _Dispatch:
+    """One dispatched client whose training awaits the next flush."""
+
+    wave: int
+    client_id: int
+    model_ids: list[str]
+    dispatch_time: float
+    deadline: float | None
+    downsized: bool
+
+
 class BufferedAsyncEngine(Stateful):
     """FedBuff-style buffered aggregation over a simulated event clock.
 
@@ -170,6 +198,10 @@ class BufferedAsyncEngine(Stateful):
         # those waves publish nothing and the publish after an aggregation
         # ships a delta of just the <= buffer_k models the step touched.)
         self._models_epoch: dict | None = None
+        # Dispatched but untrained clients, in dispatch order, and the
+        # least of their event-time lower bounds (_event_bound).
+        self._deferred: list[_Dispatch] = []
+        self._bound = math.inf
 
     def _models(self) -> dict:
         if self._models_epoch is None:
@@ -181,12 +213,16 @@ class BufferedAsyncEngine(Stateful):
         """Dispatch fresh work until ``concurrency`` clients are in flight.
 
         Each call is one *wave*: the selector and assignment draw from the
-        coordinator RNG, the straggler policy gets a veto on predicted-late
-        dispatches, then the whole wave trains against the current server
-        models.  The wave index doubles as the executor's ``round_idx``, so
-        every ``(wave, client, sub)`` work item gets a unique SeedSequence
-        spawn key — a client is never dispatched twice in one wave because
-        it stays in flight until its completion (or drop) event fires.
+        coordinator RNG and the straggler policy gets a veto on
+        predicted-late dispatches.  The wave's clients go in flight at once,
+        but their training is deferred to the next :meth:`_flush`, which
+        trains every deferred wave in one ``train_round`` call.  The wave
+        index seeds its items, so every ``(wave, client, sub)`` work item
+        gets a unique SeedSequence spawn key — a client is never dispatched
+        twice in one wave because it stays in flight until its completion
+        (or drop) event fires.  Under a fault plan or a retry policy the
+        wave flushes at its end: a permanent failure must release its client
+        before the next wave selects.
         """
         ctx = self.ctx
         need = self.concurrency - ctx.fleet.in_flight_count()
@@ -220,63 +256,103 @@ class BufferedAsyncEngine(Stateful):
             ctx.strategy.compatible_models,
             fleet=ctx.fleet,
         )
-        downsized_ids: set[int] = set()
         for client in selected:
             cid = client.client_id
             revised, downsized = resolved[cid]
             if downsized:
                 mids = assignments[cid]
-                assignments[cid] = revised
-                downsized_ids.add(cid)
                 tally.downsized += 1
                 tally.events.append(
                     f"downsized client {cid}: {mids[0]} -> "
                     f"{revised[0]} to fit deadline {deadlines[cid]:g}s"
                 )
-        pairs, failures = dispatch(ctx, wave, selected, assignments, models)
+            ctx.fleet.mark_in_flight(cid)
+            dispatched = _Dispatch(
+                wave, cid, revised, self.clock.now, deadlines[cid], downsized
+            )
+            self._deferred.append(dispatched)
+            self._bound = min(self._bound, self._event_bound(dispatched, models))
+        if ctx.executor.fault_plan is not None or ctx.executor.retry is not None:
+            self._flush(tally)
+
+    def _event_bound(self, d: _Dispatch, models: dict) -> float:
+        """``d``'s event time with zero-byte uploads: never above the real one.
+
+        ``estimate_round_time`` is the trainer's pre-encode ``round_time``;
+        ``encode_update`` adds ``(wire - raw) / bandwidth`` with ``wire >= 0``.
+        The same expression at ``wire = 0``, summed and capped as in
+        :meth:`_flush`, is a lower bound bit for bit (IEEE rounding is
+        monotone) and, without ``wire_time``, the exact event time.
+        """
+        cfg = self.ctx.config
+        client = self.ctx.executor.clients_by_id[d.client_id]
+        times = []
+        for model_id in d.model_ids:
+            model = models[model_id]
+            rt = estimate_round_time(client, model, cfg.trainer)
+            if cfg.wire_time:
+                rt += (0 - model.nbytes()) / client.device.bandwidth
+            times.append(rt)
+        duration = float(sum(times))
+        if d.deadline is not None and duration > d.deadline:
+            duration = d.deadline
+        return d.dispatch_time + duration
+
+    def _flush(self, tally: RoundTally) -> None:
+        """Train every deferred dispatch in one ``train_round`` call, encode
+        the updates in dispatch order against this epoch's models (those of
+        their dispatch: :meth:`step` flushes before it aggregates), and
+        schedule the events with ``dispatch_seq`` in dispatch order."""
+        if not self._deferred:
+            return
+        ctx = self.ctx
+        deferred, self._deferred = self._deferred, []
+        self._bound = math.inf
+        models = self._models()
+        pairs, failures = dispatch(
+            ctx, [(d.wave, d.client_id, d.model_ids) for d in deferred], models
+        )
         # A permanent failure releases the whole client: its partial
         # updates are discarded, it is never scheduled on the clock, and the
         # next wave may reselect it.
         failed_ids = {f.client_id for f in failures}
         pairs = [p for p in pairs if p[0].client_id not in failed_ids]
-        # Encoded at *dispatch*: with ``wire_time`` the re-priced round_time
-        # must be known before the finish event is scheduled below.
+        # With ``wire_time`` the re-priced round_time sets the event time.
         encode(ctx, pairs, models)
         per_client: dict[int, list[ClientUpdate]] = {}
         for item, update in pairs:
             per_client.setdefault(item.client_id, []).append(update)
-        for client in selected:
-            if client.client_id in failed_ids:
+        for d in deferred:
+            if d.client_id in failed_ids:
+                ctx.fleet.clear_in_flight(d.client_id)
                 tally.events.append(
-                    f"client {client.client_id} failed permanently in wave "
-                    f"{wave}; slot released"
+                    f"client {d.client_id} failed permanently in wave "
+                    f"{d.wave}; slot released"
                 )
                 continue
-            ups = per_client[client.client_id]
+            ups = per_client[d.client_id]
             # Sub-models train sequentially on-device (as in sync mode).
             duration = float(sum(u.round_time for u in ups))
-            deadline = deadlines[client.client_id]
-            dropped = deadline is not None and duration > deadline
+            dropped = d.deadline is not None and duration > d.deadline
             # The server stops waiting at the deadline; the straggler's own
             # finish time is recorded for the log either way.
-            event_time = self.clock.now + (
-                min(duration, deadline) if dropped else duration
+            event_time = d.dispatch_time + (
+                min(duration, d.deadline) if dropped else duration
             )
             seq = self._dispatch_seq
             self._dispatch_seq += 1
-            ctx.fleet.mark_in_flight(client.client_id)
             self.clock.schedule(
                 event_time,
                 seq,
                 _Pending(
                     dispatch_seq=seq,
-                    client_id=client.client_id,
-                    model_ids=tuple(assignments[client.client_id]),
-                    dispatch_time=self.clock.now,
-                    finish_time=self.clock.now + duration,
+                    client_id=d.client_id,
+                    model_ids=tuple(d.model_ids),
+                    dispatch_time=d.dispatch_time,
+                    finish_time=d.dispatch_time + duration,
                     version=self._version,
                     dropped=dropped,
-                    downsized=client.client_id in downsized_ids,
+                    downsized=d.downsized,
                     updates=ups,
                 ),
             )
@@ -304,6 +380,11 @@ class BufferedAsyncEngine(Stateful):
         drop_limit = max(64, 8 * self.concurrency)
         while len(buffered) < effective_k:
             self._fill_slots(tally)
+            # Train deferred work when its event could be the next to pop.
+            if self._deferred and (
+                not len(self.clock) or self._bound <= self.clock.next_time()
+            ):
+                self._flush(tally)
             if not len(self.clock):
                 # Every client of the wave failed permanently and nothing
                 # else is in flight: dispatch again (fresh spawn keys).
@@ -381,6 +462,8 @@ class BufferedAsyncEngine(Stateful):
             pending.updates = kept
             buffered.append(pending)
 
+        # The models mutate below: nothing may stay deferred across them.
+        self._flush(tally)
         updates = [u for p in buffered for u in p.updates]
         staleness_per_update = [
             self._version - p.version for p in buffered for _ in p.updates
@@ -435,7 +518,14 @@ class BufferedAsyncEngine(Stateful):
         plus the counters that anchor staleness, wave seeding, and
         dispatch-order tie-breaks.  The selector belongs to the
         coordinator's payload; pacing and straggler policies are ours.
+        Deferred dispatches are never part of it: :meth:`step` flushes them
+        before it aggregates.
         """
+        if self._deferred:
+            raise RuntimeError(
+                f"{len(self._deferred)} deferred dispatch(es) are untrained; "
+                "an engine checkpoints only between steps"
+            )
         return {
             "schema": self.schema,
             "clock": self.clock.state_dict(),

@@ -85,6 +85,7 @@ bit-identical to the uninterrupted one (CONTRACTS.md I9).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -300,8 +301,8 @@ class CoordinatorConfig:
             raise ValueError("buffer_k must be >= 1")
         if self.async_concurrency is not None and self.async_concurrency < 1:
             raise ValueError("async_concurrency must be >= 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
+        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
+            raise ValueError(f"deadline_s must be positive and finite, got {self.deadline_s!r}")
         if not 0.0 < self.staleness_discount <= 1.0:
             raise ValueError("staleness_discount must lie in (0, 1]")
         parsed["fault_config"] = (
@@ -667,7 +668,8 @@ class Coordinator(Stateful):
         tally.selected = len(participants)
         assignments = self.strategy.assign(round_idx, participants, self.rng)
         models = self.strategy.models()
-        pairs, failures = dispatch(self, round_idx, participants, assignments, models)
+        work = [(round_idx, c.client_id, assignments[c.client_id]) for c in participants]
+        pairs, failures = dispatch(self, work, models)
         # Settled before admit() writes to the same ledger: the executor's
         # recovery records precede the round's quarantine rejections.
         publish = self._settle(log)

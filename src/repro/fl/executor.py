@@ -120,6 +120,9 @@ class TrainItem:
     model_id: str
     client_id: int
     sub_idx: int  # position in the client's multi-model assignment (SplitMix)
+    # The round or dispatch wave that seeds the item; None: the round
+    # ``train_round`` runs it in.  Set when one call trains several waves.
+    round_idx: int | None = None
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,12 @@ def _train_item(
     the item returns, so only its arena and object graph persist."""
     work = _workspace(env.workspaces, models, cohort[0].model_id, len(cohort))
     clients = [env.clients_by_id[it.client_id] for it in cohort]
-    rngs = [derive_client_rng(env.seed, round_idx, it.client_id, it.sub_idx) for it in cohort]
+    rngs = [
+        derive_client_rng(
+            env.seed, round_idx if it.round_idx is None else it.round_idx, it.client_id, it.sub_idx
+        )
+        for it in cohort
+    ]
     try:
         if len(cohort) == 1:
             return [env.trainer.train(work, clients[0], rngs[0])]
@@ -391,7 +399,9 @@ class RoundExecutor(Stateful, ABC):
         """Run local training for every item; results in item order.
 
         The wave is dispatched as cohorts (:meth:`_cohorts`), one job each.
-        With a retry policy configured, a slot may hold an
+        An item seeds from its own ``round_idx`` when it carries one (the
+        async engine trains several dispatch waves in one call), else from
+        ``round_idx``.  With a retry policy configured, a slot may hold an
         :class:`~repro.fl.faults.ItemFailure` instead of an update.
         """
         cohorts = self._cohorts(items, models)

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..stateful import Stateful, check_schema, schema_tag
+from .transport import spec_number
 from .types import ClientUpdate
 
 __all__ = [
@@ -174,10 +175,10 @@ class FaultConfig:
             rate = getattr(self, kind)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"fault rate {kind}={rate!r} must lie in [0, 1]")
-        if self.hang_factor <= 1.0:
+        if not 1.0 < self.hang_factor < math.inf:
             raise ValueError(
-                f"hang_factor must exceed 1 (it multiplies round time), "
-                f"got {self.hang_factor!r}"
+                f"hang_factor must be finite and exceed 1 (it multiplies "
+                f"round time), got {self.hang_factor!r}"
             )
 
     @classmethod
@@ -206,11 +207,13 @@ class FaultConfig:
         return cls(**values)
 
     def spec(self) -> str:
-        """Canonical spec string (kinds in declaration order, zeros elided)."""
-        parts = [f"{k}={getattr(self, k):g}" for k in FAULT_KINDS if getattr(self, k)]
-        if self.hang and self.hang_factor != 10.0:
-            parts.append(f"hang_factor={self.hang_factor:g}")
-        return ",".join(parts)
+        """Canonical spec string (kinds in declaration order, zeros elided;
+        the all-default config spells one zero rate, since an empty spec
+        does not parse): :meth:`parse` reads it back to an equal config."""
+        parts = [f"{k}={spec_number(getattr(self, k))}" for k in FAULT_KINDS if getattr(self, k)]
+        if self.hang_factor != 10.0:
+            parts.append(f"hang_factor={spec_number(self.hang_factor)}")
+        return ",".join(parts) or f"{FAULT_KINDS[0]}=0"
 
     def any_enabled(self) -> bool:
         return any(getattr(self, k) for k in FAULT_KINDS)

@@ -10,12 +10,13 @@ stage      function             sync driver               async driver          
 =========  ===================  ========================  ==========================  =======================
 select     ``selector.select``  whole ``fleet.view()``    ``fleet.available_view()``  I12 registration-order
                                                           per wave + straggler veto   views
-dispatch   :func:`dispatch`     the round's one wave      one wave per slot fill      I1 item-order results;
-                                                                                      I10 infrastructure
-                                                                                      faults cost zero time
+dispatch   :func:`dispatch`     the round's one wave      at flush: every wave        I1 item-order results;
+                                                          deferred since the last     I10 infrastructure
+                                                          (faults: each wave's end)   faults cost zero time
 failures   (driver)             drops the failed item     releases the whole client
-encode     :func:`encode`       after dispatch            at dispatch: finish events  I11 encode, then meter,
-                                                          need the wire-time price    then quarantine
+encode     :func:`encode`       after dispatch            at flush, in dispatch       I11 encode, then meter,
+                                                          order: finish events need   then quarantine
+                                                          the wire-time price
 meter      :func:`meter`        all survivors at once     per arrival; a dropped one  I11 ``bytes_up`` is the
                                                           is not charged its upload   on-wire size
 admit      :func:`admit`        all survivors at once     per landed arrival          I10 clean runs untouched
@@ -42,7 +43,6 @@ from .types import (
     ArrivalRecord,
     ClientUpdate,
     FaultRecord,
-    FLClient,
     RoundRecord,
     SchedulerRecord,
     TrainingLog,
@@ -77,24 +77,25 @@ class RoundTally:
 
 def dispatch(
     ctx: Coordinator,
-    index: int,
-    selected: list[FLClient],
-    assignments: dict[int, list[str]],
+    work: list[tuple[int, int, list[str]]],
     models: dict,
 ) -> tuple[list[tuple[TrainItem, ClientUpdate]], list[ItemFailure]]:
-    """Train every ``(client, assigned model)`` pair of one wave.
+    """Train every ``(client, assigned model)`` pair of one or more waves.
 
+    ``work`` lists ``(index, client_id, model_ids)`` in dispatch order;
     ``index`` — the round (sync) or dispatch wave (async) — seeds each work
-    item's ``SeedSequence`` spawn key ``(index, client, sub)``.  Returns the
-    completed ``(item, update)`` pairs in item order and the permanent
-    failures (retry budget exhausted), which are never charged any cost.
+    item's ``SeedSequence`` spawn key ``(index, client, sub)``, so items of
+    several waves train in one ``train_round`` call and stack into shared
+    cohorts.  Returns the completed ``(item, update)`` pairs in item order
+    and the permanent failures (retry budget exhausted), which are never
+    charged any cost.
     """
     items = [
-        TrainItem(model_id, client.client_id, sub_idx)
-        for client in selected
-        for sub_idx, model_id in enumerate(assignments[client.client_id])
+        TrainItem(model_id, client_id, sub_idx, index)
+        for index, client_id, model_ids in work
+        for sub_idx, model_id in enumerate(model_ids)
     ]
-    results = ctx.executor.train_round(index, items, models)
+    results = ctx.executor.train_round(work[0][0], items, models)
     pairs, failures = [], []
     for item, result in zip(items, results):
         if isinstance(result, ItemFailure):

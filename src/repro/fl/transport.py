@@ -47,6 +47,7 @@ __all__ = [
     "UPDATE_CODECS",
     "TransportConfig",
     "TransportCodec",
+    "spec_number",
     "rle_encode_bytes",
     "rle_decode_bytes",
     "encode_indices",
@@ -253,6 +254,13 @@ def bf16_decode(data: bytes, shape: tuple, dtype: np.dtype) -> np.ndarray:
 # ----------------------------------------------------------------------
 # spec grammar
 # ----------------------------------------------------------------------
+def spec_number(value: float) -> str:
+    """A spec grammar's spelling of ``value``: ``:g`` where that parses back
+    to the same float, else the shortest string that does (``repr``)."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
+
+
 @dataclass(frozen=True)
 class TransportConfig:
     """Parsed ``--compress`` spec: what each wire direction encodes with.
@@ -310,7 +318,7 @@ class TransportConfig:
             else:
                 chain = []
                 if self.update_topk is not None:
-                    chain.append(f"topk{self.update_topk:g}")
+                    chain.append(f"topk{spec_number(self.update_topk)}")
                 if self.update_quantizer is not None:
                     chain.append(self.update_quantizer)
             sections.append("update:" + "+".join(chain))
@@ -397,9 +405,10 @@ class TransportCodec(Stateful):
     """Encodes client→server updates and carries error-feedback state.
 
     One instance lives on the coordinator and sees every update exactly
-    once, in each dispatch wave's item order (:func:`repro.fl.rounds.encode`
-    is the only caller), so the residual stream is a pure function of the
-    run config and seed.
+    once, in dispatch order — the sync round's item order, or the async
+    engine's at each flush, against the models of the dispatch epoch
+    (:func:`repro.fl.rounds.encode` is the only caller) — so the residual
+    stream is a pure function of the run config and seed.
 
     ``encode_update`` mutates the update in place: ``params``/``state``
     are replaced by their decoded post-codec values (bit-identical for

@@ -9,10 +9,17 @@ the deadline straggler policy's cost accounting, plus the round-loop fixes
 that shipped with the engine (config validation, convergence baseline).
 """
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines import fedavg
+from repro.baselines import HeteroFLStrategy, SplitMixStrategy, fedavg
 from repro.core import FedTransConfig, FedTransStrategy
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
@@ -24,10 +31,16 @@ from repro.fl import (
     LocalTrainerConfig,
     TrainItem,
 )
-from repro.fl.async_engine import VirtualClock
-from repro.fl.executor import SerialExecutor
+from repro.fl.async_engine import BufferedAsyncEngine, VirtualClock
+from repro.fl.checkpoint import CheckpointWriter
+from repro.fl.executor import RoundExecutor, SerialExecutor
 from repro.fl.async_engine import _Pending
+from repro.fl.export import log_to_dict
+from repro.fl.scheduling import estimate_round_time
+from repro.fl.transport import TransportCodec
 from repro.nn import mlp
+from repro.nn.cells import set_cell_id_counter
+from repro.nn.model import set_model_id_counter
 
 SLOW_SPEED = 1e7  # 100x slower compute than the rest of the fleet
 FAST_SPEED = 1e9
@@ -419,3 +432,298 @@ class TestConvergenceBaseline:
         coord = self._coordinator(patience=3)
         assert coord._converged([0.2, 0.7, 0.7, 0.705, 0.7])
         coord.close()
+
+
+# ----------------------------------------------------------------------
+# deferred training: an async item trains when its result is first read
+# ----------------------------------------------------------------------
+def _eager(monkeypatch):
+    """Today's eager engine: every wave flushes (trains, encodes, schedules)
+    at its own end — the oracle the deferred engine must reproduce."""
+    fill = BufferedAsyncEngine._fill_slots
+
+    def fill_and_flush(self, tally):
+        fill(self, tally)
+        self._flush(tally)
+
+    monkeypatch.setattr(BufferedAsyncEngine, "_fill_slots", fill_and_flush)
+
+
+def _fleet(num_clients=20, **devices):
+    """A 16-feature fleet in which every 5th device is a straggler."""
+    ds = _dataset(num_clients=num_clients)
+    slow = devices.get("slow", (SLOW_SPEED, SLOW_BW))
+    fast = devices.get("fast", (FAST_SPEED, FAST_BW))
+    return ds, [
+        FLClient(
+            c.client_id,
+            c,
+            DeviceTrace(c.client_id, *(slow if c.client_id % 5 == 0 else fast), 1e15),
+        )
+        for c in ds.clients
+    ]
+
+
+def _fleet_coordinator(ckpt_dir=None, resume=False, **over):
+    """Async HeteroFL on a straggler fleet, fresh id counters (a new
+    process): ``downsize`` has smaller widths to pick and ``drop`` fires."""
+    set_model_id_counter(0)
+    set_cell_id_counter(0)
+    ds, clients = _fleet()
+    strategy = HeteroFLStrategy(mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=16))
+    smallest = min(strategy.models().values(), key=lambda m: m.macs())
+    kw = dict(
+        rounds=5,
+        clients_per_round=8,
+        trainer=TRAINER,
+        eval_every=2,
+        seed=0,
+        mode="async",
+        buffer_k=3,
+        deadline_s=2 * estimate_round_time(clients[0], smallest, TRAINER),
+        max_workers=2,
+    )
+    if ckpt_dir is not None:
+        kw.update(checkpoint_every=2, checkpoint_dir=str(ckpt_dir), resume=resume)
+    kw.update(over)
+    return Coordinator(strategy, clients, CoordinatorConfig(**kw))
+
+
+def _dumps(log) -> str:
+    return json.dumps(log_to_dict(log), sort_keys=True)
+
+
+_ORACLES: dict[tuple, str] = {}
+
+STACKS = [
+    dict(compress=compress, wire_time=wire, straggler=straggler, pacing=pacing)
+    for compress in (None, "update:topk0.05+int8", "update:rle")
+    for wire in (False, True)
+    for straggler in ("drop", "downsize")
+    for pacing in ("static", "quantile")
+    if compress is not None or not wire  # wire_time needs an update codec
+]
+
+
+def _stack_id(stack):
+    return "-".join(str(v) for v in stack.values())
+
+
+class TestDeferredTraining:
+    @pytest.mark.parametrize("stack", STACKS, ids=_stack_id)
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_deferred_run_is_the_eager_run(self, executor, stack, monkeypatch):
+        key = tuple(stack.values())
+        if key not in _ORACLES:
+            with monkeypatch.context() as m:
+                _eager(m)
+                _ORACLES[key] = _dumps(_fleet_coordinator(**stack).run())
+        deferred = _dumps(_fleet_coordinator(executor=executor, **stack).run())
+        assert deferred == _ORACLES[key]
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_resume_mid_run_is_the_eager_run(self, tmp_path, executor, monkeypatch):
+        stack = dict(
+            compress="update:topk0.05+int8", wire_time=True, straggler="downsize",
+            pacing="quantile", rounds=6,
+        )
+        with monkeypatch.context() as m:
+            _eager(m)
+            ref = _dumps(_fleet_coordinator(**stack).run())
+        coord = _fleet_coordinator(tmp_path, executor=executor, **stack)
+        real = coord._run_round
+
+        def crash_at_4(round_idx, log):
+            if round_idx == 4:  # after the round-3 checkpoint
+                raise RuntimeError("injected crash")
+            return real(round_idx, log)
+
+        coord._run_round = crash_at_4
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        resumed = _fleet_coordinator(tmp_path, resume=True, executor=executor, **stack)
+        assert _dumps(resumed.run()) == ref
+
+    def test_nothing_is_deferred_at_a_step_boundary(self, tmp_path, monkeypatch):
+        """Aggregation, evaluation and checkpoint writes see no untrained
+        dispatch, so none of them can observe (or persist) deferred work."""
+        coord = _fleet_coordinator(
+            tmp_path, compress="update:topk0.05+int8", wire_time=True, rounds=4
+        )
+        engine = coord._async_engine
+        seen: dict[str, int] = {}
+
+        def guard(name, fn):
+            def wrapped(*args, **kwargs):
+                assert engine._deferred == [], name
+                seen[name] = seen.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        strategy = coord.strategy
+        monkeypatch.setattr(
+            strategy, "aggregate_buffered", guard("aggregate", strategy.aggregate_buffered)
+        )
+        monkeypatch.setattr(
+            Coordinator, "evaluate", guard("evaluate", Coordinator.evaluate)
+        )
+        monkeypatch.setattr(
+            CheckpointWriter, "write", guard("checkpoint", CheckpointWriter.write)
+        )
+        flushes = []
+        flush = BufferedAsyncEngine._flush
+        monkeypatch.setattr(
+            BufferedAsyncEngine,
+            "_flush",
+            lambda self, tally: (flushes.append(len(self._deferred)), flush(self, tally)),
+        )
+        coord.run()
+        assert seen["aggregate"] == 4 and seen["evaluate"] >= 2 and seen["checkpoint"] >= 2
+        assert max(flushes) > 1  # waves did stack
+        engine._deferred.append(None)
+        with pytest.raises(RuntimeError, match="deferred"):
+            engine.state_dict()
+
+    def test_an_update_is_encoded_against_its_dispatch_epoch(self, monkeypatch):
+        """The staleness anchor survives deferral: each update's codec
+        reference is the very model (object and version) the server held
+        when the client was dispatched, and its pending event carries that
+        epoch's version."""
+        coord = _fleet_coordinator(compress="update:topk0.05+int8", wire_time=True, rounds=6)
+        engine = coord._async_engine
+        at_dispatch: dict[int, tuple] = {}
+        fill = BufferedAsyncEngine._fill_slots
+
+        def fill_and_record(self, tally):
+            fill(self, tally)
+            models = self._models()
+            for d in self._deferred:
+                at_dispatch.setdefault(
+                    d.client_id,
+                    (self._version, {m: (id(models[m]), models[m].version) for m in d.model_ids}),
+                )
+
+        encoded = []
+        encode_update = TransportCodec.encode_update
+
+        def encode_and_check(self, update, reference=None, **kw):
+            # HeteroFL assigns one model per client: one update per dispatch.
+            version, refs = at_dispatch.pop(update.client_id)
+            assert engine._version == version
+            assert (id(reference), reference.version) == refs[update.model_id]
+            encoded.append(update.client_id)
+            return encode_update(self, update, reference, **kw)
+
+        monkeypatch.setattr(BufferedAsyncEngine, "_fill_slots", fill_and_record)
+        monkeypatch.setattr(TransportCodec, "encode_update", encode_and_check)
+        log = coord.run()
+        assert len(encoded) >= 20
+        assert max(a.staleness for r in log.rounds for a in r.arrivals) >= 1
+
+    def test_train_round_calls_of_the_fleet_smoke_workload(self, tmp_path, monkeypatch):
+        """The 200-client ``fleet_async_mixed`` smoke config at seed 0 trains
+        its 31 items in 4 ``train_round`` calls (16 when every wave trained
+        at dispatch)."""
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_e2e_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        calls = []
+        train_round = RoundExecutor.train_round
+
+        def counted(self, round_idx, items, models):
+            calls.append(len(items))
+            return train_round(self, round_idx, items, models)
+
+        monkeypatch.setattr(RoundExecutor, "train_round", counted)
+        coord = workloads.WORKLOADS["fleet_async_mixed"].build(0, True, tmp_path)
+        try:
+            coord.run()
+        finally:
+            coord.executor.close()
+        assert (len(calls), sum(calls)) == (4, 31)
+
+
+def _bound_run(draw_fleet, strategy_kind, width, deadline_mult, compress):
+    """Run a small async fleet and return, per flushed dispatch, its
+    event-time lower bound and realized event time, plus per trained item
+    ``(estimate_round_time, pre-encode round_time)``."""
+    set_model_id_counter(0)
+    set_cell_id_counter(0)
+    ds, clients = _fleet(num_clients=10, **draw_fleet)
+    init = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=width)
+    strategy = {"fedavg": fedavg, "heterofl": HeteroFLStrategy, "splitmix": SplitMixStrategy}[
+        strategy_kind
+    ](init)
+    # A fast client's longest possible dispatch: every model, back to back.
+    fast = max(
+        sum(estimate_round_time(c, m, TRAINER) for m in strategy.models().values())
+        for c in clients
+        if c.client_id % 5
+    )
+    config = CoordinatorConfig(
+        rounds=3, clients_per_round=5, trainer=TRAINER, eval_every=3, seed=0, mode="async",
+        buffer_k=2, deadline_s=fast * deadline_mult, compress=compress, wire_time=True,
+    )
+    coord = Coordinator(strategy, clients, config)
+    bounds, estimates = [], []
+    flush = BufferedAsyncEngine._flush
+    encode_update = TransportCodec.encode_update
+
+    def flush_and_record(self, tally):
+        models = self._models()
+        lower = {d.client_id: self._event_bound(d, models) for d in self._deferred}
+        flush(self, tally)
+        for time, _, pending in self.clock._events:
+            if pending.client_id in lower:
+                bounds.append((lower[pending.client_id], time, pending.dropped))
+
+    def encode_and_record(self, update, reference=None, **kw):
+        client = coord.executor.clients_by_id[update.client_id]
+        estimates.append((estimate_round_time(client, reference, TRAINER), update.round_time))
+        return encode_update(self, update, reference, **kw)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(BufferedAsyncEngine, "_flush", flush_and_record)
+        m.setattr(TransportCodec, "encode_update", encode_and_record)
+        coord.run()
+    return bounds, estimates
+
+
+_DEVICES = st.fixed_dictionaries(
+    {
+        "slow": st.tuples(st.floats(1e5, 1e9), st.floats(1e2, 1e7)),
+        "fast": st.tuples(st.floats(1e8, 1e11), st.floats(1e4, 1e8)),
+    }
+)
+_BOUND_ARGS = dict(
+    draw_fleet=_DEVICES,
+    strategy_kind=st.sampled_from(["fedavg", "heterofl", "splitmix"]),
+    width=st.integers(4, 24),
+    # >= 1: the fast devices always fit, so the drop spin guard never fires;
+    # the slow ones are dropped at (or downsized to) the deadline.
+    deadline_mult=st.floats(1.0, 50.0),
+    compress=st.sampled_from(
+        ["update:topk0.05+int8", "update:topk0.3", "update:int8", "update:bf16", "update:rle"]
+    ),
+)
+
+
+class TestDeferralBound:
+    @settings(max_examples=20, deadline=None)
+    @given(**_BOUND_ARGS)
+    def test_lower_bound_never_exceeds_the_event_time(self, **args):
+        bounds, _ = _bound_run(**args)
+        assert bounds
+        for lower, time, _ in bounds:
+            assert lower <= time
+
+    @settings(max_examples=20, deadline=None)
+    @given(**_BOUND_ARGS)
+    def test_estimate_is_the_pre_encode_round_time(self, **args):
+        _, estimates = _bound_run(**args)
+        assert estimates
+        for estimate, round_time in estimates:
+            assert estimate == round_time

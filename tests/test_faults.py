@@ -11,10 +11,13 @@ degradation paths.
 """
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import fedavg
 from repro.data import SyntheticTaskConfig, build_federated_dataset
@@ -28,6 +31,7 @@ from repro.fl import (
     recovery_summary,
 )
 from repro.fl.faults import (
+    FAULT_KINDS,
     FaultConfig,
     FaultPlan,
     ItemFailure,
@@ -126,6 +130,43 @@ class TestFaultConfig:
     def test_parse_rejects(self, spec):
         with pytest.raises(ValueError):
             FaultConfig.parse(spec)
+
+    def test_spec_keeps_every_digit(self):
+        cfg = FaultConfig.parse("crash=0.1234567,hang=0.3,hang_factor=12.3456789")
+        assert cfg.spec() == "crash=0.1234567,hang=0.3,hang_factor=12.3456789"
+        assert FaultConfig.parse("crash=0.05,poison=0.2").spec() == "crash=0.05,poison=0.2"
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.lists(
+                st.tuples(
+                    st.sampled_from([*FAULT_KINDS, "hang_factor", "bogus", ""]),
+                    st.sampled_from(["=", "", "=="]),
+                    st.one_of(
+                        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                        st.floats(0, 1).map(str),
+                        st.text(max_size=4),
+                    ),
+                ).map("".join),
+                max_size=6,
+            ).map(",".join),
+        )
+    )
+    def test_any_text_is_rejected_or_round_trips(self, spec):
+        """Arbitrary text either raises ``ValueError`` or parses to a
+        config whose canonical spec parses back to an equal config."""
+        try:
+            cfg = FaultConfig.parse(spec)
+        except ValueError:
+            return
+        assert FaultConfig.parse(cfg.spec()) == cfg
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_hang_factor_must_be_finite_and_above_one(self, factor):
+        with pytest.raises(ValueError, match="hang_factor"):
+            FaultConfig(hang=0.5, hang_factor=factor)
 
     def test_rate_bounds(self):
         with pytest.raises(ValueError):

@@ -320,6 +320,11 @@ MISUSES = [
      "availability trace '/missing.json'"),
     ("--executor thread --workers 0", "max_workers"),
     ("suite --faults bogus=1", "--faults"),
+    # Non-finite times: the clock heap orders them, the export writes them.
+    ("--mode async --buffer-k 4 --deadline nan", "deadline_s"),
+    ("--mode async --buffer-k 4 --deadline inf", "deadline_s"),
+    ("--mode async --buffer-k 4 --faults hang=0.5,hang_factor=nan", "hang_factor"),
+    ("--mode async --buffer-k 4 --faults hang=0.5,hang_factor=inf", "hang_factor"),
     # `suite` used to accept these three and write nothing.
     ("suite --rounds 2 --save-log L --save-recovery R", "--save-log is a `run` flag"),
     ("suite --save-transport T", "with --out"),

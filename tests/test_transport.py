@@ -108,6 +108,49 @@ class TestSpecGrammar:
         with pytest.raises(ValueError, match=msg):
             TransportConfig.parse(bad)
 
+    def test_topk_rate_keeps_every_digit(self):
+        """``:g`` keeps six significant digits; the canonical spec (and so
+        ``TrainingLog.compress``) must name the rate that ran."""
+        cfg = TransportConfig.parse("update:topk0.0123456789+int8")
+        assert cfg.spec == "update:topk0.0123456789+int8"
+        assert TransportConfig.parse("update:topk0.05+int8").spec == "update:topk0.05+int8"
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.lists(
+                st.one_of(
+                    st.sampled_from(["update:", "snapshot:", "update:rle", "snapshot:rle", ","]),
+                    st.sampled_from(["int8", "bf16", "rle", "topk", "+", " "]),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                    st.text(max_size=3),
+                ),
+                max_size=8,
+            ).map("".join),
+            # Grammar-shaped: an update chain with any topk rate in (0, 1].
+            st.tuples(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(["int8", "bf16", "rle"]),
+                        st.floats(0, 1, exclude_min=True).map(lambda r: f"topk{r!r}"),
+                    ),
+                    min_size=1,
+                    max_size=3,
+                ).map("+".join),
+                st.sampled_from(["", ",snapshot:rle"]),
+            ).map(lambda parts: f"update:{parts[0]}{parts[1]}"),
+        )
+    )
+    def test_any_text_is_rejected_or_round_trips(self, spec):
+        """Arbitrary text either raises ``ValueError`` or parses to a
+        config whose canonical spec parses back to an equal config."""
+        try:
+            cfg = TransportConfig.parse(spec)
+        except ValueError:
+            return
+        assert TransportConfig.parse(cfg.spec) == cfg
+
 
 # ----------------------------------------------------------------------
 # primitives: property tests
