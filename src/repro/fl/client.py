@@ -36,6 +36,7 @@ replica crosses the threshold), the FedProx term and :meth:`SGD.step
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -62,6 +63,22 @@ class LocalTrainerConfig:
     weight_decay: float = 0.0
     prox_mu: float = 0.0  # FedProx proximal coefficient; 0 disables
     clip_norm: float = 10.0  # global gradient-norm clip per step; 0 disables
+
+    def __post_init__(self) -> None:
+        # A comparison with NaN is False, so each range is stated as what
+        # holds: a NaN clip_norm would silently turn the clip off.
+        for name in ("batch_size", "local_steps"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        for name in ("weight_decay", "prox_mu", "clip_norm"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be >= 0 and finite (0 disables), got {getattr(self, name)!r}"
+                )
 
 
 def clip_by_global_norm(arena: Arena, clip_norm: float) -> None:

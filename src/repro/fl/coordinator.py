@@ -319,8 +319,8 @@ class CoordinatorConfig:
             parsed["retry_policy"] = RetryPolicy() if self.faults is not None else None
         if not isinstance(self.quarantine, bool):
             raise ValueError(f"quarantine must be a bool, got {self.quarantine!r}")
-        # Range-checked even when the gate is off (>= 0; 0 disables the
-        # norm gate, keeping the NaN/Inf scan).
+        # Range-checked even when the gate is off (finite and >= 0; 0
+        # disables the norm gate, keeping the NaN/Inf scan).
         gate = QuarantineConfig(norm_multiplier=self.quarantine_norm_mult)
         parsed["quarantine_config"] = gate if self.quarantine else None
         parsed["transport_config"] = transport = (

@@ -39,14 +39,16 @@ cohort's and a sweep's alike.  A model's first job in a thread builds it
 flat arena, the version restamped) instead of deep-copying the model — a
 sweep's logits task at K = 1, a cohort at its own K.  It is rebuilt when
 the model's tensor shapes moved and dropped once the model is absent from
-a wave, and its layers' scratch buffers are released when each job
-returns.  Parallel backends cut a
-group into at most ``workers`` contiguous sub-cohorts.  The singleton rule:
-an item is its own cohort when its model holds a layer without a replica
-axis (conv, norms, attention, dropout) and whenever a fault plan or a retry
-policy is configured, so injected faults, attempt counts, backoff and the
-recovery ledger stay per item.  There is no switch: cohorts form from what
-the wave contains, and how a wave is cut is not part of the trajectory.
+a wave.  Its layers' forward caches are dropped when each job returns;
+their pooled scratch buffers stay warm until the thread checks out a
+different model, so a thread holds one model's scratch at most.  Parallel
+backends cut a group into at most ``workers`` contiguous sub-cohorts.  The
+singleton rule: an item is its own cohort when its model holds a layer
+without a replica axis (conv, norms, attention, dropout) and whenever a
+fault plan or a retry policy is configured, so injected faults, attempt
+counts, backoff and the recovery ledger stay per item.  There is no
+switch: cohorts form from what the wave contains, and how a wave is cut is
+not part of the trajectory.
 
 **Determinism contract.** Every work item derives its RNG as
 ``np.random.default_rng(SeedSequence(seed, spawn_key=(round, client,
@@ -172,14 +174,24 @@ def _workspace(
     (:meth:`CellModel.refill`: ``np.copyto`` from the published model, the
     version restamped), rebuilt when the model's tensor shapes moved, and
     dropped once the model is absent from a wave.
+
+    A workspace keeps its layers' pooled scratch buffers between jobs, so a
+    model's next job runs on warm memory; checking out a different model
+    releases the buffers of the one this thread ran last, so a thread holds
+    one model's scratch at most.  ``held`` is kept in run order: its last
+    key is that workspace, found without a scan.
     """
     held = workspaces.setdefault(threading.get_ident(), {})
     for absent in held.keys() - models.keys():
         del held[absent]
+    last = next(reversed(held), model_id)
+    if last != model_id:
+        held[last].release_scratch()
     model = models[model_id]
-    work = held.get(model_id)
+    work = held.pop(model_id, None)
     if work is None or not work.refill(model, k):
-        work = held[model_id] = model.replicate(k)
+        work = model.replicate(k)
+    held[model_id] = work
     return work
 
 
@@ -189,8 +201,9 @@ def _train_item(
     """Train one cohort — items of one model and one batch size — as one
     call on this thread's workspace of K replicas (K = 1: no replica axis).
     The workspace is private and refilled from the published model, which
-    is never written through; its layers' scratch buffers are released when
-    the item returns, so only its arena and object graph persist."""
+    is never written through; its layers' forward caches are dropped when
+    the item returns, and their pooled scratch buffers stay for the
+    thread's next job (:func:`_workspace`)."""
     work = _workspace(env.workspaces, models, cohort[0].model_id, len(cohort))
     clients = [env.clients_by_id[it.client_id] for it in cohort]
     rngs = [
@@ -204,7 +217,7 @@ def _train_item(
             return [env.trainer.train(work, clients[0], rngs[0])]
         return env.trainer.train(work, clients, rngs)
     finally:
-        work.release_scratch()
+        work.drop_caches()
 
 
 def ensemble_accuracies(
@@ -259,9 +272,10 @@ def _logits_task(
     The only forward pass of a sweep.  It runs on this thread's workspace
     of the model (:func:`_workspace`, K = 1: refilled from the published
     model with ``np.copyto``), never on the published model itself, whose
-    layer caches two threads would otherwise race on; the workspace's
-    scratch is released when the task returns, so no activations stay
-    pinned between sweeps.
+    layer caches two threads would otherwise race on.  The workspace's
+    forward caches are dropped when the task returns, so no chunk of test
+    rows stays pinned between sweeps; its pooled buffers stay warm
+    (:func:`_workspace`).
     """
     if len(task.model_ids) != 1:
         raise ValueError(f"logits tasks carry exactly one model, got {task.model_ids}")
@@ -274,7 +288,7 @@ def _logits_task(
     try:
         return work.predict(xs, batch_size)
     finally:
-        work.release_scratch()
+        work.drop_caches()
 
 
 def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_side: bool):

@@ -384,9 +384,12 @@ class QuarantineConfig:
     min_history: int = 4
 
     def __post_init__(self) -> None:
-        if self.norm_multiplier < 0:
+        # Stated as what holds: NaN fails every comparison, and a NaN or
+        # infinite multiplier would leave the norm gate silently off.
+        if not 0 <= self.norm_multiplier < math.inf:
             raise ValueError(
-                f"norm_multiplier must be >= 0 (0 disables), got {self.norm_multiplier}"
+                f"norm_multiplier must be >= 0 and finite (0 disables), "
+                f"got {self.norm_multiplier}"
             )
         if self.min_history < 1:
             raise ValueError(f"min_history must be >= 1, got {self.min_history}")

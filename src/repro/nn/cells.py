@@ -447,15 +447,21 @@ class Cell:
         import copy
 
         new = copy.deepcopy(self)
-        new.release_scratch()  # clones do not pin activation memory
+        new.drop_caches()  # clones do not pin activations; their pools start empty
         return new
 
-    def release_scratch(self) -> None:
-        """Drop the layers' forward caches and empty their pooled scratch."""
+    def drop_caches(self) -> None:
+        """Drop the layers' forward caches, which can pin arrays no pooled
+        buffer owns, such as a step's input batch.  The buffers stay."""
         for _, layer in self._named_layers():
             for attr in ("_cache", "_x", "_shape"):
                 if hasattr(layer, attr):
                     setattr(layer, attr, None)
+
+    def release_scratch(self) -> None:
+        """Drop the layers' forward caches and empty their pooled scratch."""
+        self.drop_caches()
+        for _, layer in self._named_layers():
             if hasattr(layer, "_ws"):
                 layer._ws.clear()
 

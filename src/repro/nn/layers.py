@@ -27,7 +27,9 @@ which the single-use-per-step contract already guarantees (ReLU and
 MaxPool2d keep a reference to their *input* for backward on the same
 terms).  Cloned cells start with fresh workspaces
 (``Workspace.__deepcopy__``), so parallel backends never share scratch
-memory.
+memory.  A training workspace keeps its layers' buffers between work items
+and drops only the forward caches (``Cell.drop_caches``);
+``Cell.release_scratch`` empties the buffers as well.
 
 **The replica axis.**  :class:`Dense` and :class:`ReLU` declare
 ``replica_axis``: their forward/backward address axes from the end, so

@@ -495,6 +495,12 @@ class CellModel:
             self.refill(self, 1)
         return self._arena
 
+    def drop_caches(self) -> None:
+        """Drop every layer's forward caches, keeping its pooled scratch
+        buffers warm for the next step (:meth:`Cell.drop_caches`)."""
+        for cell in self.cells:
+            cell.drop_caches()
+
     def release_scratch(self) -> None:
         """Drop every layer's forward caches and pooled scratch buffers — what
         a discarded clone released — keeping parameters, gradients and state."""

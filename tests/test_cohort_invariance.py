@@ -14,7 +14,9 @@ Nor is the history of a thread's training workspaces: they persist across
 items and waves, refilled from the published model, and a wave trained
 through them again and again — after an aggregation bump, after a widened
 child appears, after an item failed mid-way — still returns the bytes of a
-fresh clone per item.
+fresh clone per item.  A workspace keeps its layers' pooled scratch between
+items and a thread holds one model's at most; conv sweeps and waves
+through that warm scratch return a fresh clone's bytes too.
 """
 
 import sys
@@ -30,7 +32,13 @@ from repro.device import DeviceTrace
 from repro.device.latency import client_round_time
 from repro.fl import FLClient, LocalTrainer, LocalTrainerConfig
 from repro.fl.faults import FaultConfig, RetryPolicy
-from repro.fl.executor import TrainItem, derive_client_rng, make_executor
+from repro.fl.executor import (
+    EvalTask,
+    TrainItem,
+    derive_client_rng,
+    ensemble_accuracies,
+    make_executor,
+)
 from repro.nn import mlp, small_cnn
 from repro.nn.model import CellModel
 from repro.nn.optim import SGD
@@ -215,6 +223,35 @@ def _oracle(models, clients, items):
     ]
 
 
+def _pooled(work) -> list[np.ndarray]:
+    """The pooled scratch buffers a workspace's layers hold."""
+    return [
+        buf
+        for cell in work.cells
+        for _, layer in cell._named_layers()
+        if hasattr(layer, "_ws")
+        for buf in layer._ws._bufs.values()
+    ]
+
+
+def _assert_between_items(held, ran, outputs):
+    """What a thread's workspaces hold once a job returned: no forward
+    cache; pooled buffers in ``ran``, the workspace that ran last, at most;
+    and no returned array aliasing an arena, a state tensor or a buffer."""
+    buffers = []
+    for work in held.values():
+        pooled = _pooled(work)
+        assert work is ran or not pooled, "a thread kept a second model's scratch"
+        for cell in work.cells:
+            for _, layer in cell._named_layers():
+                for cache in ("_cache", "_x", "_shape"):
+                    assert getattr(layer, cache, None) is None, cache
+        arena = work.arena
+        buffers += [arena.params, arena.grads, arena.scratch, *work.state().values(), *pooled]
+    for value in outputs:
+        assert not any(np.may_share_memory(value, buf) for buf in buffers)
+
+
 def _checked(real_train_item, seen):
     """``_train_item``, then the workspace invariants, asserted where the
     item ran (a pool worker's failure propagates to the test)."""
@@ -223,22 +260,26 @@ def _checked(real_train_item, seen):
         updates = real_train_item(models, env, round_idx, cohort)
         held = env.workspaces[threading.get_ident()]
         assert held.keys() <= models.keys(), "a workspace outlived its model's wave"
-        seen.append((threading.get_ident(), held[cohort[0].model_id]))
-        buffers = []
-        for work in held.values():
-            for cell in work.cells:
-                for _, layer in cell._named_layers():
-                    assert not getattr(layer, "_ws", None) or not layer._ws._bufs
-                    for cache in ("_cache", "_x", "_shape"):
-                        assert getattr(layer, cache, None) is None, cache
-            arena = work.arena
-            buffers += [arena.params, arena.grads, arena.scratch, *work.state().values()]
-        for update in updates:
-            for value in (*update.params.values(), *update.state.values()):
-                assert not any(np.may_share_memory(value, buf) for buf in buffers)
+        ran = held[cohort[0].model_id]
+        seen.append((threading.get_ident(), ran))
+        _assert_between_items(
+            held, ran, [v for u in updates for v in (*u.params.values(), *u.state.values())]
+        )
         return updates
 
     return train_item
+
+
+def _checked_logits(real_logits_task):
+    """``_logits_task``, then the same invariants over its logits."""
+
+    def logits_task(models, env, task, batch_size):
+        logits = real_logits_task(models, env, task, batch_size)
+        held = env.workspaces[threading.get_ident()]
+        _assert_between_items(held, held[task.model_ids[0]], [logits])
+        return logits
+
+    return logits_task
 
 
 def _fails_once_mid_item(real, marker):
@@ -344,6 +385,102 @@ def test_thread_workspaces_under_a_short_switch_interval(wave, monkeypatch):
     for ident, work in seen:
         threads.setdefault(id(work), set()).add(ident)
     assert len(seen) == 3 * len(items) and all(len(owners) == 1 for owners in threads.values())
+
+
+# ----------------------------------------------------------------------
+# conv workspaces: warm scratch between items, one model's per thread
+# ----------------------------------------------------------------------
+CONV_TRAINER = LocalTrainerConfig(batch_size=4, local_steps=3, lr=0.1, momentum=0.9, clip_norm=2.0)
+SWEEP_BATCH = 4  # the training batch: a sweep's full batches reuse its buffers
+
+
+@pytest.fixture(scope="module")
+def conv_wave():
+    """Two conv models of different widths over ragged image clients whose
+    test chunks end in a ragged batch; the items alternate models."""
+    rng = np.random.default_rng(SEED)
+    narrow = small_cnn((3, 8, 8), 3, rng, width=4)
+    wide = small_cnn((3, 8, 8), 3, rng, width=6)
+    models = {m.model_id: m for m in (narrow, wide)}
+    clients = []
+    for cid, (n, n_test) in enumerate([(9, 5), (3, 3), (6, 7), (12, 2), (5, 6), (4, 1)]):
+        x = rng.normal(size=(n + n_test, 3, 8, 8))
+        y = rng.integers(0, 3, n + n_test)
+        data = ClientData(cid, x[:n], y[:n], x[n:], y[n:])
+        clients.append(FLClient(cid, data, DeviceTrace(cid, 1e9, 1e6, 1e15)))
+    ids = list(models)
+    items = [TrainItem(ids[c.client_id % 2], c.client_id, 0) for c in clients]
+    return clients, models, items
+
+
+@pytest.mark.parametrize("backend,workers", BACKENDS)
+def test_conv_reuse_history_gives_a_fresh_clones_bytes(conv_wave, backend, workers, monkeypatch):
+    """A sweep with a ragged last batch, a training wave, a sweep, another
+    wave and a sweep, all through warm conv workspaces (conv, BatchNorm,
+    max-pool scratch): every logit and update is a fresh clone's bytes, and
+    after each job a thread holds the scratch of the model it ran last only."""
+    clients, models, items = conv_wave
+    by_id = {c.client_id: c for c in clients}
+    seen: list = []
+    monkeypatch.setattr(executor_mod, "_train_item", _checked(executor_mod._train_item, seen))
+    monkeypatch.setattr(executor_mod, "_logits_task", _checked_logits(executor_mod._logits_task))
+    chunks = [(0, 1, 2), (3, 4, 5), (2,)]
+    tasks = [EvalTask((mid,), ids) for ids in chunks for mid in models]
+    ex = make_executor(backend, clients, CONV_TRAINER, SEED, workers)
+
+    def sweep(phase):
+        accs, logits = ex.eval_and_logits_round(tasks, tasks, models, SWEEP_BATCH)
+        for task, acc, out in zip(tasks, accs, logits):
+            xs = np.concatenate([by_id[c].data.x_test for c in task.client_ids])
+            assert len(xs) % SWEEP_BATCH, "the chunk ends in a full batch"
+            want = models[task.model_ids[0]].clone(keep_id=True).predict(xs, SWEEP_BATCH)
+            assert out.tobytes() == want.tobytes(), (backend, phase, task)
+            assert acc.tobytes() == ensemble_accuracies(
+                [want], 1, by_id, task.client_ids
+            ).tobytes(), (backend, phase, task)
+
+    def train(phase, round_idx):
+        updates = ex.train_round(round_idx, items, models)
+        for i, (update, it) in enumerate(zip(updates, items)):
+            ref = parent_train(
+                CONV_TRAINER, models[it.model_id].clone(keep_id=True), by_id[it.client_id],
+                derive_client_rng(SEED, round_idx, it.client_id, 0),
+            )
+            _assert_same(update, ref, (backend, phase, i))
+
+    try:
+        sweep("cold")
+        train("first wave", ROUND)
+        sweep("after training")
+        train("second wave", ROUND + 1)
+        sweep("again")
+    finally:
+        ex.close()
+    if backend != "process":  # pool workers check the rest themselves
+        assert len(seen) == 2 * len(items)
+
+
+def test_a_models_second_item_allocates_no_pooled_buffer(conv_wave):
+    """The steady state: the second item of one model on one thread runs on
+    the very buffers the first left behind."""
+    clients, models, items = conv_wave
+    mid = items[0].model_id
+    same = [it for it in items if it.model_id == mid and len(clients[it.client_id].data.y_train) >= 4]
+    ex = make_executor("serial", clients, CONV_TRAINER, SEED)
+    try:
+        ex.train_round(ROUND, same[:1], models)
+        work = ex.workspaces[threading.get_ident()][mid]
+        first = _pooled(work)  # held, so no id below can be recycled
+        assert first
+        ex.train_round(ROUND, same[1:2], models)
+        assert {id(b) for b in _pooled(work)} == {id(b) for b in first}
+        # Another model's item releases them: one model's scratch per thread.
+        other = next(it for it in items if it.model_id != mid)
+        ex.train_round(ROUND, [other], models)
+        assert not _pooled(work)
+        assert _pooled(ex.workspaces[threading.get_ident()][other.model_id])
+    finally:
+        ex.close()
 
 
 def test_natural_cohorts_group_by_model_and_batch_in_first_appearance_order(wave):

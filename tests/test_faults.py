@@ -314,6 +314,22 @@ class TestUpdateValidator:
         with pytest.raises(ValueError):
             QuarantineConfig(min_history=0)
 
+    @pytest.mark.parametrize("mult", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_norm_multiplier_is_refused(self, mult):
+        """``norm > nan * mean`` never fires: a NaN multiplier would leave
+        the norm gate silently off, and so would an infinite one."""
+        with pytest.raises(ValueError, match="norm_multiplier"):
+            QuarantineConfig(norm_multiplier=mult)
+        with pytest.raises(ValueError, match="norm_multiplier"):
+            CoordinatorConfig(quarantine=True, quarantine_norm_mult=mult)
+        # Checked even with the gate off, like a negative multiplier.
+        with pytest.raises(ValueError, match="norm_multiplier"):
+            CoordinatorConfig(quarantine_norm_mult=mult)
+
+    def test_a_zero_norm_multiplier_still_disables_the_gate(self):
+        assert QuarantineConfig(norm_multiplier=0.0).norm_multiplier == 0.0
+        CoordinatorConfig(quarantine=True, quarantine_norm_mult=0.0)
+
 
 # ----------------------------------------------------------------------
 # the I10 bit-identity matrix

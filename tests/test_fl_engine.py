@@ -39,6 +39,53 @@ def _clients(ds, capacity=1e12):
     ]
 
 
+class TestLocalTrainerConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("batch_size", 0),
+            ("batch_size", -1),
+            ("local_steps", 0),
+            ("local_steps", -3),
+            ("lr", 0.0),
+            ("lr", -0.1),
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("momentum", -0.1),
+            ("momentum", 1.0),
+            ("momentum", float("nan")),
+            ("weight_decay", -1e-4),
+            ("weight_decay", float("nan")),
+            ("weight_decay", float("inf")),
+            ("prox_mu", -0.1),
+            ("prox_mu", float("nan")),
+            ("prox_mu", float("inf")),
+            ("clip_norm", -1.0),
+            ("clip_norm", float("nan")),
+            ("clip_norm", float("inf")),
+        ],
+    )
+    def test_an_invalid_field_is_refused(self, field, value):
+        """Each of these used to train: zero steps or a zero batch returned a
+        NaN loss, a NaN lr non-finite params, a NaN clip_norm no clip."""
+        with pytest.raises(ValueError, match=field):
+            LocalTrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {},
+            {"batch_size": 1, "local_steps": 1},
+            {"momentum": 0.0},
+            {"momentum": 0.99},
+            {"weight_decay": 0.0, "prox_mu": 0.0, "clip_norm": 0.0},
+            {"lr": 1e-9, "clip_norm": 1e6},
+        ],
+    )
+    def test_the_boundaries_are_accepted(self, over):
+        assert LocalTrainerConfig(**over) == LocalTrainerConfig(**over)
+
+
 class TestLocalTrainer:
     def test_update_fields(self, rng):
         ds = _dataset()

@@ -325,6 +325,9 @@ MISUSES = [
     ("--mode async --buffer-k 4 --deadline inf", "deadline_s"),
     ("--mode async --buffer-k 4 --faults hang=0.5,hang_factor=nan", "hang_factor"),
     ("--mode async --buffer-k 4 --faults hang=0.5,hang_factor=inf", "hang_factor"),
+    # NaN never crosses a threshold: the norm gate would be silently off.
+    ("--quarantine --quarantine-norm-mult nan", "norm_multiplier"),
+    ("--quarantine --quarantine-norm-mult inf", "norm_multiplier"),
     # `suite` used to accept these three and write nothing.
     ("suite --rounds 2 --save-log L --save-recovery R", "--save-log is a `run` flag"),
     ("suite --save-transport T", "with --out"),
