@@ -108,8 +108,7 @@ def model_fingerprint(model: "CellModel") -> str:
 
 def _model_arrays(models: Mapping[str, "CellModel"]) -> Iterator[np.ndarray]:
     for model in models.values():
-        yield from model.params().values()
-        yield from model.state().values()
+        yield from (arr for *_, arr in model.tensors("param", "state"))
 
 
 @contextmanager

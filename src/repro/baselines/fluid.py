@@ -48,22 +48,20 @@ def _channel_movement(global_model: CellModel, delta: ParamTree) -> dict[str, np
     that channel.
     """
     scores: dict[str, np.ndarray] = {}
-    for cell in global_model.cells:
-        for key, axroles in cell.axis_roles().items():
-            full = f"{cell.cell_id}/{key}"
-            if full not in delta:
+    for key, (cell, axroles) in global_model.axis_roles().items():
+        if key not in delta:
+            continue
+        d = delta[key]
+        for axis, role in enumerate(axroles):
+            if role not in ("out", "hidden"):
                 continue
-            d = delta[full]
-            for axis, role in enumerate(axroles):
-                if role not in ("out", "hidden"):
-                    continue
-                skey = f"{cell.cell_id}/{role}"
-                other_axes = tuple(a for a in range(d.ndim) if a != axis)
-                contrib = (d**2).sum(axis=other_axes) if other_axes else d**2
-                if skey in scores:
-                    scores[skey] += contrib
-                else:
-                    scores[skey] = contrib.copy()
+            skey = f"{cell.cell_id}/{role}"
+            other_axes = tuple(a for a in range(d.ndim) if a != axis)
+            contrib = (d**2).sum(axis=other_axes) if other_axes else d**2
+            if skey in scores:
+                scores[skey] += contrib
+            else:
+                scores[skey] = contrib.copy()
     return {k: np.sqrt(v) for k, v in scores.items()}
 
 

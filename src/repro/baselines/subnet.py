@@ -130,20 +130,20 @@ def param_index_map(
     global indices the subnet's coordinates map to, or ``None`` for axes
     that kept full width.
     """
+    cells = global_model.cells
+    # A cell's input channels are the ones its predecessor kept.
+    fed = {nxt.cell_id: spec.keep_out.get(prev.cell_id) for prev, nxt in zip(cells, cells[1:])}
     out: dict[str, tuple[np.ndarray | None, ...]] = {}
-    prev_out: np.ndarray | None = None
-    for cell in global_model.cells:
+    for key, (cell, axroles) in global_model.axis_roles().items():
         sel = {
             "out": spec.keep_out.get(cell.cell_id),
             "hidden": spec.keep_hidden.get(cell.cell_id),
-            "in": prev_out,
+            "in": fed.get(cell.cell_id),
             None: None,
         }
-        for key, axroles in cell.axis_roles().items():
-            idxs = tuple(sel[r] for r in axroles)
-            if any(i is not None for i in idxs):
-                out[f"{cell.cell_id}/{key}"] = idxs
-        prev_out = sel["out"]
+        idxs = tuple(sel[r] for r in axroles)
+        if any(i is not None for i in idxs):
+            out[key] = idxs
     return out
 
 

@@ -31,18 +31,13 @@ def cell_gradient_norms(model: CellModel, grad: ParamTree) -> dict[str, float]:
     Keys missing from ``grad`` (possible when aggregating across model
     generations) contribute nothing to that cell's norm.
     """
-    out: dict[str, float] = {}
-    params = model.params()
-    for cell in model.cells:
-        g2 = 0.0
-        w2 = 0.0
-        for key in cell.params():
-            full = f"{cell.cell_id}/{key}"
-            w2 += float(np.sum(params[full] ** 2))
-            if full in grad:
-                g2 += float(np.sum(grad[full] ** 2))
-        out[cell.cell_id] = float(np.sqrt(g2) / max(np.sqrt(w2), 1e-12))
-    return out
+    sums = {cell.cell_id: [0.0, 0.0] for cell in model.cells}  # [g2, w2] per cell
+    for key, cell, _, _, w in model.tensors("param"):
+        acc = sums[cell.cell_id]
+        acc[1] += float(np.sum(w**2))
+        if key in grad:
+            acc[0] += float(np.sum(grad[key] ** 2))
+    return {cid: float(np.sqrt(g2) / max(np.sqrt(w2), 1e-12)) for cid, (g2, w2) in sums.items()}
 
 
 class ActivenessTracker(Stateful):

@@ -178,12 +178,11 @@ class ModelAggregator(Stateful):
         return pseudo_grads
 
     # ------------------------------------------------------------------
-    def _decay_factor(self, round_idx: int, dst: CellModel) -> float:
+    def _decay_factor(self, round_idx: int) -> float:
         """η^t for cross-model terms; 1 when the '-d' ablation disables decay."""
         if not self.config.decay:
             return 1.0
-        t = round_idx - dst.birth_round if self.config.decay_by_model_age else round_idx
-        return float(self.config.eta ** max(t, 0))
+        return float(self.config.eta ** max(round_idx, 0))
 
     def _prune_caches(self, models: dict[str, CellModel]) -> None:
         """Drop per-model caches for models no longer in the suite.
@@ -237,7 +236,7 @@ class ModelAggregator(Stateful):
                 source_ids = birth_order[: j + 1]
             if len(source_ids) == 1:
                 continue  # only itself: aggregation is the identity
-            decay = self._decay_factor(round_idx, dst)
+            decay = self._decay_factor(round_idx)
             dst_params = snapshot[dst_id]
             # Similarity, weights, and overlap plans resolved once per
             # (src, dst) pair — not once per parameter key.

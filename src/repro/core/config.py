@@ -110,7 +110,6 @@ class FedTransConfig:
     decay: bool = True
     share_l2s: bool = False
     strict_eq5: bool = False
-    decay_by_model_age: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:

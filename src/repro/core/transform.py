@@ -87,22 +87,21 @@ def reinitialize(model: CellModel, rng: np.random.Generator) -> None:
 
     Used to measure the value of function-preserving warmup (Table 3):
     identical architecture, no inherited knowledge.  Initialization mimics
-    the he/xavier conventions by key suffix.
+    the he/xavier conventions by tensor name.
     """
-    for key, p in model.params().items():
-        leaf = key.rsplit(".", 1)[-1]
-        if leaf in ("b", "beta", "b_qkv", "b_out"):
+    for _, _, _, name, p in model.tensors("param"):
+        if name in ("b", "beta", "b_qkv", "b_out"):
             p[...] = 0.0
-        elif leaf == "gamma":
+        elif name == "gamma":
             p[...] = 1.0
-        elif leaf == "pos":
+        elif name == "pos":
             p[...] = rng.normal(0.0, 0.02, p.shape)
         else:  # weight matrices / conv kernels
             fan_in = int(np.prod(p.shape[1:])) if p.ndim > 1 else p.shape[0]
             p[...] = rng.normal(0.0, np.sqrt(2.0 / max(fan_in, 1)), p.shape)
-    for key, s in model.state().items():
-        if key.endswith("running_mean"):
+    for _, _, _, name, s in model.tensors("state"):
+        if name == "running_mean":
             s[...] = 0.0
-        elif key.endswith("running_var"):
+        elif name == "running_var":
             s[...] = 1.0
     model.bump_version()  # wrote through live references, not set_params

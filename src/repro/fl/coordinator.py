@@ -248,6 +248,8 @@ class CoordinatorConfig:
             raise ValueError("clients_per_round must be >= 1")
         if self.convergence_patience < 1:
             raise ValueError("convergence_patience must be >= 1")
+        if not 0 <= self.convergence_delta < math.inf:  # stated as what holds: NaN fails
+            raise ValueError(f"convergence_delta must be finite, >= 0: {self.convergence_delta}")
         if self.eval_batch_size < 1:
             raise ValueError("eval_batch_size must be >= 1")
         if self.eval_group_clients < 1:

@@ -226,29 +226,19 @@ def _header(buf) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arenas
 
 
-def _slots(model: CellModel) -> dict[tuple[str, str], tuple]:
-    """``(scope, key) -> (layer, attribute)`` of every tensor of ``model``:
-    layer tensor names equal their attribute names (``w``, ``gamma``, …)."""
-    return {
-        (scope, f"{cell.cell_id}/{lname}.{tname}"): (layer, tname)
-        for cell in model.cells
-        for lname, layer in cell._named_layers()
-        for scope, tensors in (("param", layer.params()), ("state", layer.state()))
-        for tname in tensors
-    }
-
-
 def _install_views(model: CellModel, meta: dict, prev: CellModel | None) -> None:
     """Replace a freshly built model's tensors with the segment's, each
     checked against the one its spec built.  Gradient buffers keep their
     construction-time private arrays (same shapes)."""
-    slots = _slots(model)
-    leaves = {(scope, key): leaf for scope in ("param", "state")
-              for key, leaf in meta[scope].items()}
+    scopes = ("param", "state")
+    slots = {(s, key): (layer, name) for s in scopes for key, _, layer, name, _ in model.tensors(s)}
+    leaves = {(scope, key): leaf for scope in scopes for key, leaf in meta[scope].items()}
     if leaves.keys() != slots.keys():
         diff = sorted(leaves.keys() ^ slots.keys())[:4]
         raise ValueError(f"model {model.model_id!r}: tensor keys differ from its spec's: {diff}")
-    refs = {} if prev is None else {skey: getattr(*slot) for skey, slot in _slots(prev).items()}
+    refs = {} if prev is None else {
+        (scope, key): arr for scope in scopes for key, _, _, _, arr in prev.tensors(scope)
+    }
     for skey, (layer, tname) in slots.items():
         live, view = getattr(layer, tname), leaves[skey]
         where = f"{model.model_id!r}/{skey[1]}"

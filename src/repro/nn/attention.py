@@ -22,6 +22,8 @@ class PatchEmbed(Layer):
     by ``patch``.
     """
 
+    param_names = ("w", "b", "pos")
+
     def __init__(
         self,
         in_channels: int,
@@ -42,9 +44,7 @@ class PatchEmbed(Layer):
         self.pos = rng.normal(0.0, 0.02, size=(self.tokens, dim)).astype(
             self.w.dtype, copy=False
         )
-        self.g_w = np.zeros_like(self.w)
-        self.g_b = np.zeros_like(self.b)
-        self.g_pos = np.zeros_like(self.pos)
+        self.resize_grads()
         self._cache: np.ndarray | None = None
 
     @property
@@ -76,12 +76,6 @@ class PatchEmbed(Layer):
         d = dpatches.reshape(n, h // p, w // p, c, p, p).transpose(0, 3, 1, 4, 2, 5)
         return d.reshape(n, c, h, w)
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b, "pos": self.pos}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {"w": self.g_w, "b": self.g_b, "pos": self.g_pos}
-
     def macs(self, input_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         c, h, w = input_shape
         m = self.tokens * self.w.shape[0] * self.w.shape[1]
@@ -91,6 +85,8 @@ class PatchEmbed(Layer):
 class MultiHeadSelfAttention(Layer):
     """Standard multi-head self-attention over ``(N, T, D)`` tokens."""
 
+    param_names = ("w_qkv", "b_qkv", "w_out", "b_out")
+
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
             raise ValueError(f"heads {heads} must divide dim {dim}")
@@ -99,10 +95,7 @@ class MultiHeadSelfAttention(Layer):
         self.b_qkv = zeros((3 * dim,))
         self.w_out = xavier_uniform(rng, (dim, dim), dim, dim)
         self.b_out = zeros((dim,))
-        self.g_w_qkv = np.zeros_like(self.w_qkv)
-        self.g_b_qkv = np.zeros_like(self.b_qkv)
-        self.g_w_out = np.zeros_like(self.w_out)
-        self.g_b_out = np.zeros_like(self.b_out)
+        self.resize_grads()
         self._cache: tuple | None = None
 
     @property
@@ -156,22 +149,6 @@ class MultiHeadSelfAttention(Layer):
         self.g_b_qkv += dqkv.sum(axis=(0, 1))
         self.g_w_qkv += x.reshape(n * t, d).T @ dqkv.reshape(n * t, 3 * d)
         return dqkv @ self.w_qkv.T
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {
-            "w_qkv": self.w_qkv,
-            "b_qkv": self.b_qkv,
-            "w_out": self.w_out,
-            "b_out": self.b_out,
-        }
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {
-            "w_qkv": self.g_w_qkv,
-            "b_qkv": self.g_b_qkv,
-            "w_out": self.g_w_out,
-            "b_out": self.g_b_out,
-        }
 
     def macs(self, input_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         t, d = input_shape

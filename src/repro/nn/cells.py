@@ -278,29 +278,21 @@ class Cell:
 
     # -- parameter access ----------------------------------------------------
     def params(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for lname, layer in self._named_layers():
-            for pname, arr in layer.params().items():
-                out[f"{lname}.{pname}"] = arr
-        return out
+        return self._short_keyed("params")
 
     def grads(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for lname, layer in self._named_layers():
-            for pname, arr in layer.grads().items():
-                out[f"{lname}.{pname}"] = arr
-        return out
+        return self._short_keyed("grads")
 
     def state(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for lname, layer in self._named_layers():
-            for sname, arr in layer.state().items():
-                out[f"{lname}.{sname}"] = arr
-        return out
+        return self._short_keyed("state")
 
-    def zero_grad(self) -> None:
-        for _, layer in self._named_layers():
-            layer.zero_grad()
+    def _short_keyed(self, accessor: str) -> dict[str, np.ndarray]:
+        """A layer accessor's tensors keyed ``layer.tensor`` (no cell id)."""
+        return {
+            f"{lname}.{k}": v
+            for lname, layer in self._named_layers()
+            for k, v in getattr(layer, accessor)().items()
+        }
 
     def num_params(self) -> int:
         return int(sum(v.size for v in self.params().values()))
@@ -417,11 +409,15 @@ class Cell:
     #: roles for narrowable axes: param key -> tuple of per-axis roles,
     #: each 'out' | 'in' | 'hidden' | None (None = axis never narrowed).
     def axis_roles(self) -> dict[str, tuple[str | None, ...]]:
-        roles: dict[str, list[str | None]] = {}
+        return {f"{lname}.{tname}": r for (lname, _, tname), r in self._tensor_roles().items()}
+
+    def _tensor_roles(self) -> dict[tuple[str, Layer, str], tuple[str | None, ...]]:
+        """:meth:`axis_roles` keyed ``(layer name, layer, tensor name)``."""
+        roles: dict[tuple[str, Layer, str], list[str | None]] = {}
         for lname, layer, tname, axis, role, _, _ in self._role_axes():
-            per_axis = roles.setdefault(f"{lname}.{tname}", [None] * getattr(layer, tname).ndim)
+            per_axis = roles.setdefault((lname, layer, tname), [None] * getattr(layer, tname).ndim)
             per_axis[axis] = role
-        return {key: tuple(per_axis) for key, per_axis in roles.items()}
+        return {slot: tuple(per_axis) for slot, per_axis in roles.items()}
 
     def narrow(
         self,
@@ -581,9 +577,7 @@ class ConvCell(Cell):
             transformable=True,
             origin="inserted",
         )
-        cell.conv.w = identity_conv_kernel(channels, kernel)
-        cell.conv.b = np.zeros(channels, dtype=cell.conv.w.dtype)
-        cell.conv.resize_grads()
+        cell.conv.w = identity_conv_kernel(channels, kernel)  # the bias is born zero
         return cell
 
 
@@ -687,12 +681,7 @@ class ResidualConvCell(Cell):
         rng = np.random.default_rng(0)
         cell = cls(channels, channels, rng, origin="inserted")
         cell.conv2.w = np.zeros_like(cell.conv2.w)
-        if cell.conv2.b is not None:
-            cell.conv2.b = np.zeros_like(cell.conv2.b)
-        cell.conv2.resize_grads()
-        cell.proj.w = identity_conv_kernel(channels, 1)
-        cell.proj.b = np.zeros(channels, dtype=cell.proj.w.dtype)
-        cell.proj.resize_grads()
+        cell.proj.w = identity_conv_kernel(channels, 1)  # the bias is born zero
         return cell
 
 
@@ -735,9 +724,7 @@ class DenseCell(Cell):
     def identity(cls, features: int) -> "DenseCell":
         rng = np.random.default_rng(0)
         cell = cls(features, features, rng, origin="inserted")
-        cell.fc.w = identity_dense(features)
-        cell.fc.b = np.zeros(features, dtype=cell.fc.w.dtype)
-        cell.fc.resize_grads()
+        cell.fc.w = identity_dense(features)  # the bias is born zero
         return cell
 
 
@@ -831,11 +818,8 @@ class ViTCell(Cell):
     ) -> "ViTCell":
         """Exact-identity block: both residual branches project to zero."""
         cell = cls(dim, heads, mlp_hidden, rng, origin="inserted")
-        cell.attn.w_out = np.zeros_like(cell.attn.w_out)
-        cell.attn.b_out = np.zeros_like(cell.attn.b_out)
+        cell.attn.w_out = np.zeros_like(cell.attn.w_out)  # the biases are born zero
         cell.fc2.w = np.zeros_like(cell.fc2.w)
-        cell.fc2.b = np.zeros_like(cell.fc2.b)
-        cell.fc2.resize_grads()
         return cell
 
 

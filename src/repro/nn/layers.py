@@ -7,12 +7,16 @@ Every layer follows the same contract:
   the layer's ``.g_*`` buffers (read them via :meth:`Layer.grads`).  The one
   exception: a :class:`Conv2d` or :class:`Dense` that ``CellModel`` marked
   as fed by the data batch skips ``dx`` and returns ``None``.
-* ``params()``/``grads()``/``state()`` expose live references keyed by short
-  names (``"w"``, ``"b"``, ``"gamma"``, ``"beta"``); cells add prefixes.  A
-  key names the attribute holding the tensor, and a gradient lives in
-  ``g_<key>``: a training workspace re-points them at views of its arena
-  (:class:`repro.nn.model.Arena`), so a layer updates them in place and
-  never rebinds them outside construction and transforms.
+* A layer declares its tensors once: ``param_names`` and ``state_names``
+  name the attributes holding them, in key order (an attribute holding
+  ``None`` is absent — the bias-free conv).  :class:`Layer` derives
+  ``params()``/``grads()``/``state()`` (live references keyed by those
+  names; cells add prefixes), ``zero_grad()`` and ``resize_grads()`` from
+  that declaration.  The gradient of ``<name>`` lives in ``g_<name>``,
+  allocated by ``resize_grads``; a training workspace re-points both at
+  views of its arena (:class:`repro.nn.model.Arena`), so a layer updates
+  them in place and never rebinds them outside construction and
+  transforms.
 * ``macs(input_shape)`` returns ``(per_sample_macs, output_shape)`` so models
   can chain cost accounting without running data through the network.
 
@@ -83,6 +87,10 @@ class Layer:
     #: docstring).  A layer that does not declare it is never stacked.
     replica_axis: bool = False
 
+    #: Attributes holding the trainable / non-trainable tensors, in key order.
+    param_names: tuple[str, ...] = ()
+    state_names: tuple[str, ...] = ()
+
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
 
@@ -91,19 +99,26 @@ class Layer:
 
     def params(self) -> dict[str, np.ndarray]:
         """Live references to trainable tensors (may be empty)."""
-        return {}
+        return {n: p for n in self.param_names if (p := getattr(self, n)) is not None}
 
     def grads(self) -> dict[str, np.ndarray]:
         """Gradients matching :meth:`params` keys."""
-        return {}
+        return {n: getattr(self, "g_" + n) for n in self.params()}
 
     def state(self) -> dict[str, np.ndarray]:
         """Non-trainable buffers (e.g. BatchNorm running stats)."""
-        return {}
+        return {n: s for n in self.state_names if (s := getattr(self, n)) is not None}
 
     def zero_grad(self) -> None:
         for g in self.grads().values():
             g[...] = 0.0
+
+    def resize_grads(self) -> None:
+        """(Re-)allocate the gradient buffers at the parameters' shapes: at
+        construction and after a structural transform."""
+        for n in self.param_names:
+            p = getattr(self, n)
+            setattr(self, "g_" + n, None if p is None else np.zeros_like(p))
 
     def macs(self, input_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """Per-sample multiply-accumulate count and the output shape."""
@@ -119,14 +134,14 @@ class Dense(Layer):
     to the 2-D call (``tests/test_stacked_kernels.py``).
     """
 
+    param_names = ("w", "b")
     tensor_axes = {"w": (0, 1, None), "b": (None, 0, 0.0)}
     replica_axis = True
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.w = he_normal(rng, (in_features, out_features), fan_in=in_features)
         self.b = zeros((out_features,))
-        self.g_w = np.zeros_like(self.w)
-        self.g_b = np.zeros_like(self.b)
+        self.resize_grads()
         self._x: np.ndarray | None = None
         #: ``CellModel`` clears this on a dense stem, as on a conv stem.
         self.needs_input_grad = True
@@ -149,17 +164,6 @@ class Dense(Layer):
         self.g_b += dout.sum(axis=-2)
         return dout @ self.w.swapaxes(-1, -2) if self.needs_input_grad else None
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {"w": self.g_w, "b": self.g_b}
-
-    def resize_grads(self) -> None:
-        """Re-allocate gradient buffers after a structural transform."""
-        self.g_w = np.zeros_like(self.w)
-        self.g_b = np.zeros_like(self.b)
-
     def macs(self, input_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         (features,) = input_shape
         if features != self.in_features:
@@ -170,6 +174,7 @@ class Dense(Layer):
 class Conv2d(Layer):
     """2-D convolution over NCHW input, weight shape ``(F, C, kh, kw)``."""
 
+    param_names = ("w", "b")
     tensor_axes = {"w": (1, 0, None), "b": (None, 0, 0.0)}
 
     def __init__(
@@ -188,8 +193,7 @@ class Conv2d(Layer):
         fan_in = in_channels * kernel * kernel
         self.w = he_normal(rng, (out_channels, in_channels, kernel, kernel), fan_in)
         self.b = zeros((out_channels,)) if bias else None
-        self.g_w = np.zeros_like(self.w)
-        self.g_b = np.zeros_like(self.b) if bias else None
+        self.resize_grads()
         self._cache: tuple[np.ndarray, tuple[int, int, int, int]] | None = None
         self._ws = Workspace()
         #: ``CellModel`` clears this on the conv fed by the data batch: nothing
@@ -221,23 +225,6 @@ class Conv2d(Layer):
             self.g_b += db
         return dx
 
-    def params(self) -> dict[str, np.ndarray]:
-        p = {"w": self.w}
-        if self.b is not None:
-            p["b"] = self.b
-        return p
-
-    def grads(self) -> dict[str, np.ndarray]:
-        g = {"w": self.g_w}
-        if self.g_b is not None:
-            g["b"] = self.g_b
-        return g
-
-    def resize_grads(self) -> None:
-        self.g_w = np.zeros_like(self.w)
-        if self.b is not None:
-            self.g_b = np.zeros_like(self.b)
-
     def macs(self, input_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         c, h, w = input_shape
         if c != self.in_channels:
@@ -251,6 +238,8 @@ class Conv2d(Layer):
 class BatchNorm2d(Layer):
     """Per-channel batch normalization over NCHW activations."""
 
+    param_names = ("gamma", "beta")
+    state_names = ("running_mean", "running_var")
     tensor_axes = {
         "gamma": (None, 0, 1.0),
         "beta": (None, 0, 0.0),
@@ -266,8 +255,7 @@ class BatchNorm2d(Layer):
         self.running_var = np.ones(channels, dtype=dtype)
         self.momentum = momentum
         self.eps = eps
-        self.g_gamma = np.zeros_like(self.gamma)
-        self.g_beta = np.zeros_like(self.beta)
+        self.resize_grads()
         self._cache: tuple | None = None
         self._ws = Workspace()
 
@@ -334,30 +322,18 @@ class BatchNorm2d(Layer):
         dx *= scale
         return dx
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {"gamma": self.g_gamma, "beta": self.g_beta}
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-    def resize_grads(self) -> None:
-        self.g_gamma = np.zeros_like(self.gamma)
-        self.g_beta = np.zeros_like(self.beta)
-
 
 class LayerNorm(Layer):
     """Layer normalization over the last dimension."""
+
+    param_names = ("gamma", "beta")
 
     def __init__(self, features: int, eps: float = 1e-5):
         dtype = compute_dtype()
         self.gamma = np.ones(features, dtype=dtype)
         self.beta = np.zeros(features, dtype=dtype)
         self.eps = eps
-        self.g_gamma = np.zeros_like(self.gamma)
-        self.g_beta = np.zeros_like(self.beta)
+        self.resize_grads()
         self._cache: tuple | None = None
 
     @property
@@ -386,16 +362,6 @@ class LayerNorm(Layer):
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         ) * inv_std
         return dx
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {"gamma": self.g_gamma, "beta": self.g_beta}
-
-    def resize_grads(self) -> None:
-        self.g_gamma = np.zeros_like(self.gamma)
-        self.g_beta = np.zeros_like(self.beta)
 
 
 class ReLU(Layer):

@@ -6,6 +6,11 @@ related by FedTrans transformations share keys exactly on their common
 lineage — which is what makes cross-model weight sharing (soft aggregation,
 HeteroFL-style cropping) a pure dictionary operation.
 
+:meth:`CellModel.tensors` is the one place a key is built, from each layer's
+declared tensors (``Layer.param_names`` / ``state_names``); the trees, the
+arena, the snapshot reader, activeness and the subnet index maps
+(:meth:`~CellModel.axis_roles`) read keys and attributes from it.
+
 Version contract
 ----------------
 Every model carries a monotone :attr:`~CellModel.version` counter.  All
@@ -29,11 +34,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cells import Cell, ConvCell, DenseCell
+from .layers import Layer
 from .losses import accuracy, one_hot, softmax_cross_entropy
 from .param_ops import ParamTree
 
@@ -71,6 +78,10 @@ def set_model_id_counter(position: int) -> None:
     _model_counter_position = position
 
 
+#: Tensor scope -> the ``Layer`` attribute declaring that scope's tensors.
+_SCOPES = {"param": "param_names", "state": "state_names"}
+
+
 def _signature(params: ParamTree, state: ParamTree) -> tuple:
     """What a workspace's layout is built from: every tensor's key, shape and dtype."""
     return tuple((k, v.shape, v.dtype) for tree in (params, state) for k, v in tree.items())
@@ -100,10 +111,9 @@ class Arena:
             raise ValueError(f"an arena holds one dtype, model {model.model_id} has {dtypes}")
         self.signature = _signature(params, state)
         self._dtype = dtypes.pop()
-        named = [layer for cell in model.cells for _, layer in cell._named_layers()]
         # (layer, attribute) of every tensor, in params() / state() order.
-        self._slots = [(layer, name) for layer in named for name in layer.params()]
-        self._state_slots = [(layer, name) for layer in named for name in layer.state()]
+        self._slots = [(layer, name) for _, _, layer, name, _ in model.tensors("param")]
+        self._state_slots = [(layer, name) for _, _, layer, name, _ in model.tensors("state")]
         self._shapes = [v.shape for v in params.values()]
         self._buffers = (np.empty(0, self._dtype),) * 3
         self.lead: tuple[int, ...] | None = None  # () or (K,): the replica axis, if any
@@ -288,27 +298,42 @@ class CellModel:
     # ------------------------------------------------------------------
     # parameters
     # ------------------------------------------------------------------
+    def tensors(self, *scopes: str) -> Iterator[tuple[str, Cell, Layer, str, np.ndarray]]:
+        """``(key, cell, layer, attribute, tensor)`` of every live tensor of
+        ``scopes`` (``"param"``, ``"state"``) in key order: cell, layer, then
+        declaration order.  The only code that joins a cell id into a key."""
+        declared = [_SCOPES[scope] for scope in scopes]
+        for cell in self.cells:
+            for lname, layer in cell._named_layers():
+                for names in declared:
+                    for name in getattr(layer, names):
+                        arr = getattr(layer, name)
+                        if arr is not None:
+                            yield f"{cell.cell_id}/{lname}.{name}", cell, layer, name, arr
+
     def params(self) -> ParamTree:
         """Live references, keyed by ``cell_id/layer.tensor``."""
-        out: ParamTree = {}
-        for cell in self.cells:
-            for k, v in cell.params().items():
-                out[f"{cell.cell_id}/{k}"] = v
-        return out
+        return {key: arr for key, _, _, _, arr in self.tensors("param")}
 
     def grads(self) -> ParamTree:
-        out: ParamTree = {}
-        for cell in self.cells:
-            for k, v in cell.grads().items():
-                out[f"{cell.cell_id}/{k}"] = v
-        return out
+        return {key: getattr(layer, "g_" + n) for key, _, layer, n, _ in self.tensors("param")}
 
     def state(self) -> ParamTree:
-        out: ParamTree = {}
-        for cell in self.cells:
-            for k, v in cell.state().items():
-                out[f"{cell.cell_id}/{k}"] = v
-        return out
+        return {key: arr for key, _, _, _, arr in self.tensors("state")}
+
+    def axis_roles(self) -> dict[str, tuple[Cell, tuple[str | None, ...]]]:
+        """``key -> (cell, per-axis roles)``: :meth:`Cell.axis_roles` under
+        full keys, a layer's state after its parameters."""
+        roles = {
+            (layer, name): per_axis
+            for cell in self.cells
+            for (_, layer, name), per_axis in cell._tensor_roles().items()
+        }
+        return {
+            key: (cell, roles[layer, name])
+            for key, cell, layer, name, _ in self.tensors("param", "state")
+            if (layer, name) in roles
+        }
 
     def get_params(self) -> ParamTree:
         """Deep copies of all parameters."""
@@ -317,35 +342,30 @@ class CellModel:
     def get_state(self) -> ParamTree:
         return {k: v.copy() for k, v in self.state().items()}
 
-    def set_params(self, tree: ParamTree, strict: bool = True) -> None:
-        """Write values into the live parameter arrays (shape-checked)."""
-        live = self.params()
-        if strict and live.keys() != tree.keys():
-            missing = set(live) ^ set(tree)
-            raise KeyError(f"param keys mismatch: {sorted(missing)[:8]}")
-        for k, v in tree.items():
-            if k not in live:
-                if strict:
-                    raise KeyError(k)
-                continue
-            if live[k].shape != v.shape:
-                raise ValueError(f"shape mismatch for {k}: {live[k].shape} vs {v.shape}")
-            live[k][...] = v
-        self.bump_version()
+    def set_params(self, tree: ParamTree) -> None:
+        self._write("param", tree)
 
-    def set_state(self, tree: ParamTree, strict: bool = True) -> None:
-        live = self.state()
+    def set_state(self, tree: ParamTree) -> None:
+        self._write("state", tree)
+
+    def _write(self, scope: str, tree: ParamTree) -> None:
+        """Copy ``tree`` into the live tensors of ``scope``: exactly their
+        keys (else ``KeyError``) at exactly their shapes (else ``ValueError``);
+        nothing broadcasts, and a refused tree writes nothing."""
+        live = {key: arr for key, _, _, _, arr in self.tensors(scope)}
+        if live.keys() != tree.keys():
+            diff = sorted(live.keys() ^ tree.keys())[:8]
+            raise KeyError(f"{scope} keys mismatch: {diff}")
         for k, v in tree.items():
-            if k not in live:
-                if strict:
-                    raise KeyError(k)
-                continue
+            if live[k].shape != np.shape(v):
+                raise ValueError(f"shape mismatch for {k}: {live[k].shape} vs {np.shape(v)}")
+        for k, v in tree.items():
             live[k][...] = v
         self.bump_version()
 
     def zero_grad(self) -> None:
-        for cell in self.cells:
-            cell.zero_grad()
+        for g in self.grads().values():
+            g[...] = 0.0
 
     def num_params(self) -> int:
         if self._cost_version != self._version:

@@ -37,9 +37,32 @@ __all__ = [
 ]
 
 
-#: Spec keys common to every cell; the architecture keys after them are the
-#: class's ``ctor_args`` record.
-_LINEAGE_KEYS = ("cell_id", "origin", "widen_count", "last_op", "transformable")
+_NONE = type(None)
+#: The fields of a model spec, of one of its history entries, and the
+#: lineage fields every cell spec holds before its class's ``ctor_args``
+#: record — each with the types it may hold (exactly: a bool is no int).
+_MODEL_KEYS = dict(
+    format=int, model_id=str, parent_id=(str, _NONE), birth_round=int,
+    input_shape=list, num_classes=int, cells=list, history=list,
+)
+_HISTORY_KEYS = dict(op=str, cell_id=str, round=int, detail=dict)
+_LINEAGE_KEYS = dict(
+    cell_id=str, origin=str, widen_count=int, last_op=(str, _NONE), transformable=bool
+)
+_CTOR_TYPES = (int, bool, str, _NONE)  # widths, kernel sizes, flags, names
+
+
+def _check(where: str, record: object, fields: dict) -> None:
+    """``record`` is a dict of exactly ``fields``' keys and value types."""
+    keys = record.keys() if type(record) is dict else set()
+    if keys != fields.keys():
+        raise ValueError(
+            f"{where}: missing keys {sorted(fields.keys() - keys)}, "
+            f"unexpected keys {sorted(keys - fields.keys())}"
+        )
+    for key, types in fields.items():
+        if type(record[key]) not in (types if type(types) is tuple else (types,)):
+            raise ValueError(f"{where}: {key} cannot be {record[key]!r}")
 
 
 def _cell_spec(cell: Cell) -> dict:
@@ -54,29 +77,30 @@ def _cell_spec(cell: Cell) -> dict:
     }
 
 
-def _cell_from_spec(spec: dict) -> Cell:
+def _cell_from_spec(spec: object) -> Cell:
     """Rebuild a cell (random weights; caller restores the real ones).
 
-    Specs arrive from checkpoint payloads and snapshot headers: the key set
-    is checked against the class's declared record *before* any of it
-    reaches a constructor's keywords.
+    Specs arrive from checkpoint payloads and snapshot headers: keys and
+    field types are checked *before* any reaches a constructor's keywords,
+    and the built cell must describe itself with exactly the spec's values.
     """
-    kind = spec.get("type")
-    cls = CELL_TYPES.get(kind)
+    kind = spec.get("type") if type(spec) is dict else None
+    cls = CELL_TYPES.get(kind) if type(kind) is str else None
     if cls is None:
-        raise TypeError(f"unknown cell type {kind!r} in checkpoint")
-    expected = {"type", *_LINEAGE_KEYS, *cls.ctor_args}
-    if spec.keys() != expected:
-        raise ValueError(
-            f"{kind} spec: missing keys {sorted(expected - spec.keys())}, "
-            f"unexpected keys {sorted(spec.keys() - expected)}"
-        )
-    # cell_id goes through the constructor so no fresh id is minted.
-    cell = cls(
-        rng=np.random.default_rng(0),
-        cell_id=spec["cell_id"],
-        **{key: spec[key] for key in cls.ctor_args},
-    )
+        raise ValueError(f"unknown cell type {kind!r} in checkpoint")
+    ctor_types = dict.fromkeys(cls.ctor_args, _CTOR_TYPES)
+    _check(f"{kind} spec", spec, {"type": str, **_LINEAGE_KEYS, **ctor_types})
+    if not spec["cell_id"]:  # the constructor would mint a fresh id
+        raise ValueError(f"{kind} spec: cell_id cannot be ''")
+    args = {key: spec[key] for key in cls.ctor_args}
+    where = f"{kind} {spec['cell_id']!r}"
+    try:  # cell_id goes through the constructor so no fresh id is minted
+        cell = cls(rng=np.random.default_rng(0), cell_id=spec["cell_id"], **args)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{where} cannot be built: {exc}") from exc
+    built = {key: read(cell) for key, read in cls.ctor_args.items()}
+    if [(type(v), v) for v in built.values()] != [(type(v), v) for v in args.values()]:
+        raise ValueError(f"{where}: {args} builds a cell of {built}")
     for key in _LINEAGE_KEYS:
         setattr(cell, key, spec[key])
     return cell
@@ -100,17 +124,30 @@ def model_spec(model: CellModel) -> dict:
 
 
 def model_from_spec(spec: dict) -> CellModel:
-    """Rebuild the architecture described by :func:`model_spec`."""
-    if spec.get("format") != 1:
-        raise ValueError(f"unsupported checkpoint format {spec.get('format')!r}")
-    model = CellModel(
-        [_cell_from_spec(c) for c in spec["cells"]],
-        tuple(spec["input_shape"]),
-        spec["num_classes"],
-        model_id=spec["model_id"],
-        parent_id=spec["parent_id"],
-        birth_round=spec["birth_round"],
-    )
+    """Rebuild the architecture described by :func:`model_spec`.  A key set
+    other than the spec's own, a wrongly typed field, or a cell (named) or
+    chain that cannot be built is a ``ValueError``."""
+    _check("model spec", spec, _MODEL_KEYS)
+    if spec["format"] != 1:
+        raise ValueError(f"unsupported checkpoint format {spec['format']!r}")
+    if not spec["model_id"]:  # the constructor would mint a fresh id
+        raise ValueError("model spec: model_id cannot be ''")
+    if any(type(d) is not int for d in spec["input_shape"]):
+        raise ValueError(f"model spec: input_shape cannot be {spec['input_shape']!r}")
+    for h in spec["history"]:
+        _check("model spec history entry", h, _HISTORY_KEYS)
+    cells = [_cell_from_spec(c) for c in spec["cells"]]
+    try:
+        model = CellModel(
+            cells,
+            tuple(spec["input_shape"]),
+            spec["num_classes"],
+            model_id=spec["model_id"],
+            parent_id=spec["parent_id"],
+            birth_round=spec["birth_round"],
+        )
+    except (TypeError, ArithmeticError) as exc:  # a None or zero stride, say
+        raise ValueError(f"model {spec['model_id']!r} cannot be built: {exc}") from exc
     model.history = [
         TransformRecord(h["op"], h["cell_id"], h["round"], h["detail"])
         for h in spec["history"]
@@ -125,8 +162,7 @@ def save_model(model: CellModel, path: str | Path) -> None:
     file and are renamed over ``path`` only once durable, so a crash
     mid-save never leaves a torn ``.npz`` where a good one used to be.
     """
-    arrays = {f"param::{k}": v for k, v in model.params().items()}
-    arrays.update({f"state::{k}": v for k, v in model.state().items()})
+    arrays = {f"{s}::{key}": arr for s in ("param", "state") for key, *_, arr in model.tensors(s)}
     arrays["__spec__"] = np.frombuffer(
         json.dumps(model_spec(model)).encode(), dtype=np.uint8
     )
@@ -135,19 +171,18 @@ def save_model(model: CellModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CellModel:
-    """Reconstruct a model saved by :func:`save_model`."""
-    with np.load(path) as data:
-        spec = json.loads(bytes(data["__spec__"]).decode())
-        model = model_from_spec(spec)
-        params = {
-            k[len("param::"):]: data[k] for k in data.files if k.startswith("param::")
-        }
-        state = {
-            k[len("state::"):]: data[k] for k in data.files if k.startswith("state::")
-        }
-    model.set_params(params)
-    if state:
-        model.set_state(state)
+    """Reconstruct a model saved by :func:`save_model`; a file that is not
+    one is a ``ValueError`` naming it."""
+    try:
+        with np.load(path) as data:
+            if "__spec__" not in data.files:
+                raise ValueError("no __spec__ member")
+            model = model_from_spec(json.loads(bytes(data["__spec__"]).decode()))
+            for scope, write in (("param", model.set_params), ("state", model.set_state)):
+                prefix = f"{scope}::"
+                write({k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)})
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path} is not a saved model: {exc}") from exc
     return model
 
 
@@ -170,10 +205,13 @@ def model_state_dict(model: CellModel) -> dict:
 
 def load_model_state(model: CellModel, payload: dict) -> None:
     """Restore a :func:`model_state_dict` payload into a live model of the
-    same architecture (``set_params`` refuses any other)."""
-    model.set_params({k: np.asarray(v) for k, v in payload["params"].items()})
-    if payload["state"]:
+    same architecture: exactly its tensor keys and shapes, parameters and
+    state both, else a ``ValueError`` naming the model."""
+    try:
+        model.set_params({k: np.asarray(v) for k, v in payload["params"].items()})
         model.set_state({k: np.asarray(v) for k, v in payload["state"].items()})
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"model {model.model_id}: checkpoint tensors do not fit: {exc}") from exc
     # set_params/set_state bumped the counter; restamp to the checkpoint's
     # value so version-keyed caches key identically after resume.
     model.sync_version(int(payload["version"]))

@@ -1113,7 +1113,7 @@ class TestEngineAndCli:
         ]
         assert strategy_side == []
         assert len(cfg_fields) == 32
-        assert len(dataclasses.fields(FedTransConfig)) == 22
+        assert len(dataclasses.fields(FedTransConfig)) == 21
 
     def test_a_sweep_has_one_path(self):
         """A fleet sweep is ``EvalCache.evaluate`` and nothing else; each
@@ -1219,6 +1219,87 @@ class TestEngineAndCli:
             if isinstance(fn, ast.FunctionDef) and fn.name in ("deepen_after", "_make_identity_like")
         ]
         assert deepen and [b for fn in deepen for b in class_branches(fn)] == []
+
+    def test_a_tensor_is_declared_once(self):
+        """A layer names its tensors once (``param_names`` / ``state_names``)
+        and ``CellModel.tensors`` is the one key builder; each shape below is
+        how a second tensor list or key format would regrow."""
+        import repro.nn.attention as attention
+        import repro.nn.layers as layers
+
+        src = REPO / "src" / "repro"
+        trees = {p: ast.parse(p.read_text()) for p in sorted(src.rglob("*.py"))}
+        layer_classes = {
+            cls
+            for module in (layers, attention)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and issubclass(cls, layers.Layer)
+        }
+        # (a) the accessors are Layer's alone.
+        derived = {"params", "grads", "state", "resize_grads"}
+        assert [
+            f"{cls.__name__}.{name}"
+            for cls in layer_classes - {layers.Layer}
+            for name in derived & set(vars(cls))
+        ] == []
+        # (b) a gradient buffer is bound by resize_grads (or an arena's view)
+        # only: no `x.g_* = ...` anywhere.
+        assert [
+            f"{path.name}:{node.lineno}"
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Attribute) and target.attr.startswith("g_")
+        ] == []
+        # (c) a resizable tensor is a declared one.
+        for cls in layer_classes:
+            assert set(cls.tensor_axes) <= {*cls.param_names, *cls.state_names}, cls
+
+        def key_joins(node: ast.AST) -> list[str]:
+            """f-strings joining a cell id to a suffix with "/"."""
+            return [
+                ast.unparse(n)
+                for n in ast.walk(node)
+                if isinstance(n, ast.JoinedStr)
+                and any(
+                    isinstance(a, ast.FormattedValue)
+                    and ast.unparse(a.value).endswith("cell_id")
+                    and isinstance(b, ast.Constant)
+                    and str(b.value).startswith("/")
+                    for a, b in zip(n.values, n.values[1:])
+                )
+            ]
+
+        def rsplits(node: ast.AST) -> list[str]:
+            return [
+                ast.unparse(n)
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call) and ast.unparse(n.func).endswith(".rsplit")
+            ]
+
+        # (d) the enumerator is the only full-key builder...
+        joins = {path.name: key_joins(tree) for path, tree in trees.items() if key_joins(tree)}
+        assert joins.pop("model.py") == ["f'{cell.cell_id}/{lname}.{name}'"]
+        # ...fluid keeps its per-cell score key, subnet its score lookups...
+        assert joins.pop("fluid.py") == ["f'{cell.cell_id}/{role}'"]
+        assert sorted(joins.pop("subnet.py")) == [
+            "f'{cell.cell_id}/hidden'", "f'{cell.cell_id}/out'"
+        ]
+        assert joins == {}
+        # ...and the consumers read keys from it instead of parsing them.
+        (index_map,) = [
+            n
+            for n in trees[src / "baselines" / "subnet.py"].body
+            if isinstance(n, ast.FunctionDef) and n.name == "param_index_map"
+        ]
+        consumers = [
+            index_map,
+            trees[src / "fl" / "shm.py"],
+            trees[src / "core" / "activeness.py"],
+            trees[src / "core" / "transform.py"],
+        ]
+        assert [hit for node in consumers for hit in key_joins(node) + rsplits(node)] == []
 
     def test_a_run_record_is_declared_once(self):
         """A run record's dataclass is its checkpoint codec

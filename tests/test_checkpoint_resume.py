@@ -529,6 +529,26 @@ class TestHostilePayloads:
             _build(tmp_path, resume=True, **stack).run()
 
 
+    def test_a_misfit_model_tensor_names_the_checkpoint_and_the_model(self, tmp_path):
+        """A stored tensor whose shape is not the spec's is refused, and the
+        resume names both the checkpoint file and the model."""
+        coord = _build(tmp_path)
+        _crash_at(coord, crash_round=4)
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        (run,) = RunRegistry(tmp_path).runs()
+        found = load_checkpoint(tmp_path / run)
+        (mid, model), = found["payload"]["coordinator"]["strategy"]["models"].items()
+        key = next(k for k in model["params"] if k.endswith(".b"))
+        model["params"][key] = model["params"][key][:1]  # (1,) would broadcast
+        manifest = found["manifest"]
+        path = CheckpointWriter(tmp_path / run, manifest["run_hash"]).write(
+            manifest["round"], found["payload"], completed=False
+        )
+        expected = rf"{re.escape(str(path))} does not resume: model {mid}: .*shape mismatch"
+        with pytest.raises(ValueError, match=expected):
+            _build(tmp_path, resume=True).run()
+
 # ----------------------------------------------------------------------
 # writer / loader / registry
 # ----------------------------------------------------------------------

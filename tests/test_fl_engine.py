@@ -86,6 +86,19 @@ class TestLocalTrainerConfig:
         assert LocalTrainerConfig(**over) == LocalTrainerConfig(**over)
 
 
+class TestConvergenceDelta:
+    @pytest.mark.parametrize("delta", [float("nan"), -1.0, float("inf"), -float("inf")])
+    def test_a_negative_or_non_finite_delta_is_refused(self, delta):
+        """``gain <= nan`` is False for every gain: a NaN delta used to turn
+        the paper's stop rule off without a word."""
+        with pytest.raises(ValueError, match="convergence_delta"):
+            CoordinatorConfig(convergence_delta=delta)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 1.0])
+    def test_the_repository_values_are_accepted(self, delta):
+        assert CoordinatorConfig(convergence_delta=delta).convergence_delta == delta
+
+
 class TestLocalTrainer:
     def test_update_fields(self, rng):
         ds = _dataset()

@@ -103,7 +103,6 @@ class TestAblationFlagsEndToEnd:
             {"share_l2s": True},
             {"strict_eq5": True},
             {"widen_noise": 0.0},
-            {"decay_by_model_age": True},
         ],
     )
     def test_every_flag_combination_runs(self, overrides):

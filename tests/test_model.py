@@ -62,12 +62,6 @@ class TestParams:
         with pytest.raises(ValueError, match="shape mismatch"):
             m.set_params(bad)
 
-    def test_set_params_nonstrict_ignores_extra(self, rng):
-        m = _flat_model(rng)
-        snap = m.get_params()
-        snap["extra/w"] = np.zeros(3)
-        m.set_params(snap, strict=False)
-
     def test_zero_grad(self, rng):
         m = _flat_model(rng)
         x = rng.normal(size=(4, 6))

@@ -6,6 +6,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import cli
 from repro.bench import active_profile
@@ -14,7 +16,15 @@ from repro.cli import main as cli_main
 from repro.fl import CoordinatorConfig
 from repro.fl.export import load_log, log_to_dict, save_log
 from repro.nn import mlp, set_compute_dtype, small_cnn, small_resnet, vit_tiny
-from repro.nn.serialization import load_model, model_from_spec, model_spec, save_model
+from repro.nn.serialization import (
+    load_model,
+    load_model_state,
+    model_from_spec,
+    model_from_state,
+    model_spec,
+    model_state_dict,
+    save_model,
+)
 
 
 class TestModelCheckpoints:
@@ -84,10 +94,10 @@ class TestModelCheckpoints:
     def test_unknown_cell_type_rejected(self, rng):
         spec = model_spec(mlp((6,), 4, rng, width=8))
         spec["cells"][1]["type"] = "MysteryCell"
-        with pytest.raises(TypeError, match="unknown cell type 'MysteryCell'"):
+        with pytest.raises(ValueError, match="unknown cell type 'MysteryCell'"):
             model_from_spec(spec)
         del spec["cells"][1]["type"]
-        with pytest.raises(TypeError, match="unknown cell type None"):
+        with pytest.raises(ValueError, match="unknown cell type None"):
             model_from_spec(spec)
 
     @pytest.mark.parametrize(
@@ -122,6 +132,131 @@ class TestModelCheckpoints:
         monkeypatch.setattr(DenseCell, "__init__", boom)
         with pytest.raises(ValueError, match=rf"DenseCell spec: .*unexpected keys \['{key}'\]"):
             model_from_spec(spec)
+
+
+def _bn_model(rng):
+    """small_cnn with moved running stats: fresh ones would hide a skipped write."""
+    m = small_cnn((1, 8, 8), 4, rng, width=4)
+    m.forward(rng.normal(size=(8, 1, 8, 8)), train=True)
+    return m
+
+
+class TestStrictRestore:
+    """One writer behind ``set_params`` and ``set_state``: exactly the live
+    keys, exactly their shapes, and a refused tree writes nothing."""
+
+    def test_a_misshaped_state_tensor_is_refused(self, rng):
+        m = _bn_model(rng)
+        before = m.get_state()
+        key = next(k for k in before if k.endswith("bn.running_mean"))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            m.set_state({**before, key: np.array([7.0])})  # used to broadcast 7.0
+        with pytest.raises(KeyError):
+            m.set_state({key: np.array([7.0])})
+        assert all(np.array_equal(m.state()[k], v) for k, v in before.items())
+
+    def test_an_empty_state_tree_is_refused(self, rng):
+        m = _bn_model(rng)
+        with pytest.raises(KeyError, match="state keys mismatch"):
+            m.set_state({})
+        # ...and accepted where the model keeps no state.
+        mlp((6,), 4, rng, width=8).set_state({})
+
+    def test_an_extra_param_key_is_refused(self, rng):
+        m = mlp((6,), 4, rng, width=8)
+        snap = m.get_params()
+        version = m.version
+        with pytest.raises(KeyError, match="extra/w"):
+            m.set_params({**snap, "extra/w": np.zeros(3)})
+        assert m.version == version
+
+    def test_a_payload_with_empty_state_does_not_load(self, rng):
+        payload = model_state_dict(_bn_model(rng))
+        payload["state"] = {}  # used to keep the fresh model's running stats
+        with pytest.raises(ValueError, match=f"model {payload['spec']['model_id']}"):
+            model_from_state(payload)
+
+    def test_a_one_element_running_var_does_not_load(self, rng):
+        m = _bn_model(rng)
+        payload = model_state_dict(m)
+        key = next(k for k in payload["state"] if k.endswith("running_var"))
+        payload["state"][key] = np.array([3.0])  # used to load as [3, 3, 3, 3]
+        with pytest.raises(ValueError, match=rf"model {m.model_id}: .*shape mismatch"):
+            load_model_state(m.clone(keep_id=True), payload)
+
+
+def _grown_spec() -> dict:
+    """A small_cnn spec with both transforms in its history."""
+    rng = np.random.default_rng(3)
+    m = small_cnn((1, 8, 8), 4, rng, width=4)
+    first = m.transformable_cells()[0].cell_id
+    m.widen_cell(first, 2.0, rng, round_idx=1)
+    m.deepen_after(first, rng, round_idx=2)
+    return model_spec(m)
+
+
+_GROWN = _grown_spec()
+_ANY_FIELD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 40),
+    st.floats(-4, 40, allow_nan=False),
+    st.text(max_size=4),
+    st.sampled_from(["max", "avg", "widen", "DenseCell", "ConvCell"]),
+    st.lists(st.integers(0, 8), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+class TestStrictSpec:
+    """``model_from_spec`` answers a malformed spec with a ``ValueError``."""
+
+    def test_a_spec_without_cells_is_refused(self, rng):
+        spec = model_spec(mlp((6,), 4, rng, width=8))
+        del spec["cells"]
+        with pytest.raises(ValueError, match=r"missing keys \['cells'\]"):
+            model_from_spec(spec)
+
+    def test_a_string_width_names_the_cell(self, rng):
+        spec = model_spec(mlp((6,), 4, rng, width=8))
+        spec["cells"][0]["in_features"] = "6"
+        cell_id = spec["cells"][0]["cell_id"]
+        with pytest.raises(ValueError, match=f"DenseCell '{cell_id}'"):
+            model_from_spec(spec)
+
+    @pytest.mark.parametrize("field, value", [("birth_round", True), ("input_shape", [6.0])])
+    def test_a_wrongly_typed_model_field_is_refused(self, rng, field, value):
+        spec = model_spec(mlp((6,), 4, rng, width=8))
+        spec[field] = value
+        with pytest.raises(ValueError, match=field):
+            model_from_spec(spec)
+
+    def test_load_model_without_a_spec_names_the_file(self, rng, tmp_path):
+        path = tmp_path / "weights.npz"
+        np.savez(path, **{f"param::{k}": v for k, v in mlp((6,), 4, rng).params().items()})
+        with pytest.raises(ValueError, match=rf"{path} is not a saved model: no __spec__"):
+            load_model(path)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_mutated_spec_is_refused_or_rebuilt_exactly(self, data):
+        spec = json.loads(json.dumps(_GROWN))
+        records = [spec, *spec["cells"], *spec["history"]]
+        record = records[data.draw(st.integers(0, len(records) - 1), label="record")]
+        op = data.draw(st.sampled_from(["replace", "delete", "add"]), label="op")
+        if op == "add":
+            record[data.draw(st.text(min_size=1, max_size=6), label="key")] = 1
+        else:
+            key = data.draw(st.sampled_from(sorted(record)), label="key")
+            if op == "delete":
+                del record[key]
+            else:
+                record[key] = data.draw(_ANY_FIELD, label="value")
+        try:
+            model = model_from_spec(spec)
+        except ValueError:
+            return
+        assert model_spec(model) == spec
 
 
 class TestLogExport:
