@@ -6,7 +6,7 @@ or :func:`set_sanitizer`:
 
 **Write-after-publish guard** — while an executor round is in flight the
 server models are *published*: workers clone them (train) or read them
-(eval/logits), and any concurrent write corrupts an unpredictable subset
+(eval), and any concurrent write corrupts an unpredictable subset
 of the round.  :func:`published` flips every ``params()``/``state()``
 array read-only for the duration of the round, so a racing write raises
 NumPy's ``ValueError: assignment destination is read-only`` at the
@@ -15,8 +15,8 @@ side shared-memory views are *always* read-only (see ``repro.fl.shm``);
 this guard extends the same protection to the coordinator-side originals
 on every backend, including serial and thread where memory is shared.
 
-**Version/fingerprint cross-check** — the eval cache, logits cache, and
-delta snapshot publishing all trust ``CellModel.version``.  The static
+**Version/fingerprint cross-check** — the eval cache and delta
+snapshot publishing both trust ``CellModel.version``.  The static
 rule RL004 catches the *pattern* of a missed ``bump_version()``; the
 :class:`VersionWatch` catches the *effect*: at every cache-read and
 snapshot-publish point it hashes the model's parameter/state bytes and

@@ -428,7 +428,6 @@ class Coordinator(Stateful):
         where per-step accumulators are known-zero.
         """
         engine = self._async_engine
-        eval_cache = self.eval_cache.state_dict()
         return {
             "schema": self.schema,
             # PCG64's state is a plain dict of JSON scalars (Python ints
@@ -457,13 +456,12 @@ class Coordinator(Stateful):
             "transport": (
                 self.transport.state_dict() if self.transport is not None else None
             ),
-            # The eval caches must travel or a resumed sweep would recompute
+            # The eval cache must travel or a resumed sweep would recompute
             # groups the uninterrupted run served from cache, skewing the
             # cached/evaluated meters on the next EvalRecord.  Spliced flat
-            # (not nested under their own schema tag) so the payload's key
+            # (not nested under its own schema tag) so the payload's key
             # paths are the ones checkpoints have always carried.
-            "eval_acc_cache": eval_cache["eval_acc_cache"],
-            "eval_logits_cache": eval_cache["eval_logits_cache"],
+            "eval_acc_cache": self.eval_cache.state_dict()["eval_acc_cache"],
         }
 
     def load_state_dict(self, payload: dict) -> None:
@@ -500,7 +498,6 @@ class Coordinator(Stateful):
             {
                 "schema": self.eval_cache.schema,
                 "eval_acc_cache": payload["eval_acc_cache"],
-                "eval_logits_cache": payload["eval_logits_cache"],
             }
         )
 

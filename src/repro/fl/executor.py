@@ -14,8 +14,8 @@ backend                            how it submits a wave               what it a
 =================================  ==================================  =======================
 
 Everything else exists once: :class:`RoundExecutor`'s two entry points
-(``train_round``, ``eval_and_logits_round``) build a job list for the
-backend's ``_run_wave``,
+(``train_round``, ``eval_round``) build a job list for the backend's
+``_run_wave``,
 :func:`_attempt` is the only place a work item runs (in this process or in
 a pool worker), and :meth:`RoundExecutor._dispose` decides what a failed
 attempt becomes.  The process backend ships the static fleet to each worker
@@ -37,7 +37,7 @@ cohort's and a sweep's alike.  A model's first job in a thread builds it
 (:meth:`CellModel.replicate`); later jobs refill it in place
 (:meth:`CellModel.refill`: ``np.copyto`` from the published model into its
 flat arena, the version restamped) instead of deep-copying the model — a
-sweep's logits task at K = 1, a cohort at its own K.  It is rebuilt when
+sweep's member forward at K = 1, a cohort at its own K.  It is rebuilt when
 the model's tensor shapes moved and dropped once the model is absent from
 a wave.  Its layers' forward caches are dropped when each job returns;
 their pooled scratch buffers stay warm until the thread checks out a
@@ -169,7 +169,7 @@ def _workspace(
     ``workspaces`` maps a thread to its workspaces by model id, so two jobs
     running at once never share one (a pool worker process holds its own
     map).  A workspace (:meth:`CellModel.replicate`) is built on a model's
-    first job in a thread — a training cohort or a sweep's logits task
+    first job in a thread — a training cohort or a sweep's member forward
     (K = 1) — and refilled in place for every later one
     (:meth:`CellModel.refill`: ``np.copyto`` from the published model, the
     version restamped), rebuilt when the model's tensor shapes moved, and
@@ -229,10 +229,8 @@ def ensemble_accuracies(
     """Average member logits, score the group in one pass: the one scorer.
 
     ``member_logits`` yields each member model's logits over the group's
-    concatenated test rows, in ensemble order.  A single-model group
-    (:func:`_eval_task`, worker-side) and an ensemble combined from cached
-    member logits (:class:`~repro.fl.eval_cache.EvalCache`) both end here,
-    over arrays :func:`_logits_task` produced.
+    concatenated test rows, in ensemble order (:func:`_eval_task` feeds it
+    :func:`_member_logits` output).
 
     One ``argmax`` over the whole group, hits counted per client with
     ``bincount``: an exact float64 count divided by the client's row count,
@@ -255,36 +253,36 @@ def ensemble_accuracies(
 def _eval_task(
     models: dict[str, CellModel], env, task: EvalTask, batch_size: int
 ) -> np.ndarray:
-    """Per-client accuracies of a single-model group: score one logits task.
+    """Per-client accuracies of one deployment group: each member's logits
+    over the group's test rows, in member order, scored where they are
+    computed, so only the accuracies cross the wire.  An all-empty group
+    scores zeros like any other test-less client."""
+    return ensemble_accuracies(
+        (_member_logits(models, env, mid, task.client_ids, batch_size) for mid in task.model_ids),
+        len(task.model_ids),
+        env.clients_by_id,
+        task.client_ids,
+    )
 
-    Scored where the logits are, so only the accuracies cross the wire.  An
-    all-empty group scores zeros like any other test-less client.
-    """
-    logits = _logits_task(models, env, task, batch_size)
-    return ensemble_accuracies([logits], 1, env.clients_by_id, task.client_ids)
 
-
-def _logits_task(
-    models: dict[str, CellModel], env, task: EvalTask, batch_size: int
+def _member_logits(
+    models: dict[str, CellModel], env, model_id: str, client_ids: tuple[int, ...], batch_size: int
 ) -> np.ndarray:
-    """Raw logits of one model over one client chunk's concatenated tests.
+    """Raw logits of one model over a client chunk's concatenated test rows.
 
     The only forward pass of a sweep.  It runs on this thread's workspace
     of the model (:func:`_workspace`, K = 1: refilled from the published
     model with ``np.copyto``), never on the published model itself, whose
     layer caches two threads would otherwise race on.  The workspace's
-    forward caches are dropped when the task returns, so no chunk of test
+    forward caches are dropped when the call returns, so no chunk of test
     rows stays pinned between sweeps; its pooled buffers stay warm
     (:func:`_workspace`).
     """
-    if len(task.model_ids) != 1:
-        raise ValueError(f"logits tasks carry exactly one model, got {task.model_ids}")
-    mid = task.model_ids[0]
-    xs = np.concatenate([env.clients_by_id[cid].data.x_test for cid in task.client_ids])
+    xs = np.concatenate([env.clients_by_id[cid].data.x_test for cid in client_ids])
     if len(xs) == 0:
         # predict() cannot run on zero samples.
-        return np.zeros((0, models[mid].num_classes))
-    work = _workspace(env.workspaces, models, mid, 1)
+        return np.zeros((0, models[model_id].num_classes))
+    work = _workspace(env.workspaces, models, model_id, 1)
     try:
         return work.predict(xs, batch_size)
     finally:
@@ -305,10 +303,9 @@ def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_
     mid-task exactly as a real crash would: future unresolved, pool broken.
     """
     kind, payload = job
-    if kind != "train":
+    if kind == "eval":
         task, batch_size = payload
-        run = _eval_task if kind == "eval" else _logits_task
-        return run(load_models(), env, task, batch_size)
+        return _eval_task(load_models(), env, task, batch_size)
     plan = env.fault_plan
     # A fault plan makes every cohort a singleton (RoundExecutor._cohorts).
     decision = plan.item_faults(round_idx, payload[0]) if plan is not None and attempt == 0 else None
@@ -455,26 +452,18 @@ class RoundExecutor(Stateful, ABC):
             cohorts += [group[a:b] for a, b in zip(cuts, cuts[1:])]
         return cohorts
 
-    def eval_and_logits_round(
-        self,
-        eval_tasks: list[EvalTask],
-        logits_tasks: list[EvalTask],
-        models: dict[str, CellModel],
-        batch_size: int,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Run accuracy groups and logits tasks as one wave; two result lists.
+    def eval_round(
+        self, tasks: list[EvalTask], models: dict[str, CellModel], batch_size: int
+    ) -> list[np.ndarray]:
+        """Score every deployment group as one wave; accuracies in task order.
 
-        A sweep (:class:`~repro.fl.eval_cache.EvalCache`) dispatches both
-        kinds — accuracy tasks for single-model groups, member-logits
-        tasks for ensembles; one wave keeps parallel backends' workers busy
-        across both and the process backend publishes once for it.
+        A sweep (:class:`~repro.fl.eval_cache.EvalCache`) dispatches the
+        groups its cache missed, one job each, single models and ensembles
+        alike.
         """
-        jobs = [("eval", (t, batch_size)) for t in eval_tasks] + [
-            ("logits", (t, batch_size)) for t in logits_tasks
-        ]
+        jobs = [("eval", (t, batch_size)) for t in tasks]
         with _sanitize.published(models):
-            results = self._run_wave(models, jobs, -1)
-        return results[: len(eval_tasks)], results[len(eval_tasks) :]
+            return self._run_wave(models, jobs, -1)
 
     @abstractmethod
     def _run_wave(
@@ -484,8 +473,9 @@ class RoundExecutor(Stateful, ABC):
 
         ``jobs`` is ``[(kind, payload), ...]`` with kind ``"train"``
         (payload: a cohort, i.e. a tuple of :class:`TrainItem`; result: the
-        list of their updates) or ``"eval"``/``"logits"`` (payload:
-        ``(task, batch_size)``; ``round_idx`` is then -1).
+        list of their updates) or ``"eval"`` (payload: ``(task,
+        batch_size)``; result: per-client accuracies; ``round_idx`` is then
+        -1).
         """
 
     @property
@@ -737,7 +727,7 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         Task-level exceptions get the in-process backends' verdicts
         (:meth:`RoundExecutor._dispose`): bounded retries charging
         simulated backoff, permanent train failures degrade to
-        :class:`~repro.fl.faults.ItemFailure`, eval/logits failures
+        :class:`~repro.fl.faults.ItemFailure`, eval failures
         propagate on exhaustion, and with no retry policy the first
         failure propagates after the wave settles.
         """

@@ -997,8 +997,8 @@ class TestEngineAndCli:
 
     def test_executor_has_one_wave_runner(self):
         """Backends differ only in ``_run_wave``: the two entry points
-        (``train_round`` and the sweep's ``eval_and_logits_round`` — a third
-        would be a second way to compute a sweep), the publish guard, the
+        (``train_round`` and the sweep's ``eval_round`` — a third would be a
+        second way to compute a sweep), the publish guard, the
         retry verdict and the permanent-failure
         sentinel each exist once, and the snapshot chain protocol lives in
         ``snapshot.py`` — each shape below is how a per-backend copy would
@@ -1006,7 +1006,7 @@ class TestEngineAndCli:
         fl = REPO / "src" / "repro" / "fl"
         trees = {p: ast.parse(p.read_text()) for p in sorted(fl.rglob("*.py"))}
         executor = trees[fl / "executor.py"]
-        rounds = ("train_round", "eval_and_logits_round")
+        rounds = ("train_round", "eval_round")
 
         def calls(tree, leaf):
             return [
@@ -1155,7 +1155,7 @@ class TestEngineAndCli:
             for path, tree in trees.items()
             for n in ast.walk(tree)
             if isinstance(n, ast.Call)
-            and getattr(n.func, "attr", None) == "eval_and_logits_round"
+            and getattr(n.func, "attr", None) == "eval_round"
         )
         assert wave_callers == ["eval_cache.py"]
         assert "eval_cache" not in {f.name for f in dataclasses.fields(CoordinatorConfig)}

@@ -63,6 +63,7 @@ from repro.fl.checkpoint import (
     unflatten_payload,
     write_payload,
 )
+from repro.fl.eval_cache import EvalCache
 from repro.fl.export import log_to_dict
 from repro.fl.registry import RunRegistry, fleet_fingerprint, run_hash
 from repro.fl.scheduling.selectors import AvailabilityAwareSelector
@@ -374,6 +375,46 @@ _COLUMN_TAMPERS = {
 }
 
 
+def _eval_cache_payload() -> dict:
+    """A single-model entry over three clients and a two-model ensemble's."""
+    cache = EvalCache()
+    cache.accs = {
+        (("m000",), (3,), (0, 1, 2)): np.array([0.5, 1.0, 0.0]),
+        (("m001", "m002"), (1, 4), (3, 4)): np.array([0.25, 0.75]),
+    }
+    return cache.state_dict()
+
+
+def _entry_set(i, key, value):
+    return lambda p: _set(p["eval_acc_cache"][i], key, value)
+
+
+# (entry the tamper breaks, the tamper): each alters an ``EvalCache``
+# payload in place.
+_EVAL_CACHE_TAMPERS = {
+    "missing key": (0, lambda p: p["eval_acc_cache"][0].pop("versions")),
+    "extra key": (1, _entry_set(1, "logits", np.zeros((2, 4)))),
+    "entry not a dict": (1, lambda p: _set(p["eval_acc_cache"], 1, [["m001"], [1], [3], 0.5])),
+    "empty model_ids": (0, lambda p: p["eval_acc_cache"][0].update(model_ids=[], versions=[])),
+    "model_ids not a list": (0, _entry_set(0, "model_ids", "m000")),
+    "fewer versions than model_ids": (1, _entry_set(1, "versions", [1])),
+    "more versions than model_ids": (0, _entry_set(0, "versions", [3, 4])),
+    "float version": (0, _entry_set(0, "versions", [3.0])),
+    "bool version": (0, _entry_set(0, "versions", [True])),
+    "str client id": (0, _entry_set(0, "client_ids", ["0", 1, 2])),
+    "float client id": (1, _entry_set(1, "client_ids", [3, 4.0])),
+    "accs a list": (0, _entry_set(0, "accs", [0.5, 1.0, 0.0])),
+    "float32 accs": (0, _entry_set(0, "accs", np.array([0.5, 1.0, 0.0], dtype=np.float32))),
+    "2-D accs": (0, _entry_set(0, "accs", np.array([[0.5, 1.0, 0.0]]))),
+    "one acc for three clients": (0, _entry_set(0, "accs", np.array([np.nan]))),
+    "nan acc": (1, _entry_set(1, "accs", np.array([np.nan, 0.75]))),
+    "inf acc": (1, _entry_set(1, "accs", np.array([0.25, np.inf]))),
+    "negative acc": (0, _entry_set(0, "accs", np.array([0.5, -0.5, 0.0]))),
+    "acc above one": (0, _entry_set(0, "accs", np.array([0.5, 1.5, 0.0]))),
+    "repeated key": (2, lambda p: p["eval_acc_cache"].append(dict(p["eval_acc_cache"][0]))),
+}
+
+
 class TestHostilePayloads:
     """ROADMAP 5a at the checkpoint boundary: a truncated or altered file,
     a tampered marker and a malformed codec column each raise a
@@ -528,6 +569,40 @@ class TestHostilePayloads:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*TransportCodec/v2"):
             _build(tmp_path, resume=True, **stack).run()
 
+
+    @pytest.mark.parametrize("tamper", sorted(_EVAL_CACHE_TAMPERS))
+    def test_malformed_eval_cache_entries_are_a_value_error(self, tamper):
+        """The eval cache reader takes only what a sweep could have written:
+        an entry it cannot key, or accuracies that are not one float64 in
+        [0, 1] per client, would be served to every client of its group."""
+        payload = _eval_cache_payload()
+        restored = EvalCache()
+        restored.load_state_dict(payload)  # untampered: loads
+        assert {k: _bits(v) for k, v in restored.accs.items()} == {
+            (("m000",), (3,), (0, 1, 2)): _bits(np.array([0.5, 1.0, 0.0])),
+            (("m001", "m002"), (1, 4), (3, 4)): _bits(np.array([0.25, 0.75])),
+        }
+        index, alter = _EVAL_CACHE_TAMPERS[tamper]
+        alter(payload)
+        with pytest.raises(ValueError, match=rf"^EvalCache/v1 eval_acc_cache entry {index}: "):
+            EvalCache().load_state_dict(payload)
+
+    def test_a_malformed_eval_cache_entry_names_the_checkpoint_file(self, tmp_path):
+        coord = _build(tmp_path)
+        _crash_at(coord, crash_round=4)
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        (run,) = RunRegistry(tmp_path).runs()
+        found = load_checkpoint(tmp_path / run)
+        entries = found["payload"]["coordinator"]["eval_acc_cache"]
+        assert entries and all(len(e["client_ids"]) > 1 for e in entries)
+        entries[0]["accs"] = np.array([np.nan])  # broadcast into a whole group
+        manifest = found["manifest"]
+        path = CheckpointWriter(tmp_path / run, manifest["run_hash"]).write(
+            manifest["round"], found["payload"], completed=False
+        )
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*eval_acc_cache entry 0"):
+            _build(tmp_path, resume=True).run()
 
     def test_a_misfit_model_tensor_names_the_checkpoint_and_the_model(self, tmp_path):
         """A stored tensor whose shape is not the spec's is refused, and the

@@ -19,8 +19,10 @@ items and a thread holds one model's at most; conv sweeps and waves
 through that warm scratch return a fresh clone's bytes too.
 """
 
+import os
 import sys
 import threading
+import uuid
 
 import numpy as np
 import pytest
@@ -270,16 +272,22 @@ def _checked(real_train_item, seen):
     return train_item
 
 
-def _checked_logits(real_logits_task):
-    """``_logits_task``, then the same invariants over its logits."""
+def _checked_logits(real_member_logits, marks):
+    """``_member_logits``, then the same invariants over its logits, and its
+    logits equal a fresh clone's forward bytes — asserted where the call
+    ran, which leaves one file in ``marks`` (pool workers' calls count too)."""
 
-    def logits_task(models, env, task, batch_size):
-        logits = real_logits_task(models, env, task, batch_size)
+    def member_logits(models, env, model_id, client_ids, batch_size):
+        logits = real_member_logits(models, env, model_id, client_ids, batch_size)
         held = env.workspaces[threading.get_ident()]
-        _assert_between_items(held, held[task.model_ids[0]], [logits])
+        _assert_between_items(held, held[model_id], [logits])
+        xs = np.concatenate([env.clients_by_id[c].data.x_test for c in client_ids])
+        want = models[model_id].clone(keep_id=True).predict(xs, batch_size)
+        assert logits.tobytes() == want.tobytes(), model_id
+        (marks / f"{os.getpid()}-{threading.get_ident()}-{uuid.uuid4().hex}").touch()
         return logits
 
-    return logits_task
+    return member_logits
 
 
 def _fails_once_mid_item(real, marker):
@@ -414,29 +422,38 @@ def conv_wave():
 
 
 @pytest.mark.parametrize("backend,workers", BACKENDS)
-def test_conv_reuse_history_gives_a_fresh_clones_bytes(conv_wave, backend, workers, monkeypatch):
+def test_conv_reuse_history_gives_a_fresh_clones_bytes(
+    conv_wave, backend, workers, monkeypatch, tmp_path
+):
     """A sweep with a ragged last batch, a training wave, a sweep, another
     wave and a sweep, all through warm conv workspaces (conv, BatchNorm,
-    max-pool scratch): every logit and update is a fresh clone's bytes, and
-    after each job a thread holds the scratch of the model it ran last only."""
+    max-pool scratch): every member logit and update is a fresh clone's
+    bytes, every group (single models and the two-model ensemble) scores
+    its clones' ensemble, and after each job a thread holds the scratch of
+    the model it ran last only."""
     clients, models, items = conv_wave
     by_id = {c.client_id: c for c in clients}
     seen: list = []
     monkeypatch.setattr(executor_mod, "_train_item", _checked(executor_mod._train_item, seen))
-    monkeypatch.setattr(executor_mod, "_logits_task", _checked_logits(executor_mod._logits_task))
+    monkeypatch.setattr(
+        executor_mod, "_member_logits", _checked_logits(executor_mod._member_logits, tmp_path)
+    )
     chunks = [(0, 1, 2), (3, 4, 5), (2,)]
-    tasks = [EvalTask((mid,), ids) for ids in chunks for mid in models]
+    ensembles = [(mid,) for mid in models] + [tuple(models)]
+    tasks = [EvalTask(ens, ids) for ids in chunks for ens in ensembles]
     ex = make_executor(backend, clients, CONV_TRAINER, SEED, workers)
 
     def sweep(phase):
-        accs, logits = ex.eval_and_logits_round(tasks, tasks, models, SWEEP_BATCH)
-        for task, acc, out in zip(tasks, accs, logits):
+        before = sum(1 for _ in tmp_path.iterdir())
+        accs = ex.eval_round(tasks, models, SWEEP_BATCH)
+        checked = sum(1 for _ in tmp_path.iterdir()) - before
+        assert checked == sum(len(t.model_ids) for t in tasks), (backend, phase)
+        for task, acc in zip(tasks, accs):
             xs = np.concatenate([by_id[c].data.x_test for c in task.client_ids])
             assert len(xs) % SWEEP_BATCH, "the chunk ends in a full batch"
-            want = models[task.model_ids[0]].clone(keep_id=True).predict(xs, SWEEP_BATCH)
-            assert out.tobytes() == want.tobytes(), (backend, phase, task)
+            want = [models[mid].clone(keep_id=True).predict(xs, SWEEP_BATCH) for mid in task.model_ids]
             assert acc.tobytes() == ensemble_accuracies(
-                [want], 1, by_id, task.client_ids
+                want, len(want), by_id, task.client_ids
             ).tobytes(), (backend, phase, task)
 
     def train(phase, round_idx):

@@ -9,8 +9,8 @@ Three contracts under test:
 * **Incremental evaluation cache** — exports bit-identical whether sweeps
   run warm or cold (cache emptied before each one) across all executor
   backends in both round modes; unchanged deployment groups are served
-  from cache (metered on ``EvalRecord``); partially changed ensembles
-  recompute only their changed members.
+  from cache (metered on ``EvalRecord``); a changed model recomputes only
+  the groups whose ensemble contains it.
 * **Delta snapshot publishing** — the process backend ships only
   version-changed models per publish, workers replay the delta chain, and
   a full snapshot re-compacts the chain periodically.
@@ -261,7 +261,6 @@ def _empty_before_each_sweep(coord):
 
     def cold_sweep(round_idx, cumulative_macs):
         coord.eval_cache.accs.clear()
-        coord.eval_cache.logits.clear()
         return sweep(round_idx, cumulative_macs)
 
     coord.evaluate = cold_sweep
@@ -365,41 +364,23 @@ class TestCacheDeterminism:
             assert cold.client_accuracy[i] == pytest.approx(expect)
         coord.close()
 
-    def test_splitmix_training_run_reuses_idle_members(self):
-        """Ensembles whose members train at different rates: a run's warm
-        sweeps reuse the idle members' logits (fewer forward tasks than the
-        cold reference) and still export the same accuracies."""
-        dispatched = []
-
-        def build():
-            coord, _, _ = _splitmix_coord(rounds=8, eval_every=1, clients_per_round=1)
-            coord.executor = _CountingExecutor(coord.executor)
-            dispatched.append(coord.executor.logits_tasks)
-            return coord
-
-        _assert_warm_equals_cold(build)
-        warm, cold = dispatched
-        assert 0 < len(warm) < len(cold)
-
 
 # ----------------------------------------------------------------------
-# cache behavior: hits, invalidation, partial-ensemble reuse
+# cache behavior: hits, invalidation, partial-ensemble recompute
 # ----------------------------------------------------------------------
 class _CountingExecutor:
-    """Wraps an executor, counting the logits tasks that actually run."""
+    """Wraps an executor, recording the eval tasks that actually run."""
 
     def __init__(self, inner):
         self._inner = inner
-        self.logits_tasks = []
+        self.tasks = []
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def eval_and_logits_round(self, eval_tasks, logits_tasks, models, batch_size):
-        self.logits_tasks.extend(logits_tasks)
-        return self._inner.eval_and_logits_round(
-            eval_tasks, logits_tasks, models, batch_size
-        )
+    def eval_round(self, tasks, models, batch_size):
+        self.tasks.extend(tasks)
+        return self._inner.eval_round(tasks, models, batch_size)
 
 
 class TestCacheBehavior:
@@ -437,18 +418,14 @@ class TestCacheBehavior:
 
     def test_partial_ensemble_recomputes_only_changed_member(self):
         """SplitMix nested deployments: mutating the *last* base model keeps
-        every smaller ensemble's accuracies cached, and the full ensemble
-        reuses its unchanged members' logits — exactly one logits task (the
-        changed model over the one group that deploys it) is dispatched."""
+        every smaller ensemble's accuracies cached, and the only tasks
+        dispatched are the groups whose ensemble contains it."""
         coord, strategy, clients = _splitmix_coord()
         counting = _CountingExecutor(coord.executor)
         coord.executor = counting
         coord.evaluate(0, 0.0)
-        first_tasks = len(counting.logits_tasks)
-        assert first_tasks > 0
-        # A fully idle sweep in between: everything hits the accuracy
-        # cache, and — regression — the hit groups' member logits must
-        # stay warm rather than being evicted with the sweep.
+        first = list(counting.tasks)  # a cold sweep dispatches every group
+        # A fully idle sweep in between: everything hits the cache.
         idle = coord.evaluate(1, 0.0)
         assert idle.cached_clients == len(clients)
         top = strategy._base_ids[-1]
@@ -458,10 +435,13 @@ class TestCacheBehavior:
             if top in strategy.eval_ensemble(c, mid)
         ]
         assert deployed_top  # the workload exercises the full ensemble
-        counting.logits_tasks.clear()
+        counting.tasks.clear()
         strategy._models[top].set_params(_perturbed(strategy._models[top]))
         ev = coord.evaluate(2, 0.0)
-        assert [t.model_ids for t in counting.logits_tasks] == [(top,)]
+        assert counting.tasks == [t for t in first if top in t.model_ids]
+        assert sorted(c for t in counting.tasks for c in t.client_ids) == sorted(
+            c.client_id for c in deployed_top
+        )
         assert ev.cached_clients == len(clients) - len(deployed_top)
         assert ev.evaluated_clients == len(deployed_top)
         coord.close()

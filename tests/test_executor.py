@@ -257,18 +257,15 @@ class TestBatchedEvaluation:
         model = mlp(ds.input_shape, ds.num_classes, rng, width=8)
         ex = SerialExecutor(clients, LocalTrainerConfig(), seed=0)
         mid = model.model_id
-        solo, _ = ex.eval_and_logits_round(
+        solo = ex.eval_round(
             [EvalTask((mid,), (0,)), EvalTask((mid,), (2,)), EvalTask((mid,), (3,))],
-            [],
             {mid: model},
             16,
         )
         clients[1].data.x_test = clients[1].data.x_test[:0]
         clients[1].data.y_test = clients[1].data.y_test[:0]
         ex = SerialExecutor(clients, LocalTrainerConfig(), seed=0)
-        (mixed,), _ = ex.eval_and_logits_round(
-            [EvalTask((mid,), (0, 1, 2, 3))], [], {mid: model}, 16
-        )
+        (mixed,) = ex.eval_round([EvalTask((mid,), (0, 1, 2, 3))], {mid: model}, 16)
         assert np.isfinite(mixed).all()
         assert mixed[1] == 0.0
         assert mixed[0] == solo[0][0]
@@ -286,11 +283,8 @@ class TestBatchedEvaluation:
         model = mlp(ds.input_shape, ds.num_classes, rng, width=8)
         ex = SerialExecutor(clients, LocalTrainerConfig(), seed=0)
         task = EvalTask((model.model_id,), (0, 1))
-        accs, logits = ex.eval_and_logits_round(
-            [task], [task], {model.model_id: model}, 16
-        )
-        assert (accs[0] == 0.0).all()
-        assert logits[0].shape == (0, 4)
+        (accs,) = ex.eval_round([task], {model.model_id: model}, 16)
+        assert accs.tobytes() == np.zeros(2).tobytes()
 
     def test_eval_model_resolved_once(self, rng):
         """The recorded client_model is the model that produced the logits,
@@ -347,23 +341,20 @@ class TestExecutorUnits:
         after = model.params()
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
-    def test_eval_and_logits_round_order_and_shapes(self, rng):
+    def test_eval_round_order_and_shapes(self, rng):
         ds = _dataset(num_clients=4)
         clients = _clients(ds)
         model = mlp(ds.input_shape, ds.num_classes, rng, width=8)
         ex = SerialExecutor(clients, LocalTrainerConfig(), seed=0)
         tasks = [
             EvalTask((model.model_id,), (0, 1)),
-            EvalTask((model.model_id,), (2, 3)),
+            EvalTask((model.model_id,), (2, 3, 1)),
         ]
-        out, logits = ex.eval_and_logits_round(
-            tasks, tasks[::-1], {model.model_id: model}, batch_size=16
-        )
-        assert len(out) == 2
-        assert out[0].shape == (2,) and out[1].shape == (2,)
+        out = ex.eval_round(tasks, {model.model_id: model}, batch_size=16)
+        assert [a.shape for a in out] == [(2,), (3,)]
         assert all(0.0 <= a <= 1.0 for accs in out for a in accs)
-        rows = [sum(clients[c].data.num_test for c in t.client_ids) for t in tasks[::-1]]
-        assert [l.shape for l in logits] == [(n, ds.num_classes) for n in rows]
+        back = ex.eval_round(tasks[::-1], {model.model_id: model}, batch_size=16)
+        assert [a.tobytes() for a in back] == [a.tobytes() for a in out[::-1]]
 
     def test_process_snapshot_reused_while_versions_unchanged(self, rng):
         """Snapshot reuse is keyed on model *versions*, not dict identity:

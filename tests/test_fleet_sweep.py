@@ -1,8 +1,8 @@
 """A fleet sweep is a few array ops: deployments resolved in one call, each
 group scored in one pass, every forward on a thread's workspace.
 
-Three witnesses, each against the per-client form it replaced (kept in
-``tests/oracle_deployment.py``):
+Four witnesses, the first three against the per-client form each replaced
+(kept in ``tests/oracle_deployment.py``):
 
 * ``TestDeploymentOracle`` — ``Strategy.eval_models`` equals the per-client
   rules (FedTrans's sorted tie-break over the utility table, the width
@@ -12,14 +12,19 @@ Three witnesses, each against the per-client form it replaced (kept in
 * ``TestScorerOracle`` — ``ensemble_accuracies`` equals the per-client
   ``accuracy()`` loop bit for bit;
 * ``TestNoCloneWitness`` — a sweep's forward runs on no clone and leaves
-  no layer cache on the published models, and its logits and accuracies
-  are the cloned forward's bytes on every backend.
+  no layer cache on the published models, and its member logits and
+  accuracies are the cloned forward's bytes on every backend;
+* ``TestEnsembleGroups`` — an ensemble group is one ``eval_round`` job
+  whose accuracies are its fresh clones' ensemble scored, test-less
+  clients and all-empty groups included, on every backend.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
+import uuid
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,8 +36,17 @@ import oracle_deployment as oracle
 from repro.baselines import FLuIDStrategy, HeteroFLStrategy, SplitMixStrategy, fedavg
 from repro.core import ClientManager, FedTransConfig, FedTransStrategy, SimilarityCache
 from repro.data import SyntheticTaskConfig, build_federated_dataset
+from repro.data.federated import ClientData
 from repro.device import DeviceTrace
-from repro.fl import Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig
+from repro.fl import (
+    Coordinator,
+    CoordinatorConfig,
+    FLClient,
+    LocalTrainerConfig,
+    TrainItem,
+    make_executor,
+)
+from repro.fl import executor as executor_mod
 from repro.fl.executor import EXECUTOR_BACKENDS, EvalTask, ensemble_accuracies
 from repro.nn import mlp
 from repro.nn.model import CellModel
@@ -214,8 +228,8 @@ class TestScorerOracle:
 # the forward pass
 # ----------------------------------------------------------------------
 def _splitmix_coord(backend: str) -> Coordinator:
-    """SplitMix over mixed capacities: single-model groups (accuracy tasks)
-    and ensembles (member-logits tasks) in every sweep, several chunks."""
+    """SplitMix over mixed capacities: single-model groups and ensembles in
+    every sweep, several chunks."""
     big = mlp((8,), 4, np.random.default_rng(0), width=16)
     clients = _fleet((c.client_id, big.macs() * (0.3 + 0.2 * c.client_id)) for c in _DATASET.clients)
     config = CoordinatorConfig(
@@ -332,23 +346,117 @@ class TestNoCloneWitness:
             coord.close()
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_sweep_outputs_are_the_cloned_forwards_bytes(self, backend):
+    def test_sweep_outputs_are_the_cloned_forwards_bytes(self, backend, monkeypatch, tmp_path):
         """The kill criterion of running the sweep without a clone: after
-        training has left stacked workspaces behind, a sweep's logits and
-        accuracies equal a fresh clone's forward, bit for bit."""
+        training has left stacked workspaces behind, every member forward of
+        a sweep equals a fresh clone's forward, bit for bit (checked where
+        it runs: in a pool worker on the process backend), and every
+        group's accuracies are the clones' ensemble scored."""
+        checked = _check_member_logits(monkeypatch, tmp_path)
         coord = _splitmix_coord(backend)
         try:
             coord.run()
             models = coord.strategy.models()
             clients_by_id = coord.executor.clients_by_id
+            ids = list(models)
+            ensembles = [(mid,) for mid in ids] + [tuple(ids[:n]) for n in range(2, len(ids) + 1)]
             chunks = [(0, 1, 2), (3,), (4, 5, 6, 7, 8, 9, 10, 11)]
-            tasks = [EvalTask((mid,), ids) for mid in models for ids in chunks]
-            accs, logits = coord.executor.eval_and_logits_round(tasks, tasks, models, 8)
-            for task, acc, out in zip(tasks, accs, logits):
-                xs = np.concatenate([clients_by_id[c].data.x_test for c in task.client_ids])
-                want = models[task.model_ids[0]].clone(keep_id=True).predict(xs, 8)
-                assert out.tobytes() == want.tobytes()
-                scored = oracle.ensemble_accuracies([want], 1, clients_by_id, task.client_ids)
-                assert acc.tobytes() == scored.tobytes()
+            tasks = [EvalTask(ens, cids) for ens in ensembles for cids in chunks]
+            before = checked()
+            accs = coord.executor.eval_round(tasks, models, 8)
+            assert checked() - before == sum(len(t.model_ids) for t in tasks)
+            for task, acc in zip(tasks, accs):
+                assert acc.tobytes() == _cloned_scores(models, clients_by_id, task, 8).tobytes()
         finally:
             coord.close()
+
+
+def _check_member_logits(monkeypatch, marks):
+    """Wrap ``_member_logits`` so that each call asserts, where it runs, that
+    its logits are a fresh clone's forward bytes, and leaves one file in
+    ``marks`` (a pool worker's calls count too).  Returns the call counter.
+    Patch before a process pool starts: its workers fork the patched module."""
+    real = executor_mod._member_logits
+
+    def member_logits(models, env, model_id, client_ids, batch_size):
+        out = real(models, env, model_id, client_ids, batch_size)
+        xs = np.concatenate([env.clients_by_id[c].data.x_test for c in client_ids])
+        if len(xs):
+            want = models[model_id].clone(keep_id=True).predict(xs, batch_size)
+            assert out.tobytes() == want.tobytes(), model_id
+        (marks / f"{os.getpid()}-{threading.get_ident()}-{uuid.uuid4().hex}").touch()
+        return out
+
+    monkeypatch.setattr(executor_mod, "_member_logits", member_logits)
+    return lambda: sum(1 for _ in marks.iterdir())
+
+
+def _cloned_scores(models, clients_by_id, task, batch_size) -> np.ndarray:
+    """A group's accuracies from fresh clones of its members, scored by the
+    per-client oracle."""
+    xs = np.concatenate([clients_by_id[c].data.x_test for c in task.client_ids])
+    members = [
+        models[mid].clone(keep_id=True).predict(xs, batch_size)
+        if len(xs) else np.zeros((0, models[mid].num_classes))
+        for mid in task.model_ids
+    ]
+    return oracle.ensemble_accuracies(members, len(members), clients_by_id, task.client_ids)
+
+
+# ----------------------------------------------------------------------
+# an ensemble is one job
+# ----------------------------------------------------------------------
+class TestEnsembleGroups:
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_an_ensemble_task_scores_its_fresh_clones_ensemble(self, backend, monkeypatch, tmp_path):
+        """An ensemble group is scored on the executor: its accuracies equal
+        the clones' ensemble scored (``_cloned_scores``) bit for bit,
+        before and after a training wave, with a test-less client inside a
+        chunk, and an all-empty group scores zeros."""
+        checked = _check_member_logits(monkeypatch, tmp_path)
+        data = _DATASET.clients
+        empty = {1, 4}  # clients whose test set is empty
+        clients = [
+            FLClient(
+                cid,
+                ClientData(
+                    cid, data[cid].x_train, data[cid].y_train,
+                    data[cid].x_test[:0] if cid in empty else data[cid].x_test,
+                    data[cid].y_test[:0] if cid in empty else data[cid].y_test,
+                ),
+                DeviceTrace(cid, 1e9, 1e6, 1e12),
+            )
+            for cid in range(6)
+        ]
+        rng = np.random.default_rng(0)
+        suite = [mlp((8,), 4, rng, width=w) for w in (4, 8, 8)]
+        models = {m.model_id: m for m in suite}
+        ids = tuple(models)
+        tasks = [
+            EvalTask(ids, (0, 1, 2)),  # a test-less client inside the chunk
+            EvalTask(ids[:2], (3, 5)),
+            EvalTask(ids[1:], (1, 4)),  # all-empty
+            EvalTask(ids[:1], (2, 0)),
+        ]
+        trainer = LocalTrainerConfig(batch_size=4, local_steps=2, lr=0.2)
+        ex = make_executor(backend, clients, trainer, seed=0, max_workers=2)
+        by_id = ex.clients_by_id
+
+        def sweep(phase):
+            before = checked()
+            accs = ex.eval_round(tasks, models, 4)
+            assert checked() - before == sum(len(t.model_ids) for t in tasks)
+            for task, acc in zip(tasks, accs):
+                want = _cloned_scores(models, by_id, task, 4)
+                assert acc.tobytes() == want.tobytes(), (phase, task)
+            assert accs[0][1] == 0.0
+            assert accs[2].tobytes() == np.zeros(2).tobytes()
+
+        try:
+            sweep("cold")
+            items = [TrainItem(mid, cid, 0) for mid in ids for cid in (0, 2, 3)]
+            for update in ex.train_round(0, items, models)[::3]:
+                models[update.model_id].set_params(update.params)
+            sweep("after training")
+        finally:
+            ex.close()

@@ -9,7 +9,9 @@ refactor, before either loop was touched) and holds, per scenario, blake2b
 digests of the three canonical-JSON exports plus the sorted set of nested
 key paths of the final ``Coordinator.state_dict()`` — faults, retries,
 quarantine, lossy transport, wire-time pricing, eviction, stragglers,
-checkpoints and multi-model assignments all on.
+checkpoints and multi-model assignments all on.  ``state_keys`` alone was
+regenerated later, once, when the checkpoint payload lost its
+``/eval_logits_cache`` key path; every other field is the recorded commit's.
 
 Regenerate (only ever at a commit whose loops are the reference):
 ``PYTHONPATH=src python tests/test_round_pipeline.py``.
