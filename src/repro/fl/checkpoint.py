@@ -156,7 +156,12 @@ def flatten_payload(payload: dict) -> tuple[dict, dict[str, np.ndarray]]:
             "payloads hold JSON scalars and numpy arrays only"
         )
 
-    skeleton = walk(payload)
+    try:
+        skeleton = walk(payload)
+    finally:
+        # The recursive closure is a reference cycle through ``parts``: left
+        # to the cycle collector, it would hold every leaf of the payload.
+        del walk
     return skeleton, {dtype: np.concatenate(chunks) for dtype, chunks in parts.items()}
 
 

@@ -14,9 +14,10 @@ dispatch   :func:`dispatch`     the round's one wave      at flush: every wave  
                                                           deferred since the last     I10 infrastructure
                                                           (faults: each wave's end)   faults cost zero time
 failures   (driver)             drops the failed item     releases the whole client
-encode     :func:`encode`       after dispatch            at flush, in dispatch       I11 encode, then meter,
-                                                          order: finish events need   then quarantine
-                                                          the wire-time price
+encode     :func:`encode`       one codec call after      one codec call per flush,   I11 encode, then meter,
+                                dispatch                  in dispatch order: finish   then quarantine
+                                                          events need the wire-time
+                                                          price
 meter      :func:`meter`        all survivors at once     per arrival; a dropped one  I11 ``bytes_up`` is the
                                                           is not charged its upload   on-wire size
 admit      :func:`admit`        all survivors at once     per landed arrival          I10 clean runs untouched
@@ -108,25 +109,27 @@ def dispatch(
 def encode(
     ctx: Coordinator, pairs: list[tuple[TrainItem, ClientUpdate]], models: dict
 ) -> None:
-    """Re-encode each surviving update, in place, as it crosses the wire.
+    """Re-encode the surviving updates, in place, as they cross the wire.
 
-    Against the models the wave trained on (the server may aggregate before
-    an async arrival lands) and in item order, so error-feedback residuals
-    advance identically on every backend.  Runs before metering
-    (``bytes_up`` becomes the on-wire size; ``wire_time`` re-prices the
-    upload leg of ``round_time``) and before quarantine (poisoned tensors
-    pass through the codec raw, so the NaN scan still sees them).
+    One codec call per flush (the sync round's survivors, or an async
+    flush's), against the models the waves trained on (the server may
+    aggregate before an async arrival lands) and in item order, so
+    error-feedback residuals advance identically on every backend.  Runs
+    before metering (``bytes_up`` becomes the on-wire size; ``wire_time``
+    re-prices the upload leg of ``round_time``) and before quarantine
+    (poisoned tensors pass through the codec raw, so the NaN scan still
+    sees them).
     """
     codec = ctx.transport
-    if codec is None or not codec.config.has_update:
+    if codec is None or not codec.config.has_update or not pairs:
         return
-    for item, update in pairs:
-        codec.encode_update(
-            update,
-            models.get(item.model_id),
-            device=ctx.executor.clients_by_id[item.client_id].device,
-            wire_time=ctx.config.wire_time,
-        )
+    clients = ctx.executor.clients_by_id
+    codec.encode_update(
+        [update for _, update in pairs],
+        [models.get(item.model_id) for item, _ in pairs],
+        device=[clients[item.client_id].device for item, _ in pairs],
+        wire_time=ctx.config.wire_time,
+    )
 
 
 def meter(

@@ -40,6 +40,8 @@ payload round-trips row order exactly (CONTRACTS.md I9).
 
 from __future__ import annotations
 
+import bisect
+import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -79,14 +81,15 @@ def positions_to_rows(positions: np.ndarray, removed: np.ndarray) -> np.ndarray:
 class RoundTimeStats:
     """Per-class sliding windows of completed round times, as ring buffers.
 
-    Replaces one ``deque(maxlen=window)`` per device class with a single
-    ``(num_classes, window)`` float64 array plus write cursors: an
-    observation is one scatter write, and a quantile query is
-    ``np.quantile`` over a contiguous slice — no per-arrival ``list()``
-    materialization.  The window holds the same multiset of values the
-    deque held (a full ring overwrites the oldest entry, exactly the
-    deque's eviction), and quantiles are order-invariant, so estimates are
-    bit-identical to the list implementation.
+    One ``(num_classes, window)`` float64 array plus write cursors holds
+    the windows in arrival order (a full ring overwrites its oldest entry,
+    exactly a ``deque(maxlen=window)``'s eviction).  Beside each ring sits
+    a sorted copy of the same samples: an observation is one scatter
+    write, one ``bisect`` delete of the evicted sample and one ``insort``,
+    and a quantile is an O(1) read of two order statistics, interpolated
+    exactly as NumPy's ``quantile`` (``method="linear"``) does, so
+    estimates are bit-identical to it over the window.  The sorted copies
+    are derived state: rebuilt on load, never checkpointed.
     """
 
     def __init__(self, num_classes: int, window: int):
@@ -97,30 +100,50 @@ class RoundTimeStats:
         self.num_classes = num_classes
         self.window = window
         self._buf = np.zeros((num_classes, window), dtype=np.float64)
-        self._len = np.zeros(num_classes, dtype=np.int64)
         self._pos = np.zeros(num_classes, dtype=np.int64)
+        self._sorted: list[list[float]] = [[] for _ in range(num_classes)]
 
     def observe(self, cls: int, duration: float) -> None:
+        duration = _duration(cls, duration)
         pos = int(self._pos[cls])
+        window = self._sorted[cls]
+        if len(window) == self.window:  # full ring: its oldest sample leaves
+            del window[bisect.bisect_left(window, float(self._buf[cls, pos]))]
+        bisect.insort(window, duration)
         self._buf[cls, pos] = duration
         self._pos[cls] = (pos + 1) % self.window
-        if self._len[cls] < self.window:
-            self._len[cls] += 1
 
     def count(self, cls: int) -> int:
-        return int(self._len[cls])
+        return len(self._sorted[cls])
 
     def quantile(self, cls: int, q: float) -> float:
-        k = int(self._len[cls])
+        """NumPy's ``quantile(window, q)`` as a float, step for step: the
+        virtual index ``(k - 1) * q``, its floor (both neighbours the
+        maximum at or past the last index), and ``_lerp``'s two-sided
+        interpolation."""
+        window = self._sorted[cls]
+        k = len(window)
         if k == 0:
             raise ValueError(f"class {cls} has no observations")
-        return float(np.quantile(self._buf[cls, :k], q))
+        virtual = (k - 1) * q
+        if virtual >= k - 1:
+            lo = hi = k - 1
+            gamma = virtual + 1.0  # numpy's clamped floor is index -1
+        else:
+            lo = math.floor(virtual)
+            hi = lo + 1
+            gamma = virtual - lo
+        a, b = window[lo], window[hi]
+        diff = b - a
+        if gamma >= 0.5:
+            return b - diff * (1 - gamma)
+        return a + diff * gamma
 
     def chronological(self) -> list[list[float]]:
         """Per-class samples oldest-first (the deque serialization order)."""
         out: list[list[float]] = []
         for cls in range(self.num_classes):
-            k = int(self._len[cls])
+            k = len(self._sorted[cls])
             pos = int(self._pos[cls])
             if k < self.window:
                 vals = self._buf[cls, :k]
@@ -138,22 +161,53 @@ class RoundTimeStats:
         return {"schema": self.schema, "durations": self.chronological()}
 
     def load_state_dict(self, payload: dict) -> None:
+        """Restore the windows; a payload this class could not have written
+        (a sample that is not a finite, non-negative JSON number, or more
+        samples than the window holds) is a ``ValueError`` naming the
+        class, before anything changes."""
         check_schema(payload, self.schema)
         durations = payload["durations"]
+        if not isinstance(durations, list):
+            raise ValueError("RoundTimeStats: durations must be a list per device class")
         if len(durations) != self.num_classes:
             raise ValueError(
                 f"payload has {len(durations)} device classes; "
                 f"these stats were built with {self.num_classes}"
             )
-        self._buf[:] = 0.0
-        self._len[:] = 0
-        self._pos[:] = 0
+        windows = []
         for cls, samples in enumerate(durations):
-            vals = [float(x) for x in samples][-self.window :]
+            if not isinstance(samples, list):
+                raise ValueError(f"RoundTimeStats class {cls}: samples must be a list")
+            if len(samples) > self.window:
+                raise ValueError(
+                    f"RoundTimeStats class {cls}: {len(samples)} samples "
+                    f"overflow a window of {self.window}"
+                )
+            windows.append([_duration(cls, x) for x in samples])
+        self._buf[:] = 0.0
+        for cls, vals in enumerate(windows):
             k = len(vals)
             self._buf[cls, :k] = vals
-            self._len[cls] = k
             self._pos[cls] = k % self.window
+            self._sorted[cls] = sorted(vals)
+
+
+def _duration(cls: int, value) -> float:
+    """A round time as a window stores it: a finite, non-negative number
+    (a NaN would make the class's deadline NaN; bools and strings are not
+    numbers)."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"RoundTimeStats class {cls}: {value!r} is not a number")
+    try:
+        duration = float(value)
+    except OverflowError:  # an int past float's range
+        duration = math.inf
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(
+            f"RoundTimeStats class {cls}: a round time must be finite and "
+            f"non-negative, got {duration!r}"
+        )
+    return duration
 
 
 class FleetView:

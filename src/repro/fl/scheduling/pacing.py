@@ -136,9 +136,11 @@ class QuantilePacing(PacingPolicy):
 
     The class column and the windows are the store's own
     (``fleet.classes``, ``fleet.stats`` — the
-    :class:`~repro.fl.scheduling.fleet.RoundTimeStats` ring buffers: one
-    scatter write per arrival, one contiguous-slice ``np.quantile`` per
-    re-estimate); the policy keeps only the derived per-class deadlines.
+    :class:`~repro.fl.scheduling.fleet.RoundTimeStats` ring buffers, each
+    with a sorted copy: one scatter write, one ``bisect`` delete and one
+    ``insort`` per arrival, and an O(1) read of two order statistics per
+    re-estimate, bit-identical to NumPy's ``quantile``); the policy keeps only
+    the derived per-class deadlines.
     """
 
     name = "quantile"

@@ -179,6 +179,16 @@ def segment_exists(name: str) -> bool:
     return True
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A header object as a dict.  A writer's dict never repeats a key, and
+    ``json`` would keep only the last: one flipped bit that renames a model
+    to its neighbour's id would decode a suite missing a model."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise ValueError("the header repeats a key")
+    return out
+
+
 def _header(buf) -> tuple[dict, dict[str, np.ndarray]]:
     """The checked header of a segment and its arenas as read-only views."""
     if len(buf) < _PREFIX.size:
@@ -197,7 +207,9 @@ def _header(buf) -> tuple[dict, dict[str, np.ndarray]]:
         )
     if _PREFIX.size + hlen > len(buf):
         raise ValueError(f"header length {hlen} runs past the {len(buf)}-byte segment")
-    header = json.loads(bytes(buf[_PREFIX.size : _PREFIX.size + hlen]).decode())
+    header = json.loads(
+        bytes(buf[_PREFIX.size : _PREFIX.size + hlen]).decode(), object_pairs_hook=_unique_keys
+    )
     if not (
         header.keys() == _HEADER_KEYS and header["kind"] in ("full", "delta")
         and all(

@@ -20,9 +20,19 @@ actual encoded byte payload (its length is the on-wire cost the ledger
 meters), decode it back, and hand the *decoded* values to aggregation —
 lossy codecs therefore change the trajectory exactly as they would in a
 real deployment, and lossless codecs are bit-identical by construction
-(CONTRACTS.md I11).  Updates containing non-finite values bypass the
-codec entirely (shipped raw) so the quarantine NaN scan still sees the
-poison it exists to catch.
+(CONTRACTS.md I11).  A tensor that is not finite — or whose delta plus
+residual is not — bypasses the codec (shipped raw), so the quarantine NaN
+scan still sees the poison it exists to catch and no residual turns
+non-finite.
+
+One call encodes a whole flush (every update a sync round or an async
+flush ships): :meth:`TransportCodec.encode_update` groups the updates'
+param/state trees into *blocks* of one dtype and tensor-shape list,
+stacks each as an ``(m, N)`` matrix, and runs the lossy codec as a few
+whole-block array ops — one top-k partition per tensor, the quantizer
+over the block, the index streams' byte count from one ``diff`` over
+separator-padded rows.  The per-tensor codec it replaced is the oracle in
+``tests/oracle_transport.py``, held to byte equality.
 
 Error feedback keeps quantization honest across rounds: the residual
 ``d - decode(encode(d))`` is stored per ``(client, model, scope, tensor)``
@@ -38,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,7 +247,7 @@ def decode_indices(encoded: bytes) -> tuple[np.ndarray, int]:
 
 
 # ----------------------------------------------------------------------
-# bf16 quantizer (int8 is inline in TransportCodec._lossy_encode)
+# bf16 quantizer (int8 is inline in TransportCodec._encode_block)
 # ----------------------------------------------------------------------
 def bf16_encode(values: np.ndarray) -> bytes:
     """Truncate to bfloat16 (float32's upper 16 bits), 2 bytes/element."""
@@ -407,10 +418,10 @@ class TransportCodec(Stateful):
     One instance lives on the coordinator and sees every update exactly
     once, in dispatch order — the sync round's item order, or the async
     engine's at each flush, against the models of the dispatch epoch
-    (:func:`repro.fl.rounds.encode` is the only caller) — so the residual
-    stream is a pure function of the run config and seed.
+    (:func:`repro.fl.rounds.encode` is the only caller, once per flush) —
+    so the residual stream is a pure function of the run config and seed.
 
-    ``encode_update`` mutates the update in place: ``params``/``state``
+    ``encode_update`` mutates each update in place: ``params``/``state``
     are replaced by their decoded post-codec values (bit-identical for
     lossless codecs), ``bytes_up`` becomes the on-wire byte count while
     ``raw_bytes_up`` keeps the uncompressed size, and — with
@@ -426,6 +437,8 @@ class TransportCodec(Stateful):
         # Populated only by lossy codecs; reset on shape change (a model
         # transform re-keys capacity, and a stale residual would be noise).
         self._residuals: dict[tuple[int, str, str, str], np.ndarray] = {}
+        # (dtype, tensor shapes) -> its block plan, derived from the config.
+        self._layouts: dict[tuple, _Layout] = {}
 
     # -- Stateful ------------------------------------------------------
     def state_dict(self) -> dict:
@@ -474,132 +487,343 @@ class TransportCodec(Stateful):
         device=None,
         wire_time: bool = False,
     ) -> None:
-        """Encode one :class:`~repro.fl.types.ClientUpdate` in place.
+        """Encode one :class:`~repro.fl.types.ClientUpdate`, or a flush of
+        them, in place.
 
-        ``reference`` is the dispatch-time server model (or ``None`` when
-        it is gone); its parameter tree anchors delta coding.  ``device``
-        supplies the bandwidth for the optional ``wire_time`` re-pricing.
+        ``update`` is one update or a sequence (a *flush*, in dispatch
+        order); ``reference`` and ``device`` are then one object each or
+        sequences of the same length.  A reference is the dispatch-time
+        server model (or ``None`` when it is gone); its parameter tree
+        anchors delta coding.  A device supplies the bandwidth for the
+        optional ``wire_time`` re-pricing.
         """
         if not self.config.has_update:
             return
-        ref_params = dict(reference.params()) if reference is not None else {}
-        ref_state = dict(reference.state()) if reference is not None else {}
-        wire = 0
-        wire += self._encode_tree(
-            update.client_id, update.model_id, "param", update.params, ref_params
-        )
-        wire += self._encode_tree(
-            update.client_id, update.model_id, "state", update.state, ref_state
-        )
-        raw = int(update.raw_bytes_up)
-        update.bytes_up = int(wire)
-        if wire_time and device is not None:
-            # Re-price only the upload leg: download and training stand.
-            update.round_time += (wire - raw) / device.bandwidth
+        if isinstance(update, (list, tuple)):
+            updates = list(update)
+            references = _per_update(reference, len(updates), "reference")
+            devices = _per_update(device, len(updates), "device")
+        else:
+            updates, references, devices = [update], [reference], [device]
+        if len({(u.client_id, u.model_id) for u in updates}) < len(updates):
+            # Each would read the residual the other one leaves.
+            raise ValueError("a flush carries at most one update per (client, model)")
+        wires = self._encode_flush(list(zip(updates, references)))
+        for u, dev, wire in zip(updates, devices, wires):
+            raw = int(u.raw_bytes_up)
+            u.bytes_up = wire
+            if wire_time and dev is not None:
+                # Re-price only the upload leg: download and training stand.
+                u.round_time += (wire - raw) / dev.bandwidth
 
-    def _encode_tree(
-        self,
-        client_id: int,
-        model_id: str,
-        scope: str,
-        tree: dict,
-        ref_tree: dict,
-    ) -> int:
-        """Encode one param/state tree in place; returns its wire bytes."""
+    def _encode_flush(self, flush: list) -> list[int]:
+        """Encode ``(update, reference)`` pairs; returns each update's wire
+        bytes."""
         cfg = self.config
-        wire = 0
-        for key in tree:
-            arr = np.ascontiguousarray(tree[key])
-            ref = ref_tree.get(key)
-            if ref is not None and (
-                ref.shape != arr.shape or ref.dtype != arr.dtype
+        wires = [0] * len(flush)
+        ref_trees: dict[int, tuple[dict, dict]] = {}
+        # One block per (dtype, tensor shapes): the trees of any update,
+        # model or scope that share that layout.
+        blocks: dict[tuple, list[_Row]] = {}
+        for i, (update, reference) in enumerate(flush):
+            if reference is not None and id(reference) not in ref_trees:
+                ref_trees[id(reference)] = (dict(reference.params()), dict(reference.state()))
+            ref_params, ref_state = ref_trees.get(id(reference), ({}, {}))
+            for scope, tree, ref_tree in (
+                ("param", update.params, ref_params), ("state", update.state, ref_state)
             ):
-                ref = None
-            # Poisoned tensors ship raw so the quarantine NaN scan still
-            # fires on exactly the values the client produced.
-            if not np.isfinite(arr).all():
-                wire += arr.nbytes
-                continue
-            if cfg.update_rle:
-                if ref is not None:
-                    packed = rle_encode_bytes(
-                        arr.tobytes(), np.ascontiguousarray(ref).tobytes()
+                if cfg.update_rle:
+                    wires[i] += _rle_wire(tree, ref_tree)
+                    continue
+                by_dtype: dict[np.dtype, list[str]] = {}
+                for key, arr in tree.items():
+                    by_dtype.setdefault(arr.dtype, []).append(key)
+                for dtype, keys in by_dtype.items():
+                    arrays = [tree[key] for key in keys]
+                    blocks.setdefault((dtype, tuple(arr.shape for arr in arrays)), []).append(
+                        _Row(i, (update.client_id, update.model_id, scope), tree, tuple(keys), arrays, ref_tree)
                     )
-                    wire += len(packed) if packed is not None else arr.nbytes
-                else:
-                    wire += arr.nbytes
-                continue  # lossless: values untouched
-            delta = arr - ref if ref is not None else arr.copy()
-            rkey = (client_id, model_id, scope, key)
-            residual = self._residuals.get(rkey)
-            if residual is not None and residual.shape == delta.shape:
-                delta = delta + residual
-            nbytes, decoded = self._lossy_encode(delta)
-            self._residuals[rkey] = delta - decoded
-            tree[key] = ref + decoded if ref is not None else decoded
-            wire += nbytes
-        return wire
+        for (dtype, shapes), rows in blocks.items():
+            layout = self._layouts.get((dtype, shapes))
+            if layout is None:
+                layout = self._layouts[(dtype, shapes)] = _Layout(shapes, dtype, cfg)
+            self._encode_block(layout, rows, wires)
+        return wires
 
-    def _lossy_encode(self, delta: np.ndarray) -> tuple[int, np.ndarray]:
-        """Top-k + quantize one delta; returns ``(wire_bytes, decoded)``."""
+    def _encode_block(self, layout: "_Layout", rows: "list[_Row]", wires: list[int]) -> None:
+        """Top-k + quantize one block, its m rows' tensors stacked as an
+        ``(m, N)`` matrix, each step one whole-block op; the rows' trees
+        and residuals are updated in place and ``wires`` gains each row's
+        bytes.
+
+        A tensor whose ``delta + residual`` or decoded delta is not finite
+        ships raw: its values and residual stay as they were, and its wire
+        cost is its raw size.
+        """
         cfg = self.config
-        flat = np.ravel(delta)
-        n = flat.size
-        wire = 0
-        idx: np.ndarray | None = None
-        if cfg.update_topk is not None:
-            k = max(1, int(np.ceil(cfg.update_topk * n)))
-            if k < n:
-                # Stable selection: magnitude first, index breaks ties, so
-                # every backend keeps the same k coordinates.  Partition
-                # finds the k-th magnitude in O(n); usually exactly k
-                # elements reach it and one flatnonzero yields them already
-                # index-sorted.  Boundary ties (> k candidates) keep the
-                # lowest tied indices — exactly the
-                # lexsort((index, -magnitude)) selection, much cheaper.
-                mag = np.abs(flat)
-                kth = np.partition(mag, n - k)[n - k]
-                idx = np.flatnonzero(mag >= kth)
-                if idx.size > k:
-                    gt = mag[idx] > kth
-                    keep = k - np.count_nonzero(gt)
-                    idx = np.concatenate((idx[gt], idx[~gt][:keep]))
-                    idx.sort()
-                wire += len(encode_indices(idx, n))
-        values = flat[idx] if idx is not None else flat
+        m, dtype, tensors = len(rows), layout.dtype, len(layout.sizes)
+        values = np.concatenate([arr for row in rows for arr in row.arrays], axis=None)
+        values = values.reshape(m, layout.width)
+        # Each row's reference tensors as one vector, +0.0 where there is
+        # none (gone, reshaped): x - (+0.0) is x for every x.
+        plans: dict[tuple, tuple] = {}
+        for row in rows:
+            if (id(row.ref_tree), row.keys) not in plans:
+                refs = [row.ref_tree.get(key) for key in row.keys]
+                has = [
+                    ref is not None and ref.shape == arr.shape and ref.dtype == arr.dtype
+                    for ref, arr in zip(refs, row.arrays)
+                ]
+                vec = np.concatenate(
+                    [ref if ok else layout.zeros[lo:hi]
+                     for ref, ok, (lo, hi) in zip(refs, has, layout.bounds)],
+                    axis=None,
+                ) if any(has) else None
+                plans[(id(row.ref_tree), row.keys)] = (vec, has)
+        row_plans = [plans[(id(row.ref_tree), row.keys)] for row in rows]
+        if len(plans) == 1:
+            ref_block = row_plans[0][0]  # one reference for all rows: broadcast
+        elif any(vec is not None for vec, _ in row_plans):
+            ref_block = np.stack([layout.zeros if vec is None else vec for vec, _ in row_plans])
+        else:
+            ref_block = None
+        work = values if ref_block is None else values - ref_block
+        # Error feedback; -0.0 where a residual is missing or reshaped, as
+        # x + (-0.0) is x for every x.
+        residuals = [
+            self._residuals.get((*row.owner, key)) for row in rows for key in row.keys
+        ]
+        if any(res is not None for res in residuals):
+            shapes = layout.shapes * m
+            bounds = layout.bounds * m
+            np.add(work, np.concatenate([
+                res if res is not None and res.shape == shape and res.dtype == dtype
+                else layout.neg_zeros[lo:hi]
+                for res, shape, (lo, hi) in zip(residuals, shapes, bounds)
+            ], axis=None).reshape(work.shape), out=work)
+        raw = None
+        finite = np.isfinite(work)
+        if not finite.all():
+            raw = layout.per_tensor(np.logical_or, ~finite)
+            work[~finite] = 0  # inert stand-ins: these tensors ship raw
+        # Top-k: each (row, tensor)'s k-th magnitude comes from one
+        # partition per tensor, and a row keeps what reaches it.  Usually
+        # exactly k do; boundary ties keep the lowest tied indices.
+        mag = np.abs(work) if layout.sparse or cfg.update_quantizer == "int8" else None
+        keep = None
+        if layout.sparse:
+            kth = np.zeros((m, tensors), dtype=mag.dtype)
+            for t, lo, hi, pos in layout.sparse:
+                kth[:, t] = np.partition(mag[:, lo:hi], pos, axis=1)[:, pos]
+            keep = mag >= layout.spread(kth)
+            if np.count_nonzero(keep) != m * layout.kept_total:
+                _break_ties(layout, mag, kth, keep, raw)
         if cfg.update_quantizer == "int8":
-            # Symmetric int8: scale = max|x| / 127 and clip(rint(x/scale)),
-            # so equal inputs quantize equally on every backend; 1 byte per
-            # element plus the scale on the wire, and an all-zero tensor has
-            # scale 0 and decodes to exact zeros.  The max-magnitude element
-            # always survives top-k, so the selected max equals the overall
-            # max — when mag is already paid for, skip a second abs.
-            if idx is not None:
-                amax = float(mag.max()) if n else 0.0
-            else:
-                amax = float(np.max(np.abs(values))) if n else 0.0
-            wire += values.size + 8  # 8: the float64 scale on the wire
-            scale = amax / 127.0
-            if scale == 0.0:
-                decoded_values = np.zeros(values.shape, dtype=values.dtype)
-            else:
-                q = np.clip(np.rint(values / scale), -127, 127).astype(np.int8)
-                decoded_values = q.astype(values.dtype) * values.dtype.type(
-                    scale
-                )
+            # Symmetric int8 per (row, tensor): scale = max|x| / 127 and
+            # clip(rint(x/scale)); a zero scale decodes to exact zeros.
+            # The max-magnitude element always survives top-k, so the
+            # tensor's max is the kept values' max.
+            scale = layout.per_tensor(np.maximum, mag).astype(np.float64) / 127.0
+            divisor = np.where(scale == 0.0, 1.0, scale).astype(layout.quotient)
+            q = np.rint(work / layout.spread(divisor))
+            q = np.clip(q, -127, 127, out=q).astype(np.int8)
+            decoded = q.astype(dtype) * layout.spread(scale.astype(dtype))
         elif cfg.update_quantizer == "bf16":
-            payload = bf16_encode(values)
-            wire += len(payload)
-            decoded_values = bf16_decode(payload, values.shape, values.dtype)
+            decoded = bf16_decode(bf16_encode(work), work.shape, dtype)
         else:
-            wire += values.nbytes
-            decoded_values = values.copy()
-        if idx is not None:
-            decoded = np.zeros(n, dtype=flat.dtype)
-            decoded[idx] = decoded_values
-        else:
-            decoded = decoded_values
-        return wire, decoded.reshape(delta.shape)
+            decoded = work
+        seg_wire = np.broadcast_to(layout.wire, (m, tensors))
+        if keep is not None:
+            decoded = np.where(keep, decoded, 0)
+            seg_wire = seg_wire + layout.index_bytes(keep)
+        bad = ~np.isfinite(decoded)
+        if bad.any():  # the quantizer overflowed (bf16 of a huge float64)
+            over = layout.per_tensor(np.logical_or, bad)
+            raw = over if raw is None else raw | over
+        if raw is not None:
+            seg_wire = np.where(raw, layout.nbytes, seg_wire)
+        row_wires = seg_wire.sum(axis=1).tolist()
+        residual = work - decoded
+        out = decoded if ref_block is None else ref_block + decoded
+        shipped_raw = raw.tolist() if raw is not None else [[False] * tensors] * m
+        for r, (row, (_, has)) in enumerate(zip(rows, row_plans)):
+            wires[row.index] += row_wires[r]
+            res_row = residual[r].copy()  # a row outlives its block
+            for key, ok, (lo, hi), shape, skip in zip(
+                row.keys, has, layout.bounds, layout.shapes, shipped_raw[r]
+            ):
+                if not skip:
+                    row.tree[key] = (out if ok else decoded)[r, lo:hi].reshape(shape)
+                    self._residuals[(*row.owner, key)] = res_row[lo:hi].reshape(shape)
+
+
+class _Row(NamedTuple):
+    """One update's tree of one dtype, as a row of a block."""
+
+    index: int  # the update's position in its flush
+    owner: tuple[int, str, str]  # (client_id, model_id, scope): residual keys
+    tree: dict
+    keys: tuple[str, ...]
+    arrays: list[np.ndarray]
+    ref_tree: dict
+
+
+def _per_update(value, n: int, name: str) -> list:
+    """One object for every update of a flush, or one per update."""
+    if not isinstance(value, (list, tuple)):
+        return [value] * n
+    if len(value) != n:
+        raise ValueError(f"a flush of {n} updates got {len(value)} {name}s")
+    return list(value)
+
+
+def _rle_wire(tree: dict, ref_tree: dict) -> int:
+    """The lossless ``rle`` path's wire bytes for one tree (values untouched)."""
+    wire = 0
+    for key in tree:
+        arr = np.ascontiguousarray(tree[key])
+        ref = ref_tree.get(key)
+        # Poisoned tensors ship raw so the quarantine NaN scan still fires
+        # on exactly the values the client produced.
+        if (
+            ref is None or ref.shape != arr.shape or ref.dtype != arr.dtype
+            or not np.isfinite(arr).all()
+        ):
+            wire += arr.nbytes
+            continue
+        packed = rle_encode_bytes(arr.tobytes(), np.ascontiguousarray(ref).tobytes())
+        wire += len(packed) if packed is not None else arr.nbytes
+    return wire
+
+
+def _varint_len(value: int) -> int:
+    """Bytes :func:`_put_varint` spends on ``value``."""
+    return 1 + (value.bit_length() - 1) // 7 if value else 1
+
+
+class _Layout:
+    """The column plan of a block: tensors of one dtype and shape list,
+    laid side by side in ``width`` columns.
+
+    Everything here is a function of the shapes and the codec config, so
+    a codec builds it once per layout, not once per flush.
+    """
+
+    def __init__(self, shapes: tuple, dtype: np.dtype, config: TransportConfig):
+        topk, quantizer = config.update_topk, config.update_quantizer
+        sizes = [math.prod(shape) for shape in shapes]
+        starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        self.shapes, self.dtype = shapes, dtype
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.bounds = [(int(lo), int(lo) + n) for lo, n in zip(starts, sizes)]
+        self.width = sum(sizes)
+        self.nbytes = self.sizes * dtype.itemsize
+        # What int8's x / scale divides in: the dtype a Python float scale
+        # takes against this one (float32 stays float32).
+        self.quotient = np.result_type(dtype, 1.0)
+        self.zeros = np.zeros(self.width, dtype=dtype)
+        self.neg_zeros = np.full(self.width, -0.0, dtype=dtype)
+        # reduceat cannot express an empty segment: reductions run over the
+        # non-empty tensors.
+        self.nonempty = np.flatnonzero(self.sizes)
+        self.nonempty_starts = starts[self.nonempty]
+        # Per tensor: the k it keeps (k < n: top-k thins it, and
+        # ``sparse`` holds (t, lo, hi, n - k)), its index stream's header
+        # bytes, and its wire bytes but the stream's (gap, run) pairs.
+        kept, self.headers, wire, self.sparse = [], [], [], []
+        for t, (n, (lo, hi)) in enumerate(zip(sizes, self.bounds)):
+            k = max(1, int(np.ceil(topk * n))) if topk is not None else n
+            header = 0
+            if k < n:
+                self.sparse.append((t, lo, hi, n - k))
+                header = _varint_len(n) + _varint_len(k)
+            else:
+                k = n
+            kept.append(k)
+            self.headers.append(header)
+            payload = {"int8": k + 8, "bf16": 2 * k}.get(quantizer, k * dtype.itemsize)
+            wire.append(header + payload)
+        self.kept = np.array(kept, dtype=np.int64)
+        self.kept_total = sum(kept)
+        self.wire = np.array(wire, dtype=np.int64)
+        if self.sparse:
+            # The index streams' plan: sparse tensors' columns are copied
+            # into a padded row with a zero separator column before each
+            # tensor and at the end, so no run crosses a tensor boundary.
+            # A run starting at padded column c + 1 shows at column c of
+            # the row's diff; ``run_base[c]`` is where a run starting at
+            # that tensor's first element shows, ``run_tensor[c]`` the
+            # tensor's index.
+            t_of = np.repeat(np.arange(len(sizes)), sizes)
+            self.cols = np.concatenate([np.arange(lo, hi) for _, lo, hi, _ in self.sparse])
+            self.padded_cols = self.cols + t_of[self.cols] + 1
+            self.padded_width = self.width + len(sizes) + 1
+            self.run_base = np.zeros(self.padded_width - 1, dtype=np.int64)
+            self.run_tensor = np.zeros(self.padded_width - 1, dtype=np.int64)
+            for t, (lo, hi) in enumerate(self.bounds):
+                self.run_base[lo + t : hi + t] = lo + t
+                self.run_tensor[lo + t : hi + t] = t
+
+    def spread(self, per_tensor: np.ndarray) -> np.ndarray:
+        """``(m, tensors)`` -> ``(m, width)``: each value over its tensor's
+        columns."""
+        return np.repeat(per_tensor, self.sizes, axis=1)
+
+    def per_tensor(self, ufunc: np.ufunc, x: np.ndarray, dtype=None) -> np.ndarray:
+        """``ufunc.reduceat`` over each tensor's columns: ``(m, width)`` ->
+        ``(m, tensors)``, an empty tensor reducing to 0."""
+        if self.nonempty.size == len(self.sizes):
+            return ufunc.reduceat(x, self.nonempty_starts, axis=1, dtype=dtype)
+        out = np.zeros((x.shape[0], len(self.sizes)), dtype=dtype or x.dtype)
+        if self.nonempty.size:
+            out[:, self.nonempty] = ufunc.reduceat(x, self.nonempty_starts, axis=1, dtype=dtype)
+        return out
+
+    def index_bytes(self, keep: np.ndarray) -> np.ndarray:
+        """``(m, tensors)`` bytes of the (gap, run) varint pairs
+        :func:`encode_indices` writes for each row's kept columns."""
+        m, tensors = keep.shape[0], len(self.bounds)
+        padded = np.zeros((m, self.padded_width), dtype=np.int8)
+        padded[:, self.padded_cols] = keep[:, self.cols]
+        edges = np.flatnonzero(np.diff(padded, axis=1))
+        starts, ends = edges[0::2], edges[1::2]
+        stride = self.padded_width - 1
+        row = starts // stride
+        col = starts - row * stride
+        # A run's gap counts the dropped columns since the previous run's
+        # end or, for a tensor's first run, since the tensor's start.
+        prev = np.empty_like(ends)
+        prev[:1] = -1
+        prev[1:] = ends[:-1]
+        gaps = starts - np.maximum(prev, row * stride + self.run_base[col])
+        runs = ends - starts
+        segment = row * tensors + self.run_tensor[col]
+        # Sparse masks keep every gap and run under 0x80: one varint byte
+        # each.  A segment with a longer one has its stream built and
+        # measured.
+        counts = 2 * np.bincount(segment, minlength=m * tensors)
+        for seg in np.unique(segment[(gaps >= 0x80) | (runs >= 0x80)]).tolist():
+            r, t = divmod(seg, tensors)
+            lo, hi = self.bounds[t]
+            stream = encode_indices(np.flatnonzero(keep[r, lo:hi]), hi - lo)
+            counts[seg] = len(stream) - self.headers[t]
+        return counts.reshape(m, tensors)
+
+
+def _break_ties(layout: _Layout, mag, kth, keep, raw) -> None:
+    """Trim the (row, tensor) segments where more than k magnitudes reach
+    the k-th: all strictly larger ones stay, and of the tied ones the
+    lowest indices fill the rest, exactly the ``lexsort((index,
+    -magnitude))`` selection."""
+    over = layout.per_tensor(np.add, keep, dtype=np.int64) > layout.kept
+    if raw is not None:
+        over &= ~raw
+    for r, t in zip(*np.nonzero(over)):
+        lo, hi = layout.bounds[t]
+        segment = mag[r, lo:hi]
+        tied = np.flatnonzero(segment == kth[r, t])
+        room = int(layout.kept[t]) - int(np.count_nonzero(segment > kth[r, t]))
+        keep[r, lo + tied[room:]] = False
 
 
 def _residuals_v2(payload: dict) -> dict:
@@ -642,6 +866,10 @@ def _residuals_v2(payload: dict) -> dict:
         )
     ):
         raise ValueError("TransportCodec/v2: the values arenas disagree with the size column")
+    # A live encode never leaves a non-finite residual (such tensors ship
+    # raw); one would silently zero its client's next update of the tensor.
+    if not all(np.isfinite(arena).all() for arena in values.values()):
+        raise ValueError("TransportCodec/v2: a residual holds a non-finite value")
     offsets = dict.fromkeys(totals, 0)
     residuals = {}
     for cid, t, m in zip(client_id, tensor, size):

@@ -607,13 +607,15 @@ class TestDeferredTraining:
         encoded = []
         encode_update = TransportCodec.encode_update
 
-        def encode_and_check(self, update, reference=None, **kw):
-            # HeteroFL assigns one model per client: one update per dispatch.
-            version, refs = at_dispatch.pop(update.client_id)
-            assert engine._version == version
-            assert (id(reference), reference.version) == refs[update.model_id]
-            encoded.append(update.client_id)
-            return encode_update(self, update, reference, **kw)
+        def encode_and_check(self, updates, references=None, **kw):
+            # One call per flush; HeteroFL assigns one model per client:
+            # one update per dispatch.
+            for update, reference in zip(updates, references):
+                version, refs = at_dispatch.pop(update.client_id)
+                assert engine._version == version
+                assert (id(reference), reference.version) == refs[update.model_id]
+                encoded.append(update.client_id)
+            return encode_update(self, updates, references, **kw)
 
         monkeypatch.setattr(BufferedAsyncEngine, "_fill_slots", fill_and_record)
         monkeypatch.setattr(TransportCodec, "encode_update", encode_and_check)
@@ -644,6 +646,29 @@ class TestDeferredTraining:
         finally:
             coord.executor.close()
         assert (len(calls), sum(calls)) == (4, 31)
+
+    def test_encode_calls_of_the_fleet_smoke_workload(self, tmp_path, monkeypatch):
+        """The same run encodes its 31 updates in 4 ``encode_update`` calls,
+        one per flush (31 when the codec took one update per call)."""
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_e2e_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        calls = []
+        encode_update = TransportCodec.encode_update
+
+        def counted(self, updates, *args, **kw):
+            calls.append(len(updates))
+            return encode_update(self, updates, *args, **kw)
+
+        monkeypatch.setattr(TransportCodec, "encode_update", counted)
+        coord = workloads.WORKLOADS["fleet_async_mixed"].build(0, True, tmp_path)
+        try:
+            coord.run()
+        finally:
+            coord.executor.close()
+        assert calls == [16, 7, 6, 2]
 
 
 def _bound_run(draw_fleet, strategy_kind, width, deadline_mult, compress):
@@ -680,10 +705,11 @@ def _bound_run(draw_fleet, strategy_kind, width, deadline_mult, compress):
             if pending.client_id in lower:
                 bounds.append((lower[pending.client_id], time, pending.dropped))
 
-    def encode_and_record(self, update, reference=None, **kw):
-        client = coord.executor.clients_by_id[update.client_id]
-        estimates.append((estimate_round_time(client, reference, TRAINER), update.round_time))
-        return encode_update(self, update, reference, **kw)
+    def encode_and_record(self, updates, references=None, **kw):
+        for update, reference in zip(updates, references):
+            client = coord.executor.clients_by_id[update.client_id]
+            estimates.append((estimate_round_time(client, reference, TRAINER), update.round_time))
+        return encode_update(self, updates, references, **kw)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(BufferedAsyncEngine, "_flush", flush_and_record)

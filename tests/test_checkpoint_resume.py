@@ -22,13 +22,16 @@ that the final resumed export matches the uninterrupted run exactly.
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 import zipfile
 from dataclasses import asdict, fields, replace
 from functools import cache
@@ -66,6 +69,7 @@ from repro.fl.checkpoint import (
 from repro.fl.eval_cache import EvalCache
 from repro.fl.export import log_to_dict
 from repro.fl.registry import RunRegistry, fleet_fingerprint, run_hash
+from repro.fl.scheduling.fleet import RoundTimeStats
 from repro.fl.scheduling.selectors import AvailabilityAwareSelector
 from repro.fl.transport import TransportCodec, TransportConfig
 from repro.nn import mlp, set_compute_dtype
@@ -224,6 +228,20 @@ class TestArenaContainer:
     bit-exact, every restored array is a private writable copy, and the
     arena table holds exactly the leaves' bytes."""
 
+    def test_flattening_holds_no_leaf_past_its_return(self):
+        """A written payload's arrays are freed when the writer drops them,
+        not at the next full garbage collection (the flattener's recursive
+        closure was a reference cycle through every leaf it ravelled)."""
+        leaf = np.arange(6.0)
+        alive = weakref.ref(leaf)
+        gc.disable()
+        try:
+            flatten_payload({"w": leaf, "nested": [leaf[1:]]})
+            del leaf
+            assert alive() is None
+        finally:
+            gc.enable()
+
     @settings(max_examples=60, deadline=None)
     @given(payload=_PAYLOADS)
     def test_round_trip_is_bit_exact_and_private(self, payload):
@@ -372,6 +390,19 @@ _COLUMN_TAMPERS = {
     "extra arena": lambda p: _set(p["values"], "<i8", np.zeros(1, dtype=np.int64)),
     "missing arena": lambda p: p["values"].pop("<f4"),
     "repeated row": lambda p: _set(p["client_id"], 2, p["client_id"][0]),
+    "NaN residual": lambda p: _set(p["values"]["<f8"], 1, np.nan),
+    "infinite residual": lambda p: _set(p["values"]["<f4"], 0, -np.inf),
+}
+
+# Each makes device class 1's round-time window one a run cannot write.
+_WINDOW_TAMPERS = {
+    "NaN": lambda w: w.__setitem__(0, math.nan),
+    "inf (1e400)": lambda w: w.__setitem__(0, json.loads("1e400")),
+    "negative": lambda w: w.__setitem__(0, -5.0),
+    "string": lambda w: w.__setitem__(0, "-5"),
+    "bool": lambda w: w.__setitem__(0, True),
+    "null": lambda w: w.__setitem__(0, None),
+    "past the window": lambda w: w.extend([1.0] * 20),
 }
 
 
@@ -552,6 +583,31 @@ class TestHostilePayloads:
         _COLUMN_TAMPERS[tamper](payload)
         with pytest.raises(ValueError, match="TransportCodec/v2"):
             TransportCodec(codec.config).load_state_dict(payload)
+
+    def test_a_non_finite_residual_is_a_value_error(self, rng):
+        """A NaN residual loaded, and the client's next encode of the tensor
+        then decoded to exactly the reference (and stayed NaN): refused."""
+        codec = TransportCodec(TransportConfig.parse("update:int8"))
+        codec._residuals[(0, "m0", "param", "w")] = rng.standard_normal(8)
+        payload = codec.state_dict()
+        payload["values"]["<f8"][3] = np.nan
+        with pytest.raises(ValueError, match="TransportCodec/v2: a residual holds a non-finite"):
+            TransportCodec(codec.config).load_state_dict(payload)
+
+    @pytest.mark.parametrize("tamper", sorted(_WINDOW_TAMPERS))
+    def test_a_malformed_round_time_window_is_a_value_error(self, tamper):
+        """Quantile pacing's windows take only finite, non-negative JSON
+        numbers, at most a window's worth: a NaN sample made the class's
+        deadline NaN, and extra samples were silently dropped."""
+        stats = RoundTimeStats(3, 8)
+        for cls, duration in ((0, 1.0), (1, 2.0), (1, 3.0), (2, 4.0)):
+            stats.observe(cls, duration)
+        payload = json.loads(json.dumps(stats.state_dict()))
+        _WINDOW_TAMPERS[tamper](payload["durations"][1])
+        restored = RoundTimeStats(3, 8)
+        with pytest.raises(ValueError, match="RoundTimeStats class 1"):
+            restored.load_state_dict(payload)
+        assert restored.chronological() == [[], [], []]  # nothing half-loaded
 
     def test_a_malformed_column_names_the_checkpoint_file(self, tmp_path):
         stack = dict(mode="async", compress="update:topk0.05+int8")

@@ -192,6 +192,49 @@ def test_round_time_stats_matches_deque_reference():
     assert reloaded.chronological() == stats.chronological()
 
 
+_DURATIONS = st.one_of(
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, 1e300, 5e-324]),  # ties, extremes
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window=st.integers(1, 12),
+    num_classes=st.integers(1, 3),
+    observations=st.lists(st.tuples(st.integers(0, 2), _DURATIONS), max_size=60),
+    qs=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
+    reload_at=st.integers(0, 60),
+)
+def test_sorted_window_quantile_is_np_quantile(window, num_classes, observations, qs, reload_at):
+    """The sorted window's O(1) quantile is ``np.quantile`` over the ring,
+    bit for bit, through ring wrap-around, ties and a ``load_state_dict``
+    round trip (which rebuilds the sorted copies)."""
+    qs = [*qs, 0.9, 0.5, 1.0]
+    stats = RoundTimeStats(num_classes, window)
+    reference = [deque(maxlen=window) for _ in range(num_classes)]
+    for step, (cls, duration) in enumerate(observations):
+        if step == reload_at:
+            reloaded = RoundTimeStats(num_classes, window)
+            reloaded.load_state_dict(json.loads(json.dumps(stats.state_dict())))
+            stats = reloaded
+        cls %= num_classes
+        stats.observe(cls, duration)
+        reference[cls].append(duration)
+        for q in qs:
+            want = float(np.quantile(np.array(reference[cls]), q))
+            assert np.float64(stats.quantile(cls, q)).tobytes() == np.float64(want).tobytes()
+
+
+def test_a_round_time_is_a_finite_non_negative_number():
+    """The live write path refuses what the checkpoint reader refuses."""
+    stats = RoundTimeStats(2, 4)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="class 1"):
+            stats.observe(1, bad)
+    assert stats.count(1) == 0
+
+
 # ----------------------------------------------------------------------
 # availability: mask invariance, churn models, fallback metering
 # ----------------------------------------------------------------------

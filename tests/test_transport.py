@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_transport import OracleCodec
 
 from repro.baselines import fedavg
 from repro.data import SyntheticTaskConfig, build_federated_dataset
@@ -536,6 +537,240 @@ class TestTransportCodec:
         assert update.round_time == pytest.approx(t0 - saved)
 
 
+    def test_a_non_finite_delta_plus_residual_ships_raw(self):
+        """A finite client tensor whose delta overflows ships raw, like a
+        poisoned one: values and residual untouched, raw bytes metered, and
+        the codec's payload still loads."""
+        big = np.float32(3e38)
+        for spec in ("update:int8", "update:topk0.5+int8", "update:bf16", "update:topk0.5"):
+            codec = TransportCodec(TransportConfig.parse(spec))
+            w = np.full(4, big, dtype=np.float32)
+            update = _mk_update({"w": w.copy(), "v": np.ones(3, dtype=np.float32)})
+            codec.encode_update(update, _FakeModel({"w": -w, "v": np.zeros(3, dtype=np.float32)}))
+            np.testing.assert_array_equal(update.params["w"], w)
+            assert (0, "m0", "param", "w") not in codec._residuals
+            assert (0, "m0", "param", "v") in codec._residuals
+            assert update.bytes_up > w.nbytes  # w raw, plus v encoded
+            TransportCodec(codec.config).load_state_dict(codec.state_dict())
+
+    def test_a_bf16_overflow_ships_raw(self):
+        """float64 past bfloat16's range would decode to inf and leave an
+        infinite residual the checkpoint reader refuses: it ships raw."""
+        codec = TransportCodec(TransportConfig.parse("update:bf16"))
+        w = np.array([1e39, 1.0])
+        update = _mk_update({"w": w.copy()})
+        codec.encode_update(update)
+        np.testing.assert_array_equal(update.params["w"], w)
+        assert update.bytes_up == w.nbytes and not codec._residuals
+
+    def test_a_residual_of_another_dtype_is_reset(self):
+        codec = TransportCodec(TransportConfig.parse("update:int8"))
+        codec._residuals[(0, "m0", "param", "w")] = np.ones(4, dtype=np.float32)
+        codec.encode_update(_mk_update({"w": np.linspace(0.0, 1.0, 4)}))
+        assert codec._residuals[(0, "m0", "param", "w")].dtype == np.float64
+
+    def test_a_flush_carries_one_update_per_owner(self):
+        """Two updates of one (client, model) would each read the residual
+        the other leaves: a flush holds at most one."""
+        codec = TransportCodec(TransportConfig.parse("update:int8"))
+        with pytest.raises(ValueError, match="one update per"):
+            codec.encode_update([_mk_update({"w": np.ones(2)}) for _ in range(2)])
+
+    def test_a_flush_needs_one_reference_and_device_per_update(self):
+        codec = TransportCodec(TransportConfig.parse("update:int8"))
+        with pytest.raises(ValueError, match="2 updates got 1 references"):
+            codec.encode_update([_mk_update({"w": np.ones(2)}, cid=c) for c in (0, 1)], [None])
+
+
+# ----------------------------------------------------------------------
+# the flush encoder == the per-tensor oracle (tests/oracle_transport.py)
+# ----------------------------------------------------------------------
+_LOSSY_SPECS = (
+    "update:topk0.05",
+    "update:topk0.3",
+    "update:int8",
+    "update:bf16",
+    "update:topk0.05+int8",
+    "update:topk0.3+int8",
+    "update:topk0.1+bf16",
+    "update:topk0.3+bf16",
+)
+_SHAPES = st.sampled_from(
+    [(0,), (1,), (2,), (7,), (33,), (4, 5), (0, 3), (16, 8), (3, 1, 2), (600,)]
+)
+
+
+@st.composite
+def _flush_runs(draw):
+    """A codec spec and dtype, 1-3 models' (param, state) shape lists, and
+    1-2 flushes of 1-16 ``(client, model)`` updates."""
+    num_models = draw(st.integers(1, 3))
+    return dict(
+        spec=draw(st.sampled_from(_LOSSY_SPECS)),
+        dtype=draw(st.sampled_from([np.float64, np.float32])),
+        layouts=[
+            (draw(st.lists(_SHAPES, min_size=1, max_size=4)), draw(st.lists(_SHAPES, max_size=2)))
+            for _ in range(num_models)
+        ],
+        flushes=draw(
+            st.lists(
+                st.lists(
+                    st.tuples(st.integers(0, 7), st.integers(0, num_models - 1)),
+                    min_size=1, max_size=16, unique=True,
+                ),
+                min_size=1, max_size=2,
+            )
+        ),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _tensor(rng, shape, dtype, ref=None):
+    """A client tensor: ``ref`` plus a delta that is Gaussian, tied (a few
+    exact values), zero, spiky (a few large values among zeros: long
+    index-stream gaps), on int8's half steps, or the client tensor is all
+    -0.0 or poisoned with a NaN/Inf."""
+    kind = rng.choice(
+        ["normal", "tied", "zero", "spiky", "half-step", "signed-zero", "poison"],
+        p=[0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1],
+    )
+    size = math.prod(shape)
+    if kind in ("normal", "poison"):
+        delta = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 2)
+    elif kind == "tied":
+        delta = rng.integers(-2, 3, shape) * 0.5
+    elif kind == "spiky":
+        delta = np.zeros(size)
+        delta[rng.integers(size, size=min(size, 3))] = rng.standard_normal(min(size, 3)) * 5
+        delta = delta.reshape(shape)
+    elif kind == "half-step":
+        # x / (max|x| / 127) lands on n + 0.5: rounding there depends on
+        # the dtype the division runs in.
+        top = float(rng.uniform(0.1, 10.0))
+        delta = top * (rng.integers(-127, 127, shape) + 0.5) / 127
+        if size:
+            delta.flat[0] = top
+    else:
+        delta = np.zeros(shape)
+    if kind == "signed-zero":
+        return np.full(shape, -0.0, dtype=dtype)
+    arr = (delta if ref is None else ref + delta).astype(dtype)
+    if kind == "poison" and arr.size:
+        arr.flat[rng.integers(arr.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    return arr
+
+
+def _flush_world(rng, run):
+    """Per model: the shared reference, its keys and shapes."""
+    dtype = run["dtype"]
+    models = []
+    for j, (param_shapes, state_shapes) in enumerate(run["layouts"]):
+        trees = []
+        for prefix, shapes in (("p", param_shapes), ("s", state_shapes)):
+            trees.append({
+                f"{prefix}{t}": [
+                    lambda: rng.integers(-8, 9, shape) * 0.25,  # exact deltas: ties
+                    lambda: rng.standard_normal(shape),
+                    lambda: np.zeros(shape),  # deltas are the client values
+                ][rng.integers(3)]().astype(dtype)
+                for t, shape in enumerate(shapes)
+            })
+        models.append((f"m{j}", _FakeModel(*trees)))
+    return models
+
+
+def _reference_for(rng, model: "_FakeModel", dtype):
+    """The model's own reference most of the time; else none, or a copy
+    with one tensor reshaped or retyped (the codec must then drop it)."""
+    kind = rng.choice(["model", "none", "reshaped", "retyped"], p=[0.7, 0.1, 0.1, 0.1])
+    if kind == "model":
+        return model
+    if kind == "none":
+        return None
+    params = dict(model.params())
+    key = rng.choice(sorted(params))
+    if kind == "reshaped":
+        params[key] = np.zeros(params[key].size + 1, dtype=dtype)
+    else:
+        params[key] = params[key].astype(np.float32 if dtype == np.float64 else np.float64)
+    return _FakeModel(params, model.state())
+
+
+def _seed_residuals(rng, codecs, models, dtype):
+    """The same pre-existing residuals in every codec: right-shaped,
+    wrong-shaped, or none, per (client, model, tensor)."""
+    for cid in range(8):
+        for mid, model in models:
+            for scope, tree in (("param", model.params()), ("state", model.state())):
+                for key, ref in tree.items():
+                    kind = rng.choice(["none", "right", "wrong"], p=[0.5, 0.35, 0.15])
+                    if kind == "none":
+                        continue
+                    shape = ref.shape if kind == "right" else (ref.size + 2,)
+                    res = (rng.standard_normal(shape) * 0.01).astype(dtype)
+                    for codec in codecs:
+                        codec._residuals[(cid, mid, scope, key)] = res.copy()
+
+
+def _bits(arr: np.ndarray) -> tuple:
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+class TestFlushOracle:
+    """CONTRACTS.md I11: one ``encode_update`` call per flush gives, update
+    by update, the bytes of the per-tensor codec it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=_flush_runs())
+    def test_a_flush_encodes_like_the_per_tensor_oracle(self, run):
+        rng = np.random.default_rng(run["seed"])
+        dtype = run["dtype"]
+        cfg = TransportConfig.parse(run["spec"])
+        flush_codec, oracle = TransportCodec(cfg), OracleCodec(cfg)
+        models = _flush_world(rng, run)
+        _seed_residuals(rng, (flush_codec, oracle), models, dtype)
+        for flush in run["flushes"]:
+            updates, twins, refs, devices = [], [], [], []
+            for cid, j in flush:
+                mid, model = models[j]
+                ref = _reference_for(rng, model, dtype)
+                params = {k: _tensor(rng, r.shape, dtype, r) for k, r in model.params().items()}
+                state = {k: _tensor(rng, r.shape, dtype, r) for k, r in model.state().items()}
+                for out in (updates, twins):
+                    out.append(_mk_update(
+                        {k: v.copy() for k, v in params.items()},
+                        {k: v.copy() for k, v in state.items()},
+                        cid=cid, mid=mid,
+                    ))
+                refs.append(ref)
+                devices.append(DeviceTrace(cid, 1e9, float(rng.uniform(1e3, 1e7)), 1e15))
+            flush_codec.encode_update(updates, refs, device=devices, wire_time=True)
+            for twin, ref, device in zip(twins, refs, devices):
+                oracle.encode_update(twin, ref, device=device, wire_time=True)
+            for got, want in zip(updates, twins):
+                assert got.bytes_up == want.bytes_up
+                assert struct.pack("<d", got.round_time) == struct.pack("<d", want.round_time)
+                for tree, oracle_tree in ((got.params, want.params), (got.state, want.state)):
+                    assert list(tree) == list(oracle_tree)
+                    assert {k: _bits(v) for k, v in tree.items()} == {
+                        k: _bits(v) for k, v in oracle_tree.items()
+                    }
+            assert {k: _bits(v) for k, v in flush_codec._residuals.items()} == {
+                k: _bits(v) for k, v in oracle._residuals.items()
+            }
+        got, want = flush_codec.state_dict(), oracle.state_dict()
+        assert got.keys() == want.keys()
+        for name in got:
+            if name == "values":
+                assert {d: _bits(a) for d, a in got[name].items()} == {
+                    d: _bits(a) for d, a in want[name].items()
+                }
+            elif isinstance(got[name], np.ndarray):
+                assert _bits(got[name]) == _bits(want[name])
+            else:
+                assert got[name] == want[name]
+
+
 # ----------------------------------------------------------------------
 # shm wire-format version tag
 # ----------------------------------------------------------------------
@@ -814,6 +1049,17 @@ class TestHostileSnapshots:
         magic, version, _ = prefix.unpack_from(full, 0)
         bad = prefix.pack(magic, version, len(full) - prefix.size + extra) + full[prefix.size :]
         with pytest.raises(SnapshotFormatError, match="past the"):
+            _read(bad)
+
+    def test_a_header_repeating_a_key_is_refused(self):
+        """The falsifying example ``test_altered_bytes_decode_or_refuse``
+        drew: one bit renames the first model to the second's id, and the
+        segment decoded to one model of the two."""
+        full, _, written = _segments()
+        first, second = (f'"{mid}":{{"spec"'.encode() for mid in sorted(written))
+        bad = full.replace(first, second, 1)
+        assert len(bad) == len(full) and bad != full
+        with pytest.raises(SnapshotFormatError, match="repeats a key"):
             _read(bad)
 
     @pytest.mark.parametrize("text", [b"{", b"\xff\xfe", b"[" * 100_000, b"null", b"[{}]"])
