@@ -228,8 +228,8 @@ class BufferedAsyncEngine(Stateful):
         need = self.concurrency - ctx.fleet.in_flight_count()
         if need <= 0:
             return
-        # O(active) candidate pool: an exclusion view over the columnar
-        # store (registration order, in-flight rows skipped; I12).
+        # Candidate pool: the store's free rows, one vectorized pass over
+        # its in-flight column (registration order; I12).
         available = ctx.fleet.available_view()
         if not len(available):
             return

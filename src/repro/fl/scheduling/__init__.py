@@ -2,9 +2,10 @@
 
 Three policy seams (see :mod:`~repro.fl.scheduling.base`) plus one store:
 the columnar :class:`~repro.fl.scheduling.fleet.FleetStore` (structure-of-
-arrays fleet state — ids, device classes, utilities, round-time windows —
-that makes a scheduler tick O(active) at million-client registration) is
-the one home of scheduler state, and its
+arrays fleet state — ids, device classes, utilities, in-flight flags,
+round-time windows — with rows fixed at registration and a tick of column
+kernels, never a Python loop over the fleet) is the one home of scheduler
+state, and its
 :class:`~repro.fl.scheduling.fleet.FleetView` the one pool type selectors
 draw from.  FedTrans's per-client *strategy* state (its client × model
 utilities) is a table of :class:`~repro.core.ClientManager`, which is built

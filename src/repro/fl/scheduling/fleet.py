@@ -1,4 +1,4 @@
-"""Columnar (structure-of-arrays) fleet store for O(active) scheduling.
+"""Columnar (structure-of-arrays) fleet store for vectorized scheduling.
 
 The object-per-client hot path rebuilt a dense Python list of
 ``FLClient`` objects every dispatch wave (``[c for c in clients if
@@ -18,24 +18,21 @@ of pure list churn before a single byte of training happens.
   contiguous groups).
 * last-seen round (int64) + Oort utility EMA (float64, with a validity
   mask) — the selector state that used to live in an unbounded dict.
+* in-flight flag (bool) — the async engine's dispatched-but-unfinished
+  clients.
 * device columns (compute speed, bandwidth, local train-set size) — the
   inputs of the vectorized straggler predictor
   (:meth:`FleetStore.predict_round_times`).
 * per-class round-time ring buffers (:class:`RoundTimeStats`) — the
   sliding windows quantile pacing estimates deadlines from.
 
-Selection never materializes the available pool.  The in-flight set is a
-small sorted row array; :func:`positions_to_rows` maps ``rng.choice``
-positions over the *compacted* candidate sequence back to physical rows
-through the gaps (an order-statistics fixpoint over ``searchsorted``), so
-a default-stack dispatch tick is O(active · log in_flight) instead of
-O(registered) — and provably selects the exact clients the list
-comprehension would have (the oracle in ``tests/test_fleet_store.py``).
-
-Row removal (:meth:`FleetStore.remove`) compacts every column in place,
-preserving the surviving row order, so selection streams are unchanged
-for the survivors.  The store is :class:`~repro.stateful.Stateful`; its
-payload round-trips row order exactly (CONTRACTS.md I9).
+Rows are fixed at registration: nothing adds or removes one after
+construction.  The dispatch-wave candidate pool is one vectorized pass
+over the in-flight column (``np.flatnonzero(~in_flight)``: the free rows,
+ascending, which is registration order), never a Python loop over the
+registered set.  The store is :class:`~repro.stateful.Stateful`; a
+checkpoint names exactly the constructed fleet, in order, and its reader
+refuses any other payload (CONTRACTS.md I9/I12).
 """
 
 from __future__ import annotations
@@ -53,29 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..client import LocalTrainerConfig
     from ..types import FLClient
 
-__all__ = ["FleetStore", "FleetView", "RoundTimeStats", "positions_to_rows"]
-
-
-def positions_to_rows(positions: np.ndarray, removed: np.ndarray) -> np.ndarray:
-    """Map positions in a gap-compacted row sequence to physical rows.
-
-    ``removed`` is a sorted array of deleted row indices; the compacted
-    sequence is ``np.delete(np.arange(n), removed)``.  For each position
-    ``p`` the physical row ``r`` satisfies ``r - |{s in removed : s <= r}|
-    == p`` — solved by iterating ``r <- p + searchsorted(removed, r,
-    'right')`` to its fixpoint.  The iterate is non-decreasing and bounded,
-    so it terminates (in practice a handful of passes); cost is
-    O(len(positions) · log len(removed)) per pass, never O(n).
-    """
-    positions = np.asarray(positions)
-    if removed.size == 0:
-        return positions
-    rows = positions
-    while True:
-        shifted = positions + np.searchsorted(removed, rows, side="right")
-        if np.array_equal(shifted, rows):
-            return shifted
-        rows = shifted
+__all__ = ["FleetStore", "FleetView", "RoundTimeStats"]
 
 
 class RoundTimeStats:
@@ -213,70 +188,47 @@ def _duration(cls: int, value) -> float:
 class FleetView:
     """A read-only window onto a subset of a :class:`FleetStore`'s rows.
 
-    Three shapes, cheapest first: all rows (``rows is None, excluded is
-    None``), all-but-a-few (``excluded`` is a small sorted row array — the
-    in-flight exclusion; rows materialize only if a consumer needs ids),
-    and an explicit row array.  ``len`` and :meth:`take` are O(taken) on
-    the first two shapes, which is what makes the default-stack dispatch
-    tick O(active).
+    Two shapes: all rows (``rows is None``: zero-copy, ``ids`` and
+    ``classes`` are the store's own columns and a position is a row) and
+    an explicit row array (:meth:`FleetStore.available_view`'s free rows,
+    or a :meth:`restrict` subset), positions in its order.
     """
 
-    __slots__ = ("store", "_rows", "_excluded")
+    __slots__ = ("store", "_rows")
 
-    def __init__(
-        self,
-        store: "FleetStore",
-        rows: np.ndarray | None = None,
-        excluded: np.ndarray | None = None,
-    ):
-        if rows is not None and excluded is not None:
-            raise ValueError("a view is either explicit rows or an exclusion, not both")
+    def __init__(self, store: "FleetStore", rows: np.ndarray | None = None):
         self.store = store
         self._rows = rows
-        self._excluded = excluded
 
     def __len__(self) -> int:
         if self._rows is not None:
             return int(self._rows.size)
-        n = self.store.num_rows
-        if self._excluded is not None:
-            n -= int(self._excluded.size)
-        return n
+        return self.store.num_rows
 
     def rows(self) -> np.ndarray:
-        """Physical row indices, materialized (ascending for gap views)."""
+        """Physical row indices, materialized."""
         if self._rows is not None:
             return self._rows
-        n = self.store.num_rows
-        if self._excluded is None or self._excluded.size == 0:
-            return np.arange(n, dtype=np.int64)
-        return np.delete(np.arange(n, dtype=np.int64), self._excluded)
+        return np.arange(self.store.num_rows, dtype=np.int64)
 
     @property
     def ids(self) -> np.ndarray:
-        if self._rows is None and (self._excluded is None or self._excluded.size == 0):
+        if self._rows is None:
             return self.store.ids
-        return self.store.ids[self.rows()]
+        return self.store.ids[self._rows]
 
     @property
     def classes(self) -> np.ndarray:
-        if self._rows is None and (self._excluded is None or self._excluded.size == 0):
+        if self._rows is None:
             return self.store.classes
-        return self.store.classes[self.rows()]
+        return self.store.classes[self._rows]
 
     def take_rows(self, positions: np.ndarray) -> np.ndarray:
-        """Physical rows for ``positions`` into this view's ordering.
-
-        O(len(positions)) for the all-rows and exclusion shapes — the
-        exclusion shape routes through :func:`positions_to_rows` instead
-        of materializing the survivor list.
-        """
+        """Physical rows for ``positions`` into this view's ordering."""
         positions = np.asarray(positions)
         if self._rows is not None:
             return self._rows[positions]
-        if self._excluded is None or self._excluded.size == 0:
-            return positions
-        return positions_to_rows(positions, self._excluded)
+        return positions
 
     def take(self, positions: np.ndarray) -> "list[FLClient]":
         return self.store.clients_at(self.take_rows(positions))
@@ -296,9 +248,8 @@ class FleetStore(Stateful):
     than ``evict_after`` rounds has its utility EMA reset to the unseen
     state (it re-enters at the optimistic prior on next selection), so
     selector state stays proportional to the active fleet no matter how
-    many clients ever participated.  Row membership is separate —
-    :meth:`remove` deregisters clients outright, compacting all columns in
-    place.
+    many clients ever participated.  Row membership is fixed at
+    construction.
     """
 
     def __init__(
@@ -309,25 +260,17 @@ class FleetStore(Stateful):
         num_classes: int = 4,
         rt_window: int = 256,
     ):
-        if evict_after is not None and evict_after < 1:
-            raise ValueError("evict_after must be >= 1 (None disables eviction)")
         clients = list(clients or [])
-        n = len(clients)
-        self.evict_after = evict_after
+        self._init_columns(
+            np.array([c.client_id for c in clients], dtype=np.int64),
+            np.array([c.device.compute_speed for c in clients], dtype=np.float64),
+            np.array([c.device.bandwidth for c in clients], dtype=np.float64),
+            np.array([c.data.num_train for c in clients], dtype=np.int64),
+            evict_after,
+            num_classes,
+            rt_window,
+        )
         self._clients: list | None = clients
-        self.ids = np.fromiter(
-            (c.client_id for c in clients), dtype=np.int64, count=n
-        )
-        speed = np.fromiter(
-            (c.device.compute_speed for c in clients), dtype=np.float64, count=n
-        )
-        bandwidth = np.fromiter(
-            (c.device.bandwidth for c in clients), dtype=np.float64, count=n
-        )
-        num_train = np.fromiter(
-            (c.data.num_train for c in clients), dtype=np.int64, count=n
-        )
-        self._init_columns(speed, bandwidth, num_train, num_classes, rt_window)
 
     @classmethod
     def from_columns(
@@ -348,33 +291,34 @@ class FleetStore(Stateful):
         and the id column instead.
         """
         store = cls.__new__(cls)
-        if evict_after is not None and evict_after < 1:
-            raise ValueError("evict_after must be >= 1 (None disables eviction)")
-        store.evict_after = evict_after
+        ids = np.asarray(ids, dtype=np.int64)
+        ones = np.ones(ids.size, dtype=np.float64)
+        store._init_columns(
+            ids,
+            ones if compute_speed is None else np.asarray(compute_speed, dtype=np.float64),
+            ones if bandwidth is None else np.asarray(bandwidth, dtype=np.float64),
+            np.asarray(ones if num_train is None else num_train, dtype=np.int64),
+            evict_after,
+            num_classes,
+            rt_window,
+        )
         store._clients = None
-        store.ids = np.asarray(ids, dtype=np.int64)
-        n = store.ids.size
-        ones = np.ones(n, dtype=np.float64)
-        speed = (
-            ones if compute_speed is None else np.asarray(compute_speed, dtype=np.float64)
-        )
-        bw = ones if bandwidth is None else np.asarray(bandwidth, dtype=np.float64)
-        nt = (
-            np.ones(n, dtype=np.int64)
-            if num_train is None
-            else np.asarray(num_train, dtype=np.int64)
-        )
-        store._init_columns(speed, bw, nt, num_classes, rt_window)
         return store
 
     def _init_columns(
         self,
+        ids: np.ndarray,
         speed: np.ndarray,
         bandwidth: np.ndarray,
         num_train: np.ndarray,
+        evict_after: int | None,
         num_classes: int,
         rt_window: int,
     ) -> None:
+        if evict_after is not None and evict_after < 1:
+            raise ValueError("evict_after must be >= 1 (None disables eviction)")
+        self.evict_after = evict_after
+        self.ids = ids
         n = self.ids.size
         if len(set(self.ids.tolist())) != n:
             raise ValueError("client ids must be unique")
@@ -385,8 +329,6 @@ class FleetStore(Stateful):
         self._utility = np.zeros(n, dtype=np.float64)
         self._has_utility = np.zeros(n, dtype=bool)
         self._in_flight = np.zeros(n, dtype=bool)
-        self._in_flight_rows: set[int] = set()
-        self._in_flight_sorted: np.ndarray | None = None  # rebuilt lazily
         self._row_of: dict[int, int] = {
             int(cid): i for i, cid in enumerate(self.ids)
         }
@@ -410,12 +352,6 @@ class FleetStore(Stateful):
     @property
     def num_rows(self) -> int:
         return int(self.ids.size)
-
-    def __len__(self) -> int:
-        return self.num_rows
-
-    def __contains__(self, client_id: int) -> bool:
-        return int(client_id) in self._row_of
 
     def row_of(self, client_id: int) -> int:
         return self._row_of[int(client_id)]
@@ -448,50 +384,35 @@ class FleetStore(Stateful):
     def available_view(self) -> FleetView:
         """Rows not currently in flight — the dispatch-wave candidate pool.
 
-        O(in_flight · log in_flight) to produce (the exclusion array),
-        never O(registered); candidate order is registration order, the
-        same order the old ``[c for c in clients if ...]`` rebuild yielded.
+        One vectorized pass over the in-flight column; the free rows come
+        out ascending, which is registration order, the same order the old
+        ``[c for c in clients if ...]`` rebuild yielded.
         """
-        if not self._in_flight_rows:
-            return FleetView(self)
-        if self._in_flight_sorted is None:
-            self._in_flight_sorted = np.fromiter(
-                sorted(self._in_flight_rows),
-                dtype=np.int64,
-                count=len(self._in_flight_rows),
-            )
-        return FleetView(self, excluded=self._in_flight_sorted)
+        return FleetView(self, rows=np.flatnonzero(~self._in_flight))
 
     # ------------------------------------------------------------------
     # in-flight bookkeeping (async engine)
     # ------------------------------------------------------------------
     def mark_in_flight(self, client_id: int) -> None:
-        row = self._row_of[int(client_id)]
-        self._in_flight[row] = True
-        self._in_flight_rows.add(row)
-        self._in_flight_sorted = None
+        self._in_flight[self._row_of[int(client_id)]] = True
 
     def clear_in_flight(self, client_id: int) -> None:
-        row = self._row_of.get(int(client_id))
-        if row is not None and self._in_flight[row]:
-            self._in_flight[row] = False
-            self._in_flight_rows.discard(row)
-            self._in_flight_sorted = None
+        """Clear a registered client's flag (a no-op if it is not in
+        flight); an unregistered id is a ``KeyError``."""
+        self._in_flight[self._row_of[int(client_id)]] = False
 
     def set_in_flight_ids(self, client_ids: Iterable[int]) -> None:
         """Reset the in-flight set wholesale (engine checkpoint restore)."""
+        rows = self.rows_of(client_ids)
         self._in_flight[:] = False
-        self._in_flight_rows.clear()
-        self._in_flight_sorted = None
-        for cid in client_ids:
-            self.mark_in_flight(cid)
+        self._in_flight[rows] = True
 
     def in_flight_count(self) -> int:
-        return len(self._in_flight_rows)
+        return int(np.count_nonzero(self._in_flight))
 
     def in_flight_ids(self) -> list[int]:
         """Ids of the in-flight clients, ascending (the checkpoint order)."""
-        return sorted(int(self.ids[r]) for r in self._in_flight_rows)
+        return sorted(self.ids[self._in_flight].tolist())
 
     # ------------------------------------------------------------------
     # Oort utility columns
@@ -569,52 +490,6 @@ class FleetStore(Stateful):
         return count
 
     # ------------------------------------------------------------------
-    # row removal (deregistration) with in-place compaction
-    # ------------------------------------------------------------------
-    def remove(self, client_ids: Iterable[int]) -> int:
-        """Deregister clients; compact all columns in place, order kept.
-
-        Surviving rows keep their relative (registration) order, so the
-        candidate ordering every selector sees — and therefore the
-        selection stream at a given RNG state — is exactly the ordering a
-        store constructed from the surviving fleet would produce.
-        Removing an in-flight client is a bug in the caller (its
-        completion event would dangle) and raises.
-        """
-        rows = [self._row_of[int(c)] for c in set(int(c) for c in client_ids)]
-        if not rows:
-            return 0
-        for r in rows:
-            if self._in_flight[r]:
-                raise ValueError(
-                    f"cannot remove in-flight client {int(self.ids[r])}"
-                )
-        n = self.num_rows
-        keep = np.ones(n, dtype=bool)
-        keep[rows] = False
-        m = int(keep.sum())
-        for name in (
-            "ids",
-            "classes",
-            "_speed",
-            "_bandwidth",
-            "_num_train",
-            "_last_seen",
-            "_utility",
-            "_has_utility",
-            "_in_flight",
-        ):
-            col = getattr(self, name)
-            col[:m] = col[keep]
-            setattr(self, name, col[:m])
-        if self._clients is not None:
-            self._clients = [c for c, k in zip(self._clients, keep) if k]
-        self._row_of = {int(cid): i for i, cid in enumerate(self.ids)}
-        self._in_flight_rows = set(np.flatnonzero(self._in_flight).tolist())
-        self._in_flight_sorted = None
-        return n - m
-
-    # ------------------------------------------------------------------
     # vectorized straggler predictor
     # ------------------------------------------------------------------
     def predict_round_times(
@@ -677,27 +552,51 @@ class FleetStore(Stateful):
         }
 
     def load_state_dict(self, payload: dict) -> None:
+        """Restore the trajectory state from a payload this fleet could have
+        written: ``ids`` exactly the constructed fleet, in registration
+        order (rows are fixed at construction); each column 1-D, as long as
+        the fleet and of its own dtype; utilities finite; ``round`` and
+        ``evicted_total`` non-negative ints.  Anything else is a
+        ``ValueError`` naming the field, before anything changes."""
         check_schema(payload, self.schema)
-        ids = np.asarray(payload["ids"], dtype=np.int64)
-        if ids.size != self.num_rows or not np.array_equal(ids, self.ids):
-            # A checkpointed store may have removed rows the freshly
-            # constructed one still carries: replay the membership by
-            # compacting to the payload's ids (order must match — row
-            # order is part of the contract).
-            payload_set = set(ids.tolist())
-            extra = [int(c) for c in self.ids if int(c) not in payload_set]
-            if len(ids) + len(extra) != self.num_rows:
-                raise ValueError(
-                    "fleet checkpoint names clients outside the constructed fleet"
-                )
-            self.remove(extra)
-            if not np.array_equal(ids, self.ids):
-                raise ValueError(
-                    "fleet checkpoint row order does not match registration order"
-                )
-        self._last_seen = np.asarray(payload["last_seen"], dtype=np.int64).copy()
-        self._utility = np.asarray(payload["utility"], dtype=np.float64).copy()
-        self._has_utility = np.asarray(payload["has_utility"], dtype=bool).copy()
-        self._round = int(payload["round"])
-        self.evicted_total = int(payload["evicted_total"])
+        ids, last_seen, utility, has_utility = (
+            self._column(payload, name, dtype)
+            for name, dtype in (
+                ("ids", np.int64), ("last_seen", np.int64),
+                ("utility", np.float64), ("has_utility", np.bool_),
+            )
+        )
+        if not np.array_equal(ids, self.ids):
+            raise ValueError(
+                f"{self.schema} ids: a fleet checkpoint must name exactly the "
+                "constructed fleet, in registration order"
+            )
+        if not np.isfinite(utility).all():
+            raise ValueError(f"{self.schema} utility: holds a non-finite value")
+        round_idx, evicted_total = (self._count(payload, k) for k in ("round", "evicted_total"))
         self.stats.load_state_dict(payload["stats"])
+        self._last_seen = last_seen.copy()
+        self._utility = utility.copy()
+        self._has_utility = has_utility.copy()
+        self._round = round_idx
+        self.evicted_total = evicted_total
+
+    def _column(self, payload: dict, name: str, dtype: type) -> np.ndarray:
+        value = payload[name]
+        ok = isinstance(value, np.ndarray)
+        if not (ok and value.dtype == dtype and value.shape == (self.num_rows,)):
+            got = f"{value.dtype} {value.shape}" if ok else type(value).__name__
+            raise ValueError(
+                f"{self.schema} {name}: must be a 1-D {np.dtype(dtype)} array "
+                f"of {self.num_rows} rows, got {got}"
+            )
+        return value
+
+    def _count(self, payload: dict, name: str) -> int:
+        value = payload[name]
+        if type(value) is not int or value < 0:  # a bool is not a count
+            raise ValueError(
+                f"{self.schema} {name}: must be a non-negative int, got {value!r}"
+            )
+        return value
+

@@ -15,12 +15,13 @@ The pool every selector draws from is a
 :class:`~repro.fl.scheduling.fleet.FleetStore`.  Row order is registration
 order and registration order is candidate order, so ``rng.choice`` over a
 view's positions picks exactly the clients the same call over the
-``[c for c in clients if ...]`` list would — without materializing an
-O(registered) Python list (CONTRACTS.md I12; the list forms survive as
-test oracles in ``tests/test_fleet_store.py``).  Per-client selector state
-lives in the store's columns (:meth:`ClientSelector.bind_fleet`): Oort's
-utility EMA is a masked gather + scatter, and ``evict_after`` inactivity
-eviction bounds it for free.
+``[c for c in clients if ...]`` list would, with no Python list over the
+registered fleet: a view is all rows or one row array (CONTRACTS.md I12;
+the list forms are test oracles in ``tests/test_fleet_store.py``).
+Per-client selector state lives in the store's columns
+(:meth:`ClientSelector.bind_fleet`): Oort's utility EMA is a masked
+gather + scatter, and ``evict_after`` inactivity eviction bounds it for
+free.
 """
 
 from __future__ import annotations

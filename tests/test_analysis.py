@@ -937,7 +937,10 @@ class TestEngineAndCli:
     def test_scheduling_has_one_pool_type(self):
         """``FleetView`` is the only pool selectors take and ``FleetStore``
         the only home of scheduler state; each shape below is how the
-        ``list[FLClient]`` / unbound / private-copy fork would regrow."""
+        ``list[FLClient]`` / unbound / private-copy fork would regrow.  The
+        store's rows are fixed at registration and its in-flight set is one
+        bool column: a second in-flight copy (a set, a sorted array), an
+        exclusion view shape or a row-removal method may not regrow."""
         src = REPO / "src" / "repro"
         trees = {p: ast.parse(p.read_text()) for p in sorted(src.rglob("*.py"))}
         regrown: list[str] = []
@@ -993,6 +996,36 @@ class TestEngineAndCli:
         )
         if "_in_flight" in assigned_attrs(engine):
             regrown.append("BufferedAsyncEngine assigns _in_flight")
+        fleet = {
+            n.name: n for n in trees[sched / "fleet.py"].body if isinstance(n, ast.ClassDef)
+        }
+        for name in ("FleetStore", "FleetView"):
+            cls = fleet[name]
+            for attr in assigned_attrs(cls) - {"_in_flight"}:
+                if "in_flight" in attr:
+                    regrown.append(f"{name} assigns {attr}")
+            for node in ast.walk(cls):
+                if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    continue
+                parts = [node.value, getattr(node, "annotation", None)]
+                if any(
+                    isinstance(n, (ast.Set, ast.SetComp))
+                    or isinstance(n, ast.Name) and n.id in ("set", "frozenset")
+                    for part in parts if part is not None
+                    for n in ast.walk(part)
+                ):
+                    regrown.append(f"{name}:{node.lineno} holds a set")
+            for fn in functions(cls, {"remove", "compact", "deregister"}):
+                regrown.append(f"{name}.{fn.name} removes rows")
+        view_init = functions(fleet["FleetView"], {"__init__"})[0]
+        if [a.arg for a in view_init.args.args] != ["self", "store", "rows"]:
+            regrown.append("FleetView takes a shape beside its rows")
+        for path in sorted(sched.glob("*.py")):
+            for node in ast.walk(trees[path]):
+                if getattr(node, "id", getattr(node, "name", None)) == "positions_to_rows":
+                    regrown.append(f"{path.name}:{node.lineno} positions_to_rows")
+                if isinstance(node, ast.keyword) and node.arg == "excluded":
+                    regrown.append(f"{path.name}:{node.lineno} excluded=")
         assert regrown == []
 
     def test_executor_has_one_wave_runner(self):

@@ -69,7 +69,7 @@ from repro.fl.checkpoint import (
 from repro.fl.eval_cache import EvalCache
 from repro.fl.export import log_to_dict
 from repro.fl.registry import RunRegistry, fleet_fingerprint, run_hash
-from repro.fl.scheduling.fleet import RoundTimeStats
+from repro.fl.scheduling.fleet import FleetStore, RoundTimeStats
 from repro.fl.scheduling.selectors import AvailabilityAwareSelector
 from repro.fl.transport import TransportCodec, TransportConfig
 from repro.nn import mlp, set_compute_dtype
@@ -406,6 +406,41 @@ _WINDOW_TAMPERS = {
 }
 
 
+def _fleet_payload() -> dict:
+    """A six-row fleet with resident, evicted and never-seen utilities."""
+    store = FleetStore.from_columns(np.arange(6), evict_after=2)
+    store.observe_utility(1, [0, 4], [1.5, 0.5], 0.5)
+    store.observe_utility(3, [2, 4], [2.0, 1.0], 0.5)
+    store.advance(4)  # evicts client 0
+    store.stats.observe(1, 2.5)
+    return store.state_dict()
+
+
+# (field the error names, the tamper): each alters a ``FleetStore`` payload
+# in place into one no run could have written.
+_FLEET_TAMPERS = {
+    "short last_seen": ("last_seen", lambda p: _set(p, "last_seen", p["last_seen"][:3])),
+    "short has_utility": ("has_utility", lambda p: _set(p, "has_utility", p["has_utility"][:2])),
+    "long utility": ("utility", lambda p: _set(p, "utility", np.zeros(7))),
+    "2-D utility": ("utility", lambda p: _set(p, "utility", np.zeros((6, 2)))),
+    "float32 utility": ("utility", lambda p: _set(p, "utility", p["utility"].astype(np.float32))),
+    "int has_utility": ("has_utility", lambda p: _set(p, "has_utility", p["has_utility"].astype(np.int64))),
+    "float last_seen": ("last_seen", lambda p: _set(p, "last_seen", p["last_seen"].astype(np.float64))),
+    "list last_seen": ("last_seen", lambda p: _set(p, "last_seen", p["last_seen"].tolist())),
+    "NaN utility": ("utility", lambda p: _set(p["utility"], 2, np.nan)),
+    "inf utility": ("utility", lambda p: _set(p["utility"], 5, -np.inf)),
+    "another fleet's ids": ("ids", lambda p: _set(p, "ids", p["ids"] + 10)),
+    "reordered ids": ("ids", lambda p: _set(p, "ids", p["ids"][::-1].copy())),
+    "fewer ids": ("ids", lambda p: _set(p, "ids", p["ids"][:5])),
+    "negative round": ("round", lambda p: _set(p, "round", -1)),
+    "bool round": ("round", lambda p: _set(p, "round", True)),
+    "float round": ("round", lambda p: _set(p, "round", 4.0)),
+    "negative evicted_total": ("evicted_total", lambda p: _set(p, "evicted_total", -1)),
+    "bool evicted_total": ("evicted_total", lambda p: _set(p, "evicted_total", False)),
+    "string evicted_total": ("evicted_total", lambda p: _set(p, "evicted_total", "1")),
+}
+
+
 def _eval_cache_payload() -> dict:
     """A single-model entry over three clients and a two-model ensemble's."""
     cache = EvalCache()
@@ -658,6 +693,38 @@ class TestHostilePayloads:
             manifest["round"], found["payload"], completed=False
         )
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*eval_acc_cache entry 0"):
+            _build(tmp_path, resume=True).run()
+
+    @pytest.mark.parametrize("tamper", sorted(_FLEET_TAMPERS))
+    def test_malformed_fleet_payloads_are_a_value_error(self, tamper):
+        """The fleet store reader takes only what a run over this fleet could
+        have written: a short column failed later mid-run, and a NaN utility
+        made ``max_utility()`` NaN and so poisoned Oort's weights."""
+        payload = _fleet_payload()
+        restored = FleetStore.from_columns(np.arange(6), evict_after=2)
+        restored.load_state_dict(_fleet_payload())  # untampered: loads
+        assert _canonical(restored.state_dict()) == _canonical(payload)
+        field, alter = _FLEET_TAMPERS[tamper]
+        alter(payload)
+        fresh = FleetStore.from_columns(np.arange(6), evict_after=2)
+        untouched = _canonical(fresh.state_dict())
+        with pytest.raises(ValueError, match=rf"^FleetStore/v1 {field}: "):
+            fresh.load_state_dict(payload)
+        assert _canonical(fresh.state_dict()) == untouched  # nothing half-loaded
+
+    def test_a_malformed_fleet_payload_names_the_checkpoint_file(self, tmp_path):
+        coord = _build(tmp_path)
+        _crash_at(coord, crash_round=4)
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        (run,) = RunRegistry(tmp_path).runs()
+        found = load_checkpoint(tmp_path / run)
+        found["payload"]["coordinator"]["fleet"]["utility"][0] = np.nan
+        manifest = found["manifest"]
+        path = CheckpointWriter(tmp_path / run, manifest["run_hash"]).write(
+            manifest["round"], found["payload"], completed=False
+        )
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*FleetStore/v1 utility"):
             _build(tmp_path, resume=True).run()
 
     def test_a_misfit_model_tensor_names_the_checkpoint_and_the_model(self, tmp_path):
