@@ -31,7 +31,7 @@ from repro.core import ClientManager
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
 from repro.fl import ClientUpdate, Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig
-from repro.fl.checkpoint import flatten_payload
+from repro.container import flatten_payload
 from repro.fl.scheduling import estimate_round_time
 from repro.nn import mlp
 

@@ -2,9 +2,10 @@
 
 A plain ``open(path, "w")`` truncates the destination before the new
 bytes land — a crash mid-write leaves a torn file where a good one used
-to be.  Every durable artifact in this repo (model ``.npz`` checkpoints,
-run-log ``.json`` exports, checkpoint payloads and manifests) goes
-through :func:`atomic_write` instead:
+to be.  Every durable artifact in this repo (the payload files of
+:mod:`repro.container` — saved models and checkpoint payloads — run-log
+``.json`` exports and checkpoint manifests) goes through
+:func:`atomic_write` instead:
 
 1. the bytes are written to a temp file **in the destination directory**
    (same filesystem, so the rename below is atomic);

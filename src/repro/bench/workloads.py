@@ -22,6 +22,7 @@ from ..baselines import (
     fedprox_trainer_config,
     fedyogi,
 )
+from ..container import flatten_payload
 from ..core import FedTransConfig, FedTransStrategy
 from ..data import DATASET_BUILDERS, FederatedDataset
 from ..device import calibrate_capacities, sample_device_traces
@@ -36,7 +37,6 @@ from ..fl import (
     TrainingLog,
     summarize,
 )
-from ..fl.checkpoint import flatten_payload
 from ..nn import CellModel, mlp, small_cnn, small_resnet, vit_tiny
 from .profiles import ScaleProfile
 

@@ -168,7 +168,8 @@ _FLAGS = (
           "unconditionally in restart loops)"),
     _Flag("--method", None, dict(choices=METHODS, default="fedtrans"), None, ("run",)),
     _Flag("--save-models", None, dict(type=Path),
-          "directory for final model checkpoints", ("run",)),
+          "directory for the final models, one <model_id>.rsnp file each",
+          ("run",)),
     _Flag("--out", None, dict(type=Path), "write all logs JSON", ("suite",)),
 )
 
@@ -278,7 +279,7 @@ def cmd_run(args) -> int:
     if args.save_models:
         args.save_models.mkdir(parents=True, exist_ok=True)
         for mid, model in res.strategy.models().items():
-            save_model(model, args.save_models / f"{mid}.npz")
+            save_model(model, args.save_models / f"{mid}.rsnp")
         print(f"{len(res.strategy.models())} model(s) written to {args.save_models}/")
     return 0
 

@@ -3,27 +3,21 @@
 The coordinator writes each changed model's tensors **once** into a
 ``multiprocessing.shared_memory`` segment; workers rebuild each model
 around **read-only views** into the mapped buffer, so the tensor data is
-never copied on the worker side.  A segment is the run checkpoint's
-container (:mod:`~repro.fl.checkpoint`) in one buffer:
+never copied on the worker side.  A segment is one container of
+:mod:`repro.container` (the ``RSNP`` prefix, a JSON header, one 64-byte
+aligned arena per dtype) whose header is ``{"kind", "removed", "all_ids",
+"arenas", "models"}``: ``models`` maps each id to its spec
+(:func:`~repro.nn.serialization.model_spec`), version and ``param`` /
+``state`` trees of ``[dtype, offset, shape]`` markers; with the snapshot
+codec on, a delta tensor may instead be the leaf ``{"rle": <uint8 array>,
+"dtype", "shape"}``, a run-length diff against its previous publish whose
+bytes ride in the ``|u1`` arena.
 
-* an ``RSNP`` prefix — magic, :data:`WIRE_FORMAT_VERSION`, header length;
-* a UTF-8 JSON header ``{"kind", "removed", "all_ids", "arenas",
-  "models"}``: ``arenas`` maps each dtype to its ``[byte_offset,
-  elements]``, ``models`` each id to its spec
-  (:func:`~repro.nn.serialization.model_spec`), version and ``param`` /
-  ``state`` trees of the checkpoint's ``[dtype, offset, shape]`` markers;
-  with the snapshot codec on, a delta tensor may instead be the leaf
-  ``{"rle": <uint8 array>, "dtype", "shape"}``, a run-length diff against
-  its previous publish whose bytes ride in the ``|u1`` arena;
-* one arena per dtype, each at a 64-byte-aligned offset past the header.
-
-Decoding is strict and unpickles nothing: a header length past the
-segment, bad JSON, a misaligned, out-of-bounds, unknown or object-dtype
-arena, a marker that overruns its arena (markers go through the
-checkpoint's bounds-checked reader), and tensor keys, shapes or dtypes
-that differ from the model the spec builds are each a
-:class:`SnapshotFormatError`, raised before anything larger than the
-segment is allocated.
+Decoding is strict and unpickles nothing: whatever the container's one
+reader refuses (:func:`repro.container.read_frame`), a header that is not
+a snapshot header, and tensor keys, shapes or dtypes that differ from the
+model the spec builds are each a :class:`SnapshotFormatError`, raised
+before anything larger than the segment is allocated.
 
 Which segments exist, who owns them and when they are retired is the chain
 protocol's business (:mod:`~repro.fl.snapshot`); this module lays out one
@@ -32,20 +26,17 @@ segment and supplies the one cleanup path (:func:`unlink_segments`).
 
 from __future__ import annotations
 
-import json
 import logging
-import struct
 from multiprocessing import shared_memory
 
 import numpy as np
 
+from ..container import frame, read_frame, unflatten_payload
 from ..nn.model import CellModel
 from ..nn.serialization import model_from_spec, model_spec
-from .checkpoint import flatten_payload, unflatten_payload
 from .transport import rle_decode_bytes, rle_encode_bytes
 
 __all__ = [
-    "WIRE_FORMAT_VERSION",
     "SnapshotFormatError",
     "write_snapshot_segment",
     "read_snapshot_segment",
@@ -53,17 +44,6 @@ __all__ = [
     "segment_exists",
     "unlink_segments",
 ]
-
-_ALIGN = 64
-
-#: Wire-format version: 1 led with a bare header length, 2 added the magic
-#: and version to a pickled header, 3 is the checkpoint's container (JSON
-#: markers into one arena per dtype).  Readers refuse any other version.
-WIRE_FORMAT_VERSION = 3
-
-_MAGIC = b"RSNP"
-# magic, wire-format version, header length.
-_PREFIX = struct.Struct("<4sHQ")
 
 _HEADER_KEYS = {"kind", "removed", "all_ids", "arenas", "models"}
 _MODEL_KEYS = {"spec", "version", "param", "state"}
@@ -74,10 +54,6 @@ _CORRUPT = (ValueError, TypeError, KeyError, IndexError, AttributeError, Overflo
 
 class SnapshotFormatError(RuntimeError):
     """A segment's wire format cannot be decoded by this reader."""
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
 # ----------------------------------------------------------------------
@@ -130,25 +106,15 @@ def write_snapshot_segment(
                     leaves[key] = {"rle": np.frombuffer(packed, dtype=np.uint8),
                                    "dtype": arr.dtype.str, "shape": list(arr.shape)}
                 shadow[mid, scope, key] = data
-    skeleton, arenas = flatten_payload(tree)
-    table, end = {}, 0
-    for dtype, arena in arenas.items():
-        table[dtype] = [_aligned(end), arena.size]
-        end = table[dtype][0] + arena.nbytes
-    header = json.dumps(
+    chunks, size = frame(
         {"kind": kind, "removed": sorted(removed), "all_ids": sorted(all_ids),
-         "arenas": table, "models": skeleton},
-        separators=(",", ":"),
-    ).encode()
-    payload_start = _aligned(_PREFIX.size + len(header))
-    shm = shared_memory.SharedMemory(name=name, create=True, size=max(payload_start + end, 1))
-    buf = shm.buf
-    _PREFIX.pack_into(buf, 0, _MAGIC, WIRE_FORMAT_VERSION, len(header))
-    buf[_PREFIX.size : _PREFIX.size + len(header)] = header
-    for (offset, _), arena in zip(table.values(), arenas.values()):
-        start = payload_start + offset
-        buf[start : start + arena.nbytes] = arena.view(np.uint8).data
-    wire_bytes = len(header) + sum(arena.nbytes for arena in arenas.values())
+         "arenas": None, "models": tree}
+    )
+    shm = shared_memory.SharedMemory(name=name, create=True, size=max(size, 1))
+    for offset, data in chunks:
+        shm.buf[offset : offset + len(data)] = data
+    _, (_, header), *arenas = chunks
+    wire_bytes = len(header) + sum(len(data) for _, data in arenas)
     return shm, wire_bytes, len(header) + raw_bytes
 
 
@@ -177,65 +143,6 @@ def segment_exists(name: str) -> bool:
         return False
     shm.close()
     return True
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A header object as a dict.  A writer's dict never repeats a key, and
-    ``json`` would keep only the last: one flipped bit that renames a model
-    to its neighbour's id would decode a suite missing a model."""
-    out = dict(pairs)
-    if len(out) != len(pairs):
-        raise ValueError("the header repeats a key")
-    return out
-
-
-def _header(buf) -> tuple[dict, dict[str, np.ndarray]]:
-    """The checked header of a segment and its arenas as read-only views."""
-    if len(buf) < _PREFIX.size:
-        raise ValueError(f"segment too small ({len(buf)} bytes) to hold a snapshot prefix")
-    magic, version, hlen = _PREFIX.unpack_from(buf, 0)
-    if magic != _MAGIC:
-        raise ValueError(
-            f"segment does not start with the {_MAGIC!r} snapshot magic "
-            f"(got {bytes(magic)!r}); this is either not a snapshot segment "
-            "or one written by a pre-versioned (wire format 1) build"
-        )
-    if version != WIRE_FORMAT_VERSION:
-        raise ValueError(
-            f"segment has wire-format version {version}, this reader "
-            f"understands only version {WIRE_FORMAT_VERSION}"
-        )
-    if _PREFIX.size + hlen > len(buf):
-        raise ValueError(f"header length {hlen} runs past the {len(buf)}-byte segment")
-    header = json.loads(
-        bytes(buf[_PREFIX.size : _PREFIX.size + hlen]).decode(), object_pairs_hook=_unique_keys
-    )
-    if not (
-        header.keys() == _HEADER_KEYS and header["kind"] in ("full", "delta")
-        and all(
-            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-            for ids in (header["removed"], header["all_ids"])
-        )
-    ):
-        raise ValueError("the header is not a snapshot header")
-    start = _aligned(_PREFIX.size + hlen)
-    arenas = {}
-    for name, entry in header["arenas"].items():
-        dtype = np.dtype(name)
-        if not (
-            dtype.str == name and dtype.kind in "biufc"
-            and isinstance(entry, list) and len(entry) == 2
-            and all(type(v) is int and v >= 0 for v in entry)
-            and entry[0] % _ALIGN == 0
-            and start + entry[0] + entry[1] * dtype.itemsize <= len(buf)
-        ):
-            raise ValueError(
-                f"arena {name!r}: {entry!r} is not an aligned [offset, elements] "
-                f"entry of a numeric dtype inside the {len(buf)}-byte segment"
-            )
-        arenas[name] = np.ndarray(entry[1], dtype=dtype, buffer=buf, offset=start + entry[0])
-        arenas[name].flags.writeable = False
-    return header, arenas
 
 
 def _install_views(model: CellModel, meta: dict, prev: CellModel | None) -> None:
@@ -294,7 +201,15 @@ def read_snapshot_segment(
     """
     models: dict[str, CellModel] = {}
     try:
-        header, arenas = _header(shm.buf)
+        header, arenas = read_frame(shm.buf)
+        if not (
+            header.keys() == _HEADER_KEYS and header["kind"] in ("full", "delta")
+            and all(
+                isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                for ids in (header["removed"], header["all_ids"])
+            )
+        ):
+            raise ValueError("the header is not a snapshot header")
         for mid, meta in unflatten_payload(header["models"], arenas, copy=False).items():
             if meta.keys() != _MODEL_KEYS or type(meta["version"]) is not int:
                 raise ValueError(f"model {mid!r}: malformed header entry")

@@ -1,11 +1,12 @@
 """Model checkpointing: save/load CellModels with full lineage metadata.
 
-A checkpoint is a single ``.npz`` file holding every parameter and state
-tensor plus a JSON header describing the architecture (cell types, shapes,
-lineage ids, transform history).  ``load_model`` reconstructs the exact
-architecture — including widened widths and inserted identity cells — and
-restores the weights, so a FedTrans model suite can be persisted mid-run
-and resumed or deployed later.
+A saved model is one payload file of :mod:`repro.container` holding
+:func:`model_state_dict`: a JSON spec of the architecture (cell types,
+shapes, lineage ids, transform history), the mutation version, and every
+parameter and state tensor in one arena per dtype.  ``load_model``
+reconstructs the exact architecture — including widened widths and
+inserted identity cells — and restores the weights, so a FedTrans model
+suite can be persisted mid-run and resumed or deployed later.
 
 Dtype: tensors are stored at the run's compute dtype; loading rebuilds the
 model at the *current* process-wide dtype (:mod:`repro.nn.compute`) and
@@ -16,13 +17,11 @@ the dtype the checkpoint was saved at is lossless; crossing dtypes rounds
 
 from __future__ import annotations
 
-import io
-import json
 from pathlib import Path
 
 import numpy as np
 
-from ..atomicio import atomic_write
+from ..container import read_payload, write_payload
 from .cells import CELL_TYPES, Cell
 from .model import CellModel, TransformRecord
 
@@ -160,40 +159,29 @@ def save_model(model: CellModel, path: str | Path) -> None:
 
     The write is crash-consistent: bytes land in a same-directory temp
     file and are renamed over ``path`` only once durable, so a crash
-    mid-save never leaves a torn ``.npz`` where a good one used to be.
+    mid-save never leaves a torn file where a good one used to be.
     """
-    arrays = {f"{s}::{key}": arr for s in ("param", "state") for key, *_, arr in model.tensors(s)}
-    arrays["__spec__"] = np.frombuffer(
-        json.dumps(model_spec(model)).encode(), dtype=np.uint8
-    )
-    with atomic_write(path) as f:
-        np.savez(f, **arrays)
+    write_payload(path, model_state_dict(model))
 
 
 def load_model(path: str | Path) -> CellModel:
     """Reconstruct a model saved by :func:`save_model`; a file that is not
     one is a ``ValueError`` naming it."""
+    payload = read_payload(path)
     try:
-        with np.load(path) as data:
-            if "__spec__" not in data.files:
-                raise ValueError("no __spec__ member")
-            model = model_from_spec(json.loads(bytes(data["__spec__"]).decode()))
-            for scope, write in (("param", model.set_params), ("state", model.set_state)):
-                prefix = f"{scope}::"
-                write({k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)})
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path} is not a saved model: {exc}") from exc
-    return model
+        return model_from_state(payload)
+    except (KeyError, TypeError, AttributeError, OverflowError, ValueError) as exc:
+        raise ValueError(f"{path} is not a saved model: {type(exc).__name__}: {exc}") from exc
 
 
 def model_state_dict(model: CellModel) -> dict:
-    """In-memory Stateful payload of one model: spec + tensors + version.
+    """Stateful payload of one model (and what :func:`save_model` writes):
+    spec + tensors + version.
 
-    Unlike :func:`save_model` (a file format) this keeps the exact mutation
-    ``version``, because version-keyed consumers — the coordinator's
-    evaluation cache, the process executor's delta snapshots — must observe
-    the restored model as *the same* version the checkpoint captured, not
-    as freshly mutated.
+    It keeps the exact mutation ``version``, because version-keyed
+    consumers — the coordinator's evaluation cache, the process executor's
+    delta snapshots — must observe the restored model as *the same* version
+    the checkpoint captured, not as freshly mutated.
     """
     return {
         "spec": model_spec(model),
@@ -206,7 +194,10 @@ def model_state_dict(model: CellModel) -> dict:
 def load_model_state(model: CellModel, payload: dict) -> None:
     """Restore a :func:`model_state_dict` payload into a live model of the
     same architecture: exactly its tensor keys and shapes, parameters and
-    state both, else a ``ValueError`` naming the model."""
+    state both, and an int version, else a ``ValueError`` naming the model."""
+    version = payload["version"]
+    if type(version) is not int:
+        raise ValueError(f"model {model.model_id}: version {version!r} is not an int")
     try:
         model.set_params({k: np.asarray(v) for k, v in payload["params"].items()})
         model.set_state({k: np.asarray(v) for k, v in payload["state"].items()})
@@ -214,7 +205,7 @@ def load_model_state(model: CellModel, payload: dict) -> None:
         raise ValueError(f"model {model.model_id}: checkpoint tensors do not fit: {exc}") from exc
     # set_params/set_state bumped the counter; restamp to the checkpoint's
     # value so version-keyed caches key identically after resume.
-    model.sync_version(int(payload["version"]))
+    model.sync_version(version)
 
 
 def model_from_state(payload: dict) -> CellModel:

@@ -1411,7 +1411,9 @@ class TestEngineAndCli:
         shape below is how an unpickle or a second grammar would regrow."""
         src = REPO / "src" / "repro"
         found = []
-        for rel in ("fl/shm.py", "fl/snapshot.py", "fl/checkpoint.py", "fl/transport.py"):
+        for rel in (
+            "container.py", "fl/shm.py", "fl/snapshot.py", "fl/checkpoint.py", "fl/transport.py"
+        ):
             for n in ast.walk(ast.parse((src / rel).read_text())):
                 names = (
                     [a.name for a in n.names] if isinstance(n, ast.Import)
@@ -1426,7 +1428,36 @@ class TestEngineAndCli:
                 for n in ast.walk(ast.parse(p.read_text()))
             )
         )
-        assert found == [] and holders == ["fl/checkpoint.py"], (found, holders)
+        assert found == [] and holders == ["container.py"], (found, holders)
+
+    def test_a_tree_has_one_container(self):
+        """Checkpoint payloads, saved models and snapshot segments are one
+        container (``repro.container``) read by one reader; each shape
+        below is how a second byte format (a zip archive, an ``np.savez`` /
+        ``np.load`` / ``.npy`` file, a second framing of the ``RSNP``
+        prefix) would regrow."""
+        src = REPO / "src" / "repro"
+        regrown, framers = [], set()
+        for p in sorted(src.rglob("*.py")):
+            rel = str(p.relative_to(src))
+            for n in ast.walk(ast.parse(p.read_text())):
+                names = (
+                    [a.name for a in n.names] if isinstance(n, ast.Import)
+                    else [n.module or ""] if isinstance(n, ast.ImportFrom) else []
+                )
+                regrown += [f"{rel}:{n.lineno} imports {m}" for m in names if "zipfile" in m]
+                if isinstance(n, ast.Attribute) and re.fullmatch(
+                    r"(np|numpy)\.(savez\w*|load|lib\.format)", ast.unparse(n)
+                ):
+                    regrown.append(f"{rel}:{n.lineno} uses {ast.unparse(n)}")
+                prefix_op = (
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("pack", "pack_into", "unpack", "unpack_from")
+                    and "PREFIX" in ast.unparse(n.func.value)
+                )
+                if prefix_op or (isinstance(n, ast.Constant) and n.value in (b"RSNP", "<4sHQ")):
+                    framers.add(rel)
+        assert regrown == [] and framers == {"container.py"}, (regrown, framers)
 
     def test_a_client_has_one_utility_table(self):
         """FedTrans's client × model utilities are one table inside

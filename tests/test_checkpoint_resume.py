@@ -1,7 +1,7 @@
 """Durable runs: payload codec, crash-consistent writer, registry, resume.
 
-In-process side: the flatten/unflatten codec and the single-``.npz``
-payload files round-trip bit-exactly (including PCG64's 128-bit state
+In-process side: the flatten/unflatten codec and the payload files
+(``repro.container``) round-trip bit-exactly (including PCG64's 128-bit state
 ints) through one arena per dtype, whatever the leaves' dtype, shape and
 layout; truncated, bit-flipped or tampered files, manifests and codec
 columns are a ``ValueError`` naming the file, never a misdecode; the
@@ -32,7 +32,6 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
-import zipfile
 from dataclasses import asdict, fields, replace
 from functools import cache
 from pathlib import Path
@@ -56,16 +55,8 @@ from repro.fl import (
     FLClient,
     LocalTrainerConfig,
 )
-from repro.fl.checkpoint import (
-    CHECKPOINT_FORMAT,
-    MANIFEST_NAME,
-    CheckpointWriter,
-    flatten_payload,
-    load_checkpoint,
-    read_payload,
-    unflatten_payload,
-    write_payload,
-)
+from repro.container import flatten_payload, read_payload, unflatten_payload, write_payload
+from repro.fl.checkpoint import CHECKPOINT_FORMAT, MANIFEST_NAME, CheckpointWriter, load_checkpoint
 from repro.fl.eval_cache import EvalCache
 from repro.fl.export import log_to_dict
 from repro.fl.registry import RunRegistry, fleet_fingerprint, run_hash
@@ -76,6 +67,7 @@ from repro.nn import mlp, set_compute_dtype
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
 
+from forged_container import refile
 from oracle_client_manager import ClientManager as DictClientManager
 
 REPO =Path(__file__).resolve().parents[1]
@@ -137,9 +129,9 @@ class TestPayloadCodec:
             flatten_payload({"bad": object()})
 
     def test_object_arrays_are_refused_at_write_time(self, tmp_path):
-        """An object array would be pickled on write and refused on read
-        (``allow_pickle=False``): the writer refuses it, and leaves no file."""
-        path = tmp_path / "p.npz"
+        """An object or structured array has no arena (its elements would
+        need a pickle): the writer refuses it, and leaves no file."""
+        path = tmp_path / "p.rsnp"
         for bad in (
             np.array(["x", None], dtype=object),
             np.zeros(2, dtype=[("a", "<f8"), ("b", "<i8")]),
@@ -155,7 +147,7 @@ class TestPayloadCodec:
             "b": {"c": rng.integers(0, 10, 7)},
             "f32": rng.standard_normal(3).astype(np.float32),
         }
-        path = tmp_path / "p.npz"
+        path = tmp_path / "p.rsnp"
         write_payload(path, payload)
         back = read_payload(path)
         for key in ("a", "f32"):
@@ -167,7 +159,7 @@ class TestPayloadCodec:
         # The bit generator's 128-bit state words overflow every fixed-width
         # container; they must round-trip through the JSON skeleton exactly.
         state = np.random.default_rng(123).bit_generator.state
-        path = tmp_path / "rng.npz"
+        path = tmp_path / "rng.rsnp"
         write_payload(path, {"rng": state})
         back = read_payload(path)["rng"]
         assert back == state
@@ -178,7 +170,7 @@ class TestPayloadCodec:
 
 
 # ----------------------------------------------------------------------
-# format 2: one arena per dtype
+# format 3: one arena per dtype
 # ----------------------------------------------------------------------
 def _leaves(node):
     if isinstance(node, np.ndarray):
@@ -224,7 +216,7 @@ _PAYLOADS = st.fixed_dictionaries(
 
 
 class TestArenaContainer:
-    """Format 2's container: whatever the leaves, a round trip is
+    """The container: whatever the leaves, a round trip is
     bit-exact, every restored array is a private writable copy, and the
     arena table holds exactly the leaves' bytes."""
 
@@ -251,8 +243,8 @@ class TestArenaContainer:
         assert sum(a.nbytes for a in arenas.values()) == sum(a.nbytes for a in leaves)
         in_memory = unflatten_payload(json.loads(json.dumps(skeleton)), arenas)
         with tempfile.TemporaryDirectory() as tmp:
-            write_payload(Path(tmp) / "p.npz", payload)
-            from_file = read_payload(Path(tmp) / "p.npz")
+            write_payload(Path(tmp) / "p.rsnp", payload)
+            from_file = read_payload(Path(tmp) / "p.rsnp")
         for back in (in_memory, from_file):
             restored = list(_leaves(back))
             assert [_bits(a) for a in restored] == [_bits(a) for a in leaves]
@@ -297,7 +289,7 @@ def _codec() -> TransportCodec:
 
 @cache
 def _good_checkpoint() -> tuple[dict, bytes, bytes]:
-    """A payload with every leaf kind, its format-2 file and its manifest."""
+    """A payload with every leaf kind, its payload file and its manifest."""
     rng = np.random.default_rng(1)
     payload = {
         "schema": "RunCheckpoint/v1",
@@ -318,7 +310,7 @@ def _good_checkpoint() -> tuple[dict, bytes, bytes]:
 def _write_checkpoint(directory: Path, data: bytes) -> Path:
     _, _, manifest = _good_checkpoint()
     (directory / MANIFEST_NAME).write_bytes(manifest)
-    path = directory / "ckpt-000003.npz"
+    path = directory / "ckpt-000003.rsnp"
     path.write_bytes(data)
     return path
 
@@ -354,12 +346,24 @@ def _set(container, key, value) -> None:
     container[key] = value
 
 
+# Each alters a good payload file's arena table in place.
+_ARENA_TABLE_TAMPERS = {
+    "missing arena": lambda t: t.pop("|b1"),
+    "arena under another dtype's name": lambda t: _set(t, "<c16", t.pop("<f8")),
+    "arena of a narrower dtype": lambda t: _set(t, "<f4", t.pop("<f8")),
+    "header claims more than its bytes": lambda t: _set(t, "<c16", [0, 1 << 50]),
+    "misaligned arena": lambda t: _set(t["<i8"], 0, t["<i8"][0] + 8),
+    "object arena": lambda t: _set(t, "|O", t.pop("<i8")),
+    "entry not a pair": lambda t: _set(t, "<f8", t["<f8"][:1]),
+}
+
+
 # Each alters one field of a good manifest in place.
 _MANIFEST_TAMPERS = {
     "missing payload_crc32": lambda m: m.pop("payload_crc32"),
     "extra key": lambda m: _set(m, "note", 0),
-    "absolute last_good": lambda m: _set(m, "last_good", "/abs/ckpt-000003.npz"),
-    "last_good outside the run": lambda m: _set(m, "last_good", "../ckpt-000003.npz"),
+    "absolute last_good": lambda m: _set(m, "last_good", "/abs/ckpt-000003.rsnp"),
+    "last_good outside the run": lambda m: _set(m, "last_good", "../ckpt-000003.rsnp"),
     "last_good not a payload name": lambda m: _set(m, "last_good", "MANIFEST.json"),
     "string completed": lambda m: _set(m, "completed", "false"),
     "int completed": lambda m: _set(m, "completed", 0),
@@ -368,6 +372,7 @@ _MANIFEST_TAMPERS = {
     "string payload_crc32": lambda m: _set(m, "payload_crc32", str(m["payload_crc32"])),
     "schemas not a list": lambda m: _set(m, "schemas", "RunCheckpoint/v1"),
     "format 1": lambda m: _set(m, "format", 1),
+    "format 2 (a zip payload)": lambda m: m.update(format=2, last_good="ckpt-000003.npz"),
     "bool format": lambda m: _set(m, "format", True),
 }
 
@@ -507,10 +512,9 @@ class TestHostilePayloads:
         path = _write_checkpoint(tmp_path, bad)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(tmp_path)
-        # Without the manifest's CRC, the container's own checks (zip
-        # structure, member CRCs, npy headers, markers) still never let a
-        # misdecode through: an alteration they cannot see (a timestamp,
-        # an attribute byte) leaves the payload bit-for-bit intact.
+        # Without the manifest, the file's own CRC-32 and the container's
+        # checks (prefix, header, arena table, markers) still never let a
+        # misdecode through.
         tracemalloc.start()
         try:
             back = read_payload(path)
@@ -523,17 +527,14 @@ class TestHostilePayloads:
             tracemalloc.stop()
         assert peak <= 4 * len(good) + (1 << 20)
 
-    def test_an_inflated_compressed_size_sizes_no_read(self, tmp_path):
-        # ``zipfile`` sizes a stored member's read buffer by the central
-        # directory's compressed size, which no CRC covers.
+    def test_an_arena_past_the_file_sizes_no_read(self, tmp_path):
+        """An arena-table entry that claims more elements than the file
+        holds is refused before it sizes anything, even under a CRC-32
+        that matches."""
         payload, good, _ = _good_checkpoint()
-        entries = [m.start() for m in re.finditer(b"PK\x01\x02", good)]
-        assert len(entries) == 1 + len(flatten_payload(payload)[1])
-        for entry in entries:
-            bad = bytearray(good)
-            bad[entry + 23] ^= 1  # compressed size += 16 MiB
-            path = tmp_path / "p.npz"
-            path.write_bytes(bad)
+        path = tmp_path / "p.rsnp"
+        for dtype in flatten_payload(payload)[1]:
+            path.write_bytes(refile(good, lambda h: _set(h["arenas"][dtype], 1, 1 << 24)))
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match=re.escape(str(path))):
@@ -542,6 +543,14 @@ class TestHostilePayloads:
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
             assert peak <= 4 * len(good) + (1 << 20)
+
+    def test_a_zip_file_is_a_value_error_naming_it(self, tmp_path):
+        """Checkpoint format 2 and ``np.savez`` files were zip archives; the
+        reader names the file and the zip magic, not a ``zipfile`` error."""
+        path = tmp_path / "ckpt-000003.npz"
+        np.savez(path, __skeleton__=np.frombuffer(b"{}", dtype=np.uint8))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + r".*got b'PK\\x03\\x04'"):
+            read_payload(path)
 
     @pytest.mark.parametrize("tamper", sorted(_MANIFEST_TAMPERS))
     def test_malformed_manifests_are_a_value_error(self, tmp_path, tamper):
@@ -555,7 +564,8 @@ class TestHostilePayloads:
         with pytest.raises(ValueError, match=re.escape(str(path))) as info:
             load_checkpoint(tmp_path)
         if tamper.startswith("format"):
-            assert "format 1" in str(info.value)
+            assert f"format {fields['format']}" in str(info.value)
+            assert f"format {CHECKPOINT_FORMAT}" in str(info.value)
 
     @pytest.mark.parametrize("text", ["", "{", "[]", '"MANIFEST"', "[" * 100_000])
     def test_a_manifest_that_is_not_an_object_is_a_value_error(self, tmp_path, text):
@@ -571,38 +581,26 @@ class TestHostilePayloads:
     )
     @given(data=st.data())
     def test_tampered_markers_are_a_value_error(self, tmp_path, tamper, data):
-        payload, _, _ = _good_checkpoint()
-        skeleton, arenas = flatten_payload(payload)
-        markers = _markers(skeleton)
-        holder = markers[data.draw(st.integers(0, len(markers) - 1), label="marker")]
-        m = holder["__array__"]
-        holder["__array__"] = _MARKER_TAMPERS[tamper](m, arenas[m[0]].size)
-        path = tmp_path / "p.npz"
-        skel = np.frombuffer(json.dumps(skeleton).encode(), dtype=np.uint8)
-        np.savez(path, __skeleton__=skel, **arenas)
+        _, good, _ = _good_checkpoint()
+
+        def alter(header):
+            markers = _markers(header["payload"])
+            holder = markers[data.draw(st.integers(0, len(markers) - 1), label="marker")]
+            m = holder["__array__"]
+            holder["__array__"] = _MARKER_TAMPERS[tamper](m, header["arenas"][m[0]][1])
+
+        path = tmp_path / "p.rsnp"
+        path.write_bytes(refile(good, alter))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_payload(path)
 
-    @pytest.mark.parametrize(
-        "tamper",
-        ["missing arena member", "arena under another dtype's name", "header claims more than its bytes"],
-    )
-    def test_tampered_arena_members_are_a_value_error(self, tmp_path, tamper):
-        payload, _, _ = _good_checkpoint()
-        skeleton, arenas = flatten_payload(payload)
-        if tamper == "missing arena member":
-            del arenas["|b1"]
-        elif tamper == "arena under another dtype's name":
-            arenas["<f8"] = arenas["<f8"].view(np.int64)
-        path = tmp_path / "p.npz"
-        skel = np.frombuffer(json.dumps(skeleton).encode(), dtype=np.uint8)
-        np.savez(path, __skeleton__=skel, **arenas)
-        if tamper == "header claims more than its bytes":
-            # A well-formed member whose header sizes a petabyte arena: the
-            # reader must refuse it, not allocate it.
-            with zipfile.ZipFile(path, "a") as zf, zf.open("<c16.npy", "w") as member:
-                header = {"descr": "<c16", "fortran_order": False, "shape": (1 << 50,)}
-                np.lib.format.write_array_header_1_0(member, header)
+    @pytest.mark.parametrize("tamper", sorted(_ARENA_TABLE_TAMPERS))
+    def test_tampered_arena_tables_are_a_value_error(self, tmp_path, tamper):
+        payload, good, _ = _good_checkpoint()
+        path = tmp_path / "p.rsnp"
+        path.write_bytes(refile(good, lambda h: None))
+        assert _canonical(read_payload(path)) == _canonical(payload)  # untampered: loads
+        path.write_bytes(refile(good, lambda h: _ARENA_TABLE_TAMPERS[tamper](h["arenas"])))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_payload(path)
 
@@ -766,8 +764,8 @@ class TestWriterAndLoader:
         w = CheckpointWriter(tmp_path, "h")
         w.write(1, {"r": 1}, completed=False)
         w.write(3, {"r": 3}, completed=False)
-        npz = sorted(p.name for p in tmp_path.glob("ckpt-*.npz"))
-        assert npz == ["ckpt-000003.npz"]
+        npz = sorted(p.name for p in tmp_path.glob("ckpt-*.rsnp"))
+        assert npz == ["ckpt-000003.rsnp"]
         assert load_checkpoint(tmp_path)["payload"]["r"] == 3
 
     def test_no_manifest_means_fresh_start(self, tmp_path):
@@ -1290,8 +1288,8 @@ class TestSigkillResume:
         proc, _ = self._run(tmp_path, run_root, resume=True,
                             crash_point="after-payload")
         assert proc.returncode == -9
-        names = sorted(p.name for p in run_dir.glob("ckpt-*.npz"))
-        assert "ckpt-000003.npz" in names  # orphaned newer payload
+        names = sorted(p.name for p in run_dir.glob("ckpt-*.rsnp"))
+        assert "ckpt-000003.rsnp" in names  # orphaned newer payload
         found = load_checkpoint(run_dir)
         assert found["manifest"]["round"] == 1
         assert found["payload"]["next_round"] == 2

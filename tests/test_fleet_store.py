@@ -34,7 +34,7 @@ from repro.fl.scheduling import (
     make_straggler,
     parse_availability,
 )
-from repro.fl.checkpoint import flatten_payload, unflatten_payload
+from repro.container import flatten_payload, unflatten_payload
 from repro.fl.scheduling.fleet import RoundTimeStats
 from repro.fl.scheduling.selectors import (
     AvailabilityAwareSelector,

@@ -43,7 +43,7 @@ from repro.fl import (
 )
 from repro.fl.export import recovery_to_dict, transport_to_dict
 from repro.fl.async_engine import VirtualClock, _Pending
-from repro.fl.checkpoint import flatten_payload, unflatten_payload
+from repro.container import flatten_payload, unflatten_payload
 from repro.fl.export import log_from_state, log_state_dict
 from repro.fl.scheduling import estimate_round_time
 from repro.fl.types import (

@@ -2,6 +2,8 @@
 
 import json
 import re
+import tracemalloc
+import zipfile
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,10 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from forged_container import refile
+
 from repro import cli
 from repro.bench import active_profile
 from repro.bench.workloads import coordinator_config
 from repro.cli import main as cli_main
+from repro.container import write_payload
 from repro.fl import CoordinatorConfig
 from repro.fl.export import load_log, log_to_dict, save_log
 from repro.nn import mlp, set_compute_dtype, small_cnn, small_resnet, vit_tiny
@@ -43,7 +48,7 @@ class TestModelCheckpoints:
     def test_roundtrip_preserves_predictions(self, maker, shape, rng, tmp_path):
         m = maker(rng)
         x = rng.normal(size=(4,) + shape)
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model.rsnp"
         save_model(m, path)
         loaded = load_model(path)
         assert np.allclose(m.predict(x), loaded.predict(x), atol=1e-12)
@@ -56,7 +61,7 @@ class TestModelCheckpoints:
         cell = m.transformable_cells()[0]
         m.widen_cell(cell.cell_id, 2.0, rng, round_idx=5)
         m.deepen_after(cell.cell_id, rng, round_idx=9)
-        path = tmp_path / "grown.npz"
+        path = tmp_path / "grown.rsnp"
         save_model(m, path)
         loaded = load_model(path)
         x = rng.normal(size=(4, 6))
@@ -69,7 +74,7 @@ class TestModelCheckpoints:
     def test_bn_state_restored(self, rng, tmp_path):
         m = small_cnn((1, 8, 8), 4, rng, width=4)
         m.forward(rng.normal(size=(8, 1, 8, 8)), train=True)  # move running stats
-        path = tmp_path / "bn.npz"
+        path = tmp_path / "bn.rsnp"
         save_model(m, path)
         loaded = load_model(path)
         for k, v in m.state().items():
@@ -184,6 +189,16 @@ class TestStrictRestore:
         with pytest.raises(ValueError, match=rf"model {m.model_id}: .*shape mismatch"):
             load_model_state(m.clone(keep_id=True), payload)
 
+    @pytest.mark.parametrize("version", [2.9, True, "3", None])
+    def test_a_non_int_version_does_not_load(self, rng, version):
+        """A checkpointed version keys every version cache: 2.9 used to load
+        as 2, ``True`` as 1 and ``"3"`` as 3."""
+        m = mlp((6,), 4, rng, width=8)
+        payload = model_state_dict(m)
+        payload["version"] = version
+        with pytest.raises(ValueError, match=rf"model {m.model_id}: version .* is not an int"):
+            model_from_state(payload)
+
 
 def _grown_spec() -> dict:
     """A small_cnn spec with both transforms in its history."""
@@ -232,9 +247,9 @@ class TestStrictSpec:
             model_from_spec(spec)
 
     def test_load_model_without_a_spec_names_the_file(self, rng, tmp_path):
-        path = tmp_path / "weights.npz"
-        np.savez(path, **{f"param::{k}": v for k, v in mlp((6,), 4, rng).params().items()})
-        with pytest.raises(ValueError, match=rf"{path} is not a saved model: no __spec__"):
+        path = tmp_path / "weights.rsnp"
+        write_payload(path, {"params": mlp((6,), 4, rng).params()})
+        with pytest.raises(ValueError, match=rf"{path} is not a saved model: KeyError: 'spec'"):
             load_model(path)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -257,6 +272,90 @@ class TestStrictSpec:
         except ValueError:
             return
         assert model_spec(model) == spec
+
+
+def _tensors(model) -> dict:
+    return {(s, key): arr for s in ("param", "state") for key, *_, arr in model.tensors(s)}
+
+
+@pytest.fixture(scope="module")
+def saved_cnn(tmp_path_factory) -> tuple:
+    """A saved small_cnn with moved BatchNorm statistics: (model, file bytes)."""
+    model = _bn_model(np.random.default_rng(5))
+    path = tmp_path_factory.mktemp("saved") / "m.rsnp"
+    save_model(model, path)
+    return model, path.read_bytes()
+
+
+class TestHostileSavedModels:
+    """A ``--save-models`` file is read by the container's one reader: a
+    truncated, altered or forged file loads the saved model or is a
+    ``ValueError`` naming it, and never sizes an allocation by itself."""
+
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_an_altered_file_loads_the_saved_model_or_names_the_file(
+        self, saved_cnn, tmp_path, data
+    ):
+        model, good = saved_cnn
+        if data.draw(st.booleans(), label="truncate"):
+            bad = good[: data.draw(st.integers(0, len(good) - 1), label="keep")]
+        else:
+            start = data.draw(st.integers(0, len(good) - 1), label="start")
+            masks = data.draw(st.lists(st.integers(1, 255), min_size=1, max_size=4), label="xor")
+            bad = bytearray(good)
+            for i, mask in enumerate(masks[: len(good) - start]):
+                bad[start + i] ^= mask
+            bad = bytes(bad)
+        path = tmp_path / "m.rsnp"
+        path.write_bytes(bad)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert model_spec(loaded) == model_spec(model)
+            got, want = _tensors(loaded), _tensors(model)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= 4 * len(good) + (1 << 20)
+
+    def test_a_forged_shape_sizes_no_read(self, saved_cnn, tmp_path):
+        """A few-KB file whose bytes claim a 128 MiB tensor: a zip member in
+        the ``np.savez`` layout saved models had before format 3, and a
+        container whose arena and marker claim it under a matching CRC."""
+        model, good = saved_cnn
+        spec = json.dumps(model_spec(model)).encode()
+        (first, _), *rest = ((f"param::{k}", v) for k, v in model.params().items())
+        zipped = tmp_path / "zipped.npz"
+        np.savez(zipped, __spec__=np.frombuffer(spec, dtype=np.uint8), **dict(rest))
+        with zipfile.ZipFile(zipped, "a") as zf, zf.open(first + ".npy", "w") as member:
+            header = {"descr": "<f8", "fortran_order": False, "shape": (1 << 24,)}
+            np.lib.format.write_array_header_1_0(member, header)
+
+        def forge(h):
+            marker = next(iter(h["payload"]["params"].values()))["__array__"]
+            marker[1:] = [0, [1 << 24]]
+            h["arenas"][marker[0]][1] = 1 << 24
+
+        forged = tmp_path / "forged.rsnp"
+        forged.write_bytes(refile(good, forge))
+        for path in (zipped, forged):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=re.escape(str(path))):
+                    load_model(path)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert peak <= 4 * path.stat().st_size + (1 << 20)
 
 
 class TestLogExport:
@@ -323,7 +422,7 @@ class TestCLI:
             ]
         )
         assert rc == 0
-        saved = list((tmp_path / "models").glob("*.npz"))
+        saved = list((tmp_path / "models").glob("*.rsnp"))
         assert saved
         loaded = load_model(saved[0])
         assert loaded.macs() > 0

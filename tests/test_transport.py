@@ -25,8 +25,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from forged_container import reheader
 from oracle_transport import OracleCodec
 
+from repro import container
 from repro.baselines import fedavg
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
@@ -808,10 +810,10 @@ class TestWireFormatVersion:
             self._read(b"RS")
 
     def test_future_version_fails_with_both_numbers(self):
-        payload = shm_mod._PREFIX.pack(shm_mod._MAGIC, 99, 2) + b"{}"
+        payload = container._PREFIX.pack(container._MAGIC, 99, 2) + b"{}"
         with pytest.raises(SnapshotFormatError, match="99") as ei:
             self._read(payload)
-        assert str(shm_mod.WIRE_FORMAT_VERSION) in str(ei.value)
+        assert str(container.FORMAT) in str(ei.value)
 
     def test_current_segments_round_trip(self, rng):
         model = mlp((8,), 4, rng, width=8)
@@ -902,21 +904,6 @@ def _segments() -> tuple[bytes, bytes, dict]:
             next(iter(model.params().values())).flat[0] += 1.0
             model.bump_version()
     return out[0], out[1], _signature(models)
-
-
-def _reheader(good: bytes, tamper) -> bytes:
-    """``good`` with its JSON header altered in place by ``tamper`` (the
-    arenas move with the header's length, so their offsets stay valid)."""
-    prefix = shm_mod._PREFIX
-    magic, version, hlen = prefix.unpack_from(good, 0)
-    header = json.loads(good[prefix.size : prefix.size + hlen])
-    tamper(header)
-    text = json.dumps(header).encode()
-    start = shm_mod._aligned(prefix.size + len(text))
-    return (
-        prefix.pack(magic, version, len(text)) + text
-        + bytes(start - prefix.size - len(text)) + good[shm_mod._aligned(prefix.size + hlen) :]
-    )
 
 
 def _set(container, key, value) -> None:
@@ -1024,18 +1011,18 @@ class TestHostileSnapshots:
     @pytest.mark.parametrize("tamper", sorted(_HEADER_TAMPERS))
     def test_tampered_headers_are_refused(self, tamper):
         full, _, _ = _segments()
-        _read(_reheader(full, lambda h: None))  # untampered: decodes
+        _read(reheader(full, lambda h: None))  # untampered: decodes
         with pytest.raises(SnapshotFormatError):
-            _read(_reheader(full, _HEADER_TAMPERS[tamper]))
-        assert self._decode(_reheader(full, _HEADER_TAMPERS[tamper])) is None
+            _read(reheader(full, _HEADER_TAMPERS[tamper]))
+        assert self._decode(reheader(full, _HEADER_TAMPERS[tamper])) is None
 
     @pytest.mark.parametrize("tamper", sorted(_RLE_TAMPERS))
     def test_tampered_rle_leaves_are_refused(self, tamper):
         full, delta, _ = _segments()
         prev = _read(full)[1]
-        _read(_reheader(delta, lambda h: None), prev)  # untampered: decodes
+        _read(reheader(delta, lambda h: None), prev)  # untampered: decodes
         with pytest.raises(SnapshotFormatError):
-            _read(_reheader(delta, _RLE_TAMPERS[tamper]), prev)
+            _read(reheader(delta, _RLE_TAMPERS[tamper]), prev)
 
     def test_an_rle_delta_without_its_previous_state_is_refused(self):
         _, delta, _ = _segments()
@@ -1045,7 +1032,7 @@ class TestHostileSnapshots:
     @pytest.mark.parametrize("extra", [1, 1 << 40])
     def test_a_header_length_past_the_segment_is_refused(self, extra):
         full, _, _ = _segments()
-        prefix = shm_mod._PREFIX
+        prefix = container._PREFIX
         magic, version, _ = prefix.unpack_from(full, 0)
         bad = prefix.pack(magic, version, len(full) - prefix.size + extra) + full[prefix.size :]
         with pytest.raises(SnapshotFormatError, match="past the"):
@@ -1064,16 +1051,16 @@ class TestHostileSnapshots:
 
     @pytest.mark.parametrize("text", [b"{", b"\xff\xfe", b"[" * 100_000, b"null", b"[{}]"])
     def test_a_header_that_is_not_a_json_object_is_refused(self, text):
-        payload = shm_mod._PREFIX.pack(shm_mod._MAGIC, shm_mod.WIRE_FORMAT_VERSION, len(text)) + text
+        payload = container._PREFIX.pack(container._MAGIC, container.FORMAT, len(text)) + text
         with pytest.raises(SnapshotFormatError, match="undecodable snapshot segment"):
             _read(payload)
 
     def test_a_pickled_header_segment_is_refused_with_both_versions(self):
         header = pickle.dumps({"kind": "full", "models": {}, "removed": (), "all_ids": ()})
-        payload = shm_mod._PREFIX.pack(shm_mod._MAGIC, 2, len(header)) + header
+        payload = container._PREFIX.pack(container._MAGIC, 2, len(header)) + header
         with pytest.raises(SnapshotFormatError, match="version 2") as info:
             _read(payload)
-        assert f"version {shm_mod.WIRE_FORMAT_VERSION}" in str(info.value)
+        assert f"version {container.FORMAT}" in str(info.value)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from hypothesis.stateful import (
 
 from repro.core import ClientManager
 from repro.fl import ClientUpdate
-from repro.fl.checkpoint import flatten_payload, unflatten_payload
+from repro.container import flatten_payload, unflatten_payload
 from repro.nn import mlp
 
 from oracle_client_manager import ClientManager as DictClientManager
