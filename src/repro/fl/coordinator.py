@@ -146,11 +146,12 @@ class CoordinatorConfig:
     convergence_patience: int = 10
     convergence_delta: float = 0.01
     eval_batch_size: int = 256
-    # Clients per batched-evaluation task.  Caps the concatenated test-set
-    # size (memory stays O(chunk), not O(fleet)) and keeps several tasks in
-    # flight for parallel backends even when every client shares one
-    # deployment.  Chunk boundaries are deterministic (registration order),
-    # so results stay bit-identical across backends.
+    # Clients per batched-evaluation task: a memory cap only (the
+    # concatenated test set stays O(chunk), not O(fleet)).  What keeps a
+    # parallel backend busy is the executor, which cuts every task into at
+    # most ``workers`` batch-aligned row ranges.  Chunk boundaries are
+    # deterministic (registration order), so results stay bit-identical
+    # across backends.
     eval_group_clients: int = 64
     # Runtime sanitizer (repro.analysis.sanitize; also enabled by the
     # REPRO_SANITIZE=1 environment variable or the --sanitize CLI flag):

@@ -11,11 +11,14 @@ ensemble versions, client chunk)``, keyed on the models' monotone
 did not change since the last sweep skips its forward passes entirely.
 
 The groups that missed run as one executor wave
-(:meth:`~repro.fl.executor.RoundExecutor.eval_round`), one job per group,
-single models and ensembles alike: each member's forward runs on the
+(:meth:`~repro.fl.executor.RoundExecutor.eval_round`), single models and
+ensembles alike, each group cut into at most ``workers`` batch-aligned row
+ranges, one job each: each member's forward over a range runs on the
 executor thread's own workspace of that model, and the member logits are
 averaged and scored where they were computed
-(:func:`~repro.fl.executor._eval_task`), so only accuracies come back.
+(:func:`~repro.fl.executor._eval_task`), so only per-client hit counts come
+back; the executor sums a group's counts and divides once, so the cache
+still receives one accuracy array per group.
 
 Warm and cold sweeps are bit-identical: a sweep over an empty cache is
 the code a first sweep runs, a hit returns the array a miss stored, and

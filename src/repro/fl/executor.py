@@ -28,7 +28,12 @@ never a pickled model.
 in first-appearance order (:meth:`RoundExecutor._cohorts`), each group
 trains as K replicas of one NumPy loop on a K-replica workspace
 (:func:`_train_item`; :mod:`repro.fl.client` describes the replica axis),
-and the updates are scattered back to item order.
+and the updates are scattered back to item order.  A sweep's unit is a
+*row range*: ``eval_round`` cuts each deployment group's concatenated test
+rows into at most ``workers`` contiguous ranges, cut only at multiples of
+the sweep's batch size (:meth:`RoundExecutor._row_ranges`); each range runs
+the ``predict`` batches the whole group would and returns per-client hit
+counts, which are summed over the ranges and divided once.
 
 **Workspaces persist.**  Each thread (serial: the caller's; thread: each
 pool thread; process: each worker) keeps one workspace per model id
@@ -220,68 +225,78 @@ def _train_item(
         work.drop_caches()
 
 
-def ensemble_accuracies(
+def ensemble_hits(
     member_logits,
     num_members: int,
     clients_by_id: dict[int, FLClient],
     client_ids: tuple[int, ...],
+    lo: int,
+    hi: int,
 ) -> np.ndarray:
-    """Average member logits, score the group in one pass: the one scorer.
+    """Average member logits, count each client's hits: the one scorer.
 
-    ``member_logits`` yields each member model's logits over the group's
-    concatenated test rows, in ensemble order (:func:`_eval_task` feeds it
-    :func:`_member_logits` output).
+    ``member_logits`` yields each member model's logits over rows
+    ``[lo, hi)`` of the group's concatenated test rows, in ensemble order
+    (:func:`_eval_task` feeds it :func:`_member_logits` output).
 
-    One ``argmax`` over the whole group, hits counted per client with
-    ``bincount``: an exact float64 count divided by the client's row count,
-    the bits a per-client bool ``mean()`` gives.  A test-less client scores
-    0.0 — a mean over a zero-length slice would be NaN and poison the
-    eval's mean.
+    One ``argmax`` over the range, hits counted per client with
+    ``bincount``: exact integers in float64, so the counts of a group's
+    ranges sum to the count of the group scored whole, whatever the cut.
+    :meth:`RoundExecutor.eval_round` divides the sum by each client's row
+    count once — the bits a per-client bool ``mean()`` gives.
     """
     logits: np.ndarray | None = None
     for out in member_logits:
         logits = out if logits is None else logits + out
     logits = logits / num_members
-    data = [clients_by_id[cid].data for cid in client_ids]
-    num_test = np.array([d.num_test for d in data], dtype=np.int64)
-    correct = logits.argmax(axis=-1) == np.concatenate([d.y_test for d in data])
-    owner = np.repeat(np.arange(len(data)), num_test)
-    hits = np.bincount(owner, weights=correct, minlength=len(data))
-    return np.divide(hits, num_test, out=np.zeros(len(data)), where=num_test > 0)
+    ys = [clients_by_id[cid].data.y_test for cid in client_ids]
+    owner = np.repeat(np.arange(len(ys)), [len(y) for y in ys])[lo:hi]
+    correct = logits.argmax(axis=-1) == np.concatenate(ys)[lo:hi]
+    return np.bincount(owner, weights=correct, minlength=len(ys))
 
 
 def _eval_task(
-    models: dict[str, CellModel], env, task: EvalTask, batch_size: int
+    models: dict[str, CellModel], env, task: EvalTask, lo: int, hi: int, batch_size: int
 ) -> np.ndarray:
-    """Per-client accuracies of one deployment group: each member's logits
-    over the group's test rows, in member order, scored where they are
-    computed, so only the accuracies cross the wire.  An all-empty group
-    scores zeros like any other test-less client."""
-    return ensemble_accuracies(
-        (_member_logits(models, env, mid, task.client_ids, batch_size) for mid in task.model_ids),
+    """Per-client hit counts over rows ``[lo, hi)`` of one deployment
+    group: each member's logits over those rows, in member order, scored
+    where they are computed, so only the counts cross the wire."""
+    return ensemble_hits(
+        (
+            _member_logits(models, env, mid, task.client_ids, lo, hi, batch_size)
+            for mid in task.model_ids
+        ),
         len(task.model_ids),
         env.clients_by_id,
         task.client_ids,
+        lo,
+        hi,
     )
 
 
 def _member_logits(
-    models: dict[str, CellModel], env, model_id: str, client_ids: tuple[int, ...], batch_size: int
+    models: dict[str, CellModel],
+    env,
+    model_id: str,
+    client_ids: tuple[int, ...],
+    lo: int,
+    hi: int,
+    batch_size: int,
 ) -> np.ndarray:
-    """Raw logits of one model over a client chunk's concatenated test rows.
+    """Raw logits of one model over rows ``[lo, hi)`` of a client chunk's
+    concatenated test rows.
 
-    The only forward pass of a sweep.  It runs on this thread's workspace
-    of the model (:func:`_workspace`, K = 1: refilled from the published
-    model with ``np.copyto``), never on the published model itself, whose
-    layer caches two threads would otherwise race on.  The workspace's
-    forward caches are dropped when the call returns, so no chunk of test
-    rows stays pinned between sweeps; its pooled buffers stay warm
-    (:func:`_workspace`).
+    The only forward pass of a sweep.  ``lo`` is a multiple of
+    ``batch_size`` (:meth:`RoundExecutor._row_ranges`), so ``predict`` runs
+    the very batches a forward over the whole chunk would.  It runs on this
+    thread's workspace of the model (:func:`_workspace`, K = 1: refilled
+    from the published model with ``np.copyto``), never on the published
+    model itself, whose layer caches two threads would otherwise race on.
+    The workspace's forward caches are dropped when the call returns, so no
+    range of test rows stays pinned between sweeps; its pooled buffers stay
+    warm (:func:`_workspace`).
     """
-    xs = np.concatenate([env.clients_by_id[cid].data.x_test for cid in client_ids])
-    if len(xs) == 0:
-        # predict() cannot run on zero samples.
-        return np.zeros((0, models[model_id].num_classes))
+    xs = np.concatenate([env.clients_by_id[cid].data.x_test for cid in client_ids])[lo:hi]
     work = _workspace(env.workspaces, models, model_id, 1)
     try:
         return work.predict(xs, batch_size)
@@ -304,8 +319,7 @@ def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_
     """
     kind, payload = job
     if kind == "eval":
-        task, batch_size = payload
-        return _eval_task(load_models(), env, task, batch_size)
+        return _eval_task(load_models(), env, *payload)
     plan = env.fault_plan
     # A fault plan makes every cohort a singleton (RoundExecutor._cohorts).
     decision = plan.item_faults(round_idx, payload[0]) if plan is not None and attempt == 0 else None
@@ -458,12 +472,49 @@ class RoundExecutor(Stateful, ABC):
         """Score every deployment group as one wave; accuracies in task order.
 
         A sweep (:class:`~repro.fl.eval_cache.EvalCache`) dispatches the
-        groups its cache missed, one job each, single models and ensembles
-        alike.
+        groups its cache missed, single models and ensembles alike, each cut
+        into row ranges (:meth:`_row_ranges`), one job each.  A job returns
+        its rows' per-client hit counts; a group's counts are summed over
+        its ranges (exact integers in float64) and divided once, a test-less
+        client scoring 0.0 — a mean over a zero-length slice would be NaN
+        and poison the eval's mean.
         """
-        jobs = [("eval", (t, batch_size)) for t in tasks]
+        num_test = [
+            np.array([self.clients_by_id[cid].data.num_test for cid in t.client_ids], dtype=np.int64)
+            for t in tasks
+        ]
+        ranges = [self._row_ranges(int(n.sum()), batch_size) for n in num_test]
+        jobs = [
+            ("eval", (task, lo, hi, batch_size))
+            for task, cuts in zip(tasks, ranges)
+            for lo, hi in cuts
+        ]
         with _sanitize.published(models):
-            return self._run_wave(models, jobs, -1)
+            counts = iter(self._run_wave(models, jobs, -1))
+        accs = []
+        for n, cuts in zip(num_test, ranges):
+            hits = np.zeros(len(n))
+            for _ in cuts:
+                hits += next(counts)
+            accs.append(np.divide(hits, n, out=np.zeros(len(n)), where=n > 0))
+        return accs
+
+    def _row_ranges(self, rows: int, batch_size: int) -> list[tuple[int, int]]:
+        """Cut a group's ``rows`` test rows into at most :attr:`workers`
+        contiguous ``[lo, hi)`` ranges, one job each, so a pool stays busy
+        on a single group.
+
+        Cuts fall only at multiples of ``batch_size`` from the group's first
+        row and the last range ends at ``rows``, so each range runs the very
+        ``predict`` batches the uncut group would; a group without rows is
+        no job.  As with :meth:`_cohorts`, any cut yields the same bytes.
+        """
+        if rows == 0:
+            return []
+        batches = -(-rows // batch_size)
+        parts = min(self.workers, batches)
+        cuts = [batches * p // parts * batch_size for p in range(parts)] + [rows]
+        return list(zip(cuts, cuts[1:]))
 
     @abstractmethod
     def _run_wave(
@@ -473,9 +524,9 @@ class RoundExecutor(Stateful, ABC):
 
         ``jobs`` is ``[(kind, payload), ...]`` with kind ``"train"``
         (payload: a cohort, i.e. a tuple of :class:`TrainItem`; result: the
-        list of their updates) or ``"eval"`` (payload: ``(task,
-        batch_size)``; result: per-client accuracies; ``round_idx`` is then
-        -1).
+        list of their updates) or ``"eval"`` (payload: ``(task, lo, hi,
+        batch_size)``; result: per-client hit counts over the group's rows
+        ``[lo, hi)``; ``round_idx`` is then -1).
         """
 
     @property

@@ -343,24 +343,28 @@ class CellModel:
         return {k: v.copy() for k, v in self.state().items()}
 
     def set_params(self, tree: ParamTree) -> None:
-        self._write("param", tree)
+        self.set_tensors(param=tree)
 
     def set_state(self, tree: ParamTree) -> None:
-        self._write("state", tree)
+        self.set_tensors(state=tree)
 
-    def _write(self, scope: str, tree: ParamTree) -> None:
-        """Copy ``tree`` into the live tensors of ``scope``: exactly their
-        keys (else ``KeyError``) at exactly their shapes (else ``ValueError``);
-        nothing broadcasts, and a refused tree writes nothing."""
-        live = {key: arr for key, _, _, _, arr in self.tensors(scope)}
-        if live.keys() != tree.keys():
-            diff = sorted(live.keys() ^ tree.keys())[:8]
-            raise KeyError(f"{scope} keys mismatch: {diff}")
-        for k, v in tree.items():
-            if live[k].shape != np.shape(v):
-                raise ValueError(f"shape mismatch for {k}: {live[k].shape} vs {np.shape(v)}")
-        for k, v in tree.items():
-            live[k][...] = v
+    def set_tensors(self, **trees: ParamTree) -> None:
+        """Copy each tree into the live tensors of its scope (``param``,
+        ``state``): exactly their keys (else ``KeyError``) at exactly their
+        shapes (else ``ValueError``); nothing broadcasts, and every tree is
+        checked before any is written, so a refused call writes nothing."""
+        writes = []
+        for scope, tree in trees.items():
+            live = {key: arr for key, _, _, _, arr in self.tensors(scope)}
+            if live.keys() != tree.keys():
+                diff = sorted(live.keys() ^ tree.keys())[:8]
+                raise KeyError(f"{scope} keys mismatch: {diff}")
+            for k, v in tree.items():
+                if live[k].shape != np.shape(v):
+                    raise ValueError(f"shape mismatch for {k}: {live[k].shape} vs {np.shape(v)}")
+                writes.append((live[k], v))
+        for dst, v in writes:
+            dst[...] = v
         self.bump_version()
 
     def zero_grad(self) -> None:

@@ -194,16 +194,26 @@ def model_state_dict(model: CellModel) -> dict:
 def load_model_state(model: CellModel, payload: dict) -> None:
     """Restore a :func:`model_state_dict` payload into a live model of the
     same architecture: exactly its tensor keys and shapes, parameters and
-    state both, and an int version, else a ``ValueError`` naming the model."""
+    state both, each a real-floating ``np.ndarray``, and an int version,
+    else a ``ValueError`` naming the model.  Every tensor is checked before
+    any is written, so a refused payload leaves the model's bytes and
+    version as they were."""
     version = payload["version"]
     if type(version) is not int:
         raise ValueError(f"model {model.model_id}: version {version!r} is not an int")
+    trees = {"param": payload["params"], "state": payload["state"]}
+    for tree in trees.values():
+        for key, value in tree.items():
+            if type(value) is not np.ndarray or value.dtype.kind != "f":
+                what = value.dtype if type(value) is np.ndarray else type(value).__name__
+                raise ValueError(
+                    f"model {model.model_id}: tensor {key} ({what}) is not a real-floating array"
+                )
     try:
-        model.set_params({k: np.asarray(v) for k, v in payload["params"].items()})
-        model.set_state({k: np.asarray(v) for k, v in payload["state"].items()})
+        model.set_tensors(**trees)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"model {model.model_id}: checkpoint tensors do not fit: {exc}") from exc
-    # set_params/set_state bumped the counter; restamp to the checkpoint's
+    # set_tensors bumped the counter; restamp to the checkpoint's
     # value so version-keyed caches key identically after resume.
     model.sync_version(version)
 

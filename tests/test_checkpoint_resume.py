@@ -745,6 +745,30 @@ class TestHostilePayloads:
         with pytest.raises(ValueError, match=expected):
             _build(tmp_path, resume=True).run()
 
+    def test_a_list_tensor_beyond_float_range_does_not_resume(self, tmp_path):
+        """A tensor stored as a nested list of ints beyond float range (not
+        an array marker) used to raise a bare ``OverflowError`` from the
+        write, past the resume's ``ValueError`` handling."""
+        coord = _build(tmp_path)
+        _crash_at(coord, crash_round=4)
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        (run,) = RunRegistry(tmp_path).runs()
+        found = load_checkpoint(tmp_path / run)
+        (mid, model), = found["payload"]["coordinator"]["strategy"]["models"].items()
+        key = next(k for k in model["params"] if k.endswith(".w"))
+        model["params"][key] = np.full(model["params"][key].shape, 10**400, dtype=object).tolist()
+        manifest = found["manifest"]
+        path = CheckpointWriter(tmp_path / run, manifest["run_hash"]).write(
+            manifest["round"], found["payload"], completed=False
+        )
+        expected = (
+            rf"{re.escape(str(path))} does not resume: model {mid}: tensor "
+            rf"{re.escape(key)} \(list\) is not a real-floating array"
+        )
+        with pytest.raises(ValueError, match=expected):
+            _build(tmp_path, resume=True).run()
+
 # ----------------------------------------------------------------------
 # writer / loader / registry
 # ----------------------------------------------------------------------

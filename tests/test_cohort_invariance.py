@@ -27,6 +27,7 @@ import uuid
 import numpy as np
 import pytest
 
+import oracle_deployment as oracle
 import repro.fl.client as client_mod
 import repro.fl.executor as executor_mod
 from repro.data.federated import ClientData
@@ -38,7 +39,6 @@ from repro.fl.executor import (
     EvalTask,
     TrainItem,
     derive_client_rng,
-    ensemble_accuracies,
     make_executor,
 )
 from repro.nn import mlp, small_cnn
@@ -273,15 +273,18 @@ def _checked(real_train_item, seen):
 
 
 def _checked_logits(real_member_logits, marks):
-    """``_member_logits``, then the same invariants over its logits, and its
-    logits equal a fresh clone's forward bytes — asserted where the call
-    ran, which leaves one file in ``marks`` (pool workers' calls count too)."""
+    """``_member_logits``, then the same invariants over its logits, its
+    range starts at a multiple of the batch size, and its logits equal a
+    fresh clone's forward bytes over that slice of the chunk's rows —
+    asserted where the call ran, which leaves one file in ``marks`` (pool
+    workers' calls count too)."""
 
-    def member_logits(models, env, model_id, client_ids, batch_size):
-        logits = real_member_logits(models, env, model_id, client_ids, batch_size)
+    def member_logits(models, env, model_id, client_ids, lo, hi, batch_size):
+        logits = real_member_logits(models, env, model_id, client_ids, lo, hi, batch_size)
         held = env.workspaces[threading.get_ident()]
         _assert_between_items(held, held[model_id], [logits])
-        xs = np.concatenate([env.clients_by_id[c].data.x_test for c in client_ids])
+        assert lo % batch_size == 0 and lo < hi, (lo, hi)
+        xs = np.concatenate([env.clients_by_id[c].data.x_test for c in client_ids])[lo:hi]
         want = models[model_id].clone(keep_id=True).predict(xs, batch_size)
         assert logits.tobytes() == want.tobytes(), model_id
         (marks / f"{os.getpid()}-{threading.get_ident()}-{uuid.uuid4().hex}").touch()
@@ -447,12 +450,14 @@ def test_conv_reuse_history_gives_a_fresh_clones_bytes(
         before = sum(1 for _ in tmp_path.iterdir())
         accs = ex.eval_round(tasks, models, SWEEP_BATCH)
         checked = sum(1 for _ in tmp_path.iterdir()) - before
-        assert checked == sum(len(t.model_ids) for t in tasks), (backend, phase)
+        ranges = [ex._row_ranges(sum(by_id[c].data.num_test for c in t.client_ids), SWEEP_BATCH)
+                  for t in tasks]
+        assert checked == sum(len(t.model_ids) * len(r) for t, r in zip(tasks, ranges)), (backend, phase)
         for task, acc in zip(tasks, accs):
             xs = np.concatenate([by_id[c].data.x_test for c in task.client_ids])
             assert len(xs) % SWEEP_BATCH, "the chunk ends in a full batch"
             want = [models[mid].clone(keep_id=True).predict(xs, SWEEP_BATCH) for mid in task.model_ids]
-            assert acc.tobytes() == ensemble_accuracies(
+            assert acc.tobytes() == oracle.ensemble_accuracies(
                 want, len(want), by_id, task.client_ids
             ).tobytes(), (backend, phase, task)
 

@@ -221,7 +221,7 @@ class TestBatchedEvaluation:
 
     def test_batched_matches_per_client_for_ensembles(self, rng):
         """Pins the two ensemble-averaging implementations to each other:
-        ensemble_accuracies' batched sum/len must agree with the per-client
+        ensemble_hits' batched sum/len must agree with the per-client
         Strategy.client_logits np.mean path for a multi-model deployment
         (SplitMix)."""
         from repro.baselines import SplitMixStrategy

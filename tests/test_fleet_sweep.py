@@ -1,7 +1,8 @@
 """A fleet sweep is a few array ops: deployments resolved in one call, each
-group scored in one pass, every forward on a thread's workspace.
+group cut into batch-aligned row ranges scored in one pass each, every
+forward on a thread's workspace.
 
-Four witnesses, the first three against the per-client form each replaced
+Five witnesses, the first three against the per-client form each replaced
 (kept in ``tests/oracle_deployment.py``):
 
 * ``TestDeploymentOracle`` — ``Strategy.eval_models`` equals the per-client
@@ -9,14 +10,19 @@ Four witnesses, the first three against the per-client form each replaced
   ladders' ``largest_compatible``, the fixed deployments) for every shipped
   strategy, over utility ties, unseen and evicted clients, models without
   a utility and capacities below every model;
-* ``TestScorerOracle`` — ``ensemble_accuracies`` equals the per-client
-  ``accuracy()`` loop bit for bit;
+* ``TestScorerOracle`` — ``ensemble_hits`` summed over any cut of a
+  group's rows and divided once equals the per-client ``accuracy()`` loop
+  bit for bit;
 * ``TestNoCloneWitness`` — a sweep's forward runs on no clone and leaves
   no layer cache on the published models, and its member logits and
   accuracies are the cloned forward's bytes on every backend;
-* ``TestEnsembleGroups`` — an ensemble group is one ``eval_round`` job
-  whose accuracies are its fresh clones' ensemble scored, test-less
-  clients and all-empty groups included, on every backend.
+* ``TestEnsembleGroups`` — an ensemble group sent through ``eval_round``
+  scores its fresh clones' ensemble, test-less clients and all-empty
+  groups included, on every backend;
+* ``TestRowRanges`` — a group is at most ``workers`` jobs whose ranges
+  start at multiples of the batch size and tile its rows, and the
+  accuracies are the ``workers=1`` bytes and the oracle's, on the thread
+  and process backends at 1 to 4 workers.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from repro.fl import (
     make_executor,
 )
 from repro.fl import executor as executor_mod
-from repro.fl.executor import EXECUTOR_BACKENDS, EvalTask, ensemble_accuracies
+from repro.fl.executor import EXECUTOR_BACKENDS, EvalTask, ensemble_hits
 from repro.nn import mlp
 from repro.nn.model import CellModel
 
@@ -199,10 +205,13 @@ class TestScorerOracle:
         classes=st.integers(2, 4),
         ties=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        cuts=st.sets(st.integers(1, 35)),
     )
-    @example(num_test=[0, 0, 0], members=1, classes=3, ties=False, seed=0)  # all-empty group
-    @example(num_test=[3, 0, 2], members=3, classes=2, ties=True, seed=1)
-    def test_one_pass_equals_the_per_client_loop(self, num_test, members, classes, ties, seed):
+    @example(num_test=[0, 0, 0], members=1, classes=3, ties=False, seed=0, cuts=set())  # all-empty
+    @example(num_test=[3, 0, 2], members=3, classes=2, ties=True, seed=1, cuts={1, 3, 4})
+    def test_one_pass_equals_the_per_client_loop(self, num_test, members, classes, ties, seed, cuts):
+        """One pass per range of the group's rows, however they are cut:
+        the counts summed and divided once are the per-client loop's bits."""
         rng = np.random.default_rng(seed)
         rows = sum(num_test)
         # Small integer logits tie the argmax on most rows.
@@ -218,7 +227,13 @@ class TestScorerOracle:
             for j, n in enumerate(num_test)
         }
         ids = tuple(clients_by_id)
-        got = ensemble_accuracies(iter(logits), members, clients_by_id, ids)
+        bounds = [0, *sorted(c for c in cuts if c < rows), rows]
+        hits = np.zeros(len(ids))
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo < hi:
+                hits += ensemble_hits((out[lo:hi] for out in logits), members, clients_by_id, ids, lo, hi)
+        counts = np.array(num_test)
+        got = np.divide(hits, counts, out=np.zeros(len(ids)), where=counts > 0)
         want = oracle.ensemble_accuracies(iter(logits), members, clients_by_id, ids)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert (got[np.array(num_test) == 0] == 0.0).all()
@@ -364,7 +379,7 @@ class TestNoCloneWitness:
             tasks = [EvalTask(ens, cids) for ens in ensembles for cids in chunks]
             before = checked()
             accs = coord.executor.eval_round(tasks, models, 8)
-            assert checked() - before == sum(len(t.model_ids) for t in tasks)
+            assert checked() - before == _member_forwards(coord.executor, tasks, 8)
             for task, acc in zip(tasks, accs):
                 assert acc.tobytes() == _cloned_scores(models, clients_by_id, task, 8).tobytes()
         finally:
@@ -373,22 +388,34 @@ class TestNoCloneWitness:
 
 def _check_member_logits(monkeypatch, marks):
     """Wrap ``_member_logits`` so that each call asserts, where it runs, that
-    its logits are a fresh clone's forward bytes, and leaves one file in
-    ``marks`` (a pool worker's calls count too).  Returns the call counter.
-    Patch before a process pool starts: its workers fork the patched module."""
+    its range starts at a multiple of the batch size and its logits are a
+    fresh clone's forward bytes over that slice of the chunk's rows, and
+    leaves one file in ``marks`` (a pool worker's calls count too).  Returns
+    the call counter.  Patch before a process pool starts: its workers fork
+    the patched module."""
     real = executor_mod._member_logits
 
-    def member_logits(models, env, model_id, client_ids, batch_size):
-        out = real(models, env, model_id, client_ids, batch_size)
-        xs = np.concatenate([env.clients_by_id[c].data.x_test for c in client_ids])
-        if len(xs):
-            want = models[model_id].clone(keep_id=True).predict(xs, batch_size)
-            assert out.tobytes() == want.tobytes(), model_id
+    def member_logits(models, env, model_id, client_ids, lo, hi, batch_size):
+        out = real(models, env, model_id, client_ids, lo, hi, batch_size)
+        assert lo % batch_size == 0 and lo < hi, (lo, hi)
+        xs = np.concatenate([env.clients_by_id[c].data.x_test for c in client_ids])[lo:hi]
+        want = models[model_id].clone(keep_id=True).predict(xs, batch_size)
+        assert out.tobytes() == want.tobytes(), model_id
         (marks / f"{os.getpid()}-{threading.get_ident()}-{uuid.uuid4().hex}").touch()
         return out
 
     monkeypatch.setattr(executor_mod, "_member_logits", member_logits)
     return lambda: sum(1 for _ in marks.iterdir())
+
+
+def _member_forwards(ex, tasks, batch_size) -> int:
+    """How many member forwards a sweep of ``tasks`` runs: one per member
+    per row range of its group."""
+    return sum(
+        len(t.model_ids) * len(ex._row_ranges(sum(ex.clients_by_id[c].data.num_test
+                                                    for c in t.client_ids), batch_size))
+        for t in tasks
+    )
 
 
 def _cloned_scores(models, clients_by_id, task, batch_size) -> np.ndarray:
@@ -404,7 +431,7 @@ def _cloned_scores(models, clients_by_id, task, batch_size) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# an ensemble is one job
+# an ensemble group is scored on the executor
 # ----------------------------------------------------------------------
 class TestEnsembleGroups:
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
@@ -445,7 +472,7 @@ class TestEnsembleGroups:
         def sweep(phase):
             before = checked()
             accs = ex.eval_round(tasks, models, 4)
-            assert checked() - before == sum(len(t.model_ids) for t in tasks)
+            assert checked() - before == _member_forwards(ex, tasks, 4)
             for task, acc in zip(tasks, accs):
                 want = _cloned_scores(models, by_id, task, 4)
                 assert acc.tobytes() == want.tobytes(), (phase, task)
@@ -460,3 +487,121 @@ class TestEnsembleGroups:
             sweep("after training")
         finally:
             ex.close()
+
+
+# ----------------------------------------------------------------------
+# a group is at most ``workers`` batch-aligned jobs
+# ----------------------------------------------------------------------
+_PER_COUNT = 5  # clients holding each test-row count 0..11
+
+
+def _ranged_fleet() -> list[FLClient]:
+    """Five clients for each test-row count from 0 to 11: client ``5n + j``
+    holds ``n`` test rows."""
+    rng = np.random.default_rng(7)
+    clients = []
+    for n in range(12):
+        for j in range(_PER_COUNT):
+            cid = n * _PER_COUNT + j
+            data = ClientData(
+                cid, rng.standard_normal((4, 8)), rng.integers(0, 4, 4),
+                rng.standard_normal((n, 8)), rng.integers(0, 4, n),
+            )
+            clients.append(FLClient(cid, data, DeviceTrace(cid, 1e9, 1e6, 1e12)))
+    return clients
+
+
+_RANGED_FLEET = _ranged_fleet()
+_RANGED_SUITE = {
+    m.model_id: m for m in (mlp((8,), 4, np.random.default_rng(s), width=w) for s, w in enumerate((4, 8, 8)))
+}
+
+
+@st.composite
+def _groups(draw) -> list[EvalTask]:
+    """One to three deployment groups: an ensemble of one to three suite
+    models over one to five clients with drawn test-row counts, zeros
+    included."""
+    tasks = []
+    for _ in range(draw(st.integers(1, 3))):
+        counts = draw(st.lists(st.integers(0, 11), min_size=1, max_size=_PER_COUNT))
+        seen: dict[int, int] = {}
+        cids = []
+        for n in counts:  # the next client holding n rows
+            cids.append(n * _PER_COUNT + seen.get(n, 0))
+            seen[n] = seen.get(n, 0) + 1
+        ensemble = draw(st.permutations(list(_RANGED_SUITE)))[: draw(st.integers(1, 3))]
+        tasks.append(EvalTask(tuple(ensemble), tuple(cids)))
+    return tasks
+
+
+@pytest.fixture(scope="module")
+def ranged_executors():
+    """Executors over the ranged fleet by ``(backend, workers)``; of the
+    pooled ones only the one last handed out keeps its pool, so at most four
+    workers run.  The others keep their warm workspaces."""
+    made: dict[tuple, object] = {}
+
+    def get(backend: str, workers: int):
+        key = (backend, workers)
+        if key not in made:
+            made[key] = make_executor(
+                backend, _RANGED_FLEET, LocalTrainerConfig(batch_size=4), seed=0, max_workers=workers
+            )
+        for other_key, other in made.items():
+            if other_key != key and other.backend != "serial":
+                other.close()
+        return made[key]
+
+    yield get
+    for ex in made.values():
+        ex.close()
+
+
+class TestRowRanges:
+    @pytest.mark.parametrize(
+        "backend,examples", [("thread", 60), ("process", 25)], ids=["thread", "process"]
+    )
+    def test_ranged_sweep_equals_one_job_per_group(self, ranged_executors, backend, examples):
+        """Each group is cut into at most ``workers`` ranges that start at
+        multiples of the batch size and tile its rows (an all-empty group is
+        no job), and the accuracies are the ``workers=1`` bytes and the
+        per-client oracle's over fresh clones."""
+        by_id = {c.client_id: c for c in _RANGED_FLEET}
+
+        @settings(max_examples=examples, deadline=None)
+        @given(tasks=_groups(), batch_size=st.integers(1, 8), workers=st.integers(1, 4))
+        @example(tasks=[EvalTask(tuple(_RANGED_SUITE), (0, 1, 2))], batch_size=3, workers=4)
+        @example(tasks=[EvalTask(tuple(_RANGED_SUITE)[:1], (55, 5, 0, 30))], batch_size=4, workers=4)
+        def check(tasks, batch_size, workers):
+            one = ranged_executors("serial", 1).eval_round(tasks, _RANGED_SUITE, batch_size)
+            ex = ranged_executors(backend, workers)
+            waves: list[list[tuple]] = []
+            run_wave = type(ex)._run_wave
+            ex._run_wave = lambda models, jobs, round_idx: (
+                waves.append(jobs) or run_wave(ex, models, jobs, round_idx)
+            )
+            try:
+                accs = ex.eval_round(tasks, _RANGED_SUITE, batch_size)
+            finally:
+                del ex._run_wave
+            (jobs,) = waves
+            ranges: dict[int, list[tuple[int, int]]] = {}
+            for kind, (task, lo, hi, bs) in jobs:
+                assert kind == "eval" and bs == batch_size
+                owner = next(t for t, drawn in enumerate(tasks) if drawn is task)
+                ranges.setdefault(owner, []).append((lo, hi))
+            for t, task in enumerate(tasks):
+                rows = sum(by_id[c].data.num_test for c in task.client_ids)
+                cut = ranges.get(t, [])
+                # As many jobs as workers, unless the group has fewer batches.
+                assert len(cut) == min(workers, -(-rows // batch_size))
+                assert all(lo % batch_size == 0 and lo < hi for lo, hi in cut)
+                edges = [0, *(hi for _, hi in cut)]  # contiguous, row 0 to the last
+                assert [lo for lo, _ in cut] == edges[:-1] and edges[-1] == rows
+                want = _cloned_scores(_RANGED_SUITE, by_id, task, batch_size)
+                assert accs[t].tobytes() == one[t].tobytes() == want.tobytes(), task
+                if rows == 0:
+                    assert accs[t].tobytes() == np.zeros(len(task.client_ids)).tobytes()
+
+        check()

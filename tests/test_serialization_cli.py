@@ -189,6 +189,57 @@ class TestStrictRestore:
         with pytest.raises(ValueError, match=rf"model {m.model_id}: .*shape mismatch"):
             load_model_state(m.clone(keep_id=True), payload)
 
+    def test_a_refused_state_tree_leaves_the_params_unwritten(self, rng):
+        """``set_tensors`` checks every tree before it writes any."""
+        m = _bn_model(rng)
+        params, state, version = m.get_params(), m.get_state(), m.version
+        key = next(k for k in state if k.endswith("running_var"))
+        moved = {k: v + 1.0 for k, v in params.items()}
+        with pytest.raises(ValueError, match="shape mismatch"):
+            m.set_tensors(param=moved, state={**state, key: np.array([3.0])})
+        assert all(np.array_equal(m.params()[k], v) for k, v in params.items())
+        assert m.version == version
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            "huge ints",  # a nested list of 10**400: OverflowError on the write
+            "float list",
+            "int array",
+            "bool array",
+            "complex array",
+            "object array",
+        ],
+    )
+    def test_a_non_float_tensor_does_not_load(self, rng, tensor):
+        """A stored tensor that is not a real-floating array is refused with
+        a ``ValueError`` naming the model before any tensor is written; it is
+        the last state tensor, so every parameter comes before it."""
+        m = _bn_model(rng)
+        payload = model_state_dict(m)
+        key = list(payload["state"])[-1]
+        good = payload["state"][key]
+        payload["state"][key] = {
+            "huge ints": np.full(good.shape, 10**400, dtype=object).tolist(),
+            "float list": good.tolist(),
+            "int array": good.astype(np.int64),
+            "bool array": good > 0,
+            "complex array": good.astype(np.complex128),
+            "object array": good.astype(object),
+        }[tensor]
+        target = m.clone(keep_id=True)
+        for arr in target.params().values():
+            arr += 1.0  # bytes a partial write would overwrite
+        target.bump_version()
+        before = {**target.get_params(), **target.get_state()}
+        version = target.version
+        expected = rf"model {m.model_id}: tensor {re.escape(key)} \(\w+\) is not a real-floating array"
+        with pytest.raises(ValueError, match=expected):
+            load_model_state(target, payload)
+        after = {**target.get_params(), **target.get_state()}
+        assert all(after[k].tobytes() == v.tobytes() for k, v in before.items())
+        assert target.version == version
+
     @pytest.mark.parametrize("version", [2.9, True, "3", None])
     def test_a_non_int_version_does_not_load(self, rng, version):
         """A checkpointed version keys every version cache: 2.9 used to load
