@@ -148,10 +148,10 @@ class CoordinatorConfig:
     eval_batch_size: int = 256
     # Clients per batched-evaluation task: a memory cap only (the
     # concatenated test set stays O(chunk), not O(fleet)).  What keeps a
-    # parallel backend busy is the executor, which cuts every task into at
-    # most ``workers`` batch-aligned row ranges.  Chunk boundaries are
-    # deterministic (registration order), so results stay bit-identical
-    # across backends.
+    # parallel backend busy is the executor, which cuts the tasks of a
+    # sweep with fewer tasks than workers into batch-aligned row ranges.
+    # Chunk boundaries are deterministic (registration order), so results
+    # stay bit-identical across backends.
     eval_group_clients: int = 64
     # Runtime sanitizer (repro.analysis.sanitize; also enabled by the
     # REPRO_SANITIZE=1 environment variable or the --sanitize CLI flag):

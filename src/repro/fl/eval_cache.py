@@ -12,8 +12,9 @@ did not change since the last sweep skips its forward passes entirely.
 
 The groups that missed run as one executor wave
 (:meth:`~repro.fl.executor.RoundExecutor.eval_round`), single models and
-ensembles alike, each group cut into at most ``workers`` batch-aligned row
-ranges, one job each: each member's forward over a range runs on the
+ensembles alike, each group cut into batch-aligned row ranges (a lone
+group into one per worker; a wave of at least ``workers`` groups not at
+all), one job each: each member's forward over a range runs on the
 executor thread's own workspace of that model, and the member logits are
 averaged and scored where they were computed
 (:func:`~repro.fl.executor._eval_task`), so only per-client hit counts come

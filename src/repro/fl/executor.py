@@ -29,11 +29,14 @@ in first-appearance order (:meth:`RoundExecutor._cohorts`), each group
 trains as K replicas of one NumPy loop on a K-replica workspace
 (:func:`_train_item`; :mod:`repro.fl.client` describes the replica axis),
 and the updates are scattered back to item order.  A sweep's unit is a
-*row range*: ``eval_round`` cuts each deployment group's concatenated test
-rows into at most ``workers`` contiguous ranges, cut only at multiples of
-the sweep's batch size (:meth:`RoundExecutor._row_ranges`); each range runs
-the ``predict`` batches the whole group would and returns per-client hit
-counts, which are summed over the ranges and divided once.
+*row range*: ``eval_round`` cuts each of a wave's ``g`` deployment groups
+into ``ceil(workers / g)`` contiguous ranges of its concatenated test rows
+(no more than it has batches, so a wave of at least ``workers`` groups is
+not cut), cut only at multiples of the sweep's batch size
+(:meth:`RoundExecutor._row_ranges`); a range's job carries only the
+clients it overlaps, runs the ``predict`` batches the whole group would
+and returns per-client hit counts, which are summed over the ranges and
+divided once.  Both cuts split evenly by one rule (:func:`_even_cuts`).
 
 **Workspaces persist.**  Each thread (serial: the caller's; thread: each
 pool thread; process: each worker) keeps one workspace per model id
@@ -74,7 +77,9 @@ import os
 import pickle
 import threading
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,8 +241,8 @@ def ensemble_hits(
     """Average member logits, count each client's hits: the one scorer.
 
     ``member_logits`` yields each member model's logits over rows
-    ``[lo, hi)`` of the group's concatenated test rows, in ensemble order
-    (:func:`_eval_task` feeds it :func:`_member_logits` output).
+    ``[lo, hi)`` of ``client_ids``' concatenated test rows, in ensemble
+    order (:func:`_eval_task` feeds it :func:`_member_logits` output).
 
     One ``argmax`` over the range, hits counted per client with
     ``bincount``: exact integers in float64, so the counts of a group's
@@ -258,9 +263,11 @@ def ensemble_hits(
 def _eval_task(
     models: dict[str, CellModel], env, task: EvalTask, lo: int, hi: int, batch_size: int
 ) -> np.ndarray:
-    """Per-client hit counts over rows ``[lo, hi)`` of one deployment
-    group: each member's logits over those rows, in member order, scored
-    where they are computed, so only the counts cross the wire."""
+    """Per-client hit counts over rows ``[lo, hi)`` of ``task``'s clients'
+    concatenated test rows, one row range of a deployment group
+    (:meth:`RoundExecutor.eval_round`): each member's logits over those
+    rows, in member order, scored where they are computed, so only the
+    counts cross the wire."""
     return ensemble_hits(
         (
             _member_logits(models, env, mid, task.client_ids, lo, hi, batch_size)
@@ -283,12 +290,13 @@ def _member_logits(
     hi: int,
     batch_size: int,
 ) -> np.ndarray:
-    """Raw logits of one model over rows ``[lo, hi)`` of a client chunk's
+    """Raw logits of one model over rows ``[lo, hi)`` of ``client_ids``'
     concatenated test rows.
 
-    The only forward pass of a sweep.  ``lo`` is a multiple of
-    ``batch_size`` (:meth:`RoundExecutor._row_ranges`), so ``predict`` runs
-    the very batches a forward over the whole chunk would.  It runs on this
+    The only forward pass of a sweep.  The range starts at a multiple of
+    ``batch_size`` counted from its group's first row
+    (:meth:`RoundExecutor.eval_round`), so ``predict`` runs the very
+    batches a forward over the whole group would.  It runs on this
     thread's workspace of the model (:func:`_workspace`, K = 1: refilled
     from the published model with ``np.copyto``), never on the published
     model itself, whose layer caches two threads would otherwise race on.
@@ -302,6 +310,13 @@ def _member_logits(
         return work.predict(xs, batch_size)
     finally:
         work.drop_caches()
+
+
+def _even_cuts(n: int, parts: int) -> list[int]:
+    """The ``parts + 1`` boundaries that cut ``range(n)`` into ``parts``
+    contiguous runs whose lengths differ by at most one: the one split rule
+    of training cohorts and sweep row ranges."""
+    return [n * p // parts for p in range(parts + 1)]
 
 
 def _attempt(env, load_models, round_idx: int, job: tuple, attempt: int, worker_side: bool):
@@ -392,6 +407,9 @@ class RoundExecutor(Stateful, ABC):
         transport: TransportConfig | None = None,
     ):
         self.clients_by_id = {c.client_id: c for c in clients}
+        # Test-row count by client id, read once: a fleet's data is fixed at
+        # registration, and eval_round cuts every sweep by these counts.
+        self.num_test = {c.client_id: c.data.num_test for c in clients}
         self.trainer_config = trainer_config
         self.trainer = LocalTrainer(trainer_config)
         # Training workspaces by thread, then model id (_workspace).
@@ -461,8 +479,7 @@ class RoundExecutor(Stateful, ABC):
             groups.setdefault(key if stackable[item.model_id] else i, []).append(i)
         cohorts = []
         for group in groups.values():
-            parts = min(self.workers, len(group))
-            cuts = [len(group) * p // parts for p in range(parts + 1)]
+            cuts = _even_cuts(len(group), min(self.workers, len(group)))
             cohorts += [group[a:b] for a, b in zip(cuts, cuts[1:])]
         return cohorts
 
@@ -473,47 +490,62 @@ class RoundExecutor(Stateful, ABC):
 
         A sweep (:class:`~repro.fl.eval_cache.EvalCache`) dispatches the
         groups its cache missed, single models and ensembles alike, each cut
-        into row ranges (:meth:`_row_ranges`), one job each.  A job returns
-        its rows' per-client hit counts; a group's counts are summed over
-        its ranges (exact integers in float64) and divided once, a test-less
-        client scoring 0.0 — a mean over a zero-length slice would be NaN
-        and poison the eval's mean.
+        into row ranges (:meth:`_row_ranges`), one job each, which carries
+        only the run of the group's clients its range overlaps.  A job
+        returns its rows' per-client hit counts; a group's counts are summed
+        over its ranges (exact integers in float64) and the wave's clients
+        divided by their row counts in one op, a test-less client scoring
+        0.0 — a mean over a zero-length slice would be NaN and poison the
+        eval's mean.
         """
-        num_test = [
-            np.array([self.clients_by_id[cid].data.num_test for cid in t.client_ids], dtype=np.int64)
-            for t in tasks
-        ]
-        ranges = [self._row_ranges(int(n.sum()), batch_size) for n in num_test]
-        jobs = [
-            ("eval", (task, lo, hi, batch_size))
-            for task, cuts in zip(tasks, ranges)
-            for lo, hi in cuts
-        ]
+        counts = [[self.num_test[cid] for cid in task.client_ids] for task in tasks]
+        # The wave's clients are the tasks' clients concatenated; ``at`` is
+        # where each job's first client sits among them.
+        jobs, at, offset = [], [], 0
+        for task, rows in zip(tasks, counts):
+            starts = [0, *accumulate(rows)]
+            for lo, hi in self._row_ranges(starts[-1], batch_size, len(tasks)):
+                # A job holds only the clients its range overlaps, so each
+                # client's rows are joined once per member, whatever the cut.
+                first = bisect_right(starts, lo) - 1
+                last = bisect_left(starts, hi)
+                base = starts[first]
+                part = EvalTask(task.model_ids, task.client_ids[first:last])
+                jobs.append(("eval", (part, lo - base, hi - base, batch_size)))
+                at.append(offset + first)
+            offset += len(rows)
         with _sanitize.published(models):
-            counts = iter(self._run_wave(models, jobs, -1))
-        accs = []
-        for n, cuts in zip(num_test, ranges):
-            hits = np.zeros(len(n))
-            for _ in cuts:
-                hits += next(counts)
-            accs.append(np.divide(hits, n, out=np.zeros(len(n)), where=n > 0))
-        return accs
+            results = self._run_wave(models, jobs, -1)
+        num_test = np.fromiter(chain.from_iterable(counts), np.int64, offset)
+        hits = np.zeros(offset)
+        for start, hit in zip(at, results):
+            hits[start : start + len(hit)] += hit
+        accs = np.divide(hits, num_test, out=np.zeros(offset), where=num_test > 0)
+        # Copies: a cached group's accuracies must not pin the whole wave's.
+        bounds = [0, *accumulate(len(rows) for rows in counts)]
+        return [accs[a:b].copy() for a, b in zip(bounds, bounds[1:])]
 
-    def _row_ranges(self, rows: int, batch_size: int) -> list[tuple[int, int]]:
-        """Cut a group's ``rows`` test rows into at most :attr:`workers`
-        contiguous ``[lo, hi)`` ranges, one job each, so a pool stays busy
-        on a single group.
+    def _row_ranges(self, rows: int, batch_size: int, groups: int) -> list[tuple[int, int]]:
+        """Cut one of a wave's ``groups`` deployment groups, ``rows`` test
+        rows long, into contiguous ``[lo, hi)`` ranges, one job each.
 
-        Cuts fall only at multiples of ``batch_size`` from the group's first
-        row and the last range ends at ``rows``, so each range runs the very
-        ``predict`` batches the uncut group would; a group without rows is
-        no job.  As with :meth:`_cohorts`, any cut yields the same bytes.
+        A wave of fewer groups than :attr:`workers` would leave workers
+        idle, so each group is cut into ``ceil(workers / groups)`` ranges,
+        no more than it has batches; a wave of at least as many groups as
+        workers already keeps a pool busy and is not cut (more jobs would
+        only add dispatch, workspace refills and joins).  On serial every
+        group is one range.  Cuts fall only at multiples of ``batch_size``
+        from the group's first row and the last range ends at ``rows``, so
+        each range runs the very ``predict`` batches the uncut group would;
+        a group without rows is no job.  As with :meth:`_cohorts`, any cut
+        yields the same bytes.
         """
         if rows == 0:
             return []
         batches = -(-rows // batch_size)
-        parts = min(self.workers, batches)
-        cuts = [batches * p // parts * batch_size for p in range(parts)] + [rows]
+        parts = min(-(-self.workers // groups), batches)
+        cuts = [c * batch_size for c in _even_cuts(batches, parts)]
+        cuts[-1] = rows
         return list(zip(cuts, cuts[1:]))
 
     @abstractmethod
@@ -525,8 +557,9 @@ class RoundExecutor(Stateful, ABC):
         ``jobs`` is ``[(kind, payload), ...]`` with kind ``"train"``
         (payload: a cohort, i.e. a tuple of :class:`TrainItem`; result: the
         list of their updates) or ``"eval"`` (payload: ``(task, lo, hi,
-        batch_size)``; result: per-client hit counts over the group's rows
-        ``[lo, hi)``; ``round_idx`` is then -1).
+        batch_size)``, ``task`` the clients of one row range of a group;
+        result: per-client hit counts over rows ``[lo, hi)`` of their test
+        rows; ``round_idx`` is then -1).
         """
 
     @property

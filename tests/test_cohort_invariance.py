@@ -274,16 +274,17 @@ def _checked(real_train_item, seen):
 
 def _checked_logits(real_member_logits, marks):
     """``_member_logits``, then the same invariants over its logits, its
-    range starts at a multiple of the batch size, and its logits equal a
-    fresh clone's forward bytes over that slice of the chunk's rows —
-    asserted where the call ran, which leaves one file in ``marks`` (pool
-    workers' calls count too)."""
+    range overlaps the first and the last client it carries, and its logits
+    equal a fresh clone's forward bytes over that slice of those clients'
+    rows — asserted where the call ran, which leaves one file in ``marks``
+    (pool workers' calls count too)."""
 
     def member_logits(models, env, model_id, client_ids, lo, hi, batch_size):
         logits = real_member_logits(models, env, model_id, client_ids, lo, hi, batch_size)
         held = env.workspaces[threading.get_ident()]
         _assert_between_items(held, held[model_id], [logits])
-        assert lo % batch_size == 0 and lo < hi, (lo, hi)
+        rows = [env.clients_by_id[c].data.num_test for c in client_ids]
+        assert 0 <= lo < rows[0] and sum(rows) - rows[-1] < hi <= sum(rows), (lo, hi, rows)
         xs = np.concatenate([env.clients_by_id[c].data.x_test for c in client_ids])[lo:hi]
         want = models[model_id].clone(keep_id=True).predict(xs, batch_size)
         assert logits.tobytes() == want.tobytes(), model_id
@@ -447,19 +448,24 @@ def test_conv_reuse_history_gives_a_fresh_clones_bytes(
     ex = make_executor(backend, clients, CONV_TRAINER, SEED, workers)
 
     def sweep(phase):
-        before = sum(1 for _ in tmp_path.iterdir())
-        accs = ex.eval_round(tasks, models, SWEEP_BATCH)
-        checked = sum(1 for _ in tmp_path.iterdir()) - before
-        ranges = [ex._row_ranges(sum(by_id[c].data.num_test for c in t.client_ids), SWEEP_BATCH)
-                  for t in tasks]
-        assert checked == sum(len(t.model_ids) * len(r) for t, r in zip(tasks, ranges)), (backend, phase)
-        for task, acc in zip(tasks, accs):
-            xs = np.concatenate([by_id[c].data.x_test for c in task.client_ids])
-            assert len(xs) % SWEEP_BATCH, "the chunk ends in a full batch"
-            want = [models[mid].clone(keep_id=True).predict(xs, SWEEP_BATCH) for mid in task.model_ids]
-            assert acc.tobytes() == oracle.ensemble_accuracies(
-                want, len(want), by_id, task.client_ids
-            ).tobytes(), (backend, phase, task)
+        # The whole wave, then each group alone: a lone group is cut into
+        # one range per worker, or per batch if it has fewer.
+        for wave in [tasks, *([t] for t in tasks)]:
+            before = sum(1 for _ in tmp_path.iterdir())
+            accs = ex.eval_round(wave, models, SWEEP_BATCH)
+            checked = sum(1 for _ in tmp_path.iterdir()) - before
+            share = -(-ex.workers // len(wave))
+            batches = [-(-sum(by_id[c].data.num_test for c in t.client_ids) // SWEEP_BATCH) for t in wave]
+            assert checked == sum(len(t.model_ids) * min(share, b) for t, b in zip(wave, batches)), (
+                backend, phase,
+            )
+            for task, acc in zip(wave, accs):
+                xs = np.concatenate([by_id[c].data.x_test for c in task.client_ids])
+                assert len(xs) % SWEEP_BATCH, "the chunk ends in a full batch"
+                want = [models[mid].clone(keep_id=True).predict(xs, SWEEP_BATCH) for mid in task.model_ids]
+                assert acc.tobytes() == oracle.ensemble_accuracies(
+                    want, len(want), by_id, task.client_ids
+                ).tobytes(), (backend, phase, task)
 
     def train(phase, round_idx):
         updates = ex.train_round(round_idx, items, models)

@@ -19,10 +19,11 @@ Five witnesses, the first three against the per-client form each replaced
 * ``TestEnsembleGroups`` — an ensemble group sent through ``eval_round``
   scores its fresh clones' ensemble, test-less clients and all-empty
   groups included, on every backend;
-* ``TestRowRanges`` — a group is at most ``workers`` jobs whose ranges
-  start at multiples of the batch size and tile its rows, and the
-  accuracies are the ``workers=1`` bytes and the oracle's, on the thread
-  and process backends at 1 to 4 workers.
+* ``TestRowRanges`` — a group of a wave of ``g`` groups is
+  ``ceil(workers / g)`` jobs (fewer if it has fewer batches) whose ranges
+  start at multiples of the batch size, tile its rows and carry only the
+  clients they overlap, and the accuracies are the ``workers=1`` bytes and
+  the oracle's, on the thread and process backends at 1 to 4 workers.
 """
 
 from __future__ import annotations
@@ -377,27 +378,33 @@ class TestNoCloneWitness:
             ensembles = [(mid,) for mid in ids] + [tuple(ids[:n]) for n in range(2, len(ids) + 1)]
             chunks = [(0, 1, 2), (3,), (4, 5, 6, 7, 8, 9, 10, 11)]
             tasks = [EvalTask(ens, cids) for ens in ensembles for cids in chunks]
-            before = checked()
-            accs = coord.executor.eval_round(tasks, models, 8)
-            assert checked() - before == _member_forwards(coord.executor, tasks, 8)
-            for task, acc in zip(tasks, accs):
-                assert acc.tobytes() == _cloned_scores(models, clients_by_id, task, 8).tobytes()
+            # The whole wave, then each group alone: a lone group is cut
+            # into as many ranges as the pool has workers.
+            for wave in [tasks, *([t] for t in tasks)]:
+                before = checked()
+                accs = coord.executor.eval_round(wave, models, 8)
+                assert checked() - before == _member_forwards(coord.executor, wave, 8)
+                for task, acc in zip(wave, accs):
+                    assert acc.tobytes() == _cloned_scores(models, clients_by_id, task, 8).tobytes()
         finally:
             coord.close()
 
 
 def _check_member_logits(monkeypatch, marks):
     """Wrap ``_member_logits`` so that each call asserts, where it runs, that
-    its range starts at a multiple of the batch size and its logits are a
-    fresh clone's forward bytes over that slice of the chunk's rows, and
-    leaves one file in ``marks`` (a pool worker's calls count too).  Returns
-    the call counter.  Patch before a process pool starts: its workers fork
-    the patched module."""
+    its range overlaps the first and the last client it carries (a job joins
+    no rows but its own) and its logits are a fresh clone's forward bytes
+    over that slice of those clients' rows, and leaves one file in
+    ``marks`` (a pool worker's calls count too).  Returns the call counter.
+    Patch before a process pool starts: its workers fork the patched
+    module.  That a range starts at a multiple of the batch size from its
+    group's first row is ``TestRowRanges``' to check."""
     real = executor_mod._member_logits
 
     def member_logits(models, env, model_id, client_ids, lo, hi, batch_size):
         out = real(models, env, model_id, client_ids, lo, hi, batch_size)
-        assert lo % batch_size == 0 and lo < hi, (lo, hi)
+        rows = [env.clients_by_id[c].data.num_test for c in client_ids]
+        assert 0 <= lo < rows[0] and sum(rows) - rows[-1] < hi <= sum(rows), (lo, hi, rows)
         xs = np.concatenate([env.clients_by_id[c].data.x_test for c in client_ids])[lo:hi]
         want = models[model_id].clone(keep_id=True).predict(xs, batch_size)
         assert out.tobytes() == want.tobytes(), model_id
@@ -410,10 +417,13 @@ def _check_member_logits(monkeypatch, marks):
 
 def _member_forwards(ex, tasks, batch_size) -> int:
     """How many member forwards a sweep of ``tasks`` runs: one per member
-    per row range of its group."""
+    per row range of its group, a group being cut into ``ceil(workers /
+    groups)`` ranges but never more than it has batches (so an empty group
+    runs none)."""
+    share = math.ceil(ex.workers / len(tasks))
     return sum(
-        len(t.model_ids) * len(ex._row_ranges(sum(ex.clients_by_id[c].data.num_test
-                                                    for c in t.client_ids), batch_size))
+        len(t.model_ids)
+        * min(share, math.ceil(sum(ex.clients_by_id[c].data.num_test for c in t.client_ids) / batch_size))
         for t in tasks
     )
 
@@ -470,12 +480,15 @@ class TestEnsembleGroups:
         by_id = ex.clients_by_id
 
         def sweep(phase):
-            before = checked()
+            # The whole wave, then each group alone (cut across the pool).
+            for wave in [tasks, *([t] for t in tasks)]:
+                before = checked()
+                accs = ex.eval_round(wave, models, 4)
+                assert checked() - before == _member_forwards(ex, wave, 4)
+                for task, acc in zip(wave, accs):
+                    want = _cloned_scores(models, by_id, task, 4)
+                    assert acc.tobytes() == want.tobytes(), (phase, task)
             accs = ex.eval_round(tasks, models, 4)
-            assert checked() - before == _member_forwards(ex, tasks, 4)
-            for task, acc in zip(tasks, accs):
-                want = _cloned_scores(models, by_id, task, 4)
-                assert acc.tobytes() == want.tobytes(), (phase, task)
             assert accs[0][1] == 0.0
             assert accs[2].tobytes() == np.zeros(2).tobytes()
 
@@ -490,7 +503,7 @@ class TestEnsembleGroups:
 
 
 # ----------------------------------------------------------------------
-# a group is at most ``workers`` batch-aligned jobs
+# a group is at most ``ceil(workers / groups)`` batch-aligned jobs
 # ----------------------------------------------------------------------
 _PER_COUNT = 5  # clients holding each test-row count 0..11
 
@@ -563,16 +576,22 @@ class TestRowRanges:
         "backend,examples", [("thread", 60), ("process", 25)], ids=["thread", "process"]
     )
     def test_ranged_sweep_equals_one_job_per_group(self, ranged_executors, backend, examples):
-        """Each group is cut into at most ``workers`` ranges that start at
-        multiples of the batch size and tile its rows (an all-empty group is
-        no job), and the accuracies are the ``workers=1`` bytes and the
-        per-client oracle's over fresh clones."""
+        """Each group of a wave of ``g`` groups is cut into ``ceil(workers /
+        g)`` ranges, or as many as it has batches if fewer (an all-empty
+        group is no job), that start at multiples of the batch size, tile
+        its rows and carry only the run of its clients they overlap, and the
+        accuracies are the ``workers=1`` bytes and the per-client oracle's
+        over fresh clones."""
         by_id = {c.client_id: c for c in _RANGED_FLEET}
 
         @settings(max_examples=examples, deadline=None)
         @given(tasks=_groups(), batch_size=st.integers(1, 8), workers=st.integers(1, 4))
         @example(tasks=[EvalTask(tuple(_RANGED_SUITE), (0, 1, 2))], batch_size=3, workers=4)
         @example(tasks=[EvalTask(tuple(_RANGED_SUITE)[:1], (55, 5, 0, 30))], batch_size=4, workers=4)
+        @example(  # an all-empty group beside one cut in two
+            tasks=[EvalTask(tuple(_RANGED_SUITE)[:2], (0, 1)), EvalTask(tuple(_RANGED_SUITE), (30, 2, 55))],
+            batch_size=2, workers=3,
+        )
         def check(tasks, batch_size, workers):
             one = ranged_executors("serial", 1).eval_round(tasks, _RANGED_SUITE, batch_size)
             ex = ranged_executors(backend, workers)
@@ -586,16 +605,25 @@ class TestRowRanges:
             finally:
                 del ex._run_wave
             (jobs,) = waves
-            ranges: dict[int, list[tuple[int, int]]] = {}
-            for kind, (task, lo, hi, bs) in jobs:
-                assert kind == "eval" and bs == batch_size
-                owner = next(t for t, drawn in enumerate(tasks) if drawn is task)
-                ranges.setdefault(owner, []).append((lo, hi))
+            pending = iter(jobs)  # in task order, a group's ranges in row order
             for t, task in enumerate(tasks):
-                rows = sum(by_id[c].data.num_test for c in task.client_ids)
-                cut = ranges.get(t, [])
-                # As many jobs as workers, unless the group has fewer batches.
-                assert len(cut) == min(workers, -(-rows // batch_size))
+                counts = [by_id[c].data.num_test for c in task.client_ids]
+                starts = np.cumsum([0, *counts])
+                rows = int(starts[-1])
+                cut = []  # the group's ranges in its own row numbers
+                while (cut[-1][1] if cut else 0) < rows:
+                    kind, (part, lo, hi, bs) = next(pending)
+                    assert kind == "eval" and bs == batch_size and part.model_ids == task.model_ids
+                    first = task.client_ids.index(part.client_ids[0])
+                    last = first + len(part.client_ids)
+                    assert part.client_ids == task.client_ids[first:last]
+                    base = int(starts[first])
+                    # The first and the last client carried overlap the range.
+                    assert 0 <= lo < counts[first], (lo, counts[first])
+                    assert starts[last - 1] - base < hi <= starts[last] - base
+                    cut.append((base + lo, base + hi))
+                # ceil(workers / groups) jobs, unless the group has fewer batches.
+                assert len(cut) == min(math.ceil(workers / len(tasks)), math.ceil(rows / batch_size))
                 assert all(lo % batch_size == 0 and lo < hi for lo, hi in cut)
                 edges = [0, *(hi for _, hi in cut)]  # contiguous, row 0 to the last
                 assert [lo for lo, _ in cut] == edges[:-1] and edges[-1] == rows
@@ -603,5 +631,6 @@ class TestRowRanges:
                 assert accs[t].tobytes() == one[t].tobytes() == want.tobytes(), task
                 if rows == 0:
                     assert accs[t].tobytes() == np.zeros(len(task.client_ids)).tobytes()
+            assert next(pending, None) is None
 
         check()
