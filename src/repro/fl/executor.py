@@ -5,23 +5,24 @@ sub_idx)`` triples for local training, ``(model_ids, client_ids)`` groups
 for evaluation — and a :class:`RoundExecutor` decides how they run.  Three
 backends ship:
 
-=================================  ==================================  =======================
-backend                            how it submits a wave               what it adds
-=================================  ==================================  =======================
-:class:`SerialExecutor`            a list comprehension                nothing (the reference)
-:class:`ThreadPoolRoundExecutor`   ``submit`` + ordered ``result()``   a thread pool
-:class:`ProcessPoolRoundExecutor`  settle-then-redispatch over a pool  pool + publisher + heal
-=================================  ==================================  =======================
+=================================  ==============================================
+backend                            its pool (:meth:`RoundExecutor._make_pool`)
+=================================  ==============================================
+:class:`SerialExecutor`            inline: ``submit`` runs the call (the reference)
+:class:`ThreadPoolRoundExecutor`   a ``ThreadPoolExecutor``
+:class:`ProcessPoolRoundExecutor`  a ``ProcessPoolExecutor`` fed by a publisher
+=================================  ==============================================
 
 Everything else exists once: :class:`RoundExecutor`'s two entry points
-(``train_round``, ``eval_round``) build a job list for the backend's
-``_run_wave``,
+(``train_round``, ``eval_round``) build a job list for its one wave loop
+(:meth:`RoundExecutor._run_wave`: submit, settle the whole wave, dispose of
+each failure in job order, re-dispatch, heal a broken pool),
 :func:`_attempt` is the only place a work item runs (in this process or in
 a pool worker), and :meth:`RoundExecutor._dispose` decides what a failed
 attempt becomes.  The process backend ships the static fleet to each worker
 once at pool start and the models as a versioned shared-memory snapshot
-chain, so a work item carries ``(model_id, client_id, seed material)`` —
-never a pickled model.
+chain, published once per pass of the loop, so a work item carries
+``(model_id, client_id, seed material)`` — never a pickled model.
 
 **Cohorts.**  The unit a backend dispatches is a *cohort*, not an item:
 ``train_round`` groups a wave's items by ``(model_id, min(batch_size, n))``
@@ -355,8 +356,9 @@ class RoundExecutor(Stateful, ABC):
     The executor is bound to a fleet at construction (client datasets never
     change during a run); server models are passed per call because they do.
     Results come back in submission order — the coordinator's aggregation
-    and logs are order-sensitive.  A backend implements :meth:`_run_wave`
-    and nothing else round-shaped.
+    and logs are order-sensitive.  A backend supplies its pool
+    (:meth:`_make_pool`) and nothing else round-shaped; the process backend
+    also publishes the models once per pass (:meth:`_submitter`).
 
     Every wave runs under :func:`repro.analysis.sanitize.published` (a
     no-op unless the sanitizer is on; CONTRACTS.md I7): while a round is in
@@ -378,12 +380,14 @@ class RoundExecutor(Stateful, ABC):
     ``max_attempts`` times (task-level failures charging simulated backoff
     into the item's round time; infrastructure failures charging nothing)
     and an exhausted item returns an :class:`~repro.fl.faults.ItemFailure`
-    sentinel in its result slot instead of aborting the round.  With
-    ``retry=None`` (the default) the first failure propagates — exactly
-    the pre-fault-subsystem behavior.
+    sentinel in its result slot instead of aborting the round; eval jobs
+    retry the same way and raise when exhausted.  With ``retry=None`` (the
+    default) the first failure propagates — exactly the
+    pre-fault-subsystem behavior.
     """
 
     backend: str = "abstract"
+    _pool: concurrent.futures.Executor | None = None
     # Snapshot bytes published to workers so far (uncompressed / on-wire);
     # only the process backend publishes, the others stay at zero.
     raw_bytes_published_total: int = 0
@@ -427,11 +431,9 @@ class RoundExecutor(Stateful, ABC):
             if faults is not None and faults.any_enabled()
             else None
         )
-        # Recovery ledger, drained by the coordinator each round.  Guarded
-        # by a lock — the thread backend's retry path meters from worker
-        # threads.
+        # Recovery ledger, drained by the coordinator each round; written
+        # only by the thread running the wave loop, so it is in job order.
         self._fault_records: list[FaultRecord] = []
-        self._meter_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # the two entry points: build the job list, publish-guard, one wave
@@ -548,11 +550,41 @@ class RoundExecutor(Stateful, ABC):
         cuts[-1] = rows
         return list(zip(cuts, cuts[1:]))
 
+    @property
+    def workers(self) -> int:
+        """How many jobs run at once (the pool size)."""
+        return self.max_workers or (os.cpu_count() or 1)
+
+    # ------------------------------------------------------------------
+    # the pool (the one thing a backend supplies) and the one wave loop
+    # ------------------------------------------------------------------
     @abstractmethod
+    def _make_pool(self) -> concurrent.futures.Executor:
+        """A fresh pool of :attr:`workers` for :meth:`_run_wave`."""
+
+    def _ensure_pool(self) -> concurrent.futures.Executor:
+        if self._pool is None:
+            self._pool = self._make_pool()
+        return self._pool
+
+    def _submitter(self, models: dict[str, CellModel], round_idx: int):
+        """One pass's ``submit(job, attempt)``; in-process, a job reads ``models``."""
+        pool = self._ensure_pool()
+        return lambda job, attempt: pool.submit(
+            _attempt, self, lambda: models, round_idx, job, attempt, worker_side=False
+        )
+
+    def close(self) -> None:
+        """Release pooled resources (idempotent; pools recreate lazily)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+        self.workspaces.clear()
+
     def _run_wave(
         self, models: dict[str, CellModel], jobs: list[tuple], round_idx: int
     ) -> list:
-        """Submit one wave of jobs; results in job order.
+        """Run one wave of jobs, retrying and healing; results in job order.
 
         ``jobs`` is ``[(kind, payload), ...]`` with kind ``"train"``
         (payload: a cohort, i.e. a tuple of :class:`TrainItem`; result: the
@@ -560,28 +592,115 @@ class RoundExecutor(Stateful, ABC):
         batch_size)``, ``task`` the clients of one row range of a group;
         result: per-client hit counts over rows ``[lo, hi)`` of their test
         rows; ``round_idx`` is then -1).
+
+        Each pass submits the pending jobs, settles the whole wave, and
+        puts each failure through :meth:`_dispose` in job order, so the
+        recovery ledger is in job order on every backend: a retry runs in
+        the next pass charging simulated backoff, an exhausted train item
+        degrades to :class:`~repro.fl.faults.ItemFailure`, exhausted eval
+        work raises, and with no retry policy the first job's failure raises.
+
+        A broken pool (a worker SIGKILL — injected or real) triggers
+        :meth:`_heal` and re-dispatches only the unfinished jobs, at most
+        ``POOL_REBUILD_LIMIT`` times per wave.  Finished jobs keep their
+        attempt-0 results, and re-dispatched ones re-derive the same
+        ``(round, client, sub)`` RNG streams, so a healed wave is
+        bit-identical to a fault-free one.  With a fault plan, re-dispatched
+        train items whose plan decision was the crash are bumped to attempt
+        1 (their fault already fired; retries run clean) while innocent
+        victims of the shared pool keep attempt 0 so their own faults still
+        fire exactly once — cross-backend parity.
         """
+        results: list = [None] * len(jobs)
+        attempts = [0] * len(jobs)
+        delays = [0.0] * len(jobs)
+        pending = list(range(len(jobs)))
+        rebuilds = 0
+        while pending:
+            broken: BaseException | None = None
+            futures: dict[int, concurrent.futures.Future] = {}
+            try:
+                submit = self._submitter(models, round_idx)
+                for i in pending:
+                    futures[i] = submit(jobs[i], attempts[i])
+            except concurrent.futures.BrokenExecutor as err:
+                broken = err
+            if futures:
+                # Settle the whole wave before touching any result: a plain
+                # ``[f.result() ...]`` aborts on the first failure while
+                # later futures are still running, and the next publish
+                # must never retire a snapshot under a mid-attach worker.
+                concurrent.futures.wait(list(futures.values()))
+            retry_idx: list[int] = []
+            for i in sorted(futures):
+                kind, payload = jobs[i]
+                try:
+                    res = futures[i].result()
+                except (
+                    concurrent.futures.BrokenExecutor,
+                    concurrent.futures.CancelledError,
+                ) as err:
+                    # Lost to the pool breaking, not to its own failure:
+                    # re-dispatch without charging an attempt (the culprit
+                    # bump below covers the item whose fault killed the pool).
+                    if broken is None:
+                        broken = err
+                    retry_idx.append(i)
+                except Exception as err:
+                    attempts[i] += 1
+                    failure, backoff = self._dispose(
+                        round_idx, payload[0] if kind == "train" else None, err, attempts[i]
+                    )
+                    if failure is not None:
+                        results[i] = [failure]
+                    else:
+                        delays[i] += backoff
+                        retry_idx.append(i)
+                else:
+                    if delays[i] and kind == "train":
+                        for update in res:
+                            update.round_time += delays[i]
+                    results[i] = res
+            pending = sorted(set(retry_idx) | {i for i in pending if i not in futures})
+            if broken is not None:
+                rebuilds += 1
+                if rebuilds > POOL_REBUILD_LIMIT:
+                    self.close()
+                    raise RuntimeError(
+                        f"pool broke {rebuilds} times in one dispatch "
+                        f"wave (limit {POOL_REBUILD_LIMIT}); giving up"
+                    ) from broken
+                self._heal(round_idx, broken)
+                if self.fault_plan is not None:
+                    for i in pending:
+                        kind, payload = jobs[i]
+                        if (
+                            kind == "train"
+                            and attempts[i] == 0
+                            and self.fault_plan.item_faults(round_idx, payload[0]).crash
+                        ):
+                            attempts[i] = 1
+        return results
 
-    @property
-    def workers(self) -> int:
-        """How many jobs run at once (the pool size)."""
-        return self.max_workers or (os.cpu_count() or 1)
-
-    def close(self) -> None:
-        """Release pooled resources (idempotent; pools recreate lazily)."""
-        self.workspaces.clear()
+    def _heal(self, round_idx: int, err: BaseException) -> None:
+        """Recover from a broken pool: record it and :meth:`close`; the next
+        pass builds a fresh pool (and, on the process backend, publishes a
+        fresh full snapshot: the dead workers' mappings went with them)."""
+        self._record_fault(
+            round_idx, "worker_crash", "pool_rebuild",
+            detail=str(err) or type(err).__name__,
+        )
+        self.close()
 
     # ------------------------------------------------------------------
-    # fault ledger + the two shared decisions
+    # fault ledger + the retry verdict
     # ------------------------------------------------------------------
     def _record_fault(self, round_idx: int, kind: str, action: str, **fields) -> None:
-        with self._meter_lock:
-            self._fault_records.append(FaultRecord(round_idx, kind, action, **fields))
+        self._fault_records.append(FaultRecord(round_idx, kind, action, **fields))
 
     def drain_fault_records(self) -> list[FaultRecord]:
         """Hand the accumulated fault ledger to the caller (and reset it)."""
-        with self._meter_lock:
-            records, self._fault_records = self._fault_records, []
+        records, self._fault_records = self._fault_records, []
         return records
 
     def _dispose(
@@ -589,11 +708,10 @@ class RoundExecutor(Stateful, ABC):
     ) -> tuple[ItemFailure | None, float]:
         """What a failed attempt becomes — the one retry/fail/propagate decision.
 
-        Called by both retry loops (:meth:`_run_job`, the process
-        ``_run_wave``) with ``attempts`` counting the failed one and
-        ``item=None`` for eval work.  Propagates ``err`` with no retry
-        policy and for exhausted eval work (no degraded mode); otherwise
-        records the fault and returns ``(failure, backoff)`` — the
+        Called by :meth:`_run_wave` with ``attempts`` counting the failed
+        one and ``item=None`` for eval work.  Propagates ``err`` with no
+        retry policy and for exhausted eval work (no degraded mode);
+        otherwise records the fault and returns ``(failure, backoff)`` — the
         permanent-failure sentinel, or ``None`` and the simulated seconds
         the retry charges (task-level failures only: I10).
         """
@@ -615,68 +733,36 @@ class RoundExecutor(Stateful, ABC):
             return failure, 0.0
         return None, 0.0 if is_infrastructure_fault(err) else self.retry.backoff(attempts)
 
-    def _run_job(self, models: dict[str, CellModel], job: tuple, round_idx: int):
-        """One job in this process (serial, thread): train items retry in place."""
-        attempts = 0
-        delay = 0.0
-        while True:
-            try:
-                result = _attempt(
-                    self, lambda: models, round_idx, job, attempts, worker_side=False
-                )
-            except Exception as err:
-                if job[0] != "train":
-                    raise  # in-process eval work is never retried
-                attempts += 1
-                failure, backoff = self._dispose(round_idx, job[1][0], err, attempts)
-                if failure is not None:
-                    return [failure]
-                delay += backoff
-            else:
-                if delay:
-                    for update in result:
-                        update.round_time += delay
-                return result
+
+class _InlinePool(concurrent.futures.Executor):
+    """The serial pool: ``submit`` runs the call before it returns."""
+
+    def submit(self, fn, /, *args, **kwargs) -> concurrent.futures.Future:
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as err:
+            future.set_exception(err)
+        return future
 
 
 class SerialExecutor(RoundExecutor):
-    """The reference backend: one in-process loop."""
+    """The reference backend: every job runs inline on the caller's thread."""
 
     backend = "serial"
     workers = 1
 
-    def _run_wave(self, models, jobs, round_idx):
-        return [self._run_job(models, job, round_idx) for job in jobs]
+    def _make_pool(self) -> concurrent.futures.Executor:
+        return _InlinePool()
 
 
 class ThreadPoolRoundExecutor(RoundExecutor):
     """Thread-pool backend: shared memory, BLAS-released-GIL parallelism."""
 
     backend = "thread"
-    _pool: concurrent.futures.ThreadPoolExecutor | None = None
 
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _run_wave(self, models, jobs, round_idx):
-        pool = self._ensure_pool()
-        futures = [pool.submit(self._run_job, models, job, round_idx) for job in jobs]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        super().close()
-
-    def state_dict(self) -> dict:
-        # The pool is recreated lazily on first use; nothing to persist.
-        return {"schema": schema_tag(type(self).__name__)}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, schema_tag(type(self).__name__))
+    def _make_pool(self) -> concurrent.futures.Executor:
+        return concurrent.futures.ThreadPoolExecutor(max_workers=self.workers)
 
 
 # ----------------------------------------------------------------------
@@ -713,15 +799,15 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     models are published once through :attr:`publisher` (a
     :class:`~repro.fl.snapshot.SnapshotPublisher`: incremental, versioned,
     shared-memory) and workers map them lazily, so the per-item payload
-    stays a few hundred bytes.  What this class adds to the wave contract
-    is pool lifecycle, bounded publish retry, and the heal loop.
+    stays a few hundred bytes.  What this class adds to the wave loop is
+    its pool, the once-per-pass publish with bounded retry, and the arena
+    release on :meth:`close`.
     """
 
     backend = "process"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         self.publisher = _snapshot.SnapshotPublisher(
             rle=bool(self.transport is not None and self.transport.snapshot_rle),
             fault_plan=self.fault_plan,
@@ -735,24 +821,31 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         lambda self: self.publisher.raw_bytes_published_total
     )
 
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            payload = pickle.dumps(
-                (
-                    list(self.clients_by_id.values()),
-                    self.trainer_config,
-                    self.seed,
-                    compute_dtype_name(),
-                    # Workers hold the same stateless FaultPlan: worker-side
-                    # decisions (SIGKILL, task errors, poison) match the
-                    # coordinator's replay of the same spawn keys.
-                    self.fault_plan,
-                )
+    def _make_pool(self) -> concurrent.futures.Executor:
+        payload = pickle.dumps(
+            (
+                list(self.clients_by_id.values()),
+                self.trainer_config,
+                self.seed,
+                compute_dtype_name(),
+                # Workers hold the same stateless FaultPlan: worker-side
+                # decisions (SIGKILL, task errors, poison) match the
+                # coordinator's replay of the same spawn keys.
+                self.fault_plan,
             )
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_proc_init, initargs=(payload,)
-            )
-        return self._pool
+        )
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_proc_init, initargs=(payload,)
+        )
+
+    def _submitter(self, models: dict[str, CellModel], round_idx: int):
+        """One pass's ``submit``: the models are published once, and a job
+        carries only the snapshot chain its worker replays them from."""
+        pool = self._ensure_pool()
+        version, chain = self._publish_resilient(models, round_idx)
+        return lambda job, attempt: pool.submit(
+            _proc_job, version, chain, round_idx, job, attempt
+        )
 
     def _publish_resilient(
         self, models: dict[str, CellModel], round_idx: int
@@ -779,130 +872,9 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                     detail=str(err), attempts=fault_attempt,
                 )
 
-    def _heal(self, round_idx: int, err: BaseException) -> None:
-        """Recover from a broken pool: rebuild workers, reset the arena.
-
-        The dead workers' shared-memory mappings are gone with them, so the
-        arena is released outright; the next publish writes a fresh full
-        snapshot, which is how the chain is replayed to the fresh workers.
-        """
-        self._record_fault(
-            round_idx, "worker_crash", "pool_rebuild",
-            detail=str(err) or type(err).__name__,
-        )
-        self.close()
-
-    def _run_wave(
-        self, models: dict[str, CellModel], jobs: list[tuple], round_idx: int
-    ) -> list:
-        """Dispatch one wave of work with self-healing and bounded retry.
-
-        A broken pool (worker SIGKILL — injected or real) triggers
-        :meth:`_heal` and re-dispatches only the unfinished items, at most
-        ``POOL_REBUILD_LIMIT`` times per wave.  Completed items keep their
-        attempt-0 results, and re-dispatched items re-derive the same
-        ``(round, client, sub)`` RNG streams, so a healed wave is
-        bit-identical to a fault-free one.  When a fault plan is present,
-        re-dispatched train items whose plan decision was the crash are
-        bumped to attempt 1 (their fault already fired; retries run clean)
-        while innocent victims of the shared pool keep attempt 0 so their
-        own faults still fire exactly once — cross-backend parity.
-
-        Task-level exceptions get the in-process backends' verdicts
-        (:meth:`RoundExecutor._dispose`): bounded retries charging
-        simulated backoff, permanent train failures degrade to
-        :class:`~repro.fl.faults.ItemFailure`, eval failures
-        propagate on exhaustion, and with no retry policy the first
-        failure propagates after the wave settles.
-        """
-        results: list = [None] * len(jobs)
-        attempts = [0] * len(jobs)
-        delays = [0.0] * len(jobs)
-        pending = list(range(len(jobs)))
-        rebuilds = 0
-        while pending:
-            broken: BaseException | None = None
-            futures: dict[int, concurrent.futures.Future] = {}
-            try:
-                pool = self._ensure_pool()
-                version, chain = self._publish_resilient(models, round_idx)
-                for i in pending:
-                    futures[i] = pool.submit(
-                        _proc_job, version, chain, round_idx, jobs[i], attempts[i]
-                    )
-            except concurrent.futures.process.BrokenProcessPool as err:
-                broken = err
-            if futures:
-                # Settle the whole wave before touching any result: a plain
-                # ``[f.result() ...]`` aborts on the first failure while
-                # later futures are still running, and the next publish
-                # must never retire a snapshot under a mid-attach worker.
-                concurrent.futures.wait(list(futures.values()))
-            retry_idx: list[int] = []
-            for i in sorted(futures):
-                kind, payload = jobs[i]
-                try:
-                    res = futures[i].result()
-                except (
-                    concurrent.futures.process.BrokenProcessPool,
-                    concurrent.futures.CancelledError,
-                ) as err:
-                    # Lost to the pool breaking, not to its own failure:
-                    # re-dispatch without charging an attempt (the culprit
-                    # bump below covers the item whose fault killed the pool).
-                    if broken is None:
-                        broken = err
-                    retry_idx.append(i)
-                except Exception as err:
-                    attempts[i] += 1
-                    failure, backoff = self._dispose(
-                        round_idx, payload[0] if kind == "train" else None, err, attempts[i]
-                    )
-                    if failure is not None:
-                        results[i] = [failure]
-                    else:
-                        delays[i] += backoff
-                        retry_idx.append(i)
-                else:
-                    if delays[i] and kind == "train":
-                        for update in res:
-                            update.round_time += delays[i]
-                    results[i] = res
-            pending = sorted(set(retry_idx) | {i for i in pending if i not in futures})
-            if broken is not None:
-                rebuilds += 1
-                if rebuilds > POOL_REBUILD_LIMIT:
-                    self.close()
-                    raise RuntimeError(
-                        f"process pool broke {rebuilds} times in one dispatch "
-                        f"wave (limit {POOL_REBUILD_LIMIT}); giving up"
-                    ) from broken
-                self._heal(round_idx, broken)
-                if self.fault_plan is not None:
-                    for i in pending:
-                        kind, payload = jobs[i]
-                        if (
-                            kind == "train"
-                            and attempts[i] == 0
-                            and self.fault_plan.item_faults(round_idx, payload[0]).crash
-                        ):
-                            attempts[i] = 1
-        return results
-
     def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        super().close()
         self.publisher.release()
-
-    def state_dict(self) -> dict:
-        # Pool and publisher are rebuilt from the first post-resume wave;
-        # persisting them would pin a checkpoint to this backend for no
-        # benefit.
-        return {"schema": schema_tag(type(self).__name__)}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, schema_tag(type(self).__name__))
 
 
 _BACKENDS = {

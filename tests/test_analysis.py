@@ -1029,17 +1029,21 @@ class TestEngineAndCli:
         assert regrown == []
 
     def test_executor_has_one_wave_runner(self):
-        """Backends differ only in ``_run_wave``: the two entry points
-        (``train_round`` and the sweep's ``eval_round`` — a third would be a
-        second way to compute a sweep), the publish guard, the
-        retry verdict and the permanent-failure
-        sentinel each exist once, and the snapshot chain protocol lives in
-        ``snapshot.py`` — each shape below is how a per-backend copy would
-        regrow."""
+        """Backends differ only in their pool (``_make_pool``) and the
+        process backend's per-pass submit (``_submitter``, which publishes
+        the snapshot once): the two entry points (``train_round`` and the
+        sweep's ``eval_round`` — a third would be a second way to compute a
+        sweep), the one wave loop ``_run_wave``, the publish guard, the
+        retry verdict (one ``_dispose`` call, in that loop) and the
+        permanent-failure sentinel each exist once, no lock orders the
+        fault ledger (the loop writes it from one thread, in job order),
+        and the snapshot chain protocol lives in ``snapshot.py`` — each
+        shape below is how a per-backend copy would regrow."""
         fl = REPO / "src" / "repro" / "fl"
         trees = {p: ast.parse(p.read_text()) for p in sorted(fl.rglob("*.py"))}
         executor = trees[fl / "executor.py"]
         rounds = ("train_round", "eval_round")
+        once = (*rounds, "_run_wave")
 
         def calls(tree, leaf):
             return [
@@ -1056,9 +1060,26 @@ class TestEngineAndCli:
                 if isinstance(cls, ast.ClassDef)
                 and any(isinstance(f, ast.FunctionDef) and f.name == name for f in cls.body)
             ]
-            for name in rounds
+            for name in once
         }
-        assert owners == dict.fromkeys(rounds, ["RoundExecutor"])
+        assert owners == dict.fromkeys(once, ["RoundExecutor"])
+        backends = {
+            cls.name: sorted(f.name for f in cls.body if isinstance(f, ast.FunctionDef))
+            for cls in executor.body
+            if isinstance(cls, ast.ClassDef)
+            and any(getattr(b, "id", None) == "RoundExecutor" for b in cls.bases)
+        }
+        assert backends == {
+            "SerialExecutor": ["_make_pool"],
+            "ThreadPoolRoundExecutor": ["_make_pool"],
+            "ProcessPoolRoundExecutor": [
+                "__init__", "_make_pool", "_publish_resilient", "_submitter", "close",
+            ],
+        }
+        assert not [
+            n for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef) and n.name == "_run_job"
+        ]
         base = next(
             n for n in executor.body
             if isinstance(n, ast.ClassDef) and n.name == "RoundExecutor"
@@ -1076,7 +1097,13 @@ class TestEngineAndCli:
         assert guards == dict.fromkeys(rounds, 1)
         assert len(calls(executor, "published")) == len(rounds)
         assert sum(len(calls(tree, "ItemFailure")) for tree in trees.values()) == 1
-        assert [len(calls(executor, name)) for name in ("_attempt", "_dispose")] == [2, 2]
+        # _attempt: called by _proc_job; in-process it is handed to the pool.
+        assert [len(calls(executor, name)) for name in ("_attempt", "_dispose")] == [1, 1]
+        run_wave = next(
+            f for f in base.body if isinstance(f, ast.FunctionDef) and f.name == "_run_wave"
+        )
+        assert len(calls(run_wave, "_dispose")) == 1
+        assert calls(executor, "Lock") == calls(executor, "RLock") == []
         for leaf in ("write_snapshot_segment", "read_snapshot_segment", "attach_segment"):
             assert calls(executor, leaf) == [], leaf
         assert not any(

@@ -16,9 +16,13 @@ Scenarios: ``{serial, thread, process}`` x four sync fault specs on a
 SplitMix fleet whose low budgets leave some base nets untouched each round
 (so the process backend publishes full, delta, reused *and* compacting
 snapshots), plus one async ``snapshot:rle`` process run whose heals reset
-the rle shadow.  Ledger record order is part of the digest for serial and
-process; the thread backend meters from worker threads in lock-arrival
-order, so its records are sorted first.  Two things a real SIGKILL makes
+the rle shadow.  Ledger record order is part of the digest on every
+backend: the one wave loop writes the ledger in job order from the thread
+that runs it, so each ``thread_sync_*`` recovery digest is its
+``serial_sync_*`` twin's.  (Those five were rewritten to the serial values,
+every other value unchanged, when the thread backend stopped writing
+records from its pool threads in lock-arrival order and this file stopped
+sorting them.)  Two things a real SIGKILL makes
 host-dependent are normalised (measured at the parent: four regenerations
 otherwise differ in exactly these): the ``pool_rebuild`` detail is the
 stdlib's ``BrokenProcessPool`` text, which depends on whether the pool
@@ -139,8 +143,6 @@ def _digests(name: str) -> dict:
     for rec in recovery["faults"]:
         if rec["action"] == "pool_rebuild":
             rec["detail"] = ""
-    if name.startswith("thread"):
-        recovery["faults"].sort(key=lambda rec: json.dumps(rec, sort_keys=True))
     # The meters moved from the process executor to its publisher; the
     # in-process backends publish nothing and read all-zero either way.
     source = getattr(coord.executor, "publisher", coord.executor)

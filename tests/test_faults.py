@@ -458,6 +458,59 @@ class TestTaskFailures:
             coord.run()
 
 
+def _failing_sweep(monkeypatch, backend, **over):
+    """A coordinator whose every sweep job raises, naming the first client
+    it scores; patched before the pool starts, so process workers fork
+    with the patch."""
+    import repro.fl.executor as executor_mod
+
+    def boom(models, env, task, lo, hi, batch_size):
+        raise ValueError(f"eval failed at client {task.client_ids[0]};")
+
+    monkeypatch.setattr(executor_mod, "_eval_task", boom)
+    clients, model = _workload()
+    config = CoordinatorConfig(rounds=1, trainer=TRAINER, seed=0, **backend, **over)
+    return Coordinator(fedavg(model.clone(keep_id=True)), clients, config)
+
+
+class TestEvalFailures:
+    """One retry rule for eval work on every backend: the one wave loop."""
+
+    @pytest.mark.parametrize("retries", [None, 2])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_failing_sweep_retries_by_the_policy(self, monkeypatch, backend, retries):
+        # Three groups of four clients: one job each on every backend
+        # (a pool of at most three workers cuts no group of a 3-group wave).
+        coord = _failing_sweep(monkeypatch, backend, retries=retries, eval_group_clients=4)
+        firsts = [c.client_id for c in coord.clients[::4]]
+        try:
+            with pytest.raises(ValueError, match=f"client {firsts[0]};"):
+                coord.evaluate(0, 0.0)
+            records = coord.executor.drain_fault_records()
+        finally:
+            coord.close()
+        if retries is None:
+            assert records == []  # raised at once, nothing retried
+        else:
+            # Every job retried once in job order, then the first exhausted
+            # job raised.
+            assert [
+                (r.round_idx, r.kind, r.action, r.attempts, r.detail) for r in records
+            ] == [(-1, "task_error", "retry", 1, f"eval failed at client {c};") for c in firsts]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_first_failing_job_raises(self, monkeypatch, backend):
+        """Two groups, each a different message (and on a 3-worker pool cut
+        in two ranges): the first job's error is the one raised."""
+        coord = _failing_sweep(monkeypatch, backend, eval_group_clients=6)
+        try:
+            with pytest.raises(ValueError, match=f"client {coord.clients[0].client_id};"):
+                coord.evaluate(0, 0.0)
+            assert coord.executor.drain_fault_records() == []
+        finally:
+            coord.close()
+
+
 # ----------------------------------------------------------------------
 # quarantine end-to-end
 # ----------------------------------------------------------------------
