@@ -170,7 +170,8 @@ class RoundTimeStats:
 def _duration(cls: int, value) -> float:
     """A round time as a window stores it: a finite, non-negative number
     (a NaN would make the class's deadline NaN; bools and strings are not
-    numbers)."""
+    numbers), and -0.0 stored as 0.0 (a sum of positive terms has no sign
+    of zero, and mixed zeros would order ties unlike ``np.quantile``)."""
     if type(value) is bool or not isinstance(value, (int, float)):
         raise ValueError(f"RoundTimeStats class {cls}: {value!r} is not a number")
     try:
@@ -182,7 +183,7 @@ def _duration(cls: int, value) -> float:
             f"RoundTimeStats class {cls}: a round time must be finite and "
             f"non-negative, got {duration!r}"
         )
-    return duration
+    return duration + 0.0
 
 
 class FleetView:

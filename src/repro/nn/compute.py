@@ -14,10 +14,10 @@
   to process-pool workers through the pool initializer.
 
 * **Workspace pooling** — hot-path kernels (im2col, BatchNorm
-  temporaries, ReLU, softmax/cross-entropy scratch) write into
-  per-layer :class:`Workspace` buffers sized on first use and reused
-  across steps, so the steady-state training step performs no large heap
-  allocations.  Pooling is arithmetic-transparent (bit-identical on or
+  temporaries, ReLU masks, softmax/cross-entropy scratch) write into
+  per-layer and per-model :class:`Workspace` buffers sized on first use and
+  reused across steps, so the steady-state training step performs no large
+  heap allocations.  Pooling is arithmetic-transparent (bit-identical on or
   off; the regression test pins both the identity and the allocation
   saving, against a fresh-allocating ``Workspace.get`` of its own).
 
@@ -98,26 +98,31 @@ def set_compute_dtype(dtype: str | np.dtype | None) -> np.dtype:
 class Workspace:
     """Named scratch buffers reused across steps by one owner.
 
-    Each layer (and the aggregator) owns a private workspace, so reuse is
-    free of cross-thread races: a clone starts with a fresh (empty)
-    workspace, and every executor thread trains and evaluates on its own
-    model copies.  Their layer workspaces stay filled between work items,
-    so a model's next item on that thread runs on warm memory, until the
-    thread checks out a different model (``repro.fl.executor._workspace``
-    then empties them).  ``get`` hands back the buffer registered under
-    ``name`` when its shape and dtype still match, else allocates a
-    replacement — steady-state training (fixed batch shape) allocates
-    exactly once per buffer.
+    A layer owns a private workspace for what lives from forward to
+    backward and for zero-bordered buffers; a ``CellModel`` owns one
+    ``shared`` workspace for its layers' call-local temporaries
+    (``Layer.shared_ws``), keyed by ``(name, shape, dtype)`` so layers of
+    one shape share a buffer.  That is race-free: a model runs on one thread
+    and one layer call at a time, and a call-local temporary is dead once
+    its call returns.  A clone starts with fresh (empty) workspaces, and
+    every executor thread trains and evaluates on its own model copies.
+    Their workspaces stay filled between work items, so a model's next item
+    on that thread runs on warm memory, until the thread checks out a
+    different model (``repro.fl.executor._workspace`` then empties them).
+    ``get`` hands back the buffer registered under its key when its shape
+    and dtype still match, else allocates a replacement — steady-state
+    training (fixed batch shape) allocates exactly once per buffer.
 
     Contents are *not* preserved between calls: callers must fully
     overwrite a buffer before reading it (``zero_first`` zeroes only
     freshly allocated buffers, for pad-border style invariants).
     """
 
-    __slots__ = ("_bufs",)
+    __slots__ = ("_bufs", "shared")
 
-    def __init__(self) -> None:
+    def __init__(self, shared: bool = False) -> None:
         self._bufs: dict[object, np.ndarray] = {}
+        self.shared = shared
 
     def get(
         self,
@@ -127,10 +132,11 @@ class Workspace:
         zero_first: bool = False,
     ) -> np.ndarray:
         shape = tuple(shape)
-        buf = self._bufs.get(name)
+        key = (name, shape, np.dtype(dtype)) if self.shared else name
+        buf = self._bufs.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
             buf = np.zeros(shape, dtype) if zero_first else np.empty(shape, dtype)
-            self._bufs[name] = buf
+            self._bufs[key] = buf
         return buf
 
     def clear(self) -> None:
@@ -143,7 +149,7 @@ class Workspace:
     # Workspaces are caches: cloning or pickling an owner must never drag
     # the buffers along (process payloads, deep-copied models).
     def __deepcopy__(self, memo) -> "Workspace":
-        return Workspace()
+        return Workspace(self.shared)
 
     def __reduce__(self):
-        return (Workspace, ())
+        return (Workspace, (self.shared,))

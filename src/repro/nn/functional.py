@@ -137,23 +137,26 @@ def conv2d_backward(
     with_bias: bool = True,
     ws: Workspace | None = None,
     need_dx: bool = True,
+    shared: Workspace | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Backward pass of :func:`conv2d_forward`.
 
     Returns ``(dx, dweight, dbias)``; ``dbias`` is ``None`` when
     ``with_bias`` is false and ``dx`` is ``None`` (never computed) when
-    ``need_dx`` is false.
+    ``need_dx`` is false.  The call-local temporaries come from ``shared``
+    (default ``ws``): they are dead once the call returns.
     """
     ws = ws or Workspace()
+    shared = shared or ws
     f, c, kh, kw = weight.shape
     n, _, h, w = x_shape
     oh, ow = dout.shape[2:]
     dflat = dout.reshape(n, f, oh * ow)
 
     # dW[f, k] = sum_n dflat[n] @ cols[n].T
-    per_sample = ws.get("conv_dw_n", (n, f, c * kh * kw), weight.dtype)
+    per_sample = shared.get("conv_dw_n", (n, f, c * kh * kw), weight.dtype)
     np.matmul(dflat, cols.transpose(0, 2, 1), out=per_sample)
-    dw = ws.get("conv_dw", weight.shape, weight.dtype)
+    dw = shared.get("conv_dw", weight.shape, weight.dtype)
     per_sample.sum(axis=0, out=dw.reshape(f, c * kh * kw))
     db = None
     if with_bias:
@@ -171,9 +174,9 @@ def conv2d_backward(
     src_r, dst_r = _placed(kh - 1 - pad, stride, oh, h + kh - 1)
     src_c, dst_c = _placed(kw - 1 - pad, stride, ow, w + kw - 1)
     canvas[:, :, dst_r, dst_c] = dout[:, :, src_r, src_c]
-    dcols = ws.get("conv_dx_cols", (n, f, kh, kw, h, w), dout.dtype)
+    dcols = shared.get("conv_dx_cols", (n, f, kh, kw, h, w), dout.dtype)
     dcols[...] = _windows(canvas, kh, kw, 1)
-    flipped = ws.get("conv_dx_w", (c, f, kh, kw), weight.dtype)
+    flipped = shared.get("conv_dx_w", (c, f, kh, kw), weight.dtype)
     flipped[...] = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     dx = ws.get("conv_dx", (n, c, h * w), dout.dtype)
     np.matmul(
@@ -185,25 +188,21 @@ def conv2d_backward(
 
 
 # repro: hotpath
-def relu(x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-    """Rectified linear unit."""
-    ws = ws or Workspace()
-    out = ws.get("relu_out", x.shape, x.dtype)
-    np.maximum(x, 0.0, out=out)
-    return out
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rectified linear unit, into ``out`` (which may be ``x``) or a fresh array."""
+    return np.maximum(x, 0.0, out=out)
 
 
 # repro: hotpath
 def relu_grad(
-    x: np.ndarray, dout: np.ndarray, ws: Workspace | None = None
+    y: np.ndarray, dout: np.ndarray, ws: Workspace | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Gradient of ReLU with respect to its input."""
-    ws = ws or Workspace()
-    mask = ws.get("relu_mask", x.shape, np.dtype(bool))
-    np.greater(x, 0, out=mask)
-    dx = ws.get("relu_dx", dout.shape, dout.dtype)
-    np.multiply(dout, mask, out=dx)
-    return dx
+    """Gradient of ReLU with respect to its input, into ``out`` (which may be
+    ``dout``) or a fresh array.  ``y`` is the input or the output of
+    :func:`relu`: ``relu(x) > 0`` exactly where ``x > 0``, NaN and -0.0 too."""
+    mask = (ws or Workspace()).get("relu_mask", y.shape, np.dtype(bool))
+    np.greater(y, 0, out=mask)
+    return np.multiply(dout, mask, out=out)
 
 
 # A Python float (not a NumPy scalar) so NEP-50 weak promotion keeps

@@ -20,20 +20,27 @@ Every layer follows the same contract:
 * ``macs(input_shape)`` returns ``(per_sample_macs, output_shape)`` so models
   can chain cost accounting without running data through the network.
 
-Layers are single-use per step: call ``forward`` then ``backward``.
+Layers are single-use per step: call ``forward`` then ``backward``.  In a
+model the activation a layer is handed, and the gradient, are single-use
+too: a ``ReLU`` or ``BatchNorm2d`` that ``CellModel`` marked ``in_place``
+(in a cell's plain chain, not first, after a layer that does not keep its
+output) writes its output into ``x`` and its ``dx`` into ``dout``.  A
+standalone layer never writes its arguments.
 
-Hot layers (Conv2d, BatchNorm2d, ReLU, MaxPool2d, GlobalAvgPool2d) own a
-private :class:`~repro.nn.compute.Workspace`: their large intermediates are
-pooled buffers sized on first use and reused across steps (bit-identical to
-fresh allocations).  Because a layer's buffers are overwritten by its next
-``forward``, layer outputs are only valid until that layer runs again —
-which the single-use-per-step contract already guarantees (ReLU and
-MaxPool2d keep a reference to their *input* for backward on the same
-terms).  Cloned cells start with fresh workspaces
-(``Workspace.__deepcopy__``), so parallel backends never share scratch
-memory.  A training workspace keeps its layers' buffers between work items
-and drops only the forward caches (``Cell.drop_caches``);
-``Cell.release_scratch`` empties the buffers as well.
+Hot layers (Conv2d, BatchNorm2d, MaxPool2d, GlobalAvgPool2d) own a private
+:class:`~repro.nn.compute.Workspace` for results and what lives from forward
+to backward; call-local temporaries come from ``shared_ws``, the model's
+shared workspace (the layer's own when standalone).  Buffers are sized on
+first use and reused across steps (bit-identical to fresh allocations).
+Because a layer's buffers are overwritten by its next ``forward``, layer
+outputs are only valid until that layer runs again — which the
+single-use-per-step contract already guarantees (ReLU keeps its output,
+MaxPool2d its input and output, for backward on the same terms).  Cloned
+cells start with fresh workspaces (``Workspace.__deepcopy__``), so parallel
+backends never share scratch memory.  A training workspace keeps its
+layers' buffers between work items and drops only the forward caches
+(``Cell.drop_caches``); ``CellModel.release_scratch`` empties the buffers
+as well.
 
 **The replica axis.**  :class:`Dense` and :class:`ReLU` declare
 ``replica_axis``: their forward/backward address axes from the end, so
@@ -90,6 +97,12 @@ class Layer:
     #: Attributes holding the trainable / non-trainable tensors, in key order.
     param_names: tuple[str, ...] = ()
     state_names: tuple[str, ...] = ()
+
+    #: ``keeps_output``: backward reads this layer's output, so its successor
+    #: must not write into it.  ``CellModel`` sets the other two (module doc).
+    keeps_output: bool = False
+    in_place: bool = False
+    shared_ws: Workspace | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
@@ -219,6 +232,7 @@ class Conv2d(Layer):
         dx, dw, db = F.conv2d_backward(
             dout, cols, x_shape, self.w, self.stride, self.pad,
             with_bias=self.b is not None, ws=self._ws, need_dx=self.needs_input_grad,
+            shared=self.shared_ws,
         )
         self.g_w += dw
         if db is not None:
@@ -274,7 +288,7 @@ class BatchNorm2d(Layer):
             # the same reduction np.var performs internally, minus np.var's
             # two input-sized temporaries.
             np.subtract(x, mean[None, :, None, None], out=xhat)
-            sq = ws.get("bn_tmp", x.shape, x.dtype)
+            sq = (self.shared_ws or ws).get("bn_tmp", x.shape, x.dtype)
             np.multiply(xhat, xhat, out=sq)
             var = sq.mean(axis=(0, 2, 3))
             # In place, NOT `rm = momentum * rm + ...`: rebinding to a fresh
@@ -291,8 +305,7 @@ class BatchNorm2d(Layer):
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std[None, :, None, None]
         self._cache = (xhat, inv_std, train)
-        out = ws.get("bn_out", x.shape, x.dtype)
-        np.multiply(self.gamma[None, :, None, None], xhat, out=out)
+        out = np.multiply(self.gamma[None, :, None, None], xhat, out=x if self.in_place else None)
         out += self.beta[None, :, None, None]
         return out
 
@@ -300,23 +313,21 @@ class BatchNorm2d(Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         assert self._cache is not None, "backward before forward"
         xhat, inv_std, train = self._cache
-        ws = self._ws
-        tmp = ws.get("bn_tmp", dout.shape, dout.dtype)
+        tmp = (self.shared_ws or self._ws).get("bn_tmp", dout.shape, dout.dtype)
         np.multiply(dout, xhat, out=tmp)
         sum_dout_xhat = tmp.sum(axis=(0, 2, 3))
         sum_dout = dout.sum(axis=(0, 2, 3))
         self.g_gamma += sum_dout_xhat
         self.g_beta += sum_dout
         scale = (self.gamma * inv_std)[None, :, None, None]
-        dx = ws.get("bn_dx", dout.shape, dout.dtype)
+        out = dout if self.in_place else None  # dout is read only by the sums above
         if not train:
-            np.multiply(dout, scale, out=dx)
-            return dx
+            return np.multiply(dout, scale, out=out)
         # Batch-stat backward, with dxhat = gamma * dout folded into the two
         # sums the parameter gradients already took:
         # dx = gamma inv_std (dout - mean(dout) - xhat * mean(dout * xhat))
         n = dout.shape[0] * dout.shape[2] * dout.shape[3]
-        np.subtract(dout, (sum_dout / n)[None, :, None, None], out=dx)
+        dx = np.subtract(dout, (sum_dout / n)[None, :, None, None], out=out)
         np.multiply(xhat, (sum_dout_xhat / n)[None, :, None, None], out=tmp)
         dx -= tmp
         dx *= scale
@@ -365,23 +376,23 @@ class LayerNorm(Layer):
 
 
 class ReLU(Layer):
-    """Elementwise max(x, 0)."""
+    """Elementwise max(x, 0); backward masks by the output it keeps."""
 
     replica_axis = True
+    keeps_output = True
 
     def __init__(self) -> None:
-        self._x: np.ndarray | None = None
-        self._ws = Workspace()
+        self._cache: np.ndarray | None = None
 
     # repro: hotpath
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._x = x
-        return F.relu(x, self._ws)
+        self._cache = F.relu(x, out=x if self.in_place else None)
+        return self._cache
 
     # repro: hotpath
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._x is not None
-        return F.relu_grad(self._x, dout, self._ws)
+        assert self._cache is not None
+        return F.relu_grad(self._cache, dout, self.shared_ws, out=dout if self.in_place else None)
 
 
 class GELU(Layer):
@@ -438,6 +449,8 @@ class MaxPool2d(_Pool2d):
     strided window-position views.  The gradient goes to the first element
     (row-major) of each window that equals the window's max."""
 
+    keeps_output = True
+
     def __init__(self, kernel: int = 2):
         super().__init__(kernel)
         self._ws = Workspace()
@@ -464,9 +477,10 @@ class MaxPool2d(_Pool2d):
         dx = self._ws.get("mp_dx", x.shape, dout.dtype)
         # ``unclaimed`` windows have not met their max yet.  A NaN window
         # equals nothing, so none of its elements ever receives gradient.
-        unclaimed = self._ws.get("mp_unclaimed", out.shape, np.dtype(bool))
+        shared = self.shared_ws or self._ws
+        unclaimed = shared.get("mp_unclaimed", out.shape, np.dtype(bool))
         unclaimed[...] = True
-        won = self._ws.get("mp_won", out.shape, np.dtype(bool))
+        won = shared.get("mp_won", out.shape, np.dtype(bool))
         for src, dst in zip(self._slots(x), self._slots(dx)):
             np.equal(src, out, out=won)
             won &= unclaimed

@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import Cell, ConvCell, DenseCell
-from .layers import Layer
+from .compute import Workspace
+from .layers import BatchNorm2d, Layer, ReLU
 from .losses import accuracy, one_hot, softmax_cross_entropy
 from .param_ops import ParamTree
 
@@ -186,12 +187,8 @@ class CellModel:
                     f"{nxt.cell_id} expects {nxt.in_interface}"
                 )
         self.cells = cells
-        # The first cell is fed the data batch and nothing reads
-        # d(loss)/d(data): a conv or dense stem never computes it.
-        if isinstance(cells[0], ConvCell):
-            cells[0].conv.needs_input_grad = False
-        elif isinstance(cells[0], DenseCell):
-            cells[0].fc.needs_input_grad = False
+        self._shared_ws = Workspace(shared=True)
+        self._wire()
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.model_id = model_id or _new_model_id()
@@ -213,6 +210,24 @@ class CellModel:
         self._nbytes_cache = 0
         # Chain validation: raises if shapes are inconsistent.
         self.macs()
+
+    def _wire(self) -> None:
+        """Set the layers' ``needs_input_grad``, ``in_place``, ``shared_ws``."""
+        # The first cell is fed the data batch and nothing reads
+        # d(loss)/d(data): a conv or dense stem never computes it.
+        if isinstance(self.cells[0], ConvCell):
+            self.cells[0].conv.needs_input_grad = False
+        elif isinstance(self.cells[0], DenseCell):
+            self.cells[0].fc.needs_input_grad = False
+        for cell in self.cells:
+            # Only the base loop hands each activation and gradient to one
+            # layer; a custom forward/backward may read them again.
+            plain = type(cell).forward is Cell.forward and type(cell).backward is Cell.backward
+            chain = [layer for _, layer in cell._named_layers()]
+            for prev, layer in zip([None, *chain], chain):
+                layer.shared_ws = self._shared_ws
+                if isinstance(layer, (ReLU, BatchNorm2d)):
+                    layer.in_place = plain and prev is not None and not prev.keeps_output
 
     # ------------------------------------------------------------------
     # versioning
@@ -262,7 +277,8 @@ class CellModel:
 
     def backward(self, dout: np.ndarray) -> None:
         """Accumulate parameter gradients into the cells (the gradient with
-        respect to the input batch is not part of the result)."""
+        respect to the input batch is not part of the result).  ``dout`` is
+        consumed: an in-place layer may write into it."""
         for cell in reversed(self.cells):
             dout = cell.backward(dout)
 
@@ -530,6 +546,7 @@ class CellModel:
         a discarded clone released — keeping parameters, gradients and state."""
         for cell in self.cells:
             cell.release_scratch()
+        self._shared_ws.clear()
 
     @property
     def stackable(self) -> bool:
@@ -597,6 +614,7 @@ class CellModel:
             new_cell = anchor.identity_like(rng)
             self.cells.insert(idx + 1 + offset, new_cell)
             inserted.append(new_cell.cell_id)
+        self._wire()
         anchor.last_op = "deepen"
         self.history.append(
             TransformRecord("deepen", cell_id, round_idx, {"inserted": inserted})

@@ -226,14 +226,15 @@ def _oracle(models, clients, items):
 
 
 def _pooled(work) -> list[np.ndarray]:
-    """The pooled scratch buffers a workspace's layers hold."""
+    """The pooled scratch buffers a workspace's layers and its model's
+    shared workspace hold."""
     return [
         buf
         for cell in work.cells
         for _, layer in cell._named_layers()
         if hasattr(layer, "_ws")
         for buf in layer._ws._bufs.values()
-    ]
+    ] + list(work._shared_ws._bufs.values())
 
 
 def _assert_between_items(held, ran, outputs):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -195,10 +195,18 @@ _DURATIONS = st.one_of(
     qs=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
     reload_at=st.integers(0, 60),
 )
+@example(  # mixed signed zeros in one window
+    window=10,
+    num_classes=1,
+    observations=[(0, d) for d in [0.0, 1.0, -0.0] + [0.0] * 5 + [1.0, -0.0]],
+    qs=[0.5],
+    reload_at=60,
+)
 def test_sorted_window_quantile_is_np_quantile(window, num_classes, observations, qs, reload_at):
     """The sorted window's O(1) quantile is ``np.quantile`` over the ring,
     bit for bit, through ring wrap-around, ties and a ``load_state_dict``
-    round trip (which rebuilds the sorted copies)."""
+    round trip (which rebuilds the sorted copies).  The reference holds
+    each round time as the window stores it: -0.0 as 0.0."""
     qs = [*qs, 0.9, 0.5, 1.0]
     stats = RoundTimeStats(num_classes, window)
     reference = [deque(maxlen=window) for _ in range(num_classes)]
@@ -209,10 +217,25 @@ def test_sorted_window_quantile_is_np_quantile(window, num_classes, observations
             stats = reloaded
         cls %= num_classes
         stats.observe(cls, duration)
-        reference[cls].append(duration)
+        reference[cls].append(duration + 0.0)
         for q in qs:
             want = float(np.quantile(np.array(reference[cls]), q))
             assert np.float64(stats.quantile(cls, q)).tobytes() == np.float64(want).tobytes()
+
+
+def test_a_negative_zero_round_time_is_stored_as_zero():
+    """The ring, the sorted copy and a checkpoint all hold +0.0 bytes."""
+    positive = np.float64(0.0).tobytes()
+    stats = RoundTimeStats(1, 4)
+    stats.observe(0, -0.0)
+    assert np.float64(stats.quantile(0, 0.5)).tobytes() == positive
+    payload = json.dumps(stats.state_dict())
+    assert "-0.0" not in payload
+    reloaded = RoundTimeStats(1, 4)
+    reloaded.load_state_dict(json.loads(payload))
+    for held in (stats, reloaded):
+        assert [np.float64(v).tobytes() for v in held.chronological()[0]] == [positive]
+        assert np.float64(held.quantile(0, 1.0)).tobytes() == positive
 
 
 def test_a_round_time_is_a_finite_non_negative_number():

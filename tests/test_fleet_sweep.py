@@ -304,13 +304,14 @@ def _forward_caches(model: CellModel) -> list[str]:
 
 
 def _pooled_buffers(model: CellModel) -> list[str]:
-    """Every layer of a model whose workspace holds pooled scratch buffers."""
+    """Every layer of a model whose workspace holds pooled scratch buffers,
+    and the model's shared workspace if it holds any."""
     return [
         f"{cell.cell_id}/{name}._ws"
         for cell in model.cells
         for name, layer in cell._named_layers()
         if hasattr(layer, "_ws") and layer._ws._bufs
-    ]
+    ] + ["_shared_ws"] * bool(model._shared_ws._bufs)
 
 
 class TestNoCloneWitness:

@@ -261,6 +261,29 @@ class TestAllocationRegression:
             "allocating per step"
         )
 
+    def test_a_cnn_steps_pooled_footprint_is_pinned(self):
+        """Every pooled buffer reachable from a ``small_cnn(width=16)``
+        workspace after a steady-state batch-32 step — its layers' own
+        workspaces and the model's shared one — is 18,258,304 bytes.  With
+        a private copy of every call-local temporary per layer and separate
+        ``BatchNorm2d``/``ReLU`` output and gradient buffers, the same step
+        held 27,830,656 bytes."""
+        model = small_cnn((3, 16, 16), 4, np.random.default_rng(0), width=16)
+        work = model.replicate(1)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(32, 3, 16, 16))
+        y = rng.integers(0, 4, size=32)
+        for _ in range(2):
+            work.zero_grad()
+            work.loss_and_grad(x, y)
+        pools = [work._shared_ws] + [
+            layer._ws for cell in work.cells for _, layer in cell._named_layers()
+            if hasattr(layer, "_ws")
+        ]
+        assert sum(buf.nbytes for ws in pools for buf in ws._bufs.values()) == 18_258_304
+        work.release_scratch()
+        assert not any(ws._bufs for ws in pools)
+
     @pytest.mark.parametrize("family", _CONV_FAMILIES)
     def test_pooling_toggle_is_bit_identical_on_conv(self, family):
         ds = _conv_dataset()
