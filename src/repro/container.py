@@ -71,6 +71,15 @@ def flatten_payload(payload: dict) -> tuple[dict, dict[str, np.ndarray]]:
     else — object arrays included — because a checkpoint that cannot
     round-trip must fail at write time, not at resume time.
     """
+    skeleton, parts = _leaves(payload)
+    # ``dtype=``: a plain concatenate would cast a non-native byte order
+    # to the machine's, under the arena's foreign-order name.
+    return skeleton, {dtype: np.concatenate(chunks, dtype=dtype) for dtype, chunks in parts.items()}
+
+
+def _leaves(payload: dict) -> tuple[dict, dict[str, list[np.ndarray]]]:
+    """:func:`flatten_payload` before the concatenation: the skeleton and
+    each arena's ravelled leaves, in arena order."""
     parts: dict[str, list[np.ndarray]] = {}
     sizes: dict[str, int] = {}
 
@@ -121,7 +130,7 @@ def flatten_payload(payload: dict) -> tuple[dict, dict[str, np.ndarray]]:
         # The recursive closure is a reference cycle through ``parts``: left
         # to the cycle collector, it would hold every leaf of the payload.
         del walk
-    return skeleton, {dtype: np.concatenate(chunks) for dtype, chunks in parts.items()}
+    return skeleton, parts
 
 
 def _is_index(value) -> bool:
@@ -172,22 +181,26 @@ def frame(header: dict) -> tuple[list[tuple[int, bytes | memoryview]], int]:
     """Lay ``header``, a tree, out as a container.
 
     Returns ``(chunks, size)``: the container's ``(byte offset, bytes)``
-    chunks in order — the prefix, the JSON header, then one arena per
-    dtype — and its length in bytes (the gaps are alignment padding).  The
-    arena table replaces the value of ``header["arenas"]``, so the caller's
-    placeholder fixes where it sits in the header's key order.
+    chunks in order — the prefix, the JSON header, then each arena's array
+    leaves, each a view of the leaf's own buffer at its arena offset — and
+    its length in bytes (the gaps are alignment padding).  The arena table
+    replaces the value of ``header["arenas"]``, so the caller's placeholder
+    fixes where it sits in the header's key order.
     """
-    skeleton, arenas = flatten_payload(header)
+    skeleton, parts = _leaves(header)
     table, end = {}, 0
-    for dtype, arena in arenas.items():
-        table[dtype] = [_aligned(end), arena.size]
-        end = table[dtype][0] + arena.nbytes
+    for dtype, leaves in parts.items():
+        table[dtype] = [_aligned(end), sum(leaf.size for leaf in leaves)]
+        end = table[dtype][0] + sum(leaf.nbytes for leaf in leaves)
     skeleton["arenas"] = table
     text = json.dumps(skeleton, separators=(",", ":")).encode()
     start = _aligned(_PREFIX.size + len(text))
     chunks = [(0, _PREFIX.pack(_MAGIC, FORMAT, len(text))), (_PREFIX.size, text)]
-    for (offset, _), arena in zip(table.values(), arenas.values()):
-        chunks.append((start + offset, arena.view(np.uint8).data))
+    for (offset, _), leaves in zip(table.values(), parts.values()):
+        offset += start
+        for leaf in leaves:
+            chunks.append((offset, leaf.view(np.uint8).data))
+            offset += leaf.nbytes
     return chunks, start + end
 
 
@@ -260,7 +273,7 @@ def write_payload(path: str | Path, payload: dict) -> int:
     """Write ``payload`` to ``path`` as a container and its CRC-32,
     crash-consistently (:func:`~repro.atomicio.atomic_write`).
 
-    Each arena streams straight from the flattener's concatenation.
+    Each array leaf streams straight from its own buffer.
     Returns the CRC-32 the file ends with, which a checkpoint manifest
     records.
     """

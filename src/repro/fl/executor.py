@@ -19,10 +19,12 @@ Everything else exists once: :class:`RoundExecutor`'s two entry points
 each failure in job order, re-dispatch, heal a broken pool),
 :func:`_attempt` is the only place a work item runs (in this process or in
 a pool worker), and :meth:`RoundExecutor._dispose` decides what a failed
-attempt becomes.  The process backend ships the static fleet to each worker
-once at pool start and the models as a versioned shared-memory snapshot
-chain, published once per pass of the loop, so a work item carries
-``(model_id, client_id, seed material)`` — never a pickled model.
+attempt becomes.  A process-pool worker inherits the static fleet when it
+forks (``multiprocessing`` pickles the fleet into each worker only under
+the spawn or forkserver start method) and maps the models from a
+versioned shared-memory snapshot chain, published once per pass of the
+loop, so a work item carries ``(model_id, client_id, seed material)`` —
+never a pickled model.
 
 **Cohorts.**  The unit a backend dispatches is a *cohort*, not an item:
 ``train_round`` groups a wave's items by ``(model_id, min(batch_size, n))``
@@ -75,7 +77,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import pickle
 import threading
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
@@ -734,16 +735,36 @@ class RoundExecutor(Stateful, ABC):
         return None, 0.0 if is_infrastructure_fault(err) else self.retry.backoff(attempts)
 
 
+class _Settled:
+    """A future born settled: what the serial pool's ``submit`` returns.
+
+    It holds what ``concurrent.futures.wait`` and ``result`` read of a
+    ``Future`` — a finished state and a condition to acquire — and none of
+    what a live one needs (a condition variable, waiters, callbacks).
+    Nothing can settle it again, so its condition is a no-op.
+    """
+
+    __slots__ = ("_value", "_error")
+    _state = concurrent.futures._base.FINISHED
+    _condition = SimpleNamespace(acquire=lambda: True, release=lambda: None)
+
+    def __init__(self, value=None, error: Exception | None = None):
+        self._value, self._error = value, error
+
+    def result(self, timeout=None):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 class _InlinePool(concurrent.futures.Executor):
     """The serial pool: ``submit`` runs the call before it returns."""
 
-    def submit(self, fn, /, *args, **kwargs) -> concurrent.futures.Future:
-        future = concurrent.futures.Future()
+    def submit(self, fn, /, *args, **kwargs) -> _Settled:
         try:
-            future.set_result(fn(*args, **kwargs))
+            return _Settled(fn(*args, **kwargs))
         except Exception as err:
-            future.set_exception(err)
-        return future
+            return _Settled(error=err)
 
 
 class SerialExecutor(RoundExecutor):
@@ -774,8 +795,8 @@ class ThreadPoolRoundExecutor(RoundExecutor):
 _WORKER = SimpleNamespace()
 
 
-def _proc_init(payload: bytes) -> None:
-    clients, trainer_config, _WORKER.seed, dtype, _WORKER.fault_plan = pickle.loads(payload)
+def _proc_init(clients, trainer_config, seed, dtype, fault_plan) -> None:
+    _WORKER.seed, _WORKER.fault_plan = seed, fault_plan
     set_compute_dtype(dtype)
     _WORKER.clients_by_id = {c.client_id: c for c in clients}
     _WORKER.trainer = LocalTrainer(trainer_config)
@@ -795,8 +816,11 @@ def _proc_job(version: int, chain: tuple, round_idx: int, job: tuple, attempt: i
 class ProcessPoolRoundExecutor(RoundExecutor):
     """Process-pool backend: true multi-core rounds.
 
-    The fleet ships to workers once via the pool initializer; each wave's
-    models are published once through :attr:`publisher` (a
+    Workers inherit the fleet: the pool initializer is handed the live
+    client objects, which a forked worker shares copy-on-write with this
+    process and which ``multiprocessing`` pickles into each worker only
+    under the spawn or forkserver start method.  Each wave's models are
+    published once through :attr:`publisher` (a
     :class:`~repro.fl.snapshot.SnapshotPublisher`: incremental, versioned,
     shared-memory) and workers map them lazily, so the per-item payload
     stays a few hundred bytes.  What this class adds to the wave loop is
@@ -822,20 +846,18 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     )
 
     def _make_pool(self) -> concurrent.futures.Executor:
-        payload = pickle.dumps(
-            (
-                list(self.clients_by_id.values()),
-                self.trainer_config,
-                self.seed,
-                compute_dtype_name(),
-                # Workers hold the same stateless FaultPlan: worker-side
-                # decisions (SIGKILL, task errors, poison) match the
-                # coordinator's replay of the same spawn keys.
-                self.fault_plan,
-            )
+        initargs = (
+            list(self.clients_by_id.values()),
+            self.trainer_config,
+            self.seed,
+            compute_dtype_name(),
+            # Workers hold the same stateless FaultPlan: worker-side
+            # decisions (SIGKILL, task errors, poison) match the
+            # coordinator's replay of the same spawn keys.
+            self.fault_plan,
         )
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_proc_init, initargs=(payload,)
+            max_workers=self.workers, initializer=_proc_init, initargs=initargs
         )
 
     def _submitter(self, models: dict[str, CellModel], round_idx: int):

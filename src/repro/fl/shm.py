@@ -113,8 +113,8 @@ def write_snapshot_segment(
     shm = shared_memory.SharedMemory(name=name, create=True, size=max(size, 1))
     for offset, data in chunks:
         shm.buf[offset : offset + len(data)] = data
-    _, (_, header), *arenas = chunks
-    wire_bytes = len(header) + sum(len(data) for _, data in arenas)
+    _, (_, header), *leaves = chunks
+    wire_bytes = len(header) + sum(len(data) for _, data in leaves)
     return shm, wire_bytes, len(header) + raw_bytes
 
 

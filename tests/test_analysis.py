@@ -1434,14 +1434,16 @@ class TestEngineAndCli:
 
     def test_no_pickle_on_a_decode_boundary(self):
         """The snapshot segment, its chain, the checkpoint and the update
-        codec decode bytes with strict readers of one marker grammar; each
-        shape below is how an unpickle or a second grammar would regrow."""
+        codec decode bytes with strict readers of one marker grammar, and
+        the process pool hands its workers the live fleet (a forked worker
+        inherits it), so no module under ``src/repro`` imports ``pickle``;
+        each shape below is how an unpickle or a second grammar would
+        regrow."""
         src = REPO / "src" / "repro"
         found = []
-        for rel in (
-            "container.py", "fl/shm.py", "fl/snapshot.py", "fl/checkpoint.py", "fl/transport.py"
-        ):
-            for n in ast.walk(ast.parse((src / rel).read_text())):
+        for path in sorted(src.rglob("*.py")):
+            rel = str(path.relative_to(src))
+            for n in ast.walk(ast.parse(path.read_text())):
                 names = (
                     [a.name for a in n.names] if isinstance(n, ast.Import)
                     else [n.module or ""] if isinstance(n, ast.ImportFrom) else []

@@ -195,7 +195,8 @@ def _canonical(payload) -> tuple:
 
 @st.composite
 def _leaf(draw):
-    dtype = draw(st.sampled_from(["<f4", "<f8", "<i8", "|b1", "<U3"]))
+    # ">f8": a leaf not in the machine's byte order keeps its bytes and dtype.
+    dtype = draw(st.sampled_from(["<f4", "<f8", ">f8", "<i8", "|b1", "<U3"]))
     shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
     arr = draw(hnp.arrays(np.dtype(dtype), shape))
     layout = draw(st.sampled_from(["C", "F", "strided"]))

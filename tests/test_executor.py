@@ -5,6 +5,10 @@ backends produce bit-identical ``TrainingLog`` records for the same seed —
 round losses, eval accuracies, spawn events, cost accounting, everything.
 """
 
+import concurrent.futures
+import functools
+import json
+import multiprocessing
 import re
 
 import numpy as np
@@ -20,6 +24,7 @@ from repro.fl import (
     FLClient,
     LocalTrainerConfig,
     TrainItem,
+    log_to_dict,
     make_executor,
 )
 from repro.fl.executor import (
@@ -433,3 +438,51 @@ class TestExecutorUnits:
         second = ex.train_round(0, items, {model.model_id: model})
         assert first[0].train_loss == second[0].train_loss
         ex.close()
+
+
+class TestPoolWorkersInheritTheFleet:
+    """The process pool's initializer is handed the live fleet, never a
+    pickled copy of it: a forked worker inherits it, and under the spawn
+    start method ``multiprocessing`` pickles it itself — the bytes are the
+    serial backend's either way."""
+
+    def test_the_initializer_gets_the_executors_own_clients(self, monkeypatch, rng):
+        ds = _dataset(num_clients=3)
+        clients = _clients(ds)
+        model = mlp(ds.input_shape, ds.num_classes, rng, width=8)
+        trainer_cfg = LocalTrainerConfig(batch_size=4, local_steps=2, lr=0.1)
+        built = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            built.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        ex = make_executor("process", clients, trainer_cfg, seed=0, max_workers=2)
+        try:
+            items = [TrainItem(model.model_id, c.client_id, 0) for c in clients]
+            updates = ex.train_round(0, items, {model.model_id: model})
+        finally:
+            ex.close()
+        assert [u.client_id for u in updates] == [c.client_id for c in clients]
+        (kwargs,) = built
+        handed, config, seed, _, plan = kwargs["initargs"]
+        assert [id(c) for c in handed] == [id(c) for c in clients]
+        assert config is ex.trainer_config and (seed, plan) == (0, None)
+
+    def test_a_spawned_pool_gives_the_serial_export(self, monkeypatch):
+        def export(log) -> str:
+            raw = json.dumps(log_to_dict(log), sort_keys=True)
+            ids: dict[str, str] = {}
+            return re.sub(r"m\d+", lambda m: ids.setdefault(m.group(0), f"M{len(ids)}"), raw)
+
+        serial = export(_run_fedavg("serial", rounds=3))
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor",
+            functools.partial(
+                concurrent.futures.ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context("spawn"),
+            ),
+        )
+        assert export(_run_fedavg("process", rounds=3)) == serial
