@@ -4,7 +4,7 @@ Two claims from the fault-tolerance PR, measured:
 
 1. **Crash recovery is invisible in the trajectory and cheap in wall
    time.**  The process backend under injected worker SIGKILLs rebuilds
-   the pool, republishes the snapshot chain, and re-dispatches only the
+   the pool, republishes the snapshot segment, and re-dispatches only the
    lost items — the export is byte-identical to the fault-free run at
    the same seed (CONTRACTS.md I10), and the measured wall-clock
    overhead is the cost of the pool rebuilds alone, not a restart of the

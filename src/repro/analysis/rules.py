@@ -323,8 +323,8 @@ class DtypeHygiene(Rule):
 class VersionBump(Rule):
     """Mutating methods on ``CellModel``/``Cell`` must bump the version.
 
-    The eval cache, delta snapshot publishing, and memoized cost model
-    are all keyed on ``CellModel.version``; a method that writes into
+    The eval cache, snapshot publishing (a publish is reused when no
+    version moved), and memoized cost model are all keyed on ``CellModel.version``; a method that writes into
     ``params()``/``state()``-reachable arrays and returns without
     ``bump_version()`` leaves every one of those caches stale.  The rule
     requires a bump on *every* non-raising exit path (``raise`` exits are
@@ -483,7 +483,7 @@ class VersionBump(Rule):
                     f"{fn.name}() writes into params()/state() arrays "
                     f"(first write at line {min(writes)}) but exits here "
                     "without bump_version(); stale version corrupts the "
-                    "eval cache and delta publishing"
+                    "eval cache and snapshot reuse"
                 ),
             )
 

@@ -15,8 +15,9 @@ side shared-memory views are *always* read-only (see ``repro.fl.shm``);
 this guard extends the same protection to the coordinator-side originals
 on every backend, including serial and thread where memory is shared.
 
-**Version/fingerprint cross-check** — the eval cache and delta
-snapshot publishing both trust ``CellModel.version``.  The static
+**Version/fingerprint cross-check** — the eval cache and snapshot
+publishing (a publish is reused when no version moved) both trust
+``CellModel.version``.  The static
 rule RL004 catches the *pattern* of a missed ``bump_version()``; the
 :class:`VersionWatch` catches the *effect*: at every cache-read and
 snapshot-publish point it hashes the model's parameter/state bytes and

@@ -100,7 +100,7 @@ def build_subnet(global_model: CellModel, spec: SubnetSpec) -> CellModel:
     under stable model ids after every aggregation, and a rebuilt subnet's
     weights changed exactly when the global weights did — a fresh-clone
     version of 0 every rebuild would make version-keyed caches (the eval
-    cache, process-backend snapshot deltas) treat retrained weights as
+    cache, process-backend snapshot reuse) treat retrained weights as
     unchanged.  FLuID's score-driven spec changes are covered too: specs
     only move in ``aggregate``, right after the global model's own bump.
     """

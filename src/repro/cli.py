@@ -140,8 +140,8 @@ _FLAGS = (
           "'update:int8+topk0.01,snapshot:rle'.  update codecs: "
           "rle (lossless), int8/bf16 quantization and topk<rate> "
           "sparsification (lossy, with server-side error "
-          "feedback); snapshot:rle delta-encodes shared-memory "
-          "publishes (lossless).  Lossy specs change the "
+          "feedback); snapshot:rle is accepted and recorded but "
+          "publishes stay raw full segments.  Lossy specs change the "
           "trajectory and must be declared here (CONTRACTS.md "
           "I11)"),
     _Flag("--wire-time", "wire_time", dict(action="store_true"),

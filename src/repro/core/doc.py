@@ -76,4 +76,10 @@ class DoCTracker(Stateful):
 
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
-        self._losses = [float(x) for x in payload["losses"]]
+        losses = payload["losses"]
+        # A loss is a number: float() would also take "nan", "inf" or True.
+        if not isinstance(losses, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in losses
+        ):
+            raise ValueError(f"{self.schema}: losses must be a list of numbers, got {losses!r}")
+        self._losses = [float(x) for x in losses]

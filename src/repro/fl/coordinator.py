@@ -220,8 +220,8 @@ class CoordinatorConfig:
     quarantine_norm_mult: float = 8.0
     # Transport codec (repro.fl.transport): a spec like
     # "update:int8+topk0.01,snapshot:rle" compresses client→server updates
-    # and/or server→worker snapshot segments; None disables.  Lossless
-    # specs (rle-only) leave the trajectory bit-identical; lossy codecs
+    # (snapshot:rle is recorded, but segments stay raw); None disables.
+    # Lossless specs (rle-only) leave the trajectory bit-identical; lossy codecs
     # (int8/bf16/topk) change it and must be declared here — they are
     # banned from golden-pinned defaults (CONTRACTS.md I11).  Both knobs
     # are trajectory-affecting and therefore part of the run hash.
@@ -381,10 +381,10 @@ class Coordinator(Stateful):
         self.clients = clients
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        # Transport codec: the update half lives here (one codec instance
+        # Transport codec: the update codec lives here (one codec instance
         # sees every update in deterministic order — its error-feedback
-        # residuals are run state); the snapshot half ships to the executor
-        # as config.  An injected executor keeps its own transport setting.
+        # residuals are run state).  A snapshot section is only recorded in
+        # the spec: publishes are raw full segments either way.
         transport = config.transport_config
         self.transport = TransportCodec(transport) if transport is not None else None
         # Last-seen executor publish counters (raw, wire): per-round and
@@ -395,7 +395,7 @@ class Coordinator(Stateful):
         self._owns_executor = executor is None
         self.executor = executor or make_executor(
             config.executor, clients, config.trainer, config.seed, config.max_workers,
-            faults=config.fault_config, retry=config.retry_policy, transport=transport,
+            faults=config.fault_config, retry=config.retry_policy,
         )
         gate = config.quarantine_config
         self.validator = UpdateValidator(gate) if gate is not None else None
@@ -422,7 +422,7 @@ class Coordinator(Stateful):
         """Everything the round loop's trajectory depends on.
 
         Executor state is deliberately absent (executors are Stateful with
-        empty payloads — pools and snapshot chains are derived), so a
+        empty payloads — pools and snapshot segments are derived), so a
         checkpoint taken under one backend resumes under any other.  In
         async mode the engine payload includes pending work: checkpoints
         are only ever taken between ``step()`` calls, a wave-drain barrier

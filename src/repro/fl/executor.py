@@ -22,7 +22,7 @@ a pool worker), and :meth:`RoundExecutor._dispose` decides what a failed
 attempt becomes.  A process-pool worker inherits the static fleet when it
 forks (``multiprocessing`` pickles the fleet into each worker only under
 the spawn or forkserver start method) and maps the models from a
-versioned shared-memory snapshot chain, published once per pass of the
+versioned shared-memory snapshot segment, published once per pass of the
 loop, so a work item carries ``(model_id, client_id, seed material)`` —
 never a pickled model.
 
@@ -92,7 +92,6 @@ from ..nn.model import CellModel
 from ..stateful import Stateful, check_schema, schema_tag
 from . import snapshot as _snapshot
 from .client import LocalTrainer, LocalTrainerConfig
-from .transport import TransportConfig
 from .faults import (
     FaultConfig,
     FaultPlan,
@@ -368,7 +367,7 @@ class RoundExecutor(Stateful, ABC):
     is exactly the race the guard exists to catch.
 
     Executors are :class:`~repro.stateful.Stateful` with empty payloads by
-    design: pools, snapshot chains, and publish meters are all *derived*
+    design: pools, snapshot segments, and publish meters are all *derived*
     runtime state, rebuilt lazily from the models a resumed coordinator
     republishes — a checkpoint carries no executor bytes, which is also
     what lets a run resume under a different backend.  (The fault ledger
@@ -389,8 +388,8 @@ class RoundExecutor(Stateful, ABC):
 
     backend: str = "abstract"
     _pool: concurrent.futures.Executor | None = None
-    # Snapshot bytes published to workers so far (uncompressed / on-wire);
-    # only the process backend publishes, the others stay at zero.
+    # Snapshot bytes published to workers so far (raw / on-wire, always
+    # equal); only the process backend publishes, the others stay at zero.
     raw_bytes_published_total: int = 0
     bytes_published_total: int = 0
 
@@ -409,7 +408,6 @@ class RoundExecutor(Stateful, ABC):
         *,
         faults: FaultConfig | None = None,
         retry: RetryPolicy | None = None,
-        transport: TransportConfig | None = None,
     ):
         self.clients_by_id = {c.client_id: c for c in clients}
         # Test-row count by client id, read once: a fleet's data is fixed at
@@ -423,10 +421,6 @@ class RoundExecutor(Stateful, ABC):
         self.max_workers = max_workers
         self.faults = faults
         self.retry = retry
-        # Transport codec config: only the snapshot section matters to an
-        # executor (the in-process backends publish nothing, so they just
-        # carry it; the process backend hands it to its publisher).
-        self.transport = transport
         self.fault_plan = (
             FaultPlan(seed, faults)
             if faults is not None and faults.any_enabled()
@@ -804,11 +798,11 @@ def _proc_init(clients, trainer_config, seed, dtype, fault_plan) -> None:
     _snapshot.worker_reset()
 
 
-def _proc_job(version: int, chain: tuple, round_idx: int, job: tuple, attempt: int = 0):
+def _proc_job(version: int, segment: str, round_idx: int, job: tuple, attempt: int = 0):
     """One job in a worker.  Retried train items arrive with ``attempt >= 1``
     (the coordinator owns attempt accounting across pool rebuilds)."""
     return _attempt(
-        _WORKER, lambda: _snapshot.worker_models(version, chain),
+        _WORKER, lambda: _snapshot.worker_models(version, segment),
         round_idx, job, attempt, worker_side=True,
     )
 
@@ -821,29 +815,26 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     process and which ``multiprocessing`` pickles into each worker only
     under the spawn or forkserver start method.  Each wave's models are
     published once through :attr:`publisher` (a
-    :class:`~repro.fl.snapshot.SnapshotPublisher`: incremental, versioned,
-    shared-memory) and workers map them lazily, so the per-item payload
-    stays a few hundred bytes.  What this class adds to the wave loop is
-    its pool, the once-per-pass publish with bounded retry, and the arena
-    release on :meth:`close`.
+    :class:`~repro.fl.snapshot.SnapshotPublisher`: one versioned
+    shared-memory segment; a publish is reused when no version moved) and
+    workers map it lazily, so the per-item payload stays a few hundred
+    bytes.  What this class adds to the wave loop is its pool, the
+    once-per-pass publish with bounded retry, and the arena release on
+    :meth:`close`.
     """
 
     backend = "process"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.publisher = _snapshot.SnapshotPublisher(
-            rle=bool(self.transport is not None and self.transport.snapshot_rle),
-            fault_plan=self.fault_plan,
-        )
+        self.publisher = _snapshot.SnapshotPublisher(fault_plan=self.fault_plan)
 
-    # The three publish meters the coordinator and the benchmark harness
-    # read off the executor; the other six are on the publisher.
+    # The publish meters the coordinator and the benchmark harness read off
+    # the executor.  A segment is always raw, so its raw and on-wire bytes
+    # are the publisher's one byte counter.
     publish_count = property(lambda self: self.publisher.publish_count)
     bytes_published_total = property(lambda self: self.publisher.bytes_published_total)
-    raw_bytes_published_total = property(
-        lambda self: self.publisher.raw_bytes_published_total
-    )
+    raw_bytes_published_total = bytes_published_total
 
     def _make_pool(self) -> concurrent.futures.Executor:
         initargs = (
@@ -862,16 +853,16 @@ class ProcessPoolRoundExecutor(RoundExecutor):
 
     def _submitter(self, models: dict[str, CellModel], round_idx: int):
         """One pass's ``submit``: the models are published once, and a job
-        carries only the snapshot chain its worker replays them from."""
+        carries only the snapshot version and the segment its worker maps."""
         pool = self._ensure_pool()
-        version, chain = self._publish_resilient(models, round_idx)
+        version, segment = self._publish_resilient(models, round_idx)
         return lambda job, attempt: pool.submit(
-            _proc_job, version, chain, round_idx, job, attempt
+            _proc_job, version, segment, round_idx, job, attempt
         )
 
     def _publish_resilient(
         self, models: dict[str, CellModel], round_idx: int
-    ) -> tuple[int, tuple]:
+    ) -> tuple[int, str]:
         """Publish with bounded retry over injected publish failures.
 
         An :class:`~repro.fl.faults.InjectedShmFault` fires before the
@@ -915,7 +906,6 @@ def make_executor(
     *,
     faults: FaultConfig | None = None,
     retry: RetryPolicy | None = None,
-    transport: TransportConfig | None = None,
 ) -> RoundExecutor:
     """Instantiate a round executor by backend name."""
     try:
@@ -928,5 +918,5 @@ def make_executor(
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     return cls(
         clients, trainer_config, seed, max_workers=max_workers,
-        faults=faults, retry=retry, transport=transport,
+        faults=faults, retry=retry,
     )

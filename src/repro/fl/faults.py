@@ -45,7 +45,7 @@ The five injectable fault kinds (spec string ``"kind=rate,..."``):
 ``exc``     raise :class:`InjectedTaskError` from the work function (a
             task-level fault: retries charge simulated backoff).
 ``shm``     shared-memory failure: worker-side the item's attach raises
-            :class:`InjectedShmFault` before the snapshot chain loads;
+            :class:`InjectedShmFault` before the snapshot segment loads;
             coordinator-side each publish ordinal may fail once and is
             retried (process backend only for the publish half).
 ``hang``    the client's simulated round time is multiplied by
@@ -120,13 +120,13 @@ class InjectedShmFault(InjectedFault):
 
 
 class SnapshotChainError(RuntimeError):
-    """A worker could not attach a segment of the published snapshot chain.
+    """A worker could not attach the published snapshot segment.
 
-    Raised with the missing segment's name, the expected chain, and the
-    worker's attached set (the opaque ``FileNotFoundError`` this replaces
-    named none of them).  Classified as an infrastructure fault: after a
-    pool heal republishes a fresh chain, a re-dispatched item should not
-    see it again — and recovering from it must not charge simulated time.
+    Raised with the expected ``(version, segment)`` and the segment the
+    worker has attached (the opaque ``FileNotFoundError`` this replaces
+    named neither).  Classified as an infrastructure fault: after a pool
+    heal republishes a fresh segment, a re-dispatched item should not see
+    it again — and recovering from it must not charge simulated time.
     """
 
 

@@ -1,17 +1,15 @@
 """Shared-memory model snapshot segments for the process round executor.
 
-The coordinator writes each changed model's tensors **once** into a
+The coordinator writes every model's tensors **once** into a
 ``multiprocessing.shared_memory`` segment; workers rebuild each model
 around **read-only views** into the mapped buffer, so the tensor data is
 never copied on the worker side.  A segment is one container of
 :mod:`repro.container` (the ``RSNP`` prefix, a JSON header, one 64-byte
-aligned arena per dtype) whose header is ``{"kind", "removed", "all_ids",
-"arenas", "models"}``: ``models`` maps each id to its spec
+aligned arena per dtype) whose header is ``{"arenas", "models"}``:
+``models`` maps each id to its spec
 (:func:`~repro.nn.serialization.model_spec`), version and ``param`` /
-``state`` trees of ``[dtype, offset, shape]`` markers; with the snapshot
-codec on, a delta tensor may instead be the leaf ``{"rle": <uint8 array>,
-"dtype", "shape"}``, a run-length diff against its previous publish whose
-bytes ride in the ``|u1`` arena.
+``state`` trees of ``[dtype, offset, shape]`` markers.  A segment always
+holds the whole suite, raw.
 
 Decoding is strict and unpickles nothing: whatever the container's one
 reader refuses (:func:`repro.container.read_frame`), a header that is not
@@ -19,9 +17,9 @@ a snapshot header, and tensor keys, shapes or dtypes that differ from the
 model the spec builds are each a :class:`SnapshotFormatError`, raised
 before anything larger than the segment is allocated.
 
-Which segments exist, who owns them and when they are retired is the chain
-protocol's business (:mod:`~repro.fl.snapshot`); this module lays out one
-segment and supplies the one cleanup path (:func:`unlink_segments`).
+Which segment is current, who owns it and when it is retired is the
+snapshot protocol's business (:mod:`~repro.fl.snapshot`); this module lays
+out one segment and supplies the one cleanup path (:func:`unlink_segments`).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import numpy as np
 from ..container import frame, read_frame, unflatten_payload
 from ..nn.model import CellModel
 from ..nn.serialization import model_from_spec, model_spec
-from .transport import rle_decode_bytes, rle_encode_bytes
 
 __all__ = [
     "SnapshotFormatError",
@@ -45,9 +42,9 @@ __all__ = [
     "unlink_segments",
 ]
 
-_HEADER_KEYS = {"kind", "removed", "all_ids", "arenas", "models"}
+_HEADER_KEYS = {"arenas", "models"}
 _MODEL_KEYS = {"spec", "version", "param", "state"}
-# What a hostile segment can make the readers, a spec's constructors and the rle stream raise.
+# What a hostile segment can make the readers and a spec's constructors raise.
 _CORRUPT = (ValueError, TypeError, KeyError, IndexError, AttributeError, OverflowError,
             ZeroDivisionError, RecursionError)
 
@@ -60,62 +57,29 @@ class SnapshotFormatError(RuntimeError):
 # coordinator side: write
 # ----------------------------------------------------------------------
 def write_snapshot_segment(
-    name: str,
-    kind: str,
-    models: dict[str, CellModel],
-    removed: frozenset[str] = frozenset(),
-    all_ids: frozenset[str] = frozenset(),
-    *,
-    rle: bool = False,
-    shadow: dict[tuple[str, str, str], bytes] | None = None,
-) -> tuple[shared_memory.SharedMemory, int, int]:
-    """Create segment ``name`` holding ``models``.
+    name: str, kind: str, models: dict[str, CellModel]
+) -> tuple[shared_memory.SharedMemory, int]:
+    """Create segment ``name`` holding the whole suite ``models``.
 
-    ``kind`` is ``"full"`` (the complete suite) or ``"delta"`` (changed
-    models only, plus the removed ids and the coherent id set for the
-    worker-side consistency check).  Returns ``(shm, wire_bytes,
-    raw_bytes)``: header + tensor bytes, without alignment padding, equal
-    unless run-length encoding shrank something.
-
-    ``shadow`` is the coordinator's record of each tensor's bytes as of
-    its *previous* publish, keyed ``(model_id, scope, key)``; when given
-    it is both consulted (the rle reference) and updated in place (this
-    publish becomes the next one's reference).  With ``rle=True`` each
-    tensor whose shadow bytes exist is stored as a byte-level run-length
-    diff against them when that is smaller — the worker replays the delta
-    chain in publish order, so its current tensor bytes are exactly the
-    shadow the coordinator diffed against.  Full segments are always
-    written raw (they are the rebase anchor for workers with no prior
-    state) but still refresh the shadow.
+    ``kind`` must be ``"full"``, the only kind of segment there is.
+    Returns ``(shm, nbytes)``: header + raw tensor bytes, without
+    alignment padding.
     """
+    if kind != "full":
+        raise ValueError(f"a snapshot segment holds the full suite; got kind {kind!r}")
     tree: dict[str, dict] = {}
-    raw_bytes = 0
+    tensor_bytes = 0
     for mid, model in models.items():
         meta = tree[mid] = {"spec": model_spec(model), "version": model.version}
         for scope, tensors in (("param", model.params()), ("state", model.state())):
-            leaves = meta[scope] = {}
-            for key, arr in tensors.items():
-                raw_bytes += arr.nbytes
-                leaves[key] = arr
-                if shadow is None:
-                    continue
-                data = np.ascontiguousarray(arr).tobytes()
-                ref = shadow.get((mid, scope, key)) if rle else None
-                packed = None if ref is None else rle_encode_bytes(data, ref)
-                if packed is not None:
-                    leaves[key] = {"rle": np.frombuffer(packed, dtype=np.uint8),
-                                   "dtype": arr.dtype.str, "shape": list(arr.shape)}
-                shadow[mid, scope, key] = data
-    chunks, size = frame(
-        {"kind": kind, "removed": sorted(removed), "all_ids": sorted(all_ids),
-         "arenas": None, "models": tree}
-    )
+            meta[scope] = dict(tensors)
+            tensor_bytes += sum(arr.nbytes for arr in tensors.values())
+    chunks, size = frame({"arenas": None, "models": tree})
     shm = shared_memory.SharedMemory(name=name, create=True, size=max(size, 1))
     for offset, data in chunks:
         shm.buf[offset : offset + len(data)] = data
-    _, (_, header), *leaves = chunks
-    wire_bytes = len(header) + sum(len(data) for _, data in leaves)
-    return shm, wire_bytes, len(header) + raw_bytes
+    _, (_, header), *_ = chunks
+    return shm, len(header) + tensor_bytes
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +109,7 @@ def segment_exists(name: str) -> bool:
     return True
 
 
-def _install_views(model: CellModel, meta: dict, prev: CellModel | None) -> None:
+def _install_views(model: CellModel, meta: dict) -> None:
     """Replace a freshly built model's tensors with the segment's, each
     checked against the one its spec built.  Gradient buffers keep their
     construction-time private arrays (same shapes)."""
@@ -155,60 +119,27 @@ def _install_views(model: CellModel, meta: dict, prev: CellModel | None) -> None
     if leaves.keys() != slots.keys():
         diff = sorted(leaves.keys() ^ slots.keys())[:4]
         raise ValueError(f"model {model.model_id!r}: tensor keys differ from its spec's: {diff}")
-    refs = {} if prev is None else {
-        (scope, key): arr for scope in scopes for key, _, _, _, arr in prev.tensors(scope)
-    }
     for skey, (layer, tname) in slots.items():
         live, view = getattr(layer, tname), leaves[skey]
-        where = f"{model.model_id!r}/{skey[1]}"
-        if isinstance(view, dict):
-            view = _rle_tensor(view, live, refs.get(skey), where)
         if not isinstance(view, np.ndarray) or (view.shape, view.dtype) != (live.shape, live.dtype):
-            raise ValueError(f"{where}: not the {live.dtype} {live.shape} tensor its spec builds")
+            raise ValueError(
+                f"{model.model_id!r}/{skey[1]}: not the {live.dtype} {live.shape} "
+                "tensor its spec builds"
+            )
         setattr(layer, tname, view)
 
 
-def _rle_tensor(leaf: dict, live: np.ndarray, ref: np.ndarray | None, where: str) -> np.ndarray:
-    """Replay one run-length diff against the worker's previous tensor."""
-    if not (
-        leaf.keys() == {"rle", "dtype", "shape"} and isinstance(leaf["rle"], np.ndarray)
-        and leaf["rle"].dtype == np.uint8
-        and leaf["dtype"] == live.dtype.str and leaf["shape"] == list(live.shape)
-    ):
-        raise ValueError(f"{where}: malformed run-length leaf")
-    if ref is None or ref.shape != live.shape or ref.dtype != live.dtype:
-        raise ValueError(
-            f"{where} is run-length encoded but no previous state of its "
-            "shape and dtype is available to decode it against"
-        )
-    decoded = rle_decode_bytes(leaf["rle"].tobytes(), np.ascontiguousarray(ref).tobytes())
-    return np.frombuffer(decoded, dtype=live.dtype).reshape(live.shape)
+def read_snapshot_segment(shm: shared_memory.SharedMemory) -> dict[str, CellModel]:
+    """Decode a segment into its suite, ``model_id -> model``.
 
-
-def read_snapshot_segment(
-    shm: shared_memory.SharedMemory,
-    prev_models: dict[str, CellModel] | None = None,
-) -> tuple[str, dict[str, CellModel], frozenset[str], frozenset[str]]:
-    """Decode a segment into ``(kind, models, removed, all_ids)``.
-
-    Each raw tensor is installed as a read-only view into its mapped arena
-    — zero-copy: the only per-tensor cost is the ndarray wrapper.
-    Run-length-encoded tensors (delta segments written with snapshot
-    compression) are decoded against ``prev_models`` — the worker's
-    current suite state, whose tensor bytes match what the coordinator
-    diffed against — into private read-only arrays.  Callers must keep
-    ``shm`` open for as long as any returned model views into it.
+    Each tensor is installed as a read-only view into its mapped arena —
+    zero-copy: the only per-tensor cost is the ndarray wrapper.  Callers
+    must keep ``shm`` open for as long as any returned model views into it.
     """
     models: dict[str, CellModel] = {}
     try:
         header, arenas = read_frame(shm.buf)
-        if not (
-            header.keys() == _HEADER_KEYS and header["kind"] in ("full", "delta")
-            and all(
-                isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-                for ids in (header["removed"], header["all_ids"])
-            )
-        ):
+        if header.keys() != _HEADER_KEYS:
             raise ValueError("the header is not a snapshot header")
         for mid, meta in unflatten_payload(header["models"], arenas, copy=False).items():
             if meta.keys() != _MODEL_KEYS or type(meta["version"]) is not int:
@@ -216,14 +147,14 @@ def read_snapshot_segment(
             model = model_from_spec(meta["spec"])
             if model.model_id != mid:
                 raise ValueError(f"model {mid!r}: its spec names {model.model_id!r}")
-            _install_views(model, meta, (prev_models or {}).get(mid))
+            _install_views(model, meta)
             # A replica of server state: answer version-keyed lookups like
             # the original (clone(keep_id=True) semantics).
             model.sync_version(meta["version"])
             models[mid] = model
     except _CORRUPT as exc:
         raise SnapshotFormatError(f"undecodable snapshot segment: {exc}") from None
-    return header["kind"], models, frozenset(header["removed"]), frozenset(header["all_ids"])
+    return models
 
 
 # ----------------------------------------------------------------------

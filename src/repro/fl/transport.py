@@ -11,9 +11,11 @@ directions:
   scheme), so a 1% top-k keeps the 1% of coordinates that moved most.
   The ``rle`` update codec is the lossless option: a byte-level diff
   against the reference that falls back to raw when it cannot help.
-* **server→worker snapshots** — byte-level run-length delta encoding over
-  version-changed tensors inside delta segments (:mod:`~repro.fl.shm`
-  stacks it on the existing full/delta chain); always lossless.
+* **server→worker snapshots** — none.  ``snapshot:rle`` is accepted and
+  recorded in the ``compress`` field of exports, but a snapshot is one raw
+  full segment (:mod:`~repro.fl.snapshot`) either way, so its publish wire
+  bytes equal its raw bytes.  The token stays only because the benchmark
+  workloads (``benchmarks/e2e/workloads.py``) pass it.
 
 The simulation never ships real packets, so "encoding" means: produce the
 actual encoded byte payload (its length is the on-wire cost the ledger
@@ -280,13 +282,14 @@ class TransportConfig:
     ``update:int8+topk0.01,snapshot:rle``.  The update chain combines at
     most one quantizer (``int8`` | ``bf16``) with an optional ``topk<rate>``
     sparsifier; ``rle`` is the lossless update path and combines with
-    nothing.  The snapshot section accepts ``rle`` only (always lossless).
+    nothing.  The snapshot section accepts ``rle`` only, which is recorded
+    in the spec but writes the same raw segment as no snapshot section.
     """
 
     update_quantizer: str | None = None  # "int8" | "bf16" | None
     update_topk: float | None = None  # keep rate in (0, 1]; None = dense
     update_rle: bool = False  # lossless byte-diff update path
-    snapshot_rle: bool = False  # delta-segment byte-diff encoding
+    snapshot_rle: bool = False  # recorded in the spec; publishes stay raw
 
     def __post_init__(self) -> None:
         if self.update_quantizer not in (None, "int8", "bf16"):

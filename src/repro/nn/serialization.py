@@ -180,7 +180,7 @@ def model_state_dict(model: CellModel) -> dict:
 
     It keeps the exact mutation ``version``, because version-keyed
     consumers — the coordinator's evaluation cache, the process executor's
-    delta snapshots — must observe the restored model as *the same* version
+    snapshot publish, reused when no version moved — must observe the restored model as *the same* version
     the checkpoint captured, not as freshly mutated.
     """
     return {

@@ -1037,7 +1037,7 @@ class TestEngineAndCli:
         retry verdict (one ``_dispose`` call, in that loop) and the
         permanent-failure sentinel each exist once, no lock orders the
         fault ledger (the loop writes it from one thread, in job order),
-        and the snapshot chain protocol lives in ``snapshot.py`` — each
+        and the snapshot protocol lives in ``snapshot.py`` — each
         shape below is how a per-backend copy would regrow."""
         fl = REPO / "src" / "repro" / "fl"
         trees = {p: ast.parse(p.read_text()) for p in sorted(fl.rglob("*.py"))}
@@ -1488,6 +1488,31 @@ class TestEngineAndCli:
                     framers.add(rel)
         assert regrown == [] and framers == {"container.py"}, (regrown, framers)
 
+    def test_a_snapshot_is_one_segment(self):
+        """A process-backend snapshot is one full, raw segment, reused when
+        no model version moved; each shape below is how the delta chain
+        would regrow (a compaction period, a ``"delta"`` segment kind, the
+        publisher's shadow byte copies a run-length diff anchors on, the
+        segment layer reaching into the transport codecs)."""
+        fl = REPO / "src" / "repro" / "fl"
+        regrown = []
+        for p in (fl / "snapshot.py", fl / "shm.py"):
+            for n in ast.walk(ast.parse(p.read_text())):
+                name = (
+                    n.id if isinstance(n, ast.Name)
+                    else n.attr if isinstance(n, ast.Attribute) else None
+                )
+                if name in ("FULL_SNAPSHOT_EVERY", "_shadow"):
+                    regrown.append(f"{p.name}:{n.lineno} names {name}")
+                if isinstance(n, ast.Constant) and n.value == "delta":
+                    regrown.append(f"{p.name}:{n.lineno} has a 'delta' literal")
+                if (
+                    p.name == "shm.py" and isinstance(n, ast.ImportFrom)
+                    and (n.module or "").endswith("transport")
+                ):
+                    regrown.append(f"{p.name}:{n.lineno} imports from .transport")
+        assert regrown == [], regrown
+
     def test_a_client_has_one_utility_table(self):
         """FedTrans's client × model utilities are one table inside
         ``ClientManager``; each shape below is how the second client store
@@ -1591,6 +1616,7 @@ class TestEngineAndCli:
             "fl.export.load_log",  # reads --save-log files; its round trip proves them complete
             "fl.shm.segment_exists",  # the probe the segment-leak tests use
             "fl.transport.decode_indices",  # proves the metered encode_indices bytes decode
+            "fl.transport.rle_decode_bytes",  # proves the metered rle_encode_bytes bytes decode
             "nn.gradcheck.check_model_gradients",  # the gradient oracle
             "nn.serialization.load_model",  # reads --save-models dirs; round trip proves them
         ]

@@ -58,6 +58,18 @@ class TestDoCTracker:
         with pytest.raises(ValueError):
             DoCTracker(2, 0)
 
+    def test_state_round_trips_and_rejects_non_numbers(self):
+        doc = DoCTracker(gamma=2, delta=2)
+        for loss in (3.0, 2.5, float("nan"), 2):
+            doc.update(loss)
+        again = DoCTracker(gamma=2, delta=2)
+        again.load_state_dict(doc.state_dict())
+        assert str(again.history) == str(doc.history)
+        for losses in (["nan", "inf", True], [1.0, None], [False], "1.0", (1.0,), {"a": 1.0}):
+            with pytest.raises(ValueError, match="DoCTracker/"):
+                again.load_state_dict({"schema": doc.schema, "losses": losses})
+        assert str(again.history) == str(doc.history)  # a refused payload loads nothing
+
     def test_larger_beta_triggers_earlier(self):
         """Paper: 'a larger threshold will make FedTrans transform more
         frequently' — a slope that fails beta=0.01 passes beta=0.5."""

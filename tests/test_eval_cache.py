@@ -1,4 +1,4 @@
-"""Version-tracked model suite: eval cache, cost memoization, delta snapshots.
+"""Version-tracked model suite: eval cache, cost memoization, snapshot publishing.
 
 Three contracts under test:
 
@@ -11,9 +11,9 @@ Three contracts under test:
   backends in both round modes; unchanged deployment groups are served
   from cache (metered on ``EvalRecord``); a changed model recomputes only
   the groups whose ensemble contains it.
-* **Delta snapshot publishing** — the process backend ships only
-  version-changed models per publish, workers replay the delta chain, and
-  a full snapshot re-compacts the chain periodically.
+* **Snapshot publishing** — a publish is reused when no version moved;
+  otherwise the process backend writes one full segment, unlinks the one
+  before, and workers move to it.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.fl import (
 )
 from repro.fl.executor import EXECUTOR_BACKENDS
 from repro.fl.export import log_to_dict
-from repro.fl.snapshot import FULL_SNAPSHOT_EVERY
+from repro.fl.shm import segment_exists
 from repro.nn import mlp
 from repro.nn.cells import cell_id_counter, set_cell_id_counter
 from repro.nn.model import model_id_counter, set_model_id_counter
@@ -476,9 +476,9 @@ class TestConfigValidation:
 
 
 # ----------------------------------------------------------------------
-# delta snapshot publishing (process backend)
+# snapshot publishing (process backend)
 # ----------------------------------------------------------------------
-class TestDeltaSnapshots:
+class TestOneSegmentSnapshots:
     def _setup(self, rng, num_models=3, num_clients=4):
         ds = _dataset(num_clients=num_clients)
         clients = _clients(ds)
@@ -490,21 +490,28 @@ class TestDeltaSnapshots:
         ex = make_executor("process", clients, trainer_cfg, seed=0, max_workers=2)
         return clients, models, ex
 
-    def test_delta_ships_fewer_bytes_than_full(self, rng):
+    def test_a_moved_suite_replaces_the_one_live_segment(self, rng):
+        """Each real publish writes the whole suite into one new segment and
+        unlinks the one before: exactly one segment is ever live."""
         clients, models, ex = self._setup(rng)
         some_id = next(iter(models))
+        seen = []
         try:
-            ex.train_round(0, [TrainItem(some_id, 0, 0)], dict(models))
-            full_bytes = ex.publisher.last_publish_bytes
-            assert ex.publisher.full_publish_count == 1
-            models[some_id].set_params(_perturbed(models[some_id]))
-            ex.train_round(1, [TrainItem(some_id, 0, 0)], dict(models))
-            assert ex.publisher.delta_publish_count == 1
-            assert ex.publisher.last_publish_bytes < full_bytes  # strictly fewer bytes
+            for step in range(4):
+                models[some_id].set_params(_perturbed(models[some_id]))
+                ex.train_round(step, [TrainItem(some_id, 0, 0)], dict(models))
+                (name,) = ex.publisher.segments
+                assert name == ex.publisher.name and segment_exists(name)
+                assert not any(segment_exists(old) for old in seen)
+                seen.append(name)
+            assert ex.publisher.publish_count == 4
+            # one model moved, yet every publish carries the whole suite
+            assert ex.publisher.bytes_published_total == 4 * ex.publisher.last_publish_bytes
         finally:
             ex.close()
+        assert not any(segment_exists(name) for name in seen)
 
-    def test_worker_replays_delta_chain_correctly(self, rng):
+    def test_worker_follows_segments_correctly(self, rng):
         """Several mutate-then-train cycles: the process results must match
         a serial executor fed the same live models at every step."""
         clients, models, ex = self._setup(rng)
@@ -520,38 +527,20 @@ class TestDeltaSnapshots:
                 got = ex.train_round(step, items, dict(models))
                 want = serial.train_round(step, items, models)
                 assert [u.train_loss for u in got] == [u.train_loss for u in want]
-            assert ex.publisher.delta_publish_count >= 4
+            assert ex.publisher.publish_count == 5
         finally:
             ex.close()
 
-    def test_new_model_ships_in_delta(self, rng):
+    def test_new_model_ships_in_the_next_segment(self, rng):
         clients, models, ex = self._setup(rng, num_models=2)
         try:
             ex.train_round(0, [TrainItem(next(iter(models)), 0, 0)], dict(models))
+            first = ex.publisher.last_publish_bytes
             child = mlp((8,), 4, rng, width=8)
             models[child.model_id] = child
             updates = ex.train_round(1, [TrainItem(child.model_id, 0, 0)], dict(models))
-            assert ex.publisher.delta_publish_count == 1
+            assert ex.publisher.publish_count == 2
+            assert ex.publisher.last_publish_bytes > first  # the suite grew
             assert updates[0].model_id == child.model_id
         finally:
             ex.close()
-
-    def test_chain_compacts_to_full_snapshot(self, rng):
-        clients, models, ex = self._setup(rng, num_models=2)
-        some_id = next(iter(models))
-        try:
-            for step in range(FULL_SNAPSHOT_EVERY + 2):
-                models[some_id].set_params(_perturbed(models[some_id]))
-                ex.train_round(step, [TrainItem(some_id, 0, 0)], dict(models))
-            assert ex.publisher.full_publish_count >= 2  # initial + periodic compaction
-            assert len(ex.publisher.chain) <= FULL_SNAPSHOT_EVERY + 1
-            # the retained chain is exactly the live shared-memory segments
-            from repro.fl.shm import segment_exists
-
-            assert all(segment_exists(name) for _, _, name in ex.publisher.chain)
-            assert set(ex.publisher.segments) == {name for _, _, name in ex.publisher.chain}
-            retained = [name for _, _, name in ex.publisher.chain]
-        finally:
-            ex.close()
-        # close() unlinks every owned segment — nothing may leak.
-        assert not any(segment_exists(name) for name in retained)

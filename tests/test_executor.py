@@ -33,6 +33,7 @@ from repro.fl.executor import (
     SerialExecutor,
     derive_client_rng,
 )
+from repro.fl.shm import segment_exists
 from repro.fl.strategy import Strategy
 from repro.nn import mlp
 
@@ -365,8 +366,8 @@ class TestExecutorUnits:
         """Snapshot reuse is keyed on model *versions*, not dict identity:
         any publish where no model's version moved — including one with a
         freshly built dict — reuses the current snapshot; a mutation (which
-        bumps the version) triggers a republish, and that republish is a
-        delta, not a full suite."""
+        bumps the version) triggers a republish of the whole suite into a
+        new segment, and the one before is unlinked."""
         ds = _dataset(num_clients=3)
         clients = _clients(ds)
         model = mlp(ds.input_shape, ds.num_classes, rng, width=8)
@@ -377,8 +378,8 @@ class TestExecutorUnits:
             models = {model.model_id: model, idle.model_id: idle}
             ex.train_round(0, [TrainItem(model.model_id, 0, 0)], models)
             pub = ex.publisher
-            v1 = pub.version
-            assert pub.full_publish_count == 1  # first publish ships the suite
+            v1, first = pub.version, pub.name
+            assert pub.publish_count == 1  # first publish ships the suite
             reused = ex.train_round(1, [TrainItem(model.model_id, 1, 0)], models)
             assert pub.version == v1  # same object, same versions => reused
             ex.train_round(2, [TrainItem(model.model_id, 2, 0)], dict(models))
@@ -390,7 +391,8 @@ class TestExecutorUnits:
             model.set_params({k: v + 0.5 for k, v in model.get_params().items()})
             changed = ex.train_round(3, [TrainItem(model.model_id, 0, 0)], dict(models))
             assert pub.version == v1 + 1  # version moved => republished
-            assert pub.delta_publish_count == 1  # ...as a delta, not a full
+            assert list(pub.segments) == [pub.name] != [first]  # one live segment
+            assert not segment_exists(first)
             ref3 = ref_ex.train_round(3, [TrainItem(model.model_id, 0, 0)], models)
             assert changed[0].train_loss == ref3[0].train_loss
         finally:

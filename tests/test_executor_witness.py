@@ -7,16 +7,18 @@ leaves both untouched.  The fixture ``tests/data/golden_executor_waves.json``
 was written by this file's ``__main__`` at the commit it records (the
 parent of the one-wave-runner refactor, before ``executor.py`` was
 touched) and holds, per scenario, blake2b digests of the run export and of
-the recovery ledger plus the nine publish meters in plain text.  The five
-byte meters count each segment's header too, so the process scenarios'
-were rewritten when the header became JSON (wire format 3); per publish,
-meter minus header length is still the fixture commit's.
+the recovery ledger plus the publisher's four meters in plain text.  The
+two byte meters count each segment's header too, so the process
+scenarios' were rewritten when the header became JSON (wire format 3),
+and again when a snapshot became one full segment per real publish
+(every log and recovery digest and every count unchanged; a real publish
+is still exactly a version move).
 
-Scenarios: ``{serial, thread, process}`` x four sync fault specs on a
+Scenarios: ``{serial, thread, process}`` x five sync fault specs on a
 SplitMix fleet whose low budgets leave some base nets untouched each round
-(so the process backend publishes full, delta, reused *and* compacting
-snapshots), plus one async ``snapshot:rle`` process run whose heals reset
-the rle shadow.  Ledger record order is part of the digest on every
+(so the process backend publishes real and reused snapshots), plus one
+async process run whose spec carries ``snapshot:rle``, which is recorded
+but leaves segments raw.  Ledger record order is part of the digest on every
 backend: the one wave loop writes the ledger in job order from the thread
 that runs it, so each ``thread_sync_*`` recovery digest is its
 ``serial_sync_*`` twin's.  (Those five were rewritten to the serial values,
@@ -58,13 +60,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden_executor_waves.json"
 
 PUBLISH_METERS = (
     "publish_count",
-    "full_publish_count",
-    "delta_publish_count",
     "reused_publish_count",
     "bytes_published_total",
-    "raw_bytes_published_total",
-    "full_bytes_total",
-    "delta_bytes_total",
     "last_publish_bytes",
 )
 
@@ -108,8 +105,8 @@ def _coordinator(**over) -> Coordinator:
     big = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=16)
     strategy = SplitMixStrategy(big, k=4, seed=0)
     # Budgets of one (or, every third client, two) of the four base nets: a
-    # 2-client round leaves bases untouched, which is what makes a publish
-    # a delta, and 16 rounds of them run the chain into a compaction.
+    # 2-client round leaves bases untouched, and 16 rounds of them mix real
+    # publishes with reused ones.
     base_macs = next(iter(strategy.models().values())).macs()
     clients = [
         FLClient(

@@ -49,7 +49,7 @@ from repro.fl.faults import (
     fault_kind,
     is_infrastructure_fault,
 )
-from repro.fl.snapshot import _WORKER, _worker_segment
+from repro.fl.snapshot import _WORKER, worker_models
 from repro.fl.types import ClientUpdate
 from repro.nn import mlp
 
@@ -376,13 +376,13 @@ class TestInfrastructureBitIdentity:
 
     @pytest.mark.parametrize("spec", ["crash=0.5", "shm=0.8"])
     def test_compressed_recovery_is_invisible(self, spec):
-        """I10 x I11: snapshot rle + worker crashes across a compaction.
+        """I10 x I11: a lossless compressed spec + worker crashes.
 
-        10 rounds drive the publish chain past ``FULL_SNAPSHOT_EVERY`` (8),
-        so the run exercises delta-chain compaction with run-length-encoded
-        delta segments while workers are being killed and healed.  The
-        export must match the *clean compressed* run byte-for-byte, and the
-        lossless codec must match the clean *uncompressed* trajectory too.
+        10 rounds publish a new segment each round (``snapshot:rle`` is
+        accepted; segments stay raw) while workers are being killed and
+        healed.  The export must match the *clean compressed* run
+        byte-for-byte, and the lossless codec must match the clean
+        *uncompressed* trajectory too.
         """
         compress = "update:rle,snapshot:rle"
         kw = dict(executor="process", max_workers=2, rounds=10)
@@ -603,15 +603,15 @@ class TestRecoveryExport:
 
 
 # ----------------------------------------------------------------------
-# satellite: the descriptive snapshot-chain error
+# satellite: the descriptive missing-segment error
 # ----------------------------------------------------------------------
-def test_worker_segment_error_names_chain(monkeypatch):
-    monkeypatch.setitem(_WORKER, "segments", {"repro_live": object()})
-    chain = ((3, "full", "repro_gone"),)
+def test_worker_segment_error_names_expected_segment(monkeypatch):
+    monkeypatch.setitem(_WORKER, "version", 3)
+    monkeypatch.setitem(_WORKER, "name", "repro_live")
     with pytest.raises(SnapshotChainError) as exc_info:
-        _worker_segment("repro_gone", chain)
+        worker_models(4, "repro_gone")
     msg = str(exc_info.value)
-    assert "repro_gone" in msg  # the missing segment
-    assert "repro_live" in msg  # what the worker actually has
-    assert "full" in msg  # the expected chain
-    assert "pool rebuild" in msg or "compaction" in msg  # the explanation
+    assert "(v4, 'repro_gone')" in msg  # the expected (version, segment)
+    assert "'repro_live' (v3)" in msg  # what the worker actually has
+    assert "pool rebuild" in msg  # the explanation
+    assert _WORKER["version"] == 3  # a failed attach moves nothing

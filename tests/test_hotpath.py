@@ -410,8 +410,8 @@ class TestSharedMemoryLifecycle:
         ex = make_executor("process", clients, TRAINER, seed=0, max_workers=2)
         try:
             ex.train_round(0, [TrainItem(next(iter(models)), 0, 0)], dict(models))
-            names = [name for _, _, name in ex.publisher.chain]
-            assert names and all(segment_exists(n) for n in names)
+            names = list(ex.publisher.segments)
+            assert names == [ex.publisher.name] and segment_exists(names[0])
         finally:
             ex.close()
         assert not any(segment_exists(n) for n in names)
@@ -429,46 +429,45 @@ class TestSharedMemoryLifecycle:
             faults=FaultConfig(crash=1.0), retry=RetryPolicy(),
         )
         try:
-            ex.publisher.publish(dict(models))  # a chain from before the crash
-            before = [name for _, _, name in ex.publisher.chain]
+            ex.publisher.publish(dict(models))  # a segment from before the crash
+            before = list(ex.publisher.segments)
             assert before and all(segment_exists(n) for n in before)
             (update,) = ex.train_round(0, [item], dict(models))
             assert update.client_id == 0  # healed: the re-dispatch ran clean
             assert [r.action for r in ex.drain_fault_records()] == ["pool_rebuild"]
             # The heal released the old arena; the re-dispatch published anew.
             assert not any(segment_exists(n) for n in before)
-            after = [name for _, _, name in ex.publisher.chain]
+            after = list(ex.publisher.segments)
             assert after and all(segment_exists(n) for n in after)
             # A pool that dies on every dispatch gives up — and leaks nothing.
             monkeypatch.setattr(executor_mod, "_train_item", _crash_worker)
             ex.close()  # the next wave forks fresh workers, which see the patch
             with pytest.raises(RuntimeError, match="giving up"):
                 ex.train_round(1, [item], dict(models))
-            assert ex.publisher.chain == [] and not ex.publisher.segments
+            assert ex.publisher.name is None and not ex.publisher.segments
         finally:
             ex.close()
         assert not any(segment_exists(n) for n in before + after)
 
-    def test_compaction_survives_externally_unlinked_segment(self):
-        """An old chain segment that is already gone (an external /dev/shm
-        cleaner) must not abort the compacting publish: the new segment used
-        to be registered only *after* the old ones were unlinked bare, so the
+    def test_publish_survives_externally_unlinked_segment(self):
+        """A previous segment that is already gone (an external /dev/shm
+        cleaner) must not abort the next publish: the new segment used to be
+        registered only *after* the old ones were unlinked bare, so the
         FileNotFoundError left it owned by nobody and it outlived close()."""
         clients, models = self._workload()
         mid = next(iter(models))
         ex = make_executor("process", clients, TRAINER, seed=0, max_workers=2)
         try:
             ex.train_round(0, [TrainItem(mid, 0, 0)], dict(models))
-            ((_, _, gone),) = ex.publisher.chain
+            (gone,) = ex.publisher.segments
             os.unlink(f"/dev/shm/{gone}")  # out from under the publisher
-            models[mid].bump_version()  # the whole suite changed: a full publish
+            models[mid].bump_version()  # a version moved: a real publish
             metered = shm_mod.cleanup_failures
             (update,) = ex.train_round(1, [TrainItem(mid, 1, 0)], dict(models))
             assert update.client_id == 1
             assert shm_mod.cleanup_failures == metered + 1  # the logged no-op
-            ((_, kind, name),) = ex.publisher.chain
-            assert kind == "full" and name != gone
-            assert list(ex.publisher.segments) == [name] and segment_exists(name)
+            (name,) = ex.publisher.segments
+            assert name == ex.publisher.name != gone and segment_exists(name)
         finally:
             ex.close()
             # os.unlink bypassed the resource tracker; settle its books.
@@ -479,8 +478,8 @@ class TestSharedMemoryLifecycle:
         clients, models = self._workload()
         ex = make_executor("process", clients, TRAINER, seed=0, max_workers=2)
         ex.train_round(0, [TrainItem(next(iter(models)), 0, 0)], dict(models))
-        names = [name for _, _, name in ex.publisher.chain]
-        assert all(segment_exists(n) for n in names)
+        names = list(ex.publisher.segments)
+        assert names and all(segment_exists(n) for n in names)
         ex._pool.shutdown(wait=True)  # don't leak processes; keep segments
         finalizer = ex.publisher.finalizer
         del ex

@@ -785,8 +785,8 @@ class _FakeShm:
         self.buf = memoryview(bytearray(payload))
 
 
-def _read(payload: bytes, prev_models=None):
-    return shm_mod.read_snapshot_segment(_FakeShm(payload), prev_models)
+def _read(payload: bytes):
+    return shm_mod.read_snapshot_segment(_FakeShm(payload))
 
 
 class TestWireFormatVersion:
@@ -817,52 +817,24 @@ class TestWireFormatVersion:
 
     def test_current_segments_round_trip(self, rng):
         model = mlp((8,), 4, rng, width=8)
-        seg, wire, raw = shm_mod.write_snapshot_segment(
+        seg, nbytes = shm_mod.write_snapshot_segment(
             "t_wire_rt", "full", {model.model_id: model}
         )
         try:
-            kind, models, removed, all_ids = shm_mod.read_snapshot_segment(seg)
-            assert kind == "full" and wire == raw
+            (got,) = shm_mod.read_snapshot_segment(seg).values()
+            tensor_bytes = sum(a.nbytes for a in (*model.params().values(), *model.state().values()))
+            assert tensor_bytes < nbytes < tensor_bytes + 4096  # raw tensors + the header
             for k, v in model.params().items():
-                np.testing.assert_array_equal(models[model.model_id].params()[k], v)
+                np.testing.assert_array_equal(got.params()[k], v)
         finally:
             seg.close()
             seg.unlink()
 
-    def test_rle_delta_segment_round_trips_against_prev(self, rng):
+    def test_a_segment_holds_the_full_suite_only(self, rng):
         model = mlp((8,), 4, rng, width=8)
-        shadow: dict = {}
-        seg1, w1, r1 = shm_mod.write_snapshot_segment(
-            "t_rle_full", "full", {model.model_id: model}, shadow=shadow
-        )
-        try:
-            # prev's tensors view into seg1's mapping; keep it open until
-            # the delta has been decoded against them (worker semantics).
-            _, prev, *_ = shm_mod.read_snapshot_segment(seg1)
-            # Nudge one tensor: the delta segment rle-diffs it vs the shadow.
-            params = model.params()
-            key = next(iter(params))
-            params[key].flat[0] += 1.0
-            model.bump_version()
-            seg2, w2, r2 = shm_mod.write_snapshot_segment(
-                "t_rle_delta", "delta", {model.model_id: model},
-                all_ids=frozenset({model.model_id}), rle=True, shadow=shadow,
-            )
-            try:
-                kind, models, removed, all_ids = shm_mod.read_snapshot_segment(
-                    seg2, prev_models=prev
-                )
-                assert kind == "delta" and w2 < r2  # rle actually engaged
-                for k, v in model.params().items():
-                    np.testing.assert_array_equal(
-                        models[model.model_id].params()[k], v
-                    )
-            finally:
-                seg2.close()
-                seg2.unlink()
-        finally:
-            seg1.close()
-            seg1.unlink()
+        with pytest.raises(ValueError, match="'delta'"):
+            shm_mod.write_snapshot_segment("t_wire_delta", "delta", {model.model_id: model})
+        assert not shm_mod.segment_exists("t_wire_delta")
 
 
 def _signature(models) -> dict:
@@ -882,28 +854,19 @@ def _signature(models) -> dict:
 
 
 @cache
-def _segments() -> tuple[bytes, bytes, dict]:
-    """A full segment (an MLP, and a CNN with BatchNorm state), an rle
-    delta against it, and the suite's signature."""
+def _segments() -> tuple[bytes, dict]:
+    """A segment (an MLP, and a CNN with BatchNorm state) and the suite's
+    signature."""
     rng = np.random.default_rng(0)
     models = {
         m.model_id: m
         for m in (mlp((8,), 4, rng, width=8), small_cnn((3, 8, 8), 4, rng, width=4))
     }
-    shadow: dict = {}
-    out = []
-    for kind in ("full", "delta"):
-        seg, _, _ = shm_mod.write_snapshot_segment(
-            f"t_hostile_{kind}_{os.getpid()}", kind, models,
-            all_ids=frozenset(models), rle=kind == "delta", shadow=shadow,
-        )
-        out.append(bytes(seg.buf))
-        seg.close()
-        seg.unlink()
-        for model in models.values():
-            next(iter(model.params().values())).flat[0] += 1.0
-            model.bump_version()
-    return out[0], out[1], _signature(models)
+    seg, _ = shm_mod.write_snapshot_segment(f"t_hostile_{os.getpid()}", "full", models)
+    payload = bytes(seg.buf)
+    seg.close()
+    seg.unlink()
+    return payload, _signature(models)
 
 
 def _set(container, key, value) -> None:
@@ -949,20 +912,9 @@ _HEADER_TAMPERS = {
     "unknown cell type": lambda h: _set(_cnn(h)["spec"]["cells"][0], "type", "Gadget"),
     "spec not an object": lambda h: _set(_cnn(h), "spec", []),
     "float version": lambda h: _set(_cnn(h), "version", 1.5),
-    "unknown kind": lambda h: _set(h, "kind", "partial"),
-    "non-str removed id": lambda h: _set(h, "removed", [1]),
-    "missing header key": lambda h: h.pop("all_ids"),
+    "retired header key": lambda h: _set(h, "kind", "full"),
+    "missing header key": lambda h: h.pop("models"),
 }
-
-# The same, on the rle leaves of the delta segment.
-_RLE_TAMPERS = {
-    "rle leaf dtype": lambda h: _set(_first_param(h), "dtype", "<f4"),
-    "rle leaf shape": lambda h: _set(_first_param(h), "shape", [1]),
-    "rle leaf extra key": lambda h: _set(_first_param(h), "more", 1),
-    "rle leaf without bytes": lambda h: _first_param(h).pop("rle"),
-    "rle bytes not an array": lambda h: _set(_first_param(h), "rle", 5),
-}
-
 
 class TestHostileSnapshots:
     """ROADMAP 5a at the RSNP boundary: a truncated or altered segment
@@ -971,10 +923,10 @@ class TestHostileSnapshots:
     unpickle, or an allocation beyond a small multiple of the segment."""
 
     @staticmethod
-    def _decode(payload: bytes, prev_models=None):
+    def _decode(payload: bytes):
         tracemalloc.start()
         try:
-            return _read(payload, prev_models)[1]
+            return _read(payload)
         except SnapshotFormatError:
             return None
         finally:
@@ -983,18 +935,13 @@ class TestHostileSnapshots:
             assert peak <= 4 * len(payload) + (1 << 20)
 
     def test_good_segments_decode(self):
-        full, delta, written = _segments()
-        prev = _read(full)[1]
-        assert _signature(prev) == written
-        assert _signature(_read(delta, prev)[1]) == written
+        good, written = _segments()
+        assert _signature(_read(good)) == written
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_altered_bytes_decode_or_refuse(self, data):
-        full, delta, written = _segments()
-        is_delta = data.draw(st.booleans(), label="delta")
-        good = delta if is_delta else full
-        prev = _read(full)[1] if is_delta else None
+        good, written = _segments()
         if data.draw(st.booleans(), label="truncate"):
             bad = good[: data.draw(st.integers(0, len(good) - 1), label="keep")]
         else:
@@ -1004,34 +951,21 @@ class TestHostileSnapshots:
             for i, mask in enumerate(masks[: len(good) - start]):
                 bad[start + i] ^= mask
             bad = bytes(bad)
-        models = self._decode(bad, prev)
+        models = self._decode(bad)
         if models is not None:
             assert _signature(models) == written
 
     @pytest.mark.parametrize("tamper", sorted(_HEADER_TAMPERS))
     def test_tampered_headers_are_refused(self, tamper):
-        full, _, _ = _segments()
+        full, _ = _segments()
         _read(reheader(full, lambda h: None))  # untampered: decodes
         with pytest.raises(SnapshotFormatError):
             _read(reheader(full, _HEADER_TAMPERS[tamper]))
         assert self._decode(reheader(full, _HEADER_TAMPERS[tamper])) is None
 
-    @pytest.mark.parametrize("tamper", sorted(_RLE_TAMPERS))
-    def test_tampered_rle_leaves_are_refused(self, tamper):
-        full, delta, _ = _segments()
-        prev = _read(full)[1]
-        _read(reheader(delta, lambda h: None), prev)  # untampered: decodes
-        with pytest.raises(SnapshotFormatError):
-            _read(reheader(delta, _RLE_TAMPERS[tamper]), prev)
-
-    def test_an_rle_delta_without_its_previous_state_is_refused(self):
-        _, delta, _ = _segments()
-        with pytest.raises(SnapshotFormatError, match="previous state"):
-            _read(delta)
-
     @pytest.mark.parametrize("extra", [1, 1 << 40])
     def test_a_header_length_past_the_segment_is_refused(self, extra):
-        full, _, _ = _segments()
+        full, _ = _segments()
         prefix = container._PREFIX
         magic, version, _ = prefix.unpack_from(full, 0)
         bad = prefix.pack(magic, version, len(full) - prefix.size + extra) + full[prefix.size :]
@@ -1042,7 +976,7 @@ class TestHostileSnapshots:
         """The falsifying example ``test_altered_bytes_decode_or_refuse``
         drew: one bit renames the first model to the second's id, and the
         segment decoded to one model of the two."""
-        full, _, written = _segments()
+        full, written = _segments()
         first, second = (f'"{mid}":{{"spec"'.encode() for mid in sorted(written))
         bad = full.replace(first, second, 1)
         assert len(bad) == len(full) and bad != full
@@ -1299,7 +1233,8 @@ class TestTransportLedger:
         assert t["publish_raw_bytes"] >= sum(
             r["publish_raw_bytes"] for r in ledger["rounds"]
         )
-        assert t["publish_raw_bytes"] >= t["publish_wire_bytes"] > 0
+        # snapshot:rle is recorded only: a segment is always raw.
+        assert t["publish_raw_bytes"] == t["publish_wire_bytes"] > 0
         path = tmp_path / "transport.json"
         save_transport(log, path)
         assert json.loads(path.read_text())["totals"] == t
