@@ -36,10 +36,13 @@ from repro.fl import (
 )
 from repro.fl.executor import EXECUTOR_BACKENDS
 from repro.fl.export import log_to_dict
+from repro.fl.faults import FaultConfig, FaultPlan, InjectedShmFault
 from repro.fl.shm import segment_exists
+from repro.fl.snapshot import _WORKER, SnapshotPublisher, worker_models, worker_reset
 from repro.nn import mlp
 from repro.nn.cells import cell_id_counter, set_cell_id_counter
 from repro.nn.model import model_id_counter, set_model_id_counter
+from repro.stateful import schema_tag
 
 
 def _dataset(num_clients=10, seed=0):
@@ -544,3 +547,104 @@ class TestOneSegmentSnapshots:
             assert updates[0].model_id == child.model_id
         finally:
             ex.close()
+
+
+class TestPublisherAndWorkerInProcess:
+    """The publisher and the worker-side reader driven in this process, so
+    each step of the one-segment protocol is visible without a pool."""
+
+    @pytest.fixture
+    def publisher(self):
+        worker_reset()
+        pub = SnapshotPublisher()
+        yield pub
+        pub.release()
+        if _WORKER["segment"] is not None:
+            _WORKER["segment"].close()
+        worker_reset()
+
+    @staticmethod
+    def _suite(rng, n=2):
+        return {m.model_id: m for m in (mlp((8,), 4, rng, width=8) for _ in range(n))}
+
+    def test_an_unmoved_suite_reuses_its_segment_even_from_a_fresh_dict(self, rng, publisher):
+        models = self._suite(rng)
+        first = publisher.publish(models)
+        assert publisher.publish(dict(models)) == first
+        assert publisher.publish({mid: models[mid] for mid in reversed(models)}) == first
+        assert (publisher.publish_count, publisher.reused_publish_count) == (1, 2)
+        assert publisher.bytes_published_total == publisher.last_publish_bytes > 0
+        assert list(publisher.segments) == [first[1]]
+
+    def test_a_dropped_model_leaves_the_next_segment(self, rng, publisher):
+        models = self._suite(rng, n=3)
+        v1, n1 = publisher.publish(models)
+        assert worker_models(v1, n1).keys() == models.keys()
+        dropped = next(iter(models))
+        kept = {mid: m for mid, m in models.items() if mid != dropped}
+        v2, n2 = publisher.publish(kept)
+        assert v2 == v1 + 1 and n2 != n1
+        assert not segment_exists(n1)
+        assert worker_models(v2, n2).keys() == kept.keys()
+        assert publisher.last_publish_bytes < publisher.bytes_published_total - publisher.last_publish_bytes
+
+    def test_worker_serves_its_cached_suite_until_the_version_moves(self, rng, publisher):
+        models = self._suite(rng)
+        v1, n1 = publisher.publish(models)
+        suite = worker_models(v1, n1)
+        assert worker_models(v1, n1) is suite
+        first = _WORKER["segment"]
+        moved = next(iter(models))
+        models[moved].set_params(_perturbed(models[moved]))
+        v2, n2 = publisher.publish(models)
+        fresh = worker_models(v2, n2)
+        assert fresh is not suite and _WORKER["name"] == n2
+        assert _WORKER["segment"] is not first
+        assert first.buf is None  # the old mapping was closed
+
+    def test_worker_views_are_read_only_copies_of_the_published_bytes(self, rng, publisher):
+        models = self._suite(rng)
+        for m in models.values():
+            m.set_params(_perturbed(m))
+        got = worker_models(*publisher.publish(models))
+        for mid, model in models.items():
+            replica = got[mid]
+            assert replica.version == model.version
+            for key, want in (*model.params().items(), *model.state().items()):
+                arr = {**replica.params(), **replica.state()}[key]
+                np.testing.assert_array_equal(arr, want)
+                assert arr.dtype == want.dtype and not arr.flags.writeable
+
+    def test_release_is_idempotent_and_the_next_publish_writes_afresh(self, rng, publisher):
+        models = self._suite(rng)
+        v1, n1 = publisher.publish(models)
+        publisher.release()
+        publisher.release()
+        assert publisher.segments == {} and publisher.name is None
+        assert not segment_exists(n1)
+        # Nothing moved, but a released publisher owns no segment to reuse.
+        v2, n2 = publisher.publish(models)
+        assert v2 == v1 + 1 and segment_exists(n2)
+        assert (publisher.publish_count, publisher.reused_publish_count) == (2, 0)
+
+    def test_an_injected_publish_fault_moves_no_state(self, rng):
+        pub = SnapshotPublisher(fault_plan=FaultPlan(0, FaultConfig(shm=1.0)))
+        try:
+            models = self._suite(rng)
+            with pytest.raises(InjectedShmFault, match="publish ordinal 0"):
+                pub.publish(models)
+            assert (pub.version, pub.name, pub.segments) == (0, None, {})
+            assert (pub.publish_count, pub.bytes_published_total) == (0, 0)
+            # The retry runs clean and takes the version the fault did not.
+            version, name = pub.publish(models, fault_attempt=1)
+            assert version == 1 and list(pub.segments) == [name]
+        finally:
+            pub.release()
+
+    def test_publisher_state_is_its_schema_only(self, rng, publisher):
+        publisher.publish(self._suite(rng))
+        state = publisher.state_dict()
+        assert state == {"schema": schema_tag("SnapshotPublisher")}
+        SnapshotPublisher().load_state_dict(state)
+        with pytest.raises(ValueError, match="schema mismatch"):
+            publisher.load_state_dict({"schema": "SnapshotPublisher/v0"})
