@@ -671,20 +671,22 @@ class StatefulCoverage(Rule):
     The rule is syntactic on purpose: a top-level class in ``repro/fl/``,
     ``repro/core/`` or ``repro/baselines/`` whose methods (other than
     ``__init__`` / ``__post_init__``) assign to ``self``-rooted targets or
-    call mutating container methods on them must define **both** protocol
-    methods *in its own class body* (the Stateful docstring's convention —
-    inheriting a parent's payload silently misses the subclass's extra
-    fields, which is exactly the bug class this rule exists to catch).
-    Derived-state classes satisfy it with explicit empty payloads (see
-    ``repro.fl.executor``), which documents the drop instead of defaulting
-    into it.
+    call mutating container methods on them must declare its payload
+    (``state_fields = {...}``) — or, on the hand-written allowlist, define
+    **both** protocol methods — *in its own class body* (the Stateful
+    docstring's convention: inheriting a parent's payload silently misses
+    the subclass's extra fields, which is exactly the bug class this rule
+    exists to catch).  Derived-state classes satisfy it with an explicit
+    empty declaration (``state_fields = {}``, see ``repro.fl.executor``),
+    which documents the drop instead of defaulting into it.
     """
 
     rule_id = "RL008"
     rule_name = "stateful-coverage"
     summary = (
         "repro/fl + repro/core + repro/baselines classes mutating self outside "
-        "__init__ must define state_dict() and load_state_dict() in their own body"
+        "__init__ must declare state_fields (or define state_dict() and "
+        "load_state_dict()) in their own body"
     )
 
     _MUTATORS = frozenset(
@@ -721,7 +723,13 @@ class StatefulCoverage(Rule):
             for item in cls.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        if self._PROTOCOL <= defined:
+        declared = any(
+            isinstance(target, ast.Name) and target.id == "state_fields"
+            for item in cls.body
+            if isinstance(item, (ast.Assign, ast.AnnAssign))
+            for target in (item.targets if isinstance(item, ast.Assign) else [item.target])
+        )
+        if declared or self._PROTOCOL <= defined:
             return
         for item in cls.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -737,9 +745,10 @@ class StatefulCoverage(Rule):
                 yield self.violation(
                     site,
                     f"{cls.name}.{item.name}() mutates run state on self but "
-                    f"{cls.name} does not define {' / '.join(missing)} in its "
-                    "own class body; register it as Stateful (empty payload "
-                    "if the state is derived) so checkpoints stay complete",
+                    f"{cls.name} declares no state_fields and does not define "
+                    f"{' / '.join(missing)} in its own class body; register it "
+                    "as Stateful (state_fields = {} if the state is derived) "
+                    "so checkpoints stay complete",
                 )
                 return  # one violation per class is enough to act on
 

@@ -24,8 +24,6 @@ from ..fl.strategy import Strategy
 from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
 from ..nn.param_ops import ParamTree
-from ..nn.serialization import load_model_state, model_state_dict
-from ..stateful import check_schema, schema_tag
 from .subnet import (
     SubnetSpec,
     build_subnet,
@@ -112,19 +110,13 @@ class FLuIDStrategy(Strategy):
     # the state; kept-channel specs, index maps and submodels are rebuilt
     # from them exactly as aggregate() last did.
     # ------------------------------------------------------------------
-    schema = schema_tag("FLuIDStrategy")
-
-    def state_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "global_model": model_state_dict(self.global_model),
-            "scores": {key: s.copy() for key, s in self._scores.items()},
-        }
+    state_fields = {
+        "global_model": ("global_model", CellModel),
+        "scores": ("_scores", dict[str, np.ndarray]),
+    }
 
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        load_model_state(self.global_model, payload["global_model"])
-        self._scores = {key: np.asarray(s) for key, s in payload["scores"].items()}
+        super().load_state_dict(payload)
         self._rebuild_submodels()
 
     # ------------------------------------------------------------------

@@ -18,8 +18,6 @@ import numpy as np
 from ..fl.strategy import Strategy
 from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
-from ..nn.serialization import load_model_state, model_state_dict
-from ..stateful import check_schema, schema_tag
 from .subnet import (
     SubnetSpec,
     build_subnet,
@@ -70,17 +68,10 @@ class HeteroFLStrategy(Strategy):
     # re-derived from it, under the version build_subnet stamps, so eval-
     # cache and snapshot keys line up after a resume.
     # ------------------------------------------------------------------
-    schema = schema_tag("HeteroFLStrategy")
-
-    def state_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "global_model": model_state_dict(self.global_model),
-        }
+    state_fields = {"global_model": ("global_model", CellModel)}
 
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        load_model_state(self.global_model, payload["global_model"])
+        super().load_state_dict(payload)
         self._refresh_submodels()
 
     # ------------------------------------------------------------------

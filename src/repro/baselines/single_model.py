@@ -24,6 +24,7 @@ from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
 from ..nn.optim import Yogi
 from ..nn.param_ops import tree_average, tree_sub
+from ..stateful import Stateful
 
 __all__ = ["SingleModelStrategy", "fedavg", "fedyogi", "fedprox_trainer_config"]
 
@@ -65,22 +66,9 @@ class SingleModelStrategy(Strategy):
     def eval_models(self, clients: list[FLClient]) -> list[str]:
         return [self.model.model_id] * len(clients)
 
-    def state_dict(self) -> dict:
-        payload = super().state_dict()
-        payload["server_opt"] = (
-            self.server_opt.state_dict() if self.server_opt is not None else None
-        )
-        return payload
-
-    def load_state_dict(self, payload: dict) -> None:
-        super().load_state_dict(payload)
-        if payload["server_opt"] is not None:
-            if self.server_opt is None:
-                raise ValueError(
-                    "checkpoint carries server-optimizer state but this "
-                    "strategy was built without one"
-                )
-            self.server_opt.load_state_dict(payload["server_opt"])
+    # The server optimizer's trajectory travels with the suite; a payload
+    # must carry it exactly when this strategy was built with one.
+    state_fields = {**Strategy.state_fields, "server_opt": ("server_opt", Stateful | None)}
 
 
 def fedavg(model: CellModel) -> SingleModelStrategy:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..nn.model import CellModel
 from ..nn.param_ops import ParamTree
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful
 
 __all__ = ["cell_gradient_norms", "ActivenessTracker"]
 
@@ -43,7 +43,7 @@ def cell_gradient_norms(model: CellModel, grad: ParamTree) -> dict[str, float]:
 class ActivenessTracker(Stateful):
     """Sliding-window (length ``T``) average of per-cell activeness."""
 
-    schema = schema_tag("ActivenessTracker")
+    state_fields = {"history": ("_history", dict[str, list[float]])}
 
     def __init__(self, window: int):
         if window < 1:
@@ -76,15 +76,8 @@ class ActivenessTracker(Stateful):
         """True once at least one full observation exists."""
         return any(len(dq) > 0 for dq in self._history.values())
 
-    def state_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "history": {cid: list(dq) for cid, dq in self._history.items()},
-        }
-
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
+        super().load_state_dict(payload)
         self._history = {
-            cid: deque((float(x) for x in vals), maxlen=self.window)
-            for cid, vals in payload["history"].items()
+            cid: deque(vals, maxlen=self.window) for cid, vals in self._history.items()
         }

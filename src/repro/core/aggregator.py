@@ -46,13 +46,15 @@ Normalization deviates from Eq. 5's literal form — see DESIGN.md §2 and
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 from ..fl.types import ClientUpdate
 from ..nn.compute import Workspace
 from ..nn.model import CellModel
 from ..nn.param_ops import ParamTree, tree_average
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful
 from .client_manager import SimilarityCache
 from .config import FedTransConfig
 
@@ -112,6 +114,11 @@ class ModelAggregator(Stateful):
     its own optimizer state, created lazily at first aggregation.
     """
 
+    # Overlap plans and workspace buffers are pure derived caches — rebuilt
+    # on first aggregation — so only the per-model server optimizer
+    # trajectories survive a restart.
+    state_fields = {"server_opts": ("_server_opts", dict[str, Stateful])}
+
     def __init__(
         self,
         config: FedTransConfig,
@@ -121,7 +128,9 @@ class ModelAggregator(Stateful):
         self.config = config
         self.sim_cache = sim_cache
         self.server_opt_factory = server_opt_factory
-        self._server_opts: dict[str, object] = {}
+        self._server_opts: dict[str, Stateful] = (
+            defaultdict(server_opt_factory) if server_opt_factory is not None else {}
+        )
         # (src_id, dst_id) -> {key: overlap plan}; valid for the life of the
         # pair because architectures are immutable after birth.
         self._plans: dict[tuple[str, str], dict[str, tuple | None]] = {}
@@ -168,10 +177,7 @@ class ModelAggregator(Stateful):
             if self.server_opt_factory is None:
                 model.set_params(avg)
             else:
-                opt = self._server_opts.get(mid)
-                if opt is None:
-                    opt = self._server_opts[mid] = self.server_opt_factory()
-                model.set_params(opt.step(current, pseudo_grad))
+                model.set_params(self._server_opts[mid].step(current, pseudo_grad))
             states = [u.state for u in ups]
             if states and states[0]:
                 model.set_state(tree_average(states, weights))
@@ -286,31 +292,7 @@ class ModelAggregator(Stateful):
             dst.set_params(new_params)
 
     # ------------------------------------------------------------------
-    schema = schema_tag("ModelAggregator")
-
-    def state_dict(self) -> dict:
-        # Overlap plans and workspace buffers are pure derived caches —
-        # rebuilt on first aggregation — so only the per-model server
-        # optimizer trajectories need to survive a restart.
-        return {
-            "schema": self.schema,
-            "server_opts": {
-                mid: opt.state_dict() for mid, opt in self._server_opts.items()
-            },
-        }
-
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        opts = payload["server_opts"]
-        if opts and self.server_opt_factory is None:
-            raise ValueError(
-                "checkpoint carries server-optimizer state but this aggregator "
-                "was built without a server_opt_factory"
-            )
-        self._server_opts = {}
-        for mid, opt_payload in opts.items():
-            opt = self.server_opt_factory()
-            opt.load_state_dict(opt_payload)
-            self._server_opts[mid] = opt
+        super().load_state_dict(payload)
         self._plans = {}
         self._ws = Workspace()

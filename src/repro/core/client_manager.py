@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.model import CellModel
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful, check_schema, checked, checked_array, naming, schema_tag
 from .similarity import model_similarity
 
 __all__ = ["SimilarityCache", "ClientManager"]
@@ -41,7 +41,10 @@ class SimilarityCache(Stateful):
     model rather than editing one in place.
     """
 
-    schema = schema_tag("SimilarityCache")
+    # A pure memo over immutable architectures: every entry is recomputable
+    # from the restored model suite, so the payload is just the tag and a
+    # restore starts cold.
+    state_fields = {}
 
     def __init__(self) -> None:
         self._cache: dict[tuple[str, str], float] = {}
@@ -52,14 +55,8 @@ class SimilarityCache(Stateful):
             self._cache[key] = model_similarity(src, dst)
         return self._cache[key]
 
-    def state_dict(self) -> dict:
-        # The cache is a pure memo over immutable architectures: every
-        # entry is recomputable from the restored model suite, so the
-        # payload is just the tag and restore starts cold.
-        return {"schema": self.schema}
-
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
+        super().load_state_dict(payload)
         self._cache = {}
 
 
@@ -295,12 +292,29 @@ class ClientManager(Stateful):
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        # The eviction horizon is configuration, not checkpoint payload.
-        self._set_table(*(payload[key] for key in _TABLE))
-        self._round = int(payload["round"])
-        self.evicted_total = int(payload["evicted_total"])
-        self.sim_cache.load_state_dict(payload["sim_cache"])
+        """Strict: the table's columns are arrays of their own dtype, one
+        row per client and one column per model id, and the counters are
+        non-negative ints; anything else is a ``ValueError`` naming the
+        field, before anything changes.  The eviction horizon is
+        configuration, not checkpoint payload."""
+        check_schema(payload, self.schema, (
+            "clients", "models", "utility", "present", "last_active",
+            "round", "evicted_total", "sim_cache",
+        ))
+        models = checked(self.schema, payload, "models", list[str])
+        n = getattr(payload["clients"], "size", -1)  # a misshapen column fails below
+        clients, utility, present, last_active = (
+            checked_array(self.schema, payload, key, dtype, shape)
+            for key, dtype, shape in (
+                ("clients", np.int64, (n,)), ("utility", np.float64, (n, len(models))),
+                ("present", np.bool_, (n, len(models))), ("last_active", np.int64, (n,)),
+            )
+        )
+        counters = [checked(self.schema, payload, key, int) for key in ("round", "evicted_total")]
+        with naming(self.schema, "sim_cache"):
+            self.sim_cache.load_state_dict(payload["sim_cache"])
+        self._set_table(clients, models, utility, present, last_active)
+        self._round, self.evicted_total = counters
 
 
 def _sorted_first(utilities: list[float], means: np.ndarray) -> int:
@@ -310,6 +324,3 @@ def _sorted_first(utilities: list[float], means: np.ndarray) -> int:
     return sorted(
         range(len(utilities)), key=lambda i: (utilities[i], mean[i], -i), reverse=True
     )[0]
-
-
-_TABLE = ("clients", "models", "utility", "present", "last_active")

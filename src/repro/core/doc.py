@@ -17,7 +17,7 @@ model.
 
 from __future__ import annotations
 
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful
 
 __all__ = ["DoCTracker"]
 
@@ -25,7 +25,7 @@ __all__ = ["DoCTracker"]
 class DoCTracker(Stateful):
     """Accumulates per-round training losses and evaluates Eq. 1."""
 
-    schema = schema_tag("DoCTracker")
+    state_fields = {"losses": ("_losses", list[float])}
 
     def __init__(self, gamma: int, delta: int):
         if gamma < 1 or delta < 1:
@@ -70,16 +70,3 @@ class DoCTracker(Stateful):
         """
         doc = self.value()
         return doc is not None and doc <= beta
-
-    def state_dict(self) -> dict:
-        return {"schema": self.schema, "losses": list(self._losses)}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        losses = payload["losses"]
-        # A loss is a number: float() would also take "nan", "inf" or True.
-        if not isinstance(losses, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in losses
-        ):
-            raise ValueError(f"{self.schema}: losses must be a list of numbers, got {losses!r}")
-        self._losses = [float(x) for x in losses]

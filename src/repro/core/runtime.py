@@ -24,8 +24,6 @@ import numpy as np
 from ..fl.strategy import Strategy, compatible_model_ids
 from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
-from ..nn.serialization import model_from_state, model_state_dict
-from ..stateful import check_schema, schema_tag
 from .aggregator import ModelAggregator
 from .client_manager import ClientManager, SimilarityCache
 from .config import FedTransConfig
@@ -38,6 +36,19 @@ class FedTransStrategy(Strategy):
     """The FedTrans multi-model training runtime."""
 
     name = "fedtrans"
+    # The suite grows mid-run, so the default fixed-suite restore does not
+    # apply: models are rebuilt from their serialized specs (weights,
+    # lineage, exact versions) and every component's trajectory is
+    # composed into one payload.
+    state_fields = {
+        "models": ("_models", dict[str, CellModel]),
+        "birth_order": ("_birth_order", list[str]),
+        "capacity": ("_capacity", dict[int, float]),
+        "evicted_unreported": ("_evicted_unreported", int),
+        "client_manager": ("client_manager", ClientManager),
+        "aggregator": ("aggregator", ModelAggregator),
+        "transformer": ("transformer", ModelTransformer),
+    }
 
     def __init__(
         self,
@@ -89,7 +100,7 @@ class FedTransStrategy(Strategy):
         out: dict[int, list[str]] = {}
         for client in participants:
             compatible = self.compatible_models(client)
-            self._capacity[client.client_id] = client.capacity_macs
+            self._capacity[client.client_id] = float(client.capacity_macs)
             out[client.client_id] = [
                 self.client_manager.sample_model(client.client_id, compatible, rng)
             ]
@@ -164,41 +175,6 @@ class FedTransStrategy(Strategy):
         evicted, self._evicted_unreported = self._evicted_unreported, 0
         return evicted
 
-    # ------------------------------------------------------------------
-    # durability (Stateful) — the suite grows mid-run, so the default
-    # fixed-suite restore does not apply: models are rebuilt from their
-    # serialized specs (weights, lineage, exact versions) and every
-    # component's trajectory is composed into one payload.
-    # ------------------------------------------------------------------
-    schema = schema_tag("FedTransStrategy")
-
-    def state_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "models": {
-                mid: model_state_dict(m) for mid, m in self._models.items()
-            },
-            "birth_order": list(self._birth_order),
-            "capacity": {str(cid): float(c) for cid, c in self._capacity.items()},
-            "evicted_unreported": self._evicted_unreported,
-            "client_manager": self.client_manager.state_dict(),
-            "aggregator": self.aggregator.state_dict(),
-            "transformer": self.transformer.state_dict(),
-        }
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self._models = {
-            mid: model_from_state(mp) for mid, mp in payload["models"].items()
-        }
-        self._birth_order = list(payload["birth_order"])
-        self._capacity = {
-            int(cid): float(c) for cid, c in payload["capacity"].items()
-        }
-        self._evicted_unreported = int(payload["evicted_unreported"])
-        self.client_manager.load_state_dict(payload["client_manager"])
-        self.aggregator.load_state_dict(payload["aggregator"])
-        self.transformer.load_state_dict(payload["transformer"])
 
     # ------------------------------------------------------------------
     def suite_summary(self) -> str:

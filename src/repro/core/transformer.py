@@ -23,7 +23,7 @@ import numpy as np
 
 from ..nn.model import CellModel
 from ..nn.param_ops import ParamTree
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful
 from .activeness import ActivenessTracker
 from .config import FedTransConfig
 from .doc import DoCTracker
@@ -35,7 +35,13 @@ __all__ = ["ModelTransformer"]
 class ModelTransformer(Stateful):
     """Decides and performs model transformations during training."""
 
-    schema = schema_tag("ModelTransformer")
+    state_fields = {
+        "doc": ("doc", DoCTracker),
+        "activeness": ("activeness", ActivenessTracker),
+        "rounds_since_transform": ("_rounds_since_transform", int),
+        "transforms_done": ("transforms_done", int),
+        "exhausted": ("exhausted", bool),
+    }
 
     def __init__(self, config: FedTransConfig, max_capacity_macs: float):
         self.config = config
@@ -114,22 +120,3 @@ class ModelTransformer(Stateful):
         self._rounds_since_transform = 0
         self.transforms_done += 1
         return child, events
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "doc": self.doc.state_dict(),
-            "activeness": self.activeness.state_dict(),
-            "rounds_since_transform": self._rounds_since_transform,
-            "transforms_done": self.transforms_done,
-            "exhausted": self.exhausted,
-        }
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self.doc.load_state_dict(payload["doc"])
-        self.activeness.load_state_dict(payload["activeness"])
-        self._rounds_since_transform = int(payload["rounds_since_transform"])
-        self.transforms_done = int(payload["transforms_done"])
-        self.exhausted = bool(payload["exhausted"])

@@ -60,12 +60,13 @@ so ``sum(round_time)`` is total simulated time in both modes.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..stateful import Stateful, check_schema, record_from_state, record_state, schema_tag
+from ..stateful import Stateful
 from .rounds import RoundTally, admit, close_round, dispatch, encode, meter
 from .scheduling import estimate_round_time, make_pacing, make_straggler
 from .types import ArrivalRecord, ClientUpdate, RoundRecord, TrainingLog
@@ -74,61 +75,6 @@ if TYPE_CHECKING:
     from .coordinator import Coordinator
 
 __all__ = ["VirtualClock", "BufferedAsyncEngine"]
-
-
-class VirtualClock(Stateful):
-    """A deterministic simulated-time event queue.
-
-    Events are ``(time, dispatch_seq, payload)`` triples popped in
-    lexicographic order — the ``dispatch_seq`` tie-break is what keeps runs
-    bit-reproducible when two clients finish at the exact same simulated
-    instant.  ``now`` only moves forward.
-    """
-
-    schema = schema_tag("VirtualClock")
-
-    def __init__(self) -> None:
-        self._events: list[tuple[float, int, "_Pending"]] = []
-        self.now = 0.0
-
-    def schedule(self, time: float, seq: int, payload: "_Pending") -> None:
-        heapq.heappush(self._events, (time, seq, payload))
-
-    def pop(self) -> tuple[float, int, "_Pending"]:
-        """Advance to (and return) the next completion event."""
-        if not self._events:
-            raise RuntimeError("virtual clock has no scheduled events")
-        time, seq, payload = heapq.heappop(self._events)
-        self.now = max(self.now, time)
-        return time, seq, payload
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def next_time(self) -> float:
-        """The time of the event the next :meth:`pop` returns."""
-        return self._events[0][0]
-
-    def state_dict(self) -> dict:
-        # Sorting is safe (and canonical): dispatch_seq is unique, so the
-        # (time, seq) prefix always decides and payloads never compare.
-        return {
-            "schema": self.schema,
-            "now": self.now,
-            "events": [
-                {"time": t, "seq": s, "pending": record_state(p)}
-                for t, s, p in sorted(self._events, key=lambda e: (e[0], e[1]))
-            ],
-        }
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self.now = float(payload["now"])
-        self._events = [
-            (float(e["time"]), int(e["seq"]), record_from_state(_Pending, e["pending"]))
-            for e in payload["events"]
-        ]
-        heapq.heapify(self._events)
 
 
 @dataclass
@@ -152,6 +98,57 @@ class _Pending:
 
 
 @dataclass
+class _Event:
+    """One scheduled completion of the :class:`VirtualClock`."""
+
+    time: float
+    seq: int
+    pending: _Pending
+
+
+_ORDER = operator.attrgetter("time", "seq")
+
+
+class VirtualClock(Stateful):
+    """A deterministic simulated-time event queue.
+
+    Events pop in ``(time, dispatch_seq)`` order — the ``dispatch_seq``
+    tie-break is what keeps runs bit-reproducible when two clients finish
+    at the exact same simulated instant.  The queue is kept in that order
+    (``dispatch_seq`` is unique, so the order is total), which makes it its
+    own canonical payload.  ``now`` only moves forward.
+    """
+
+    state_fields = {"now": ("now", float), "events": ("_events", list[_Event])}
+
+    def __init__(self) -> None:
+        self._events: list[_Event] = []
+        self.now = 0.0
+
+    def schedule(self, time: float, seq: int, payload: _Pending) -> None:
+        bisect.insort(self._events, _Event(time, seq, payload), key=_ORDER)
+
+    def pop(self) -> tuple[float, int, _Pending]:
+        """Advance to (and return) the next completion event."""
+        if not self._events:
+            raise RuntimeError("virtual clock has no scheduled events")
+        event = self._events.pop(0)
+        self.now = max(self.now, event.time)
+        return event.time, event.seq, event.pending
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def next_time(self) -> float:
+        """The time of the event the next :meth:`pop` returns."""
+        return self._events[0].time
+
+    def load_state_dict(self, payload: dict) -> None:
+        super().load_state_dict(payload)
+        self._events.sort(key=_ORDER)
+
+
+@dataclass
 class _Dispatch:
     """One dispatched client whose training awaits the next flush."""
 
@@ -172,6 +169,21 @@ class BufferedAsyncEngine(Stateful):
     the ledger matches what the simulated server has seen at each
     aggregation.
     """
+
+    # Everything live between two step() calls (the wave-drain barrier): the
+    # in-flight work — the clock's events carry each dispatched client's
+    # precomputed updates — and the counters that anchor staleness, wave
+    # seeding and dispatch-order tie-breaks.  The selector is the
+    # coordinator's payload; pacing and straggler policies are ours.
+    state_fields = {
+        "clock": ("clock", VirtualClock),
+        "in_flight": ("_in_flight", list[int]),
+        "dispatch_seq": ("_dispatch_seq", int),
+        "wave": ("_wave", int),
+        "version": ("_version", int),
+        "pacing": ("pacing", Stateful),
+        "straggler": ("straggler", Stateful),
+    }
 
     def __init__(self, ctx: Coordinator):
         self.ctx = ctx
@@ -507,43 +519,20 @@ class BufferedAsyncEngine(Stateful):
     # ------------------------------------------------------------------
     # durability (Stateful)
     # ------------------------------------------------------------------
-    schema = schema_tag("BufferedAsyncEngine")
-
-    def state_dict(self) -> dict:
-        """Everything live between two :meth:`step` calls.
-
-        Checkpoints are taken at the wave-drain barrier (between steps):
-        what must survive is the in-flight work — the clock's pending
-        events carry each dispatched client's precomputed update tensors —
-        plus the counters that anchor staleness, wave seeding, and
-        dispatch-order tie-breaks.  The selector belongs to the
-        coordinator's payload; pacing and straggler policies are ours.
-        Deferred dispatches are never part of it: :meth:`step` flushes them
-        before it aggregates.
-        """
+    @property
+    def _in_flight(self) -> list[int]:
+        """The fleet's in-flight ids; :meth:`step` has flushed every deferral."""
         if self._deferred:
             raise RuntimeError(
                 f"{len(self._deferred)} deferred dispatch(es) are untrained; "
                 "an engine checkpoints only between steps"
             )
-        return {
-            "schema": self.schema,
-            "clock": self.clock.state_dict(),
-            "in_flight": self.ctx.fleet.in_flight_ids(),
-            "dispatch_seq": self._dispatch_seq,
-            "wave": self._wave,
-            "version": self._version,
-            "pacing": self.pacing.state_dict(),
-            "straggler": self.straggler.state_dict(),
-        }
+        return self.ctx.fleet.in_flight_ids()
+
+    @_in_flight.setter
+    def _in_flight(self, client_ids: list[int]) -> None:
+        self.ctx.fleet.set_in_flight_ids(client_ids)
 
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self.clock.load_state_dict(payload["clock"])
-        self.ctx.fleet.set_in_flight_ids(payload["in_flight"])
-        self._dispatch_seq = int(payload["dispatch_seq"])
-        self._wave = int(payload["wave"])
-        self._version = int(payload["version"])
-        self.pacing.load_state_dict(payload["pacing"])
-        self.straggler.load_state_dict(payload["straggler"])
+        super().load_state_dict(payload)
         self._models_epoch = None

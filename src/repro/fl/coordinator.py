@@ -95,7 +95,7 @@ from ..analysis import sanitize as _sanitize
 from ..nn.compute import COMPUTE_DTYPES, set_compute_dtype
 from ..nn.cells import cell_id_counter, set_cell_id_counter
 from ..nn.model import model_id_counter, set_model_id_counter
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful, check_schema, checked, load_optional, naming, schema_tag
 from .async_engine import BufferedAsyncEngine
 from .checkpoint import CheckpointWriter, load_checkpoint
 from .client import LocalTrainerConfig
@@ -118,6 +118,11 @@ from .transport import TransportCodec, TransportConfig
 from .types import EvalRecord, FLClient, RoundRecord, TrainingLog
 
 __all__ = ["CoordinatorConfig", "Coordinator"]
+
+
+def _layout(node: object) -> object:
+    """A nested dict's keys and leaf types."""
+    return {k: _layout(v) for k, v in node.items()} if type(node) is dict else type(node)
 
 
 @dataclass(frozen=True)
@@ -466,41 +471,39 @@ class Coordinator(Stateful):
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
+        """Strict like a derived reader; the RNG state must have the live
+        generator's layout, and a component's payload ``None`` exactly
+        when this coordinator lacks the component."""
+        keys = ("rng", "model_id_counter", "cell_id_counter", "fleet", "selector", "strategy",
+                "engine", "validator", "transport", "eval_acc_cache")
+        check_schema(payload, self.schema, keys)
+        counters = [checked(self.schema, payload, key, int) for key in keys[1:3]]
+        rng = payload["rng"]
+        if _layout(rng) != _layout(self.rng.bit_generator.state):
+            raise ValueError(f"{self.schema} rng: not the live generator's state layout")
         # Strategy first: it may rebuild models (FedTrans's suite grows
         # mid-run), and the counter restamp below must land after every
         # model exists again.  Restoring a model never consumes the
         # counter (model_from_spec takes explicit ids), so the restored
         # position is exactly the checkpointed one.
-        self.strategy.load_state_dict(payload["strategy"])
-        set_model_id_counter(int(payload["model_id_counter"]))
-        set_cell_id_counter(int(payload["cell_id_counter"]))
-        self.rng.bit_generator.state = payload["rng"]
-        self.fleet.load_state_dict(payload["fleet"])
-        self.selector.load_state_dict(payload["selector"])
-        engine_payload = payload["engine"]
-        if (engine_payload is None) != (self._async_engine is None):
-            raise ValueError(
-                "checkpoint mode mismatch: payload "
-                f"{'lacks' if engine_payload is None else 'carries'} async-"
-                f"engine state but the coordinator mode is {self.config.mode!r}"
+        with naming(self.schema, "strategy"):
+            self.strategy.load_state_dict(payload["strategy"])
+        set_model_id_counter(counters[0])
+        set_cell_id_counter(counters[1])
+        with naming(self.schema, "rng"):
+            self.rng.bit_generator.state = rng
+        # ``None`` as a value: written in sync mode / with the quarantine
+        # gate / transport codec off.  The keys themselves are always present.
+        for key, live in (
+            ("fleet", self.fleet), ("selector", self.selector), ("engine", self._async_engine),
+            ("validator", self.validator), ("transport", self.transport),
+        ):
+            with naming(self.schema, key):
+                load_optional(live, payload[key])
+        with naming(self.schema, "eval_acc_cache"):
+            self.eval_cache.load_state_dict(
+                {"schema": self.eval_cache.schema, "eval_acc_cache": payload["eval_acc_cache"]}
             )
-        if self._async_engine is not None:
-            self._async_engine.load_state_dict(engine_payload)
-        # ``None`` as a value: written with the quarantine gate / transport
-        # codec off.  The keys themselves are always present.
-        validator_payload = payload["validator"]
-        if self.validator is not None and validator_payload is not None:
-            self.validator.load_state_dict(validator_payload)
-        transport_payload = payload["transport"]
-        if self.transport is not None and transport_payload is not None:
-            self.transport.load_state_dict(transport_payload)
-        self.eval_cache.load_state_dict(
-            {
-                "schema": self.eval_cache.schema,
-                "eval_acc_cache": payload["eval_acc_cache"],
-            }
-        )
 
     def _checkpoint_payload(self, log: TrainingLog, next_round: int) -> dict:
         return {

@@ -75,7 +75,9 @@ class EvalCache(Stateful):
     def load_state_dict(self, payload: dict) -> None:
         """Strict: an entry a sweep could not have written is refused with a
         ``ValueError`` naming it, before any entry is taken."""
-        check_schema(payload, self.schema)
+        check_schema(payload, self.schema, ("eval_acc_cache",))
+        if type(payload["eval_acc_cache"]) is not list:
+            raise ValueError(f"{self.schema} eval_acc_cache: must be a list of entries")
         accs: dict[tuple, np.ndarray] = {}
         for i, entry in enumerate(payload["eval_acc_cache"]):
             where = f"{self.schema} eval_acc_cache entry {i}"

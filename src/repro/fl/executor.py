@@ -89,7 +89,7 @@ import numpy as np
 from ..analysis import sanitize as _sanitize
 from ..nn.compute import compute_dtype_name, set_compute_dtype
 from ..nn.model import CellModel
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful
 from . import snapshot as _snapshot
 from .client import LocalTrainer, LocalTrainerConfig
 from .faults import (
@@ -392,12 +392,9 @@ class RoundExecutor(Stateful, ABC):
     # equal); only the process backend publishes, the others stay at zero.
     raw_bytes_published_total: int = 0
     bytes_published_total: int = 0
-
-    def state_dict(self) -> dict:
-        return {"schema": schema_tag(type(self).__name__)}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, schema_tag(type(self).__name__))
+    # Pools, published segments and meters are derived, so a checkpoint
+    # taken under one backend resumes under any other.
+    state_fields = {}
 
     def __init__(
         self,

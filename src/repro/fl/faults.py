@@ -62,6 +62,7 @@ The five injectable fault kinds (spec string ``"kind=rate,..."``):
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import signal
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful
 from .transport import spec_number
 from .types import ClientUpdate
 
@@ -395,6 +396,15 @@ class QuarantineConfig:
             raise ValueError(f"min_history must be >= 1, got {self.min_history}")
 
 
+@dataclass
+class _NormStats:
+    """The running norm statistics of one model's accepted updates."""
+
+    model_id: str
+    sum: float
+    count: int
+
+
 class UpdateValidator(Stateful):
     """Screens client updates; accepted ones feed its running norm estimate.
 
@@ -405,12 +415,12 @@ class UpdateValidator(Stateful):
     exactly like the uninterrupted one (CONTRACTS.md I9).
     """
 
-    schema = schema_tag("UpdateValidator")
+    state_fields = {"norms": ("_norms", list[_NormStats])}
 
     def __init__(self, config: QuarantineConfig | None = None):
         self.config = config or QuarantineConfig()
-        self._norm_sum: dict[str, float] = {}
-        self._norm_count: dict[str, int] = {}
+        # Accepted-update norm statistics, in model-id (payload) order.
+        self._norms: list[_NormStats] = []
 
     def admit(self, update: ClientUpdate) -> str | None:
         """``None`` to admit; a human-readable rejection reason otherwise."""
@@ -431,33 +441,19 @@ class UpdateValidator(Stateful):
         )
         cfg = self.config
         mid = update.model_id
-        count = self._norm_count.get(mid, 0)
-        if cfg.norm_multiplier > 0 and count >= cfg.min_history:
-            mean = self._norm_sum[mid] / count
+        stats = next((s for s in self._norms if s.model_id == mid), None)
+        if stats is not None and cfg.norm_multiplier > 0 and stats.count >= cfg.min_history:
+            mean = stats.sum / stats.count
             if norm > cfg.norm_multiplier * mean:
                 return (
                     f"update norm {norm:.6g} from client {update.client_id} "
                     f"exceeds {cfg.norm_multiplier:g}x the running mean "
                     f"{mean:.6g} for model {mid}"
                 )
-        self._norm_sum[mid] = self._norm_sum.get(mid, 0.0) + norm
-        self._norm_count[mid] = count + 1
+        if stats is None:
+            stats = _NormStats(mid, 0.0, 0)
+            bisect.insort(self._norms, stats, key=lambda s: s.model_id)
+        stats.sum += norm
+        stats.count += 1
         return None
 
-    def state_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "norms": [
-                {
-                    "model_id": mid,
-                    "sum": self._norm_sum[mid],
-                    "count": self._norm_count[mid],
-                }
-                for mid in sorted(self._norm_sum)
-            ],
-        }
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self._norm_sum = {e["model_id"]: float(e["sum"]) for e in payload["norms"]}
-        self._norm_count = {e["model_id"]: int(e["count"]) for e in payload["norms"]}

@@ -43,7 +43,7 @@ import numpy as np
 
 from ...device.latency import client_round_time
 from ...nn.model import CellModel
-from ...stateful import Stateful, check_schema, schema_tag
+from ...stateful import Stateful
 from ..client import LocalTrainerConfig
 from ..types import ClientUpdate, FLClient
 from .fleet import FleetStore, FleetView
@@ -84,13 +84,6 @@ class ClientSelector(Stateful, ABC):
     # pool; only the availability selector ever advances it.
     offline_fallback_rounds: int = 0
 
-    def state_dict(self) -> dict:
-        """Default for stateless selectors: a bare schema tag."""
-        return {"schema": schema_tag(type(self).__name__)}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, schema_tag(type(self).__name__))
-
     def bind_fleet(self, fleet: FleetStore) -> None:
         """Attach the engine's columnar :class:`FleetStore`.
 
@@ -128,13 +121,6 @@ class PacingPolicy(Stateful, ABC):
 
     name: str = "pacing"
 
-    def state_dict(self) -> dict:
-        """Default for stateless pacing policies: a bare schema tag."""
-        return {"schema": schema_tag(type(self).__name__)}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, schema_tag(type(self).__name__))
-
     @abstractmethod
     def buffer_k(self, step_idx: int) -> int:
         """Arrivals that trigger aggregation step ``step_idx``."""
@@ -165,13 +151,6 @@ class StragglerPolicy(Stateful, ABC):
     """Decides the fate of a predicted-late client at dispatch time."""
 
     name: str = "straggler"
-
-    def state_dict(self) -> dict:
-        """Default for stateless straggler policies: a bare schema tag."""
-        return {"schema": schema_tag(type(self).__name__)}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, schema_tag(type(self).__name__))
 
     @abstractmethod
     def resolve(

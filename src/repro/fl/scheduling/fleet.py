@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ...stateful import Stateful, check_schema, schema_tag
+from ...stateful import Stateful, check_schema, checked, checked_array, naming, schema_tag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ...nn.model import CellModel
@@ -140,25 +140,26 @@ class RoundTimeStats:
         (a sample that is not a finite, non-negative JSON number, or more
         samples than the window holds) is a ``ValueError`` naming the
         class, before anything changes."""
-        check_schema(payload, self.schema)
-        durations = payload["durations"]
-        if not isinstance(durations, list):
-            raise ValueError("RoundTimeStats: durations must be a list per device class")
-        if len(durations) != self.num_classes:
-            raise ValueError(
-                f"payload has {len(durations)} device classes; "
-                f"these stats were built with {self.num_classes}"
-            )
-        windows = []
-        for cls, samples in enumerate(durations):
-            if not isinstance(samples, list):
-                raise ValueError(f"RoundTimeStats class {cls}: samples must be a list")
-            if len(samples) > self.window:
+        check_schema(payload, self.schema, ("durations",))
+        with naming(self.schema, "durations"):
+            durations = payload["durations"]
+            if not isinstance(durations, list):
+                raise ValueError("RoundTimeStats: durations must be a list per device class")
+            if len(durations) != self.num_classes:
                 raise ValueError(
-                    f"RoundTimeStats class {cls}: {len(samples)} samples "
-                    f"overflow a window of {self.window}"
+                    f"payload has {len(durations)} device classes; "
+                    f"these stats were built with {self.num_classes}"
                 )
-            windows.append([_duration(cls, x) for x in samples])
+            windows = []
+            for cls, samples in enumerate(durations):
+                if not isinstance(samples, list):
+                    raise ValueError(f"RoundTimeStats class {cls}: samples must be a list")
+                if len(samples) > self.window:
+                    raise ValueError(
+                        f"RoundTimeStats class {cls}: {len(samples)} samples "
+                        f"overflow a window of {self.window}"
+                    )
+                windows.append([_duration(cls, x) for x in samples])
         self._buf[:] = 0.0
         for cls, vals in enumerate(windows):
             k = len(vals)
@@ -559,9 +560,12 @@ class FleetStore(Stateful):
         the fleet and of its own dtype; utilities finite; ``round`` and
         ``evicted_total`` non-negative ints.  Anything else is a
         ``ValueError`` naming the field, before anything changes."""
-        check_schema(payload, self.schema)
+        check_schema(
+            payload, self.schema,
+            ("ids", "last_seen", "utility", "has_utility", "round", "evicted_total", "stats"),
+        )
         ids, last_seen, utility, has_utility = (
-            self._column(payload, name, dtype)
+            checked_array(self.schema, payload, name, dtype, (self.num_rows,))
             for name, dtype in (
                 ("ids", np.int64), ("last_seen", np.int64),
                 ("utility", np.float64), ("has_utility", np.bool_),
@@ -574,30 +578,14 @@ class FleetStore(Stateful):
             )
         if not np.isfinite(utility).all():
             raise ValueError(f"{self.schema} utility: holds a non-finite value")
-        round_idx, evicted_total = (self._count(payload, k) for k in ("round", "evicted_total"))
-        self.stats.load_state_dict(payload["stats"])
+        round_idx, evicted_total = (
+            checked(self.schema, payload, key, int) for key in ("round", "evicted_total")
+        )
+        with naming(self.schema, "stats"):
+            self.stats.load_state_dict(payload["stats"])
         self._last_seen = last_seen.copy()
         self._utility = utility.copy()
         self._has_utility = has_utility.copy()
         self._round = round_idx
         self.evicted_total = evicted_total
-
-    def _column(self, payload: dict, name: str, dtype: type) -> np.ndarray:
-        value = payload[name]
-        ok = isinstance(value, np.ndarray)
-        if not (ok and value.dtype == dtype and value.shape == (self.num_rows,)):
-            got = f"{value.dtype} {value.shape}" if ok else type(value).__name__
-            raise ValueError(
-                f"{self.schema} {name}: must be a 1-D {np.dtype(dtype)} array "
-                f"of {self.num_rows} rows, got {got}"
-            )
-        return value
-
-    def _count(self, payload: dict, name: str) -> int:
-        value = payload[name]
-        if type(value) is not int or value < 0:  # a bool is not a count
-            raise ValueError(
-                f"{self.schema} {name}: must be a non-negative int, got {value!r}"
-            )
-        return value
 

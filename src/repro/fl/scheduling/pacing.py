@@ -16,7 +16,6 @@ wholesale by a deadline sized for fast hardware.
 
 from __future__ import annotations
 
-from ...stateful import check_schema, schema_tag
 from ..types import FLClient
 from .base import PacingPolicy
 from .fleet import FleetStore
@@ -55,6 +54,11 @@ class AdaptivePacing(PacingPolicy):
     """
 
     name = "adaptive"
+    state_fields = {
+        "rate": ("_rate", float | None),
+        "target_span": ("_target_span", float | None),
+        "last_arrival": ("_last_arrival", float | None),
+    }
 
     def __init__(
         self,
@@ -95,26 +99,6 @@ class AdaptivePacing(PacingPolicy):
                 self._rate = rate if self._rate is None else (1 - m) * self._rate + m * rate
         self._last_arrival = now
 
-    schema = schema_tag("AdaptivePacing")
-
-    def state_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "rate": self._rate,
-            "target_span": self._target_span,
-            "last_arrival": self._last_arrival,
-        }
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self._rate = None if payload["rate"] is None else float(payload["rate"])
-        self._target_span = (
-            None if payload["target_span"] is None else float(payload["target_span"])
-        )
-        self._last_arrival = (
-            None if payload["last_arrival"] is None else float(payload["last_arrival"])
-        )
-
 
 class QuantilePacing(PacingPolicy):
     """Per-device-class deadline quantiles from completed round times.
@@ -144,6 +128,10 @@ class QuantilePacing(PacingPolicy):
     """
 
     name = "quantile"
+    # Class membership is configuration (a pure function of the fleet) and
+    # the sliding duration windows travel in the fleet store's payload; the
+    # derived deadlines are the policy's own.
+    state_fields = {"deadline": ("_deadline", list[float | None])}
 
     def __init__(
         self,
@@ -190,17 +178,3 @@ class QuantilePacing(PacingPolicy):
 
     def deadline_quantiles(self) -> tuple[float, ...]:
         return tuple(d for d in self._deadline if d is not None)
-
-    schema = schema_tag("QuantilePacing")
-
-    def state_dict(self) -> dict:
-        # Class membership is configuration (a pure function of the fleet)
-        # and the sliding duration windows travel in the fleet store's
-        # payload; the derived deadlines are the policy's own.
-        return {"schema": self.schema, "deadline": list(self._deadline)}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self._deadline = [
-            None if d is None else float(d) for d in payload["deadline"]
-        ]

@@ -30,7 +30,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ...stateful import check_schema, schema_tag
 from ..types import ClientUpdate, FLClient
 from .availability import AvailabilityModel
 from .base import ClientSelector
@@ -112,6 +111,7 @@ class AvailabilityAwareSelector(ClientSelector):
     """
 
     name = "availability"
+    state_fields = {"offline_fallback_rounds": ("offline_fallback_rounds", int)}
 
     def __init__(
         self,
@@ -162,18 +162,6 @@ class AvailabilityAwareSelector(ClientSelector):
             online = clients
         return uniform_choice(online, min(num, len(online)), rng)
 
-    schema = schema_tag("AvailabilityAwareSelector")
-
-    def state_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "offline_fallback_rounds": self.offline_fallback_rounds,
-        }
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self.offline_fallback_rounds = int(payload["offline_fallback_rounds"])
-
 
 class OortSelector(ClientSelector):
     """Utility-skewed selection (Oort's statistical utility, simplified).
@@ -197,6 +185,9 @@ class OortSelector(ClientSelector):
     """
 
     name = "oort"
+    # The utilities are the bound fleet store's columns and travel in its
+    # payload; alpha and momentum are configuration.
+    state_fields = {}
 
     def __init__(self, seed: int = 0, alpha: float = 2.0, momentum: float = 0.5):
         del seed  # samples on the coordinator RNG, like uniform
@@ -237,13 +228,3 @@ class OortSelector(ClientSelector):
             [float(u.train_loss) for u in ups],
             self.momentum,
         )
-
-    schema = schema_tag("OortSelector")
-
-    def state_dict(self) -> dict:
-        # The utilities are the bound fleet store's columns and travel in
-        # its payload; alpha and momentum are configuration.
-        return {"schema": self.schema}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)

@@ -37,7 +37,7 @@ import weakref
 
 from ..analysis import sanitize as _sanitize
 from ..nn.model import CellModel
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful
 from . import shm as _shm
 from .faults import FaultPlan, InjectedShmFault, SnapshotChainError
 
@@ -59,6 +59,11 @@ class SnapshotPublisher(Stateful):
     tensors).  ``fault_plan`` may fail a real publish once, before any
     state moves.
     """
+
+    # The segment, published versions and meters are all rebuilt from the
+    # first post-resume publish; persisting them would pin a checkpoint to
+    # the process backend for no benefit.
+    state_fields = {}
 
     def __init__(self, *, fault_plan: FaultPlan | None = None):
         self.version = 0
@@ -136,14 +141,6 @@ class SnapshotPublisher(Stateful):
         self.name = None
         self._published_versions = None
 
-    def state_dict(self) -> dict:
-        # The segment, published versions and meters are all rebuilt from
-        # the first post-resume publish; persisting them would pin a
-        # checkpoint to the process backend for no benefit.
-        return {"schema": schema_tag(type(self).__name__)}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, schema_tag(type(self).__name__))
 
 
 # ----------------------------------------------------------------------

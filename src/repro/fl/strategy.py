@@ -32,7 +32,7 @@ import numpy as np
 
 from ..nn.model import CellModel
 from ..nn.serialization import load_model_state, model_state_dict
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful
 from .types import ClientUpdate, FLClient
 
 __all__ = ["Strategy", "compatible_model_ids"]
@@ -62,42 +62,30 @@ class Strategy(Stateful, ABC):
     name: str = "strategy"
 
     # ------------------------------------------------------------------
-    # durability (Stateful)
+    # durability (Stateful).  Default: the whole suite — specs, tensors
+    # and exact versions.  Sufficient for every fixed-suite strategy (the
+    # suite's *structure* is reconstructed from configuration; only
+    # weights and versions are trajectory).  Strategies that grow or retire
+    # models mid-run, or hold extra run state, declare their own payload.
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Default: the whole suite — specs, tensors, and exact versions.
+    state_fields = {"models": ("_suite", dict[str, CellModel])}
 
-        Sufficient for every fixed-suite strategy (the suite's *structure*
-        is reconstructed from configuration; only weights and versions are
-        trajectory).  Strategies that grow or retire models mid-run, or
-        hold extra run state (utilities, server optimizers, transformation
-        trackers), override both methods and compose this payload.
-        """
-        return {
-            "schema": schema_tag(type(self).__name__),
-            "models": {
-                mid: model_state_dict(m) for mid, m in self.models().items()
-            },
-        }
+    @property
+    def _suite(self) -> dict[str, CellModel]:
+        return self.models()
 
-    def load_state_dict(self, payload: dict) -> None:
-        """Default: restore weights/state/versions into the live suite.
-
-        The restored checkpoint must name exactly the live model ids —
-        fixed-suite strategies rebuilt from the same configuration (with
-        the model-id counter restored) always satisfy this; a mismatch
-        means the checkpoint belongs to a different construction.
-        """
-        check_schema(payload, schema_tag(type(self).__name__))
+    @_suite.setter
+    def _suite(self, saved: dict[str, CellModel]) -> None:
+        """Write each saved model into the live one of its id; other ids
+        mean the checkpoint belongs to a different construction."""
         live = self.models()
-        saved = payload["models"]
-        if set(saved) != set(live):
+        if saved.keys() != live.keys():
             raise ValueError(
                 f"checkpoint models {sorted(saved)} do not match this "
                 f"strategy's suite {sorted(live)}"
             )
-        for mid, mp in saved.items():
-            load_model_state(live[mid], mp)
+        for mid, model in saved.items():
+            load_model_state(live[mid], model_state_dict(model))
 
     @abstractmethod
     def models(self) -> dict[str, CellModel]:

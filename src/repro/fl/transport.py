@@ -473,10 +473,12 @@ class TransportCodec(Stateful):
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
+        check_schema(
+            payload, self.schema, ("spec", "client_id", "tensor", "size", "tensors", "values")
+        )
         if payload["spec"] != self.config.spec:
             raise ValueError(
-                f"checkpoint transport spec {payload['spec']!r} does not "
+                f"{self.schema}: checkpoint transport spec {payload['spec']!r} does not "
                 f"match the configured {self.config.spec!r}; error-feedback "
                 "residuals are codec-specific and cannot be reinterpreted"
             )
@@ -834,7 +836,7 @@ def _residuals_v2(payload: dict) -> dict:
     ``ValueError`` before any residual is built."""
     cols = [np.asarray(payload[name]) for name in ("client_id", "tensor", "size")]
     tensors, values = payload["tensors"], payload["values"]
-    n = len(cols[0])
+    n = cols[0].size
     if any(col.dtype != np.int64 or col.shape != (n,) for col in cols):
         raise ValueError("TransportCodec/v2: client_id, tensor and size must be equal-length int64 columns")
     if not isinstance(tensors, list):

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful
 from .param_ops import ParamTree, tree_copy
 
 __all__ = ["SGD", "Yogi"]
@@ -36,6 +36,10 @@ class SGD(Stateful):
     order reproduces the naive ``p -= lr * (momentum * v + g + wd * p)``
     expression bit for bit.
     """
+
+    # Velocity is trajectory; scratch is write-before-read per step and is
+    # rebuilt lazily, so it is omitted (Stateful payload convention).
+    state_fields = {"velocity": ("_velocity", dict[str, np.ndarray])}
 
     def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
         if lr <= 0:
@@ -74,19 +78,8 @@ class SGD(Stateful):
             np.multiply(g, self.lr, out=s)  # aliasing-safe when g is s
             p -= s
 
-    schema = schema_tag("SGD")
-
-    def state_dict(self) -> dict:
-        # Velocity is trajectory; scratch is write-before-read per step and
-        # is rebuilt lazily, so it is omitted (Stateful payload convention).
-        return {
-            "schema": self.schema,
-            "velocity": {k: v.copy() for k, v in self._velocity.items()},
-        }
-
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self._velocity = {k: np.array(v) for k, v in payload["velocity"].items()}
+        super().load_state_dict(payload)
         self._scratch = {}
 
 
@@ -97,6 +90,11 @@ class Yogi(Stateful):
     the effective step size from collapsing under heterogeneous client
     updates — the property FedYogi relies on in non-IID FL.
     """
+
+    state_fields = {
+        "m": ("_m", dict[str, np.ndarray] | None),
+        "v": ("_v", dict[str, np.ndarray] | None),
+    }
 
     def __init__(
         self,
@@ -132,26 +130,7 @@ class Yogi(Stateful):
         return out
 
     def snapshot(self) -> tuple[ParamTree | None, ParamTree | None]:
-        """Copies of the optimizer state, for tests and checkpointing."""
+        """Copies of the optimizer state."""
         m = tree_copy(self._m) if self._m is not None else None
         v = tree_copy(self._v) if self._v is not None else None
         return m, v
-
-    schema = schema_tag("Yogi")
-
-    def state_dict(self) -> dict:
-        m, v = self.snapshot()
-        return {"schema": self.schema, "m": m, "v": v}
-
-    def load_state_dict(self, payload: dict) -> None:
-        check_schema(payload, self.schema)
-        self._m = (
-            {k: np.array(a) for k, a in payload["m"].items()}
-            if payload["m"] is not None
-            else None
-        )
-        self._v = (
-            {k: np.array(a) for k, a in payload["v"].items()}
-            if payload["v"] is not None
-            else None
-        )

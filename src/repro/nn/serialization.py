@@ -49,6 +49,8 @@ _LINEAGE_KEYS = dict(
     cell_id=str, origin=str, widen_count=int, last_op=(str, _NONE), transformable=bool
 )
 _CTOR_TYPES = (int, bool, str, _NONE)  # widths, kernel sizes, flags, names
+#: The keys of a :func:`model_state_dict` payload.
+_STATE_KEYS = {"spec", "params", "state", "version"}
 
 
 def _check(where: str, record: object, fields: dict) -> None:
@@ -174,6 +176,12 @@ def load_model(path: str | Path) -> CellModel:
         raise ValueError(f"{path} is not a saved model: {type(exc).__name__}: {exc}") from exc
 
 
+def _check_keys(where: str, payload: object) -> None:
+    if type(payload) is not dict or payload.keys() != _STATE_KEYS:
+        got = sorted(payload) if type(payload) is dict else type(payload).__name__
+        raise ValueError(f"{where}: keys {got} are not {sorted(_STATE_KEYS)}")
+
+
 def model_state_dict(model: CellModel) -> dict:
     """Stateful payload of one model (and what :func:`save_model` writes):
     spec + tensors + version.
@@ -198,11 +206,14 @@ def load_model_state(model: CellModel, payload: dict) -> None:
     else a ``ValueError`` naming the model.  Every tensor is checked before
     any is written, so a refused payload leaves the model's bytes and
     version as they were."""
+    _check_keys(f"model {model.model_id}", payload)
     version = payload["version"]
     if type(version) is not int:
         raise ValueError(f"model {model.model_id}: version {version!r} is not an int")
     trees = {"param": payload["params"], "state": payload["state"]}
-    for tree in trees.values():
+    for scope, tree in trees.items():
+        if type(tree) is not dict:
+            raise ValueError(f"model {model.model_id}: {scope} tensors are not a dict")
         for key, value in tree.items():
             if type(value) is not np.ndarray or value.dtype.kind != "f":
                 what = value.dtype if type(value) is np.ndarray else type(value).__name__
@@ -219,7 +230,9 @@ def load_model_state(model: CellModel, payload: dict) -> None:
 
 
 def model_from_state(payload: dict) -> CellModel:
-    """Rebuild the exact model :func:`model_state_dict` captured."""
+    """Rebuild the exact model :func:`model_state_dict` captured; a payload
+    it could not have written is a ``ValueError``."""
+    _check_keys("model payload", payload)
     model = model_from_spec(payload["spec"])
     load_model_state(model, payload)
     return model

@@ -5,55 +5,70 @@ A resumed run must be **bit-identical** to an uninterrupted one
 every layer that holds mutable run state can hand it over and take it
 back.  This module defines that seam:
 
-* :class:`Stateful` — ``state_dict() -> dict`` / ``load_state_dict(payload)``.
-  Every payload carries a versioned schema tag under ``"schema"``
-  (``"<Name>/v<N>"``, built with :func:`schema_tag`), so a checkpoint
-  written by one code revision fails loudly — not subtly — against an
-  incompatible reader.
-* :func:`check_schema` — the guard every ``load_state_dict`` runs first.
-* :func:`collect_schemas` — walks a nested payload gathering every schema
-  tag, so the checkpoint manifest can list all registrants
-  (CONTRACTS.md I9: every registrant appears in the manifest).
-* :func:`record_state` / :func:`record_from_state` — the payload codec of
-  a *record* (a dataclass of run data: ``TrainingLog`` and the records it
-  nests, in-flight ``ClientUpdate`` s), derived from the dataclass
-  declaration so a field is checkpointed by being declared.
+* :class:`Stateful` — ``state_dict() -> dict`` / ``load_state_dict(payload)``,
+  both derived from the class's ``state_fields`` declaration.  Every
+  payload carries a versioned schema tag under ``"schema"``
+  (``"<Name>/v<N>"``, :func:`schema_tag`): the class's own name at ``v1``
+  unless it sets ``schema`` (a new layout takes the next version, which
+  subclasses inherit), so a checkpoint written by one code revision fails
+  loudly — not subtly — against an incompatible reader.
+* :func:`collect_schemas` — every tag in a nested payload, for the
+  checkpoint manifest (CONTRACTS.md I9: every registrant appears in it).
+* :func:`record_state` / :func:`record_from_state` — the codec of a
+  *record* (a dataclass of run data: ``TrainingLog``, its records,
+  in-flight ``ClientUpdate`` s), derived from its field types.
 
-Payload conventions (what makes a ``state_dict`` checkpointable):
+A component declares its payload once, in its own class body, as an
+ordered table ``payload key -> (attribute, kind)``; declaration order is
+payload key order, and the attribute may be a property over live state::
 
-* JSON-serializable skeleton — dicts with ``str`` keys, lists, ``str`` /
-  ``int`` / ``float`` / ``bool`` / ``None`` leaves — plus ``numpy``
-  arrays anywhere a leaf is bulk data.  The checkpoint writer
-  (:mod:`repro.fl.checkpoint`) splits arrays out losslessly; everything
-  else round-trips through JSON, whose shortest-repr float encoding is
-  exact, so bit-identity survives the disk.
-* Scalars are native Python (``float(x)``, ``int(x)``) — never numpy
-  scalars — and integer dict keys are stringified by the owner.
-* Tuples come back as lists; a ``load_state_dict`` that cares about
-  tuple-ness converts on the way in.
-* Configuration (hyperparameters, policy knobs) is **not** payload: the
-  restored object keeps its own construction-time config, and payloads
-  carry only what training mutated.  Derived caches that a resumed run
-  rebuilds deterministically may be omitted.
-* A reader never defaults an absent key: a payload a current run can reach
-  was written under the same run hash, hence with the same keys (``None``
-  as a *value* may still mean "feature off").
-* Records: the payload's keys are exactly the dataclass's field names.
-  Scalar fields pass through untouched both ways — JSON round-trips them
-  exactly, and coercing by annotation would turn an ``int`` held in a
-  ``float`` field into ``1.0`` in the export.  Only containers are rebuilt
-  from the declared type: ``tuple[X, ...]``, ``list[X]``, ``dict[int|str,
-  X]`` (keys stringified out, restored in), ``X | None``, nested records,
-  ``np.ndarray`` (copied out, ``asarray``'d in).  A payload that lacks a
-  field or holds a key the constructor does not take (init-only keywords are
-  taken: ``ClientUpdate``'s ``grad``) is refused before a constructor runs.
+    state_fields = {
+        "rounds_since_transform": ("_rounds_since_transform", int),
+        "doc": ("doc", DoCTracker),
+    }
+
+The kinds, shared with record fields:
+
+* ``int`` / ``float`` / ``bool`` / ``str`` are written as they are and read
+  back checked, never coerced (an int held in a float field stays an int,
+  so exports keep their bytes): a bool is no int, a float is an int or a
+  float but no bool, and a float is finite.  A component's ints are
+  counters, non-negative; a record's may be negative.
+* ``np.ndarray``: a copy out, a private copy in.  Array values may be
+  non-finite (a poisoned in-flight update carries NaN or Inf until the
+  quarantine gate drops it).
+* ``list[X]``, ``tuple[X, ...]``, ``dict[int | str, X]`` (keys stringified
+  out), ``X | None`` and records are rebuilt; a ``CellModel`` is rebuilt
+  from its own spec.
+* A ``Stateful`` is *live*: its payload carries no configuration, so it
+  loads in place into the object the attribute holds.  ``S | None`` must
+  be present exactly when the live one is; ``dict[str, S]`` is rebuilt
+  entry by entry by the live ``defaultdict``'s factory.
+
+The derived reader is strict: exactly ``schema`` plus the declared keys,
+and a wrong payload is a ``ValueError`` naming the tag and the key (nested
+readers prefix theirs, so the message reads as a path).  Every value is
+checked before a live component loads or an attribute is set.  A class
+whose caches must be rebuilt after a load overrides ``load_state_dict`` as
+``super().load_state_dict(payload)`` followed by the rebuild, reading no
+payload key.  The few payloads that are not a fixed set of named fields
+(RNG state, columnar tables, ring buffers) keep strict hand-written
+readers, allowlisted by ``test_a_component_payload_is_declared_once``.
+
+Payloads are a JSON skeleton plus ``numpy`` arrays (JSON's shortest-repr
+floats round-trip exactly); configuration is not payload, derived caches
+are omitted, and a reader never defaults an absent key.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import functools
 import inspect
+import math
+import operator
 import types
 import typing
 from typing import Callable
@@ -64,6 +79,10 @@ __all__ = [
     "Stateful",
     "schema_tag",
     "check_schema",
+    "naming",
+    "checked",
+    "checked_array",
+    "load_optional",
     "collect_schemas",
     "record_state",
     "record_from_state",
@@ -75,17 +94,53 @@ def schema_tag(name: str, version: int = 1) -> str:
     return f"{name}/v{version}"
 
 
-def check_schema(payload: object, expected: str) -> dict:
-    """Validate a payload's schema tag; returns the payload for chaining."""
+def check_schema(payload: object, expected: str, keys: typing.Iterable[str] | None = None) -> dict:
+    """Validate a payload's schema tag and, given ``keys``, that its key set
+    is exactly ``schema`` plus ``keys``; returns the payload for chaining."""
     if not isinstance(payload, dict):
-        raise TypeError(
-            f"state payload for {expected!r} must be a dict, "
-            f"got {type(payload).__name__}"
+        raise ValueError(
+            f"state payload for {expected!r} must be a dict, got {type(payload).__name__}"
         )
     got = payload.get("schema")
     if got != expected:
         raise ValueError(f"state schema mismatch: expected {expected!r}, got {got!r}")
+    if keys is not None:
+        want = {"schema", *keys}
+        if payload.keys() != want:
+            raise ValueError(
+                f"{expected}: missing keys {sorted(want - payload.keys())}, "
+                f"unexpected keys {sorted(payload.keys() - want)}"
+            )
     return payload
+
+
+@contextlib.contextmanager
+def naming(schema: str, key: str):
+    """Re-raise a ``ValueError`` from reading ``key`` prefixed with the tag
+    and the key, so a nested refusal reads as a path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{schema} {key}: {exc}") from exc
+
+
+def checked(schema: str, payload: dict, key: str, kind) -> object:
+    """``payload[key]`` checked and rebuilt as a declared component field of
+    ``kind`` would be: the field check of a hand-written reader."""
+    with naming(schema, key):
+        return _field_codec(kind, counts=True)[1](payload[key])
+
+
+def checked_array(schema: str, payload: dict, key: str, dtype: type, shape: tuple) -> np.ndarray:
+    """``payload[key]``, an array of exactly ``dtype`` and ``shape``: the
+    column check of a hand-written columnar reader."""
+    value = payload[key]
+    ok = type(value) is np.ndarray
+    if not (ok and value.dtype == dtype and value.shape == shape):
+        got = f"{value.dtype} {value.shape}" if ok else type(value).__name__
+        want = f"a {np.dtype(dtype)} array of shape {shape}"
+        raise ValueError(f"{schema} {key}: must be {want}, got {got}")
+    return value
 
 
 def collect_schemas(payload: object) -> list[str]:
@@ -119,60 +174,119 @@ def _optional(fn: Callable) -> Callable:
     return lambda value: None if value is None else fn(value)
 
 
-def _field_codec(tp) -> tuple[Callable, Callable]:
-    """``(encode, decode)`` for one declared field type."""
+def _kind(name: str, test: Callable[[object], bool]) -> Callable:
+    """A decoder that returns a value passing ``test`` untouched."""
+
+    def check(value):
+        if not test(value):
+            raise ValueError(f"{value!r} is not {name}")
+        return value
+
+    return check
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_SCALARS = {
+    int: _kind("an int", _is_int),
+    float: _kind(
+        "a finite number",
+        lambda v: (_is_int(v) or isinstance(v, float)) and -math.inf < v < math.inf,
+    ),
+    bool: _kind("a bool", lambda v: isinstance(v, bool)),
+    str: _kind("a str", lambda v: isinstance(v, str)),
+}
+_COUNT = _kind("a non-negative int", lambda v: _is_int(v) and v >= 0)
+
+
+def _array(value) -> np.ndarray:
+    if type(value) is not np.ndarray:
+        raise ValueError(f"{type(value).__name__} is not an array")
+    return np.array(value)
+
+
+def _container(kind: type) -> Callable:
+    return _kind(f"a {kind.__name__}", lambda v: type(v) is kind)
+
+
+def _int_key(key: str) -> int:
+    """An int dict key as the encoder stringified it: ``str(int)``, exactly."""
+    try:
+        value = int(key)
+    except (TypeError, ValueError):
+        value = None
+    if type(key) is not str or str(value) != key:
+        raise ValueError(f"key {key!r} is not an int")
+    return value
+
+
+def _field_codec(tp, counts: bool = False) -> tuple[Callable, Callable]:
+    """``(encode, decode)`` for one declared field type: ``encode`` makes the
+    payload value, ``decode`` checks one — kinds exactly, nothing coerced —
+    and rebuilds it.  ``counts``: an ``int`` must be non-negative."""
+    # Imported here: repro.nn's own Stateful classes import this module.
+    from .nn.model import CellModel
+    from .nn.serialization import model_from_state, model_state_dict
+
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if tp in (int, float, bool, str):
-        return _keep, _keep
+    if tp in _SCALARS:
+        return _keep, _COUNT if counts and tp is int else _SCALARS[tp]
     if tp is np.ndarray:
-        return np.array, np.asarray
+        return np.array, _array
+    if tp is CellModel:
+        return model_state_dict, model_from_state
     if dataclasses.is_dataclass(tp):
         return record_state, functools.partial(record_from_state, tp)
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
-        enc, dec = _field_codec(args[0])
-        return (_keep, _keep) if enc is _keep else (_optional(enc), _optional(dec))
+        enc, dec = _field_codec(args[0], counts)
+        return (_keep if enc is _keep else _optional(enc)), _optional(dec)
     if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
-        enc, dec = _field_codec(args[0])
-        if enc is _keep:
-            return list, origin
-        return (lambda v: [enc(x) for x in v]), (lambda v: origin(dec(x) for x in v))
+        enc, dec = _field_codec(args[0], counts)
+        is_list = _container(list)
+        encode = list if enc is _keep else (lambda v: [enc(x) for x in v])
+        return encode, (lambda v: origin(dec(x) for x in is_list(v)))
     if origin is dict and args[0] in (int, str):
-        key, (enc, dec) = args[0], _field_codec(args[1])
+        key = _int_key if args[0] is int else _SCALARS[str]
+        (enc, dec), is_dict = _field_codec(args[1], counts), _container(dict)
         return (
             lambda v: {str(k): enc(x) for k, x in v.items()},
-            lambda v: {key(k): dec(x) for k, x in v.items()},
+            lambda v: {key(k): dec(x) for k, x in is_dict(v).items()},
         )
-    raise TypeError(f"no checkpoint codec for a record field declared {tp!r}")
+    raise TypeError(f"no checkpoint codec for a field declared {tp!r}")
 
 
 @functools.cache
-def _record_plan(cls: type) -> tuple[tuple[str, ...], frozenset[str], frozenset[str], tuple]:
+def _record_plan(cls: type) -> tuple[tuple[str, ...], frozenset[str], frozenset[str], tuple, tuple]:
     """Field names in declaration order, the same as a key set, the keywords
-    the constructor takes (fields plus init-only ones), and ``(name, encode,
-    decode)`` for the fields that are not plain scalars.
+    the constructor takes (fields plus init-only ones), ``(name, encode)``
+    for the fields that are not written as they are, and ``(name, decode)``
+    for every field.
 
     Resolved once per class: re-walking the annotations per record makes a
     654-arrival log cost ~80 ms to encode or decode instead of 1-2 ms.
     """
     hints = typing.get_type_hints(cls)
     names = tuple(f.name for f in dataclasses.fields(cls))
-    codecs = ((name, *_field_codec(hints[name])) for name in names)
+    codecs = [(name, *_field_codec(hints[name])) for name in names]
     accepted = frozenset(inspect.signature(cls).parameters)
-    return names, frozenset(names), accepted, tuple(c for c in codecs if c[1] is not _keep)
+    encoders = tuple((name, enc) for name, enc, _ in codecs if enc is not _keep)
+    return names, frozenset(names), accepted, encoders, tuple((n, d) for n, _, d in codecs)
 
 
 def record_state(rec) -> dict:
     """Fresh Stateful payload of one record: field name -> encoded value."""
-    names, _, _, coded = _record_plan(type(rec))
+    names, _, _, encoders, _ = _record_plan(type(rec))
     payload = {name: getattr(rec, name) for name in names}
-    for name, enc, _ in coded:
+    for name, enc in encoders:
         payload[name] = enc(payload[name])
     return payload
 
 
 def record_from_state(cls: type, payload: object):
     """Rebuild the exact ``cls`` record :func:`record_state` captured."""
-    _, keys, accepted, coded = _record_plan(cls)
+    _, keys, accepted, _, decoders = _record_plan(cls)
     found = payload.keys() if isinstance(payload, dict) else set()
     if not keys <= found <= accepted:
         raise ValueError(
@@ -180,31 +294,109 @@ def record_from_state(cls: type, payload: object):
             f"{sorted(keys - found)}, unexpected keys {sorted(found - accepted)}"
         )
     fields = dict(payload)
-    for name, _, dec in coded:
-        fields[name] = dec(fields[name])
+    for name, dec in decoders:
+        with naming(cls.__name__, name):
+            fields[name] = dec(fields[name])
     return cls(**fields)
+
+
+def _is_stateful(tp) -> bool:
+    return isinstance(tp, type) and issubclass(tp, Stateful)
+
+
+def load_optional(live: Stateful | None, value) -> None:
+    """Load ``value`` into ``live``; a payload must be present (not
+    ``None``) exactly when the live component is."""
+    if (live is None) != (value is None):
+        raise ValueError(
+            f"the payload {'lacks' if value is None else 'carries'} the state of a "
+            f"component this run was built {'with' if live is not None else 'without'}"
+        )
+    if live is not None:
+        live.load_state_dict(value)
+
+
+def _load_each(live: dict, value) -> None:
+    """Rebuild a dict of Statefuls: cleared, then each saved entry loaded
+    into the fresh one the live ``defaultdict``'s factory builds."""
+    if type(value) is not dict:
+        raise ValueError(f"{type(value).__name__} is not a dict")
+    if value and not isinstance(live, collections.defaultdict):
+        raise ValueError(f"entries {sorted(value)} saved, but no factory builds them")
+    live.clear()
+    for key, state in value.items():
+        live[key].load_state_dict(state)
+
+
+def _live_codec(tp) -> tuple[Callable, Callable] | None:
+    """``(encode, load_into)`` when ``tp`` is a live kind, else ``None``."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    state_of = operator.methodcaller("state_dict")
+    if _is_stateful(tp):
+        return state_of, lambda live, value: live.load_state_dict(value)
+    if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
+        if _is_stateful(args[0]):
+            return _optional(state_of), load_optional
+    if origin is dict and args[0] is str and _is_stateful(args[1]):
+        return (lambda live: {k: state_of(s) for k, s in live.items()}), _load_each
+    return None
+
+
+@functools.cache
+def _component_plan(cls: type) -> tuple:
+    """``(key, attribute, encode, decode, live)`` per declared field, in
+    declaration order.  Resolved once per class, like a record's plan."""
+    plan = []
+    for key, (attr, kind) in cls.state_fields.items():
+        live = _live_codec(kind)
+        enc, dec = live or _field_codec(kind, counts=True)
+        plan.append((key, attr, enc, dec, live is not None))
+    return tuple(plan)
 
 
 class Stateful:
     """Base protocol for objects whose run state survives a restart.
 
-    Subclasses define both methods **in their own class body** (the
-    repro-lint RL008 rule checks exactly that: an inherited default
-    cannot capture state the subclass added) and set ``schema`` to their
-    :func:`schema_tag`.  ``state_dict`` returns a fresh payload — no live
-    references — and ``load_state_dict`` restores *exactly* the captured
-    trajectory: after a restore, every future draw, cache hit, and
-    version comparison behaves as if the run had never stopped.
+    A subclass declares ``state_fields`` in its own class body (the
+    repro-lint RL008 rule checks exactly that: an inherited declaration
+    cannot capture state the subclass added); an empty table documents
+    that the class's state is derived.  ``state_dict`` returns a fresh
+    payload — no live references — and ``load_state_dict`` restores
+    *exactly* the captured trajectory: after a restore, every future draw,
+    cache hit, and version comparison behaves as if the run had never
+    stopped.
     """
 
     schema: str = ""
+    #: payload key -> (attribute, kind), in payload order (module docstring).
+    state_fields: dict[str, tuple[str, object]] = {}
+    _schema_set = False  # a class up the chain set ``schema`` itself
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "schema" in cls.__dict__:
+            cls._schema_set = True
+        elif not cls._schema_set:
+            cls.schema = schema_tag(cls.__name__)
 
     def state_dict(self) -> dict:
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement state_dict()"
-        )
+        payload = {"schema": self.schema}
+        for key, attr, enc, _, _ in _component_plan(type(self)):
+            payload[key] = enc(getattr(self, attr))
+        return payload
 
     def load_state_dict(self, payload: dict) -> None:
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement load_state_dict()"
-        )
+        plan = _component_plan(type(self))
+        check_schema(payload, self.schema, self.state_fields)
+        values = []  # checked before a live component loads or an attribute is set
+        for key, attr, _, dec, live in plan:
+            if not live:
+                with naming(self.schema, key):
+                    values.append((key, attr, dec(payload[key])))
+        for key, attr, _, load_into, live in plan:
+            if live:
+                with naming(self.schema, key):
+                    load_into(getattr(self, attr), payload[key])
+        for key, attr, value in values:
+            with naming(self.schema, key):
+                setattr(self, attr, value)

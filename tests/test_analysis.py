@@ -673,6 +673,44 @@ class TestRL008:
         )
         assert _ids(report) == ["RL008"]
 
+    def test_in_body_declaration_satisfies(self):
+        report = _lint(
+            """\
+            from repro.stateful import Stateful
+
+            class Meter(Stateful):
+                state_fields = {"hits": ("hits", int)}
+
+                def __init__(self):
+                    self.hits = 0
+
+                def observe(self, x):
+                    self.hits += 1
+            """
+        )
+        assert _ids(report) == []
+
+    def test_inherited_declaration_and_no_methods_fires(self):
+        # Neither a declaration nor the two methods in its own body: the
+        # parent's table cannot name the field the subclass mutates.
+        report = _lint(
+            """\
+            from repro.stateful import Stateful
+
+            class Base(Stateful):
+                state_fields = {}
+
+            class Sub(Base):
+                def observe(self, x):
+                    self.extra = x
+
+                def describe(self):
+                    state_fields = {"extra": ("extra", int)}
+                    return state_fields
+            """
+        )
+        assert _ids(report) == ["RL008"]
+
     def test_constructor_and_local_mutation_are_quiet(self):
         report = _lint(
             """\
@@ -1512,6 +1550,58 @@ class TestEngineAndCli:
                 ):
                     regrown.append(f"{p.name}:{n.lineno} imports from .transport")
         assert regrown == [], regrown
+
+    # The classes whose payload is not a fixed set of named fields keep a
+    # hand-written, strict reader (and writer); nothing else may.
+    HAND_WRITTEN_PAYLOADS = {
+        "Coordinator": "the RNG state, the process-global id counters and the flat eval cache",
+        "FleetStore": "columnar: one array per column, checked against the fleet's rows",
+        "RoundTimeStats": "ring buffers, restored with their sorted copies",
+        "ClientManager": "columnar: a utility block shaped by its client and model axes",
+        "TransportCodec": "columnar: residuals as columns plus one arena per dtype",
+        "EvalCache": "tuple-keyed entries written as a sorted list",
+    }
+
+    def test_a_component_payload_is_declared_once(self):
+        """A component's payload is its ``state_fields`` table, from which
+        ``repro.stateful`` derives both directions.  Outside ``stateful.py``
+        and the allowlist above, no class writes ``state_dict`` by hand, and
+        a ``load_state_dict`` override is ``super().load_state_dict(payload)``
+        followed by a cache rebuild that reads no ``payload[...]`` key."""
+        src = REPO / "src" / "repro"
+        regrown, pairs = [], set()
+        for path in sorted(src.rglob("*.py")):
+            if path.name == "stateful.py":
+                continue
+            for cls in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                methods = {
+                    f.name: f for f in cls.body
+                    if isinstance(f, ast.FunctionDef) and f.name in ("state_dict", "load_state_dict")
+                }
+                where = f"{path.relative_to(src)}:{cls.name}"
+                if cls.name in self.HAND_WRITTEN_PAYLOADS:
+                    if len(methods) == 2:
+                        pairs.add(cls.name)
+                    continue
+                if "state_dict" in methods:
+                    regrown.append(f"{where} writes its payload by hand")
+                load = methods.get("load_state_dict")
+                if load is None:
+                    continue
+                first = ast.unparse(load.body[0])
+                if first != "super().load_state_dict(payload)":
+                    regrown.append(f"{where} does not load through the declaration first")
+                regrown += [
+                    f"{where} reads {ast.unparse(n)}"
+                    for stmt in load.body[1:]
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and n.id == load.args.args[1].arg
+                ]
+        assert regrown == []
+        assert pairs == set(self.HAND_WRITTEN_PAYLOADS)
+        assert len(pairs) <= 8
 
     def test_a_client_has_one_utility_table(self):
         """FedTrans's client × model utilities are one table inside

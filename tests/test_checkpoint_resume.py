@@ -22,6 +22,7 @@ that the final resumed export matches the uninterrupted run exactly.
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import math
@@ -44,7 +45,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.analysis import sanitize
 from repro.atomicio import atomic_write
-from repro.baselines import FLuIDStrategy, HeteroFLStrategy, SplitMixStrategy, fedavg
+from repro.baselines import FLuIDStrategy, HeteroFLStrategy, SplitMixStrategy, fedavg, fedyogi
 from repro.core import ClientManager, FedTransConfig, FedTransStrategy
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
@@ -66,6 +67,7 @@ from repro.fl.transport import TransportCodec, TransportConfig
 from repro.nn import mlp, set_compute_dtype
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
+from repro.nn.optim import SGD, Yogi
 
 from forged_container import refile
 from oracle_client_manager import ClientManager as DictClientManager
@@ -742,7 +744,10 @@ class TestHostilePayloads:
         path = CheckpointWriter(tmp_path / run, manifest["run_hash"]).write(
             manifest["round"], found["payload"], completed=False
         )
-        expected = rf"{re.escape(str(path))} does not resume: model {mid}: .*shape mismatch"
+        expected = (
+            rf"{re.escape(str(path))} does not resume: Coordinator/v1 strategy: "
+            rf"SingleModelStrategy/v1 models: model {mid}: .*shape mismatch"
+        )
         with pytest.raises(ValueError, match=expected):
             _build(tmp_path, resume=True).run()
 
@@ -764,7 +769,8 @@ class TestHostilePayloads:
             manifest["round"], found["payload"], completed=False
         )
         expected = (
-            rf"{re.escape(str(path))} does not resume: model {mid}: tensor "
+            rf"{re.escape(str(path))} does not resume: Coordinator/v1 strategy: "
+            rf"SingleModelStrategy/v1 models: model {mid}: tensor "
             rf"{re.escape(key)} \(list\) is not a real-floating array"
         )
         with pytest.raises(ValueError, match=expected):
@@ -964,7 +970,7 @@ class TestClientManagerDurability:
             ClientManager().load_state_dict(tagless)
         for key in payload.keys() - {"schema"}:
             short = {k: v for k, v in payload.items() if k != key}
-            with pytest.raises(KeyError, match=key):
+            with pytest.raises(ValueError, match=rf"ClientManager/v2: missing keys \['{key}'\]"):
                 ClientManager().load_state_dict(short)
         oracle = DictClientManager(cm.sim_cache, evict_after=2)
         with pytest.raises(ValueError, match="ClientManager/v1"):
@@ -998,12 +1004,28 @@ class TestReadersNeverDefault:
         # On the default stack both are present with the value None ("off").
         assert payload["validator"] is None and payload["transport"] is None
         del payload[key]
-        with pytest.raises(KeyError, match=key):
+        with pytest.raises(ValueError, match=rf"Coordinator/v1: missing keys \['{key}'\]"):
             _build().load_state_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key, stack",
+        [("validator", dict(quarantine=True)), ("transport", dict(compress="update:topk0.05+int8"))],
+    )
+    def test_a_component_payload_must_match_the_components_presence(self, key, stack):
+        """``None`` as a value means "built without it": a configured
+        quarantine gate or transport codec fed ``None`` would resume with
+        fresh state, and state for a component this run lacks would be
+        dropped — both are refused, like an engine payload in sync mode."""
+        payload = _build(**stack).state_dict()
+        with pytest.raises(ValueError, match=rf"Coordinator/v1 {key}: the payload carries"):
+            _build().load_state_dict(payload)
+        payload[key] = None
+        with pytest.raises(ValueError, match=rf"Coordinator/v1 {key}: the payload lacks"):
+            _build(**stack).load_state_dict(payload)
 
     def test_availability_selector_key_is_required(self):
         selector = AvailabilityAwareSelector(seed=0)
-        with pytest.raises(KeyError, match="offline_fallback_rounds"):
+        with pytest.raises(ValueError, match=r"missing keys \['offline_fallback_rounds'\]"):
             selector.load_state_dict({"schema": selector.schema})
 
 
@@ -1172,13 +1194,12 @@ class TestResumeBitIdentity:
         resumed = _build_tiered(method, tmp_path, resume=True, mode=mode).run()
         assert _dumps(resumed) == ref
 
-    def test_parent_shaped_scheduler_payload_resumes_identically(self, tmp_path):
-        """Until ISSUE 21 ``OortSelector``'s payload restated the fleet
-        store's utility column and ``QuantilePacing``'s its round-time
-        windows.  A checkpoint written then carries both copies and must
-        resume exactly like one that carries each once."""
+    def test_parent_shaped_scheduler_payload_is_refused(self, tmp_path):
+        """``OortSelector``'s payload once restated the fleet store's
+        utility column and ``QuantilePacing``'s its round-time windows.  A
+        checkpoint that carries those copies holds keys no current writer
+        produces, so its resume is refused with the tag and the key."""
         stack = dict(mode="async", rounds=24, selector="oort", pacing="quantile")
-        ref = _dumps(_build(**stack).run())
         coord = _build(tmp_path, **stack)
         stored_once = coord.state_dict
         written = []
@@ -1202,7 +1223,8 @@ class TestResumeBitIdentity:
         last = written[-1]
         assert last["selector"]["utility"] and any(last["engine"]["pacing"]["durations"])
         assert any(d is not None for d in last["engine"]["pacing"]["deadline"])
-        assert _dumps(_build(tmp_path, resume=True, **stack).run()) == ref
+        with pytest.raises(ValueError, match=r"OortSelector/v1: .*unexpected keys \['utility'\]"):
+            _build(tmp_path, resume=True, **stack).run()
 
     def test_resume_under_different_backend(self, tmp_path):
         ref = _dumps(_build().run())
@@ -1441,3 +1463,207 @@ class TestAtomicWriteFailurePaths:
                 assert target.read_text() == committed  # old-or-new, never torn
             assert self._no_tmp_litter(tmp_path)
         assert committed == contents[-1]
+
+
+# ----------------------------------------------------------------------
+# one mutation test for every component reader
+# ----------------------------------------------------------------------
+def _mutation_stack(name, ckpt_dir=None, resume=False):
+    """The small stacks whose checkpoints together reach every schema tag a
+    checkpoint carries.  Same dataset and trainer as ``_build``."""
+    set_model_id_counter(0)
+    set_cell_id_counter(0)
+    cfg = SyntheticTaskConfig(
+        num_classes=4, input_shape=(8,), latent_dim=6, teacher_width=12,
+        class_sep=3.0, seed=0,
+    )
+    ds = build_federated_dataset(cfg, 8, mean_samples=20, seed=0)
+    init = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=8)
+    tiers = (2.0, 0.3, 0.3, 0.15)
+    kw = dict(
+        rounds=8, clients_per_round=4, eval_every=4, seed=0,
+        trainer=LocalTrainerConfig(batch_size=8, local_steps=3, lr=0.2),
+    )
+    if name == "fedtrans_sync":
+        capacity = [init.macs() * 16] * 4
+        strategy = FedTransStrategy(
+            init, FedTransConfig(gamma=2, delta=2, beta=0.5, max_models=3, evict_after=2),
+            max_capacity_macs=capacity[0], server_opt_factory=lambda: Yogi(lr=0.05),
+        )
+        kw.update(selector="availability")
+    elif name == "fedyogi_async":
+        capacity = [1e12] * 4
+        strategy = fedyogi(init, lr=0.05)
+        kw.update(mode="async", buffer_k=2)
+    else:
+        capacity = [t * init.macs() * 4 for t in tiers]
+        strategy = _TIERED[name.split("_")[0]](mlp(
+            ds.input_shape, ds.num_classes, np.random.default_rng(0), width=32
+        ))
+        kw.update(mode="async", buffer_k=2, async_concurrency=6)
+        if name == "heterofl_async":
+            kw.update(
+                selector="oort", pacing="quantile", straggler="downsize",
+                compress="update:topk0.05+int8", quarantine=True,
+            )
+        else:
+            kw.update(pacing="adaptive")
+    clients = [
+        FLClient(c.client_id, c, DeviceTrace(c.client_id, 1e9, 1e6, capacity[c.client_id % 4]))
+        for c in ds.clients
+    ]
+    if ckpt_dir is not None:
+        kw.update(checkpoint_every=3, checkpoint_dir=str(ckpt_dir), resume=resume)
+    return Coordinator(strategy, clients, CoordinatorConfig(**kw))
+
+
+_MUTATION_STACKS = ("fedtrans_sync", "heterofl_async", "fluid_async", "fedyogi_async")
+# Every tag a checkpoint of those stacks carries.  SGD is a local optimizer
+# in every stack, never checkpointed; its payload is mutated standalone.
+# The executors' and the snapshot publisher's bare tags never reach a
+# checkpoint (a resume may switch backends).
+_MUTATED_TAGS = sorted({
+    "Coordinator/v1", "FleetStore/v1", "RoundTimeStats/v1",
+    "AvailabilityAwareSelector/v1", "OortSelector/v1", "UniformSelector/v1",
+    "FedTransStrategy/v1", "HeteroFLStrategy/v1", "FLuIDStrategy/v1", "SingleModelStrategy/v1",
+    "ClientManager/v2", "SimilarityCache/v1", "ModelAggregator/v1", "Yogi/v1",
+    "ModelTransformer/v1", "DoCTracker/v1", "ActivenessTracker/v1",
+    "BufferedAsyncEngine/v1", "VirtualClock/v1", "UpdateValidator/v1", "TransportCodec/v2",
+    "StaticPacing/v1", "AdaptivePacing/v1", "QuantilePacing/v1",
+    "DropPolicy/v1", "DownsizePolicy/v1", "SGD/v1",
+})
+
+
+def _sgd_run(restore=None):
+    """Three momentum steps, the third by an optimizer restored from
+    ``restore`` when given: the state after two, the parameters' bytes
+    after three."""
+    rng = np.random.default_rng(0)
+    params = {"w": rng.standard_normal((3, 2)), "b": rng.standard_normal(2)}
+    grads = [{k: rng.standard_normal(v.shape) for k, v in params.items()} for _ in range(3)]
+    opt = SGD(0.1, momentum=0.9)
+    for g in grads[:2]:
+        opt.step(params, g)
+    state = opt.state_dict()
+    if restore is not None:
+        opt = SGD(0.1, momentum=0.9)
+        opt.load_state_dict(restore)
+    opt.step(params, grads[2])
+    return state, _canonical(params)
+
+
+@cache
+def _mutation_target(name):
+    """``(payload, round, reference)``: a real checkpoint of the stack and
+    the uninterrupted run's export (module-cached: built once)."""
+    if name == "sgd":
+        state, ref = _sgd_run()
+        return state, None, ref
+    ref = _dumps(_mutation_stack(name).run())
+    with tempfile.TemporaryDirectory() as d:
+        coord = _mutation_stack(name, d)
+        _crash_at(coord, crash_round=6)  # after the round-5 checkpoint
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        (run,) = RunRegistry(d).runs()
+        found = load_checkpoint(Path(d) / run)
+    return found["payload"], found["manifest"]["round"], ref
+
+
+def _mutation_sites(node, tag=None, path=()):
+    """``(tag, kind, path)`` per mutation site: ``extra`` (a key added to
+    the tagged dict at ``path``), ``missing`` (its key at ``path``
+    deleted) and ``leaf`` (a scalar, ``None`` or array replaced), ``tag``
+    the innermost schema tag holding the site."""
+    if isinstance(node, dict):
+        if "schema" in node:
+            tag = node["schema"]
+            yield tag, "extra", path
+            yield from ((tag, "missing", (*path, key)) for key in node if key != "schema")
+        for key, value in node.items():
+            if key != "schema":
+                yield from _mutation_sites(value, tag, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _mutation_sites(value, tag, (*path, i))
+    else:
+        yield tag, "leaf", path
+
+
+@cache
+def _sites_by_tag():
+    by_tag = {}
+    for name in (*_MUTATION_STACKS, "sgd"):
+        payload = _mutation_target(name)[0]
+        root, prefix = (payload, ()) if name == "sgd" else (payload["coordinator"], ("coordinator",))
+        for tag, kind, path in _mutation_sites(root):
+            by_tag.setdefault(tag, []).append((name, kind, (*prefix, *path)))
+    return by_tag
+
+
+def _wrong_kinds(leaf):
+    """Values of another kind than ``leaf`` (never a number for a number:
+    an int is a valid float), plus the non-finite floats."""
+    if isinstance(leaf, np.ndarray):
+        return [leaf.tolist(), "x"]
+    if isinstance(leaf, bool):
+        return ["x", 1, []]
+    if isinstance(leaf, float):
+        return ["x", True, [], math.nan, math.inf, -math.inf]
+    if isinstance(leaf, int):
+        return ["x", True, []]
+    if isinstance(leaf, str):
+        return [3, True, []]
+    return [True, []]
+
+
+def _resume_mutated(name, payload, round_idx):
+    """The export of a run resumed from ``payload`` (for SGD: the
+    parameters after a step of an optimizer restored from it)."""
+    if name == "sgd":
+        return _sgd_run(payload)[1]
+    with tempfile.TemporaryDirectory() as d:
+        coord = _mutation_stack(name, d, resume=True)
+        cfg = coord.config
+        run_dir = RunRegistry(d).run_dir(coord.strategy.name, cfg, coord.clients)
+        CheckpointWriter(run_dir, run_hash(coord.strategy.name, cfg, coord.clients)).write(
+            round_idx, payload, completed=False
+        )
+        return _dumps(coord.run())
+
+
+def test_the_mutation_stacks_reach_every_tag():
+    assert sorted(_sites_by_tag()) == _MUTATED_TAGS
+    fedtrans = _mutation_target("fedtrans_sync")[0]["coordinator"]["strategy"]
+    assert len(fedtrans["models"]) > 1 and fedtrans["aggregator"]["server_opts"]
+    engine = _mutation_target("heterofl_async")[0]["coordinator"]["engine"]
+    assert engine["clock"]["events"] and engine["in_flight"]
+    assert _mutation_target("fluid_async")[0]["coordinator"]["engine"]["pacing"]["rate"]
+
+
+@pytest.mark.parametrize("tag", _MUTATED_TAGS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_component_payload_is_refused_or_resumes_identically(tag, data):
+    """One leaf or key of a real checkpoint at a time: a wrong kind, a
+    non-finite float, a missing key or an extra key.  The resume either
+    fails with a ``ValueError`` naming the schema tag that holds the
+    mutation, or matches the uninterrupted run."""
+    name, kind, path = data.draw(st.sampled_from(_sites_by_tag()[tag]))
+    payload, round_idx, ref = _mutation_target(name)
+    payload = copy.deepcopy(payload)
+    node = payload
+    for step in path[:-1] if kind != "extra" else path:
+        node = node[step]
+    if kind == "extra":
+        node["extra_key"] = 0
+    elif kind == "missing":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = data.draw(st.sampled_from(_wrong_kinds(node[path[-1]])))
+    try:
+        resumed = _resume_mutated(name, payload, round_idx)
+    except ValueError as exc:
+        assert tag in str(exc)
+        return
+    assert resumed == ref

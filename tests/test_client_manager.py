@@ -16,11 +16,15 @@ def _seeded(utilities: dict[int, dict[str, float]]) -> ClientManager:
     cm.load_state_dict(
         {
             "schema": ClientManager.schema,
-            "clients": list(utilities),
+            "clients": np.array(list(utilities), dtype=np.int64),
             "models": models,
-            "utility": [[row.get(m, 0.0) for m in models] for row in utilities.values()],
-            "present": [[m in row for m in models] for row in utilities.values()],
-            "last_active": [0] * len(utilities),
+            "utility": np.array(
+                [[row.get(m, 0.0) for m in models] for row in utilities.values()], dtype=np.float64
+            ).reshape(len(utilities), len(models)),
+            "present": np.array(
+                [[m in row for m in models] for row in utilities.values()], dtype=bool
+            ).reshape(len(utilities), len(models)),
+            "last_active": np.zeros(len(utilities), dtype=np.int64),
             "round": 0,
             "evicted_total": 0,
             "sim_cache": SimilarityCache().state_dict(),

@@ -60,12 +60,13 @@ class TestDoCTracker:
 
     def test_state_round_trips_and_rejects_non_numbers(self):
         doc = DoCTracker(gamma=2, delta=2)
-        for loss in (3.0, 2.5, float("nan"), 2):
+        for loss in (3.0, 2.5, 2):
             doc.update(loss)
         again = DoCTracker(gamma=2, delta=2)
         again.load_state_dict(doc.state_dict())
         assert str(again.history) == str(doc.history)
-        for losses in (["nan", "inf", True], [1.0, None], [False], "1.0", (1.0,), {"a": 1.0}):
+        non_finite = ([float("nan")], [float("inf")])
+        for losses in (["nan", "inf", True], [1.0, None], [False], "1.0", (1.0,), {"a": 1.0}, *non_finite):
             with pytest.raises(ValueError, match="DoCTracker/"):
                 again.load_state_dict({"schema": doc.schema, "losses": losses})
         assert str(again.history) == str(doc.history)  # a refused payload loads nothing

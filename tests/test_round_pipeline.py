@@ -42,10 +42,10 @@ from repro.fl import (
 from repro.fl.export import recovery_to_dict, transport_to_dict
 from repro.fl.scheduling import QuantilePacing, estimate_round_time
 from repro.fl.scheduling.selectors import OortSelector
-from repro.fl.strategy import Strategy
 from repro.nn import mlp
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
+from repro.nn.serialization import model_state_dict
 
 GOLDEN = Path(__file__).parent / "data" / "golden_round_pipeline.json"
 
@@ -204,11 +204,14 @@ def _digests(name: str) -> dict:
         # only, tests/test_baselines.py pins it): substitute the suite-shaped
         # payload it replaced, so every other key path of the scenario is
         # still held to the fixture's commit.
-        state["strategy"] = Strategy.state_dict(coord.strategy)
+        state["strategy"] = {
+            "schema": None,
+            "models": {mid: model_state_dict(m) for mid, m in coord.strategy.models().items()},
+        }
     # Likewise the scheduler payloads: at the fixture's commit the Oort
     # selector restated the fleet's utility column and quantile pacing its
     # round-time windows (tests/test_checkpoint_resume.py pins that such a
-    # payload still loads).  Put the two restatements back.
+    # payload is refused now).  Put the two restatements back.
     fleet = state["fleet"]
     if isinstance(coord.selector, OortSelector):
         state["selector"]["utility"] = {

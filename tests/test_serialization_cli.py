@@ -300,7 +300,8 @@ class TestStrictSpec:
     def test_load_model_without_a_spec_names_the_file(self, rng, tmp_path):
         path = tmp_path / "weights.rsnp"
         write_payload(path, {"params": mlp((6,), 4, rng).params()})
-        with pytest.raises(ValueError, match=rf"{path} is not a saved model: KeyError: 'spec'"):
+        expected = rf"{path} is not a saved model: ValueError: model payload: keys \['params'\]"
+        with pytest.raises(ValueError, match=expected):
             load_model(path)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
