@@ -24,6 +24,7 @@ from ..fl.strategy import Strategy
 from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
 from ..nn.param_ops import ParamTree
+from ..stateful import LiveModel
 from .subnet import (
     SubnetSpec,
     build_subnet,
@@ -111,7 +112,7 @@ class FLuIDStrategy(Strategy):
     # from them exactly as aggregate() last did.
     # ------------------------------------------------------------------
     state_fields = {
-        "global_model": ("global_model", CellModel),
+        "global_model": ("global_model", LiveModel),
         "scores": ("_scores", dict[str, np.ndarray]),
     }
 

@@ -18,6 +18,7 @@ import numpy as np
 from ..fl.strategy import Strategy
 from ..fl.types import ClientUpdate, FLClient
 from ..nn.model import CellModel
+from ..stateful import LiveModel
 from .subnet import (
     SubnetSpec,
     build_subnet,
@@ -68,7 +69,7 @@ class HeteroFLStrategy(Strategy):
     # re-derived from it, under the version build_subnet stamps, so eval-
     # cache and snapshot keys line up after a resume.
     # ------------------------------------------------------------------
-    state_fields = {"global_model": ("global_model", CellModel)}
+    state_fields = {"global_model": ("global_model", LiveModel)}
 
     def load_state_dict(self, payload: dict) -> None:
         super().load_state_dict(payload)

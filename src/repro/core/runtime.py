@@ -175,7 +175,6 @@ class FedTransStrategy(Strategy):
         evicted, self._evicted_unreported = self._evicted_unreported, 0
         return evicted
 
-
     # ------------------------------------------------------------------
     def suite_summary(self) -> str:
         """Human-readable description of the current model suite."""

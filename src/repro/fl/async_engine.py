@@ -60,13 +60,12 @@ so ``sum(round_time)`` is total simulated time in both modes.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..stateful import Stateful
+from ..stateful import Finite, Stateful
 from .rounds import RoundTally, admit, close_round, dispatch, encode, meter
 from .scheduling import estimate_round_time, make_pacing, make_straggler
 from .types import ArrivalRecord, ClientUpdate, RoundRecord, TrainingLog
@@ -89,8 +88,8 @@ class _Pending:
     dispatch_seq: int
     client_id: int
     model_ids: tuple[str, ...]
-    dispatch_time: float
-    finish_time: float
+    dispatch_time: Finite
+    finish_time: Finite
     version: int  # server aggregation count at dispatch (staleness anchor)
     dropped: bool
     downsized: bool = False
@@ -99,53 +98,55 @@ class _Pending:
 
 @dataclass
 class _Event:
-    """One scheduled completion of the :class:`VirtualClock`."""
+    """One scheduled completion, as the :class:`VirtualClock`'s payload lists it."""
 
-    time: float
+    time: Finite
     seq: int
     pending: _Pending
-
-
-_ORDER = operator.attrgetter("time", "seq")
 
 
 class VirtualClock(Stateful):
     """A deterministic simulated-time event queue.
 
-    Events pop in ``(time, dispatch_seq)`` order — the ``dispatch_seq``
-    tie-break is what keeps runs bit-reproducible when two clients finish
-    at the exact same simulated instant.  The queue is kept in that order
-    (``dispatch_seq`` is unique, so the order is total), which makes it its
-    own canonical payload.  ``now`` only moves forward.
+    Events are ``(time, dispatch_seq, payload)`` triples popped in
+    lexicographic order — the ``dispatch_seq`` tie-break is what keeps runs
+    bit-reproducible when two clients finish at the exact same simulated
+    instant.  ``now`` only moves forward.
     """
 
-    state_fields = {"now": ("now", float), "events": ("_events", list[_Event])}
+    state_fields = {"now": ("now", Finite), "events": ("_event_list", list[_Event])}
 
     def __init__(self) -> None:
-        self._events: list[_Event] = []
+        self._events: list[tuple[float, int, _Pending]] = []
         self.now = 0.0
 
     def schedule(self, time: float, seq: int, payload: _Pending) -> None:
-        bisect.insort(self._events, _Event(time, seq, payload), key=_ORDER)
+        heapq.heappush(self._events, (time, seq, payload))
 
     def pop(self) -> tuple[float, int, _Pending]:
         """Advance to (and return) the next completion event."""
         if not self._events:
             raise RuntimeError("virtual clock has no scheduled events")
-        event = self._events.pop(0)
-        self.now = max(self.now, event.time)
-        return event.time, event.seq, event.pending
+        time, seq, payload = heapq.heappop(self._events)
+        self.now = max(self.now, time)
+        return time, seq, payload
 
     def __len__(self) -> int:
         return len(self._events)
 
     def next_time(self) -> float:
         """The time of the event the next :meth:`pop` returns."""
-        return self._events[0].time
+        return self._events[0][0]
 
-    def load_state_dict(self, payload: dict) -> None:
-        super().load_state_dict(payload)
-        self._events.sort(key=_ORDER)
+    @property
+    def _event_list(self) -> list[_Event]:
+        """The heap in pop order (``dispatch_seq`` is unique): its payload."""
+        return [_Event(*e) for e in sorted(self._events, key=lambda e: e[:2])]
+
+    @_event_list.setter
+    def _event_list(self, events: list[_Event]) -> None:
+        self._events = [(e.time, e.seq, e.pending) for e in events]
+        heapq.heapify(self._events)
 
 
 @dataclass

@@ -354,8 +354,6 @@ class CoordinatorConfig:
 class Coordinator(Stateful):
     """FL simulation loop — synchronous barrier or buffered-async rounds."""
 
-    schema = schema_tag("Coordinator")
-
     def __init__(
         self,
         strategy: Strategy,

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import sanitize as _sanitize
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful, check_schema
 from .executor import EvalTask, RoundExecutor
 
 __all__ = ["EvalCache"]
@@ -44,8 +44,6 @@ _ENTRY_KEYS = frozenset({"model_ids", "versions", "client_ids", "accs"})
 
 class EvalCache(Stateful):
     """The accuracy cache plus the sweep that fills, serves and evicts it."""
-
-    schema = schema_tag("EvalCache")
 
     def __init__(self) -> None:
         # Per-client accuracies per (ensemble ids, ensemble versions, chunk).

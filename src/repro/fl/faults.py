@@ -62,7 +62,6 @@ The five injectable fault kinds (spec string ``"kind=rate,..."``):
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import signal
@@ -415,12 +414,11 @@ class UpdateValidator(Stateful):
     exactly like the uninterrupted one (CONTRACTS.md I9).
     """
 
-    state_fields = {"norms": ("_norms", list[_NormStats])}
+    state_fields = {"norms": ("_norm_list", list[_NormStats])}
 
     def __init__(self, config: QuarantineConfig | None = None):
         self.config = config or QuarantineConfig()
-        # Accepted-update norm statistics, in model-id (payload) order.
-        self._norms: list[_NormStats] = []
+        self._norms: dict[str, _NormStats] = {}  # accepted updates, by model id
 
     def admit(self, update: ClientUpdate) -> str | None:
         """``None`` to admit; a human-readable rejection reason otherwise."""
@@ -441,7 +439,7 @@ class UpdateValidator(Stateful):
         )
         cfg = self.config
         mid = update.model_id
-        stats = next((s for s in self._norms if s.model_id == mid), None)
+        stats = self._norms.get(mid)
         if stats is not None and cfg.norm_multiplier > 0 and stats.count >= cfg.min_history:
             mean = stats.sum / stats.count
             if norm > cfg.norm_multiplier * mean:
@@ -451,9 +449,17 @@ class UpdateValidator(Stateful):
                     f"{mean:.6g} for model {mid}"
                 )
         if stats is None:
-            stats = _NormStats(mid, 0.0, 0)
-            bisect.insort(self._norms, stats, key=lambda s: s.model_id)
+            stats = self._norms[mid] = _NormStats(mid, 0.0, 0)
         stats.sum += norm
         stats.count += 1
         return None
+
+    @property
+    def _norm_list(self) -> list[_NormStats]:
+        """The statistics in model-id order, the payload's."""
+        return sorted(self._norms.values(), key=lambda s: s.model_id)
+
+    @_norm_list.setter
+    def _norm_list(self, norms: list[_NormStats]) -> None:
+        self._norms = {s.model_id: s for s in norms}
 

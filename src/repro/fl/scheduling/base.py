@@ -28,10 +28,10 @@ completed updates and arrival timings, never mid-decision, so a policy
 cannot perturb the work it is currently scheduling.
 
 **Durability contract.** Every policy is :class:`~repro.stateful.Stateful`:
-the ABCs provide schema-tagged defaults for stateless policies (uniform,
-static, drop, downsize), and stateful ones (oort utilities, adaptive /
-quantile pacing) override both methods so a resumed run replays the exact
-trajectory an uninterrupted one would have taken.
+the ABCs inherit the empty declaration (a bare schema tag) for stateless
+policies (uniform, oort, static, drop, downsize), and stateful ones (the
+availability selector, adaptive / quantile pacing) declare their fields so
+a resumed run replays the exact trajectory an uninterrupted one would have taken.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ...stateful import Stateful, check_schema, checked, checked_array, naming, schema_tag
+from ...stateful import Stateful, check_schema, checked, checked_array, naming
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ...nn.model import CellModel
@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["FleetStore", "FleetView", "RoundTimeStats"]
 
 
-class RoundTimeStats:
+class RoundTimeStats(Stateful):
     """Per-class sliding windows of completed round times, as ring buffers.
 
     One ``(num_classes, window)`` float64 array plus write cursors holds
@@ -127,11 +127,7 @@ class RoundTimeStats:
             out.append([float(v) for v in vals])
         return out
 
-    # RoundTimeStats instances are embedded in the FleetStore payload
-    # rather than checkpointed standalone, but they follow the Stateful
-    # protocol so the owner can delegate.
-    schema = schema_tag("RoundTimeStats")
-
+    # Embedded in the FleetStore payload rather than checkpointed standalone.
     def state_dict(self) -> dict:
         return {"schema": self.schema, "durations": self.chronological()}
 
@@ -536,8 +532,6 @@ class FleetStore(Stateful):
     # ------------------------------------------------------------------
     # durability (Stateful)
     # ------------------------------------------------------------------
-    schema = schema_tag("FleetStore")
-
     def state_dict(self) -> dict:
         """Trajectory state: row order, activity stamps, utility columns,
         round-time windows.  Device columns and classes are configuration

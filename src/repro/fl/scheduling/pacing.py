@@ -16,6 +16,7 @@ wholesale by a deadline sized for fast hardware.
 
 from __future__ import annotations
 
+from ...stateful import Finite
 from ..types import FLClient
 from .base import PacingPolicy
 from .fleet import FleetStore
@@ -55,9 +56,9 @@ class AdaptivePacing(PacingPolicy):
 
     name = "adaptive"
     state_fields = {
-        "rate": ("_rate", float | None),
-        "target_span": ("_target_span", float | None),
-        "last_arrival": ("_last_arrival", float | None),
+        "rate": ("_rate", Finite | None),
+        "target_span": ("_target_span", Finite | None),
+        "last_arrival": ("_last_arrival", Finite | None),
     }
 
     def __init__(
@@ -131,7 +132,7 @@ class QuantilePacing(PacingPolicy):
     # Class membership is configuration (a pure function of the fleet) and
     # the sliding duration windows travel in the fleet store's payload; the
     # derived deadlines are the policy's own.
-    state_fields = {"deadline": ("_deadline", list[float | None])}
+    state_fields = {"deadline": ("_deadline", list[Finite | None])}
 
     def __init__(
         self,

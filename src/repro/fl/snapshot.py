@@ -142,7 +142,6 @@ class SnapshotPublisher(Stateful):
         self._published_versions = None
 
 
-
 # ----------------------------------------------------------------------
 # worker side: the reader
 # ----------------------------------------------------------------------

@@ -31,8 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..nn.model import CellModel
-from ..nn.serialization import load_model_state, model_state_dict
-from ..stateful import Stateful
+from ..stateful import LiveModel, Stateful
 from .types import ClientUpdate, FLClient
 
 __all__ = ["Strategy", "compatible_model_ids"]
@@ -68,24 +67,11 @@ class Strategy(Stateful, ABC):
     # weights and versions are trajectory).  Strategies that grow or retire
     # models mid-run, or hold extra run state, declare their own payload.
     # ------------------------------------------------------------------
-    state_fields = {"models": ("_suite", dict[str, CellModel])}
+    state_fields = {"models": ("_suite", dict[str, LiveModel])}
 
     @property
     def _suite(self) -> dict[str, CellModel]:
         return self.models()
-
-    @_suite.setter
-    def _suite(self, saved: dict[str, CellModel]) -> None:
-        """Write each saved model into the live one of its id; other ids
-        mean the checkpoint belongs to a different construction."""
-        live = self.models()
-        if saved.keys() != live.keys():
-            raise ValueError(
-                f"checkpoint models {sorted(saved)} do not match this "
-                f"strategy's suite {sorted(live)}"
-            )
-        for mid, model in saved.items():
-            load_model_state(live[mid], model_state_dict(model))
 
     @abstractmethod
     def models(self) -> dict[str, CellModel]:

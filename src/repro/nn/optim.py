@@ -78,10 +78,6 @@ class SGD(Stateful):
             np.multiply(g, self.lr, out=s)  # aliasing-safe when g is s
             p -= s
 
-    def load_state_dict(self, payload: dict) -> None:
-        super().load_state_dict(payload)
-        self._scratch = {}
-
 
 class Yogi(Stateful):
     """Yogi adaptive server optimizer (the FedYogi server step).

@@ -32,18 +32,21 @@ The kinds, shared with record fields:
 * ``int`` / ``float`` / ``bool`` / ``str`` are written as they are and read
   back checked, never coerced (an int held in a float field stays an int,
   so exports keep their bytes): a bool is no int, a float is an int or a
-  float but no bool, and a float is finite.  A component's ints are
-  counters, non-negative; a record's may be negative.
+  float but no bool.  A ``float`` is a measurement (a loss, a norm) and
+  round-trips NaN and Inf, which a diverging or poisoned run reaches; a
+  ``Finite`` (a clock time, a pacing estimate) refuses them.  A
+  component's ints are counters, non-negative; a record's may be negative.
 * ``np.ndarray``: a copy out, a private copy in.  Array values may be
   non-finite (a poisoned in-flight update carries NaN or Inf until the
   quarantine gate drops it).
 * ``list[X]``, ``tuple[X, ...]``, ``dict[int | str, X]`` (keys stringified
   out), ``X | None`` and records are rebuilt; a ``CellModel`` is rebuilt
   from its own spec.
-* A ``Stateful`` is *live*: its payload carries no configuration, so it
-  loads in place into the object the attribute holds.  ``S | None`` must
-  be present exactly when the live one is; ``dict[str, S]`` is rebuilt
-  entry by entry by the live ``defaultdict``'s factory.
+* A ``Stateful`` or a :class:`LiveModel` is *live*: its payload carries no
+  configuration, so it loads in place into the object the attribute
+  holds.  ``S | None`` must be present exactly when the live one is; a
+  ``dict[str, S]`` that is a ``defaultdict`` is rebuilt by its factory,
+  any other must hold exactly the saved keys.
 
 The derived reader is strict: exactly ``schema`` plus the declared keys,
 and a wrong payload is a ``ValueError`` naming the tag and the key (nested
@@ -77,6 +80,8 @@ import numpy as np
 
 __all__ = [
     "Stateful",
+    "Finite",
+    "LiveModel",
     "schema_tag",
     "check_schema",
     "naming",
@@ -189,12 +194,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+#: The kind of a float a run keeps finite (a clock time, a pacing estimate).
+Finite = typing.Annotated[float, "finite"]
+
+
+class LiveModel:
+    """The kind of a ``CellModel`` loaded in place: its identity outlives a resume."""
+
+
 _SCALARS = {
     int: _kind("an int", _is_int),
-    float: _kind(
-        "a finite number",
-        lambda v: (_is_int(v) or isinstance(v, float)) and -math.inf < v < math.inf,
-    ),
+    float: _kind("a number", _is_number),
+    Finite: _kind("a finite number", lambda v: _is_number(v) and -math.inf < v < math.inf),
     bool: _kind("a bool", lambda v: isinstance(v, bool)),
     str: _kind("a str", lambda v: isinstance(v, str)),
 }
@@ -267,7 +282,7 @@ def _record_plan(cls: type) -> tuple[tuple[str, ...], frozenset[str], frozenset[
     Resolved once per class: re-walking the annotations per record makes a
     654-arrival log cost ~80 ms to encode or decode instead of 1-2 ms.
     """
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     names = tuple(f.name for f in dataclasses.fields(cls))
     codecs = [(name, *_field_codec(hints[name])) for name in names]
     accepted = frozenset(inspect.signature(cls).parameters)
@@ -316,29 +331,37 @@ def load_optional(live: Stateful | None, value) -> None:
         live.load_state_dict(value)
 
 
-def _load_each(live: dict, value) -> None:
-    """Rebuild a dict of Statefuls: cleared, then each saved entry loaded
-    into the fresh one the live ``defaultdict``'s factory builds."""
+def _load_each(live: dict, value, load_into: Callable) -> None:
+    """Load a dict of live entries: a ``defaultdict`` is cleared and each
+    saved entry loaded into the fresh one its factory builds; any other
+    live dict must hold exactly the saved keys, each loaded in place."""
     if type(value) is not dict:
         raise ValueError(f"{type(value).__name__} is not a dict")
-    if value and not isinstance(live, collections.defaultdict):
-        raise ValueError(f"entries {sorted(value)} saved, but no factory builds them")
-    live.clear()
+    if isinstance(live, collections.defaultdict):
+        live.clear()
+    elif value.keys() != live.keys():
+        raise ValueError(f"entries {sorted(value)} saved, but the live ones are {sorted(live)}")
     for key, state in value.items():
-        live[key].load_state_dict(state)
+        load_into(live[key], state)
 
 
 def _live_codec(tp) -> tuple[Callable, Callable] | None:
     """``(encode, load_into)`` when ``tp`` is a live kind, else ``None``."""
+    from .nn.serialization import load_model_state, model_state_dict
+
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    state_of = operator.methodcaller("state_dict")
+    if tp is LiveModel:
+        return model_state_dict, load_model_state
     if _is_stateful(tp):
-        return state_of, lambda live, value: live.load_state_dict(value)
+        return operator.methodcaller("state_dict"), lambda live, value: live.load_state_dict(value)
     if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
         if _is_stateful(args[0]):
-            return _optional(state_of), load_optional
-    if origin is dict and args[0] is str and _is_stateful(args[1]):
-        return (lambda live: {k: state_of(s) for k, s in live.items()}), _load_each
+            return _optional(_live_codec(args[0])[0]), load_optional
+    if origin is dict and args[0] is str and (each := _live_codec(args[1])):
+        enc, load_into = each
+        return (lambda live: {k: enc(x) for k, x in live.items()}), (
+            lambda live, value: _load_each(live, value, load_into)
+        )
     return None
 
 
@@ -386,17 +409,15 @@ class Stateful:
         return payload
 
     def load_state_dict(self, payload: dict) -> None:
-        plan = _component_plan(type(self))
         check_schema(payload, self.schema, self.state_fields)
-        values = []  # checked before a live component loads or an attribute is set
-        for key, attr, _, dec, live in plan:
+        plan, values = _component_plan(type(self)), {}
+        for key, _, _, dec, live in plan:  # checked before anything loads or is set
             if not live:
                 with naming(self.schema, key):
-                    values.append((key, attr, dec(payload[key])))
+                    values[key] = dec(payload[key])
         for key, attr, _, load_into, live in plan:
-            if live:
-                with naming(self.schema, key):
-                    load_into(getattr(self, attr), payload[key])
-        for key, attr, value in values:
             with naming(self.schema, key):
-                setattr(self, attr, value)
+                if live:
+                    load_into(getattr(self, attr), payload[key])
+                else:
+                    setattr(self, attr, values[key])

@@ -701,9 +701,9 @@ def _bound_run(draw_fleet, strategy_kind, width, deadline_mult, compress):
         models = self._models()
         lower = {d.client_id: self._event_bound(d, models) for d in self._deferred}
         flush(self, tally)
-        for event in self.clock._events:
-            if event.pending.client_id in lower:
-                bounds.append((lower[event.pending.client_id], event.time, event.pending.dropped))
+        for time, _, pending in self.clock._events:
+            if pending.client_id in lower:
+                bounds.append((lower[pending.client_id], time, pending.dropped))
 
     def encode_and_record(self, updates, references=None, **kw):
         for update, reference in zip(updates, references):

@@ -32,8 +32,9 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import typing
 import weakref
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 
@@ -68,6 +69,7 @@ from repro.nn import mlp, set_compute_dtype
 from repro.nn.cells import set_cell_id_counter
 from repro.nn.model import set_model_id_counter
 from repro.nn.optim import SGD, Yogi
+from repro.stateful import Finite, Stateful
 
 from forged_container import refile
 from oracle_client_manager import ClientManager as DictClientManager
@@ -1244,6 +1246,23 @@ class TestResumeBitIdentity:
         resumed = _build(tmp_path, resume=True, sanitize_run=True).run()
         assert _dumps(resumed) == ref
 
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_a_poisoned_run_without_quarantine_resumes(self, tmp_path, mode):
+        """``poison`` without the quarantine gate aggregates NaN: the round
+        records' losses and the in-flight updates' turn NaN.  Checkpoints
+        holding them resume to the uninterrupted run, and so does the
+        completed run."""
+        faulty = dict(mode=mode, faults="poison=0.6")
+        log = _build(**faulty).run()
+        assert any(math.isnan(r.mean_loss) for r in log.rounds[:4])  # checkpointed
+        ref = _dumps(log)
+        coord = _build(tmp_path, **faulty)
+        _crash_at(coord, crash_round=4)  # after the round-3 checkpoint
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        assert _dumps(_build(tmp_path, resume=True, **faulty).run()) == ref
+        assert _dumps(_build(tmp_path, resume=True, **faulty).run()) == ref
+
     def test_resume_of_completed_run_is_idempotent(self, tmp_path):
         first = _dumps(_build(tmp_path).run())
         again = _dumps(_build(tmp_path, resume=True).run())
@@ -1570,24 +1589,27 @@ def _mutation_target(name):
     return found["payload"], found["manifest"]["round"], ref
 
 
-def _mutation_sites(node, tag=None, path=()):
-    """``(tag, kind, path)`` per mutation site: ``extra`` (a key added to
-    the tagged dict at ``path``), ``missing`` (its key at ``path``
-    deleted) and ``leaf`` (a scalar, ``None`` or array replaced), ``tag``
-    the innermost schema tag holding the site."""
+def _mutation_sites(node, tag=None, field=None, sub=(), path=()):
+    """``(tag, field, sub, kind, path)`` per mutation site: ``extra`` (a
+    key added to the tagged dict at ``path``), ``missing`` (its key at
+    ``path`` deleted) and ``leaf`` (a scalar, ``None`` or array replaced),
+    ``tag`` the innermost schema tag holding the site, ``field`` the key of
+    that tagged dict the site lies under and ``sub`` its path below it."""
     if isinstance(node, dict):
-        if "schema" in node:
+        tagged = "schema" in node
+        if tagged:
             tag = node["schema"]
-            yield tag, "extra", path
-            yield from ((tag, "missing", (*path, key)) for key in node if key != "schema")
+            yield tag, None, (), "extra", path
+            yield from ((tag, key, (), "missing", (*path, key)) for key in node if key != "schema")
         for key, value in node.items():
             if key != "schema":
-                yield from _mutation_sites(value, tag, (*path, key))
+                at = (key, ()) if tagged else (field, (*sub, key))
+                yield from _mutation_sites(value, tag, *at, (*path, key))
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            yield from _mutation_sites(value, tag, (*path, i))
+            yield from _mutation_sites(value, tag, field, (*sub, i), (*path, i))
     else:
-        yield tag, "leaf", path
+        yield tag, field, sub, "leaf", path
 
 
 @cache
@@ -1596,9 +1618,56 @@ def _sites_by_tag():
     for name in (*_MUTATION_STACKS, "sgd"):
         payload = _mutation_target(name)[0]
         root, prefix = (payload, ()) if name == "sgd" else (payload["coordinator"], ("coordinator",))
-        for tag, kind, path in _mutation_sites(root):
-            by_tag.setdefault(tag, []).append((name, kind, (*prefix, *path)))
+        for tag, field, sub, kind, path in _mutation_sites(root):
+            by_tag.setdefault(tag, []).append((name, field, sub, kind, (*prefix, *path)))
     return by_tag
+
+
+@cache
+def _declared_fields():
+    """``{(tag, key): kind}`` of every field a component declares (a
+    hand-written reader declares none)."""
+    found, todo = {}, [Stateful]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        found.update(((cls.schema, key), kind) for key, (_, kind) in cls.state_fields.items())
+    return found
+
+
+def _without_none(kind):
+    args = typing.get_args(kind)
+    return args[0] if type(None) in args else kind
+
+
+def _declared_leaf(tag, field, sub):
+    """The declared kind of the leaf at ``sub`` below a component's field
+    (``None`` below a hand-written reader's or inside a model payload)."""
+    kind = _declared_fields().get((tag, field))
+    for step in sub:
+        kind = _without_none(kind)
+        origin = typing.get_origin(kind)
+        if is_dataclass(kind):
+            kind = typing.get_type_hints(kind, include_extras=True)[step]
+        elif origin in (list, tuple, dict):
+            kind = typing.get_args(kind)[1 if origin is dict else 0]
+        else:
+            return None
+    return _without_none(kind)
+
+
+def _reaches_finite(kind):
+    if kind == Finite:
+        return True
+    if is_dataclass(kind):
+        return any(map(_reaches_finite, typing.get_type_hints(kind, include_extras=True).values()))
+    return any(map(_reaches_finite, typing.get_args(kind)))
+
+
+def _finite_fields():
+    """``"<tag> <key>"`` of each field whose declaration reaches ``Finite``
+    (a clock time, a pacing estimate): floats no run makes NaN or Inf."""
+    return {f"{tag} {key}" for (tag, key), kind in _declared_fields().items() if _reaches_finite(kind)}
 
 
 def _wrong_kinds(leaf):
@@ -1648,22 +1717,62 @@ def test_a_mutated_component_payload_is_refused_or_resumes_identically(tag, data
     """One leaf or key of a real checkpoint at a time: a wrong kind, a
     non-finite float, a missing key or an extra key.  The resume either
     fails with a ``ValueError`` naming the schema tag that holds the
-    mutation, or matches the uninterrupted run."""
-    name, kind, path = data.draw(st.sampled_from(_sites_by_tag()[tag]))
+    mutation, or matches the uninterrupted run; a NaN or Inf in a measured
+    ``float`` must load instead."""
+    name, field, sub, kind, path = data.draw(st.sampled_from(_sites_by_tag()[tag]))
     payload, round_idx, ref = _mutation_target(name)
     payload = copy.deepcopy(payload)
     node = payload
     for step in path[:-1] if kind != "extra" else path:
         node = node[step]
+    value = None
     if kind == "extra":
         node["extra_key"] = 0
     elif kind == "missing":
         del node[path[-1]]
     else:
-        node[path[-1]] = data.draw(st.sampled_from(_wrong_kinds(node[path[-1]])))
+        value = node[path[-1]] = data.draw(st.sampled_from(_wrong_kinds(node[path[-1]])))
+    if isinstance(value, float) and not math.isfinite(value) and _declared_leaf(tag, field, sub) is float:
+        # A measured float (a loss, a norm) round-trips NaN and Inf, which a
+        # diverging or poisoned run writes: the checkpoint loads, and what
+        # the run then makes of the value is its own.
+        try:
+            _resume_mutated(name, payload, round_idx)
+        except ValueError as exc:
+            assert "does not resume" not in str(exc)
+        return
     try:
         resumed = _resume_mutated(name, payload, round_idx)
     except ValueError as exc:
         assert tag in str(exc)
         return
     assert resumed == ref
+
+
+_FINITE_SITES = {
+    "VirtualClock/v1 now": ("heterofl_async", ("engine", "clock", "now")),
+    "VirtualClock/v1 events": ("heterofl_async", ("engine", "clock", "events", 0, "time")),
+    "QuantilePacing/v1 deadline": ("heterofl_async", ("engine", "pacing", "deadline", 0)),
+    "AdaptivePacing/v1 rate": ("fluid_async", ("engine", "pacing", "rate")),
+    "AdaptivePacing/v1 target_span": ("fluid_async", ("engine", "pacing", "target_span")),
+    "AdaptivePacing/v1 last_arrival": ("fluid_async", ("engine", "pacing", "last_arrival")),
+}
+
+
+def test_the_finite_sites_are_every_finite_field():
+    assert _finite_fields() == set(_FINITE_SITES)
+
+
+@pytest.mark.parametrize("where", sorted(_FINITE_SITES))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_clock_or_pacing_float_is_refused(where, value):
+    """A float a component declares ``Finite`` takes no NaN or Inf."""
+    name, path = _FINITE_SITES[where]
+    payload, round_idx, _ = _mutation_target(name)
+    payload = copy.deepcopy(payload)
+    node = payload["coordinator"]
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match=f"{where}: "):
+        _resume_mutated(name, payload, round_idx)

@@ -223,7 +223,7 @@ def test_stack_fires_every_record_type(witness):
     assert any(r.scheduler.selected < r.scheduler.requested for r in log.rounds)
     assert log.compress and log.total_raw_bytes_up > log.total_bytes_up > 0
     assert len(log.evals) == 2
-    assert len(clock) and all(e.pending.updates for e in clock._events)
+    assert len(clock) and all(p.updates for _, _, p in clock._events)
 
 
 def test_encoder_reproduces_the_parent_commit_payloads(witness):
@@ -251,10 +251,9 @@ def test_parent_commit_payloads_load(witness):
     fresh.load_state_dict(_hydrated(golden["clock"], table))
     assert fresh.now == clock.now and len(fresh) == len(clock)
     assert _digested(_through_disk(fresh.state_dict())) == _without_grad(golden["clock"])
-    for want, got in zip(clock._events, fresh._events):
-        assert (got.time, got.seq) == (want.time, want.seq)
-        assert type(got.pending.model_ids) is tuple
-        _assert_same(got.pending, want.pending)
+    for (t0, s0, want), (t1, s1, got) in zip(sorted(clock._events), sorted(fresh._events)):
+        assert (t0, s0) == (t1, s1) and type(got.model_ids) is tuple
+        _assert_same(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -382,13 +381,21 @@ class TestStrictDecode:
         [
             ("finish_time", "later"), ("version", 2.5), ("dropped", "no"),
             ("client_id", True), ("dispatch_time", float("nan")), ("finish_time", float("inf")),
-            ("model_ids", "m001"), ("model_ids", [1]),
+            ("dispatch_time", None), ("finish_time", "inf"), ("model_ids", "m001"), ("model_ids", [1]),
         ],
     )
     def test_a_field_of_another_kind_is_refused_not_coerced(self, field, value):
         payload = {**stateful.record_state(PENDING), field: value}
         with pytest.raises(ValueError, match=rf"_Pending {field}: "):
             stateful.record_from_state(_Pending, payload)
+
+    @pytest.mark.parametrize("loss", [float("nan"), float("inf"), -float("inf")])
+    def test_a_measured_float_may_be_non_finite(self, loss):
+        """A ``float`` field is a measurement: a diverging or poisoned run's
+        NaN or infinite loss round-trips (a ``Finite`` clock time does not)."""
+        lossy = dataclasses.replace(UPDATE, train_loss=loss)
+        back = stateful.record_from_state(ClientUpdate, stateful.record_state(lossy))
+        assert str(back.train_loss) == str(loss)
 
     def test_a_tensor_leaf_may_be_non_finite(self):
         """A poisoned in-flight update carries NaN or Inf until the
