@@ -323,10 +323,10 @@ class DtypeHygiene(Rule):
 class VersionBump(Rule):
     """Mutating methods on ``CellModel``/``Cell`` must bump the version.
 
-    The eval cache, snapshot publishing (a publish is reused when no
-    version moved), and memoized cost model are all keyed on ``CellModel.version``; a method that writes into
-    ``params()``/``state()``-reachable arrays and returns without
-    ``bump_version()`` leaves every one of those caches stale.  The rule
+    Snapshot publishing (a publish is reused when no version moved) and
+    the memoized cost model are keyed on ``CellModel.version``; a method
+    that writes into ``params()``/``state()``-reachable arrays and returns
+    without ``bump_version()`` leaves both stale.  The rule
     requires a bump on *every* non-raising exit path (``raise`` exits are
     failures and may skip it; bumps only inside a loop body do not count
     because the loop may run zero times).
@@ -482,8 +482,8 @@ class VersionBump(Rule):
                 message=(
                     f"{fn.name}() writes into params()/state() arrays "
                     f"(first write at line {min(writes)}) but exits here "
-                    "without bump_version(); stale version corrupts the "
-                    "eval cache and snapshot reuse"
+                    "without bump_version(); stale version corrupts "
+                    "snapshot reuse and the memoized costs"
                 ),
             )
 

@@ -15,14 +15,13 @@ side shared-memory views are *always* read-only (see ``repro.fl.shm``);
 this guard extends the same protection to the coordinator-side originals
 on every backend, including serial and thread where memory is shared.
 
-**Version/fingerprint cross-check** — the eval cache and snapshot
-publishing (a publish is reused when no version moved) both trust
-``CellModel.version``.  The static
+**Version/fingerprint cross-check** — snapshot publishing (a publish is
+reused when no version moved) trusts ``CellModel.version``.  The static
 rule RL004 catches the *pattern* of a missed ``bump_version()``; the
-:class:`VersionWatch` catches the *effect*: at every cache-read and
-snapshot-publish point it hashes the model's parameter/state bytes and
-raises :class:`SanitizerError` when the content moved while the version
-counter did not.
+:class:`VersionWatch` catches the *effect*: at every snapshot publish it
+hashes the model's parameter/state bytes and raises
+:class:`SanitizerError` when the content moved while the version counter
+did not.
 
 Both checks are dtype-independent: they compare raw bytes, so they work
 identically under ``compute_dtype="float32"`` — but note the engine's
@@ -30,8 +29,8 @@ bit-identity *claims* are stated at float64 (see ``CONTRACTS.md``), so a
 float32 + sanitize run validates the invariants without asserting the
 float64 golden digests.
 
-Overhead is one ``blake2b`` over the model bytes per checkpointed model
-per check site, plus a flag flip per array per round; tiny next to the
+Overhead is one ``blake2b`` over the model bytes per model per snapshot
+publish, plus a flag flip per array per round; tiny next to the
 numeric work, but nonzero — hence opt-in.
 """
 
@@ -151,7 +150,7 @@ class VersionWatch:
     def reset(self) -> None:
         self._seen.clear()
 
-    def check(self, model: "CellModel", where: str = "cache read") -> None:
+    def check(self, model: "CellModel", where: str = "snapshot publish") -> None:
         if not _enabled:
             return
         fp = model_fingerprint(model)
@@ -162,13 +161,12 @@ class VersionWatch:
                 raise SanitizerError(
                     f"model {model.model_id} content changed at version "
                     f"{model.version} without bump_version() (detected at "
-                    f"{where}); version-keyed caches would serve stale "
-                    "results"
+                    f"{where}); a reused snapshot would serve stale weights"
                 )
         self._seen[model.model_id] = (model.version, fp)
 
     def check_all(
-        self, models: Mapping[str, "CellModel"], where: str = "cache read"
+        self, models: Mapping[str, "CellModel"], where: str = "snapshot publish"
     ) -> None:
         if not _enabled:
             return

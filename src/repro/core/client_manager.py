@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..fl.types import train_losses
 from ..nn.model import CellModel
 from ..stateful import Stateful, check_schema, checked, checked_array, naming, schema_tag
 from .similarity import model_similarity
@@ -244,7 +245,7 @@ class ClientManager(Stateful):
         """
         if not updates:
             return
-        losses = np.array([u.train_loss for u in updates], dtype=float)
+        losses = train_losses(self._round, updates)
         std = losses.std()
         standardized = np.zeros_like(losses) if std < 1e-12 else (losses - losses.mean()) / std
         client_ids = list(dict.fromkeys(u.client_id for u in updates))
@@ -295,7 +296,8 @@ class ClientManager(Stateful):
         """Strict: the table's columns are arrays of their own dtype, one
         row per client and one column per model id, and the counters are
         non-negative ints; anything else is a ``ValueError`` naming the
-        field, before anything changes.  The eviction horizon is
+        field, before anything changes (a repeated client or model id
+        too: each is one row or column).  The eviction horizon is
         configuration, not checkpoint payload."""
         check_schema(payload, self.schema, (
             "clients", "models", "utility", "present", "last_active",
@@ -311,6 +313,9 @@ class ClientManager(Stateful):
             )
         )
         counters = [checked(self.schema, payload, key, int) for key in ("round", "evicted_total")]
+        for key, ids in (("models", models), ("clients", clients.tolist())):
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"{self.schema} {key}: repeats an id")
         with naming(self.schema, "sim_cache"):
             self.sim_cache.load_state_dict(payload["sim_cache"])
         self._set_table(clients, models, utility, present, last_active)

@@ -44,9 +44,8 @@ carries).  ``CoordinatorConfig.mode`` picks the driver:
 
 The determinism guarantee holds for both.  Evaluation is batched by
 deployment — clients sharing an ensemble (:meth:`Strategy.eval_ensemble`)
-share a few large forward passes — and every sweep runs through the
-version-keyed :mod:`~repro.fl.eval_cache`, which serves the groups whose
-models did not change.
+share a few large forward passes — and every sweep scores every group
+in one executor wave.
 
 Scheduling subsystem
 --------------------
@@ -99,7 +98,6 @@ from ..stateful import Stateful, check_schema, checked, load_optional, naming, s
 from .async_engine import BufferedAsyncEngine
 from .checkpoint import CheckpointWriter, load_checkpoint
 from .client import LocalTrainerConfig
-from .eval_cache import EvalCache
 from .executor import EvalTask, RoundExecutor, make_executor
 from .export import log_from_state, log_state_dict
 from .faults import FaultConfig, QuarantineConfig, RetryPolicy, UpdateValidator
@@ -354,6 +352,9 @@ class CoordinatorConfig:
 class Coordinator(Stateful):
     """FL simulation loop — synchronous barrier or buffered-async rounds."""
 
+    # v2: the payload no longer carries the fleet sweep's accuracy cache.
+    schema = schema_tag("Coordinator", 2)
+
     def __init__(
         self,
         strategy: Strategy,
@@ -413,7 +414,6 @@ class Coordinator(Stateful):
         # The async driver runs the round stages against this coordinator;
         # sync mode drives them itself (_barrier_round).
         self._async_engine = BufferedAsyncEngine(self) if config.mode == "async" else None
-        self.eval_cache = EvalCache()
 
     def close(self) -> None:
         """Release executor resources (pools recreate lazily if reused)."""
@@ -460,12 +460,6 @@ class Coordinator(Stateful):
             "transport": (
                 self.transport.state_dict() if self.transport is not None else None
             ),
-            # The eval cache must travel or a resumed sweep would recompute
-            # groups the uninterrupted run served from cache, skewing the
-            # cached/evaluated meters on the next EvalRecord.  Spliced flat
-            # (not nested under its own schema tag) so the payload's key
-            # paths are the ones checkpoints have always carried.
-            "eval_acc_cache": self.eval_cache.state_dict()["eval_acc_cache"],
         }
 
     def load_state_dict(self, payload: dict) -> None:
@@ -473,7 +467,7 @@ class Coordinator(Stateful):
         generator's layout, and a component's payload ``None`` exactly
         when this coordinator lacks the component."""
         keys = ("rng", "model_id_counter", "cell_id_counter", "fleet", "selector", "strategy",
-                "engine", "validator", "transport", "eval_acc_cache")
+                "engine", "validator", "transport")
         check_schema(payload, self.schema, keys)
         counters = [checked(self.schema, payload, key, int) for key in keys[1:3]]
         rng = payload["rng"]
@@ -498,10 +492,6 @@ class Coordinator(Stateful):
         ):
             with naming(self.schema, key):
                 load_optional(live, payload[key])
-        with naming(self.schema, "eval_acc_cache"):
-            self.eval_cache.load_state_dict(
-                {"schema": self.eval_cache.schema, "eval_acc_cache": payload["eval_acc_cache"]}
-            )
 
     def _checkpoint_payload(self, log: TrainingLog, next_round: int) -> dict:
         return {
@@ -719,10 +709,9 @@ class Coordinator(Stateful):
         The deployed models are resolved in one ``eval_models`` call per
         sweep (resolving twice could re-rank utilities and record a
         different model than the one actually evaluated); clients
-        sharing an ensemble are then chunked into deployment groups and the
-        sweep runs through :class:`~repro.fl.eval_cache.EvalCache`: one
-        large forward pass per group whose model versions moved, the cached
-        accuracies for the rest.
+        sharing an ensemble are then chunked into deployment groups, and
+        one executor wave scores them all
+        (:meth:`~repro.fl.executor.RoundExecutor.eval_round`).
         """
         used = self.strategy.eval_models(self.clients)
         groups: dict[tuple[str, ...], list[int]] = {}
@@ -740,16 +729,15 @@ class Coordinator(Stateful):
                     EvalTask(key, tuple(self.clients[i].client_id for i in part))
                 )
         accs = np.zeros(len(self.clients))
-        cached_clients = self.eval_cache.evaluate(
-            chunked, tasks, self.strategy.models(), accs,
-            self.executor, self.config.eval_batch_size,
-        )
+        # Looked up at call time: a tracer may wrap the executor's seam.
+        outs = self.executor.eval_round(tasks, self.strategy.models(), self.config.eval_batch_size)
+        for idxs, group_accs in zip(chunked, outs):
+            accs[idxs] = group_accs
         return EvalRecord(
             round_idx=round_idx,
             cumulative_macs=cumulative_macs,
             client_accuracy=accs,
             client_model=used,
             mean_accuracy=float(accs.mean()),
-            cached_clients=cached_clients,
-            evaluated_clients=len(self.clients) - cached_clients,
+            evaluated_clients=len(self.clients),
         )

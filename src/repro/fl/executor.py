@@ -482,10 +482,11 @@ class RoundExecutor(Stateful, ABC):
     ) -> list[np.ndarray]:
         """Score every deployment group as one wave; accuracies in task order.
 
-        A sweep (:class:`~repro.fl.eval_cache.EvalCache`) dispatches the
-        groups its cache missed, single models and ensembles alike, each cut
-        into row ranges (:meth:`_row_ranges`), one job each, which carries
-        only the run of the group's clients its range overlaps.  A job
+        A sweep (:meth:`~repro.fl.coordinator.Coordinator.evaluate`)
+        dispatches every deployment group, single models and ensembles
+        alike, each cut into row ranges (:meth:`_row_ranges`), one job each,
+        which carries only the run of the group's clients its range
+        overlaps.  A job
         returns its rows' per-client hit counts; a group's counts are summed
         over its ranges (exact integers in float64) and the wave's clients
         divided by their row counts in one op, a test-less client scoring
@@ -515,9 +516,8 @@ class RoundExecutor(Stateful, ABC):
         for start, hit in zip(at, results):
             hits[start : start + len(hit)] += hit
         accs = np.divide(hits, num_test, out=np.zeros(offset), where=num_test > 0)
-        # Copies: a cached group's accuracies must not pin the whole wave's.
         bounds = [0, *accumulate(len(rows) for rows in counts)]
-        return [accs[a:b].copy() for a, b in zip(bounds, bounds[1:])]
+        return [accs[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def _row_ranges(self, rows: int, batch_size: int, groups: int) -> list[tuple[int, int]]:
         """Cut one of a wave's ``groups`` deployment groups, ``rows`` test

@@ -179,3 +179,13 @@ class QuantilePacing(PacingPolicy):
 
     def deadline_quantiles(self) -> tuple[float, ...]:
         return tuple(d for d in self._deadline if d is not None)
+
+    def load_state_dict(self, payload: dict) -> None:
+        super().load_state_dict(payload)
+        # One deadline per device class of this fleet, or deadline_for
+        # would index past the list (or quietly ignore its tail).
+        if len(self._deadline) != self._fleet.num_classes:
+            raise ValueError(
+                f"{self.schema} deadline: {len(self._deadline)} device classes; "
+                f"this fleet has {self._fleet.num_classes}"
+            )

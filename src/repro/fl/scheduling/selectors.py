@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..types import ClientUpdate, FLClient
+from ..types import ClientUpdate, FLClient, train_losses
 from .availability import AvailabilityModel
 from .base import ClientSelector
 from .fleet import FleetStore, FleetView
@@ -223,8 +223,5 @@ class OortSelector(ClientSelector):
     def observe_round(self, round_idx: int, updates: Iterable[ClientUpdate]) -> None:
         ups = list(updates)
         self._fleet.observe_utility(
-            round_idx,
-            [u.client_id for u in ups],
-            [float(u.train_loss) for u in ups],
-            self.momentum,
+            round_idx, [u.client_id for u in ups], train_losses(round_idx, ups), self.momentum
         )

@@ -16,11 +16,11 @@ cost accounting, and bench harness are shared across all methods.
 
 Version contract: strategies mutate their suite through
 ``CellModel.set_params`` / ``set_state`` / the transformation methods,
-which bump each model's monotone ``version`` counter.  The coordinator's
-incremental evaluation cache and the process executor's snapshot publish
-(reused when no version moved) key on those versions — a strategy that writes weights through the live
-``params()`` references instead must call ``bump_version()`` on the model
-or those consumers will serve stale results.
+which bump each model's monotone ``version`` counter.  The process
+executor's snapshot publish (reused when no version moved) keys on those
+versions — a strategy that writes weights through the live ``params()``
+references instead must call ``bump_version()`` on the model or its
+workers will train and score stale weights.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from ..nn.param_ops import ParamTree
 __all__ = [
     "FLClient",
     "ClientUpdate",
+    "train_losses",
     "ArrivalRecord",
     "FaultRecord",
     "SchedulerRecord",
@@ -63,6 +64,25 @@ class ClientUpdate:
     raw_bytes_up: int = 0
     # Init-only and discarded: the frozen harness and parent checkpoints pass it.
     grad: InitVar[ParamTree | None] = None
+
+
+def train_losses(round_idx: int, updates: list[ClientUpdate]) -> np.ndarray:
+    """The updates' training losses, for a utility table to score.
+
+    A non-finite loss (a model that a poisoned update turned NaN trained
+    on) would make every later utility of its table NaN and the sampling
+    that reads them fail, so it is a ``ValueError`` naming the update
+    before any utility is written.
+    """
+    losses = np.array([u.train_loss for u in updates], dtype=np.float64)
+    for u, loss in zip(updates, losses):
+        if not np.isfinite(loss):
+            raise ValueError(
+                f"round {round_idx}: client {u.client_id} trained model {u.model_id} "
+                f"to a non-finite loss ({loss}); it cannot be scored into a utility "
+                "table (run with --quarantine to drop poisoned updates)"
+            )
+    return losses
 
 
 @dataclass(frozen=True)
@@ -196,10 +216,10 @@ class RoundRecord:
 class EvalRecord:
     """One evaluation sweep over every registered client.
 
-    ``cached_clients`` / ``evaluated_clients`` meter the incremental
-    evaluation cache: clients whose deployment group's accuracies were
-    served from the version-keyed cache vs. recomputed with forward passes.
-    They always sum to ``len(client_accuracy)``.
+    ``cached_clients`` / ``evaluated_clients`` split the sweep into
+    clients served without a forward pass and clients scored by one; every
+    sweep scores every client, so they read 0 and ``len(client_accuracy)``.
+    Both stay fields because exports and the e2e harness read them.
     """
 
     round_idx: int

@@ -22,12 +22,11 @@ re-initialization) must call :meth:`~CellModel.bump_version` itself.
 ``clone(keep_id=True)`` carries the version (a replica of server state);
 a fresh-id clone starts a new version history at 0.
 
-Two subsystems key caches on ``(model_id, version)``: the coordinator's
-incremental evaluation cache and the process executor's snapshot
-publishing (a publish is reused when no version moved).  The cost accessors :meth:`~CellModel.macs`,
-:meth:`~CellModel.num_params`, and :meth:`~CellModel.nbytes` are memoized
-per version, so hot paths (compatible-model filtering per client) stop
-re-walking every cell.
+The process executor's snapshot publishing keys on ``(model_id, version)``
+(a publish is reused when no version moved).  The cost accessors
+:meth:`~CellModel.macs`, :meth:`~CellModel.num_params`, and
+:meth:`~CellModel.nbytes` are memoized per version, so hot paths
+(compatible-model filtering per client) stop re-walking every cell.
 """
 
 from __future__ import annotations
@@ -243,8 +242,8 @@ class CellModel:
         Called automatically by every mutating ``CellModel`` method; code
         that writes through the live arrays of :meth:`params` /
         :meth:`state` (e.g. in-place optimizer steps) must call this so
-        version-keyed caches (evaluation cache, snapshot reuse, cost
-        memoization) observe the change.
+        version-keyed caches (snapshot reuse, cost memoization) observe
+        the change.
         """
         self._version += 1
 

@@ -186,9 +186,9 @@ def model_state_dict(model: CellModel) -> dict:
     """Stateful payload of one model (and what :func:`save_model` writes):
     spec + tensors + version.
 
-    It keeps the exact mutation ``version``, because version-keyed
-    consumers — the coordinator's evaluation cache, the process executor's
-    snapshot publish, reused when no version moved — must observe the restored model as *the same* version
+    It keeps the exact mutation ``version``, because a version-keyed
+    consumer — the process executor's snapshot publish, reused when no
+    version moved — must observe the restored model as *the same* version
     the checkpoint captured, not as freshly mutated.
     """
     return {

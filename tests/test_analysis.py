@@ -1214,10 +1214,10 @@ class TestEngineAndCli:
         assert len(dataclasses.fields(FedTransConfig)) == 21
 
     def test_a_sweep_has_one_path(self):
-        """A fleet sweep is ``EvalCache.evaluate`` and nothing else; each
-        shape below is how a second route (a switch on the config, a
-        per-client loop for strategies that override ``client_logits``, a
-        direct executor call) would regrow."""
+        """A fleet sweep is one executor wave over every deployment group;
+        each shape below is how a second route (a switch on the config or
+        on a cache, a per-client loop for strategies that override
+        ``client_logits``, a wave called from elsewhere) would regrow."""
         src = REPO / "src" / "repro"
         trees = {p: ast.parse(p.read_text()) for p in sorted(src.rglob("*.py"))}
         coordinator = next(
@@ -1234,20 +1234,9 @@ class TestEngineAndCli:
             if isinstance(n, (ast.If, ast.IfExp, ast.While, ast.Match))
         ]
         assert branches == []
-        # The executor is reached only as an argument handed to the cache.
-        executor_uses = [
-            ast.unparse(n)
-            for n in ast.walk(evaluate)
-            if isinstance(n, ast.Attribute) and n.attr == "executor"
-        ]
-        sweeps = [
-            n for n in ast.walk(evaluate)
-            if isinstance(n, ast.Call)
-            and ast.unparse(n.func) == "self.eval_cache.evaluate"
-        ]
-        assert len(sweeps) == 1
-        assert executor_uses == ["self.executor"]
-        assert "self.executor" in [ast.unparse(a) for a in sweeps[0].args]
+        # One wave, reached through the executor attribute at call time.
+        calls = [ast.unparse(n.func) for n in ast.walk(evaluate) if isinstance(n, ast.Call)]
+        assert calls.count("self.executor.eval_round") == 1
         wave_callers = sorted(
             path.name
             for path, tree in trees.items()
@@ -1255,7 +1244,8 @@ class TestEngineAndCli:
             if isinstance(n, ast.Call)
             and getattr(n.func, "attr", None) == "eval_round"
         )
-        assert wave_callers == ["eval_cache.py"]
+        assert wave_callers == ["coordinator.py"]
+        assert [p for p in trees if p.stem == "eval_cache"] == []
         assert "eval_cache" not in {f.name for f in dataclasses.fields(CoordinatorConfig)}
         overriders = [
             f"{path.name}:{cls.name}"
@@ -1554,12 +1544,11 @@ class TestEngineAndCli:
     # The classes whose payload is not a fixed set of named fields keep a
     # hand-written, strict reader (and writer); nothing else may.
     HAND_WRITTEN_PAYLOADS = {
-        "Coordinator": "the RNG state, the process-global id counters and the flat eval cache",
+        "Coordinator": "the RNG state and the process-global id counters",
         "FleetStore": "columnar: one array per column, checked against the fleet's rows",
         "RoundTimeStats": "ring buffers, restored with their sorted copies",
         "ClientManager": "columnar: a utility block shaped by its client and model axes",
         "TransportCodec": "columnar: residuals as columns plus one arena per dtype",
-        "EvalCache": "tuple-keyed entries written as a sorted list",
     }
 
     def test_a_component_payload_is_declared_once(self):
@@ -1947,11 +1936,11 @@ class TestSanitizerEndToEnd:
         finally:
             coord.close()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_missed_bump_detected(self, backend):
+    def test_missed_bump_detected(self):
         """An in-place model mutation without bump_version() trips the
-        fingerprint cross-check at the next cache read on every backend."""
-        coord = _coordinator(backend)
+        fingerprint cross-check at the next snapshot publish (the one
+        consumer that trusts a version, on the process backend)."""
+        coord = _coordinator("process")
         try:
             coord.evaluate(0, 0.0)
             model = coord.strategy.model

@@ -59,10 +59,10 @@ from repro.fl import (
 )
 from repro.container import flatten_payload, read_payload, unflatten_payload, write_payload
 from repro.fl.checkpoint import CHECKPOINT_FORMAT, MANIFEST_NAME, CheckpointWriter, load_checkpoint
-from repro.fl.eval_cache import EvalCache
 from repro.fl.export import log_to_dict
 from repro.fl.registry import RunRegistry, fleet_fingerprint, run_hash
 from repro.fl.scheduling.fleet import FleetStore, RoundTimeStats
+from repro.fl.scheduling.pacing import QuantilePacing
 from repro.fl.scheduling.selectors import AvailabilityAwareSelector
 from repro.fl.transport import TransportCodec, TransportConfig
 from repro.nn import mlp, set_compute_dtype
@@ -451,46 +451,6 @@ _FLEET_TAMPERS = {
 }
 
 
-def _eval_cache_payload() -> dict:
-    """A single-model entry over three clients and a two-model ensemble's."""
-    cache = EvalCache()
-    cache.accs = {
-        (("m000",), (3,), (0, 1, 2)): np.array([0.5, 1.0, 0.0]),
-        (("m001", "m002"), (1, 4), (3, 4)): np.array([0.25, 0.75]),
-    }
-    return cache.state_dict()
-
-
-def _entry_set(i, key, value):
-    return lambda p: _set(p["eval_acc_cache"][i], key, value)
-
-
-# (entry the tamper breaks, the tamper): each alters an ``EvalCache``
-# payload in place.
-_EVAL_CACHE_TAMPERS = {
-    "missing key": (0, lambda p: p["eval_acc_cache"][0].pop("versions")),
-    "extra key": (1, _entry_set(1, "logits", np.zeros((2, 4)))),
-    "entry not a dict": (1, lambda p: _set(p["eval_acc_cache"], 1, [["m001"], [1], [3], 0.5])),
-    "empty model_ids": (0, lambda p: p["eval_acc_cache"][0].update(model_ids=[], versions=[])),
-    "model_ids not a list": (0, _entry_set(0, "model_ids", "m000")),
-    "fewer versions than model_ids": (1, _entry_set(1, "versions", [1])),
-    "more versions than model_ids": (0, _entry_set(0, "versions", [3, 4])),
-    "float version": (0, _entry_set(0, "versions", [3.0])),
-    "bool version": (0, _entry_set(0, "versions", [True])),
-    "str client id": (0, _entry_set(0, "client_ids", ["0", 1, 2])),
-    "float client id": (1, _entry_set(1, "client_ids", [3, 4.0])),
-    "accs a list": (0, _entry_set(0, "accs", [0.5, 1.0, 0.0])),
-    "float32 accs": (0, _entry_set(0, "accs", np.array([0.5, 1.0, 0.0], dtype=np.float32))),
-    "2-D accs": (0, _entry_set(0, "accs", np.array([[0.5, 1.0, 0.0]]))),
-    "one acc for three clients": (0, _entry_set(0, "accs", np.array([np.nan]))),
-    "nan acc": (1, _entry_set(1, "accs", np.array([np.nan, 0.75]))),
-    "inf acc": (1, _entry_set(1, "accs", np.array([0.25, np.inf]))),
-    "negative acc": (0, _entry_set(0, "accs", np.array([0.5, -0.5, 0.0]))),
-    "acc above one": (0, _entry_set(0, "accs", np.array([0.5, 1.5, 0.0]))),
-    "repeated key": (2, lambda p: p["eval_acc_cache"].append(dict(p["eval_acc_cache"][0]))),
-}
-
-
 class TestHostilePayloads:
     """ROADMAP 5a at the checkpoint boundary: a truncated or altered file,
     a tampered marker and a malformed codec column each raise a
@@ -664,39 +624,41 @@ class TestHostilePayloads:
             _build(tmp_path, resume=True, **stack).run()
 
 
-    @pytest.mark.parametrize("tamper", sorted(_EVAL_CACHE_TAMPERS))
-    def test_malformed_eval_cache_entries_are_a_value_error(self, tamper):
-        """The eval cache reader takes only what a sweep could have written:
-        an entry it cannot key, or accuracies that are not one float64 in
-        [0, 1] per client, would be served to every client of its group."""
-        payload = _eval_cache_payload()
-        restored = EvalCache()
-        restored.load_state_dict(payload)  # untampered: loads
-        assert {k: _bits(v) for k, v in restored.accs.items()} == {
-            (("m000",), (3,), (0, 1, 2)): _bits(np.array([0.5, 1.0, 0.0])),
-            (("m001", "m002"), (1, 4), (3, 4)): _bits(np.array([0.25, 0.75])),
-        }
-        index, alter = _EVAL_CACHE_TAMPERS[tamper]
-        alter(payload)
-        with pytest.raises(ValueError, match=rf"^EvalCache/v1 eval_acc_cache entry {index}: "):
-            EvalCache().load_state_dict(payload)
-
-    def test_a_malformed_eval_cache_entry_names_the_checkpoint_file(self, tmp_path):
+    def test_a_coordinator_v1_checkpoint_names_the_file_and_v2(self, tmp_path):
+        """A checkpoint from before the fleet sweep lost its accuracy cache
+        (``Coordinator/v1``, an ``eval_acc_cache`` key) lives in a run
+        directory the current run hash still finds; its resume is refused
+        by tag, naming the file, instead of starting fresh."""
         coord = _build(tmp_path)
         _crash_at(coord, crash_round=4)
         with pytest.raises(RuntimeError, match="injected"):
             coord.run()
         (run,) = RunRegistry(tmp_path).runs()
         found = load_checkpoint(tmp_path / run)
-        entries = found["payload"]["coordinator"]["eval_acc_cache"]
-        assert entries and all(len(e["client_ids"]) > 1 for e in entries)
-        entries[0]["accs"] = np.array([np.nan])  # broadcast into a whole group
+        old = found["payload"]["coordinator"]
+        old.update(schema="Coordinator/v1", eval_acc_cache=[])
         manifest = found["manifest"]
         path = CheckpointWriter(tmp_path / run, manifest["run_hash"]).write(
             manifest["round"], found["payload"], completed=False
         )
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*eval_acc_cache entry 0"):
+        expected = re.escape(
+            f"{path} does not resume: state schema mismatch: expected 'Coordinator/v2'"
+        )
+        with pytest.raises(ValueError, match=expected):
             _build(tmp_path, resume=True).run()
+
+    @pytest.mark.parametrize("classes", [1, 3, 7])
+    def test_a_pacing_deadline_list_of_another_class_count_is_refused(self, classes):
+        """Quantile pacing keeps one deadline per device class of its fleet;
+        a list of another length used to load, and ``deadline_for`` then
+        indexed past it (or ignored its tail)."""
+        fleet = FleetStore.from_columns(np.arange(8))
+        assert fleet.num_classes == 4
+        payload = QuantilePacing(2, None, 4, fleet).state_dict()
+        QuantilePacing(2, None, 4, fleet).load_state_dict(payload)  # untampered: loads
+        payload["deadline"] = [1.0] * classes
+        with pytest.raises(ValueError, match=r"^QuantilePacing/v1 deadline: "):
+            QuantilePacing(2, None, 4, fleet).load_state_dict(payload)
 
     @pytest.mark.parametrize("tamper", sorted(_FLEET_TAMPERS))
     def test_malformed_fleet_payloads_are_a_value_error(self, tamper):
@@ -747,7 +709,7 @@ class TestHostilePayloads:
             manifest["round"], found["payload"], completed=False
         )
         expected = (
-            rf"{re.escape(str(path))} does not resume: Coordinator/v1 strategy: "
+            rf"{re.escape(str(path))} does not resume: Coordinator/v2 strategy: "
             rf"SingleModelStrategy/v1 models: model {mid}: .*shape mismatch"
         )
         with pytest.raises(ValueError, match=expected):
@@ -771,7 +733,7 @@ class TestHostilePayloads:
             manifest["round"], found["payload"], completed=False
         )
         expected = (
-            rf"{re.escape(str(path))} does not resume: Coordinator/v1 strategy: "
+            rf"{re.escape(str(path))} does not resume: Coordinator/v2 strategy: "
             rf"SingleModelStrategy/v1 models: model {mid}: tensor "
             rf"{re.escape(key)} \(list\) is not a real-floating array"
         )
@@ -978,6 +940,24 @@ class TestClientManagerDurability:
         with pytest.raises(ValueError, match="ClientManager/v1"):
             ClientManager().load_state_dict(oracle.state_dict())
 
+    @pytest.mark.parametrize("key", ["models", "clients"])
+    def test_a_repeated_id_is_refused(self, key):
+        """A row or column id twice used to fail in NumPy's reshape,
+        untagged.  The check runs before the similarity cache loads, so the
+        unloadable ``sim_cache`` below is never reached."""
+        cm = ClientManager()
+        self._touch(cm, 0, 1)
+        payload = cm.state_dict()
+        if key == "models":
+            payload["models"] *= 2
+            for col in ("utility", "present"):
+                payload[col] = np.hstack([payload[col]] * 2)
+        else:
+            payload["clients"] = np.array([0, 0])
+        payload["sim_cache"] = None
+        with pytest.raises(ValueError, match=rf"^ClientManager/v2 {key}: repeats an id"):
+            ClientManager().load_state_dict(payload)
+
     def test_fedtrans_resumes_after_eviction_and_transform(self, tmp_path):
         """A sync FedTrans run checkpointed after an eviction and a
         transformation resumes to the uninterrupted export byte for byte
@@ -1006,7 +986,7 @@ class TestReadersNeverDefault:
         # On the default stack both are present with the value None ("off").
         assert payload["validator"] is None and payload["transport"] is None
         del payload[key]
-        with pytest.raises(ValueError, match=rf"Coordinator/v1: missing keys \['{key}'\]"):
+        with pytest.raises(ValueError, match=rf"Coordinator/v2: missing keys \['{key}'\]"):
             _build().load_state_dict(payload)
 
     @pytest.mark.parametrize(
@@ -1019,10 +999,10 @@ class TestReadersNeverDefault:
         fresh state, and state for a component this run lacks would be
         dropped — both are refused, like an engine payload in sync mode."""
         payload = _build(**stack).state_dict()
-        with pytest.raises(ValueError, match=rf"Coordinator/v1 {key}: the payload carries"):
+        with pytest.raises(ValueError, match=rf"Coordinator/v2 {key}: the payload carries"):
             _build().load_state_dict(payload)
         payload[key] = None
-        with pytest.raises(ValueError, match=rf"Coordinator/v1 {key}: the payload lacks"):
+        with pytest.raises(ValueError, match=rf"Coordinator/v2 {key}: the payload lacks"):
             _build(**stack).load_state_dict(payload)
 
     def test_availability_selector_key_is_required(self):
@@ -1542,7 +1522,7 @@ _MUTATION_STACKS = ("fedtrans_sync", "heterofl_async", "fluid_async", "fedyogi_a
 # The executors' and the snapshot publisher's bare tags never reach a
 # checkpoint (a resume may switch backends).
 _MUTATED_TAGS = sorted({
-    "Coordinator/v1", "FleetStore/v1", "RoundTimeStats/v1",
+    "Coordinator/v2", "FleetStore/v1", "RoundTimeStats/v1",
     "AvailabilityAwareSelector/v1", "OortSelector/v1", "UniformSelector/v1",
     "FedTransStrategy/v1", "HeteroFLStrategy/v1", "FLuIDStrategy/v1", "SingleModelStrategy/v1",
     "ClientManager/v2", "SimilarityCache/v1", "ModelAggregator/v1", "Yogi/v1",

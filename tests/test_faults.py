@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import fedavg
+from repro.core import FedTransConfig, FedTransStrategy
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
 from repro.fl import (
@@ -77,10 +78,12 @@ def _workload(seed=0, num_clients=12):
     return clients, model
 
 
+_RUN = dict(rounds=4, clients_per_round=6, trainer=TRAINER, eval_every=2, seed=0)
+
+
 def _run(**over):
     clients, model = _workload()
-    cfg = dict(rounds=4, clients_per_round=6, trainer=TRAINER, eval_every=2, seed=0)
-    cfg.update(over)
+    cfg = {**_RUN, **over}
     coord = Coordinator(
         fedavg(model.clone(keep_id=True)), clients, CoordinatorConfig(**cfg)
     )
@@ -532,6 +535,35 @@ class TestQuarantine:
             for b in BACKENDS
         }
         assert len(exports) == 1
+
+    @pytest.mark.parametrize("stack", ["fedtrans", "oort"])
+    def test_a_poisoned_loss_never_reaches_a_utility_table(self, stack):
+        """Without the gate a poisoned update's NaN weights train to a NaN
+        loss a round later.  FedTrans's Eq. 4 table and Oort's fleet column
+        refuse it by round, client and model, pointing at --quarantine
+        (NumPy's sampler used to fail on NaN probabilities instead); with
+        the gate the same run completes."""
+        clients, model = _workload()
+        cfg = {**_RUN, "rounds": 8, "faults": "poison=0.3"}
+        if stack == "oort":
+            cfg["selector"] = "oort"
+
+        def run(**gate):
+            strategy = (
+                FedTransStrategy(
+                    model.clone(), FedTransConfig(gamma=2, delta=2, max_models=3),
+                    max_capacity_macs=model.macs() * 16,
+                )
+                if stack == "fedtrans" else fedavg(model.clone())
+            )
+            return Coordinator(strategy, clients, CoordinatorConfig(**cfg, **gate)).run()
+
+        with pytest.raises(ValueError, match=(
+            r"^round \d+: client \d+ trained model m\d+ to a non-finite loss \((nan|inf)\); "
+            r".*--quarantine"
+        )):
+            run()
+        assert run(quarantine=True).quarantined_updates >= 1
 
     def test_async_poison_quarantined(self):
         log = _run(

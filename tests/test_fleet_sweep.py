@@ -285,7 +285,8 @@ def _count_clones(monkeypatch) -> dict[str, int]:
 
 
 def _sweep_all(coord: Coordinator, round_idx: int) -> None:
-    """A sweep in which every group misses the cache (every version moved)."""
+    """A sweep after every model's version moved, as after an aggregation
+    (the process backend republishes the suite)."""
     for model in coord.strategy.models().values():
         model.bump_version()
     record = coord.evaluate(round_idx, 0.0)

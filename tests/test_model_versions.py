@@ -1,16 +1,14 @@
-"""Version-tracked model suite: eval cache, cost memoization, snapshot publishing.
+"""Version-tracked model suite: cost memoization, snapshot publishing.
 
 Three contracts under test:
 
 * **Version counter** — every mutation path of a :class:`CellModel`
   (``set_params``/``set_state``, optimizer steps, transformations,
   subnet narrowing, re-initialization) bumps the monotone ``version``,
-  and ``clone(keep_id=True)`` carries it.
-* **Incremental evaluation cache** — exports bit-identical whether sweeps
-  run warm or cold (cache emptied before each one) across all executor
-  backends in both round modes; unchanged deployment groups are served
-  from cache (metered on ``EvalRecord``); a changed model recomputes only
-  the groups whose ensemble contains it.
+  and ``clone(keep_id=True)`` carries it; a rebuilt subnet carries its
+  global model's, so the process backend republishes it after training.
+* **Cost memoization** — ``macs`` / ``num_params`` / ``nbytes`` are
+  recomputed once per version.
 * **Snapshot publishing** — a publish is reused when no version moved;
   otherwise the process backend writes one full segment, unlinks the one
   before, and workers move to it.
@@ -19,9 +17,7 @@ Three contracts under test:
 import numpy as np
 import pytest
 
-from repro.baselines import SplitMixStrategy, fedavg
 from repro.baselines.subnet import SubnetSpec, build_subnet, ratio_spec
-from repro.core import FedTransConfig, FedTransStrategy
 from repro.core.transform import reinitialize
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
@@ -34,7 +30,6 @@ from repro.fl import (
     TrainItem,
     make_executor,
 )
-from repro.fl.executor import EXECUTOR_BACKENDS
 from repro.fl.export import log_to_dict
 from repro.fl.faults import FaultConfig, FaultPlan, InjectedShmFault
 from repro.fl.shm import segment_exists
@@ -130,8 +125,7 @@ class TestVersionCounter:
         """A rebuilt subnet under a stable id must track the *global*
         model's version (regression: fresh clones restarted at a constant,
         so HeteroFL/FLuID rebuilds after aggregation looked unchanged to
-        the eval cache and the snapshot publisher — frozen accuracies and
-        workers training on round-1 weights)."""
+        the snapshot publisher — workers training on round-1 weights)."""
         g = mlp((8,), 4, rng, width=8)
         spec = ratio_spec(g, 0.5)
         v0 = build_subnet(g, spec).version
@@ -187,38 +181,8 @@ class TestCostMemoization:
 
 
 # ----------------------------------------------------------------------
-# warm vs cold sweeps
+# rebuilt suites: a derived model's version tracks its source
 # ----------------------------------------------------------------------
-def _fedavg_coord():
-    ds = _dataset(num_clients=12)
-    clients = _clients(ds)
-    model = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=16)
-    return Coordinator(fedavg(model), clients, _coord_cfg())
-
-
-def _fedtrans_coord(rounds=12, **over):
-    ds = _dataset(num_clients=10)
-    rng = np.random.default_rng(0)
-    init = mlp(ds.input_shape, ds.num_classes, rng, width=8)
-    clients = _clients(ds, capacity=init.macs() * 16)
-    strategy = FedTransStrategy(
-        init,
-        FedTransConfig(gamma=2, delta=2, beta=0.5, max_models=3),
-        max_capacity_macs=init.macs() * 16,
-    )
-    return Coordinator(strategy, clients, _coord_cfg(rounds, **over))
-
-
-def _sparse_fedtrans_coord(backend, mode):
-    """A sweep after every round and one update per aggregation: most
-    rounds leave the deployed models untouched, so most sweeps are hits."""
-    if mode == "async":
-        over = dict(rounds=16, clients_per_round=2, mode="async", buffer_k=1)
-    else:
-        over = dict(rounds=12, clients_per_round=1)
-    return _fedtrans_coord(eval_every=1, executor=backend, **over)
-
-
 def _subnet_coord(method, backend, rounds=6):
     from repro.baselines import FLuIDStrategy, HeteroFLStrategy
 
@@ -238,231 +202,28 @@ def _subnet_coord(method, backend, rounds=6):
     return Coordinator(strategy, clients, _coord_cfg(rounds, executor=backend))
 
 
-def _splitmix_coord(num_clients=8, seed=0, rounds=2, **over):
-    ds = _dataset(num_clients=num_clients)
-    rng = np.random.default_rng(seed)
-    big = mlp(ds.input_shape, ds.num_classes, rng, width=16)
-    clients = [
-        FLClient(
-            c.client_id,
-            c,
-            DeviceTrace(c.client_id, 1e9, 1e6, big.macs() * (0.3 + 0.2 * c.client_id)),
-        )
-        for c in ds.clients
-    ]
-    strategy = SplitMixStrategy(big, k=4, seed=seed)
-    assert len({strategy.budget_count(c) for c in clients}) > 1  # nested ensembles
-    coord = Coordinator(strategy, clients, _coord_cfg(rounds=rounds, **over))
-    return coord, strategy, clients
-
-
-def _empty_before_each_sweep(coord):
-    """Make every sweep of ``coord`` a *cold* one: the cache is emptied
-    first, so the sweep runs exactly the code a first sweep runs and never
-    reads an entry.  That is the reference a warm run must reproduce."""
-    sweep = coord.evaluate
-
-    def cold_sweep(round_idx, cumulative_macs):
-        coord.eval_cache.accs.clear()
-        return sweep(round_idx, cumulative_macs)
-
-    coord.evaluate = cold_sweep
-
-
-def _export(build, ids, cold=False):
-    """``(export minus the cache meters, [cached_clients per sweep])`` of
-    one run of ``build()``'s coordinator, built at id-counter position
-    ``ids`` so the runs of a pair mint the same model / cell ids."""
+def _export(build, ids):
+    """The export of one run of ``build()``'s coordinator, built at
+    id-counter position ``ids`` so the runs of a pair mint the same model /
+    cell ids."""
     set_model_id_counter(ids[0])
     set_cell_id_counter(ids[1])
-    coord = build()
-    if cold:
-        _empty_before_each_sweep(coord)
-    doc = log_to_dict(coord.run())
-    cached = [ev.pop("cached_clients") for ev in doc["evals"]]
-    for ev in doc["evals"]:
-        ev.pop("evaluated_clients")
-    return doc, cached
+    return log_to_dict(build().run())
 
 
-def _assert_warm_equals_cold(build):
-    """Run ``build()`` twice — sweeps warm, then cold — and require equal
-    exports (everything but the two meters).  Returns the warm ``(export,
-    cached)``."""
-    ids = model_id_counter(), cell_id_counter()
-    warm, warm_cached = _export(build, ids)
-    cold, cold_cached = _export(build, ids, cold=True)
-    assert warm == cold
-    assert not any(cold_cached)  # the reference never read an entry
-    return warm, warm_cached
-
-
-class TestCacheDeterminism:
-    @pytest.mark.parametrize("mode", ["sync", "async"])
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_bit_identical_warm_vs_cold(self, backend, mode):
-        """The headline contract: serving a sweep from the cache changes
-        nothing observable but the meters, on every backend in both round
-        modes."""
-        _, cached = _assert_warm_equals_cold(
-            lambda: _sparse_fedtrans_coord(backend, mode)
-        )
-        assert any(cached)  # the warm run did read entries
-
-    def test_fedtrans_transforming_suite_bit_identical(self):
-        """Model spawns mid-run (new ids, fresh versions) don't perturb the
-        cached path."""
-        warm, _ = _assert_warm_equals_cold(_fedtrans_coord)
-        assert any("spawned" in e for r in warm["rounds"] for e in r["events"])
-
+class TestRebuiltSuites:
     @pytest.mark.parametrize("method", ["heterofl", "fluid"])
     def test_rebuilt_submodel_suites_bit_identical(self, method):
         """HeteroFL/FLuID re-derive their whole suite under stable ids
-        after every aggregation (regression: constant rebuild versions froze
-        the eval cache at the first sweep and let the process backend reuse
-        stale snapshots)."""
+        after every aggregation (regression: constant rebuild versions let
+        the process backend reuse stale snapshots, so its workers trained
+        and scored round-1 weights)."""
         ids = model_id_counter(), cell_id_counter()
-        serial, _ = _assert_warm_equals_cold(lambda: _subnet_coord(method, "serial"))
-        # Accuracies must actually move across sweeps (the frozen-cache bug
-        # made every post-first sweep a stale hit).
+        serial = _export(lambda: _subnet_coord(method, "serial"), ids)
+        # Accuracies must actually move across sweeps.
         assert len({e["mean_accuracy"] for e in serial["evals"]}) > 1
-        process, _ = _export(lambda: _subnet_coord(method, "process"), ids)
+        process = _export(lambda: _subnet_coord(method, "process"), ids)
         assert process == serial
-
-    def test_missed_version_bump_fails_the_pair(self):
-        """The regression above, reintroduced: a strategy whose aggregation
-        moves the weights but restamps a constant version serves every
-        later sweep from the first one's entries — and the warm/cold pair
-        is what catches it."""
-        def frozen():
-            coord = _fedavg_coord()
-            strategy = coord.strategy
-
-            class ConstantVersion(type(strategy)):
-                def aggregate(self, round_idx, updates, rng):
-                    events = super().aggregate(round_idx, updates, rng)
-                    self.model.sync_version(0)
-                    return events
-
-            strategy.__class__ = ConstantVersion
-            return coord
-
-        with pytest.raises(AssertionError):
-            _assert_warm_equals_cold(frozen)
-
-    def test_splitmix_nested_ensembles_bit_identical(self):
-        coord, strategy, clients = _splitmix_coord()
-        warm_first = coord.evaluate(0, 0.0)
-        warm_again = coord.evaluate(1, 0.0)
-        assert warm_again.cached_clients == len(clients)
-        _empty_before_each_sweep(coord)
-        cold = coord.evaluate(2, 0.0)
-        assert cold.cached_clients == 0
-        assert (warm_first.client_accuracy == cold.client_accuracy).all()
-        assert (warm_again.client_accuracy == cold.client_accuracy).all()
-        # ...and all match the per-client reference path
-        for i, client in enumerate(clients):
-            logits = strategy.client_logits(client, client.data.x_test)
-            expect = float((logits.argmax(axis=-1) == client.data.y_test).mean())
-            assert cold.client_accuracy[i] == pytest.approx(expect)
-        coord.close()
-
-
-# ----------------------------------------------------------------------
-# cache behavior: hits, invalidation, partial-ensemble recompute
-# ----------------------------------------------------------------------
-class _CountingExecutor:
-    """Wraps an executor, recording the eval tasks that actually run."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.tasks = []
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def eval_round(self, tasks, models, batch_size):
-        self.tasks.extend(tasks)
-        return self._inner.eval_round(tasks, models, batch_size)
-
-
-class TestCacheBehavior:
-    def test_idle_suite_fully_cached_on_repeat(self, rng):
-        ds = _dataset(num_clients=9)
-        clients = _clients(ds)
-        strategy = fedavg(mlp(ds.input_shape, ds.num_classes, rng, width=8))
-        coord = Coordinator(strategy, clients, _coord_cfg(rounds=2))
-        first = coord.evaluate(0, 0.0)
-        again = coord.evaluate(1, 0.0)
-        assert first.cached_clients == 0
-        assert first.evaluated_clients == len(clients)
-        assert again.cached_clients == len(clients)
-        assert again.evaluated_clients == 0
-        assert (first.client_accuracy == again.client_accuracy).all()
-        coord.close()
-
-    def test_mutation_invalidates(self, rng):
-        ds = _dataset(num_clients=6)
-        clients = _clients(ds)
-        strategy = fedavg(mlp(ds.input_shape, ds.num_classes, rng, width=8))
-        coord = Coordinator(strategy, clients, _coord_cfg(rounds=2))
-        coord.evaluate(0, 0.0)
-        strategy.model.set_params(_perturbed(strategy.model))
-        ev = coord.evaluate(1, 0.0)
-        assert ev.cached_clients == 0  # version moved: every group recomputed
-        # and the recomputation is real: fresh weights, fresh accuracies
-        ref = Coordinator(
-            fedavg(strategy.model.clone(keep_id=True)), clients, _coord_cfg(rounds=2)
-        )
-        ev_ref = ref.evaluate(0, 0.0)
-        assert (ev.client_accuracy == ev_ref.client_accuracy).all()
-        ref.close()
-        coord.close()
-
-    def test_partial_ensemble_recomputes_only_changed_member(self):
-        """SplitMix nested deployments: mutating the *last* base model keeps
-        every smaller ensemble's accuracies cached, and the only tasks
-        dispatched are the groups whose ensemble contains it."""
-        coord, strategy, clients = _splitmix_coord()
-        counting = _CountingExecutor(coord.executor)
-        coord.executor = counting
-        coord.evaluate(0, 0.0)
-        first = list(counting.tasks)  # a cold sweep dispatches every group
-        # A fully idle sweep in between: everything hits the cache.
-        idle = coord.evaluate(1, 0.0)
-        assert idle.cached_clients == len(clients)
-        top = strategy._base_ids[-1]
-        deployed_top = [
-            c
-            for c, mid in zip(clients, strategy.eval_models(clients))
-            if top in strategy.eval_ensemble(c, mid)
-        ]
-        assert deployed_top  # the workload exercises the full ensemble
-        counting.tasks.clear()
-        strategy._models[top].set_params(_perturbed(strategy._models[top]))
-        ev = coord.evaluate(2, 0.0)
-        assert counting.tasks == [t for t in first if top in t.model_ids]
-        assert sorted(c for t in counting.tasks for c in t.client_ids) == sorted(
-            c.client_id for c in deployed_top
-        )
-        assert ev.cached_clients == len(clients) - len(deployed_top)
-        assert ev.evaluated_clients == len(deployed_top)
-        coord.close()
-
-    def test_cache_eviction_bounds_memory(self, rng):
-        """Entries untouched by the latest sweep are dropped: steady-state
-        cache size is one sweep's working set, not run history."""
-        ds = _dataset(num_clients=6)
-        clients = _clients(ds)
-        strategy = fedavg(mlp(ds.input_shape, ds.num_classes, rng, width=8))
-        coord = Coordinator(strategy, clients, _coord_cfg(rounds=2))
-        coord.evaluate(0, 0.0)
-        size = len(coord.eval_cache.accs)
-        for _ in range(4):
-            strategy.model.set_params(_perturbed(strategy.model))
-            coord.evaluate(1, 0.0)
-            assert len(coord.eval_cache.accs) == size
-        coord.close()
 
 
 # ----------------------------------------------------------------------

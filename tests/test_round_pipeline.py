@@ -240,6 +240,9 @@ def _digests(name: str) -> dict:
     # (``TransportCodec/v1``), not the v2 columns.
     if coord.transport is not None:
         state["transport"] = dict.fromkeys(("schema", "spec", "residuals"))
+    # And the coordinator carried the fleet sweep's accuracy cache
+    # (``Coordinator/v1``): a list, so one key path.
+    state["eval_acc_cache"] = None
     return {
         "log": _blake(log_to_dict(log)),
         "recovery": _blake(recovery_to_dict(log)),
