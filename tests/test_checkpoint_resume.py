@@ -451,6 +451,55 @@ _FLEET_TAMPERS = {
 }
 
 
+
+def _philox_state() -> dict:
+    return np.random.Generator(np.random.Philox(0)).bit_generator.state
+
+
+# (what the error says, the tamper): each alters a ``Coordinator`` payload
+# of the default stack in place into one no run of it could have written.
+_COORDINATOR_TAMPERS = {
+    "v1 tag": (
+        r"state schema mismatch: expected 'Coordinator/v2', got 'Coordinator/v1'",
+        lambda p: _set(p, "schema", "Coordinator/v1"),
+    ),
+    "v1 eval cache under the v2 tag": (
+        r"Coordinator/v2: missing keys \[\], unexpected keys \['eval_acc_cache'\]",
+        lambda p: _set(p, "eval_acc_cache", []),
+    ),
+    "no rng": (r"Coordinator/v2: missing keys \['rng'\]", lambda p: p.pop("rng")),
+    "no strategy": (r"Coordinator/v2: missing keys \['strategy'\]", lambda p: p.pop("strategy")),
+    "no engine": (r"Coordinator/v2: missing keys \['engine'\]", lambda p: p.pop("engine")),
+    "float model_id_counter": (
+        r"Coordinator/v2 model_id_counter: ", lambda p: _set(p, "model_id_counter", 3.0)
+    ),
+    "string model_id_counter": (
+        r"Coordinator/v2 model_id_counter: ", lambda p: _set(p, "model_id_counter", "3")
+    ),
+    "bool cell_id_counter": (
+        r"Coordinator/v2 cell_id_counter: ", lambda p: _set(p, "cell_id_counter", True)
+    ),
+    "negative cell_id_counter": (
+        r"Coordinator/v2 cell_id_counter: ", lambda p: _set(p, "cell_id_counter", -1)
+    ),
+    "another bit generator's rng": (
+        r"Coordinator/v2 rng: not the live generator's state layout",
+        lambda p: _set(p, "rng", _philox_state()),
+    ),
+    "float rng word": (
+        r"Coordinator/v2 rng: not the live generator's state layout",
+        lambda p: _set(p["rng"]["state"], "state", float(p["rng"]["state"]["state"])),
+    ),
+    "rng without has_uint32": (
+        r"Coordinator/v2 rng: not the live generator's state layout",
+        lambda p: p["rng"].pop("has_uint32"),
+    ),
+    "engine payload in sync mode": (
+        r"Coordinator/v2 engine: the payload carries",
+        lambda p: _set(p, "engine", {"schema": "BufferedAsyncEngine/v1"}),
+    ),
+}
+
 class TestHostilePayloads:
     """ROADMAP 5a at the checkpoint boundary: a truncated or altered file,
     a tampered marker and a malformed codec column each raise a
@@ -646,6 +695,19 @@ class TestHostilePayloads:
         )
         with pytest.raises(ValueError, match=expected):
             _build(tmp_path, resume=True).run()
+
+    @pytest.mark.parametrize("tamper", sorted(_COORDINATOR_TAMPERS))
+    def test_malformed_coordinator_payloads_are_a_value_error(self, tamper):
+        """The coordinator's own fields (its tag, key set, id counters and
+        RNG state) are read strictly: a v1 payload, or one whose generator
+        state has another layout, is refused by name rather than resumed
+        on a default or a misread stream."""
+        payload = _build().state_dict()
+        _build().load_state_dict(_build().state_dict())  # untampered: loads
+        expected, alter = _COORDINATOR_TAMPERS[tamper]
+        alter(payload)
+        with pytest.raises(ValueError, match=expected):
+            _build().load_state_dict(payload)
 
     @pytest.mark.parametrize("classes", [1, 3, 7])
     def test_a_pacing_deadline_list_of_another_class_count_is_refused(self, classes):

@@ -2,7 +2,7 @@
 group cut into batch-aligned row ranges scored in one pass each, every
 forward on a thread's workspace.
 
-Five witnesses, the first three against the per-client form each replaced
+Six witnesses, the first three against the per-client form each replaced
 (kept in ``tests/oracle_deployment.py``):
 
 * ``TestDeploymentOracle`` — ``Strategy.eval_models`` equals the per-client
@@ -16,6 +16,9 @@ Five witnesses, the first three against the per-client form each replaced
 * ``TestNoCloneWitness`` — a sweep's forward runs on no clone and leaves
   no layer cache on the published models, and its member logits and
   accuracies are the cloned forward's bytes on every backend;
+* ``TestEverySweepScoresEveryGroup`` — every sweep dispatches every
+  group, moved or not, each client once; its accuracies are the per-client
+  reference's on every backend and do not depend on ``eval_group_clients``;
 * ``TestEnsembleGroups`` — an ensemble group sent through ``eval_round``
   scores its fresh clones' ensemble, test-less clients and all-empty
   groups included, on every backend;
@@ -243,7 +246,7 @@ class TestScorerOracle:
 # ----------------------------------------------------------------------
 # the forward pass
 # ----------------------------------------------------------------------
-def _splitmix_coord(backend: str) -> Coordinator:
+def _splitmix_coord(backend: str, eval_group_clients: int = 2) -> Coordinator:
     """SplitMix over mixed capacities: single-model groups and ensembles in
     every sweep, several chunks."""
     big = mlp((8,), 4, np.random.default_rng(0), width=16)
@@ -256,7 +259,7 @@ def _splitmix_coord(backend: str) -> Coordinator:
         seed=0,
         executor=backend,
         max_workers=2,
-        eval_group_clients=2,
+        eval_group_clients=eval_group_clients,
     )
     return Coordinator(SplitMixStrategy(big, k=4, seed=0), clients, config)
 
@@ -440,6 +443,124 @@ def _cloned_scores(models, clients_by_id, task, batch_size) -> np.ndarray:
         for mid in task.model_ids
     ]
     return oracle.ensemble_accuracies(members, len(members), clients_by_id, task.client_ids)
+
+
+# ----------------------------------------------------------------------
+# every sweep scores every group
+# ----------------------------------------------------------------------
+class _CountingExecutor:
+    """Wraps an executor, recording each sweep's wave of eval tasks."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.waves: list[list[EvalTask]] = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def eval_round(self, tasks, models, batch_size):
+        self.waves.append(list(tasks))
+        return self._inner.eval_round(tasks, models, batch_size)
+
+
+def _perturb(model: CellModel) -> None:
+    model.set_params({k: v + 0.25 for k, v in model.get_params().items()})
+
+
+class TestEverySweepScoresEveryGroup:
+    def test_an_idle_suite_is_scored_again(self):
+        """Nothing moved between two sweeps: the second still dispatches the
+        whole wave, and scores every client to the same bytes."""
+        coord = _splitmix_coord("serial")
+        counting = coord.executor = _CountingExecutor(coord.executor)
+        try:
+            first = coord.evaluate(0, 0.0)
+            again = coord.evaluate(1, 0.0)
+        finally:
+            coord.close()
+        first_wave, again_wave = counting.waves
+        assert again_wave == first_wave
+        for record in (first, again):
+            assert record.cached_clients == 0
+            assert record.evaluated_clients == len(coord.clients)
+        assert first.client_accuracy.tobytes() == again.client_accuracy.tobytes()
+
+    def test_a_mutation_is_seen_by_the_next_sweep(self):
+        """Moved weights are scored as a fresh coordinator over a copy of
+        them scores them."""
+        clients = _fleet((c.client_id, 1e12) for c in _DATASET.clients)
+        config = CoordinatorConfig(rounds=2, clients_per_round=4, seed=0)
+        strategy = fedavg(mlp((8,), 4, np.random.default_rng(0), width=8))
+        coord = Coordinator(strategy, clients, config)
+        ref = None
+        try:
+            coord.evaluate(0, 0.0)
+            _perturb(strategy.model)
+            moved = coord.evaluate(1, 0.0)
+            ref = Coordinator(fedavg(strategy.model.clone(keep_id=True)), clients, config)
+            fresh = ref.evaluate(0, 0.0)
+        finally:
+            coord.close()
+            if ref is not None:
+                ref.close()
+        assert moved.client_accuracy.tobytes() == fresh.client_accuracy.tobytes()
+
+    def test_each_sweep_dispatches_every_client_once(self):
+        """SplitMix's nested deployments: after the largest base model moves,
+        the next sweep still sends every group, smaller ensembles included,
+        each client in exactly one task of at most ``eval_group_clients``."""
+        coord = _splitmix_coord("serial")
+        strategy = coord.strategy
+        counting = coord.executor = _CountingExecutor(coord.executor)
+        try:
+            coord.evaluate(0, 0.0)
+            top = strategy._base_ids[-1]
+            _perturb(strategy._models[top])
+            coord.evaluate(1, 0.0)
+        finally:
+            coord.close()
+        first, after = counting.waves
+        assert after == first
+        assert any(top not in t.model_ids for t in after)  # smaller ensembles too
+        assert any(top in t.model_ids for t in after)
+        ids = sorted(c for t in after for c in t.client_ids)
+        assert ids == sorted(c.client_id for c in coord.clients)
+        assert all(len(t.client_ids) <= coord.config.eval_group_clients for t in after)
+
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_splitmix_nested_ensembles_match_the_reference_path(self, backend):
+        """Every client's sweep accuracy is its deployment's per-client
+        reference (``Strategy.client_logits``), before and after a move."""
+        coord = _splitmix_coord(backend)
+        strategy = coord.strategy
+        assert len({strategy.budget_count(c) for c in coord.clients}) > 1  # nested ensembles
+        try:
+            for round_idx in (0, 1):
+                if round_idx:
+                    _perturb(strategy._models[strategy._base_ids[-1]])
+                record = coord.evaluate(round_idx, 0.0)
+                for i, client in enumerate(coord.clients):
+                    logits = strategy.client_logits(client, client.data.x_test, record.client_model[i])
+                    expect = float((logits.argmax(axis=-1) == client.data.y_test).mean())
+                    assert record.client_accuracy[i] == pytest.approx(expect), (i, round_idx)
+        finally:
+            coord.close()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunking_changes_no_accuracy(self, chunk):
+        """``eval_group_clients`` only cuts groups into tasks: no task holds
+        more clients, and the accuracies are the two-client chunking's bytes."""
+        sweeps = {}
+        for size in (2, chunk):
+            coord = _splitmix_coord("serial", eval_group_clients=size)
+            counting = coord.executor = _CountingExecutor(coord.executor)
+            try:
+                sweeps[size] = coord.evaluate(0, 0.0).client_accuracy
+            finally:
+                coord.close()
+            (wave,) = counting.waves
+            assert max(len(t.client_ids) for t in wave) <= size
+        assert sweeps[chunk].tobytes() == sweeps[2].tobytes()
 
 
 # ----------------------------------------------------------------------

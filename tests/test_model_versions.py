@@ -1,6 +1,6 @@
 """Version-tracked model suite: cost memoization, snapshot publishing.
 
-Three contracts under test:
+Four contracts under test:
 
 * **Version counter** — every mutation path of a :class:`CellModel`
   (``set_params``/``set_state``, optimizer steps, transformations,
@@ -12,12 +12,16 @@ Three contracts under test:
 * **Snapshot publishing** — a publish is reused when no version moved;
   otherwise the process backend writes one full segment, unlinks the one
   before, and workers move to it.
+* **Backends agree** — a run exports the serial run's bytes on every
+  backend in both round modes, and a missed version bump breaks that.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines import fedavg
 from repro.baselines.subnet import SubnetSpec, build_subnet, ratio_spec
+from repro.core import FedTransConfig, FedTransStrategy
 from repro.core.transform import reinitialize
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
@@ -30,6 +34,7 @@ from repro.fl import (
     TrainItem,
     make_executor,
 )
+from repro.fl.executor import EXECUTOR_BACKENDS
 from repro.fl.export import log_to_dict
 from repro.fl.faults import FaultConfig, FaultPlan, InjectedShmFault
 from repro.fl.shm import segment_exists
@@ -224,6 +229,82 @@ class TestRebuiltSuites:
         assert len({e["mean_accuracy"] for e in serial["evals"]}) > 1
         process = _export(lambda: _subnet_coord(method, "process"), ids)
         assert process == serial
+
+
+# ----------------------------------------------------------------------
+# every backend runs the same trajectory
+# ----------------------------------------------------------------------
+def _fedtrans_coord(rounds=12, **over):
+    ds = _dataset(num_clients=10)
+    rng = np.random.default_rng(0)
+    init = mlp(ds.input_shape, ds.num_classes, rng, width=8)
+    clients = _clients(ds, capacity=init.macs() * 16)
+    strategy = FedTransStrategy(
+        init,
+        FedTransConfig(gamma=2, delta=2, beta=0.5, max_models=3),
+        max_capacity_macs=init.macs() * 16,
+    )
+    return Coordinator(strategy, clients, _coord_cfg(rounds, **over))
+
+
+def _sparse_fedtrans_coord(backend, mode):
+    """A sweep after every round and one update per aggregation: most
+    rounds move only some of the deployed models."""
+    if mode == "async":
+        over = dict(rounds=16, clients_per_round=2, mode="async", buffer_k=1)
+    else:
+        over = dict(rounds=12, clients_per_round=1)
+    return _fedtrans_coord(eval_every=1, executor=backend, **over)
+
+
+def _fedavg_coord(backend, constant_version=False):
+    """FedAvg on twelve clients; ``constant_version`` restamps the global
+    model's version to 0 after every aggregation, the missed bump that made
+    the process backend train on stale snapshots."""
+    ds = _dataset(num_clients=12)
+    model = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=16)
+    strategy = fedavg(model)
+    if constant_version:
+
+        class ConstantVersion(type(strategy)):
+            def aggregate(self, round_idx, updates, rng):
+                events = super().aggregate(round_idx, updates, rng)
+                self.model.sync_version(0)
+                return events
+
+        strategy.__class__ = ConstantVersion
+    return Coordinator(strategy, _clients(ds), _coord_cfg(executor=backend))
+
+
+class TestBackendsAgree:
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_sweeps_bit_identical_across_backends(self, backend, mode):
+        """A sweep after every round, on every backend in both round
+        modes, exports the serial run's bytes."""
+        ids = model_id_counter(), cell_id_counter()
+        serial = _export(lambda: _sparse_fedtrans_coord("serial", mode), ids)
+        assert len({e["mean_accuracy"] for e in serial["evals"]}) > 1
+        assert _export(lambda: _sparse_fedtrans_coord(backend, mode), ids) == serial
+
+    def test_fedtrans_transforming_suite_bit_identical(self):
+        """Models spawned mid-run (new ids, fresh versions) reach the
+        process backend's workers as they reach the serial one."""
+        ids = model_id_counter(), cell_id_counter()
+        serial = _export(lambda: _fedtrans_coord(executor="serial"), ids)
+        assert any("spawned" in e for r in serial["rounds"] for e in r["events"])
+        assert _export(lambda: _fedtrans_coord(executor="process"), ids) == serial
+
+    def test_a_missed_version_bump_fails_the_pair(self):
+        """The regression above, reintroduced: a strategy whose aggregation
+        moves the weights but restamps a constant version leaves the process
+        backend's workers on the first snapshot, and the process == serial
+        pair is what catches it."""
+        ids = model_id_counter(), cell_id_counter()
+        serial = _export(lambda: _fedavg_coord("serial"), ids)
+        assert _export(lambda: _fedavg_coord("process"), ids) == serial
+        assert _export(lambda: _fedavg_coord("serial", constant_version=True), ids) == serial
+        assert _export(lambda: _fedavg_coord("process", constant_version=True), ids) != serial
 
 
 # ----------------------------------------------------------------------
