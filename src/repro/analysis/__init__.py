@@ -27,6 +27,14 @@ cannot see (writes through aliased references, third-party strategies,
 dynamically constructed code paths).
 """
 
-from .engine import lint_paths
-
 __all__ = ["lint_paths"]
+
+
+def __getattr__(name: str):
+    # The engine and its rules load on first use: the run engine imports
+    # only the sanitizer, so a run or a pool worker never compiles them.
+    if name == "lint_paths":
+        from .engine import lint_paths
+
+        return lint_paths
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

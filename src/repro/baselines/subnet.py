@@ -214,10 +214,8 @@ def largest_compatible(models: dict[str, CellModel], clients: list[FLClient]) ->
     """Per client, the id of the largest ladder model that fits its MAC
     budget (fit rule and too-weak-client fallback:
     :func:`~repro.fl.strategy.compatible_model_ids`), resolved once per
-    distinct capacity."""
-    capacities, owner = np.unique([c.capacity_macs for c in clients], return_inverse=True)
-    picks = [
-        max(compatible_model_ids(models, cap), key=lambda mid: (models[mid].macs(), mid))
-        for cap in capacities.tolist()
-    ]
-    return [picks[i] for i in owner.tolist()]
+    distinct capacity, in first-seen order."""
+    picks: dict[float, str] = {}
+    for cap in {c.capacity_macs: None for c in clients}:
+        picks[cap] = max(compatible_model_ids(models, cap), key=lambda mid: (models[mid].macs(), mid))
+    return [picks[c.capacity_macs] for c in clients]

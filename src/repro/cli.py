@@ -244,22 +244,27 @@ def _setup(args):
 def cmd_run(args) -> int:
     profile, coord_over, ft_over = _setup(args)
     dataset = build_dataset(profile, seed=args.seed)
-    if args.method in ("heterofl", "splitmix", "fluid"):
-        # These need FedTrans's largest model (the Appendix A.1 protocol).
-        ft = run_method(
-            "fedtrans", dataset, profile, seed=args.seed,
-            fedtrans_overrides=ft_over, coordinator_overrides=coord_over,
-        )
-        largest = max(ft.strategy.models().values(), key=lambda m: m.macs())
-        res = run_method(
-            args.method, dataset, profile, seed=args.seed, global_model=largest,
-            coordinator_overrides=coord_over,
-        )
-    else:
-        res = run_method(
-            args.method, dataset, profile, seed=args.seed,
-            fedtrans_overrides=ft_over, coordinator_overrides=coord_over,
-        )
+    try:
+        if args.method in ("heterofl", "splitmix", "fluid"):
+            # These need FedTrans's largest model (the Appendix A.1 protocol).
+            ft = run_method(
+                "fedtrans", dataset, profile, seed=args.seed,
+                fedtrans_overrides=ft_over, coordinator_overrides=coord_over,
+            )
+            largest = max(ft.strategy.models().values(), key=lambda m: m.macs())
+            res = run_method(
+                args.method, dataset, profile, seed=args.seed, global_model=largest,
+                coordinator_overrides=coord_over,
+            )
+        else:
+            res = run_method(
+                args.method, dataset, profile, seed=args.seed,
+                fedtrans_overrides=ft_over, coordinator_overrides=coord_over,
+            )
+    except ValueError as exc:
+        # The run itself failed (a poisoned update's non-finite loss, say):
+        # one line and exit status 1, where a usage error exits with 2.
+        args.parser.exit(1, f"{args.parser.prog}: error: {exc}\n")
     print(ascii_table([res.summary.row()], f"{args.method} on {args.dataset}"))
     if args.save_log:
         save_log(res.log, args.save_log)

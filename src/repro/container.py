@@ -249,9 +249,12 @@ def read_frame(buf) -> tuple[dict, dict[str, np.ndarray]]:
     start = _aligned(_PREFIX.size + hlen)
     arenas = {}
     for name, entry in header["arenas"].items():
-        dtype = np.dtype(name)
+        try:
+            dtype = np.dtype(name)
+        except (TypeError, ValueError, SyntaxError):  # numpy reads ",f8" as Python
+            dtype = None
         if not (
-            dtype.str == name and dtype.kind in _KINDS
+            dtype is not None and dtype.str == name and dtype.kind in _KINDS
             and isinstance(entry, list) and len(entry) == 2
             and all(type(v) is int and v >= 0 for v in entry)
             and entry[0] % _ALIGN == 0

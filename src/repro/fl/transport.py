@@ -37,13 +37,19 @@ separator-padded rows.  The per-tensor codec it replaced is the oracle in
 ``tests/oracle_transport.py``, held to byte equality.
 
 Error feedback keeps quantization honest across rounds: the residual
-``d - decode(encode(d))`` is stored per ``(client, model, scope, tensor)``
+``d - decode(encode(d))`` is kept per ``(client, model, scope, tensor)``
 and added to the next delta from the same client before encoding, so
 systematic quantization error accumulates into later updates instead of
-being lost.  Residual state implements :class:`~repro.stateful.Stateful`
-so compressed runs checkpoint/resume bit-identically (CONTRACTS.md I9); its
-payload is a few columns and one arena per dtype, not an entry per
-residual, so a checkpoint does not grow a member per client seen.
+being lost.  The residuals live in one table per (model, scope, dtype,
+tensor layout): a client's residuals are one row of the layout's width,
+in fixed-size row chunks that are allocated on demand and never copied,
+with a ``present`` flag per (row, tensor).  An encode reads a block's rows
+from the tables and writes each new residual into its row in place.
+Residual state implements :class:`~repro.stateful.Stateful` so compressed
+runs checkpoint/resume bit-identically (CONTRACTS.md I9); its payload
+(``TransportCodec/v3``) is per table a few columns and the value chunks,
+views of the live storage, so a checkpoint copies no residual and does not
+grow a member per client seen.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..stateful import Stateful, check_schema, schema_tag
+from ..stateful import Stateful, check_schema, checked_array, schema_tag
 
 __all__ = [
     "UPDATE_CODECS",
@@ -430,59 +436,72 @@ class TransportCodec(Stateful):
     ``raw_bytes_up`` keeps the uncompressed size, and — with
     ``wire_time=True`` — the simulated upload leg of ``round_time`` is
     re-priced at the wire size.
+
+    The residuals live in :class:`_Table` s, one per (model, scope, dtype,
+    tensor layout); :meth:`residual` reads one tensor's.  ``state_dict``
+    hands out views of that live storage, so a checkpoint copies none of
+    it: write the payload before the next encode.
     """
 
-    schema = schema_tag("TransportCodec", 2)
+    schema = schema_tag("TransportCodec", 3)
 
     def __init__(self, config: TransportConfig):
         self.config = config
-        # (client_id, model_id, scope, tensor key) -> residual array.
-        # Populated only by lossy codecs; reset on shape change (a model
-        # transform re-keys capacity, and a stale residual would be noise).
-        self._residuals: dict[tuple[int, str, str, str], np.ndarray] = {}
+        # (model_id, scope, dtype, tensor keys, shapes) -> its residual
+        # table.  Populated only by lossy codecs; a table lives while it
+        # holds a row, and a row while it holds a residual.
+        self._tables: dict[tuple, _Table] = {}
+        # (model_id, scope) -> its tables: where a client's residuals of
+        # another layout (before a transform re-keyed capacity) are found.
+        self._groups: dict[tuple[str, str], list[_Table]] = {}
         # (dtype, tensor shapes) -> its block plan, derived from the config.
         self._layouts: dict[tuple, _Layout] = {}
 
+    def residual(self, client_id: int, model_id: str, scope: str, key: str) -> np.ndarray | None:
+        """The error-feedback residual of one tensor, or ``None``: a view of
+        the live row, which the client's next encode overwrites."""
+        for table in self._groups.get((model_id, scope), ()):
+            slot, t = table.rows.get(client_id), table.index.get(key)
+            if slot is not None and t is not None and table.present[slot, t]:
+                lo, hi = table.layout.bounds[t]
+                return table.row(slot)[lo:hi].reshape(table.layout.shapes[t])
+        return None
+
     # -- Stateful ------------------------------------------------------
     def state_dict(self) -> dict:
-        """The residuals as columns, one row per residual in sorted key
-        order: ``client_id``, ``tensor`` (a row of the small ``tensors``
-        table of ``[model_id, scope, key, dtype, shape]``) and ``size``,
-        with the values ravelled into one ``values`` arena per dtype."""
-        keys = sorted(self._residuals)
-        arrays = [self._residuals[k] for k in keys]
-        # Rows are keyed by the dtype object, not its string form, which
-        # numpy rebuilds on every ``.str`` access.
-        tensors: dict[tuple, int] = {}
-        rows = [
-            tensors.setdefault((mid, scope, key, arr.dtype, arr.shape), len(tensors))
-            for (_, mid, scope, key), arr in zip(keys, arrays)
-        ]
-        table = [[mid, scope, key, dt.str, list(shape)] for mid, scope, key, dt, shape in tensors]
-        values: dict[str, list[np.ndarray]] = {}
-        for row, arr in zip(rows, arrays):
-            values.setdefault(table[row][3], []).append(arr)
+        """Per table, in creation order: its ``model_id``, ``scope``,
+        ``dtype``, tensor ``keys`` and ``shapes``, an int64 ``client_id``
+        per row, the ``present`` mask per (row, tensor) and the ``values``
+        chunks trimmed to the used rows — every array a view of the live
+        table, so the container streams it without a concatenation."""
         return {
             "schema": self.schema,
             "spec": self.config.spec,
-            "client_id": np.array([k[0] for k in keys], dtype=np.int64),
-            "tensor": np.array(rows, dtype=np.int64),
-            "size": np.array([arr.size for arr in arrays], dtype=np.int64),
-            "tensors": table,
-            "values": {dt: np.concatenate(parts, axis=None) for dt, parts in values.items()},
+            "tables": [table.state() for table in self._tables.values()],
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        check_schema(
-            payload, self.schema, ("spec", "client_id", "tensor", "size", "tensors", "values")
-        )
+        check_schema(payload, self.schema, ("spec", "tables"))
         if payload["spec"] != self.config.spec:
             raise ValueError(
                 f"{self.schema}: checkpoint transport spec {payload['spec']!r} does not "
                 f"match the configured {self.config.spec!r}; error-feedback "
                 "residuals are codec-specific and cannot be reinterpreted"
             )
-        self._residuals = _residuals_v2(payload)
+        entries = payload["tables"]
+        if type(entries) is not list:
+            raise ValueError(f"{self.schema} tables: {type(entries).__name__} is not a list")
+        tables: dict[tuple, _Table] = {}
+        for i, entry in enumerate(entries):
+            table = _Table.from_state(f"{self.schema} tables[{i}]", entry, self._layout)
+            if tables.setdefault(table.id, table) is not table:
+                raise ValueError(f"{self.schema} tables[{i}]: a second table of one layout")
+        groups: dict[tuple[str, str], list[_Table]] = {}
+        for table in tables.values():
+            groups.setdefault(table.id[:2], []).append(table)
+        for group in groups.values():
+            _check_disjoint(f"{self.schema} tables", group)
+        self._tables, self._groups = tables, groups
 
     # -- encoding ------------------------------------------------------
     def encode_update(
@@ -549,10 +568,7 @@ class TransportCodec(Stateful):
                         _Row(i, (update.client_id, update.model_id, scope), tree, tuple(keys), arrays, ref_tree)
                     )
         for (dtype, shapes), rows in blocks.items():
-            layout = self._layouts.get((dtype, shapes))
-            if layout is None:
-                layout = self._layouts[(dtype, shapes)] = _Layout(shapes, dtype, cfg)
-            self._encode_block(layout, rows, wires)
+            self._encode_block(self._layout(dtype, shapes), rows, wires)
         return wires
 
     def _encode_block(self, layout: "_Layout", rows: "list[_Row]", wires: list[int]) -> None:
@@ -593,18 +609,15 @@ class TransportCodec(Stateful):
         else:
             ref_block = None
         work = values if ref_block is None else values - ref_block
-        # Error feedback; -0.0 where a residual is missing or reshaped, as
-        # x + (-0.0) is x for every x.
-        residuals = [
-            self._residuals.get((*row.owner, key)) for row in rows for key in row.keys
-        ]
-        if any(res is not None for res in residuals):
-            shapes = layout.shapes * m
-            bounds = layout.bounds * m
+        # Error feedback, one table row per row; -0.0 where a residual is
+        # missing or of another shape or dtype, as x + (-0.0) is x for
+        # every x.
+        for row in rows:
+            self._adopt(row, layout)
+        homes = [self._slot(row, layout) for row in rows]
+        if any(slot is not None for _, slot in homes):
             np.add(work, np.concatenate([
-                res if res is not None and res.shape == shape and res.dtype == dtype
-                else layout.neg_zeros[lo:hi]
-                for res, shape, (lo, hi) in zip(residuals, shapes, bounds)
+                layout.neg_zeros if slot is None else table.read(slot) for table, slot in homes
             ], axis=None).reshape(work.shape), out=work)
         raw = None
         finite = np.isfinite(work)
@@ -653,13 +666,115 @@ class TransportCodec(Stateful):
         shipped_raw = raw.tolist() if raw is not None else [[False] * tensors] * m
         for r, (row, (_, has)) in enumerate(zip(rows, row_plans)):
             wires[row.index] += row_wires[r]
-            res_row = residual[r].copy()  # a row outlives its block
+            skips = shipped_raw[r]
             for key, ok, (lo, hi), shape, skip in zip(
-                row.keys, has, layout.bounds, layout.shapes, shipped_raw[r]
+                row.keys, has, layout.bounds, layout.shapes, skips
             ):
                 if not skip:
                     row.tree[key] = (out if ok else decoded)[r, lo:hi].reshape(shape)
-                    self._residuals[(*row.owner, key)] = res_row[lo:hi].reshape(shape)
+            if not all(skips):
+                self._store(row, layout, residual[r], skips)
+
+    # -- residual tables -----------------------------------------------
+    def _layout(self, dtype: np.dtype, shapes: tuple) -> "_Layout":
+        layout = self._layouts.get((dtype, shapes))
+        if layout is None:
+            layout = self._layouts[(dtype, shapes)] = _Layout(shapes, dtype, self.config)
+        return layout
+
+    def _slot(self, row: "_Row", layout: "_Layout", create: bool = False) -> tuple:
+        """``(table, slot)`` of the row's owner in the row's layout, created
+        when ``create``; ``(None, None)`` or ``(table, None)`` when absent."""
+        cid, mid, scope = row.owner
+        tid = (mid, scope, layout.dtype, row.keys, layout.shapes)
+        table = self._tables.get(tid)
+        if table is None and create:
+            table = self._tables[tid] = _Table(mid, scope, row.keys, layout)
+            self._groups.setdefault((mid, scope), []).append(table)
+        slot = table.rows.get(cid) if table is not None else None
+        if slot is None and create:
+            slot = len(table.rows)
+            if slot == table.client_id.size:  # the columns double; the chunks stay
+                table.client_id = np.concatenate([table.client_id, np.zeros_like(table.client_id)])
+                table.present = np.concatenate([table.present, np.zeros_like(table.present)])
+            if slot == len(table.chunks) * _CHUNK_ROWS:
+                table.chunks.append(np.zeros((_CHUNK_ROWS, layout.width), dtype=layout.dtype))
+            table.client_id[slot] = cid
+            table.rows[cid] = slot
+        return table, slot
+
+    def _elsewhere(self, row: "_Row", table) -> list:
+        """``(other table, slot)`` of the owner's rows in the other layouts
+        of its model and scope."""
+        cid, mid, scope = row.owner
+        return [
+            (other, other.rows[cid]) for other in self._groups.get((mid, scope), ())
+            if other is not table and cid in other.rows
+        ]
+
+    def _adopt(self, row: "_Row", layout: "_Layout") -> None:
+        """Move the owner's residuals that fit the row's layout — same key,
+        shape and dtype — from its rows of other layouts into its row of
+        this one, so an encode reads one row.  Those that do not fit stay
+        (they read as -0.0, and a tensor shipped raw keeps them)."""
+        table, _ = self._slot(row, layout)
+        for other, src in self._elsewhere(row, table):  # usually none
+            for t, key in enumerate(row.keys):
+                u = other.index.get(key)
+                if (
+                    u is None or not other.present[src, u] or other.layout.dtype != layout.dtype
+                    or other.layout.shapes[u] != layout.shapes[t]
+                ):
+                    continue
+                table, slot = self._slot(row, layout, create=True)
+                lo, hi = layout.bounds[t]
+                table.row(slot)[lo:hi] = other.row(src)[slice(*other.layout.bounds[u])]
+                table.present[slot, t] = True
+                other.present[src, u] = False
+            self._drop_if_empty(other, src)
+
+    def _store(self, row: "_Row", layout: "_Layout", values: np.ndarray, skip: list) -> None:
+        """Write the row's new residuals in place, but for the tensors
+        shipped raw (``skip``), and drop what the owner held of the written
+        tensors in other layouts."""
+        table, slot = self._slot(row, layout, create=True)
+        dest = table.row(slot)
+        if not any(skip):
+            dest[:] = values
+            table.present[slot] = True
+        else:
+            for t, ((lo, hi), raw) in enumerate(zip(layout.bounds, skip)):
+                if not raw:
+                    dest[lo:hi] = values[lo:hi]
+                    table.present[slot, t] = True
+        for other, src in self._elsewhere(row, table):
+            for key, raw in zip(row.keys, skip):
+                u = other.index.get(key)
+                if u is not None and not raw:
+                    other.present[src, u] = False
+            self._drop_if_empty(other, src)
+
+    def _drop_if_empty(self, table: "_Table", slot: int) -> None:
+        """Remove a row that holds no residual: the table's last row takes
+        its place, and a table left without rows goes."""
+        if table.present[slot].any():
+            return
+        last = len(table.rows) - 1
+        del table.rows[int(table.client_id[slot])]
+        if slot != last:
+            moved = int(table.client_id[last])
+            table.rows[moved] = slot
+            table.client_id[slot] = moved
+            table.present[slot] = table.present[last]
+            table.row(slot)[:] = table.row(last)
+        table.present[last] = False
+        table.row(last)[:] = 0
+        if not table.rows:
+            del self._tables[table.id]
+            group = self._groups[table.id[:2]]
+            group.remove(table)
+            if not group:
+                del self._groups[table.id[:2]]
 
 
 class _Row(NamedTuple):
@@ -831,57 +946,147 @@ def _break_ties(layout: _Layout, mag, kth, keep, raw) -> None:
         keep[r, lo + tied[room:]] = False
 
 
-def _residuals_v2(payload: dict) -> dict:
-    """Decode the ``TransportCodec/v2`` columns; a malformed column is a
-    ``ValueError`` before any residual is built."""
-    cols = [np.asarray(payload[name]) for name in ("client_id", "tensor", "size")]
-    tensors, values = payload["tensors"], payload["values"]
-    n = cols[0].size
-    if any(col.dtype != np.int64 or col.shape != (n,) for col in cols):
-        raise ValueError("TransportCodec/v2: client_id, tensor and size must be equal-length int64 columns")
-    if not isinstance(tensors, list):
-        raise ValueError("TransportCodec/v2: the tensors table must be a list")
-    specs = []
-    for row in tensors:
-        if not (
-            isinstance(row, list) and len(row) == 5
-            and all(isinstance(field, str) for field in row[:4])
-            and isinstance(row[4], list) and all(type(d) is int and d >= 0 for d in row[4])
-        ):
-            raise ValueError(f"TransportCodec/v2: malformed tensors row {row!r}")
+#: Rows per residual chunk: a table grows by whole chunks and never moves
+#: the rows a chunk holds.
+_CHUNK_ROWS = 64
+_TABLE_KEYS = ("model_id", "scope", "dtype", "keys", "shapes", "client_id", "present", "values")
+
+
+class _Table:
+    """The error-feedback residuals of one (model, scope, dtype, tensor
+    layout): a row of ``layout.width`` values per client, in
+    ``_CHUNK_ROWS``-row chunks allocated on demand and never copied, and a
+    ``present`` flag per (row, tensor).  Rows are dense, and rows past the
+    used ones stay zero.  The codec adds, writes and removes rows; a table
+    is its storage."""
+
+    def __init__(self, model_id: str, scope: str, keys: tuple, layout: _Layout, rows: int = 0):
+        self.model_id, self.scope, self.keys, self.layout = model_id, scope, keys, layout
+        self.id = (model_id, scope, layout.dtype, keys, layout.shapes)
+        self.index = {key: t for t, key in enumerate(keys)}
+        self.rows: dict[int, int] = {}  # client id -> row
+        capacity = _CHUNK_ROWS * max(1, -(-rows // _CHUNK_ROWS))
+        self.client_id = np.zeros(capacity, dtype=np.int64)
+        self.present = np.zeros((capacity, len(keys)), dtype=bool)
+        self.chunks = [
+            np.zeros((_CHUNK_ROWS, layout.width), dtype=layout.dtype)
+            for _ in range(-(-rows // _CHUNK_ROWS))
+        ]
+
+    def row(self, slot: int) -> np.ndarray:
+        return self.chunks[slot // _CHUNK_ROWS][slot % _CHUNK_ROWS]
+
+    def read(self, slot: int) -> np.ndarray:
+        """A row's residuals, -0.0 over each tensor it holds none of."""
+        values, present = self.row(slot), self.present[slot]
+        if present.all():
+            return values
+        return np.where(np.repeat(present, self.layout.sizes), values, self.layout.neg_zeros)
+
+    def state(self) -> dict:
+        n = len(self.rows)
+        return {
+            "model_id": self.model_id,
+            "scope": self.scope,
+            "dtype": self.layout.dtype.str,
+            "keys": list(self.keys),
+            "shapes": [list(shape) for shape in self.layout.shapes],
+            "client_id": self.client_id[:n],
+            "present": self.present[:n],
+            "values": [
+                chunk[: n - i * _CHUNK_ROWS]
+                for i, chunk in enumerate(self.chunks[: -(-n // _CHUNK_ROWS)])
+            ],
+        }
+
+    @classmethod
+    def from_state(cls, where: str, entry: object, layout_of) -> "_Table":
+        """Rebuild a :meth:`state` payload into fresh storage; anything a
+        table could not have written is a ``ValueError`` starting with
+        ``where`` and naming the key."""
+        found = entry.keys() if type(entry) is dict else set()
+        if found != set(_TABLE_KEYS):
+            raise ValueError(
+                f"{where}: missing keys {sorted(set(_TABLE_KEYS) - found)}, "
+                f"unexpected keys {sorted(found - set(_TABLE_KEYS))}"
+            )
+        for key in ("model_id", "scope", "dtype"):
+            if type(entry[key]) is not str:
+                raise ValueError(f"{where} {key}: {entry[key]!r} is not a str")
+        if entry["scope"] not in ("param", "state"):
+            raise ValueError(f"{where} scope: {entry['scope']!r} is not 'param' or 'state'")
         try:
-            valid = np.dtype(row[3]).str == row[3]
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            raise ValueError(f"TransportCodec/v2: unknown dtype {row[3]!r}")
-        specs.append((*row[:4], tuple(row[4]), math.prod(row[4])))
-    client_id, tensor, size = (col.tolist() for col in cols)
-    if any(not 0 <= t < len(specs) or specs[t][5] != m for t, m in zip(tensor, size)):
-        raise ValueError("TransportCodec/v2: a tensor index or size disagrees with the tensors table")
-    totals: dict[str, int] = {}
-    for t, m in zip(tensor, size):
-        totals[specs[t][3]] = totals.get(specs[t][3], 0) + m
-    if not (
-        isinstance(values, dict) and values.keys() == totals.keys()
-        and all(
-            isinstance(arena, np.ndarray) and arena.dtype.str == dtype
-            and arena.shape == (totals[dtype],)
-            for dtype, arena in values.items()
-        )
-    ):
-        raise ValueError("TransportCodec/v2: the values arenas disagree with the size column")
-    # A live encode never leaves a non-finite residual (such tensors ship
-    # raw); one would silently zero its client's next update of the tensor.
-    if not all(np.isfinite(arena).all() for arena in values.values()):
-        raise ValueError("TransportCodec/v2: a residual holds a non-finite value")
-    offsets = dict.fromkeys(totals, 0)
-    residuals = {}
-    for cid, t, m in zip(client_id, tensor, size):
-        mid, scope, key, dtype, shape, _ = specs[t]
-        start = offsets[dtype]
-        residuals[(cid, mid, scope, key)] = values[dtype][start : start + m].reshape(shape).copy()
-        offsets[dtype] = start + m
-    if len(residuals) != n:
-        raise ValueError("TransportCodec/v2: a residual row is repeated")
-    return residuals
+            dtype = np.dtype(entry["dtype"])
+        except (TypeError, ValueError, SyntaxError):  # numpy reads ",f8" as Python
+            dtype = None
+        if dtype is None or dtype.str != entry["dtype"] or dtype.kind != "f":
+            raise ValueError(f"{where} dtype: {entry['dtype']!r} is not a floating dtype")
+        keys, shapes = entry["keys"], entry["shapes"]
+        if not (
+            type(keys) is list and keys and all(type(k) is str for k in keys)
+            and len(set(keys)) == len(keys)
+        ):
+            raise ValueError(f"{where} keys: {keys!r} is not a list of distinct tensor keys")
+        if not (
+            type(shapes) is list and len(shapes) == len(keys)
+            and all(type(s) is list and all(type(d) is int and d >= 0 for d in s) for s in shapes)
+        ):
+            raise ValueError(f"{where} shapes: {shapes!r} is not one shape per key")
+        for shape in shapes:  # the values' width bounds the others
+            if not math.prod(shape):
+                try:
+                    np.empty(shape, dtype=dtype)
+                except ValueError:
+                    raise ValueError(f"{where} shapes: {shape!r} is no array's shape") from None
+        ids = entry["client_id"]
+        n = ids.shape[0] if type(ids) is np.ndarray and ids.ndim == 1 else -1
+        checked_array(where, entry, "client_id", np.int64, (max(n, 0),))
+        if n == 0 or np.unique(ids).size != n:
+            raise ValueError(f"{where} client_id: {'no row' if n == 0 else 'a repeated client'}")
+        present = checked_array(where, entry, "present", np.bool_, (n, len(keys)))
+        if not present.any(axis=1).all():
+            raise ValueError(f"{where} present: a row holds no residual")
+        # The chunks are checked against the declared shapes before those
+        # size anything: a table allocates no more than its chunks hold.
+        width, values = sum(math.prod(shape) for shape in shapes), entry["values"]
+        chunks = -(-n // _CHUNK_ROWS)
+        if type(values) is not list or len(values) != chunks:
+            raise ValueError(f"{where} values: not a list of {chunks} chunks")
+        for i, chunk in enumerate(values):
+            shape = (min(_CHUNK_ROWS, n - i * _CHUNK_ROWS), width)
+            if not (type(chunk) is np.ndarray and chunk.dtype == dtype and chunk.shape == shape):
+                got = f"{chunk.dtype} {chunk.shape}" if type(chunk) is np.ndarray else type(chunk).__name__
+                raise ValueError(f"{where} values[{i}]: must be a {dtype} array of shape {shape}, got {got}")
+            # A live encode never leaves a non-finite residual (such tensors
+            # ship raw); one would silently zero its client's next update.
+            if not np.isfinite(chunk).all():
+                raise ValueError(f"{where} values[{i}]: a residual holds a non-finite value")
+        table = cls(entry["model_id"], entry["scope"], tuple(keys),
+                    layout_of(dtype, tuple(tuple(s) for s in shapes)), n)
+        for chunk, dest in zip(values, table.chunks):
+            dest[: len(chunk)] = chunk
+        table.client_id[:n] = ids
+        table.present[:n] = present
+        table.rows = dict(zip(ids.tolist(), range(n)))
+        return table
+
+
+def _check_disjoint(where: str, group: list[_Table]) -> None:
+    """At most one residual per (client, tensor key) across the tables of
+    one model and scope."""
+    for i, a in enumerate(group):
+        for b in group[i + 1 :]:
+            shared = [key for key in a.keys if key in b.index]
+            if not shared:
+                continue
+            _, ia, ib = np.intersect1d(
+                a.client_id[: len(a.rows)], b.client_id[: len(b.rows)], return_indices=True
+            )
+            both = a.present[np.ix_(ia, [a.index[k] for k in shared])] & b.present[
+                np.ix_(ib, [b.index[k] for k in shared])
+            ]
+            if both.any():
+                raise ValueError(
+                    f"{where}: a client holds two residuals of one {a.model_id} "
+                    f"{a.scope} tensor"
+                )

@@ -17,6 +17,7 @@ the dtype the checkpoint was saved at is lossless; crossing dtypes rounds
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "model_from_spec",
     "model_state_dict",
     "load_model_state",
+    "load_live_model",
     "model_from_state",
 ]
 
@@ -227,6 +229,26 @@ def load_model_state(model: CellModel, payload: dict) -> None:
     # set_tensors bumped the counter; restamp to the checkpoint's
     # value so version-keyed caches key identically after resume.
     model.sync_version(version)
+
+
+def _spec_text(spec: object) -> str | None:
+    """``spec`` as canonical JSON (a bool is no int), ``None`` when it is no
+    JSON tree."""
+    try:
+        return json.dumps(spec, sort_keys=True)
+    except (TypeError, ValueError):
+        return None
+
+
+def load_live_model(model: CellModel, payload: dict) -> None:
+    """:func:`load_model_state` into a model that outlives the load (a
+    strategy's suite, a baseline's global model), whose spec the payload's
+    must equal: its architecture, lineage and history are configuration,
+    not state, so a payload of another is a ``ValueError`` naming the spec."""
+    _check_keys(f"model {model.model_id}", payload)
+    if _spec_text(payload["spec"]) != _spec_text(model_spec(model)):
+        raise ValueError(f"model {model.model_id}: the checkpoint's spec is not the live model's")
+    load_model_state(model, payload)
 
 
 def model_from_state(payload: dict) -> CellModel:

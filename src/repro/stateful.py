@@ -44,9 +44,10 @@ The kinds, shared with record fields:
   from its own spec.
 * A ``Stateful`` or a :class:`LiveModel` is *live*: its payload carries no
   configuration, so it loads in place into the object the attribute
-  holds.  ``S | None`` must be present exactly when the live one is; a
-  ``dict[str, S]`` that is a ``defaultdict`` is rebuilt by its factory,
-  any other must hold exactly the saved keys.
+  holds; a model payload's spec must be the live model's.  ``S | None``
+  must be present exactly when the live one is; a ``dict[str, S]`` that
+  is a ``defaultdict`` is rebuilt by its factory, any other must hold
+  exactly the saved keys.
 
 The derived reader is strict: exactly ``schema`` plus the declared keys,
 and a wrong payload is a ``ValueError`` naming the tag and the key (nested
@@ -347,11 +348,11 @@ def _load_each(live: dict, value, load_into: Callable) -> None:
 
 def _live_codec(tp) -> tuple[Callable, Callable] | None:
     """``(encode, load_into)`` when ``tp`` is a live kind, else ``None``."""
-    from .nn.serialization import load_model_state, model_state_dict
+    from .nn.serialization import load_live_model, model_state_dict
 
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is LiveModel:
-        return model_state_dict, load_model_state
+        return model_state_dict, load_live_model
     if _is_stateful(tp):
         return operator.methodcaller("state_dict"), lambda live, value: live.load_state_dict(value)
     if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
@@ -384,7 +385,9 @@ class Stateful:
     repro-lint RL008 rule checks exactly that: an inherited declaration
     cannot capture state the subclass added); an empty table documents
     that the class's state is derived.  ``state_dict`` returns a fresh
-    payload — no live references — and ``load_state_dict`` restores
+    payload — no live references, but for ``TransportCodec``'s residual
+    tables, which a checkpoint writes before the next encode — and
+    ``load_state_dict`` restores
     *exactly* the captured trajectory: after a restore, every future draw,
     cache hit, and version comparison behaves as if the run had never
     stopped.

@@ -7,7 +7,10 @@ are the per-update, per-tensor forms that replaced, kept verbatim as the
 oracle ``tests/test_transport.py`` holds the flush encoder to, byte for
 byte: decoded params, residuals, ``bytes_up`` and ``round_time``.
 
-Run an :class:`OracleCodec` update by update, in flush order.
+Run an :class:`OracleCodec` update by update, in flush order.  It keeps
+its residuals per tensor, in ``_residuals``; :func:`residual_map` decodes a
+``TransportCodec/v3`` payload to that form and :func:`tables_payload`
+encodes it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fl.transport import (
+    _CHUNK_ROWS,
     TransportCodec,
     bf16_decode,
     bf16_encode,
@@ -23,8 +27,53 @@ from repro.fl.transport import (
 )
 
 
+def residual_map(payload: dict) -> dict:
+    """``(client, model, scope, key) -> residual`` of a ``TransportCodec/v3``
+    payload: every tensor a row of a table holds."""
+    out = {}
+    for table in payload["tables"]:
+        rows = np.concatenate(table["values"]) if table["values"] else None
+        sizes = [int(np.prod(shape)) for shape in table["shapes"]]
+        starts = np.cumsum([0, *sizes])
+        for r, cid in enumerate(table["client_id"].tolist()):
+            for t, key in enumerate(table["keys"]):
+                if table["present"][r, t]:
+                    out[(cid, table["model_id"], table["scope"], key)] = (
+                        rows[r, starts[t] : starts[t + 1]].reshape(table["shapes"][t])
+                    )
+    return out
+
+
+def tables_payload(spec: str, residuals: dict) -> dict:
+    """A ``TransportCodec/v3`` payload holding exactly ``residuals``, a
+    :func:`residual_map`: one single-tensor table per (model, scope, key,
+    dtype, shape), rows in the map's order."""
+    groups: dict[tuple, list] = {}
+    for (cid, mid, scope, key), arr in residuals.items():
+        groups.setdefault((mid, scope, key, arr.dtype.str, arr.shape), []).append((cid, arr))
+    tables = []
+    for (mid, scope, key, dtype, shape), rows in groups.items():
+        values = np.stack([np.ravel(arr) for _, arr in rows])
+        tables.append({
+            "model_id": mid, "scope": scope, "dtype": dtype, "keys": [key],
+            "shapes": [list(shape)],
+            "client_id": np.array([cid for cid, _ in rows], dtype=np.int64),
+            "present": np.ones((len(rows), 1), dtype=bool),
+            "values": [values[i : i + _CHUNK_ROWS] for i in range(0, len(rows), _CHUNK_ROWS)],
+        })
+    return {"schema": TransportCodec.schema, "spec": spec, "tables": tables}
+
+
 class OracleCodec(TransportCodec):
-    """A :class:`TransportCodec` whose encode is the per-tensor original."""
+    """A :class:`TransportCodec` whose encode is the per-tensor original,
+    over a per-tensor residual dict."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self._residuals: dict[tuple[int, str, str, str], np.ndarray] = {}
+
+    def state_dict(self) -> dict:
+        return tables_payload(self.config.spec, self._residuals)
 
     def encode_update(
         self,

@@ -1548,7 +1548,7 @@ class TestEngineAndCli:
         "FleetStore": "columnar: one array per column, checked against the fleet's rows",
         "RoundTimeStats": "ring buffers, restored with their sorted copies",
         "ClientManager": "columnar: a utility block shaped by its client and model axes",
-        "TransportCodec": "columnar: residuals as columns plus one arena per dtype",
+        "TransportCodec": "per-layout tables: rows of residuals in chunks, a present mask",
     }
 
     def test_a_component_payload_is_declared_once(self):
@@ -1642,6 +1642,24 @@ class TestEngineAndCli:
             )
         ]
         assert regrown == []
+
+    def test_the_engine_does_not_import_the_linter(self):
+        """A run and every pool worker import ``repro.fl``, which reaches the
+        sanitizer: the linter's engine and rules stay unloaded until
+        ``lint_paths`` is asked for."""
+        probe = (
+            "import sys, repro.fl; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis'))); "
+            "from repro.analysis import lint_paths; "
+            "print('repro.analysis.engine' in sys.modules, 'repro.analysis.rules' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], cwd=REPO, capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        )
+        assert out.stdout.splitlines() == [
+            "['repro.analysis', 'repro.analysis.sanitize']", "True True",
+        ]
 
     def test_the_package_declares_its_metadata(self):
         """``pyproject.toml`` names the package, so ``setup.py`` (the

@@ -448,6 +448,26 @@ class TestLadderPayloads:
             np.testing.assert_array_equal(fresh._scores[key], s)
             assert not np.shares_memory(fresh._scores[key], s)
 
+    @pytest.mark.parametrize("field,mutate", [
+        ("birth_round", lambda spec: spec.update(birth_round=spec["birth_round"] + 1)),
+        ("format as a bool", lambda spec: spec.update(format=True)),
+        ("a cell's widen_count", lambda spec: spec["cells"][0].update(widen_count=1)),
+        ("a cell's lineage", lambda spec: spec["cells"][-1].update(origin="c9999")),
+    ])
+    def test_a_payload_of_another_spec_is_refused(self, rng, field, mutate):
+        """The global model loads in place: a checkpoint whose spec is not
+        the live model's is refused, naming the tag and ``spec``, and loads
+        nothing."""
+        payload = self._trained(HeteroFLStrategy, rng).state_dict()
+        mutate(payload["global_model"]["spec"])
+        _, g, _ = _restarted(seed=1)
+        fresh = HeteroFLStrategy(g)
+        before = {k: v.copy() for k, v in fresh.global_model.params().items()}
+        with pytest.raises(ValueError, match=r"HeteroFLStrategy/v1 global_model: .*spec"):
+            fresh.load_state_dict(payload)
+        for k, v in fresh.global_model.params().items():
+            np.testing.assert_array_equal(v, before[k])
+
     def test_payload_from_another_strategy_is_refused(self, rng):
         hetero = self._trained(HeteroFLStrategy, rng)
         _, g, _ = _fl_setup()

@@ -72,6 +72,7 @@ from repro.nn.optim import SGD, Yogi
 from repro.stateful import Finite, Stateful
 
 from forged_container import refile
+from oracle_transport import residual_map, tables_payload
 from oracle_client_manager import ClientManager as DictClientManager
 
 REPO =Path(__file__).resolve().parents[1]
@@ -271,7 +272,7 @@ class TestArenaContainer:
                 coord.run()
             (run,) = RunRegistry(tmp_path).runs()
             transport = load_checkpoint(tmp_path / run)["payload"]["coordinator"]["transport"]
-            assert list(transport["values"]) == ["<f4"] and transport["client_id"].size
+            assert transport["tables"] and {t["dtype"] for t in transport["tables"]} == {"<f4"}
             assert _dumps(_build(tmp_path, resume=True, **stack).run()) == ref
         finally:
             set_compute_dtype("float64")
@@ -281,14 +282,17 @@ class TestArenaContainer:
 # hostile input: every corruption is a ValueError naming the file
 # ----------------------------------------------------------------------
 def _codec() -> TransportCodec:
-    """A lossy codec holding five residuals over three tensors, two dtypes;
-    rows 0 and 2 are the same tensor of two clients."""
+    """A lossy codec holding five residuals over three tensors, two dtypes,
+    in two tables: clients 0 and 1 in the ``m0`` param table, client 1 in
+    its float32 state table."""
     codec = TransportCodec(TransportConfig.parse("update:topk0.05+int8"))
     rng = np.random.default_rng(0)
+    updates = []
     for cid in (0, 1):
-        for key, shape in (("a", (3,)), ("b", (2, 2))):
-            codec._residuals[(cid, "m0", "param", key)] = rng.standard_normal(shape)
-    codec._residuals[(1, "m0", "state", "c")] = rng.standard_normal(2).astype(np.float32)
+        params = {"a": rng.standard_normal(3), "b": rng.standard_normal((2, 2))}
+        state = {"c": rng.standard_normal(2).astype(np.float32)} if cid else {}
+        updates.append(ClientUpdate(cid, "m0", params, state, 0.0, 1, 0.0, 0, 0, 1.0))
+    codec.encode_update(updates)
     return codec
 
 
@@ -356,6 +360,7 @@ _ARENA_TABLE_TAMPERS = {
     "missing arena": lambda t: t.pop("|b1"),
     "arena under another dtype's name": lambda t: _set(t, "<c16", t.pop("<f8")),
     "arena of a narrower dtype": lambda t: _set(t, "<f4", t.pop("<f8")),
+    "arena under a comma-string name": lambda t: _set(t, ",f8", t.pop("<f8")),
     "header claims more than its bytes": lambda t: _set(t, "<c16", [0, 1 << 50]),
     "misaligned arena": lambda t: _set(t["<i8"], 0, t["<i8"][0] + 8),
     "object arena": lambda t: _set(t, "|O", t.pop("<i8")),
@@ -382,27 +387,80 @@ _MANIFEST_TAMPERS = {
 }
 
 
-# Each corrupts one ``TransportCodec`` payload column in place.
-_COLUMN_TAMPERS = {
-    "float client_id": lambda p: _set(p, "client_id", p["client_id"].astype(np.float64)),
-    "short tensor column": lambda p: _set(p, "tensor", p["tensor"][:-1]),
-    "tensor index past the table": lambda p: _set(p["tensor"], 0, len(p["tensors"])),
-    "negative tensor index": lambda p: _set(p["tensor"], 0, -1),
-    "size disagrees with the shape": lambda p: _set(p["size"], 0, p["size"][0] + 1),
-    "short tensors row": lambda p: _set(p["tensors"], 0, p["tensors"][0][:4]),
-    "unknown dtype in the table": lambda p: _set(p["tensors"][0], 3, "<q9"),
-    "negative dimension in the table": lambda p: _set(p["tensors"][0], 4, [-1]),
-    "tensors not a list": lambda p: _set(p, "tensors", {"0": p["tensors"][0]}),
-    "short arena": lambda p: _set(p["values"], "<f8", p["values"]["<f8"][:-1]),
-    "arena of another dtype": lambda p: _set(
-        p["values"], "<f8", p["values"]["<f8"].astype(np.float32)
-    ),
-    "extra arena": lambda p: _set(p["values"], "<i8", np.zeros(1, dtype=np.int64)),
-    "missing arena": lambda p: p["values"].pop("<f4"),
-    "repeated row": lambda p: _set(p["client_id"], 2, p["client_id"][0]),
-    "NaN residual": lambda p: _set(p["values"]["<f8"], 1, np.nan),
-    "infinite residual": lambda p: _set(p["values"]["<f4"], 0, -np.inf),
+def _v2_payload(p):
+    """The ``TransportCodec/v2`` columns (sorted residual rows, a tensor
+    table, one arena per dtype) in place of the tables."""
+    p.clear()
+    p.update(
+        schema="TransportCodec/v2", spec="update:topk0.05+int8",
+        client_id=np.array([0], dtype=np.int64), tensor=np.array([0], dtype=np.int64),
+        size=np.array([3], dtype=np.int64), tensors=[["m0", "param", "a", "<f8", [3]]],
+        values={"<f8": np.zeros(3)},
+    )
+
+
+def _hold_twice(p):
+    """Append a table of ``m0``'s param ``b`` alone holding client 1's,
+    which ``tables[0]`` holds too."""
+    p["tables"].append(dict(
+        p["tables"][0], keys=["b"], shapes=[[2, 2]], client_id=np.array([1], dtype=np.int64),
+        present=np.ones((1, 1), dtype=bool), values=[np.zeros((1, 4))],
+    ))
+
+
+# (what the error names, the tamper): each corrupts one ``TransportCodec/v3``
+# payload in place (``tables[0]`` holds clients 0 and 1 of ``m0``'s float64
+# params ``a`` and ``b``, ``tables[1]`` client 1's float32 state ``c``).
+_TABLE_TAMPERS = {
+    "v2 payload": ("schema", _v2_payload),
+    "tables not a list": ("tables", lambda p: _set(p, "tables", tuple(p["tables"]))),
+    "missing table key": ("present", lambda p: p["tables"][0].pop("present")),
+    "extra table key": ("extra", lambda p: _set(p["tables"][0], "extra", 0)),
+    "int model_id": ("model_id", lambda p: _set(p["tables"][0], "model_id", 0)),
+    "unknown scope": ("scope", lambda p: _set(p["tables"][0], "scope", "grad")),
+    "unknown dtype": ("dtype", lambda p: _set(p["tables"][0], "dtype", "<q9")),
+    "integer dtype": ("dtype", lambda p: _set(p["tables"][0], "dtype", "<i8")),
+    "comma-string dtype": ("dtype", lambda p: _set(p["tables"][0], "dtype", ",f8")),
+    "repeated key": ("keys", lambda p: _set(p["tables"][0], "keys", ["a", "a"])),
+    "non-str key": ("keys", lambda p: _set(p["tables"][0]["keys"], 1, 1)),
+    "a shape short": ("shapes", lambda p: p["tables"][0]["shapes"].pop()),
+    "negative dimension": ("shapes", lambda p: _set(p["tables"][0]["shapes"], 0, [-3])),
+    "bool dimension": ("shapes", lambda p: _set(p["tables"][0]["shapes"], 0, [True])),
+    "an empty shape past numpy's bound": ("shapes", lambda p: _set(p["tables"][0]["shapes"], 0, [1 << 62, 0])),
+    "float client_id": ("client_id", lambda p: _set(
+        p["tables"][0], "client_id", p["tables"][0]["client_id"].astype(np.float64)
+    )),
+    "2-D client_id": ("client_id", lambda p: _set(
+        p["tables"][0], "client_id", p["tables"][0]["client_id"][None]
+    )),
+    "repeated client": ("client_id", lambda p: _set(p["tables"][0]["client_id"], 1, 0)),
+    "no rows": ("client_id", lambda p: p["tables"][1].update(
+        client_id=np.zeros(0, dtype=np.int64), present=np.zeros((0, 1), dtype=bool), values=[]
+    )),
+    "int present": ("present", lambda p: _set(
+        p["tables"][0], "present", p["tables"][0]["present"].astype(np.int8)
+    )),
+    "long present": ("present", lambda p: _set(
+        p["tables"][0], "present", np.ones((3, 2), dtype=bool)
+    )),
+    "a row without a residual": ("present", lambda p: _set(p["tables"][0]["present"], 1, False)),
+    "values not a list": ("values", lambda p: _set(p["tables"][0], "values", p["tables"][0]["values"][0])),
+    "an extra chunk": ("values", lambda p: p["tables"][0]["values"].append(np.zeros((1, 7)))),
+    "values of another dtype": ("values[0]", lambda p: _set(
+        p["tables"][0]["values"], 0, p["tables"][0]["values"][0].astype(np.float32)
+    )),
+    "short chunk": ("values[0]", lambda p: _set(
+        p["tables"][0]["values"], 0, p["tables"][0]["values"][0][:1]
+    )),
+    "a shape the values disagree with": ("values[0]", lambda p: _set(
+        p["tables"][0]["shapes"], 0, [4]
+    )),
+    "NaN residual": ("values[0]", lambda p: _set(p["tables"][0]["values"][0], (1, 0), np.nan)),
+    "infinite residual": ("values[0]", lambda p: _set(p["tables"][1]["values"][0], (0, 1), -np.inf)),
+    "two tables of one layout": ("tables[2]", lambda p: p["tables"].append(copy.deepcopy(p["tables"][0]))),
+    "a residual held twice": ("tables", _hold_twice),
 }
+
 
 # Each makes device class 1's round-time window one a run cannot write.
 _WINDOW_TAMPERS = {
@@ -618,27 +676,36 @@ class TestHostilePayloads:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_payload(path)
 
-    @pytest.mark.parametrize("tamper", sorted(_COLUMN_TAMPERS))
-    def test_malformed_codec_columns_are_a_value_error(self, tamper):
+    @pytest.mark.parametrize("tamper", sorted(_TABLE_TAMPERS))
+    def test_malformed_codec_tables_are_a_value_error(self, tamper):
+        """Each refusal names ``TransportCodec/v3`` and the key at fault, and
+        leaves the codec's residuals as they were."""
         codec = _codec()
-        payload = codec.state_dict()
+        payload = copy.deepcopy(codec.state_dict())
         restored = TransportCodec(codec.config)
         restored.load_state_dict(payload)  # untampered: loads
-        assert {k: _bits(v) for k, v in restored._residuals.items()} == {
-            k: _bits(v) for k, v in codec._residuals.items()
-        }
-        _COLUMN_TAMPERS[tamper](payload)
-        with pytest.raises(ValueError, match="TransportCodec/v2"):
-            TransportCodec(codec.config).load_state_dict(payload)
+        want = {k: _bits(v) for k, v in residual_map(codec.state_dict()).items()}
+        assert len(want) == 5
+        assert {k: _bits(v) for k, v in residual_map(restored.state_dict()).items()} == want
+        key, alter = _TABLE_TAMPERS[tamper]
+        alter(payload)
+        with pytest.raises(ValueError, match="TransportCodec/v3") as info:
+            restored.load_state_dict(payload)
+        assert key in str(info.value)
+        assert {k: _bits(v) for k, v in residual_map(restored.state_dict()).items()} == want
 
     def test_a_non_finite_residual_is_a_value_error(self, rng):
         """A NaN residual loaded, and the client's next encode of the tensor
         then decoded to exactly the reference (and stayed NaN): refused."""
         codec = TransportCodec(TransportConfig.parse("update:int8"))
-        codec._residuals[(0, "m0", "param", "w")] = rng.standard_normal(8)
-        payload = codec.state_dict()
-        payload["values"]["<f8"][3] = np.nan
-        with pytest.raises(ValueError, match="TransportCodec/v2: a residual holds a non-finite"):
+        codec.load_state_dict(tables_payload(
+            codec.config.spec, {(0, "m0", "param", "w"): rng.standard_normal(8)}
+        ))
+        payload = copy.deepcopy(codec.state_dict())
+        payload["tables"][0]["values"][0][0, 3] = np.nan
+        with pytest.raises(
+            ValueError, match=r"TransportCodec/v3 tables\[0\] values\[0\]: a residual holds a non-finite"
+        ):
             TransportCodec(codec.config).load_state_dict(payload)
 
     @pytest.mark.parametrize("tamper", sorted(_WINDOW_TAMPERS))
@@ -664,12 +731,14 @@ class TestHostilePayloads:
             coord.run()
         (run,) = RunRegistry(tmp_path).runs()
         found = load_checkpoint(tmp_path / run)
-        _COLUMN_TAMPERS["size disagrees with the shape"](found["payload"]["coordinator"]["transport"])
+        _TABLE_TAMPERS["a shape the values disagree with"][1](
+            found["payload"]["coordinator"]["transport"]
+        )
         manifest = found["manifest"]
         path = CheckpointWriter(tmp_path / run, manifest["run_hash"]).write(
             manifest["round"], found["payload"], completed=False
         )
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*TransportCodec/v2"):
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*TransportCodec/v3"):
             _build(tmp_path, resume=True, **stack).run()
 
 
@@ -1589,7 +1658,7 @@ _MUTATED_TAGS = sorted({
     "FedTransStrategy/v1", "HeteroFLStrategy/v1", "FLuIDStrategy/v1", "SingleModelStrategy/v1",
     "ClientManager/v2", "SimilarityCache/v1", "ModelAggregator/v1", "Yogi/v1",
     "ModelTransformer/v1", "DoCTracker/v1", "ActivenessTracker/v1",
-    "BufferedAsyncEngine/v1", "VirtualClock/v1", "UpdateValidator/v1", "TransportCodec/v2",
+    "BufferedAsyncEngine/v1", "VirtualClock/v1", "UpdateValidator/v1", "TransportCodec/v3",
     "StaticPacing/v1", "AdaptivePacing/v1", "QuantilePacing/v1",
     "DropPolicy/v1", "DownsizePolicy/v1", "SGD/v1",
 })

@@ -43,6 +43,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_deployment as oracle
+from repro.baselines import subnet
 from repro.baselines import FLuIDStrategy, HeteroFLStrategy, SplitMixStrategy, fedavg
 from repro.core import ClientManager, FedTransConfig, FedTransStrategy, SimilarityCache
 from repro.data import SyntheticTaskConfig, build_federated_dataset
@@ -169,6 +170,33 @@ class TestDeploymentOracle:
         assert [assigned[c.client_id] for c in clients] == [
             [mid] for mid in oracle.eval_models(strategy, clients)
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(capacities=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 28.0, 50.0, 64.0, 160.0, 447.0, 1e12]),
+            st.floats(0.0, 1e4, allow_nan=False), st.integers(0, 500),
+        ),
+        max_size=40,
+    ))
+    def test_a_ladder_resolves_each_distinct_capacity_once(self, capacities):
+        """``largest_compatible`` groups a wave by capacity in first-seen
+        order; it assigns what the ``np.unique`` grouping it replaced did,
+        with one fit-rule call per distinct capacity."""
+        models = HeteroFLStrategy(mlp((8,), 4, np.random.default_rng(0), width=16)).models()
+        clients = _fleet(enumerate(capacities))
+
+        real = subnet.compatible_model_ids
+        caps, owner = np.unique([c.capacity_macs for c in clients], return_inverse=True)
+        picks = [
+            max(real(models, cap), key=lambda mid: (models[mid].macs(), mid))
+            for cap in caps.tolist()
+        ]
+        calls = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(subnet, "compatible_model_ids", lambda ms, cap: calls.append(cap) or real(ms, cap))
+            assert subnet.largest_compatible(models, clients) == [picks[i] for i in owner.tolist()]
+        assert len(calls) == caps.size
 
     @pytest.mark.parametrize(
         "build",

@@ -237,7 +237,7 @@ def _digests(name: str) -> dict:
             "schema": None, "store": store, "sim_cache": manager["sim_cache"],
         }
     # And the codec's error-feedback residuals were a list of dicts
-    # (``TransportCodec/v1``), not the v2 columns.
+    # (``TransportCodec/v1``), not the v3 tables.
     if coord.transport is not None:
         state["transport"] = dict.fromkeys(("schema", "spec", "residuals"))
     # And the coordinator carried the fleet sweep's accuracy cache

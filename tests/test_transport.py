@@ -10,6 +10,7 @@ publish chain, now versioned) and the error-feedback residuals' Stateful
 contract (I9) are covered here too.
 """
 
+import gc
 import json
 import math
 import os
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from forged_container import reheader
-from oracle_transport import OracleCodec
+from oracle_transport import OracleCodec, residual_map, tables_payload
 
 from repro import container
 from repro.baselines import fedavg
@@ -435,7 +436,7 @@ class TestTransportCodec:
         codec.encode_update(update, _FakeModel({"w": w.copy()}))
         np.testing.assert_array_equal(update.params["w"], w)
         assert update.bytes_up < update.raw_bytes_up  # identical ref: tiny
-        assert codec.state_dict()["client_id"].size == 0  # lossless: no EF state
+        assert codec.state_dict()["tables"] == []  # lossless: no EF state
 
     def test_lossy_wire_is_smaller_and_decoded_in_place(self, rng):
         ref = rng.standard_normal((32, 16))
@@ -458,7 +459,7 @@ class TestTransportCodec:
         u1 = _mk_update({"w": ref + delta})
         codec.encode_update(u1, _FakeModel({"w": ref.copy()}))
         shipped1 = u1.params["w"] - ref
-        res = codec._residuals[(0, "m0", "param", "w")]
+        res = codec.residual(0, "m0", "param", "w").copy()
         np.testing.assert_allclose(shipped1 + res, delta, atol=1e-12)
         # A second identical client delta now rides on the residual: the
         # cumulative shipped mass keeps growing toward the true signal.
@@ -466,7 +467,7 @@ class TestTransportCodec:
         codec.encode_update(u2, _FakeModel({"w": ref.copy()}))
         shipped2 = u2.params["w"] - ref
         assert np.count_nonzero(shipped2) > 0
-        res2 = codec._residuals[(0, "m0", "param", "w")]
+        res2 = codec.residual(0, "m0", "param", "w")
         np.testing.assert_allclose(shipped1 + shipped2 + res2, 2 * delta, atol=1e-12)
 
     def test_residual_resets_on_shape_change(self, rng):
@@ -475,13 +476,14 @@ class TestTransportCodec:
             _mk_update({"w": rng.standard_normal(16)}),
             _FakeModel({"w": np.zeros(16)}),
         )
-        assert codec._residuals[(0, "m0", "param", "w")].shape == (16,)
+        assert codec.residual(0, "m0", "param", "w").shape == (16,)
         # The model was transformed: same key, new capacity.
         codec.encode_update(
             _mk_update({"w": rng.standard_normal(24)}),
             _FakeModel({"w": np.zeros(24)}),
         )
-        assert codec._residuals[(0, "m0", "param", "w")].shape == (24,)
+        assert codec.residual(0, "m0", "param", "w").shape == (24,)
+        assert list(residual_map(codec.state_dict())) == [(0, "m0", "param", "w")]
 
     def test_non_finite_tensors_bypass_the_codec(self):
         w = np.full(32, np.nan)
@@ -490,7 +492,7 @@ class TestTransportCodec:
         codec.encode_update(update, _FakeModel({"w": np.zeros(32)}))
         np.testing.assert_array_equal(update.params["w"], w)  # poison intact
         assert update.bytes_up == w.nbytes  # shipped raw
-        assert codec.state_dict()["client_id"].size == 0
+        assert codec.state_dict()["tables"] == []
 
     def test_state_dict_round_trips(self, rng):
         codec = TransportCodec(TransportConfig.parse("update:int8"))
@@ -500,26 +502,29 @@ class TestTransportCodec:
         )
         clone = TransportCodec(TransportConfig.parse("update:int8"))
         clone.load_state_dict(codec.state_dict())
-        assert set(clone._residuals) == set(codec._residuals)
-        for k in codec._residuals:
-            np.testing.assert_array_equal(clone._residuals[k], codec._residuals[k])
+        got, want = residual_map(clone.state_dict()), residual_map(codec.state_dict())
+        assert {k: _bits(v) for k, v in got.items()} == {k: _bits(v) for k, v in want.items()}
 
-    def test_state_dict_columns_follow_the_sorted_keys(self, rng):
+    def test_state_dict_is_one_table_per_layout(self, rng):
+        """Rows in the order clients first shipped, one per client, a
+        ``present`` flag per tensor, values in whole chunks but the last."""
         codec = TransportCodec(TransportConfig.parse("update:int8"))
         for cid in (3, 1, 2):
             codec.encode_update(
-                _mk_update({"w": rng.standard_normal(4)}, cid=cid),
-                _FakeModel({"w": np.zeros(4)}),
+                _mk_update({"w": rng.standard_normal(4), "b": rng.standard_normal(2)}, cid=cid),
+                _FakeModel({"w": np.zeros(4), "b": np.zeros(2)}),
             )
-        payload = codec.state_dict()
-        assert payload["client_id"].tolist() == [1, 2, 3]
-        assert payload["tensors"] == [["m0", "param", "w", "<f8", [4]]]
-        assert payload["tensor"].tolist() == [0, 0, 0]
-        assert payload["size"].tolist() == [4, 4, 4]
-        np.testing.assert_array_equal(
-            payload["values"]["<f8"],
-            np.concatenate([codec._residuals[(c, "m0", "param", "w")] for c in (1, 2, 3)]),
-        )
+        (table,) = codec.state_dict()["tables"]
+        assert {k: v for k, v in table.items() if k not in ("client_id", "present", "values")} == {
+            "model_id": "m0", "scope": "param", "dtype": "<f8", "keys": ["w", "b"],
+            "shapes": [[4], [2]],
+        }
+        assert table["client_id"].tolist() == [3, 1, 2]
+        assert table["present"].tolist() == [[True, True]] * 3
+        (values,) = table["values"]
+        for row, cid in zip(values, (3, 1, 2)):
+            np.testing.assert_array_equal(row[:4], codec.residual(cid, "m0", "param", "w"))
+            np.testing.assert_array_equal(row[4:], codec.residual(cid, "m0", "param", "b"))
 
     def test_load_rejects_spec_mismatch(self):
         codec = TransportCodec(TransportConfig.parse("update:int8"))
@@ -550,8 +555,8 @@ class TestTransportCodec:
             update = _mk_update({"w": w.copy(), "v": np.ones(3, dtype=np.float32)})
             codec.encode_update(update, _FakeModel({"w": -w, "v": np.zeros(3, dtype=np.float32)}))
             np.testing.assert_array_equal(update.params["w"], w)
-            assert (0, "m0", "param", "w") not in codec._residuals
-            assert (0, "m0", "param", "v") in codec._residuals
+            assert codec.residual(0, "m0", "param", "w") is None
+            assert codec.residual(0, "m0", "param", "v") is not None
             assert update.bytes_up > w.nbytes  # w raw, plus v encoded
             TransportCodec(codec.config).load_state_dict(codec.state_dict())
 
@@ -563,13 +568,16 @@ class TestTransportCodec:
         update = _mk_update({"w": w.copy()})
         codec.encode_update(update)
         np.testing.assert_array_equal(update.params["w"], w)
-        assert update.bytes_up == w.nbytes and not codec._residuals
+        assert update.bytes_up == w.nbytes and codec.state_dict()["tables"] == []
 
     def test_a_residual_of_another_dtype_is_reset(self):
         codec = TransportCodec(TransportConfig.parse("update:int8"))
-        codec._residuals[(0, "m0", "param", "w")] = np.ones(4, dtype=np.float32)
+        codec.load_state_dict(tables_payload(
+            codec.config.spec, {(0, "m0", "param", "w"): np.ones(4, dtype=np.float32)}
+        ))
         codec.encode_update(_mk_update({"w": np.linspace(0.0, 1.0, 4)}))
-        assert codec._residuals[(0, "m0", "param", "w")].dtype == np.float64
+        assert codec.residual(0, "m0", "param", "w").dtype == np.float64
+        assert len(residual_map(codec.state_dict())) == 1
 
     def test_a_flush_carries_one_update_per_owner(self):
         """Two updates of one (client, model) would each read the residual
@@ -582,6 +590,93 @@ class TestTransportCodec:
         codec = TransportCodec(TransportConfig.parse("update:int8"))
         with pytest.raises(ValueError, match="2 updates got 1 references"):
             codec.encode_update([_mk_update({"w": np.ones(2)}, cid=c) for c in (0, 1)], [None])
+
+
+# ----------------------------------------------------------------------
+# residual storage: tables written in place, checkpointed without a copy
+# ----------------------------------------------------------------------
+def _array_leaves(node):
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _array_leaves(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _array_leaves(value)
+
+
+class TestResidualTables:
+    """The residuals live in one table per (model, scope, dtype, layout):
+    a checkpoint payload is views of that storage, and a flush of clients
+    the codec has seen writes their rows in place."""
+
+    CLIENTS = 150  # three chunks of the m0 table
+
+    def _flush(self, codec, seed):
+        """One flush: every client of ``m0`` (params ``w``, ``b``; state
+        ``s``) and every third of ``m1``."""
+        rng = np.random.default_rng(seed)
+        updates = [
+            _mk_update(
+                {"w": rng.standard_normal((16, 32)), "b": rng.standard_normal(32)},
+                {"s": rng.standard_normal(32)}, cid=cid,
+            )
+            for cid in range(self.CLIENTS)
+        ] + [
+            _mk_update({"w": rng.standard_normal(40)}, cid=cid, mid="m1")
+            for cid in range(0, self.CLIENTS, 3)
+        ]
+        codec.encode_update(updates)
+
+    def _codec(self):
+        codec = TransportCodec(TransportConfig.parse("update:topk0.1+int8"))
+        self._flush(codec, 0)
+        return codec
+
+    def test_every_payload_array_is_a_view_of_the_live_tables(self):
+        codec = self._codec()
+        tracemalloc.start()
+        try:
+            payload = codec.state_dict()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        leaves = list(_array_leaves(payload))
+        stored = sum(leaf.nbytes for leaf in leaves)
+        assert stored > 600_000 and peak < stored // 20  # no residual is copied
+        again = list(_array_leaves(codec.state_dict()))
+        # Per table client_id, present and its chunks: m0's params and
+        # state (150 rows, three chunks each), m1's params (50 rows, one).
+        assert len(leaves) == len(again) == (2 + 3) * 2 + (2 + 1)
+        for leaf, twin in zip(leaves, again):
+            assert np.shares_memory(leaf, twin)
+        values = [v for table in payload["tables"] for v in table["values"]]
+        for key in residual_map(payload):
+            view = codec.residual(*key)
+            assert sum(np.shares_memory(view, v) for v in values) == 1
+
+    def test_a_warm_flush_writes_the_rows_in_place(self):
+        codec = self._codec()
+        self._flush(codec, 1)  # warm: every row exists
+        payload = codec.state_dict()
+        before = {k: v.copy() for k, v in residual_map(payload).items()}
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            self._flush(codec, 2)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert grown < 4096  # no new residual storage
+        # The earlier payload's views read the new residuals.
+        now = residual_map(payload)
+        assert now.keys() == before.keys() and len(now) == 3 * self.CLIENTS + self.CLIENTS // 3
+        assert all(not np.array_equal(now[k], before[k]) for k in now)
+        assert {k: _bits(v) for k, v in now.items()} == {
+            k: _bits(v) for k, v in residual_map(codec.state_dict()).items()
+        }
 
 
 # ----------------------------------------------------------------------
@@ -698,8 +793,8 @@ def _reference_for(rng, model: "_FakeModel", dtype):
     return _FakeModel(params, model.state())
 
 
-def _seed_residuals(rng, codecs, models, dtype):
-    """The same pre-existing residuals in every codec: right-shaped,
+def _seed_residuals(rng, flush_codec, oracle, models, dtype):
+    """The same pre-existing residuals in both codecs: right-shaped,
     wrong-shaped, or none, per (client, model, tensor)."""
     for cid in range(8):
         for mid, model in models:
@@ -710,8 +805,25 @@ def _seed_residuals(rng, codecs, models, dtype):
                         continue
                     shape = ref.shape if kind == "right" else (ref.size + 2,)
                     res = (rng.standard_normal(shape) * 0.01).astype(dtype)
-                    for codec in codecs:
-                        codec._residuals[(cid, mid, scope, key)] = res.copy()
+                    oracle._residuals[(cid, mid, scope, key)] = res
+    flush_codec.load_state_dict(tables_payload(oracle.config.spec, oracle._residuals))
+
+
+def _transform(rng, models, dtype):
+    """Half the time, one model changes layout between two flushes: a
+    tensor resized, or one added (its clients' residuals of the old layout
+    are then adopted, replaced or kept)."""
+    if rng.random() < 0.5:
+        return
+    j = rng.integers(len(models))
+    mid, model = models[j]
+    params = dict(model.params())
+    if rng.random() < 0.5:
+        key = rng.choice(sorted(params))
+        params[key] = rng.standard_normal(params[key].size + 3).astype(dtype)
+    else:
+        params[f"p{len(params)}x"] = rng.standard_normal(5).astype(dtype)
+    models[j] = (mid, _FakeModel(params, model.state()))
 
 
 def _bits(arr: np.ndarray) -> tuple:
@@ -730,7 +842,7 @@ class TestFlushOracle:
         cfg = TransportConfig.parse(run["spec"])
         flush_codec, oracle = TransportCodec(cfg), OracleCodec(cfg)
         models = _flush_world(rng, run)
-        _seed_residuals(rng, (flush_codec, oracle), models, dtype)
+        _seed_residuals(rng, flush_codec, oracle, models, dtype)
         for flush in run["flushes"]:
             updates, twins, refs, devices = [], [], [], []
             for cid, j in flush:
@@ -757,20 +869,25 @@ class TestFlushOracle:
                     assert {k: _bits(v) for k, v in tree.items()} == {
                         k: _bits(v) for k, v in oracle_tree.items()
                     }
-            assert {k: _bits(v) for k, v in flush_codec._residuals.items()} == {
+            assert {k: _bits(v) for k, v in residual_map(flush_codec.state_dict()).items()} == {
                 k: _bits(v) for k, v in oracle._residuals.items()
             }
+            assert all(
+                _bits(flush_codec.residual(*k)) == _bits(v) for k, v in oracle._residuals.items()
+            )
+            _transform(rng, models, dtype)
         got, want = flush_codec.state_dict(), oracle.state_dict()
         assert got.keys() == want.keys()
-        for name in got:
-            if name == "values":
-                assert {d: _bits(a) for d, a in got[name].items()} == {
-                    d: _bits(a) for d, a in want[name].items()
-                }
-            elif isinstance(got[name], np.ndarray):
-                assert _bits(got[name]) == _bits(want[name])
-            else:
-                assert got[name] == want[name]
+        assert (got["schema"], got["spec"]) == (want["schema"], want["spec"])
+        assert {k: _bits(v) for k, v in residual_map(got).items()} == {
+            k: _bits(v) for k, v in residual_map(want).items()
+        }
+        # And the tables load back to themselves.
+        clone = TransportCodec(cfg)
+        clone.load_state_dict(got)
+        assert {k: _bits(v) for k, v in residual_map(clone.state_dict()).items()} == {
+            k: _bits(v) for k, v in residual_map(got).items()
+        }
 
 
 # ----------------------------------------------------------------------
@@ -1211,7 +1328,7 @@ class TestCompressedCheckpointResume:
         payload = coord.state_dict()
         assert payload["transport"] is not None
         assert payload["transport"]["spec"] == self.SPEC
-        assert payload["transport"]["client_id"].size  # lossy: EF state exists
+        assert payload["transport"]["tables"]  # lossy: EF state exists
 
 
 # ----------------------------------------------------------------------
