@@ -451,18 +451,17 @@ class TransportCodec(Stateful):
         # table.  Populated only by lossy codecs; a table lives while it
         # holds a row, and a row while it holds a residual.
         self._tables: dict[tuple, _Table] = {}
-        # (model_id, scope) -> its tables: where a client's residuals of
-        # another layout (before a transform re-keyed capacity) are found.
-        self._groups: dict[tuple[str, str], list[_Table]] = {}
         # (dtype, tensor shapes) -> its block plan, derived from the config.
         self._layouts: dict[tuple, _Layout] = {}
 
     def residual(self, client_id: int, model_id: str, scope: str, key: str) -> np.ndarray | None:
         """The error-feedback residual of one tensor, or ``None``: a view of
         the live row, which the client's next encode overwrites."""
-        for table in self._groups.get((model_id, scope), ()):
+        for table in self._tables.values():
             slot, t = table.rows.get(client_id), table.index.get(key)
-            if slot is not None and t is not None and table.present[slot, t]:
+            if table.id[:2] != (model_id, scope) or slot is None or t is None:
+                continue
+            if table.present[slot, t]:
                 lo, hi = table.layout.bounds[t]
                 return table.row(slot)[lo:hi].reshape(table.layout.shapes[t])
         return None
@@ -501,7 +500,7 @@ class TransportCodec(Stateful):
             groups.setdefault(table.id[:2], []).append(table)
         for group in groups.values():
             _check_disjoint(f"{self.schema} tables", group)
-        self._tables, self._groups = tables, groups
+        self._tables = tables
 
     # -- encoding ------------------------------------------------------
     def encode_update(
@@ -690,7 +689,6 @@ class TransportCodec(Stateful):
         table = self._tables.get(tid)
         if table is None and create:
             table = self._tables[tid] = _Table(mid, scope, row.keys, layout)
-            self._groups.setdefault((mid, scope), []).append(table)
         slot = table.rows.get(cid) if table is not None else None
         if slot is None and create:
             slot = len(table.rows)
@@ -705,11 +703,11 @@ class TransportCodec(Stateful):
 
     def _elsewhere(self, row: "_Row", table) -> list:
         """``(other table, slot)`` of the owner's rows in the other layouts
-        of its model and scope."""
+        of its model and scope (a transform re-keyed capacity)."""
         cid, mid, scope = row.owner
         return [
-            (other, other.rows[cid]) for other in self._groups.get((mid, scope), ())
-            if other is not table and cid in other.rows
+            (other, other.rows[cid]) for other in self._tables.values()
+            if other is not table and cid in other.rows and other.id[:2] == (mid, scope)
         ]
 
     def _adopt(self, row: "_Row", layout: "_Layout") -> None:
@@ -771,10 +769,6 @@ class TransportCodec(Stateful):
         table.row(last)[:] = 0
         if not table.rows:
             del self._tables[table.id]
-            group = self._groups[table.id[:2]]
-            group.remove(table)
-            if not group:
-                del self._groups[table.id[:2]]
 
 
 class _Row(NamedTuple):
