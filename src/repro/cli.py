@@ -244,27 +244,22 @@ def _setup(args):
 def cmd_run(args) -> int:
     profile, coord_over, ft_over = _setup(args)
     dataset = build_dataset(profile, seed=args.seed)
-    try:
-        if args.method in ("heterofl", "splitmix", "fluid"):
-            # These need FedTrans's largest model (the Appendix A.1 protocol).
-            ft = run_method(
-                "fedtrans", dataset, profile, seed=args.seed,
-                fedtrans_overrides=ft_over, coordinator_overrides=coord_over,
-            )
-            largest = max(ft.strategy.models().values(), key=lambda m: m.macs())
-            res = run_method(
-                args.method, dataset, profile, seed=args.seed, global_model=largest,
-                coordinator_overrides=coord_over,
-            )
-        else:
-            res = run_method(
-                args.method, dataset, profile, seed=args.seed,
-                fedtrans_overrides=ft_over, coordinator_overrides=coord_over,
-            )
-    except ValueError as exc:
-        # The run itself failed (a poisoned update's non-finite loss, say):
-        # one line and exit status 1, where a usage error exits with 2.
-        args.parser.exit(1, f"{args.parser.prog}: error: {exc}\n")
+    if args.method in ("heterofl", "splitmix", "fluid"):
+        # These need FedTrans's largest model (the Appendix A.1 protocol).
+        ft = run_method(
+            "fedtrans", dataset, profile, seed=args.seed,
+            fedtrans_overrides=ft_over, coordinator_overrides=coord_over,
+        )
+        largest = max(ft.strategy.models().values(), key=lambda m: m.macs())
+        res = run_method(
+            args.method, dataset, profile, seed=args.seed, global_model=largest,
+            coordinator_overrides=coord_over,
+        )
+    else:
+        res = run_method(
+            args.method, dataset, profile, seed=args.seed,
+            fedtrans_overrides=ft_over, coordinator_overrides=coord_over,
+        )
     print(ascii_table([res.summary.row()], f"{args.method} on {args.dataset}"))
     if args.save_log:
         save_log(res.log, args.save_log)
@@ -345,10 +340,15 @@ def main(argv: list[str] | None = None) -> int:
         p.set_defaults(fn=fn, parser=p)
 
     p_prof = sub.add_parser("profiles", help="list scale profiles")
-    p_prof.set_defaults(fn=cmd_profiles)
+    p_prof.set_defaults(fn=cmd_profiles, parser=p_prof)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # The run itself failed (a poisoned update's non-finite loss, say):
+        # one line and exit status 1, where a usage error exits with 2.
+        args.parser.exit(1, f"{args.parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

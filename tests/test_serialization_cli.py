@@ -487,28 +487,29 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["run", "--method", "nope"])
 
-    def test_an_engine_error_is_one_line_and_status_1(self):
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    def test_an_engine_error_is_one_line_and_status_1(self, command):
         """A run that fails while it executes (a poisoned update's
-        non-finite loss) ends in one ``repro run: error:`` line and exit
-        status 1, not a traceback; a usage error keeps status 2."""
+        non-finite loss) ends in one ``repro <command>: error:`` line and
+        exit status 1, not a traceback; a usage error keeps status 2."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        base = [sys.executable, "-m", "repro", "run", "--method", "fedavg", "--rounds", "12"]
+        base = [sys.executable, "-m", "repro", command, "--rounds", "12"]
         failed = subprocess.run(
             [*base, "--selector", "oort", "--faults", "poison=0.3"],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert failed.returncode == 1
         assert failed.stderr.splitlines() == [
-            "repro run: error: round 1: client 21 trained model m000 to a non-finite loss "
-            "(nan); it cannot be scored into a utility table (run with --quarantine to "
-            "drop poisoned updates)"
+            f"repro {command}: error: round 1: client 34 trained model m000 to a "
+            "non-finite loss (nan); it cannot be scored into a utility table (run with "
+            "--quarantine to drop poisoned updates)"
         ]
         misuse = subprocess.run(
             [*base, "--faults", "bogus=1"], capture_output=True, text=True, env=env, timeout=300
         )
         assert misuse.returncode == 2
-        assert misuse.stderr.splitlines()[-1].startswith("repro run: error: ")
+        assert misuse.stderr.splitlines()[-1].startswith(f"repro {command}: error: ")
 
 
 # ----------------------------------------------------------------------
