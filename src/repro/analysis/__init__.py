@@ -2,25 +2,20 @@
 
 The engine rests on a handful of invariants that no type checker can see —
 per-seed determinism through ``SeedSequence`` spawn keys, the
-``bump_version()`` invalidation contract behind every version-keyed cache,
-the pooled-``Workspace`` allocation discipline of the hot path, and the
+pooled-``Workspace`` allocation discipline of the hot path, and the
 shared-memory segment lifecycle.  This package enforces them twice over:
 
 * **Statically** — :mod:`repro.analysis.lint` is an AST-visitor rule
   engine (``python -m repro.analysis.lint src benchmarks examples``)
   whose rules (:data:`repro.analysis.rules.RULES`, ids ``RL001``-``RL009``;
-  ``RL007`` is retired and its id is not reused) each guard one named
-  contract and are individually suppressible with a
+  ``RL004`` and ``RL007`` are retired and their ids are not reused) each
+  guard one named contract and are individually suppressible with a
   ``# repro-lint: disable=RL00X <reason>`` pragma.  See ``CONTRACTS.md``
   at the repo root for the rule-by-rule rationale.
 * **Dynamically** — :mod:`repro.analysis.sanitize` (``REPRO_SANITIZE=1``
   or ``--sanitize``) flips published model tensors read-only for the
-  duration of each executor round (write-after-publish races raise
-  instead of corrupting a running round) and cross-checks every model's
-  ``version`` counter against a content fingerprint at cache-read and
-  snapshot-publish time (a mutation that skipped ``bump_version()``
-  raises :class:`~repro.analysis.sanitize.SanitizerError` instead of
-  silently serving stale caches).
+  duration of each executor round, so a write-after-publish race raises
+  instead of corrupting a running round.
 
 The static rules catch the *pattern*; the sanitizer catches what the AST
 cannot see (writes through aliased references, third-party strategies,

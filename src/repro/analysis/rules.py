@@ -62,8 +62,8 @@ def dotted_name(node: ast.AST) -> str | None:
 def walk_no_nested_defs(stmts: Iterable[ast.stmt]) -> Iterator[ast.AST]:
     """Walk statement bodies without descending into nested def/class.
 
-    Used by scope-sensitive rules (RL004) where a nested closure has its
-    own contract and must not satisfy — or trip — the enclosing method's.
+    Used by scope-sensitive rules (RL005, RL008) where a nested def has
+    its own contract and must not satisfy — or trip — the enclosing one's.
     """
     stack: list[ast.AST] = list(stmts)
     while stack:
@@ -313,179 +313,6 @@ class DtypeHygiene(Rule):
                         "dtype=float pins the platform double; route through "
                         "repro.nn.compute (compute_dtype()/accum_dtype())",
                     )
-
-
-# ---------------------------------------------------------------------------
-# RL004 — bump_version() on every exit path
-# ---------------------------------------------------------------------------
-
-
-class VersionBump(Rule):
-    """Mutating methods on ``CellModel``/``Cell`` must bump the version.
-
-    Snapshot publishing (a publish is reused when no version moved) and
-    the memoized cost model are keyed on ``CellModel.version``; a method
-    that writes into ``params()``/``state()``-reachable arrays and returns
-    without ``bump_version()`` leaves both stale.  The rule
-    requires a bump on *every* non-raising exit path (``raise`` exits are
-    failures and may skip it; bumps only inside a loop body do not count
-    because the loop may run zero times).
-    """
-
-    rule_id = "RL004"
-    rule_name = "version-bump"
-    summary = (
-        "CellModel/Cell methods writing params()/state() arrays must "
-        "bump_version() on every exit path"
-    )
-
-    _EXEMPT = frozenset(
-        {"bump_version", "sync_version", "__init__", "__deepcopy__", "__reduce__"}
-    )
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not (node.name in ("CellModel", "Cell") or node.name.endswith("Cell")):
-                continue
-            for item in node.body:
-                if not isinstance(item, ast.FunctionDef):
-                    continue
-                if item.name in self._EXEMPT:
-                    continue
-                yield from self._check_method(item)
-
-    # -- helpers ----------------------------------------------------------
-
-    @staticmethod
-    def _is_live_tree_call(node: ast.AST) -> bool:
-        """True for ``<expr>.params()`` / ``<expr>.state()`` calls."""
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("params", "state")
-        )
-
-    @classmethod
-    def _subscript_base(cls, node: ast.AST) -> ast.AST:
-        while isinstance(node, (ast.Subscript, ast.Attribute)):
-            node = node.value
-        return node
-
-    def _collect_writes(self, fn: ast.FunctionDef) -> list[int]:
-        """Line numbers of assignments into params()/state()-reachable arrays."""
-        tracked: set[str] = set()
-        for node in walk_no_nested_defs(fn.body):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                tgt = node.targets[0]
-                if isinstance(tgt, ast.Name) and self._is_live_tree_call(node.value):
-                    tracked.add(tgt.id)
-        writes: list[int] = []
-        for node in walk_no_nested_defs(fn.body):
-            targets: list[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for tgt in targets:
-                if not isinstance(tgt, ast.Subscript):
-                    continue
-                base = self._subscript_base(tgt)
-                if isinstance(base, ast.Name) and base.id in tracked:
-                    writes.append(node.lineno)
-                elif self._is_live_tree_call(base):
-                    writes.append(node.lineno)
-        return writes
-
-    @staticmethod
-    def _is_bump_stmt(stmt: ast.stmt) -> bool:
-        if not isinstance(stmt, ast.Expr) or not isinstance(stmt.value, ast.Call):
-            return False
-        func = stmt.value.func
-        if isinstance(func, ast.Attribute):
-            return func.attr == "bump_version"
-        return isinstance(func, ast.Name) and func.id == "bump_version"
-
-    def _scan(
-        self, stmts: list[ast.stmt], bumped: bool
-    ) -> tuple[bool, list[int], bool]:
-        """Abstract-interpret a statement list for the 'bumped' flag.
-
-        Returns ``(bumped_at_fallthrough, bad_exit_linenos, terminated)``
-        where ``terminated`` means every path through the list returns or
-        raises (no fall-through).
-        """
-        bad: list[int] = []
-        for stmt in stmts:
-            if self._is_bump_stmt(stmt):
-                bumped = True
-            elif isinstance(stmt, ast.Return):
-                if not bumped:
-                    bad.append(stmt.lineno)
-                return bumped, bad, True
-            elif isinstance(stmt, ast.Raise):
-                # error exits are allowed to skip the bump
-                return bumped, bad, True
-            elif isinstance(stmt, ast.If):
-                b_then, bad_t, t_then = self._scan(stmt.body, bumped)
-                b_else, bad_e, t_else = self._scan(stmt.orelse, bumped)
-                bad += bad_t + bad_e
-                if t_then and t_else:
-                    return bumped, bad, True
-                conts = []
-                if not t_then:
-                    conts.append(b_then)
-                if not t_else:
-                    conts.append(b_else)
-                bumped = all(conts)
-            elif isinstance(stmt, (ast.For, ast.While)):
-                # body may run zero times: a bump inside does not count
-                _, bad_b, _ = self._scan(stmt.body, bumped)
-                _, bad_o, _ = self._scan(stmt.orelse, bumped)
-                bad += bad_b + bad_o
-            elif isinstance(stmt, ast.With):
-                b, bad_w, term = self._scan(stmt.body, bumped)
-                bad += bad_w
-                if term:
-                    return b, bad, True
-                bumped = b
-            elif isinstance(stmt, ast.Try):
-                b_try, bad_t, t_try = self._scan(stmt.body, bumped)
-                bad += bad_t
-                for handler in stmt.handlers:
-                    _, bad_h, _ = self._scan(handler.body, bumped)
-                    bad += bad_h
-                if stmt.finalbody:
-                    b_fin, bad_f, t_fin = self._scan(stmt.finalbody, bumped)
-                    bad += bad_f
-                    if t_fin:
-                        return b_fin, bad, True
-                    bumped = b_fin or (b_try and not t_try)
-                elif not t_try:
-                    bumped = b_try
-        return bumped, bad, False
-
-    def _check_method(self, fn: ast.FunctionDef) -> Iterator[Violation]:
-        writes = self._collect_writes(fn)
-        if not writes:
-            return
-        bumped, bad, terminated = self._scan(fn.body, False)
-        if not terminated and not bumped:
-            bad.append(fn.body[-1].lineno if fn.body else fn.lineno)
-        for lineno in sorted(set(bad)):
-            yield Violation(
-                rule_id=self.rule_id,
-                rule_name=self.rule_name,
-                lineno=lineno,
-                col=0,
-                message=(
-                    f"{fn.name}() writes into params()/state() arrays "
-                    f"(first write at line {min(writes)}) but exits here "
-                    "without bump_version(); stale version corrupts "
-                    "snapshot reuse and the memoized costs"
-                ),
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +698,6 @@ RULES: tuple[Rule, ...] = (
     NoGlobalRng(),
     NoWallclock(),
     DtypeHygiene(),
-    VersionBump(),
     HotpathAlloc(),
     ShmLifecycle(),
     StatefulCoverage(),

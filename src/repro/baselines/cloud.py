@@ -52,7 +52,6 @@ def train_centralized(
             model.zero_grad()
             model.loss_and_grad(x[idx], y[idx])
             opt.step(model.params(), model.grads())
-            model.bump_version()  # in-place write bypasses set_params
             steps += 1
     total_macs = float(model.train_macs_per_sample()) * steps * batch_size
     per_client = [

@@ -66,8 +66,7 @@ class HeteroFLStrategy(Strategy):
 
     # ------------------------------------------------------------------
     # durability (Stateful): the global model is the state; the ladder is
-    # re-derived from it, under the version build_subnet stamps, so eval-
-    # cache and snapshot keys line up after a resume.
+    # re-derived from it, so a resumed suite holds the bytes it held.
     # ------------------------------------------------------------------
     state_fields = {"global_model": ("global_model", LiveModel)}
 

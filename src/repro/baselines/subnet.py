@@ -93,31 +93,25 @@ def ratio_spec(
 
 
 def build_subnet(global_model: CellModel, spec: SubnetSpec) -> CellModel:
-    """Materialize the submodel described by ``spec`` (shares cell ids).
-
-    The result carries the *global model's* version (see
-    ``CellModel.sync_version``): HeteroFL/FLuID rebuild their submodels
-    under stable model ids after every aggregation, and a rebuilt subnet's
-    weights changed exactly when the global weights did — a fresh-clone
-    version of 0 every rebuild would make version-keyed caches (the eval
-    cache, process-backend snapshot reuse) treat retrained weights as
-    unchanged.  FLuID's score-driven spec changes are covered too: specs
-    only move in ``aggregate``, right after the global model's own bump.
-    """
-    sub = global_model.clone()
-    if spec.is_full():
-        sub.sync_version(global_model.version)
-        return sub
+    """Materialize the submodel described by ``spec`` (shares cell ids): a
+    fresh model built from narrowed copies of the global model's cells, so
+    its costs are the narrowed structure's from the start."""
+    cells = [cell.clone() for cell in global_model.cells]
     prev_out: np.ndarray | None = None
-    for cell in sub.cells:
+    for cell in cells:
         out_idx = spec.keep_out.get(cell.cell_id)
         hid_idx = spec.keep_hidden.get(cell.cell_id)
         if out_idx is not None or hid_idx is not None or prev_out is not None:
             cell.narrow(out_idx=out_idx, in_idx=prev_out, hidden_idx=hid_idx)
         prev_out = out_idx
-    sub.bump_version()  # narrowed in place, outside the mutating model API
-    sub.macs()  # re-validate the chain (recomputes: the version moved)
-    sub.sync_version(global_model.version)
+    sub = CellModel(
+        cells,
+        global_model.input_shape,
+        global_model.num_classes,
+        parent_id=global_model.model_id,
+        birth_round=global_model.birth_round,
+    )
+    sub.history = list(global_model.history)
     return sub
 
 

@@ -91,8 +91,7 @@ _FLAGS = (
     _Flag("--sanitize", "sanitize", dict(action="store_true"),
           "enable the runtime sanitizer (repro.analysis.sanitize; "
           "equivalent to REPRO_SANITIZE=1): freeze published "
-          "models read-only during rounds and cross-check model "
-          "versions against content fingerprints"),
+          "models read-only during rounds"),
     _Flag("--selector", "selector", dict(choices=SELECTOR_POLICIES),
           "client selection policy (uniform reproduces the "
           "pre-subsystem behavior bit-for-bit)"),

@@ -37,8 +37,8 @@ class FedTransStrategy(Strategy):
 
     name = "fedtrans"
     # The suite grows mid-run, so the default fixed-suite restore does not
-    # apply: models are rebuilt from their serialized specs (weights,
-    # lineage, exact versions) and every component's trajectory is
+    # apply: models are rebuilt from their serialized specs (weights and
+    # lineage) and every component's trajectory is
     # composed into one payload.
     state_fields = {
         "models": ("_models", dict[str, CellModel]),

@@ -104,4 +104,3 @@ def reinitialize(model: CellModel, rng: np.random.Generator) -> None:
             s[...] = 0.0
         elif name == "running_var":
             s[...] = 1.0
-    model.bump_version()  # wrote through live references, not set_params

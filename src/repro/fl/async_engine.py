@@ -207,9 +207,8 @@ class BufferedAsyncEngine(Stateful):
         self._version = 0  # completed aggregation steps
         # One models dict per aggregation epoch: server models only mutate
         # in aggregate_buffered, so every wave in between reuses the same
-        # dict.  (The process executor publishes by per-model version: a
-        # publish is reused when no version moved, so those waves publish
-        # nothing.)
+        # dict.  (The process executor's publish is reused while its segment
+        # holds the suite's bytes, so those waves publish nothing.)
         self._models_epoch: dict | None = None
         # Dispatched but untrained clients, in dispatch order, and the
         # least of their event-time lower bounds (_event_bound).

@@ -201,10 +201,6 @@ class LocalTrainer:
                 clip_by_global_norm(arena, cfg.clip_norm)
             step_grads = fedprox_grads(arena, anchor, cfg.prox_mu) if cfg.prox_mu else arena.grads
             opt.step({"arena": arena.params}, {"arena": step_grads})
-            # The optimizer writes through the live param references, which
-            # bypasses set_params — record the mutation for version-keyed
-            # caches (this workspace is a keep_id replica of the server model).
-            model.bump_version()
 
         mean_loss = losses.mean(axis=-1)
         trained, state = model.get_params(), model.get_state()

@@ -158,13 +158,11 @@ class CoordinatorConfig:
     eval_group_clients: int = 64
     # Runtime sanitizer (repro.analysis.sanitize; also enabled by the
     # REPRO_SANITIZE=1 environment variable or the --sanitize CLI flag):
-    # published models are frozen read-only while rounds are in flight and
-    # model versions are cross-checked against content fingerprints at
-    # cache-read and snapshot-publish time.  Checks are dtype-independent,
-    # so float32 + sanitize is valid — but the engine's bit-identity
-    # claims (golden fixtures) are stated at float64, so a float32
-    # sanitized run validates the invariants without asserting the
-    # float64 golden digests.
+    # published models are frozen read-only while rounds are in flight.
+    # The check is dtype-independent, so float32 + sanitize is valid — but
+    # the engine's bit-identity claims (golden fixtures) are stated at
+    # float64, so a float32 sanitized run validates the invariant without
+    # asserting the float64 golden digests.
     sanitize: bool = False
     # Round-execution backend: "serial" | "thread" | "process" (see module
     # docstring).  All three are bit-identical for the same seed.
@@ -391,9 +389,9 @@ class Coordinator(Stateful):
         # the spec: publishes are raw full segments either way.
         transport = config.transport_config
         self.transport = TransportCodec(transport) if transport is not None else None
-        # Last-seen executor publish counters (raw, wire): per-round and
-        # per-eval deltas split snapshot bytes for the transport ledger.
-        self._pub_seen = (0, 0)
+        # Last-seen executor publish byte counter: per-round and per-eval
+        # deltas split snapshot bytes for the transport ledger.
+        self._pub_seen = 0
         # An injected executor is caller-owned (and caller-closed); a
         # config-built one belongs to this coordinator.
         self._owns_executor = executor is None
@@ -604,14 +602,15 @@ class Coordinator(Stateful):
         self._settle(log)
         log.evals.append(ev)
 
-    def _settle(self, log: TrainingLog) -> tuple[int, int]:
+    def _settle(self, log: TrainingLog) -> int:
         """Fold what the executor's last waves left behind into the log.
 
         Train *and* eval waves can heal, retry and publish: drains the
         recovery ledger into the log's meters and adds the snapshot bytes
         published since the previous call to the transport ledger,
-        returning that ``(raw, wire)`` delta for the round's record.  Both
-        are infrastructure telemetry and never enter the trajectory export
+        returning that delta for the round's record (a segment is always
+        raw, so the delta is both the raw and the wire field).  Both are
+        infrastructure telemetry and never enter the trajectory export
         (CONTRACTS.md I10).
         """
         for rec in self.executor.drain_fault_records():
@@ -622,15 +621,11 @@ class Coordinator(Stateful):
                 log.retries += 1
             elif rec.action == "failed":
                 log.failed_updates += 1
-        cur = (
-            int(self.executor.raw_bytes_published_total),
-            int(self.executor.bytes_published_total),
-        )
-        raw_d, wire_d = cur[0] - self._pub_seen[0], cur[1] - self._pub_seen[1]
-        self._pub_seen = cur
-        log.publish_raw_bytes_total += raw_d
-        log.publish_wire_bytes_total += wire_d
-        return raw_d, wire_d
+        total = int(self.executor.bytes_published_total)
+        delta, self._pub_seen = total - self._pub_seen, total
+        log.publish_raw_bytes_total += delta
+        log.publish_wire_bytes_total += delta
+        return delta
 
     # ------------------------------------------------------------------
     def _run_round(self, round_idx: int, log: TrainingLog) -> RoundRecord:
@@ -638,7 +633,7 @@ class Coordinator(Stateful):
         if self._async_engine is None:
             return self._barrier_round(round_idx, log)
         record = self._async_engine.step(round_idx, log)
-        record.publish_raw_bytes, record.publish_wire_bytes = self._settle(log)
+        record.publish_raw_bytes = record.publish_wire_bytes = self._settle(log)
         return record
 
     def _barrier_round(self, round_idx: int, log: TrainingLog) -> RoundRecord:
@@ -699,7 +694,7 @@ class Coordinator(Stateful):
             num_models=len(models),
             events=events,
         )
-        record.publish_raw_bytes, record.publish_wire_bytes = publish
+        record.publish_raw_bytes = record.publish_wire_bytes = publish
         return record
 
     # ------------------------------------------------------------------

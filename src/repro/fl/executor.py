@@ -22,9 +22,9 @@ a pool worker), and :meth:`RoundExecutor._dispose` decides what a failed
 attempt becomes.  A process-pool worker inherits the static fleet when it
 forks (``multiprocessing`` pickles the fleet into each worker only under
 the spawn or forkserver start method) and maps the models from a
-versioned shared-memory snapshot segment, published once per pass of the
-loop, so a work item carries ``(model_id, client_id, seed material)`` —
-never a pickled model.
+shared-memory snapshot segment, published once per pass of the loop, so
+a work item carries ``(model_id, client_id, seed material)`` — never a
+pickled model.
 
 **Cohorts.**  The unit a backend dispatches is a *cohort*, not an item:
 ``train_round`` groups a wave's items by ``(model_id, min(batch_size, n))``
@@ -47,8 +47,8 @@ pool thread; process: each worker) keeps one workspace per model id
 cohort's and a sweep's alike.  A model's first job in a thread builds it
 (:meth:`CellModel.replicate`); later jobs refill it in place
 (:meth:`CellModel.refill`: ``np.copyto`` from the published model into its
-flat arena, the version restamped) instead of deep-copying the model — a
-sweep's member forward at K = 1, a cohort at its own K.  It is rebuilt when
+flat arena) instead of deep-copying the model — a sweep's member forward
+at K = 1, a cohort at its own K.  It is rebuilt when
 the model's tensor shapes moved and dropped once the model is absent from
 a wave.  Its layers' forward caches are dropped when each job returns;
 their pooled scratch buffers stay warm until the thread checks out a
@@ -182,8 +182,8 @@ def _workspace(
     map).  A workspace (:meth:`CellModel.replicate`) is built on a model's
     first job in a thread — a training cohort or a sweep's member forward
     (K = 1) — and refilled in place for every later one
-    (:meth:`CellModel.refill`: ``np.copyto`` from the published model, the
-    version restamped), rebuilt when the model's tensor shapes moved, and
+    (:meth:`CellModel.refill`: ``np.copyto`` from the published model),
+    rebuilt when the model's tensor shapes moved, and
     dropped once the model is absent from a wave.
 
     A workspace keeps its layers' pooled scratch buffers between jobs, so a
@@ -388,9 +388,9 @@ class RoundExecutor(Stateful, ABC):
 
     backend: str = "abstract"
     _pool: concurrent.futures.Executor | None = None
-    # Snapshot bytes published to workers so far (raw / on-wire, always
-    # equal); only the process backend publishes, the others stay at zero.
-    raw_bytes_published_total: int = 0
+    # Snapshot bytes published to workers so far (a segment is always raw,
+    # so these are its on-wire bytes too); only the process backend
+    # publishes, the others stay at zero.
     bytes_published_total: int = 0
     # Pools, published segments and meters are derived, so a checkpoint
     # taken under one backend resumes under any other.
@@ -812,8 +812,8 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     process and which ``multiprocessing`` pickles into each worker only
     under the spawn or forkserver start method.  Each wave's models are
     published once through :attr:`publisher` (a
-    :class:`~repro.fl.snapshot.SnapshotPublisher`: one versioned
-    shared-memory segment; a publish is reused when no version moved) and
+    :class:`~repro.fl.snapshot.SnapshotPublisher`: one shared-memory
+    segment, reused while it holds the suite's specs and bytes) and
     workers map it lazily, so the per-item payload stays a few hundred
     bytes.  What this class adds to the wave loop is its pool, the
     once-per-pass publish with bounded retry, and the arena release on
@@ -827,11 +827,9 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         self.publisher = _snapshot.SnapshotPublisher(fault_plan=self.fault_plan)
 
     # The publish meters the coordinator and the benchmark harness read off
-    # the executor.  A segment is always raw, so its raw and on-wire bytes
-    # are the publisher's one byte counter.
+    # the executor.
     publish_count = property(lambda self: self.publisher.publish_count)
     bytes_published_total = property(lambda self: self.publisher.bytes_published_total)
-    raw_bytes_published_total = bytes_published_total
 
     def _make_pool(self) -> concurrent.futures.Executor:
         initargs = (

@@ -7,15 +7,16 @@ never copied on the worker side.  A segment is one container of
 :mod:`repro.container` (the ``RSNP`` prefix, a JSON header, one 64-byte
 aligned arena per dtype) whose header is ``{"arenas", "models"}``:
 ``models`` maps each id to its spec
-(:func:`~repro.nn.serialization.model_spec`), version and ``param`` /
-``state`` trees of ``[dtype, offset, shape]`` markers.  A segment always
+(:func:`~repro.nn.serialization.model_spec`) and ``param`` / ``state``
+trees of ``[dtype, offset, shape]`` markers.  A segment always
 holds the whole suite, raw.
 
 Decoding is strict and unpickles nothing: whatever the container's one
 reader refuses (:func:`repro.container.read_frame`), a header that is not
-a snapshot header, and tensor keys, shapes or dtypes that differ from the
-model the spec builds are each a :class:`SnapshotFormatError`, raised
-before anything larger than the segment is allocated.
+a snapshot header, a model entry of other keys, and tensor keys, shapes or
+dtypes that differ from the model the spec builds are each a
+:class:`SnapshotFormatError` naming the segment, raised before anything
+larger than the segment is allocated.
 
 Which segment is current, who owns it and when it is retired is the
 snapshot protocol's business (:mod:`~repro.fl.snapshot`); this module lays
@@ -37,13 +38,14 @@ __all__ = [
     "SnapshotFormatError",
     "write_snapshot_segment",
     "read_snapshot_segment",
+    "segment_holds",
     "attach_segment",
     "segment_exists",
     "unlink_segments",
 ]
 
 _HEADER_KEYS = {"arenas", "models"}
-_MODEL_KEYS = {"spec", "version", "param", "state"}
+_MODEL_KEYS = {"spec", "param", "state"}
 # What a hostile segment can make the readers and a spec's constructors raise.
 _CORRUPT = (ValueError, TypeError, KeyError, IndexError, AttributeError, OverflowError,
             ZeroDivisionError, RecursionError)
@@ -70,7 +72,7 @@ def write_snapshot_segment(
     tree: dict[str, dict] = {}
     tensor_bytes = 0
     for mid, model in models.items():
-        meta = tree[mid] = {"spec": model_spec(model), "version": model.version}
+        meta = tree[mid] = {"spec": model_spec(model)}
         for scope, tensors in (("param", model.params()), ("state", model.state())):
             meta[scope] = dict(tensors)
             tensor_bytes += sum(arr.nbytes for arr in tensors.values())
@@ -80,6 +82,31 @@ def write_snapshot_segment(
         shm.buf[offset : offset + len(data)] = data
     _, (_, header), *_ = chunks
     return shm, len(header) + tensor_bytes
+
+
+def _same_bits(live: np.ndarray, view: np.ndarray) -> bool:
+    if (live.dtype, live.shape) != (view.dtype, view.shape):
+        return False
+    bits = f"u{live.dtype.itemsize}"  # -0.0 is not 0.0, a NaN is its payload
+    return np.array_equal(live.view(bits), view.view(bits))
+
+
+def segment_holds(shm: shared_memory.SharedMemory, models: dict[str, CellModel]) -> bool:
+    """Whether segment ``shm`` (one this process wrote) holds the suite
+    ``models``: the same ids and specs, and every param/state tensor bitwise
+    equal to its view into the segment."""
+    header, arenas = read_frame(shm.buf)
+    written = unflatten_payload(header["models"], arenas, copy=False)
+    if written.keys() != models.keys():
+        return False
+    for mid, model in models.items():
+        meta, live = written[mid], {**model.params(), **model.state()}
+        views = {**meta["param"], **meta["state"]}
+        if meta["spec"] != model_spec(model) or views.keys() != live.keys():
+            return False
+        if not all(_same_bits(live[key], view) for key, view in views.items()):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -142,18 +169,16 @@ def read_snapshot_segment(shm: shared_memory.SharedMemory) -> dict[str, CellMode
         if header.keys() != _HEADER_KEYS:
             raise ValueError("the header is not a snapshot header")
         for mid, meta in unflatten_payload(header["models"], arenas, copy=False).items():
-            if meta.keys() != _MODEL_KEYS or type(meta["version"]) is not int:
-                raise ValueError(f"model {mid!r}: malformed header entry")
+            if meta.keys() != _MODEL_KEYS:
+                want = sorted(_MODEL_KEYS)
+                raise ValueError(f"model {mid!r}: keys {sorted(meta)} are not {want}")
             model = model_from_spec(meta["spec"])
             if model.model_id != mid:
                 raise ValueError(f"model {mid!r}: its spec names {model.model_id!r}")
             _install_views(model, meta)
-            # A replica of server state: answer version-keyed lookups like
-            # the original (clone(keep_id=True) semantics).
-            model.sync_version(meta["version"])
             models[mid] = model
     except _CORRUPT as exc:
-        raise SnapshotFormatError(f"undecodable snapshot segment: {exc}") from None
+        raise SnapshotFormatError(f"undecodable snapshot segment {shm.name!r}: {exc}") from None
     return models
 
 

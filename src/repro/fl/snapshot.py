@@ -3,23 +3,23 @@
 :mod:`~repro.fl.shm` knows how one segment is laid out; this module knows
 which segment is current and who holds it.  The process round executor
 owns a :class:`SnapshotPublisher` and carries its ``(version, segment
-name)`` to the workers, which call :func:`worker_models`.
+name)`` — the ordinal of its real publishes, not a model property — to
+the workers, which call :func:`worker_models`.
 
 Shared-memory snapshot publishing
 ---------------------------------
 A snapshot is one full segment.  :meth:`SnapshotPublisher.publish`
-compares each model's :attr:`~repro.nn.model.CellModel.version` against
-the versions it last published: a publish is reused when no version moved
-— even when the caller passes a freshly built dict — and otherwise the
-whole suite is written into a fresh segment and the previous one is
-unlinked.  Eq. 5's soft aggregation (and every baseline's) writes every
-model of the suite each round, so a suite whose versions moved is, in
-every measured run, a suite whose models all moved.  Workers map the
-current segment once, rebuild the suite around read-only views into it,
-and close their previous mapping.  The contract is the model version
-counter: any code that mutates a model outside
-``set_params``/``set_state``/transformations must call ``bump_version()``
-or workers will train against stale weights.
+compares the suite with the current segment itself
+(:func:`~repro.fl.shm.segment_holds`): a publish is reused exactly when the
+segment holds the same model ids and specs and every tensor's bytes — even
+when the caller passes freshly built models — and otherwise the whole
+suite is written into a fresh segment and the previous one is unlinked.
+Eq. 5's soft aggregation (and every baseline's) writes every model of the
+suite each round, so a suite that moved is, in every measured run, a suite
+whose models all moved.  Workers map the current segment once, rebuild the
+suite around read-only views into it, and close their previous mapping.
+Nothing has to announce a write: a model changed in place by any code
+path is republished because its bytes are not the segment's.
 
 Segments are owned by the coordinator process, through the publisher's
 registry: the current segment is unlinked by the next real publish, by
@@ -35,7 +35,6 @@ import os
 import secrets
 import weakref
 
-from ..analysis import sanitize as _sanitize
 from ..nn.model import CellModel
 from ..stateful import Stateful
 from . import shm as _shm
@@ -52,7 +51,8 @@ __all__ = [
 # coordinator side: the publisher
 # ----------------------------------------------------------------------
 class SnapshotPublisher(Stateful):
-    """Publishes a model suite as one versioned shared-memory segment.
+    """Publishes a model suite as one shared-memory segment, numbered by
+    :attr:`version`, the ordinal of its real publishes.
 
     The public ``*_count`` / ``*_bytes`` counters meter it for benchmarks
     and tests; byte counts are segment payload bytes (header + raw
@@ -60,8 +60,8 @@ class SnapshotPublisher(Stateful):
     state moves.
     """
 
-    # The segment, published versions and meters are all rebuilt from the
-    # first post-resume publish; persisting them would pin a checkpoint to
+    # The segment and meters are all rebuilt from the first post-resume
+    # publish; persisting them would pin a checkpoint to
     # the process backend for no benefit.
     state_fields = {}
 
@@ -75,13 +75,6 @@ class SnapshotPublisher(Stateful):
         self.segments: dict = {}
         self._arena_prefix = f"repro-{os.getpid()}-{secrets.token_hex(4)}"
         self.finalizer = weakref.finalize(self, _shm.unlink_segments, self.segments)
-        # model_id -> CellModel.version at last publish; None = never published.
-        self._published_versions: dict[str, int] | None = None
-        # Sanitizer cross-check (no-op unless enabled): a model whose bytes
-        # moved but whose version did not would be silently reused by the
-        # version-compare below — exactly the bug class RL004 guards
-        # statically and this watch catches dynamically.
-        self._version_watch = _sanitize.VersionWatch()
         self._fault_plan = fault_plan
         self.publish_count = 0
         self.reused_publish_count = 0
@@ -93,18 +86,17 @@ class SnapshotPublisher(Stateful):
     ) -> tuple[int, str]:
         """Publish the current suite; returns ``(version, segment name)``.
 
-        When every version matches the last publish the current segment is
-        reused outright, even for a freshly built dict (the async engine's
-        many dispatch waves between aggregations, and repeated evaluations
-        of an idle suite, publish nothing).  Otherwise the whole suite is
-        written into a new segment and the previous one is unlinked (safe:
-        the executor settles every future of a wave before the next
-        publish, including on failure, so no worker is mid-attach between
-        publishes, and workers' existing mappings survive the unlink).
-        """
-        self._version_watch.check_all(models, where="snapshot publish")
-        versions = {mid: m.version for mid, m in models.items()}
-        if versions == self._published_versions:
+        When the current segment holds the suite's ids, specs and bytes it
+        is reused outright, even for freshly built models (the async
+        engine's many dispatch waves between aggregations, and repeated
+        evaluations of an idle suite, publish nothing).  Otherwise the
+        whole suite is written into a new segment and the previous one is
+        unlinked (safe: the executor settles every future of a wave before
+        the next publish, including on failure, so no worker is mid-attach
+        between publishes, and workers' existing mappings survive the
+        unlink)."""
+        current = self.segments.get(self.name)
+        if current is not None and _shm.segment_holds(current, models):
             self.reused_publish_count += 1
             return self.version, self.name
         # Deterministic publish fault: keyed on the ordinal of *real*
@@ -125,7 +117,6 @@ class SnapshotPublisher(Stateful):
         retired = dict(self.segments)
         self.segments.clear()
         self.segments[self.name] = seg
-        self._published_versions = versions
         self.publish_count += 1
         self.last_publish_bytes = nbytes
         self.bytes_published_total += nbytes
@@ -139,7 +130,6 @@ class SnapshotPublisher(Stateful):
         """Unlink the owned segment and reset publish state (idempotent)."""
         _shm.unlink_segments(self.segments)
         self.name = None
-        self._published_versions = None
 
 
 # ----------------------------------------------------------------------

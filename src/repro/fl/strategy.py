@@ -14,13 +14,11 @@ and ``eval_ensemble`` the models whose averaged logits form the deployment
 FedTrans and every baseline implement this interface, so the coordinator,
 cost accounting, and bench harness are shared across all methods.
 
-Version contract: strategies mutate their suite through
-``CellModel.set_params`` / ``set_state`` / the transformation methods,
-which bump each model's monotone ``version`` counter.  The process
-executor's snapshot publish (reused when no version moved) keys on those
-versions — a strategy that writes weights through the live ``params()``
-references instead must call ``bump_version()`` on the model or its
-workers will train and score stale weights.
+A strategy may write its suite's weights by any path — ``set_params``,
+the transformation methods, or in place through the live ``params()``
+references — and announce nothing: the process executor's snapshot
+publish is reused only while its segment holds the suite's specs and
+bytes (:mod:`repro.fl.snapshot`).
 """
 
 from __future__ import annotations
@@ -61,10 +59,10 @@ class Strategy(Stateful, ABC):
     name: str = "strategy"
 
     # ------------------------------------------------------------------
-    # durability (Stateful).  Default: the whole suite — specs, tensors
-    # and exact versions.  Sufficient for every fixed-suite strategy (the
-    # suite's *structure* is reconstructed from configuration; only
-    # weights and versions are trajectory).  Strategies that grow or retire
+    # durability (Stateful).  Default: the whole suite — specs and
+    # tensors.  Sufficient for every fixed-suite strategy (the suite's
+    # *structure* is reconstructed from configuration; only weights are
+    # trajectory).  Strategies that grow or retire
     # models mid-run, or hold extra run state, declare their own payload.
     # ------------------------------------------------------------------
     state_fields = {"models": ("_suite", dict[str, LiveModel])}

@@ -293,7 +293,7 @@ class BatchNorm2d(Layer):
             var = sq.mean(axis=(0, 2, 3))
             # In place, NOT `rm = momentum * rm + ...`: rebinding to a fresh
             # array every step would invalidate the live references handed
-            # out by state() (the version-tracking contract: consumers hold
+            # out by state() (a workspace's arena and its consumers hold
             # those arrays across steps) and allocate twice per step.
             self.running_mean *= self.momentum
             self.running_mean += (1 - self.momentum) * mean

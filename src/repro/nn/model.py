@@ -11,22 +11,18 @@ declared tensors (``Layer.param_names`` / ``state_names``); the trees, the
 arena, the snapshot reader, activeness and the subnet index maps
 (:meth:`~CellModel.axis_roles`) read keys and attributes from it.
 
-Version contract
-----------------
-Every model carries a monotone :attr:`~CellModel.version` counter.  All
-mutating entry points bump it — :meth:`~CellModel.set_params`,
-:meth:`~CellModel.set_state`, :meth:`~CellModel.widen_cell`,
-:meth:`~CellModel.deepen_after` — and code that writes parameters through
-the live references returned by :meth:`~CellModel.params` (optimizer steps,
-re-initialization) must call :meth:`~CellModel.bump_version` itself.
-``clone(keep_id=True)`` carries the version (a replica of server state);
-a fresh-id clone starts a new version history at 0.
-
-The process executor's snapshot publishing keys on ``(model_id, version)``
-(a publish is reused when no version moved).  The cost accessors
-:meth:`~CellModel.macs`, :meth:`~CellModel.num_params`, and
-:meth:`~CellModel.nbytes` are memoized per version, so hot paths
-(compatible-model filtering per client) stop re-walking every cell.
+Costs are structure
+-------------------
+A model keeps no mutation counter: anything may write its tensors in place
+(optimizer steps, re-initialization, a workspace refill) and nothing needs
+telling.  The cost accessors :meth:`~CellModel.macs`,
+:meth:`~CellModel.num_params` and :meth:`~CellModel.nbytes` depend on
+structure only, so they are computed by the constructor and by the two
+structural edits, :meth:`~CellModel.widen_cell` and
+:meth:`~CellModel.deepen_after`, and served from memory otherwise.  Code
+that builds a narrower model (``build_subnet``) constructs it from the
+narrowed cells.  The process executor's snapshot publish compares the
+suite's specs and bytes with its segment's (:mod:`repro.fl.snapshot`).
 """
 
 from __future__ import annotations
@@ -199,16 +195,8 @@ class CellModel:
         self.replicas: int | None = None
         # Set once this model is a training workspace (:attr:`arena`).
         self._arena: Arena | None = None
-        # Monotone mutation counter (see module docstring).  Cost metrics
-        # are memoized against it: ``_cost_version`` records the version the
-        # cached macs/params/nbytes triple was computed at.
-        self._version = 0
-        self._cost_version = -1
-        self._macs_cache = 0
-        self._num_params_cache = 0
-        self._nbytes_cache = 0
         # Chain validation: raises if shapes are inconsistent.
-        self.macs()
+        self._compute_costs()
 
     def _wire(self) -> None:
         """Set the layers' ``needs_input_grad``, ``in_place``, ``shared_ws``."""
@@ -227,44 +215,6 @@ class CellModel:
                 layer.shared_ws = self._shared_ws
                 if isinstance(layer, (ReLU, BatchNorm2d)):
                     layer.in_place = plain and prev is not None and not prev.keeps_output
-
-    # ------------------------------------------------------------------
-    # versioning
-    # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Monotone counter of parameter/state/structure mutations."""
-        return self._version
-
-    def bump_version(self) -> None:
-        """Record a mutation.
-
-        Called automatically by every mutating ``CellModel`` method; code
-        that writes through the live arrays of :meth:`params` /
-        :meth:`state` (e.g. in-place optimizer steps) must call this so
-        version-keyed caches (snapshot reuse, cost memoization) observe
-        the change.
-        """
-        self._version += 1
-
-    def sync_version(self, version: int) -> None:
-        """Restamp the counter to ``version`` — the derived-model pattern.
-
-        For models *derived* from a source model and republished under a
-        stable id (subnet crops rebuilt from a global model every round):
-        the derived weights are a pure function of the source, so carrying
-        the source's version lets version-keyed caches see a
-        rebuilt-but-identical derivation as unchanged and a
-        rebuilt-after-training one as changed.  A currently valid memoized
-        cost triple is restamped along with it (restamping never changes
-        structure); a stale one is explicitly invalidated so it cannot
-        collide with the new stamp.
-        """
-        if self._cost_version == self._version:
-            self._cost_version = version
-        else:
-            self._cost_version = -1
-        self._version = version
 
     # ------------------------------------------------------------------
     # execution
@@ -380,32 +330,26 @@ class CellModel:
                 writes.append((live[k], v))
         for dst, v in writes:
             dst[...] = v
-        self.bump_version()
 
     def zero_grad(self) -> None:
         for g in self.grads().values():
             g[...] = 0.0
 
     def num_params(self) -> int:
-        if self._cost_version != self._version:
-            self._recompute_costs()
-        return self._num_params_cache
+        return self._num_params
 
     def nbytes(self) -> int:
         """Serialized size of the parameters in bytes."""
-        if self._cost_version != self._version:
-            self._recompute_costs()
-        return self._nbytes_cache
+        return self._nbytes
 
     # ------------------------------------------------------------------
     # cost accounting
     # ------------------------------------------------------------------
-    def _recompute_costs(self) -> None:
-        """Walk the chain once; validate it and cache macs/params/nbytes.
+    def _compute_costs(self) -> None:
+        """Walk the chain once; validate it and keep macs/params/nbytes.
 
-        ``_cost_version`` is stamped last so a validation failure mid-walk
-        leaves the cache invalid (the next call re-raises instead of
-        serving a half-computed total).
+        Called on an unstacked structure (construction and the structural
+        edits), so a stacked workspace meters as its source, per replica.
         """
         total = 0
         shape = self.input_shape
@@ -416,22 +360,14 @@ class CellModel:
             raise ValueError(
                 f"model emits shape {shape}, expected ({self.num_classes},)"
             )
-        num_params = 0
-        nbytes = 0
-        for v in self.params().values():
-            # Costs are per replica: a stacked workspace meters as its source.
-            num_params += v.size // (self.replicas or 1)
-            nbytes += v.nbytes // (self.replicas or 1)
-        self._macs_cache = total
-        self._num_params_cache = int(num_params)
-        self._nbytes_cache = int(nbytes)
-        self._cost_version = self._version
+        params = self.params().values()
+        self._macs = total
+        self._num_params = sum(v.size for v in params)
+        self._nbytes = sum(v.nbytes for v in params)
 
     def macs(self) -> int:
         """Per-sample forward multiply-accumulate operations (memoized)."""
-        if self._cost_version != self._version:
-            self._recompute_costs()
-        return self._macs_cache
+        return self._macs
 
     def train_macs_per_sample(self) -> int:
         """Training cost per sample: forward + backward ~= 3x forward MACs."""
@@ -457,10 +393,8 @@ class CellModel:
 
         ``keep_id=True`` keeps the same ``model_id`` — used for per-client
         training workspaces, which are *replicas* of a server model rather
-        than new family members — and carries the :attr:`version` counter,
-        so a replica answers version-keyed cache lookups exactly like its
-        original.  The default mints a fresh id (the transformation path)
-        and starts a fresh version history.
+        than new family members.  The default mints a fresh id (the
+        transformation path).
         """
         new = CellModel(
             [c.clone() for c in self.cells],
@@ -471,11 +405,6 @@ class CellModel:
             birth_round=self.birth_round if birth_round is None else birth_round,
         )
         new.history = list(self.history)
-        if keep_id:
-            # The constructor already validated and cached costs for this
-            # structure; restamp them under the carried version.
-            new._version = self._version
-            new._cost_version = self._version
         return new
 
     def replicate(self, k: int) -> "CellModel":
@@ -504,10 +433,8 @@ class CellModel:
         workspace, as :meth:`replicate` would build them.
 
         ``np.copyto`` into the arena (broadcasting is the replica repeat),
-        gradients zeroed, :attr:`replicas` set and the version stamped to
-        ``source.version`` (the derived-model pattern of
-        :meth:`sync_version`): a refilled workspace is a fresh
-        ``source.replicate(k)`` in all but its buffers' addresses.  Returns
+        gradients zeroed and :attr:`replicas` set: a refilled workspace is a
+        fresh ``source.replicate(k)`` in all but its buffers' addresses.  Returns
         ``False`` and touches nothing when ``source``'s tensor keys, shapes
         or dtypes are not this workspace's: the caller builds a new one.
         """
@@ -522,7 +449,6 @@ class CellModel:
             return False
         self._arena.load(params, state, (k,) if k > 1 else ())
         self.replicas = k if k > 1 else None
-        self.sync_version(source.version)
         return True
 
     @property
@@ -599,8 +525,7 @@ class CellModel:
                 {"factor": factor, "params_before": before, "params_after": cell.num_params()},
             )
         )
-        self.bump_version()
-        self.macs()  # re-validate the chain (recomputes: the version moved)
+        self._compute_costs()  # re-validate the chain
 
     def deepen_after(
         self, cell_id: str, rng: np.random.Generator, count: int = 1, round_idx: int = 0
@@ -618,8 +543,7 @@ class CellModel:
         self.history.append(
             TransformRecord("deepen", cell_id, round_idx, {"inserted": inserted})
         )
-        self.bump_version()
-        self.macs()
+        self._compute_costs()
         return inserted
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A saved model is one payload file of :mod:`repro.container` holding
 :func:`model_state_dict`: a JSON spec of the architecture (cell types,
-shapes, lineage ids, transform history), the mutation version, and every
-parameter and state tensor in one arena per dtype.  ``load_model``
+shapes, lineage ids, transform history) and every parameter and state
+tensor in one arena per dtype.  ``load_model``
 reconstructs the exact architecture — including widened widths and
 inserted identity cells — and restores the weights, so a FedTrans model
 suite can be persisted mid-run and resumed or deployed later.
@@ -52,7 +52,7 @@ _LINEAGE_KEYS = dict(
 )
 _CTOR_TYPES = (int, bool, str, _NONE)  # widths, kernel sizes, flags, names
 #: The keys of a :func:`model_state_dict` payload.
-_STATE_KEYS = {"spec", "params", "state", "version"}
+_STATE_KEYS = {"spec", "params", "state"}
 
 
 def _check(where: str, record: object, fields: dict) -> None:
@@ -186,32 +186,21 @@ def _check_keys(where: str, payload: object) -> None:
 
 def model_state_dict(model: CellModel) -> dict:
     """Stateful payload of one model (and what :func:`save_model` writes):
-    spec + tensors + version.
-
-    It keeps the exact mutation ``version``, because a version-keyed
-    consumer — the process executor's snapshot publish, reused when no
-    version moved — must observe the restored model as *the same* version
-    the checkpoint captured, not as freshly mutated.
-    """
+    spec + tensors."""
     return {
         "spec": model_spec(model),
         "params": {k: v.copy() for k, v in model.params().items()},
         "state": {k: v.copy() for k, v in model.state().items()},
-        "version": model.version,
     }
 
 
 def load_model_state(model: CellModel, payload: dict) -> None:
     """Restore a :func:`model_state_dict` payload into a live model of the
     same architecture: exactly its tensor keys and shapes, parameters and
-    state both, each a real-floating ``np.ndarray``, and an int version,
-    else a ``ValueError`` naming the model.  Every tensor is checked before
-    any is written, so a refused payload leaves the model's bytes and
-    version as they were."""
+    state both, each a real-floating ``np.ndarray``, else a ``ValueError``
+    naming the model.  Every tensor is checked before any is written, so a
+    refused payload leaves the model's bytes as they were."""
     _check_keys(f"model {model.model_id}", payload)
-    version = payload["version"]
-    if type(version) is not int:
-        raise ValueError(f"model {model.model_id}: version {version!r} is not an int")
     trees = {"param": payload["params"], "state": payload["state"]}
     for scope, tree in trees.items():
         if type(tree) is not dict:
@@ -226,9 +215,6 @@ def load_model_state(model: CellModel, payload: dict) -> None:
         model.set_tensors(**trees)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"model {model.model_id}: checkpoint tensors do not fit: {exc}") from exc
-    # set_tensors bumped the counter; restamp to the checkpoint's
-    # value so version-keyed caches key identically after resume.
-    model.sync_version(version)
 
 
 def _spec_text(spec: object) -> str | None:

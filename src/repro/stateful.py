@@ -388,9 +388,8 @@ class Stateful:
     payload — no live references, but for ``TransportCodec``'s residual
     tables, which a checkpoint writes before the next encode — and
     ``load_state_dict`` restores
-    *exactly* the captured trajectory: after a restore, every future draw,
-    cache hit, and version comparison behaves as if the run had never
-    stopped.
+    *exactly* the captured trajectory: after a restore, every future draw
+    and cache hit behaves as if the run had never stopped.
     """
 
     schema: str = ""

@@ -1,15 +1,14 @@
 """repro-lint rule engine + runtime sanitizer (repro.analysis).
 
-Static side: every rule (RL001-RL009; RL007 is retired) gets a violating
+Static side: every rule (RL001-RL009; RL004 and RL007 are retired) gets a violating
 fixture snippet and its compliant rewrite (linted in-memory under a virtual
 path, which is what drives rule scoping), plus pragma suppression semantics
 and the CLI.  The whole repo tree must lint clean with zero suppressions.
 
-Dynamic side: the ``published()`` read-only guard and the
-version-vs-fingerprint cross-check, including an intentionally injected
-write-after-publish and a missed ``bump_version()`` detected on all
-three executor backends — and the golden fixture staying bit-identical
-with the sanitizer on.
+Dynamic side: the ``published()`` read-only guard, including an
+intentionally injected write-after-publish detected on all three executor
+backends — and the golden fixture staying bit-identical with the sanitizer
+on.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.analysis import lint_paths, sanitize
 from repro.analysis.engine import lint_source
 from repro.analysis.lint import main as lint_main
 from repro.analysis.rules import RULES, RULES_BY_ID
-from repro.analysis.sanitize import SanitizerError, VersionWatch, model_fingerprint
 from repro.baselines import fedavg
 from repro.core import FedTransConfig
 from repro.fl import Coordinator, CoordinatorConfig
@@ -326,131 +324,6 @@ class TestRL003:
             ACCUM = np.float64
             """,
             "src/repro/nn/compute.py",
-        )
-        assert _ids(report) == []
-
-
-# ----------------------------------------------------------------------
-# RL004 version-bump
-# ----------------------------------------------------------------------
-class TestRL004:
-    def test_write_without_bump_fires(self):
-        report = _lint(
-            """
-            class FooCell:
-                def reset(self):
-                    self.params()["w"][...] = 0.0
-            """,
-            "src/repro/nn/fixture.py",
-        )
-        assert _ids(report) == ["RL004"]
-
-    def test_multi_exit_flags_only_unbumped_path(self):
-        report = _lint(
-            """
-            class FooCell:
-                def scale(self, factor):
-                    live = self.params()
-                    for k in live:
-                        live[k][...] *= factor
-                    if factor == 0.0:
-                        return None
-                    self.bump_version()
-                    return self
-            """,
-            "src/repro/nn/fixture.py",
-        )
-        assert _ids(report) == ["RL004"]
-        assert len(report.violations) == 1
-        # the flagged line is the early return, not the compliant one
-        assert "return None" in dedent(
-            """
-                    if factor == 0.0:
-                        return None
-            """
-        )
-
-    def test_bump_on_every_exit_is_quiet(self):
-        report = _lint(
-            """
-            class FooCell:
-                def scale(self, factor):
-                    live = self.params()
-                    for k in live:
-                        live[k][...] *= factor
-                    self.bump_version()
-                    if factor == 0.0:
-                        return None
-                    return self
-            """,
-            "src/repro/nn/fixture.py",
-        )
-        assert _ids(report) == []
-
-    def test_raise_exits_may_skip_the_bump(self):
-        report = _lint(
-            """
-            class BarCell:
-                def set(self, tree):
-                    live = self.params()
-                    for k, v in tree.items():
-                        if k not in live:
-                            raise KeyError(k)
-                        live[k][...] = v
-                    self.bump_version()
-            """,
-            "src/repro/nn/fixture.py",
-        )
-        assert _ids(report) == []
-
-    def test_bump_only_inside_loop_is_not_enough(self):
-        # The loop may run zero times; the conservative rule wants the bump
-        # on the fall-through path.
-        report = _lint(
-            """
-            class QuxCell:
-                def jitter(self, keys):
-                    live = self.params()
-                    for k in keys:
-                        live[k][...] += 1.0
-                        self.bump_version()
-            """,
-            "src/repro/nn/fixture.py",
-        )
-        assert _ids(report) == ["RL004"]
-
-    def test_state_writes_are_tracked_too(self):
-        report = _lint(
-            """
-            class StatCell:
-                def reset_stats(self):
-                    st = self.state()
-                    st["running_mean"][...] = 0.0
-            """,
-            "src/repro/nn/fixture.py",
-        )
-        assert _ids(report) == ["RL004"]
-
-    def test_read_only_methods_are_quiet(self):
-        report = _lint(
-            """
-            class FooCell:
-                def norm(self):
-                    live = self.params()
-                    return sum(float((v ** 2).sum()) for v in live.values())
-            """,
-            "src/repro/nn/fixture.py",
-        )
-        assert _ids(report) == []
-
-    def test_non_cell_classes_are_out_of_scope(self):
-        report = _lint(
-            """
-            class Optimizer:
-                def step(self):
-                    self.params()["w"][...] = 0.0
-            """,
-            "src/repro/nn/fixture.py",
         )
         assert _ids(report) == []
 
@@ -902,9 +775,10 @@ class TestEngineAndCli:
     def test_rule_registry_is_complete(self):
         ids = [r.rule_id for r in RULES]
         assert ids == sorted(ids)
-        # RL007 (deprecated-import) is retired; its id is not reused.
+        # RL004 (version-bump) and RL007 (deprecated-import) are retired;
+        # their ids are not reused.
         assert set(RULES_BY_ID) == {
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL008", "RL009",
+            "RL001", "RL002", "RL003", "RL005", "RL006", "RL008", "RL009",
         }
         assert all(r.summary for r in RULES)
 
@@ -934,7 +808,8 @@ class TestEngineAndCli:
         assert lint_main([]) == 2
         assert lint_main(["definitely/not/a/path.py"]) == 2
         assert lint_main(["--list-rules"]) == 0
-        assert "RL004" in capsys.readouterr().out
+        listed = capsys.readouterr().out
+        assert "RL005" in listed and "RL004" not in listed
 
     def test_repo_tree_lints_clean_with_zero_suppressions(self):
         report = lint_paths(
@@ -1517,8 +1392,8 @@ class TestEngineAndCli:
         assert regrown == [] and framers == {"container.py"}, (regrown, framers)
 
     def test_a_snapshot_is_one_segment(self):
-        """A process-backend snapshot is one full, raw segment, reused when
-        no model version moved; each shape below is how the delta chain
+        """A process-backend snapshot is one full, raw segment, reused while
+        it holds the suite's specs and bytes; each shape below is how the delta chain
         would regrow (a compaction period, a ``"delta"`` segment kind, the
         publisher's shadow byte copies a run-length diff anchors on, the
         segment layer reaching into the transport codecs)."""
@@ -1861,33 +1736,6 @@ class TestSanitizerUnits:
         assert not arr.flags.writeable  # pre-frozen stays frozen
         arr.flags.writeable = True
 
-    def test_fingerprint_covers_params_and_state(self):
-        m = _one_model()
-        fp0 = model_fingerprint(m)
-        arr = next(iter(m.params().values()))
-        old = float(arr[0, 0])
-        arr[0, 0] = old + 1.0
-        assert model_fingerprint(m) != fp0
-        arr[0, 0] = old
-        assert model_fingerprint(m) == fp0
-
-    def test_version_watch_detects_missed_bump(self):
-        sanitize.set_sanitizer(True)
-        m = _one_model()
-        watch = VersionWatch()
-        watch.check(m)
-        next(iter(m.params().values()))[0, 0] += 1.0  # no bump_version()
-        with pytest.raises(SanitizerError, match="without bump_version"):
-            watch.check(m)
-
-    def test_version_watch_accepts_bumped_writes(self):
-        sanitize.set_sanitizer(True)
-        m = _one_model()
-        watch = VersionWatch()
-        watch.check(m)
-        m.set_params({k: v + 1.0 for k, v in m.params().items()})  # bumps
-        watch.check(m)  # no error
-
     def test_config_sanitize_must_be_bool(self):
         with pytest.raises(ValueError, match="sanitize must be a bool"):
             CoordinatorConfig(sanitize="yes")
@@ -1951,20 +1799,6 @@ class TestSanitizerEndToEnd:
         try:
             with pytest.raises(ValueError, match="read-only"):
                 coord.evaluate(0, 0.0)
-        finally:
-            coord.close()
-
-    def test_missed_bump_detected(self):
-        """An in-place model mutation without bump_version() trips the
-        fingerprint cross-check at the next snapshot publish (the one
-        consumer that trusts a version, on the process backend)."""
-        coord = _coordinator("process")
-        try:
-            coord.evaluate(0, 0.0)
-            model = coord.strategy.model
-            next(iter(model.params().values()))[0, 0] += 1.0  # no bump
-            with pytest.raises(SanitizerError, match="without bump_version"):
-                coord.evaluate(1, 0.0)
         finally:
             coord.close()
 

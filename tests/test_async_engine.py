@@ -464,6 +464,10 @@ def _fleet(num_clients=20, **devices):
     ]
 
 
+def _bytes(model) -> bytes:
+    return b"".join(arr.tobytes() for *_, arr in model.tensors("param", "state"))
+
+
 def _fleet_coordinator(ckpt_dir=None, resume=False, **over):
     """Async HeteroFL on a straggler fleet, fresh id counters (a new
     process): ``downsize`` has smaller widths to pick and ``drop`` fires."""
@@ -587,7 +591,7 @@ class TestDeferredTraining:
 
     def test_an_update_is_encoded_against_its_dispatch_epoch(self, monkeypatch):
         """The staleness anchor survives deferral: each update's codec
-        reference is the very model (object and version) the server held
+        reference is the very model (object and bytes) the server held
         when the client was dispatched, and its pending event carries that
         epoch's version."""
         coord = _fleet_coordinator(compress="update:topk0.05+int8", wire_time=True, rounds=6)
@@ -601,7 +605,7 @@ class TestDeferredTraining:
             for d in self._deferred:
                 at_dispatch.setdefault(
                     d.client_id,
-                    (self._version, {m: (id(models[m]), models[m].version) for m in d.model_ids}),
+                    (self._version, {m: (id(models[m]), _bytes(models[m])) for m in d.model_ids}),
                 )
 
         encoded = []
@@ -613,7 +617,7 @@ class TestDeferredTraining:
             for update, reference in zip(updates, references):
                 version, refs = at_dispatch.pop(update.client_id)
                 assert engine._version == version
-                assert (id(reference), reference.version) == refs[update.model_id]
+                assert (id(reference), _bytes(reference)) == refs[update.model_id]
                 encoded.append(update.client_id)
             return encode_update(self, updates, references, **kw)
 

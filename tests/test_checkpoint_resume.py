@@ -44,9 +44,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro import container
 from repro.analysis import sanitize
 from repro.atomicio import atomic_write
 from repro.baselines import FLuIDStrategy, HeteroFLStrategy, SplitMixStrategy, fedavg, fedyogi
+from repro.cli import main as cli_main
 from repro.core import ClientManager, FedTransConfig, FedTransStrategy
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
@@ -599,6 +601,25 @@ class TestHostilePayloads:
             tracemalloc.stop()
         assert peak <= 4 * len(good) + (1 << 20)
 
+    @pytest.mark.parametrize("mask", [0x01, 0x10, 0x20, 0x80])
+    def test_each_header_byte_flip_is_a_value_error_or_decodes_equal(self, tmp_path, mask):
+        """The deterministic sweep beside the property above: every byte of
+        the prefix and the JSON header, XOR ``mask``, is refused naming the
+        file or reads back the written payload."""
+        payload, good, _ = _good_checkpoint()
+        end = container._PREFIX.size + container._PREFIX.unpack_from(good, 0)[2]
+        path = tmp_path / "ckpt-000003.rsnp"
+        for i in range(end):
+            bad = bytearray(good)
+            bad[i] ^= mask
+            path.write_bytes(bad)
+            try:
+                back = read_payload(path)
+            except ValueError as exc:
+                assert str(path) in str(exc), i
+            else:
+                assert _canonical(back) == _canonical(payload), i
+
     def test_an_arena_past_the_file_sizes_no_read(self, tmp_path):
         """An arena-table entry that claims more elements than the file
         holds is refused before it sizes anything, even under a CRC-32
@@ -845,6 +866,47 @@ class TestHostilePayloads:
         )
         with pytest.raises(ValueError, match=expected):
             _build(tmp_path, resume=True).run()
+
+    @staticmethod
+    def _with_model_versions(tmp_path: Path) -> Path:
+        """The run's latest checkpoint rewritten with a mutation ``version``
+        in every model payload, as checkpoints were written before models
+        lost their counter; returns its file."""
+        (run,) = RunRegistry(tmp_path).runs()
+        found = load_checkpoint(tmp_path / run)
+        for model in found["payload"]["coordinator"]["strategy"]["models"].values():
+            model["version"] = 4
+        manifest = found["manifest"]
+        return CheckpointWriter(tmp_path / run, manifest["run_hash"]).write(
+            manifest["round"], found["payload"], completed=False
+        )
+
+    def test_a_model_version_entry_names_the_checkpoint_and_the_key(self, tmp_path):
+        coord = _build(tmp_path)
+        _crash_at(coord, crash_round=4)
+        with pytest.raises(RuntimeError, match="injected"):
+            coord.run()
+        path = self._with_model_versions(tmp_path)
+        expected = (
+            rf"{re.escape(str(path))} does not resume: Coordinator/v2 strategy: "
+            r"SingleModelStrategy/v1 models: model \w+: keys \[.*'version'\]"
+        )
+        with pytest.raises(ValueError, match=expected):
+            _build(tmp_path, resume=True).run()
+
+    def test_resuming_a_model_version_entry_is_one_cli_line_and_status_1(self, tmp_path, capsys):
+        argv = ["run", "--method", "fedavg", "--rounds", "4", "--checkpoint-dir", str(tmp_path)]
+        set_model_id_counter(0)  # each run mints the ids a fresh process would
+        assert cli_main(argv) == 0
+        path = self._with_model_versions(tmp_path)
+        capsys.readouterr()
+        set_model_id_counter(0)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([*argv, "--resume"])
+        assert exit_info.value.code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"repro run: error: checkpoint {path} does not resume: ")
+        assert re.search(r"model m000: keys \[.*'version'\]", line), line
 
     def test_a_list_tensor_beyond_float_range_does_not_resume(self, tmp_path):
         """A tensor stored as a nested list of ints beyond float range (not

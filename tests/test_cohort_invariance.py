@@ -84,7 +84,6 @@ def parent_train(cfg, model, client, rng):
             for k in grads:
                 grads[k] = grads[k] + cfg.prox_mu * (params[k] - global_params[k])
         opt.step(params, grads)
-        model.bump_version()
     batch = min(cfg.batch_size, n)
     nbytes = model.nbytes()
     return dict(

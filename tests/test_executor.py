@@ -36,6 +36,7 @@ from repro.fl.executor import (
 from repro.fl.shm import segment_exists
 from repro.fl.strategy import Strategy
 from repro.nn import mlp
+from repro.nn.serialization import model_from_spec, model_spec
 
 BACKENDS = EXECUTOR_BACKENDS
 
@@ -148,6 +149,13 @@ def _assert_logs_identical(a, b):
     assert a.total_macs == b.total_macs
     assert a.total_bytes_down == b.total_bytes_down
     assert a.stop_reason == b.stop_reason
+
+
+def _rebuilt(model):
+    """A fresh object of ``model``'s spec, parameters and state."""
+    twin = model_from_spec(model_spec(model))
+    twin.set_tensors(param=model.params(), state=model.state())
+    return twin
 
 
 class TestBackendDeterminism:
@@ -362,12 +370,12 @@ class TestExecutorUnits:
         back = ex.eval_round(tasks[::-1], {model.model_id: model}, batch_size=16)
         assert [a.tobytes() for a in back] == [a.tobytes() for a in out[::-1]]
 
-    def test_process_snapshot_reused_while_versions_unchanged(self, rng):
-        """Snapshot reuse is keyed on model *versions*, not dict identity:
-        any publish where no model's version moved — including one with a
-        freshly built dict — reuses the current snapshot; a mutation (which
-        bumps the version) triggers a republish of the whole suite into a
-        new segment, and the one before is unlinked."""
+    def test_process_snapshot_reused_while_bytes_unchanged(self, rng):
+        """Snapshot reuse is keyed on the suite's specs and bytes, not on
+        dict or model identity: a publish of freshly built model objects of
+        equal bytes reuses the current segment; one byte written in place,
+        with no call at all, republishes the whole suite into a new segment,
+        and the one before is unlinked."""
         ds = _dataset(num_clients=3)
         clients = _clients(ds)
         model = mlp(ds.input_shape, ds.num_classes, rng, width=8)
@@ -381,16 +389,17 @@ class TestExecutorUnits:
             v1, first = pub.version, pub.name
             assert pub.publish_count == 1  # first publish ships the suite
             reused = ex.train_round(1, [TrainItem(model.model_id, 1, 0)], models)
-            assert pub.version == v1  # same object, same versions => reused
-            ex.train_round(2, [TrainItem(model.model_id, 2, 0)], dict(models))
-            assert pub.version == v1  # fresh dict, same versions => reused
+            assert pub.version == v1  # same objects, same bytes => reused
+            rebuilt = {mid: _rebuilt(m) for mid, m in models.items()}
+            ex.train_round(2, [TrainItem(model.model_id, 2, 0)], rebuilt)
+            assert pub.version == v1  # new objects, same bytes => reused
             assert pub.reused_publish_count == 2
             ref_ex = SerialExecutor(clients, trainer_cfg, seed=0)
             ref = ref_ex.train_round(1, [TrainItem(model.model_id, 1, 0)], models)
             assert reused[0].train_loss == ref[0].train_loss
-            model.set_params({k: v + 0.5 for k, v in model.get_params().items()})
+            next(iter(model.params().values())).view(np.uint8).flat[0] ^= 1  # no call
             changed = ex.train_round(3, [TrainItem(model.model_id, 0, 0)], dict(models))
-            assert pub.version == v1 + 1  # version moved => republished
+            assert pub.version == v1 + 1  # a byte moved => republished
             assert list(pub.segments) == [pub.name] != [first]  # one live segment
             assert not segment_exists(first)
             ref3 = ref_ex.train_round(3, [TrainItem(model.model_id, 0, 0)], models)

@@ -12,7 +12,12 @@ two byte meters count each segment's header too, so the process
 scenarios' were rewritten when the header became JSON (wire format 3),
 and again when a snapshot became one full segment per real publish
 (every log and recovery digest and every count unchanged; a real publish
-is still exactly a version move).
+is still exactly a version move).  Since models carry no mutation counter,
+a segment header no longer holds each model's ``"version":N`` entry:
+:func:`_parent_header_bytes` counts what that counter would read (one per
+``reinitialize`` and ``set_params``/``set_state`` of a server model, the
+only writes this stack makes to one) and adds the entries' bytes back, so
+the byte meters are still held to the fixture.
 
 Scenarios: ``{serial, thread, process}`` x five sync fault specs on a
 SplitMix fleet whose low budgets leave some base nets untouched each round
@@ -42,19 +47,23 @@ Regenerate (only ever at a commit whose executor is the reference):
 import hashlib
 import json
 import subprocess
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.baselines import SplitMixStrategy
+from repro.baselines import splitmix as splitmix_mod
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
 from repro.fl import Coordinator, CoordinatorConfig, FLClient, LocalTrainerConfig, log_to_dict
+from repro.fl import shm as shm_mod
 from repro.fl.export import recovery_to_dict
 from repro.nn import mlp
 from repro.nn.cells import set_cell_id_counter
-from repro.nn.model import set_model_id_counter
+from repro.nn.model import CellModel, set_model_id_counter
 
 GOLDEN = Path(__file__).parent / "data" / "golden_executor_waves.json"
 
@@ -128,14 +137,45 @@ def _blake(obj) -> str:
     return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
 
 
+@contextmanager
+def _parent_header_bytes():
+    """Meter each segment as the fixture's commit wrote it: every model
+    entry of the header also held ``"version":N,``, where ``N`` counted the
+    model's ``reinitialize`` and ``set_params``/``set_state`` calls."""
+    writes = Counter()
+    set_tensors, reinit = CellModel.set_tensors, splitmix_mod.reinitialize
+    write = shm_mod.write_snapshot_segment
+
+    def counted(fn):
+        def write_and_count(model, *args, **kwargs):
+            fn(model, *args, **kwargs)
+            writes[id(model)] += 1
+
+        return write_and_count
+
+    def metered(name, kind, models):
+        seg, nbytes = write(name, kind, models)
+        return seg, nbytes + sum(len(f'"version":{writes[id(m)]},') for m in models.values())
+
+    CellModel.set_tensors = counted(set_tensors)
+    splitmix_mod.reinitialize = counted(reinit)
+    shm_mod.write_snapshot_segment = metered
+    try:
+        yield
+    finally:
+        CellModel.set_tensors, splitmix_mod.reinitialize = set_tensors, reinit
+        shm_mod.write_snapshot_segment = write
+
+
 def _digests(name: str) -> dict:
     # Model/cell ids come from process-global counters; pin them so the id
     # strings (and with them the snapshot header sizes) do not depend on
     # which tests ran before.
     set_model_id_counter(0)
     set_cell_id_counter(0)
-    coord = _coordinator(**SCENARIOS[name])
-    log = coord.run()
+    with _parent_header_bytes():
+        coord = _coordinator(**SCENARIOS[name])
+        log = coord.run()
     recovery = recovery_to_dict(log)
     for rec in recovery["faults"]:
         if rec["action"] == "pool_rebuild":

@@ -461,7 +461,8 @@ class TestSharedMemoryLifecycle:
             ex.train_round(0, [TrainItem(mid, 0, 0)], dict(models))
             (gone,) = ex.publisher.segments
             os.unlink(f"/dev/shm/{gone}")  # out from under the publisher
-            models[mid].bump_version()  # a version moved: a real publish
+            # One byte of the suite moves: a real publish.
+            next(iter(models[mid].params().values())).view(np.uint8).flat[0] ^= 1
             metered = shm_mod.cleanup_failures
             (update,) = ex.train_round(1, [TrainItem(mid, 1, 0)], dict(models))
             assert update.client_id == 1

@@ -110,7 +110,6 @@ def _run(source: CellModel, k: int, in_place: bool, xs, labels, train: bool, x_e
         work.backward(dlogits)
         seen.append((np.asarray(loss).tobytes(), _bytes(work.grads())))
         opt.step(work.params(), work.grads())
-        work.bump_version()
         seen.append((_bytes(work.params()), _bytes(work.state())))
     # The sweep's forward runs on a K = 1 workspace.
     if k > 1:

@@ -1,25 +1,26 @@
-"""Version-tracked model suite: cost memoization, snapshot publishing.
+"""A model suite without a mutation counter: costs are structure, and a
+snapshot is reused when its bytes are the suite's.
 
-Four contracts under test:
+Three contracts under test:
 
-* **Version counter** — every mutation path of a :class:`CellModel`
-  (``set_params``/``set_state``, optimizer steps, transformations,
-  subnet narrowing, re-initialization) bumps the monotone ``version``,
-  and ``clone(keep_id=True)`` carries it; a rebuilt subnet carries its
-  global model's, so the process backend republishes it after training.
-* **Cost memoization** — ``macs`` / ``num_params`` / ``nbytes`` are
-  recomputed once per version.
-* **Snapshot publishing** — a publish is reused when no version moved;
-  otherwise the process backend writes one full segment, unlinks the one
-  before, and workers move to it.
+* **Costs are structure** — ``macs`` / ``num_params`` / ``nbytes`` are
+  computed at construction and by ``widen_cell`` / ``deepen_after``, and
+  served from memory after any write of the weights; a subnet is built
+  from its narrowed cells, so its costs are its own.
+* **Snapshot publishing** — a publish is reused exactly when the current
+  segment holds the suite's ids, specs and tensor bits; otherwise the
+  process backend writes one full segment, unlinks the one before, and
+  workers move to it.
 * **Backends agree** — a run exports the serial run's bytes on every
-  backend in both round modes, and a missed version bump breaks that.
+  backend in both round modes, however the server writes its models: even
+  in place, with no call at all.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines import fedavg
+from repro.baselines.single_model import SingleModelStrategy
 from repro.baselines.subnet import SubnetSpec, build_subnet, ratio_spec
 from repro.core import FedTransConfig, FedTransStrategy
 from repro.core.transform import reinitialize
@@ -39,9 +40,11 @@ from repro.fl.export import log_to_dict
 from repro.fl.faults import FaultConfig, FaultPlan, InjectedShmFault
 from repro.fl.shm import segment_exists
 from repro.fl.snapshot import _WORKER, SnapshotPublisher, worker_models, worker_reset
-from repro.nn import mlp
+from repro.nn import mlp, small_cnn
 from repro.nn.cells import cell_id_counter, set_cell_id_counter
 from repro.nn.model import model_id_counter, set_model_id_counter
+from repro.nn.param_ops import tree_average
+from repro.nn.serialization import model_from_spec, model_spec
 from repro.stateful import schema_tag
 
 
@@ -81,77 +84,21 @@ def _perturbed(model):
     return {k: v + 0.25 for k, v in model.get_params().items()}
 
 
+def _rebuilt(model):
+    """A fresh object of ``model``'s spec, parameters and state."""
+    twin = model_from_spec(model_spec(model))
+    twin.set_tensors(param=model.params(), state=model.state())
+    return twin
+
+
+def _first_tensor(model):
+    return next(iter(model.params().values()))
+
+
 # ----------------------------------------------------------------------
-# version counter
+# costs are structure
 # ----------------------------------------------------------------------
-class TestVersionCounter:
-    def test_set_params_and_state_bump(self, rng):
-        m = mlp((8,), 4, rng, width=8)
-        v0 = m.version
-        m.set_params(_perturbed(m))
-        assert m.version == v0 + 1
-        m.set_state(m.get_state())
-        assert m.version == v0 + 2
-
-    def test_transformations_bump(self, rng):
-        m = mlp((8,), 4, rng, width=8)
-        cell = m.transformable_cells()[0]
-        v0 = m.version
-        m.widen_cell(cell.cell_id, 1.5, rng)
-        assert m.version > v0
-        v1 = m.version
-        m.deepen_after(cell.cell_id, rng)
-        assert m.version > v1
-
-    def test_optimizer_steps_bump_trained_replica(self, rng):
-        ds = _dataset(num_clients=2)
-        clients = _clients(ds)
-        server = mlp(ds.input_shape, ds.num_classes, rng, width=8)
-        work = server.clone(keep_id=True)
-        assert work.version == server.version  # replica carries the version
-        trainer = LocalTrainer(LocalTrainerConfig(batch_size=4, local_steps=3, lr=0.1))
-        trainer.train(work, clients[0], np.random.default_rng(0))
-        assert work.version > server.version  # one bump per optimizer step
-        assert server.version == 0  # the server model itself is untouched
-
-    def test_fresh_clone_starts_new_history(self, rng):
-        m = mlp((8,), 4, rng, width=8)
-        m.set_params(_perturbed(m))
-        assert m.clone(keep_id=True).version == m.version
-        assert m.clone().version == 0
-
-    def test_reinitialize_bumps(self, rng):
-        m = mlp((8,), 4, rng, width=8)
-        v0 = m.version
-        reinitialize(m, rng)
-        assert m.version > v0
-
-    def test_subnet_carries_global_version(self, rng):
-        """A rebuilt subnet under a stable id must track the *global*
-        model's version (regression: fresh clones restarted at a constant,
-        so HeteroFL/FLuID rebuilds after aggregation looked unchanged to
-        the snapshot publisher — workers training on round-1 weights)."""
-        g = mlp((8,), 4, rng, width=8)
-        spec = ratio_spec(g, 0.5)
-        v0 = build_subnet(g, spec).version
-        assert build_subnet(g, SubnetSpec()).version == g.version  # full ratio too
-        g.set_params(_perturbed(g))
-        assert build_subnet(g, spec).version != v0
-        assert build_subnet(g, spec).version == g.version
-
-    def test_subnet_narrowing_yields_fresh_costs(self, rng):
-        """build_subnet narrows cells in place after the constructor cached
-        costs — the bump must invalidate them (regression: the first
-        memoization draft reported the *global* model's macs for every
-        subnet, collapsing HeteroFL's nested complexity ladder)."""
-        g = mlp((8,), 4, rng, width=8)
-        quarter = build_subnet(g, ratio_spec(g, 0.25))
-        half = build_subnet(g, ratio_spec(g, 0.5))
-        assert quarter.macs() < half.macs() < g.macs()
-        assert quarter.num_params() < half.num_params() < g.num_params()
-
-
-class TestCostMemoization:
+class TestStructureCosts:
     def test_values_track_structure(self, rng):
         m = mlp((8,), 4, rng, width=8)
         macs0, params0, bytes0 = m.macs(), m.num_params(), m.nbytes()
@@ -162,27 +109,75 @@ class TestCostMemoization:
         # the memoized values match an explicit recount of the live tensors
         assert m.num_params() == sum(v.size for v in m.params().values())
         assert m.nbytes() == sum(v.nbytes for v in m.params().values())
+        macs1 = m.macs()
+        m.deepen_after(m.transformable_cells()[0].cell_id, rng)
+        assert m.macs() > macs1
 
-    def test_repeated_calls_do_not_rewalk(self, rng, monkeypatch):
-        m = mlp((8,), 4, rng, width=8)
-        m.macs()  # warm
+    def test_subnet_narrowing_yields_fresh_costs(self, rng):
+        """A subnet is constructed from its narrowed cells (regression: the
+        first memoization draft reported the *global* model's macs for every
+        subnet, collapsing HeteroFL's nested complexity ladder)."""
+        g = mlp((8,), 4, rng, width=8)
+        quarter = build_subnet(g, ratio_spec(g, 0.25))
+        half = build_subnet(g, ratio_spec(g, 0.5))
+        assert quarter.macs() < half.macs() < g.macs()
+        assert quarter.num_params() < half.num_params() < g.num_params()
+        assert quarter.num_params() == sum(v.size for v in quarter.params().values())
+        full = build_subnet(g, SubnetSpec())
+        assert (full.macs(), full.num_params()) == (g.macs(), g.num_params())
+        assert full.parent_id == g.model_id and full.model_id != g.model_id
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
+    def test_a_subnet_is_the_narrowed_clone(self, rng, ratio):
+        """``build_subnet`` builds from narrowed cell copies what narrowing
+        a clone of the global model in place built: the same spec (but the
+        fresh id) and the same tensor bytes."""
+        g = small_cnn((3, 8, 8), 4, rng, width=8)
+        spec = ratio_spec(g, ratio)
+        sub = build_subnet(g, spec)
+        oracle = g.clone()
+        prev_out = None
+        for cell in oracle.cells:
+            out_idx, hid_idx = spec.keep_out.get(cell.cell_id), spec.keep_hidden.get(cell.cell_id)
+            if out_idx is not None or hid_idx is not None or prev_out is not None:
+                cell.narrow(out_idx=out_idx, in_idx=prev_out, hidden_idx=hid_idx)
+            prev_out = out_idx
+        want, got = model_spec(oracle), model_spec(sub)
+        assert got["model_id"] != want.pop("model_id") == oracle.model_id
+        got.pop("model_id")
+        assert got == want
+        for scope in ("params", "state"):
+            mine, theirs = getattr(sub, scope)(), getattr(oracle, scope)()
+            assert {k: v.tobytes() for k, v in mine.items()} == {
+                k: v.tobytes() for k, v in theirs.items()
+            }
+
+    def test_costs_after_a_write_are_served_without_a_rewalk(self, rng, monkeypatch):
+        """``set_params``, a training step, a re-initialization and a
+        workspace refill write weights, not structure: no cost is recounted."""
+        ds = _dataset(num_clients=2)
+        m = mlp(ds.input_shape, ds.num_classes, rng, width=8)
+        costs = (m.macs(), m.num_params(), m.nbytes())
+        work = m.replicate(3)
         calls = {"n": 0}
-        orig = type(m.cells[0]).macs
-
-        def counting(self, shape):
-            calls["n"] += 1
-            return orig(self, shape)
-
         for cell in m.cells:
-            monkeypatch.setattr(type(cell), "macs", counting, raising=True)
-        for _ in range(5):
-            m.macs()
-            m.num_params()
-            m.nbytes()
-        assert calls["n"] == 0  # all served from the version-keyed cache
-        m.set_params(_perturbed(m))  # bump => one recompute on next access
-        m.macs()
-        assert calls["n"] == len(m.cells)
+            orig = type(cell).macs
+
+            def counting(self, shape, orig=orig):
+                calls["n"] += 1
+                return orig(self, shape)
+
+            monkeypatch.setattr(type(cell), "macs", counting)
+        m.set_params(_perturbed(m))
+        assert (m.macs(), m.num_params(), m.nbytes()) == costs
+        reinitialize(m, rng)
+        assert (m.macs(), m.num_params(), m.nbytes()) == costs
+        trainer = LocalTrainer(LocalTrainerConfig(batch_size=4, local_steps=3, lr=0.1))
+        trainer.train(m, _clients(ds)[0], np.random.default_rng(0))
+        assert (m.macs(), m.num_params(), m.nbytes()) == costs
+        assert work.refill(m, 2)
+        assert (work.macs(), work.num_params(), work.nbytes()) == costs
+        assert calls["n"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -220,9 +215,9 @@ class TestRebuiltSuites:
     @pytest.mark.parametrize("method", ["heterofl", "fluid"])
     def test_rebuilt_submodel_suites_bit_identical(self, method):
         """HeteroFL/FLuID re-derive their whole suite under stable ids
-        after every aggregation (regression: constant rebuild versions let
-        the process backend reuse stale snapshots, so its workers trained
-        and scored round-1 weights)."""
+        after every aggregation (regression: rebuilt subnets once looked
+        unchanged to the process backend, whose workers then trained and
+        scored round-1 weights)."""
         ids = model_id_counter(), cell_id_counter()
         serial = _export(lambda: _subnet_coord(method, "serial"), ids)
         # Accuracies must actually move across sweeps.
@@ -257,23 +252,25 @@ def _sparse_fedtrans_coord(backend, mode):
     return _fedtrans_coord(eval_every=1, executor=backend, **over)
 
 
-def _fedavg_coord(backend, constant_version=False):
-    """FedAvg on twelve clients; ``constant_version`` restamps the global
-    model's version to 0 after every aggregation, the missed bump that made
-    the process backend train on stale snapshots."""
+class InPlaceFedAvg(SingleModelStrategy):
+    """FedAvg whose aggregation writes the weighted average through the live
+    ``params()`` references: no model method sees the write."""
+
+    def aggregate(self, round_idx, updates, rng):
+        avg = tree_average([u.params for u in updates], [float(u.num_samples) for u in updates])
+        for key, live in self.model.params().items():
+            live[...] = avg[key]
+        return []
+
+
+def _fedavg_coord(backend, in_place=False, mode="sync"):
+    """FedAvg on twelve clients; ``in_place`` writes each aggregate into the
+    server model in place (:class:`InPlaceFedAvg`)."""
     ds = _dataset(num_clients=12)
     model = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=16)
-    strategy = fedavg(model)
-    if constant_version:
-
-        class ConstantVersion(type(strategy)):
-            def aggregate(self, round_idx, updates, rng):
-                events = super().aggregate(round_idx, updates, rng)
-                self.model.sync_version(0)
-                return events
-
-        strategy.__class__ = ConstantVersion
-    return Coordinator(strategy, _clients(ds), _coord_cfg(executor=backend))
+    strategy = InPlaceFedAvg(model) if in_place else fedavg(model)
+    over = dict(mode="async", buffer_k=3) if mode == "async" else {}
+    return Coordinator(strategy, _clients(ds), _coord_cfg(executor=backend, **over))
 
 
 class TestBackendsAgree:
@@ -295,16 +292,16 @@ class TestBackendsAgree:
         assert any("spawned" in e for r in serial["rounds"] for e in r["events"])
         assert _export(lambda: _fedtrans_coord(executor="process"), ids) == serial
 
-    def test_a_missed_version_bump_fails_the_pair(self):
-        """The regression above, reintroduced: a strategy whose aggregation
-        moves the weights but restamps a constant version leaves the process
-        backend's workers on the first snapshot, and the process == serial
-        pair is what catches it."""
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_an_in_place_write_between_rounds_reaches_the_workers(self, mode):
+        """A server model written in place between rounds, with no call at
+        all, reaches the process backend's workers: its export is the serial
+        one (it was the first snapshot's, trained and scored again, while a
+        publish was reused on a model counter)."""
         ids = model_id_counter(), cell_id_counter()
-        serial = _export(lambda: _fedavg_coord("serial"), ids)
-        assert _export(lambda: _fedavg_coord("process"), ids) == serial
-        assert _export(lambda: _fedavg_coord("serial", constant_version=True), ids) == serial
-        assert _export(lambda: _fedavg_coord("process", constant_version=True), ids) != serial
+        serial = _export(lambda: _fedavg_coord("serial", mode=mode), ids)
+        assert _export(lambda: _fedavg_coord("serial", True, mode), ids) == serial
+        assert _export(lambda: _fedavg_coord("process", True, mode), ids) == serial
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +415,46 @@ class TestPublisherAndWorkerInProcess:
         assert publisher.bytes_published_total == publisher.last_publish_bytes > 0
         assert list(publisher.segments) == [first[1]]
 
+    def test_fresh_objects_of_equal_bytes_reuse_and_one_moved_byte_republishes(
+        self, rng, publisher
+    ):
+        models = self._suite(rng)
+        first = publisher.publish(models)
+        rebuilt = {mid: _rebuilt(m) for mid, m in models.items()}
+        assert publisher.publish(rebuilt) == first
+        _first_tensor(rebuilt[next(iter(rebuilt))]).view(np.uint8).flat[0] ^= 1
+        second = publisher.publish(rebuilt)
+        assert second[0] == first[0] + 1
+        assert (publisher.publish_count, publisher.reused_publish_count) == (2, 1)
+        assert publisher.publish(rebuilt) == second
+
+    @pytest.mark.parametrize("was, now", [(0.0, -0.0), (np.nan, -np.nan), (1.0, 1.0 + 2**-52)])
+    def test_values_compare_by_their_bits(self, rng, publisher, was, now):
+        """``-0.0 == 0.0`` and ``nan != nan`` as numbers; the segment holds
+        bits, so a sign or NaN payload that moved republishes and an
+        unmoved NaN reuses."""
+        models = self._suite(rng, n=1)
+        (model,) = models.values()
+        _first_tensor(model)[0, 0] = was
+        first = publisher.publish(models)
+        assert publisher.publish(models) == first
+        _first_tensor(model)[0, 0] = now
+        assert publisher.publish(models)[0] == first[0] + 1
+
+    def test_a_state_write_republishes(self, rng, publisher):
+        """BatchNorm running statistics are part of the suite's bytes."""
+        cnn = small_cnn((3, 8, 8), 4, rng, width=4)
+        models = {cnn.model_id: cnn}
+        first = publisher.publish(models)
+        next(iter(cnn.state().values()))[0] += 1.0
+        assert publisher.publish(models)[0] == first[0] + 1
+
+    def test_a_respecified_model_of_equal_bytes_republishes(self, rng, publisher):
+        models = self._suite(rng)
+        first = publisher.publish(models)
+        next(iter(models.values())).birth_round = 7
+        assert publisher.publish(models)[0] == first[0] + 1
+
     def test_a_dropped_model_leaves_the_next_segment(self, rng, publisher):
         models = self._suite(rng, n=3)
         v1, n1 = publisher.publish(models)
@@ -451,7 +488,6 @@ class TestPublisherAndWorkerInProcess:
         got = worker_models(*publisher.publish(models))
         for mid, model in models.items():
             replica = got[mid]
-            assert replica.version == model.version
             for key, want in (*model.params().items(), *model.state().items()):
                 arr = {**replica.params(), **replica.state()}[key]
                 np.testing.assert_array_equal(arr, want)

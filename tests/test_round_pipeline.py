@@ -190,6 +190,15 @@ def _key_paths(payload, prefix=""):
             yield from _key_paths(value, path)
 
 
+def _restate_model_versions(payload: dict) -> None:
+    """Put back the ``version`` key of every model payload below ``payload``."""
+    if payload.keys() == {"spec", "params", "state"}:
+        payload["version"] = None
+    for value in payload.values():
+        if isinstance(value, dict):
+            _restate_model_versions(value)
+
+
 def _digests(name: str) -> dict:
     # Model/cell ids come from process-global counters; pin them so the
     # id strings in the exports do not depend on which tests ran before.
@@ -243,6 +252,8 @@ def _digests(name: str) -> dict:
     # And the coordinator carried the fleet sweep's accuracy cache
     # (``Coordinator/v1``): a list, so one key path.
     state["eval_acc_cache"] = None
+    # And every model payload carried the model's mutation ``version``.
+    _restate_model_versions(state)
     return {
         "log": _blake(log_to_dict(log)),
         "recovery": _blake(recovery_to_dict(log)),

@@ -174,10 +174,9 @@ class TestStrictRestore:
     def test_an_extra_param_key_is_refused(self, rng):
         m = mlp((6,), 4, rng, width=8)
         snap = m.get_params()
-        version = m.version
         with pytest.raises(KeyError, match="extra/w"):
             m.set_params({**snap, "extra/w": np.zeros(3)})
-        assert m.version == version
+        assert all(np.array_equal(m.params()[k], v) for k, v in snap.items())
 
     def test_a_payload_with_empty_state_does_not_load(self, rng):
         payload = model_state_dict(_bn_model(rng))
@@ -196,13 +195,12 @@ class TestStrictRestore:
     def test_a_refused_state_tree_leaves_the_params_unwritten(self, rng):
         """``set_tensors`` checks every tree before it writes any."""
         m = _bn_model(rng)
-        params, state, version = m.get_params(), m.get_state(), m.version
+        params, state = m.get_params(), m.get_state()
         key = next(k for k in state if k.endswith("running_var"))
         moved = {k: v + 1.0 for k, v in params.items()}
         with pytest.raises(ValueError, match="shape mismatch"):
             m.set_tensors(param=moved, state={**state, key: np.array([3.0])})
         assert all(np.array_equal(m.params()[k], v) for k, v in params.items())
-        assert m.version == version
 
     @pytest.mark.parametrize(
         "tensor",
@@ -234,25 +232,28 @@ class TestStrictRestore:
         target = m.clone(keep_id=True)
         for arr in target.params().values():
             arr += 1.0  # bytes a partial write would overwrite
-        target.bump_version()
         before = {**target.get_params(), **target.get_state()}
-        version = target.version
         expected = rf"model {m.model_id}: tensor {re.escape(key)} \(\w+\) is not a real-floating array"
         with pytest.raises(ValueError, match=expected):
             load_model_state(target, payload)
         after = {**target.get_params(), **target.get_state()}
         assert all(after[k].tobytes() == v.tobytes() for k, v in before.items())
-        assert target.version == version
 
-    @pytest.mark.parametrize("version", [2.9, True, "3", None])
-    def test_a_non_int_version_does_not_load(self, rng, version):
-        """A checkpointed version keys every version cache: 2.9 used to load
-        as 2, ``True`` as 1 and ``"3"`` as 3."""
+    def test_a_model_payload_is_its_spec_and_tensors(self, rng):
+        payload = model_state_dict(_bn_model(rng))
+        assert payload.keys() == {"spec", "params", "state"}
+
+    def test_a_saved_model_with_a_version_entry_names_the_file_and_the_key(self, rng, tmp_path):
+        """Models carry no mutation counter: a file that stores one, as
+        ``--save-models`` wrote it before, is refused, not half-read."""
         m = mlp((6,), 4, rng, width=8)
-        payload = model_state_dict(m)
-        payload["version"] = version
-        with pytest.raises(ValueError, match=rf"model {m.model_id}: version .* is not an int"):
-            model_from_state(payload)
+        path = tmp_path / f"{m.model_id}.rsnp"
+        write_payload(path, {**model_state_dict(m), "version": 3})
+        expected = rf"{re.escape(str(path))} is not a saved model: .*'version'"
+        with pytest.raises(ValueError, match=expected):
+            load_model(path)
+        write_payload(path, model_state_dict(m))
+        assert load_model(path).params().keys() == m.params().keys()
 
 
 def _grown_spec() -> dict:

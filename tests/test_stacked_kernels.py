@@ -217,7 +217,7 @@ def test_replicate_copies_and_refuses_layers_without_the_axis():
         work = model.replicate(k)
         assert work.replicas == (k if k > 1 else None) and model.replicas is None
         assert model.stackable
-        assert (work.model_id, work.version) == (model.model_id, model.version)
+        assert work.model_id == model.model_id
         assert (work.macs(), work.nbytes(), work.num_params()) == (
             model.macs(), model.nbytes(), model.num_params()
         )
@@ -498,9 +498,7 @@ def test_refill_is_a_fresh_replicate():
         model.set_params({key: v + 0.5 for key, v in model.params().items()})
         assert work.refill(model, k)
         fresh = model.replicate(k)
-        assert (work.model_id, work.version, work.replicas) == (
-            fresh.model_id, fresh.version, fresh.replicas
-        )
+        assert (work.model_id, work.replicas) == (fresh.model_id, fresh.replicas)
         for tree in ("params", "grads", "state"):
             mine, theirs = getattr(work, tree)(), getattr(fresh, tree)()
             assert list(mine) == list(theirs)

@@ -1028,7 +1028,7 @@ _HEADER_TAMPERS = {
     "spec of another architecture": lambda h: _set(_cnn(h)["spec"]["cells"][1], "out_channels", 5),
     "unknown cell type": lambda h: _set(_cnn(h)["spec"]["cells"][0], "type", "Gadget"),
     "spec not an object": lambda h: _set(_cnn(h), "spec", []),
-    "float version": lambda h: _set(_cnn(h), "version", 1.5),
+    "model version entry": lambda h: _set(_cnn(h), "version", 2),
     "retired header key": lambda h: _set(h, "kind", "full"),
     "missing header key": lambda h: h.pop("models"),
 }
@@ -1071,6 +1071,36 @@ class TestHostileSnapshots:
         models = self._decode(bad)
         if models is not None:
             assert _signature(models) == written
+
+    @pytest.mark.parametrize("mask", [0x01, 0x10, 0x20, 0x80])
+    def test_each_header_byte_flip_is_refused_or_decodes_the_written_suite(self, mask):
+        """The deterministic sweep beside the property above: every byte of
+        the prefix and the JSON header, XOR ``mask``.  A segment has no
+        CRC-32, so a flip the header still parses under (a lineage digit, a
+        marker offset inside its arena) decodes, to the written signature."""
+        good, written = _segments()
+        end = container._PREFIX.size + container._PREFIX.unpack_from(good, 0)[2]
+        for i in range(end):
+            bad = bytearray(good)
+            bad[i] ^= mask
+            try:
+                models = _read(bytes(bad))
+            except SnapshotFormatError:
+                continue
+            assert _signature(models) == written, i
+
+    def test_a_model_entry_is_its_spec_and_tensor_markers(self):
+        full, written = _segments()
+        header, _ = container.read_frame(full)
+        assert header.keys() == {"arenas", "models"} and header["models"].keys() == written.keys()
+        assert all(meta.keys() == {"spec", "param", "state"} for meta in header["models"].values())
+
+    def test_a_model_version_entry_names_the_segment_and_the_key(self):
+        """Models carry no mutation counter: a header entry that stores one,
+        as segments did before, is refused."""
+        full, _ = _segments()
+        with pytest.raises(SnapshotFormatError, match=r"'fake'.*'version'"):
+            _read(reheader(full, _HEADER_TAMPERS["model version entry"]))
 
     @pytest.mark.parametrize("tamper", sorted(_HEADER_TAMPERS))
     def test_tampered_headers_are_refused(self, tamper):
