@@ -5,7 +5,7 @@ Run:  python examples/checkpoint_resume.py
 Durable runs are the point of the checkpoint subsystem: with
 ``checkpoint_dir`` set, the coordinator periodically writes its *entire*
 run state — model suite (architecture, lineage, weights), optimizer and
-aggregator state, scheduling policies, RNG position, eval caches — as a
+aggregator state, scheduling policies, RNG position, codec residuals — as a
 crash-consistent checkpoint (temp file + fsync + atomic rename, manifest
 pointer moved only after the payload is durable).  ``resume=True`` picks
 the run back up from the last good checkpoint, and the contract is

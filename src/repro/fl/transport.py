@@ -40,11 +40,15 @@ Error feedback keeps quantization honest across rounds: the residual
 ``d - decode(encode(d))`` is kept per ``(client, model, scope, tensor)``
 and added to the next delta from the same client before encoding, so
 systematic quantization error accumulates into later updates instead of
-being lost.  The residuals live in one table per (model, scope, dtype,
-tensor layout): a client's residuals are one row of the layout's width,
-in fixed-size row chunks that are allocated on demand and never copied,
-with a ``present`` flag per (row, tensor).  An encode reads a block's rows
-from the tables and writes each new residual into its row in place.
+being lost.  The residuals live in one table per (model, scope), whose
+layout is that tree's dtype, tensor keys and shapes: a client's residuals
+are one row of the layout's width, in fixed-size row chunks that are
+allocated on demand and never copied, with a ``present`` flag per (row,
+tensor).  A model id keeps its layout for life (a transform derives a new
+model id), so an encode whose tree has another layout than its table
+deletes the table, resetting that model and scope's residuals, and a tree
+that mixes dtypes is refused.  An encode reads a block's rows from the
+tables and writes each new residual into its row in place.
 Residual state implements :class:`~repro.stateful.Stateful` so compressed
 runs checkpoint/resume bit-identically (CONTRACTS.md I9); its payload
 (``TransportCodec/v3``) is per table a few columns and the value chunks,
@@ -437,34 +441,32 @@ class TransportCodec(Stateful):
     ``wire_time=True`` — the simulated upload leg of ``round_time`` is
     re-priced at the wire size.
 
-    The residuals live in :class:`_Table` s, one per (model, scope, dtype,
-    tensor layout); :meth:`residual` reads one tensor's.  ``state_dict``
-    hands out views of that live storage, so a checkpoint copies none of
-    it: write the payload before the next encode.
+    The residuals live in :class:`_Table` s, one per (model, scope); a
+    tree of another layout deletes its table, and a tree of mixed dtypes
+    is a ``ValueError``.  :meth:`residual` reads one tensor's.
+    ``state_dict`` hands out views of that live storage, so a checkpoint
+    copies none of it: write the payload before the next encode.
     """
 
     schema = schema_tag("TransportCodec", 3)
 
     def __init__(self, config: TransportConfig):
         self.config = config
-        # (model_id, scope, dtype, tensor keys, shapes) -> its residual
-        # table.  Populated only by lossy codecs; a table lives while it
-        # holds a row, and a row while it holds a residual.
-        self._tables: dict[tuple, _Table] = {}
+        # (model_id, scope) -> its residual table.  Populated only by
+        # lossy codecs; a table goes whole, when its tree changes layout.
+        self._tables: dict[tuple[str, str], _Table] = {}
         # (dtype, tensor shapes) -> its block plan, derived from the config.
         self._layouts: dict[tuple, _Layout] = {}
 
     def residual(self, client_id: int, model_id: str, scope: str, key: str) -> np.ndarray | None:
         """The error-feedback residual of one tensor, or ``None``: a view of
         the live row, which the client's next encode overwrites."""
-        for table in self._tables.values():
-            slot, t = table.rows.get(client_id), table.index.get(key)
-            if table.id[:2] != (model_id, scope) or slot is None or t is None:
-                continue
-            if table.present[slot, t]:
-                lo, hi = table.layout.bounds[t]
-                return table.row(slot)[lo:hi].reshape(table.layout.shapes[t])
-        return None
+        table = self._tables.get((model_id, scope))
+        slot, t = (table.rows.get(client_id), table.index.get(key)) if table else (None, None)
+        if slot is None or t is None or not table.present[slot, t]:
+            return None
+        lo, hi = table.layout.bounds[t]
+        return table.row(slot)[lo:hi].reshape(table.layout.shapes[t])
 
     # -- Stateful ------------------------------------------------------
     def state_dict(self) -> dict:
@@ -490,16 +492,13 @@ class TransportCodec(Stateful):
         entries = payload["tables"]
         if type(entries) is not list:
             raise ValueError(f"{self.schema} tables: {type(entries).__name__} is not a list")
-        tables: dict[tuple, _Table] = {}
+        tables: dict[tuple[str, str], _Table] = {}
         for i, entry in enumerate(entries):
             table = _Table.from_state(f"{self.schema} tables[{i}]", entry, self._layout)
             if tables.setdefault(table.id, table) is not table:
-                raise ValueError(f"{self.schema} tables[{i}]: a second table of one layout")
-        groups: dict[tuple[str, str], list[_Table]] = {}
-        for table in tables.values():
-            groups.setdefault(table.id[:2], []).append(table)
-        for group in groups.values():
-            _check_disjoint(f"{self.schema} tables", group)
+                raise ValueError(
+                    f"{self.schema} tables[{i}]: a second table of {table.model_id} {table.scope}"
+                )
         self._tables = tables
 
     # -- encoding ------------------------------------------------------
@@ -547,7 +546,8 @@ class TransportCodec(Stateful):
         ref_trees: dict[int, tuple[dict, dict]] = {}
         # One block per (dtype, tensor shapes): the trees of any update,
         # model or scope that share that layout.
-        blocks: dict[tuple, list[_Row]] = {}
+        blocks: dict[_Layout, list[_Row]] = {}
+        plans: dict[tuple[str, str], tuple] = {}  # (model, scope) -> (layout, keys)
         for i, (update, reference) in enumerate(flush):
             if reference is not None and id(reference) not in ref_trees:
                 ref_trees[id(reference)] = (dict(reference.params()), dict(reference.state()))
@@ -558,16 +558,27 @@ class TransportCodec(Stateful):
                 if cfg.update_rle:
                     wires[i] += _rle_wire(tree, ref_tree)
                     continue
-                by_dtype: dict[np.dtype, list[str]] = {}
-                for key, arr in tree.items():
-                    by_dtype.setdefault(arr.dtype, []).append(key)
-                for dtype, keys in by_dtype.items():
-                    arrays = [tree[key] for key in keys]
-                    blocks.setdefault((dtype, tuple(arr.shape for arr in arrays)), []).append(
-                        _Row(i, (update.client_id, update.model_id, scope), tree, tuple(keys), arrays, ref_tree)
+                if not tree:
+                    continue
+                arrays, owner = list(tree.values()), (update.model_id, scope)
+                dtypes = sorted({arr.dtype.str for arr in arrays})
+                if len(dtypes) > 1:
+                    raise ValueError(
+                        f"{update.model_id} {scope}: a residual table holds one dtype, "
+                        f"the tree mixes {dtypes}"
                     )
-        for (dtype, shapes), rows in blocks.items():
-            self._encode_block(self._layout(dtype, shapes), rows, wires)
+                plan = (self._layout(arrays[0].dtype, tuple(arr.shape for arr in arrays)), tuple(tree))
+                if plans.setdefault(owner, plan) != plan:
+                    raise ValueError(f"{update.model_id} {scope}: a flush carries one layout per model and scope")
+                blocks.setdefault(plan[0], []).append(
+                    _Row(i, (update.client_id, *owner), tree, plan[1], arrays, ref_tree)
+                )
+        for owner, plan in plans.items():
+            table = self._tables.get(owner)
+            if table is not None and (table.layout, table.keys) != plan:
+                del self._tables[owner]  # another layout: its residuals reset
+        for layout, rows in blocks.items():
+            self._encode_block(layout, rows, wires)
         return wires
 
     def _encode_block(self, layout: "_Layout", rows: "list[_Row]", wires: list[int]) -> None:
@@ -609,10 +620,7 @@ class TransportCodec(Stateful):
             ref_block = None
         work = values if ref_block is None else values - ref_block
         # Error feedback, one table row per row; -0.0 where a residual is
-        # missing or of another shape or dtype, as x + (-0.0) is x for
-        # every x.
-        for row in rows:
-            self._adopt(row, layout)
+        # missing, as x + (-0.0) is x for every x.
         homes = [self._slot(row, layout) for row in rows]
         if any(slot is not None for _, slot in homes):
             np.add(work, np.concatenate([
@@ -682,13 +690,13 @@ class TransportCodec(Stateful):
         return layout
 
     def _slot(self, row: "_Row", layout: "_Layout", create: bool = False) -> tuple:
-        """``(table, slot)`` of the row's owner in the row's layout, created
-        when ``create``; ``(None, None)`` or ``(table, None)`` when absent."""
+        """``(table, slot)`` of the row's owner, created when ``create``;
+        ``(None, None)`` or ``(table, None)`` when absent.  A table found
+        has the row's layout: the flush deleted one of another."""
         cid, mid, scope = row.owner
-        tid = (mid, scope, layout.dtype, row.keys, layout.shapes)
-        table = self._tables.get(tid)
+        table = self._tables.get((mid, scope))
         if table is None and create:
-            table = self._tables[tid] = _Table(mid, scope, row.keys, layout)
+            table = self._tables[(mid, scope)] = _Table(mid, scope, row.keys, layout)
         slot = table.rows.get(cid) if table is not None else None
         if slot is None and create:
             slot = len(table.rows)
@@ -701,40 +709,9 @@ class TransportCodec(Stateful):
             table.rows[cid] = slot
         return table, slot
 
-    def _elsewhere(self, row: "_Row", table) -> list:
-        """``(other table, slot)`` of the owner's rows in the other layouts
-        of its model and scope (a transform re-keyed capacity)."""
-        cid, mid, scope = row.owner
-        return [
-            (other, other.rows[cid]) for other in self._tables.values()
-            if other is not table and cid in other.rows and other.id[:2] == (mid, scope)
-        ]
-
-    def _adopt(self, row: "_Row", layout: "_Layout") -> None:
-        """Move the owner's residuals that fit the row's layout — same key,
-        shape and dtype — from its rows of other layouts into its row of
-        this one, so an encode reads one row.  Those that do not fit stay
-        (they read as -0.0, and a tensor shipped raw keeps them)."""
-        table, _ = self._slot(row, layout)
-        for other, src in self._elsewhere(row, table):  # usually none
-            for t, key in enumerate(row.keys):
-                u = other.index.get(key)
-                if (
-                    u is None or not other.present[src, u] or other.layout.dtype != layout.dtype
-                    or other.layout.shapes[u] != layout.shapes[t]
-                ):
-                    continue
-                table, slot = self._slot(row, layout, create=True)
-                lo, hi = layout.bounds[t]
-                table.row(slot)[lo:hi] = other.row(src)[slice(*other.layout.bounds[u])]
-                table.present[slot, t] = True
-                other.present[src, u] = False
-            self._drop_if_empty(other, src)
-
     def _store(self, row: "_Row", layout: "_Layout", values: np.ndarray, skip: list) -> None:
         """Write the row's new residuals in place, but for the tensors
-        shipped raw (``skip``), and drop what the owner held of the written
-        tensors in other layouts."""
+        shipped raw (``skip``)."""
         table, slot = self._slot(row, layout, create=True)
         dest = table.row(slot)
         if not any(skip):
@@ -745,34 +722,9 @@ class TransportCodec(Stateful):
                 if not raw:
                     dest[lo:hi] = values[lo:hi]
                     table.present[slot, t] = True
-        for other, src in self._elsewhere(row, table):
-            for key, raw in zip(row.keys, skip):
-                u = other.index.get(key)
-                if u is not None and not raw:
-                    other.present[src, u] = False
-            self._drop_if_empty(other, src)
-
-    def _drop_if_empty(self, table: "_Table", slot: int) -> None:
-        """Remove a row that holds no residual: the table's last row takes
-        its place, and a table left without rows goes."""
-        if table.present[slot].any():
-            return
-        last = len(table.rows) - 1
-        del table.rows[int(table.client_id[slot])]
-        if slot != last:
-            moved = int(table.client_id[last])
-            table.rows[moved] = slot
-            table.client_id[slot] = moved
-            table.present[slot] = table.present[last]
-            table.row(slot)[:] = table.row(last)
-        table.present[last] = False
-        table.row(last)[:] = 0
-        if not table.rows:
-            del self._tables[table.id]
-
 
 class _Row(NamedTuple):
-    """One update's tree of one dtype, as a row of a block."""
+    """One update's param or state tree, as a row of a block."""
 
     index: int  # the update's position in its flush
     owner: tuple[int, str, str]  # (client_id, model_id, scope): residual keys
@@ -947,16 +899,17 @@ _TABLE_KEYS = ("model_id", "scope", "dtype", "keys", "shapes", "client_id", "pre
 
 
 class _Table:
-    """The error-feedback residuals of one (model, scope, dtype, tensor
-    layout): a row of ``layout.width`` values per client, in
-    ``_CHUNK_ROWS``-row chunks allocated on demand and never copied, and a
-    ``present`` flag per (row, tensor).  Rows are dense, and rows past the
-    used ones stay zero.  The codec adds, writes and removes rows; a table
-    is its storage."""
+    """The error-feedback residuals of one (model, scope), whose layout is
+    that tree's dtype, tensor ``keys`` and shapes: a row of
+    ``layout.width`` values per client, in ``_CHUNK_ROWS``-row chunks
+    allocated on demand and never copied, and a ``present`` flag per (row,
+    tensor).  Rows are dense, rows past the used ones stay zero, and a row
+    once added stays: the codec adds and writes rows and deletes whole
+    tables; a table is its storage."""
 
     def __init__(self, model_id: str, scope: str, keys: tuple, layout: _Layout, rows: int = 0):
         self.model_id, self.scope, self.keys, self.layout = model_id, scope, keys, layout
-        self.id = (model_id, scope, layout.dtype, keys, layout.shapes)
+        self.id = (model_id, scope)
         self.index = {key: t for t, key in enumerate(keys)}
         self.rows: dict[int, int] = {}  # client id -> row
         capacity = _CHUNK_ROWS * max(1, -(-rows // _CHUNK_ROWS))
@@ -1063,24 +1016,3 @@ class _Table:
         table.present[:n] = present
         table.rows = dict(zip(ids.tolist(), range(n)))
         return table
-
-
-def _check_disjoint(where: str, group: list[_Table]) -> None:
-    """At most one residual per (client, tensor key) across the tables of
-    one model and scope."""
-    for i, a in enumerate(group):
-        for b in group[i + 1 :]:
-            shared = [key for key in a.keys if key in b.index]
-            if not shared:
-                continue
-            _, ia, ib = np.intersect1d(
-                a.client_id[: len(a.rows)], b.client_id[: len(b.rows)], return_indices=True
-            )
-            both = a.present[np.ix_(ia, [a.index[k] for k in shared])] & b.present[
-                np.ix_(ib, [b.index[k] for k in shared])
-            ]
-            if both.any():
-                raise ValueError(
-                    f"{where}: a client holds two residuals of one {a.model_id} "
-                    f"{a.scope} tensor"
-                )

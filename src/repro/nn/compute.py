@@ -3,12 +3,11 @@
 * **Compute dtype** — every tensor the substrate creates (initializers,
   layer buffers, synthetic data, transform-grown channels) uses the
   process-wide compute dtype.  ``float64`` is the default and the
-  *bit-identity* dtype: golden fixtures, the executor determinism
-  contract, and the eval-cache identity guarantees are all stated at
-  float64.  ``float32`` halves memory traffic and roughly doubles BLAS
-  throughput; results are deterministic per seed but numerically distinct
-  from float64 runs (see ROADMAP "Hot-path compute substrate" for the
-  exact contract).  The knob is resolved in one place —
+  *bit-identity* dtype: golden fixtures and the executor determinism
+  contract are stated at float64.  ``float32`` halves memory traffic and
+  roughly doubles BLAS throughput; results are deterministic per seed but
+  numerically distinct from float64 runs (CONTRACTS.md I3 states what
+  each dtype pins).  The knob is resolved in one place —
   ``CoordinatorConfig.compute_dtype`` / ``FedTransConfig.compute_dtype``
   / ``--dtype`` all funnel into :func:`set_compute_dtype` — and shipped
   to process-pool workers through the pool initializer.

@@ -10,7 +10,9 @@ byte: decoded params, residuals, ``bytes_up`` and ``round_time``.
 Run an :class:`OracleCodec` update by update, in flush order.  It keeps
 its residuals per tensor, in ``_residuals``; :func:`residual_map` decodes a
 ``TransportCodec/v3`` payload to that form and :func:`tables_payload`
-encodes it.
+encodes it.  The flush encoder drops a (model, scope)'s residuals when its
+tree arrives in another layout; the per-tensor encode does not, so a
+caller that changes a model's layout applies that rule to ``_residuals``.
 """
 
 from __future__ import annotations
@@ -44,21 +46,37 @@ def residual_map(payload: dict) -> dict:
     return out
 
 
-def tables_payload(spec: str, residuals: dict) -> dict:
+def tables_payload(spec: str, residuals: dict, layouts: dict | None = None) -> dict:
     """A ``TransportCodec/v3`` payload holding exactly ``residuals``, a
-    :func:`residual_map`: one single-tensor table per (model, scope, key,
-    dtype, shape), rows in the map's order."""
-    groups: dict[tuple, list] = {}
+    :func:`residual_map` of one layout per (model, scope): one table per
+    (model, scope), rows in the map's order.  ``layouts`` maps a (model,
+    scope) to its table's ``(keys, shapes)``; by default its residuals'
+    keys, in the map's order, and their shapes."""
+    groups: dict[tuple, dict] = {}
     for (cid, mid, scope, key), arr in residuals.items():
-        groups.setdefault((mid, scope, key, arr.dtype.str, arr.shape), []).append((cid, arr))
+        groups.setdefault((mid, scope), {}).setdefault(cid, {})[key] = arr
     tables = []
-    for (mid, scope, key, dtype, shape), rows in groups.items():
-        values = np.stack([np.ravel(arr) for _, arr in rows])
+    for (mid, scope), rows in groups.items():
+        held = {key: arr.shape for row in rows.values() for key, arr in row.items()}
+        keys, shapes = (layouts or {}).get((mid, scope), (list(held), list(held.values())))
+        (dtype,) = {arr.dtype for row in rows.values() for arr in row.values()}
+        starts = np.cumsum([0, *(int(np.prod(shape)) for shape in shapes)])
+        values = np.zeros((len(rows), starts[-1]), dtype=dtype)
+        present = np.zeros((len(rows), len(keys)), dtype=bool)
+        for r, row in enumerate(rows.values()):
+            for t, key in enumerate(keys):
+                if key in row:
+                    if row[key].shape != tuple(shapes[t]):
+                        raise ValueError(f"{mid} {scope}: residuals of two layouts")
+                    values[r, starts[t] : starts[t + 1]] = np.ravel(row[key])
+                    present[r, t] = True
+        if present.sum() != sum(map(len, rows.values())):
+            raise ValueError(f"{mid} {scope}: a residual outside its layout")
         tables.append({
-            "model_id": mid, "scope": scope, "dtype": dtype, "keys": [key],
-            "shapes": [list(shape)],
-            "client_id": np.array([cid for cid, _ in rows], dtype=np.int64),
-            "present": np.ones((len(rows), 1), dtype=bool),
+            "model_id": mid, "scope": scope, "dtype": dtype.str, "keys": list(keys),
+            "shapes": [list(shape) for shape in shapes],
+            "client_id": np.array(list(rows), dtype=np.int64),
+            "present": present,
             "values": [values[i : i + _CHUNK_ROWS] for i in range(0, len(rows), _CHUNK_ROWS)],
         })
     return {"schema": TransportCodec.schema, "spec": spec, "tables": tables}

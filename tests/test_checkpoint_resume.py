@@ -401,11 +401,11 @@ def _v2_payload(p):
     )
 
 
-def _hold_twice(p):
-    """Append a table of ``m0``'s param ``b`` alone holding client 1's,
-    which ``tables[0]`` holds too."""
+def _second_table(p):
+    """Append a table of ``m0``'s params in another layout (``b`` alone)
+    holding client 2, whom ``tables[0]`` does not hold."""
     p["tables"].append(dict(
-        p["tables"][0], keys=["b"], shapes=[[2, 2]], client_id=np.array([1], dtype=np.int64),
+        p["tables"][0], keys=["b"], shapes=[[2, 2]], client_id=np.array([2], dtype=np.int64),
         present=np.ones((1, 1), dtype=bool), values=[np.zeros((1, 4))],
     ))
 
@@ -459,8 +459,7 @@ _TABLE_TAMPERS = {
     )),
     "NaN residual": ("values[0]", lambda p: _set(p["tables"][0]["values"][0], (1, 0), np.nan)),
     "infinite residual": ("values[0]", lambda p: _set(p["tables"][1]["values"][0], (0, 1), -np.inf)),
-    "two tables of one layout": ("tables[2]", lambda p: p["tables"].append(copy.deepcopy(p["tables"][0]))),
-    "a residual held twice": ("tables", _hold_twice),
+    "a second table of one model and scope": ("tables[2]: a second table of m0 param", _second_table),
 }
 
 

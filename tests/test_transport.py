@@ -31,6 +31,7 @@ from oracle_transport import OracleCodec, residual_map, tables_payload
 
 from repro import container
 from repro.baselines import fedavg
+from repro.bench import active_profile, build_dataset, run_method
 from repro.data import SyntheticTaskConfig, build_federated_dataset
 from repro.device import DeviceTrace
 from repro.fl import (
@@ -607,9 +608,10 @@ def _array_leaves(node):
 
 
 class TestResidualTables:
-    """The residuals live in one table per (model, scope, dtype, layout):
-    a checkpoint payload is views of that storage, and a flush of clients
-    the codec has seen writes their rows in place."""
+    """The residuals live in one table per (model, scope), whose layout is
+    that tree's dtype, keys and shapes: a checkpoint payload is views of
+    that storage, and a flush of clients the codec has seen writes their
+    rows in place."""
 
     CLIENTS = 150  # three chunks of the m0 table
 
@@ -677,6 +679,85 @@ class TestResidualTables:
         assert {k: _bits(v) for k, v in now.items()} == {
             k: _bits(v) for k, v in residual_map(codec.state_dict()).items()
         }
+
+
+# ----------------------------------------------------------------------
+# the traffic the one-table rule rests on
+# ----------------------------------------------------------------------
+@cache
+def _traffic(method: str, mode: str) -> tuple:
+    """One ``update:topk0.05+int8`` run of ``method`` (async with the
+    ``downsize`` straggler policy), checked after every round: no model id
+    changes its (dtype, keys, shapes) and the codec deletes no residual
+    table.  The baselines run on that mode's FedTrans run's largest model.
+    Returns ``(peak suite size, tables the codec made, the strategy)``."""
+    profile = active_profile("femnist_like", override="tiny").with_(rounds=40)
+    over = dict(compress="update:topk0.05+int8")
+    if mode == "async":
+        over.update(mode="async", straggler="downsize")
+    largest = None
+    if method != "fedtrans":
+        suite = _traffic("fedtrans", mode)[2].models()
+        largest = max(suite.values(), key=lambda m: m.macs())
+    layouts, tables, sizes = {}, {}, []
+    run_round = Coordinator._run_round
+
+    def watched(coord, round_idx, log):
+        record = run_round(coord, round_idx, log)
+        for mid, model in coord.strategy.models().items():
+            layout = (_layout(model.params()), _layout(model.state()))
+            assert layouts.setdefault(mid, layout) == layout, f"{mid} changed layout"
+        for owner, table in coord.transport._tables.items():
+            tables.setdefault(owner, table)
+        deleted = [o for o, t in tables.items() if coord.transport._tables.get(o) is not t]
+        assert not deleted, f"round {round_idx} deleted the residual tables of {deleted}"
+        sizes.append(len(coord.strategy.models()))
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Coordinator, "_run_round", watched)
+        res = run_method(
+            method, build_dataset(profile, seed=0), profile, seed=0,
+            global_model=largest, coordinator_overrides=over,
+        )
+    assert len(sizes) == profile.rounds
+    return max(sizes), len(tables), res.strategy
+
+
+class TestOneLayoutPerModel:
+    """CONTRACTS.md I11's one table per (model, scope) rests on this: a
+    model id keeps its tree layout for life.  FedTrans derives new model
+    ids by transformation; HeteroFL, FLuID and SplitMix keep one shape per
+    id.  So no lossy run, sync or async, resets a table, and a tree that
+    could not be one table's row is refused."""
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("method", ["fedtrans", "heterofl", "fluid", "splitmix"])
+    def test_no_run_changes_a_models_layout(self, method, mode):
+        peak_models, tables, _ = _traffic(method, mode)
+        assert tables > 0
+        if method == "fedtrans":
+            assert peak_models > 1  # at least one transform fired
+
+    def test_a_tree_of_mixed_dtypes_is_refused(self):
+        """A table is one dtype wide: a tree that mixes dtypes names its
+        model and scope, before the flush resets or writes any table."""
+        codec = TransportCodec(TransportConfig.parse("update:int8"))
+        codec.encode_update(_mk_update({"w": np.ones(4)}))
+        before = {k: _bits(v) for k, v in residual_map(codec.state_dict()).items()}
+        mixed = _mk_update(
+            {"w": np.ones(5)}, {"s": np.ones(2), "t": np.ones(2, dtype=np.float32)}, cid=1
+        )
+        with pytest.raises(ValueError, match=r"m0 state: .* mixes \['<f4', '<f8'\]"):
+            codec.encode_update([_mk_update({"w": np.zeros(3)}, mid="m1"), mixed])
+        assert {k: _bits(v) for k, v in residual_map(codec.state_dict()).items()} == before
+
+    def test_a_flush_carries_one_layout_per_model_and_scope(self):
+        codec = TransportCodec(TransportConfig.parse("update:int8"))
+        updates = [_mk_update({"w": np.ones(4)}), _mk_update({"w": np.ones(5)}, cid=1)]
+        with pytest.raises(ValueError, match="m0 param: a flush carries one layout"):
+            codec.encode_update(updates)
+        assert codec.state_dict()["tables"] == []
 
 
 # ----------------------------------------------------------------------
@@ -793,26 +874,56 @@ def _reference_for(rng, model: "_FakeModel", dtype):
     return _FakeModel(params, model.state())
 
 
-def _seed_residuals(rng, flush_codec, oracle, models, dtype):
-    """The same pre-existing residuals in both codecs: right-shaped,
-    wrong-shaped, or none, per (client, model, tensor)."""
-    for cid in range(8):
-        for mid, model in models:
-            for scope, tree in (("param", model.params()), ("state", model.state())):
-                for key, ref in tree.items():
-                    kind = rng.choice(["none", "right", "wrong"], p=[0.5, 0.35, 0.15])
-                    if kind == "none":
-                        continue
-                    shape = ref.shape if kind == "right" else (ref.size + 2,)
-                    res = (rng.standard_normal(shape) * 0.01).astype(dtype)
-                    oracle._residuals[(cid, mid, scope, key)] = res
-    flush_codec.load_state_dict(tables_payload(oracle.config.spec, oracle._residuals))
+def _layout(tree: dict) -> tuple:
+    """What a residual table is of: its tensors' keys, dtypes and shapes."""
+    return tuple((key, arr.dtype.str, arr.shape) for key, arr in tree.items())
+
+
+def _seed_residuals(rng, flush_codec, oracle, models, dtype) -> dict:
+    """The same pre-existing residuals in both codecs, at most one layout
+    per (model, scope): none, the model's current one, or a stale one
+    (every tensor resized, or of the other dtype), a random subset of each
+    client's tensors.  Returns the seeded (model, scope) layouts."""
+    other = np.float32 if dtype == np.float64 else np.float64
+    layouts, seen = {}, {}
+    for mid, model in models:
+        for scope, tree in (("param", model.params()), ("state", model.state())):
+            kind = rng.choice(["none", "current", "resized", "retyped"], p=[0.3, 0.5, 0.1, 0.1])
+            if kind == "none" or not tree:
+                continue
+            shapes = [(ref.size + 2,) if kind == "resized" else ref.shape for ref in tree.values()]
+            res_dtype = other if kind == "retyped" else dtype
+            for cid in range(8):
+                for key, shape in zip(tree, shapes):
+                    if rng.random() < 0.6:
+                        res = (rng.standard_normal(shape) * 0.01).astype(res_dtype)
+                        oracle._residuals[(cid, mid, scope, key)] = res
+            layouts[(mid, scope)] = (list(tree), shapes)
+            seen[(mid, scope)] = tuple(
+                (key, np.dtype(res_dtype).str, shape) for key, shape in zip(tree, shapes)
+            )
+    flush_codec.load_state_dict(tables_payload(oracle.config.spec, oracle._residuals, layouts))
+    return seen
+
+
+def _reset_relaid(oracle, seen: dict, models) -> None:
+    """The flush encoder's rule, applied to the oracle's dict: a (model,
+    scope) whose tree comes in another layout than the one last seen loses
+    its residuals."""
+    for mid, model in models:
+        for scope, tree in (("param", model.params()), ("state", model.state())):
+            layout = _layout(tree)
+            if tree and seen.setdefault((mid, scope), layout) != layout:
+                oracle._residuals = {
+                    k: v for k, v in oracle._residuals.items() if k[1:3] != (mid, scope)
+                }
+                seen[(mid, scope)] = layout
 
 
 def _transform(rng, models, dtype):
     """Half the time, one model changes layout between two flushes: a
-    tensor resized, or one added (its clients' residuals of the old layout
-    are then adopted, replaced or kept)."""
+    tensor resized, or one added (its next flush resets its param
+    residuals)."""
     if rng.random() < 0.5:
         return
     j = rng.integers(len(models))
@@ -832,7 +943,8 @@ def _bits(arr: np.ndarray) -> tuple:
 
 class TestFlushOracle:
     """CONTRACTS.md I11: one ``encode_update`` call per flush gives, update
-    by update, the bytes of the per-tensor codec it replaced."""
+    by update, the bytes of the per-tensor codec it replaced, once the
+    oracle drops the residuals of a (model, scope) that changed layout."""
 
     @settings(max_examples=200, deadline=None)
     @given(run=_flush_runs())
@@ -842,8 +954,9 @@ class TestFlushOracle:
         cfg = TransportConfig.parse(run["spec"])
         flush_codec, oracle = TransportCodec(cfg), OracleCodec(cfg)
         models = _flush_world(rng, run)
-        _seed_residuals(rng, flush_codec, oracle, models, dtype)
+        seen = _seed_residuals(rng, flush_codec, oracle, models, dtype)
         for flush in run["flushes"]:
+            _reset_relaid(oracle, seen, [models[j] for j in sorted({j for _, j in flush})])
             updates, twins, refs, devices = [], [], [], []
             for cid, j in flush:
                 mid, model = models[j]
